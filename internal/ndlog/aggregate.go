@@ -156,11 +156,10 @@ func (e *Engine) fireAggregate(r *Rule, nodeName string, b binding, st Stamp) er
 	// mutating the group, so an evaluation error leaves it untouched too.
 	gk := e.groupKey(r, nodeName, b.env)
 	g := e.aggGroupFor(gk)
-	env := b.env.Clone()
-	env[r.CountVar] = Int(g.count + 1)
+	b.env[r.CountVar] = Int(g.count + 1)
 	args := make([]Value, len(r.Head.Args))
 	for i, expr := range r.Head.Args {
-		v, err := expr.Eval(env)
+		v, err := expr.Eval(b.env)
 		if err != nil {
 			return fmt.Errorf("ndlog: rule %s head: %v", r.Name, err)
 		}
@@ -183,7 +182,7 @@ func (e *Engine) fireAggregate(r *Rule, nodeName string, b binding, st Stamp) er
 		ID:       e.deriveID,
 		Rule:     r.Name,
 		Node:     nodeName,
-		Body:     []At{b.body[0]},
+		Body:     b.body[:1],
 		Trigger:  0,
 		AggPrev:  prevID,
 		AggCount: g.count,
@@ -192,7 +191,7 @@ func (e *Engine) fireAggregate(r *Rule, nodeName string, b binding, st Stamp) er
 	d.Head = At{Node: destNode, Tuple: head, Stamp: hst}
 	g.prev, g.prevID, g.prevSet = head.Clone(), d.ID, true
 	e.obs.OnDerive(*d)
-	sup := support{deriveID: d.ID, rule: d.Rule, body: bodyRefsOf(d)}
+	sup := support{deriveID: d.ID, rule: d.Rule, body: b.refs[:1]}
 	return e.appear(destNode, head, hst, d.ID, sup)
 }
 

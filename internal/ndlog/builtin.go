@@ -36,6 +36,8 @@ var ErrNonInvertible = fmt.Errorf("ndlog: computation is not invertible")
 var builtins = map[string]*builtin{}
 
 // RegisterBuiltin installs a builtin function. Arity -1 means variadic.
+// eval must not retain its argument slice past its return: the evaluator
+// reuses it for the next call.
 // Registration is not safe for concurrent use and is expected to happen
 // during package initialization.
 func RegisterBuiltin(name string, arity int, eval func([]Value) (Value, error)) {

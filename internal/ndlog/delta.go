@@ -42,7 +42,6 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-	"strconv"
 )
 
 // eventOcc records one event-tuple occurrence on a table, so the
@@ -271,7 +270,7 @@ func (e *Engine) refireAtomOccurrences(r *Rule, p int, pinNode string, pin *row,
 				if until != (Stamp{}) && !o.at.Before(until) {
 					return nil
 				}
-				return e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.at)
+				return e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.tuple.Key(), o.at)
 			}
 			// Sorted prefix by binary search, then the short unsorted
 			// tail, then the fork-private counterfactual tail.
@@ -301,7 +300,7 @@ func (e *Engine) refireAtomOccurrences(r *Rule, p int, pinNode string, pin *row,
 			if until != (Stamp{}) && !o.appearedAt.Before(until) {
 				continue
 			}
-			if err := e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.appearedAt); err != nil {
+			if err := e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.key, o.appearedAt); err != nil {
 				return err
 			}
 		}
@@ -312,47 +311,16 @@ func (e *Engine) refireAtomOccurrences(r *Rule, p int, pinNode string, pin *row,
 // refireAt fires rule r once for a single re-enumerated trigger
 // occurrence: a pinned fire for plain rules, a full trigger
 // re-evaluation for argmax rules.
-func (e *Engine) refireAt(r *Rule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, st Stamp) error {
+func (e *Engine) refireAt(r *Rule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, key string, st Stamp) error {
 	if r.ArgMax != "" {
 		cause := At{Node: pinNode, Tuple: pin.tuple, Stamp: pin.appearedAt}
-		return e.reevalArgMax(r, q, nodeName, delta, st, cause)
+		return e.reevalArgMax(r, q, nodeName, delta, key, st, cause)
 	}
 	e.rfPin, e.rfPinAtom, e.rfPinNode = pin, p, pinNode
 	e.stats.CFRefires++
-	err := e.fireRule(r, q, nodeName, delta, st)
+	err := e.fireRule(r, q, nodeName, delta, key, st)
 	e.rfPin = nil
 	return err
-}
-
-// joinPinned matches the pinned counterfactual row — and only it — at
-// body atom next, extending the binding and recursing like joinAtom.
-// Restricting the pinned position to the new row is what makes a delta
-// re-fire derive only the bindings the change introduced: bindings over
-// main-phase rows alone were already derived by the base run.
-func (e *Engine) joinPinned(r *Rule, deltaAtom int, evalNode string, b binding, next int, st Stamp) ([]binding, error) {
-	atom := r.Body[next]
-	rw, nodeName := e.rfPin, e.rfPinNode
-	locNode, locKnown, err := resolveLoc(atom.Loc, evalNode, b.env)
-	if err != nil {
-		return nil, fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
-	}
-	if locKnown && locNode != nodeName {
-		return nil, nil
-	}
-	if rw.dead || st.Before(rw.appearedAt) {
-		return nil, nil
-	}
-	if !quickMatch(atom, b.env, rw.tuple) {
-		return nil, nil
-	}
-	env2 := b.env.Clone()
-	if !unifyAtom(atom, nodeName, rw.tuple, env2) {
-		return nil, nil
-	}
-	b2 := binding{env: env2, body: make([]At, len(b.body))}
-	copy(b2.body, b.body)
-	b2.body[next] = At{Node: nodeName, Tuple: rw.tuple, Stamp: rw.appearedAt}
-	return e.joinRest(r, deltaAtom, evalNode, b2, next+1, st)
 }
 
 // cfBackdateRow moves an already-live row's appearance back to a
@@ -466,10 +434,11 @@ type evConsumer struct {
 }
 
 // registerEventDeriv indexes an event-head derivation under each of its
-// body elements, at delivery time (process). The body slice is the
-// support's, write-once and shared.
+// body elements, at delivery time (process). The record is write-once, so
+// one allocation is shared by all its refs; the body slice is the
+// support's, likewise shared.
 func (e *Engine) registerEventDeriv(d *Derivation, body []bodyRef) {
-	c := evConsumer{
+	c := &evConsumer{
 		deriveID: d.ID,
 		rule:     d.Rule,
 		node:     d.Head.Node,
@@ -489,9 +458,9 @@ func (e *Engine) registerEventDeriv(d *Derivation, body []bodyRef) {
 // (a tail); the base chain's frozen lists are never copied — evDepsOf
 // concatenates on read, which is rare (erasure) while registration is
 // per-derivation hot.
-func (e *Engine) appendEvDep(ref string, c evConsumer) {
+func (e *Engine) appendEvDep(ref string, c *evConsumer) {
 	if e.evDeps == nil {
-		e.evDeps = map[string][]evConsumer{}
+		e.evDeps = map[string][]*evConsumer{}
 	}
 	e.evDeps[ref] = append(e.evDeps[ref], c)
 }
@@ -502,7 +471,7 @@ func (e *Engine) appendEvDep(ref string, c evConsumer) {
 // filtered by body sequence number at use), so there are no tombstones
 // to honor. The returned slice may alias a single chain link's frozen
 // storage; do not mutate.
-func (e *Engine) evDepsOf(ref string) []evConsumer {
+func (e *Engine) evDepsOf(ref string) []*evConsumer {
 	if e.cowBase == nil {
 		return e.evDeps[ref]
 	}
@@ -514,13 +483,13 @@ func (e *Engine) evDepsOf(ref string) []evConsumer {
 	if len(base) == 0 {
 		return local
 	}
-	return append(append(make([]evConsumer, 0, len(base)+len(local)), base...), local...)
+	return append(append(make([]*evConsumer, 0, len(base)+len(local)), base...), local...)
 }
 
 // forEachEvDeps visits every ref's effective (chain-concatenated)
 // consumer list exactly once; used to materialize the overlay on deep
 // forks.
-func (e *Engine) forEachEvDeps(fn func(ref string, deps []evConsumer)) {
+func (e *Engine) forEachEvDeps(fn func(ref string, deps []*evConsumer)) {
 	if e.cowBase == nil {
 		for ref, deps := range e.evDeps {
 			fn(ref, deps)
@@ -564,13 +533,11 @@ func (e *Engine) killOcc(seq uint64) {
 // Without it (the element's own occurrence was erased, so it never
 // happened in the counterfactual timeline), every consumer goes.
 func (e *Engine) eraseEventConsumers(ref string, bodySeq uint64, cause At, st Stamp, gate bool) {
-	deps := e.evDepsOf(ref)
-	if len(deps) == 0 {
-		return
-	}
-	// Snapshot: the cascade can append to other refs' lists via the map.
-	snap := append([]evConsumer(nil), deps...)
-	for _, c := range snap {
+	// The range below is a snapshot: lists are append-only and their
+	// entries write-once, so whatever the cascade registers meanwhile —
+	// under this ref or, through the map, any other — lands beyond the
+	// slice being ranged over.
+	for _, c := range e.evDepsOf(ref) {
 		match := false
 		for _, b := range c.body {
 			if b.seq == bodySeq {
@@ -612,7 +579,7 @@ func (e *Engine) eraseEventConsumers(ref string, bodySeq uint64, cause At, st St
 // dropped), an underivation is emitted, and the erasure cascades: count()
 // groups it contributed to are decremented, state rows it supported are
 // retracted, and event occurrences derived from it are erased in turn.
-func (e *Engine) eraseOccurrence(c evConsumer, cause At, st Stamp) {
+func (e *Engine) eraseOccurrence(c *evConsumer, cause At, st Stamp) {
 	if e.isKilledOcc(c.headAt.Seq) {
 		return
 	}
@@ -623,7 +590,8 @@ func (e *Engine) eraseOccurrence(c evConsumer, cause At, st Stamp) {
 	}
 	n := e.nodeFor(c.node)
 	tb := e.writableTable(n, e.tableFor(n, decl))
-	histRemoveOcc(tb, c.tuple.Key(), c.headAt.Seq)
+	key := c.tuple.Key()
+	histRemoveOcc(tb, key, c.headAt.Seq)
 	e.cfMarkDirty(c.node, c.tuple.Table)
 	e.deriveID++
 	e.obs.OnUnderive(Underivation{
@@ -638,12 +606,12 @@ func (e *Engine) eraseOccurrence(c evConsumer, cause At, st Stamp) {
 	// count() groups the occurrence contributed to shrink by one.
 	for _, ref := range e.prog.triggers(c.tuple.Table) {
 		if ref.rule.CountVar != "" {
-			e.cfAggregateErase(ref.rule, c.node, c.tuple, occ, st)
+			e.cfAggregateErase(ref.rule, c.node, c.tuple, key, occ, st)
 		}
 	}
 	// State rows supported by the occurrence lose that support. Aggregate
 	// heads are skipped: the group decrement above already replaced them.
-	occRef := c.node + "|" + c.tuple.Key()
+	occRef := c.node + "|" + key
 	for _, dep := range append([]dependentRef(nil), e.depsOf(occRef)...) {
 		e.retractSupportIf(dep, c.headAt.Seq, occ, st)
 	}
@@ -715,20 +683,16 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause At, st
 // with the sign flipped; invariant breaks (the contributor never matched,
 // the group is empty, the head fails to evaluate) count as
 // AggRetractMisses, which the differential suites assert stay zero.
-func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, occ At, st Stamp) {
-	env := Env{}
-	if !unifyAtom(r.Body[0], nodeName, t, env) {
-		return
-	}
-	b := binding{env: env, body: []At{occ}}
-	ok, err := e.finishBinding(r, &b)
+func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, key string, occ At, st Stamp) {
+	sat, err := e.satBindings(r, 0, nodeName, t, key, occ.Stamp)
 	if err != nil {
 		e.stats.AggRetractMisses++
 		return
 	}
-	if !ok {
+	if len(sat) == 0 {
 		return // the occurrence never contributed (constraint filtered it)
 	}
+	b := sat[0]
 	destNode, known, err := resolveLoc(r.Head.Loc, nodeName, b.env)
 	if err != nil || !known {
 		e.stats.AggRetractMisses++
@@ -742,11 +706,10 @@ func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, occ At, st 
 	}
 	// Evaluate the decremented head before mutating the group, so an
 	// evaluation error leaves it untouched (like fireAggregate).
-	env2 := b.env.Clone()
-	env2[r.CountVar] = Int(g.count - 1)
+	b.env[r.CountVar] = Int(g.count - 1)
 	args := make([]Value, len(r.Head.Args))
 	for i, expr := range r.Head.Args {
-		v, err := expr.Eval(env2)
+		v, err := expr.Eval(b.env)
 		if err != nil {
 			e.stats.AggRetractMisses++
 			return
@@ -767,7 +730,7 @@ func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, occ At, st 
 		ID:        e.deriveID,
 		Rule:      r.Name,
 		Node:      nodeName,
-		Body:      []At{occ},
+		Body:      b.body[:1],
 		Trigger:   0,
 		AggPrev:   prevID,
 		AggCount:  g.count,
@@ -777,18 +740,20 @@ func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, occ At, st 
 	d.Head = At{Node: destNode, Tuple: head, Stamp: hst}
 	g.prev, g.prevID, g.prevSet = head.Clone(), d.ID, true
 	e.obs.OnDerive(*d)
-	sup := support{deriveID: d.ID, rule: d.Rule, body: bodyRefsOf(d)}
+	sup := support{deriveID: d.ID, rule: d.Rule, body: b.refs[:1]}
 	if err := e.appear(destNode, head, hst, d.ID, sup); err != nil {
 		e.stats.AggRetractMisses++
 	}
 }
 
-// amKey canonically identifies an argmax trigger occurrence: the rule
-// plus the (node, key, seq) of the triggering element. Every binding a
-// trigger produces shares it, so it keys "the derivation this trigger
-// currently supports".
-func amKey(ruleName, node, key string, seq uint64) string {
-	return ruleName + "|" + node + "|" + key + "|" + strconv.FormatUint(seq, 10)
+// amTrigger identifies an argmax trigger occurrence: the rule plus the
+// node and stamp sequence of the triggering element (stamp sequences are
+// unique within an engine's timeline, so no tuple key is needed). Every
+// binding a trigger produces shares it, so it keys "the derivation this
+// trigger currently supports".
+type amTrigger struct {
+	rule, node string
+	seq        uint64
 }
 
 // amEntry records the argmax winner currently derived for one trigger
@@ -805,7 +770,7 @@ type amEntry struct {
 }
 
 // amOf reads the argmax-winner map through the copy-on-write chain.
-func (e *Engine) amOf(key string) *amEntry {
+func (e *Engine) amOf(key amTrigger) *amEntry {
 	for en := e; en != nil; en = en.cowBase {
 		if v, ok := en.amDeriv[key]; ok {
 			return v
@@ -818,23 +783,23 @@ func (e *Engine) amOf(key string) *amEntry {
 // Entries are never deleted: a stale entry (its derivation has since been
 // retracted) is detected at use — the retraction is skipped gracefully
 // and the binding-key comparison still answers "did the winner change".
-func (e *Engine) amSet(key string, v *amEntry) {
+func (e *Engine) amSet(key amTrigger, v *amEntry) {
 	if e.amDeriv == nil {
-		e.amDeriv = map[string]*amEntry{}
+		e.amDeriv = map[amTrigger]*amEntry{}
 	}
 	e.amDeriv[key] = v
 }
 
 // forEachAm visits every trigger's effective winner entry exactly once;
 // used to materialize the overlay on deep forks.
-func (e *Engine) forEachAm(fn func(key string, v *amEntry)) {
+func (e *Engine) forEachAm(fn func(key amTrigger, v *amEntry)) {
 	if e.cowBase == nil {
 		for k, v := range e.amDeriv {
 			fn(k, v)
 		}
 		return
 	}
-	seen := map[string]bool{}
+	seen := map[amTrigger]bool{}
 	for en := e; en != nil; en = en.cowBase {
 		for k, v := range en.amDeriv {
 			if seen[k] {
@@ -846,57 +811,22 @@ func (e *Engine) forEachAm(fn func(key string, v *amEntry)) {
 	}
 }
 
-// noteArgMaxWin records the winner just derived by a main-phase (or
-// class-a counterfactual) argmax firing, so the counterfactual phase can
-// retract it if a change flips the winner. Called from fireRule after
-// derive; the delta that fired the rule is the trigger (it always carries
-// the binding's max stamp — rules fire in processing order).
-func (e *Engine) noteArgMaxWin(r *Rule, deltaNode string, delta Tuple, st Stamp, win binding) {
-	key := amKey(r.Name, deltaNode, delta.Key(), st.Seq)
-	e.amSet(key, e.amEntryFor(r, deltaNode, win))
-}
-
-// amEntryFor builds the winner entry for a binding whose head was just
-// derived (e.deriveID is the head's derivation id).
-func (e *Engine) amEntryFor(r *Rule, evalNode string, win binding) *amEntry {
-	ent := &amEntry{bk: bindingKey(win, r)}
-	head, destNode, err := e.headOf(r, evalNode, win)
-	if err != nil {
-		// derive already succeeded with this binding; an evaluation error
-		// here is unreachable, but degrade to an unretractable entry
-		// rather than corrupt state.
-		return ent
-	}
-	if d := e.prog.Decl(head.Table); d != nil && d.Event {
-		// Event heads have no row to retract; record the occurrence the
-		// derive just pushed (its delivery stamp is lastDeriveStamp) so a
+// amEntryFor builds the winner entry for a binding from the work item
+// derive just queued for its head. A trigger is the element carrying its
+// binding's max stamp (rules fire in processing order), so fireRule and
+// reevalArgMax key the entry by the delta that fired the rule.
+func (e *Engine) amEntryFor(win binding, it *workItem) *amEntry {
+	ent := &amEntry{bk: BindingKey(win.env), ref: dependentRef{node: it.node, deriveID: it.deriv.ID}}
+	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
+		// Event heads have no row to retract; record the occurrence so a
 		// displaced winner can be erased instead.
 		ent.eventHead = true
-		ent.ref = dependentRef{node: destNode, deriveID: e.deriveID}
-		ent.headTuple = head
-		ent.headAt = e.lastDeriveStamp
+		ent.headTuple = it.tuple
+		ent.headAt = it.stamp
 		return ent
 	}
-	ent.ref = dependentRef{node: destNode, key: head.Key(), deriveID: e.deriveID}
+	ent.ref.key = it.tuple.Key()
 	return ent
-}
-
-// headOf evaluates a rule's head tuple and destination node under a
-// binding (the same computation derive performs).
-func (e *Engine) headOf(r *Rule, evalNode string, b binding) (Tuple, string, error) {
-	args := make([]Value, len(r.Head.Args))
-	for i, expr := range r.Head.Args {
-		v, err := expr.Eval(b.env)
-		if err != nil {
-			return Tuple{}, "", fmt.Errorf("ndlog: rule %s head: %v", r.Name, err)
-		}
-		args[i] = v
-	}
-	destNode, known, err := resolveLoc(r.Head.Loc, evalNode, b.env)
-	if err != nil || !known {
-		return Tuple{}, "", fmt.Errorf("ndlog: rule %s: unresolved head location: %v", r.Name, err)
-	}
-	return Tuple{Table: r.Head.Table, Args: args}, destNode, nil
 }
 
 // cfReeval is one queued argmax trigger re-evaluation, recorded when a
@@ -1047,7 +977,7 @@ func (e *Engine) drainCFReevals() error {
 			return batch[i].tuple.Key() < batch[j].tuple.Key()
 		})
 		for _, rq := range batch {
-			if err := e.reevalArgMax(rq.rule, rq.atom, rq.node, rq.tuple, rq.st, rq.cause); err != nil {
+			if err := e.reevalArgMax(rq.rule, rq.atom, rq.node, rq.tuple, rq.tuple.Key(), rq.st, rq.cause); err != nil {
 				return err
 			}
 		}
@@ -1060,49 +990,23 @@ func (e *Engine) drainCFReevals() error {
 // rows the change set killed excluded. If the winner differs from the one
 // the trigger currently supports, the old head is retracted (cascading)
 // and the new winner derived. Idempotent: an unchanged winner is a no-op.
-func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tuple, st Stamp, cause At) error {
+func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause At) error {
 	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.isKilledOcc(st.Seq) {
 		return nil // the trigger occurrence was erased after this re-eval was queued
 	}
-	atom := r.Body[deltaAtom]
-	env := Env{}
-	if !unifyAtom(atom, nodeName, delta, env) {
-		return nil
-	}
-	seed := binding{env: env, body: make([]At, len(r.Body))}
-	seed.body[deltaAtom] = At{Node: nodeName, Tuple: delta, Stamp: st}
-	bindings, err := e.joinRest(r, deltaAtom, nodeName, seed, 0, st)
+	sat, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
 	if err != nil {
 		return err
 	}
-	var sat []binding
-	for _, b := range bindings {
-		ok, err := e.finishBinding(r, &b)
-		if err != nil {
-			return fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
-		}
-		if ok {
-			sat = append(sat, b)
-		}
-	}
-	key := amKey(r.Name, nodeName, delta.Key(), st.Seq)
-	cur := e.amOf(key)
 	if len(sat) == 0 {
 		// No satisfying binding survives the changes; whatever the trigger
 		// derived has been (or is being) retracted by the support cascade.
 		return nil
 	}
-	best := 0
-	for i := 1; i < len(sat); i++ {
-		bi := sat[i].env[r.ArgMax]
-		bb := sat[best].env[r.ArgMax]
-		if Less(bb, bi) || (!Less(bi, bb) && bindingKey(sat[i], r) < bindingKey(sat[best], r)) {
-			best = i
-		}
-	}
-	win := sat[best]
-	bk := bindingKey(win, r)
-	if cur != nil && cur.bk == bk {
+	win := sat[0]
+	trig := amTrigger{rule: r.Name, node: nodeName, seq: st.Seq}
+	cur := e.amOf(trig)
+	if cur != nil && cur.bk == BindingKey(win.env) {
 		return nil // winner unchanged; the main-phase derivation stands (or fell with its own supports)
 	}
 	if cur != nil && !cur.eventHead && cur.ref.key != "" {
@@ -1113,7 +1017,7 @@ func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tup
 	if cur != nil && cur.eventHead && cur.headTuple.Table != "" {
 		// A displaced event-head winner has no row; erase its occurrence
 		// (idempotent — a cascade may already have erased it).
-		e.eraseOccurrence(evConsumer{
+		e.eraseOccurrence(&evConsumer{
 			deriveID: cur.ref.deriveID,
 			rule:     r.Name,
 			node:     cur.ref.node,
@@ -1122,9 +1026,10 @@ func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tup
 		}, cause, st)
 	}
 	e.stats.CFRefires++
-	if err := e.derive(r, nodeName, win, deltaAtom, st); err != nil {
+	it, err := e.derive(r, nodeName, win, deltaAtom, st)
+	if err != nil {
 		return err
 	}
-	e.amSet(key, e.amEntryFor(r, nodeName, win))
+	e.amSet(trig, e.amEntryFor(win, it))
 	return nil
 }

@@ -185,9 +185,9 @@ type Engine struct {
 	cfSeqMark  uint64
 	cfDirty    map[string]struct{}
 	cfReevals  []cfReeval
-	amDeriv    map[string]*amEntry
+	amDeriv    map[amTrigger]*amEntry
 	// rfPin pins one counterfactual row at body atom rfPinAtom (on node
-	// rfPinNode) during a delta re-fire, so joinRest matches only that
+	// rfPinNode) during a delta re-fire, so the join matches only that
 	// row at the pinned position.
 	rfPin     *row
 	rfPinAtom int
@@ -195,15 +195,16 @@ type Engine struct {
 	// evDeps maps a body-element reference (node|key) to the event-head
 	// derivations it fed, so the counterfactual phase can erase derived
 	// event occurrences whose preconditions are retracted (events have no
-	// rows, so the dependents cascade cannot reach them). Overlays
-	// cowBase like dependents; entries are never deleted (stale ones are
-	// filtered by the body sequence number). killedOccs marks erased
-	// event occurrences by stamp sequence; lastDeriveStamp is the stamp
-	// derive() assigned to its most recent head, recorded by argmax
-	// bookkeeping (see delta.go).
-	evDeps          map[string][]evConsumer
-	killedOccs      map[uint64]struct{}
-	lastDeriveStamp Stamp
+	// rows, so the dependents cascade cannot reach them). A derivation's
+	// one write-once record is shared by pointer under each of its body
+	// refs and across forks. Overlays cowBase like dependents; entries are
+	// never deleted (stale ones are filtered by the body sequence number).
+	// killedOccs marks erased event occurrences by stamp sequence.
+	evDeps     map[string][]*evConsumer
+	killedOccs map[uint64]struct{}
+	// join is the scratch state of the rule-firing join (join.go); never
+	// copied by Fork.
+	join joinScratch
 }
 
 // errSealed is returned by Run and Schedule calls on a sealed engine.
@@ -318,6 +319,7 @@ type workItem struct {
 	node  string
 	tuple Tuple
 	deriv *Derivation // for wkArriveDerived
+	refs  []bodyRef   // for wkArriveDerived: deriv.Body as support references
 }
 
 type workHeap []*workItem
@@ -406,7 +408,7 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		nodes:       map[string]*node{},
 		delay:       1,
 		dependents:  map[string][]dependentRef{},
-		evDeps:      map[string][]evConsumer{},
+		evDeps:      map[string][]*evConsumer{},
 		immutable:   map[string]bool{},
 		aggGroups:   map[string]*aggGroup{},
 		deriveLimit: 10_000_000,
@@ -676,7 +678,7 @@ func (e *Engine) process(it *workItem) error {
 		d := it.deriv
 		d.Head.Stamp = it.stamp
 		e.obs.OnDerive(*d)
-		sup := support{deriveID: d.ID, rule: d.Rule, body: bodyRefsOf(d)}
+		sup := support{deriveID: d.ID, rule: d.Rule, body: it.refs}
 		if dec := e.prog.Decl(it.tuple.Table); dec != nil && dec.Event {
 			// Event heads have no row for the dependents cascade to
 			// retract; register the derivation under each body element so
@@ -688,14 +690,6 @@ func (e *Engine) process(it *workItem) error {
 	default:
 		return fmt.Errorf("ndlog: unknown work kind %d", it.kind)
 	}
-}
-
-func bodyRefsOf(d *Derivation) []bodyRef {
-	refs := make([]bodyRef, len(d.Body))
-	for i, b := range d.Body {
-		refs[i] = bodyRef{node: b.Node, key: b.Tuple.Key(), seq: b.Stamp.Seq}
-	}
-	return refs
 }
 
 // appear handles a tuple occurrence on a node: event tuples trigger rules
@@ -714,7 +708,8 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 		// Record the instantaneous occurrence in history for temporal
 		// queries (zero-length closed interval).
 		tb := e.writableTable(n, e.tableFor(n, decl))
-		tb.histAppend(t.Key(), Interval{From: st, To: st})
+		key := t.Key()
+		tb.histAppend(key, Interval{From: st, To: st})
 		tb.occAppend(t, st)
 		if e.cfPhase {
 			e.cfMarkDirty(nodeName, t.Table)
@@ -722,7 +717,7 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 		// Events need no delta re-fire: a non-delta event atom never joins
 		// (events are not stored), so an event occurrence only ever fires
 		// rules as their trigger — which this very call does.
-		return e.trigger(nodeName, t, st)
+		return e.trigger(nodeName, t, key, st)
 	}
 	// An appearance always writes (a new row or an extra support), so the
 	// table must be writable up front; rows fetched below come out of the
@@ -776,7 +771,7 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 	e.stats.Appears++
 	at := At{Node: nodeName, Tuple: t, Stamp: st}
 	e.obs.OnAppear(at, deriveID)
-	if err := e.trigger(nodeName, t, st); err != nil {
+	if err := e.trigger(nodeName, t, key, st); err != nil {
 		return err
 	}
 	if e.cfPhase {
@@ -977,95 +972,51 @@ func (e *Engine) retractSupport(dep dependentRef, cause At, st Stamp) {
 }
 
 // trigger fires every rule that has a body atom over the delta tuple's
-// table, with the delta bound at that atom.
-func (e *Engine) trigger(nodeName string, delta Tuple, st Stamp) error {
+// table, with the delta (key is its Key()) bound at that atom.
+func (e *Engine) trigger(nodeName string, delta Tuple, key string, st Stamp) error {
 	for _, ref := range e.prog.triggers(delta.Table) {
-		if err := e.fireRule(ref.rule, ref.atom, nodeName, delta, st); err != nil {
+		if err := e.fireRule(ref.rule, ref.atom, nodeName, delta, key, st); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// binding is one satisfying assignment of a rule body.
-type binding struct {
-	env  Env
-	body []At // per body atom: the matched tuple and its appearance stamp
-}
-
 // fireRule evaluates one rule with the delta tuple bound at body atom
 // deltaAtom, deriving head tuples for every satisfying binding (or only
 // the argmax-winning binding).
-func (e *Engine) fireRule(r *Rule, deltaAtom int, nodeName string, delta Tuple, st Stamp) error {
-	atom := r.Body[deltaAtom]
-	env := Env{}
-	if !unifyAtom(atom, nodeName, delta, env) {
-		return nil
-	}
-	seed := binding{env: env, body: make([]At, len(r.Body))}
-	seed.body[deltaAtom] = At{Node: nodeName, Tuple: delta, Stamp: st}
-
-	bindings, err := e.joinRest(r, deltaAtom, nodeName, seed, 0, st)
+func (e *Engine) fireRule(r *Rule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp) error {
+	sat, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
 	if err != nil {
 		return err
 	}
-	// Apply assignments and constraints.
-	var sat []binding
-	for _, b := range bindings {
-		ok, err := e.finishBinding(r, &b)
-		if err != nil {
-			return fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
-		}
-		if ok {
-			sat = append(sat, b)
-		}
-	}
-	if len(sat) == 0 {
-		return nil
-	}
-	if r.CountVar != "" {
-		for _, b := range sat {
+	for _, b := range sat {
+		if r.CountVar != "" {
 			if err := e.fireAggregate(r, nodeName, b, st); err != nil {
 				return err
 			}
+			continue
 		}
-		return nil
-	}
-	if r.ArgMax != "" {
-		best := 0
-		for i := 1; i < len(sat); i++ {
-			bi := sat[i].env[r.ArgMax]
-			bb := sat[best].env[r.ArgMax]
-			if Less(bb, bi) || (!Less(bi, bb) && bindingKey(sat[i], r) < bindingKey(sat[best], r)) {
-				best = i
-			}
-		}
-		sat = sat[best : best+1]
-	}
-	for _, b := range sat {
-		if err := e.derive(r, nodeName, b, deltaAtom, st); err != nil {
+		it, err := e.derive(r, nodeName, b, deltaAtom, st)
+		if err != nil {
 			return err
 		}
 		if r.ArgMax != "" {
 			// Remember which winner this trigger derived, so a
 			// counterfactual change that flips the winner can retract it
 			// (delta.go).
-			e.noteArgMaxWin(r, nodeName, delta, st, b)
+			e.amSet(amTrigger{rule: r.Name, node: nodeName, seq: st.Seq}, e.amEntryFor(b, it))
 		}
 	}
 	return nil
-}
-
-func bindingKey(b binding, r *Rule) string {
-	_ = r
-	return BindingKey(b.env)
 }
 
 // BindingKey canonically encodes a variable binding; the engine breaks
 // argmax ties by comparing these keys, and the DiffProv reasoning engine
 // uses the same encoding to predict argmax outcomes.
 func BindingKey(env Env) string {
-	keys := make([]string, 0, len(env))
+	var buf [16]string // keeps the names off the heap for all but the widest rules
+	keys := buf[:0]
 	for k := range env {
 		keys = append(keys, k)
 	}
@@ -1081,114 +1032,6 @@ func BindingKey(env Env) string {
 	s := string(out)
 	putKeyBuf(kb, out)
 	return s
-}
-
-// joinRest extends the binding over the remaining body atoms (hash join
-// in atom order, skipping the delta atom; atoms with no bound columns
-// fall back to a nested-loop scan). On error it returns (nil, err) —
-// never partially accumulated bindings — and leaves the caller's binding
-// untouched.
-func (e *Engine) joinRest(r *Rule, deltaAtom int, evalNode string, b binding, next int, st Stamp) ([]binding, error) {
-	if next == len(r.Body) {
-		return []binding{b}, nil
-	}
-	if next == deltaAtom {
-		return e.joinRest(r, deltaAtom, evalNode, b, next+1, st)
-	}
-	if e.rfPin != nil && next == e.rfPinAtom {
-		// Delta re-fire: the counterfactual row is pinned at this position
-		// (delta.go); only it may match, so unchanged main-phase bindings
-		// are not re-derived.
-		return e.joinPinned(r, deltaAtom, evalNode, b, next, st)
-	}
-	atom := r.Body[next]
-	decl := e.prog.Decl(atom.Table)
-	if decl == nil {
-		return nil, fmt.Errorf("ndlog: rule %s: unknown table %s", r.Name, atom.Table)
-	}
-	if decl.Event {
-		// Event tuples are not stored; only the delta position can be
-		// an event atom, so a non-delta event atom never joins.
-		return nil, nil
-	}
-	// Resolve the atom's location.
-	locNode, locKnown, err := resolveLoc(atom.Loc, evalNode, b.env)
-	if err != nil {
-		return nil, fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
-	}
-	if locKnown {
-		return e.joinAtom(r, deltaAtom, evalNode, b, next, st, locNode)
-	}
-	// Unbound location variable: try every node deterministically. The
-	// location is bound in a per-node clone of the environment, so no
-	// binding can leak into the caller's environment or into sibling
-	// bindings — on any exit path, including errors.
-	v := atom.Loc.(Var)
-	var out []binding
-	for _, nn := range e.nodeOrder {
-		bn := binding{env: b.env.Clone(), body: b.body}
-		bn.env[string(v)] = Str(nn)
-		sub, err := e.joinAtom(r, deltaAtom, evalNode, bn, next, st, nn)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sub...)
-	}
-	return out, nil
-}
-
-// joinAtom matches body atom next against one node's table, extending the
-// binding per matching row and recursing over the remaining atoms. When
-// the join plan has bound columns for this atom it probes the table's
-// hash index — the bucket holds rows in appearance order, so results are
-// identical to (a subsequence of) the full scan.
-func (e *Engine) joinAtom(r *Rule, deltaAtom int, evalNode string, b binding, next int, st Stamp, nodeName string) ([]binding, error) {
-	atom := r.Body[next]
-	n := e.nodes[nodeName]
-	if n == nil {
-		return nil, nil
-	}
-	tb := n.tables[atom.Table]
-	if tb == nil {
-		return nil, nil
-	}
-	rows := tb.order
-	if spec := e.planFor(r, deltaAtom, next); spec != nil {
-		if key, ok := probeKey(atom, spec, b.env); ok {
-			if ix := tb.indexes[spec.sig]; ix != nil {
-				rows = ix.buckets[key]
-				e.stats.IndexProbes++
-			} else {
-				e.stats.IndexFallbacks++
-			}
-		} else {
-			e.stats.IndexFallbacks++
-		}
-	} else {
-		e.stats.IndexScans++
-	}
-	var out []binding
-	for _, rw := range rows {
-		if rw.dead || st.Before(rw.appearedAt) {
-			continue
-		}
-		if !quickMatch(atom, b.env, rw.tuple) {
-			continue
-		}
-		env2 := b.env.Clone()
-		if !unifyAtom(atom, nodeName, rw.tuple, env2) {
-			continue
-		}
-		b2 := binding{env: env2, body: make([]At, len(b.body))}
-		copy(b2.body, b.body)
-		b2.body[next] = At{Node: nodeName, Tuple: rw.tuple, Stamp: rw.appearedAt}
-		rest, err := e.joinRest(r, deltaAtom, evalNode, b2, next+1, st)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rest...)
-	}
-	return out, nil
 }
 
 // resolveLoc resolves a body atom's location term. Returns the node name
@@ -1250,8 +1093,14 @@ func quickMatch(atom Atom, env Env, t Tuple) bool {
 
 // unifyAtom unifies a body atom against a concrete tuple at a node,
 // extending env in place. Returns false (env possibly partially extended;
-// callers clone) on mismatch.
+// callers clone, or unbind through unifyTrail's trail) on mismatch.
 func unifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
+	return unifyTrail(atom, nodeName, t, env, nil)
+}
+
+// unifyTrail is unifyAtom recording, when trail is non-nil, every variable
+// it binds, so the caller can unbind them again instead of cloning env.
+func unifyTrail(atom Atom, nodeName string, t Tuple, env Env, trail *[]string) bool {
 	if atom.Table != t.Table || len(atom.Args) != len(t.Args) {
 		return false
 	}
@@ -1264,6 +1113,9 @@ func unifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
 				}
 			} else {
 				env[string(l)] = Str(nodeName)
+				if trail != nil {
+					*trail = append(*trail, string(l))
+				}
 			}
 		case Const:
 			if l.V != Str(nodeName) {
@@ -1285,6 +1137,9 @@ func unifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
 				}
 			} else {
 				env[string(a)] = t.Args[i]
+				if trail != nil {
+					*trail = append(*trail, string(a))
+				}
 			}
 		case Const:
 			if a.V != t.Args[i] {
@@ -1300,54 +1155,25 @@ func unifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
 	return true
 }
 
-// finishBinding applies the rule's assignments and checks constraints.
-// An assignment whose variable is already bound by the body acts as a
-// unification constraint: the binding survives only if the computed value
-// matches (datalog semantics of "=").
-func (e *Engine) finishBinding(r *Rule, b *binding) (bool, error) {
-	for _, a := range r.Assigns {
-		v, err := a.Expr.Eval(b.env)
-		if err != nil {
-			return false, err
-		}
-		if old, bound := b.env[a.Var]; bound {
-			if old != v {
-				return false, nil
-			}
-			continue
-		}
-		b.env[a.Var] = v
-	}
-	for _, w := range r.Where {
-		ok, err := EvalBool(w, b.env)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// derive produces the rule head for a satisfying binding.
-func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st Stamp) error {
+// derive produces the rule head for a satisfying binding and returns the
+// work item that will deliver it (destination, head tuple, delivery stamp).
+func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st Stamp) (*workItem, error) {
 	args := make([]Value, len(r.Head.Args))
 	for i, expr := range r.Head.Args {
 		v, err := expr.Eval(b.env)
 		if err != nil {
-			return fmt.Errorf("ndlog: rule %s head: %v", r.Name, err)
+			return nil, fmt.Errorf("ndlog: rule %s head: %v", r.Name, err)
 		}
 		args[i] = v
 	}
 	head := Tuple{Table: r.Head.Table, Args: args}
 	destNode, known, err := resolveLoc(r.Head.Loc, evalNode, b.env)
 	if err != nil || !known {
-		return fmt.Errorf("ndlog: rule %s: unresolved head location: %v", r.Name, err)
+		return nil, fmt.Errorf("ndlog: rule %s: unresolved head location: %v", r.Name, err)
 	}
 	e.stats.Derivations++
 	if e.deriveLimit > 0 && e.stats.Derivations > e.deriveLimit {
-		return fmt.Errorf("ndlog: derivation limit %d exceeded (non-terminating model? e.g. a forwarding loop)", e.deriveLimit)
+		return nil, fmt.Errorf("ndlog: derivation limit %d exceeded (non-terminating model? e.g. a forwarding loop)", e.deriveLimit)
 	}
 	e.deriveID++
 	d := &Derivation{
@@ -1374,16 +1200,16 @@ func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st S
 		// order among the remaining changes.
 		q = &e.cfQueue
 	}
-	dst := e.nextStamp(tick)
-	e.lastDeriveStamp = dst
-	heap.Push(q, &workItem{
-		stamp: dst,
+	it := &workItem{
+		stamp: e.nextStamp(tick),
 		kind:  wkArriveDerived,
 		node:  destNode,
 		tuple: head,
 		deriv: d,
-	})
-	return nil
+		refs:  b.refs,
+	}
+	heap.Push(q, it)
+	return it, nil
 }
 
 // Exists reports whether the tuple existed on the node at the given stamp

@@ -257,15 +257,26 @@ func (c Call) Eval(env Env) (Value, error) {
 	if fn.arity >= 0 && len(c.Args) != fn.arity {
 		return nil, fmt.Errorf("ndlog: %s expects %d args, got %d", c.Fn, fn.arity, len(c.Args))
 	}
-	args := make([]Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := a.Eval(env)
-		if err != nil {
-			return nil, err
+	// Constraints run once per joined row, so the argument slice is pooled
+	// (builtins must not retain it, see RegisterBuiltin).
+	ab := argBufPool.Get().(*argBuf)
+	args := ab.v[:0]
+	var res Value
+	var err error
+	for _, a := range c.Args {
+		var v Value
+		if v, err = a.Eval(env); err != nil {
+			break
 		}
-		args[i] = v
+		args = append(args, v)
 	}
-	return fn.eval(args)
+	if err == nil {
+		res, err = fn.eval(args)
+	}
+	clear(args)
+	ab.v = args
+	argBufPool.Put(ab)
+	return res, err
 }
 
 // Vars implements Expr.

@@ -79,19 +79,19 @@ func (e *Engine) Fork(obs Observer) *Engine {
 	})
 	// Argmax winner entries are write-once; materialize the overlay chain
 	// into a flat map sharing the entries.
-	e.forEachAm(func(k string, v *amEntry) {
+	e.forEachAm(func(k amTrigger, v *amEntry) {
 		if f.amDeriv == nil {
-			f.amDeriv = make(map[string]*amEntry)
+			f.amDeriv = make(map[amTrigger]*amEntry)
 		}
 		f.amDeriv[k] = v
 	})
 	// Event-consumer lists and killed-occurrence marks likewise flatten;
 	// consumer entries (and their body ref slices) are write-once.
-	e.forEachEvDeps(func(ref string, deps []evConsumer) {
+	e.forEachEvDeps(func(ref string, deps []*evConsumer) {
 		if f.evDeps == nil {
-			f.evDeps = make(map[string][]evConsumer)
+			f.evDeps = make(map[string][]*evConsumer)
 		}
-		f.evDeps[ref] = append([]evConsumer(nil), deps...)
+		f.evDeps[ref] = append([]*evConsumer(nil), deps...)
 	})
 	for en := e; en != nil; en = en.cowBase {
 		for seq := range en.killedOccs {

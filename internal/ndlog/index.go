@@ -12,7 +12,7 @@ import (
 // tuple), the argument positions of each remaining body atom that are
 // guaranteed bound when that atom is evaluated — constants, variables of
 // the delta atom, and variables of earlier body atoms — become that
-// atom's index key. joinRest then probes a hash bucket instead of
+// atom's index key. The join (join.go) then probes a hash bucket instead of
 // scanning the table's appearance-ordered rows.
 //
 // Buckets mirror tb.order exactly: rows are appended on appearance (so a

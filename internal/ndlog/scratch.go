@@ -2,12 +2,13 @@ package ndlog
 
 import "sync"
 
-// Pooled scratch buffers for the replay hot path. Counterfactual trials
-// run thousands of key encodings (primary keys, group keys, binding keys,
-// index probe keys) and table clones per second across candidate-pool
-// workers; every buffer pooled here holds data only within a single call
-// — the encoded string is materialized with string(b), and the remap map
-// is cleared before it is returned — so reuse cannot affect determinism.
+// Pooled scratch buffers for the evaluation hot path. Forward runs and
+// counterfactual trials run thousands of key encodings (tuple keys,
+// primary keys, group keys, binding keys, index probe keys), builtin calls
+// and table clones per second across candidate-pool workers; every buffer
+// pooled here holds data only within a single call — the encoded string is
+// materialized with string(b), and the argument list and the remap map are
+// cleared before they are returned — so reuse cannot affect determinism.
 
 // keyBuf wraps the byte slice so Put does not box a fresh interface
 // allocation per call.
@@ -22,6 +23,13 @@ func getKeyBuf() *keyBuf { return keyBufPool.Get().(*keyBuf) }
 func putKeyBuf(kb *keyBuf, b []byte) {
 	kb.b = b
 	keyBufPool.Put(kb)
+}
+
+// argBuf is a builtin call's evaluated argument list (Call.Eval).
+type argBuf struct{ v []Value }
+
+var argBufPool = sync.Pool{
+	New: func() interface{} { return &argBuf{v: make([]Value, 0, 4)} },
 }
 
 // rowRemapPool recycles the pointer-remap maps forkTable uses to clone a

@@ -19,13 +19,15 @@ func NewTuple(table string, args ...Value) Tuple {
 // Key returns a canonical string encoding of the tuple, suitable as a map
 // key. Two tuples have equal keys iff they are equal.
 func (t Tuple) Key() string {
-	b := make([]byte, 0, 16+8*len(t.Args))
-	b = append(b, t.Table...)
+	kb := getKeyBuf()
+	b := append(kb.b[:0], t.Table...)
 	for _, a := range t.Args {
 		b = append(b, '|')
 		b = a.appendKey(b)
 	}
-	return string(b)
+	s := string(b)
+	putKeyBuf(kb, b)
+	return s
 }
 
 // Equal reports field-by-field equality.
