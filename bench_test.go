@@ -402,17 +402,14 @@ func BenchmarkAblationSelectiveReplay(b *testing.B) {
 	})
 }
 
-// BenchmarkCounterfactualReplay measures the three counterfactual replay
-// strategies against each other on a long synthetic log of N base events
-// with a change injected near the end (tick N-10, the UPDATETREE pattern
-// — changes land "shortly before they are needed"). The from-scratch
-// path re-executes all N events per replay; the incremental (full-
-// suffix) path forks a cached prefix shortly before the change and
-// re-fires the suffix; the delta path forks the fully evaluated base run
-// and propagates only the change set through the engine's semi-naïve
-// delta phase, re-firing nothing. At N=10000 incremental must beat
-// scratch by at least ~5x, and delta must beat incremental by at least
-// ~3x on the late change.
+// BenchmarkCounterfactualReplay measures the two replay configurations
+// against each other on a long synthetic log of N base events with a
+// change injected near the end (tick N-10, the UPDATETREE pattern —
+// changes land "shortly before they are needed"). The scratch arm
+// (replay.Oracle()) re-executes all N events per replay; the delta arm
+// (the production configuration) forks the fully evaluated base run and
+// propagates only the change set through the engine's semi-naïve delta
+// phase, re-firing nothing.
 func BenchmarkCounterfactualReplay(b *testing.B) {
 	const replayProgram = `
 table edge/2 base mutable;
@@ -423,15 +420,12 @@ rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
 	prog := ndlog.MustParse(replayProgram)
 	for _, n := range []int{1000, 10000} {
 		for _, mode := range []struct {
-			name        string
-			incremental bool
-			delta       bool
-		}{{"delta", true, true}, {"incremental", true, false}, {"scratch", false, false}} {
+			name string
+			opts []replay.SessionOption
+		}{{"delta", nil}, {"scratch", []replay.SessionOption{replay.Oracle()}}} {
 			b.Run(fmt.Sprintf("N=%d/%s", n, mode.name), func(b *testing.B) {
 				sess := replay.NewSession(prog,
-					replay.WithIncrementalReplay(mode.incremental),
-					replay.WithDeltaReplay(mode.delta),
-					replay.WithCheckpointEvery(int64(n/16)))
+					append(mode.opts, replay.WithCheckpointEvery(int64(n/16)))...)
 				if err := sess.Insert("r", ndlog.NewTuple("edge", ndlog.Int(1), ndlog.Int(2)), 0); err != nil {
 					b.Fatal(err)
 				}
@@ -449,9 +443,9 @@ rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
 					Tuple: ndlog.NewTuple("probe", ndlog.Int(1)),
 					Tick:  int64(n - 10),
 				}}
-				// Warm once: the first incremental replay materializes the
-				// prefix; steady state (every minimize candidate, every
-				// UPDATETREE round) forks it.
+				// Warm once: the first replay evaluates the base run; steady
+				// state (every minimize candidate, every UPDATETREE round)
+				// forks it.
 				if _, _, err := sess.ReplayWith(change); err != nil {
 					b.Fatal(err)
 				}
@@ -467,11 +461,10 @@ rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
 }
 
 // BenchmarkFork isolates the cost at the head of every counterfactual
-// replay: forking a sealed prefix engine together with its provenance
-// recorder. The cow variant shares tables, index buckets, support maps,
-// and the graph vertex arena with the sealed parent, cloning pieces only
-// when the fork first writes them; the deep variant copies everything up
-// front, so its cost (and allocations) grow with N while cow stays flat.
+// replay: forking a sealed engine together with its provenance recorder.
+// The fork shares tables, index buckets, support maps, and the graph
+// vertex arena with the sealed parent, cloning pieces only when it first
+// writes them, so its cost (and allocations) stay flat as N grows.
 func BenchmarkFork(b *testing.B) {
 	const forkProgram = `
 table edge/2 base mutable;
@@ -481,36 +474,31 @@ rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
 `
 	prog := ndlog.MustParse(forkProgram)
 	for _, n := range []int{1000, 10000} {
-		for _, mode := range []struct {
-			name string
-			cow  bool
-		}{{"cow", true}, {"deep", false}} {
-			b.Run(fmt.Sprintf("N=%d/%s", n, mode.name), func(b *testing.B) {
-				rec := provenance.NewRecorder(prog, provenance.WithCopyOnWriteForks(mode.cow))
-				e := ndlog.New(prog, rec, ndlog.WithCopyOnWriteForks(mode.cow))
-				if err := e.ScheduleInsert("r", ndlog.NewTuple("edge", ndlog.Int(1), ndlog.Int(2)), 0); err != nil {
+		b.Run(fmt.Sprintf("N=%d/cow", n), func(b *testing.B) {
+			rec := provenance.NewRecorder(prog)
+			e := ndlog.New(prog, rec)
+			if err := e.ScheduleInsert("r", ndlog.NewTuple("edge", ndlog.Int(1), ndlog.Int(2)), 0); err != nil {
+				b.Fatal(err)
+			}
+			for i := 1; i < n; i++ {
+				v := ndlog.Int(int64(i % 64))
+				if err := e.ScheduleInsert("r", ndlog.NewTuple("probe", v), int64(i)); err != nil {
 					b.Fatal(err)
 				}
-				for i := 1; i < n; i++ {
-					v := ndlog.Int(int64(i % 64))
-					if err := e.ScheduleInsert("r", ndlog.NewTuple("probe", v), int64(i)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-				rec.Seal()
-				e.Seal()
-				// Warm once so one-time lazy work is off the clock.
+			}
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+			rec.Seal()
+			e.Seal()
+			// Warm once so one-time lazy work is off the clock.
+			e.Fork(rec.Fork())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				e.Fork(rec.Fork())
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					e.Fork(rec.Fork())
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -36,8 +36,8 @@ func main() {
 		stanford  = flag.Bool("stanford", false, "§6.7: Stanford backbone diagnosis")
 		refcheck  = flag.Bool("refcheck", false, "§6.3: unsuitable-reference queries")
 		coldstart = flag.Bool("coldstart", false, "segmented-store cold start: record SDN1, replay it out of segments")
-		fork      = flag.Bool("fork", false, "prefix fork cost: copy-on-write vs deep fork by state size")
-		delta     = flag.Bool("delta", false, "delta replay ablation: diagnosis with semi-naïve delta trials vs full-suffix re-fire")
+		fork      = flag.Bool("fork", false, "base-run fork cost (copy-on-write) by state size")
+		delta     = flag.Bool("delta", false, "replay configurations: diagnosis with forked delta trials (production) vs from-scratch trials (oracle)")
 		scaleStr  = flag.String("scale", "small", "workload scale: small or paper")
 	)
 	flag.Parse()
@@ -182,26 +182,26 @@ func main() {
 	}
 
 	if *delta {
-		fmt.Println("== Delta replay ablation: counterfactual trials via semi-naïve delta vs full-suffix re-fire ==")
+		fmt.Println("== Replay configurations: counterfactual trials via forked semi-naïve delta (production) vs from-scratch re-execution (oracle) ==")
 		rows, err := evaluation.DeltaReplay(scale)
 		die(err)
 		fmt.Printf("%-8s %14s %14s %9s %9s %9s %14s\n",
-			"Query", "delta_ns", "suffix_ns", "refired", "skipped", "dirty", "suffix_refired")
+			"Query", "delta_ns", "scratch_ns", "refired", "skipped", "dirty", "scratch_refired")
 		for _, r := range rows {
 			fmt.Printf("%-8s %14d %14d %9d %9d %9d %14d\n",
-				r.Scenario, r.Delta.Nanoseconds(), r.Suffix.Nanoseconds(),
-				r.ReFired, r.Skipped, r.Dirty, r.SuffixReFired)
+				r.Scenario, r.Delta.Nanoseconds(), r.Scratch.Nanoseconds(),
+				r.ReFired, r.Skipped, r.Dirty, r.ScratchReFired)
 		}
 		fmt.Println()
 	}
 
 	if *fork {
-		fmt.Println("== Prefix fork cost: copy-on-write vs deep fork (engine + recorder, per counterfactual candidate) ==")
+		fmt.Println("== Base-run fork cost: copy-on-write fork (engine + recorder, per counterfactual candidate) ==")
 		rows, err := evaluation.ForkCost(nil, 0)
 		die(err)
-		fmt.Printf("%8s %6s %14s %14s\n", "N", "mode", "fork_ns", "fork_allocs")
+		fmt.Printf("%8s %14s %14s\n", "N", "fork_ns", "fork_allocs")
 		for _, r := range rows {
-			fmt.Printf("%8d %6s %14.0f %14.1f\n", r.N, r.Mode, r.ForkNanos, r.ForkAllocs)
+			fmt.Printf("%8d %14.0f %14.1f\n", r.N, r.ForkNanos, r.ForkAllocs)
 		}
 		fmt.Println()
 	}

@@ -40,7 +40,6 @@ func main() {
 	parallelism := flag.Int("parallelism", 1, "candidate-evaluation fan-out inside each diagnosis (results are identical at any value)")
 	diagTimeout := flag.Duration("diagnose-timeout", 0, "per-diagnosis deadline (0 = none)")
 	dataDir := flag.String("data-dir", "", "persist scenario logs and checkpoints under this directory (crash-safe; empty = in-memory)")
-	prefixCache := flag.Int("prefix-cache", 0, "materialized prefix engines kept per scenario (0 = replay default of 8)")
 	flag.Parse()
 
 	scale := scenarios.Small
@@ -50,9 +49,6 @@ func main() {
 	opts := []server.Option{server.WithWorkers(*workers), server.WithParallelism(*parallelism)}
 	if *dataDir != "" {
 		opts = append(opts, server.WithDataDir(*dataDir))
-	}
-	if *prefixCache > 0 {
-		opts = append(opts, server.WithPrefixCacheSize(*prefixCache))
 	}
 	handler := server.New(scale, opts...).Handler()
 	if *diagTimeout > 0 {

@@ -150,15 +150,6 @@ func WithCheckpointEvery(ticks int64) replay.SessionOption {
 	return replay.WithCheckpointEvery(ticks)
 }
 
-// WithEagerAggregates materializes full contributor lists on every
-// aggregate derivation at record time instead of folding delta chains
-// lazily. The default (lazy) yields identical trees and diagnoses at
-// O(1) recording cost per update; eager mode is the reference side of
-// the fold-differential tests.
-func WithEagerAggregates(on bool) replay.SessionOption {
-	return replay.WithEagerAggregates(on)
-}
-
 // ---- The DiffProv reasoning engine ----
 
 // World is the bad execution as DiffProv sees it.

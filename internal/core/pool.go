@@ -26,8 +26,8 @@ func (o *Options) parallelism() int {
 
 // candidatePool fans independent counterfactual candidate evaluations out
 // over a bounded set of worker worlds (private replay-session clones that
-// share the base session's prefix cache, so workers reuse each other's
-// materialized prefixes instead of re-forking cold). Workers are forked
+// share the base session's sealed base run, so every worker's trial forks
+// the one evaluation of the log). Workers are forked
 // lazily and reused across waves; drain() folds their accumulated replay
 // statistics back into the base world.
 type candidatePool struct {

@@ -51,7 +51,7 @@ type World interface {
 // ParallelWorld is implemented by worlds that can fan counterfactual
 // replays out over private workers. ForkWorker returns a world equivalent
 // to the receiver backed by its own replay-session clone (sharing the
-// base session's prefix cache), safe to Apply concurrently with the
+// base session's base run), safe to Apply concurrently with the
 // receiver and with other workers; JoinWorker folds a quiescent worker's
 // replay statistics back into the receiver. The imperative substrates
 // (the simulated MapReduce jobs) deliberately do not implement it —
@@ -147,8 +147,8 @@ func (w *ndlogWorld) appliedChanges() []replay.Change { return w.changes }
 // log; they are the w.changes overlay).
 func (w *ndlogWorld) BaseEvents() []replay.Event { return w.session.Log().Events() }
 
-// ForkWorker clones the session (sharing the log contents, the memoized
-// query-time replay, and the prefix cache) so the worker's counterfactual
+// ForkWorker clones the session (sharing the log contents and the base
+// run behind the query-time graph) so the worker's counterfactual
 // replays are isolated from the receiver's. Replay statistics accumulate
 // on the clone until JoinWorker.
 func (w *ndlogWorld) ForkWorker() World {

@@ -88,13 +88,13 @@ type Fig7Row struct {
 	// DiffProvReason is the reasoning portion (seed finding, divergence
 	// detection, making tuples appear).
 	DiffProvReason time.Duration
-	// Replay reports the incremental roll-forward and delta-replay
-	// activity of the differential query: prefix cache hits/misses, fork
-	// time, the logged base events the forked replays skipped, the
-	// events counterfactual replays re-fired after the fork point (zero
-	// on cache hits with delta replay on), and the (node, table) pairs
-	// the delta phases touched (zero for the imperative scenarios, which
-	// have no replay session).
+	// Replay reports the base-run and delta-phase activity of the
+	// differential query: trials that forked the base run (hits) vs
+	// evaluated it first (misses), fork time, the logged base events the
+	// forked trials skipped, the events counterfactual replays re-fired
+	// (zero in the production configuration), and the (node, table)
+	// pairs the delta phases touched (zero for the imperative scenarios,
+	// which have no replay session).
 	Replay replay.ReplayStats
 	// Diag reports the fingerprint and parallel-evaluation activity of
 	// the differential query (alignment memo hits, deduplicated
@@ -155,30 +155,31 @@ func Figure7(scale scenarios.Scale) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-// DeltaRow is one row of the delta-replay ablation: the same scenario
-// diagnosis timed with delta replay on (counterfactual trials anchor at
-// the fully-evaluated end of the log and push the change set through
-// the semi-naïve delta phase) and off (trials anchor before the
-// earliest change and re-fire the whole suffix).
+// DeltaRow is one row of the replay-configuration comparison: the same
+// scenario diagnosis timed in the production configuration
+// (counterfactual trials fork the sealed base run and push the change
+// set through the semi-naïve delta phase) and under replay.Oracle()
+// (every trial re-executes the whole log from scratch).
 type DeltaRow struct {
 	Scenario string
-	// Delta and Suffix are the wall-clock diagnosis times of the two
-	// arms (replay to extract the trees included in both).
-	Delta, Suffix time.Duration
-	// ReFired, Skipped, and Dirty are the delta arm's cumulative
-	// counters across every counterfactual trial: suffix events
-	// re-fired after the fork point (zero when every trial anchors at
-	// end-of-log), logged base events the forks did not re-execute, and
-	// (node, table) pairs the delta phases touched.
+	// Delta and Scratch are the wall-clock diagnosis times of the two
+	// configurations (replay to extract the trees included in both).
+	Delta, Scratch time.Duration
+	// ReFired, Skipped, and Dirty are the production configuration's
+	// cumulative counters across every counterfactual trial: logged
+	// base events re-fired (zero — trials fork the evaluated base run),
+	// logged base events the forks did not re-execute, and (node, table)
+	// pairs the delta phases touched.
 	ReFired, Skipped, Dirty int64
-	// SuffixReFired is the full-suffix arm's re-fire count, for
-	// contrast: the work the delta path avoids.
-	SuffixReFired int64
+	// ScratchReFired is the oracle's re-fire count, for contrast: the
+	// work the production path avoids.
+	ScratchReFired int64
 }
 
-// DeltaReplay times every replayable Table 1 scenario's diagnosis with
-// delta replay on and off. Imperative scenarios (no replay session) are
-// skipped — they have no suffix to re-fire.
+// DeltaReplay times every replayable Table 1 scenario's diagnosis in the
+// production configuration and under replay.Oracle(). Imperative
+// scenarios (no replay session) are skipped — they have no log to
+// re-fire.
 func DeltaReplay(scale scenarios.Scale) ([]DeltaRow, error) {
 	var rows []DeltaRow
 	for _, name := range scenarios.Names() {
@@ -192,11 +193,12 @@ func DeltaReplay(scale scenarios.Scale) ([]DeltaRow, error) {
 		prog := s.BadSession.Program()
 		log := s.BadSession.Log()
 		row := DeltaRow{Scenario: name}
-		for _, delta := range []bool{true, false} {
-			sess, err := replay.FromLog(prog, log,
-				replay.WithIncrementalReplay(true),
-				replay.WithDeltaReplay(delta),
-				replay.WithCheckpointEvery(4))
+		for _, oracle := range []bool{false, true} {
+			opts := []replay.SessionOption{replay.WithCheckpointEvery(4)}
+			if oracle {
+				opts = append(opts, replay.Oracle())
+			}
+			sess, err := replay.FromLog(prog, log, opts...)
 			if err != nil {
 				return nil, err
 			}
@@ -217,14 +219,14 @@ func DeltaReplay(scale scenarios.Scale) ([]DeltaRow, error) {
 				return nil, err
 			}
 			elapsed := time.Since(start)
-			if delta {
+			if oracle {
+				row.Scratch = elapsed
+				row.ScratchReFired = sess.Stats.EventsReFired
+			} else {
 				row.Delta = elapsed
 				row.ReFired = sess.Stats.EventsReFired
 				row.Skipped = sess.Stats.EventsSkipped
 				row.Dirty = sess.Stats.DirtyTables
-			} else {
-				row.Suffix = elapsed
-				row.SuffixReFired = sess.Stats.EventsReFired
 			}
 		}
 		rows = append(rows, row)

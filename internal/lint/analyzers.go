@@ -201,10 +201,10 @@ func sortedAfter(pass *Pass, fn *ast.BlockStmt, pos token.Pos, obj types.Object)
 // The provenance graph is the system of record for diagnosis: DiffProv's
 // guarantees (and the replay layer's checkpoints) assume vertexes are
 // appended by the Recorder machinery and never rewritten. This analyzer
-// flags writes to Graph.vertexes outside graph.go/fork.go and writes to
+// flags writes to Graph.vertexes outside graph.go and writes to
 // Vertex.Children outside the recording layer (graph.go/recorder.go/
-// distributed.go/fork.go, plus persist.go — the shard store decodes
-// vertex records back into Children on recovery).
+// distributed.go, plus persist.go — the shard store decodes vertex
+// records back into Children on recovery).
 var AppendOnly = &Analyzer{
 	Name:  "appendonly",
 	Doc:   "confine Graph.vertexes and Vertex.Children writes to the recording layer",
@@ -215,8 +215,8 @@ var AppendOnly = &Analyzer{
 // guardedFields maps (owner type, field) to the base filenames allowed to
 // write it.
 var guardedFields = map[[2]string][]string{
-	{"Graph", "vertexes"}:  {"graph.go", "fork.go"},
-	{"Vertex", "Children"}: {"graph.go", "recorder.go", "distributed.go", "fork.go", "persist.go"},
+	{"Graph", "vertexes"}:  {"graph.go"},
+	{"Vertex", "Children"}: {"graph.go", "recorder.go", "distributed.go", "persist.go"},
 }
 
 func runAppendOnly(pass *Pass) error {
@@ -279,18 +279,18 @@ func checkGuardedWrite(pass *Pass, e ast.Expr) {
 // SealCheck confines writes to copy-on-write-shared engine and graph
 // structures to the CoW layer.
 //
-// Prefix forks share tables, support indexes, aggregate groups, and
-// provenance vertexes between a sealed parent and its children; a write
+// Forks share tables, support indexes, aggregate groups, and provenance
+// vertexes between a sealed parent and its children; a write
 // that bypasses the cow.go helpers (writableTable, histAppend,
 // mutableVertex, ...) mutates state another fork can still observe. The
 // compiler cannot see the seal, so this analyzer pins each shared
-// structure to the files that implement its discipline: cow.go and
-// fork.go always, plus the few pre-seal construction sites (the engine
+// structure to the files that implement its discipline: cow.go always,
+// plus the few pre-seal construction sites (the engine
 // creates tables and support indexes while it is still the only owner;
 // the recorder appends graph indexes before any fork exists).
 var SealCheck = &Analyzer{
 	Name:  "sealcheck",
-	Doc:   "confine writes to CoW-shared structures to the cow/fork layer",
+	Doc:   "confine writes to CoW-shared structures to the cow layer",
 	Match: prefixMatch("repro/internal/ndlog", "repro/internal/provenance"),
 	Run:   runSealCheck,
 }
@@ -304,14 +304,14 @@ var sealedFields = map[[2]string][]string{
 	// counterfactual phase rewrites history through delta.go's helpers
 	// (histRemoveOcc, histBackdateFrom, histCloseAt), which follow the
 	// same copy-on-first-write discipline as histCloseLast.
-	{"table", "hist"}: {"cow.go", "fork.go", "delta.go"},
+	{"table", "hist"}: {"cow.go", "delta.go"},
 	// A node's table map is shared until the first write to a table.
-	{"node", "tables"}: {"cow.go", "fork.go", "engine.go"},
+	{"node", "tables"}: {"cow.go", "engine.go"},
 	// The support index backing provenance invalidation; the engine
 	// maintains it pre-seal (indexSupport/unindexSupport).
-	{"Engine", "dependents"}: {"cow.go", "fork.go", "engine.go"},
+	{"Engine", "dependents"}: {"cow.go", "engine.go"},
 	// Aggregate delta-chain groups fork lazily.
-	{"Engine", "aggGroups"}: {"cow.go", "fork.go"},
+	{"Engine", "aggGroups"}: {"cow.go"},
 	// provenance: the CoW overlay itself, and the graph indexes the
 	// recorder appends to pre-seal.
 	{"Graph", "redirect"}:    {"cow.go"},

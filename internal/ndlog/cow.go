@@ -2,50 +2,39 @@ package ndlog
 
 // Copy-on-write forks.
 //
-// Counterfactual replay forks a cached prefix engine once per candidate
-// trial, and the trial's suffix touches only a handful of tuples. A deep
-// Fork copies every table, row, support list, interval history, and index
-// bucket — O(state) work per trial. The CoW scheme makes fork cost
-// proportional to what the trial actually changes:
+// Counterfactual replay forks the session's sealed base run once per
+// candidate trial, and the trial touches only a handful of tuples. The
+// CoW scheme makes fork cost proportional to what the trial actually
+// changes instead of to the engine's state:
 //
-//   - Seal freezes an engine once it enters the prefix cache: a sealed
-//     engine refuses Run and Schedule calls, and every table it holds is
-//     marked sealed.
-//   - Fork of a sealed CoW engine shares the frozen tables by pointer
-//     (fresh per-fork node and table maps, O(#tables)), reads the
-//     dependents / aggGroups maps through an overlay chain (cowBase),
-//     borrows the immutable map by reference, and copies only the pending
-//     work queue.
+//   - Seal freezes an engine once it becomes a base run: a sealed engine
+//     refuses Run and Schedule calls, and every table it holds is marked
+//     sealed.
+//   - Fork of a sealed engine shares the frozen tables by pointer (fresh
+//     per-fork node and table maps, O(#tables)), reads the dependents /
+//     aggGroups maps through an overlay chain (cowBase), borrows the
+//     immutable map by reference, and copies only the pending work queue.
 //   - The first write to a sealed table clones it (writableTable) and
 //     swaps the fork's pointer to the clone; the set of swapped pointers
 //     is the fork's dirty set. A clone overlays its interval histories on
 //     the frozen base (histBase), copying a per-key slice only when that
 //     key is written.
 //
-// Results are byte-identical to deep forks: sealed state is immutable by
-// construction (every write site routes through writableTable or an
-// overlay helper, and writableTable panics on a sealed engine), reads see
-// through the overlays in shadowing order, and execution order is a
-// function of the event schedule alone (WithSeqBand), never of how state
-// is laid out. The differential suites run with CoW on and off to pin
-// this.
+// A fork finishes byte-identical to a straight-through run: sealed state
+// is immutable by construction (every write site routes through
+// writableTable or an overlay helper, and writableTable panics on a
+// sealed engine), reads see through the overlays in shadowing order, and
+// execution order is a function of the event schedule alone
+// (WithSeqBand), never of how state is laid out.
 //
 // Concurrency: sealed state is only ever read after Seal returns, so any
 // number of goroutines may fork one sealed engine and run the forks
 // concurrently — each fork's writes land in fork-private clones.
 
-// WithCopyOnWriteForks enables or disables copy-on-write Fork for sealed
-// engines (default on). With it off, Fork always deep-copies. Results are
-// byte-identical either way; the switch exists as the ablation arm of the
-// fork differential suites.
-func WithCopyOnWriteForks(on bool) Option {
-	return func(e *Engine) { e.cow = on }
-}
-
 // Seal freezes the engine: Run, RunUntil, ScheduleInsert, and
 // ScheduleDelete are refused from now on, and every table is marked
-// sealed so forks clone it on first write. Replay sessions seal an engine
-// when it enters the prefix cache; cache entries are only ever forked.
+// sealed so forks clone it on first write. Replay sessions seal the base
+// run they evaluate once per log length; it is only ever read and forked.
 // Sealing is idempotent, and safe while forks of earlier sealed engines
 // run concurrently: only tables private to this engine are written.
 func (e *Engine) Seal() {
@@ -55,11 +44,9 @@ func (e *Engine) Seal() {
 	e.sealed = true
 	for _, n := range e.nodes {
 		for _, tb := range n.tables {
+			// Tables already sealed are shared with a frozen base that
+			// sibling forks read concurrently; leave them untouched.
 			if !tb.sealed {
-				// Engine-private table: safe to restructure before it
-				// freezes (already-sealed tables are shared with a
-				// frozen base and must not be touched).
-				tb.flattenOccs()
 				tb.sealed = true
 			}
 		}
@@ -68,6 +55,95 @@ func (e *Engine) Seal() {
 
 // Sealed reports whether Seal froze the engine.
 func (e *Engine) Sealed() bool { return e.sealed }
+
+// Fork returns a new engine, observed by obs, that continues from the
+// sealed receiver's mid-execution state — tables and rows with their
+// appearance order, supports and dependents, the pending work queue, the
+// clock, sequence counters, and the secondary hash indexes. The fork and
+// its siblings evolve independently: scheduling and running one never
+// affects the receiver or another fork.
+//
+// The fork is O(#tables + pending queue): table pointers are copied into
+// fresh per-fork node/table maps (so a clone can be swapped in on first
+// write), the dependents and aggGroups overlays start empty with the
+// receiver as their read-through base, and the immutable map is borrowed
+// by reference. Only the pending work queue is copied eagerly — its
+// Derivations are stamped in place on delivery. Immutable structure is
+// shared: the program, join plans, tuple argument slices, derivation body
+// slices, and support body references are all written once before they
+// become reachable and only read afterwards.
+//
+// Fork never mutates the receiver, so many goroutines may fork the same
+// sealed engine concurrently. Forking an unsealed engine is a bug — its
+// owner could still write the state the fork would share — and panics,
+// like writableTable on a sealed engine.
+//
+// A nil obs discards observer callbacks (like New). To reproduce a
+// from-scratch run stamp-for-stamp, the receiver must use a sequence band
+// (WithSeqBand) so base-event stamps depend only on schedule positions;
+// Fork copies the band configuration and counters.
+func (e *Engine) Fork(obs Observer) *Engine {
+	if !e.sealed {
+		panic("ndlog: Fork of unsealed engine")
+	}
+	if obs == nil {
+		obs = NopObserver{}
+	}
+	f := &Engine{
+		prog:            e.prog,
+		obs:             obs,
+		nodes:           make(map[string]*node, len(e.nodes)),
+		nodeOrder:       append([]string(nil), e.nodeOrder...),
+		seq:             e.seq,
+		seqBand:         e.seqBand,
+		baseSeq:         e.baseSeq,
+		now:             e.now,
+		deriveID:        e.deriveID,
+		delay:           e.delay,
+		dependents:      map[string][]dependentRef{},
+		immutable:       e.immutable,
+		immutableShared: true,
+		aggGroups:       map[string]*aggGroup{},
+		deriveLimit:     e.deriveLimit,
+		stats:           e.stats,
+		indexing:        e.indexing,
+		plans:           e.plans,
+		tableSpecs:      e.tableSpecs,
+		analysis:        e.analysis,
+		analysisDiags:   e.analysisDiags,
+		analysisErr:     e.analysisErr,
+		cowBase:         e,
+	}
+	for name, n := range e.nodes {
+		fn := &node{name: n.name, tables: make(map[string]*table, len(n.tables))}
+		for tn, tb := range n.tables {
+			fn.tables[tn] = tb
+		}
+		f.nodes[name] = fn
+	}
+	f.queue = copyQueue(e.queue)
+	f.cfQueue = copyQueue(e.cfQueue)
+	f.cfMarksSet, f.cfBaseMark, f.cfSeqMark = e.cfMarksSet, e.cfBaseMark, e.cfSeqMark
+	return f
+}
+
+// copyQueue copies the pending work heap. The heap is laid out in a
+// slice; copying it (with fresh work items) preserves the heap shape and
+// hence the pop order. Head.Stamp is filled in on delivery, so each
+// Derivation must be private to the copy; its Body slice is write-once
+// and stays shared.
+func copyQueue(q workHeap) workHeap {
+	out := make(workHeap, len(q))
+	for i, it := range q {
+		fit := *it
+		if it.deriv != nil {
+			d := *it.deriv
+			fit.deriv = &d
+		}
+		out[i] = &fit
+	}
+	return out
+}
 
 // writableTable returns a table this engine may mutate. Unsealed tables
 // (engine-private) pass through; a sealed table — shared with the frozen
@@ -82,8 +158,86 @@ func (e *Engine) writableTable(n *node, tb *table) *table {
 	if e.sealed {
 		panic("ndlog: write to sealed engine table " + tb.decl.Name)
 	}
-	ft := forkTable(tb, true)
+	ft := forkTable(tb)
 	n.tables[tb.decl.Name] = ft
+	return ft
+}
+
+// forkTable clones a sealed table on a fork's first write to it. Rows are
+// remapped pointer-for-pointer so the copies of live, order, keyIdx, and
+// the index buckets all reference the same fresh row structs; remapping
+// is cheaper than re-deriving bucket keys from tuples. The interval
+// histories are not copied: the clone overlays them on the frozen base
+// (histBase) and copies a per-key slice only when that key is written.
+func forkTable(tb *table) *table {
+	remap := rowRemapPool.Get().(map[*row]*row)
+	// Row copies come out of one backing array (every row the table has
+	// ever held is in order, so the capacity never grows — but if a row
+	// somehow reaches us outside order, fall back to a fresh allocation
+	// rather than let append move the array under earlier pointers).
+	backing := make([]row, 0, len(tb.order))
+	rowOf := func(r *row) *row {
+		fr, ok := remap[r]
+		if !ok {
+			if len(backing) < cap(backing) {
+				backing = append(backing, *r)
+				fr = &backing[len(backing)-1]
+			} else {
+				cp := *r
+				fr = &cp
+			}
+			// supports is spliced in place on retraction; each support's
+			// body refs are write-once and shared.
+			fr.supports = append([]support(nil), r.supports...)
+			remap[r] = fr
+		}
+		return fr
+	}
+	ft := &table{
+		decl: tb.decl,
+		live: make(map[string]*row, len(tb.live)),
+		// Event occurrences are write-once (tuple, stamp) pairs, so the
+		// clone shares the backing array up to the current length (the
+		// capped capacity keeps a stray append off the base); appends on
+		// the clone go to its private occsTail (occAppend), and the
+		// parent's tail — counterfactual appends, so short — is copied.
+		occs:        tb.occs[:len(tb.occs):len(tb.occs)],
+		occsShared:  true,
+		occsTail:    append([]eventOcc(nil), tb.occsTail...),
+		occSorted:   tb.occSorted,
+		orderSorted: tb.orderSorted,
+		hist:        map[string][]Interval{},
+		histBase:    tb,
+	}
+	ft.order = make([]*row, len(tb.order))
+	for i, r := range tb.order {
+		ft.order[i] = rowOf(r)
+	}
+	for k, r := range tb.live {
+		ft.live[k] = rowOf(r)
+	}
+	if tb.keyIdx != nil {
+		ft.keyIdx = make(map[string]*row, len(tb.keyIdx))
+		for k, r := range tb.keyIdx {
+			ft.keyIdx[k] = rowOf(r)
+		}
+	}
+	if tb.indexes != nil {
+		ft.indexes = make(map[string]*tableIndex, len(tb.indexes))
+		for sig, ix := range tb.indexes {
+			fix := &tableIndex{spec: ix.spec, buckets: make(map[string][]*row, len(ix.buckets))}
+			for k, rows := range ix.buckets {
+				frows := make([]*row, len(rows))
+				for i, r := range rows {
+					frows[i] = rowOf(r)
+				}
+				fix.buckets[k] = frows
+			}
+			ft.indexes[sig] = fix
+		}
+	}
+	clear(remap)
+	rowRemapPool.Put(remap)
 	return ft
 }
 
@@ -130,27 +284,6 @@ func (tb *table) histCloseLast(key string, st Stamp) {
 	}
 }
 
-// forEachHist visits every key's effective interval history exactly once,
-// chain-local entries shadowing frozen-base ones.
-func (tb *table) forEachHist(fn func(key string, ivs []Interval)) {
-	if tb.histBase == nil {
-		for k, ivs := range tb.hist {
-			fn(k, ivs)
-		}
-		return
-	}
-	seen := map[string]bool{}
-	for t := tb; t != nil; t = t.histBase {
-		for k, ivs := range t.hist {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			fn(k, ivs)
-		}
-	}
-}
-
 // depsOf returns the effective dependent list for a body-row ref, walking
 // the frozen-base chain. Stored entries are never empty, so nil means the
 // ref has no dependents (absent everywhere, or tombstoned by deleteDeps).
@@ -175,30 +308,6 @@ func (e *Engine) deleteDeps(ref string) {
 	}
 }
 
-// forEachDependent visits every ref's effective dependent list exactly
-// once, skipping tombstones; used to materialize the overlay on deep
-// forks.
-func (e *Engine) forEachDependent(fn func(ref string, deps []dependentRef)) {
-	if e.cowBase == nil {
-		for ref, deps := range e.dependents {
-			fn(ref, deps)
-		}
-		return
-	}
-	seen := map[string]bool{}
-	for en := e; en != nil; en = en.cowBase {
-		for ref, deps := range en.dependents {
-			if seen[ref] {
-				continue
-			}
-			seen[ref] = true
-			if deps != nil {
-				fn(ref, deps)
-			}
-		}
-	}
-}
-
 // aggGroupFor returns this engine's mutable aggregate group for a key,
 // copying the frozen base's group state on first access (the state is a
 // few scalars) or creating a fresh group.
@@ -216,24 +325,4 @@ func (e *Engine) aggGroupFor(gk string) *aggGroup {
 	g := &aggGroup{}
 	e.aggGroups[gk] = g
 	return g
-}
-
-// forEachAggGroup visits every group's effective state exactly once.
-func (e *Engine) forEachAggGroup(fn func(gk string, g *aggGroup)) {
-	if e.cowBase == nil {
-		for gk, g := range e.aggGroups {
-			fn(gk, g)
-		}
-		return
-	}
-	seen := map[string]bool{}
-	for en := e; en != nil; en = en.cowBase {
-		for gk, g := range en.aggGroups {
-			if seen[gk] {
-				continue
-			}
-			seen[gk] = true
-			fn(gk, g)
-		}
-	}
 }

@@ -71,29 +71,6 @@ func (tb *table) occAppend(t Tuple, st Stamp) {
 	tb.occs = append(tb.occs, eventOcc{tuple: t, at: st})
 }
 
-// flattenOccs folds a shared occurrence log and its private tail into
-// one engine-owned array, re-extending the sorted prefix over the
-// folded entries. Seal calls it on each written table entering the
-// prefix cache: forks copy the tail on clone-on-first-write, so a long
-// tail — a checkpoint fork that ran a long suffix to the anchor — would
-// otherwise be re-copied by every counterfactual trial forked off the
-// cached prefix.
-func (tb *table) flattenOccs() {
-	if !tb.occsShared {
-		return
-	}
-	occs := make([]eventOcc, 0, len(tb.occs)+len(tb.occsTail))
-	occs = append(occs, tb.occs...)
-	occs = append(occs, tb.occsTail...)
-	tb.occs = occs
-	tb.occsTail = nil
-	tb.occsShared = false
-	for tb.occSorted < len(tb.occs) &&
-		(tb.occSorted == 0 || !tb.occs[tb.occSorted].at.Before(tb.occs[tb.occSorted-1].at)) {
-		tb.occSorted++
-	}
-}
-
 // noteOrderAppend maintains the stamp-sorted prefix length of tb.order;
 // called just after a row is appended.
 func (tb *table) noteOrderAppend() {
@@ -486,28 +463,6 @@ func (e *Engine) evDepsOf(ref string) []*evConsumer {
 	return append(append(make([]*evConsumer, 0, len(base)+len(local)), base...), local...)
 }
 
-// forEachEvDeps visits every ref's effective (chain-concatenated)
-// consumer list exactly once; used to materialize the overlay on deep
-// forks.
-func (e *Engine) forEachEvDeps(fn func(ref string, deps []*evConsumer)) {
-	if e.cowBase == nil {
-		for ref, deps := range e.evDeps {
-			fn(ref, deps)
-		}
-		return
-	}
-	seen := map[string]bool{}
-	for en := e; en != nil; en = en.cowBase {
-		for ref := range en.evDeps {
-			if seen[ref] {
-				continue
-			}
-			seen[ref] = true
-			fn(ref, e.evDepsOf(ref))
-		}
-	}
-}
-
 // isKilledOcc reports whether the counterfactual phase erased the event
 // occurrence with this stamp sequence (stamp sequences are unique).
 func (e *Engine) isKilledOcc(seq uint64) bool {
@@ -788,27 +743,6 @@ func (e *Engine) amSet(key amTrigger, v *amEntry) {
 		e.amDeriv = map[amTrigger]*amEntry{}
 	}
 	e.amDeriv[key] = v
-}
-
-// forEachAm visits every trigger's effective winner entry exactly once;
-// used to materialize the overlay on deep forks.
-func (e *Engine) forEachAm(fn func(key amTrigger, v *amEntry)) {
-	if e.cowBase == nil {
-		for k, v := range e.amDeriv {
-			fn(k, v)
-		}
-		return
-	}
-	seen := map[amTrigger]bool{}
-	for en := e; en != nil; en = en.cowBase {
-		for k, v := range en.amDeriv {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			fn(k, v)
-		}
-	}
 }
 
 // amEntryFor builds the winner entry for a binding from the work item

@@ -126,8 +126,8 @@ type Engine struct {
 	// order) while engine-internal stamps (derived arrivals, retractions,
 	// aggregate updates) draw from seqBand+seq. The split makes execution
 	// order a function of the event schedule alone — independent of how
-	// scheduling interleaves with Run calls — which is what lets a forked
-	// prefix engine reproduce a from-scratch replay stamp-for-stamp.
+	// scheduling interleaves with Run calls — which is what lets a fork of
+	// a sealed run reproduce a from-scratch replay stamp-for-stamp.
 	seqBand  uint64
 	baseSeq  uint64
 	now      Stamp
@@ -159,14 +159,12 @@ type Engine struct {
 	analysis      bool
 	analysisDiags []Diag
 	analysisErr   error
-	// cow enables copy-on-write Fork for sealed engines (default on).
-	// sealed marks an engine frozen in the prefix cache: it refuses Run
-	// and Schedule calls, and forks clone its tables on first write.
-	// cowBase chains a CoW fork to the frozen engine whose dependents and
-	// aggGroups maps it overlays; immutableShared marks the immutable map
-	// as borrowed from that engine (cloned by PinImmutable before any
+	// sealed marks an engine frozen as a base run: it refuses Run and
+	// Schedule calls, and forks clone its tables on first write. cowBase
+	// chains a fork to the frozen engine whose dependents and aggGroups
+	// maps it overlays; immutableShared marks the immutable map as
+	// borrowed from that engine (cloned by PinImmutable before any
 	// write). See cow.go.
-	cow             bool
 	sealed          bool
 	cowBase         *Engine
 	immutableShared bool
@@ -362,7 +360,7 @@ func WithDerivationLimit(n int) Option {
 // event therefore sorts before every internal event, and a stamp depends
 // only on the schedule position (base) or processing position (internal)
 // — never on how scheduling interleaves with Run calls. Replay sessions
-// rely on this to make a forked prefix engine byte-identical to a
+// rely on this to make a fork of the sealed base run byte-identical to a
 // from-scratch replay. Zero (the default) keeps the single shared
 // counter.
 func WithSeqBand(start uint64) Option {
@@ -378,8 +376,9 @@ const SeqBandDefault = uint64(1) << 32
 // accelerate rule-body joins (default on). Evaluation results are
 // identical either way — bucket rows keep appearance order, so the
 // derivation stream, provenance graph, and replay behavior are
-// byte-for-byte the same (asserted by TestIndexDifferential); the switch
-// exists for that differential test and for debugging index maintenance.
+// byte-for-byte the same (asserted by TestIndexDifferential). Off is the
+// oracle's setting: replay.Oracle() applies it, and package-local tests
+// construct it directly; nothing else turns it off.
 func WithIndexing(on bool) Option {
 	return func(e *Engine) { e.indexing = on }
 }
@@ -414,7 +413,6 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		deriveLimit: 10_000_000,
 		indexing:    true,
 		analysis:    true,
-		cow:         true,
 	}
 	for _, o := range opts {
 		o(e)

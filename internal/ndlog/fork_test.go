@@ -59,10 +59,10 @@ func scheduleFork(t *testing.T, e *ndlog.Engine) {
 
 // TestForkHalfRunEqualsStraightThrough is the fork layer's property test:
 // for every cut tick, scheduling the whole event sequence, evaluating up
-// to the cut, forking (engine and recorder), and running the fork to
-// completion must produce exactly the graph and state of an uncut run —
-// and so must the original engine when it resumes after the fork,
-// proving the fork did not perturb it.
+// to the cut, sealing, forking (engine and recorder), and running the
+// fork to completion must produce exactly the graph and state of an
+// uncut run — and the sealed parent must read exactly as it did at the
+// cut afterwards, proving the fork's writes never reached it.
 func TestForkHalfRunEqualsStraightThrough(t *testing.T) {
 	band := ndlog.WithSeqBand(ndlog.SeqBandDefault)
 
@@ -84,9 +84,10 @@ func TestForkHalfRunEqualsStraightThrough(t *testing.T) {
 		if err := e.RunUntil(cut); err != nil {
 			t.Fatal(err)
 		}
+		f, frec := sealAndFork(e, rec)
+		cutGraph := serializeGraph(rec.Graph())
+		cutState := serializeSnapshot(e.CaptureStateAt(cut))
 
-		frec := rec.Fork()
-		f := e.Fork(frec)
 		if err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -97,56 +98,73 @@ func TestForkHalfRunEqualsStraightThrough(t *testing.T) {
 			t.Fatalf("cut %d: forked run's state differs from straight-through:\nfork:\n%s\nwant:\n%s", cut, got, wantState)
 		}
 
-		// The original resumes as if the fork never happened.
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+		// The sealed parent still stands at the cut.
+		if got := serializeGraph(rec.Graph()); got != cutGraph {
+			t.Fatalf("cut %d: sealed parent's graph perturbed by the fork's run:\ngot:\n%s\nwant:\n%s", cut, got, cutGraph)
 		}
-		if got := serializeGraph(rec.Graph()); got != wantGraph {
-			t.Fatalf("cut %d: original engine perturbed by fork:\ngot:\n%s\nwant:\n%s", cut, got, wantGraph)
-		}
-		if got := serializeSnapshot(e.CaptureStateAt(ref.Now().T)); got != wantState {
-			t.Fatalf("cut %d: original engine's state perturbed by fork", cut)
+		if got := serializeSnapshot(e.CaptureStateAt(cut)); got != cutState {
+			t.Fatalf("cut %d: sealed parent's state perturbed by the fork's run", cut)
 		}
 	}
 }
 
-// TestForkIsolation: after a fork, events applied to one side must not
-// leak into the other — in either direction.
+// TestForkIsolation: two forks of an engine sealed mid-run (in-flight
+// arrivals still queued) each get an event of their own; neither event,
+// nor anything derived from it, may leak into the sibling or the parent.
 func TestForkIsolation(t *testing.T) {
 	e := ndlog.New(forkProg, nil, ndlog.WithSeqBand(ndlog.SeqBandDefault))
 	scheduleFork(t, e)
 	if err := e.RunUntil(6); err != nil {
 		t.Fatal(err)
 	}
-	f := e.Fork(nil)
+	e.Seal()
+	f, g := e.Fork(nil), e.Fork(nil)
 
-	onlyFork := ndlog.NewTuple("link", ndlog.Str("x"), ndlog.Str("y"))
-	if err := f.ScheduleInsert("x", onlyFork, 20); err != nil {
+	onlyF := ndlog.NewTuple("link", ndlog.Str("x"), ndlog.Str("y"))
+	if err := f.ScheduleInsert("x", onlyF, 20); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	onlyOrig := ndlog.NewTuple("link", ndlog.Str("p"), ndlog.Str("q"))
-	if err := e.ScheduleInsert("p", onlyOrig, 20); err != nil {
+	onlyG := ndlog.NewTuple("link", ndlog.Str("p"), ndlog.Str("q"))
+	if err := g.ScheduleInsert("p", onlyG, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
+	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
 
-	if e.ExistsEver("x", onlyFork) {
-		t.Error("fork-only event leaked into the original")
+	if g.ExistsEver("x", onlyF) || e.ExistsEver("x", onlyF) {
+		t.Error("one fork's event leaked into its sibling or the sealed parent")
 	}
-	if f.ExistsEver("p", onlyOrig) {
-		t.Error("original-only event leaked into the fork")
+	if f.ExistsEver("p", onlyG) || e.ExistsEver("p", onlyG) {
+		t.Error("the other fork's event leaked into its sibling or the sealed parent")
 	}
 	reach := ndlog.NewTuple("reach", ndlog.Str("x"), ndlog.Str("y"))
 	if !f.ExistsEver("x", reach) {
 		t.Error("fork failed to derive from its own event")
 	}
-	if e.ExistsEver("x", reach) {
-		t.Error("fork derivation leaked into the original")
+	if g.ExistsEver("x", reach) || e.ExistsEver("x", reach) {
+		t.Error("fork derivation leaked into its sibling or the sealed parent")
+	}
+}
+
+// TestForkUnsealedPanics: forking an engine or recorder its owner can
+// still write is a bug, reported like a write to a sealed table.
+func TestForkUnsealedPanics(t *testing.T) {
+	for name, fork := range map[string]func(){
+		"engine":   func() { ndlog.New(forkProg, nil).Fork(nil) },
+		"recorder": func() { provenance.NewRecorder(forkProg).Fork() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Fork of an unsealed %s did not panic", name)
+				}
+			}()
+			fork()
+		}()
 	}
 }
 

@@ -519,12 +519,9 @@ rule k4 out(@n1, X) :- ev(@n1, X), a(@n1, X), b(@n1, X), c(@n1, X).
 	if len(c.body) != len(refs) || c.rule != "k4" {
 		t.Fatalf("consumer %+v, want rule k4 with %d body refs", c, len(refs))
 	}
-	deep := e.Fork(nil)
 	e.Seal()
-	for name, f := range map[string]*Engine{"deep": deep, "cow": e.Fork(nil)} {
-		if shared(f) != c {
-			t.Errorf("%s fork copied the consumer record", name)
-		}
+	if shared(e.Fork(nil)) != c {
+		t.Error("fork copied the consumer record")
 	}
 
 	// One record per derivation: registering under k refs allocates the

@@ -162,8 +162,8 @@ func TestAggregateFoldDifferentialUnit(t *testing.T) {
 }
 
 // TestAggregateFoldAcrossFork checks that a forked graph keeps folding
-// correctly: chains extended after the fork fold in the fork, the
-// original is untouched, and memoized prefixes are shared.
+// correctly: chains extended after the fork fold in the fork, the sealed
+// original is untouched, and memoized folds are shared.
 func TestAggregateFoldAcrossFork(t *testing.T) {
 	prog := ndlog.MustParse(wcFoldSrc)
 	rec := NewRecorder(prog)
@@ -180,6 +180,8 @@ func TestAggregateFoldAcrossFork(t *testing.T) {
 		t.Fatalf("original folds to %d contributors, want 5", len(kids))
 	}
 
+	rec.Seal()
+	e.Seal()
 	fr := rec.Fork()
 	fe := e.Fork(fr)
 	for i := 5; i < 9; i++ {

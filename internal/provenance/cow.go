@@ -2,15 +2,14 @@ package provenance
 
 // Copy-on-write graph forks.
 //
-// A counterfactual trial's provenance graph is the cached prefix graph —
-// tens of thousands of vertexes — plus a short suffix. Deep Fork copies
-// the whole vertex arena and every index map per trial. The CoW scheme
-// shares the frozen prefix instead:
+// A counterfactual trial's provenance graph is the session's base-run
+// graph — tens of thousands of vertexes — plus the few vertexes the
+// trial's changes add. Forks share the frozen base instead of copying it:
 //
-//   - Seal freezes a recorder (and its graph) when its engine enters the
-//     prefix cache; sealed graphs are never recorded into again.
-//   - Fork of a sealed CoW graph keeps a reference to the base, stores
-//     only fork-local vertexes in its own arena tail (IDs continue from
+//   - Seal freezes a recorder (and its graph) once its engine becomes a
+//     base run; sealed graphs are never recorded into again.
+//   - Fork of a sealed graph keeps a reference to the base, stores only
+//     fork-local vertexes in its own arena tail (IDs continue from
 //     baseLen), and starts every index map empty: writes land locally,
 //     reads walk the base chain in shadowing order.
 //   - The single in-place mutation the recorder ever performs — closing
@@ -23,26 +22,17 @@ package provenance
 // triggerParents) are append-only, so a fork's local entry holds only
 // the IDs the fork itself appended (a tail): reads concatenate the
 // chain oldest-first instead of the append copying the base's slice —
-// a hot table-level entry can index the whole prefix, and one
+// a hot table-level entry can index the whole base run, and one
 // counterfactual append must not pay for re-copying it. openExist is
 // the only map with deletions; forks tombstone with -1 (vertex IDs are
 // never negative).
 //
 // Everything downstream — tree projection, seed finding, fold memo — goes
-// through the accessors, so CoW and deep forks are observationally
-// identical; the differential suites run both.
+// through the accessors, so a fork is observationally identical to a
+// straight-through recording of the same execution.
 
-// WithCopyOnWriteForks enables or disables copy-on-write Fork for sealed
-// recorders and their graphs (default on). Results are byte-identical
-// either way; the switch is the ablation arm of the fork differential
-// suites.
-func WithCopyOnWriteForks(on bool) RecorderOption {
-	return func(r *Recorder) { r.cow = on }
-}
-
-// Seal freezes the recorder and its graph for the prefix cache: from now
-// on the pair is only ever forked, never recorded into. Forking a sealed
-// CoW recorder shares the frozen graph instead of copying it.
+// Seal freezes the recorder and its graph as a base run: from now on the
+// pair is only ever read and forked, never recorded into.
 func (r *Recorder) Seal() {
 	r.sealed = true
 	r.graph.sealed = true
@@ -50,6 +40,66 @@ func (r *Recorder) Seal() {
 
 // Sealed reports whether Seal froze the recorder.
 func (r *Recorder) Sealed() bool { return r.sealed }
+
+// Fork returns a recorder (with a fork of the graph) that can observe a
+// fork of the sealed receiver's engine independently. The bookkeeping that
+// spans observer callbacks within one work item (pendingInsert /
+// pendingDelete) is copied as-is, and is -1 between work items;
+// underiveVertex reads walk the base chain. Forking an unsealed recorder
+// is a bug and panics (see Graph.Fork).
+func (r *Recorder) Fork() *Recorder {
+	if !r.sealed {
+		panic("provenance: Fork of unsealed recorder")
+	}
+	return &Recorder{
+		prog:           r.prog,
+		graph:          r.graph.Fork(),
+		pendingInsert:  r.pendingInsert,
+		pendingDelete:  r.pendingDelete,
+		underiveVertex: map[int64]int{},
+		eagerAgg:       r.eagerAgg,
+		base:           r,
+	}
+}
+
+// Fork returns a graph that keeps growing independently of the sealed
+// receiver, in O(1) + O(fold memo): empty overlay maps with the receiver
+// as their read-through base. Only the fold memo is copied eagerly — it
+// is written during reads (tree projection), so chaining it through the
+// base would need cross-graph locking; folded contributor lists are
+// immutable once memoized, so the fork shares the slices.
+//
+// Fork never mutates the receiver, so concurrent forks of one sealed
+// graph are safe. Forking an unsealed graph is a bug — its recorder could
+// still append to the arena the fork would share — and panics.
+func (g *Graph) Fork() *Graph {
+	if !g.sealed {
+		panic("provenance: Fork of unsealed graph")
+	}
+	f := &Graph{
+		appearByRef:    map[string]int{},
+		openExist:      map[string]int{},
+		existByRef:     map[string]int{},
+		byDerive:       map[int64]int{},
+		appearsByTuple: map[string][]int{},
+		lastDisappear:  map[string]int{},
+		appearsByTable: map[string][]int{},
+		triggerParents: map[int][]int{},
+		headAppear:     map[int]int{},
+		existOf:        map[int]int{},
+		base:           g,
+		baseLen:        g.NumVertexes(),
+	}
+	// Under the lock because sibling forks and readers of the shared base
+	// may fold concurrently.
+	g.foldMu.Lock()
+	f.foldMemo = make(map[uint64][]int, len(g.foldMemo))
+	for k, ids := range g.foldMemo {
+		f.foldMemo[k] = ids
+	}
+	g.foldMu.Unlock()
+	return f
+}
 
 // vertex returns the vertex with the given ID, resolving through the
 // fork-local tail, the redirect overlay, and the frozen base chain. The
@@ -184,7 +234,7 @@ func (g *Graph) lastStrSlice(sel func(*Graph) map[string][]int, key string) int 
 // appendStrSlice appends id to a key's local slice entry. The base
 // chain's entries stay untouched and are concatenated on read
 // (forEachStrSlice) — appends are hot (one per APPEAR) and must not
-// re-copy a table-level index of the whole frozen prefix.
+// re-copy a table-level index of the whole frozen base.
 func (g *Graph) appendStrSlice(sel func(*Graph) map[string][]int, key string, id int) {
 	m := sel(g)
 	m[key] = append(m[key], id)
@@ -194,96 +244,6 @@ func (g *Graph) appendStrSlice(sel func(*Graph) map[string][]int, key string, id
 func (g *Graph) appendIntSlice(sel func(*Graph) map[int][]int, key int, id int) {
 	m := sel(g)
 	m[key] = append(m[key], id)
-}
-
-// Chain collectors: flatten an overlay into one map for deep forks. Each
-// falls back to a plain copy for root graphs.
-
-func collectStrInt(g *Graph, sel func(*Graph) map[string]int) map[string]int {
-	if g.base == nil {
-		return copyIntMap(sel(g))
-	}
-	out := map[string]int{}
-	seen := map[string]bool{}
-	for gr := g; gr != nil; gr = gr.base {
-		for k, v := range sel(gr) {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if v >= 0 {
-				out[k] = v
-			}
-		}
-	}
-	return out
-}
-
-func collectIntInt(g *Graph, sel func(*Graph) map[int]int) map[int]int {
-	if g.base == nil {
-		m := sel(g)
-		out := make(map[int]int, len(m))
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
-	}
-	out := map[int]int{}
-	seen := map[int]bool{}
-	for gr := g; gr != nil; gr = gr.base {
-		for k, v := range sel(gr) {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if v >= 0 {
-				out[k] = v
-			}
-		}
-	}
-	return out
-}
-
-func collectStrSlice(g *Graph, sel func(*Graph) map[string][]int) map[string][]int {
-	if g.base == nil {
-		return copySliceMap(sel(g))
-	}
-	// Local entries are tails: append them after the base chain's
-	// (recursion bottoms out at the root with fresh copies).
-	out := collectStrSlice(g.base, sel)
-	for k, ids := range sel(g) {
-		out[k] = append(out[k], ids...)
-	}
-	return out
-}
-
-func collectIntSlice(g *Graph, sel func(*Graph) map[int][]int) map[int][]int {
-	if g.base == nil {
-		m := sel(g)
-		out := make(map[int][]int, len(m))
-		for k, ids := range m {
-			out[k] = append([]int(nil), ids...)
-		}
-		return out
-	}
-	out := collectIntSlice(g.base, sel)
-	for k, ids := range sel(g) {
-		out[k] = append(out[k], ids...)
-	}
-	return out
-}
-
-func collectDerive(g *Graph) map[int64]int {
-	out := make(map[int64]int, len(g.byDerive))
-	for gr := g; gr != nil; gr = gr.base {
-		for k, v := range gr.byDerive {
-			if _, ok := out[k]; ok {
-				continue
-			}
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // underiveOf resolves an engine underivation ID through the recorder's

@@ -38,9 +38,9 @@ func TestGraphSealedRejectsRecord(t *testing.T) {
 }
 
 // TestRecorderCoWForkLayers drives a sealed recorder through two
-// generations of forks — a CoW fork, then a deep fork of that fork (the
-// overlay must materialize) — and requires every layer to agree with a
-// straight-through run.
+// generations of forks — a fork, then (sealed in turn) a fork of that
+// fork, whose reads walk a two-link overlay chain — and requires every
+// layer to agree with a straight-through run.
 func TestRecorderCoWForkLayers(t *testing.T) {
 	prog := ndlog.MustParse(`
 table link/2 base mutable;
@@ -98,15 +98,22 @@ rule direct reach(@S, S, D) :- link(@S, S, D).
 		t.Errorf("sealed base graph perturbed by fork:\ngot:\n%s\nwant:\n%s", got, wantBase)
 	}
 
-	// Deep fork of the CoW fork: the overlay chain must materialize into a
-	// self-contained graph that reads identically.
-	deep := frec.Fork()
-	if got := cowSerialize(deep.Graph()); got != wantFull {
-		t.Errorf("deep fork of CoW fork differs:\ngot:\n%s\nwant:\n%s", got, wantFull)
+	// A fork of the (now sealed) fork reads through both links of the
+	// chain identically.
+	frec.Seal()
+	f.Seal()
+	second := frec.Fork()
+	f.Fork(second)
+	if got := cowSerialize(second.Graph()); got != wantFull {
+		t.Errorf("fork of a fork differs:\ngot:\n%s\nwant:\n%s", got, wantFull)
 	}
 
-	// And the materialized copy still answers indexed queries.
-	if v := deep.Graph().LastAppear("a", ndlog.NewTuple("reach", ndlog.Str("a"), ndlog.Str("c"))); v == nil {
-		t.Error("deep fork of CoW fork lost the appearsByTuple index")
+	// And it still answers indexed queries — from the middle link (the
+	// suffix) and from the root (the base).
+	if v := second.Graph().LastAppear("a", ndlog.NewTuple("reach", ndlog.Str("a"), ndlog.Str("c"))); v == nil {
+		t.Error("fork of a fork lost the first fork's appearsByTuple entries")
+	}
+	if v := second.Graph().LastAppear("a", ndlog.NewTuple("reach", ndlog.Str("a"), ndlog.Str("b"))); v == nil {
+		t.Error("fork of a fork lost the base's appearsByTuple entries")
 	}
 }

@@ -141,7 +141,7 @@ type Graph struct {
 	// aggregate head (every diagnosis round, every treediff) pay the
 	// O(k) chain walk once. Entries are immutable once stored. Guarded
 	// by foldMu because trees may be projected from shared graphs
-	// concurrently. Never chained through base: forkCoW snapshots the
+	// concurrently. Never chained through base: Fork snapshots the
 	// base's memo, so each graph's memo is self-contained.
 	foldMu   sync.Mutex
 	foldMemo map[uint64][]int
@@ -153,7 +153,6 @@ type Graph struct {
 	base     *Graph
 	baseLen  int
 	redirect map[int]*Vertex
-	cow      bool
 	sealed   bool
 }
 
@@ -171,7 +170,6 @@ func NewGraph() *Graph {
 		headAppear:     map[int]int{},
 		existOf:        map[int]int{},
 		foldMemo:       map[uint64][]int{},
-		cow:            true,
 	}
 }
 

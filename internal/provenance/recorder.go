@@ -26,15 +26,13 @@ type Recorder struct {
 	// DERIVE at record time (the pre-delta behavior, O(k) per update).
 	// Default off: aggregates record the delta alone and Graph.ChildrenOf
 	// folds on demand. Both modes yield byte-identical folded trees and
-	// fingerprints; the eager mode exists as the reference side of the
-	// fold-differential tests.
+	// fingerprints; eager is the oracle's setting (replay.Oracle()) — the
+	// reference side of the differential tests.
 	eagerAgg bool
 
-	// Copy-on-write state (see cow.go): cow enables CoW forks of sealed
-	// recorders (default on), sealed marks the recorder frozen for the
-	// prefix cache, and base chains a CoW fork to the frozen recorder it
+	// Copy-on-write state (see cow.go): sealed marks the recorder frozen
+	// as a base run, and base chains a fork to the frozen recorder it
 	// shadows (underiveVertex reads walk the chain; writes stay local).
-	cow    bool
 	sealed bool
 	base   *Recorder
 }
@@ -43,7 +41,9 @@ type Recorder struct {
 type RecorderOption func(*Recorder)
 
 // WithEagerAggregates selects eager materialization of aggregate
-// contributor lists at record time instead of lazy folding.
+// contributor lists at record time instead of lazy folding. It is the
+// oracle's setting: replay.Oracle() applies it, and package-local tests
+// construct it directly; nothing else turns it on.
 func WithEagerAggregates(on bool) RecorderOption {
 	return func(r *Recorder) { r.eagerAgg = on }
 }
@@ -56,12 +56,10 @@ func NewRecorder(prog *ndlog.Program, opts ...RecorderOption) *Recorder {
 		pendingInsert:  -1,
 		pendingDelete:  -1,
 		underiveVertex: map[int64]int{},
-		cow:            true,
 	}
 	for _, o := range opts {
 		o(r)
 	}
-	r.graph.cow = r.cow
 	return r
 }
 

@@ -33,11 +33,11 @@ func mustReplayWith(t *testing.T, s *Session, ch []Change) (*ndlog.Engine, *prov
 	return e, g
 }
 
-// TestIncrementalReplayMatchesScratch pins the core guarantee of
-// checkpoint-anchored roll-forward: a replay that forks a cached prefix
-// is byte-identical — same provenance graph including every stamp, same
-// engine state — to the from-scratch replay, and actually engages the
-// prefix cache.
+// TestIncrementalReplayMatchesScratch pins the core guarantee of the base
+// run on a hand-written log: a trial that forks it — here one insert and
+// one delete at different ticks — is byte-identical (same provenance
+// graph including every stamp, same engine state) to the oracle's
+// from-scratch replay, and the work is accounted as one build plus forks.
 func TestIncrementalReplayMatchesScratch(t *testing.T) {
 	rec := NewSession(fwdProg)
 	driveScenario(t, rec)
@@ -50,7 +50,7 @@ func TestIncrementalReplayMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := FromLog(fwdProg, rec.Log(), WithIncrementalReplay(false))
+	scratch, err := FromLog(fwdProg, rec.Log(), Oracle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,37 +59,34 @@ func TestIncrementalReplayMatchesScratch(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		eI, gI := mustReplayWith(t, inc, changes)
 		if got, want := graphString(gI), graphString(gS); got != want {
-			t.Fatalf("round %d: incremental graph differs from scratch:\nincremental:\n%s\nscratch:\n%s", round, got, want)
+			t.Fatalf("round %d: forked graph differs from scratch:\nforked:\n%s\nscratch:\n%s", round, got, want)
 		}
 		if !reflect.DeepEqual(eI.CaptureState(), eS.CaptureState()) {
-			t.Fatalf("round %d: incremental state differs from scratch", round)
+			t.Fatalf("round %d: forked state differs from scratch", round)
 		}
 	}
-	if inc.Stats.PrefixMisses != 1 {
-		t.Errorf("incremental session: PrefixMisses = %d, want 1 (first replay builds the prefix)", inc.Stats.PrefixMisses)
+	want := ReplayStats{
+		PrefixMisses:  1, // the first trial evaluates the base run
+		PrefixHits:    2, // later trials fork it
+		EventsSkipped: 3 * int64(rec.Log().Len()),
+		ForkNanos:     inc.Stats.ForkNanos,
+		DirtyTables:   inc.Stats.DirtyTables,
 	}
-	if inc.Stats.PrefixHits != 2 {
-		t.Errorf("incremental session: PrefixHits = %d, want 2 (later replays fork the cached prefix)", inc.Stats.PrefixHits)
+	if inc.Stats != want || inc.Stats.ForkNanos <= 0 || inc.ReplayCount != 3 {
+		t.Errorf("production session: %d replays, stats %+v; want 3 replays, %+v with ForkNanos > 0", inc.ReplayCount, inc.Stats, want)
 	}
-	if inc.Stats.EventsSkipped == 0 {
-		t.Error("incremental session skipped no events")
-	}
-	if inc.Stats.ForkNanos <= 0 {
-		t.Error("ForkNanos not accounted")
-	}
-	// Counterfactual-phase counters accrue in every mode (scratch replays
-	// route changes through the same delta phase); only prefix-cache
-	// stats must stay zero on the scratch session.
-	scratchStats := scratch.Stats
-	scratchStats.EventsReFired, scratchStats.DirtyTables = 0, 0
-	if scratchStats != (ReplayStats{}) {
-		t.Errorf("scratch session accumulated incremental stats: %+v", scratchStats)
+	// The oracle re-fires the whole log per trial and never forks.
+	want = ReplayStats{EventsReFired: int64(rec.Log().Len()), DirtyTables: scratch.Stats.DirtyTables}
+	if scratch.Stats != want {
+		t.Errorf("oracle session stats = %+v, want %+v", scratch.Stats, want)
 	}
 }
 
-// TestReplayUntilIncrementalMatchesScratch pins ReplayUntil to the same
-// guarantee: the truncated replay forks a prefix and still produces the
-// identical graph and state.
+// TestReplayUntilIncrementalMatchesScratch: ReplayUntil is a truncated
+// from-scratch run in both configurations, so the only difference left
+// between them is the engine the oracle runs on (unindexed, eager
+// aggregates) — and the graphs and states must still be identical at
+// every horizon. It never touches the base run.
 func TestReplayUntilIncrementalMatchesScratch(t *testing.T) {
 	rec := NewSession(fwdProg)
 	driveScenario(t, rec)
@@ -98,7 +95,7 @@ func TestReplayUntilIncrementalMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch, err := FromLog(fwdProg, rec.Log(), WithIncrementalReplay(false))
+		scratch, err := FromLog(fwdProg, rec.Log(), Oracle())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,10 +108,13 @@ func TestReplayUntilIncrementalMatchesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := graphString(gI), graphString(gS); got != want {
-			t.Fatalf("horizon %d: graphs differ:\nincremental:\n%s\nscratch:\n%s", horizon, got, want)
+			t.Fatalf("horizon %d: graphs differ:\nproduction:\n%s\noracle:\n%s", horizon, got, want)
 		}
 		if !reflect.DeepEqual(eI.CaptureStateAt(horizon), eS.CaptureStateAt(horizon)) {
 			t.Fatalf("horizon %d: states differ", horizon)
+		}
+		if inc.Stats != (ReplayStats{}) || inc.ReplayCount != 1 {
+			t.Fatalf("horizon %d: ReplayUntil booked %d replays, %+v; want one replay and no base-run activity", horizon, inc.ReplayCount, inc.Stats)
 		}
 	}
 }
@@ -132,20 +132,19 @@ func TestReplayUntilContextCancelled(t *testing.T) {
 }
 
 // TestPrefixCacheInvalidatedWhenLogGrows: replays after the live
-// execution (and hence the log) advanced must not reuse prefixes built
-// from the shorter log.
+// execution (and hence the log) advanced must not fork the base run
+// evaluated from the shorter log.
 func TestPrefixCacheInvalidatedWhenLogGrows(t *testing.T) {
 	s := NewSession(fwdProg)
 	driveScenario(t, s)
 	change := []Change{{Insert: true, Node: "s1", Tuple: ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.9")), Tick: 11}}
-	mustReplayWith(t, s, change) // populates the cache
+	mustReplayWith(t, s, change) // evaluates the base run
 	mustReplayWith(t, s, change)
-	if s.Stats.PrefixHits == 0 {
-		t.Fatal("expected a prefix hit before the log grew")
+	if s.Stats.PrefixHits != 1 || s.Stats.PrefixMisses != 1 {
+		t.Fatalf("before the log grew: %+v, want one build then one fork", s.Stats)
 	}
 
-	// Grow the execution: a new packet the earlier prefixes know nothing
-	// about.
+	// Grow the execution: a new packet the base run knows nothing about.
 	late := ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.200"))
 	if err := s.Insert("s1", late, 20); err != nil {
 		t.Fatal(err)
@@ -156,9 +155,12 @@ func TestPrefixCacheInvalidatedWhenLogGrows(t *testing.T) {
 
 	eI, gI := mustReplayWith(t, s, []Change{{Insert: true, Node: "s1", Tuple: ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.10")), Tick: 21}})
 	if !eI.ExistsEver("s6", late) {
-		t.Error("replay after log growth lost the late packet (stale prefix reused?)")
+		t.Error("replay after log growth lost the late packet (stale base run forked?)")
 	}
-	scratch, err := FromLog(fwdProg, s.Log(), WithIncrementalReplay(false))
+	if s.Stats.PrefixMisses != 2 {
+		t.Errorf("PrefixMisses = %d after the log grew, want 2 (one base run per log length)", s.Stats.PrefixMisses)
+	}
+	scratch, err := FromLog(fwdProg, s.Log(), Oracle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestPrefixCacheInvalidatedWhenLogGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	if graphString(gI) != graphString(gS) {
-		t.Error("post-growth incremental replay differs from scratch")
+		t.Error("post-growth forked replay differs from scratch")
 	}
 }
 
@@ -285,11 +287,11 @@ func TestStateAtBinarySearch(t *testing.T) {
 	}
 }
 
-// TestConcurrentClonesShareAndIsolatePrefixCache exercises the prefix
-// cache under -race: clones of one session replay concurrently through
-// the shared cache (hits and misses interleaving with builds), while
-// sessions rebuilt from the same log replay through private caches. All
-// replays must agree with a from-scratch baseline.
+// TestConcurrentClonesShareAndIsolatePrefixCache exercises the base cell
+// under -race: clones of one session replay concurrently through the
+// shared cell (forks interleaving with the one build), while sessions
+// rebuilt from the same log evaluate base runs of their own. All replays
+// must agree with a from-scratch baseline.
 func TestConcurrentClonesShareAndIsolatePrefixCache(t *testing.T) {
 	rec := NewSession(fwdProg)
 	driveScenario(t, rec)
@@ -302,7 +304,7 @@ func TestConcurrentClonesShareAndIsolatePrefixCache(t *testing.T) {
 	}
 	baseline := map[int64]string{}
 	for _, tick := range []int64{11, 12, 13} {
-		sc, err := FromLog(fwdProg, rec.Log(), WithIncrementalReplay(false))
+		sc, err := FromLog(fwdProg, rec.Log(), Oracle())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +324,7 @@ func TestConcurrentClonesShareAndIsolatePrefixCache(t *testing.T) {
 			defer wg.Done()
 			var sess *Session
 			if w%3 == 0 {
-				// Private cache: an independent session over the same log.
+				// Private cell: an independent session over the same log.
 				var err error
 				sess, err = FromLog(fwdProg, rec.Log(), WithCheckpointEvery(5))
 				if err != nil {
@@ -330,7 +332,7 @@ func TestConcurrentClonesShareAndIsolatePrefixCache(t *testing.T) {
 					return
 				}
 			} else {
-				// Shared cache: a clone of the parent.
+				// Shared cell: a clone of the parent.
 				sess = parent.Clone()
 			}
 			for i := 0; i < 4; i++ {
@@ -358,5 +360,116 @@ func TestConcurrentClonesShareAndIsolatePrefixCache(t *testing.T) {
 	}
 	if parent.Stats != (ReplayStats{}) {
 		t.Errorf("parent session accumulated clone stats: %+v", parent.Stats)
+	}
+}
+
+// scriptedCtx is a context that never ends on its own. Err runs the
+// script with the call's ordinal, so a test can act at the k-th
+// cancellation check of a replay — the second one is the first inside a
+// base-run build over a log longer than ctxCheckEvery. Done tells the test
+// that its owner has found a build in flight and is about to wait on it.
+type scriptedCtx struct {
+	context.Context
+	calls  int
+	onErr  func(call int) error
+	onDone func()
+}
+
+func (c *scriptedCtx) Err() error {
+	c.calls++
+	if c.onErr == nil {
+		return nil
+	}
+	return c.onErr(c.calls)
+}
+
+func (c *scriptedCtx) Done() <-chan struct{} {
+	if c.onDone != nil {
+		c.onDone()
+	}
+	return nil
+}
+
+// buildWithWaiter starts a trial on a clone of s whose base-run build
+// pauses at its first in-build cancellation check until a second clone's
+// trial is waiting on that build, then lets the check return atCheck. It
+// returns both trials' errors.
+func buildWithWaiter(t *testing.T, s *Session, atCheck error) (builderErr, waiterErr error) {
+	t.Helper()
+	if s.Log().Len() <= ctxCheckEvery {
+		t.Fatalf("log of %d events has no in-build cancellation check", s.Log().Len())
+	}
+	change := []Change{{Insert: true, Node: "s1", Tuple: ndlog.NewTuple("packet", ndlog.IP(0xfefefefe)), Tick: 7}}
+	parked := make(chan struct{})
+	var once sync.Once
+	waiterCtx := &scriptedCtx{Context: context.Background(), onDone: func() { once.Do(func() { close(parked) }) }}
+	waiterDone := make(chan error, 1)
+	builderCtx := &scriptedCtx{Context: context.Background()}
+	builderCtx.onErr = func(call int) error {
+		switch {
+		case call == 1: // the check on entry, before the build is published
+			return nil
+		case call == 2:
+			go func() {
+				_, _, err := s.Clone().ReplayWithContext(waiterCtx, change)
+				waiterDone <- err
+			}()
+			<-parked
+		}
+		return atCheck
+	}
+	_, _, builderErr = s.Clone().ReplayWithContext(builderCtx, change)
+	return builderErr, <-waiterDone
+}
+
+// longSession logs one flow entry and n packets without running the live
+// engine (the tests below only replay).
+func longSession(t *testing.T, n int, opts ...SessionOption) *Session {
+	t.Helper()
+	s := NewSession(fwdProg, opts...)
+	if err := s.Insert("s1", ndlog.NewTuple("flowEntry", ndlog.Int(1),
+		ndlog.MustParsePrefix("0.0.0.0/0"), ndlog.Str("s2")), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if err := s.Insert("s1", ndlog.NewTuple("packet", ndlog.IP(uint32(i))), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestCancelledBuilderDoesNotPoisonWaiters is the regression test for a
+// base-run build abandoned by its own request's context failing every
+// other request waiting on it: the waiter's context is alive, so it must
+// take the build over and succeed.
+func TestCancelledBuilderDoesNotPoisonWaiters(t *testing.T) {
+	s := longSession(t, ctxCheckEvery+100)
+	builderErr, waiterErr := buildWithWaiter(t, s, context.Canceled)
+	if !errors.Is(builderErr, context.Canceled) {
+		t.Errorf("cancelled builder: err = %v, want context.Canceled", builderErr)
+	}
+	if waiterErr != nil {
+		t.Errorf("waiter with a live context failed with the builder's cancellation: %v", waiterErr)
+	}
+}
+
+// TestBaseRunEvaluationErrorFailsWaitersUncached: a build that fails in
+// evaluation (here the derivation limit) fails the requests waiting on it
+// with that error, and leaves nothing cached — the next request evaluates
+// again instead of being handed a stored failure.
+func TestBaseRunEvaluationErrorFailsWaitersUncached(t *testing.T) {
+	s := longSession(t, ctxCheckEvery+100, WithEngineOptions(ndlog.WithDerivationLimit(100)))
+	builderErr, waiterErr := buildWithWaiter(t, s, nil)
+	for who, err := range map[string]error{"builder": builderErr, "waiter": waiterErr} {
+		if err == nil || !strings.Contains(err.Error(), "derivation limit") {
+			t.Errorf("%s: err = %v, want the evaluation's derivation-limit error", who, err)
+		}
+	}
+	if s.base.cur != nil {
+		t.Error("failed base run stayed in the cell")
+	}
+	if _, _, err := s.Graph(); err == nil || !strings.Contains(err.Error(), "derivation limit") {
+		t.Errorf("Graph() after a failed build: err = %v, want a fresh evaluation failing the same way", err)
 	}
 }

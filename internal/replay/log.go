@@ -63,8 +63,8 @@ func (l *Log) Len() int { return len(l.events) }
 
 // Events returns a copy of the logged events in order. Callers may keep
 // or mutate the returned slice freely; appends through it never reach
-// the log (the session's prefix cache invalidates by log length, so an
-// aliased append could corrupt cached prefixes).
+// the log (the session's base run is keyed by log length, so an
+// aliased append could leave a stale base run in use).
 func (l *Log) Events() []Event { return append([]Event(nil), l.events...) }
 
 // Each calls fn for every logged event in order without copying. The

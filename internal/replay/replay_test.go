@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -245,25 +246,39 @@ func TestReplayUntilTruncates(t *testing.T) {
 	}
 }
 
+// TestGraphMemoization: Graph() in query-time mode is the session's one
+// base run — evaluated by the first caller (who books the replay and the
+// miss), returned sealed and by identity afterwards, forked by trials,
+// and replaced once the log grows.
 func TestGraphMemoization(t *testing.T) {
 	s := NewSession(fwdProg)
 	driveScenario(t, s)
-	_, g1, err := s.Graph()
+	e1, g1, err := s.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := s.ReplayCount
+	if s.ReplayCount != 1 || s.Stats.PrefixMisses != 1 {
+		t.Errorf("first Graph(): %d replays, %d misses; want the base-run build booked once", s.ReplayCount, s.Stats.PrefixMisses)
+	}
+	if !e1.Sealed() {
+		t.Error("Graph() returned an engine callers could drive")
+	}
 	_, g2, err := s.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ReplayCount != rc {
-		t.Error("second Graph() call should hit the memo")
+	if s.ReplayCount != 1 {
+		t.Error("second Graph() call should return the base run, not replay")
 	}
 	if g1 != g2 {
-		t.Error("memoized graph identity changed")
+		t.Error("base-run graph identity changed")
 	}
-	// New events invalidate the memo.
+	// A trial forks that same run instead of evaluating the log again.
+	mustReplayWith(t, s, []Change{{Insert: true, Node: "s1", Tuple: ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.8")), Tick: 12}})
+	if s.Stats.PrefixMisses != 1 || s.Stats.PrefixHits != 1 {
+		t.Errorf("trial after Graph(): %+v; want a fork of the base run Graph() built", s.Stats)
+	}
+	// New events invalidate the base run.
 	s.Insert("s1", ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.9")), 20)
 	s.Run()
 	_, g3, err := s.Graph()
@@ -271,10 +286,10 @@ func TestGraphMemoization(t *testing.T) {
 		t.Fatal(err)
 	}
 	if g3 == g1 {
-		t.Error("memo must be invalidated by new events")
+		t.Error("base run must be invalidated by new events")
 	}
-	if s.ReplayCount != rc+1 {
-		t.Error("expected one more replay")
+	if s.ReplayCount != 3 || s.Stats.PrefixMisses != 2 {
+		t.Errorf("after log growth: %d replays, %d misses; want one more of each", s.ReplayCount, s.Stats.PrefixMisses)
 	}
 }
 
@@ -460,7 +475,8 @@ func TestCheckpointsConsistentWithHistory(t *testing.T) {
 }
 
 func TestSessionAccessorsAndEngineOptions(t *testing.T) {
-	s := NewSession(fwdProg, WithEngineOptions(ndlog.WithDelay(3)), WithMode(Runtime))
+	// Two uses of WithEngineOptions: the later one wins on conflict.
+	s := NewSession(fwdProg, WithEngineOptions(ndlog.WithDelay(7)), WithEngineOptions(ndlog.WithDelay(3)), WithMode(Runtime))
 	if s.Program() != fwdProg {
 		t.Error("Program accessor broken")
 	}
@@ -492,12 +508,58 @@ func TestSessionAccessorsAndEngineOptions(t *testing.T) {
 	if len(rh) != 1 || rh[0].From.T != 13 {
 		t.Errorf("replayed arrival = %v, want tick 13", rh)
 	}
+
+	// A later use appends to the earlier options instead of replacing
+	// them: the derivation limit survives the second WithEngineOptions...
+	lim := NewSession(fwdProg, WithEngineOptions(ndlog.WithDerivationLimit(1)), WithEngineOptions(ndlog.WithDelay(3)))
+	if err := lim.Insert("s1", ndlog.NewTuple("flowEntry", ndlog.Int(1), mp("0.0.0.0/0"), ndlog.Str("h")), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(1); i <= 3; i++ {
+		if err := lim.Insert("s1", ndlog.NewTuple("packet", ndlog.IP(i)), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lim.Run(); err == nil || !strings.Contains(err.Error(), "derivation limit") {
+		t.Errorf("Run with WithDerivationLimit(1) then another WithEngineOptions: err = %v, want the limit to apply", err)
+	}
+	// ... and so does what Oracle() sets: its engines stay unindexed when
+	// the caller passes engine options of its own afterwards.
+	join := ndlog.MustParse(`
+table edge/2 base mutable;
+table probe/1 event base;
+table hit/2 event;
+rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
+`)
+	for _, oracle := range []bool{false, true} {
+		opts := []SessionOption{WithEngineOptions(ndlog.WithDerivationLimit(1000))}
+		if oracle {
+			opts = append([]SessionOption{Oracle()}, opts...)
+		}
+		js := NewSession(join, opts...)
+		if err := js.Insert("r", ndlog.NewTuple("edge", ndlog.Int(1), ndlog.Int(2)), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := js.Insert("r", ndlog.NewTuple("probe", ndlog.Int(1)), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := js.Run(); err != nil {
+			t.Fatal(err)
+		}
+		je, _, err := js.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probes := je.Stats().IndexProbes; (probes == 0) != oracle {
+			t.Errorf("oracle=%v: replay engine made %d index probes; the oracle must make none, production some", oracle, probes)
+		}
+	}
 }
 
 func TestSessionClone(t *testing.T) {
 	s := NewSession(fwdProg)
 	driveScenario(t, s)
-	if _, _, err := s.Graph(); err != nil { // memoize the full replay
+	if _, _, err := s.Graph(); err != nil { // evaluate the base run
 		t.Fatal(err)
 	}
 	parentReplays := s.ReplayCount
@@ -506,13 +568,13 @@ func TestSessionClone(t *testing.T) {
 	if cl.ReplayCount != 0 || cl.ReplayTime != 0 {
 		t.Errorf("clone stats = (%d, %v), want zeroed", cl.ReplayCount, cl.ReplayTime)
 	}
-	// The memoized replay is shared: Graph() on the clone must not
-	// trigger a fresh replay.
+	// The base run is shared: Graph() on the clone must not trigger a
+	// fresh replay.
 	if _, _, err := cl.Graph(); err != nil {
 		t.Fatal(err)
 	}
 	if cl.ReplayCount != 0 {
-		t.Errorf("clone.Graph() replayed %d times, want memo hit", cl.ReplayCount)
+		t.Errorf("clone.Graph() replayed %d times, want the parent's base run", cl.ReplayCount)
 	}
 
 	// A counterfactual replay on the clone accounts only on the clone.
@@ -593,7 +655,7 @@ func TestReplayWithContextCancelled(t *testing.T) {
 
 func TestReplayIndexingOffMatchesDefault(t *testing.T) {
 	sDef := NewSession(fwdProg)
-	sOff := NewSession(fwdProg, WithEngineOptions(ndlog.WithIndexing(false)))
+	sOff := NewSession(fwdProg, Oracle())
 	driveScenario(t, sDef)
 	driveScenario(t, sOff)
 
@@ -620,8 +682,32 @@ func TestReplayIndexingOffMatchesDefault(t *testing.T) {
 	}
 	// The fwd rule's flowEntry atom binds no columns from the packet
 	// delta (Prio, M, Nxt are all free), so even the indexed engine
-	// falls back to scans here — and the off engine must never probe.
+	// falls back to scans here — and the oracle's must never probe.
 	if st := eOff.Stats(); st.IndexProbes != 0 {
-		t.Errorf("indexing-off replay probed an index: %+v", st)
+		t.Errorf("oracle replay probed an index: %+v", st)
+	}
+}
+
+// TestLogEventsReturnsCopy is the regression test for Log.Events
+// aliasing its internal slice: mutating or appending through the
+// returned slice must never reach the log (aliased appends bypassed the
+// base run's log-length invalidation).
+func TestLogEventsReturnsCopy(t *testing.T) {
+	l := NewLog()
+	l.Insert("n1", ndlog.NewTuple("packet", ndlog.IP(1)), 1)
+	l.Insert("n1", ndlog.NewTuple("packet", ndlog.IP(2)), 2)
+
+	evs := l.Events()
+	evs[0].Tick = 999
+	evs[0].Node = "evil"
+	if got := l.At(0); got.Tick != 1 || got.Node != "n1" {
+		t.Fatalf("mutating the returned slice reached the log: %+v", got)
+	}
+	_ = append(evs, Event{Kind: EvInsert, Node: "n2", Tick: 3})
+	if l.Len() != 2 {
+		t.Fatalf("appending through the returned slice changed the log length to %d", l.Len())
+	}
+	if got := l.Events(); len(got) != 2 || got[0].Tick != 1 {
+		t.Fatalf("log corrupted after append through returned slice: %+v", got)
 	}
 }

@@ -41,25 +41,25 @@ func (c Change) String() string {
 	return fmt.Sprintf("%s %s on %s at t=%d", op, c.Tuple, c.Node, c.Tick)
 }
 
-// ReplayStats counts incremental roll-forward activity. The evaluation
-// harness and the server report them alongside the replay timings.
+// ReplayStats counts base-run and counterfactual-trial activity. The
+// evaluation harness and the server report them alongside the replay
+// timings.
 type ReplayStats struct {
-	// PrefixHits counts replays that forked an already-materialized
-	// prefix engine; PrefixMisses counts replays that had to build one.
+	// PrefixMisses counts the base runs this session evaluated (one per
+	// log length, whether Graph or a trial got there first); PrefixHits
+	// counts trials that forked a base run someone had already built.
 	PrefixHits   int64
 	PrefixMisses int64
-	// ForkNanos is the total wall-clock time spent deep-copying prefix
-	// engines and their provenance graphs.
+	// ForkNanos is the total wall-clock time spent forking the base run
+	// and its provenance graph.
 	ForkNanos int64
-	// EventsSkipped is the total number of logged base events that
-	// incremental replays did not re-execute (they were already evaluated
-	// inside the forked prefix).
+	// EventsSkipped is the total number of logged base events that forked
+	// trials did not re-execute (the whole log, per fork: the base run
+	// already evaluated it).
 	EventsSkipped int64
 	// EventsReFired is the total number of logged base events that
-	// counterfactual replays did re-execute after the fork point. With
-	// delta replay (WithDeltaReplay, default on) the fork anchors at the
-	// end of the log and this stays zero on cache hits: the changes
-	// propagate through the delta phase instead of re-firing the suffix.
+	// counterfactual replays re-executed: zero for forked trials, the
+	// whole log per trial under Oracle().
 	EventsReFired int64
 	// DirtyTables is the total number of (node, table) pairs the delta
 	// phases of counterfactual replays touched — the footprint the
@@ -68,54 +68,29 @@ type ReplayStats struct {
 	DirtyTables int64
 }
 
-// prefixSlack is how many ticks before the earliest injected change the
-// roll-forward prefix must stop, so the change still lands in unevaluated
-// territory.
-const prefixSlack = 1
+// baseRun is one fully evaluated execution of the log: every logged event
+// scheduled on a recorder-attached engine, run to quiescence, and sealed.
+// It is published as a placeholder before it is evaluated; done is closed
+// once the build ends, after which the run is immutable — Graph returns
+// it read-only and trials Fork it — so readers need no lock.
+type baseRun struct {
+	logLen int // log length the run was built from
 
-// maxPrefixEntries is the default bound on the number of materialized
-// prefix engines a session (and its clones) keep alive; the oldest entry
-// is evicted first. WithPrefixCacheSize overrides it per session.
-const maxPrefixEntries = 8
-
-// prefixEntry is one materialized prefix: a recorder-attached engine that
-// has every log event scheduled but has only evaluated those at ticks
-// <= tick. An entry is published into the cache as a placeholder before
-// its engines exist; ready is closed once the build completes (filling
-// eng/rec, or err on failure). After ready, the entry is immutable —
-// replays Fork it, they never run it — so readers need no lock once
-// acquire returns.
-type prefixEntry struct {
-	tick      int64
-	processed int // log events evaluated (tick <= anchor)
-
-	ready chan struct{}
-	err   error // build failure; the entry was removed from the cache
-	eng   *ndlog.Engine
-	rec   *provenance.Recorder
+	done      chan struct{}
+	err       error // evaluation failed; nothing was cached
+	abandoned bool  // the builder's context ended; a waiter rebuilds
+	eng       *ndlog.Engine
+	rec       *provenance.Recorder
 }
 
-// prefixCache holds the materialized prefixes, keyed by anchor tick. It
-// is shared by pointer across Clone(), so concurrent diagnoses over the
-// same execution reuse each other's prefixes. The mutex only serializes
-// lookups and placeholder publication; the expensive part — running the
-// prefix engines — happens outside the lock, so two clones can build
-// disjoint prefixes in parallel while acquires for an anchor already in
-// flight just wait on its ready channel.
-type prefixCache struct {
-	mu      sync.Mutex
-	logLen  int // log length the entries were built from
-	entries map[int64]*prefixEntry
-	order   []int64 // insertion order, for eviction
-	ticks   []int64 // sorted event ticks, for counting events up to an anchor
-
-	// maxEntries caps the cache (WithPrefixCacheSize); 0 means the
-	// maxPrefixEntries default.
-	maxEntries int
-
-	// buildHook, when set, runs outside the lock at the start of every
-	// prefix build; tests use it to prove builds overlap.
-	buildHook func(anchor int64)
+// baseCell holds a session's current base run. It is shared by pointer
+// across Clone(), so concurrent diagnoses over one execution evaluate it
+// once (single-flight) and fork the same sealed engine afterwards. The
+// mutex only covers lookup and placeholder publication; the evaluation
+// itself runs outside it.
+type baseCell struct {
+	mu  sync.Mutex
+	cur *baseRun
 }
 
 // Session couples a live engine with the logging engine, and provides the
@@ -134,38 +109,18 @@ type Session struct {
 	lastCkpt  int64
 	ckpts     []ndlog.Snapshot
 
-	// incremental enables checkpoint-anchored roll-forward: ReplayWith
-	// forks a cached prefix engine instead of re-executing the whole log.
-	incremental bool
-	prefix      *prefixCache
-	// deltaReplay anchors counterfactual forks at the END of the log
-	// (default on): the whole base run is evaluated once, cached, and
-	// every trial forks it and propagates only its change set through the
-	// engine's delta phase instead of re-firing the event suffix.
-	deltaReplay bool
-	// lastTickMemo caches the maximum event tick of the log (lastTickLen
-	// is the log length it was computed from).
-	lastTickMemo int64
-	lastTickLen  int
-	// cowForks makes cached prefixes sealed and forked copy-on-write
-	// (default on); prefixSize overrides the prefix-cache capacity; and
-	// warmStart makes Open rehydrate the last checkpoint-anchored prefix
-	// so the first counterfactual replay after a restart hits the cache.
-	cowForks   bool
-	prefixSize int
-	warmStart  bool
+	// base is the one evaluated run of the log, shared with clones.
+	// oracle (Oracle()) makes trials ignore it and re-execute the log.
+	base   *baseCell
+	oracle bool
 
-	// memoized full replay for query-time provenance
-	replayed    *ndlog.Engine
-	replayedG   *provenance.Graph
-	replayedLen int // log length the memo was built from
-
-	// ReplayTime accumulates wall-clock time spent replaying (including
-	// prefix materialization), and ReplayCount the number of replays; the
+	// ReplayTime accumulates wall-clock time spent replaying, and
+	// ReplayCount the number of replays: every ReplayWith/ReplayUntil
+	// call, plus a Graph call that had to evaluate the base run. The
 	// turnaround experiments (Figure 7) read these.
 	ReplayTime  time.Duration
 	ReplayCount int
-	// Stats counts incremental roll-forward activity.
+	// Stats counts base-run and trial activity.
 	Stats ReplayStats
 
 	engineOpts []ndlog.Option
@@ -193,90 +148,39 @@ func WithCheckpointEvery(ticks int64) SessionOption {
 }
 
 // WithEngineOptions passes options to every engine the session creates.
+// Repeated uses accumulate; on conflict the later option wins.
 func WithEngineOptions(opts ...ndlog.Option) SessionOption {
-	return func(s *Session) { s.engineOpts = opts }
+	return func(s *Session) { s.engineOpts = append(s.engineOpts, opts...) }
 }
 
-// WithIncrementalReplay enables or disables checkpoint-anchored
-// incremental roll-forward (default on). Replay results are identical
-// either way — a forked prefix reproduces the from-scratch execution
-// stamp-for-stamp (asserted by TestForkDifferential); the switch exists
-// for that differential test and as an escape hatch.
-func WithIncrementalReplay(on bool) SessionOption {
-	return func(s *Session) { s.incremental = on }
-}
-
-// WithCopyOnWriteForks enables or disables copy-on-write prefix forks
-// (default on): cached prefix engines and recorders are sealed when
-// published and counterfactual forks share their frozen state, cloning a
-// table or index overlay only on first write. Replay results are
-// byte-identical either way — the differential suites run both arms; the
-// switch exists for them and as an escape hatch.
-func WithCopyOnWriteForks(on bool) SessionOption {
-	return func(s *Session) { s.cowForks = on }
-}
-
-// WithDeltaReplay enables or disables delta replay (default on): with it
-// on, a counterfactual ReplayWith forks the cached base run — the log
-// evaluated to its last tick — and seeds the engine's semi-naïve delta
-// queue with the change set, re-deriving only affected state instead of
-// re-firing the whole event suffix after the earliest change. Results
-// are byte-identical either way (asserted by TestDeltaDifferential); the
-// switch exists for that differential test and as an ablation flag.
-func WithDeltaReplay(on bool) SessionOption {
-	return func(s *Session) { s.deltaReplay = on }
-}
-
-// WithPrefixCacheSize overrides how many materialized prefix engines the
-// session (and its clones) keep alive (default 8). Values below 1 are
-// clamped to 1.
-func WithPrefixCacheSize(n int) SessionOption {
+// Oracle selects the reference configuration the production path is
+// differential-tested against: every counterfactual replay re-executes
+// the whole log from scratch instead of forking the base run, on engines
+// without join indexes and with aggregate contributor lists materialized
+// eagerly. Results are byte-identical to the production configuration
+// (asserted over every replayable scenario by the harness in
+// oracle_differential_test.go); it exists for that harness and the
+// ablation benchmarks, not for serving.
+func Oracle() SessionOption {
 	return func(s *Session) {
-		if n < 1 {
-			n = 1
-		}
-		s.prefixSize = n
-	}
-}
-
-// WithWarmStart makes Open rehydrate a checkpoint-anchored prefix engine
-// from the recovered log after a restart (default off), so the first
-// incremental replay forks a warm prefix instead of paying a from-scratch
-// materialization. The prefix is rebuilt from the in-memory log — no
-// additional store reads — and verified against the durable checkpoint
-// snapshot it anchors on.
-func WithWarmStart(on bool) SessionOption {
-	return func(s *Session) { s.warmStart = on }
-}
-
-// WithEagerAggregates makes every recorder the session creates
-// materialize aggregate contributor lists eagerly at record time instead
-// of folding delta chains on demand (default lazy). Folded trees, diffs,
-// and diagnoses are byte-identical either way (asserted by
-// TestAggregateFoldDifferential); the switch exists for that differential
-// test and as an escape hatch.
-func WithEagerAggregates(on bool) SessionOption {
-	return func(s *Session) {
-		s.recOpts = []provenance.RecorderOption{provenance.WithEagerAggregates(on)}
+		s.oracle = true
+		s.engineOpts = append(s.engineOpts, ndlog.WithIndexing(false))
+		s.recOpts = append(s.recOpts, provenance.WithEagerAggregates(true))
 	}
 }
 
 // NewSession creates a session for the given program.
 func NewSession(prog *ndlog.Program, opts ...SessionOption) *Session {
 	s := &Session{
-		prog:        prog,
-		log:         NewLog(),
-		incremental: true,
-		deltaReplay: true,
-		cowForks:    true,
-		prefix:      &prefixCache{entries: map[int64]*prefixEntry{}},
+		prog: prog,
+		log:  NewLog(),
+		base: &baseCell{},
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.prefix.maxEntries = s.prefixSize
 	if s.mode == Runtime {
-		s.liveRec = provenance.NewRecorder(prog, s.newRecOpts()...)
+		s.liveRec = provenance.NewRecorder(prog, s.recOpts...)
 		s.live = ndlog.New(prog, s.liveRec, s.newEngineOpts()...)
 	} else {
 		s.live = ndlog.New(prog, nil, s.newEngineOpts()...)
@@ -293,23 +197,13 @@ func NewSession(prog *ndlog.Program, opts ...SessionOption) *Session {
 // Every engine gets a sequence band: base-event stamps then depend only
 // on schedule positions and internal stamps only on processing positions,
 // which (a) makes live execution independent of how scheduling
-// interleaves with Run calls, and (b) is what lets a forked prefix engine
-// reproduce a from-scratch replay byte-for-byte. User options follow, so
-// they win on conflict.
+// interleaves with Run calls, and (b) is what lets a fork of the base run
+// reproduce a from-scratch replay byte-for-byte. Session options follow,
+// so they win on conflict.
 func (s *Session) newEngineOpts() []ndlog.Option {
-	opts := make([]ndlog.Option, 0, len(s.engineOpts)+2)
+	opts := make([]ndlog.Option, 0, len(s.engineOpts)+1)
 	opts = append(opts, ndlog.WithSeqBand(ndlog.SeqBandDefault))
-	opts = append(opts, ndlog.WithCopyOnWriteForks(s.cowForks))
 	return append(opts, s.engineOpts...)
-}
-
-// newRecOpts returns the option set for a session-created recorder. The
-// session's copy-on-write setting comes first so user options win on
-// conflict.
-func (s *Session) newRecOpts() []provenance.RecorderOption {
-	opts := make([]provenance.RecorderOption, 0, len(s.recOpts)+1)
-	opts = append(opts, provenance.WithCopyOnWriteForks(s.cowForks))
-	return append(opts, s.recOpts...)
 }
 
 // FromLog reconstructs a session from a previously captured base-event
@@ -340,23 +234,20 @@ func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, erro
 }
 
 // Clone returns an independent session over the same captured execution.
-// It reuses the copy-on-write structure of counterfactual roll-forward
-// (§4.6): the immutable program, engine options, memoized replay, and the
-// prefix cache are shared, the base-event log is copied, and the replay
-// statistics start at zero. Clones are how concurrent diagnoses isolate
-// their mutable state — each one replays and accounts time privately, so
-// a completed session can serve any number of clones in parallel.
+// The immutable program, the session options, and the base run are
+// shared, the base-event log is copied, and the replay statistics start
+// at zero. Clones are how concurrent diagnoses isolate their mutable
+// state — each one replays and accounts time privately, so a completed
+// session can serve any number of clones in parallel.
 //
 // The live engine is shared read-only; driving the execution further
 // (Insert/Delete/Run) must happen on the original session, not a clone.
-// That sharing extends to the engines' join indexes: indexes are built
-// eagerly while an engine runs and are never created or mutated by
-// queries (TuplesAt/TuplesMatchingAt/Exists), so concurrent clones can
-// probe the shared live or memoized-replay engine without locking. The
-// prefix cache is shared by pointer and internally synchronized: each
-// materialized prefix is immutable once published, and every
-// counterfactual roll-forward (ReplayWith) Forks it into a private
-// engine of its own.
+// That sharing extends to the engines' join indexes: they are built while
+// an engine runs and never created or mutated by queries, so concurrent
+// clones can probe the shared live engine or base run without locking.
+// The base cell is shared by pointer and internally synchronized:
+// whichever clone needs the base run first evaluates it, the others wait,
+// and once sealed it is immutable — every trial Forks it privately.
 //
 // Clones detach from persistent storage: only the original session
 // verifies, appends, and checkpoints through the store. A diagnosis that
@@ -364,25 +255,18 @@ func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, erro
 // (PinStorage).
 func (s *Session) Clone() *Session {
 	return &Session{
-		prog:        s.prog,
-		mode:        s.mode,
-		log:         s.log.Clone(),
-		live:        s.live,
-		liveRec:     s.liveRec,
-		ckptEvery:   s.ckptEvery,
-		lastCkpt:    s.lastCkpt,
-		ckpts:       append([]ndlog.Snapshot(nil), s.ckpts...),
-		incremental: s.incremental,
-		deltaReplay: s.deltaReplay,
-		prefix:      s.prefix,
-		replayed:    s.replayed,
-		replayedG:   s.replayedG,
-		replayedLen: s.replayedLen,
-		engineOpts:  s.engineOpts,
-		recOpts:     s.recOpts,
-		cowForks:    s.cowForks,
-		prefixSize:  s.prefixSize,
-		warmStart:   s.warmStart,
+		prog:       s.prog,
+		mode:       s.mode,
+		log:        s.log.Clone(),
+		live:       s.live,
+		liveRec:    s.liveRec,
+		ckptEvery:  s.ckptEvery,
+		lastCkpt:   s.lastCkpt,
+		ckpts:      append([]ndlog.Snapshot(nil), s.ckpts...),
+		base:       s.base,
+		oracle:     s.oracle,
+		engineOpts: s.engineOpts,
+		recOpts:    s.recOpts,
 	}
 }
 
@@ -426,7 +310,7 @@ func (s *Session) Mode() Mode { return s.mode }
 
 // Checkpoints returns a copy of the state checkpoints captured so far.
 // (A copy, so callers cannot perturb the session's checkpoint sequence —
-// StateAt and the prefix-anchor search rely on it being tick-sorted.)
+// StateAt relies on it being tick-sorted.)
 func (s *Session) Checkpoints() []ndlog.Snapshot {
 	return append([]ndlog.Snapshot(nil), s.ckpts...)
 }
@@ -464,18 +348,21 @@ func (s *Session) Run() error {
 	if s.stErr != nil {
 		return s.stErr
 	}
-	if s.ckptEvery <= 0 {
+	if s.ckptEvery <= 0 && !s.verifyingCheckpoint() {
 		return s.live.Run()
 	}
 	for {
 		t, ok := s.live.NextPendingTick()
+		if err := s.verifyReusedCheckpoint(t, ok); err != nil {
+			return err
+		}
 		if !ok {
 			return nil
 		}
 		if err := s.live.RunUntil(t); err != nil {
 			return err
 		}
-		if t >= s.lastCkpt+s.ckptEvery {
+		if s.ckptEvery > 0 && t >= s.lastCkpt+s.ckptEvery {
 			snap := s.live.CaptureStateAt(t)
 			s.ckpts = append(s.ckpts, snap)
 			s.lastCkpt = t
@@ -499,21 +386,21 @@ func (s *Session) StateAt(tick int64) (ndlog.Snapshot, bool) {
 }
 
 // Graph returns the provenance graph of the execution so far: directly in
-// Runtime mode, via (memoized) replay in QueryTime mode. The returned
-// engine exposes the temporal store backing the graph.
+// Runtime mode, as the session's base run in QueryTime mode — evaluated
+// on first use, then shared with every clone until the log grows. The
+// returned engine exposes the temporal store backing the graph. Both are
+// sealed: they can be queried freely (and concurrently) but not driven.
 func (s *Session) Graph() (*ndlog.Engine, *provenance.Graph, error) {
 	if s.mode == Runtime {
 		return s.live, s.liveRec.Graph(), nil
 	}
-	if s.replayed != nil && s.replayedLen == s.log.Len() {
-		return s.replayed, s.replayedG, nil
-	}
-	e, g, err := s.Replay()
-	if err != nil {
-		return nil, nil, err
-	}
-	s.replayed, s.replayedG, s.replayedLen = e, g, s.log.Len()
-	return e, g, nil
+	return s.booked(func() (*ndlog.Engine, *provenance.Recorder, bool, error) {
+		b, built, err := s.acquireBase(context.Background())
+		if err != nil {
+			return nil, nil, built, err
+		}
+		return b.eng, b.rec, built, nil
+	})
 }
 
 // Replay deterministically re-executes the log from scratch with a
@@ -538,71 +425,49 @@ const ctxCheckEvery = 4096
 // the replay aborts with the context's error as soon as the cancellation
 // is observed (between scheduled events).
 //
-// With incremental roll-forward enabled (the default) and at least one
-// change to inject, the replay forks a cached prefix engine — the log
-// evaluated up to an anchor tick shortly before the earliest change — and
-// pays only for the suffix. The result is byte-identical to the
-// from-scratch path: base-event stamps are schedule positions (the prefix
-// had the whole log scheduled before it ran), internal stamps are
-// processing positions, and the fork copies the mid-execution state
-// exactly.
+// With at least one change to inject, the replay forks the session's
+// base run — the whole log evaluated to quiescence, once — and pushes the
+// change set through the engine's counterfactual phase, re-deriving only
+// affected state. The result is byte-identical to scheduling the log and
+// the changes on a fresh engine, which is what an empty change set and
+// Oracle() sessions do: base-event stamps are schedule positions (the
+// base run had the whole log scheduled before it ran, so the changes take
+// the next base sequence numbers either way), internal stamps are
+// processing positions, and the changes are applied after the base run
+// settles in both cases.
 func (s *Session) ReplayWithContext(ctx context.Context, changes []Change) (*ndlog.Engine, *provenance.Graph, error) {
-	start := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
-	defer func() {
-		s.ReplayTime += time.Since(start) //diffprov:allow detnow
-		s.ReplayCount++
-	}()
+	return s.booked(func() (*ndlog.Engine, *provenance.Recorder, bool, error) {
+		e, rec, err := s.replayWith(ctx, changes)
+		return e, rec, true, err
+	})
+}
+
+func (s *Session) replayWith(ctx context.Context, changes []Change) (*ndlog.Engine, *provenance.Recorder, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
-	if s.incremental && len(changes) > 0 {
-		anchor, ok := s.anchorFor(changes)
-		if s.deltaReplay {
-			// Delta replay anchors at the end of the log: the fork has the
-			// whole base run evaluated, so none of the suffix re-fires —
-			// the changes propagate through the engine's delta phase.
-			if t, lok := s.lastLogTick(); lok && (!ok || t > anchor) {
-				anchor, ok = t, true
-			}
-		}
-		if ok {
-			e, rec, processed, err := s.forkPrefix(ctx, anchor)
-			if err != nil {
-				return nil, nil, err
-			}
-			if e != nil {
-				if err := s.scheduleChanges(ctx, e, changes); err != nil {
-					return nil, nil, err
-				}
-				if err := e.Run(); err != nil {
-					return nil, nil, fmt.Errorf("replay: %v", err)
-				}
-				s.Stats.EventsReFired += int64(s.log.Len() - processed)
-				s.Stats.DirtyTables += int64(e.Stats().DirtyTables)
-				return e, rec.Graph(), nil
-			}
-			// No log events at or before the anchor: fall through to the
-			// (equally cheap) from-scratch path.
-		}
+	fork := len(changes) > 0 && !s.oracle
+	start := s.scheduleScratch
+	if fork {
+		start = s.forkBase
 	}
-	e, rec, err := s.scheduleScratch(ctx)
+	e, rec, err := start(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := s.scheduleChanges(ctx, e, changes); err != nil {
 		return nil, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("replay: %w", err)
-	}
-	if err := e.Run(); err != nil {
-		return nil, nil, fmt.Errorf("replay: %v", err)
+	if err := settle(ctx, e); err != nil {
+		return nil, nil, err
 	}
 	if len(changes) > 0 {
-		s.Stats.EventsReFired += int64(s.log.Len())
+		if !fork {
+			s.Stats.EventsReFired += int64(s.log.Len())
+		}
 		s.Stats.DirtyTables += int64(e.Stats().DirtyTables)
 	}
-	return e, rec.Graph(), nil
+	return e, rec, nil
 }
 
 // ReplayUntil replays the execution truncated at the given tick — the
@@ -615,327 +480,153 @@ func (s *Session) ReplayUntil(tick int64) (*ndlog.Engine, *provenance.Graph, err
 }
 
 // ReplayUntilContext is ReplayUntil honoring cancellation and deadlines.
-// It shares the scheduling and incremental roll-forward machinery of
-// ReplayWithContext: with incremental replay on, the truncated replay
-// forks a cached prefix anchored at or before the horizon and only
-// evaluates the remainder.
+// It is a from-scratch run: the log is scheduled on a fresh engine, the
+// events past the horizon are dropped, and the rest is evaluated.
 func (s *Session) ReplayUntilContext(ctx context.Context, tick int64) (*ndlog.Engine, *provenance.Graph, error) {
-	start := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
-	defer func() {
-		s.ReplayTime += time.Since(start) //diffprov:allow detnow
-		s.ReplayCount++
-	}()
+	return s.booked(func() (*ndlog.Engine, *provenance.Recorder, bool, error) {
+		e, rec, err := s.replayUntil(ctx, tick)
+		return e, rec, true, err
+	})
+}
+
+func (s *Session) replayUntil(ctx context.Context, tick int64) (*ndlog.Engine, *provenance.Recorder, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
-	var e *ndlog.Engine
-	var rec *provenance.Recorder
-	if s.incremental && tick >= 0 {
-		fe, frec, _, err := s.forkPrefix(ctx, tick)
-		if err != nil {
-			return nil, nil, err
-		}
-		e, rec = fe, frec
-	}
-	if e == nil {
-		se, srec, err := s.scheduleScratch(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		e, rec = se, srec
+	e, rec, err := s.scheduleScratch(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
 	e.DropPendingBaseAfter(tick)
+	if err := settle(ctx, e); err != nil {
+		return nil, nil, err
+	}
+	return e, rec, nil
+}
+
+// settle runs a scheduled engine to quiescence, unless the context has
+// already ended (a run, once started, is not interruptible).
+func settle(ctx context.Context, e *ndlog.Engine) error {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("replay: %w", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	if err := e.Run(); err != nil {
-		return nil, nil, fmt.Errorf("replay: %v", err)
+		return fmt.Errorf("replay: %v", err)
+	}
+	return nil
+}
+
+// booked runs one replay operation and, when the operation reports that
+// it evaluated something, books one replay and its wall-clock time.
+func (s *Session) booked(op func() (*ndlog.Engine, *provenance.Recorder, bool, error)) (*ndlog.Engine, *provenance.Graph, error) {
+	start := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
+	e, rec, replayed, err := op()
+	if replayed {
+		s.ReplayTime += time.Since(start) //diffprov:allow detnow
+		s.ReplayCount++
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	return e, rec.Graph(), nil
 }
 
-// anchorFor picks the prefix anchor tick for a set of changes: the
-// earliest injection tick minus the slack, snapped down to a checkpoint
-// when one covers it. Returns false when the changes leave no room for a
-// prefix.
-func (s *Session) anchorFor(changes []Change) (int64, bool) {
-	minTick := changes[0].Tick
-	for _, c := range changes[1:] {
-		if c.Tick < minTick {
-			minTick = c.Tick
-		}
-	}
-	target := minTick - prefixSlack
-	if target < 0 {
-		return 0, false
-	}
-	return target, true
-}
-
-// lastLogTick returns the maximum tick of any logged event (memoized per
-// log length); false when the log is empty.
-func (s *Session) lastLogTick() (int64, bool) {
-	if s.log.Len() == 0 {
-		return 0, false
-	}
-	if s.lastTickLen != s.log.Len() {
-		var max int64
-		first := true
-		s.log.Each(func(ev Event) {
-			if first || ev.Tick > max {
-				max, first = ev.Tick, false
-			}
-		})
-		s.lastTickMemo, s.lastTickLen = max, s.log.Len()
-	}
-	return s.lastTickMemo, true
-}
-
-// snapToCheckpoint rounds an anchor target down to the latest checkpoint
-// tick at or before it, when one exists. The checkpoint grid coarsens
-// the cache's base layer — injections at nearby ticks roll forward from
-// one shared checkpoint-anchored prefix instead of each paying a full
-// from-scratch materialization. Without checkpoints the target itself
-// anchors the base.
-func (s *Session) snapToCheckpoint(target int64) int64 {
-	i := sort.Search(len(s.ckpts), func(i int) bool { return s.ckpts[i].Tick > target })
-	if i > 0 {
-		return s.ckpts[i-1].Tick
-	}
-	return target
-}
-
-// forkPrefix returns a private fork of the materialized prefix anchored
-// at the tick, building (and caching) the prefix on a miss, plus the
-// number of log events the prefix already evaluated. A nil engine with
-// nil error means no prefix is worthwhile (no log events at or before
-// the anchor) and the caller should run from scratch.
-func (s *Session) forkPrefix(ctx context.Context, anchor int64) (*ndlog.Engine, *provenance.Recorder, int, error) {
-	entry, hit, err := s.prefix.acquire(ctx, s, anchor)
+// forkBase returns a private copy-on-write fork of the base run,
+// evaluating the base run first if this log length has none yet.
+func (s *Session) forkBase(ctx context.Context) (*ndlog.Engine, *provenance.Recorder, error) {
+	b, built, err := s.acquireBase(ctx)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	if entry == nil {
-		return nil, nil, 0, nil
-	}
-	if hit {
+	if !built {
 		s.Stats.PrefixHits++
-	} else {
-		s.Stats.PrefixMisses++
 	}
 	forkStart := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
-	rec := entry.rec.Fork()
-	e := entry.eng.Fork(rec)
+	rec := b.rec.Fork()
+	e := b.eng.Fork(rec)
 	s.Stats.ForkNanos += time.Since(forkStart).Nanoseconds() //diffprov:allow detnow
-	s.Stats.EventsSkipped += int64(entry.processed)
-	return e, rec, entry.processed, nil
+	s.Stats.EventsSkipped += int64(b.logLen)
+	return e, rec, nil
 }
 
-// acquire returns the ready prefix entry for the anchor, building it on
-// a miss. The lock only covers lookup and placeholder publication —
-// running the prefix engines happens outside it, so concurrent clones
-// build disjoint prefixes in parallel, and acquires for an anchor whose
-// build is in flight wait on its ready channel instead of duplicating
-// the work. A stale cache (the log grew since the entries were built) is
-// invalidated wholesale.
+// acquireBase returns the base run for the session's current log,
+// evaluating it when the cell holds none for this log length (the log
+// grew, or nothing was built yet); built reports whether this call did
+// the evaluation, which is also what books a PrefixMiss. Concurrent
+// callers — clones share the cell — wait for the one build in flight
+// instead of duplicating it.
 //
-// The cache is two-layered. The base layer is checkpoint-anchored: a
-// miss with no usable cached entry materializes a from-scratch prefix
-// run to the latest checkpoint at or before the anchor, so nearby
-// anchors share one expensive build. On top of it, exact-anchor entries
-// are refined incrementally — fork the closest entry at or before the
-// anchor and roll it forward the few remaining ticks — so steady-state
-// replays (minimize's candidate subsets, repeated counterfactuals at one
-// tick) fork an engine that has already evaluated everything up to the
-// slack window and pay only for the change itself.
-func (c *prefixCache) acquire(ctx context.Context, s *Session, anchor int64) (*prefixEntry, bool, error) {
-	c.mu.Lock()
-	if c.logLen != s.log.Len() {
-		c.entries = map[int64]*prefixEntry{}
-		c.order = c.order[:0]
-		c.logLen = s.log.Len()
-		// Rebuild the count index: sorted event ticks, so counting the
-		// events at or before an anchor is a binary search instead of a
-		// scan of the whole log under the mutex.
-		c.ticks = c.ticks[:0]
-		s.log.Each(func(ev Event) { c.ticks = append(c.ticks, ev.Tick) })
-		sort.Slice(c.ticks, func(i, j int) bool { return c.ticks[i] < c.ticks[j] })
-	}
-	countUpTo := func(tick int64) int {
-		return sort.Search(len(c.ticks), func(i int) bool { return c.ticks[i] > tick })
-	}
-	processed := countUpTo(anchor)
-	if processed == 0 {
+// A build runs under its caller's context. If that context ends, the
+// build is abandoned, not failed: waiters whose own context is alive loop
+// and one of them takes the build over. An evaluation error does fail
+// every waiter, and is not cached either — the next acquire retries.
+func (s *Session) acquireBase(ctx context.Context) (b *baseRun, built bool, err error) {
+	c := s.base
+	for {
+		c.mu.Lock()
+		b = c.cur
+		if b == nil || b.logLen != s.log.Len() {
+			b = &baseRun{logLen: s.log.Len(), done: make(chan struct{})}
+			c.cur = b
+			c.mu.Unlock()
+			if err := s.buildBase(ctx, b); err != nil {
+				return nil, false, err
+			}
+			s.Stats.PrefixMisses++
+			return b, true, nil
+		}
 		c.mu.Unlock()
-		return nil, false, nil // an empty prefix saves nothing
-	}
-	if e, ok := c.entries[anchor]; ok {
-		c.mu.Unlock()
-		return c.await(ctx, e, true)
-	}
-
-	// Plan the build while still holding the lock. The closest entry at
-	// or before the anchor (possibly still building) is the cheapest
-	// starting point; with none, a from-scratch base anchored at the
-	// latest covering checkpoint is planned too. Placeholders for
-	// everything this build will produce are published before unlocking,
-	// so concurrent acquires join the in-flight work.
-	var base *prefixEntry
-	for t, e := range c.entries {
-		if t <= anchor && (base == nil || t > base.tick) {
-			base = e
+		select {
+		case <-b.done:
+		case <-ctx.Done():
+			return nil, false, fmt.Errorf("replay: %w", ctx.Err())
 		}
-	}
-	entry := &prefixEntry{tick: anchor, processed: processed, ready: make(chan struct{})}
-	scratchSelf := false     // the scratch build IS the entry (checkpoint lands on the anchor)
-	var ownBase *prefixEntry // scratch base this goroutine must build first
-	if base == nil {
-		if ck := s.snapToCheckpoint(anchor); ck == anchor {
-			scratchSelf = true
-		} else {
-			base = &prefixEntry{tick: ck, processed: countUpTo(ck), ready: make(chan struct{})}
-			c.publish(base)
-			ownBase = base
+		if b.abandoned {
+			continue
 		}
-	}
-	c.publish(entry)
-	hook := c.buildHook
-	c.mu.Unlock()
-	if hook != nil {
-		hook(anchor)
-	}
-
-	if scratchSelf {
-		if err := c.buildScratch(ctx, s, entry); err != nil {
-			return nil, false, err
+		if b.err != nil {
+			return nil, false, b.err
 		}
-		return entry, false, nil
+		return b, false, nil
 	}
-	if ownBase != nil {
-		if err := c.buildScratch(ctx, s, ownBase); err != nil {
-			c.fail(entry, err)
-			return nil, false, err
-		}
-	}
-
-	// Refine: wait for the base, then roll a fork of it forward to the
-	// exact anchor.
-	select {
-	case <-base.ready:
-	case <-ctx.Done():
-		err := fmt.Errorf("replay: %w", ctx.Err())
-		c.fail(entry, err)
-		return nil, false, err
-	}
-	if base.err != nil {
-		c.fail(entry, base.err)
-		return nil, false, base.err
-	}
-	rec := base.rec.Fork()
-	e := base.eng.Fork(rec)
-	if err := e.RunUntil(anchor); err != nil {
-		err = fmt.Errorf("replay: refining prefix: %v", err)
-		c.fail(entry, err)
-		return nil, false, err
-	}
-	// Published entries are immutable by contract; sealing makes the
-	// engine enforce that and enables copy-on-write forks of the pair.
-	rec.Seal()
-	e.Seal()
-	entry.eng, entry.rec = e, rec
-	close(entry.ready)
-	return entry, false, nil
 }
 
-// buildScratch materializes a placeholder entry from scratch: schedule
-// the whole log on a fresh recorder-attached engine and evaluate it up
-// to the entry's tick. Runs outside the cache lock.
-func (c *prefixCache) buildScratch(ctx context.Context, s *Session, e *prefixEntry) error {
+// buildBase evaluates a published placeholder: the whole log scheduled on
+// a fresh recorder-attached engine and run to quiescence, then sealed.
+// Quiescence is what keeps forks cheap — a settled engine has an empty
+// work queue, so a fork copies no in-flight items and a trial re-delivers
+// none. On failure the placeholder is withdrawn from the cell before its
+// waiters are released, so whoever retries starts a fresh build.
+func (s *Session) buildBase(ctx context.Context, b *baseRun) error {
 	eng, rec, err := s.scheduleScratch(ctx)
 	if err == nil {
-		if rerr := eng.RunUntil(e.tick); rerr != nil {
-			err = fmt.Errorf("replay: materializing prefix: %v", rerr)
-		}
+		err = settle(ctx, eng)
 	}
 	if err != nil {
-		c.fail(e, err)
+		s.base.mu.Lock()
+		if s.base.cur == b {
+			s.base.cur = nil
+		}
+		s.base.mu.Unlock()
+		if ctx.Err() != nil {
+			b.abandoned = true
+		} else {
+			b.err = err
+		}
+		close(b.done)
 		return err
 	}
-	// Published entries are immutable by contract; sealing makes the
-	// engine enforce that and enables copy-on-write forks of the pair.
 	rec.Seal()
 	eng.Seal()
-	e.eng, e.rec = eng, rec
-	close(e.ready)
+	b.eng, b.rec = eng, rec
+	close(b.done)
 	return nil
-}
-
-// await blocks until the entry's build completes (or the context ends)
-// and returns it ready for forking.
-func (c *prefixCache) await(ctx context.Context, e *prefixEntry, hit bool) (*prefixEntry, bool, error) {
-	select {
-	case <-e.ready:
-	case <-ctx.Done():
-		return nil, false, fmt.Errorf("replay: %w", ctx.Err())
-	}
-	if e.err != nil {
-		return nil, false, e.err
-	}
-	return e, hit, nil
-}
-
-// fail completes a placeholder with an error, releasing its waiters and
-// removing it from the cache so a later acquire retries the build.
-func (c *prefixCache) fail(e *prefixEntry, err error) {
-	e.err = err
-	close(e.ready)
-	c.unpublish(e)
-}
-
-// publish inserts an entry, evicting the oldest beyond capacity; a
-// duplicate tick replaces the live entry in place WITHOUT queueing a
-// second order slot (a second slot would make a later eviction delete a
-// live entry while its tick stayed queued, desyncing entries and order
-// and shrinking the effective capacity). Callers hold c.mu.
-func (c *prefixCache) publish(e *prefixEntry) {
-	if _, ok := c.entries[e.tick]; ok {
-		c.entries[e.tick] = e
-		return
-	}
-	max := c.maxEntries
-	if max == 0 {
-		max = maxPrefixEntries
-	}
-	if len(c.order) >= max {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.entries[e.tick] = e
-	c.order = append(c.order, e.tick)
-}
-
-// unpublish removes an entry if it is still the one cached at its tick
-// (it may have been replaced, evicted, or invalidated away meanwhile),
-// keeping entries and order in sync.
-func (c *prefixCache) unpublish(e *prefixEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.entries[e.tick] != e {
-		return
-	}
-	delete(c.entries, e.tick)
-	for i, t := range c.order {
-		if t == e.tick {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // scheduleScratch builds a fresh recorder-attached engine with the whole
 // log scheduled but nothing evaluated.
 func (s *Session) scheduleScratch(ctx context.Context) (*ndlog.Engine, *provenance.Recorder, error) {
-	rec := provenance.NewRecorder(s.prog, s.newRecOpts()...)
+	rec := provenance.NewRecorder(s.prog, s.recOpts...)
 	e := ndlog.New(s.prog, rec, s.newEngineOpts()...)
 	for i, ev := range s.log.events {
 		if i%ctxCheckEvery == ctxCheckEvery-1 {
@@ -961,8 +652,8 @@ func (s *Session) scheduleScratch(ctx context.Context) (*ndlog.Engine, *provenan
 // applied after the base run settles, in stamp order, with only affected
 // derivations re-evaluated. The engine already has the log scheduled (or
 // evaluated, in a fork), so the changes take the next base sequence
-// numbers either way — which is what makes the delta-forked and
-// from-scratch arms byte-identical.
+// numbers either way — which is what makes forked and from-scratch
+// replays byte-identical.
 func (s *Session) scheduleChanges(ctx context.Context, e *ndlog.Engine, changes []Change) error {
 	for i, c := range changes {
 		if i%ctxCheckEvery == ctxCheckEvery-1 {

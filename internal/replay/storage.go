@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/ndlog"
@@ -23,6 +22,11 @@ type sessionStorage struct {
 	st        *store.Store
 	verifyPos int // next stored event the re-drive must reproduce
 	verifyEnd int // stored events at attach time
+
+	// verifyCkpt is the newest durable checkpoint Open reused, until its
+	// re-drive crosses that tick and compares it with the re-driven state
+	// (see verifyReusedCheckpoint); nil otherwise.
+	verifyCkpt *ndlog.Snapshot
 }
 
 // WithStorage backs the session with the persistent segmented store at
@@ -187,42 +191,46 @@ func Open(prog *ndlog.Program, dir string, opts ...SessionOption) (*Session, err
 	if driveErr != nil {
 		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, driveErr)
 	}
-	if err := s.Run(); err != nil {
-		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, err)
+	// The whole stream is scheduled, so the run below crosses the newest
+	// reused checkpoint exactly once: verify it there.
+	if n := len(s.ckpts); n > 0 {
+		newest := s.ckpts[n-1]
+		s.storage.verifyCkpt = &newest
 	}
-	if err := s.warmPrefix(); err != nil {
+	if err := s.Run(); err != nil {
 		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, err)
 	}
 	return s, nil
 }
 
-// warmPrefix rehydrates the checkpoint-anchored prefix engine after a
-// cold start (WithWarmStart): the last durable checkpoint's anchor is
-// materialized into the prefix cache from the already-recovered in-memory
-// log — no additional store reads — so the first counterfactual replay
-// forks a warm prefix instead of building one. The rebuilt engine's state
-// is verified against the durable snapshot it anchors on; a mismatch
-// means the store's checkpoint does not describe the recovered stream,
-// and the session fails loudly rather than serve replays from it.
-func (s *Session) warmPrefix() error {
-	if !s.warmStart || !s.incremental || s.lastCkpt <= 0 {
+// verifyReusedCheckpoint compares the newest durable checkpoint Open
+// reused with the state its re-drive reaches at the same tick. Reused
+// checkpoints are never recaptured (Run skips the intervals they cover),
+// so without this check a data directory opened with a different program
+// would keep serving the old program's derived tuples from StateAt. Run
+// calls it before evaluating each pending tick (next; more reports
+// whether there is one): the comparison happens once, when everything at
+// or before the checkpoint's tick has been evaluated and nothing later
+// has. Without a checkpoint awaiting verification it does nothing.
+func (s *Session) verifyReusedCheckpoint(next int64, more bool) error {
+	if !s.verifyingCheckpoint() {
 		return nil
 	}
-	entry, _, err := s.prefix.acquire(context.Background(), s, s.lastCkpt)
-	if err != nil {
-		return fmt.Errorf("warming prefix at t=%d: %v", s.lastCkpt, err)
+	stored := s.storage.verifyCkpt
+	if more && next <= stored.Tick {
+		return nil
 	}
-	if entry == nil {
-		return nil // no events at or before the anchor: nothing to warm
-	}
-	stored, ok := s.StateAt(s.lastCkpt)
-	if !ok || stored.Tick != s.lastCkpt {
-		return nil // anchor checkpoint was skipped at attach; nothing to verify
-	}
-	if got := entry.eng.CaptureStateAt(s.lastCkpt); !snapshotEqual(got, stored) {
-		return fmt.Errorf("warming prefix at t=%d: rebuilt state disagrees with durable checkpoint", s.lastCkpt)
+	s.storage.verifyCkpt = nil
+	if got := s.live.CaptureStateAt(stored.Tick); !snapshotEqual(got, *stored) {
+		return fmt.Errorf("re-driven state at t=%d disagrees with the durable checkpoint reused from storage (was the store written by a different program?)", stored.Tick)
 	}
 	return nil
+}
+
+// verifyingCheckpoint reports whether Open armed a reused checkpoint that
+// Run has yet to cross.
+func (s *Session) verifyingCheckpoint() bool {
+	return s.storage != nil && s.storage.verifyCkpt != nil
 }
 
 // snapshotEqual compares two state snapshots structurally. Snapshot rows

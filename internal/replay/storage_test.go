@@ -69,17 +69,17 @@ func treeFingerprint(t *testing.T, s *Session, n int64) uint64 {
 // checkpoints, same provenance — and remain so after a cold start from
 // its segments.
 func TestStorageDifferential(t *testing.T) {
-	// Both fork modes: storage must be invisible to replay results whether
-	// the prefix cache hands out copy-on-write or deep forks.
-	for _, cow := range []bool{true, false} {
-		t.Run(map[bool]string{true: "cow", false: "deep"}[cow], func(t *testing.T) {
+	// Both configurations: storage must be invisible to replay results on
+	// the production engines and on the oracle's.
+	for name, config := range map[string][]SessionOption{"production": nil, "oracle": {Oracle()}} {
+		t.Run(name, func(t *testing.T) {
 			const n = 40
-			mem := NewSession(fwdProg, WithCheckpointEvery(10), WithCopyOnWriteForks(cow))
+			opts := append([]SessionOption{WithCheckpointEvery(10)}, config...)
+			mem := NewSession(fwdProg, opts...)
 			driveForwarding(t, mem, n)
 
 			dir := t.TempDir()
-			st := NewSession(fwdProg, WithCheckpointEvery(10), WithCopyOnWriteForks(cow),
-				WithStorage(dir, store.WithSegmentEvents(8)))
+			st := NewSession(fwdProg, append(opts, WithStorage(dir, store.WithSegmentEvents(8)))...)
 			driveForwarding(t, st, n)
 
 			if !reflect.DeepEqual(mem.Log().Events(), st.Log().Events()) {
@@ -97,7 +97,7 @@ func TestStorageDifferential(t *testing.T) {
 			}
 
 			// Cold start out of the segments: same session again.
-			cold, err := Open(fwdProg, dir, WithCheckpointEvery(10), WithCopyOnWriteForks(cow))
+			cold, err := Open(fwdProg, dir, opts...)
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
@@ -408,52 +408,76 @@ func TestColdStartReplay1M(t *testing.T) {
 	}
 }
 
-// TestWarmStartPrefix: Open with WithWarmStart must rehydrate the
-// checkpoint-anchored prefix engine during recovery, so the very first
-// counterfactual replay forks a warm prefix (a cache hit) instead of
-// paying a from-scratch prefix build — and its result must be
-// byte-identical to a cold session's.
-func TestWarmStartPrefix(t *testing.T) {
+// TestOpenVerifiesReusedCheckpoint: Open reuses durable checkpoints
+// instead of recapturing them, so it must compare the newest one with the
+// state its re-drive reaches at the same tick. Opening the store with a
+// program whose derived state differs fails loudly, naming the tick;
+// opening it with the program that wrote it yields a session whose first
+// trial evaluates the base run (a miss), whose later trials fork it, and
+// whose results are byte-identical to the never-closed session's.
+func TestOpenVerifiesReusedCheckpoint(t *testing.T) {
+	const rules = `
+table flowEntry/3 base mutable;
+table packet/1 event base;
+table seen/1;
+rule fw packet(@Nxt, Dst) :-
+    packet(@Sw, Dst), flowEntry(@Sw, Prio, M, Nxt), matches(Dst, M), argmax Prio.
+`
+	prog := ndlog.MustParse(rules + `rule note seen(@Sw, Dst) :- packet(@Sw, Dst).`)
+	// One rule changed: a switch now notes only packets it can forward, so
+	// the hosts' seen tuples the checkpoints recorded are never derived.
+	changed := ndlog.MustParse(rules + `rule note seen(@Sw, Dst) :- packet(@Sw, Dst), flowEntry(@Sw, Prio, M, Nxt).`)
+
 	const n = 40
 	dir := t.TempDir()
-	s := NewSession(fwdProg, WithCheckpointEvery(10), WithStorage(dir, store.WithSegmentEvents(8)))
-	driveForwarding(t, s, n)
-	if err := s.CloseStorage(); err != nil {
+	live := NewSession(prog, WithCheckpointEvery(10), WithStorage(dir, store.WithSegmentEvents(8)))
+	driveForwarding(t, live, n)
+	cks := live.Checkpoints()
+	if len(cks) == 0 {
+		t.Fatal("no checkpoints to reuse")
+	}
+	if err := live.CloseStorage(); err != nil {
 		t.Fatalf("CloseStorage: %v", err)
 	}
 
-	warm, err := Open(fwdProg, dir, WithCheckpointEvery(10), WithWarmStart(true))
-	if err != nil {
-		t.Fatalf("warm Open: %v", err)
+	wantTick := fmt.Sprintf("t=%d", cks[len(cks)-1].Tick)
+	for name, opts := range map[string][]SessionOption{
+		"same interval": {WithCheckpointEvery(10)},
+		"no interval":   nil, // Run must still step up to the checkpoint to verify it
+	} {
+		_, err := Open(changed, dir, opts...)
+		if err == nil || !strings.Contains(err.Error(), wantTick) || !strings.Contains(err.Error(), "checkpoint") {
+			t.Errorf("Open with a changed program (%s): err = %v, want a checkpoint disagreement at %s", name, err, wantTick)
+		}
 	}
-	defer warm.CloseStorage()
-	cold, err := Open(fwdProg, dir, WithCheckpointEvery(10))
+
+	cold, err := Open(prog, dir, WithCheckpointEvery(10))
 	if err != nil {
-		t.Fatalf("cold Open: %v", err)
+		t.Fatalf("Open with the unchanged program: %v", err)
 	}
 	defer cold.CloseStorage()
-
-	// The change lands just after the last durable checkpoint, so the
-	// replay anchors exactly on the prefix the warm start rebuilt.
+	if !reflect.DeepEqual(cold.Checkpoints(), cks) {
+		t.Error("cold-start checkpoints differ from the live session's")
+	}
 	change := []Change{{Insert: true, Node: "s1",
 		Tuple: ndlog.NewTuple("packet", ndlog.IP(9999)), Tick: n + 1}}
-	we, wg, err := warm.ReplayWith(change)
+	le, lg, err := live.ReplayWith(change)
 	if err != nil {
-		t.Fatalf("warm ReplayWith: %v", err)
+		t.Fatalf("live ReplayWith: %v", err)
 	}
-	if warm.Stats.PrefixHits != 1 || warm.Stats.PrefixMisses != 0 {
-		t.Errorf("warm start: first replay hit/miss = %d/%d, want 1/0",
-			warm.Stats.PrefixHits, warm.Stats.PrefixMisses)
-	}
-	ce, cg, err := cold.ReplayWith(change)
-	if err != nil {
-		t.Fatalf("cold ReplayWith: %v", err)
-	}
-	if cold.Stats.PrefixMisses != 1 {
-		t.Errorf("cold start: first replay misses = %d, want 1", cold.Stats.PrefixMisses)
-	}
-	if got, want := serializeForTest(wg, we.CaptureState()), serializeForTest(cg, ce.CaptureState()); got != want {
-		t.Errorf("warm-start replay differs from cold replay:\nwarm:\n%.2000s\ncold:\n%.2000s", got, want)
+	want := serializeForTest(lg, le.CaptureState())
+	for trial, wantStats := range []ReplayStats{{PrefixMisses: 1}, {PrefixMisses: 1, PrefixHits: 1}} {
+		ce, cg, err := cold.ReplayWith(change)
+		if err != nil {
+			t.Fatalf("cold ReplayWith: %v", err)
+		}
+		if st := cold.Stats; st.PrefixMisses != wantStats.PrefixMisses || st.PrefixHits != wantStats.PrefixHits {
+			t.Errorf("trial %d after cold start: misses/hits = %d/%d, want %d/%d",
+				trial, st.PrefixMisses, st.PrefixHits, wantStats.PrefixMisses, wantStats.PrefixHits)
+		}
+		if got := serializeForTest(cg, ce.CaptureState()); got != want {
+			t.Errorf("trial %d after cold start differs from the never-closed session:\ncold:\n%.2000s\nlive:\n%.2000s", trial, got, want)
+		}
 	}
 }
 

@@ -150,7 +150,7 @@ func TestParallelAutoDiagnoseDifferential(t *testing.T) {
 
 // TestParallelDiagnoseStress drives 16 concurrent diagnoses, each with
 // 8-way candidate parallelism, through session clones that share one
-// prefix cache — the race surface the -race runs of CI exercise.
+// base run — the race surface the -race runs of CI exercise.
 func TestParallelDiagnoseStress(t *testing.T) {
 	s, err := scenarios.Build("SDN1", scenarios.Small)
 	if err != nil {

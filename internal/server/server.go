@@ -72,10 +72,6 @@ type Server struct {
 	// re-recording them.
 	dataDir string
 
-	// prefixCache, when positive, overrides how many materialized prefix
-	// engines each scenario's session keeps alive (replay's default is 8).
-	prefixCache int
-
 	// build constructs a scenario; replaceable in tests.
 	build func(name string, scale scenarios.Scale, opts ...scenarios.BuildOption) (*scenarios.Scenario, error)
 
@@ -131,18 +127,6 @@ func WithDataDir(dir string) Option {
 	return func(s *Server) { s.dataDir = dir }
 }
 
-// WithPrefixCacheSize overrides how many materialized prefix engines
-// each scenario's replay session keeps alive (replay's default is 8).
-// Larger caches keep more counterfactual anchors warm at the cost of
-// retaining more forked engine state; values < 1 are ignored.
-func WithPrefixCacheSize(n int) Option {
-	return func(s *Server) {
-		if n >= 1 {
-			s.prefixCache = n
-		}
-	}
-}
-
 // New creates a server at the given workload scale.
 func New(scale scenarios.Scale, opts ...Option) *Server {
 	s := &Server{
@@ -187,9 +171,6 @@ func (s *Server) scenario(name string) (*scenarios.Scenario, error) {
 		if s.dataDir != "" {
 			dir := filepath.Join(s.dataDir, store.SanitizeName(key))
 			opts = append(opts, scenarios.WithSessionOptions(replay.WithStorage(dir)))
-		}
-		if s.prefixCache > 0 {
-			opts = append(opts, scenarios.WithSessionOptions(replay.WithPrefixCacheSize(s.prefixCache)))
 		}
 		e.sc, e.err = s.build(key, s.scale, opts...)
 	})
@@ -316,19 +297,18 @@ type diagnosis struct {
 	ReplayNs int64  `json:"replayNs,omitempty"`
 	Replay   string `json:"replay,omitempty"`
 
-	// Incremental roll-forward activity for this request: how many
-	// replays forked a cached prefix vs built one, the time spent
-	// forking, and how many logged base events the forks skipped.
+	// Base-run activity for this request: how many trials forked the
+	// scenario's sealed base run vs had to evaluate it first, the time
+	// spent forking, and how many logged base events the forks skipped.
 	PrefixHits    int64 `json:"prefixHits,omitempty"`
 	PrefixMisses  int64 `json:"prefixMisses,omitempty"`
 	ForkNs        int64 `json:"forkNs,omitempty"`
 	EventsSkipped int64 `json:"eventsSkipped,omitempty"`
 
-	// Delta-replay activity for this request: how many logged base
-	// events counterfactual replays re-fired after the fork point (zero
-	// on every cache hit with delta replay on — changes propagate
-	// through the delta phase instead), and how many (node, table)
-	// pairs the delta phases actually touched.
+	// Delta-phase activity for this request: how many logged base events
+	// counterfactual replays re-fired (zero — trials push their changes
+	// through the delta phase of a fork instead), and how many (node,
+	// table) pairs the delta phases actually touched.
 	EventsReFired int64 `json:"eventsReFired,omitempty"`
 	DirtyTables   int64 `json:"dirtyTables,omitempty"`
 
