@@ -1,5 +1,5 @@
-// Command diffprovlint runs the repo's custom determinism lints — detnow,
-// maprange, appendonly, and sealcheck (see internal/lint) — over Go
+// Command diffprovlint runs the repo's custom lints — detnow, maprange,
+// appendonly, sealcheck, and keystring (see internal/lint) — over Go
 // package patterns and exits nonzero on any finding.
 //
 // Usage:

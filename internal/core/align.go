@@ -450,7 +450,7 @@ func (d *diag) changeTick(w World, side ndlog.At, needBy int64) int64 {
 	}
 	pk := primaryKeyOf(decl, side.Tuple)
 	for _, t := range w.TuplesAt(side.Node, side.Tuple.Table, endOfTick(needBy)) {
-		if t.Key() == side.Tuple.Key() || primaryKeyOf(decl, t) != pk {
+		if t.Equal(side.Tuple) || primaryKeyOf(decl, t) != pk {
 			continue
 		}
 		if occ, ok := w.FirstOccurrence(side.Node, t, needBy); ok && occ+1 > tick {
@@ -528,14 +528,12 @@ func (d *diag) makeAggregateAppear(w World, rule *ndlog.Rule, children []childAt
 // that the same tuple was needed before the point it was first injected.
 func (d *diag) addChange(c replay.Change) {
 	for _, p := range d.pending {
-		if p.Insert == c.Insert && p.Node == c.Node && p.Tuple.Key() == c.Tuple.Key() && p.Tick <= c.Tick {
+		if p.Insert == c.Insert && p.Node == c.Node && p.Tuple.Equal(c.Tuple) && p.Tick <= c.Tick {
 			return
 		}
 	}
-	for _, p := range d.applied {
-		if p.Insert == c.Insert && p.Node == c.Node && p.Tuple.Key() == c.Tuple.Key() && p.Tick <= c.Tick {
-			return
-		}
+	if d.isApplied(c) {
+		return
 	}
 	d.pending = append(d.pending, c)
 }
@@ -544,7 +542,7 @@ func (d *diag) addChange(c replay.Change) {
 // the given tick, taking pending (not yet applied) changes into account.
 func (d *diag) existsInB(w World, at ndlog.At, needBy int64) bool {
 	for _, p := range d.pending {
-		if p.Node == at.Node && p.Tuple.Key() == at.Tuple.Key() && p.Tick <= needBy {
+		if p.Node == at.Node && p.Tuple.Equal(at.Tuple) && p.Tick <= needBy {
 			return p.Insert
 		}
 	}

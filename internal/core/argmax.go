@@ -115,11 +115,11 @@ func (d *diag) traceCompetitorBase(w World, side ndlog.At, children []childAt, k
 	}
 	tree := g.Tree(ap.ID)
 	// Collect the base leaves of the expected counterpart's good subtree.
-	shared := map[string]bool{}
+	shared := map[ndlog.TupleRef]bool{}
 	if k < len(children) && children[k].cause != nil {
 		children[k].cause.Walk(func(n *provenance.Tree) {
 			if n.Vertex.Type == provenance.Insert {
-				shared[n.Vertex.Node+"|"+n.Vertex.Tuple.Key()] = true
+				shared[n.Vertex.TupleRef()] = true
 			}
 		})
 	}
@@ -128,8 +128,7 @@ func (d *diag) traceCompetitorBase(w World, side ndlog.At, children []childAt, k
 		if pick != nil || n.Vertex.Type != provenance.Insert {
 			return
 		}
-		key := n.Vertex.Node + "|" + n.Vertex.Tuple.Key()
-		if shared[key] {
+		if shared[n.Vertex.TupleRef()] {
 			return
 		}
 		if !w.IsMutable(n.Vertex.Node, n.Vertex.Tuple) {
@@ -255,7 +254,7 @@ func (d *diag) tuplesAtWithPending(w World, node, table string, asOf ndlog.Stamp
 		if p.Insert {
 			dup := false
 			for _, t := range tuples {
-				if t.Key() == p.Tuple.Key() {
+				if t.Equal(p.Tuple) {
 					dup = true
 					break
 				}
@@ -310,15 +309,33 @@ func evalHead(rule *ndlog.Rule, env ndlog.Env, evalNode string) (ndlog.At, error
 	return ndlog.At{Node: node, Tuple: ndlog.Tuple{Table: rule.Head.Table, Args: args}}, nil
 }
 
-// sortChanges orders changes deterministically for presentation.
+// sortChanges orders changes deterministically for presentation: by tick,
+// node, then canonical tuple key (encoded once per change, not per
+// comparison).
 func sortChanges(cs []replay.Change) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Tick != cs[j].Tick {
-			return cs[i].Tick < cs[j].Tick
-		}
-		if cs[i].Node != cs[j].Node {
-			return cs[i].Node < cs[j].Node
-		}
-		return cs[i].Tuple.Key() < cs[j].Tuple.Key()
-	})
+	keys := make([]string, len(cs))
+	for i, c := range cs {
+		keys[i] = c.Tuple.Key()
+	}
+	sort.Sort(changeOrder{cs, keys})
+}
+
+type changeOrder struct {
+	cs   []replay.Change
+	keys []string
+}
+
+func (o changeOrder) Len() int { return len(o.cs) }
+func (o changeOrder) Swap(i, j int) {
+	o.cs[i], o.cs[j] = o.cs[j], o.cs[i]
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+}
+func (o changeOrder) Less(i, j int) bool {
+	if o.cs[i].Tick != o.cs[j].Tick {
+		return o.cs[i].Tick < o.cs[j].Tick
+	}
+	if o.cs[i].Node != o.cs[j].Node {
+		return o.cs[i].Node < o.cs[j].Node
+	}
+	return o.keys[i] < o.keys[j]
 }

@@ -38,7 +38,7 @@ func FindReferenceCandidates(badTree *provenance.Tree, w World, limit int) ([]Ca
 		return nil, err
 	}
 	g := w.Graph()
-	seen := map[string]bool{}
+	seen := map[ndlog.TupleRef]bool{}
 	var cands []Candidate
 	g.Vertexes(func(v *provenance.Vertex) {
 		if v.Type != provenance.Appear || v.Tuple.Table != badRoot.Tuple.Table {
@@ -55,7 +55,7 @@ func FindReferenceCandidates(badTree *provenance.Tree, w World, limit int) ([]Ca
 		if ex := g.ExistOf(v.ID); ex >= 0 && len(g.TriggerParents(ex)) > 0 {
 			return
 		}
-		key := v.Node + "|" + v.Tuple.Key()
+		key := v.TupleRef()
 		if seen[key] {
 			return // one candidate per (outcome node, event)
 		}

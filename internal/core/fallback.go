@@ -124,7 +124,7 @@ func (d *diag) fallbackCandidates(world World, chainG []gLevel, seedB ndlog.At) 
 // already part of the diagnosis (mirrors addChange's deduplication).
 func (d *diag) isApplied(c replay.Change) bool {
 	for _, p := range d.applied {
-		if p.Insert == c.Insert && p.Node == c.Node && p.Tuple.Key() == c.Tuple.Key() && p.Tick <= c.Tick {
+		if p.Insert == c.Insert && p.Node == c.Node && p.Tuple.Equal(c.Tuple) && p.Tick <= c.Tick {
 			return true
 		}
 	}

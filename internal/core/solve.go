@@ -114,17 +114,14 @@ func (s *solver) bindTrigger(atomIdx int, at ndlog.At) error {
 // computations are tolerated here: the affected variables simply stay
 // unbound and may be filled by defaults later.
 func (s *solver) bindHead(expected ndlog.At) error {
-	exprs := append([]ndlog.Expr(nil), s.rule.Head.Args...)
-	targets := make([]ndlog.Value, len(s.rule.Head.Args))
-	copy(targets, expected.Tuple.Args)
-	if s.rule.Head.Loc != nil {
-		exprs = append(exprs, s.rule.Head.Loc)
-		targets = append(targets, ndlog.Str(expected.Node))
-	}
-	for j, e := range exprs {
-		if err := s.solveExpr(e, targets[j], fromHead); err != nil {
+	vars := s.rule.HeadVars() // listed once per rule, not per call
+	for j, e := range s.rule.Head.Args {
+		if err := s.solveVars(e, vars[j], expected.Tuple.Args[j], fromHead); err != nil {
 			return err
 		}
+	}
+	if loc := s.rule.Head.Loc; loc != nil {
+		return s.solveVars(loc, vars[len(vars)-1], ndlog.Str(expected.Node), fromHead)
 	}
 	return nil
 }
@@ -132,7 +129,12 @@ func (s *solver) bindHead(expected ndlog.At) error {
 // solveExpr tries to bind exactly one unknown variable of e so that it
 // evaluates to target.
 func (s *solver) solveExpr(e ndlog.Expr, target ndlog.Value, src bindSource) error {
-	unknowns := s.unknownVars(e)
+	return s.solveVars(e, ndlog.FreeVars(e), target, src)
+}
+
+// solveVars is solveExpr given e's free variables.
+func (s *solver) solveVars(e ndlog.Expr, vars []string, target ndlog.Value, src bindSource) error {
+	unknowns := s.unknownOf(vars)
 	switch len(unknowns) {
 	case 0:
 		return nil // fully bound; verification happens later
@@ -168,8 +170,14 @@ func (s *solver) solveExpr(e ndlog.Expr, target ndlog.Value, src bindSource) err
 }
 
 func (s *solver) unknownVars(e ndlog.Expr) []string {
+	return s.unknownOf(ndlog.FreeVars(e))
+}
+
+// unknownOf filters a variable list down to those the bad-world binding
+// does not hold yet.
+func (s *solver) unknownOf(vars []string) []string {
 	var out []string
-	for _, v := range ndlog.FreeVars(e) {
+	for _, v := range vars {
 		if _, ok := s.envB[v]; !ok {
 			out = append(out, v)
 		}

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// All returns the repo's determinism analyzers in reporting order.
+// All returns the repo's analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DetNow, MapRange, AppendOnly, SealCheck}
+	return []*Analyzer{DetNow, MapRange, AppendOnly, SealCheck, KeyString}
 }
 
 // prefixMatch matches a package path equal to, or nested under, any of
@@ -379,4 +379,74 @@ func checkSealedWrite(pass *Pass, e ast.Expr) {
 	}
 	pass.Reportf(se.Pos(), "write to CoW-shared %s.%s outside the seal discipline (allowed: %s)",
 		key[0], key[1], strings.Join(allowed, ", "))
+}
+
+// KeyString forbids indexing a map by a string built on the spot.
+//
+// A tuple's canonical key is computed once, when the engine creates the
+// row or occurrence, and carried from there (DESIGN.md §19); the engine's
+// and the recorder's maps are keyed by small structs over that string.
+// A fmt.Sprintf or a + chain that re-assembles "node|key|seq" per lookup
+// is the allocation this design removed, so it is flagged where it is
+// used as a map index or delete key — directly, or through a local
+// variable assigned from it in the same function.
+var KeyString = &Analyzer{
+	Name:  "keystring",
+	Doc:   "forbid fmt.Sprintf/+ built strings as map keys in the engine and recorder",
+	Match: prefixMatch("repro/internal/ndlog", "repro/internal/provenance"),
+	Run:   runKeyString,
+}
+
+func runKeyString(pass *Pass) error {
+	built := func(e ast.Expr) bool { // e assembles a new string at run time
+		switch x := ast.Unparen(e).(type) {
+		case *ast.BinaryExpr:
+			tv, ok := pass.Info.Types[x]
+			if !ok || x.Op != token.ADD || tv.Value != nil {
+				return false
+			}
+			b, ok := tv.Type.Underlying().(*types.Basic)
+			return ok && b.Info()&types.IsString != 0
+		case *ast.CallExpr:
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+				fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+				return ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Sprint")
+			}
+		}
+		return false
+	}
+	vars := map[types.Object]bool{} // locals holding a built string
+	check := func(m, key ast.Expr) {
+		tv, ok := pass.Info.Types[m]
+		if !ok || tv.Type == nil {
+			return
+		}
+		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+			return
+		}
+		id, _ := ast.Unparen(key).(*ast.Ident)
+		if built(key) || (id != nil && vars[pass.Info.ObjectOf(id)]) {
+			pass.Reportf(key.Pos(), "map key is a string built per lookup; key the map by a struct over the carried parts")
+		}
+	}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range st.Rhs {
+					if id, ok := st.Lhs[i].(*ast.Ident); ok && len(st.Lhs) == len(st.Rhs) && built(rhs) {
+						vars[pass.Info.ObjectOf(id)] = true
+					}
+				}
+			case *ast.IndexExpr:
+				check(st.X, st.Index)
+			case *ast.CallExpr:
+				if id, ok := st.Fun.(*ast.Ident); ok && id.Name == "delete" && len(st.Args) == 2 {
+					check(st.Args[0], st.Args[1])
+				}
+			}
+			return true
+		})
+	}
+	return nil
 }

@@ -289,3 +289,38 @@ func f(g *Graph, s *shard, v *Vertex) {
 		"distributed.go:9:2: sealcheck: write to CoW-shared Graph.redirect",
 		"distributed.go:10:2: sealcheck: write to CoW-shared Graph.openExist")
 }
+
+// The key builders this analyzer exists to keep out: the recorder's old
+// refKey/tupleKey shapes and the engine's node+"|"+key, used as map
+// indexes directly, through a local, and in delete.
+func TestKeyStringFlagsBuiltMapKeys(t *testing.T) {
+	pkg := loadSrc(t, "repro/internal/provenance", "x.go", `package provenance
+import "fmt"
+type g struct{ byRef map[string]int; byTuple map[string][]int }
+func (g *g) f(node, key string, seq uint64) int {
+	g.byTuple[node+"|"+key] = append(g.byTuple[node+"|"+key], 1)
+	ref := fmt.Sprintf("%s|%s|%d", node, key, seq)
+	delete(g.byRef, node+"|"+key)
+	return g.byRef[ref]
+}
+`)
+	wantFindings(t, runOn(t, pkg, KeyString),
+		"x.go:5:12: keystring", "x.go:5:45: keystring", "x.go:7:18: keystring", "x.go:8:17: keystring")
+}
+
+func TestKeyStringAllowsCarriedAndStructKeys(t *testing.T) {
+	pkg := loadSrc(t, "repro/internal/ndlog", "x.go", `package ndlog
+import "fmt"
+type ref struct{ node, key string }
+type v struct{ node, key string }
+func (v v) String() string { return fmt.Sprintf("%s|%s", v.node, v.key) }
+func (v v) Label() string  { return v.node + "|" + v.key }
+func f(byRef map[ref]int, byKey map[string]int, v v, names []string) int {
+	const prefix = "a" + "b"
+	label := v.node + "|" + v.key // built, but never a map key
+	_ = label
+	return byRef[ref{v.node, v.key}] + byKey[v.key] + byKey[prefix] + len(names[0]+"x")
+}
+`)
+	wantFindings(t, runOn(t, pkg, KeyString))
+}

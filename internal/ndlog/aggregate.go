@@ -22,8 +22,8 @@ import (
 
 type aggGroup struct {
 	count   int64
-	prev    Tuple // previous head tuple (to be underived)
-	prevID  int64 // derivation id of the previous head
+	prevKey string // canonical key of the previous head tuple (to be underived)
+	prevID  int64  // derivation id of the previous head
 	prevSet bool
 }
 
@@ -96,9 +96,9 @@ func analyzeAggregate(p *Program, r *Rule) []Diag {
 	return ds
 }
 
-// groupKey computes the aggregation group for a binding: the values of
-// every head-referenced variable except the count variable.
-func (e *Engine) groupKey(r *Rule, nodeName string, env Env) string {
+// groupVarsOf lists, sorted, the variables that name a counting rule's
+// group: every head-referenced variable except the count variable.
+func groupVarsOf(r *Rule) []string {
 	vars := map[string]bool{}
 	for _, a := range r.Head.Args {
 		for _, v := range FreeVars(a) {
@@ -117,12 +117,18 @@ func (e *Engine) groupKey(r *Rule, nodeName string, env Env) string {
 		names = append(names, v)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// groupKey computes the aggregation group for a binding: the values of the
+// rule's group variables (listed once, when the rule joined its program).
+func (e *Engine) groupKey(r *Rule, nodeName string, env Env) string {
 	kb := getKeyBuf()
 	key := kb.b[:0]
 	key = append(key, r.Name...)
 	key = append(key, '@')
 	key = append(key, nodeName...)
-	for _, v := range names {
+	for _, v := range r.groupVars {
 		key = append(key, '|')
 		key = append(key, v...)
 		key = append(key, '=')
@@ -170,12 +176,13 @@ func (e *Engine) fireAggregate(r *Rule, nodeName string, b binding, st Stamp) er
 	// Retract the previous count tuple for this group.
 	prevID := g.prevID
 	if g.prevSet {
-		e.retractDerived(destNode, g.prev, g.prevID, b.body[0], st)
+		e.retractDerived(destNode, r.Head.Table, g.prevKey, g.prevID, KeyedAt{At: b.body[0], Key: b.refs[0].Key}, st)
 	} else {
 		prevID = 0
 	}
 
 	head := Tuple{Table: r.Head.Table, Args: args}
+	headKey := head.Key()
 	e.stats.Derivations++
 	e.deriveID++
 	d := &Derivation{
@@ -183,43 +190,45 @@ func (e *Engine) fireAggregate(r *Rule, nodeName string, b binding, st Stamp) er
 		Rule:     r.Name,
 		Node:     nodeName,
 		Body:     b.body[:1],
+		Refs:     b.refs[:1],
 		Trigger:  0,
 		AggPrev:  prevID,
 		AggCount: g.count,
 	}
 	hst := e.nextStamp(st.T)
-	d.Head = At{Node: destNode, Tuple: head, Stamp: hst}
-	g.prev, g.prevID, g.prevSet = head.Clone(), d.ID, true
+	d.Head = keyedAt(destNode, head, headKey, hst)
+	g.prevKey, g.prevID, g.prevSet = headKey, d.ID, true
 	e.obs.OnDerive(*d)
-	sup := support{deriveID: d.ID, rule: d.Rule, body: b.refs[:1]}
-	return e.appear(destNode, head, hst, d.ID, sup)
+	sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
+	return e.appear(destNode, head, headKey, hst, d.ID, sup)
 }
 
-// retractDerived removes a specific derivation's support from a stored
-// tuple, underiving it (and cascading) if that was the last support. The
-// caller always names a head it previously derived, so a missing node,
-// table, row, or support is a broken invariant: it is counted in
-// Stats.AggRetractMisses rather than silently ignored, and the
-// differential suites assert the counter never moves.
-func (e *Engine) retractDerived(nodeName string, t Tuple, deriveID int64, cause At, st Stamp) {
+// retractDerived removes a specific derivation's support from the stored
+// tuple of table tableName with the given key, underiving it (and
+// cascading) if that was the last support. The caller always names a head
+// it previously derived, so a missing node, table, row, or support is a
+// broken invariant: it is counted in Stats.AggRetractMisses rather than
+// silently ignored, and the differential suites assert the counter never
+// moves.
+func (e *Engine) retractDerived(nodeName, tableName, key string, deriveID int64, cause KeyedAt, st Stamp) {
 	n := e.nodes[nodeName]
 	if n == nil {
 		e.stats.AggRetractMisses++
 		return
 	}
-	tb := n.tables[t.Table]
+	tb := n.tables[tableName]
 	if tb == nil {
 		e.stats.AggRetractMisses++
 		return
 	}
-	if _, ok := tb.live[t.Key()]; !ok {
+	if _, ok := tb.live[key]; !ok {
 		e.stats.AggRetractMisses++
 		return
 	}
 	// The retraction mutates the row's supports; clone a sealed table
 	// first and re-fetch the row from the writable clone.
 	tb = e.writableTable(n, tb)
-	r := tb.live[t.Key()]
+	r := tb.live[key]
 	idx := -1
 	for i, s := range r.supports {
 		if s.deriveID == deriveID {
@@ -233,7 +242,7 @@ func (e *Engine) retractDerived(nodeName string, t Tuple, deriveID int64, cause 
 	}
 	s := r.supports[idx]
 	r.supports = append(r.supports[:idx], r.supports[idx+1:]...)
-	e.unindexSupport(nodeName, t.Key(), s)
+	e.unindexSupport(nodeName, key, s)
 	e.deriveID++
 	uid := e.deriveID
 	ust := e.nextStamp(st.T)
@@ -242,7 +251,7 @@ func (e *Engine) retractDerived(nodeName string, t Tuple, deriveID int64, cause 
 		DeriveID: s.deriveID,
 		Rule:     s.rule,
 		Node:     nodeName,
-		Head:     At{Node: nodeName, Tuple: r.tuple, Stamp: ust},
+		Head:     keyedAt(nodeName, r.tuple, key, ust),
 		Cause:    cause,
 	})
 	if len(r.supports) == 0 {

@@ -88,7 +88,8 @@ func TestRetractDerivedMissesAreCounted(t *testing.T) {
 		t.Fatalf("healthy run: AggRetractMisses = %d, want 0", got)
 	}
 	head := NewTuple("wordcount", Str("the"), Int(1))
-	cause := At{Node: "r1", Tuple: NewTuple("kv", Str("the"), Int(0)), Stamp: e.Now()}
+	kv := NewTuple("kv", Str("the"), Int(0))
+	cause := keyedAt("r1", kv, kv.Key(), e.Now())
 	cases := []struct {
 		name     string
 		node     string
@@ -101,7 +102,7 @@ func TestRetractDerivedMissesAreCounted(t *testing.T) {
 		{"support missing", "r1", head, 999_999},
 	}
 	for i, c := range cases {
-		e.retractDerived(c.node, c.tuple, c.deriveID, cause, e.Now())
+		e.retractDerived(c.node, c.tuple.Table, c.tuple.Key(), c.deriveID, cause, e.Now())
 		if got := e.Stats().AggRetractMisses; got != i+1 {
 			t.Errorf("%s: AggRetractMisses = %d, want %d", c.name, got, i+1)
 		}

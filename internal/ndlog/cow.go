@@ -100,7 +100,7 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		now:             e.now,
 		deriveID:        e.deriveID,
 		delay:           e.delay,
-		dependents:      map[string][]dependentRef{},
+		dependents:      map[TupleRef][]dependentRef{},
 		immutable:       e.immutable,
 		immutableShared: true,
 		aggGroups:       map[string]*aggGroup{},
@@ -115,7 +115,7 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		cowBase:         e,
 	}
 	for name, n := range e.nodes {
-		fn := &node{name: n.name, tables: make(map[string]*table, len(n.tables))}
+		fn := &node{name: n.name, loc: n.loc, tables: make(map[string]*table, len(n.tables))}
 		for tn, tb := range n.tables {
 			fn.tables[tn] = tb
 		}
@@ -288,7 +288,7 @@ func (tb *table) histCloseLast(key string, st Stamp) {
 // the frozen-base chain. Stored entries are never empty, so nil means the
 // ref has no dependents (absent everywhere, or tombstoned by deleteDeps).
 // The returned slice may be owned by a frozen base; do not mutate it.
-func (e *Engine) depsOf(ref string) []dependentRef {
+func (e *Engine) depsOf(ref TupleRef) []dependentRef {
 	for en := e; en != nil; en = en.cowBase {
 		if deps, ok := en.dependents[ref]; ok {
 			return deps
@@ -300,7 +300,7 @@ func (e *Engine) depsOf(ref string) []dependentRef {
 // deleteDeps removes a ref's dependent list: deleted outright at a chain
 // root, tombstoned (stored nil) in a CoW fork so the frozen base's entry
 // stays shadowed.
-func (e *Engine) deleteDeps(ref string) {
+func (e *Engine) deleteDeps(ref TupleRef) {
 	if e.cowBase != nil {
 		e.dependents[ref] = nil
 	} else {

@@ -162,7 +162,7 @@ func (e *Engine) runCF() error {
 		e.cfSeqMark = e.seqBand + e.seq
 	}
 	if e.cfDirty == nil {
-		e.cfDirty = map[string]struct{}{}
+		e.cfDirty = map[tableRef]struct{}{}
 	}
 	for e.cfQueue.Len() > 0 {
 		it := heap.Pop(&e.cfQueue).(*workItem)
@@ -184,7 +184,7 @@ func (e *Engine) runCF() error {
 // a node; Stats.DirtyTables reports how many distinct (node, table) pairs
 // the change set actually perturbed.
 func (e *Engine) cfMarkDirty(nodeName, tableName string) {
-	e.cfDirty[nodeName+"|"+tableName] = struct{}{}
+	e.cfDirty[tableRef{node: nodeName, table: tableName}] = struct{}{}
 }
 
 // refireForRow re-fires the rules a freshly appeared counterfactual state
@@ -290,7 +290,7 @@ func (e *Engine) refireAtomOccurrences(r *Rule, p int, pinNode string, pin *row,
 // re-evaluation for argmax rules.
 func (e *Engine) refireAt(r *Rule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, key string, st Stamp) error {
 	if r.ArgMax != "" {
-		cause := At{Node: pinNode, Tuple: pin.tuple, Stamp: pin.appearedAt}
+		cause := keyedAt(pinNode, pin.tuple, pin.key, pin.appearedAt)
 		return e.reevalArgMax(r, q, nodeName, delta, key, st, cause)
 	}
 	e.rfPin, e.rfPinAtom, e.rfPinNode = pin, p, pinNode
@@ -330,7 +330,7 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 	e.cfMarkDirty(nodeName, decl.Name)
 	if tb.keyIdx != nil {
 		pk := primaryKey(decl, r.tuple)
-		cause := At{Node: nodeName, Tuple: r.tuple, Stamp: st}
+		cause := keyedAt(nodeName, r.tuple, r.key, st)
 		for _, o := range tb.order {
 			if o == r || !o.dead || o.key == r.key || primaryKey(decl, o.tuple) != pk {
 				continue
@@ -343,7 +343,7 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 					continue
 				}
 				histCloseAt(tb, o.key, o.appearedAt.Seq, st)
-				e.eraseEventConsumers(nodeName+"|"+o.key, o.appearedAt.Seq, cause, st, true)
+				e.eraseEventConsumers(TupleRef{Node: nodeName, Key: o.key}, o.appearedAt.Seq, cause, st, true)
 				break
 			}
 		}
@@ -395,38 +395,38 @@ func histCloseAt(tb *table, key string, seq uint64, st Stamp) {
 }
 
 // evConsumer records one event-head derivation: which occurrence it
-// produced (node, tuple, headAt, deriveID) and which body elements fed it.
-// Derived events have no rows, so the support-counting cascade cannot
-// retract them; the counterfactual phase erases their occurrences through
-// these records instead (DRed's delete phase, extended to events).
+// produced (head, deriveID) and which body elements fed it. Derived events
+// have no rows, so the support-counting cascade cannot retract them; the
+// counterfactual phase erases their occurrences through these records
+// instead (DRed's delete phase, extended to events).
 type evConsumer struct {
 	deriveID int64
 	rule     string
-	node     string
-	tuple    Tuple
-	headAt   Stamp // the occurrence's delivery stamp
-	trig     At    // the body element that triggered the firing
-	trigAtom int   // its body atom index
-	body     []bodyRef
+	head     KeyedAt // the occurrence, at its delivery stamp
+	// The body element that triggered the firing: its atom index, tuple and
+	// stamp (body[trigAtom] holds its node and key).
+	trigAtom  int
+	trigTuple Tuple
+	trigAt    Stamp
+	body      []BodyRef
 }
 
 // registerEventDeriv indexes an event-head derivation under each of its
 // body elements, at delivery time (process). The record is write-once, so
 // one allocation is shared by all its refs; the body slice is the
-// support's, likewise shared.
-func (e *Engine) registerEventDeriv(d *Derivation, body []bodyRef) {
+// derivation's (and the support's), likewise shared.
+func (e *Engine) registerEventDeriv(d *Derivation) {
 	c := &evConsumer{
-		deriveID: d.ID,
-		rule:     d.Rule,
-		node:     d.Head.Node,
-		tuple:    d.Head.Tuple,
-		headAt:   d.Head.Stamp,
-		trig:     d.Body[d.Trigger],
-		trigAtom: d.Trigger,
-		body:     body,
+		deriveID:  d.ID,
+		rule:      d.Rule,
+		head:      d.Head,
+		trigAtom:  d.Trigger,
+		trigTuple: d.Body[d.Trigger].Tuple,
+		trigAt:    d.Body[d.Trigger].Stamp,
+		body:      d.Refs,
 	}
-	for _, b := range body {
-		e.appendEvDep(b.node+"|"+b.key, c)
+	for _, b := range d.Refs {
+		e.appendEvDep(b.TupleRef(), c)
 	}
 }
 
@@ -435,9 +435,9 @@ func (e *Engine) registerEventDeriv(d *Derivation, body []bodyRef) {
 // (a tail); the base chain's frozen lists are never copied — evDepsOf
 // concatenates on read, which is rare (erasure) while registration is
 // per-derivation hot.
-func (e *Engine) appendEvDep(ref string, c *evConsumer) {
+func (e *Engine) appendEvDep(ref TupleRef, c *evConsumer) {
 	if e.evDeps == nil {
-		e.evDeps = map[string][]*evConsumer{}
+		e.evDeps = map[TupleRef][]*evConsumer{}
 	}
 	e.evDeps[ref] = append(e.evDeps[ref], c)
 }
@@ -448,7 +448,7 @@ func (e *Engine) appendEvDep(ref string, c *evConsumer) {
 // filtered by body sequence number at use), so there are no tombstones
 // to honor. The returned slice may alias a single chain link's frozen
 // storage; do not mutate.
-func (e *Engine) evDepsOf(ref string) []*evConsumer {
+func (e *Engine) evDepsOf(ref TupleRef) []*evConsumer {
 	if e.cowBase == nil {
 		return e.evDeps[ref]
 	}
@@ -487,7 +487,7 @@ func (e *Engine) killOcc(seq uint64) {
 // after st are erased — earlier firings happened in the timely run too.
 // Without it (the element's own occurrence was erased, so it never
 // happened in the counterfactual timeline), every consumer goes.
-func (e *Engine) eraseEventConsumers(ref string, bodySeq uint64, cause At, st Stamp, gate bool) {
+func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt, st Stamp, gate bool) {
 	// The range below is a snapshot: lists are append-only and their
 	// entries write-once, so whatever the cascade registers meanwhile —
 	// under this ref or, through the map, any other — lands beyond the
@@ -495,7 +495,7 @@ func (e *Engine) eraseEventConsumers(ref string, bodySeq uint64, cause At, st St
 	for _, c := range e.evDepsOf(ref) {
 		match := false
 		for _, b := range c.body {
-			if b.seq == bodySeq {
+			if b.Seq == bodySeq {
 				match = true
 				break
 			}
@@ -503,7 +503,7 @@ func (e *Engine) eraseEventConsumers(ref string, bodySeq uint64, cause At, st St
 		if !match {
 			continue
 		}
-		if gate && !st.Before(c.trig.Stamp) {
+		if gate && !st.Before(c.trigAt) {
 			continue
 		}
 		e.eraseOccurrence(c, cause, st)
@@ -516,9 +516,10 @@ func (e *Engine) eraseEventConsumers(ref string, bodySeq uint64, cause At, st St
 			// either: events only join as triggers, so the erased
 			// occurrence was the consumer's trigger and never happened.)
 			if r := e.prog.Rule(c.rule); r != nil && r.ArgMax != "" {
+				trig := c.body[c.trigAtom]
 				e.cfReevals = append(e.cfReevals, cfReeval{
-					rule: r, atom: c.trigAtom, node: c.trig.Node,
-					tuple: c.trig.Tuple, st: c.trig.Stamp,
+					rule: r, atom: c.trigAtom, node: trig.Node,
+					tuple: c.trigTuple, key: trig.Key, st: c.trigAt,
 					cause: cause,
 				})
 			}
@@ -534,44 +535,43 @@ func (e *Engine) eraseEventConsumers(ref string, bodySeq uint64, cause At, st St
 // dropped), an underivation is emitted, and the erasure cascades: count()
 // groups it contributed to are decremented, state rows it supported are
 // retracted, and event occurrences derived from it are erased in turn.
-func (e *Engine) eraseOccurrence(c *evConsumer, cause At, st Stamp) {
-	if e.isKilledOcc(c.headAt.Seq) {
+func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
+	occ := c.head
+	if e.isKilledOcc(occ.Stamp.Seq) {
 		return
 	}
-	e.killOcc(c.headAt.Seq)
-	decl := e.prog.Decl(c.tuple.Table)
+	e.killOcc(occ.Stamp.Seq)
+	decl := e.prog.Decl(occ.Tuple.Table)
 	if decl == nil {
 		return
 	}
-	n := e.nodeFor(c.node)
+	n := e.nodeFor(occ.Node)
 	tb := e.writableTable(n, e.tableFor(n, decl))
-	key := c.tuple.Key()
-	histRemoveOcc(tb, key, c.headAt.Seq)
-	e.cfMarkDirty(c.node, c.tuple.Table)
+	histRemoveOcc(tb, occ.Key, occ.Stamp.Seq)
+	e.cfMarkDirty(occ.Node, occ.Tuple.Table)
 	e.deriveID++
 	e.obs.OnUnderive(Underivation{
 		ID:       e.deriveID,
 		DeriveID: c.deriveID,
 		Rule:     c.rule,
-		Node:     c.node,
-		Head:     At{Node: c.node, Tuple: c.tuple, Stamp: e.nextStamp(st.T)},
+		Node:     occ.Node,
+		Head:     keyedAt(occ.Node, occ.Tuple, occ.Key, e.nextStamp(st.T)),
 		Cause:    cause,
 	})
-	occ := At{Node: c.node, Tuple: c.tuple, Stamp: c.headAt}
 	// count() groups the occurrence contributed to shrink by one.
-	for _, ref := range e.prog.triggers(c.tuple.Table) {
+	for _, ref := range e.prog.triggers(occ.Tuple.Table) {
 		if ref.rule.CountVar != "" {
-			e.cfAggregateErase(ref.rule, c.node, c.tuple, key, occ, st)
+			e.cfAggregateErase(ref.rule, occ, st)
 		}
 	}
 	// State rows supported by the occurrence lose that support. Aggregate
 	// heads are skipped: the group decrement above already replaced them.
-	occRef := c.node + "|" + key
+	occRef := occ.TupleRef()
 	for _, dep := range append([]dependentRef(nil), e.depsOf(occRef)...) {
-		e.retractSupportIf(dep, c.headAt.Seq, occ, st)
+		e.retractSupportIf(dep, occ.Stamp.Seq, occ, st)
 	}
 	// Event occurrences derived from this one never happened either.
-	e.eraseEventConsumers(occRef, c.headAt.Seq, occ, st, false)
+	e.eraseEventConsumers(occRef, occ.Stamp.Seq, occ, st, false)
 }
 
 // histRemoveOcc removes an event occurrence's zero-length interval from a
@@ -598,7 +598,7 @@ func histRemoveOcc(tb *table, key string, seq uint64) {
 // actually contains the erased occurrence (dependent refs carry no body
 // sequence, and the same node|key can occur more than once) and the
 // support is not an aggregate delta (the group decrement handles those).
-func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause At, st Stamp) {
+func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedAt, st Stamp) {
 	n := e.nodes[dep.node]
 	if n == nil {
 		return
@@ -621,7 +621,7 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause At, st
 			return
 		}
 		for _, b := range s.body {
-			if b.seq == bodySeq {
+			if b.Seq == bodySeq {
 				e.retractSupport(dep, cause, st)
 				return
 			}
@@ -638,8 +638,9 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause At, st
 // with the sign flipped; invariant breaks (the contributor never matched,
 // the group is empty, the head fails to evaluate) count as
 // AggRetractMisses, which the differential suites assert stay zero.
-func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, key string, occ At, st Stamp) {
-	sat, err := e.satBindings(r, 0, nodeName, t, key, occ.Stamp)
+func (e *Engine) cfAggregateErase(r *Rule, occ KeyedAt, st Stamp) {
+	nodeName := occ.Node
+	sat, err := e.satBindings(r, 0, nodeName, occ.Tuple, occ.Key, occ.Stamp)
 	if err != nil {
 		e.stats.AggRetractMisses++
 		return
@@ -673,12 +674,13 @@ func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, key string,
 	}
 	g.count--
 	prevID := g.prevID
-	e.retractDerived(destNode, g.prev, g.prevID, occ, st)
+	e.retractDerived(destNode, r.Head.Table, g.prevKey, g.prevID, occ, st)
 	if g.count == 0 {
-		g.prev, g.prevID, g.prevSet = Tuple{}, 0, false
+		g.prevKey, g.prevID, g.prevSet = "", 0, false
 		return
 	}
 	head := Tuple{Table: r.Head.Table, Args: args}
+	headKey := head.Key()
 	e.stats.Derivations++
 	e.deriveID++
 	d := &Derivation{
@@ -686,17 +688,18 @@ func (e *Engine) cfAggregateErase(r *Rule, nodeName string, t Tuple, key string,
 		Rule:      r.Name,
 		Node:      nodeName,
 		Body:      b.body[:1],
+		Refs:      b.refs[:1],
 		Trigger:   0,
 		AggPrev:   prevID,
 		AggCount:  g.count,
 		AggRemove: true,
 	}
 	hst := e.nextStamp(st.T)
-	d.Head = At{Node: destNode, Tuple: head, Stamp: hst}
-	g.prev, g.prevID, g.prevSet = head.Clone(), d.ID, true
+	d.Head = keyedAt(destNode, head, headKey, hst)
+	g.prevKey, g.prevID, g.prevSet = headKey, d.ID, true
 	e.obs.OnDerive(*d)
-	sup := support{deriveID: d.ID, rule: d.Rule, body: b.refs[:1]}
-	if err := e.appear(destNode, head, hst, d.ID, sup); err != nil {
+	sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
+	if err := e.appear(destNode, head, headKey, hst, d.ID, sup); err != nil {
 		e.stats.AggRetractMisses++
 	}
 }
@@ -717,11 +720,11 @@ type amTrigger struct {
 // detect that the winner is unchanged). Entries are write-once; updates
 // store a fresh entry.
 type amEntry struct {
-	ref       dependentRef // head row ref; key=="" for event heads
+	ref       dependentRef // the head's node, key and derivation
 	bk        string       // canonical key of the winning binding
-	eventHead bool
-	headTuple Tuple // event heads: the derived occurrence, for erasure
-	headAt    Stamp // event heads: its delivery stamp
+	eventHead bool         // the head is an occurrence, not a row
+	headTuple Tuple        // event heads: the derived occurrence, for erasure
+	headAt    Stamp        // event heads: its delivery stamp
 }
 
 // amOf reads the argmax-winner map through the copy-on-write chain.
@@ -750,16 +753,14 @@ func (e *Engine) amSet(key amTrigger, v *amEntry) {
 // binding's max stamp (rules fire in processing order), so fireRule and
 // reevalArgMax key the entry by the delta that fired the rule.
 func (e *Engine) amEntryFor(win binding, it *workItem) *amEntry {
-	ent := &amEntry{bk: BindingKey(win.env), ref: dependentRef{node: it.node, deriveID: it.deriv.ID}}
+	ent := &amEntry{bk: BindingKey(win.env), ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID}}
 	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
 		// Event heads have no row to retract; record the occurrence so a
 		// displaced winner can be erased instead.
 		ent.eventHead = true
 		ent.headTuple = it.tuple
 		ent.headAt = it.stamp
-		return ent
 	}
-	ent.ref.key = it.tuple.Key()
 	return ent
 }
 
@@ -771,8 +772,9 @@ type cfReeval struct {
 	atom  int
 	node  string
 	tuple Tuple
+	key   string // tuple's canonical key
 	st    Stamp
-	cause At
+	cause KeyedAt
 }
 
 // noteCFRetraction is called from retractSupport during the
@@ -791,13 +793,14 @@ func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 	if r == nil || r.ArgMax == "" {
 		return
 	}
-	atom, node, tuple, trig, ok := e.triggerOf(r, sup)
+	atom, tuple, trig, ok := e.triggerOf(r, sup)
 	if !ok || !st.Before(trig) {
 		return
 	}
+	node, key := sup.body[atom].Node, sup.body[atom].Key
 	e.cfReevals = append(e.cfReevals, cfReeval{
-		rule: r, atom: atom, node: node, tuple: tuple, st: trig,
-		cause: At{Node: node, Tuple: tuple, Stamp: st},
+		rule: r, atom: atom, node: node, tuple: tuple, key: key, st: trig,
+		cause: keyedAt(node, tuple, key, st),
 	})
 }
 
@@ -807,54 +810,54 @@ func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 // tuples from the occurrence log, state tuples from the appearance
 // order. A state trigger that has since died is dropped (ok=false): its
 // firings were retracted with it and a timely run would not re-fire.
-func (e *Engine) triggerOf(r *Rule, sup support) (atom int, node string, tuple Tuple, st Stamp, ok bool) {
+func (e *Engine) triggerOf(r *Rule, sup support) (atom int, tuple Tuple, st Stamp, ok bool) {
 	best := -1
 	var bestStamp Stamp
 	for i, b := range sup.body {
 		if i >= len(r.Body) {
-			return 0, "", Tuple{}, Stamp{}, false
+			return 0, Tuple{}, Stamp{}, false
 		}
-		n := e.nodes[b.node]
+		n := e.nodes[b.Node]
 		if n == nil {
-			return 0, "", Tuple{}, Stamp{}, false
+			return 0, Tuple{}, Stamp{}, false
 		}
 		tb := n.tables[r.Body[i].Table]
 		if tb == nil {
-			return 0, "", Tuple{}, Stamp{}, false
+			return 0, Tuple{}, Stamp{}, false
 		}
 		var at Stamp
 		found := false
-		for _, iv := range tb.histOf(b.key) {
-			if iv.From.Seq == b.seq {
+		for _, iv := range tb.histOf(b.Key) {
+			if iv.From.Seq == b.Seq {
 				at, found = iv.From, true
 				break
 			}
 		}
 		if !found {
-			return 0, "", Tuple{}, Stamp{}, false
+			return 0, Tuple{}, Stamp{}, false
 		}
 		if best < 0 || bestStamp.Before(at) {
 			best, bestStamp = i, at
 		}
 	}
 	if best < 0 {
-		return 0, "", Tuple{}, Stamp{}, false
+		return 0, Tuple{}, Stamp{}, false
 	}
 	bref := sup.body[best]
-	n := e.nodes[bref.node]
+	n := e.nodes[bref.Node]
 	tb := n.tables[r.Body[best].Table]
 	if d := e.prog.Decl(r.Body[best].Table); d != nil && d.Event {
 		t, ok := occAtStamp(tb, bestStamp)
 		if !ok {
-			return 0, "", Tuple{}, Stamp{}, false
+			return 0, Tuple{}, Stamp{}, false
 		}
-		return best, bref.node, t, bestStamp, true
+		return best, t, bestStamp, true
 	}
 	rw, ok2 := rowAtStamp(tb, bestStamp)
 	if !ok2 || rw.dead {
-		return 0, "", Tuple{}, Stamp{}, false
+		return 0, Tuple{}, Stamp{}, false
 	}
-	return best, bref.node, rw.tuple, bestStamp, true
+	return best, rw.tuple, bestStamp, true
 }
 
 // occAtStamp finds the event occurrence with the given stamp (binary
@@ -908,10 +911,10 @@ func (e *Engine) drainCFReevals() error {
 			if batch[i].rule.Name != batch[j].rule.Name {
 				return batch[i].rule.Name < batch[j].rule.Name
 			}
-			return batch[i].tuple.Key() < batch[j].tuple.Key()
+			return batch[i].key < batch[j].key
 		})
 		for _, rq := range batch {
-			if err := e.reevalArgMax(rq.rule, rq.atom, rq.node, rq.tuple, rq.tuple.Key(), rq.st, rq.cause); err != nil {
+			if err := e.reevalArgMax(rq.rule, rq.atom, rq.node, rq.tuple, rq.key, rq.st, rq.cause); err != nil {
 				return err
 			}
 		}
@@ -924,7 +927,7 @@ func (e *Engine) drainCFReevals() error {
 // rows the change set killed excluded. If the winner differs from the one
 // the trigger currently supports, the old head is retracted (cascading)
 // and the new winner derived. Idempotent: an unchanged winner is a no-op.
-func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause At) error {
+func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
 	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.isKilledOcc(st.Seq) {
 		return nil // the trigger occurrence was erased after this re-eval was queued
 	}
@@ -943,7 +946,7 @@ func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tup
 	if cur != nil && cur.bk == BindingKey(win.env) {
 		return nil // winner unchanged; the main-phase derivation stands (or fell with its own supports)
 	}
-	if cur != nil && !cur.eventHead && cur.ref.key != "" {
+	if cur != nil && !cur.eventHead {
 		// Retract the displaced winner's head. The support may already be
 		// gone (retracted by a cascade); retractSupport handles that.
 		e.retractSupport(cur.ref, cause, st)
@@ -954,9 +957,7 @@ func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tup
 		e.eraseOccurrence(&evConsumer{
 			deriveID: cur.ref.deriveID,
 			rule:     r.Name,
-			node:     cur.ref.node,
-			tuple:    cur.headTuple,
-			headAt:   cur.headAt,
+			head:     keyedAt(cur.ref.node, cur.headTuple, cur.ref.key, cur.headAt),
 		}, cause, st)
 	}
 	e.stats.CFRefires++

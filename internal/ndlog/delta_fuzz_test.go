@@ -19,12 +19,12 @@ func (o *cfOrderObserver) note(at At) {
 	}
 }
 
-func (o *cfOrderObserver) OnBaseInsert(at At)      { o.note(at) }
-func (o *cfOrderObserver) OnBaseDelete(at At)      { o.note(at) }
-func (o *cfOrderObserver) OnAppear(At, int64)      {}
-func (o *cfOrderObserver) OnDisappear(At, int64)   {}
-func (o *cfOrderObserver) OnDerive(Derivation)     {}
-func (o *cfOrderObserver) OnUnderive(Underivation) {}
+func (o *cfOrderObserver) OnBaseInsert(at KeyedAt)    { o.note(at.At) }
+func (o *cfOrderObserver) OnBaseDelete(at KeyedAt)    { o.note(at.At) }
+func (o *cfOrderObserver) OnAppear(KeyedAt, int64)    {}
+func (o *cfOrderObserver) OnDisappear(KeyedAt, int64) {}
+func (o *cfOrderObserver) OnDerive(Derivation)        {}
+func (o *cfOrderObserver) OnUnderive(Underivation)    {}
 
 // FuzzDeltaQueueOrder checks the delta queue's ordering invariant: the
 // counterfactual queue is a stamp-ordered heap, so however a change set

@@ -10,19 +10,24 @@ import (
 // Observer receives primitive provenance events from the engine. The
 // provenance package implements it to build the temporal provenance graph.
 // All callbacks happen synchronously in deterministic order.
+//
+// Every tuple an observer is told about arrives with its canonical key
+// (KeyedAt.Key, Derivation.Refs): the string the engine computed when it
+// created the row or occurrence. Observers index and hash by that string
+// and never call Tuple.Key themselves.
 type Observer interface {
 	// OnBaseInsert fires when a base tuple is inserted by the outside world.
-	OnBaseInsert(at At)
+	OnBaseInsert(at KeyedAt)
 	// OnBaseDelete fires when a base tuple is deleted by the outside world.
-	OnBaseDelete(at At)
+	OnBaseDelete(at KeyedAt)
 	// OnAppear fires when a tuple appears on a node (count 0 -> 1, or an
 	// event tuple occurs). deriveID is the derivation that produced it,
 	// or 0 for base insertions.
-	OnAppear(at At, deriveID int64)
+	OnAppear(at KeyedAt, deriveID int64)
 	// OnDisappear fires when a state tuple disappears (count 1 -> 0).
 	// underiveID is the underivation that removed the last support, or 0
 	// when the cause was a base deletion.
-	OnDisappear(at At, underiveID int64)
+	OnDisappear(at KeyedAt, underiveID int64)
 	// OnDerive fires when a rule derives a tuple.
 	OnDerive(d Derivation)
 	// OnUnderive fires when a derivation's support is retracted.
@@ -40,10 +45,11 @@ type Observer interface {
 type Derivation struct {
 	ID      int64
 	Rule    string
-	Node    string // node that evaluated the rule
-	Head    At     // head tuple at its destination (stamp = appearance there)
-	Body    []At   // body tuples with the stamps at which they appeared
-	Trigger int    // index into Body of the tuple that appeared last
+	Node    string    // node that evaluated the rule
+	Head    KeyedAt   // head tuple at its destination (stamp = appearance there)
+	Body    []At      // body tuples with the stamps at which they appeared
+	Refs    []BodyRef // Refs[i] identifies Body[i]: its node, key and appearance seq
+	Trigger int       // index into Body of the tuple that appeared last
 
 	// AggPrev is the derivation ID of the previous head of the same
 	// aggregate group (0 for the group's first derivation), and AggCount
@@ -64,24 +70,24 @@ type Underivation struct {
 	DeriveID int64 // the derivation being retracted
 	Rule     string
 	Node     string
-	Head     At // head tuple, stamp = retraction time
-	Cause    At // the body tuple whose disappearance triggered this
+	Head     KeyedAt // head tuple, stamp = retraction time
+	Cause    KeyedAt // the body tuple whose disappearance triggered this
 }
 
 // NopObserver discards all events.
 type NopObserver struct{}
 
 // OnBaseInsert implements Observer.
-func (NopObserver) OnBaseInsert(At) {}
+func (NopObserver) OnBaseInsert(KeyedAt) {}
 
 // OnBaseDelete implements Observer.
-func (NopObserver) OnBaseDelete(At) {}
+func (NopObserver) OnBaseDelete(KeyedAt) {}
 
 // OnAppear implements Observer.
-func (NopObserver) OnAppear(At, int64) {}
+func (NopObserver) OnAppear(KeyedAt, int64) {}
 
 // OnDisappear implements Observer.
-func (NopObserver) OnDisappear(At, int64) {}
+func (NopObserver) OnDisappear(KeyedAt, int64) {}
 
 // OnDerive implements Observer.
 func (NopObserver) OnDerive(Derivation) {}
@@ -133,15 +139,15 @@ type Engine struct {
 	now      Stamp
 	deriveID int64
 	delay    int64 // cross-node transit delay in ticks
-	// dependents maps a row reference (node|key) to the derived rows it
-	// supports, for the deletion cascade. Refs are pruned when a support
-	// is retracted through any cause (see unindexSupport), so the map
-	// stays bounded by the number of live supports.
-	dependents map[string][]dependentRef
+	// dependents maps a row to the derived rows it supports, for the
+	// deletion cascade. Refs are pruned when a support is retracted
+	// through any cause (see unindexSupport), so the map stays bounded by
+	// the number of live supports.
+	dependents map[TupleRef][]dependentRef
 	// immutable records tuples individually pinned immutable (beyond
 	// table-level mutability), e.g. "static flow entries declared off
 	// limits" (§4.7).
-	immutable map[string]bool
+	immutable map[TupleRef]bool
 	// aggGroups holds the incremental state of counting rules.
 	aggGroups map[string]*aggGroup
 	// deriveLimit bounds lifetime derivations as a guard against
@@ -181,7 +187,7 @@ type Engine struct {
 	cfMarksSet bool
 	cfBaseMark uint64
 	cfSeqMark  uint64
-	cfDirty    map[string]struct{}
+	cfDirty    map[tableRef]struct{}
 	cfReevals  []cfReeval
 	amDeriv    map[amTrigger]*amEntry
 	// rfPin pins one counterfactual row at body atom rfPinAtom (on node
@@ -190,15 +196,15 @@ type Engine struct {
 	rfPin     *row
 	rfPinAtom int
 	rfPinNode string
-	// evDeps maps a body-element reference (node|key) to the event-head
-	// derivations it fed, so the counterfactual phase can erase derived
-	// event occurrences whose preconditions are retracted (events have no
-	// rows, so the dependents cascade cannot reach them). A derivation's
+	// evDeps maps a body element to the event-head derivations it fed, so
+	// the counterfactual phase can erase derived event occurrences whose
+	// preconditions are retracted (events have no rows, so the dependents
+	// cascade cannot reach them). A derivation's
 	// one write-once record is shared by pointer under each of its body
 	// refs and across forks. Overlays cowBase like dependents; entries are
 	// never deleted (stale ones are filtered by the body sequence number).
 	// killedOccs marks erased event occurrences by stamp sequence.
-	evDeps     map[string][]*evConsumer
+	evDeps     map[TupleRef][]*evConsumer
 	killedOccs map[uint64]struct{}
 	// join is the scratch state of the rule-firing join (join.go); never
 	// copied by Fork.
@@ -245,7 +251,10 @@ type dependentRef struct {
 }
 
 type node struct {
-	name   string
+	name string
+	// loc is Str(name) boxed once: binding a location variable stores it
+	// instead of converting the name on every unification.
+	loc    Value
 	tables map[string]*table
 }
 
@@ -294,13 +303,48 @@ type row struct {
 type support struct {
 	deriveID int64 // 0 for base insertion
 	rule     string
-	body     []bodyRef
+	body     []BodyRef
 }
 
-type bodyRef struct {
-	node string
-	key  string
-	seq  uint64 // appearance seq of the supporting row
+// Tuple identity. A tuple's canonical key (Tuple.Key) is computed once,
+// when the engine creates the row or occurrence, and from then on carried:
+// rows hold it, joins copy it into the BodyRefs of a binding, and observers
+// receive it. The engine's and the recorder's maps are keyed by the small
+// comparable structs below, which share that one string instead of
+// concatenating it into a new one per lookup.
+
+// TupleRef identifies a tuple on a node.
+type TupleRef struct {
+	Node string
+	Key  string // the tuple's canonical key
+}
+
+// BodyRef identifies one appearance of a tuple on a node: the element of a
+// derivation body that a support references.
+type BodyRef struct {
+	Node string
+	Key  string
+	Seq  uint64 // stamp sequence of the appearance
+}
+
+// TupleRef returns the tuple the appearance belongs to.
+func (b BodyRef) TupleRef() TupleRef { return TupleRef{Node: b.Node, Key: b.Key} }
+
+// tableRef identifies a table on a node.
+type tableRef struct{ node, table string }
+
+// KeyedAt is an At together with its tuple's canonical key.
+type KeyedAt struct {
+	At
+	Key string
+}
+
+// TupleRef identifies the tuple, Ref this appearance of it.
+func (a KeyedAt) TupleRef() TupleRef { return TupleRef{Node: a.Node, Key: a.Key} }
+func (a KeyedAt) Ref() BodyRef       { return BodyRef{Node: a.Node, Key: a.Key, Seq: a.Stamp.Seq} }
+
+func keyedAt(node string, t Tuple, key string, st Stamp) KeyedAt {
+	return KeyedAt{At: At{Node: node, Tuple: t, Stamp: st}, Key: key}
 }
 
 type workKind uint8
@@ -317,7 +361,6 @@ type workItem struct {
 	node  string
 	tuple Tuple
 	deriv *Derivation // for wkArriveDerived
-	refs  []bodyRef   // for wkArriveDerived: deriv.Body as support references
 }
 
 type workHeap []*workItem
@@ -406,9 +449,9 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		obs:         obs,
 		nodes:       map[string]*node{},
 		delay:       1,
-		dependents:  map[string][]dependentRef{},
-		evDeps:      map[string][]*evConsumer{},
-		immutable:   map[string]bool{},
+		dependents:  map[TupleRef][]dependentRef{},
+		evDeps:      map[TupleRef][]*evConsumer{},
+		immutable:   map[TupleRef]bool{},
 		aggGroups:   map[string]*aggGroup{},
 		deriveLimit: 10_000_000,
 		indexing:    true,
@@ -447,7 +490,7 @@ func (e *Engine) Now() Stamp { return e.now }
 func (e *Engine) nodeFor(name string) *node {
 	n, ok := e.nodes[name]
 	if !ok {
-		n = &node{name: name, tables: map[string]*table{}}
+		n = &node{name: name, loc: Str(name), tables: map[string]*table{}}
 		e.nodes[name] = n
 		e.nodeOrder = append(e.nodeOrder, name)
 	}
@@ -556,13 +599,13 @@ func (e *Engine) PinImmutable(nodeName string, t Tuple) {
 		panic("ndlog: PinImmutable on sealed engine")
 	}
 	if e.immutableShared {
-		m := make(map[string]bool, len(e.immutable)+1)
+		m := make(map[TupleRef]bool, len(e.immutable)+1)
 		for k, v := range e.immutable {
 			m[k] = v
 		}
 		e.immutable, e.immutableShared = m, false
 	}
-	e.immutable[nodeName+"|"+t.Key()] = true
+	e.immutable[TupleRef{Node: nodeName, Key: t.Key()}] = true
 }
 
 // IsMutable reports whether DiffProv may change the given base tuple.
@@ -571,7 +614,7 @@ func (e *Engine) IsMutable(nodeName string, t Tuple) bool {
 	if d == nil || !d.Base || !d.Mutable {
 		return false
 	}
-	return !e.immutable[nodeName+"|"+t.Key()]
+	return !e.immutable[TupleRef{Node: nodeName, Key: t.Key()}]
 }
 
 // Run drains the work queue, evaluating all scheduled events and their
@@ -661,9 +704,9 @@ func (e *Engine) process(it *workItem) error {
 	switch it.kind {
 	case wkInsertBase:
 		e.stats.BaseInserts++
-		at := At{Node: it.node, Tuple: it.tuple, Stamp: it.stamp}
-		e.obs.OnBaseInsert(at)
-		return e.appear(it.node, it.tuple, it.stamp, 0, support{deriveID: 0})
+		key := it.tuple.Key()
+		e.obs.OnBaseInsert(keyedAt(it.node, it.tuple, key, it.stamp))
+		return e.appear(it.node, it.tuple, key, it.stamp, 0, support{deriveID: 0})
 	case wkDeleteBase:
 		e.stats.BaseDeletes++
 		return e.deleteBase(it.node, it.tuple, it.stamp)
@@ -676,24 +719,25 @@ func (e *Engine) process(it *workItem) error {
 		d := it.deriv
 		d.Head.Stamp = it.stamp
 		e.obs.OnDerive(*d)
-		sup := support{deriveID: d.ID, rule: d.Rule, body: it.refs}
+		sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
 		if dec := e.prog.Decl(it.tuple.Table); dec != nil && dec.Event {
 			// Event heads have no row for the dependents cascade to
 			// retract; register the derivation under each body element so
 			// the counterfactual phase can erase the occurrence when a
 			// precondition is retracted (delta.go).
-			e.registerEventDeriv(d, sup.body)
+			e.registerEventDeriv(d)
 		}
-		return e.appear(it.node, it.tuple, it.stamp, d.ID, sup)
+		return e.appear(it.node, it.tuple, d.Head.Key, it.stamp, d.ID, sup)
 	default:
 		return fmt.Errorf("ndlog: unknown work kind %d", it.kind)
 	}
 }
 
-// appear handles a tuple occurrence on a node: event tuples trigger rules
-// and vanish; state tuples are stored (possibly as an additional support)
-// and trigger rules on first appearance.
-func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup support) error {
+// appear handles a tuple occurrence on a node (key is t.Key(), computed by
+// whoever created the occurrence): event tuples trigger rules and vanish;
+// state tuples are stored (possibly as an additional support) and trigger
+// rules on first appearance.
+func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID int64, sup support) error {
 	decl := e.prog.Decl(t.Table)
 	if decl == nil {
 		return fmt.Errorf("ndlog: tuple for undeclared table %s", t.Table)
@@ -701,12 +745,10 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 	n := e.nodeFor(nodeName)
 	if decl.Event {
 		e.stats.Appears++
-		at := At{Node: nodeName, Tuple: t, Stamp: st}
-		e.obs.OnAppear(at, deriveID)
+		e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
 		// Record the instantaneous occurrence in history for temporal
 		// queries (zero-length closed interval).
 		tb := e.writableTable(n, e.tableFor(n, decl))
-		key := t.Key()
 		tb.histAppend(key, Interval{From: st, To: st})
 		tb.occAppend(t, st)
 		if e.cfPhase {
@@ -721,7 +763,6 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 	// table must be writable up front; rows fetched below come out of the
 	// fork-private clone.
 	tb := e.writableTable(n, e.tableFor(n, decl))
-	key := t.Key()
 	if r, ok := tb.live[key]; ok {
 		// Additional support for an existing tuple.
 		r.supports = append(r.supports, sup)
@@ -738,7 +779,7 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 	if tb.keyIdx != nil && sup.deriveID == 0 {
 		pk := primaryKey(decl, t)
 		if old, ok := tb.keyIdx[pk]; ok && !old.dead && old.key != key {
-			at := At{Node: nodeName, Tuple: old.tuple, Stamp: st}
+			at := keyedAt(nodeName, old.tuple, old.key, st)
 			for i, s := range old.supports {
 				if s.deriveID == 0 {
 					old.supports = append(old.supports[:i], old.supports[i+1:]...)
@@ -767,8 +808,7 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 	tb.histAppend(key, Interval{From: st, Open: true})
 	e.indexSupport(nodeName, key, sup)
 	e.stats.Appears++
-	at := At{Node: nodeName, Tuple: t, Stamp: st}
-	e.obs.OnAppear(at, deriveID)
+	e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
 	if err := e.trigger(nodeName, t, key, st); err != nil {
 		return err
 	}
@@ -784,7 +824,7 @@ func (e *Engine) appear(nodeName string, t Tuple, st Stamp, deriveID int64, sup 
 
 func (e *Engine) indexSupport(nodeName, key string, sup support) {
 	for _, b := range sup.body {
-		ref := b.node + "|" + b.key
+		ref := b.TupleRef()
 		deps, ok := e.dependents[ref]
 		if !ok && e.cowBase != nil {
 			// First local write to this ref: copy the frozen base's list so
@@ -803,7 +843,7 @@ func (e *Engine) indexSupport(nodeName, key string, sup support) {
 // leaking memory under churn and making later retractions scan dead refs.
 func (e *Engine) unindexSupport(nodeName, key string, sup support) {
 	for _, b := range sup.body {
-		ref := b.node + "|" + b.key
+		ref := b.TupleRef()
 		deps, ok := e.dependents[ref]
 		if !ok && e.cowBase != nil {
 			if base := e.cowBase.depsOf(ref); len(base) > 0 {
@@ -858,8 +898,7 @@ func (e *Engine) deleteBase(nodeName string, t Tuple, st Stamp) error {
 	if !removed {
 		return fmt.Errorf("ndlog: %s on %s has no base support to delete", t, nodeName)
 	}
-	at := At{Node: nodeName, Tuple: t, Stamp: st}
-	e.obs.OnBaseDelete(at)
+	e.obs.OnBaseDelete(keyedAt(nodeName, t, key, st))
 	if len(r.supports) == 0 {
 		e.retractRow(nodeName, tb, r, st, 0)
 	}
@@ -895,15 +934,15 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	}
 	tb.histCloseLast(r.key, st)
 	e.stats.Disappears++
-	e.obs.OnDisappear(At{Node: nodeName, Tuple: r.tuple, Stamp: st}, underiveID)
+	cause := keyedAt(nodeName, r.tuple, r.key, st)
+	e.obs.OnDisappear(cause, underiveID)
 	if e.cfPhase {
 		e.cfMarkDirty(nodeName, r.tuple.Table)
 	}
 
-	ref := nodeName + "|" + r.key
+	ref := cause.TupleRef()
 	deps := e.depsOf(ref)
 	e.deleteDeps(ref)
-	cause := At{Node: nodeName, Tuple: r.tuple, Stamp: st}
 	for _, dep := range deps {
 		e.retractSupport(dep, cause, st)
 	}
@@ -915,7 +954,7 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	}
 }
 
-func (e *Engine) retractSupport(dep dependentRef, cause At, st Stamp) {
+func (e *Engine) retractSupport(dep dependentRef, cause KeyedAt, st Stamp) {
 	n := e.nodes[dep.node]
 	if n == nil {
 		return
@@ -961,7 +1000,7 @@ func (e *Engine) retractSupport(dep dependentRef, cause At, st Stamp) {
 		DeriveID: s.deriveID,
 		Rule:     s.rule,
 		Node:     dep.node,
-		Head:     At{Node: dep.node, Tuple: r.tuple, Stamp: ust},
+		Head:     keyedAt(dep.node, r.tuple, r.key, ust),
 		Cause:    cause,
 	})
 	if len(r.supports) == 0 {
@@ -1093,12 +1132,14 @@ func quickMatch(atom Atom, env Env, t Tuple) bool {
 // extending env in place. Returns false (env possibly partially extended;
 // callers clone, or unbind through unifyTrail's trail) on mismatch.
 func unifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
-	return unifyTrail(atom, nodeName, t, env, nil)
+	return unifyTrail(atom, nodeName, nil, t, env, nil)
 }
 
 // unifyTrail is unifyAtom recording, when trail is non-nil, every variable
 // it binds, so the caller can unbind them again instead of cloning env.
-func unifyTrail(atom Atom, nodeName string, t Tuple, env Env, trail *[]string) bool {
+// loc is Str(nodeName) already boxed (the engine keeps one per node), or
+// nil to box it if a location variable gets bound.
+func unifyTrail(atom Atom, nodeName string, loc Value, t Tuple, env Env, trail *[]string) bool {
 	if atom.Table != t.Table || len(atom.Args) != len(t.Args) {
 		return false
 	}
@@ -1110,7 +1151,10 @@ func unifyTrail(atom Atom, nodeName string, t Tuple, env Env, trail *[]string) b
 					return false
 				}
 			} else {
-				env[string(l)] = Str(nodeName)
+				if loc == nil {
+					loc = Str(nodeName)
+				}
+				env[string(l)] = loc
 				if trail != nil {
 					*trail = append(*trail, string(l))
 				}
@@ -1179,6 +1223,7 @@ func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st S
 		Rule:    r.Name,
 		Node:    evalNode,
 		Body:    b.body,
+		Refs:    b.refs,
 		Trigger: deltaAtom,
 	}
 	// Heads are always delivered through the work queue — local heads in
@@ -1190,7 +1235,7 @@ func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st S
 		e.stats.Messages++
 		tick += e.delay
 	}
-	d.Head = At{Node: destNode, Tuple: head} // stamp filled on delivery
+	d.Head = keyedAt(destNode, head, head.Key(), Stamp{}) // stamp filled on delivery
 	q := &e.queue
 	if e.cfPhase {
 		// Consequences of counterfactual changes stay in the
@@ -1204,7 +1249,6 @@ func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st S
 		node:  destNode,
 		tuple: head,
 		deriv: d,
-		refs:  b.refs,
 	}
 	heap.Push(q, it)
 	return it, nil

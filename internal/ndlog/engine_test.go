@@ -14,12 +14,37 @@ type recordingObserver struct {
 	underives  []Underivation
 }
 
-func (o *recordingObserver) OnBaseInsert(at At)          { o.inserts = append(o.inserts, at) }
-func (o *recordingObserver) OnBaseDelete(at At)          { o.deletes = append(o.deletes, at) }
-func (o *recordingObserver) OnAppear(at At, id int64)    { o.appears = append(o.appears, at) }
-func (o *recordingObserver) OnDisappear(at At, id int64) { o.disappears = append(o.disappears, at) }
-func (o *recordingObserver) OnDerive(d Derivation)       { o.derives = append(o.derives, d) }
-func (o *recordingObserver) OnUnderive(u Underivation)   { o.underives = append(o.underives, u) }
+// checked enforces the Observer contract on every callback of every test
+// that records: the key the engine hands over is the tuple's canonical key.
+func checked(at KeyedAt) At {
+	if at.Key != at.Tuple.Key() {
+		panic("observer got key " + at.Key + " for " + at.Tuple.String())
+	}
+	return at.At
+}
+
+func (o *recordingObserver) OnBaseInsert(at KeyedAt) { o.inserts = append(o.inserts, checked(at)) }
+func (o *recordingObserver) OnBaseDelete(at KeyedAt) { o.deletes = append(o.deletes, checked(at)) }
+func (o *recordingObserver) OnAppear(at KeyedAt, id int64) {
+	o.appears = append(o.appears, checked(at))
+}
+func (o *recordingObserver) OnDisappear(at KeyedAt, id int64) {
+	o.disappears = append(o.disappears, checked(at))
+}
+func (o *recordingObserver) OnDerive(d Derivation) {
+	checked(d.Head)
+	for i, b := range d.Body {
+		if want := (BodyRef{Node: b.Node, Key: b.Tuple.Key(), Seq: b.Stamp.Seq}); d.Refs[i] != want {
+			panic("derivation body and refs disagree at " + b.Tuple.String())
+		}
+	}
+	o.derives = append(o.derives, d)
+}
+func (o *recordingObserver) OnUnderive(u Underivation) {
+	checked(u.Head)
+	checked(u.Cause)
+	o.underives = append(o.underives, u)
+}
 
 const fwdProgram = `
 table flowEntry/3 base mutable;   // (prio, match, nextNode)

@@ -337,17 +337,19 @@ rule r c(X) :- a(@n, X), b(@n, X).
 }
 
 // TestQuickMatchAgreesWithUnify pins quickMatch's interface equality,
-// unifyAtom's unification, and the index-key encoding to one equality
-// relation across every Value kind, so the hash-index probe can never
-// diverge from unification semantics.
+// unifyAtom's unification, the index-key encoding, and Tuple.Equal against
+// Tuple.Key to one equality relation across every Value kind, so the
+// hash-index probe can never diverge from unification semantics and code
+// that compares tuples field by field (DiffProv's change dedup) agrees with
+// code that compares their keys.
 func TestQuickMatchAgreesWithUnify(t *testing.T) {
 	vals := []Value{
 		Int(0), Int(1), Int(-7),
-		Str(""), Str("x"), Str("x|y"),
+		Str(""), Str("x"), Str("x|y"), Str("1"), Str("i1"),
 		Bool(true), Bool(false),
-		MustParseIP("1.2.3.4"), MustParseIP("0.0.0.1"),
-		MustParsePrefix("10.0.0.0/8"), MustParsePrefix("10.0.0.0/16"),
-		ID(0), ID(7),
+		MustParseIP("1.2.3.4"), MustParseIP("0.0.0.1"), MustParseIP("10.0.0.0"),
+		MustParsePrefix("10.0.0.0/8"), MustParsePrefix("10.0.0.0/16"), MustParsePrefix("10.0.0.0/32"),
+		ID(0), ID(1), ID(7),
 	}
 	for _, a := range vals {
 		for _, b := range vals {
@@ -377,6 +379,24 @@ func TestQuickMatchAgreesWithUnify(t *testing.T) {
 			if (ka == kb) != eq {
 				t.Errorf("appendKey(%v)=%q vs appendKey(%v)=%q disagrees with == (%v)", a, ka, b, kb, eq)
 			}
+
+			// Tuple.Equal is Key equality, alone and beside a shared column.
+			for _, pair := range [][2]Tuple{
+				{NewTuple("t", a), tuple},
+				{NewTuple("t", Str("k"), a), NewTuple("t", Str("k"), b)},
+			} {
+				if got := pair[0].Equal(pair[1]); got != eq || got != (pair[0].Key() == pair[1].Key()) {
+					t.Errorf("%v.Equal(%v) = %v, keys equal %v, values equal %v", pair[0], pair[1], got, pair[0].Key() == pair[1].Key(), eq)
+				}
+			}
+		}
+	}
+	// Equal also separates what the key separates beyond the values: the
+	// table, the arity, and where a value sits.
+	one := NewTuple("t", Int(1), Str("x"))
+	for _, other := range []Tuple{NewTuple("u", Int(1), Str("x")), NewTuple("t", Int(1)), NewTuple("t", Str("x"), Int(1)), NewTuple("t", Int(1), Str("x"), Int(1))} {
+		if one.Equal(other) || one.Key() == other.Key() {
+			t.Errorf("%v and %v: Equal %v, keys %q %q", one, other, one.Equal(other), one.Key(), other.Key())
 		}
 	}
 	// Multi-column keys stay injective even with separator characters

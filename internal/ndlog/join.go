@@ -21,7 +21,7 @@ import "fmt"
 type binding struct {
 	env  Env
 	body []At      // per body atom: the matched tuple and its appearance stamp
-	refs []bodyRef // the same elements as support references, keys as the rows hold them
+	refs []BodyRef // the same elements as support references, keys as the rows hold them
 }
 
 // joinScratch is the state a firing enumerates in. It belongs to one
@@ -64,7 +64,7 @@ func (e *Engine) satBindings(r *Rule, deltaAtom int, nodeName string, delta Tupl
 	j.body = append(j.body[:0], make([]At, len(r.Body))...)
 	j.keys = append(j.keys[:0], make([]string, len(r.Body))...)
 	var err error
-	if unifyTrail(r.Body[deltaAtom], nodeName, delta, j.env, &j.trail) {
+	if unifyTrail(r.Body[deltaAtom], nodeName, e.locOf(nodeName), delta, j.env, &j.trail) {
 		j.body[deltaAtom] = At{Node: nodeName, Tuple: delta, Stamp: st}
 		j.keys[deltaAtom] = deltaKey
 		err = e.joinFrom(r, deltaAtom, nodeName, 0, st)
@@ -76,6 +76,15 @@ func (e *Engine) satBindings(r *Rule, deltaAtom int, nodeName string, delta Tupl
 		return nil, err
 	}
 	return sat, nil
+}
+
+// locOf returns Str(nodeName) as the node boxed it, or nil for a node the
+// engine has not seen (unifyTrail then boxes on demand).
+func (e *Engine) locOf(nodeName string) Value {
+	if n := e.nodes[nodeName]; n != nil {
+		return n.loc
+	}
+	return nil
 }
 
 // joinFrom extends the scratch binding over body atoms next.. (hash join in
@@ -123,7 +132,7 @@ func (e *Engine) joinFrom(r *Rule, deltaAtom int, evalNode string, next int, st 
 	v := string(atom.Loc.(Var))
 	for _, nn := range e.nodeOrder {
 		mark := len(j.trail)
-		j.bind(v, Str(nn))
+		j.bind(v, e.nodes[nn].loc)
 		err := e.joinNode(r, deltaAtom, evalNode, next, st, nn)
 		j.undo(mark)
 		if err != nil {
@@ -181,7 +190,10 @@ func (e *Engine) joinRow(r *Rule, deltaAtom int, evalNode string, next int, st S
 	}
 	mark := len(j.trail)
 	var err error
-	if unifyTrail(r.Body[next], nodeName, rw.tuple, j.env, &j.trail) {
+	// The atom's location is bound by now (joinFrom resolved or bound it) in
+	// every case but a pinned row under an unbound location variable, so no
+	// boxed node name is looked up here.
+	if unifyTrail(r.Body[next], nodeName, nil, rw.tuple, j.env, &j.trail) {
 		j.body[next] = At{Node: nodeName, Tuple: rw.tuple, Stamp: rw.appearedAt}
 		j.keys[next] = rw.key
 		err = e.joinFrom(r, deltaAtom, evalNode, next+1, st)
@@ -208,10 +220,10 @@ func (e *Engine) joinLeaf(r *Rule) error {
 		}
 	}
 	if ok {
-		b := binding{env: j.env.Clone(), body: make([]At, len(j.body)), refs: make([]bodyRef, len(j.body))}
+		b := binding{env: j.env.Clone(), body: make([]At, len(j.body)), refs: make([]BodyRef, len(j.body))}
 		copy(b.body, j.body)
 		for i, at := range j.body {
-			b.refs[i] = bodyRef{node: at.Node, key: j.keys[i], seq: at.Stamp.Seq}
+			b.refs[i] = BodyRef{Node: at.Node, Key: j.keys[i], Seq: at.Stamp.Seq}
 		}
 		j.sat = append(j.sat, b)
 	}

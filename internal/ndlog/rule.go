@@ -85,6 +85,43 @@ type Rule struct {
 	// Pos is the source position of the rule name (zero for API-built
 	// rules).
 	Pos Pos
+
+	// Variable lists every firing would otherwise re-derive, filled when the
+	// rule joins a Program: headVars is HeadVars(), groupVars the sorted
+	// group variables of a counting rule (see groupKey).
+	headVars  [][]string
+	groupVars []string
+}
+
+// HeadVars returns the free variables (FreeVars) of each head expression:
+// one list per Head.Args element, then one for Head.Loc if the head has a
+// location. The lists are shared and must not be modified.
+func (r *Rule) HeadVars() [][]string {
+	if r.headVars != nil {
+		return r.headVars
+	}
+	return headVarsOf(r)
+}
+
+func headVarsOf(r *Rule) [][]string {
+	vars := make([][]string, 0, len(r.Head.Args)+1)
+	for _, a := range r.Head.Args {
+		vars = append(vars, FreeVars(a))
+	}
+	if r.Head.Loc != nil {
+		vars = append(vars, FreeVars(r.Head.Loc))
+	}
+	return vars
+}
+
+// cacheVars fills the rule's variable lists afresh (the value may be an
+// edited copy of a rule from another program); called once, by the program
+// the rule is added to, before the rule is shared.
+func (r *Rule) cacheVars() {
+	r.headVars, r.groupVars = headVarsOf(r), nil
+	if r.CountVar != "" {
+		r.groupVars = groupVarsOf(r)
+	}
 }
 
 func (r Rule) String() string {
@@ -229,12 +266,7 @@ func (p *Program) AddRule(r Rule) error {
 	if _, dup := p.rulesByName[r.Name]; dup {
 		return fmt.Errorf("ndlog: duplicate rule name %s", r.Name)
 	}
-	rr := r
-	p.rules = append(p.rules, &rr)
-	p.rulesByName[r.Name] = &rr
-	for i, b := range rr.Body {
-		p.byBodyTable[b.Table] = append(p.byBodyTable[b.Table], ruleAtomRef{rule: &rr, atom: i})
-	}
+	p.addRuleUnchecked(r)
 	return nil
 }
 
@@ -243,6 +275,7 @@ func (p *Program) AddRule(r Rule) error {
 // the caller must have rejected duplicate names already.
 func (p *Program) addRuleUnchecked(r Rule) {
 	rr := r
+	rr.cacheVars()
 	p.rules = append(p.rules, &rr)
 	p.rulesByName[r.Name] = &rr
 	for i, b := range rr.Body {

@@ -44,10 +44,16 @@ func (b *Builder) Insert(node string, t ndlog.Tuple, tick int64) (ndlog.At, erro
 	if err := b.check(t); err != nil {
 		return ndlog.At{}, err
 	}
-	at := ndlog.At{Node: node, Tuple: t, Stamp: b.stamp(tick)}
+	at := b.keyed(node, t, tick)
 	b.rec.OnBaseInsert(at)
 	b.rec.OnAppear(at, 0)
-	return at, nil
+	return at.At, nil
+}
+
+// keyed stamps a reported occurrence and encodes its tuple's key: the
+// Builder stands where the engine does, so it is the one that computes it.
+func (b *Builder) keyed(node string, t ndlog.Tuple, tick int64) ndlog.KeyedAt {
+	return ndlog.KeyedAt{At: ndlog.At{Node: node, Tuple: t, Stamp: b.stamp(tick)}, Key: t.Key()}
 }
 
 // Derive reports a derived tuple: head derived on node via the named
@@ -74,22 +80,27 @@ func (b *Builder) Derive(rule, node string, head ndlog.Tuple, tick int64, body [
 		return ndlog.At{}, fmt.Errorf("provenance: trigger %d out of range", trigger)
 	}
 	b.deriveID++
-	hat := ndlog.At{Node: node, Tuple: head, Stamp: b.stamp(tick)}
+	hat := b.keyed(node, head, tick)
+	refs := make([]ndlog.BodyRef, len(body))
+	for i, at := range body {
+		refs[i] = ndlog.BodyRef{Node: at.Node, Key: at.Tuple.Key(), Seq: at.Stamp.Seq}
+	}
 	b.rec.OnDerive(ndlog.Derivation{
 		ID:      b.deriveID,
 		Rule:    rule,
 		Node:    node,
 		Head:    hat,
 		Body:    body,
+		Refs:    refs,
 		Trigger: trigger,
 	})
 	b.rec.OnAppear(hat, b.deriveID)
-	return hat, nil
+	return hat.At, nil
 }
 
 // Delete reports the deletion of a previously inserted base tuple.
 func (b *Builder) Delete(node string, t ndlog.Tuple, tick int64) error {
-	at := ndlog.At{Node: node, Tuple: t, Stamp: b.stamp(tick)}
+	at := b.keyed(node, t, tick)
 	b.rec.OnBaseDelete(at)
 	b.rec.OnDisappear(at, 0)
 	return nil

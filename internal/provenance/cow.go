@@ -1,5 +1,7 @@
 package provenance
 
+import "repro/internal/ndlog"
+
 // Copy-on-write graph forks.
 //
 // A counterfactual trial's provenance graph is the session's base-run
@@ -76,20 +78,8 @@ func (g *Graph) Fork() *Graph {
 	if !g.sealed {
 		panic("provenance: Fork of unsealed graph")
 	}
-	f := &Graph{
-		appearByRef:    map[string]int{},
-		openExist:      map[string]int{},
-		existByRef:     map[string]int{},
-		byDerive:       map[int64]int{},
-		appearsByTuple: map[string][]int{},
-		lastDisappear:  map[string]int{},
-		appearsByTable: map[string][]int{},
-		triggerParents: map[int][]int{},
-		headAppear:     map[int]int{},
-		existOf:        map[int]int{},
-		base:           g,
-		baseLen:        g.NumVertexes(),
-	}
+	f := emptyGraph()
+	f.base, f.baseLen = g, g.NumVertexes()
 	// Under the lock because sibling forks and readers of the shared base
 	// may fold concurrently.
 	g.foldMu.Lock()
@@ -138,33 +128,20 @@ func (g *Graph) mutableVertex(id int) *Vertex {
 // Map selectors: top-level functions (no closure allocation) that let the
 // chain walkers below address one index map per call site.
 
-func selAppearByRef(g *Graph) map[string]int      { return g.appearByRef }
-func selOpenExist(g *Graph) map[string]int        { return g.openExist }
-func selExistByRef(g *Graph) map[string]int       { return g.existByRef }
-func selLastDisappear(g *Graph) map[string]int    { return g.lastDisappear }
-func selHeadAppear(g *Graph) map[int]int          { return g.headAppear }
-func selExistOf(g *Graph) map[int]int             { return g.existOf }
-func selAppearsByTuple(g *Graph) map[string][]int { return g.appearsByTuple }
-func selAppearsByTable(g *Graph) map[string][]int { return g.appearsByTable }
-func selTriggerParents(g *Graph) map[int][]int    { return g.triggerParents }
+func selAppearByRef(g *Graph) map[ndlog.BodyRef]int       { return g.appearByRef }
+func selOpenExist(g *Graph) map[ndlog.TupleRef]int        { return g.openExist }
+func selExistByRef(g *Graph) map[ndlog.BodyRef]int        { return g.existByRef }
+func selLastDisappear(g *Graph) map[ndlog.TupleRef]int    { return g.lastDisappear }
+func selHeadAppear(g *Graph) map[int]int                  { return g.headAppear }
+func selExistOf(g *Graph) map[int]int                     { return g.existOf }
+func selAppearsByTuple(g *Graph) map[ndlog.TupleRef][]int { return g.appearsByTuple }
+func selAppearsByTable(g *Graph) map[tableRef][]int       { return g.appearsByTable }
+func selTriggerParents(g *Graph) map[int][]int            { return g.triggerParents }
 
-// lookupStr resolves a string-keyed vertex lookup through the chain. A
-// negative stored value is a deletion tombstone (only openExist stores
-// them; real vertex IDs are never negative).
-func (g *Graph) lookupStr(sel func(*Graph) map[string]int, key string) (int, bool) {
-	for gr := g; gr != nil; gr = gr.base {
-		if v, ok := sel(gr)[key]; ok {
-			if v < 0 {
-				return 0, false
-			}
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// lookupInt is lookupStr for int-keyed maps.
-func (g *Graph) lookupInt(sel func(*Graph) map[int]int, key int) (int, bool) {
+// lookup resolves a vertex lookup through the chain. A negative stored
+// value is a deletion tombstone (only openExist stores them; real vertex
+// IDs are never negative).
+func lookup[K comparable](g *Graph, sel func(*Graph) map[K]int, key K) (int, bool) {
 	for gr := g; gr != nil; gr = gr.base {
 		if v, ok := sel(gr)[key]; ok {
 			if v < 0 {
@@ -188,7 +165,7 @@ func (g *Graph) deriveVertex(id int64) (int, bool) {
 
 // deleteOpenExist removes a tuple's open-EXIST entry: deleted outright at
 // a chain root, tombstoned in a fork so the base entry stays shadowed.
-func (g *Graph) deleteOpenExist(tk string) {
+func (g *Graph) deleteOpenExist(tk ndlog.TupleRef) {
 	if g.base != nil {
 		g.openExist[tk] = -1
 	} else {
@@ -196,33 +173,22 @@ func (g *Graph) deleteOpenExist(tk string) {
 	}
 }
 
-// forEachStrSlice visits a key's effective slice entry in insertion
-// order. A fork's local entry is a tail appended after everything in
-// its base (IDs only grow along the chain), so the walk runs
-// deepest-base-first.
-func (g *Graph) forEachStrSlice(sel func(*Graph) map[string][]int, key string, fn func(id int)) {
+// forEachIn visits a key's effective slice entry in insertion order. A
+// fork's local entry is a tail appended after everything in its base (IDs
+// only grow along the chain), so the walk runs deepest-base-first.
+func forEachIn[K comparable](g *Graph, sel func(*Graph) map[K][]int, key K, fn func(id int)) {
 	if g.base != nil {
-		g.base.forEachStrSlice(sel, key, fn)
+		forEachIn(g.base, sel, key, fn)
 	}
 	for _, id := range sel(g)[key] {
 		fn(id)
 	}
 }
 
-// forEachIntSlice is forEachStrSlice for int-keyed maps.
-func (g *Graph) forEachIntSlice(sel func(*Graph) map[int][]int, key int, fn func(id int)) {
-	if g.base != nil {
-		g.base.forEachIntSlice(sel, key, fn)
-	}
-	for _, id := range sel(g)[key] {
-		fn(id)
-	}
-}
-
-// lastStrSlice returns the newest ID in a key's effective slice entry,
-// or -1. The topmost chain link with a non-empty local entry holds the
-// most recent append.
-func (g *Graph) lastStrSlice(sel func(*Graph) map[string][]int, key string) int {
+// lastIn returns the newest ID in a key's effective slice entry, or -1.
+// The topmost chain link with a non-empty local entry holds the most
+// recent append.
+func lastIn[K comparable](g *Graph, sel func(*Graph) map[K][]int, key K) int {
 	for gr := g; gr != nil; gr = gr.base {
 		if ids := sel(gr)[key]; len(ids) > 0 {
 			return ids[len(ids)-1]
@@ -231,17 +197,11 @@ func (g *Graph) lastStrSlice(sel func(*Graph) map[string][]int, key string) int 
 	return -1
 }
 
-// appendStrSlice appends id to a key's local slice entry. The base
-// chain's entries stay untouched and are concatenated on read
-// (forEachStrSlice) — appends are hot (one per APPEAR) and must not
-// re-copy a table-level index of the whole frozen base.
-func (g *Graph) appendStrSlice(sel func(*Graph) map[string][]int, key string, id int) {
-	m := sel(g)
-	m[key] = append(m[key], id)
-}
-
-// appendIntSlice is appendStrSlice for int-keyed maps.
-func (g *Graph) appendIntSlice(sel func(*Graph) map[int][]int, key int, id int) {
+// appendTo appends id to a key's local slice entry. The base chain's
+// entries stay untouched and are concatenated on read (forEachIn) —
+// appends are hot (one per APPEAR) and must not re-copy a table-level
+// index of the whole frozen base.
+func appendTo[K comparable](g *Graph, sel func(*Graph) map[K][]int, key K, id int) {
 	m := sel(g)
 	m[key] = append(m[key], id)
 }

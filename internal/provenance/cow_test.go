@@ -117,3 +117,59 @@ rule direct reach(@S, S, D) :- link(@S, S, D).
 		t.Error("fork of a fork lost the base's appearsByTuple entries")
 	}
 }
+
+// TestRecordCycleAllocationBudget bounds what recording costs once keys are
+// carried: one two-atom derivation whose head appears and disappears again,
+// on a fork (every lookup walks the overlay chain), must allocate its four
+// vertexes, their child slices and amortised index growth — and no key
+// string: 10 allocations. With per-callback key building (refKey's Sprintf
+// and boxing, tupleKey, a Tuple.Key per vertex label) the same cycle read
+// 29 at commit c85e625.
+func TestRecordCycleAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	prog := ndlog.MustParse(`
+table a/1 base;
+table b/1 base;
+table h/1;
+rule r h(@N, X) :- a(@N, X), b(@N, X).
+`)
+	keyed := func(t ndlog.Tuple, seq uint64) ndlog.KeyedAt {
+		return ndlog.KeyedAt{At: ndlog.At{Node: "n", Tuple: t, Stamp: ndlog.Stamp{T: 1, Seq: seq}}, Key: t.Key()}
+	}
+	base := NewRecorder(prog)
+	a, b := keyed(ndlog.NewTuple("a", ndlog.Int(1)), 1), keyed(ndlog.NewTuple("b", ndlog.Int(1)), 2)
+	for _, at := range []ndlog.KeyedAt{a, b} {
+		base.OnBaseInsert(at)
+		base.OnAppear(at, 0)
+	}
+	base.Seal()
+	rec := base.Fork()
+
+	body := []ndlog.At{a.At, b.At}
+	refs := []ndlog.BodyRef{{Node: "n", Key: a.Key, Seq: 1}, {Node: "n", Key: b.Key, Seq: 2}}
+	head := ndlog.NewTuple("h", ndlog.Int(1))
+	seq, id := uint64(2), int64(0)
+	cycle := func() {
+		seq, id = seq+2, id+1
+		up, down := keyed(head, seq), keyed(head, seq+1)
+		rec.OnDerive(ndlog.Derivation{ID: id, Rule: "r", Node: "n", Head: up, Body: body, Refs: refs, Trigger: 1})
+		rec.OnAppear(up, id)
+		rec.OnDisappear(down, 0)
+	}
+	const budget = 12
+	if got := testing.AllocsPerRun(500, cycle); got > budget {
+		t.Errorf("derive+appear+disappear on a fork: %.1f allocs, budget %d", got, budget)
+	}
+	// The cycles recorded what they should have: the last DERIVE has both
+	// body EXISTs as children and triggered on the second.
+	g := rec.Graph()
+	dv, ok := g.deriveVertex(id)
+	if !ok || len(g.Vertex(dv).Children) != 2 || g.Vertex(dv).Trigger != 1 {
+		t.Fatalf("last derivation recorded as %+v (found %v)", g.Vertex(dv), ok)
+	}
+	if g.NumVertexes() != base.Graph().NumVertexes()+4*int(id) {
+		t.Errorf("%d vertexes after %d cycles over a base of %d", g.NumVertexes(), id, base.Graph().NumVertexes())
+	}
+}

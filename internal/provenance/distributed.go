@@ -33,9 +33,10 @@ type shard struct {
 	// (counting rules derive locally, so chains are shard-local);
 	// Materialize folds a chain into the full contributor list.
 	aggDelta map[int]aggLink
-	// indexes mirroring the monolithic graph's, but shard-local.
-	appearByRef    map[string]int
-	existByRef     map[string]int
+	// indexes mirroring the monolithic graph's, but shard-local: by body
+	// reference as the engine reports it, and by tuple key alone.
+	appearByRef    map[ndlog.BodyRef]int
+	existByRef     map[ndlog.BodyRef]int
 	openExist      map[string]int
 	appearsByTuple map[string][]int
 	byDerive       map[int64]int
@@ -52,8 +53,8 @@ func newShard(node string) *shard {
 		node:           node,
 		remote:         map[int]map[int]remoteRef{},
 		aggDelta:       map[int]aggLink{},
-		appearByRef:    map[string]int{},
-		existByRef:     map[string]int{},
+		appearByRef:    map[ndlog.BodyRef]int{},
+		existByRef:     map[ndlog.BodyRef]int{},
 		openExist:      map[string]int{},
 		appearsByTuple: map[string][]int{},
 		byDerive:       map[int64]int{},
@@ -128,17 +129,17 @@ func (r *ShardedRecorder) ShardSize(node string) int {
 }
 
 // OnBaseInsert implements ndlog.Observer.
-func (r *ShardedRecorder) OnBaseInsert(at ndlog.At) {
+func (r *ShardedRecorder) OnBaseInsert(at ndlog.KeyedAt) {
 	s := r.shardFor(at.Node)
-	v := s.add(&Vertex{Type: Insert, Node: at.Node, Tuple: at.Tuple, At: at.Stamp})
+	v := s.add(&Vertex{Type: Insert, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp})
 	r.pendingInsert = remoteRef{node: at.Node, id: v.ID}
 	r.persistVertex(s, v, 0, -1)
 }
 
 // OnBaseDelete implements ndlog.Observer.
-func (r *ShardedRecorder) OnBaseDelete(at ndlog.At) {
+func (r *ShardedRecorder) OnBaseDelete(at ndlog.KeyedAt) {
 	s := r.shardFor(at.Node)
-	v := s.add(&Vertex{Type: Delete, Node: at.Node, Tuple: at.Tuple, At: at.Stamp})
+	v := s.add(&Vertex{Type: Delete, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp})
 	r.persistVertex(s, v, 0, -1)
 }
 
@@ -146,9 +147,9 @@ func (r *ShardedRecorder) OnBaseDelete(at ndlog.At) {
 // node that evaluated the rule; its body children may be remote.
 func (r *ShardedRecorder) OnDerive(d ndlog.Derivation) {
 	s := r.shardFor(d.Node)
-	v := &Vertex{Type: Derive, Node: d.Node, Tuple: d.Head.Tuple, Rule: d.Rule, At: d.Head.Stamp, Trigger: -1}
+	v := &Vertex{Type: Derive, Node: d.Node, Tuple: d.Head.Tuple, key: d.Head.Key, Rule: d.Rule, At: d.Head.Stamp, Trigger: -1}
 	slotRemote := map[int]remoteRef{}
-	for i, b := range d.Body {
+	for i, b := range d.Refs {
 		ref, ok := r.resolveBody(b)
 		if !ok {
 			continue
@@ -183,25 +184,24 @@ func (r *ShardedRecorder) OnDerive(d ndlog.Derivation) {
 	r.persistVertex(s, v, d.ID, -1)
 }
 
-func (r *ShardedRecorder) resolveBody(b ndlog.At) (remoteRef, bool) {
+func (r *ShardedRecorder) resolveBody(b ndlog.BodyRef) (remoteRef, bool) {
 	s, ok := r.shards[b.Node]
 	if !ok {
 		return remoteRef{}, false
 	}
-	key := fmt.Sprintf("%s|%d", b.Tuple.Key(), b.Stamp.Seq)
-	if id, ok := s.existByRef[key]; ok {
+	if id, ok := s.existByRef[b]; ok {
 		return remoteRef{node: b.Node, id: id}, true
 	}
-	if id, ok := s.appearByRef[key]; ok {
+	if id, ok := s.appearByRef[b]; ok {
 		return remoteRef{node: b.Node, id: id}, true
 	}
 	return remoteRef{}, false
 }
 
 // OnAppear implements ndlog.Observer.
-func (r *ShardedRecorder) OnAppear(at ndlog.At, deriveID int64) {
+func (r *ShardedRecorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 	s := r.shardFor(at.Node)
-	ap := &Vertex{Type: Appear, Node: at.Node, Tuple: at.Tuple, At: at.Stamp}
+	ap := &Vertex{Type: Appear, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp}
 	var remoteCause *remoteRef
 	if deriveID != 0 {
 		// The producing DERIVE may live on another node (remote head).
@@ -227,35 +227,35 @@ func (r *ShardedRecorder) OnAppear(at ndlog.At, deriveID int64) {
 	if remoteCause != nil {
 		s.remote[ap.ID] = map[int]remoteRef{0: *remoteCause}
 	}
-	key := fmt.Sprintf("%s|%d", at.Tuple.Key(), at.Stamp.Seq)
-	s.appearByRef[key] = ap.ID
-	s.appearsByTuple[at.Tuple.Key()] = append(s.appearsByTuple[at.Tuple.Key()], ap.ID)
+	ref := at.Ref()
+	s.appearByRef[ref] = ap.ID
+	s.appearsByTuple[at.Key] = append(s.appearsByTuple[at.Key], ap.ID)
 	r.persistVertex(s, ap, 0, -1)
 
 	decl := r.prog.Decl(at.Tuple.Table)
 	if decl != nil && decl.Event {
 		return
 	}
-	ex := &Vertex{Type: Exist, Node: at.Node, Tuple: at.Tuple,
+	ex := &Vertex{Type: Exist, Node: at.Node, Tuple: at.Tuple, key: at.Key,
 		Span: ndlog.Interval{From: at.Stamp, Open: true}, Children: []int{ap.ID}}
 	s.add(ex)
-	s.existByRef[key] = ex.ID
-	s.openExist[at.Tuple.Key()] = ex.ID
+	s.existByRef[ref] = ex.ID
+	s.openExist[at.Key] = ex.ID
 	r.persistVertex(s, ex, 0, -1)
 }
 
 // OnDisappear implements ndlog.Observer.
-func (r *ShardedRecorder) OnDisappear(at ndlog.At, underiveID int64) {
+func (r *ShardedRecorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 	s := r.shardFor(at.Node)
 	closedExist := -1
-	if exID, ok := s.openExist[at.Tuple.Key()]; ok {
+	if exID, ok := s.openExist[at.Key]; ok {
 		ex := s.vertexes[exID]
 		ex.Span.To = at.Stamp
 		ex.Span.Open = false
-		delete(s.openExist, at.Tuple.Key())
+		delete(s.openExist, at.Key)
 		closedExist = exID
 	}
-	v := s.add(&Vertex{Type: Disappear, Node: at.Node, Tuple: at.Tuple, At: at.Stamp})
+	v := s.add(&Vertex{Type: Disappear, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp})
 	// The EXIST record was written while its span was still open; the
 	// closure rides on this DISAPPEAR record instead of rewriting it.
 	r.persistVertex(s, v, 0, closedExist)
@@ -264,7 +264,7 @@ func (r *ShardedRecorder) OnDisappear(at ndlog.At, underiveID int64) {
 // OnUnderive implements ndlog.Observer.
 func (r *ShardedRecorder) OnUnderive(u ndlog.Underivation) {
 	s := r.shardFor(u.Node)
-	v := s.add(&Vertex{Type: Underive, Node: u.Node, Tuple: u.Head.Tuple, Rule: u.Rule, At: u.Head.Stamp})
+	v := s.add(&Vertex{Type: Underive, Node: u.Node, Tuple: u.Head.Tuple, key: u.Head.Key, Rule: u.Rule, At: u.Head.Stamp})
 	r.persistVertex(s, v, 0, -1)
 }
 

@@ -11,13 +11,13 @@ import (
 // compared vertex for vertex.
 type teeObserver struct{ a, b ndlog.Observer }
 
-func (t teeObserver) OnBaseInsert(at ndlog.At) { t.a.OnBaseInsert(at); t.b.OnBaseInsert(at) }
-func (t teeObserver) OnBaseDelete(at ndlog.At) { t.a.OnBaseDelete(at); t.b.OnBaseDelete(at) }
-func (t teeObserver) OnAppear(at ndlog.At, id int64) {
+func (t teeObserver) OnBaseInsert(at ndlog.KeyedAt) { t.a.OnBaseInsert(at); t.b.OnBaseInsert(at) }
+func (t teeObserver) OnBaseDelete(at ndlog.KeyedAt) { t.a.OnBaseDelete(at); t.b.OnBaseDelete(at) }
+func (t teeObserver) OnAppear(at ndlog.KeyedAt, id int64) {
 	t.a.OnAppear(at, id)
 	t.b.OnAppear(at, id)
 }
-func (t teeObserver) OnDisappear(at ndlog.At, id int64) {
+func (t teeObserver) OnDisappear(at ndlog.KeyedAt, id int64) {
 	t.a.OnDisappear(at, id)
 	t.b.OnDisappear(at, id)
 }

@@ -83,12 +83,13 @@ func (g *Graph) fpOf(id int) uint64 {
 }
 
 // fnvLabel digests the fields Label() renders, with separators so that
-// field boundaries cannot alias.
+// field boundaries cannot alias. The tuple enters as its canonical key —
+// the vertex's carried copy, byte for byte what Tuple.Key() encodes.
 func fnvLabel(v *Vertex) uint64 {
 	h := fnvByte(fnvOffset, byte(v.Type))
 	h = fnvString(h, v.Node)
 	h = fnvByte(h, 0)
-	h = fnvString(h, v.Tuple.Key())
+	h = fnvString(h, v.key)
 	h = fnvByte(h, 0)
 	h = fnvString(h, v.Rule)
 	h = fnvByte(h, 0)

@@ -48,7 +48,12 @@ type Vertex struct {
 	Type  VertexType
 	Node  string
 	Tuple ndlog.Tuple
-	Rule  string // rule name, for DERIVE/UNDERIVE
+	// key is Tuple's canonical key: the string whoever reported the vertex
+	// (the engine, the Builder, the shard loader) computed when the row or
+	// occurrence was created. Vertexes share it with the engine's rows; the
+	// indexes and fingerprints below use it and never re-encode Tuple.
+	key  string
+	Rule string // rule name, for DERIVE/UNDERIVE
 
 	// At is the event time for point vertexes (all but EXIST).
 	At ndlog.Stamp
@@ -95,6 +100,10 @@ func (v *Vertex) Label() string {
 	return sb.String()
 }
 
+// TupleRef identifies the vertex's tuple on its node by the carried key,
+// for callers that index vertexes by tuple.
+func (v *Vertex) TupleRef() ndlog.TupleRef { return ndlog.TupleRef{Node: v.Node, Key: v.key} }
+
 func (v *Vertex) String() string {
 	if v.Type == Exist {
 		to := "now"
@@ -111,22 +120,22 @@ func (v *Vertex) String() string {
 type Graph struct {
 	vertexes []*Vertex
 
-	// appearByRef locates the APPEAR vertex for a tuple appearance,
-	// keyed by node|tupleKey|appearSeq (the engine's body references).
-	appearByRef map[string]int
-	// openExist tracks the currently-open EXIST vertex per node|tupleKey.
-	openExist map[string]int
-	// existByRef maps node|tupleKey|appearSeq to the EXIST vertex opened
-	// by that appearance.
-	existByRef map[string]int
+	// appearByRef locates the APPEAR vertex for a tuple appearance, keyed
+	// by the engine's body reference {node, tuple key, appearance seq}.
+	appearByRef map[ndlog.BodyRef]int
+	// openExist tracks the currently-open EXIST vertex per {node, tuple key}.
+	openExist map[ndlog.TupleRef]int
+	// existByRef maps a body reference to the EXIST vertex opened by that
+	// appearance.
+	existByRef map[ndlog.BodyRef]int
 	// byDerive maps engine derivation IDs to DERIVE vertex IDs.
 	byDerive map[int64]int
-	// appearsByTuple indexes APPEAR vertexes by node|tupleKey in order.
-	appearsByTuple map[string][]int
-	// lastDisappear maps node|tupleKey to the latest DISAPPEAR vertex.
-	lastDisappear map[string]int
-	// appearsByTable indexes APPEAR vertexes by node|table for queries.
-	appearsByTable map[string][]int
+	// appearsByTuple indexes APPEAR vertexes by {node, tuple key} in order.
+	appearsByTuple map[ndlog.TupleRef][]int
+	// lastDisappear maps {node, tuple key} to the latest DISAPPEAR vertex.
+	lastDisappear map[ndlog.TupleRef]int
+	// appearsByTable indexes APPEAR vertexes by {node, table} for queries.
+	appearsByTable map[tableRef][]int
 	// triggerParents maps a vertex (EXIST or APPEAR) to the DERIVE
 	// vertexes it triggered, for walking derivation chains upward.
 	triggerParents map[int][]int
@@ -156,20 +165,29 @@ type Graph struct {
 	sealed   bool
 }
 
+// tableRef identifies a table on a node.
+type tableRef struct{ node, table string }
+
 // NewGraph creates an empty provenance graph.
 func NewGraph() *Graph {
+	g := emptyGraph()
+	g.foldMemo = map[uint64][]int{}
+	return g
+}
+
+// emptyGraph returns a graph (or fork overlay) with empty index maps.
+func emptyGraph() *Graph {
 	return &Graph{
-		appearByRef:    map[string]int{},
-		openExist:      map[string]int{},
-		existByRef:     map[string]int{},
+		appearByRef:    map[ndlog.BodyRef]int{},
+		openExist:      map[ndlog.TupleRef]int{},
+		existByRef:     map[ndlog.BodyRef]int{},
 		byDerive:       map[int64]int{},
-		appearsByTuple: map[string][]int{},
-		lastDisappear:  map[string]int{},
-		appearsByTable: map[string][]int{},
+		appearsByTuple: map[ndlog.TupleRef][]int{},
+		lastDisappear:  map[ndlog.TupleRef]int{},
+		appearsByTable: map[tableRef][]int{},
 		triggerParents: map[int][]int{},
 		headAppear:     map[int]int{},
 		existOf:        map[int]int{},
-		foldMemo:       map[uint64][]int{},
 	}
 }
 
@@ -200,19 +218,11 @@ func (g *Graph) add(v *Vertex) *Vertex {
 	return v
 }
 
-func refKey(node string, t ndlog.Tuple, seq uint64) string {
-	return fmt.Sprintf("%s|%s|%d", node, t.Key(), seq)
-}
-
-func tupleKey(node string, t ndlog.Tuple) string {
-	return node + "|" + t.Key()
-}
-
 // AppearVertexes returns the APPEAR vertex IDs for the exact tuple on the
 // node, in chronological order.
 func (g *Graph) AppearVertexes(node string, t ndlog.Tuple) []int {
 	var out []int
-	g.forEachStrSlice(selAppearsByTuple, tupleKey(node, t), func(id int) {
+	forEachIn(g, selAppearsByTuple, ndlog.TupleRef{Node: node, Key: t.Key()}, func(id int) {
 		out = append(out, id)
 	})
 	return out
@@ -223,7 +233,7 @@ func (g *Graph) AppearVertexes(node string, t ndlog.Tuple) []int {
 // entry point: "the packet that arrived at web server 2" is an APPEAR.
 func (g *Graph) FindAppears(node, table string, pred func(ndlog.Tuple) bool) []*Vertex {
 	var out []*Vertex
-	g.forEachStrSlice(selAppearsByTable, node+"|"+table, func(id int) {
+	forEachIn(g, selAppearsByTable, tableRef{node: node, table: table}, func(id int) {
 		v := g.vertex(id)
 		if pred == nil || pred(v.Tuple) {
 			out = append(out, v)
@@ -235,7 +245,7 @@ func (g *Graph) FindAppears(node, table string, pred func(ndlog.Tuple) bool) []*
 // LastAppear returns the most recent APPEAR of the tuple on the node, or
 // nil.
 func (g *Graph) LastAppear(node string, t ndlog.Tuple) *Vertex {
-	id := g.lastStrSlice(selAppearsByTuple, tupleKey(node, t))
+	id := lastIn(g, selAppearsByTuple, ndlog.TupleRef{Node: node, Key: t.Key()})
 	if id < 0 {
 		return nil
 	}
@@ -247,7 +257,7 @@ func (g *Graph) LastAppear(node string, t ndlog.Tuple) *Vertex {
 // appear). Following these walks a derivation chain from a seed upward.
 func (g *Graph) TriggerParents(id int) []int {
 	var out []int
-	g.forEachIntSlice(selTriggerParents, id, func(p int) {
+	forEachIn(g, selTriggerParents, id, func(p int) {
 		out = append(out, p)
 	})
 	return out
@@ -256,7 +266,7 @@ func (g *Graph) TriggerParents(id int) []int {
 // HeadAppear returns the APPEAR vertex of the head tuple produced by the
 // given DERIVE (or following a base INSERT), or -1.
 func (g *Graph) HeadAppear(id int) int {
-	if a, ok := g.lookupInt(selHeadAppear, id); ok {
+	if a, ok := lookup(g, selHeadAppear, id); ok {
 		return a
 	}
 	return -1
@@ -265,7 +275,7 @@ func (g *Graph) HeadAppear(id int) int {
 // ExistOf returns the EXIST vertex opened by the given APPEAR, or -1 for
 // event tuples (which never exist as state).
 func (g *Graph) ExistOf(appearID int) int {
-	if e, ok := g.lookupInt(selExistOf, appearID); ok {
+	if e, ok := lookup(g, selExistOf, appearID); ok {
 		return e
 	}
 	return -1

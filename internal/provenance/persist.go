@@ -444,6 +444,10 @@ func OpenStoredShards(prog *ndlog.Program, dir string) (*ShardedRecorder, error)
 			}
 			v := rec.v // copy
 			v.Node = node
+			// The record holds the tuple, not its key: the loader is the
+			// one place that encodes it, once, for the vertex and every
+			// index entry below.
+			v.key = v.Tuple.Key()
 			added := s.add(&v)
 			if added.ID != ord {
 				return fmt.Errorf("record %d loaded as vertex %d", ord, added.ID)
@@ -457,25 +461,23 @@ func OpenStoredShards(prog *ndlog.Program, dir string) (*ShardedRecorder, error)
 			if rec.deriveID != 0 {
 				s.byDerive[rec.deriveID] = ord
 			}
-			key := fmt.Sprintf("%s|%d", v.Tuple.Key(), v.At.Seq)
 			switch v.Type {
 			case Appear:
-				s.appearByRef[key] = ord
-				s.appearsByTuple[v.Tuple.Key()] = append(s.appearsByTuple[v.Tuple.Key()], ord)
+				s.appearByRef[ndlog.BodyRef{Node: node, Key: v.key, Seq: v.At.Seq}] = ord
+				s.appearsByTuple[v.key] = append(s.appearsByTuple[v.key], ord)
 			case Exist:
-				// The EXIST's reference key uses the APPEAR stamp it wraps.
-				exKey := fmt.Sprintf("%s|%d", v.Tuple.Key(), v.Span.From.Seq)
-				s.existByRef[exKey] = ord
+				// The EXIST's reference uses the APPEAR stamp it wraps.
+				s.existByRef[ndlog.BodyRef{Node: node, Key: v.key, Seq: v.Span.From.Seq}] = ord
 				if v.Span.Open {
-					s.openExist[v.Tuple.Key()] = ord
+					s.openExist[v.key] = ord
 				}
 			case Disappear:
 				if rec.closedExist >= 0 && rec.closedExist < len(s.vertexes) {
 					ex := s.vertexes[rec.closedExist]
 					ex.Span.To = v.At
 					ex.Span.Open = false
-					if cur, ok := s.openExist[ex.Tuple.Key()]; ok && cur == rec.closedExist {
-						delete(s.openExist, ex.Tuple.Key())
+					if cur, ok := s.openExist[ex.key]; ok && cur == rec.closedExist {
+						delete(s.openExist, ex.key)
 					}
 				}
 			}

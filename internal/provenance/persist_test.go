@@ -1,6 +1,9 @@
 package provenance
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ndlog"
@@ -221,5 +224,64 @@ func TestShardStorageUnattached(t *testing.T) {
 	}
 	if err := r.CloseShardStorage(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardLogFromBeforeCarriedKeysLoads: testdata/shards-c85e625 is the
+// store driveShardScenario wrote at commit c85e625, when shard indexes
+// were keyed by "tupleKey|seq" strings. Records hold tuples, not keys, so
+// the struct-keyed indexes must rebuild from it unchanged: the recovered
+// shards equal a live recording, their trees hash the same (loaded keys
+// against engine-supplied ones), and today's writer still produces those
+// very bytes.
+func TestShardLogFromBeforeCarriedKeysLoads(t *testing.T) {
+	const golden = "testdata/shards-c85e625"
+	files, err := os.ReadDir(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := shardProg(t)
+	dir, fresh := t.TempDir(), t.TempDir()
+	live := NewShardedRecorder(prog, WithShardStorage(fresh))
+	driveShardScenario(t, live)
+	if err := live.CloseShardStorage(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		want, err := os.ReadFile(filepath.Join(golden, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(fresh, f.Name())); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: today's writer produces different bytes (err %v)", f.Name(), err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cold, err := OpenStoredShards(prog, dir)
+	if err != nil {
+		t.Fatalf("OpenStoredShards: %v", err)
+	}
+	defer cold.CloseShardStorage()
+	compareShards(t, live, cold)
+	for _, arrival := range []struct{ node, ip string }{{"h1", "10.1.2.3"}, {"h2", "10.9.9.9"}} {
+		pkt := ndlog.NewTuple("packet", ndlog.MustParseIP(arrival.ip))
+		id, ok := cold.LastAppear(arrival.node, pkt)
+		if want, _ := live.LastAppear(arrival.node, pkt); !ok || id != want {
+			t.Fatalf("%s: LastAppear = %d, %v; live has %d", arrival.node, id, ok, want)
+		}
+		wantTree, err := live.Materialize(arrival.node, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTree, err := cold.Materialize(arrival.node, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotTree.Fingerprint() != wantTree.Fingerprint() {
+			t.Errorf("%s: recovered tree hashes %x, live %x", arrival.node, gotTree.Fingerprint(), wantTree.Fingerprint())
+		}
 	}
 }

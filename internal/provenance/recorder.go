@@ -68,14 +68,14 @@ func NewRecorder(prog *ndlog.Program, opts ...RecorderOption) *Recorder {
 func (r *Recorder) Graph() *Graph { return r.graph }
 
 // OnBaseInsert implements ndlog.Observer.
-func (r *Recorder) OnBaseInsert(at ndlog.At) {
-	v := r.graph.add(&Vertex{Type: Insert, Node: at.Node, Tuple: at.Tuple, At: at.Stamp})
+func (r *Recorder) OnBaseInsert(at ndlog.KeyedAt) {
+	v := r.graph.add(&Vertex{Type: Insert, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp})
 	r.pendingInsert = v.ID
 }
 
 // OnBaseDelete implements ndlog.Observer.
-func (r *Recorder) OnBaseDelete(at ndlog.At) {
-	v := r.graph.add(&Vertex{Type: Delete, Node: at.Node, Tuple: at.Tuple, At: at.Stamp})
+func (r *Recorder) OnBaseDelete(at ndlog.KeyedAt) {
+	v := r.graph.add(&Vertex{Type: Delete, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp})
 	r.pendingDelete = v.ID
 }
 
@@ -89,11 +89,12 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 		Type:    Derive,
 		Node:    d.Node,
 		Tuple:   d.Head.Tuple,
+		key:     d.Head.Key,
 		Rule:    d.Rule,
 		At:      d.Head.Stamp,
 		Trigger: -1,
 	}
-	for i, b := range d.Body {
+	for i, b := range d.Refs {
 		child := r.bodyVertex(b)
 		if child < 0 {
 			continue
@@ -107,7 +108,7 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 	r.graph.byDerive[d.ID] = v.ID
 	if v.Trigger >= 0 {
 		trig := v.Children[v.Trigger]
-		r.graph.appendIntSlice(selTriggerParents, trig, v.ID)
+		appendTo(r.graph, selTriggerParents, trig, v.ID)
 	}
 }
 
@@ -124,6 +125,7 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 		Type:       Derive,
 		Node:       d.Node,
 		Tuple:      d.Head.Tuple,
+		key:        d.Head.Key,
 		Rule:       d.Rule,
 		At:         d.Head.Stamp,
 		Trigger:    -1,
@@ -136,8 +138,8 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 			v.aggPrev = pv
 		}
 	}
-	if len(d.Body) > 0 {
-		v.aggContrib = r.bodyVertex(d.Body[0])
+	if len(d.Refs) > 0 {
+		v.aggContrib = r.bodyVertex(d.Refs[0])
 	}
 	if r.eagerAgg {
 		// Reference mode: fold the predecessor's list and append the new
@@ -156,27 +158,26 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 	r.graph.add(v)
 	r.graph.byDerive[d.ID] = v.ID
 	if v.aggContrib >= 0 {
-		r.graph.appendIntSlice(selTriggerParents, v.aggContrib, v.ID)
+		appendTo(r.graph, selTriggerParents, v.aggContrib, v.ID)
 	}
 }
 
 // bodyVertex resolves a derivation body reference to its cause vertex:
 // the EXIST vertex of the appearance for state tuples, or the APPEAR
 // vertex itself for event tuples (which never exist as state).
-func (r *Recorder) bodyVertex(b ndlog.At) int {
-	key := refKey(b.Node, b.Tuple, b.Stamp.Seq)
-	if id, ok := r.graph.lookupStr(selExistByRef, key); ok {
+func (r *Recorder) bodyVertex(b ndlog.BodyRef) int {
+	if id, ok := lookup(r.graph, selExistByRef, b); ok {
 		return id
 	}
-	if id, ok := r.graph.lookupStr(selAppearByRef, key); ok {
+	if id, ok := lookup(r.graph, selAppearByRef, b); ok {
 		return id
 	}
 	return -1
 }
 
 // OnAppear implements ndlog.Observer.
-func (r *Recorder) OnAppear(at ndlog.At, deriveID int64) {
-	ap := &Vertex{Type: Appear, Node: at.Node, Tuple: at.Tuple, At: at.Stamp}
+func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
+	ap := &Vertex{Type: Appear, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp}
 	if deriveID != 0 {
 		if dv, ok := r.graph.deriveVertex(deriveID); ok {
 			ap.Children = append(ap.Children, dv)
@@ -190,12 +191,10 @@ func (r *Recorder) OnAppear(at ndlog.At, deriveID int64) {
 		r.graph.headAppear[ap.Children[0]] = ap.ID
 	}
 
-	key := refKey(at.Node, at.Tuple, at.Stamp.Seq)
-	tk := tupleKey(at.Node, at.Tuple)
-	r.graph.appearByRef[key] = ap.ID
-	r.graph.appendStrSlice(selAppearsByTuple, tk, ap.ID)
-	tblKey := at.Node + "|" + at.Tuple.Table
-	r.graph.appendStrSlice(selAppearsByTable, tblKey, ap.ID)
+	ref, tk := at.Ref(), at.TupleRef()
+	r.graph.appearByRef[ref] = ap.ID
+	appendTo(r.graph, selAppearsByTuple, tk, ap.ID)
+	appendTo(r.graph, selAppearsByTable, tableRef{node: at.Node, table: at.Tuple.Table}, ap.ID)
 
 	decl := r.prog.Decl(at.Tuple.Table)
 	if decl != nil && decl.Event {
@@ -205,12 +204,13 @@ func (r *Recorder) OnAppear(at ndlog.At, deriveID int64) {
 		Type:     Exist,
 		Node:     at.Node,
 		Tuple:    at.Tuple,
+		key:      at.Key,
 		Span:     ndlog.Interval{From: at.Stamp, Open: true},
 		Children: []int{ap.ID},
 	}
 	r.graph.add(ex)
 	r.graph.openExist[tk] = ex.ID
-	r.graph.existByRef[key] = ex.ID
+	r.graph.existByRef[ref] = ex.ID
 	r.graph.existOf[ap.ID] = ex.ID
 }
 
@@ -220,12 +220,13 @@ func (r *Recorder) OnUnderive(u ndlog.Underivation) {
 		Type:  Underive,
 		Node:  u.Node,
 		Tuple: u.Head.Tuple,
+		key:   u.Head.Key,
 		Rule:  u.Rule,
 		At:    u.Head.Stamp,
 	}
 	// The cause of the underivation is the disappearance of the body
 	// tuple that vanished.
-	if dv, ok := r.graph.lookupStr(selLastDisappear, tupleKey(u.Cause.Node, u.Cause.Tuple)); ok {
+	if dv, ok := lookup(r.graph, selLastDisappear, u.Cause.TupleRef()); ok {
 		v.Children = append(v.Children, dv)
 	}
 	r.graph.add(v)
@@ -233,15 +234,15 @@ func (r *Recorder) OnUnderive(u ndlog.Underivation) {
 }
 
 // OnDisappear implements ndlog.Observer.
-func (r *Recorder) OnDisappear(at ndlog.At, underiveID int64) {
-	tk := tupleKey(at.Node, at.Tuple)
-	if exID, ok := r.graph.lookupStr(selOpenExist, tk); ok {
+func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
+	tk := at.TupleRef()
+	if exID, ok := lookup(r.graph, selOpenExist, tk); ok {
 		ex := r.graph.mutableVertex(exID)
 		ex.Span.To = at.Stamp
 		ex.Span.Open = false
 		r.graph.deleteOpenExist(tk)
 	}
-	dis := &Vertex{Type: Disappear, Node: at.Node, Tuple: at.Tuple, At: at.Stamp}
+	dis := &Vertex{Type: Disappear, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp}
 	if underiveID != 0 {
 		if uv, ok := r.underiveOf(underiveID); ok {
 			dis.Children = append(dis.Children, uv)

@@ -122,3 +122,28 @@ func TestScenarioDescriptions(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenFingerprints pins the structural hashes of the reference and
+// diagnostic trees to the literal values the commit before tuple keys were
+// carried (c85e625) produced. A vertex's label hash digests the tuple's
+// canonical key; the recorder now hashes the string the engine — or, for
+// the instrumented MR1-I, the Builder — handed it instead of re-encoding
+// the tuple, and the fingerprints must not notice.
+func TestGoldenFingerprints(t *testing.T) {
+	for _, want := range []struct {
+		name      string
+		good, bad uint64
+	}{
+		{"SDN1", 0x2ac29f3064d0a0b2, 0x9ff8bad576dc702a},
+		{"MR1-D", 0x93cf2c174b32ba3e, 0xf37c3c9233a296ae},
+		{"MR1-I", 0x60ac44185110e319, 0x1634a4f3640f7a8c},
+	} {
+		s, err := Build(want.name, Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if good, bad := s.Good.Fingerprint(), s.Bad.Fingerprint(); good != want.good || bad != want.bad {
+			t.Errorf("%s: fingerprints good %#016x bad %#016x, want %#016x %#016x", want.name, good, bad, want.good, want.bad)
+		}
+	}
+}
