@@ -134,16 +134,16 @@ func (s *solver) solveExpr(e ndlog.Expr, target ndlog.Value, src bindSource) err
 
 // solveVars is solveExpr given e's free variables.
 func (s *solver) solveVars(e ndlog.Expr, vars []string, target ndlog.Value, src bindSource) error {
-	unknowns := s.unknownOf(vars)
-	switch len(unknowns) {
+	unknown, n := s.unknownOf(vars)
+	switch n {
 	case 0:
 		return nil // fully bound; verification happens later
 	case 1:
 		// The count variable of aggregates is bound specially.
-		if unknowns[0] == s.rule.CountVar && s.rule.CountVar != "" {
+		if unknown == s.rule.CountVar && s.rule.CountVar != "" {
 			return s.bind(s.rule.CountVar, target, src)
 		}
-		cands, err := ndlog.InvertChecked(e, target, unknowns[0], s.envB)
+		cands, err := ndlog.InvertChecked(e, target, unknown, s.envB)
 		if err == ndlog.ErrNonInvertible {
 			return nil // leave unbound; defaults or inverse rules may help
 		}
@@ -155,7 +155,7 @@ func (s *solver) solveVars(e ndlog.Expr, vars []string, target ndlog.Value, src 
 		}
 		// Prefer the candidate matching the good world (minimal change).
 		chosen := cands[0]
-		if gv, ok := s.envG[unknowns[0]]; ok {
+		if gv, ok := s.envG[unknown]; ok {
 			for _, c := range cands {
 				if c == gv {
 					chosen = c
@@ -163,26 +163,24 @@ func (s *solver) solveVars(e ndlog.Expr, vars []string, target ndlog.Value, src 
 				}
 			}
 		}
-		return s.bind(unknowns[0], chosen, src)
+		return s.bind(unknown, chosen, src)
 	default:
 		return nil // underdetermined; handled by defaults
 	}
 }
 
-func (s *solver) unknownVars(e ndlog.Expr) []string {
-	return s.unknownOf(ndlog.FreeVars(e))
-}
-
-// unknownOf filters a variable list down to those the bad-world binding
-// does not hold yet.
-func (s *solver) unknownOf(vars []string) []string {
-	var out []string
+// unknownOf counts the variables of a list that the bad-world binding does
+// not hold yet, and returns the first of them.
+func (s *solver) unknownOf(vars []string) (first string, n int) {
 	for _, v := range vars {
 		if _, ok := s.envB[v]; !ok {
-			out = append(out, v)
+			if n == 0 {
+				first = v
+			}
+			n++
 		}
 	}
-	return out
+	return first, n
 }
 
 // propagate runs the fixpoint over assignments (forward and inverted) and
@@ -195,7 +193,7 @@ func (s *solver) propagate(expected *ndlog.At) {
 		changed = false
 		before := len(s.envB)
 		for _, a := range s.rule.Assigns {
-			if _, ok := s.envB[a.Var]; !ok && len(s.unknownVars(a.Expr)) == 0 {
+			if _, ok := s.envB[a.Var]; !ok && ndlog.Bound(a.Expr, s.envB) {
 				if v, err := a.Expr.Eval(s.envB); err == nil {
 					s.bind(a.Var, v, fromAssign)
 				}
@@ -204,7 +202,7 @@ func (s *solver) propagate(expected *ndlog.At) {
 			}
 		}
 		for _, inv := range s.rule.Inverses {
-			if _, ok := s.envB[inv.Var]; !ok && len(s.unknownVars(inv.Expr)) == 0 {
+			if _, ok := s.envB[inv.Var]; !ok && ndlog.Bound(inv.Expr, s.envB) {
 				if v, err := inv.Expr.Eval(s.envB); err == nil {
 					s.bind(inv.Var, v, fromAssign)
 				}
@@ -238,7 +236,7 @@ func (s *solver) propagate(expected *ndlog.At) {
 	}
 	// Re-run assignment forward evaluation now that defaults are in.
 	for _, a := range s.rule.Assigns {
-		if _, ok := s.envB[a.Var]; !ok && len(s.unknownVars(a.Expr)) == 0 {
+		if _, ok := s.envB[a.Var]; !ok && ndlog.Bound(a.Expr, s.envB) {
 			if v, err := a.Expr.Eval(s.envB); err == nil {
 				s.bind(a.Var, v, fromAssign)
 			}
@@ -341,14 +339,7 @@ func (s *solver) defaultedVarsOf(atom ndlog.Atom) []string {
 // ignoring constraints whose variables are not all bound.
 func constraintsHold(rule *ndlog.Rule, env ndlog.Env) bool {
 	for _, wc := range rule.Where {
-		allBound := true
-		for _, v := range ndlog.FreeVars(wc) {
-			if _, ok := env[v]; !ok {
-				allBound = false
-				break
-			}
-		}
-		if !allBound {
+		if !ndlog.Bound(wc, env) {
 			continue
 		}
 		ok, err := ndlog.EvalBool(wc, env)
@@ -364,14 +355,7 @@ func constraintsHold(rule *ndlog.Rule, env ndlog.Env) bool {
 func headConsistent(rule *ndlog.Rule, env ndlog.Env, expected ndlog.At) bool {
 	trial := env.Clone()
 	for _, a := range rule.Assigns {
-		allBound := true
-		for _, v := range ndlog.FreeVars(a.Expr) {
-			if _, ok := trial[v]; !ok {
-				allBound = false
-				break
-			}
-		}
-		if allBound {
+		if ndlog.Bound(a.Expr, trial) {
 			if v, err := a.Expr.Eval(trial); err == nil {
 				trial[a.Var] = v
 			}
@@ -381,14 +365,7 @@ func headConsistent(rule *ndlog.Rule, env ndlog.Env, expected ndlog.At) bool {
 		if rule.CountVar != "" && isVar(e, rule.CountVar) {
 			continue
 		}
-		allBound := true
-		for _, v := range ndlog.FreeVars(e) {
-			if _, ok := trial[v]; !ok {
-				allBound = false
-				break
-			}
-		}
-		if !allBound {
+		if !ndlog.Bound(e, trial) {
 			continue
 		}
 		got, err := e.Eval(trial)
@@ -480,7 +457,7 @@ func (s *solver) failingConstraint() (ndlog.Expr, error) {
 	// Assignments whose target is bound act as unification constraints.
 	for _, a := range s.rule.Assigns {
 		tv, bound := s.envB[a.Var]
-		if !bound || len(s.unknownVars(a.Expr)) > 0 {
+		if !bound || !ndlog.Bound(a.Expr, s.envB) {
 			continue
 		}
 		v, err := a.Expr.Eval(s.envB)

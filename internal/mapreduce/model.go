@@ -70,6 +70,17 @@ func Program() *ndlog.Program { return ndlog.MustParse(ModelSource) }
 // ReducerName returns the node name of reducer i.
 func ReducerName(i int64) string { return fmt.Sprintf("reducer%d", i) }
 
+// reducerNodes holds the node names of the first reducers as the values
+// the reducer builtin returns: the shuffle rule calls it once per key-value
+// pair, and formatting and boxing the name each time was three allocations.
+// Filled once, read-only afterwards.
+var reducerNodes = func() (t [64]ndlog.Value) {
+	for i := range t {
+		t[i] = ndlog.Str(ReducerName(int64(i)))
+	}
+	return t
+}()
+
 // MapperName returns the node name of mapper i.
 func MapperName(i int) string { return fmt.Sprintf("mapper%d", i) }
 
@@ -125,6 +136,9 @@ func init() {
 		i, ok := args[0].(ndlog.Int)
 		if !ok {
 			return nil, fmt.Errorf("mapreduce: reducer(int), got %s", args[0].Kind())
+		}
+		if i >= 0 && int(i) < len(reducerNodes) {
+			return reducerNodes[i], nil
 		}
 		return ndlog.Str(ReducerName(int64(i))), nil
 	})

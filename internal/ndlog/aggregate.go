@@ -121,18 +121,18 @@ func groupVarsOf(r *Rule) []string {
 }
 
 // groupKey computes the aggregation group for a binding: the values of the
-// rule's group variables (listed once, when the rule joined its program).
-func (e *Engine) groupKey(r *Rule, nodeName string, env Env) string {
+// rule's group variables (listed once, when the rule was compiled).
+func (e *Engine) groupKey(r *compiledRule, nodeName string, f []Value) string {
 	kb := getKeyBuf()
 	key := kb.b[:0]
-	key = append(key, r.Name...)
+	key = append(key, r.name...)
 	key = append(key, '@')
 	key = append(key, nodeName...)
-	for _, v := range r.groupVars {
+	for _, slot := range r.group {
 		key = append(key, '|')
-		key = append(key, v...)
+		key = append(key, r.vars[slot]...)
 		key = append(key, '=')
-		if val, ok := env[v]; ok {
+		if val := f[slot]; val != nil {
 			key = val.appendKey(key)
 		} else {
 			// Distinct sentinel for an unbound variable: every appendKey
@@ -146,50 +146,51 @@ func (e *Engine) groupKey(r *Rule, nodeName string, env Env) string {
 	return s
 }
 
+// aggregateHead evaluates a counting rule's head with the count variable
+// set to count in the binding's frame.
+func (r *compiledRule) aggregateHead(b binding, count int64) (Tuple, error) {
+	b.frame[r.countSlot] = Int(count)
+	return r.evalHead(b.frame)
+}
+
 // fireAggregate handles one triggering event for a counting rule. The
 // emitted derivation is a delta: its body is the new contributor alone,
 // with AggPrev linking to the previous head's derivation and AggCount
 // carrying the running count (see the package comment above).
-func (e *Engine) fireAggregate(r *Rule, nodeName string, b binding, st Stamp) error {
+func (e *Engine) fireAggregate(r *compiledRule, nodeName string, b binding, st Stamp) error {
 	// Resolve the head location before touching any group state: a failed
 	// derivation must not inflate the group's count.
-	destNode, known, err := resolveLoc(r.Head.Loc, nodeName, b.env)
+	destNode, known, err := r.headLoc.resolve(nodeName, b.frame)
 	if err != nil || !known {
-		return fmt.Errorf("ndlog: rule %s: unresolved aggregate head location: %v", r.Name, err)
+		return fmt.Errorf("ndlog: rule %s: unresolved aggregate head location: %v", r.name, err)
 	}
 
 	// Evaluate the head against the incremented count, still without
 	// mutating the group, so an evaluation error leaves it untouched too.
-	gk := e.groupKey(r, nodeName, b.env)
+	gk := e.groupKey(r, nodeName, b.frame)
 	g := e.aggGroupFor(gk)
-	b.env[r.CountVar] = Int(g.count + 1)
-	args := make([]Value, len(r.Head.Args))
-	for i, expr := range r.Head.Args {
-		v, err := expr.Eval(b.env)
-		if err != nil {
-			return fmt.Errorf("ndlog: rule %s head: %v", r.Name, err)
-		}
-		args[i] = v
+	head, err := r.aggregateHead(b, g.count+1)
+	if err != nil {
+		return fmt.Errorf("ndlog: rule %s head: %v", r.name, err)
 	}
 	g.count++
 
 	// Retract the previous count tuple for this group.
 	prevID := g.prevID
 	if g.prevSet {
-		e.retractDerived(destNode, r.Head.Table, g.prevKey, g.prevID, KeyedAt{At: b.body[0], Key: b.refs[0].Key}, st)
+		e.retractDerived(destNode, head.Table, g.prevKey, g.prevID, KeyedAt{At: b.body[0], Key: b.refs[0].Key}, st)
 	} else {
 		prevID = 0
 	}
 
-	head := Tuple{Table: r.Head.Table, Args: args}
 	headKey := head.Key()
 	e.stats.Derivations++
 	e.deriveID++
 	d := &Derivation{
 		ID:       e.deriveID,
-		Rule:     r.Name,
+		Rule:     r.name,
 		Node:     nodeName,
-		Body:     b.body[:1],
+		Body:     []At{b.body[0]}, // the binding's body is the scratch's
 		Refs:     b.refs[:1],
 		Trigger:  0,
 		AggPrev:  prevID,

@@ -1,9 +1,27 @@
 package ndlog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
+
+// flakyLoc is a head location — the node R — whose evaluation the test can
+// make fail. The engine compiles rules when it is built, so a location that
+// fails on one firing and resolves on the next has to fail from the inside;
+// being an Expr type the compiler does not know, it is also evaluated
+// through the map adapter (slotEnv).
+type flakyLoc struct{ fail *bool }
+
+func (f flakyLoc) Eval(env Env) (Value, error) {
+	if *f.fail {
+		return nil, errors.New("no route to R")
+	}
+	return env["R"], nil
+}
+func (f flakyLoc) Vars(dst []string) []string { return append(dst, "R") }
+func (f flakyLoc) String() string             { return "flaky(R)" }
+func (f flakyLoc) Subst(map[string]Expr) Expr { return f }
 
 // A counting rule whose head location fails to resolve must not mutate
 // the group: the old fireAggregate incremented the count and retracted
@@ -14,9 +32,8 @@ import (
 // analysis gate off) — which is exactly what this test does.
 func TestAggregateFailedHeadResolutionLeavesGroupUntouched(t *testing.T) {
 	p := MustParse(wcProgram)
-	r := p.Rule("wc")
-	origLoc := r.Head.Loc
-	r.Head.Loc = Var("Zed") // never bound: resolveLoc reports unknown
+	fail := true
+	p.Rule("wc").Head.Loc = flakyLoc{&fail}
 	obs := &recordingObserver{}
 	e := New(p, obs, WithAnalysis(false))
 	e.ScheduleInsert("r1", NewTuple("kv", Str("the"), Int(0)), 0)
@@ -30,10 +47,10 @@ func TestAggregateFailedHeadResolutionLeavesGroupUntouched(t *testing.T) {
 		t.Errorf("failed firing emitted %d derivations, want 0", len(obs.derives))
 	}
 
-	// Repair the rule and fire again on the same engine: the count starts
-	// at 1, proving the failed firing neither inflated the count nor left
-	// a stale previous head to retract.
-	r.Head.Loc = origLoc
+	// Repair the location and fire again on the same engine: the count
+	// starts at 1, proving the failed firing neither inflated the count nor
+	// left a stale previous head to retract.
+	fail = false
 	e.ScheduleInsert("r1", NewTuple("kv", Str("the"), Int(1)), 1)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -56,9 +73,16 @@ func TestAggregateFailedHeadResolutionLeavesGroupUntouched(t *testing.T) {
 func TestAggregateGroupKeyUnboundSentinel(t *testing.T) {
 	p := MustParse(wcProgram)
 	e := New(p, nil)
-	r := p.Rule("wc")
-	bound := e.groupKey(r, "r1", Env{"R": Str("r1"), "W": Str("")})
-	unbound := e.groupKey(r, "r1", Env{"R": Str("r1")})
+	r := e.rules["wc"]
+	frame := func(env Env) []Value {
+		f := make([]Value, len(r.vars))
+		for i, name := range r.vars {
+			f[i] = env[name]
+		}
+		return f
+	}
+	bound := e.groupKey(r, "r1", frame(Env{"R": Str("r1"), "W": Str("")}))
+	unbound := e.groupKey(r, "r1", frame(Env{"R": Str("r1")}))
 	if bound == unbound {
 		t.Errorf("unbound W collides with W bound to the empty string: %q", bound)
 	}

@@ -1,9 +1,6 @@
 package ndlog
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // builtin is a registered function callable from rule bodies and heads.
 type builtin struct {
@@ -97,9 +94,14 @@ func BuiltinKinds(name string) (args []Kind, result Kind, ok bool) {
 // Hash64 is the deterministic hash used by hash builtins (and by the
 // simulated MapReduce partitioner): FNV-1a over the canonical encoding.
 func Hash64(v Value) uint64 {
-	h := fnv.New64a()
-	h.Write(v.appendKey(nil))
-	return h.Sum64()
+	kb := getKeyBuf()
+	b := v.appendKey(kb.b[:0])
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	putKeyBuf(kb, b)
+	return h
 }
 
 func init() {

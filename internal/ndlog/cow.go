@@ -69,9 +69,10 @@ func (e *Engine) Sealed() bool { return e.sealed }
 // receiver as their read-through base, and the immutable map is borrowed
 // by reference. Only the pending work queue is copied eagerly — its
 // Derivations are stamped in place on delivery. Immutable structure is
-// shared: the program, join plans, tuple argument slices, derivation body
-// slices, and support body references are all written once before they
-// become reachable and only read afterwards.
+// shared: the program, the compiled rules with their join plans, tuple
+// argument slices, derivation body slices, and support body references
+// are all written once before they become reachable and only read
+// afterwards.
 //
 // Fork never mutates the receiver, so many goroutines may fork the same
 // sealed engine concurrently. Forking an unsealed engine is a bug — its
@@ -107,7 +108,8 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		deriveLimit:     e.deriveLimit,
 		stats:           e.stats,
 		indexing:        e.indexing,
-		plans:           e.plans,
+		rules:           e.rules,
+		triggers:        e.triggers,
 		tableSpecs:      e.tableSpecs,
 		analysis:        e.analysis,
 		analysisDiags:   e.analysisDiags,
@@ -223,9 +225,9 @@ func forkTable(tb *table) *table {
 		}
 	}
 	if tb.indexes != nil {
-		ft.indexes = make(map[string]*tableIndex, len(tb.indexes))
-		for sig, ix := range tb.indexes {
-			fix := &tableIndex{spec: ix.spec, buckets: make(map[string][]*row, len(ix.buckets))}
+		ft.indexes = make([]*tableIndex, len(tb.indexes))
+		for pos, ix := range tb.indexes {
+			fix := &tableIndex{spec: ix.spec, buckets: make(map[uint64][]*row, len(ix.buckets))}
 			for k, rows := range ix.buckets {
 				frows := make([]*row, len(rows))
 				for i, r := range rows {
@@ -233,7 +235,7 @@ func forkTable(tb *table) *table {
 				}
 				fix.buckets[k] = frows
 			}
-			ft.indexes[sig] = fix
+			ft.indexes[pos] = fix
 		}
 	}
 	clear(remap)

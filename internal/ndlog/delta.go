@@ -200,17 +200,17 @@ func (e *Engine) cfMarkDirty(nodeName, tableName string) {
 // present from its original appearance on, so occurrences past it fired
 // with the row in the base run already.
 func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
-	for _, ref := range e.prog.triggers(rw.tuple.Table) {
+	for _, ref := range e.triggers[rw.tuple.Table] {
 		r := ref.rule
-		if r.CountVar != "" {
+		if r.countSlot >= 0 {
 			continue // aggregate bodies are single event atoms; a state row never matches
 		}
 		// The pinned atom must actually unify with the row before any
 		// enumeration (cheap pre-filter; the pinned join re-checks).
-		if !quickMatch(r.Body[ref.atom], Env{}, rw.tuple) {
+		if !r.body[ref.atom].quickMatch(e.join.blank(len(r.vars)), rw.tuple) {
 			continue
 		}
-		for q := range r.Body {
+		for q := range r.body {
 			if q == ref.atom {
 				continue
 			}
@@ -227,15 +227,15 @@ func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
 // order) with stamps after s — and, when until is non-zero, before until
 // — firing rule r for each with the counterfactual row pinned at atom p.
 // Argmax rules re-evaluate the full trigger instead of a pinned fire.
-func (e *Engine) refireAtomOccurrences(r *Rule, p int, pinNode string, pin *row, q int, s, until Stamp) error {
-	atom := r.Body[q]
-	decl := e.prog.Decl(atom.Table)
+func (e *Engine) refireAtomOccurrences(r *compiledRule, p int, pinNode string, pin *row, q int, s, until Stamp) error {
+	atom := &r.body[q]
+	decl := atom.decl
 	if decl == nil {
-		return fmt.Errorf("ndlog: rule %s: unknown table %s", r.Name, atom.Table)
+		return fmt.Errorf("ndlog: rule %s: unknown table %s", r.name, atom.table)
 	}
 	for _, nn := range e.nodeOrder {
 		n := e.nodes[nn]
-		tb := n.tables[atom.Table]
+		tb := n.tables[atom.table]
 		if tb == nil {
 			continue
 		}
@@ -288,8 +288,8 @@ func (e *Engine) refireAtomOccurrences(r *Rule, p int, pinNode string, pin *row,
 // refireAt fires rule r once for a single re-enumerated trigger
 // occurrence: a pinned fire for plain rules, a full trigger
 // re-evaluation for argmax rules.
-func (e *Engine) refireAt(r *Rule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, key string, st Stamp) error {
-	if r.ArgMax != "" {
+func (e *Engine) refireAt(r *compiledRule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, key string, st Stamp) error {
+	if r.argMaxSlot >= 0 {
 		cause := keyedAt(pinNode, pin.tuple, pin.key, pin.appearedAt)
 		return e.reevalArgMax(r, q, nodeName, delta, key, st, cause)
 	}
@@ -515,7 +515,7 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 			// firings and still stand. Ungated erasure needs nothing
 			// either: events only join as triggers, so the erased
 			// occurrence was the consumer's trigger and never happened.)
-			if r := e.prog.Rule(c.rule); r != nil && r.ArgMax != "" {
+			if r := e.rules[c.rule]; r != nil && r.argMaxSlot >= 0 {
 				trig := c.body[c.trigAtom]
 				e.cfReevals = append(e.cfReevals, cfReeval{
 					rule: r, atom: c.trigAtom, node: trig.Node,
@@ -559,8 +559,8 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 		Cause:    cause,
 	})
 	// count() groups the occurrence contributed to shrink by one.
-	for _, ref := range e.prog.triggers(occ.Tuple.Table) {
-		if ref.rule.CountVar != "" {
+	for _, ref := range e.triggers[occ.Tuple.Table] {
+		if ref.rule.countSlot >= 0 {
 			e.cfAggregateErase(ref.rule, occ, st)
 		}
 	}
@@ -638,9 +638,10 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 // with the sign flipped; invariant breaks (the contributor never matched,
 // the group is empty, the head fails to evaluate) count as
 // AggRetractMisses, which the differential suites assert stay zero.
-func (e *Engine) cfAggregateErase(r *Rule, occ KeyedAt, st Stamp) {
+func (e *Engine) cfAggregateErase(r *compiledRule, occ KeyedAt, st Stamp) {
 	nodeName := occ.Node
-	sat, err := e.satBindings(r, 0, nodeName, occ.Tuple, occ.Key, occ.Stamp)
+	sat, mark, err := e.satBindings(r, 0, nodeName, occ.Tuple, occ.Key, occ.Stamp)
+	defer e.join.release(mark)
 	if err != nil {
 		e.stats.AggRetractMisses++
 		return
@@ -649,12 +650,12 @@ func (e *Engine) cfAggregateErase(r *Rule, occ KeyedAt, st Stamp) {
 		return // the occurrence never contributed (constraint filtered it)
 	}
 	b := sat[0]
-	destNode, known, err := resolveLoc(r.Head.Loc, nodeName, b.env)
+	destNode, known, err := r.headLoc.resolve(nodeName, b.frame)
 	if err != nil || !known {
 		e.stats.AggRetractMisses++
 		return
 	}
-	gk := e.groupKey(r, nodeName, b.env)
+	gk := e.groupKey(r, nodeName, b.frame)
 	g := e.aggGroupFor(gk)
 	if g.count == 0 || !g.prevSet {
 		e.stats.AggRetractMisses++
@@ -662,32 +663,26 @@ func (e *Engine) cfAggregateErase(r *Rule, occ KeyedAt, st Stamp) {
 	}
 	// Evaluate the decremented head before mutating the group, so an
 	// evaluation error leaves it untouched (like fireAggregate).
-	b.env[r.CountVar] = Int(g.count - 1)
-	args := make([]Value, len(r.Head.Args))
-	for i, expr := range r.Head.Args {
-		v, err := expr.Eval(b.env)
-		if err != nil {
-			e.stats.AggRetractMisses++
-			return
-		}
-		args[i] = v
+	head, err := r.aggregateHead(b, g.count-1)
+	if err != nil {
+		e.stats.AggRetractMisses++
+		return
 	}
 	g.count--
 	prevID := g.prevID
-	e.retractDerived(destNode, r.Head.Table, g.prevKey, g.prevID, occ, st)
+	e.retractDerived(destNode, head.Table, g.prevKey, g.prevID, occ, st)
 	if g.count == 0 {
 		g.prevKey, g.prevID, g.prevSet = "", 0, false
 		return
 	}
-	head := Tuple{Table: r.Head.Table, Args: args}
 	headKey := head.Key()
 	e.stats.Derivations++
 	e.deriveID++
 	d := &Derivation{
 		ID:        e.deriveID,
-		Rule:      r.Name,
+		Rule:      r.name,
 		Node:      nodeName,
-		Body:      b.body[:1],
+		Body:      []At{b.body[0]}, // the binding's body is the scratch's
 		Refs:      b.refs[:1],
 		Trigger:   0,
 		AggPrev:   prevID,
@@ -752,8 +747,8 @@ func (e *Engine) amSet(key amTrigger, v *amEntry) {
 // derive just queued for its head. A trigger is the element carrying its
 // binding's max stamp (rules fire in processing order), so fireRule and
 // reevalArgMax key the entry by the delta that fired the rule.
-func (e *Engine) amEntryFor(win binding, it *workItem) *amEntry {
-	ent := &amEntry{bk: BindingKey(win.env), ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID}}
+func (e *Engine) amEntryFor(r *compiledRule, win binding, it *workItem) *amEntry {
+	ent := &amEntry{bk: r.bindingKey(win.frame), ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID}}
 	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
 		// Event heads have no row to retract; record the occurrence so a
 		// displaced winner can be erased instead.
@@ -768,7 +763,7 @@ func (e *Engine) amEntryFor(win binding, it *workItem) *amEntry {
 // counterfactual retraction removes an argmax winner whose trigger fired
 // after the retraction point.
 type cfReeval struct {
-	rule  *Rule
+	rule  *compiledRule
 	atom  int
 	node  string
 	tuple Tuple
@@ -789,11 +784,11 @@ func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 	if sup.rule == "" {
 		return
 	}
-	r := e.prog.Rule(sup.rule)
-	if r == nil || r.ArgMax == "" {
+	r := e.rules[sup.rule]
+	if r == nil || r.argMaxSlot < 0 {
 		return
 	}
-	atom, tuple, trig, ok := e.triggerOf(r, sup)
+	atom, tuple, trig, ok := e.triggerOf(r.rule, sup)
 	if !ok || !st.Before(trig) {
 		return
 	}
@@ -908,8 +903,8 @@ func (e *Engine) drainCFReevals() error {
 			if batch[i].st != batch[j].st {
 				return batch[i].st.Before(batch[j].st)
 			}
-			if batch[i].rule.Name != batch[j].rule.Name {
-				return batch[i].rule.Name < batch[j].rule.Name
+			if ri, rj := batch[i].rule.name, batch[j].rule.name; ri != rj {
+				return ri < rj
 			}
 			return batch[i].key < batch[j].key
 		})
@@ -927,11 +922,12 @@ func (e *Engine) drainCFReevals() error {
 // rows the change set killed excluded. If the winner differs from the one
 // the trigger currently supports, the old head is retracted (cascading)
 // and the new winner derived. Idempotent: an unchanged winner is a no-op.
-func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
+func (e *Engine) reevalArgMax(r *compiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
 	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.isKilledOcc(st.Seq) {
 		return nil // the trigger occurrence was erased after this re-eval was queued
 	}
-	sat, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
+	sat, mark, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
+	defer e.join.release(mark)
 	if err != nil {
 		return err
 	}
@@ -941,9 +937,9 @@ func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tup
 		return nil
 	}
 	win := sat[0]
-	trig := amTrigger{rule: r.Name, node: nodeName, seq: st.Seq}
+	trig := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
 	cur := e.amOf(trig)
-	if cur != nil && cur.bk == BindingKey(win.env) {
+	if cur != nil && cur.bk == r.bindingKey(win.frame) {
 		return nil // winner unchanged; the main-phase derivation stands (or fell with its own supports)
 	}
 	if cur != nil && !cur.eventHead {
@@ -956,7 +952,7 @@ func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tup
 		// (idempotent — a cascade may already have erased it).
 		e.eraseOccurrence(&evConsumer{
 			deriveID: cur.ref.deriveID,
-			rule:     r.Name,
+			rule:     r.name,
 			head:     keyedAt(cur.ref.node, cur.headTuple, cur.ref.key, cur.headAt),
 		}, cause, st)
 	}
@@ -965,6 +961,6 @@ func (e *Engine) reevalArgMax(r *Rule, deltaAtom int, nodeName string, delta Tup
 	if err != nil {
 		return err
 	}
-	e.amSet(trig, e.amEntryFor(win, it))
+	e.amSet(trig, e.amEntryFor(r, win, it))
 	return nil
 }

@@ -154,10 +154,16 @@ type Engine struct {
 	// non-terminating models (e.g. forwarding loops).
 	deriveLimit int
 	stats       Stats
+	// rules holds the program's rules compiled to slot frames (compile.go),
+	// by name, and triggers the (rule, atom) pairs each table's tuples fire.
+	// Both are built once by New — rules added to the program later are not
+	// evaluated — and shared, immutable, with every fork.
+	rules    map[string]*compiledRule
+	triggers map[string][]trigger
 	// indexing enables secondary hash indexes for body-atom joins (see
-	// index.go); plans and tableSpecs are computed once from the program.
+	// index.go): join plans on the compiled rules, and tableSpecs, the
+	// indexes each table carries.
 	indexing   bool
-	plans      map[planKey][]*indexSpec
 	tableSpecs map[string][]*indexSpec
 	// analysis enables the static program analysis in New (default on);
 	// analysisDiags holds its result and analysisErr the first
@@ -264,9 +270,9 @@ type table struct {
 	order  []*row // insertion-ordered; dead rows skipped
 	hist   map[string][]Interval
 	keyIdx map[string]*row // primary-key index, for tables with key columns
-	// indexes holds the secondary hash indexes (sig -> index) planned
-	// for this table; buckets mirror order (see index.go).
-	indexes map[string]*tableIndex
+	// indexes holds the secondary hash indexes planned for this table, in
+	// tableSpecs order (indexSpec.pos); buckets mirror order (see index.go).
+	indexes []*tableIndex
 	// sealed marks the table frozen (shared between a sealed engine and
 	// its CoW forks); writableTable clones it on first write. histBase,
 	// on such a clone, is the frozen table whose interval histories the
@@ -464,10 +470,9 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		e.analysisDiags = prog.Analyze()
 		e.analysisErr = firstError(e.analysisDiags)
 	}
+	e.rules, e.triggers = compileProgram(prog)
 	if e.indexing {
-		// One-time static analysis; rules added to the program after this
-		// point are evaluated with scans (no plan entry).
-		e.plans, e.tableSpecs = buildJoinPlans(prog)
+		e.tableSpecs = buildJoinPlans(prog, e.rules)
 	}
 	return e
 }
@@ -507,11 +512,8 @@ func (e *Engine) tableFor(n *node, decl *TableDecl) *table {
 		// Attach the planned secondary indexes up front: the table is
 		// empty here, so incremental maintenance in appear suffices and
 		// query-time reads never have to build (or lock) anything.
-		if len(e.tableSpecs[decl.Name]) > 0 {
-			t.indexes = map[string]*tableIndex{}
-			for _, spec := range e.tableSpecs[decl.Name] {
-				t.indexes[spec.sig] = &tableIndex{spec: spec, buckets: map[string][]*row{}}
-			}
+		for _, spec := range e.tableSpecs[decl.Name] {
+			t.indexes = append(t.indexes, &tableIndex{spec: spec, buckets: map[uint64][]*row{}})
 		}
 		n.tables[decl.Name] = t
 	}
@@ -792,7 +794,10 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 			}
 		}
 	}
-	r := &row{tuple: t.Clone(), key: key, appearedAt: st, supports: []support{sup}}
+	if sup.deriveID == 0 {
+		t = t.Clone() // the caller's; a derived head's args are the engine's own
+	}
+	r := &row{tuple: t, key: key, appearedAt: st, supports: []support{sup}}
 	tb.live[key] = r
 	tb.order = append(tb.order, r)
 	tb.noteOrderAppend()
@@ -1011,7 +1016,7 @@ func (e *Engine) retractSupport(dep dependentRef, cause KeyedAt, st Stamp) {
 // trigger fires every rule that has a body atom over the delta tuple's
 // table, with the delta (key is its Key()) bound at that atom.
 func (e *Engine) trigger(nodeName string, delta Tuple, key string, st Stamp) error {
-	for _, ref := range e.prog.triggers(delta.Table) {
+	for _, ref := range e.triggers[delta.Table] {
 		if err := e.fireRule(ref.rule, ref.atom, nodeName, delta, key, st); err != nil {
 			return err
 		}
@@ -1022,28 +1027,28 @@ func (e *Engine) trigger(nodeName string, delta Tuple, key string, st Stamp) err
 // fireRule evaluates one rule with the delta tuple bound at body atom
 // deltaAtom, deriving head tuples for every satisfying binding (or only
 // the argmax-winning binding).
-func (e *Engine) fireRule(r *Rule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp) error {
-	sat, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
+func (e *Engine) fireRule(r *compiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp) error {
+	sat, mark, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
+	for i := 0; err == nil && i < len(sat); i++ {
+		err = e.fireBinding(r, deltaAtom, nodeName, sat[i], st)
+	}
+	e.join.release(mark)
+	return err
+}
+
+// fireBinding derives the head of one satisfying binding.
+func (e *Engine) fireBinding(r *compiledRule, deltaAtom int, nodeName string, b binding, st Stamp) error {
+	if r.countSlot >= 0 {
+		return e.fireAggregate(r, nodeName, b, st)
+	}
+	it, err := e.derive(r, nodeName, b, deltaAtom, st)
 	if err != nil {
 		return err
 	}
-	for _, b := range sat {
-		if r.CountVar != "" {
-			if err := e.fireAggregate(r, nodeName, b, st); err != nil {
-				return err
-			}
-			continue
-		}
-		it, err := e.derive(r, nodeName, b, deltaAtom, st)
-		if err != nil {
-			return err
-		}
-		if r.ArgMax != "" {
-			// Remember which winner this trigger derived, so a
-			// counterfactual change that flips the winner can retract it
-			// (delta.go).
-			e.amSet(amTrigger{rule: r.Name, node: nodeName, seq: st.Seq}, e.amEntryFor(b, it))
-		}
+	if r.argMaxSlot >= 0 {
+		// Remember which winner this trigger derived, so a counterfactual
+		// change that flips the winner can retract it (delta.go).
+		e.amSet(amTrigger{rule: r.name, node: nodeName, seq: st.Seq}, e.amEntryFor(r, b, it))
 	}
 	return nil
 }
@@ -1071,158 +1076,61 @@ func BindingKey(env Env) string {
 	return s
 }
 
-// resolveLoc resolves a body atom's location term. Returns the node name
-// and whether it is determined by the current environment.
-func resolveLoc(loc Expr, evalNode string, env Env) (string, bool, error) {
-	if loc == nil {
-		return evalNode, true, nil
-	}
-	switch l := loc.(type) {
-	case Const:
-		s, ok := l.V.(Str)
-		if !ok {
-			return "", false, fmt.Errorf("location constant %s is not a node name", l.V)
-		}
-		return string(s), true, nil
-	case Var:
-		if v, ok := env[string(l)]; ok {
-			s, ok := v.(Str)
-			if !ok {
-				return "", false, fmt.Errorf("location variable %s bound to non-node %s", string(l), v)
-			}
-			return string(s), true, nil
-		}
-		return "", false, nil
-	default:
-		v, err := loc.Eval(env)
-		if err != nil {
-			return "", false, err
-		}
-		s, ok := v.(Str)
-		if !ok {
-			return "", false, fmt.Errorf("location expression %s is not a node name", loc)
-		}
-		return string(s), true, nil
-	}
+// delivery is what derive allocates to deliver a head: the work item, the
+// derivation it carries and the derivation's body, none of which is kept
+// once the head has arrived (the body unless an observer keeps it). A is an
+// array of the rule's body length. The support references, which are kept,
+// are the binding's own allocation.
+type delivery[A any] struct {
+	it   workItem
+	d    Derivation
+	body A
 }
 
-// quickMatch cheaply rejects rows that cannot unify: constant arguments
-// and already-bound variables must equal the tuple's fields. It never
-// mutates the environment, so callers can filter before cloning.
-func quickMatch(atom Atom, env Env, t Tuple) bool {
-	if len(atom.Args) != len(t.Args) {
-		return false
+// newDelivery allocates a delivery for an n-atom rule — as one block for
+// the rule sizes programs have.
+func newDelivery(n int) (*workItem, *Derivation, []At) {
+	switch n {
+	case 1:
+		b := new(delivery[[1]At])
+		return &b.it, &b.d, b.body[:]
+	case 2:
+		b := new(delivery[[2]At])
+		return &b.it, &b.d, b.body[:]
+	case 3:
+		b := new(delivery[[3]At])
+		return &b.it, &b.d, b.body[:]
+	case 4:
+		b := new(delivery[[4]At])
+		return &b.it, &b.d, b.body[:]
 	}
-	for i, arg := range atom.Args {
-		switch a := arg.(type) {
-		case Const:
-			if a.V != t.Args[i] {
-				return false
-			}
-		case Var:
-			if v, ok := env[string(a)]; ok && v != t.Args[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// unifyAtom unifies a body atom against a concrete tuple at a node,
-// extending env in place. Returns false (env possibly partially extended;
-// callers clone, or unbind through unifyTrail's trail) on mismatch.
-func unifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
-	return unifyTrail(atom, nodeName, nil, t, env, nil)
-}
-
-// unifyTrail is unifyAtom recording, when trail is non-nil, every variable
-// it binds, so the caller can unbind them again instead of cloning env.
-// loc is Str(nodeName) already boxed (the engine keeps one per node), or
-// nil to box it if a location variable gets bound.
-func unifyTrail(atom Atom, nodeName string, loc Value, t Tuple, env Env, trail *[]string) bool {
-	if atom.Table != t.Table || len(atom.Args) != len(t.Args) {
-		return false
-	}
-	if atom.Loc != nil {
-		switch l := atom.Loc.(type) {
-		case Var:
-			if v, ok := env[string(l)]; ok {
-				if v != Str(nodeName) {
-					return false
-				}
-			} else {
-				if loc == nil {
-					loc = Str(nodeName)
-				}
-				env[string(l)] = loc
-				if trail != nil {
-					*trail = append(*trail, string(l))
-				}
-			}
-		case Const:
-			if l.V != Str(nodeName) {
-				return false
-			}
-		default:
-			v, err := atom.Loc.Eval(env)
-			if err != nil || v != Str(nodeName) {
-				return false
-			}
-		}
-	}
-	for i, arg := range atom.Args {
-		switch a := arg.(type) {
-		case Var:
-			if v, ok := env[string(a)]; ok {
-				if v != t.Args[i] {
-					return false
-				}
-			} else {
-				env[string(a)] = t.Args[i]
-				if trail != nil {
-					*trail = append(*trail, string(a))
-				}
-			}
-		case Const:
-			if a.V != t.Args[i] {
-				return false
-			}
-		default:
-			v, err := arg.Eval(env)
-			if err != nil || v != t.Args[i] {
-				return false
-			}
-		}
-	}
-	return true
+	b := new(delivery[[0]At])
+	return &b.it, &b.d, make([]At, n)
 }
 
 // derive produces the rule head for a satisfying binding and returns the
 // work item that will deliver it (destination, head tuple, delivery stamp).
-func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st Stamp) (*workItem, error) {
-	args := make([]Value, len(r.Head.Args))
-	for i, expr := range r.Head.Args {
-		v, err := expr.Eval(b.env)
-		if err != nil {
-			return nil, fmt.Errorf("ndlog: rule %s head: %v", r.Name, err)
-		}
-		args[i] = v
+func (e *Engine) derive(r *compiledRule, evalNode string, b binding, deltaAtom int, st Stamp) (*workItem, error) {
+	head, err := r.evalHead(b.frame)
+	if err != nil {
+		return nil, fmt.Errorf("ndlog: rule %s head: %v", r.name, err)
 	}
-	head := Tuple{Table: r.Head.Table, Args: args}
-	destNode, known, err := resolveLoc(r.Head.Loc, evalNode, b.env)
+	destNode, known, err := r.headLoc.resolve(evalNode, b.frame)
 	if err != nil || !known {
-		return nil, fmt.Errorf("ndlog: rule %s: unresolved head location: %v", r.Name, err)
+		return nil, fmt.Errorf("ndlog: rule %s: unresolved head location: %v", r.name, err)
 	}
 	e.stats.Derivations++
 	if e.deriveLimit > 0 && e.stats.Derivations > e.deriveLimit {
 		return nil, fmt.Errorf("ndlog: derivation limit %d exceeded (non-terminating model? e.g. a forwarding loop)", e.deriveLimit)
 	}
 	e.deriveID++
-	d := &Derivation{
+	it, d, body := newDelivery(len(b.body))
+	copy(body, b.body)
+	*d = Derivation{
 		ID:      e.deriveID,
-		Rule:    r.Name,
+		Rule:    r.name,
 		Node:    evalNode,
-		Body:    b.body,
+		Body:    body,
 		Refs:    b.refs,
 		Trigger: deltaAtom,
 	}
@@ -1243,7 +1151,7 @@ func (e *Engine) derive(r *Rule, evalNode string, b binding, deltaAtom int, st S
 		// order among the remaining changes.
 		q = &e.cfQueue
 	}
-	it := &workItem{
+	*it = workItem{
 		stamp: e.nextStamp(tick),
 		kind:  wkArriveDerived,
 		node:  destNode,
@@ -1330,15 +1238,90 @@ func (e *Engine) TuplesAt(nodeName, tableName string, at Stamp) []Tuple {
 // node, extending env in place; it returns false on mismatch (env may be
 // partially extended — clone before calling if that matters). Exported
 // for the DiffProv reasoning engine, which re-binds rules against
-// provenance vertexes.
+// provenance vertexes; the engine itself unifies compiled atoms over
+// frames (compile.go), with the same equality.
 func UnifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
-	return unifyAtom(atom, nodeName, t, env)
+	if atom.Table != t.Table || len(atom.Args) != len(t.Args) {
+		return false
+	}
+	if atom.Loc != nil {
+		switch l := atom.Loc.(type) {
+		case Var:
+			if v, ok := env[string(l)]; ok {
+				if v != Str(nodeName) {
+					return false
+				}
+			} else {
+				env[string(l)] = Str(nodeName)
+			}
+		case Const:
+			if l.V != Str(nodeName) {
+				return false
+			}
+		default:
+			v, err := atom.Loc.Eval(env)
+			if err != nil || v != Str(nodeName) {
+				return false
+			}
+		}
+	}
+	for i, arg := range atom.Args {
+		switch a := arg.(type) {
+		case Var:
+			if v, ok := env[string(a)]; ok {
+				if v != t.Args[i] {
+					return false
+				}
+			} else {
+				env[string(a)] = t.Args[i]
+			}
+		case Const:
+			if a.V != t.Args[i] {
+				return false
+			}
+		default:
+			v, err := arg.Eval(env)
+			if err != nil || v != t.Args[i] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ResolveLocation resolves a location term under an environment,
 // reporting the node name and whether it is determined.
 func ResolveLocation(loc Expr, evalNode string, env Env) (string, bool, error) {
-	return resolveLoc(loc, evalNode, env)
+	if loc == nil {
+		return evalNode, true, nil
+	}
+	switch l := loc.(type) {
+	case Const:
+		s, ok := l.V.(Str)
+		if !ok {
+			return "", false, fmt.Errorf("location constant %s is not a node name", l.V)
+		}
+		return string(s), true, nil
+	case Var:
+		if v, ok := env[string(l)]; ok {
+			s, ok := v.(Str)
+			if !ok {
+				return "", false, fmt.Errorf("location variable %s bound to non-node %s", string(l), v)
+			}
+			return string(s), true, nil
+		}
+		return "", false, nil
+	default:
+		v, err := loc.Eval(env)
+		if err != nil {
+			return "", false, err
+		}
+		s, ok := v.(Str)
+		if !ok {
+			return "", false, fmt.Errorf("location expression %s is not a node name", loc)
+		}
+		return string(s), true, nil
+	}
 }
 
 // LiveTuples returns the live tuples of a table on a node in appearance

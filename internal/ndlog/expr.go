@@ -250,19 +250,12 @@ type Call struct {
 
 // Eval implements Expr.
 func (c Call) Eval(env Env) (Value, error) {
-	fn, ok := builtins[c.Fn]
-	if !ok {
-		return nil, fmt.Errorf("ndlog: unknown function %s", c.Fn)
+	fn, err := lookupBuiltin(c.Fn, len(c.Args))
+	if err != nil {
+		return nil, err
 	}
-	if fn.arity >= 0 && len(c.Args) != fn.arity {
-		return nil, fmt.Errorf("ndlog: %s expects %d args, got %d", c.Fn, fn.arity, len(c.Args))
-	}
-	// Constraints run once per joined row, so the argument slice is pooled
-	// (builtins must not retain it, see RegisterBuiltin).
 	ab := argBufPool.Get().(*argBuf)
 	args := ab.v[:0]
-	var res Value
-	var err error
 	for _, a := range c.Args {
 		var v Value
 		if v, err = a.Eval(env); err != nil {
@@ -270,6 +263,29 @@ func (c Call) Eval(env Env) (Value, error) {
 		}
 		args = append(args, v)
 	}
+	return fn.apply(ab, args, err)
+}
+
+// lookupBuiltin finds the builtin a call names and checks the call's
+// argument count against it.
+func lookupBuiltin(name string, nargs int) (*builtin, error) {
+	fn, ok := builtins[name]
+	if !ok {
+		return nil, fmt.Errorf("ndlog: unknown function %s", name)
+	}
+	if fn.arity >= 0 && nargs != fn.arity {
+		return nil, fmt.Errorf("ndlog: %s expects %d args, got %d", name, fn.arity, nargs)
+	}
+	return fn, nil
+}
+
+// apply finishes a call whose arguments were evaluated into the pooled
+// buffer ab (err is the first argument's failure, if any): it applies the
+// builtin and hands the buffer back. Constraints run once per joined row,
+// which is why the argument slice is pooled (builtins must not retain it,
+// see RegisterBuiltin).
+func (fn *builtin) apply(ab *argBuf, args []Value, err error) (Value, error) {
+	var res Value
 	if err == nil {
 		res, err = fn.eval(args)
 	}
@@ -317,12 +333,45 @@ func FreeVars(e Expr) []string {
 	return out
 }
 
+// Bound reports whether env binds every variable of the expression, without
+// listing them (FreeVars allocates; the solver asks this of every
+// assignment and constraint on every pass).
+func Bound(e Expr, env Env) bool {
+	switch x := e.(type) {
+	case Var:
+		_, ok := env[string(x)]
+		return ok
+	case Const:
+		return true
+	case Bin:
+		return Bound(x.L, env) && Bound(x.R, env)
+	case Call:
+		for _, a := range x.Args {
+			if !Bound(a, env) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, v := range e.Vars(nil) {
+		if _, ok := env[v]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // EvalBool evaluates a constraint expression, requiring a boolean result.
 func EvalBool(e Expr, env Env) (bool, error) {
 	v, err := e.Eval(env)
 	if err != nil {
 		return false, err
 	}
+	return constraintResult(e, v)
+}
+
+// constraintResult reads the value constraint e evaluated to as a boolean.
+func constraintResult(e Expr, v Value) (bool, error) {
 	b, ok := v.(Bool)
 	if !ok {
 		return false, fmt.Errorf("ndlog: constraint %s is not boolean (got %s)", e, v.Kind())

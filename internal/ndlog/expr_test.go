@@ -1,6 +1,7 @@
 package ndlog
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"testing"
@@ -147,6 +148,15 @@ func TestHashDeterministic(t *testing.T) {
 	// canonical key, which is kind-tagged).
 	if Hash64(Int(1)) == Hash64(Str("1")) {
 		t.Error("hash must distinguish kinds")
+	}
+	// The value is FNV-1a over the canonical key: partitioner outputs, and
+	// with them every recorded MapReduce execution, depend on it.
+	for _, v := range []Value{Str("hello"), Str(""), Int(-7), MustParseIP("1.2.3.4"), MustParsePrefix("10.0.0.0/8"), ID(9), Bool(true)} {
+		h := fnv.New64a()
+		h.Write(v.appendKey(nil))
+		if got, want := Hash64(v), h.Sum64(); got != want {
+			t.Errorf("Hash64(%v) = %#x, FNV-1a of its key is %#x", v, got, want)
+		}
 	}
 }
 

@@ -23,16 +23,23 @@ import (
 // need the dead rows for as-of lookups. A tuple that reappears after
 // dying is a fresh row and is appended again, exactly as in tb.order.
 //
-// Key encoding reuses Value.appendKey — the same injective encoding
-// Tuple.Key is built from — so two index keys are equal iff the indexed
-// values are equal under Go ==, which is the equality quickMatch and
-// unifyAtom use (pinned by TestQuickMatchAgreesWithUnify).
+// A bucket is keyed by a 64-bit hash of the indexed columns (Value.hash),
+// so neither a probe nor an inserted row builds a key string. Values that
+// are == hash alike — the equality quickMatch and unify use (pinned by
+// TestQuickMatchAgreesWithUnify) — so a bucket holds every row the probe
+// could match; it may also hold rows whose columns merely collide. Every
+// reader re-checks the indexed columns (the join through quickMatch,
+// TuplesMatchingAt through MatchTuple), so a collision costs a rejected row
+// and nothing else: the rows that pass, and their order, are those of the
+// scan.
 
 // indexSpec identifies one secondary index: a sorted set of column
-// positions plus its canonical signature (e.g. "0,2").
+// positions, its canonical signature (e.g. "0,2"), and its position among
+// its table's indexes (table.indexes[pos]).
 type indexSpec struct {
 	cols []int
 	sig  string
+	pos  int
 }
 
 func sigOf(cols []int) string {
@@ -49,44 +56,33 @@ func sigOf(cols []int) string {
 // tableIndex is one secondary hash index over a table's rows.
 type tableIndex struct {
 	spec    *indexSpec
-	buckets map[string][]*row
+	buckets map[uint64][]*row
 }
 
-// rowKey encodes the indexed columns of a stored tuple.
-func (ix *tableIndex) rowKey(t Tuple) string {
-	kb := getKeyBuf()
-	b := kb.b[:0]
-	for i, c := range ix.spec.cols {
-		if i > 0 {
-			b = append(b, '|')
-		}
-		b = t.Args[c].appendKey(b)
-	}
-	s := string(b)
-	putKeyBuf(kb, b)
-	return s
-}
+// hashSeed starts every bucket hash. bucketMask is all ones; the collision
+// test narrows it to force distinct column values into one bucket.
+const hashSeed uint64 = fnvOffset64
+
+var bucketMask = ^uint64(0)
 
 // insert appends a freshly appeared row to its bucket.
 func (ix *tableIndex) insert(r *row) {
-	k := ix.rowKey(r.tuple)
-	ix.buckets[k] = append(ix.buckets[k], r)
-}
-
-// planKey addresses the join plan of one (rule, delta atom) pair.
-type planKey struct {
-	rule  string
-	delta int
+	h := hashSeed
+	for _, c := range ix.spec.cols {
+		h = r.tuple.Args[c].hash(h)
+	}
+	h &= bucketMask
+	ix.buckets[h] = append(ix.buckets[h], r)
 }
 
 // buildJoinPlans analyzes the program: for every (rule, delta atom) it
 // computes, per remaining body atom, the index the atom will probe (nil
 // when no argument position is statically bound — those atoms fall back
-// to scanning). It also registers point-lookup specs for primary keys
-// and aggregate group columns, which the DiffProv reasoning engine
-// queries through TuplesMatchingAt.
-func buildJoinPlans(prog *Program) (map[planKey][]*indexSpec, map[string][]*indexSpec) {
-	plans := map[planKey][]*indexSpec{}
+// to scanning) and stores it on the compiled rule. It also registers
+// point-lookup specs for primary keys and aggregate group columns, which
+// the DiffProv reasoning engine queries through TuplesMatchingAt. It
+// returns every table's specs, in the order the table's indexes are held.
+func buildJoinPlans(prog *Program, rules map[string]*compiledRule) map[string][]*indexSpec {
 	byTable := map[string][]*indexSpec{}
 	interned := map[string]map[string]*indexSpec{} // table -> sig -> spec
 
@@ -118,13 +114,15 @@ func buildJoinPlans(prog *Program) (map[planKey][]*indexSpec, map[string][]*inde
 		if s, ok := interned[table][sig]; ok {
 			return s
 		}
-		s := &indexSpec{cols: uniq, sig: sig}
+		s := &indexSpec{cols: uniq, sig: sig, pos: len(byTable[table])}
 		interned[table][sig] = s
 		byTable[table] = append(byTable[table], s)
 		return s
 	}
 
-	for _, r := range prog.Rules() {
+	for _, r := range prog.rules {
+		cr := rules[r.Name]
+		cr.plans = make([][]*indexSpec, len(r.Body))
 		for delta := range r.Body {
 			bound := map[string]bool{}
 			collectAtomVars(r.Body[delta], bound)
@@ -153,7 +151,7 @@ func buildJoinPlans(prog *Program) (map[planKey][]*indexSpec, map[string][]*inde
 				// environment or bound by the per-node loop).
 				collectAtomVars(atom, bound)
 			}
-			plans[planKey{rule: r.Name, delta: delta}] = perAtom
+			cr.plans[delta] = perAtom
 		}
 	}
 
@@ -167,7 +165,7 @@ func buildJoinPlans(prog *Program) (map[planKey][]*indexSpec, map[string][]*inde
 	}
 	// Aggregate groups: MAKEAPPEAR locates a group's current count tuple
 	// by its non-count head columns (align.go).
-	for _, r := range prog.Rules() {
+	for _, r := range prog.rules {
 		if r.CountVar == "" {
 			continue
 		}
@@ -180,7 +178,7 @@ func buildJoinPlans(prog *Program) (map[planKey][]*indexSpec, map[string][]*inde
 		}
 		intern(r.Head.Table, cols)
 	}
-	return plans, byTable
+	return byTable
 }
 
 // collectAtomVars adds the atom's variables (arguments and location) to
@@ -196,47 +194,14 @@ func collectAtomVars(a Atom, bound map[string]bool) {
 	}
 }
 
-// planFor returns the index spec body atom next probes when the rule is
-// triggered at delta, or nil when the atom has no statically bound
-// columns (or indexing is off, or the rule was added after New).
-func (e *Engine) planFor(r *Rule, delta, next int) *indexSpec {
-	specs := e.plans[planKey{rule: r.Name, delta: delta}]
-	if next >= len(specs) {
+// plan returns the index spec body atom next probes when the rule is
+// triggered at delta, or nil when the atom has no statically bound columns
+// (or indexing is off).
+func (cr *compiledRule) plan(delta, next int) *indexSpec {
+	if cr.plans == nil {
 		return nil
 	}
-	return specs[next]
-}
-
-// probeKey encodes the index key for a probe of atom under env. ok is
-// false when a planned variable is unexpectedly unbound — the caller
-// falls back to a scan.
-func probeKey(atom Atom, spec *indexSpec, env Env) (string, bool) {
-	kb := getKeyBuf()
-	b := kb.b[:0]
-	for i, c := range spec.cols {
-		var v Value
-		switch a := atom.Args[c].(type) {
-		case Const:
-			v = a.V
-		case Var:
-			vv, bound := env[string(a)]
-			if !bound {
-				putKeyBuf(kb, b)
-				return "", false
-			}
-			v = vv
-		default:
-			putKeyBuf(kb, b)
-			return "", false
-		}
-		if i > 0 {
-			b = append(b, '|')
-		}
-		b = v.appendKey(b)
-	}
-	s := string(b)
-	putKeyBuf(kb, b)
-	return s, true
+	return cr.plans[delta][next]
 }
 
 // Match constrains one column in an indexed tuple lookup.
@@ -256,30 +221,28 @@ func MatchTuple(match []Match, t Tuple) bool {
 	return true
 }
 
-// matchKey encodes the index key of a sorted column-match set.
-func matchKey(m []Match) string {
-	kb := getKeyBuf()
-	b := kb.b[:0]
-	for i, c := range m {
-		if i > 0 {
-			b = append(b, '|')
+// indexFor returns the index over exactly the matched columns, with the
+// bucket hash of the matched values, or nil when the table has none.
+func (tb *table) indexFor(match []Match) (*tableIndex, uint64) {
+next:
+	for _, ix := range tb.indexes {
+		if len(ix.spec.cols) != len(match) {
+			continue
 		}
-		b = c.Val.appendKey(b)
-	}
-	s := string(b)
-	putKeyBuf(kb, b)
-	return s
-}
-
-func matchSig(m []Match) string {
-	b := make([]byte, 0, 8)
-	for i, c := range m {
-		if i > 0 {
-			b = append(b, ',')
+		h := hashSeed
+		for _, c := range ix.spec.cols {
+			i := 0
+			for i < len(match) && match[i].Col != c {
+				i++
+			}
+			if i == len(match) {
+				continue next
+			}
+			h = match[i].Val.hash(h)
 		}
-		b = strconv.AppendInt(b, int64(c.Col), 10)
+		return ix, h & bucketMask
 	}
-	return string(b)
+	return nil, 0
 }
 
 // TuplesMatchingAt returns the tuples of a table that existed on the node
@@ -298,14 +261,8 @@ func (e *Engine) TuplesMatchingAt(nodeName, tableName string, at Stamp, match []
 		return nil
 	}
 	rows := tb.order
-	indexed := false
-	if e.indexing && len(match) > 0 {
-		m := append([]Match(nil), match...)
-		sort.Slice(m, func(i, j int) bool { return m[i].Col < m[j].Col })
-		if ix := tb.indexes[matchSig(m)]; ix != nil {
-			rows = ix.buckets[matchKey(m)]
-			indexed = true
-		}
+	if ix, h := tb.indexFor(match); ix != nil {
+		rows = ix.buckets[h]
 	}
 	var out []Tuple
 	for _, r := range rows {
@@ -315,8 +272,8 @@ func (e *Engine) TuplesMatchingAt(nodeName, tableName string, at Stamp, match []
 		if r.dead && !at.Before(r.diedAt) {
 			continue
 		}
-		if !indexed && !MatchTuple(match, r.tuple) {
-			continue
+		if !MatchTuple(match, r.tuple) {
+			continue // also turns away a bucket's hash collisions
 		}
 		out = append(out, r.tuple)
 	}

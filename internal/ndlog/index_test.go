@@ -94,6 +94,56 @@ func TestIndexedJoinMatchesScan(t *testing.T) {
 	}
 }
 
+// TestIndexBucketCollisions narrows the bucket hash to one bit, so every
+// bucket mixes rows with different values in the indexed columns. The join
+// must still derive exactly what the scan derives, in the same order, and a
+// point lookup must not hand back the rows that merely share its bucket.
+func TestIndexBucketCollisions(t *testing.T) {
+	defer func(m uint64) { bucketMask = m }(bucketMask)
+	bucketMask = 1
+	eIdx, obsIdx := driveMultiJoin(t, true)
+	_, obsScan := driveMultiJoin(t, false)
+	if got, want := deriveStream(obsIdx), deriveStream(obsScan); got != want {
+		t.Fatalf("derivation stream under colliding buckets differs from scan:\nindexed:\n%s\nscan:\n%s", got, want)
+	}
+	if eIdx.Stats().IndexProbes == 0 {
+		t.Fatal("the indexed run did not probe")
+	}
+	mixed := false
+	for _, ix := range eIdx.nodes["n1"].tables["link"].indexes {
+		if len(ix.buckets) > 2 {
+			t.Fatalf("index %s has %d buckets under a one-bit hash", ix.spec.sig, len(ix.buckets))
+		}
+		for _, rows := range ix.buckets {
+			for _, rw := range rows {
+				mixed = mixed || rw.tuple.Args[ix.spec.cols[0]] != rows[0].tuple.Args[ix.spec.cols[0]]
+			}
+		}
+	}
+	if !mixed {
+		t.Fatal("no bucket holds two distinct column values: nothing collided")
+	}
+	end := Stamp{T: 100, Seq: ^uint64(0)}
+	for src := int64(0); src < 5; src++ {
+		match := []Match{{Col: 0, Val: Int(src)}}
+		var want []Tuple
+		for _, tp := range eIdx.TuplesAt("n1", "link", end) {
+			if MatchTuple(match, tp) {
+				want = append(want, tp)
+			}
+		}
+		got := eIdx.TuplesMatchingAt("n1", "link", end, match)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("link(%d, _): lookup %v, filtered scan %v", src, got, want)
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("link(%d, _): lookup %v, filtered scan %v", src, got, want)
+			}
+		}
+	}
+}
+
 func TestTuplesMatchingAt(t *testing.T) {
 	for _, indexing := range []bool{true, false} {
 		t.Run(fmt.Sprintf("indexing=%v", indexing), func(t *testing.T) {
@@ -186,7 +236,6 @@ func progWithGhostAtom(t *testing.T, midLoc Expr) *Program {
 	}
 	p.rules = append(p.rules, r)
 	p.rulesByName[r.Name] = r
-	p.byBodyTable["a"] = append(p.byBodyTable["a"], ruleAtomRef{rule: r, atom: 0})
 	return p
 }
 
@@ -205,7 +254,7 @@ func TestJoinRestErrorReturnsNoBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := p.Rule("bad")
-	b := binding{env: Env{"X": Int(1)}, body: make([]At, len(r.Body))}
+	b := oracleBinding{env: Env{"X": Int(1)}, body: make([]At, len(r.Body))}
 	out, err := e.joinRest(r, 0, "n1", b, 1, e.Now())
 	if err == nil {
 		t.Fatal("expected unknown-table error")
@@ -232,7 +281,7 @@ func TestJoinRestUnboundLocationDoesNotLeakOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := p.Rule("bad")
-	b := binding{env: Env{"X": Int(1)}, body: make([]At, len(r.Body))}
+	b := oracleBinding{env: Env{"X": Int(1)}, body: make([]At, len(r.Body))}
 	out, err := e.joinRest(r, 0, "n1", b, 1, e.Now())
 	if err == nil {
 		t.Fatal("expected unknown-table error")
@@ -336,12 +385,12 @@ rule r c(X) :- a(@n, X), b(@n, X).
 	}
 }
 
-// TestQuickMatchAgreesWithUnify pins quickMatch's interface equality,
-// unifyAtom's unification, the index-key encoding, and Tuple.Equal against
-// Tuple.Key to one equality relation across every Value kind, so the
-// hash-index probe can never diverge from unification semantics and code
-// that compares tuples field by field (DiffProv's change dedup) agrees with
-// code that compares their keys.
+// TestQuickMatchAgreesWithUnify pins the compiled atoms' quickMatch and
+// unify, the exported map-based UnifyAtom, the index bucket hash, and
+// Tuple.Equal against Tuple.Key to one equality relation across every Value
+// kind, so the hash-index probe can never diverge from unification
+// semantics and code that compares tuples field by field (DiffProv's change
+// dedup) agrees with code that compares their keys.
 func TestQuickMatchAgreesWithUnify(t *testing.T) {
 	vals := []Value{
 		Int(0), Int(1), Int(-7),
@@ -351,6 +400,18 @@ func TestQuickMatchAgreesWithUnify(t *testing.T) {
 		MustParsePrefix("10.0.0.0/8"), MustParsePrefix("10.0.0.0/16"), MustParsePrefix("10.0.0.0/32"),
 		ID(0), ID(1), ID(7),
 	}
+	// compiled returns the atom over slots and a scratch whose frame binds
+	// the given variables.
+	compiled := func(a Atom, bound Env) (*slotAtom, *joinScratch) {
+		c := &compiler{slots: map[string]int{}}
+		sa := c.atom(NewProgram(), a)
+		j := &joinScratch{}
+		j.blank(len(c.vars))
+		for name, v := range bound {
+			j.frame[c.slots[name]] = v
+		}
+		return &sa, j
+	}
 	for _, a := range vals {
 		for _, b := range vals {
 			eq := a == b
@@ -358,26 +419,39 @@ func TestQuickMatchAgreesWithUnify(t *testing.T) {
 
 			// Constant argument.
 			atomC := Atom{Table: "t", Args: []Expr{Const{V: a}}}
-			if got := quickMatch(atomC, Env{}, tuple); got != eq {
+			sa, j := compiled(atomC, nil)
+			if got := sa.quickMatch(j.frame, tuple); got != eq {
 				t.Errorf("quickMatch(Const %v vs %v) = %v, want %v", a, b, got, eq)
 			}
-			if got := unifyAtom(atomC, "n", tuple, Env{}); got != eq {
-				t.Errorf("unifyAtom(Const %v vs %v) = %v, want %v", a, b, got, eq)
+			if got := sa.unify(j, "n", nil, tuple); got != eq {
+				t.Errorf("unify(Const %v vs %v) = %v, want %v", a, b, got, eq)
+			}
+			if got := UnifyAtom(atomC, "n", tuple, Env{}); got != eq {
+				t.Errorf("UnifyAtom(Const %v vs %v) = %v, want %v", a, b, got, eq)
 			}
 
 			// Bound variable.
 			atomV := Atom{Table: "t", Args: []Expr{Var("X")}}
-			if got := quickMatch(atomV, Env{"X": a}, tuple); got != eq {
+			sa, j = compiled(atomV, Env{"X": a})
+			if got := sa.quickMatch(j.frame, tuple); got != eq {
 				t.Errorf("quickMatch(Var=%v vs %v) = %v, want %v", a, b, got, eq)
 			}
-			if got := unifyAtom(atomV, "n", tuple, Env{"X": a}); got != eq {
-				t.Errorf("unifyAtom(Var=%v vs %v) = %v, want %v", a, b, got, eq)
+			if got := sa.unify(j, "n", nil, tuple); got != eq {
+				t.Errorf("unify(Var=%v vs %v) = %v, want %v", a, b, got, eq)
+			}
+			if got := UnifyAtom(atomV, "n", tuple, Env{"X": a}); got != eq {
+				t.Errorf("UnifyAtom(Var=%v vs %v) = %v, want %v", a, b, got, eq)
 			}
 
-			// Index-key encoding: equal keys iff equal values.
+			// Key encoding: equal keys iff equal values. Bucket hash: equal
+			// values must hash alike (a probe must find its rows); on this
+			// sample unequal ones must not, or the hash has lost a kind.
 			ka, kb := string(a.appendKey(nil)), string(b.appendKey(nil))
 			if (ka == kb) != eq {
 				t.Errorf("appendKey(%v)=%q vs appendKey(%v)=%q disagrees with == (%v)", a, ka, b, kb, eq)
+			}
+			if ha, hb := a.hash(hashSeed), b.hash(hashSeed); (ha == hb) != eq {
+				t.Errorf("hash(%v)=%#x vs hash(%v)=%#x disagrees with == (%v)", a, ha, b, hb, eq)
 			}
 
 			// Tuple.Equal is Key equality, alone and beside a shared column.
@@ -399,13 +473,13 @@ func TestQuickMatchAgreesWithUnify(t *testing.T) {
 			t.Errorf("%v and %v: Equal %v, keys %q %q", one, other, one.Equal(other), one.Key(), other.Key())
 		}
 	}
-	// Multi-column keys stay injective even with separator characters
-	// inside string values.
-	ix := &tableIndex{spec: &indexSpec{cols: []int{0, 1}, sig: "0,1"}}
-	k1 := ix.rowKey(NewTuple("t", Str("x|i1"), Int(2)))
-	k2 := ix.rowKey(NewTuple("t", Str("x"), Str("i1|i2")))
-	if k1 == k2 {
-		t.Fatalf("multi-column row keys collide: %q", k1)
+	// Multi-column buckets tell apart column values whose concatenation
+	// reads alike.
+	ix := &tableIndex{spec: &indexSpec{cols: []int{0, 1}, sig: "0,1"}, buckets: map[uint64][]*row{}}
+	ix.insert(&row{tuple: NewTuple("t", Str("x|i1"), Int(2))})
+	ix.insert(&row{tuple: NewTuple("t", Str("x"), Str("i1|i2"))})
+	if len(ix.buckets) != 2 {
+		t.Fatalf("multi-column rows share a bucket: %v", ix.buckets)
 	}
 }
 
@@ -423,18 +497,18 @@ rule r out(Z) :- ev(@n, X), f(@n, X, Y), g(@n, Y, Z).
 		t.Fatal(err)
 	}
 	e := New(p, nil)
-	r := p.Rule("r")
+	r := e.rules["r"]
 	// Delta = ev (atom 0): f is probed on col 0 (X bound by the delta);
 	// g on col 0 (Y bound by f, which is evaluated first).
-	if spec := e.planFor(r, 0, 1); spec == nil || spec.sig != "0" {
+	if spec := r.plan(0, 1); spec == nil || spec.sig != "0" {
 		t.Fatalf("plan(delta=0, atom=1) = %v, want cols [0]", spec)
 	}
-	if spec := e.planFor(r, 0, 2); spec == nil || spec.sig != "0" {
+	if spec := r.plan(0, 2); spec == nil || spec.sig != "0" {
 		t.Fatalf("plan(delta=0, atom=2) = %v, want cols [0]", spec)
 	}
 	// Delta = g (atom 2): by the time f is joined, X is bound by the ev
 	// atom (evaluated first) and Y by the delta, so f probes both cols.
-	if spec := e.planFor(r, 2, 1); spec == nil || spec.sig != "0,1" {
+	if spec := r.plan(2, 1); spec == nil || spec.sig != "0,1" {
 		t.Fatalf("plan(delta=2, atom=1) = %v, want cols [0,1]", spec)
 	}
 	// The event table never gets an index.
@@ -443,7 +517,7 @@ rule r out(Z) :- ev(@n, X), f(@n, X, Y), g(@n, Y, Z).
 	}
 	// Indexing off: no plans at all.
 	eOff := New(p, nil, WithIndexing(false))
-	if spec := eOff.planFor(r, 0, 1); spec != nil {
+	if spec := eOff.rules["r"].plan(0, 1); spec != nil {
 		t.Fatalf("plan with indexing off = %v, want nil", spec)
 	}
 }

@@ -45,8 +45,26 @@ func Invert(e Expr, out Value, unknown string, env Env) ([]Value, error) {
 // unknown; it is consistent with the target but contributes no binding.
 var errNoConstraint = fmt.Errorf("ndlog: expression does not constrain the unknown")
 
-// containsVar reports whether the expression mentions the variable.
+// containsVar reports whether the expression mentions the variable. The
+// inversion asks this of every subexpression it descends into, so the
+// package's own expression types are walked in place instead of listing
+// their variables.
 func containsVar(e Expr, name string) bool {
+	switch x := e.(type) {
+	case Var:
+		return string(x) == name
+	case Const:
+		return false
+	case Bin:
+		return containsVar(x.L, name) || containsVar(x.R, name)
+	case Call:
+		for _, a := range x.Args {
+			if containsVar(a, name) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, v := range e.Vars(nil) {
 		if v == name {
 			return true
@@ -262,20 +280,23 @@ func dedupValues(vs []Value) []Value {
 
 // InvertChecked inverts and then forward-checks every candidate, dropping
 // spurious preimages introduced by lossy inverse steps (e.g. integer
-// division).
+// division). The forward check evaluates e with unknown bound in env itself
+// — every inversion the solver attempts used to pay for a copy of the
+// environment — and unbinds it before returning, so env must not be in use
+// by another goroutine during the call.
 func InvertChecked(e Expr, out Value, unknown string, env Env) ([]Value, error) {
 	cands, err := Invert(e, out, unknown, env)
 	if err != nil {
 		return nil, err
 	}
-	var good []Value
+	good := cands[:0]
 	for _, c := range cands {
-		env2 := env.Clone()
-		env2[unknown] = c
-		v, err := e.Eval(env2)
+		env[unknown] = c
+		v, err := e.Eval(env)
 		if err == nil && v == out {
 			good = append(good, c)
 		}
 	}
+	delete(env, unknown)
 	return good, nil
 }

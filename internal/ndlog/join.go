@@ -5,9 +5,9 @@ import "fmt"
 // The join core: one backtracking enumerator behind every rule firing.
 //
 // A firing binds the delta tuple at its body atom and extends that one
-// environment over the remaining atoms in atom order — rows in appearance
+// frame (compile.go) over the remaining atoms in atom order — rows in appearance
 // (or index-bucket) order, nodes in nodeOrder for an unbound location —
-// depth first. Every variable bound on the way is recorded on a trail and
+// depth first. Every slot bound on the way is recorded on a trail and
 // unbound again on backtrack, so a row that fails to unify, or a complete
 // body that fails an assignment or a `where` constraint, costs no
 // allocation: a binding is copied out of the scratch only once it has
@@ -17,69 +17,127 @@ import "fmt"
 // implemented (TestJoinDifferential pins it against that reference).
 
 // binding is one satisfying assignment of a rule body, copied out of the
-// join scratch. Its parts are private to it and write-once afterwards.
+// join scratch. refs is its own allocation, write-once, and the part of it
+// that lives on: a derivation's support references. frame (the variables by
+// slot) and body live on the scratch's stacks and are the binding's to read
+// — the frame also to write — until the firing's bindings are released.
 type binding struct {
-	env  Env
-	body []At      // per body atom: the matched tuple and its appearance stamp
-	refs []BodyRef // the same elements as support references, keys as the rows hold them
+	frame []Value
+	body  []At      // per body atom: the matched tuple and its appearance stamp
+	refs  []BodyRef // the same elements as support references, keys as the rows hold them
 }
 
 // joinScratch is the state a firing enumerates in. It belongs to one
-// engine (forks start with their own, empty) and is empty between firings:
-// enumeration never re-enters the engine, and consequences of a binding —
-// which may fire further rules — start only after satBindings has returned.
+// engine (forks start with their own, empty). Enumeration never re-enters
+// the engine, so frame, trail and body serve one firing at a time and are
+// empty between firings. The consequences of a binding do re-enter —
+// a count() head appears, and fires the rules it triggers, from inside the
+// loop over the counting rule's bindings — so the surviving bindings are
+// kept on stacks: satBindings pushes, whoever consumes the bindings
+// releases them back to the mark satBindings returned, and a nested firing
+// pushes and pops above them.
 type joinScratch struct {
-	env   Env
-	trail []string // variables bound since the firing began, in binding order
-	body  []At
-	keys  []string // Tuple.Key() of each body element
+	frame []Value   // the firing's variables by slot; nil = unbound
+	trail []int     // slots bound since the firing began, in binding order
+	body  []KeyedAt // per body atom, the element matched so far
 	sat   []binding
+	first int // where on sat the firing being enumerated started
+	// frames and bodies back the frame and body of every binding on sat.
+	// Growing one moves the stack to a new array; bindings pushed before
+	// keep using the old one, which nothing else touches again.
+	frames []Value
+	bodies []At
 }
 
-func (j *joinScratch) bind(name string, v Value) {
-	j.env[name] = v
-	j.trail = append(j.trail, name)
+// satMark is a position on the scratch's binding stacks.
+type satMark struct{ sat, frames, bodies int }
+
+func (j *joinScratch) mark() satMark {
+	return satMark{sat: len(j.sat), frames: len(j.frames), bodies: len(j.bodies)}
+}
+
+// release pops every binding pushed since m.
+func (j *joinScratch) release(m satMark) {
+	clear(j.sat[m.sat:])
+	j.sat = j.sat[:m.sat]
+	clear(j.frames[m.frames:])
+	j.frames = j.frames[:m.frames]
+	clear(j.bodies[m.bodies:])
+	j.bodies = j.bodies[:m.bodies]
+}
+
+// blank returns the scratch frame, all unbound, sized for n variables.
+func (j *joinScratch) blank(n int) []Value {
+	if cap(j.frame) < n {
+		j.frame = make([]Value, n)
+	}
+	j.frame = j.frame[:n]
+	return j.frame
+}
+
+func (j *joinScratch) bind(slot int, v Value) {
+	j.frame[slot] = v
+	j.trail = append(j.trail, slot)
 }
 
 // undo unbinds every variable bound since the trail was mark long.
 func (j *joinScratch) undo(mark int) {
-	for _, name := range j.trail[mark:] {
-		delete(j.env, name)
+	for _, slot := range j.trail[mark:] {
+		j.frame[slot] = nil
 	}
 	j.trail = j.trail[:mark]
 }
 
+// push copies the scratch's complete match out as a new binding on sat: one
+// allocation, its refs.
+func (j *joinScratch) push() {
+	nf, nb := len(j.frames), len(j.bodies)
+	j.frames = append(j.frames, make([]Value, len(j.frame))...)
+	j.bodies = append(j.bodies, make([]At, len(j.body))...)
+	b := binding{
+		frame: j.frames[nf:len(j.frames):len(j.frames)],
+		body:  j.bodies[nb:len(j.bodies):len(j.bodies)],
+		refs:  make([]BodyRef, len(j.body)),
+	}
+	j.keep(&b)
+	j.sat = append(j.sat, b)
+}
+
+// keep copies the scratch's complete match into b.
+func (j *joinScratch) keep(b *binding) {
+	copy(b.frame, j.frame)
+	for i, el := range j.body {
+		b.body[i], b.refs[i] = el.At, el.Ref()
+	}
+}
+
 // satBindings enumerates the satisfying bindings of rule r with the delta
 // tuple (deltaKey is its Key()) bound at body atom deltaAtom, joining state
-// as of st. For an argmax rule only the winning binding is returned. On
-// error no binding is returned; on every path the scratch environment is
-// left empty.
-func (e *Engine) satBindings(r *Rule, deltaAtom int, nodeName string, delta Tuple, deltaKey string, st Stamp) ([]binding, error) {
+// as of st. For an argmax rule only the winning binding is returned. The
+// bindings stay valid until the caller releases the returned mark, which it
+// must do on every path. On error no binding is returned; on every path the
+// scratch frame is left unbound.
+func (e *Engine) satBindings(r *compiledRule, deltaAtom int, nodeName string, delta Tuple, deltaKey string, st Stamp) ([]binding, satMark, error) {
 	j := &e.join
-	if j.env == nil {
-		// Every counterfactual trial forks an engine, so the scratch starts
-		// small; a rule with more variables grows it once.
-		j.env = make(Env, 8)
-	}
-	j.body = append(j.body[:0], make([]At, len(r.Body))...)
-	j.keys = append(j.keys[:0], make([]string, len(r.Body))...)
+	m := j.mark()
+	j.first = m.sat
+	j.blank(len(r.vars))
+	j.body = append(j.body[:0], make([]KeyedAt, len(r.body))...)
 	var err error
-	if unifyTrail(r.Body[deltaAtom], nodeName, e.locOf(nodeName), delta, j.env, &j.trail) {
-		j.body[deltaAtom] = At{Node: nodeName, Tuple: delta, Stamp: st}
-		j.keys[deltaAtom] = deltaKey
+	if r.body[deltaAtom].unify(j, nodeName, e.locOf(nodeName), delta) {
+		j.body[deltaAtom] = keyedAt(nodeName, delta, deltaKey, st)
 		err = e.joinFrom(r, deltaAtom, nodeName, 0, st)
 	}
 	j.undo(0)
-	sat := j.sat
-	j.sat = nil
 	if err != nil {
-		return nil, err
+		j.release(m)
+		return nil, m, err
 	}
-	return sat, nil
+	return j.sat[m.sat:], m, nil
 }
 
 // locOf returns Str(nodeName) as the node boxed it, or nil for a node the
-// engine has not seen (unifyTrail then boxes on demand).
+// engine has not seen (unify then boxes on demand).
 func (e *Engine) locOf(nodeName string) Value {
 	if n := e.nodes[nodeName]; n != nil {
 		return n.loc
@@ -89,50 +147,50 @@ func (e *Engine) locOf(nodeName string) Value {
 
 // joinFrom extends the scratch binding over body atoms next.. (hash join in
 // atom order, skipping the delta atom; atoms with no bound columns scan).
-func (e *Engine) joinFrom(r *Rule, deltaAtom int, evalNode string, next int, st Stamp) error {
+func (e *Engine) joinFrom(r *compiledRule, deltaAtom int, evalNode string, next int, st Stamp) error {
 	if next == deltaAtom {
 		next++
 	}
-	if next >= len(r.Body) {
+	if next >= len(r.body) {
 		return e.joinLeaf(r)
 	}
 	j := &e.join
-	atom := r.Body[next]
+	atom := &r.body[next]
 	if e.rfPin != nil && next == e.rfPinAtom {
 		// Delta re-fire: the counterfactual row is pinned at this position
 		// (delta.go); only it may match, so bindings over main-phase rows
 		// alone — which the base run already derived — are not re-derived.
-		locNode, locKnown, err := resolveLoc(atom.Loc, evalNode, j.env)
+		locNode, locKnown, err := atom.loc.resolve(evalNode, j.frame)
 		if err != nil {
-			return fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
+			return fmt.Errorf("ndlog: rule %s: %v", r.name, err)
 		}
 		if locKnown && locNode != e.rfPinNode {
 			return nil
 		}
-		return e.joinRow(r, deltaAtom, evalNode, next, st, e.rfPinNode, e.rfPin)
+		// Under an unbound location variable the row binds it, to the
+		// pinned node.
+		return e.joinRow(r, deltaAtom, evalNode, next, st, e.rfPinNode, e.locOf(e.rfPinNode), e.rfPin)
 	}
-	decl := e.prog.Decl(atom.Table)
-	if decl == nil {
-		return fmt.Errorf("ndlog: rule %s: unknown table %s", r.Name, atom.Table)
+	if atom.decl == nil {
+		return fmt.Errorf("ndlog: rule %s: unknown table %s", r.name, atom.table)
 	}
-	if decl.Event {
+	if atom.decl.Event {
 		// Event tuples are not stored; only the delta position can be an
 		// event atom, so a non-delta event atom never joins.
 		return nil
 	}
-	locNode, locKnown, err := resolveLoc(atom.Loc, evalNode, j.env)
+	locNode, locKnown, err := atom.loc.resolve(evalNode, j.frame)
 	if err != nil {
-		return fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
+		return fmt.Errorf("ndlog: rule %s: %v", r.name, err)
 	}
 	if locKnown {
 		return e.joinNode(r, deltaAtom, evalNode, next, st, locNode)
 	}
 	// Unbound location variable: try every node deterministically, binding
 	// it for the node's subtree only.
-	v := string(atom.Loc.(Var))
 	for _, nn := range e.nodeOrder {
 		mark := len(j.trail)
-		j.bind(v, e.nodes[nn].loc)
+		j.bind(atom.loc.slot, e.nodes[nn].loc)
 		err := e.joinNode(r, deltaAtom, evalNode, next, st, nn)
 		j.undo(mark)
 		if err != nil {
@@ -145,26 +203,23 @@ func (e *Engine) joinFrom(r *Rule, deltaAtom int, evalNode string, next int, st 
 // joinNode matches body atom next against one node's table. When the join
 // plan has bound columns for the atom it probes the table's hash index —
 // the bucket holds rows in appearance order, so the rows tried are a
-// subsequence of the full scan's.
-func (e *Engine) joinNode(r *Rule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string) error {
-	atom := r.Body[next]
+// subsequence of the full scan's (plus whatever collides, which joinRow's
+// quickMatch turns away like any other row that does not fit).
+func (e *Engine) joinNode(r *compiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string) error {
+	atom := &r.body[next]
 	n := e.nodes[nodeName]
 	if n == nil {
 		return nil
 	}
-	tb := n.tables[atom.Table]
+	tb := n.tables[atom.table]
 	if tb == nil {
 		return nil
 	}
 	rows := tb.order
-	if spec := e.planFor(r, deltaAtom, next); spec != nil {
-		if key, ok := probeKey(atom, spec, e.join.env); ok {
-			if ix := tb.indexes[spec.sig]; ix != nil {
-				rows = ix.buckets[key]
-				e.stats.IndexProbes++
-			} else {
-				e.stats.IndexFallbacks++
-			}
+	if spec := r.plan(deltaAtom, next); spec != nil {
+		if h, ok := atom.probeHash(spec, e.join.frame); ok && spec.pos < len(tb.indexes) {
+			rows = tb.indexes[spec.pos].buckets[h]
+			e.stats.IndexProbes++
 		} else {
 			e.stats.IndexFallbacks++
 		}
@@ -172,7 +227,9 @@ func (e *Engine) joinNode(r *Rule, deltaAtom int, evalNode string, next int, st 
 		e.stats.IndexScans++
 	}
 	for _, rw := range rows {
-		if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, rw); err != nil {
+		// The atom's location is bound by now (joinFrom resolved or bound
+		// it), so no boxed node name is needed.
+		if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, rw); err != nil {
 			return err
 		}
 	}
@@ -182,20 +239,17 @@ func (e *Engine) joinNode(r *Rule, deltaAtom int, evalNode string, next int, st 
 // joinRow unifies body atom next with one row as of st and, if it fits,
 // recurses over the remaining atoms; the row's bindings are undone before
 // it returns. quickMatch first turns away rows that disagree with a
-// constant or a bound variable without touching the environment.
-func (e *Engine) joinRow(r *Rule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string, rw *row) error {
+// constant or a bound variable without touching the frame.
+func (e *Engine) joinRow(r *compiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string, loc Value, rw *row) error {
 	j := &e.join
-	if rw.dead || st.Before(rw.appearedAt) || !quickMatch(r.Body[next], j.env, rw.tuple) {
+	atom := &r.body[next]
+	if rw.dead || st.Before(rw.appearedAt) || !atom.quickMatch(j.frame, rw.tuple) {
 		return nil
 	}
 	mark := len(j.trail)
 	var err error
-	// The atom's location is bound by now (joinFrom resolved or bound it) in
-	// every case but a pinned row under an unbound location variable, so no
-	// boxed node name is looked up here.
-	if unifyTrail(r.Body[next], nodeName, nil, rw.tuple, j.env, &j.trail) {
-		j.body[next] = At{Node: nodeName, Tuple: rw.tuple, Stamp: rw.appearedAt}
-		j.keys[next] = rw.key
+	if atom.unify(j, nodeName, loc, rw.tuple) {
+		j.body[next] = keyedAt(nodeName, rw.tuple, rw.key, rw.appearedAt)
 		err = e.joinFrom(r, deltaAtom, evalNode, next+1, st)
 	}
 	j.undo(mark)
@@ -206,53 +260,53 @@ func (e *Engine) joinRow(r *Rule, deltaAtom int, evalNode string, next int, st S
 // body match and copies the binding out if it survives. An assignment whose
 // variable is already bound by the body acts as a unification constraint:
 // the binding survives only if the computed value matches (datalog
-// semantics of "="). An argmax rule keeps only the best binding so far:
-// the larger value wins, ties go to the smaller canonical binding key.
-func (e *Engine) joinLeaf(r *Rule) error {
+// semantics of "="). An argmax rule keeps only the best binding so far —
+// the larger value wins, ties go to the smaller canonical binding key — and
+// a better one overwrites it in place.
+func (e *Engine) joinLeaf(r *compiledRule) error {
 	j := &e.join
 	mark := len(j.trail)
 	ok, err := j.finish(r)
-	if ok && r.ArgMax != "" && len(j.sat) == 1 {
-		nv, bv := j.env[r.ArgMax], j.sat[0].env[r.ArgMax]
-		ok = Less(bv, nv) || (!Less(nv, bv) && BindingKey(j.env) < BindingKey(j.sat[0].env))
-		if ok {
-			j.sat = j.sat[:0]
+	switch {
+	case !ok:
+	case r.argMaxSlot >= 0 && len(j.sat) > j.first:
+		best := &j.sat[j.first]
+		nv, bv := j.frame[r.argMaxSlot], best.frame[r.argMaxSlot]
+		if Less(bv, nv) || (!Less(nv, bv) && r.bindingKeyLess(j.frame, best.frame)) {
+			j.keep(best)
 		}
-	}
-	if ok {
-		b := binding{env: j.env.Clone(), body: make([]At, len(j.body)), refs: make([]BodyRef, len(j.body))}
-		copy(b.body, j.body)
-		for i, at := range j.body {
-			b.refs[i] = BodyRef{Node: at.Node, Key: j.keys[i], Seq: at.Stamp.Seq}
-		}
-		j.sat = append(j.sat, b)
+	default:
+		j.push()
 	}
 	j.undo(mark)
 	if err != nil {
-		return fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
+		return fmt.Errorf("ndlog: rule %s: %v", r.name, err)
 	}
 	return nil
 }
 
 // finish binds the rule's assignments (on the trail) and checks its
-// constraints against the scratch environment.
-func (j *joinScratch) finish(r *Rule) (bool, error) {
-	for _, a := range r.Assigns {
-		v, err := a.Expr.Eval(j.env)
+// constraints against the scratch frame.
+func (j *joinScratch) finish(r *compiledRule) (bool, error) {
+	for _, a := range r.assigns {
+		v, err := a.expr.eval(j.frame)
 		if err != nil {
 			return false, err
 		}
-		if old, bound := j.env[a.Var]; bound {
+		if old := j.frame[a.slot]; old != nil {
 			if old != v {
 				return false, nil
 			}
 			continue
 		}
-		j.bind(a.Var, v)
+		j.bind(a.slot, v)
 	}
-	for _, w := range r.Where {
-		ok, err := EvalBool(w, j.env)
-		if err != nil || !ok {
+	for i, w := range r.where {
+		v, err := w.eval(j.frame)
+		if err != nil {
+			return false, err
+		}
+		if ok, err := constraintResult(r.rule.Where[i], v); err != nil || !ok {
 			return false, err
 		}
 	}

@@ -10,18 +10,26 @@ import (
 )
 
 // sameBindings holds the core's bindings against the oracle's: same
-// count, same order, same environments, same body elements — and the
-// support references the core adds must name exactly those elements.
-func sameBindings(got, want []binding) error {
+// count, same order, same environments (the frame's canonical key must be
+// byte for byte BindingKey of the oracle's map), same body elements — and
+// the support references the core adds must name exactly those elements.
+func sameBindings(r *compiledRule, got []binding, want []oracleBinding) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d bindings, oracle has %d", len(got), len(want))
 	}
 	for i := range want {
-		if g, w := BindingKey(got[i].env), BindingKey(want[i].env); g != w {
+		if g, w := r.bindingKey(got[i].frame), BindingKey(want[i].env); g != w {
 			return fmt.Errorf("binding %d: env %s, oracle %s", i, g, w)
 		}
 		if len(got[i].body) != len(want[i].body) || len(got[i].refs) != len(want[i].body) {
 			return fmt.Errorf("binding %d: body %d / refs %d elements, oracle %d", i, len(got[i].body), len(got[i].refs), len(want[i].body))
+		}
+		// The head, which may read an assigned variable, evaluates alike from
+		// the frame and from the map.
+		gh, gerr := r.headArgs[0].eval(got[i].frame)
+		wh, werr := r.rule.Head.Args[0].Eval(want[i].env)
+		if gh != wh || (gerr != nil) != (werr != nil) {
+			return fmt.Errorf("binding %d: head %v (error %v), oracle %v (error %v)", i, gh, gerr, wh, werr)
 		}
 		for k, w := range want[i].body {
 			g := got[i].body[k]
@@ -37,10 +45,23 @@ func sameBindings(got, want []binding) error {
 }
 
 func scratchEmpty(e *Engine) error {
-	if len(e.join.env) != 0 || len(e.join.trail) != 0 || e.join.sat != nil {
-		return fmt.Errorf("scratch not empty after firing: env %v, trail %v, %d bindings", e.join.env, e.join.trail, len(e.join.sat))
+	for _, v := range e.join.frame[:cap(e.join.frame)] {
+		if v != nil {
+			return fmt.Errorf("scratch frame not unbound after firing: %v", e.join.frame[:cap(e.join.frame)])
+		}
+	}
+	if len(e.join.trail) != 0 || len(e.join.sat) != 0 || len(e.join.frames) != 0 || len(e.join.bodies) != 0 {
+		return fmt.Errorf("scratch not empty after firing: trail %v, %d bindings, %d frame slots, %d body elements", e.join.trail, len(e.join.sat), len(e.join.frames), len(e.join.bodies))
 	}
 	return nil
+}
+
+// satCount fires the named rule in the join core alone and reports how
+// many bindings it returned, releasing them.
+func satCount(e *Engine, rule string, deltaAtom int, node string, delta Tuple) (int, error) {
+	sat, mark, err := e.satBindings(e.rules[rule], deltaAtom, node, delta, delta.Key(), e.Now())
+	e.join.release(mark)
+	return len(sat), err
 }
 
 // joinCase is one generated rule over a populated engine, plus a trigger.
@@ -64,11 +85,13 @@ var joinTables = []TableDecl{
 }
 
 // genJoinCase draws a rule of 1–4 body atoms — constants, repeated
-// variables, local / constant / bound / unbound locations, assignments to
-// fresh and to already-bound variables, `where` constraints, argmax over a
-// three-value domain (so ties are the rule, not the exception) — and
-// random tables holding live rows, dead rows and rows younger than the
-// trigger.
+// variables (also within one atom: p(X, X)), local / constant / bound /
+// unbound locations, a location variable that is an argument elsewhere,
+// assignments to fresh and to already-bound variables, assignments the
+// head, a constraint or a later assignment re-uses, now and then more than
+// 16 variables, `where` constraints, argmax over a small domain (so ties
+// are the rule, not the exception) — and random tables holding live rows,
+// dead rows and rows younger than the trigger.
 func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 	t.Helper()
 	p := NewProgram()
@@ -78,7 +101,14 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 		}
 	}
 	vars := []string{"A", "B", "C", "D"}
-	val := func() Value { return Int(rng.Intn(3)) }
+	// Mostly small integers; now and then a node name, so a variable can be
+	// a location in one atom and an argument in another and still match.
+	val := func() Value {
+		if rng.Intn(6) == 0 {
+			return Str(joinNodes[rng.Intn(len(joinNodes))])
+		}
+		return Int(rng.Intn(3))
+	}
 	args := func(n int) []Expr {
 		out := make([]Expr, n)
 		for i := range out {
@@ -87,6 +117,9 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 			} else {
 				out[i] = Var(vars[rng.Intn(len(vars))])
 			}
+		}
+		if rng.Intn(6) == 0 {
+			out[1] = out[0] // p(X, X, ..)
 		}
 		return out
 	}
@@ -106,6 +139,10 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 			a.Loc = Var("L") // bound by whichever atom mentions it first
 		case 3:
 			a.Loc = Var("M")
+		case 4:
+			if rng.Intn(2) == 0 {
+				a.Loc = Var(vars[rng.Intn(len(vars))]) // an argument variable as the location
+			}
 		}
 		r.Body = append(r.Body, a)
 	}
@@ -125,15 +162,39 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 		}
 		return Var(vars[rng.Intn(len(vars))])
 	}
+	assigned := false
 	for i := rng.Intn(3); i > 0; i-- {
 		as := Assign{Var: "Z", Expr: B(OpAdd, bodyVar(), C(Int(1)))}
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(4) {
+		case 0:
 			as = Assign{Var: vars[rng.Intn(len(vars))], Expr: bodyVar()} // unification when bound
+		case 1:
+			if assigned {
+				as = Assign{Var: "Y", Expr: B(OpAdd, Var("Z"), bodyVar())} // reads the assignment before it
+			}
 		}
+		assigned = assigned || as.Var == "Z"
 		r.Assigns = append(r.Assigns, as)
 	}
+	if rng.Intn(5) == 0 {
+		// A wide rule: more variables than BindingKey's on-stack name buffer.
+		for k := 0; k < 17; k++ {
+			r.Assigns = append(r.Assigns, Assign{Var: fmt.Sprintf("W%02d", k), Expr: B(OpAdd, bodyVar(), C(Int(int64(k))))})
+		}
+	}
+	// Z where an assignment binds it, so the constraint and the head see
+	// what the leaf computed.
+	leafVar := func() Expr {
+		if assigned && rng.Intn(2) == 0 {
+			return Var("Z")
+		}
+		return bodyVar()
+	}
 	if rng.Intn(2) == 0 {
-		r.Where = append(r.Where, B(OpLe, bodyVar(), bodyVar()))
+		r.Where = append(r.Where, B(OpLe, leafVar(), bodyVar()))
+	}
+	if rng.Intn(2) == 0 {
+		r.Head.Args[0] = leafVar()
 	}
 	if len(bound) > 0 && rng.Intn(2) == 0 {
 		r.ArgMax = bound[rng.Intn(len(bound))] // always bound, so always comparable
@@ -204,19 +265,25 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 // fireBoth runs the oracle and the core on the case and compares bindings,
 // errors-or-not, the index counters each consumed, and the scratch state.
 // It returns what the oracle produced and, if the core disagrees, how.
-func (c joinCase) fireBoth() (want []binding, werr, mismatch error) {
+func (c joinCase) fireBoth() (want []oracleBinding, werr, mismatch error) {
 	e := c.e
+	cr := e.rules[c.r.Name]
+	// Tight stacks, so the nested firing below has to move them.
+	e.join.sat, e.join.frames, e.join.bodies = nil, nil, nil
 	s0 := e.stats
 	want, werr = e.oracleSat(c.r, c.deltaAtom, c.node, c.delta, c.st)
 	s1 := e.stats
-	got, gerr := e.satBindings(c.r, c.deltaAtom, c.node, c.delta, c.delta.Key(), c.st)
+	got, mark, gerr := e.satBindings(cr, c.deltaAtom, c.node, c.delta, c.delta.Key(), c.st)
 	s2 := e.stats
 	if (werr != nil) != (gerr != nil) {
 		return want, werr, fmt.Errorf("core error %v, oracle error %v", gerr, werr)
 	}
-	if err := scratchEmpty(e); err != nil {
-		return want, werr, err
-	}
+	defer func() {
+		e.join.release(mark)
+		if err := scratchEmpty(e); err != nil && mismatch == nil {
+			mismatch = err
+		}
+	}()
 	if gerr != nil {
 		if got != nil {
 			return want, werr, fmt.Errorf("%d bindings alongside error %v", len(got), gerr)
@@ -229,11 +296,21 @@ func (c joinCase) fireBoth() (want []binding, werr, mismatch error) {
 	if g, w := probes(s1, s2), probes(s0, s1); g != w {
 		return want, werr, fmt.Errorf("index probes/scans/fallbacks %v, oracle %v", g, w)
 	}
-	return want, werr, sameBindings(got, want)
+	// Re-enter the join before reading the bindings, as a count() head does
+	// from inside the loop over its rule's bindings: the nested firing
+	// pushes its own above them and pops them again.
+	nested, inner, nerr := e.satBindings(cr, c.deltaAtom, c.node, c.delta, c.delta.Key(), c.st)
+	n := len(nested)
+	e.join.release(inner)
+	if nerr != nil || n != len(got) {
+		return want, werr, fmt.Errorf("nested firing: %d bindings, error %v; the firing around it has %d", n, nerr, len(got))
+	}
+	return want, werr, sameBindings(cr, got, want)
 }
 
 func TestJoinDifferential(t *testing.T) {
 	fired, nonEmpty, multi, errored, pinned := 0, 0, 0, 0, 0
+	ties, wide, locArg, twice := 0, 0, 0, 0 // firings with bindings that cover the named shape
 	for seed := int64(1); seed <= 400; seed++ {
 		for _, indexing := range []bool{true, false} {
 			c := genJoinCase(t, rand.New(rand.NewSource(seed)), indexing)
@@ -251,6 +328,48 @@ func TestJoinDifferential(t *testing.T) {
 				fallthrough
 			case len(want) == 1:
 				nonEmpty++
+			}
+			if len(want) > 0 {
+				cr := c.e.rules["r"]
+				if len(cr.vars) > 16 {
+					wide++
+				}
+				argSlots := map[int]bool{}
+				for _, a := range cr.body {
+					for i, arg := range a.args {
+						if arg.kind != termVar {
+							continue
+						}
+						argSlots[arg.slot] = true
+						if i > 0 && a.args[0].kind == termVar && a.args[0].slot == arg.slot {
+							twice++
+						}
+					}
+				}
+				for _, a := range cr.body {
+					if a.loc.kind == locVar && argSlots[a.loc.slot] {
+						locArg++
+					}
+				}
+				if c.r.ArgMax != "" {
+					// All candidates, through the oracle on the rule without its
+					// argmax: a tie is two of them sharing the largest value.
+					plain := *c.r
+					plain.ArgMax = ""
+					all, err := c.e.oracleSat(&plain, c.deltaAtom, c.node, c.delta, c.st)
+					if err != nil {
+						t.Fatalf("%s: without argmax: %v", name, err)
+					}
+					top := 0
+					for _, b := range all {
+						if b.env[c.r.ArgMax] == want[0].env[c.r.ArgMax] {
+							top++
+						}
+					}
+					if top > 1 {
+						ties++
+					}
+				}
 			}
 			// A pinned re-fire: each row the first non-delta atom's table
 			// ever held — dead ones included — is in turn the only row that
@@ -279,7 +398,8 @@ func TestJoinDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("%d firings (%d with bindings, %d with several, %d erroring), %d pinned re-fires", fired, nonEmpty, multi, errored, pinned)
-	if nonEmpty < fired/10 || multi < fired/50 || errored == 0 || pinned == 0 {
+	t.Logf("with bindings: %d argmax ties, %d rules over 16 variables, %d location variables that are arguments, %d atoms repeating a variable", ties, wide, locArg, twice)
+	if nonEmpty < fired/10 || multi < fired/50 || errored == 0 || pinned == 0 || ties == 0 || wide == 0 || locArg == 0 || twice == 0 {
 		t.Fatal("the generator lost coverage")
 	}
 }
@@ -302,12 +422,12 @@ func TestJoinErrorLeavesScratchEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 		delta := NewTuple("a", Int(1))
-		sat, err := e.satBindings(p.Rule("bad"), 0, "n1", delta, delta.Key(), e.Now())
+		sat, err := satCount(e, "bad", 0, "n1", delta)
 		if err == nil || !strings.Contains(err.Error(), "unknown table ghost") {
 			t.Fatalf("loc %v: error = %v, want unknown table ghost", midLoc, err)
 		}
-		if sat != nil {
-			t.Fatalf("loc %v: %d bindings alongside error", midLoc, len(sat))
+		if sat != 0 {
+			t.Fatalf("loc %v: %d bindings alongside error", midLoc, sat)
 		}
 		if err := scratchEmpty(e); err != nil {
 			t.Fatalf("loc %v: %v", midLoc, err)
@@ -335,20 +455,20 @@ rule leaf h(@n1, X) :- ev(@n1, X, X), cfg(@n1, X, Y).
 		t.Fatal(err)
 	}
 	delta := NewTuple("ev", Int(1), Int(1))
-	sat, err := e.satBindings(r, 0, "n1", delta, delta.Key(), e.Now())
+	sat, err := satCount(e, "leaf", 0, "n1", delta)
 	if err == nil || !strings.Contains(err.Error(), "rule leaf") || !strings.Contains(err.Error(), "unbound variable Q") {
 		t.Fatalf("leaf error = %v, want rule leaf: unbound variable Q", err)
 	}
-	if sat != nil {
-		t.Fatalf("%d bindings alongside leaf error", len(sat))
+	if sat != 0 {
+		t.Fatalf("%d bindings alongside leaf error", sat)
 	}
 	if err := scratchEmpty(e); err != nil {
 		t.Fatal(err)
 	}
 	// ev(X, X) against ev(1, 2): X is bound to 1 before the mismatch.
 	delta = NewTuple("ev", Int(1), Int(2))
-	if sat, err := e.satBindings(r, 0, "n1", delta, delta.Key(), e.Now()); err != nil || sat != nil {
-		t.Fatalf("non-unifying delta: %d bindings, error %v", len(sat), err)
+	if sat, err := satCount(e, "leaf", 0, "n1", delta); err != nil || sat != 0 {
+		t.Fatalf("non-unifying delta: %d bindings, error %v", sat, err)
 	}
 	if err := scratchEmpty(e); err != nil {
 		t.Fatal(err)
@@ -397,15 +517,15 @@ rule two h(@n1, X) :- ev(@n1, X), cfg(@n1, X, N), far(@N, X).
 	}
 	delta := NewTuple("ev", Int(1))
 	want, werr := e.oracleSat(r, 0, "n1", delta, e.Now())
-	got, gerr := e.satBindings(r, 0, "n1", delta, delta.Key(), e.Now())
+	got, gerr := satCount(e, "two", 0, "n1", delta)
 	if werr == nil || !strings.Contains(werr.Error(), "bound to non-node") {
 		t.Fatalf("oracle error = %v, want the location error", werr)
 	}
 	if gerr == nil || !strings.Contains(gerr.Error(), "unbound variable Q") {
 		t.Fatalf("core error = %v, want the constraint error", gerr)
 	}
-	if want != nil || got != nil {
-		t.Fatalf("bindings alongside errors: oracle %d, core %d", len(want), len(got))
+	if want != nil || got != 0 {
+		t.Fatalf("bindings alongside errors: oracle %d, core %d", len(want), got)
 	}
 	if err := scratchEmpty(e); err != nil {
 		t.Fatal(err)
@@ -472,6 +592,81 @@ func TestJoinRejectedRowsAllocateNothing(t *testing.T) {
 		if got := perPacket(n); got != base {
 			t.Errorf("%d rejected rows: %.0f allocs/packet, 4 rejected rows: %.0f", n, got, base)
 		}
+	}
+}
+
+// fanoutEngine is the engine BenchmarkJoinFanout measures: n edges on one
+// node, each matched by exactly one probe value.
+func fanoutEngine(t *testing.T, n int) *Engine {
+	t.Helper()
+	e := New(MustParse(`
+table edge/2 base;
+table probe/1 event base;
+table hit/2 event;
+rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
+`), nil)
+	for i := 0; i < n; i++ {
+		v := Int(int64(i))
+		if err := e.ScheduleInsert("r", NewTuple("edge", v, v), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestJoinFiringAllocationBudget: one probe event through the fanout rule
+// — scheduled, logged as an occurrence, joined against its one matching
+// edge through the index, its head derived, delivered and registered —
+// costs at most 12 allocations.
+func TestJoinFiringAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled buffers are re-allocated at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 1000
+	e := fanoutEngine(t, n)
+	i := 0
+	send := func() {
+		i++
+		if err := e.ScheduleInsert("r", NewTuple("probe", Int(int64(i%n))), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.Stats()
+	if got := testing.AllocsPerRun(500, send); got > 12 {
+		t.Errorf("one indexed firing: %.0f allocations, budget 12", got)
+	}
+	if st := e.Stats(); st.Derivations-before.Derivations != 501 || st.IndexProbes-before.IndexProbes != 501 {
+		t.Fatalf("501 probes made %d derivations through %d index probes", st.Derivations-before.Derivations, st.IndexProbes-before.IndexProbes)
+	}
+}
+
+// TestJoinSurvivingBindingIsOneAllocation: the join's share of a firing —
+// copying a surviving binding out of the scratch — is exactly one
+// allocation, its support references; its frame and body go on the
+// scratch's stacks.
+func TestJoinSurvivingBindingIsOneAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled buffers are re-allocated at random under the race detector")
+	}
+	e := fanoutEngine(t, 100)
+	delta := NewTuple("probe", Int(7))
+	key := delta.Key()
+	join := func() {
+		sat, mark, err := e.satBindings(e.rules["j"], 0, "r", delta, key, e.Now())
+		if err != nil || len(sat) != 1 {
+			t.Fatalf("%d bindings, error %v", len(sat), err)
+		}
+		e.join.release(mark)
+	}
+	if got := testing.AllocsPerRun(500, join); got != 1 {
+		t.Errorf("a surviving binding is copied out in %.0f allocations, want 1", got)
 	}
 }
 

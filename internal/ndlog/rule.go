@@ -86,11 +86,8 @@ type Rule struct {
 	// rules).
 	Pos Pos
 
-	// Variable lists every firing would otherwise re-derive, filled when the
-	// rule joins a Program: headVars is HeadVars(), groupVars the sorted
-	// group variables of a counting rule (see groupKey).
-	headVars  [][]string
-	groupVars []string
+	// headVars is HeadVars(), listed once when the rule joins a Program.
+	headVars [][]string
 }
 
 // HeadVars returns the free variables (FreeVars) of each head expression:
@@ -112,16 +109,6 @@ func headVarsOf(r *Rule) [][]string {
 		vars = append(vars, FreeVars(r.Head.Loc))
 	}
 	return vars
-}
-
-// cacheVars fills the rule's variable lists afresh (the value may be an
-// edited copy of a rule from another program); called once, by the program
-// the rule is added to, before the rule is shared.
-func (r *Rule) cacheVars() {
-	r.headVars, r.groupVars = headVarsOf(r), nil
-	if r.CountVar != "" {
-		r.groupVars = groupVarsOf(r)
-	}
 }
 
 func (r Rule) String() string {
@@ -213,9 +200,6 @@ type Program struct {
 	declOrder   []string
 	rules       []*Rule
 	rulesByName map[string]*Rule
-	// byBodyTable indexes rules by the tables appearing in their bodies
-	// for trigger dispatch.
-	byBodyTable map[string][]ruleAtomRef
 	// analyzeOnce/analyzed cache the whole-program analysis (see
 	// Program.Analyze in analyze.go): replay sessions rebuild engines over
 	// the same program many times and must not re-pay the analysis.
@@ -223,17 +207,11 @@ type Program struct {
 	analyzed    []Diag
 }
 
-type ruleAtomRef struct {
-	rule *Rule
-	atom int // index into rule.Body
-}
-
 // NewProgram creates an empty program.
 func NewProgram() *Program {
 	return &Program{
 		decls:       map[string]*TableDecl{},
 		rulesByName: map[string]*Rule{},
-		byBodyTable: map[string][]ruleAtomRef{},
 	}
 }
 
@@ -275,12 +253,11 @@ func (p *Program) AddRule(r Rule) error {
 // the caller must have rejected duplicate names already.
 func (p *Program) addRuleUnchecked(r Rule) {
 	rr := r
-	rr.cacheVars()
+	// Listed afresh: the value may be an edited copy of a rule from another
+	// program.
+	rr.headVars = headVarsOf(&rr)
 	p.rules = append(p.rules, &rr)
 	p.rulesByName[r.Name] = &rr
-	for i, b := range rr.Body {
-		p.byBodyTable[b.Table] = append(p.byBodyTable[b.Table], ruleAtomRef{rule: &rr, atom: i})
-	}
 }
 
 // Rule returns the rule with the given name, or nil.
@@ -291,12 +268,6 @@ func (p *Program) Rule(name string) *Rule {
 // Rules returns the rules in definition order.
 func (p *Program) Rules() []*Rule {
 	return append([]*Rule(nil), p.rules...)
-}
-
-// triggers returns the (rule, body-atom) pairs that a tuple of the given
-// table may trigger.
-func (p *Program) triggers(table string) []ruleAtomRef {
-	return p.byBodyTable[table]
 }
 
 // String renders the program in NDlog source syntax.

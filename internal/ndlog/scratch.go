@@ -4,7 +4,7 @@ import "sync"
 
 // Pooled scratch buffers for the evaluation hot path. Forward runs and
 // counterfactual trials run thousands of key encodings (tuple keys,
-// primary keys, group keys, binding keys, index probe keys), builtin calls
+// primary keys, group keys, binding keys), builtin calls
 // and table clones per second across candidate-pool workers; every buffer
 // pooled here holds data only within a single call — the encoded string is
 // materialized with string(b), and the argument list and the remap map are

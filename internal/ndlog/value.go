@@ -53,7 +53,23 @@ type Value interface {
 	Kind() Kind
 	String() string
 	appendKey(b []byte) []byte
+	// hash folds the value into a running hash-index bucket hash (index.go):
+	// values that are == hash alike.
+	hash(h uint64) uint64
 }
+
+// hashWord folds a kind tag and one word into h, FNV-1a style. For a fixed
+// h and kind it is a bijection of w, so two values of one kind differ in
+// hash whenever they differ.
+func hashWord(h uint64, kind byte, w uint64) uint64 {
+	h = (h ^ uint64(kind)) * fnvPrime64
+	return (h ^ w) * fnvPrime64
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // Int is a 64-bit signed integer value.
 type Int int64
@@ -68,6 +84,8 @@ func (v Int) appendKey(b []byte) []byte {
 	return strconv.AppendInt(b, int64(v), 10)
 }
 
+func (v Int) hash(h uint64) uint64 { return hashWord(h, 'i', uint64(v)) }
+
 // Str is a string value.
 type Str string
 
@@ -81,6 +99,14 @@ func (v Str) appendKey(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(len(v)), 10)
 	b = append(b, ':')
 	return append(b, v...)
+}
+
+func (v Str) hash(h uint64) uint64 {
+	h = hashWord(h, 's', uint64(len(v)))
+	for i := 0; i < len(v); i++ {
+		h = (h ^ uint64(v[i])) * fnvPrime64
+	}
+	return h
 }
 
 // Bool is a boolean value.
@@ -101,6 +127,13 @@ func (v Bool) appendKey(b []byte) []byte {
 		return append(b, 'b', '1')
 	}
 	return append(b, 'b', '0')
+}
+
+func (v Bool) hash(h uint64) uint64 {
+	if v {
+		return hashWord(h, 'b', 1)
+	}
+	return hashWord(h, 'b', 0)
 }
 
 // IP is an IPv4 address value.
@@ -144,6 +177,8 @@ func (v IP) appendKey(b []byte) []byte {
 	b = append(b, 'a')
 	return strconv.AppendUint(b, uint64(v), 16)
 }
+
+func (v IP) hash(h uint64) uint64 { return hashWord(h, 'a', uint64(v)) }
 
 // Octet returns the i-th octet of the address (0 = most significant).
 func (v IP) Octet(i int) byte {
@@ -207,6 +242,10 @@ func (v Prefix) appendKey(b []byte) []byte {
 	return strconv.AppendUint(b, uint64(v.Bits), 10)
 }
 
+func (v Prefix) hash(h uint64) uint64 {
+	return hashWord(h, 'p', uint64(v.Addr)<<8|uint64(v.Bits))
+}
+
 // Contains reports whether the prefix covers the given address.
 func (v Prefix) Contains(ip IP) bool {
 	return ip.Mask(v.Bits) == v.Addr
@@ -229,6 +268,8 @@ func (v ID) appendKey(b []byte) []byte {
 	b = append(b, '#')
 	return strconv.AppendUint(b, uint64(v), 16)
 }
+
+func (v ID) hash(h uint64) uint64 { return hashWord(h, '#', uint64(v)) }
 
 // Eq reports whether two values are equal. Values of different kinds are
 // never equal.

@@ -79,10 +79,15 @@ func (l *Log) Each(fn func(Event)) {
 // At returns the event at index i.
 func (l *Log) At(i int) Event { return l.events[i] }
 
-// Clone returns a copy of the log (sharing tuples, which are immutable by
-// convention).
+// Clone returns a log holding the events logged so far. The log is
+// append-only and no event is ever rewritten in place, so the clone shares
+// the prefix instead of copying it: its slice is capped at the current
+// length, which makes the clone's first Append move it to an array of its
+// own, while the original's later appends land beyond what the clone can
+// see. A clone may therefore be read while the original appends.
 func (l *Log) Clone() *Log {
-	return &Log{events: append([]Event(nil), l.events...)}
+	n := len(l.events)
+	return &Log{events: l.events[:n:n]}
 }
 
 // Encode writes the log in a compact binary format: an event count

@@ -344,6 +344,60 @@ func TestLogClone(t *testing.T) {
 	}
 }
 
+// TestLogCloneSharesPrefix: a clone is a capped view of the append-only
+// log, not a copy. It may be read while the original goes on appending
+// (run with -race), it never sees those appends, and an append through a
+// clone reaches neither the original nor a sibling clone — even though all
+// three started on one array with room to spare.
+func TestLogCloneSharesPrefix(t *testing.T) {
+	pkt := func(i int) ndlog.Tuple { return ndlog.NewTuple("packet", ndlog.IP(uint32(i))) }
+	l := NewLog()
+	for i := 0; i < 100; i++ {
+		l.Insert("n", pkt(i), int64(i))
+	}
+	a, b := l.Clone(), l.Clone()
+	if &a.events[0] != &l.events[0] || &b.events[0] != &l.events[0] {
+		t.Fatal("a clone copied the events")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 100; i < 5000; i++ {
+			l.Insert("n", pkt(i), int64(i))
+		}
+	}()
+	for round := 0; round < 50; round++ {
+		n := 0
+		a.Each(func(ev Event) {
+			if ev.Tick != int64(n) {
+				t.Errorf("clone event %d has tick %d", n, ev.Tick)
+			}
+			n++
+		})
+		if n != 100 || a.Len() != 100 {
+			t.Fatalf("clone sees %d events (Len %d) while the original appends, want 100", n, a.Len())
+		}
+	}
+	wg.Wait()
+
+	a.Insert("clone-a", pkt(-1), 100)
+	b.Insert("clone-b", pkt(-2), 100)
+	if a.Len() != 101 || b.Len() != 101 || l.Len() != 5000 {
+		t.Fatalf("lengths %d / %d / %d, want 101 / 101 / 5000", a.Len(), b.Len(), l.Len())
+	}
+	if got := a.At(100).Node; got != "clone-a" {
+		t.Errorf("clone a's event 100 is on %q: a sibling's or the original's append reached it", got)
+	}
+	if got := b.At(100).Node; got != "clone-b" {
+		t.Errorf("clone b's event 100 is on %q", got)
+	}
+	if got := l.At(100); got.Node != "n" || got.Tick != 100 {
+		t.Errorf("the original's event 100 is %+v: a clone's append reached it", got)
+	}
+}
+
 func TestReplayAccountsTime(t *testing.T) {
 	s := NewSession(fwdProg)
 	driveScenario(t, s)

@@ -234,9 +234,9 @@ func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, erro
 }
 
 // Clone returns an independent session over the same captured execution.
-// The immutable program, the session options, and the base run are
-// shared, the base-event log is copied, and the replay statistics start
-// at zero. Clones are how concurrent diagnoses isolate their mutable
+// The immutable program, the session options, the base run and the
+// base-event log as it stands (Log.Clone: a capped view of the append-only
+// log, not a copy) are shared, and the replay statistics start at zero. Clones are how concurrent diagnoses isolate their mutable
 // state — each one replays and accounts time privately, so a completed
 // session can serve any number of clones in parallel.
 //
@@ -262,7 +262,7 @@ func (s *Session) Clone() *Session {
 		liveRec:    s.liveRec,
 		ckptEvery:  s.ckptEvery,
 		lastCkpt:   s.lastCkpt,
-		ckpts:      append([]ndlog.Snapshot(nil), s.ckpts...),
+		ckpts:      s.ckpts[:len(s.ckpts):len(s.ckpts)], // append-only, shared like the log
 		base:       s.base,
 		oracle:     s.oracle,
 		engineOpts: s.engineOpts,
