@@ -11,8 +11,7 @@
 //	benchtab -latency
 //	benchtab -stanford
 //	benchtab -refcheck
-//	benchtab -coldstart
-//	benchtab -fork
+//	benchtab -delta
 package main
 
 import (
@@ -26,19 +25,17 @@ import (
 
 func main() {
 	var (
-		all       = flag.Bool("all", false, "run everything")
-		table1    = flag.Bool("table1", false, "Table 1: vertexes returned per diagnostic technique")
-		fig5      = flag.Bool("fig5", false, "Figure 5: logging rate vs traffic rate")
-		fig6      = flag.Bool("fig6", false, "Figure 6: logging rate vs packet size")
-		fig7      = flag.Bool("fig7", false, "Figure 7: query turnaround, DiffProv vs Y!")
-		fig8      = flag.Bool("fig8", false, "Figure 8: reasoning-time decomposition")
-		latency   = flag.Bool("latency", false, "§6.4: runtime latency overheads")
-		stanford  = flag.Bool("stanford", false, "§6.7: Stanford backbone diagnosis")
-		refcheck  = flag.Bool("refcheck", false, "§6.3: unsuitable-reference queries")
-		coldstart = flag.Bool("coldstart", false, "segmented-store cold start: record SDN1, replay it out of segments")
-		fork      = flag.Bool("fork", false, "base-run fork cost (copy-on-write) by state size")
-		delta     = flag.Bool("delta", false, "replay configurations: diagnosis with forked delta trials (production) vs from-scratch trials (oracle)")
-		scaleStr  = flag.String("scale", "small", "workload scale: small or paper")
+		all      = flag.Bool("all", false, "run everything")
+		table1   = flag.Bool("table1", false, "Table 1: vertexes returned per diagnostic technique")
+		fig5     = flag.Bool("fig5", false, "Figure 5: logging rate vs traffic rate")
+		fig6     = flag.Bool("fig6", false, "Figure 6: logging rate vs packet size")
+		fig7     = flag.Bool("fig7", false, "Figure 7: query turnaround, DiffProv vs Y!")
+		fig8     = flag.Bool("fig8", false, "Figure 8: reasoning-time decomposition")
+		latency  = flag.Bool("latency", false, "§6.4: runtime latency overheads")
+		stanford = flag.Bool("stanford", false, "§6.7: Stanford backbone diagnosis")
+		refcheck = flag.Bool("refcheck", false, "§6.3: unsuitable-reference queries")
+		delta    = flag.Bool("delta", false, "replay configurations: diagnosis with forked delta trials (production) vs from-scratch trials (oracle)")
+		scaleStr = flag.String("scale", "small", "workload scale: small or paper")
 	)
 	flag.Parse()
 
@@ -52,10 +49,10 @@ func main() {
 		os.Exit(2)
 	}
 	if *all {
-		*table1, *fig5, *fig6, *fig7, *fig8, *latency, *stanford, *refcheck, *coldstart, *fork, *delta =
-			true, true, true, true, true, true, true, true, true, true, true
+		*table1, *fig5, *fig6, *fig7, *fig8, *latency, *stanford, *refcheck, *delta =
+			true, true, true, true, true, true, true, true, true
 	}
-	if !(*table1 || *fig5 || *fig6 || *fig7 || *fig8 || *latency || *stanford || *refcheck || *coldstart || *fork || *delta) {
+	if !(*table1 || *fig5 || *fig6 || *fig7 || *fig8 || *latency || *stanford || *refcheck || *delta) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -170,17 +167,6 @@ func main() {
 		fmt.Println()
 	}
 
-	if *coldstart {
-		fmt.Println("== Segmented-store cold start: SDN1 recorded to disk, replayed out of segments ==")
-		res, err := evaluation.ColdStart(scale)
-		die(err)
-		fmt.Printf("recorded:  %d events, %d checkpoints into %d segment(s), %d bytes, in %v\n",
-			res.Events, res.Checkpoints, res.Segments, res.StoreBytes, res.Record)
-		fmt.Printf("recovered: cold start out of segments in %v (checkpoints reused, log verified)\n",
-			res.Recover)
-		fmt.Println()
-	}
-
 	if *delta {
 		fmt.Println("== Replay configurations: counterfactual trials via forked semi-naïve delta (production) vs from-scratch re-execution (oracle) ==")
 		rows, err := evaluation.DeltaReplay(scale)
@@ -191,17 +177,6 @@ func main() {
 			fmt.Printf("%-8s %14d %14d %9d %9d %9d %14d\n",
 				r.Scenario, r.Delta.Nanoseconds(), r.Scratch.Nanoseconds(),
 				r.ReFired, r.Skipped, r.Dirty, r.ScratchReFired)
-		}
-		fmt.Println()
-	}
-
-	if *fork {
-		fmt.Println("== Base-run fork cost: copy-on-write fork (engine + recorder, per counterfactual candidate) ==")
-		rows, err := evaluation.ForkCost(nil, 0)
-		die(err)
-		fmt.Printf("%8s %14s %14s\n", "N", "fork_ns", "fork_allocs")
-		for _, r := range rows {
-			fmt.Printf("%8d %14.0f %14.1f\n", r.N, r.ForkNanos, r.ForkAllocs)
 		}
 		fmt.Println()
 	}

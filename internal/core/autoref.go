@@ -114,12 +114,13 @@ func similarity(a, b ndlog.Tuple) int {
 // that produced it. Cancellation is honored between candidates (and
 // inside each candidate's diagnosis).
 //
-// When Options.Parallelism allows and the world can fork workers, the
-// candidate diagnoses are evaluated concurrently, each against a private
-// session clone with its own inner diagnosis forced sequential (one level
-// of fan-out only). The winner is the lowest-ranked candidate that
-// succeeds — every higher-ranked candidate is guaranteed evaluated — so
-// the outcome is identical to the sequential scan. All candidate
+// The candidate diagnoses are evaluated on a candidate pool of width
+// Options.Parallelism — concurrently, each against a private session
+// clone, when the width allows and the world can fork workers — with every
+// inner diagnosis forced to width 1 (one level of fan-out only). The winner
+// is the lowest-ranked candidate that succeeds — every higher-ranked
+// candidate is guaranteed evaluated — so the outcome is identical at every
+// width. All candidate
 // diagnoses against the same base world share one replay memo: two
 // references that need the same fix dedupe their counterfactual replays.
 func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts Options) (*Result, *provenance.Tree, error) {
@@ -131,28 +132,8 @@ func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts O
 		opts.sharedMemo = newReplayMemo()
 	}
 	var stats DiagStats
-	pool := newCandidatePool(w, opts.parallelism(), &stats)
-	if pool == nil {
-		var lastErr error
-		for _, c := range cands {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("diffprov: reference search interrupted: %w", err)
-			}
-			res, err := Diagnose(ctx, c.Tree, badTree, w, opts)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, nil, err
-				}
-				lastErr = err
-				continue
-			}
-			if len(res.Changes) == 0 {
-				continue // same outcome as the bad event: not a useful reference
-			}
-			return res, c.Tree, nil
-		}
-		return nil, nil, autoRefFailure(lastErr)
-	}
+	var pool candidatePool
+	pool.init(w, opts.parallelism(), &stats)
 	defer pool.drain()
 	inner := opts
 	inner.Parallelism = -1
@@ -160,7 +141,7 @@ func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts O
 		res *Result
 		err error
 	}
-	vals, ran, best := runCandidates(ctx, pool, len(cands),
+	vals, ran, best := runCandidates(ctx, &pool, len(cands),
 		func(ww World, i int) (outcome, bool) {
 			res, err := Diagnose(ctx, cands[i].Tree, badTree, ww, inner)
 			return outcome{res: res, err: err}, err == nil && len(res.Changes) > 0
@@ -174,8 +155,7 @@ func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts O
 		return res, cands[best].Tree, nil
 	}
 	// No winner: with no cutoff ever applied, every candidate was
-	// evaluated, so the highest-indexed error is exactly the sequential
-	// scan's last error.
+	// evaluated, so the highest-indexed error is the last one in rank order.
 	var lastErr error
 	for i := range vals {
 		if ran[i] && vals[i].err != nil {

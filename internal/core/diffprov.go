@@ -168,8 +168,9 @@ type diag struct {
 	// rows are followed (the prediction then probes the live world).
 	alignMu sync.Mutex
 	align   map[alignKey]ndlog.At
-	// pool evaluates minimize candidates in parallel (nil = sequential).
-	pool *candidatePool
+	// pool evaluates minimize and fallback candidates at the diagnosis'
+	// width (Options.Parallelism).
+	pool candidatePool
 	// sliceOnce/slice lazily cache the static slice of the symptom table
 	// (the good chain's root) used to prune fallback candidates; nil
 	// when slicing is disabled (see fallback.go).
@@ -205,7 +206,6 @@ type gLevel struct {
 func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world World, opts Options) (*Result, error) {
 	opts.defaults()
 	d := &diag{prog: world.Program(), opts: opts}
-	baseWorld := world
 	if !opts.DisableFingerprints {
 		d.replays = opts.sharedMemo
 		if d.replays == nil {
@@ -215,7 +215,9 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 			d.align = map[alignKey]ndlog.At{}
 		}
 	}
-	d.pool = newCandidatePool(baseWorld, opts.parallelism(), &d.stats)
+	// The pool keeps the pre-diagnosis world: candidates replay their full
+	// cumulative change list against it.
+	d.pool.init(world, opts.parallelism(), &d.stats)
 	defer d.pool.drain()
 
 	// Step 1: find the seeds and check comparability (§4.2-4.3).
@@ -265,7 +267,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 			res.Timings = d.timings
 			res.FinalWorld = world
 			if opts.Minimize && len(res.Changes) > 1 {
-				if err := d.minimize(ctx, res, baseWorld, chainG, seedB); err != nil {
+				if err := d.minimize(ctx, res, chainG, seedB); err != nil {
 					return nil, err
 				}
 			}
@@ -327,91 +329,28 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 
 // minimize greedily drops changes whose removal keeps the trees aligned,
 // re-verifying each candidate subset against a fresh clone of the
-// original bad execution. With a candidate pool, the remaining drop
-// candidates are evaluated wave by wave in parallel: the lowest
-// successful index of a wave is committed — exactly the candidate the
-// sequential greedy scan would have committed, since every lower index
-// provably failed against the same change list — and the trials beyond
-// it (which the sequential scan would never have run against the old
-// list) are discarded. A replay failure marks the candidate as
-// non-droppable, unless the context was cancelled, which aborts the
-// whole minimization.
-func (d *diag) minimize(ctx context.Context, res *Result, baseWorld World, chainG []gLevel, seedB ndlog.At) error {
+// original bad execution. The remaining drop candidates are evaluated wave
+// by wave on the candidate pool: the lowest successful index of a wave is
+// committed and the next wave restarts there against the shorter list —
+// at width 1 the greedy scan itself; at higher widths the same commits,
+// since every lower index provably failed against the same change list,
+// with the trials beyond the committed index discarded. A replay failure
+// marks the candidate as non-droppable, unless the context was cancelled,
+// which aborts the whole minimization.
+func (d *diag) minimize(ctx context.Context, res *Result, chainG []gLevel, seedB ndlog.At) error {
 	changes := append([]replay.Change(nil), res.Changes...)
-	dropped := func(i int) []replay.Change {
-		return append(append([]replay.Change(nil), changes[:i]...), changes[i+1:]...)
-	}
-	if d.pool == nil {
-		for i := 0; i < len(changes); {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("diffprov: minimization interrupted: %w", err)
-			}
-			candidate := dropped(i)
-			t0 := time.Now()
-			w, err := d.applyCached(ctx, baseWorld, candidate, false)
-			d.timings.UpdateTree += time.Since(t0)
-			if err != nil {
-				if ctx.Err() != nil {
-					return fmt.Errorf("diffprov: minimization interrupted: %w", err)
-				}
-				i++
-				continue
-			}
-			t1 := time.Now()
-			div, err := d.firstDivergence(chainG, w, seedB)
-			d.timings.Divergence += time.Since(t1)
-			if err == nil && div == nil {
-				changes = candidate // the dropped change was redundant
-				res.FinalWorld = w
-				continue
-			}
-			i++
-		}
-		res.Changes = changes
-		res.Timings = d.timings
-		return nil
-	}
-
-	type trial struct {
-		w       World
-		err     error
-		apply   time.Duration
-		diverge time.Duration
-	}
 	for start := 0; start < len(changes); {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("diffprov: minimization interrupted: %w", err)
 		}
-		vals, ran, best := runCandidates(ctx, d.pool, len(changes)-start,
+		vals, ran, best := runCandidates(ctx, &d.pool, len(changes)-start,
 			func(w World, k int) (trial, bool) {
-				candidate := dropped(start + k)
-				var tr trial
-				t0 := time.Now()
-				cw, err := d.applyCached(ctx, w, candidate, false)
-				tr.apply = time.Since(t0)
-				if err != nil {
-					tr.err = err
-					return tr, false
-				}
-				t1 := time.Now()
-				div, derr := d.firstDivergence(chainG, cw, seedB)
-				tr.diverge = time.Since(t1)
-				tr.w = cw
-				return tr, derr == nil && div == nil
+				i := start + k
+				candidate := append(append([]replay.Change(nil), changes[:i]...), changes[i+1:]...)
+				tr := d.try(ctx, w, candidate, chainG, seedB)
+				return tr, tr.err == nil && tr.div == nil
 			})
-		// Fold worker-local timings back in deterministically (index
-		// order) and surface replays aborted by cancellation.
-		for k := range vals {
-			if !ran[k] {
-				continue
-			}
-			d.timings.UpdateTree += vals[k].apply
-			d.timings.Divergence += vals[k].diverge
-			if vals[k].err != nil && ctx.Err() != nil {
-				return fmt.Errorf("diffprov: minimization interrupted: %w", vals[k].err)
-			}
-		}
-		if err := ctx.Err(); err != nil {
+		if err := d.settle(ctx, vals, ran); err != nil {
 			return fmt.Errorf("diffprov: minimization interrupted: %w", err)
 		}
 		if best < 0 {

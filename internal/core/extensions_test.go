@@ -79,6 +79,7 @@ func TestMinimizeRemovesGenuinelyRedundantChange(t *testing.T) {
 	// Minimize on a world pre-loaded with the redundant change.
 	_ = w2
 	d := &diag{prog: world.Program(), opts: Options{MaxRounds: 8, InjectSlack: 2, MaxDepth: 64}}
+	d.pool.init(world, 1, &d.stats)
 	chainG, err := goodChain(good)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestMinimizeRemovesGenuinelyRedundantChange(t *testing.T) {
 	}
 	seedB := ndlog.At{Node: seedBT.Vertex.Node, Tuple: seedBT.Vertex.Tuple, Stamp: seedBT.Vertex.At}
 	resM := &Result{Changes: extra}
-	if err := d.minimize(context.Background(), resM, world, chainG, seedB); err != nil {
+	if err := d.minimize(context.Background(), resM, chainG, seedB); err != nil {
 		t.Fatal(err)
 	}
 	if len(resM.Changes) != 1 {

@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ndlog"
 	"repro/internal/replay"
@@ -134,96 +133,33 @@ func (d *diag) isApplied(c replay.Change) bool {
 // fallbackChange searches the logged mutable events for a single change
 // that strictly advances the first divergence, returning nil when none
 // does (the caller then reports NoProgress). The search evaluates
-// candidates on the pool when one is available; selection is always by
-// the lowest successful log-order index, so results are byte-identical
-// at any parallelism.
+// candidates on the pool; selection is always by the lowest successful
+// log-order index, so results are byte-identical at any parallelism.
 func (d *diag) fallbackChange(ctx context.Context, world World, chainG []gLevel, seedB ndlog.At, div *divergence) (*replay.Change, error) {
 	cands := d.fallbackCandidates(world, chainG, seedB)
 	if len(cands) == 0 {
 		return nil, nil
 	}
+	// A candidate succeeds when its replayed world moves the first
+	// divergence strictly past the current level (or removes it). The
+	// comparison is structural (level identity), never stamp-based, so
+	// injected changes shifting sequence numbers cannot flip it.
 	divIdx := levelIndex(chainG, div)
-
-	// advances reports whether a candidate's replayed world moves the
-	// first divergence strictly past the current level. The comparison
-	// is structural (level identity), never stamp-based, so injected
-	// changes shifting sequence numbers cannot flip it. The elapsed time
-	// is returned, not accumulated: pool workers run this concurrently
-	// and timings must fold back in deterministically.
-	advances := func(w World) (bool, time.Duration, error) {
-		t0 := time.Now()
-		div2, err := d.firstDivergence(chainG, w, seedB)
-		dt := time.Since(t0)
-		if err != nil {
-			return false, dt, err
-		}
-		return div2 == nil || levelIndex(chainG, div2) > divIdx, dt, nil
-	}
-
-	if d.pool == nil {
-		for i := range cands {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("diffprov: fallback search interrupted: %w", err)
-			}
-			t0 := time.Now()
-			w, err := d.applyCached(ctx, world, cands[i:i+1], false)
-			d.timings.UpdateTree += time.Since(t0)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, fmt.Errorf("diffprov: fallback search interrupted: %w", err)
-				}
-				continue
-			}
-			ok, dt, err := advances(w)
-			d.timings.Divergence += dt
-			if err != nil {
-				continue
-			}
-			if ok {
-				return &cands[i], nil
-			}
-		}
-		return nil, nil
-	}
-
-	type trial struct {
-		apply   time.Duration
-		diverge time.Duration
-		err     error
-	}
-	vals, ran, best := runCandidates(ctx, d.pool, len(cands),
+	vals, ran, best := runCandidates(ctx, &d.pool, len(cands),
 		func(w World, k int) (trial, bool) {
-			// Workers fork from the pre-diagnosis base world: replay the
-			// full cumulative list so the counterfactual (and its memo
-			// key) is identical to the sequential path's.
+			// The pool's worlds are the pre-diagnosis base world or forks
+			// of it: replay the full cumulative list, so the counterfactual
+			// (and its memo key) is the same at every width.
 			full := append(append([]replay.Change(nil), d.applied...), cands[k])
-			var tr trial
-			t0 := time.Now()
-			cw, err := d.applyCached(ctx, w, full, false)
-			tr.apply = time.Since(t0)
-			if err != nil {
-				tr.err = err
-				return tr, false
-			}
-			ok, dt, err := advances(cw)
-			tr.diverge = dt
-			if err != nil {
-				tr.err = err
-				return tr, false
-			}
+			tr := d.try(ctx, w, full, chainG, seedB)
+			ok := tr.err == nil && (tr.div == nil || levelIndex(chainG, tr.div) > divIdx)
+			// Only the verdict is kept: the winner is replayed again by the
+			// round's UPDATETREE, and up to 64 replayed worlds would
+			// otherwise stay live until the search ends.
+			tr.w, tr.div = nil, nil
 			return tr, ok
 		})
-	for k := range vals {
-		if !ran[k] {
-			continue
-		}
-		d.timings.UpdateTree += vals[k].apply
-		d.timings.Divergence += vals[k].diverge
-		if vals[k].err != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("diffprov: fallback search interrupted: %w", vals[k].err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	if err := d.settle(ctx, vals, ran); err != nil {
 		return nil, fmt.Errorf("diffprov: fallback search interrupted: %w", err)
 	}
 	if best < 0 {

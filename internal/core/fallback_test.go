@@ -134,12 +134,43 @@ func TestFallbackDisableSlicingIsByteIdentical(t *testing.T) {
 
 func TestFallbackParallelMatchesSequential(t *testing.T) {
 	seq := diagnoseRace(t, Options{Parallelism: -1})
-	par := diagnoseRace(t, Options{Parallelism: 8})
-	if a, b := fmt.Sprint(seq.Changes), fmt.Sprint(par.Changes); a != b {
-		t.Errorf("changes diverge: sequential %s, parallel %s", a, b)
+	for _, width := range []int{1, 8} {
+		par := diagnoseRace(t, Options{Parallelism: width})
+		if a, b := fmt.Sprint(seq.Changes), fmt.Sprint(par.Changes); a != b {
+			t.Errorf("changes diverge: sequential %s, width %d %s", a, width, b)
+		}
+		if a, b := fmt.Sprint(seq.Rounds), fmt.Sprint(par.Rounds); a != b {
+			t.Errorf("rounds diverge: sequential %s, width %d %s", a, width, b)
+		}
+		if seq.Stats.CandidatesSliced != par.Stats.CandidatesSliced {
+			t.Errorf("CandidatesSliced: sequential %d, width %d %d",
+				seq.Stats.CandidatesSliced, width, par.Stats.CandidatesSliced)
+		}
+		// Only evaluations handed to a forked worker count as parallel.
+		if n := par.Stats.ParallelCandidates; (n != 0) != (width > 1) {
+			t.Errorf("ParallelCandidates = %d at width %d", n, width)
+		}
 	}
-	if seq.Stats.CandidatesSliced != par.Stats.CandidatesSliced {
-		t.Errorf("CandidatesSliced: sequential %d, parallel %d",
-			seq.Stats.CandidatesSliced, par.Stats.CandidatesSliced)
+	if n := seq.Stats.ParallelCandidates; n != 0 {
+		t.Errorf("ParallelCandidates = %d sequentially, want 0", n)
+	}
+}
+
+// serve-narrow builds a width-1 pool 4-6k times a second: it must be the
+// base world and nothing else — no semaphore channel, no idle list.
+func TestWidthOnePoolAllocatesNothing(t *testing.T) {
+	s := buildRaceSession(t)
+	world, err := NewWorld(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &diag{}
+	allocs := testing.AllocsPerRun(100, func() {
+		d.pool = candidatePool{}
+		d.pool.init(world, (&Options{Parallelism: 1}).parallelism(), &d.stats)
+		d.pool.drain()
+	})
+	if allocs != 0 || d.pool.sem != nil || d.pool.idle != nil {
+		t.Errorf("width-1 pool: %v allocs/op, sem %v, idle %v; want none", allocs, d.pool.sem, d.pool.idle)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/ndlog"
 	"repro/internal/replay"
 )
 
@@ -24,31 +26,34 @@ func (o *Options) parallelism() int {
 	}
 }
 
-// candidatePool fans independent counterfactual candidate evaluations out
-// over a bounded set of worker worlds (private replay-session clones that
-// share the base session's sealed base run, so every worker's trial forks
-// the one evaluation of the log). Workers are forked
-// lazily and reused across waves; drain() folds their accumulated replay
-// statistics back into the base world.
+// candidatePool evaluates independent counterfactual candidates for one
+// diagnosis, at a width. Above width 1 it fans them out over a bounded set
+// of worker worlds (private replay-session clones that share the base
+// session's sealed base run, so every worker's trial forks the one
+// evaluation of the log); workers are forked lazily and reused across
+// waves, and drain() folds their accumulated replay statistics back into
+// the base world. At width 1 — or over a world that cannot fork workers:
+// imperative substrates re-run jobs whose concurrent determinism is not
+// guaranteed — candidates are evaluated on the base world itself, and the
+// pool holds nothing but that world.
 type candidatePool struct {
-	base  ParallelWorld
-	sem   chan struct{}
-	stats *DiagStats
+	base    World
+	workers ParallelWorld // nil: evaluate inline on base
+	sem     chan struct{}
+	stats   *DiagStats
 
 	mu   sync.Mutex
 	idle []World
 }
 
-// newCandidatePool builds a pool of up to par workers over base, or
-// returns nil when parallel evaluation is pointless (par <= 1) or
-// unsupported (the world cannot fork workers — imperative substrates
-// re-run jobs whose concurrent determinism is not guaranteed).
-func newCandidatePool(base World, par int, stats *DiagStats) *candidatePool {
-	pw, ok := base.(ParallelWorld)
-	if !ok || par <= 1 {
-		return nil
+// init sets the pool up at width par over base. The pool lives inside its
+// diagnosis, so the width-1 pool every server diagnosis builds allocates
+// nothing: no semaphore, no idle list.
+func (p *candidatePool) init(base World, par int, stats *DiagStats) {
+	p.base, p.stats = base, stats
+	if pw, ok := base.(ParallelWorld); ok && par > 1 {
+		p.workers, p.sem = pw, make(chan struct{}, par)
 	}
-	return &candidatePool{base: pw, sem: make(chan struct{}, par), stats: stats}
 }
 
 func (p *candidatePool) acquire() World {
@@ -60,7 +65,7 @@ func (p *candidatePool) acquire() World {
 		return w
 	}
 	p.mu.Unlock()
-	return p.base.ForkWorker()
+	return p.workers.ForkWorker()
 }
 
 func (p *candidatePool) release(w World) {
@@ -73,7 +78,7 @@ func (p *candidatePool) release(w World) {
 // replay statistics its session accumulated. All evaluations must have
 // completed.
 func (p *candidatePool) drain() {
-	if p == nil {
+	if p.workers == nil {
 		return
 	}
 	p.mu.Lock()
@@ -81,24 +86,38 @@ func (p *candidatePool) drain() {
 	p.idle = nil
 	p.mu.Unlock()
 	for _, w := range idle {
-		p.base.JoinWorker(w)
+		p.workers.JoinWorker(w)
 	}
 }
 
-// runCandidates evaluates candidates 0..n-1 on the pool's workers, each
-// call receiving a private worker world. eval reports whether its
-// candidate succeeded; the final selection is by enumeration index, never
-// completion order: best is the lowest evaluated index that succeeded
-// (-1 if none). Candidates are launched in index order, and once a
-// success at index j is known no candidate beyond j is started — every
-// index <= best is therefore guaranteed to have been evaluated, which is
-// what makes the parallel outcome identical to a sequential
-// first-success scan. A context error stops launching; in-flight
-// evaluations finish.
+// runCandidates is the one candidate-search loop: it evaluates candidates
+// 0..n-1, in index order, until one succeeds. eval receives the world to
+// replay against and reports whether its candidate succeeded; best is the
+// lowest index that succeeded (-1 if none), and every index <= best has
+// been evaluated. A context error stops the search.
+//
+// At width 1 that is literally the loop. Wider pools launch candidates in
+// index order, each on a private worker world, and once a success at index
+// j is known start no candidate beyond j; selection stays by enumeration
+// index, never completion order, which is what makes the outcome identical
+// at every width (in-flight evaluations past best finish and are
+// discarded). Stats.ParallelCandidates counts only evaluations handed to a
+// worker.
 func runCandidates[T any](ctx context.Context, p *candidatePool, n int,
 	eval func(w World, idx int) (T, bool)) (vals []T, ran []bool, best int) {
 	vals = make([]T, n)
 	ran = make([]bool, n)
+	if p.workers == nil {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			var ok bool
+			vals[i], ok = eval(p.base, i)
+			ran[i] = true
+			if ok {
+				return vals, ran, i
+			}
+		}
+		return vals, ran, -1
+	}
 	okAt := make([]bool, n)
 	var mu sync.Mutex
 	bestKnown := n
@@ -140,6 +159,51 @@ func runCandidates[T any](ctx context.Context, p *candidatePool, n int,
 		}
 	}
 	return vals, ran, best
+}
+
+// trial is one candidate change list replayed against a pool world: the
+// counterfactual world, its first divergence from the good chain (nil when
+// the trees align), and how long each step took. The durations are carried,
+// not accumulated: workers run trials concurrently and settle folds them
+// back in deterministically.
+type trial struct {
+	w       World
+	div     *divergence
+	err     error
+	apply   time.Duration
+	diverge time.Duration
+}
+
+// try replays changes against w (memo reads only; see applyCached) and
+// locates the first divergence of the result.
+func (d *diag) try(ctx context.Context, w World, changes []replay.Change, chainG []gLevel, seedB ndlog.At) trial {
+	var tr trial
+	t0 := time.Now()
+	tr.w, tr.err = d.applyCached(ctx, w, changes, false)
+	tr.apply = time.Since(t0)
+	if tr.err != nil {
+		return tr
+	}
+	t1 := time.Now()
+	tr.div, tr.err = d.firstDivergence(chainG, tr.w, seedB)
+	tr.diverge = time.Since(t1)
+	return tr
+}
+
+// settle folds a wave's timings into the diagnosis in index order and, when
+// the context was cancelled, returns the error that cut the wave short.
+func (d *diag) settle(ctx context.Context, vals []trial, ran []bool) error {
+	for k := range vals {
+		if !ran[k] {
+			continue
+		}
+		d.timings.UpdateTree += vals[k].apply
+		d.timings.Divergence += vals[k].diverge
+		if vals[k].err != nil && ctx.Err() != nil {
+			return vals[k].err
+		}
+	}
+	return ctx.Err()
 }
 
 // maxReplayMemo bounds the number of memoized counterfactual worlds

@@ -285,9 +285,9 @@ func checkGuardedWrite(pass *Pass, e ast.Expr) {
 // mutableVertex, ...) mutates state another fork can still observe. The
 // compiler cannot see the seal, so this analyzer pins each shared
 // structure to the files that implement its discipline: cow.go always,
-// plus the few pre-seal construction sites (the engine
-// creates tables and support indexes while it is still the only owner;
-// the recorder appends graph indexes before any fork exists).
+// plus the few pre-seal construction sites (the engine creates tables
+// while it is still the only owner; the recorder appends graph indexes
+// before any fork exists).
 var SealCheck = &Analyzer{
 	Name:  "sealcheck",
 	Doc:   "confine writes to CoW-shared structures to the cow layer",
@@ -300,16 +300,15 @@ var SealCheck = &Analyzer{
 // selector write and stays unconstrained: building a fresh, unshared
 // value is always legal.
 var sealedFields = map[[2]string][]string{
-	// ndlog: per-table interval history and rows are forked CoW. The
-	// counterfactual phase rewrites history through delta.go's helpers
-	// (histRemoveOcc, histBackdateFrom, histCloseAt), which follow the
-	// same copy-on-first-write discipline as histCloseLast.
-	{"table", "hist"}: {"cow.go", "delta.go"},
+	// ndlog: per-table interval history and rows are forked CoW. Every
+	// history edit, the counterfactual phase's included, is a cow.go
+	// helper over the one copy-on-first-write accessor (ownHist).
+	{"table", "hist"}: {"cow.go"},
 	// A node's table map is shared until the first write to a table.
 	{"node", "tables"}: {"cow.go", "engine.go"},
 	// The support index backing provenance invalidation; the engine
-	// maintains it pre-seal (indexSupport/unindexSupport).
-	{"Engine", "dependents"}: {"cow.go", "engine.go"},
+	// maintains it through cow.go's ownDeps/setDeps/deleteDeps.
+	{"Engine", "dependents"}: {"cow.go"},
 	// Aggregate delta-chain groups fork lazily.
 	{"Engine", "aggGroups"}: {"cow.go"},
 	// provenance: the CoW overlay itself, and the graph indexes the

@@ -262,13 +262,20 @@ func TestSealCheckAllowsCowLayerFiles(t *testing.T) {
 }
 
 func TestSealCheckEngineConstructionSitesStayLegal(t *testing.T) {
-	// engine.go may create tables and maintain the support index
-	// (pre-seal construction), but must not touch table histories or
-	// fork aggregate groups.
+	// engine.go may create tables (pre-seal construction), but must not
+	// touch table histories, the support index or aggregate groups; and
+	// delta.go, which rewrites history, has no exemption at all.
 	pkg := loadSrc(t, "repro/internal/ndlog", "engine.go", sealCheckSrc)
 	wantFindings(t, runOn(t, pkg, SealCheck),
 		"engine.go:10:2: sealcheck: write to CoW-shared table.hist",
+		"engine.go:12:2: sealcheck: write to CoW-shared Engine.dependents",
 		"engine.go:13:9: sealcheck: write to CoW-shared Engine.aggGroups")
+	pkg = loadSrc(t, "repro/internal/ndlog", "delta.go", sealCheckSrc)
+	wantFindings(t, runOn(t, pkg, SealCheck),
+		"delta.go:10:2: sealcheck: write to CoW-shared table.hist",
+		"delta.go:11:2: sealcheck: write to CoW-shared node.tables",
+		"delta.go:12:2: sealcheck: write to CoW-shared Engine.dependents",
+		"delta.go:13:9: sealcheck: write to CoW-shared Engine.aggGroups")
 }
 
 func TestSealCheckGuardsGraphIndexes(t *testing.T) {

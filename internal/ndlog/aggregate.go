@@ -153,48 +153,55 @@ func (r *compiledRule) aggregateHead(b binding, count int64) (Tuple, error) {
 	return r.evalHead(b.frame)
 }
 
-// fireAggregate handles one triggering event for a counting rule. The
-// emitted derivation is a delta: its body is the new contributor alone,
-// with AggPrev linking to the previous head's derivation and AggCount
-// carrying the running count (see the package comment above).
-func (e *Engine) fireAggregate(r *compiledRule, nodeName string, b binding, st Stamp) error {
-	// Resolve the head location before touching any group state: a failed
-	// derivation must not inflate the group's count.
+// aggregateStep moves a counting rule's group by one contributor: sign +1
+// when binding b's event fires the rule, -1 when the counterfactual phase
+// erased that event's occurrence (delta.go). The previous head is retracted
+// and a head carrying the new count derived — a delta whose body is the one
+// contributor, AggPrev linking it to the previous head's derivation and
+// AggRemove marking a removal so provenance folds subtract it (see the
+// package comment above). A group stepped down to zero just loses its head.
+func (e *Engine) aggregateStep(r *compiledRule, nodeName string, b binding, st Stamp, sign int64) error {
+	// Resolve the head location and evaluate the head against the new
+	// count before touching any group state: a failed step must leave the
+	// group as it was.
 	destNode, known, err := r.headLoc.resolve(nodeName, b.frame)
 	if err != nil || !known {
 		return fmt.Errorf("ndlog: rule %s: unresolved aggregate head location: %v", r.name, err)
 	}
-
-	// Evaluate the head against the incremented count, still without
-	// mutating the group, so an evaluation error leaves it untouched too.
-	gk := e.groupKey(r, nodeName, b.frame)
-	g := e.aggGroupFor(gk)
-	head, err := r.aggregateHead(b, g.count+1)
+	g := e.aggGroupFor(e.groupKey(r, nodeName, b.frame))
+	if sign < 0 && (g.count == 0 || !g.prevSet) {
+		return fmt.Errorf("ndlog: rule %s: no aggregate head to decrement", r.name)
+	}
+	head, err := r.aggregateHead(b, g.count+sign)
 	if err != nil {
 		return fmt.Errorf("ndlog: rule %s head: %v", r.name, err)
 	}
-	g.count++
+	g.count += sign
 
 	// Retract the previous count tuple for this group.
-	prevID := g.prevID
+	var prevID int64
 	if g.prevSet {
+		prevID = g.prevID
 		e.retractDerived(destNode, head.Table, g.prevKey, g.prevID, KeyedAt{At: b.body[0], Key: b.refs[0].Key}, st)
-	} else {
-		prevID = 0
+	}
+	if g.count == 0 {
+		g.prevKey, g.prevID, g.prevSet = "", 0, false
+		return nil
 	}
 
 	headKey := head.Key()
 	e.stats.Derivations++
 	e.deriveID++
 	d := &Derivation{
-		ID:       e.deriveID,
-		Rule:     r.name,
-		Node:     nodeName,
-		Body:     []At{b.body[0]}, // the binding's body is the scratch's
-		Refs:     b.refs[:1],
-		Trigger:  0,
-		AggPrev:  prevID,
-		AggCount: g.count,
+		ID:        e.deriveID,
+		Rule:      r.name,
+		Node:      nodeName,
+		Body:      []At{b.body[0]}, // the binding's body is the scratch's
+		Refs:      b.refs[:1],
+		Trigger:   0,
+		AggPrev:   prevID,
+		AggCount:  g.count,
+		AggRemove: sign < 0,
 	}
 	hst := e.nextStamp(st.T)
 	d.Head = keyedAt(destNode, head, headKey, hst)
@@ -202,60 +209,4 @@ func (e *Engine) fireAggregate(r *compiledRule, nodeName string, b binding, st S
 	e.obs.OnDerive(*d)
 	sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
 	return e.appear(destNode, head, headKey, hst, d.ID, sup)
-}
-
-// retractDerived removes a specific derivation's support from the stored
-// tuple of table tableName with the given key, underiving it (and
-// cascading) if that was the last support. The caller always names a head
-// it previously derived, so a missing node, table, row, or support is a
-// broken invariant: it is counted in Stats.AggRetractMisses rather than
-// silently ignored, and the differential suites assert the counter never
-// moves.
-func (e *Engine) retractDerived(nodeName, tableName, key string, deriveID int64, cause KeyedAt, st Stamp) {
-	n := e.nodes[nodeName]
-	if n == nil {
-		e.stats.AggRetractMisses++
-		return
-	}
-	tb := n.tables[tableName]
-	if tb == nil {
-		e.stats.AggRetractMisses++
-		return
-	}
-	if _, ok := tb.live[key]; !ok {
-		e.stats.AggRetractMisses++
-		return
-	}
-	// The retraction mutates the row's supports; clone a sealed table
-	// first and re-fetch the row from the writable clone.
-	tb = e.writableTable(n, tb)
-	r := tb.live[key]
-	idx := -1
-	for i, s := range r.supports {
-		if s.deriveID == deriveID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		e.stats.AggRetractMisses++
-		return
-	}
-	s := r.supports[idx]
-	r.supports = append(r.supports[:idx], r.supports[idx+1:]...)
-	e.unindexSupport(nodeName, key, s)
-	e.deriveID++
-	uid := e.deriveID
-	ust := e.nextStamp(st.T)
-	e.obs.OnUnderive(Underivation{
-		ID:       uid,
-		DeriveID: s.deriveID,
-		Rule:     s.rule,
-		Node:     nodeName,
-		Head:     keyedAt(nodeName, r.tuple, key, ust),
-		Cause:    cause,
-	})
-	if len(r.supports) == 0 {
-		e.retractRow(nodeName, tb, r, ust, uid)
-	}
 }

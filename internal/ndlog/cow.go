@@ -255,34 +255,71 @@ func (tb *table) histOf(key string) []Interval {
 	return nil
 }
 
-// histAppend appends an interval to a key's history, copying the
-// effective base history into this table on the key's first local write.
-func (tb *table) histAppend(key string, iv Interval) {
+// ownHist returns a key's history as a slice this table may edit in place:
+// its own entry, or — on the key's first local write in a clone — a private
+// copy of the frozen base's, stored with room for extra more intervals. It
+// is the one place a base history is copied; nil means the key has none.
+func (tb *table) ownHist(key string, extra int) []Interval {
 	ivs, ok := tb.hist[key]
 	if !ok && tb.histBase != nil {
 		if base := tb.histBase.histOf(key); len(base) > 0 {
-			ivs = make([]Interval, len(base), len(base)+1)
+			ivs = make([]Interval, len(base), len(base)+extra)
 			copy(ivs, base)
+			tb.hist[key] = ivs
 		}
 	}
-	tb.hist[key] = append(ivs, iv)
+	return ivs
 }
 
-// histCloseLast closes a key's trailing open interval at st, copying the
-// effective history first if it is still owned by a frozen base.
+// histAppend appends an interval to a key's history.
+func (tb *table) histAppend(key string, iv Interval) {
+	tb.hist[key] = append(tb.ownHist(key, 1), iv)
+}
+
+// histCloseLast closes a key's trailing open interval at st.
 func (tb *table) histCloseLast(key string, st Stamp) {
-	ivs, ok := tb.hist[key]
-	if !ok && tb.histBase != nil {
-		base := tb.histBase.histOf(key)
-		if len(base) == 0 {
+	ivs := tb.ownHist(key, 0)
+	if n := len(ivs); n > 0 && ivs[n-1].Open {
+		ivs[n-1].To, ivs[n-1].Open = st, false
+	}
+}
+
+// histBackdateFrom moves the start of the interval opened at seq back to
+// st (cfBackdateRow).
+func (tb *table) histBackdateFrom(key string, seq uint64, st Stamp) {
+	if iv := openedAt(tb.ownHist(key, 0), seq); iv != nil {
+		iv.From = st
+	}
+}
+
+// histCloseAt moves the end of the interval opened at seq back to st,
+// closing it if still open (cfBackdateRow).
+func (tb *table) histCloseAt(key string, seq uint64, st Stamp) {
+	if iv := openedAt(tb.ownHist(key, 0), seq); iv != nil {
+		iv.To, iv.Open = st, false
+	}
+}
+
+// openedAt returns the interval of a history that opened at stamp
+// sequence seq, or nil.
+func openedAt(ivs []Interval, seq uint64) *Interval {
+	for i := range ivs {
+		if ivs[i].From.Seq == seq {
+			return &ivs[i]
+		}
+	}
+	return nil
+}
+
+// histRemoveOcc removes an event occurrence's zero-length interval from a
+// key's history (eraseOccurrence).
+func (tb *table) histRemoveOcc(key string, seq uint64) {
+	ivs := tb.ownHist(key, 0)
+	for i, iv := range ivs {
+		if !iv.Open && iv.From == iv.To && iv.From.Seq == seq {
+			tb.hist[key] = append(ivs[:i], ivs[i+1:]...)
 			return
 		}
-		ivs = append([]Interval(nil), base...)
-	}
-	if len(ivs) > 0 && ivs[len(ivs)-1].Open {
-		ivs[len(ivs)-1].To = st
-		ivs[len(ivs)-1].Open = false
-		tb.hist[key] = ivs
 	}
 }
 
@@ -297,6 +334,30 @@ func (e *Engine) depsOf(ref TupleRef) []dependentRef {
 		}
 	}
 	return nil
+}
+
+// ownDeps returns a ref's dependent list as a slice this engine may edit
+// in place and store back with setDeps: its own entry, or — on the ref's
+// first local write in a fork — a copy of the frozen base's with room for
+// extra more refs, so an append never lands in a sealed backing array.
+func (e *Engine) ownDeps(ref TupleRef, extra int) []dependentRef {
+	deps, ok := e.dependents[ref]
+	if !ok && e.cowBase != nil {
+		if base := e.cowBase.depsOf(ref); len(base) > 0 {
+			deps = make([]dependentRef, len(base), len(base)+extra)
+			copy(deps, base)
+		}
+	}
+	return deps
+}
+
+// setDeps stores a ref's edited dependent list; an empty one is deleted.
+func (e *Engine) setDeps(ref TupleRef, deps []dependentRef) {
+	if len(deps) == 0 {
+		e.deleteDeps(ref)
+		return
+	}
+	e.dependents[ref] = deps
 }
 
 // deleteDeps removes a ref's dependent list: deleted outright at a chain

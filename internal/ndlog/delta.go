@@ -39,8 +39,8 @@ package ndlog
 // scenario, sequential and parallel, CoW on and off.
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -81,54 +81,34 @@ func (tb *table) noteOrderAppend() {
 	}
 }
 
-// ScheduleCFInsert schedules a counterfactual base-tuple insertion. It
-// allocates the next base-band stamp exactly like ScheduleInsert, but the
-// work item goes on the counterfactual heap: Run evaluates it only after
-// the main heap drains, propagating its consequences as deltas.
+// ScheduleCFInsert schedules a counterfactual base-tuple insertion. It is
+// validated and stamped (next base-band stamp) exactly like ScheduleInsert,
+// but the work item goes on the counterfactual heap: Run evaluates it only
+// after the main heap drains, propagating its consequences as deltas.
 func (e *Engine) ScheduleCFInsert(nodeName string, t Tuple, tick int64) error {
-	return e.scheduleCF(nodeName, t, tick, wkInsertBase)
+	return e.schedule(&e.cfQueue, wkInsertBase, nodeName, t, tick)
 }
 
 // ScheduleCFDelete schedules a counterfactual base-tuple deletion; see
 // ScheduleCFInsert.
 func (e *Engine) ScheduleCFDelete(nodeName string, t Tuple, tick int64) error {
-	return e.scheduleCF(nodeName, t, tick, wkDeleteBase)
+	return e.schedule(&e.cfQueue, wkDeleteBase, nodeName, t, tick)
 }
 
-func (e *Engine) scheduleCF(nodeName string, t Tuple, tick int64, kind workKind) error {
-	if e.sealed {
-		return errSealed
+// markCFEra opens the counterfactual era at the first counterfactual
+// change: everything stamped from here on is counterfactual, and isCF
+// relies on these marks to tell counterfactual rows from main rows.
+func (e *Engine) markCFEra() {
+	if e.cfMarksSet {
+		return
 	}
-	d := e.prog.Decl(t.Table)
-	if d == nil {
-		return fmt.Errorf("ndlog: counterfactual change to undeclared table %s", t.Table)
+	e.cfMarksSet = true
+	if e.seqBand == 0 {
+		e.cfBaseMark = e.seq
+	} else {
+		e.cfBaseMark = e.baseSeq
 	}
-	if !d.Base {
-		return fmt.Errorf("ndlog: table %s is not a base table", t.Table)
-	}
-	if kind == wkInsertBase && len(t.Args) != d.Arity {
-		return fmt.Errorf("ndlog: %s has arity %d, got %d args", t.Table, d.Arity, len(t.Args))
-	}
-	if kind == wkDeleteBase && d.Event {
-		return fmt.Errorf("ndlog: cannot delete event tuple %s", t)
-	}
-	if !e.cfMarksSet {
-		// Everything allocated from here on is counterfactual-era; isCF
-		// relies on these marks to tell counterfactual rows from main rows.
-		e.cfMarksSet = true
-		if e.seqBand == 0 {
-			e.cfBaseMark = e.seq
-		} else {
-			e.cfBaseMark = e.baseSeq
-		}
-		e.cfSeqMark = ^uint64(0) // no internal cf stamps until the drain starts
-	}
-	st, err := e.scheduleStamp(tick)
-	if err != nil {
-		return err
-	}
-	heap.Push(&e.cfQueue, &workItem{stamp: st, kind: kind, node: nodeName, tuple: t})
-	return nil
+	e.cfSeqMark = ^uint64(0) // no internal cf stamps until the drain starts
 }
 
 // isCF reports whether a stamp was allocated in the counterfactual era:
@@ -151,7 +131,7 @@ func (e *Engine) isCF(st Stamp) bool {
 // the main heap is empty; derivations spawned during the phase route back
 // onto the counterfactual heap (see derive), so the phase runs to its own
 // fixpoint. After each item the queued argmax re-evaluations are drained
-// in deterministic order.
+// in deterministic order (drain).
 func (e *Engine) runCF() error {
 	if e.cfQueue.Len() == 0 {
 		return nil
@@ -164,17 +144,8 @@ func (e *Engine) runCF() error {
 	if e.cfDirty == nil {
 		e.cfDirty = map[tableRef]struct{}{}
 	}
-	for e.cfQueue.Len() > 0 {
-		it := heap.Pop(&e.cfQueue).(*workItem)
-		if e.now.Before(it.stamp) {
-			e.now = it.stamp
-		}
-		if err := e.process(it); err != nil {
-			return err
-		}
-		if err := e.drainCFReevals(); err != nil {
-			return err
-		}
+	if err := e.drain(&e.cfQueue, math.MaxInt64); err != nil {
+		return err
 	}
 	e.stats.DirtyTables = len(e.cfDirty)
 	return nil
@@ -315,7 +286,7 @@ func (e *Engine) refireAt(r *compiledRule, p int, pinNode string, pin *row, q in
 // and derive the correct one).
 func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *row, st Stamp) error {
 	old := r.appearedAt
-	histBackdateFrom(tb, r.key, old.Seq, st)
+	tb.histBackdateFrom(r.key, old.Seq, st)
 	r.appearedAt = st
 	// Backdating can break the appearance-order sorted prefix at the
 	// row's position; shrink it so binary searches stay sound.
@@ -342,56 +313,13 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 				if iv.Open || iv.From.Seq != o.appearedAt.Seq || iv.To.Seq != old.Seq || st.Before(iv.From) {
 					continue
 				}
-				histCloseAt(tb, o.key, o.appearedAt.Seq, st)
+				tb.histCloseAt(o.key, o.appearedAt.Seq, st)
 				e.eraseEventConsumers(TupleRef{Node: nodeName, Key: o.key}, o.appearedAt.Seq, cause, st, true)
 				break
 			}
 		}
 	}
 	return e.refireForRow(nodeName, r, st, old)
-}
-
-// histBackdateFrom moves the start of the interval opened at seq back to
-// st, copying the effective base history on a clone's first local write
-// (like histCloseLast).
-func histBackdateFrom(tb *table, key string, seq uint64, st Stamp) {
-	ivs, ok := tb.hist[key]
-	if !ok && tb.histBase != nil {
-		base := tb.histBase.histOf(key)
-		if len(base) == 0 {
-			return
-		}
-		ivs = append([]Interval(nil), base...)
-	}
-	for i, iv := range ivs {
-		if iv.From.Seq == seq {
-			ivs[i].From = st
-			tb.hist[key] = ivs
-			return
-		}
-	}
-}
-
-// histCloseAt moves the end of the interval opened at seq back to st
-// (closing it if still open); same copy-on-write discipline as
-// histBackdateFrom.
-func histCloseAt(tb *table, key string, seq uint64, st Stamp) {
-	ivs, ok := tb.hist[key]
-	if !ok && tb.histBase != nil {
-		base := tb.histBase.histOf(key)
-		if len(base) == 0 {
-			return
-		}
-		ivs = append([]Interval(nil), base...)
-	}
-	for i, iv := range ivs {
-		if iv.From.Seq == seq {
-			ivs[i].To = st
-			ivs[i].Open = false
-			tb.hist[key] = ivs
-			return
-		}
-	}
 }
 
 // evConsumer records one event-head derivation: which occurrence it
@@ -547,7 +475,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	}
 	n := e.nodeFor(occ.Node)
 	tb := e.writableTable(n, e.tableFor(n, decl))
-	histRemoveOcc(tb, occ.Key, occ.Stamp.Seq)
+	tb.histRemoveOcc(occ.Key, occ.Stamp.Seq)
 	e.cfMarkDirty(occ.Node, occ.Tuple.Table)
 	e.deriveID++
 	e.obs.OnUnderive(Underivation{
@@ -574,46 +502,16 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	e.eraseEventConsumers(occRef, occ.Stamp.Seq, occ, st, false)
 }
 
-// histRemoveOcc removes an event occurrence's zero-length interval from a
-// key's history, copying the effective base history on a clone's first
-// local write (like histCloseLast).
-func histRemoveOcc(tb *table, key string, seq uint64) {
-	ivs, ok := tb.hist[key]
-	if !ok && tb.histBase != nil {
-		base := tb.histBase.histOf(key)
-		if len(base) == 0 {
-			return
-		}
-		ivs = append([]Interval(nil), base...)
-	}
-	for i, iv := range ivs {
-		if !iv.Open && iv.From == iv.To && iv.From.Seq == seq {
-			tb.hist[key] = append(ivs[:i], ivs[i+1:]...)
-			return
-		}
-	}
-}
-
 // retractSupportIf retracts one dependent's support only if that support
 // actually contains the erased occurrence (dependent refs carry no body
 // sequence, and the same node|key can occur more than once) and the
 // support is not an aggregate delta (the group decrement handles those).
 func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedAt, st Stamp) {
-	n := e.nodes[dep.node]
-	if n == nil {
+	n, tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key)
+	if tb == nil {
 		return
 	}
-	var r *row
-	for _, t := range n.tables {
-		if rw, ok := t.live[dep.key]; ok {
-			r = rw
-			break
-		}
-	}
-	if r == nil {
-		return
-	}
-	for _, s := range r.supports {
+	for _, s := range tb.live[dep.key].supports {
 		if s.deriveID != dep.deriveID {
 			continue
 		}
@@ -622,7 +520,7 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 		}
 		for _, b := range s.body {
 			if b.Seq == bodySeq {
-				e.retractSupport(dep, cause, st)
+				e.dropSupport(dep.node, n, tb, dep.key, dep.deriveID, cause, st)
 				return
 			}
 		}
@@ -631,70 +529,20 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 }
 
 // cfAggregateErase removes one erased contributor from a counting rule's
-// group: the previous head is retracted and a head with the decremented
-// count derived, linked into the delta chain as a removal (AggRemove) so
-// provenance folds subtract the contributor instead of adding it. A group
-// whose count reaches zero simply loses its head. Mirrors fireAggregate
-// with the sign flipped; invariant breaks (the contributor never matched,
-// the group is empty, the head fails to evaluate) count as
+// group: the binding the occurrence fired with is recovered and the group
+// stepped down by one (aggregateStep). Invariant breaks (the group is
+// empty, the head fails to evaluate or to appear) count as
 // AggRetractMisses, which the differential suites assert stay zero.
 func (e *Engine) cfAggregateErase(r *compiledRule, occ KeyedAt, st Stamp) {
-	nodeName := occ.Node
-	sat, mark, err := e.satBindings(r, 0, nodeName, occ.Tuple, occ.Key, occ.Stamp)
+	sat, mark, err := e.satBindings(r, 0, occ.Node, occ.Tuple, occ.Key, occ.Stamp)
 	defer e.join.release(mark)
-	if err != nil {
-		e.stats.AggRetractMisses++
-		return
-	}
-	if len(sat) == 0 {
+	if err == nil && len(sat) == 0 {
 		return // the occurrence never contributed (constraint filtered it)
 	}
-	b := sat[0]
-	destNode, known, err := r.headLoc.resolve(nodeName, b.frame)
-	if err != nil || !known {
-		e.stats.AggRetractMisses++
-		return
+	if err == nil {
+		err = e.aggregateStep(r, occ.Node, sat[0], st, -1)
 	}
-	gk := e.groupKey(r, nodeName, b.frame)
-	g := e.aggGroupFor(gk)
-	if g.count == 0 || !g.prevSet {
-		e.stats.AggRetractMisses++
-		return
-	}
-	// Evaluate the decremented head before mutating the group, so an
-	// evaluation error leaves it untouched (like fireAggregate).
-	head, err := r.aggregateHead(b, g.count-1)
 	if err != nil {
-		e.stats.AggRetractMisses++
-		return
-	}
-	g.count--
-	prevID := g.prevID
-	e.retractDerived(destNode, head.Table, g.prevKey, g.prevID, occ, st)
-	if g.count == 0 {
-		g.prevKey, g.prevID, g.prevSet = "", 0, false
-		return
-	}
-	headKey := head.Key()
-	e.stats.Derivations++
-	e.deriveID++
-	d := &Derivation{
-		ID:        e.deriveID,
-		Rule:      r.name,
-		Node:      nodeName,
-		Body:      []At{b.body[0]}, // the binding's body is the scratch's
-		Refs:      b.refs[:1],
-		Trigger:   0,
-		AggPrev:   prevID,
-		AggCount:  g.count,
-		AggRemove: true,
-	}
-	hst := e.nextStamp(st.T)
-	d.Head = keyedAt(destNode, head, headKey, hst)
-	g.prevKey, g.prevID, g.prevSet = headKey, d.ID, true
-	e.obs.OnDerive(*d)
-	sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
-	if err := e.appear(destNode, head, headKey, hst, d.ID, sup); err != nil {
 		e.stats.AggRetractMisses++
 	}
 }
@@ -820,19 +668,12 @@ func (e *Engine) triggerOf(r *Rule, sup support) (atom int, tuple Tuple, st Stam
 		if tb == nil {
 			return 0, Tuple{}, Stamp{}, false
 		}
-		var at Stamp
-		found := false
-		for _, iv := range tb.histOf(b.Key) {
-			if iv.From.Seq == b.Seq {
-				at, found = iv.From, true
-				break
-			}
-		}
-		if !found {
+		iv := openedAt(tb.histOf(b.Key), b.Seq) // read only: may be a frozen base's
+		if iv == nil {
 			return 0, Tuple{}, Stamp{}, false
 		}
-		if best < 0 || bestStamp.Before(at) {
-			best, bestStamp = i, at
+		if best < 0 || bestStamp.Before(iv.From) {
+			best, bestStamp = i, iv.From
 		}
 	}
 	if best < 0 {

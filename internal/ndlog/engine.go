@@ -4,7 +4,9 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 )
 
 // Observer receives primitive provenance events from the engine. The
@@ -553,12 +555,26 @@ func (e *Engine) scheduleStamp(tick int64) (Stamp, error) {
 
 // ScheduleInsert schedules a base-tuple insertion at the given tick.
 func (e *Engine) ScheduleInsert(nodeName string, t Tuple, tick int64) error {
+	return e.schedule(&e.queue, wkInsertBase, nodeName, t, tick)
+}
+
+// ScheduleDelete schedules a base-tuple deletion at the given tick.
+func (e *Engine) ScheduleDelete(nodeName string, t Tuple, tick int64) error {
+	return e.schedule(&e.queue, wkDeleteBase, nodeName, t, tick)
+}
+
+// schedule validates a base event — a declared base table, the declared
+// arity, and no deletion of an event tuple — stamps it, and queues it on q:
+// the main heap, or the counterfactual heap (delta.go), whose first event
+// opens the counterfactual era. A refused event takes no stamp, so callers
+// that log what they schedule can reject it before it reaches the log.
+func (e *Engine) schedule(q *workHeap, kind workKind, nodeName string, t Tuple, tick int64) error {
 	if e.sealed {
 		return errSealed
 	}
 	d := e.prog.Decl(t.Table)
 	if d == nil {
-		return fmt.Errorf("ndlog: insert into undeclared table %s", t.Table)
+		return fmt.Errorf("ndlog: base event for undeclared table %s", t.Table)
 	}
 	if !d.Base {
 		return fmt.Errorf("ndlog: table %s is not a base table", t.Table)
@@ -566,31 +582,17 @@ func (e *Engine) ScheduleInsert(nodeName string, t Tuple, tick int64) error {
 	if len(t.Args) != d.Arity {
 		return fmt.Errorf("ndlog: %s has arity %d, got %d args", t.Table, d.Arity, len(t.Args))
 	}
-	st, err := e.scheduleStamp(tick)
-	if err != nil {
-		return err
+	if kind == wkDeleteBase && d.Event {
+		return fmt.Errorf("ndlog: cannot delete event tuple %s", t)
 	}
-	heap.Push(&e.queue, &workItem{stamp: st, kind: wkInsertBase, node: nodeName, tuple: t})
-	return nil
-}
-
-// ScheduleDelete schedules a base-tuple deletion at the given tick.
-func (e *Engine) ScheduleDelete(nodeName string, t Tuple, tick int64) error {
-	if e.sealed {
-		return errSealed
-	}
-	d := e.prog.Decl(t.Table)
-	if d == nil {
-		return fmt.Errorf("ndlog: delete from undeclared table %s", t.Table)
-	}
-	if !d.Base {
-		return fmt.Errorf("ndlog: table %s is not a base table", t.Table)
+	if q == &e.cfQueue {
+		e.markCFEra()
 	}
 	st, err := e.scheduleStamp(tick)
 	if err != nil {
 		return err
 	}
-	heap.Push(&e.queue, &workItem{stamp: st, kind: wkDeleteBase, node: nodeName, tuple: t})
+	heap.Push(q, &workItem{stamp: st, kind: kind, node: nodeName, tuple: t})
 	return nil
 }
 
@@ -623,20 +625,8 @@ func (e *Engine) IsMutable(nodeName string, t Tuple) bool {
 // consequences in deterministic order. A program the static analysis
 // found erroneous is refused outright.
 func (e *Engine) Run() error {
-	if e.sealed {
-		return errSealed
-	}
-	if e.analysisErr != nil {
-		return e.analysisErr
-	}
-	for e.queue.Len() > 0 {
-		it := heap.Pop(&e.queue).(*workItem)
-		if e.now.Before(it.stamp) {
-			e.now = it.stamp
-		}
-		if err := e.process(it); err != nil {
-			return err
-		}
+	if err := e.drain(&e.queue, math.MaxInt64); err != nil {
+		return err
 	}
 	// Counterfactual changes (ScheduleCFInsert/ScheduleCFDelete) evaluate
 	// only after the main heap drains, as deltas against the completed
@@ -650,19 +640,32 @@ func (e *Engine) Run() error {
 // transit delay — stays pending, so a later Run (or a Fork followed by
 // Run) continues exactly where this call left off.
 func (e *Engine) RunUntil(maxTick int64) error {
+	return e.drain(&e.queue, maxTick)
+}
+
+// drain is the one evaluation loop: it pops q in stamp order while the
+// earliest item's tick is <= maxTick and processes each item. In the
+// counterfactual phase the argmax re-evaluations an item queued are
+// drained before the next item (delta.go).
+func (e *Engine) drain(q *workHeap, maxTick int64) error {
 	if e.sealed {
 		return errSealed
 	}
 	if e.analysisErr != nil {
 		return e.analysisErr
 	}
-	for e.queue.Len() > 0 && e.queue[0].stamp.T <= maxTick {
-		it := heap.Pop(&e.queue).(*workItem)
+	for q.Len() > 0 && (*q)[0].stamp.T <= maxTick {
+		it := heap.Pop(q).(*workItem)
 		if e.now.Before(it.stamp) {
 			e.now = it.stamp
 		}
 		if err := e.process(it); err != nil {
 			return err
+		}
+		if e.cfPhase {
+			if err := e.drainCFReevals(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -781,17 +784,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	if tb.keyIdx != nil && sup.deriveID == 0 {
 		pk := primaryKey(decl, t)
 		if old, ok := tb.keyIdx[pk]; ok && !old.dead && old.key != key {
-			at := keyedAt(nodeName, old.tuple, old.key, st)
-			for i, s := range old.supports {
-				if s.deriveID == 0 {
-					old.supports = append(old.supports[:i], old.supports[i+1:]...)
-					e.obs.OnBaseDelete(at)
-					break
-				}
-			}
-			if len(old.supports) == 0 {
-				e.retractRow(nodeName, tb, old, st, 0)
-			}
+			e.dropBaseSupport(nodeName, tb, old, st)
 		}
 	}
 	if sup.deriveID == 0 {
@@ -830,15 +823,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 func (e *Engine) indexSupport(nodeName, key string, sup support) {
 	for _, b := range sup.body {
 		ref := b.TupleRef()
-		deps, ok := e.dependents[ref]
-		if !ok && e.cowBase != nil {
-			// First local write to this ref: copy the frozen base's list so
-			// the append below never lands in a sealed backing array.
-			if base := e.cowBase.depsOf(ref); len(base) > 0 {
-				deps = append(make([]dependentRef, 0, len(base)+1), base...)
-			}
-		}
-		e.dependents[ref] = append(deps, dependentRef{node: nodeName, key: key, deriveID: sup.deriveID})
+		e.setDeps(ref, append(e.ownDeps(ref, 1), dependentRef{node: nodeName, key: key, deriveID: sup.deriveID}))
 	}
 }
 
@@ -849,13 +834,8 @@ func (e *Engine) indexSupport(nodeName, key string, sup support) {
 func (e *Engine) unindexSupport(nodeName, key string, sup support) {
 	for _, b := range sup.body {
 		ref := b.TupleRef()
-		deps, ok := e.dependents[ref]
-		if !ok && e.cowBase != nil {
-			if base := e.cowBase.depsOf(ref); len(base) > 0 {
-				deps, ok = append([]dependentRef(nil), base...), true
-			}
-		}
-		if !ok || len(deps) == 0 {
+		deps := e.ownDeps(ref, 0)
+		if len(deps) == 0 {
 			continue // the body row itself is being retracted; its refs went wholesale
 		}
 		for i, d := range deps {
@@ -864,11 +844,7 @@ func (e *Engine) unindexSupport(nodeName, key string, sup support) {
 				break
 			}
 		}
-		if len(deps) == 0 {
-			e.deleteDeps(ref)
-		} else {
-			e.dependents[ref] = deps
-		}
+		e.setDeps(ref, deps)
 	}
 }
 
@@ -890,24 +866,27 @@ func (e *Engine) deleteBase(nodeName string, t Tuple, st Stamp) error {
 	// The delete will mutate the row; clone a sealed table first and
 	// re-fetch the row from the writable clone.
 	tb = e.writableTable(n, tb)
-	r := tb.live[key]
-	// Remove one base support.
-	removed := false
+	if !e.dropBaseSupport(nodeName, tb, tb.live[key], st) {
+		return fmt.Errorf("ndlog: %s on %s has no base support to delete", t, nodeName)
+	}
+	return nil
+}
+
+// dropBaseSupport removes one base support from a live row of a writable
+// table, reports the deletion, and retracts the row if that was its last
+// support. A row with no base support is left alone (false).
+func (e *Engine) dropBaseSupport(nodeName string, tb *table, r *row, st Stamp) bool {
 	for i, s := range r.supports {
 		if s.deriveID == 0 {
 			r.supports = append(r.supports[:i], r.supports[i+1:]...)
-			removed = true
-			break
+			e.obs.OnBaseDelete(keyedAt(nodeName, r.tuple, r.key, st))
+			if len(r.supports) == 0 {
+				e.retractRow(nodeName, tb, r, st, 0)
+			}
+			return true
 		}
 	}
-	if !removed {
-		return fmt.Errorf("ndlog: %s on %s has no base support to delete", t, nodeName)
-	}
-	e.obs.OnBaseDelete(keyedAt(nodeName, t, key, st))
-	if len(r.supports) == 0 {
-		e.retractRow(nodeName, tb, r, st, 0)
-	}
-	return nil
+	return false
 }
 
 // primaryKey computes the primary-key projection of a tuple.
@@ -959,38 +938,72 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	}
 }
 
+// retractSupport withdraws a dependent's support because the body row
+// cause disappeared; a dependent that is no longer live, or whose support
+// an earlier cascade already retracted, is skipped.
 func (e *Engine) retractSupport(dep dependentRef, cause KeyedAt, st Stamp) {
-	n := e.nodes[dep.node]
-	if n == nil {
-		return
+	if n, tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key); tb != nil {
+		e.dropSupport(dep.node, n, tb, dep.key, dep.deriveID, cause, st)
 	}
-	var tb *table
-	for _, t := range n.tables {
-		if _, ok := t.live[dep.key]; ok {
-			tb = t
-			break
+}
+
+// retractDerived removes a specific derivation's support from the stored
+// tuple of table tableName with the given key, underiving it (and
+// cascading) if that was the last support. The caller always names a head
+// it previously derived, so a missing node, table, row, or support is a
+// broken invariant: it is counted in Stats.AggRetractMisses rather than
+// silently ignored, and the differential suites assert the counter never
+// moves.
+func (e *Engine) retractDerived(nodeName, tableName, key string, deriveID int64, cause KeyedAt, st Stamp) {
+	n, tb := e.liveTable(nodeName, tableName, key)
+	if tb == nil || !e.dropSupport(nodeName, n, tb, key, deriveID, cause, st) {
+		e.stats.AggRetractMisses++
+	}
+}
+
+// tableOfKey returns the table a canonical tuple key belongs to: the key
+// starts with the table name (Tuple.Key: table|arg|...).
+func tableOfKey(key string) string {
+	if i := strings.IndexByte(key, '|'); i >= 0 {
+		return key[:i]
+	}
+	return key
+}
+
+// liveTable finds the table holding a live row with the given key on a
+// node; both results are nil when the node, the table or the row is missing.
+func (e *Engine) liveTable(nodeName, tableName, key string) (*node, *table) {
+	if n := e.nodes[nodeName]; n != nil {
+		if tb := n.tables[tableName]; tb != nil && tb.live[key] != nil {
+			return n, tb
 		}
 	}
-	if tb == nil {
-		return
-	}
+	return nil, nil
+}
+
+// dropSupport is the one place a derived support leaves a row: derivation
+// deriveID's support is spliced out of the live row key of tb, unindexed
+// from its body rows' dependents and underived under a fresh id and stamp;
+// the row is retracted (cascading) when that was its last support. It
+// reports false, touching nothing, when the row holds no such support.
+func (e *Engine) dropSupport(nodeName string, n *node, tb *table, key string, deriveID int64, cause KeyedAt, st Stamp) bool {
 	// The retraction mutates the row's supports; clone a sealed table
-	// first and re-fetch the row from the writable clone.
+	// first and fetch the row from the writable clone.
 	tb = e.writableTable(n, tb)
-	r := tb.live[dep.key]
+	r := tb.live[key]
 	idx := -1
 	for i, s := range r.supports {
-		if s.deriveID == dep.deriveID {
+		if s.deriveID == deriveID {
 			idx = i
 			break
 		}
 	}
 	if idx < 0 {
-		return // support already retracted
+		return false
 	}
 	s := r.supports[idx]
 	r.supports = append(r.supports[:idx], r.supports[idx+1:]...)
-	e.unindexSupport(dep.node, dep.key, s)
+	e.unindexSupport(nodeName, key, s)
 	if e.cfPhase {
 		// An argmax winner retracted after its trigger fired must be
 		// re-evaluated: a timely run would have chosen another winner at
@@ -1004,13 +1017,14 @@ func (e *Engine) retractSupport(dep dependentRef, cause KeyedAt, st Stamp) {
 		ID:       uid,
 		DeriveID: s.deriveID,
 		Rule:     s.rule,
-		Node:     dep.node,
-		Head:     keyedAt(dep.node, r.tuple, r.key, ust),
+		Node:     nodeName,
+		Head:     keyedAt(nodeName, r.tuple, r.key, ust),
 		Cause:    cause,
 	})
 	if len(r.supports) == 0 {
-		e.retractRow(dep.node, tb, r, ust, uid)
+		e.retractRow(nodeName, tb, r, ust, uid)
 	}
+	return true
 }
 
 // trigger fires every rule that has a body atom over the delta tuple's
@@ -1039,7 +1053,7 @@ func (e *Engine) fireRule(r *compiledRule, deltaAtom int, nodeName string, delta
 // fireBinding derives the head of one satisfying binding.
 func (e *Engine) fireBinding(r *compiledRule, deltaAtom int, nodeName string, b binding, st Stamp) error {
 	if r.countSlot >= 0 {
-		return e.fireAggregate(r, nodeName, b, st)
+		return e.aggregateStep(r, nodeName, b, st, +1)
 	}
 	it, err := e.derive(r, nodeName, b, deltaAtom, st)
 	if err != nil {

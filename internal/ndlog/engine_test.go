@@ -438,6 +438,11 @@ func TestEngineScheduleErrors(t *testing.T) {
 	if err := e.ScheduleDelete("n", NewTuple("nosuch", Int(1)), 0); err == nil {
 		t.Error("delete from undeclared table must fail")
 	}
+	for name, del := range map[string]func(string, Tuple, int64) error{"ScheduleDelete": e.ScheduleDelete, "ScheduleCFDelete": e.ScheduleCFDelete} {
+		if err := del("n", NewTuple("flowEntry", Int(1)), 0); err == nil {
+			t.Errorf("%s: wrong-arity delete must fail", name)
+		}
+	}
 }
 
 func TestEngineDeleteNonexistentIsNoop(t *testing.T) {
@@ -452,8 +457,20 @@ func TestEngineDeleteNonexistentIsNoop(t *testing.T) {
 func TestEngineEventDeleteRejected(t *testing.T) {
 	p := MustParse("table ev/1 event base;")
 	e := New(p, nil)
-	e.ScheduleDelete("n", NewTuple("ev", Int(1)), 0)
-	if err := e.Run(); err == nil {
+	ev := NewTuple("ev", Int(1))
+	// Refused when scheduled, main heap and counterfactual heap alike, so a
+	// caller that logs what it schedules never logs it ...
+	if err := e.ScheduleDelete("n", ev, 0); err == nil {
+		t.Error("scheduling the deletion of an event tuple must fail")
+	}
+	if err := e.ScheduleCFDelete("n", ev, 0); err == nil {
+		t.Error("scheduling the counterfactual deletion of an event tuple must fail")
+	}
+	if err := e.Run(); err != nil {
+		t.Errorf("a refused event must not be queued: %v", err)
+	}
+	// ... and when evaluated: a work item decoded from a log skips schedule.
+	if err := e.deleteBase("n", ev, e.Now()); err == nil {
 		t.Error("deleting an event tuple must fail")
 	}
 }

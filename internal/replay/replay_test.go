@@ -334,6 +334,49 @@ func TestSessionInsertErrors(t *testing.T) {
 	}
 }
 
+// A delete the engine would refuse when it evaluates it (an event tuple)
+// or silently ignore (wrong arity) must be refused when it is scheduled:
+// once such an event is in the log — and on disk — every later Run, Graph
+// and replay of the session fails on it.
+func TestSessionDeleteRefusedBeforeLog(t *testing.T) {
+	pfx := ndlog.MustParsePrefix("10.0.0.0/8")
+	fe := ndlog.NewTuple("flowEntry", ndlog.Int(1), pfx, ndlog.Str("s2"))
+	bad := map[string]ndlog.Tuple{
+		"event tuple": ndlog.NewTuple("packet", ndlog.MustParseIP("10.0.0.1")),
+		"wrong arity": ndlog.NewTuple("flowEntry", ndlog.Int(1)),
+	}
+	for _, stored := range []bool{false, true} {
+		for name, tup := range bad {
+			t.Run(fmt.Sprintf("%s/stored=%v", name, stored), func(t *testing.T) {
+				var opts []SessionOption
+				if stored {
+					opts = append(opts, WithStorage(t.TempDir()))
+				}
+				s := NewSession(fwdProg, opts...)
+				defer s.CloseStorage()
+				if err := s.Insert("s1", fe, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Delete("s1", tup, 1); err == nil {
+					t.Error("Delete must refuse the tuple")
+				}
+				if got := s.Log().Len(); got != 1 {
+					t.Errorf("refused delete reached the log: Len = %d, want 1", got)
+				}
+				if err := s.Run(); err != nil {
+					t.Errorf("Run after a refused delete: %v", err)
+				}
+				if _, _, err := s.Graph(); err != nil {
+					t.Errorf("Graph after a refused delete: %v", err)
+				}
+				if _, _, err := s.ReplayWith(nil); err != nil {
+					t.Errorf("ReplayWith after a refused delete: %v", err)
+				}
+			})
+		}
+	}
+}
+
 func TestLogClone(t *testing.T) {
 	l := NewLog()
 	l.Insert("n", ndlog.NewTuple("packet", ndlog.IP(1)), 0)

@@ -236,9 +236,10 @@ func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, erro
 // Clone returns an independent session over the same captured execution.
 // The immutable program, the session options, the base run and the
 // base-event log as it stands (Log.Clone: a capped view of the append-only
-// log, not a copy) are shared, and the replay statistics start at zero. Clones are how concurrent diagnoses isolate their mutable
-// state — each one replays and accounts time privately, so a completed
-// session can serve any number of clones in parallel.
+// log, not a copy) are shared, and the replay statistics start at zero.
+// Clones are how concurrent diagnoses isolate their mutable state — each
+// one replays and accounts time privately, so a completed session can
+// serve any number of clones in parallel.
 //
 // The live engine is shared read-only; driving the execution further
 // (Insert/Delete/Run) must happen on the original session, not a clone.

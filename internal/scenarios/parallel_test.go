@@ -72,6 +72,7 @@ func TestParallelDifferential(t *testing.T) {
 				opts core.Options
 			}{
 				{"sequential", core.Options{Parallelism: -1, Minimize: true}},
+				{"width1", core.Options{Parallelism: 1, Minimize: true}},
 				{"parallel8", core.Options{Parallelism: 8, Minimize: true}},
 				{"sequential-nofp", core.Options{Parallelism: -1, Minimize: true, DisableFingerprints: true}},
 				{"parallel8-nofp", core.Options{Parallelism: 8, Minimize: true, DisableFingerprints: true}},
@@ -85,6 +86,11 @@ func TestParallelDifferential(t *testing.T) {
 				res, err := iso.DiagnoseOptions(ctx, cfg.opts)
 				if err != nil {
 					t.Fatalf("%s: Diagnose: %v", cfg.name, err)
+				}
+				// Width 1 is the same search loop run inline: it counts only
+				// evaluations handed to a forked worker, so none.
+				if n := res.Stats.ParallelCandidates; cfg.opts.Parallelism <= 1 && n != 0 {
+					t.Errorf("%s: ParallelCandidates = %d at width 1, want 0", cfg.name, n)
 				}
 				if i == 0 {
 					baseline = serializeResult(res)
@@ -129,6 +135,16 @@ func TestParallelAutoDiagnoseDifferential(t *testing.T) {
 				return o
 			}
 			seq, par := run(-1), run(8)
+			if one := run(1); one.err == nil {
+				if one.ref != seq.ref || serializeResult(one.res) != serializeResult(seq.res) {
+					t.Errorf("width 1 diverges from sequential: reference %q vs %q", one.ref, seq.ref)
+				}
+				if n := one.res.Stats.ParallelCandidates + seq.res.Stats.ParallelCandidates; n != 0 {
+					t.Errorf("ParallelCandidates = %d at width 1, want 0", n)
+				}
+			} else if seq.err == nil || one.err.Error() != seq.err.Error() {
+				t.Errorf("width 1 err = %v, sequential err = %v", one.err, seq.err)
+			}
 			if (seq.err == nil) != (par.err == nil) {
 				t.Fatalf("sequential err = %v, parallel err = %v", seq.err, par.err)
 			}
