@@ -409,13 +409,10 @@ func gChildrenOf(dn *provenance.Tree) ([]childAt, error) {
 	out := make([]childAt, 0, len(dn.Children))
 	for _, c := range dn.Children {
 		v := c.Vertex
-		var at ndlog.At
 		causeHolder := c
 		switch v.Type {
 		case provenance.Appear:
-			at = ndlog.At{Node: v.Node, Tuple: v.Tuple, Stamp: v.At}
-		case provenance.Exist:
-			at = ndlog.At{Node: v.Node, Tuple: v.Tuple, Stamp: v.Span.From}
+		case provenance.Exist: // At is the stamp its APPEAR opened it at
 			if len(c.Children) != 1 {
 				return nil, fmt.Errorf("diffprov: EXIST %s has %d children", v.Tuple, len(c.Children))
 			}
@@ -423,7 +420,7 @@ func gChildrenOf(dn *provenance.Tree) ([]childAt, error) {
 		default:
 			return nil, fmt.Errorf("diffprov: DERIVE child is %s", v.Type)
 		}
-		ca := childAt{at: at}
+		ca := childAt{at: ndlog.At{Node: v.Node, Tuple: v.Tuple, Stamp: v.At}}
 		if len(causeHolder.Children) == 1 {
 			cause := causeHolder.Children[0]
 			ca.cause = cause

@@ -201,13 +201,15 @@ func sortedAfter(pass *Pass, fn *ast.BlockStmt, pos token.Pos, obj types.Object)
 // The provenance graph is the system of record for diagnosis: DiffProv's
 // guarantees (and the replay layer's checkpoints) assume vertexes are
 // appended by the Recorder machinery and never rewritten. This analyzer
-// flags writes to Graph.vertexes outside graph.go and writes to
-// Vertex.Children outside the recording layer (graph.go/recorder.go/
-// distributed.go, plus persist.go — the shard store decodes vertex
-// records back into Children on recovery).
+// flags writes to Graph.chunks (the vertex slab) outside graph.go and
+// writes to Vertex.Children outside the code that stores vertexes:
+// graph.go's add for the graph (the recorder hands it the children and
+// never touches the field), distributed.go for the shard recorder's own
+// arena, plus persist.go — the shard store decodes vertex records back
+// into Children on recovery.
 var AppendOnly = &Analyzer{
 	Name:  "appendonly",
-	Doc:   "confine Graph.vertexes and Vertex.Children writes to the recording layer",
+	Doc:   "confine Graph.chunks and Vertex.Children writes to the recording layer",
 	Match: prefixMatch("repro/internal/provenance"),
 	Run:   runAppendOnly,
 }
@@ -215,8 +217,8 @@ var AppendOnly = &Analyzer{
 // guardedFields maps (owner type, field) to the base filenames allowed to
 // write it.
 var guardedFields = map[[2]string][]string{
-	{"Graph", "vertexes"}:  {"graph.go"},
-	{"Vertex", "Children"}: {"graph.go", "recorder.go", "distributed.go", "persist.go"},
+	{"Graph", "chunks"}:    {"graph.go"},
+	{"Vertex", "Children"}: {"graph.go", "distributed.go", "persist.go"},
 }
 
 func runAppendOnly(pass *Pass) error {
@@ -311,13 +313,12 @@ var sealedFields = map[[2]string][]string{
 	{"Engine", "dependents"}: {"cow.go"},
 	// Aggregate delta-chain groups fork lazily.
 	{"Engine", "aggGroups"}: {"cow.go"},
-	// provenance: the CoW overlay itself, and the graph indexes the
-	// recorder appends to pre-seal.
+	// provenance: the CoW overlay itself, the derivation index (a slice
+	// a fork continues past its base's, through cow.go's setDerive), and
+	// the graph indexes the recorder appends to pre-seal.
 	{"Graph", "redirect"}:    {"cow.go"},
-	{"Graph", "openExist"}:   {"cow.go", "recorder.go"},
-	{"Graph", "byDerive"}:    {"recorder.go"},
+	{"Graph", "byDerive"}:    {"cow.go"},
 	{"Graph", "appearByRef"}: {"recorder.go"},
-	{"Graph", "existByRef"}:  {"recorder.go"},
 	{"Graph", "headAppear"}:  {"recorder.go"},
 }
 

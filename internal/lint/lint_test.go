@@ -156,19 +156,19 @@ func f(m map[string][]int, s []string) []string {
 
 const appendOnlySrc = `package provenance
 type Vertex struct{ Children []int }
-type Graph struct{ vertexes []*Vertex }
-type shard struct{ vertexes []*Vertex } // distinct type: not guarded
+type Graph struct{ chunks [][]Vertex }
+type shard struct{ chunks [][]Vertex } // distinct type: not guarded
 func f(g *Graph, v *Vertex, s *shard) {
-	g.vertexes = append(g.vertexes, v)
+	g.chunks = append(g.chunks, nil)
 	v.Children[0] = 7
-	s.vertexes = nil
+	s.chunks = nil
 }
 `
 
 func TestAppendOnlyFlagsWritesOutsideRecorder(t *testing.T) {
 	pkg := loadSrc(t, "repro/internal/provenance", "other.go", appendOnlySrc)
 	wantFindings(t, runOn(t, pkg, AppendOnly),
-		"other.go:6:2: appendonly: write to Graph.vertexes",
+		"other.go:6:2: appendonly: write to Graph.chunks",
 		"other.go:7:2: appendonly: write to Vertex.Children")
 }
 
@@ -176,6 +176,15 @@ func TestAppendOnlyAllowsRecordingLayerFiles(t *testing.T) {
 	// In graph.go both fields may be written; the shard write stays legal.
 	pkg := loadSrc(t, "repro/internal/provenance", "graph.go", appendOnlySrc)
 	wantFindings(t, runOn(t, pkg, AppendOnly))
+}
+
+func TestAppendOnlyRecorderHandsChildrenToAdd(t *testing.T) {
+	// The recorder builds children on its stack and passes them to
+	// Graph.add; it left the Vertex.Children allowlist with the slab.
+	pkg := loadSrc(t, "repro/internal/provenance", "recorder.go", appendOnlySrc)
+	wantFindings(t, runOn(t, pkg, AppendOnly),
+		"recorder.go:6:2: appendonly: write to Graph.chunks",
+		"recorder.go:7:2: appendonly: write to Vertex.Children")
 }
 
 func TestAllowDirectiveSuppresses(t *testing.T) {
@@ -282,19 +291,19 @@ func TestSealCheckGuardsGraphIndexes(t *testing.T) {
 	pkg := loadSrc(t, "repro/internal/provenance", "distributed.go", `package provenance
 type Vertex struct{ ID int }
 type Graph struct {
-	redirect  map[int]*Vertex
-	openExist map[string]int
+	redirect map[int]*Vertex
+	byDerive []int32
 }
-type shard struct{ openExist map[string]int } // distinct type: not guarded
+type shard struct{ byDerive map[int64]int } // distinct type: not guarded
 func f(g *Graph, s *shard, v *Vertex) {
 	g.redirect[1] = v
-	g.openExist["k"] = 2
-	s.openExist["k"] = 3
+	g.byDerive = append(g.byDerive, 2)
+	s.byDerive[1] = 3
 }
 `)
 	wantFindings(t, runOn(t, pkg, SealCheck),
 		"distributed.go:9:2: sealcheck: write to CoW-shared Graph.redirect",
-		"distributed.go:10:2: sealcheck: write to CoW-shared Graph.openExist")
+		"distributed.go:10:2: sealcheck: write to CoW-shared Graph.byDerive")
 }
 
 // The key builders this analyzer exists to keep out: the recorder's old

@@ -11,8 +11,8 @@ import "repro/internal/ndlog"
 //   - Seal freezes a recorder (and its graph) once its engine becomes a
 //     base run; sealed graphs are never recorded into again.
 //   - Fork of a sealed graph keeps a reference to the base, stores only
-//     fork-local vertexes in its own arena tail (IDs continue from
-//     baseLen), and starts every index map empty: writes land locally,
+//     fork-local vertexes in its own slab chunks (IDs continue from
+//     baseLen), and starts every index empty: writes land locally,
 //     reads walk the base chain in shadowing order.
 //   - The single in-place mutation the recorder ever performs — closing
 //     an EXIST vertex's Span when its tuple dies — goes through
@@ -20,14 +20,13 @@ import "repro/internal/ndlog"
 //     redirect map. Fingerprints exclude Span, so the copy keeps its
 //     cached fp.
 //
-// Slice-valued index entries (appearsByTuple, appearsByTable,
+// List-valued index entries (appearsByTuple, appearsByTable,
 // triggerParents) are append-only, so a fork's local entry holds only
 // the IDs the fork itself appended (a tail): reads concatenate the
-// chain oldest-first instead of the append copying the base's slice —
+// chain oldest-first instead of the append copying the base's list —
 // a hot table-level entry can index the whole base run, and one
-// counterfactual append must not pay for re-copying it. openExist is
-// the only map with deletions; forks tombstone with -1 (vertex IDs are
-// never negative).
+// counterfactual append must not pay for re-copying it. No index has
+// deletions: which EXIST is open is read off the vertexes (openExist).
 //
 // Everything downstream — tree projection, seed finding, fold memo — goes
 // through the accessors, so a fork is observationally identical to a
@@ -46,21 +45,18 @@ func (r *Recorder) Sealed() bool { return r.sealed }
 // Fork returns a recorder (with a fork of the graph) that can observe a
 // fork of the sealed receiver's engine independently. The bookkeeping that
 // spans observer callbacks within one work item (pendingInsert /
-// pendingDelete) is copied as-is, and is -1 between work items;
-// underiveVertex reads walk the base chain. Forking an unsealed recorder
-// is a bug and panics (see Graph.Fork).
+// pendingDelete) is copied as-is, and is -1 between work items. Forking
+// an unsealed recorder is a bug and panics (see Graph.Fork).
 func (r *Recorder) Fork() *Recorder {
 	if !r.sealed {
 		panic("provenance: Fork of unsealed recorder")
 	}
 	return &Recorder{
-		prog:           r.prog,
-		graph:          r.graph.Fork(),
-		pendingInsert:  r.pendingInsert,
-		pendingDelete:  r.pendingDelete,
-		underiveVertex: map[int64]int{},
-		eagerAgg:       r.eagerAgg,
-		base:           r,
+		prog:          r.prog,
+		graph:         r.graph.Fork(),
+		pendingInsert: r.pendingInsert,
+		pendingDelete: r.pendingDelete,
+		eagerAgg:      r.eagerAgg,
 	}
 }
 
@@ -73,13 +69,14 @@ func (r *Recorder) Fork() *Recorder {
 //
 // Fork never mutates the receiver, so concurrent forks of one sealed
 // graph are safe. Forking an unsealed graph is a bug — its recorder could
-// still append to the arena the fork would share — and panics.
+// still append to the slab the fork would share — and panics.
 func (g *Graph) Fork() *Graph {
 	if !g.sealed {
 		panic("provenance: Fork of unsealed graph")
 	}
 	f := emptyGraph()
 	f.base, f.baseLen = g, g.NumVertexes()
+	f.firstDerive = g.firstDerive + int64(len(g.byDerive))
 	// Under the lock because sibling forks and readers of the shared base
 	// may fold concurrently.
 	g.foldMu.Lock()
@@ -96,7 +93,7 @@ func (g *Graph) Fork() *Graph {
 // caller guarantees 0 <= id < NumVertexes().
 func (g *Graph) vertex(id int) *Vertex {
 	if id >= g.baseLen {
-		return g.vertexes[id-g.baseLen]
+		return g.local(id - g.baseLen)
 	}
 	if v, ok := g.redirect[id]; ok {
 		return v
@@ -112,7 +109,7 @@ func (g *Graph) mutableVertex(id int) *Vertex {
 		panic("provenance: mutate vertex of sealed graph")
 	}
 	if id >= g.baseLen {
-		return g.vertexes[id-g.baseLen]
+		return g.local(id - g.baseLen)
 	}
 	if v, ok := g.redirect[id]; ok {
 		return v
@@ -128,91 +125,108 @@ func (g *Graph) mutableVertex(id int) *Vertex {
 // Map selectors: top-level functions (no closure allocation) that let the
 // chain walkers below address one index map per call site.
 
-func selAppearByRef(g *Graph) map[ndlog.BodyRef]int       { return g.appearByRef }
-func selOpenExist(g *Graph) map[ndlog.TupleRef]int        { return g.openExist }
-func selExistByRef(g *Graph) map[ndlog.BodyRef]int        { return g.existByRef }
-func selLastDisappear(g *Graph) map[ndlog.TupleRef]int    { return g.lastDisappear }
-func selHeadAppear(g *Graph) map[int]int                  { return g.headAppear }
-func selExistOf(g *Graph) map[int]int                     { return g.existOf }
-func selAppearsByTuple(g *Graph) map[ndlog.TupleRef][]int { return g.appearsByTuple }
-func selAppearsByTable(g *Graph) map[tableRef][]int       { return g.appearsByTable }
-func selTriggerParents(g *Graph) map[int][]int            { return g.triggerParents }
+func selAppearByRef(g *Graph) map[ndlog.BodyRef]int        { return g.appearByRef }
+func selLastDisappear(g *Graph) map[ndlog.TupleRef]int     { return g.lastDisappear }
+func selHeadAppear(g *Graph) map[int]int                   { return g.headAppear }
+func selAppearsByTuple(g *Graph) map[ndlog.TupleRef]idList { return g.appearsByTuple }
+func selAppearsByTable(g *Graph) map[tableRef]idList       { return g.appearsByTable }
+func selTriggerParents(g *Graph) map[int]idList            { return g.triggerParents }
 
-// lookup resolves a vertex lookup through the chain. A negative stored
-// value is a deletion tombstone (only openExist stores them; real vertex
-// IDs are never negative).
+// lookup resolves a vertex lookup through the chain: the topmost link
+// that has the key shadows the ones below.
 func lookup[K comparable](g *Graph, sel func(*Graph) map[K]int, key K) (int, bool) {
 	for gr := g; gr != nil; gr = gr.base {
 		if v, ok := sel(gr)[key]; ok {
-			if v < 0 {
-				return 0, false
-			}
 			return v, true
 		}
 	}
 	return 0, false
 }
 
-// deriveVertex resolves an engine derivation ID to its DERIVE vertex.
+// deriveVertex resolves an engine derivation (or underivation) ID to its
+// DERIVE (UNDERIVE) vertex. The links' dense ranges are disjoint — a
+// fork's starts where its base's ends — and anything reported below a
+// link's range is in that link's lateDerive.
 func (g *Graph) deriveVertex(id int64) (int, bool) {
 	for gr := g; gr != nil; gr = gr.base {
-		if v, ok := gr.byDerive[id]; ok {
-			return v, true
+		if off := id - gr.firstDerive; off >= 0 && off < int64(len(gr.byDerive)) && gr.byDerive[off] != 0 {
+			return int(gr.byDerive[off]) - 1, true
+		}
+		if v, ok := gr.lateDerive[id]; ok {
+			return int(v), true
 		}
 	}
 	return 0, false
 }
 
-// deleteOpenExist removes a tuple's open-EXIST entry: deleted outright at
-// a chain root, tombstoned in a fork so the base entry stays shadowed.
-func (g *Graph) deleteOpenExist(tk ndlog.TupleRef) {
-	if g.base != nil {
-		g.openExist[tk] = -1
-	} else {
-		delete(g.openExist, tk)
+// setDerive records that the engine's derivation or underivation id is
+// vertex vid of this graph.
+func (g *Graph) setDerive(id int64, vid int) {
+	if g.firstDerive == 0 {
+		g.firstDerive = id // a root (or a fork of a chain that saw none) starts at the first ID it is told
 	}
+	off := id - g.firstDerive
+	if off < 0 {
+		if g.lateDerive == nil {
+			g.lateDerive = map[int64]int32{}
+		}
+		g.lateDerive[id] = int32(vid)
+		return
+	}
+	if grow := int(off) + 1 - len(g.byDerive); grow > 0 {
+		g.byDerive = append(g.byDerive, make([]int32, grow)...)
+	}
+	g.byDerive[off] = int32(vid) + 1
 }
 
-// forEachIn visits a key's effective slice entry in insertion order. A
+// idList is one key's entry in a list-valued index: append-only, with the
+// first ID inline — most keys (a tuple that appeared once, a vertex that
+// triggered one derivation) never get a second, and then the entry costs
+// no allocation. A key is in the map only once it has a first ID.
+type idList struct {
+	first int
+	rest  []int
+}
+
+// forEachIn visits a key's effective list entry in insertion order. A
 // fork's local entry is a tail appended after everything in its base (IDs
 // only grow along the chain), so the walk runs deepest-base-first.
-func forEachIn[K comparable](g *Graph, sel func(*Graph) map[K][]int, key K, fn func(id int)) {
+func forEachIn[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K, fn func(id int)) {
 	if g.base != nil {
 		forEachIn(g.base, sel, key, fn)
 	}
-	for _, id := range sel(g)[key] {
-		fn(id)
+	if l, ok := sel(g)[key]; ok {
+		fn(l.first)
+		for _, id := range l.rest {
+			fn(id)
+		}
 	}
 }
 
-// lastIn returns the newest ID in a key's effective slice entry, or -1.
-// The topmost chain link with a non-empty local entry holds the most
-// recent append.
-func lastIn[K comparable](g *Graph, sel func(*Graph) map[K][]int, key K) int {
+// lastIn returns the newest ID in a key's effective list entry, or -1.
+// The topmost chain link with a local entry holds the most recent append.
+func lastIn[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K) int {
 	for gr := g; gr != nil; gr = gr.base {
-		if ids := sel(gr)[key]; len(ids) > 0 {
-			return ids[len(ids)-1]
+		if l, ok := sel(gr)[key]; ok {
+			if n := len(l.rest); n > 0 {
+				return l.rest[n-1]
+			}
+			return l.first
 		}
 	}
 	return -1
 }
 
-// appendTo appends id to a key's local slice entry. The base chain's
+// appendTo appends id to a key's local list entry. The base chain's
 // entries stay untouched and are concatenated on read (forEachIn) —
 // appends are hot (one per APPEAR) and must not re-copy a table-level
 // index of the whole frozen base.
-func appendTo[K comparable](g *Graph, sel func(*Graph) map[K][]int, key K, id int) {
+func appendTo[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K, id int) {
 	m := sel(g)
-	m[key] = append(m[key], id)
-}
-
-// underiveOf resolves an engine underivation ID through the recorder's
-// frozen-base chain (the map has no deletions, so absence means absence).
-func (r *Recorder) underiveOf(id int64) (int, bool) {
-	for rr := r; rr != nil; rr = rr.base {
-		if v, ok := rr.underiveVertex[id]; ok {
-			return v, true
-		}
+	if l, ok := m[key]; ok {
+		l.rest = append(l.rest, id)
+		m[key] = l
+	} else {
+		m[key] = idList{first: id}
 	}
-	return 0, false
 }

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestGraphSealedRejectsRecord(t *testing.T) {
 			t.Error("recording into a sealed graph did not panic")
 		}
 	}()
-	rec.graph.add(&Vertex{Type: Exist, Trigger: -1})
+	rec.graph.add(Vertex{Type: Exist}, nil)
 }
 
 // TestRecorderCoWForkLayers drives a sealed recorder through two
@@ -118,17 +119,11 @@ rule direct reach(@S, S, D) :- link(@S, S, D).
 	}
 }
 
-// TestRecordCycleAllocationBudget bounds what recording costs once keys are
-// carried: one two-atom derivation whose head appears and disappears again,
-// on a fork (every lookup walks the overlay chain), must allocate its four
-// vertexes, their child slices and amortised index growth — and no key
-// string: 10 allocations. With per-callback key building (refKey's Sprintf
-// and boxing, tupleKey, a Tuple.Key per vertex label) the same cycle read
-// 29 at commit c85e625.
-func TestRecordCycleAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
+// recordCycles returns a sealed two-tuple base recorder and a function
+// that records, into a fork of it, one two-atom derivation whose head
+// appears and disappears again — DERIVE, APPEAR, EXIST, DISAPPEAR, every
+// lookup walking the overlay chain — under the next derivation ID.
+func recordCycles() (base *Recorder, cycle func(rec *Recorder) (id int64)) {
 	prog := ndlog.MustParse(`
 table a/1 base;
 table b/1 base;
@@ -138,27 +133,43 @@ rule r h(@N, X) :- a(@N, X), b(@N, X).
 	keyed := func(t ndlog.Tuple, seq uint64) ndlog.KeyedAt {
 		return ndlog.KeyedAt{At: ndlog.At{Node: "n", Tuple: t, Stamp: ndlog.Stamp{T: 1, Seq: seq}}, Key: t.Key()}
 	}
-	base := NewRecorder(prog)
+	base = NewRecorder(prog)
 	a, b := keyed(ndlog.NewTuple("a", ndlog.Int(1)), 1), keyed(ndlog.NewTuple("b", ndlog.Int(1)), 2)
 	for _, at := range []ndlog.KeyedAt{a, b} {
 		base.OnBaseInsert(at)
 		base.OnAppear(at, 0)
 	}
 	base.Seal()
-	rec := base.Fork()
 
 	body := []ndlog.At{a.At, b.At}
 	refs := []ndlog.BodyRef{{Node: "n", Key: a.Key, Seq: 1}, {Node: "n", Key: b.Key, Seq: 2}}
-	head := ndlog.NewTuple("h", ndlog.Int(1))
+	up, down := keyed(ndlog.NewTuple("h", ndlog.Int(1)), 0), keyed(ndlog.NewTuple("h", ndlog.Int(1)), 0)
 	seq, id := uint64(2), int64(0)
-	cycle := func() {
+	return base, func(rec *Recorder) int64 {
 		seq, id = seq+2, id+1
-		up, down := keyed(head, seq), keyed(head, seq+1)
+		up.Stamp.Seq, down.Stamp.Seq = seq, seq+1 // the cycle itself allocates nothing
 		rec.OnDerive(ndlog.Derivation{ID: id, Rule: "r", Node: "n", Head: up, Body: body, Refs: refs, Trigger: 1})
 		rec.OnAppear(up, id)
 		rec.OnDisappear(down, 0)
+		return id
 	}
-	const budget = 12
+}
+
+// TestRecordCycleAllocationBudget bounds what recording costs in the steady
+// state: a derive+appear+disappear cycle on a fork allocates amortised slab,
+// arena and index growth and nothing per vertex — 2 allocations. It read 10
+// while every vertex was its own object with its own Children slice, and 29
+// with per-callback key building (refKey's Sprintf and boxing, tupleKey, a
+// Tuple.Key per vertex label) at commit c85e625.
+func TestRecordCycleAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	base, next := recordCycles()
+	rec := base.Fork()
+	var id int64
+	cycle := func() { id = next(rec) }
+	const budget = 3
 	if got := testing.AllocsPerRun(500, cycle); got > budget {
 		t.Errorf("derive+appear+disappear on a fork: %.1f allocs, budget %d", got, budget)
 	}
@@ -171,5 +182,52 @@ rule r h(@N, X) :- a(@N, X), b(@N, X).
 	}
 	if g.NumVertexes() != base.Graph().NumVertexes()+4*int(id) {
 		t.Errorf("%d vertexes after %d cycles over a base of %d", g.NumVertexes(), id, base.Graph().NumVertexes())
+	}
+}
+
+// TestNarrowForkAllocationBudget bounds what a narrow counterfactual fork
+// pays up front, where nothing is amortised yet: eight cycles — 32
+// vertexes, what an SDN trial records — on a fresh fork. The store itself
+// (slab chunks of 16 + 8 + 16 slots, their list, one arena block) must
+// stay within 8 allocations and 8 KB: a first chunk sized for a wide fork,
+// or plain doubling from 16, fails it. The whole recording adds the first
+// group of each of the six index maps, the derivation index and — this
+// cycle re-derives one head — three growing list entries on top: 28
+// allocations and 10.7 KB, where one object per vertex read 92 and 11.3 KB.
+func TestNarrowForkAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	measure := func(record func(rec *Recorder)) (allocs, bytes uint64) {
+		base, _ := recordCycles()
+		rec := base.Fork()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		record(rec)
+		runtime.ReadMemStats(&after)
+		if got := rec.Graph().NumVertexes() - base.Graph().NumVertexes(); got != 32 {
+			t.Fatalf("the fork recorded %d vertexes, want 32", got)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	allocs, bytes := measure(func(rec *Recorder) {
+		kid := [1]int{0}
+		for i := 0; i < 32; i++ {
+			rec.graph.add(Vertex{Type: Appear}, kid[:])
+		}
+	})
+	t.Logf("32 vertexes through add: %d allocs, %d bytes", allocs, bytes)
+	if allocs > 8 || bytes > 8<<10 {
+		t.Errorf("32 vertexes through add on a fresh fork: %d allocs, %d bytes; budget 8 allocs, 8 KB", allocs, bytes)
+	}
+	_, next := recordCycles()
+	allocs, bytes = measure(func(rec *Recorder) {
+		for i := 0; i < 8; i++ {
+			next(rec)
+		}
+	})
+	t.Logf("8 recorded cycles: %d allocs, %d bytes", allocs, bytes)
+	if allocs > 32 || bytes > 12<<10 {
+		t.Errorf("8 cycles (32 vertexes) on a fresh fork: %d allocs, %d bytes; budget 32 allocs, 12 KB", allocs, bytes)
 	}
 }

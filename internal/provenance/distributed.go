@@ -236,8 +236,8 @@ func (r *ShardedRecorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 	if decl != nil && decl.Event {
 		return
 	}
-	ex := &Vertex{Type: Exist, Node: at.Node, Tuple: at.Tuple, key: at.Key,
-		Span: ndlog.Interval{From: at.Stamp, Open: true}, Children: []int{ap.ID}}
+	ex := &Vertex{Type: Exist, Open: true, Node: at.Node, Tuple: at.Tuple, key: at.Key,
+		At: at.Stamp, Children: []int{ap.ID}}
 	s.add(ex)
 	s.existByRef[ref] = ex.ID
 	s.openExist[at.Key] = ex.ID
@@ -250,8 +250,7 @@ func (r *ShardedRecorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 	closedExist := -1
 	if exID, ok := s.openExist[at.Key]; ok {
 		ex := s.vertexes[exID]
-		ex.Span.To = at.Stamp
-		ex.Span.Open = false
+		ex.Span.To, ex.Open = at.Stamp, false
 		delete(s.openExist, at.Key)
 		closedExist = exID
 	}

@@ -56,7 +56,7 @@ func dependencies(d *Tree, chain []*Tree) []string {
 		v := c.Vertex
 		switch v.Type {
 		case Exist:
-			out = append(out, fmt.Sprintf("%s held %s (since %s)", v.Node, v.Tuple, v.Span.From))
+			out = append(out, fmt.Sprintf("%s held %s (since %s)", v.Node, v.Tuple, v.At))
 		case Appear:
 			out = append(out, fmt.Sprintf("%s saw %s at %s", v.Node, v.Tuple, v.At))
 		}

@@ -43,7 +43,7 @@ func fnvUint64(h, v uint64) uint64 {
 
 // fingerprintOf computes v's structural hash from its label fields and the
 // already-cached fingerprints of its children. Must be called before v is
-// appended to g.vertexes (children strictly precede parents).
+// stored in the slab (children strictly precede parents).
 //
 // Aggregate DERIVE vertexes (delta chains, aggCount > 0) hash as a chain
 // instead: label mixed with the previous head's fingerprint and the new
@@ -60,8 +60,8 @@ func (g *Graph) fingerprintOf(v *Vertex) uint64 {
 	var h uint64
 	if v.aggCount > 0 {
 		h = fnvLabel(v)
-		h = fnvUint64(h, g.fpOf(v.aggPrev))
-		h = fnvUint64(h, g.fpOf(v.aggContrib))
+		h = fnvUint64(h, g.fpOf(int(v.aggPrev)))
+		h = fnvUint64(h, g.fpOf(int(v.aggContrib)))
 	} else {
 		h = fnvLabel(v)
 		for _, c := range v.Children {

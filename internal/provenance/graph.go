@@ -7,6 +7,7 @@ package provenance
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 
@@ -42,12 +43,19 @@ func (t VertexType) String() string {
 
 // Vertex is one vertex of the provenance graph. Children point at direct
 // causes; the graph is acyclic because children always precede parents in
-// creation order.
+// creation order. Vertexes live by value in their graph's slab (see Graph)
+// at an address that never moves, so a *Vertex stays valid for as long as
+// anything holds it. The layout is packed to 184 bytes — a slab chunk's
+// unused slots cost what a vertex does — and TestVertexSize pins it.
 type Vertex struct {
-	ID    int
-	Type  VertexType
-	Node  string
-	Tuple ndlog.Tuple
+	ID   int
+	Type VertexType
+	// Open, on an EXIST vertex, reports that the tuple is still live: its
+	// existence interval [At, Span.To) has no end yet.
+	Open     bool
+	aggCount int32 // contributors of an aggregate DERIVE, see aggPrev
+	Node     string
+	Tuple    ndlog.Tuple
 	// key is Tuple's canonical key: the string whoever reported the vertex
 	// (the engine, the Builder, the shard loader) computed when the row or
 	// occurrence was created. Vertexes share it with the engine's rows; the
@@ -55,12 +63,16 @@ type Vertex struct {
 	key  string
 	Rule string // rule name, for DERIVE/UNDERIVE
 
-	// At is the event time for point vertexes (all but EXIST).
+	// At is the event time of a point vertex and, for an EXIST vertex, the
+	// stamp that opened its existence interval (its APPEAR's At).
 	At ndlog.Stamp
-	// Span is the existence interval for EXIST vertexes.
-	Span ndlog.Interval
+	// Span holds the end of an EXIST vertex's existence interval
+	// [At, Span.To), meaningful once Open is false.
+	Span struct{ To ndlog.Stamp }
 
-	// Children are the IDs of the direct causes of this vertex.
+	// Children are the IDs of the direct causes of this vertex: a window
+	// into the graph's children arena, clipped to its length so that a
+	// consumer's append copies instead of overwriting the next vertex's.
 	Children []int
 	// Trigger, for DERIVE vertexes, is the index into Children of the
 	// precondition that appeared last and thus triggered the rule
@@ -72,15 +84,13 @@ type Vertex struct {
 	// reported by distributed shard recorders, which bypass add).
 	fp uint64
 
-	// Delta-chain annotation for aggregate DERIVE vertexes (aggCount > 0):
-	// aggPrev is the vertex ID of the previous head's DERIVE (-1 for the
-	// group's first), aggContrib the vertex ID of the new contributor's
-	// APPEAR (-1 if unresolved), and aggCount the running contributor
-	// count. ChildrenOf folds the chain into the full contributor list on
-	// demand; recorded Children stay O(1) per update.
-	aggPrev    int
-	aggContrib int
-	aggCount   int64
+	// Delta-chain annotation for aggregate DERIVE vertexes (aggCount > 0,
+	// the running contributor count): aggPrev is the vertex ID of the
+	// previous head's DERIVE (-1 for the group's first) and aggContrib that
+	// of the new contributor's APPEAR (-1 if unresolved). ChildrenOf folds
+	// the chain into the full contributor list on demand; recorded Children
+	// stay O(1) per update.
+	aggPrev, aggContrib int32
 }
 
 // Label renders the vertex without timestamps; the naive tree diff
@@ -107,43 +117,56 @@ func (v *Vertex) TupleRef() ndlog.TupleRef { return ndlog.TupleRef{Node: v.Node,
 func (v *Vertex) String() string {
 	if v.Type == Exist {
 		to := "now"
-		if !v.Span.Open {
+		if !v.Open {
 			to = v.Span.To.String()
 		}
-		return fmt.Sprintf("EXIST(%s, %s, [%s, %s))", v.Node, v.Tuple, v.Span.From, to)
+		return fmt.Sprintf("EXIST(%s, %s, [%s, %s))", v.Node, v.Tuple, v.At, to)
 	}
 	s := v.Label()
 	return fmt.Sprintf("%s@%s", s, v.At)
 }
 
-// Graph is an append-only temporal provenance graph.
+// Graph is an append-only temporal provenance graph, stored flat: the
+// vertexes it recorded sit by value in slab chunks and their children in
+// one []int arena, so recording a vertex allocates nothing but amortised
+// chunk growth, and a CoW fork shares its sealed base as a prefix it
+// never copies (see cow.go and DESIGN.md §22).
 type Graph struct {
-	vertexes []*Vertex
+	// chunks hold the n vertexes this graph recorded itself (IDs baseLen
+	// and up). A chunk is never reallocated, so vertex addresses are
+	// stable; locate maps a local index to its chunk and slot.
+	chunks [][]Vertex
+	n      int
+	// kids is the children arena's current block; a full one is left to
+	// the Vertex.Children windows that reference it.
+	kids []int
 
 	// appearByRef locates the APPEAR vertex for a tuple appearance, keyed
 	// by the engine's body reference {node, tuple key, appearance seq}.
+	// The EXIST it opened, if any, is the next vertex (ExistOf).
 	appearByRef map[ndlog.BodyRef]int
-	// openExist tracks the currently-open EXIST vertex per {node, tuple key}.
-	openExist map[ndlog.TupleRef]int
-	// existByRef maps a body reference to the EXIST vertex opened by that
-	// appearance.
-	existByRef map[ndlog.BodyRef]int
-	// byDerive maps engine derivation IDs to DERIVE vertex IDs.
-	byDerive map[int64]int
+	// byDerive resolves the engine's derivation and underivation IDs (one
+	// dense counter) to their DERIVE / UNDERIVE vertexes: byDerive[id -
+	// firstDerive] is the vertex ID + 1, or 0 where this graph recorded
+	// none. A fork's firstDerive is where its base's index ends, a root's
+	// the first ID it is told; callbacks come in arrival order, so an ID
+	// below it (a derivation in flight at the fork) goes to lateDerive.
+	byDerive    []int32
+	firstDerive int64
+	lateDerive  map[int64]int32
 	// appearsByTuple indexes APPEAR vertexes by {node, tuple key} in order.
-	appearsByTuple map[ndlog.TupleRef][]int
+	// A tuple's open EXIST is the one its latest APPEAR opened (openExist).
+	appearsByTuple map[ndlog.TupleRef]idList
 	// lastDisappear maps {node, tuple key} to the latest DISAPPEAR vertex.
 	lastDisappear map[ndlog.TupleRef]int
 	// appearsByTable indexes APPEAR vertexes by {node, table} for queries.
-	appearsByTable map[tableRef][]int
+	appearsByTable map[tableRef]idList
 	// triggerParents maps a vertex (EXIST or APPEAR) to the DERIVE
 	// vertexes it triggered, for walking derivation chains upward.
-	triggerParents map[int][]int
+	triggerParents map[int]idList
 	// headAppear maps a DERIVE (or INSERT) vertex to the APPEAR of its
 	// head tuple.
 	headAppear map[int]int
-	// existOf maps an APPEAR vertex to the EXIST vertex it opened.
-	existOf map[int]int
 
 	// foldMemo caches folded aggregate contributor lists, keyed by the
 	// chain head's fingerprint: repeated Tree projections of the same
@@ -179,21 +202,17 @@ func NewGraph() *Graph {
 func emptyGraph() *Graph {
 	return &Graph{
 		appearByRef:    map[ndlog.BodyRef]int{},
-		openExist:      map[ndlog.TupleRef]int{},
-		existByRef:     map[ndlog.BodyRef]int{},
-		byDerive:       map[int64]int{},
-		appearsByTuple: map[ndlog.TupleRef][]int{},
+		appearsByTuple: map[ndlog.TupleRef]idList{},
 		lastDisappear:  map[ndlog.TupleRef]int{},
-		appearsByTable: map[tableRef][]int{},
-		triggerParents: map[int][]int{},
+		appearsByTable: map[tableRef]idList{},
+		triggerParents: map[int]idList{},
 		headAppear:     map[int]int{},
-		existOf:        map[int]int{},
 	}
 }
 
 // NumVertexes returns the number of vertexes in the graph, including
 // those inherited from a frozen base.
-func (g *Graph) NumVertexes() int { return g.baseLen + len(g.vertexes) }
+func (g *Graph) NumVertexes() int { return g.baseLen + g.n }
 
 // Vertex returns the vertex with the given ID.
 func (g *Graph) Vertex(id int) *Vertex {
@@ -203,7 +222,46 @@ func (g *Graph) Vertex(id int) *Vertex {
 	return g.vertex(id)
 }
 
-func (g *Graph) add(v *Vertex) *Vertex {
+// Slab chunk sizes: chunkFirst slots, then doubling from chunkMin up to
+// chunkMax and chunkMax from there on — 16, 8, 16, 32, …, 512, 512, ….
+// A narrow counterfactual fork records 16-34 vertexes and must not pay
+// for a wide one's chunk (nor double on its 17th vertex); a wide one
+// records thousands and must not leave half a doubled chunk empty.
+const (
+	chunkFirst = 16
+	chunkMin   = 8
+	chunkMax   = 512
+	cappedFrom = 7                                // first chunk of chunkMax slots: chunkMin<<(cappedFrom-1) == chunkMax
+	cappedAt   = chunkFirst + chunkMax - chunkMin // the local index it starts at: 16 + (8 + 16 + … + 256)
+
+	kidsMin, kidsMax = 32, 4096 // children-arena blocks double from kidsMin to kidsMax ints
+)
+
+// locate maps a local vertex index to its chunk, the slot within it and
+// the chunk's size.
+func locate(i int) (chunk, slot, size int) {
+	switch {
+	case i < chunkFirst:
+		return 0, i, chunkFirst
+	case i >= cappedAt:
+		i -= cappedAt
+		return cappedFrom + i/chunkMax, i % chunkMax, chunkMax
+	}
+	// Doubling chunk c >= 1 starts at chunkFirst + chunkMin*(2^(c-1) - 1).
+	i -= chunkFirst - chunkMin
+	c := bits.Len(uint(i / chunkMin))
+	return c, i - chunkMin<<(c-1), chunkMin << (c - 1)
+}
+
+// local returns the i-th vertex this graph recorded itself.
+func (g *Graph) local(i int) *Vertex {
+	c, slot, _ := locate(i)
+	return &g.chunks[c][slot]
+}
+
+// add records v with the given children and returns its slab slot. Both
+// are copied (children into the arena), so callers build them on their stack.
+func (g *Graph) add(v Vertex, children []int) *Vertex {
 	if g.sealed {
 		panic("provenance: record into sealed graph (fork it instead)")
 	}
@@ -211,11 +269,23 @@ func (g *Graph) add(v *Vertex) *Vertex {
 	if v.Type != Derive {
 		v.Trigger = -1
 	}
-	// Children are complete before a vertex is published and strictly
-	// precede it, so the structural hash is final here.
-	v.fp = g.fingerprintOf(v)
-	g.vertexes = append(g.vertexes, v)
-	return v
+	if len(children) > 0 {
+		if len(g.kids)+len(children) > cap(g.kids) {
+			g.kids = make([]int, 0, max(len(children), min(2*cap(g.kids), kidsMax), kidsMin))
+		}
+		at := len(g.kids)
+		g.kids = append(g.kids, children...)
+		v.Children = g.kids[at:len(g.kids):len(g.kids)]
+	}
+	// Children are complete and strictly precede v: the hash is final.
+	v.fp = g.fingerprintOf(&v)
+	c, slot, size := locate(g.n)
+	if c == len(g.chunks) {
+		g.chunks = append(g.chunks, make([]Vertex, size))
+	}
+	g.chunks[c][slot] = v
+	g.n++
+	return &g.chunks[c][slot]
 }
 
 // AppearVertexes returns the APPEAR vertex IDs for the exact tuple on the
@@ -273,9 +343,20 @@ func (g *Graph) HeadAppear(id int) int {
 }
 
 // ExistOf returns the EXIST vertex opened by the given APPEAR, or -1 for
-// event tuples (which never exist as state).
+// event tuples (which never exist as state). The recorder adds an EXIST
+// right after its APPEAR and nowhere else, so it is the next vertex or
+// there is none.
 func (g *Graph) ExistOf(appearID int) int {
-	if e, ok := lookup(g, selExistOf, appearID); ok {
+	if e := appearID + 1; appearID >= 0 && e < g.NumVertexes() && g.vertex(e).Type == Exist {
+		return e
+	}
+	return -1
+}
+
+// openExist returns the tuple's currently-open EXIST vertex, or -1: the
+// one its latest APPEAR opened, until a DISAPPEAR closes it.
+func (g *Graph) openExist(tk ndlog.TupleRef) int {
+	if e := g.ExistOf(lastIn(g, selAppearsByTuple, tk)); e >= 0 && g.vertex(e).Open {
 		return e
 	}
 	return -1
@@ -296,14 +377,15 @@ func (g *Graph) AggDelta(id int) (prev int, count int64, ok bool) {
 	if v == nil || v.aggCount == 0 {
 		return 0, 0, false
 	}
-	return v.aggPrev, v.aggCount, true
+	return int(v.aggPrev), int64(v.aggCount), true
 }
 
 // ChildrenOf returns the causal children of a vertex as consumers should
 // see them: for aggregate DERIVE vertexes recorded as deltas, the chain
 // is folded into the full contributor list (all of the group's
 // contributors in appearance order); for everything else it is the
-// recorded Children slice. The returned slice must not be mutated.
+// recorded Children slice. The returned slice must not be written to; its
+// capacity is its length, so appending to it copies.
 func (g *Graph) ChildrenOf(id int) []int {
 	v := g.Vertex(id)
 	if v == nil {
@@ -311,7 +393,7 @@ func (g *Graph) ChildrenOf(id int) []int {
 	}
 	// Eagerly-recorded aggregates (and count-1 chains) already carry the
 	// full list in Children.
-	if v.aggCount == 0 || int64(len(v.Children)) == v.aggCount {
+	if v.aggCount == 0 || len(v.Children) == int(v.aggCount) {
 		return v.Children
 	}
 	return g.foldAgg(v)
@@ -332,17 +414,17 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 	var rev []int // contributors, newest first
 	for cur := v; ; {
 		if cur.aggContrib >= 0 {
-			rev = append(rev, cur.aggContrib)
+			rev = append(rev, int(cur.aggContrib))
 		}
-		if cur.aggPrev < 0 || cur.aggPrev >= g.NumVertexes() {
+		if cur.aggPrev < 0 || int(cur.aggPrev) >= g.NumVertexes() {
 			break
 		}
-		prev := g.vertex(cur.aggPrev)
+		prev := g.vertex(int(cur.aggPrev))
 		if out, ok := g.foldMemo[prev.fp]; ok {
 			prefix = out
 			break
 		}
-		if prev.aggCount > 0 && int64(len(prev.Children)) == prev.aggCount {
+		if prev.aggCount > 0 && len(prev.Children) == int(prev.aggCount) {
 			prefix = prev.Children // eagerly materialized predecessor
 			break
 		}

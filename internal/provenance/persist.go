@@ -194,11 +194,17 @@ func encodeVertexRecord(rec vertexRecord) ([]byte, error) {
 		return nil, err
 	}
 	writeStringBuf(buf, rec.v.Rule)
-	writeStamp(buf, rec.v.At)
-	writeStamp(buf, rec.v.Span.From)
+	// The record keeps its pre-slab shape — a point stamp, then a span's
+	// From, To and open flag — of which an EXIST fills only the span.
+	at, from := rec.v.At, ndlog.Stamp{}
+	if rec.v.Type == Exist {
+		at, from = from, at
+	}
+	writeStamp(buf, at)
+	writeStamp(buf, from)
 	writeStamp(buf, rec.v.Span.To)
 	open := byte(0)
-	if rec.v.Span.Open {
+	if rec.v.Open {
 		open = 1
 	}
 	buf.WriteByte(open)
@@ -266,8 +272,12 @@ func decodeVertexRecord(payload []byte) (vertexRecord, error) {
 	if rec.v.At, err = readStamp(r); err != nil {
 		return rec, err
 	}
-	if rec.v.Span.From, err = readStamp(r); err != nil {
+	from, err := readStamp(r)
+	if err != nil {
 		return rec, err
+	}
+	if rec.v.Type == Exist {
+		rec.v.At = from
 	}
 	if rec.v.Span.To, err = readStamp(r); err != nil {
 		return rec, err
@@ -276,7 +286,7 @@ func decodeVertexRecord(payload []byte) (vertexRecord, error) {
 	if err != nil {
 		return rec, err
 	}
-	rec.v.Span.Open = open != 0
+	rec.v.Open = open != 0
 	nch, err := store.ReadUvarint(r)
 	if err != nil {
 		return rec, err
@@ -467,15 +477,14 @@ func OpenStoredShards(prog *ndlog.Program, dir string) (*ShardedRecorder, error)
 				s.appearsByTuple[v.key] = append(s.appearsByTuple[v.key], ord)
 			case Exist:
 				// The EXIST's reference uses the APPEAR stamp it wraps.
-				s.existByRef[ndlog.BodyRef{Node: node, Key: v.key, Seq: v.Span.From.Seq}] = ord
-				if v.Span.Open {
+				s.existByRef[ndlog.BodyRef{Node: node, Key: v.key, Seq: v.At.Seq}] = ord
+				if v.Open {
 					s.openExist[v.key] = ord
 				}
 			case Disappear:
 				if rec.closedExist >= 0 && rec.closedExist < len(s.vertexes) {
 					ex := s.vertexes[rec.closedExist]
-					ex.Span.To = v.At
-					ex.Span.Open = false
+					ex.Span.To, ex.Open = v.At, false
 					if cur, ok := s.openExist[ex.key]; ok && cur == rec.closedExist {
 						delete(s.openExist, ex.key)
 					}

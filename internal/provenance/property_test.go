@@ -3,6 +3,7 @@ package provenance
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ndlog"
 )
@@ -10,6 +11,14 @@ import (
 // randomExecution drives a random mix of inserts, deletes, and packets
 // through a two-rule program and returns the graph plus the engine.
 func randomExecution(t *testing.T, seed int64, events int) (*ndlog.Engine, *Graph) {
+	t.Helper()
+	e, rec, _ := randomRecorded(t, seed, events)
+	return e, rec.Graph()
+}
+
+// randomRecorded is randomExecution that also hands back the recorder (to
+// seal and fork) and the flow entries it inserted (to delete in a fork).
+func randomRecorded(t *testing.T, seed int64, events int) (*ndlog.Engine, *Recorder, []ndlog.At) {
 	t.Helper()
 	prog := ndlog.MustParse(`
 table flowEntry/3 base mutable;
@@ -69,7 +78,7 @@ rule fw packet(@Nxt, Dst) :-
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return e, rec.Graph()
+	return e, rec, inserted
 }
 
 func indexOf(ss []string, s string) int {
@@ -111,7 +120,7 @@ func TestGraphInvariantsUnderRandomExecutions(t *testing.T) {
 				if len(v.Children) != 1 || g.Vertex(v.Children[0]).Type != Appear {
 					t.Fatalf("seed %d: malformed EXIST", seed)
 				}
-				if !v.Span.Open && v.Span.To.Before(v.Span.From) {
+				if !v.Open && v.Span.To.Before(v.At) {
 					t.Fatalf("seed %d: EXIST interval ends before it starts", seed)
 				}
 			case Disappear:
@@ -124,7 +133,7 @@ func TestGraphInvariantsUnderRandomExecutions(t *testing.T) {
 		// EXISTs == DISAPPEARs, and INSERTs+DERIVEs >= APPEARs.
 		closed := 0
 		g.Vertexes(func(v *Vertex) {
-			if v.Type == Exist && !v.Span.Open {
+			if v.Type == Exist && !v.Open {
 				closed++
 			}
 		})
@@ -181,5 +190,260 @@ func TestReplayedGraphIdenticalToLive(t *testing.T) {
 				t.Fatalf("seed %d: vertex %d differs: %s vs %s", seed, i, a, b)
 			}
 		}
+	}
+}
+
+// checkExistAdjacency checks the invariant that replaced three index maps
+// (existByRef, existOf, openExist): an EXIST is the vertex recorded right
+// after its APPEAR. Every EXIST e must have Children == [e-1] with e-1 an
+// APPEAR of the same tuple, every APPEAR of a non-event tuple must be
+// followed by its EXIST, and ExistOf / openExist must agree with the maps
+// the recorder used to maintain, rebuilt here by one pass over the graph.
+func checkExistAdjacency(t *testing.T, what string, prog *ndlog.Program, g *Graph) {
+	t.Helper()
+	existOf := map[int]int{}
+	open := map[ndlog.TupleRef]int{}
+	g.Vertexes(func(v *Vertex) {
+		switch v.Type {
+		case Exist:
+			if len(v.Children) != 1 || v.Children[0] != v.ID-1 {
+				t.Fatalf("%s: EXIST %d has children %v, want [%d]", what, v.ID, v.Children, v.ID-1)
+			}
+			ap := g.Vertex(v.ID - 1)
+			if ap.Type != Appear || ap.TupleRef() != v.TupleRef() || ap.At != v.At {
+				t.Fatalf("%s: EXIST %d follows %s, not its own APPEAR", what, v.ID, ap)
+			}
+			existOf[ap.ID] = v.ID
+			if v.Open {
+				open[v.TupleRef()] = v.ID
+			}
+		case Appear:
+			if d := prog.Decl(v.Tuple.Table); d != nil && d.Event {
+				return
+			}
+			if next := g.Vertex(v.ID + 1); next == nil || next.Type != Exist {
+				t.Fatalf("%s: state APPEAR %d is not followed by its EXIST", what, v.ID)
+			}
+		}
+	})
+	g.Vertexes(func(v *Vertex) {
+		want, ok := existOf[v.ID]
+		if !ok {
+			want = -1
+		}
+		if got := g.ExistOf(v.ID); got != want {
+			t.Fatalf("%s: ExistOf(%d %s) = %d, rebuilt map says %d", what, v.ID, v.Type, got, want)
+		}
+		if v.Type != Appear {
+			return
+		}
+		want, ok = open[v.TupleRef()]
+		if !ok {
+			want = -1
+		}
+		if got := g.openExist(v.TupleRef()); got != want {
+			t.Fatalf("%s: openExist(%s) = %d, rebuilt map says %d", what, v.Tuple, got, want)
+		}
+	})
+}
+
+// TestExistFollowsAppear runs checkExistAdjacency over random executions
+// and over a fork of each that deletes and re-inserts inherited tuples
+// (closing base EXISTs through the redirect overlay, reopening them
+// locally). internal/scenarios runs the exported half over every
+// scenario's base graph and trial fork.
+func TestExistFollowsAppear(t *testing.T) {
+	for seed := int64(40); seed < 52; seed++ {
+		e, rec, inserted := randomRecorded(t, seed, 120)
+		prog := rec.prog
+		checkExistAdjacency(t, "root", prog, rec.Graph())
+		rec.Seal()
+		e.Seal()
+		frec := rec.Fork()
+		f := e.Fork(frec)
+		for i, at := range inserted {
+			tick := int64(200 + i)
+			if i%2 == 0 {
+				if err := f.ScheduleDelete(at.Node, at.Tuple, tick); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%4 == 0 {
+				if err := f.ScheduleInsert(at.Node, at.Tuple, tick+100); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if frec.Graph().NumVertexes() == rec.Graph().NumVertexes() {
+			t.Fatalf("seed %d: the fork recorded nothing", seed)
+		}
+		checkExistAdjacency(t, "fork", prog, frec.Graph())
+		checkExistAdjacency(t, "base after fork", prog, rec.Graph())
+	}
+}
+
+// TestVertexPointersSurviveGrowth pins the slab's contract: a *Vertex
+// taken from a graph keeps addressing that vertex however much the graph
+// (or a fork of it) grows afterwards — chunks are never reallocated.
+func TestVertexPointersSurviveGrowth(t *testing.T) {
+	prog := ndlog.MustParse(`table a/1 base mutable;`)
+	grow := func(rec *Recorder, from, n int) {
+		for i := from; i < from+n; i++ {
+			tu := ndlog.NewTuple("a", ndlog.Int(int64(i)))
+			at := ndlog.KeyedAt{At: ndlog.At{Node: "n", Tuple: tu, Stamp: ndlog.Stamp{T: int64(i), Seq: uint64(i + 1)}}, Key: tu.Key()}
+			rec.OnBaseInsert(at)
+			rec.OnAppear(at, 0)
+		}
+	}
+	held := func(g *Graph) []*Vertex {
+		var ptrs []*Vertex
+		g.Vertexes(func(v *Vertex) { ptrs = append(ptrs, v) })
+		return ptrs
+	}
+	check := func(what string, g *Graph, ptrs []*Vertex) {
+		t.Helper()
+		for id, p := range ptrs {
+			if g.Vertex(id) != p || p.ID != id {
+				t.Fatalf("%s: vertex %d moved: held %p (ID %d), graph has %p", what, id, p, p.ID, g.Vertex(id))
+			}
+		}
+	}
+	rec := NewRecorder(prog)
+	grow(rec, 0, 100) // 300 vertexes: INSERT, APPEAR, EXIST each
+	ptrs := held(rec.Graph())
+	grow(rec, 100, 3400) // 10 200 further adds
+	check("root", rec.Graph(), ptrs)
+
+	rec.Seal()
+	frec := rec.Fork()
+	grow(frec, 3500, 10)
+	fptrs := held(frec.Graph())
+	grow(frec, 3510, 3400)
+	check("fork", frec.Graph(), fptrs)
+	check("base under the fork", rec.Graph(), ptrs)
+}
+
+// TestChildrenAppendDoesNotScribble: Children are windows into one shared
+// arena, clipped to their length — a consumer's append must reallocate,
+// not overwrite the children of the vertex recorded next.
+func TestChildrenAppendDoesNotScribble(t *testing.T) {
+	_, g := runFwd(t)
+	var before [][]int
+	g.Vertexes(func(v *Vertex) { before = append(before, append([]int(nil), v.Children...)) })
+	g.Vertexes(func(v *Vertex) {
+		_ = append(v.Children, -7)
+		_ = append(g.ChildrenOf(v.ID), -7)
+	})
+	g.Vertexes(func(v *Vertex) {
+		if len(v.Children) != len(before[v.ID]) {
+			t.Fatalf("vertex %d: %d children, had %d", v.ID, len(v.Children), len(before[v.ID]))
+		}
+		for i, c := range v.Children {
+			if c != before[v.ID][i] {
+				t.Fatalf("vertex %d child %d overwritten: %d, was %d", v.ID, i, c, before[v.ID][i])
+			}
+		}
+	})
+	// The folded view of an aggregate chain is as safe as a recorded list.
+	wc := runWordCount(t, 9)
+	head := aggHeadDerive(t, wc, "the", 3)
+	folded := append([]int(nil), wc.ChildrenOf(head.ID)...)
+	_ = append(wc.ChildrenOf(head.ID), -7)
+	for i, c := range wc.ChildrenOf(head.ID) {
+		if c != folded[i] {
+			t.Fatalf("folded child %d overwritten: %d, was %d", i, c, folded[i])
+		}
+	}
+}
+
+// TestDeriveIndexAcrossForks exercises the dense derivation index where
+// it is not dense: IDs reported out of order, an ID below a fork's first
+// (a derivation in flight when the base was sealed), holes, and
+// underivation IDs (the same counter), all resolved from the top of a
+// two-deep fork chain.
+func TestDeriveIndexAcrossForks(t *testing.T) {
+	prog := ndlog.MustParse(`
+table a/1 base;
+table h/1;
+rule r h(@N, X) :- a(@N, X).
+`)
+	seq := uint64(0)
+	keyed := func(tu ndlog.Tuple) ndlog.KeyedAt {
+		seq++
+		return ndlog.KeyedAt{At: ndlog.At{Node: "n", Tuple: tu, Stamp: ndlog.Stamp{T: 1, Seq: seq}}, Key: tu.Key()}
+	}
+	want := map[int64]int{}
+	derive := func(rec *Recorder, id int64) {
+		rec.OnDerive(ndlog.Derivation{ID: id, Rule: "r", Node: "n", Head: keyed(ndlog.NewTuple("h", ndlog.Int(id)))})
+		want[id] = rec.Graph().NumVertexes() - 1
+	}
+	underive := func(rec *Recorder, id int64) {
+		rec.OnUnderive(ndlog.Underivation{ID: id, Rule: "r", Node: "n", Head: keyed(ndlog.NewTuple("h", ndlog.Int(id)))})
+		want[id] = rec.Graph().NumVertexes() - 1
+	}
+	root := NewRecorder(prog)
+	derive(root, 5) // a recorder attached mid-run: its index starts at the first ID it is told
+	derive(root, 7)
+	derive(root, 6) // out of order, into the hole
+	derive(root, 2) // below the first
+	root.Seal()
+	mid := root.Fork()
+	derive(mid, 9)
+	derive(mid, 4) // in flight when root was sealed
+	underive(mid, 10)
+	mid.Seal()
+	top := mid.Fork()
+	derive(top, 12)
+	underive(top, 8) // below top's first, inside mid's range where mid recorded none
+	for _, id := range []int64{2, 4, 5, 6, 7, 8, 9, 10, 12} {
+		got, ok := top.Graph().deriveVertex(id)
+		if !ok || got != want[id] {
+			t.Errorf("deriveVertex(%d) = %d, %v from the top fork; recorded as vertex %d", id, got, ok, want[id])
+		}
+	}
+	for _, id := range []int64{1, 3, 11, 13} {
+		if got, ok := top.Graph().deriveVertex(id); ok {
+			t.Errorf("deriveVertex(%d) = %d for an ID nobody reported", id, got)
+		}
+	}
+	// A base does not see what its forks recorded.
+	for _, id := range []int64{4, 9, 10} {
+		if _, ok := root.Graph().deriveVertex(id); ok {
+			t.Errorf("the sealed root resolves ID %d, recorded by its fork", id)
+		}
+	}
+	if v := top.Graph().Vertex(want[8]); v.Type != Underive {
+		t.Errorf("ID 8 resolves to a %s vertex, want UNDERIVE", v.Type)
+	}
+}
+
+// TestLocateWalksTheChunkPlan walks the slab slot by slot — through the
+// first chunk, the doubling ones and well into the capped ones — and
+// requires locate to fill each chunk of the plan (16, 8, 16, 32, …, 512,
+// 512, …) exactly before it opens the next.
+func TestLocateWalksTheChunkPlan(t *testing.T) {
+	i := 0
+	for c := 0; c < 40; c++ {
+		want := chunkFirst
+		if c > 0 {
+			want = min(chunkMin<<(c-1), chunkMax)
+		}
+		for slot := 0; slot < want; slot++ {
+			if gc, gs, size := locate(i); gc != c || gs != slot || size != want {
+				t.Fatalf("locate(%d) = chunk %d slot %d of %d, want chunk %d slot %d of %d", i, gc, gs, size, c, slot, want)
+			}
+			i++
+		}
+	}
+}
+
+// TestVertexSize pins the packed layout: a slab chunk's unused slots cost
+// what a vertex does, so the struct may not quietly grow back.
+func TestVertexSize(t *testing.T) {
+	if got := unsafe.Sizeof(Vertex{}); got > 184 {
+		t.Errorf("unsafe.Sizeof(Vertex{}) = %d, want <= 184", got)
 	}
 }

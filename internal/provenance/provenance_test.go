@@ -249,7 +249,7 @@ rule r d(X) :- cfg(X).
 	g.Vertexes(func(v *Vertex) {
 		switch v.Type {
 		case Exist:
-			if !v.Span.Open {
+			if !v.Open {
 				existClosed++
 				if v.Span.To.T != 10 {
 					t.Errorf("EXIST closed at %v, want t=10", v.Span.To)

@@ -19,9 +19,6 @@ type Recorder struct {
 	pendingInsert int
 	// pendingDelete likewise links DELETE to the following DISAPPEAR.
 	pendingDelete int
-	// underiveVertex maps engine underivation IDs to UNDERIVE vertexes
-	// so a following DISAPPEAR can reference its cause.
-	underiveVertex map[int64]int
 	// eagerAgg materializes the full contributor list on every aggregate
 	// DERIVE at record time (the pre-delta behavior, O(k) per update).
 	// Default off: aggregates record the delta alone and Graph.ChildrenOf
@@ -30,11 +27,8 @@ type Recorder struct {
 	// reference side of the differential tests.
 	eagerAgg bool
 
-	// Copy-on-write state (see cow.go): sealed marks the recorder frozen
-	// as a base run, and base chains a fork to the frozen recorder it
-	// shadows (underiveVertex reads walk the chain; writes stay local).
+	// sealed marks the recorder frozen as a base run (see cow.go).
 	sealed bool
-	base   *Recorder
 }
 
 // RecorderOption configures a Recorder.
@@ -51,11 +45,10 @@ func WithEagerAggregates(on bool) RecorderOption {
 // NewRecorder creates a recorder for executions of the given program.
 func NewRecorder(prog *ndlog.Program, opts ...RecorderOption) *Recorder {
 	r := &Recorder{
-		prog:           prog,
-		graph:          NewGraph(),
-		pendingInsert:  -1,
-		pendingDelete:  -1,
-		underiveVertex: map[int64]int{},
+		prog:          prog,
+		graph:         NewGraph(),
+		pendingInsert: -1,
+		pendingDelete: -1,
 	}
 	for _, o := range opts {
 		o(r)
@@ -69,14 +62,18 @@ func (r *Recorder) Graph() *Graph { return r.graph }
 
 // OnBaseInsert implements ndlog.Observer.
 func (r *Recorder) OnBaseInsert(at ndlog.KeyedAt) {
-	v := r.graph.add(&Vertex{Type: Insert, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp})
-	r.pendingInsert = v.ID
+	r.pendingInsert = r.graph.add(pointVertex(Insert, at, ""), nil).ID
 }
 
 // OnBaseDelete implements ndlog.Observer.
 func (r *Recorder) OnBaseDelete(at ndlog.KeyedAt) {
-	v := r.graph.add(&Vertex{Type: Delete, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp})
-	r.pendingDelete = v.ID
+	r.pendingDelete = r.graph.add(pointVertex(Delete, at, ""), nil).ID
+}
+
+// pointVertex fills in what every vertex carries: its type, the located
+// tuple occurrence it is about, and the rule for DERIVE/UNDERIVE.
+func pointVertex(typ VertexType, at ndlog.KeyedAt, rule string) Vertex {
+	return Vertex{Type: typ, Node: at.Node, Tuple: at.Tuple, key: at.Key, Rule: rule, At: at.Stamp}
 }
 
 // OnDerive implements ndlog.Observer.
@@ -85,30 +82,24 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 		r.onDeriveAggregate(d)
 		return
 	}
-	v := &Vertex{
-		Type:    Derive,
-		Node:    d.Node,
-		Tuple:   d.Head.Tuple,
-		key:     d.Head.Key,
-		Rule:    d.Rule,
-		At:      d.Head.Stamp,
-		Trigger: -1,
-	}
+	v := pointVertex(Derive, d.Head, d.Rule)
+	v.Node, v.Trigger = d.Node, -1
+	var scratch [8]int
+	children := scratch[:0]
 	for i, b := range d.Refs {
 		child := r.bodyVertex(b)
 		if child < 0 {
 			continue
 		}
-		v.Children = append(v.Children, child)
 		if i == d.Trigger {
-			v.Trigger = len(v.Children) - 1
+			v.Trigger = len(children)
 		}
+		children = append(children, child)
 	}
-	r.graph.add(v)
-	r.graph.byDerive[d.ID] = v.ID
+	id := r.graph.add(v, children).ID
+	r.graph.setDerive(d.ID, id)
 	if v.Trigger >= 0 {
-		trig := v.Children[v.Trigger]
-		appendTo(r.graph, selTriggerParents, trig, v.ID)
+		appendTo(r.graph, selTriggerParents, children[v.Trigger], id)
 	}
 }
 
@@ -121,44 +112,32 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 // and the fingerprint is the chain hash, so everything downstream of
 // Graph.ChildrenOf sees identical structure.
 func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
-	v := &Vertex{
-		Type:       Derive,
-		Node:       d.Node,
-		Tuple:      d.Head.Tuple,
-		key:        d.Head.Key,
-		Rule:       d.Rule,
-		At:         d.Head.Stamp,
-		Trigger:    -1,
-		aggPrev:    -1,
-		aggContrib: -1,
-		aggCount:   d.AggCount,
-	}
+	v := pointVertex(Derive, d.Head, d.Rule)
+	v.Node, v.Trigger = d.Node, -1
+	v.aggPrev, v.aggContrib, v.aggCount = -1, -1, int32(d.AggCount)
 	if d.AggPrev != 0 {
 		if pv, ok := r.graph.deriveVertex(d.AggPrev); ok {
-			v.aggPrev = pv
+			v.aggPrev = int32(pv)
 		}
 	}
 	if len(d.Refs) > 0 {
-		v.aggContrib = r.bodyVertex(d.Refs[0])
+		v.aggContrib = int32(r.bodyVertex(d.Refs[0]))
 	}
-	if r.eagerAgg {
+	var scratch [1]int
+	children := scratch[:0]
+	if r.eagerAgg && v.aggPrev >= 0 {
 		// Reference mode: fold the predecessor's list and append the new
 		// contributor — O(k) per update, the pre-delta cost.
-		if v.aggPrev >= 0 {
-			v.Children = append(v.Children, r.graph.ChildrenOf(v.aggPrev)...)
-		}
-		if v.aggContrib >= 0 {
-			v.Children = append(v.Children, v.aggContrib)
-			v.Trigger = len(v.Children) - 1
-		}
-	} else if v.aggContrib >= 0 {
-		v.Children = []int{v.aggContrib}
-		v.Trigger = 0
+		children = append(children, r.graph.ChildrenOf(int(v.aggPrev))...)
 	}
-	r.graph.add(v)
-	r.graph.byDerive[d.ID] = v.ID
 	if v.aggContrib >= 0 {
-		appendTo(r.graph, selTriggerParents, v.aggContrib, v.ID)
+		children = append(children, int(v.aggContrib))
+		v.Trigger = len(children) - 1
+	}
+	id := r.graph.add(v, children).ID
+	r.graph.setDerive(d.ID, id)
+	if v.aggContrib >= 0 {
+		appendTo(r.graph, selTriggerParents, int(v.aggContrib), id)
 	}
 }
 
@@ -166,93 +145,88 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 // the EXIST vertex of the appearance for state tuples, or the APPEAR
 // vertex itself for event tuples (which never exist as state).
 func (r *Recorder) bodyVertex(b ndlog.BodyRef) int {
-	if id, ok := lookup(r.graph, selExistByRef, b); ok {
-		return id
+	ap, ok := lookup(r.graph, selAppearByRef, b)
+	if !ok {
+		return -1
 	}
-	if id, ok := lookup(r.graph, selAppearByRef, b); ok {
-		return id
+	if ex := r.graph.ExistOf(ap); ex >= 0 {
+		return ex
 	}
-	return -1
+	return ap
 }
 
 // OnAppear implements ndlog.Observer.
 func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
-	ap := &Vertex{Type: Appear, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp}
+	cause := -1
 	if deriveID != 0 {
 		if dv, ok := r.graph.deriveVertex(deriveID); ok {
-			ap.Children = append(ap.Children, dv)
+			cause = dv
 		}
 	} else if r.pendingInsert >= 0 {
-		ap.Children = append(ap.Children, r.pendingInsert)
-		r.pendingInsert = -1
+		cause, r.pendingInsert = r.pendingInsert, -1
 	}
-	r.graph.add(ap)
-	if len(ap.Children) == 1 {
-		r.graph.headAppear[ap.Children[0]] = ap.ID
+	var buf [1]int
+	ap := r.graph.add(pointVertex(Appear, at, ""), single(&buf, cause)).ID
+	if cause >= 0 {
+		r.graph.headAppear[cause] = ap
 	}
 
-	ref, tk := at.Ref(), at.TupleRef()
-	r.graph.appearByRef[ref] = ap.ID
-	appendTo(r.graph, selAppearsByTuple, tk, ap.ID)
-	appendTo(r.graph, selAppearsByTable, tableRef{node: at.Node, table: at.Tuple.Table}, ap.ID)
+	r.graph.appearByRef[at.Ref()] = ap
+	appendTo(r.graph, selAppearsByTuple, at.TupleRef(), ap)
+	appendTo(r.graph, selAppearsByTable, tableRef{node: at.Node, table: at.Tuple.Table}, ap)
 
 	decl := r.prog.Decl(at.Tuple.Table)
 	if decl != nil && decl.Event {
 		return // events do not persist: no EXIST vertex
 	}
-	ex := &Vertex{
-		Type:     Exist,
-		Node:     at.Node,
-		Tuple:    at.Tuple,
-		key:      at.Key,
-		Span:     ndlog.Interval{From: at.Stamp, Open: true},
-		Children: []int{ap.ID},
+	// The EXIST directly follows its APPEAR: ExistOf and openExist find it
+	// by that adjacency, not through an index.
+	ex := pointVertex(Exist, at, "")
+	ex.Open = true
+	r.graph.add(ex, single(&buf, ap))
+}
+
+// single returns the children list of a vertex with at most one cause:
+// {id} in the caller's buffer, or none while the cause is unresolved (-1).
+func single(buf *[1]int, id int) []int {
+	if id < 0 {
+		return nil
 	}
-	r.graph.add(ex)
-	r.graph.openExist[tk] = ex.ID
-	r.graph.existByRef[ref] = ex.ID
-	r.graph.existOf[ap.ID] = ex.ID
+	buf[0] = id
+	return buf[:]
 }
 
 // OnUnderive implements ndlog.Observer.
 func (r *Recorder) OnUnderive(u ndlog.Underivation) {
-	v := &Vertex{
-		Type:  Underive,
-		Node:  u.Node,
-		Tuple: u.Head.Tuple,
-		key:   u.Head.Key,
-		Rule:  u.Rule,
-		At:    u.Head.Stamp,
-	}
+	v := pointVertex(Underive, u.Head, u.Rule)
+	v.Node = u.Node
 	// The cause of the underivation is the disappearance of the body
 	// tuple that vanished.
+	cause := -1
 	if dv, ok := lookup(r.graph, selLastDisappear, u.Cause.TupleRef()); ok {
-		v.Children = append(v.Children, dv)
+		cause = dv
 	}
-	r.graph.add(v)
-	r.underiveVertex[u.ID] = v.ID
+	var buf [1]int
+	r.graph.setDerive(u.ID, r.graph.add(v, single(&buf, cause)).ID)
 }
 
 // OnDisappear implements ndlog.Observer.
 func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 	tk := at.TupleRef()
-	if exID, ok := lookup(r.graph, selOpenExist, tk); ok {
+	if exID := r.graph.openExist(tk); exID >= 0 {
 		ex := r.graph.mutableVertex(exID)
-		ex.Span.To = at.Stamp
-		ex.Span.Open = false
-		r.graph.deleteOpenExist(tk)
+		ex.Span.To, ex.Open = at.Stamp, false
 	}
-	dis := &Vertex{Type: Disappear, Node: at.Node, Tuple: at.Tuple, key: at.Key, At: at.Stamp}
+	cause := -1
 	if underiveID != 0 {
-		if uv, ok := r.underiveOf(underiveID); ok {
-			dis.Children = append(dis.Children, uv)
+		if uv, ok := r.graph.deriveVertex(underiveID); ok {
+			cause = uv
 		}
 	} else if r.pendingDelete >= 0 {
-		dis.Children = append(dis.Children, r.pendingDelete)
-		r.pendingDelete = -1
+		cause, r.pendingDelete = r.pendingDelete, -1
 	}
-	r.graph.add(dis)
-	r.graph.lastDisappear[tk] = dis.ID
+	var buf [1]int
+	r.graph.lastDisappear[tk] = r.graph.add(pointVertex(Disappear, at, ""), single(&buf, cause)).ID
 }
 
 var _ ndlog.Observer = (*Recorder)(nil)

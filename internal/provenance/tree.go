@@ -102,10 +102,8 @@ func (t *Tree) dump(sb *strings.Builder, depth int) {
 // At of an APPEAR (event tuples) or the opening stamp of an EXIST.
 func appearStamp(v *Vertex) (ndlog.Stamp, bool) {
 	switch v.Type {
-	case Appear:
+	case Appear, Exist:
 		return v.At, true
-	case Exist:
-		return v.Span.From, true
 	default:
 		return ndlog.Stamp{}, false
 	}

@@ -28,7 +28,7 @@
 //	404 unknown scenario name, unknown tree selector
 //	422 the diagnosis itself failed (unsuitable reference, no progress)
 //	429 the diagnosis worker pool is saturated (Retry-After is set)
-//	500 a scenario exists but failed to build
+//	500 a scenario exists but failed to build, or its diagnosis panicked
 //	503 the diagnosis was cancelled (client gone or deadline exceeded)
 package server
 
@@ -37,9 +37,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -407,7 +409,11 @@ func runDiagnosis(ctx context.Context, sc *scenarios.Scenario,
 	return d, nil
 }
 
-func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
+// serveDiagnosis is the request path the two diagnosis endpoints share:
+// look the scenario up, claim a worker slot, run fn against an isolated
+// copy and write the outcome.
+func (s *Server) serveDiagnosis(w http.ResponseWriter, r *http.Request,
+	fn func(context.Context, *scenarios.Scenario) (*core.Result, diagnosis, error)) {
 	sc, err := s.scenario(r.PathValue("name"))
 	if err != nil {
 		writeScenarioErr(w, err)
@@ -418,18 +424,19 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	// A diagnosis that panics fails its own request — a 500 naming the
+	// scenario, then release above returns the slot. Left to net/http's
+	// recover, the client would get a dropped connection and no response.
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("server: diagnosis of %s panicked: %v\n%s", sc.Name, p, debug.Stack())
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("diagnosis of %s panicked: %v", sc.Name, p))
+		}
+	}()
 	if s.testHookDiagnoseStart != nil {
 		s.testHookDiagnoseStart()
 	}
-	d, err := runDiagnosis(r.Context(), sc,
-		func(ctx context.Context, iso *scenarios.Scenario) (*core.Result, diagnosis, error) {
-			start := time.Now()
-			res, err := iso.DiagnoseOptions(ctx, core.Options{Parallelism: s.parallelism})
-			if err != nil {
-				return nil, diagnosis{}, err
-			}
-			return res, diagnosisOf(iso.Name, res, time.Since(start)), nil
-		})
+	d, err := runDiagnosis(r.Context(), sc, fn)
 	if err != nil {
 		writeDiagnosisErr(w, err)
 		return
@@ -437,34 +444,26 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, d)
 }
 
+func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
+	s.serveDiagnosis(w, r, func(ctx context.Context, iso *scenarios.Scenario) (*core.Result, diagnosis, error) {
+		start := time.Now()
+		res, err := iso.DiagnoseOptions(ctx, core.Options{Parallelism: s.parallelism})
+		if err != nil {
+			return nil, diagnosis{}, err
+		}
+		return res, diagnosisOf(iso.Name, res, time.Since(start)), nil
+	})
+}
+
 func (s *Server) handleAutoRef(w http.ResponseWriter, r *http.Request) {
-	sc, err := s.scenario(r.PathValue("name"))
-	if err != nil {
-		writeScenarioErr(w, err)
-		return
-	}
-	release, ok := s.acquireSlot(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if s.testHookDiagnoseStart != nil {
-		s.testHookDiagnoseStart()
-	}
-	d, err := runDiagnosis(r.Context(), sc,
-		func(ctx context.Context, iso *scenarios.Scenario) (*core.Result, diagnosis, error) {
-			start := time.Now()
-			res, ref, err := core.AutoDiagnose(ctx, iso.Bad, iso.World, core.Options{Parallelism: s.parallelism})
-			if err != nil {
-				return nil, diagnosis{}, err
-			}
-			d := diagnosisOf(iso.Name, res, time.Since(start))
-			d.Reference = ref.Vertex.Tuple.String()
-			return res, d, nil
-		})
-	if err != nil {
-		writeDiagnosisErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, d)
+	s.serveDiagnosis(w, r, func(ctx context.Context, iso *scenarios.Scenario) (*core.Result, diagnosis, error) {
+		start := time.Now()
+		res, ref, err := core.AutoDiagnose(ctx, iso.Bad, iso.World, core.Options{Parallelism: s.parallelism})
+		if err != nil {
+			return nil, diagnosis{}, err
+		}
+		d := diagnosisOf(iso.Name, res, time.Since(start))
+		d.Reference = ref.Vertex.Tuple.String()
+		return res, d, nil
+	})
 }

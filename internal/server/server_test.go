@@ -390,6 +390,84 @@ func TestPoolSaturation(t *testing.T) {
 	}
 }
 
+// TestDiagnosisPanicIs500 pins the panic contract of both diagnosis
+// endpoints: of two concurrent requests, the one whose diagnosis panics
+// gets a 500 with the JSON error body naming the scenario — not a dropped
+// connection, which is what net/http's own recover leaves the client with —
+// while its peer completes, and both worker slots come back.
+func TestDiagnosisPanicIs500(t *testing.T) {
+	for _, endpoint := range []string{"diagnose", "autoref"} {
+		srv := New(scenarios.Small, WithWorkers(2))
+		var mu sync.Mutex
+		entered := 0
+		both := make(chan struct{})
+		srv.testHookDiagnoseStart = func() {
+			mu.Lock()
+			entered++
+			n := entered
+			mu.Unlock()
+			if n == 2 {
+				close(both)
+			}
+			<-both // the two requests hold their slots at the same time
+			if n == 1 {
+				panic("seeded diagnosis panic")
+			}
+		}
+		ts := httptest.NewServer(srv.Handler())
+		url := ts.URL + "/scenarios/SDN2/" + endpoint
+		get(t, ts.URL+"/scenarios/SDN2") // build outside the slots
+
+		type reply struct {
+			code int
+			body []byte
+			err  error
+		}
+		replies := make(chan reply, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				resp, err := http.Post(url, "application/json", nil)
+				if err != nil {
+					replies <- reply{err: err}
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				replies <- reply{resp.StatusCode, body, err}
+			}()
+		}
+		codes := map[int]int{}
+		for i := 0; i < 2; i++ {
+			r := <-replies
+			if r.err != nil {
+				t.Fatalf("%s: a request got no response: %v", endpoint, r.err)
+			}
+			codes[r.code]++
+			if r.code != http.StatusInternalServerError {
+				continue
+			}
+			var e map[string]string
+			if err := json.Unmarshal(r.body, &e); err != nil {
+				t.Fatalf("%s: 500 body is not the JSON error shape: %v (%s)", endpoint, err, r.body)
+			}
+			if !strings.Contains(e["error"], "SDN2") || !strings.Contains(e["error"], "seeded diagnosis panic") {
+				t.Errorf("%s: 500 error %q names neither the scenario nor the panic", endpoint, e["error"])
+			}
+		}
+		if codes[http.StatusOK] != 1 || codes[http.StatusInternalServerError] != 1 {
+			t.Errorf("%s: status codes %v, want one 200 (the peer) and one 500 (the panic)", endpoint, codes)
+		}
+		if held := len(srv.sem); held != 0 {
+			t.Errorf("%s: %d worker slots still held after both requests finished", endpoint, held)
+		}
+		srv.testHookDiagnoseStart = nil
+		if code, body := post(t, url); code != http.StatusOK {
+			t.Errorf("%s after the panic = %d (%s), want 200", endpoint, code, body)
+		}
+		ts.Close()
+	}
+}
+
 // TestDiagnoseCancellation checks that an already-expired deadline stops
 // the diagnosis and is reported as 503, not 422.
 func TestDiagnoseCancellation(t *testing.T) {
