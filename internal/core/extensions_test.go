@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/ndlog"
@@ -357,5 +358,31 @@ rule q2 response(@r1, Q, Name, Addr) :- ask(@Srv, Q, Name), record(@Srv, Name, A
 	c := res.Changes[0]
 	if c.Tuple.Table != "record" || c.Node != "nsA" || c.Tuple.Args[1] != newA {
 		t.Fatalf("follow Δ = %v, want the stale record on nsA replaced", c)
+	}
+}
+
+// TestDerivationLimitSurfacesThroughApply: a trial whose change set turns
+// the model into a forwarding loop fails with the engine's typed limit
+// error — through the session's replay and the world's Apply — so the server
+// can name the rule.
+func TestDerivationLimitSurfacesThroughApply(t *testing.T) {
+	s := replay.NewSession(ndlog.MustParse(sdn1Program), replay.WithEngineOptions(ndlog.WithDerivationLimit(50)))
+	for _, err := range []error{
+		s.Insert("s1", fe(1, "0.0.0.0/0", "s2"), 0),
+		s.Insert("s1", pkt("4.3.2.1"), 10),
+		s.Run(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	world, err := NewWorld(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = world.Apply(context.Background(), []replay.Change{{Insert: true, Node: "s2", Tuple: fe(1, "0.0.0.0/0", "s1"), Tick: 0}})
+	var dl *ndlog.DeriveLimitError
+	if !errors.As(err, &dl) || dl.Rule != "fw" || dl.Limit != 50 {
+		t.Fatalf("Apply of a loop-closing change: err = %v (%+v), want a DeriveLimitError naming rule fw", err, dl)
 	}
 }

@@ -120,11 +120,9 @@ func groupVarsOf(r *Rule) []string {
 	return names
 }
 
-// groupKey computes the aggregation group for a binding: the values of the
-// rule's group variables (listed once, when the rule was compiled).
-func (e *Engine) groupKey(r *compiledRule, nodeName string, f []Value) string {
-	kb := getKeyBuf()
-	key := kb.b[:0]
+// groupKey appends to key the aggregation group of a binding: the values of
+// the rule's group variables (listed once, when the rule was compiled).
+func (e *Engine) groupKey(key []byte, r *compiledRule, nodeName string, f []Value) []byte {
 	key = append(key, r.name...)
 	key = append(key, '@')
 	key = append(key, nodeName...)
@@ -141,16 +139,7 @@ func (e *Engine) groupKey(r *compiledRule, nodeName string, f []Value) string {
 			key = append(key, '?')
 		}
 	}
-	s := string(key)
-	putKeyBuf(kb, key)
-	return s
-}
-
-// aggregateHead evaluates a counting rule's head with the count variable
-// set to count in the binding's frame.
-func (r *compiledRule) aggregateHead(b binding, count int64) (Tuple, error) {
-	b.frame[r.countSlot] = Int(count)
-	return r.evalHead(b.frame)
+	return key
 }
 
 // aggregateStep moves a counting rule's group by one contributor: sign +1
@@ -168,13 +157,22 @@ func (e *Engine) aggregateStep(r *compiledRule, nodeName string, b binding, st S
 	if err != nil || !known {
 		return fmt.Errorf("ndlog: rule %s: unresolved aggregate head location: %v", r.name, err)
 	}
-	g := e.aggGroupFor(e.groupKey(r, nodeName, b.frame))
+	kb := getKeyBuf()
+	gk := e.groupKey(kb.b[:0], r, nodeName, b.frame)
+	g := e.aggGroupFor(gk)
+	putKeyBuf(kb, gk)
 	if sign < 0 && (g.count == 0 || !g.prevSet) {
 		return fmt.Errorf("ndlog: rule %s: no aggregate head to decrement", r.name)
 	}
-	head, err := r.aggregateHead(b, g.count+sign)
+	b.frame[r.countSlot] = Int(g.count + sign)
+	head, err := r.evalHead(&e.arena, b.frame)
 	if err != nil {
 		return fmt.Errorf("ndlog: rule %s head: %v", r.name, err)
+	}
+	if g.count+sign != 0 { // the step derives a head
+		if err := e.countDerivation(r.name, nodeName); err != nil {
+			return err
+		}
 	}
 	g.count += sign
 
@@ -190,13 +188,12 @@ func (e *Engine) aggregateStep(r *compiledRule, nodeName string, b binding, st S
 	}
 
 	headKey := head.Key()
-	e.stats.Derivations++
 	e.deriveID++
 	d := &Derivation{
 		ID:        e.deriveID,
 		Rule:      r.name,
 		Node:      nodeName,
-		Body:      []At{b.body[0]}, // the binding's body is the scratch's
+		Trig:      b.body[0],
 		Refs:      b.refs[:1],
 		Trigger:   0,
 		AggPrev:   prevID,

@@ -81,8 +81,8 @@ func TestAggregateGroupKeyUnboundSentinel(t *testing.T) {
 		}
 		return f
 	}
-	bound := e.groupKey(r, "r1", frame(Env{"R": Str("r1"), "W": Str("")}))
-	unbound := e.groupKey(r, "r1", frame(Env{"R": Str("r1")}))
+	bound := string(e.groupKey(nil, r, "r1", frame(Env{"R": Str("r1"), "W": Str("")})))
+	unbound := string(e.groupKey(nil, r, "r1", frame(Env{"R": Str("r1")})))
 	if bound == unbound {
 		t.Errorf("unbound W collides with W bound to the empty string: %q", bound)
 	}

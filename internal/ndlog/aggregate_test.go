@@ -47,8 +47,8 @@ func TestAggregateCounting(t *testing.T) {
 	if finalDeriv == nil {
 		t.Fatal("no derivation for wordcount(the, 3)")
 	}
-	if len(finalDeriv.Body) != 1 {
-		t.Errorf("delta derivation carries %d body atoms, want 1 (the new contributor)", len(finalDeriv.Body))
+	if len(finalDeriv.Refs) != 1 {
+		t.Errorf("delta derivation carries %d body refs, want 1 (the new contributor)", len(finalDeriv.Refs))
 	}
 	if finalDeriv.Trigger != 0 {
 		t.Errorf("trigger = %d, want 0 (the sole recorded contributor)", finalDeriv.Trigger)
@@ -58,10 +58,10 @@ func TestAggregateCounting(t *testing.T) {
 	}
 	var contribs []Tuple
 	for d := finalDeriv; d != nil; {
-		if len(d.Body) != 1 {
-			t.Fatalf("chain derivation %d carries %d body atoms, want 1", d.ID, len(d.Body))
+		if len(d.Refs) != 1 || d.Refs[0].Key != d.Trig.Tuple.Key() {
+			t.Fatalf("chain derivation %d carries body refs %v for trigger %v, want the one contributor", d.ID, d.Refs, d.Trig.Tuple)
 		}
-		contribs = append(contribs, d.Body[0].Tuple)
+		contribs = append(contribs, d.Trig.Tuple)
 		if d.AggPrev == 0 {
 			if d.AggCount != 1 {
 				t.Errorf("chain head has AggCount %d, want 1", d.AggCount)

@@ -296,9 +296,9 @@ func compileProgram(prog *Program) (map[string]*compiledRule, map[string][]trigg
 }
 
 // evalHead evaluates the rule's head arguments under a frame; the tuple's
-// args are a fresh slice, the engine's own.
-func (cr *compiledRule) evalHead(f []Value) (Tuple, error) {
-	args := make([]Value, len(cr.headArgs))
+// args are a fresh window of the engine's arena, the engine's own.
+func (cr *compiledRule) evalHead(a *arena, f []Value) (Tuple, error) {
+	args := a.args.take(len(cr.headArgs), 0)
 	for i, expr := range cr.headArgs {
 		v, err := expr.eval(f)
 		if err != nil {

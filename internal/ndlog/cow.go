@@ -70,9 +70,9 @@ func (e *Engine) Sealed() bool { return e.sealed }
 // by reference. Only the pending work queue is copied eagerly — its
 // Derivations are stamped in place on delivery. Immutable structure is
 // shared: the program, the compiled rules with their join plans, tuple
-// argument slices, derivation body slices, and support body references
-// are all written once before they become reachable and only read
-// afterwards.
+// argument slices and support body references are all written once
+// before they become reachable and only read afterwards. The fork's arena
+// (slab.go) starts empty: what it creates is its own, and dies with it.
 //
 // Fork never mutates the receiver, so many goroutines may fork the same
 // sealed engine concurrently. Forking an unsealed engine is a bug — its
@@ -132,8 +132,8 @@ func (e *Engine) Fork(obs Observer) *Engine {
 // copyQueue copies the pending work heap. The heap is laid out in a
 // slice; copying it (with fresh work items) preserves the heap shape and
 // hence the pop order. Head.Stamp is filled in on delivery, so each
-// Derivation must be private to the copy; its Body slice is write-once
-// and stays shared.
+// Derivation must be private to the copy; its Refs are write-once and
+// stay shared.
 func copyQueue(q workHeap) workHeap {
 	out := make(workHeap, len(q))
 	for i, it := range q {
@@ -168,29 +168,40 @@ func (e *Engine) writableTable(n *node, tb *table) *table {
 // forkTable clones a sealed table on a fork's first write to it. Rows are
 // remapped pointer-for-pointer so the copies of live, order, keyIdx, and
 // the index buckets all reference the same fresh row structs; remapping
-// is cheaper than re-deriving bucket keys from tuples. The interval
-// histories are not copied: the clone overlays them on the frozen base
-// (histBase) and copies a per-key slice only when that key is written.
+// is cheaper than re-deriving bucket keys from tuples. The row copies and
+// their supports are two exact allocations (the sizes are known, so they
+// need no slab and leave no slack). The interval histories are not copied:
+// the clone overlays them on the frozen base (histBase) and copies a
+// per-key slice only when that key is written.
 func forkTable(tb *table) *table {
 	remap := rowRemapPool.Get().(map[*row]*row)
-	// Row copies come out of one backing array (every row the table has
-	// ever held is in order, so the capacity never grows — but if a row
-	// somehow reaches us outside order, fall back to a fresh allocation
-	// rather than let append move the array under earlier pointers).
-	backing := make([]row, 0, len(tb.order))
+	// Every row the table has ever held is in order, so the capacities never
+	// grow — but if a row somehow reaches us outside order, fall back to
+	// fresh allocations rather than let append move an array under earlier
+	// pointers.
+	nsup := 0
+	for _, r := range tb.order {
+		nsup += len(r.supports)
+	}
+	backing, sups := make([]row, 0, len(tb.order)), make([]support, 0, nsup)
 	rowOf := func(r *row) *row {
 		fr, ok := remap[r]
 		if !ok {
-			if len(backing) < cap(backing) {
+			if len(backing) < cap(backing) && len(sups)+len(r.supports) <= cap(sups) {
 				backing = append(backing, *r)
 				fr = &backing[len(backing)-1]
+				// supports is spliced in place on retraction, so the copy
+				// must not alias the base row's, and its window is clipped so
+				// a later append cannot reach the next row's; each support's
+				// body refs are write-once and shared.
+				lo := len(sups)
+				sups = append(sups, r.supports...)
+				fr.supports = sups[lo:len(sups):len(sups)]
 			} else {
 				cp := *r
+				cp.supports = append([]support(nil), r.supports...)
 				fr = &cp
 			}
-			// supports is spliced in place on retraction; each support's
-			// body refs are write-once and shared.
-			fr.supports = append([]support(nil), r.supports...)
 			remap[r] = fr
 		}
 		return fr
@@ -258,27 +269,35 @@ func (tb *table) histOf(key string) []Interval {
 // ownHist returns a key's history as a slice this table may edit in place:
 // its own entry, or — on the key's first local write in a clone — a private
 // copy of the frozen base's, stored with room for extra more intervals. It
-// is the one place a base history is copied; nil means the key has none.
-func (tb *table) ownHist(key string, extra int) []Interval {
-	ivs, ok := tb.hist[key]
-	if !ok && tb.histBase != nil {
-		if base := tb.histBase.histOf(key); len(base) > 0 {
-			ivs = make([]Interval, len(base), len(base)+extra)
-			copy(ivs, base)
-			tb.hist[key] = ivs
-		}
+// is the one place a base history is copied; nil means the key has none and
+// no room was asked for. The copy, like a new key's first interval, is a
+// window of the writing engine's arena a.
+func (tb *table) ownHist(a *arena, key string, extra int) []Interval {
+	ivs, own := tb.hist[key]
+	if !own && tb.histBase != nil {
+		ivs = tb.histBase.histOf(key)
 	}
-	return ivs
+	if own && len(ivs) > 0 {
+		return ivs // already this table's to edit
+	}
+	if len(ivs)+extra == 0 {
+		return nil // nothing to copy, no room wanted
+	}
+	cp := a.ivs.take(len(ivs), extra)
+	if copy(cp, ivs) > 0 {
+		tb.hist[key] = cp
+	}
+	return cp
 }
 
 // histAppend appends an interval to a key's history.
-func (tb *table) histAppend(key string, iv Interval) {
-	tb.hist[key] = append(tb.ownHist(key, 1), iv)
+func (tb *table) histAppend(a *arena, key string, iv Interval) {
+	tb.hist[key] = append(tb.ownHist(a, key, 1), iv)
 }
 
 // histCloseLast closes a key's trailing open interval at st.
-func (tb *table) histCloseLast(key string, st Stamp) {
-	ivs := tb.ownHist(key, 0)
+func (tb *table) histCloseLast(a *arena, key string, st Stamp) {
+	ivs := tb.ownHist(a, key, 0)
 	if n := len(ivs); n > 0 && ivs[n-1].Open {
 		ivs[n-1].To, ivs[n-1].Open = st, false
 	}
@@ -286,16 +305,16 @@ func (tb *table) histCloseLast(key string, st Stamp) {
 
 // histBackdateFrom moves the start of the interval opened at seq back to
 // st (cfBackdateRow).
-func (tb *table) histBackdateFrom(key string, seq uint64, st Stamp) {
-	if iv := openedAt(tb.ownHist(key, 0), seq); iv != nil {
+func (tb *table) histBackdateFrom(a *arena, key string, seq uint64, st Stamp) {
+	if iv := openedAt(tb.ownHist(a, key, 0), seq); iv != nil {
 		iv.From = st
 	}
 }
 
 // histCloseAt moves the end of the interval opened at seq back to st,
 // closing it if still open (cfBackdateRow).
-func (tb *table) histCloseAt(key string, seq uint64, st Stamp) {
-	if iv := openedAt(tb.ownHist(key, 0), seq); iv != nil {
+func (tb *table) histCloseAt(a *arena, key string, seq uint64, st Stamp) {
+	if iv := openedAt(tb.ownHist(a, key, 0), seq); iv != nil {
 		iv.To, iv.Open = st, false
 	}
 }
@@ -313,8 +332,8 @@ func openedAt(ivs []Interval, seq uint64) *Interval {
 
 // histRemoveOcc removes an event occurrence's zero-length interval from a
 // key's history (eraseOccurrence).
-func (tb *table) histRemoveOcc(key string, seq uint64) {
-	ivs := tb.ownHist(key, 0)
+func (tb *table) histRemoveOcc(a *arena, key string, seq uint64) {
+	ivs := tb.ownHist(a, key, 0)
 	for i, iv := range ivs {
 		if !iv.Open && iv.From == iv.To && iv.From.Seq == seq {
 			tb.hist[key] = append(ivs[:i], ivs[i+1:]...)
@@ -339,16 +358,22 @@ func (e *Engine) depsOf(ref TupleRef) []dependentRef {
 // ownDeps returns a ref's dependent list as a slice this engine may edit
 // in place and store back with setDeps: its own entry, or — on the ref's
 // first local write in a fork — a copy of the frozen base's with room for
-// extra more refs, so an append never lands in a sealed backing array.
+// extra more refs, so an append never lands in a sealed backing array. The
+// copy, like a ref's first dependent, is a window of the engine's arena.
 func (e *Engine) ownDeps(ref TupleRef, extra int) []dependentRef {
-	deps, ok := e.dependents[ref]
-	if !ok && e.cowBase != nil {
-		if base := e.cowBase.depsOf(ref); len(base) > 0 {
-			deps = make([]dependentRef, len(base), len(base)+extra)
-			copy(deps, base)
-		}
+	deps, own := e.dependents[ref]
+	if !own && e.cowBase != nil {
+		deps = e.cowBase.depsOf(ref)
 	}
-	return deps
+	if own && len(deps) > 0 {
+		return deps // already this engine's to edit
+	}
+	if len(deps)+extra == 0 {
+		return nil // nothing to copy, no room wanted
+	}
+	cp := e.arena.deps.take(len(deps), extra)
+	copy(cp, deps)
+	return cp
 }
 
 // setDeps stores a ref's edited dependent list; an empty one is deleted.
@@ -371,13 +396,15 @@ func (e *Engine) deleteDeps(ref TupleRef) {
 	}
 }
 
-// aggGroupFor returns this engine's mutable aggregate group for a key,
-// copying the frozen base's group state on first access (the state is a
-// few scalars) or creating a fresh group.
-func (e *Engine) aggGroupFor(gk string) *aggGroup {
-	if g, ok := e.aggGroups[gk]; ok {
+// aggGroupFor returns this engine's mutable aggregate group for a key
+// (groupKey's bytes; the string is built only for a group not yet in the
+// engine's own map), copying the frozen base's group state on first access
+// (the state is a few scalars) or creating a fresh group.
+func (e *Engine) aggGroupFor(key []byte) *aggGroup {
+	if g, ok := e.aggGroups[string(key)]; ok {
 		return g
 	}
+	gk := string(key)
 	for en := e.cowBase; en != nil; en = en.cowBase {
 		if g, ok := en.aggGroups[gk]; ok {
 			cp := *g

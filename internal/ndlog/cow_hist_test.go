@@ -22,25 +22,26 @@ func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 	// The second edit every case ends with, in place on the first interval.
 	second := func(h []Interval) []Interval { h[0].From = at(0, 7); return h }
 
+	var a arena // the forking engine's; every case takes from it
 	cases := []struct {
 		name string
 		edit func(tb *table)
 		want func(h []Interval) []Interval
 	}{
 		{"append",
-			func(tb *table) { tb.histAppend(key, Interval{From: at(5, 5), To: at(5, 5)}) },
+			func(tb *table) { tb.histAppend(&a, key, Interval{From: at(5, 5), To: at(5, 5)}) },
 			func(h []Interval) []Interval { return append(h, Interval{From: at(5, 5), To: at(5, 5)}) }},
 		{"close-last",
-			func(tb *table) { tb.histCloseLast(key, at(6, 6)) },
+			func(tb *table) { tb.histCloseLast(&a, key, at(6, 6)) },
 			func(h []Interval) []Interval { h[2].To, h[2].Open = at(6, 6), false; return h }},
 		{"backdate",
-			func(tb *table) { tb.histBackdateFrom(key, 4, at(3, 9)) },
+			func(tb *table) { tb.histBackdateFrom(&a, key, 4, at(3, 9)) },
 			func(h []Interval) []Interval { h[2].From = at(3, 9); return h }},
 		{"close-at",
-			func(tb *table) { tb.histCloseAt(key, 4, at(5, 1)) },
+			func(tb *table) { tb.histCloseAt(&a, key, 4, at(5, 1)) },
 			func(h []Interval) []Interval { h[2].To, h[2].Open = at(5, 1), false; return h }},
 		{"remove-occurrence",
-			func(tb *table) { tb.histRemoveOcc(key, 3) },
+			func(tb *table) { tb.histRemoveOcc(&a, key, 3) },
 			func(h []Interval) []Interval { return append(h[:1], h[2:]...) }},
 	}
 	for _, c := range cases {
@@ -54,7 +55,7 @@ func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 				t.Fatalf("after the edit: %v, want %v", got, want)
 			}
 			owned := &ft.hist[key][0]
-			ft.histBackdateFrom(key, 1, at(0, 7))
+			ft.histBackdateFrom(&a, key, 1, at(0, 7))
 			if &ft.hist[key][0] != owned {
 				t.Error("second edit copied the history again")
 			}
@@ -65,5 +66,74 @@ func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 				t.Errorf("sealed base history written: %v", got)
 			}
 		})
+	}
+}
+
+// TestForkedRowsDoNotAliasSupports: a forked table's rows are copies by
+// value, and a copy's supports are spliced in place when one is retracted —
+// so the copy must own them, in a window clipped to them. Retracting a
+// support on the fork's row, then appending two, leaves the sealed base
+// row's supports, and the next row's in the fork, as they were.
+func TestForkedRowsDoNotAliasSupports(t *testing.T) {
+	p := MustParse(`
+table a/1 base mutable;
+table b/1 base mutable;
+table c/1 base mutable;
+table d/1;
+rule ra d(X) :- a(X).
+rule rb d(X) :- b(X).
+rule rc d(X) :- c(X).
+`)
+	e := New(p, nil, WithSeqBand(SeqBandDefault))
+	for x := int64(1); x <= 2; x++ {
+		for _, tb := range []string{"a", "b"} {
+			if err := e.ScheduleInsert("n", NewTuple(tb, Int(x)), x); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Seal()
+	rules := func(en *Engine, key string) (out []string) {
+		for _, s := range en.nodes["n"].tables["d"].live[key].supports {
+			out = append(out, s.rule)
+		}
+		return out
+	}
+	both := []string{"ra", "rb"}
+	if got := rules(e, "d|i1"); !reflect.DeepEqual(got, both) {
+		t.Fatalf("base d(1) supported by %v, want %v", got, both)
+	}
+
+	f := e.Fork(nil)
+	// Retract ra's support of d(1) (a splice inside the copy's window), give
+	// it back, and add a third (an append past the window's end, where d(2)'s
+	// supports begin).
+	if err := f.ScheduleCFDelete("n", NewTuple("a", Int(1)), 3); err != nil {
+		t.Fatal(err)
+	}
+	for i, tb := range []string{"a", "c"} {
+		if err := f.ScheduleCFInsert("n", NewTuple(tb, Int(1)), int64(4+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if f.nodes["n"].tables["d"] == e.nodes["n"].tables["d"] {
+		t.Fatal("the fork never cloned table d")
+	}
+	if got, want := rules(f, "d|i1"), []string{"rb", "ra", "rc"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("fork d(1) supported by %v, want %v", got, want)
+	}
+	if got := rules(f, "d|i2"); !reflect.DeepEqual(got, both) {
+		t.Errorf("fork d(2) supported by %v after its neighbour was edited, want %v", got, both)
+	}
+	for _, key := range []string{"d|i1", "d|i2"} {
+		if got := rules(e, key); !reflect.DeepEqual(got, both) {
+			t.Errorf("sealed base %s supported by %v after the fork's edits, want %v", key, got, both)
+		}
 	}
 }

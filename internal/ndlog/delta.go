@@ -286,7 +286,7 @@ func (e *Engine) refireAt(r *compiledRule, p int, pinNode string, pin *row, q in
 // and derive the correct one).
 func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *row, st Stamp) error {
 	old := r.appearedAt
-	tb.histBackdateFrom(r.key, old.Seq, st)
+	tb.histBackdateFrom(&e.arena, r.key, old.Seq, st)
 	r.appearedAt = st
 	// Backdating can break the appearance-order sorted prefix at the
 	// row's position; shrink it so binary searches stay sound.
@@ -313,7 +313,7 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 				if iv.Open || iv.From.Seq != o.appearedAt.Seq || iv.To.Seq != old.Seq || st.Before(iv.From) {
 					continue
 				}
-				tb.histCloseAt(o.key, o.appearedAt.Seq, st)
+				tb.histCloseAt(&e.arena, o.key, o.appearedAt.Seq, st)
 				e.eraseEventConsumers(TupleRef{Node: nodeName, Key: o.key}, o.appearedAt.Seq, cause, st, true)
 				break
 			}
@@ -341,16 +341,17 @@ type evConsumer struct {
 
 // registerEventDeriv indexes an event-head derivation under each of its
 // body elements, at delivery time (process). The record is write-once, so
-// one allocation is shared by all its refs; the body slice is the
+// one slot of the arena is shared by all its refs; the body slice is the
 // derivation's (and the support's), likewise shared.
 func (e *Engine) registerEventDeriv(d *Derivation) {
-	c := &evConsumer{
+	c := e.arena.evs.one()
+	*c = evConsumer{
 		deriveID:  d.ID,
 		rule:      d.Rule,
 		head:      d.Head,
 		trigAtom:  d.Trigger,
-		trigTuple: d.Body[d.Trigger].Tuple,
-		trigAt:    d.Body[d.Trigger].Stamp,
+		trigTuple: d.Trig.Tuple,
+		trigAt:    d.Trig.Stamp,
 		body:      d.Refs,
 	}
 	for _, b := range d.Refs {
@@ -367,7 +368,11 @@ func (e *Engine) appendEvDep(ref TupleRef, c *evConsumer) {
 	if e.evDeps == nil {
 		e.evDeps = map[TupleRef][]*evConsumer{}
 	}
-	e.evDeps[ref] = append(e.evDeps[ref], c)
+	l, ok := e.evDeps[ref]
+	if !ok {
+		l = e.arena.evLists.take(0, 1)
+	}
+	e.evDeps[ref] = append(l, c)
 }
 
 // evDepsOf returns the effective consumer list for a body-element ref:
@@ -475,7 +480,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	}
 	n := e.nodeFor(occ.Node)
 	tb := e.writableTable(n, e.tableFor(n, decl))
-	tb.histRemoveOcc(occ.Key, occ.Stamp.Seq)
+	tb.histRemoveOcc(&e.arena, occ.Key, occ.Stamp.Seq)
 	e.cfMarkDirty(occ.Node, occ.Tuple.Table)
 	e.deriveID++
 	e.obs.OnUnderive(Underivation{

@@ -30,15 +30,20 @@ type Observer interface {
 	// underiveID is the underivation that removed the last support, or 0
 	// when the cause was a base deletion.
 	OnDisappear(at KeyedAt, underiveID int64)
-	// OnDerive fires when a rule derives a tuple.
+	// OnDerive fires when a rule derives a tuple. The derivation's body
+	// arrives as references (d.Refs) plus the triggering element (d.Trig);
+	// Refs is the engine's, write-once, and may be kept.
 	OnDerive(d Derivation)
 	// OnUnderive fires when a derivation's support is retracted.
 	OnUnderive(u Underivation)
 }
 
-// Derivation describes one rule firing.
+// Derivation describes one rule firing. Its body is identified, not
+// copied: Refs names every body element by node, canonical key and
+// appearance sequence — what a recorder resolves to the element's vertex —
+// and only the element that fired the rule travels whole, as Trig.
 //
-// For counting rules the derivation is a delta: Body holds only the new
+// For counting rules the derivation is a delta: Refs holds only the new
 // contributor (the triggering event), and the full contributor set is the
 // chain of predecessors linked through AggPrev. Provenance recorders fold
 // the chain back into the complete list on demand; the engine never
@@ -49,9 +54,9 @@ type Derivation struct {
 	Rule    string
 	Node    string    // node that evaluated the rule
 	Head    KeyedAt   // head tuple at its destination (stamp = appearance there)
-	Body    []At      // body tuples with the stamps at which they appeared
-	Refs    []BodyRef // Refs[i] identifies Body[i]: its node, key and appearance seq
-	Trigger int       // index into Body of the tuple that appeared last
+	Refs    []BodyRef // the body elements, in atom order
+	Trigger int       // index into Refs of the element that appeared last
+	Trig    At        // that element: Refs[Trigger] names it
 
 	// AggPrev is the derivation ID of the previous head of the same
 	// aggregate group (0 for the group's first derivation), and AggCount
@@ -59,7 +64,7 @@ type Derivation struct {
 	// delta derivation; both are 0 for ordinary rules.
 	AggPrev  int64
 	AggCount int64
-	// AggRemove marks a counterfactual decrement link: Body[0] is the
+	// AggRemove marks a counterfactual decrement link: Trig is the
 	// contributor being removed from the group (its occurrence was
 	// erased), and AggCount is the already-decremented count. Provenance
 	// folds subtract the contributor instead of adding it.
@@ -165,8 +170,8 @@ type Engine struct {
 	// indexing enables secondary hash indexes for body-atom joins (see
 	// index.go): join plans on the compiled rules, and tableSpecs, the
 	// indexes each table carries.
-	indexing   bool
 	tableSpecs map[string][]*indexSpec
+	indexing   bool
 	// analysis enables the static program analysis in New (default on);
 	// analysisDiags holds its result and analysisErr the first
 	// Error-severity diagnostic, which makes Run refuse the program.
@@ -179,8 +184,8 @@ type Engine struct {
 	// maps it overlays; immutableShared marks the immutable map as
 	// borrowed from that engine (cloned by PinImmutable before any
 	// write). See cow.go.
-	sealed          bool
 	cowBase         *Engine
+	sealed          bool
 	immutableShared bool
 	// Counterfactual (delta) evaluation state; see delta.go. Changes
 	// scheduled via ScheduleCFInsert/ScheduleCFDelete wait on cfQueue
@@ -217,6 +222,11 @@ type Engine struct {
 	// join is the scratch state of the rule-firing join (join.go); never
 	// copied by Fork.
 	join joinScratch
+	// arena is where what this engine creates is allocated (slab.go); a fork
+	// starts with its own, empty. It is held by value, and every fork
+	// allocates an Engine: the bools above sit in pairs so that the struct
+	// stays in the 896-byte size class (TestEngineFitsItsSizeClass).
+	arena arena
 }
 
 // errSealed is returned by Run and Schedule calls on a sealed engine.
@@ -299,6 +309,10 @@ type table struct {
 	occsTail   []eventOcc
 }
 
+// row is one appearance of a state tuple in a table. Rows live by value in
+// their engine's arena (appear) or in a forked table's backing array
+// (forkTable) and are always held by pointer; supports is the row's own
+// window, spliced in place, never shared with another row or a base's copy.
 type row struct {
 	tuple      Tuple
 	key        string
@@ -618,7 +632,9 @@ func (e *Engine) IsMutable(nodeName string, t Tuple) bool {
 	if d == nil || !d.Base || !d.Mutable {
 		return false
 	}
-	return !e.immutable[TupleRef{Node: nodeName, Key: t.Key()}]
+	pinned := false
+	t.WithKey(func(key []byte) { pinned = e.immutable[TupleRef{Node: nodeName, Key: string(key)}] })
+	return !pinned
 }
 
 // Run drains the work queue, evaluating all scheduled events and their
@@ -754,7 +770,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 		// Record the instantaneous occurrence in history for temporal
 		// queries (zero-length closed interval).
 		tb := e.writableTable(n, e.tableFor(n, decl))
-		tb.histAppend(key, Interval{From: st, To: st})
+		tb.histAppend(&e.arena, key, Interval{From: st, To: st})
 		tb.occAppend(t, st)
 		if e.cfPhase {
 			e.cfMarkDirty(nodeName, t.Table)
@@ -790,7 +806,9 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	if sup.deriveID == 0 {
 		t = t.Clone() // the caller's; a derived head's args are the engine's own
 	}
-	r := &row{tuple: t, key: key, appearedAt: st, supports: []support{sup}}
+	r := e.arena.rows.one()
+	*r = row{tuple: t, key: key, appearedAt: st, supports: e.arena.supports.take(1, 0)}
+	r.supports[0] = sup
 	tb.live[key] = r
 	tb.order = append(tb.order, r)
 	tb.noteOrderAppend()
@@ -803,7 +821,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	if tb.keyIdx != nil {
 		tb.keyIdx[primaryKey(decl, t)] = r
 	}
-	tb.histAppend(key, Interval{From: st, Open: true})
+	tb.histAppend(&e.arena, key, Interval{From: st, Open: true})
 	e.indexSupport(nodeName, key, sup)
 	e.stats.Appears++
 	e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
@@ -916,7 +934,7 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 			delete(tb.keyIdx, pk)
 		}
 	}
-	tb.histCloseLast(r.key, st)
+	tb.histCloseLast(&e.arena, r.key, st)
 	e.stats.Disappears++
 	cause := keyedAt(nodeName, r.tuple, r.key, st)
 	e.obs.OnDisappear(cause, underiveID)
@@ -1090,42 +1108,19 @@ func BindingKey(env Env) string {
 	return s
 }
 
-// delivery is what derive allocates to deliver a head: the work item, the
-// derivation it carries and the derivation's body, none of which is kept
-// once the head has arrived (the body unless an observer keeps it). A is an
-// array of the rule's body length. The support references, which are kept,
-// are the binding's own allocation.
-type delivery[A any] struct {
-	it   workItem
-	d    Derivation
-	body A
-}
-
-// newDelivery allocates a delivery for an n-atom rule — as one block for
-// the rule sizes programs have.
-func newDelivery(n int) (*workItem, *Derivation, []At) {
-	switch n {
-	case 1:
-		b := new(delivery[[1]At])
-		return &b.it, &b.d, b.body[:]
-	case 2:
-		b := new(delivery[[2]At])
-		return &b.it, &b.d, b.body[:]
-	case 3:
-		b := new(delivery[[3]At])
-		return &b.it, &b.d, b.body[:]
-	case 4:
-		b := new(delivery[[4]At])
-		return &b.it, &b.d, b.body[:]
-	}
-	b := new(delivery[[0]At])
-	return &b.it, &b.d, make([]At, n)
+// delivery is what derive allocates to deliver a head: the work item and
+// the derivation it carries, as one block, neither of which is kept once the
+// head has arrived — which is why it is a heap object and not a slot of the
+// arena. The support references, which are kept, are the binding's.
+type delivery struct {
+	it workItem
+	d  Derivation
 }
 
 // derive produces the rule head for a satisfying binding and returns the
 // work item that will deliver it (destination, head tuple, delivery stamp).
 func (e *Engine) derive(r *compiledRule, evalNode string, b binding, deltaAtom int, st Stamp) (*workItem, error) {
-	head, err := r.evalHead(b.frame)
+	head, err := r.evalHead(&e.arena, b.frame)
 	if err != nil {
 		return nil, fmt.Errorf("ndlog: rule %s head: %v", r.name, err)
 	}
@@ -1133,20 +1128,19 @@ func (e *Engine) derive(r *compiledRule, evalNode string, b binding, deltaAtom i
 	if err != nil || !known {
 		return nil, fmt.Errorf("ndlog: rule %s: unresolved head location: %v", r.name, err)
 	}
-	e.stats.Derivations++
-	if e.deriveLimit > 0 && e.stats.Derivations > e.deriveLimit {
-		return nil, fmt.Errorf("ndlog: derivation limit %d exceeded (non-terminating model? e.g. a forwarding loop)", e.deriveLimit)
+	if err := e.countDerivation(r.name, evalNode); err != nil {
+		return nil, err
 	}
 	e.deriveID++
-	it, d, body := newDelivery(len(b.body))
-	copy(body, b.body)
+	dl := new(delivery)
+	it, d := &dl.it, &dl.d
 	*d = Derivation{
 		ID:      e.deriveID,
 		Rule:    r.name,
 		Node:    evalNode,
-		Body:    body,
 		Refs:    b.refs,
 		Trigger: deltaAtom,
+		Trig:    b.body[deltaAtom],
 	}
 	// Heads are always delivered through the work queue — local heads in
 	// the same tick, remote heads after the transit delay — so that long
@@ -1176,19 +1170,33 @@ func (e *Engine) derive(r *compiledRule, evalNode string, b binding, deltaAtom i
 	return it, nil
 }
 
+// DeriveLimitError is what Run returns when the engine's derivation limit
+// (WithDerivationLimit) is exceeded: Rule on Node made the derivation that
+// crossed Limit.
+type DeriveLimitError struct {
+	Rule, Node string
+	Limit      int
+}
+
+func (e *DeriveLimitError) Error() string {
+	return fmt.Sprintf("ndlog: derivation limit %d exceeded by rule %s on %s (non-terminating model? e.g. a forwarding loop)", e.Limit, e.Rule, e.Node)
+}
+
+// countDerivation counts one derivation by rule on node — a plain head or an
+// aggregate step's — against the derivation limit.
+func (e *Engine) countDerivation(rule, node string) error {
+	e.stats.Derivations++
+	if e.deriveLimit > 0 && e.stats.Derivations > e.deriveLimit {
+		return &DeriveLimitError{Rule: rule, Node: node, Limit: e.deriveLimit}
+	}
+	return nil
+}
+
 // Exists reports whether the tuple existed on the node at the given stamp
 // (for event tuples: whether it occurred exactly then or earlier in the
 // same tick).
 func (e *Engine) Exists(nodeName string, t Tuple, at Stamp) bool {
-	n := e.nodes[nodeName]
-	if n == nil {
-		return false
-	}
-	tb := n.tables[t.Table]
-	if tb == nil {
-		return false
-	}
-	for _, iv := range tb.histOf(t.Key()) {
+	for _, iv := range e.histOf(nodeName, t) {
 		if iv.Contains(at) {
 			return true
 		}
@@ -1198,28 +1206,31 @@ func (e *Engine) Exists(nodeName string, t Tuple, at Stamp) bool {
 
 // ExistsEver reports whether the tuple ever existed on the node up to now.
 func (e *Engine) ExistsEver(nodeName string, t Tuple) bool {
-	n := e.nodes[nodeName]
-	if n == nil {
-		return false
-	}
-	tb := n.tables[t.Table]
-	if tb == nil {
-		return false
-	}
-	return len(tb.histOf(t.Key())) > 0
+	return len(e.histOf(nodeName, t)) > 0
 }
 
 // History returns the existence intervals of a tuple on a node.
 func (e *Engine) History(nodeName string, t Tuple) []Interval {
+	return append([]Interval(nil), e.histOf(nodeName, t)...)
+}
+
+// histOf is table.histOf for a caller with a tuple and no key at hand (the
+// public lookups): the key's bytes index the maps directly, so no string is
+// built to be thrown away. The slice may be a frozen base's: read only.
+func (e *Engine) histOf(nodeName string, t Tuple) (ivs []Interval) {
 	n := e.nodes[nodeName]
 	if n == nil {
 		return nil
 	}
-	tb := n.tables[t.Table]
-	if tb == nil {
-		return nil
-	}
-	return append([]Interval(nil), tb.histOf(t.Key())...)
+	t.WithKey(func(key []byte) {
+		for tb := n.tables[t.Table]; tb != nil; tb = tb.histBase {
+			if h, ok := tb.hist[string(key)]; ok {
+				ivs = h
+				return
+			}
+		}
+	})
+	return ivs
 }
 
 // TuplesAt returns the tuples of a table that existed on the node at the

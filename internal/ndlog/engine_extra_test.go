@@ -1,6 +1,7 @@
 package ndlog
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,41 @@ rule fw packet(@Nxt, X) :- packet(@Sw, X), fwd(@Sw, Nxt).
 	}
 	if !strings.Contains(err.Error(), "derivation limit") {
 		t.Errorf("error = %v, want a derivation-limit diagnosis", err)
+	}
+}
+
+// TestDerivationLimitStopsCountCycle: a cycle that runs through a count()
+// rule — every tally re-announces itself as the event it counts — stops at
+// the limit like any other, on whichever rule crosses it, and the error
+// names that rule. The limit is even and the rules alternate (c derives the
+// odd-numbered derivations), so the derivation that crosses it is an
+// aggregate step's: the path that used to count without checking. The
+// static analysis refuses such a program (ND007, unstratified aggregation),
+// so the limit is the backstop of engines built with it off; the model's own
+// cap (K < 500) ends an unchecked run.
+func TestDerivationLimitStopsCountCycle(t *testing.T) {
+	src := `
+table ping/1 event base;
+table tally/1;
+rule c tally(@N, K) :- ping(@N, X), K := count().
+rule p ping(@N, K) :- tally(@N, K), K < 500.
+`
+	const limit = 100
+	e := New(MustParse(src), nil, WithDerivationLimit(limit), WithAnalysis(false))
+	e.ScheduleInsert("n", NewTuple("ping", Int(0)), 1)
+	err := e.Run()
+	var dl *DeriveLimitError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want a *DeriveLimitError", err)
+	}
+	if *dl != (DeriveLimitError{Rule: "c", Node: "n", Limit: limit}) {
+		t.Errorf("limit error %+v, want rule c on n at %d", *dl, limit)
+	}
+	if got := e.Stats().Derivations; got != limit+1 {
+		t.Errorf("stopped after %d derivations, want %d (the one that crossed the limit)", got, limit+1)
+	}
+	if !strings.Contains(err.Error(), "non-terminating model?") || !strings.Contains(err.Error(), "rule c") {
+		t.Errorf("message %q lost the hint or the rule", err)
 	}
 }
 

@@ -33,10 +33,8 @@ func (o *recordingObserver) OnDisappear(at KeyedAt, id int64) {
 }
 func (o *recordingObserver) OnDerive(d Derivation) {
 	checked(d.Head)
-	for i, b := range d.Body {
-		if want := (BodyRef{Node: b.Node, Key: b.Tuple.Key(), Seq: b.Stamp.Seq}); d.Refs[i] != want {
-			panic("derivation body and refs disagree at " + b.Tuple.String())
-		}
+	if want := (BodyRef{Node: d.Trig.Node, Key: d.Trig.Tuple.Key(), Seq: d.Trig.Stamp.Seq}); d.Refs[d.Trigger] != want {
+		panic("Refs[Trigger] does not name the trigger " + d.Trig.Tuple.String())
 	}
 	o.derives = append(o.derives, d)
 }
@@ -116,8 +114,8 @@ func TestEngineEventForwardingChain(t *testing.T) {
 		if d.Trigger != 0 {
 			t.Errorf("trigger = %d, want 0 (the packet event)", d.Trigger)
 		}
-		if d.Body[0].Tuple.Table != "packet" {
-			t.Errorf("trigger body = %v", d.Body[0].Tuple)
+		if d.Trig.Tuple.Table != "packet" || tableOfKey(d.Refs[0].Key) != "packet" {
+			t.Errorf("trigger = %v, refs = %v", d.Trig.Tuple, d.Refs)
 		}
 	}
 }
@@ -142,7 +140,7 @@ func TestEngineArgMaxPriority(t *testing.T) {
 
 	got := map[string]string{}
 	for _, d := range obs.derives {
-		dst := d.Body[0].Tuple.Args[0].(IP).String()
+		dst := d.Trig.Tuple.Args[0].(IP).String()
 		got[dst] = d.Head.Node
 	}
 	if got["4.3.2.1"] != "s6" {

@@ -12,8 +12,9 @@ func deriveStream(obs *recordingObserver) string {
 	var sb strings.Builder
 	for _, d := range obs.derives {
 		fmt.Fprintf(&sb, "%d %s %s %s %s trig=%d\n", d.ID, d.Rule, d.Node, d.Head.Tuple, d.Head.Stamp, d.Trigger)
-		for _, b := range d.Body {
-			fmt.Fprintf(&sb, "  %s %s %s\n", b.Node, b.Tuple, b.Stamp)
+		fmt.Fprintf(&sb, "  trig %s %s %s\n", d.Trig.Node, d.Trig.Tuple, d.Trig.Stamp)
+		for _, b := range d.Refs {
+			fmt.Fprintf(&sb, "  %s %s %d\n", b.Node, b.Key, b.Seq)
 		}
 	}
 	for _, u := range obs.underives {

@@ -17,10 +17,11 @@ import "fmt"
 // implemented (TestJoinDifferential pins it against that reference).
 
 // binding is one satisfying assignment of a rule body, copied out of the
-// join scratch. refs is its own allocation, write-once, and the part of it
-// that lives on: a derivation's support references. frame (the variables by
-// slot) and body live on the scratch's stacks and are the binding's to read
-// — the frame also to write — until the firing's bindings are released.
+// join scratch. refs is its own window of the engine's arena, write-once,
+// and the part of it that lives on: a derivation's support references. frame
+// (the variables by slot) and body live on the scratch's stacks and are the
+// binding's to read — the frame also to write — until the firing's bindings
+// are released.
 type binding struct {
 	frame []Value
 	body  []At      // per body atom: the matched tuple and its appearance stamp
@@ -88,16 +89,16 @@ func (j *joinScratch) undo(mark int) {
 	j.trail = j.trail[:mark]
 }
 
-// push copies the scratch's complete match out as a new binding on sat: one
-// allocation, its refs.
-func (j *joinScratch) push() {
+// push copies the scratch's complete match out as a new binding on sat; its
+// refs are a window of the engine's arena.
+func (j *joinScratch) push(a *arena) {
 	nf, nb := len(j.frames), len(j.bodies)
 	j.frames = append(j.frames, make([]Value, len(j.frame))...)
 	j.bodies = append(j.bodies, make([]At, len(j.body))...)
 	b := binding{
 		frame: j.frames[nf:len(j.frames):len(j.frames)],
 		body:  j.bodies[nb:len(j.bodies):len(j.bodies)],
-		refs:  make([]BodyRef, len(j.body)),
+		refs:  a.refs.take(len(j.body), 0),
 	}
 	j.keep(&b)
 	j.sat = append(j.sat, b)
@@ -276,7 +277,7 @@ func (e *Engine) joinLeaf(r *compiledRule) error {
 			j.keep(best)
 		}
 	default:
-		j.push()
+		j.push(&e.arena)
 	}
 	j.undo(mark)
 	if err != nil {

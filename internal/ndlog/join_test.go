@@ -3,6 +3,7 @@ package ndlog
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -648,9 +649,10 @@ func TestJoinFiringAllocationBudget(t *testing.T) {
 }
 
 // TestJoinSurvivingBindingIsOneAllocation: the join's share of a firing —
-// copying a surviving binding out of the scratch — is exactly one
-// allocation, its support references; its frame and body go on the
-// scratch's stacks.
+// copying a surviving binding out of the scratch — was exactly one
+// allocation, its support references, and is now amortised none: the refs
+// are a window of the engine's arena (a new chunk per ~100 bindings), the
+// frame and body go on the scratch's stacks.
 func TestJoinSurvivingBindingIsOneAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled buffers are re-allocated at random under the race detector")
@@ -665,8 +667,16 @@ func TestJoinSurvivingBindingIsOneAllocation(t *testing.T) {
 		}
 		e.join.release(mark)
 	}
-	if got := testing.AllocsPerRun(500, join); got != 1 {
-		t.Errorf("a surviving binding is copied out in %.0f allocations, want 1", got)
+	join() // warm: the scratch's stacks
+	const bindings = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < bindings; i++ {
+		join()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.Mallocs-before.Mallocs) / bindings; got > 0.1 {
+		t.Errorf("a surviving binding is copied out in %.3f allocations, want at most 0.1", got)
 	}
 }
 
@@ -723,7 +733,7 @@ rule k4 out(@n1, X) :- ev(@n1, X), a(@n1, X), b(@n1, X), c(@n1, X).
 	// record and (amortised, below one per call) list growth — the refs are
 	// struct keys over strings the body already holds.
 	body := []BodyRef{{Node: "n1", Key: "w"}, {Node: "n1", Key: "x"}, {Node: "n1", Key: "y"}, {Node: "n1", Key: "z"}}
-	d := &Derivation{ID: 99, Rule: "k4", Node: "n1", Head: keyedAt("n1", NewTuple("out", Int(1)), "out|i1", Stamp{}), Body: make([]At, 4), Refs: body}
+	d := &Derivation{ID: 99, Rule: "k4", Node: "n1", Head: keyedAt("n1", NewTuple("out", Int(1)), "out|i1", Stamp{}), Refs: body}
 	f := e.Fork(nil)
 	if got := testing.AllocsPerRun(1000, func() { f.registerEventDeriv(d) }); got > 2 {
 		t.Errorf("registering under %d refs: %.0f allocs, want at most 2", len(body), got)

@@ -20,14 +20,31 @@ func NewTuple(table string, args ...Value) Tuple {
 // key. Two tuples have equal keys iff they are equal.
 func (t Tuple) Key() string {
 	kb := getKeyBuf()
-	b := append(kb.b[:0], t.Table...)
+	b := t.appendKey(kb.b[:0])
+	s := string(b)
+	putKeyBuf(kb, b)
+	return s
+}
+
+// WithKey calls fn with Key's bytes in a pooled buffer that is fn's only
+// for the call. It is for lookups by a tuple whose key is not at hand: a
+// map indexed with m[string(key)], or with a struct literal holding
+// string(key), builds no string to throw away.
+func (t Tuple) WithKey(fn func(key []byte)) {
+	kb := getKeyBuf()
+	b := t.appendKey(kb.b[:0])
+	fn(b)
+	putKeyBuf(kb, b)
+}
+
+// appendKey appends Key's bytes to b.
+func (t Tuple) appendKey(b []byte) []byte {
+	b = append(b, t.Table...)
 	for _, a := range t.Args {
 		b = append(b, '|')
 		b = a.appendKey(b)
 	}
-	s := string(b)
-	putKeyBuf(kb, b)
-	return s
+	return b
 }
 
 // Equal reports field-by-field equality.

@@ -90,9 +90,9 @@ func (b *Builder) Derive(rule, node string, head ndlog.Tuple, tick int64, body [
 		Rule:    rule,
 		Node:    node,
 		Head:    hat,
-		Body:    body,
 		Refs:    refs,
 		Trigger: trigger,
+		Trig:    body[trigger],
 	})
 	b.rec.OnAppear(hat, b.deriveID)
 	return hat.At, nil

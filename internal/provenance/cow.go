@@ -188,6 +188,14 @@ type idList struct {
 	rest  []int
 }
 
+// last returns the newest ID of a list entry.
+func (l idList) last() int {
+	if n := len(l.rest); n > 0 {
+		return l.rest[n-1]
+	}
+	return l.first
+}
+
 // forEachIn visits a key's effective list entry in insertion order. A
 // fork's local entry is a tail appended after everything in its base (IDs
 // only grow along the chain), so the walk runs deepest-base-first.
@@ -208,10 +216,7 @@ func forEachIn[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K, fn 
 func lastIn[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K) int {
 	for gr := g; gr != nil; gr = gr.base {
 		if l, ok := sel(gr)[key]; ok {
-			if n := len(l.rest); n > 0 {
-				return l.rest[n-1]
-			}
-			return l.first
+			return l.last()
 		}
 	}
 	return -1

@@ -141,14 +141,13 @@ rule r h(@N, X) :- a(@N, X), b(@N, X).
 	}
 	base.Seal()
 
-	body := []ndlog.At{a.At, b.At}
 	refs := []ndlog.BodyRef{{Node: "n", Key: a.Key, Seq: 1}, {Node: "n", Key: b.Key, Seq: 2}}
 	up, down := keyed(ndlog.NewTuple("h", ndlog.Int(1)), 0), keyed(ndlog.NewTuple("h", ndlog.Int(1)), 0)
 	seq, id := uint64(2), int64(0)
 	return base, func(rec *Recorder) int64 {
 		seq, id = seq+2, id+1
 		up.Stamp.Seq, down.Stamp.Seq = seq, seq+1 // the cycle itself allocates nothing
-		rec.OnDerive(ndlog.Derivation{ID: id, Rule: "r", Node: "n", Head: up, Body: body, Refs: refs, Trigger: 1})
+		rec.OnDerive(ndlog.Derivation{ID: id, Rule: "r", Node: "n", Head: up, Refs: refs, Trigger: 1, Trig: b.At})
 		rec.OnAppear(up, id)
 		rec.OnDisappear(down, 0)
 		return id

@@ -93,6 +93,16 @@ type Vertex struct {
 	aggPrev, aggContrib int32
 }
 
+// detached returns a copy of the vertex that shares no storage with the
+// graph's vertex slab or children arena nor — its tuple cloned — with the
+// args chunks of the engine that reported it (Tree.Detach).
+func (v *Vertex) detached() *Vertex {
+	cp := *v
+	cp.Tuple = v.Tuple.Clone()
+	cp.Children = append([]int(nil), v.Children...)
+	return &cp
+}
+
 // Label renders the vertex without timestamps; the naive tree diff
 // (§2.5) compares vertexes by label.
 func (v *Vertex) Label() string {
@@ -290,11 +300,20 @@ func (g *Graph) add(v Vertex, children []int) *Vertex {
 
 // AppearVertexes returns the APPEAR vertex IDs for the exact tuple on the
 // node, in chronological order.
-func (g *Graph) AppearVertexes(node string, t ndlog.Tuple) []int {
-	var out []int
-	forEachIn(g, selAppearsByTuple, ndlog.TupleRef{Node: node, Key: t.Key()}, func(id int) {
-		out = append(out, id)
-	})
+func (g *Graph) AppearVertexes(node string, t ndlog.Tuple) (out []int) {
+	t.WithKey(func(key []byte) { out = g.appearsOf(node, key, nil) })
+	return out
+}
+
+// appearsOf appends the APPEAR IDs of the tuple with the given canonical
+// key (as bytes: a lookup builds no string) on the node, deepest base first.
+func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
+	if g.base != nil {
+		out = g.base.appearsOf(node, key, out)
+	}
+	if l, ok := g.appearsByTuple[ndlog.TupleRef{Node: node, Key: string(key)}]; ok {
+		out = append(append(out, l.first), l.rest...)
+	}
 	return out
 }
 
@@ -315,7 +334,14 @@ func (g *Graph) FindAppears(node, table string, pred func(ndlog.Tuple) bool) []*
 // LastAppear returns the most recent APPEAR of the tuple on the node, or
 // nil.
 func (g *Graph) LastAppear(node string, t ndlog.Tuple) *Vertex {
-	id := lastIn(g, selAppearsByTuple, ndlog.TupleRef{Node: node, Key: t.Key()})
+	id := -1
+	t.WithKey(func(key []byte) {
+		for gr := g; gr != nil && id < 0; gr = gr.base {
+			if l, ok := gr.appearsByTuple[ndlog.TupleRef{Node: node, Key: string(key)}]; ok {
+				id = l.last()
+			}
+		}
+	})
 	if id < 0 {
 		return nil
 	}

@@ -36,6 +36,24 @@ func (g *Graph) Tree(rootID int) *Tree {
 	return t
 }
 
+// Detach makes the tree self-contained and returns it: every node points at
+// a private copy of its vertex (a vertex the tree shows twice is copied
+// once). A projected tree points into its graph's slab chunks, and its
+// tuples' args into the engine's, so one kept after its run has been dropped
+// — a scenario's reference tree — would keep whole chunks of both alive.
+func (t *Tree) Detach() *Tree {
+	copies := map[*Vertex]*Vertex{}
+	t.Walk(func(n *Tree) {
+		cp, ok := copies[n.Vertex]
+		if !ok {
+			cp = n.Vertex.detached()
+			copies[n.Vertex] = cp
+		}
+		n.Vertex = cp
+	})
+	return t
+}
+
 // Size returns the number of vertexes in the tree (counting repeats, as
 // the paper does when reporting tree sizes).
 func (t *Tree) Size() int {

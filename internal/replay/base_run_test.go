@@ -469,7 +469,14 @@ func TestBaseRunEvaluationErrorFailsWaitersUncached(t *testing.T) {
 	if s.base.cur != nil {
 		t.Error("failed base run stayed in the cell")
 	}
-	if _, _, err := s.Graph(); err == nil || !strings.Contains(err.Error(), "derivation limit") {
+	_, _, err := s.Graph()
+	if err == nil || !strings.Contains(err.Error(), "derivation limit") {
 		t.Errorf("Graph() after a failed build: err = %v, want a fresh evaluation failing the same way", err)
+	}
+	// The engine's typed error survives the session's wrapping, so a caller
+	// can name the rule that ran away.
+	var dl *ndlog.DeriveLimitError
+	if !errors.As(err, &dl) || dl.Rule != "fw" || dl.Limit != 100 {
+		t.Errorf("Graph() error %v: errors.As found %+v, want rule fw at limit 100", err, dl)
 	}
 }

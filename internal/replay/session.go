@@ -512,7 +512,7 @@ func settle(ctx context.Context, e *ndlog.Engine) error {
 		return fmt.Errorf("replay: %w", err)
 	}
 	if err := e.Run(); err != nil {
-		return fmt.Errorf("replay: %v", err)
+		return fmt.Errorf("replay: %w", err)
 	}
 	return nil
 }

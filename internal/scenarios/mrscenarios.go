@@ -119,10 +119,12 @@ func MR1D(scale Scale) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The good cluster is dropped when this returns; its tree is detached so
+	// it does not keep the good run's slab chunks alive (likewise below).
 	return &Scenario{
 		Name:        "MR1-D",
 		Description: "Configuration change (declarative): the number of reducers changed, so words land on different reducers",
-		Good:        gt, Bad: bt, World: world, BadSession: bad.Session(),
+		Good:        gt.Detach(), Bad: bt, World: world, BadSession: bad.Session(),
 		WantRounds: 2, // the reference tick is refined in a second round
 		Check:      checkConfigChange,
 	}, nil
@@ -161,7 +163,7 @@ func MR2D(scale Scale) (*Scenario, error) {
 	return &Scenario{
 		Name:        "MR2-D",
 		Description: "Code change (declarative): the new mapper omits the first word of each line",
-		Good:        gt, Bad: bt, World: world, BadSession: bad.Session(),
+		Good:        gt.Detach(), Bad: bt, World: world, BadSession: bad.Session(),
 		WantRounds: 1,
 		Check:      checkCodeChange,
 	}, nil
@@ -202,7 +204,7 @@ func MR1I(scale Scale) (*Scenario, error) {
 	return &Scenario{
 		Name:        "MR1-I",
 		Description: "Configuration change (instrumented Hadoop): provenance reported at key-value granularity",
-		Good:        gt, Bad: bt, World: badEx.World(),
+		Good:        gt.Detach(), Bad: bt, World: badEx.World(),
 		WantRounds: 1,
 		Check:      checkConfigChange,
 	}, nil
@@ -231,7 +233,7 @@ func MR2I(scale Scale) (*Scenario, error) {
 	return &Scenario{
 		Name:        "MR2-I",
 		Description: "Code change (instrumented Hadoop): the root cause is the mapper's bytecode checksum",
-		Good:        gt, Bad: bt, World: badEx.World(),
+		Good:        gt.Detach(), Bad: bt, World: badEx.World(),
 		WantRounds: 1,
 		Check:      checkCodeChange,
 	}, nil

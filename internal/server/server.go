@@ -26,7 +26,8 @@
 // Error taxonomy:
 //
 //	404 unknown scenario name, unknown tree selector
-//	422 the diagnosis itself failed (unsuitable reference, no progress)
+//	422 the diagnosis itself failed (unsuitable reference, no progress,
+//	    a derivation limit exceeded — the body then names the rule)
 //	429 the diagnosis worker pool is saturated (Retry-After is set)
 //	500 a scenario exists but failed to build, or its diagnosis panicked
 //	503 the diagnosis was cancelled (client gone or deadline exceeded)
@@ -47,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ndlog"
 	"repro/internal/replay"
 	"repro/internal/scenarios"
 	"repro/internal/store"
@@ -372,9 +374,14 @@ func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) (func(), bo
 
 // writeDiagnosisErr maps a diagnosis failure onto the taxonomy.
 func writeDiagnosisErr(w http.ResponseWriter, err error) {
+	var runaway *ndlog.DeriveLimitError
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusServiceUnavailable, err)
+	case errors.As(err, &runaway):
+		// A trial ran into the engine's derivation limit: the model, under
+		// the candidate change, does not terminate. Name the rule.
+		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error(), "rule": runaway.Rule})
 	default:
 		// Diagnosis failures (unsuitable reference, no progress, ...)
 		// are semantic errors in the request: the scenario and server

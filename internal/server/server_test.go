@@ -13,7 +13,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ndlog"
 	"repro/internal/provenance"
+	"repro/internal/replay"
 	"repro/internal/scenarios"
 )
 
@@ -206,6 +208,39 @@ func TestUnsuitableReference(t *testing.T) {
 	code, body := post(t, ts.URL+"/scenarios/SDN1/diagnose")
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d (%s), want 422", code, body)
+	}
+}
+
+// TestDerivationLimitIs422NamingTheRule: a diagnosis whose trial runs into
+// the engine's derivation limit is a 422 whose JSON body names the rule
+// that crossed it. The limit is set to exactly what the base run derives, so
+// the scenario builds and the first derivation of any trial exceeds it.
+func TestDerivationLimitIs422NamingTheRule(t *testing.T) {
+	plain, err := scenarios.Build("SDN1", scenarios.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := plain.BadSession.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := ndlog.WithDerivationLimit(base.Stats().Derivations)
+	srv := New(scenarios.Small)
+	srv.build = func(name string, scale scenarios.Scale, _ ...scenarios.BuildOption) (*scenarios.Scenario, error) {
+		return scenarios.Build(name, scale, scenarios.WithSessionOptions(replay.WithEngineOptions(limit)))
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	code, body := post(t, ts.URL+"/scenarios/SDN1/diagnose")
+	var reply struct{ Error, Rule string }
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatalf("status %d, body %s: %v", code, body, err)
+	}
+	if code != http.StatusUnprocessableEntity || reply.Rule == "" || !strings.Contains(reply.Error, "derivation limit") {
+		t.Fatalf("status %d, body %s: want 422 with the derivation-limit error and its rule", code, body)
+	}
+	if plain.World.Program().Rule(reply.Rule) == nil {
+		t.Errorf("rule %q is not one of the scenario's", reply.Rule)
 	}
 }
 
