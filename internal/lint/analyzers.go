@@ -288,8 +288,7 @@ func checkGuardedWrite(pass *Pass, e ast.Expr) {
 // compiler cannot see the seal, so this analyzer pins each shared
 // structure to the files that implement its discipline: cow.go always,
 // plus the few pre-seal construction sites (the engine creates tables
-// while it is still the only owner; the recorder appends graph indexes
-// before any fork exists).
+// while it is still the only owner).
 var SealCheck = &Analyzer{
 	Name:  "sealcheck",
 	Doc:   "confine writes to CoW-shared structures to the cow layer",
@@ -313,13 +312,12 @@ var sealedFields = map[[2]string][]string{
 	{"Engine", "dependents"}: {"cow.go"},
 	// Aggregate delta-chain groups fork lazily.
 	{"Engine", "aggGroups"}: {"cow.go"},
-	// provenance: the CoW overlay itself, the derivation index (a slice
-	// a fork continues past its base's, through cow.go's setDerive), and
-	// the graph indexes the recorder appends to pre-seal.
-	{"Graph", "redirect"}:    {"cow.go"},
-	{"Graph", "byDerive"}:    {"cow.go"},
-	{"Graph", "appearByRef"}: {"recorder.go"},
-	{"Graph", "headAppear"}:  {"recorder.go"},
+	// provenance: the CoW overlay itself and the derivation index (a slice
+	// a fork continues past its base's, through cow.go's setDerive). The
+	// recorder writes no graph index: cow.go's indexAppear, indexDisappear
+	// and linkTrigger do.
+	{"Graph", "redirect"}: {"cow.go"},
+	{"Graph", "byDerive"}: {"cow.go"},
 }
 
 func runSealCheck(pass *Pass) error {

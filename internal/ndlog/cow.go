@@ -126,6 +126,7 @@ func (e *Engine) Fork(obs Observer) *Engine {
 	f.queue = copyQueue(e.queue)
 	f.cfQueue = copyQueue(e.cfQueue)
 	f.cfMarksSet, f.cfBaseMark, f.cfSeqMark = e.cfMarksSet, e.cfBaseMark, e.cfSeqMark
+	f.stats.DirtyTables = 0 // counted per engine: a clone of a table starts clean (forkTable)
 	return f
 }
 

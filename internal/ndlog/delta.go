@@ -141,21 +141,17 @@ func (e *Engine) runCF() error {
 	if e.cfSeqMark == ^uint64(0) {
 		e.cfSeqMark = e.seqBand + e.seq
 	}
-	if e.cfDirty == nil {
-		e.cfDirty = map[tableRef]struct{}{}
-	}
-	if err := e.drain(&e.cfQueue, math.MaxInt64); err != nil {
-		return err
-	}
-	e.stats.DirtyTables = len(e.cfDirty)
-	return nil
+	return e.drain(&e.cfQueue, math.MaxInt64)
 }
 
 // cfMarkDirty records that counterfactual propagation touched a table on
-// a node; Stats.DirtyTables reports how many distinct (node, table) pairs
-// the change set actually perturbed.
-func (e *Engine) cfMarkDirty(nodeName, tableName string) {
-	e.cfDirty[tableRef{node: nodeName, table: tableName}] = struct{}{}
+// a node — tb is the engine's writable copy; Stats.DirtyTables reports how
+// many distinct (node, table) pairs the change set actually perturbed.
+func (e *Engine) cfMarkDirty(tb *table) {
+	if !tb.cfDirty {
+		tb.cfDirty = true
+		e.stats.DirtyTables++
+	}
 }
 
 // refireForRow re-fires the rules a freshly appeared counterfactual state
@@ -298,7 +294,7 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 			break
 		}
 	}
-	e.cfMarkDirty(nodeName, decl.Name)
+	e.cfMarkDirty(tb)
 	if tb.keyIdx != nil {
 		pk := primaryKey(decl, r.tuple)
 		cause := keyedAt(nodeName, r.tuple, r.key, st)
@@ -481,7 +477,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	n := e.nodeFor(occ.Node)
 	tb := e.writableTable(n, e.tableFor(n, decl))
 	tb.histRemoveOcc(&e.arena, occ.Key, occ.Stamp.Seq)
-	e.cfMarkDirty(occ.Node, occ.Tuple.Table)
+	e.cfMarkDirty(tb)
 	e.deriveID++
 	e.obs.OnUnderive(Underivation{
 		ID:       e.deriveID,

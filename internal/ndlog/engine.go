@@ -191,16 +191,15 @@ type Engine struct {
 	// scheduled via ScheduleCFInsert/ScheduleCFDelete wait on cfQueue
 	// until the main heap drains, then propagate semi-naively: cfPhase
 	// marks the drain, the era marks tell counterfactual stamps from main
-	// ones (isCF), cfDirty collects the (node, table) pairs the changes
-	// touched, cfReevals queues argmax trigger re-evaluations, and
-	// amDeriv maps each argmax trigger to the winner it currently
-	// supports (overlaying cowBase like dependents).
+	// ones (isCF), each table the changes touch is flagged and counted into
+	// Stats.DirtyTables (cfMarkDirty), cfReevals queues argmax trigger
+	// re-evaluations, and amDeriv maps each argmax trigger to the winner it
+	// currently supports (overlaying cowBase like dependents).
 	cfQueue    workHeap
 	cfPhase    bool
 	cfMarksSet bool
 	cfBaseMark uint64
 	cfSeqMark  uint64
-	cfDirty    map[tableRef]struct{}
 	cfReevals  []cfReeval
 	amDeriv    map[amTrigger]*amEntry
 	// rfPin pins one counterfactual row at body atom rfPinAtom (on node
@@ -307,6 +306,9 @@ type table struct {
 	// private occsTail instead of reallocating the whole shared log.
 	occsShared bool
 	occsTail   []eventOcc
+	// cfDirty marks a table this engine's counterfactual phase touched
+	// (cfMarkDirty); a fork's clone starts clean.
+	cfDirty bool
 }
 
 // row is one appearance of a state tuple in a table. Rows live by value in
@@ -351,9 +353,6 @@ type BodyRef struct {
 
 // TupleRef returns the tuple the appearance belongs to.
 func (b BodyRef) TupleRef() TupleRef { return TupleRef{Node: b.Node, Key: b.Key} }
-
-// tableRef identifies a table on a node.
-type tableRef struct{ node, table string }
 
 // KeyedAt is an At together with its tuple's canonical key.
 type KeyedAt struct {
@@ -773,7 +772,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 		tb.histAppend(&e.arena, key, Interval{From: st, To: st})
 		tb.occAppend(t, st)
 		if e.cfPhase {
-			e.cfMarkDirty(nodeName, t.Table)
+			e.cfMarkDirty(tb)
 		}
 		// Events need no delta re-fire: a non-delta event atom never joins
 		// (events are not stored), so an event occurrence only ever fires
@@ -832,7 +831,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 		// A state row that appears during the counterfactual phase was
 		// missing from the main run: re-fire the main-phase trigger
 		// occurrences that would have joined it (delta.go).
-		e.cfMarkDirty(nodeName, t.Table)
+		e.cfMarkDirty(tb)
 		return e.refireForRow(nodeName, r, st, Stamp{})
 	}
 	return nil
@@ -939,12 +938,14 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	cause := keyedAt(nodeName, r.tuple, r.key, st)
 	e.obs.OnDisappear(cause, underiveID)
 	if e.cfPhase {
-		e.cfMarkDirty(nodeName, r.tuple.Table)
+		e.cfMarkDirty(tb)
 	}
 
 	ref := cause.TupleRef()
 	deps := e.depsOf(ref)
-	e.deleteDeps(ref)
+	if len(deps) > 0 {
+		e.deleteDeps(ref) // nothing to shadow otherwise: a fork would store a tombstone per leaf row
+	}
 	for _, dep := range deps {
 		e.retractSupport(dep, cause, st)
 	}

@@ -1,6 +1,10 @@
 package provenance
 
-import "repro/internal/ndlog"
+import (
+	"slices"
+
+	"repro/internal/ndlog"
+)
 
 // Copy-on-write graph forks.
 //
@@ -14,19 +18,23 @@ import "repro/internal/ndlog"
 //     fork-local vertexes in its own slab chunks (IDs continue from
 //     baseLen), and starts every index empty: writes land locally,
 //     reads walk the base chain in shadowing order.
+//   - Reverse edges (a cause's head APPEAR, the DERIVEs a vertex
+//     triggered) are links in the vertexes, set by the graph that recorded
+//     both ends; an edge off a sealed base's vertex goes to the fork's
+//     overflow table (headOver, trigOver) and the base stays untouched.
 //   - The single in-place mutation the recorder ever performs — closing
 //     an EXIST vertex's Span when its tuple dies — goes through
 //     mutableVertex, which copies the base vertex into the fork's
 //     redirect map. Fingerprints exclude Span, so the copy keeps its
 //     cached fp.
 //
-// List-valued index entries (appearsByTuple, appearsByTable,
-// triggerParents) are append-only, so a fork's local entry holds only
-// the IDs the fork itself appended (a tail): reads concatenate the
-// chain oldest-first instead of the append copying the base's list —
-// a hot table-level entry can index the whole base run, and one
-// counterfactual append must not pay for re-copying it. No index has
-// deletions: which EXIST is open is read off the vertexes (openExist).
+// Everything list-valued (a tuple's APPEARs, a table's, a vertex's
+// triggered DERIVEs) is append-only, so a fork's local part holds only
+// what the fork itself appended (a tail): reads concatenate the chain
+// oldest-first instead of the append copying the base's list — a hot
+// table-level entry can index the whole base run, and one counterfactual
+// append must not pay for re-copying it. No index has deletions: which
+// EXIST is open is read off the vertexes (openExist).
 //
 // Everything downstream — tree projection, seed finding, fold memo — goes
 // through the accessors, so a fork is observationally identical to a
@@ -122,27 +130,6 @@ func (g *Graph) mutableVertex(id int) *Vertex {
 	return &cp
 }
 
-// Map selectors: top-level functions (no closure allocation) that let the
-// chain walkers below address one index map per call site.
-
-func selAppearByRef(g *Graph) map[ndlog.BodyRef]int        { return g.appearByRef }
-func selLastDisappear(g *Graph) map[ndlog.TupleRef]int     { return g.lastDisappear }
-func selHeadAppear(g *Graph) map[int]int                   { return g.headAppear }
-func selAppearsByTuple(g *Graph) map[ndlog.TupleRef]idList { return g.appearsByTuple }
-func selAppearsByTable(g *Graph) map[tableRef]idList       { return g.appearsByTable }
-func selTriggerParents(g *Graph) map[int]idList            { return g.triggerParents }
-
-// lookup resolves a vertex lookup through the chain: the topmost link
-// that has the key shadows the ones below.
-func lookup[K comparable](g *Graph, sel func(*Graph) map[K]int, key K) (int, bool) {
-	for gr := g; gr != nil; gr = gr.base {
-		if v, ok := sel(gr)[key]; ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
 // deriveVertex resolves an engine derivation (or underivation) ID to its
 // DERIVE (UNDERIVE) vertex. The links' dense ranges are disjoint — a
 // fork's starts where its base's ends — and anything reported below a
@@ -179,31 +166,22 @@ func (g *Graph) setDerive(id int64, vid int) {
 	g.byDerive[off] = int32(vid) + 1
 }
 
-// idList is one key's entry in a list-valued index: append-only, with the
-// first ID inline — most keys (a tuple that appeared once, a vertex that
-// triggered one derivation) never get a second, and then the entry costs
-// no allocation. A key is in the map only once it has a first ID.
+// idList is one table's entry in appearsByTable: append-only, the first ID
+// inline, so a table one tuple appeared in costs no allocation. A key is
+// in the map only once it has a first ID.
 type idList struct {
 	first int
 	rest  []int
 }
 
-// last returns the newest ID of a list entry.
-func (l idList) last() int {
-	if n := len(l.rest); n > 0 {
-		return l.rest[n-1]
-	}
-	return l.first
-}
-
-// forEachIn visits a key's effective list entry in insertion order. A
-// fork's local entry is a tail appended after everything in its base (IDs
-// only grow along the chain), so the walk runs deepest-base-first.
-func forEachIn[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K, fn func(id int)) {
+// forEachInTable visits a table's APPEARs in insertion order: a fork's
+// entry is a tail appended after everything in its base (IDs only grow
+// along the chain), so the walk runs deepest-base-first.
+func (g *Graph) forEachInTable(key tableRef, fn func(id int)) {
 	if g.base != nil {
-		forEachIn(g.base, sel, key, fn)
+		g.base.forEachInTable(key, fn)
 	}
-	if l, ok := sel(g)[key]; ok {
+	if l, ok := g.appearsByTable[key]; ok {
 		fn(l.first)
 		for _, id := range l.rest {
 			fn(id)
@@ -211,27 +189,113 @@ func forEachIn[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K, fn 
 	}
 }
 
-// lastIn returns the newest ID in a key's effective list entry, or -1.
-// The topmost chain link with a local entry holds the most recent append.
-func lastIn[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K) int {
+// tupleEnds is one tuple's entry in byTuple: the newest APPEAR and the
+// newest DISAPPEAR this graph recorded for it, each as vertex ID + 1 (0:
+// this link recorded none, ask the base).
+type tupleEnds [2]int32
+
+const newestAppear, newestDisappear = 0, 1
+
+// own returns the vertex a link (ID + 1) into this graph's own slab names.
+func (g *Graph) own(link int32) *Vertex { return g.local(int(link) - 1 - g.baseLen) }
+
+// newest returns the tuple's newest APPEAR or DISAPPEAR, or -1: the
+// topmost chain link that recorded one holds the most recent.
+func (g *Graph) newest(tk ndlog.TupleRef, end int) int {
 	for gr := g; gr != nil; gr = gr.base {
-		if l, ok := sel(gr)[key]; ok {
-			return l.last()
+		if id := gr.byTuple[tk][end]; id != 0 {
+			return int(id) - 1
 		}
 	}
 	return -1
 }
 
-// appendTo appends id to a key's local list entry. The base chain's
-// entries stay untouched and are concatenated on read (forEachIn) —
-// appends are hot (one per APPEAR) and must not re-copy a table-level
-// index of the whole frozen base.
-func appendTo[K comparable](g *Graph, sel func(*Graph) map[K]idList, key K, id int) {
-	m := sel(g)
-	if l, ok := m[key]; ok {
-		l.rest = append(l.rest, id)
-		m[key] = l
-	} else {
-		m[key] = idList{first: id}
+// appearAt resolves a body reference — one appearance of a tuple, named by
+// the Seq of its stamp — to its APPEAR vertex, or -1, walking the tuple's
+// APPEARs newest-first, link by link: almost every reference is to the
+// newest. The delta phase records appearances at past stamps, so the walk
+// cannot stop early; and a row it backdated is referred to by a stamp no
+// APPEAR carries, which resolves to nothing.
+func (g *Graph) appearAt(b ndlog.BodyRef) int {
+	tk := b.TupleRef()
+	for gr := g; gr != nil; gr = gr.base {
+		for a := gr.byTuple[tk][newestAppear]; a != 0; {
+			v := gr.own(a)
+			if v.At.Seq == b.Seq {
+				return v.ID
+			}
+			a = v.prev + 1
+		}
 	}
+	return -1
+}
+
+// indexAppear enters a just-recorded APPEAR into the tuple and table
+// indexes and makes it the head of its cause (a DERIVE or INSERT, or -1).
+func (g *Graph) indexAppear(ap *Vertex, cause int) {
+	tk, id := ap.TupleRef(), int32(ap.ID)+1
+	ends := g.byTuple[tk]
+	ap.prev, ends[newestAppear] = ends[newestAppear]-1, id
+	g.byTuple[tk] = ends
+
+	tr := tableRef{node: ap.Node, table: ap.Tuple.Table}
+	if l, ok := g.appearsByTable[tr]; ok {
+		l.rest = append(l.rest, ap.ID)
+		g.appearsByTable[tr] = l
+	} else {
+		g.appearsByTable[tr] = idList{first: ap.ID}
+	}
+
+	switch {
+	case cause >= g.baseLen:
+		g.local(cause - g.baseLen).up = id
+	case cause >= 0:
+		if g.headOver == nil {
+			g.headOver = map[int]int32{}
+		}
+		g.headOver[cause] = id
+	}
+}
+
+// indexDisappear makes a just-recorded DISAPPEAR its tuple's newest.
+func (g *Graph) indexDisappear(d *Vertex) {
+	tk := d.TupleRef()
+	ends := g.byTuple[tk]
+	ends[newestDisappear] = int32(d.ID) + 1
+	g.byTuple[tk] = ends
+}
+
+// linkTrigger puts a just-recorded DERIVE on top of the list its trigger
+// child (an APPEAR or EXIST) set off: the child's own if this graph
+// recorded it, the overflow's if a base did.
+func (g *Graph) linkTrigger(child int, d *Vertex) {
+	id := int32(d.ID) + 1
+	if child >= g.baseLen {
+		c := g.local(child - g.baseLen)
+		d.older, c.up = c.up, id
+		return
+	}
+	if g.trigOver == nil {
+		g.trigOver = map[int]int32{}
+	}
+	d.older, g.trigOver[child] = g.trigOver[child], id
+}
+
+// triggered appends the DERIVEs the vertex triggered, in recording order:
+// the graph's that owns the vertex, then each fork's down the chain, each
+// link's own threaded newest-first and turned around.
+func (g *Graph) triggered(id int, out []int) []int {
+	var d int32
+	if id >= g.baseLen {
+		d = g.local(id - g.baseLen).up
+	} else {
+		out = g.base.triggered(id, out)
+		d = g.trigOver[id]
+	}
+	from := len(out)
+	for ; d != 0; d = g.own(d).older {
+		out = append(out, int(d)-1)
+	}
+	slices.Reverse(out[from:])
+	return out
 }

@@ -60,7 +60,7 @@ func (g *Graph) fingerprintOf(v *Vertex) uint64 {
 	var h uint64
 	if v.aggCount > 0 {
 		h = fnvLabel(v)
-		h = fnvUint64(h, g.fpOf(int(v.aggPrev)))
+		h = fnvUint64(h, g.fpOf(int(v.prev)))
 		h = fnvUint64(h, g.fpOf(int(v.aggContrib)))
 	} else {
 		h = fnvLabel(v)

@@ -8,6 +8,7 @@ package provenance
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -45,7 +46,7 @@ func (t VertexType) String() string {
 // causes; the graph is acyclic because children always precede parents in
 // creation order. Vertexes live by value in their graph's slab (see Graph)
 // at an address that never moves, so a *Vertex stays valid for as long as
-// anything holds it. The layout is packed to 184 bytes — a slab chunk's
+// anything holds it. The layout is packed to 192 bytes — a slab chunk's
 // unused slots cost what a vertex does — and TestVertexSize pins it.
 type Vertex struct {
 	ID   int
@@ -53,7 +54,7 @@ type Vertex struct {
 	// Open, on an EXIST vertex, reports that the tuple is still live: its
 	// existence interval [At, Span.To) has no end yet.
 	Open     bool
-	aggCount int32 // contributors of an aggregate DERIVE, see aggPrev
+	aggCount int32 // contributors of an aggregate DERIVE, see prev
 	Node     string
 	Tuple    ndlog.Tuple
 	// key is Tuple's canonical key: the string whoever reported the vertex
@@ -85,12 +86,20 @@ type Vertex struct {
 	fp uint64
 
 	// Delta-chain annotation for aggregate DERIVE vertexes (aggCount > 0,
-	// the running contributor count): aggPrev is the vertex ID of the
+	// the running contributor count): prev is the vertex ID of the
 	// previous head's DERIVE (-1 for the group's first) and aggContrib that
 	// of the new contributor's APPEAR (-1 if unresolved). ChildrenOf folds
 	// the chain into the full contributor list on demand; recorded Children
-	// stay O(1) per update.
-	aggPrev, aggContrib int32
+	// stay O(1) per update. On an APPEAR, prev is the tuple's previous
+	// APPEAR recorded by the same graph (-1: its first; see Graph.byTuple).
+	prev, aggContrib int32
+
+	// Reverse edges (vertex ID + 1, 0: none; DESIGN.md §24), written only by
+	// the graph that recorded this vertex, before it is sealed. On a DERIVE
+	// or INSERT up is the head tuple's APPEAR; on an APPEAR or EXIST it is
+	// the newest DERIVE the vertex triggered, and that DERIVE's older the
+	// one the same vertex triggered before it.
+	up, older int32
 }
 
 // detached returns a copy of the vertex that shares no storage with the
@@ -151,10 +160,6 @@ type Graph struct {
 	// the Vertex.Children windows that reference it.
 	kids []int
 
-	// appearByRef locates the APPEAR vertex for a tuple appearance, keyed
-	// by the engine's body reference {node, tuple key, appearance seq}.
-	// The EXIST it opened, if any, is the next vertex (ExistOf).
-	appearByRef map[ndlog.BodyRef]int
 	// byDerive resolves the engine's derivation and underivation IDs (one
 	// dense counter) to their DERIVE / UNDERIVE vertexes: byDerive[id -
 	// firstDerive] is the vertex ID + 1, or 0 where this graph recorded
@@ -164,19 +169,18 @@ type Graph struct {
 	byDerive    []int32
 	firstDerive int64
 	lateDerive  map[int64]int32
-	// appearsByTuple indexes APPEAR vertexes by {node, tuple key} in order.
-	// A tuple's open EXIST is the one its latest APPEAR opened (openExist).
-	appearsByTuple map[ndlog.TupleRef]idList
-	// lastDisappear maps {node, tuple key} to the latest DISAPPEAR vertex.
-	lastDisappear map[ndlog.TupleRef]int
+	// byTuple is the one tuple-keyed index: {node, tuple key} to the newest
+	// APPEAR and DISAPPEAR this graph recorded for the tuple. Earlier APPEARs
+	// hang off the newest by their prev links (appearAt walks them for a
+	// body reference); its open EXIST is the newest APPEAR's (openExist).
+	byTuple map[ndlog.TupleRef]tupleEnds
 	// appearsByTable indexes APPEAR vertexes by {node, table} for queries.
 	appearsByTable map[tableRef]idList
-	// triggerParents maps a vertex (EXIST or APPEAR) to the DERIVE
-	// vertexes it triggered, for walking derivation chains upward.
-	triggerParents map[int]idList
-	// headAppear maps a DERIVE (or INSERT) vertex to the APPEAR of its
-	// head tuple.
-	headAppear map[int]int
+	// headOver and trigOver are a fork's overflow: the up links it owes
+	// vertexes of its sealed base (a base cause's head APPEAR, the newest of
+	// the fork's DERIVEs a base vertex triggered), keyed by their IDs. Made
+	// on first use: most forks never need headOver.
+	headOver, trigOver map[int]int32
 
 	// foldMemo caches folded aggregate contributor lists, keyed by the
 	// chain head's fingerprint: repeated Tree projections of the same
@@ -211,12 +215,8 @@ func NewGraph() *Graph {
 // emptyGraph returns a graph (or fork overlay) with empty index maps.
 func emptyGraph() *Graph {
 	return &Graph{
-		appearByRef:    map[ndlog.BodyRef]int{},
-		appearsByTuple: map[ndlog.TupleRef]idList{},
-		lastDisappear:  map[ndlog.TupleRef]int{},
+		byTuple:        map[ndlog.TupleRef]tupleEnds{},
 		appearsByTable: map[tableRef]idList{},
-		triggerParents: map[int]idList{},
-		headAppear:     map[int]int{},
 	}
 }
 
@@ -311,9 +311,11 @@ func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
 	if g.base != nil {
 		out = g.base.appearsOf(node, key, out)
 	}
-	if l, ok := g.appearsByTuple[ndlog.TupleRef{Node: node, Key: string(key)}]; ok {
-		out = append(append(out, l.first), l.rest...)
+	from := len(out)
+	for a := g.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}][newestAppear]; a != 0; a = g.own(a).prev + 1 {
+		out = append(out, int(a)-1)
 	}
+	slices.Reverse(out[from:])
 	return out
 }
 
@@ -322,7 +324,7 @@ func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
 // entry point: "the packet that arrived at web server 2" is an APPEAR.
 func (g *Graph) FindAppears(node, table string, pred func(ndlog.Tuple) bool) []*Vertex {
 	var out []*Vertex
-	forEachIn(g, selAppearsByTable, tableRef{node: node, table: table}, func(id int) {
+	g.forEachInTable(tableRef{node: node, table: table}, func(id int) {
 		v := g.vertex(id)
 		if pred == nil || pred(v.Tuple) {
 			out = append(out, v)
@@ -337,9 +339,7 @@ func (g *Graph) LastAppear(node string, t ndlog.Tuple) *Vertex {
 	id := -1
 	t.WithKey(func(key []byte) {
 		for gr := g; gr != nil && id < 0; gr = gr.base {
-			if l, ok := gr.appearsByTuple[ndlog.TupleRef{Node: node, Key: string(key)}]; ok {
-				id = l.last()
-			}
+			id = int(gr.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}][newestAppear]) - 1
 		}
 	})
 	if id < 0 {
@@ -352,20 +352,26 @@ func (g *Graph) LastAppear(node string, t ndlog.Tuple) *Vertex {
 // given vertex (the derivations for which it was the last precondition to
 // appear). Following these walks a derivation chain from a seed upward.
 func (g *Graph) TriggerParents(id int) []int {
-	var out []int
-	forEachIn(g, selTriggerParents, id, func(p int) {
-		out = append(out, p)
-	})
-	return out
+	if v := g.Vertex(id); v == nil || v.Type != Appear && v.Type != Exist {
+		return nil
+	}
+	return g.triggered(id, nil)
 }
 
 // HeadAppear returns the APPEAR vertex of the head tuple produced by the
 // given DERIVE (or following a base INSERT), or -1.
 func (g *Graph) HeadAppear(id int) int {
-	if a, ok := lookup(g, selHeadAppear, id); ok {
-		return a
+	if v := g.Vertex(id); v == nil || v.Type != Derive && v.Type != Insert {
+		return -1
 	}
-	return -1
+	for gr := g; ; gr = gr.base {
+		if id >= gr.baseLen {
+			return int(gr.local(id-gr.baseLen).up) - 1
+		}
+		if a := gr.headOver[id]; a != 0 {
+			return int(a) - 1
+		}
+	}
 }
 
 // ExistOf returns the EXIST vertex opened by the given APPEAR, or -1 for
@@ -382,7 +388,7 @@ func (g *Graph) ExistOf(appearID int) int {
 // openExist returns the tuple's currently-open EXIST vertex, or -1: the
 // one its latest APPEAR opened, until a DISAPPEAR closes it.
 func (g *Graph) openExist(tk ndlog.TupleRef) int {
-	if e := g.ExistOf(lastIn(g, selAppearsByTuple, tk)); e >= 0 && g.vertex(e).Open {
+	if e := g.ExistOf(g.newest(tk, newestAppear)); e >= 0 && g.vertex(e).Open {
 		return e
 	}
 	return -1
@@ -403,7 +409,7 @@ func (g *Graph) AggDelta(id int) (prev int, count int64, ok bool) {
 	if v == nil || v.aggCount == 0 {
 		return 0, 0, false
 	}
-	return int(v.aggPrev), int64(v.aggCount), true
+	return int(v.prev), int64(v.aggCount), true
 }
 
 // ChildrenOf returns the causal children of a vertex as consumers should
@@ -442,10 +448,10 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 		if cur.aggContrib >= 0 {
 			rev = append(rev, int(cur.aggContrib))
 		}
-		if cur.aggPrev < 0 || int(cur.aggPrev) >= g.NumVertexes() {
+		if cur.prev < 0 || int(cur.prev) >= g.NumVertexes() {
 			break
 		}
-		prev := g.vertex(int(cur.aggPrev))
+		prev := g.vertex(int(cur.prev))
 		if out, ok := g.foldMemo[prev.fp]; ok {
 			prefix = out
 			break

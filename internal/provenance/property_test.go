@@ -16,11 +16,9 @@ func randomExecution(t *testing.T, seed int64, events int) (*ndlog.Engine, *Grap
 	return e, rec.Graph()
 }
 
-// randomRecorded is randomExecution that also hands back the recorder (to
-// seal and fork) and the flow entries it inserted (to delete in a fork).
-func randomRecorded(t *testing.T, seed int64, events int) (*ndlog.Engine, *Recorder, []ndlog.At) {
-	t.Helper()
-	prog := ndlog.MustParse(`
+// randomProgSrc is the program the generated executions run: two rules
+// over deletions, re-derivations, argmax and cross-node messages.
+const randomProgSrc = `
 table flowEntry/3 base mutable;
 table policy/2 base mutable;
 table derivedEntry/3;
@@ -29,9 +27,23 @@ table packet/1 event base;
 rule de derivedEntry(Prio + 100, M, Nxt) :- policy(Prio, Nxt), flowEntry(Prio, M, Nxt).
 rule fw packet(@Nxt, Dst) :-
     packet(@Sw, Dst), flowEntry(@Sw, Prio, M, Nxt), matches(Dst, M), argmax Prio.
-`)
+`
+
+// randomRecorded is randomExecution that also hands back the recorder (to
+// seal and fork) and the flow entries it inserted (to delete in a fork).
+func randomRecorded(t *testing.T, seed int64, events int) (*ndlog.Engine, *Recorder, []ndlog.At) {
+	t.Helper()
+	return randomRecordedOn(t, seed, events, randomProgSrc, func(rec *Recorder) ndlog.Observer { return rec })
+}
+
+// randomRecordedOn is randomRecorded over a given program (randomProgSrc or
+// an extension of it) with the engine observed through wrap(rec) — the
+// recorder itself, or a tee that also feeds a reference model.
+func randomRecordedOn(t *testing.T, seed int64, events int, src string, wrap func(*Recorder) ndlog.Observer, opts ...ndlog.Option) (*ndlog.Engine, *Recorder, []ndlog.At) {
+	t.Helper()
+	prog := ndlog.MustParse(src)
 	rec := NewRecorder(prog)
-	e := ndlog.New(prog, rec)
+	e := ndlog.New(prog, wrap(rec), opts...)
 	r := rand.New(rand.NewSource(seed))
 	nodes := []string{"a", "b", "c"}
 	var inserted []ndlog.At
@@ -441,9 +453,16 @@ func TestLocateWalksTheChunkPlan(t *testing.T) {
 }
 
 // TestVertexSize pins the packed layout: a slab chunk's unused slots cost
-// what a vertex does, so the struct may not quietly grow back.
+// what a vertex does, so the struct may not quietly grow back. 192 bytes:
+// ID 8; Type, Open, two bytes of padding and aggCount 8; Node 16; Tuple 40
+// (table name 16, args 24); key 16; Rule 16; At 16; Span 16; Children 24;
+// Trigger 8; fp 8; and the four int32 links prev, aggContrib, up, older 16.
+// It was 184 with two links: the two reverse edges cost 8 bytes a vertex
+// and replace four index maps (DESIGN.md §24). An aggregate DERIVE uses
+// all of aggCount and the four links, so dropping aggContrib (it is
+// Children[Trigger]) would leave 20 bytes that still pad to 24.
 func TestVertexSize(t *testing.T) {
-	if got := unsafe.Sizeof(Vertex{}); got > 184 {
-		t.Errorf("unsafe.Sizeof(Vertex{}) = %d, want <= 184", got)
+	if got := unsafe.Sizeof(Vertex{}); got > 192 {
+		t.Errorf("unsafe.Sizeof(Vertex{}) = %d, want <= 192", got)
 	}
 }

@@ -96,10 +96,10 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 		}
 		children = append(children, child)
 	}
-	id := r.graph.add(v, children).ID
-	r.graph.setDerive(d.ID, id)
+	dv := r.graph.add(v, children)
+	r.graph.setDerive(d.ID, dv.ID)
 	if v.Trigger >= 0 {
-		appendTo(r.graph, selTriggerParents, children[v.Trigger], id)
+		r.graph.linkTrigger(children[v.Trigger], dv)
 	}
 }
 
@@ -114,10 +114,10 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 	v := pointVertex(Derive, d.Head, d.Rule)
 	v.Node, v.Trigger = d.Node, -1
-	v.aggPrev, v.aggContrib, v.aggCount = -1, -1, int32(d.AggCount)
+	v.prev, v.aggContrib, v.aggCount = -1, -1, int32(d.AggCount)
 	if d.AggPrev != 0 {
 		if pv, ok := r.graph.deriveVertex(d.AggPrev); ok {
-			v.aggPrev = int32(pv)
+			v.prev = int32(pv)
 		}
 	}
 	if len(d.Refs) > 0 {
@@ -125,19 +125,19 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 	}
 	var scratch [1]int
 	children := scratch[:0]
-	if r.eagerAgg && v.aggPrev >= 0 {
+	if r.eagerAgg && v.prev >= 0 {
 		// Reference mode: fold the predecessor's list and append the new
 		// contributor — O(k) per update, the pre-delta cost.
-		children = append(children, r.graph.ChildrenOf(int(v.aggPrev))...)
+		children = append(children, r.graph.ChildrenOf(int(v.prev))...)
 	}
 	if v.aggContrib >= 0 {
 		children = append(children, int(v.aggContrib))
 		v.Trigger = len(children) - 1
 	}
-	id := r.graph.add(v, children).ID
-	r.graph.setDerive(d.ID, id)
+	dv := r.graph.add(v, children)
+	r.graph.setDerive(d.ID, dv.ID)
 	if v.aggContrib >= 0 {
-		appendTo(r.graph, selTriggerParents, int(v.aggContrib), id)
+		r.graph.linkTrigger(int(v.aggContrib), dv)
 	}
 }
 
@@ -145,10 +145,7 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 // the EXIST vertex of the appearance for state tuples, or the APPEAR
 // vertex itself for event tuples (which never exist as state).
 func (r *Recorder) bodyVertex(b ndlog.BodyRef) int {
-	ap, ok := lookup(r.graph, selAppearByRef, b)
-	if !ok {
-		return -1
-	}
+	ap := r.graph.appearAt(b)
 	if ex := r.graph.ExistOf(ap); ex >= 0 {
 		return ex
 	}
@@ -166,14 +163,8 @@ func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 		cause, r.pendingInsert = r.pendingInsert, -1
 	}
 	var buf [1]int
-	ap := r.graph.add(pointVertex(Appear, at, ""), single(&buf, cause)).ID
-	if cause >= 0 {
-		r.graph.headAppear[cause] = ap
-	}
-
-	r.graph.appearByRef[at.Ref()] = ap
-	appendTo(r.graph, selAppearsByTuple, at.TupleRef(), ap)
-	appendTo(r.graph, selAppearsByTable, tableRef{node: at.Node, table: at.Tuple.Table}, ap)
+	av := r.graph.add(pointVertex(Appear, at, ""), single(&buf, cause))
+	r.graph.indexAppear(av, cause)
 
 	decl := r.prog.Decl(at.Tuple.Table)
 	if decl != nil && decl.Event {
@@ -183,7 +174,7 @@ func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 	// by that adjacency, not through an index.
 	ex := pointVertex(Exist, at, "")
 	ex.Open = true
-	r.graph.add(ex, single(&buf, ap))
+	r.graph.add(ex, single(&buf, av.ID))
 }
 
 // single returns the children list of a vertex with at most one cause:
@@ -202,10 +193,7 @@ func (r *Recorder) OnUnderive(u ndlog.Underivation) {
 	v.Node = u.Node
 	// The cause of the underivation is the disappearance of the body
 	// tuple that vanished.
-	cause := -1
-	if dv, ok := lookup(r.graph, selLastDisappear, u.Cause.TupleRef()); ok {
-		cause = dv
-	}
+	cause := r.graph.newest(u.Cause.TupleRef(), newestDisappear)
 	var buf [1]int
 	r.graph.setDerive(u.ID, r.graph.add(v, single(&buf, cause)).ID)
 }
@@ -226,7 +214,7 @@ func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 		cause, r.pendingDelete = r.pendingDelete, -1
 	}
 	var buf [1]int
-	r.graph.lastDisappear[tk] = r.graph.add(pointVertex(Disappear, at, ""), single(&buf, cause)).ID
+	r.graph.indexDisappear(r.graph.add(pointVertex(Disappear, at, ""), single(&buf, cause)))
 }
 
 var _ ndlog.Observer = (*Recorder)(nil)

@@ -122,6 +122,11 @@ type Session struct {
 	ReplayCount int
 	// Stats counts base-run and trial activity.
 	Stats ReplayStats
+	// statsMu orders the writes replays make to the three fields above: a
+	// world handed from one diagnosis worker to another through the shared
+	// replay memo carries its maker's session, so two workers can replay
+	// on one. Reading them is for after the workers are done.
+	statsMu sync.Mutex
 
 	engineOpts []ndlog.Option
 	recOpts    []provenance.RecorderOption
@@ -463,10 +468,12 @@ func (s *Session) replayWith(ctx context.Context, changes []Change) (*ndlog.Engi
 		return nil, nil, err
 	}
 	if len(changes) > 0 {
+		s.statsMu.Lock()
 		if !fork {
 			s.Stats.EventsReFired += int64(s.log.Len())
 		}
 		s.Stats.DirtyTables += int64(e.Stats().DirtyTables)
+		s.statsMu.Unlock()
 	}
 	return e, rec, nil
 }
@@ -523,8 +530,10 @@ func (s *Session) booked(op func() (*ndlog.Engine, *provenance.Recorder, bool, e
 	start := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
 	e, rec, replayed, err := op()
 	if replayed {
+		s.statsMu.Lock()
 		s.ReplayTime += time.Since(start) //diffprov:allow detnow
 		s.ReplayCount++
+		s.statsMu.Unlock()
 	}
 	if err != nil {
 		return nil, nil, err
@@ -539,14 +548,16 @@ func (s *Session) forkBase(ctx context.Context) (*ndlog.Engine, *provenance.Reco
 	if err != nil {
 		return nil, nil, err
 	}
-	if !built {
-		s.Stats.PrefixHits++
-	}
 	forkStart := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
 	rec := b.rec.Fork()
 	e := b.eng.Fork(rec)
+	s.statsMu.Lock()
+	if !built {
+		s.Stats.PrefixHits++
+	}
 	s.Stats.ForkNanos += time.Since(forkStart).Nanoseconds() //diffprov:allow detnow
 	s.Stats.EventsSkipped += int64(b.logLen)
+	s.statsMu.Unlock()
 	return e, rec, nil
 }
 
@@ -573,7 +584,9 @@ func (s *Session) acquireBase(ctx context.Context) (b *baseRun, built bool, err 
 			if err := s.buildBase(ctx, b); err != nil {
 				return nil, false, err
 			}
+			s.statsMu.Lock()
 			s.Stats.PrefixMisses++
+			s.statsMu.Unlock()
 			return b, true, nil
 		}
 		c.mu.Unlock()

@@ -16,17 +16,19 @@ import (
 // re-derive most of the job) are where the provenance recorder dominates;
 // the narrow ones record 16-34 vertexes per fork and guard the other side
 // of the flat store's trade (DESIGN.md §22): a slab chunk's slack must not
-// cost them bytes — and the same holds of the engine's slabs (§23), which is
-// why the narrow ceilings on bytes are what the commit before the slabs read
-// plus 1.2 %. The figures repeat to 0.1 %:
+// cost them bytes — and the same holds of the engine's slabs (§23) and of
+// the reverse edges a vertex carries since §24, which made it 8 bytes
+// wider: the narrow ceilings are what the commit before the links read, so
+// a narrow diagnosis may not pay for them at all. The figures repeat to
+// 0.1 %; "before" is the six index maps every fork grew from empty:
 //
 //	          allocs  before    KB  before
-//	MR1-D      8 939  18 748  4 305  4 455
-//	MR2-D      8 924  19 257  4 426  4 580
-//	SDN1         554     612   72.1   72.5
-//	SDN2         384     407   42.1   42.4
-//	SDN3         340     360   42.2   42.7
-//	SDN4         693     727   83.9   84.4
+//	MR1-D      8 752   8 948  3 537  4 309
+//	MR2-D      8 505   8 929  3 772  4 428
+//	SDN1         537     554   68.6   72.1
+//	SDN2         376     384   40.2   42.1
+//	SDN3         332     340   41.0   42.2
+//	SDN4         673     693   79.1   83.9
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -35,12 +37,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 10600, 4460},
-		{"MR2-D", 10600, 4590},
-		{"SDN1", 575, 73.4},
-		{"SDN2", 410, 42.9},
-		{"SDN3", 360, 43.2},
-		{"SDN4", 735, 85.4},
+		{"MR1-D", 8900, 3700},
+		{"MR2-D", 8700, 3930},
+		{"SDN1", 554, 72.1},
+		{"SDN2", 384, 42.1},
+		{"SDN3", 340, 42.2},
+		{"SDN4", 693, 83.9},
 	}
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
