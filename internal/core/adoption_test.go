@@ -167,7 +167,7 @@ rule acc accepted(P, Nxt) :- ann(P), policy(Scope, Nxt), covers(Scope, P).
 	if len(repaired) != 1 || repaired[0] != "Scope" {
 		t.Fatalf("repaired = %v, want the Scope prefix generalized", repaired)
 	}
-	got := solver.envB["Scope"].(ndlog.Prefix)
+	got := solver.envB[solver.cr.Slot("Scope")].(ndlog.Prefix)
 	if !got.ContainsPrefix(ndlog.MustParsePrefix("10.200.0.0/16")) {
 		t.Errorf("repaired scope %v does not cover the announcement", got)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ndlog"
@@ -185,7 +186,7 @@ func (d *diag) expectedAtLevel(lvl gLevel, rule *ndlog.Rule, trigIdx int, w Worl
 	if rule.CountVar != "" {
 		// Aggregate level: the expected count is the good count.
 		if cv, ok := headCountValue(rule, lvl.headAt.Tuple); ok {
-			s.bind(rule.CountVar, cv, fromDefault)
+			s.bind(s.countSlot, cv, fromDefault)
 		}
 	}
 	s.propagate(nil) // forward mode: defaults side variables to good values
@@ -285,7 +286,7 @@ func (d *diag) makeAppear(w World, gDerive *provenance.Tree, expected ndlog.At, 
 		// end of the execution, not the trigger's occurrence; the
 		// per-contributor recursion re-pins times from event triggers.
 		if cv, ok := headCountValue(rule, expected.Tuple); ok {
-			s.bind(rule.CountVar, cv, fromHead)
+			s.bind(s.countSlot, cv, fromHead)
 		}
 		return d.makeAggregateAppear(w, rule, children, s, expected, endOfExecution, depth)
 	}
@@ -369,44 +370,39 @@ func (d *diag) makeAppear(w World, gDerive *provenance.Tree, expected ndlog.At, 
 // values violate a constraint but some other tuple satisfies the rule and
 // still derives the expected head.
 func (d *diag) adoptExistingSides(w World, rule *ndlog.Rule, s *solver, trigB *ndlog.At, trigIdx int, expected ndlog.At, needBy int64) {
-	if constraintsHold(rule, s.envB) {
+	if s.constraintsHold(s.envB) {
 		return
 	}
 	for k, atom := range rule.Body {
 		if trigB != nil && k == trigIdx {
 			continue
 		}
-		free := s.defaultedVarsOf(atom)
-		if len(free) == 0 {
+		base := slices.Clone(s.envB)
+		if s.freeDefaulted(base, k) == 0 {
 			continue
 		}
 		// Current assignment already fine? Keep it.
-		if constraintsHold(rule, s.envB) {
+		if s.constraintsHold(s.envB) {
 			return
 		}
-		base := s.envB.Clone()
-		for _, v := range free {
-			delete(base, v)
-		}
-		node, known, err := ndlog.ResolveLocation(atom.Loc, "", base)
+		node, known, err := s.cr.Locate(locClause(k), "", base)
 		var nodes []string
 		if err == nil && known && node != "" {
 			nodes = []string{node}
 		} else {
 			nodes = w.Nodes()
 		}
+		trial := make([]ndlog.Value, len(base))
 		for _, nn := range nodes {
 			for _, t := range w.TuplesAt(nn, atom.Table, endOfTick(needBy)) {
-				trial := base.Clone()
-				if !ndlog.UnifyAtom(atom, nn, t, trial) {
+				copy(trial, base)
+				if !s.cr.Unify(k, trial, nn, t) {
 					continue
 				}
-				if !constraintsHold(rule, trial) || !headConsistent(rule, trial, expected) {
+				if !s.constraintsHold(trial) || !s.headConsistent(trial, expected) {
 					continue
 				}
-				for v, val := range trial {
-					s.bind(v, val, fromRepair)
-				}
+				s.bindAll(trial, fromRepair)
 				break
 			}
 		}
@@ -448,9 +444,8 @@ func (d *diag) changeTick(w World, side ndlog.At, needBy int64) int64 {
 	if decl == nil || len(decl.Key) == 0 {
 		return tick
 	}
-	pk := primaryKeyOf(decl, side.Tuple)
 	for _, t := range w.TuplesAt(side.Node, side.Tuple.Table, endOfTick(needBy)) {
-		if t.Equal(side.Tuple) || primaryKeyOf(decl, t) != pk {
+		if t.Equal(side.Tuple) || !sameKey(decl, t, side.Tuple) {
 			continue
 		}
 		if occ, ok := w.FirstOccurrence(side.Node, t, needBy); ok && occ+1 > tick {
@@ -460,16 +455,15 @@ func (d *diag) changeTick(w World, side ndlog.At, needBy int64) int64 {
 	return tick
 }
 
-// primaryKeyOf projects a tuple onto its table's key columns.
-func primaryKeyOf(decl *ndlog.TableDecl, t ndlog.Tuple) string {
-	b := make([]byte, 0, 32)
+// sameKey reports whether two tuples of a keyed table agree on its key
+// columns, compared with == as the engine's replacement compares them.
+func sameKey(decl *ndlog.TableDecl, a, b ndlog.Tuple) bool {
 	for _, i := range decl.Key {
-		if i < len(t.Args) {
-			b = append(b, '|')
-			b = append(b, t.Args[i].String()...)
+		if i < len(a.Args) && i < len(b.Args) && a.Args[i] != b.Args[i] {
+			return false
 		}
 	}
-	return string(b)
+	return true
 }
 
 // makeAggregateAppear aligns an aggregate (count) derivation: every
@@ -482,23 +476,24 @@ func (d *diag) makeAggregateAppear(w World, rule *ndlog.Rule, children []childAt
 		return err
 	}
 	atom := rule.Body[0]
+	envC, envG := s.cr.Frame(), s.cr.Frame()
 	for _, gc := range children {
 		// Bind the contributor's own fields from the good occurrence,
 		// keeping the head-derived (tainted) bindings.
-		envC := s.envB.Clone()
-		envG := ndlog.Env{}
-		if !ndlog.UnifyAtom(atom, gc.at.Node, gc.at.Tuple, envG) {
+		copy(envC, s.envB)
+		clear(envG)
+		if !s.cr.Unify(0, envG, gc.at.Node, gc.at.Tuple) {
 			return failf(NoProgress, "contributor %s does not unify with %s", gc.at.Tuple, atom)
 		}
-		for v, val := range envG {
-			if _, bound := envC[v]; !bound {
-				envC[v] = val
+		for slot, v := range envG {
+			if v != nil && envC[slot] == nil {
+				envC[slot] = v
 			}
 		}
 		args := make([]ndlog.Value, len(atom.Args))
 		ok := true
-		for i, e := range atom.Args {
-			v, err := e.Eval(envC)
+		for i := range atom.Args {
+			v, err := s.cr.Eval(argClause(0, i), envC)
 			if err != nil {
 				ok = false
 				break
@@ -508,7 +503,7 @@ func (d *diag) makeAggregateAppear(w World, rule *ndlog.Rule, children []childAt
 		if !ok {
 			continue
 		}
-		node, known, err := ndlog.ResolveLocation(atom.Loc, gc.at.Node, envC)
+		node, known, err := s.cr.Locate(locClause(0), gc.at.Node, envC)
 		if err != nil || !known {
 			node = gc.at.Node
 		}

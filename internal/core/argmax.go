@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ndlog"
@@ -11,8 +12,8 @@ import (
 
 // candidate is one satisfying binding of a rule body in the bad world.
 type candidate struct {
-	env  ndlog.Env
-	body []ndlog.At
+	frame []ndlog.Value
+	body  []ndlog.At
 }
 
 // resolveArgMax checks that the expected binding would win the rule's
@@ -22,22 +23,21 @@ type candidate struct {
 // suppressed. This iterates because several competitors may shadow the
 // expected derivation.
 func (d *diag) resolveArgMax(w World, rule *ndlog.Rule, trigIdx int, trigB ndlog.At, s *solver, children []childAt, expected ndlog.At, needBy int64) error {
-	expectedKey := ndlog.BindingKey(s.envB)
 	for guard := 0; guard < 16; guard++ {
-		cands, err := d.joinCandidates(w, rule, trigIdx, trigB, endOfTick(needBy))
+		cands, err := d.joinCandidates(w, s, trigIdx, trigB, endOfTick(needBy))
 		if err != nil {
 			return err
 		}
 		if len(cands) == 0 {
 			return nil // the expected binding is pending insertion; nothing competes
 		}
-		winner := pickArgMax(cands, rule)
-		if ndlog.BindingKey(winner.env) == expectedKey {
+		winner := pickArgMax(cands, s.cr)
+		if slices.Equal(winner.frame, s.envB) {
 			return nil
 		}
 		// Also accept a winner that derives the same head (an equivalent
 		// but differently-bound derivation).
-		if head, err := evalHead(rule, winner.env, trigB.Node); err == nil && head.Tuple.Equal(expected.Tuple) && head.Node == expected.Node {
+		if head, err := s.headUnder(winner.frame, trigB.Node); err == nil && head.Tuple.Equal(expected.Tuple) && head.Node == expected.Node {
 			return nil
 		}
 		// Suppress the competitor: delete its distinguishing side tuple.
@@ -153,38 +153,39 @@ func (d *diag) deleteTick(w World, side ndlog.At, needBy int64) int64 {
 	return tick
 }
 
-// joinCandidates enumerates the satisfying bindings of the rule body in
-// the bad world at the given time, with the trigger atom fixed, and with
-// pending changes taken into account. It mirrors the engine's evaluation
-// (including constraints and assignments) so that the predicted argmax
-// winner matches what replay will do.
-func (d *diag) joinCandidates(w World, rule *ndlog.Rule, trigIdx int, trigB ndlog.At, asOf ndlog.Stamp) ([]candidate, error) {
-	env := ndlog.Env{}
-	if !ndlog.UnifyAtom(rule.Body[trigIdx], trigB.Node, trigB.Tuple, env) {
+// joinCandidates enumerates the satisfying bindings of the solver's rule
+// body in the bad world at the given time, with the trigger atom fixed, and
+// with pending changes taken into account. It mirrors the engine's
+// evaluation (including constraints and assignments) so that the predicted
+// argmax winner matches what replay will do.
+func (d *diag) joinCandidates(w World, s *solver, trigIdx int, trigB ndlog.At, asOf ndlog.Stamp) ([]candidate, error) {
+	rule, cr := s.rule, s.cr
+	f := cr.Frame()
+	if !cr.Unify(trigIdx, f, trigB.Node, trigB.Tuple) {
 		return nil, failf(NoProgress, "trigger %s does not unify with %s", trigB.Tuple, rule.Body[trigIdx])
 	}
-	seed := candidate{env: env, body: make([]ndlog.At, len(rule.Body))}
+	seed := candidate{frame: f, body: make([]ndlog.At, len(rule.Body))}
 	seed.body[trigIdx] = trigB
-	all, err := d.joinRest(w, rule, trigIdx, trigB.Node, seed, 0, asOf)
+	all, err := d.joinRest(w, s, trigIdx, trigB.Node, seed, 0, asOf)
 	if err != nil {
 		return nil, err
 	}
 	var sat []candidate
 	for _, c := range all {
 		ok := true
-		for _, a := range rule.Assigns {
-			v, err := a.Expr.Eval(c.env)
+		for i := range rule.Assigns {
+			v, err := cr.Eval(assignClause(i), c.frame)
 			if err != nil {
 				ok = false
 				break
 			}
-			c.env[a.Var] = v
+			c.frame[cr.Target(assignClause(i))] = v
 		}
 		if !ok {
 			continue
 		}
-		for _, wc := range rule.Where {
-			pass, err := ndlog.EvalBool(wc, c.env)
+		for i := range rule.Where {
+			pass, err := cr.Holds(whereClause(i), c.frame)
 			if err != nil || !pass {
 				ok = false
 				break
@@ -197,12 +198,13 @@ func (d *diag) joinCandidates(w World, rule *ndlog.Rule, trigIdx int, trigB ndlo
 	return sat, nil
 }
 
-func (d *diag) joinRest(w World, rule *ndlog.Rule, trigIdx int, evalNode string, c candidate, next int, asOf ndlog.Stamp) ([]candidate, error) {
+func (d *diag) joinRest(w World, s *solver, trigIdx int, evalNode string, c candidate, next int, asOf ndlog.Stamp) ([]candidate, error) {
+	rule, cr := s.rule, s.cr
 	if next == len(rule.Body) {
 		return []candidate{c}, nil
 	}
 	if next == trigIdx {
-		return d.joinRest(w, rule, trigIdx, evalNode, c, next+1, asOf)
+		return d.joinRest(w, s, trigIdx, evalNode, c, next+1, asOf)
 	}
 	atom := rule.Body[next]
 	decl := d.prog.Decl(atom.Table)
@@ -212,7 +214,7 @@ func (d *diag) joinRest(w World, rule *ndlog.Rule, trigIdx int, evalNode string,
 	if decl.Event {
 		return nil, nil // non-trigger event atoms never join
 	}
-	node, known, err := ndlog.ResolveLocation(atom.Loc, evalNode, c.env)
+	node, known, err := cr.Locate(locClause(next), evalNode, c.frame)
 	if err != nil {
 		return nil, failf(NoProgress, "%v", err)
 	}
@@ -223,16 +225,17 @@ func (d *diag) joinRest(w World, rule *ndlog.Rule, trigIdx int, evalNode string,
 		nodes = w.Nodes()
 	}
 	var out []candidate
+	f := make([]ndlog.Value, len(c.frame)) // unified into per row; copied out on a match
 	for _, nn := range nodes {
 		for _, t := range d.tuplesAtWithPending(w, nn, atom.Table, asOf) {
-			env2 := c.env.Clone()
-			if !ndlog.UnifyAtom(atom, nn, t, env2) {
+			copy(f, c.frame)
+			if !cr.Unify(next, f, nn, t) {
 				continue
 			}
-			c2 := candidate{env: env2, body: make([]ndlog.At, len(c.body))}
+			c2 := candidate{frame: slices.Clone(f), body: make([]ndlog.At, len(c.body))}
 			copy(c2.body, c.body)
 			c2.body[next] = ndlog.At{Node: nn, Tuple: t}
-			rest, err := d.joinRest(w, rule, trigIdx, evalNode, c2, next+1, asOf)
+			rest, err := d.joinRest(w, s, trigIdx, evalNode, c2, next+1, asOf)
 			if err != nil {
 				return nil, err
 			}
@@ -280,33 +283,14 @@ func (d *diag) tuplesAtWithPending(w World, node, table string, asOf ndlog.Stamp
 
 // pickArgMax selects the winning candidate exactly as the engine does:
 // maximal argmax variable, ties broken on the canonical binding key.
-func pickArgMax(cands []candidate, rule *ndlog.Rule) candidate {
+func pickArgMax(cands []candidate, cr *ndlog.CompiledRule) candidate {
 	best := 0
 	for i := 1; i < len(cands); i++ {
-		bi := cands[i].env[rule.ArgMax]
-		bb := cands[best].env[rule.ArgMax]
-		if ndlog.Less(bb, bi) || (!ndlog.Less(bi, bb) && ndlog.BindingKey(cands[i].env) < ndlog.BindingKey(cands[best].env)) {
+		if cr.Beats(cands[i].frame, cands[best].frame) {
 			best = i
 		}
 	}
 	return cands[best]
-}
-
-// evalHead evaluates a rule head under a binding.
-func evalHead(rule *ndlog.Rule, env ndlog.Env, evalNode string) (ndlog.At, error) {
-	args := make([]ndlog.Value, len(rule.Head.Args))
-	for j, e := range rule.Head.Args {
-		v, err := e.Eval(env)
-		if err != nil {
-			return ndlog.At{}, err
-		}
-		args[j] = v
-	}
-	node, known, err := ndlog.ResolveLocation(rule.Head.Loc, evalNode, env)
-	if err != nil || !known {
-		return ndlog.At{}, fmt.Errorf("diffprov: unresolved head location")
-	}
-	return ndlog.At{Node: node, Tuple: ndlog.Tuple{Table: rule.Head.Table, Args: args}}, nil
 }
 
 // sortChanges orders changes deterministically for presentation: by tick,

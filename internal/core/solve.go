@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ndlog"
 )
@@ -12,7 +12,8 @@ import (
 type bindSource uint8
 
 const (
-	fromTrigger bindSource = iota // unified from the aligned trigger tuple
+	unbound     bindSource = iota // not bound yet
+	fromTrigger                   // unified from the aligned trigger tuple
 	fromHead                      // inverted from the expected head
 	fromAssign                    // computed by an assignment / inverse
 	fromDefault                   // defaulted to the good execution's value
@@ -24,20 +25,35 @@ const (
 // field of the good execution is "tainted" exactly when its bad-world
 // value (in envB) differs from its good-world value (in envG); the
 // formulas are the rule's own expressions, re-evaluated or inverted under
-// the bad-world binding.
+// the bad-world binding. Both bindings are frames of the rule compiled to
+// slots (ndlog.CompiledRule) — the engine's own unifier and evaluator.
 type solver struct {
 	rule *ndlog.Rule
+	cr   *ndlog.CompiledRule
 	prog *ndlog.Program
+	// countSlot is the slot of the rule's count variable, -1 if none.
+	countSlot int
 
 	// Good-world binding reconstructed from the provenance vertexes.
-	envG ndlog.Env
+	envG []ndlog.Value
 	// gChildren are the good derivation's body occurrences (atom order).
 	gChildren []ndlog.At
 
-	// Bad-world binding under construction.
-	envB   ndlog.Env
-	source map[string]bindSource
+	// Bad-world binding under construction: source says how each bound
+	// slot got its value, nbound counts the bound slots.
+	envB   []ndlog.Value
+	source []bindSource
+	nbound int
 }
+
+// Clause constructors for the rule's expressions.
+func argClause(k, i int) ndlog.Clause { return ndlog.Clause{Kind: ndlog.ArgClause, Atom: k, Index: i} }
+func locClause(k int) ndlog.Clause    { return ndlog.Clause{Kind: ndlog.LocClause, Atom: k} }
+func assignClause(i int) ndlog.Clause { return ndlog.Clause{Kind: ndlog.AssignClause, Index: i} }
+func whereClause(i int) ndlog.Clause  { return ndlog.Clause{Kind: ndlog.WhereClause, Index: i} }
+func headClause(j int) ndlog.Clause   { return ndlog.Clause{Kind: ndlog.HeadClause, Index: j} }
+
+var headLocClause = ndlog.Clause{Kind: ndlog.HeadLocClause}
 
 // newSolver reconstructs the good-world binding of a derivation. children
 // must follow the rule's body atom order.
@@ -46,38 +62,45 @@ func newSolver(prog *ndlog.Program, rule *ndlog.Rule, children []ndlog.At) (*sol
 		return nil, fmt.Errorf("diffprov: derivation via %s has %d children, rule has %d body atoms",
 			rule.Name, len(children), len(rule.Body))
 	}
+	cr := prog.Compiled(rule.Name)
+	if cr == nil {
+		return nil, fmt.Errorf("diffprov: rule %s is not in the program", rule.Name)
+	}
 	s := &solver{
 		rule:      rule,
+		cr:        cr,
 		prog:      prog,
-		envG:      ndlog.Env{},
+		countSlot: -1,
+		envG:      cr.Frame(),
 		gChildren: children,
-		envB:      ndlog.Env{},
-		source:    map[string]bindSource{},
+		envB:      cr.Frame(),
 	}
+	s.source = make([]bindSource, len(s.envB))
 	if rule.CountVar != "" {
+		s.countSlot = cr.Slot(rule.CountVar)
 		// Aggregates: unify the single body atom against each contributor.
 		for _, c := range children {
-			if !ndlog.UnifyAtom(rule.Body[0], c.Node, c.Tuple, s.envG) {
+			if !cr.Unify(0, s.envG, c.Node, c.Tuple) {
 				// Contributors legitimately differ in non-group fields;
 				// rebuild group bindings from the last one.
-				s.envG = ndlog.Env{}
-				ndlog.UnifyAtom(rule.Body[0], c.Node, c.Tuple, s.envG)
+				clear(s.envG)
+				cr.Unify(0, s.envG, c.Node, c.Tuple)
 			}
 		}
 	} else {
 		for i, atom := range rule.Body {
-			if !ndlog.UnifyAtom(atom, children[i].Node, children[i].Tuple, s.envG) {
+			if !cr.Unify(i, s.envG, children[i].Node, children[i].Tuple) {
 				return nil, fmt.Errorf("diffprov: cannot re-unify %s against %s on %s",
 					atom, children[i].Tuple, children[i].Node)
 			}
 		}
 	}
-	for _, a := range rule.Assigns {
-		v, err := a.Expr.Eval(s.envG)
+	for i, a := range rule.Assigns {
+		v, err := cr.Eval(assignClause(i), s.envG)
 		if err != nil {
 			return nil, fmt.Errorf("diffprov: replaying assignment %s: %v", a, err)
 		}
-		s.envG[a.Var] = v
+		s.envG[cr.Target(assignClause(i))] = v
 	}
 	return s, nil
 }
@@ -85,28 +108,45 @@ func newSolver(prog *ndlog.Program, rule *ndlog.Rule, children []ndlog.At) (*sol
 // bind sets a bad-world binding, rejecting contradictions (the existing
 // value is kept unless the new source is a repair, which may override
 // defaulted values).
-func (s *solver) bind(v string, val ndlog.Value, src bindSource) error {
-	if old, ok := s.envB[v]; ok && old != val && src != fromRepair {
-		return fmt.Errorf("diffprov: conflicting bindings for %s: %s vs %s", v, old, val)
+func (s *solver) bind(slot int, val ndlog.Value, src bindSource) error {
+	old := s.envB[slot]
+	if old != nil && old != val && src != fromRepair {
+		return fmt.Errorf("diffprov: conflicting bindings for %s: %s vs %s", s.cr.Var(slot), old, val)
 	}
-	s.envB[v] = val
-	s.source[v] = src
+	if old == nil {
+		s.nbound++
+	}
+	s.envB[slot] = val
+	s.source[slot] = src
 	return nil
+}
+
+// bindAll binds every slot the frame f binds.
+func (s *solver) bindAll(f []ndlog.Value, src bindSource) error {
+	for slot, v := range f {
+		if v != nil {
+			if err := s.bind(slot, v, src); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// adjustable reports whether a slot's bad-world value was merely defaulted
+// from the good execution (or repaired), so repair may rebind it.
+func (s *solver) adjustable(slot int) bool {
+	return slot >= 0 && (s.source[slot] == fromDefault || s.source[slot] == fromRepair)
 }
 
 // bindTrigger unifies the rule's trigger atom against the aligned
 // bad-world tuple, seeding the bad binding.
 func (s *solver) bindTrigger(atomIdx int, at ndlog.At) error {
-	env := ndlog.Env{}
-	if !ndlog.UnifyAtom(s.rule.Body[atomIdx], at.Node, at.Tuple, env) {
+	f := s.cr.Frame()
+	if !s.cr.Unify(atomIdx, f, at.Node, at.Tuple) {
 		return fmt.Errorf("diffprov: bad-world trigger %s does not unify with %s", at.Tuple, s.rule.Body[atomIdx])
 	}
-	for v, val := range env {
-		if err := s.bind(v, val, fromTrigger); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.bindAll(f, fromTrigger)
 }
 
 // bindHead binds variables from the expected bad-world head tuple,
@@ -114,73 +154,81 @@ func (s *solver) bindTrigger(atomIdx int, at ndlog.At) error {
 // computations are tolerated here: the affected variables simply stay
 // unbound and may be filled by defaults later.
 func (s *solver) bindHead(expected ndlog.At) error {
-	vars := s.rule.HeadVars() // listed once per rule, not per call
-	for j, e := range s.rule.Head.Args {
-		if err := s.solveVars(e, vars[j], expected.Tuple.Args[j], fromHead); err != nil {
+	for j := range s.rule.Head.Args {
+		if err := s.solve(headClause(j), expected.Tuple.Args[j], fromHead); err != nil {
 			return err
 		}
 	}
-	if loc := s.rule.Head.Loc; loc != nil {
-		return s.solveVars(loc, vars[len(vars)-1], ndlog.Str(expected.Node), fromHead)
+	if s.rule.Head.Loc != nil {
+		return s.solve(headLocClause, ndlog.Str(expected.Node), fromHead)
 	}
 	return nil
 }
 
-// solveExpr tries to bind exactly one unknown variable of e so that it
+// solve tries to bind exactly one unknown variable of clause c so that it
 // evaluates to target.
-func (s *solver) solveExpr(e ndlog.Expr, target ndlog.Value, src bindSource) error {
-	return s.solveVars(e, ndlog.FreeVars(e), target, src)
-}
-
-// solveVars is solveExpr given e's free variables.
-func (s *solver) solveVars(e ndlog.Expr, vars []string, target ndlog.Value, src bindSource) error {
-	unknown, n := s.unknownOf(vars)
-	switch n {
-	case 0:
-		return nil // fully bound; verification happens later
-	case 1:
-		// The count variable of aggregates is bound specially.
-		if unknown == s.rule.CountVar && s.rule.CountVar != "" {
-			return s.bind(s.rule.CountVar, target, src)
-		}
-		cands, err := ndlog.InvertChecked(e, target, unknown, s.envB)
-		if err == ndlog.ErrNonInvertible {
-			return nil // leave unbound; defaults or inverse rules may help
-		}
-		if err != nil {
-			return nil // treat as unconstraining
-		}
-		if len(cands) == 0 {
-			return nil
-		}
-		// Prefer the candidate matching the good world (minimal change).
-		chosen := cands[0]
-		if gv, ok := s.envG[unknown]; ok {
-			for _, c := range cands {
-				if c == gv {
-					chosen = c
-					break
-				}
+func (s *solver) solve(c ndlog.Clause, target ndlog.Value, src bindSource) error {
+	unknown, n := s.unknownOf(s.cr.Slots(c))
+	if n != 1 {
+		return nil // fully bound (verification happens later) or underdetermined (defaults)
+	}
+	// The count variable of aggregates is bound specially.
+	if unknown == s.countSlot {
+		return s.bind(unknown, target, src)
+	}
+	cands, err := s.cr.Invert(c, s.envB, target, unknown)
+	if err != nil || len(cands) == 0 {
+		return nil // not invertible, or unconstraining: leave it to defaults or inverse rules
+	}
+	// Prefer the candidate matching the good world (minimal change).
+	chosen := cands[0]
+	if gv := s.envG[unknown]; gv != nil {
+		for _, c := range cands {
+			if c == gv {
+				chosen = c
+				break
 			}
 		}
-		return s.bind(unknown, chosen, src)
-	default:
-		return nil // underdetermined; handled by defaults
 	}
+	return s.bind(unknown, chosen, src)
 }
 
-// unknownOf counts the variables of a list that the bad-world binding does
-// not hold yet, and returns the first of them.
-func (s *solver) unknownOf(vars []string) (first string, n int) {
-	for _, v := range vars {
-		if _, ok := s.envB[v]; !ok {
+// unknownOf counts the slots of a list that the bad-world binding does not
+// hold yet, and returns the first of them.
+func (s *solver) unknownOf(slots []int) (first, n int) {
+	for _, slot := range slots {
+		if s.envB[slot] == nil {
 			if n == 0 {
-				first = v
+				first = slot
 			}
 			n++
 		}
 	}
 	return first, n
+}
+
+// assignTarget reports whether an assignment binds the slot.
+func (s *solver) assignTarget(slot int) bool {
+	for i := range s.rule.Assigns {
+		if s.cr.Target(assignClause(i)) == slot {
+			return true
+		}
+	}
+	return false
+}
+
+// forward binds the target of every assignment (kind AssignClause) or
+// inverse (InverseClause) of the n the rule has whose target is unbound and
+// whose expression is fully bound.
+func (s *solver) forward(kind ndlog.ClauseKind, n int) {
+	for i := 0; i < n; i++ {
+		c := ndlog.Clause{Kind: kind, Index: i}
+		if t := s.cr.Target(c); s.envB[t] == nil && s.cr.Bound(c, s.envB) {
+			if v, err := s.cr.Eval(c, s.envB); err == nil {
+				s.bind(t, v, fromAssign)
+			}
+		}
+	}
 }
 
 // propagate runs the fixpoint over assignments (forward and inverted) and
@@ -190,63 +238,42 @@ func (s *solver) unknownOf(vars []string) (first string, n int) {
 // is predicted rather than given.
 func (s *solver) propagate(expected *ndlog.At) {
 	for changed := true; changed; {
-		changed = false
-		before := len(s.envB)
-		for _, a := range s.rule.Assigns {
-			if _, ok := s.envB[a.Var]; !ok && ndlog.Bound(a.Expr, s.envB) {
-				if v, err := a.Expr.Eval(s.envB); err == nil {
-					s.bind(a.Var, v, fromAssign)
+		before := s.nbound
+		for i := range s.rule.Assigns {
+			c := assignClause(i)
+			if tv := s.envB[s.cr.Target(c)]; tv == nil {
+				if s.cr.Bound(c, s.envB) {
+					if v, err := s.cr.Eval(c, s.envB); err == nil {
+						s.bind(s.cr.Target(c), v, fromAssign)
+					}
 				}
-			} else if tv, ok := s.envB[a.Var]; ok {
-				s.solveExpr(a.Expr, tv, fromAssign)
+			} else {
+				s.solve(c, tv, fromAssign)
 			}
 		}
-		for _, inv := range s.rule.Inverses {
-			if _, ok := s.envB[inv.Var]; !ok && ndlog.Bound(inv.Expr, s.envB) {
-				if v, err := inv.Expr.Eval(s.envB); err == nil {
-					s.bind(inv.Var, v, fromAssign)
-				}
-			}
-		}
+		s.forward(ndlog.InverseClause, len(s.rule.Inverses))
 		// Head expressions may become invertible as more vars bind.
 		if expected != nil {
 			s.bindHead(*expected)
 		}
-		if len(s.envB) != before {
-			changed = true
-		}
+		changed = s.nbound != before
 	}
 	// Default remaining good-world variables — except assignment
 	// targets, whose bad-world values must be recomputed from their
 	// expressions once the inputs are defaulted (e.g. a load-balancer
 	// bucket must be re-hashed for the bad seed, not copied).
-	assignTargets := map[string]bool{}
-	for _, a := range s.rule.Assigns {
-		assignTargets[a.Var] = true
-	}
-	names := make([]string, 0, len(s.envG))
-	for v := range s.envG {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	for _, v := range names {
-		if _, ok := s.envB[v]; !ok && !assignTargets[v] {
-			s.bind(v, s.envG[v], fromDefault)
+	for slot, gv := range s.envG {
+		if gv != nil && s.envB[slot] == nil && !s.assignTarget(slot) {
+			s.bind(slot, gv, fromDefault)
 		}
 	}
 	// Re-run assignment forward evaluation now that defaults are in.
-	for _, a := range s.rule.Assigns {
-		if _, ok := s.envB[a.Var]; !ok && ndlog.Bound(a.Expr, s.envB) {
-			if v, err := a.Expr.Eval(s.envB); err == nil {
-				s.bind(a.Var, v, fromAssign)
-			}
-		}
-	}
+	s.forward(ndlog.AssignClause, len(s.rule.Assigns))
 	// Any assignment target still unbound (its expression could not be
 	// evaluated) falls back to the good-world value after all.
-	for _, v := range names {
-		if _, ok := s.envB[v]; !ok {
-			s.bind(v, s.envG[v], fromDefault)
+	for slot, gv := range s.envG {
+		if gv != nil && s.envB[slot] == nil {
+			s.bind(slot, gv, fromDefault)
 		}
 	}
 }
@@ -274,20 +301,20 @@ func (s *solver) followKeyedRows(w World, prog *ndlog.Program, trigIdx int, have
 				ok = false
 				break
 			}
-			v, err := atom.Args[col].Eval(s.envB)
+			v, err := s.cr.Eval(argClause(k, col), s.envB)
 			if err != nil {
 				ok = false
 				break
 			}
 			keyMatch = append(keyMatch, ndlog.Match{Col: col, Val: v})
-			if gv, gerr := atom.Args[col].Eval(s.envG); gerr == nil && gv != v {
+			if gv, gerr := s.cr.Eval(argClause(k, col), s.envG); gerr == nil && gv != v {
 				tainted = true
 			}
 		}
 		if !ok || !tainted {
 			continue
 		}
-		node, known, err := ndlog.ResolveLocation(atom.Loc, "", s.envB)
+		node, known, err := s.cr.Locate(locClause(k), "", s.envB)
 		if err != nil || !known {
 			continue
 		}
@@ -295,54 +322,45 @@ func (s *solver) followKeyedRows(w World, prog *ndlog.Program, trigIdx int, have
 		// (registered for every keyed table) instead of scanning.
 		for _, row := range w.TuplesMatchingAt(node, atom.Table, ndlog.Stamp{T: needBy, Seq: ^uint64(0)}, keyMatch) {
 			// Rebind the atom's non-key variables from this row.
-			trial := s.envB.Clone()
-			for _, fv := range s.defaultedVarsOf(atom) {
-				delete(trial, fv)
-			}
-			if !ndlog.UnifyAtom(atom, node, row, trial) {
+			trial := slices.Clone(s.envB)
+			s.freeDefaulted(trial, k)
+			if !s.cr.Unify(k, trial, node, row) {
 				continue
 			}
-			for v, val := range trial {
-				s.bind(v, val, fromRepair)
-			}
+			s.bindAll(trial, fromRepair)
 			break
 		}
 	}
 }
 
-// defaultedVarsOf returns the atom's variables whose bad-world values
-// were merely defaulted from the good execution (and may be rebound).
-func (s *solver) defaultedVarsOf(atom ndlog.Atom) []string {
-	var out []string
-	seen := map[string]bool{}
-	collect := func(e ndlog.Expr) {
-		for _, v := range ndlog.FreeVars(e) {
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			if src, ok := s.source[v]; ok && (src == fromDefault || src == fromRepair) {
-				out = append(out, v)
+// freeDefaulted unbinds in f the variables of body atom k whose bad-world
+// values were merely defaulted from the good execution (and may be
+// rebound), and returns how many it unbound.
+func (s *solver) freeDefaulted(f []ndlog.Value, k int) int {
+	n := 0
+	free := func(c ndlog.Clause) {
+		for _, slot := range s.cr.Slots(c) {
+			if f[slot] != nil && s.adjustable(slot) {
+				f[slot] = nil
+				n++
 			}
 		}
 	}
-	for _, a := range atom.Args {
-		collect(a)
+	for i := range s.rule.Body[k].Args {
+		free(argClause(k, i))
 	}
-	if atom.Loc != nil {
-		collect(atom.Loc)
-	}
-	return out
+	free(locClause(k))
+	return n
 }
 
-// constraintsHold evaluates every rule constraint under an environment,
+// constraintsHold evaluates every rule constraint under a binding,
 // ignoring constraints whose variables are not all bound.
-func constraintsHold(rule *ndlog.Rule, env ndlog.Env) bool {
-	for _, wc := range rule.Where {
-		if !ndlog.Bound(wc, env) {
+func (s *solver) constraintsHold(f []ndlog.Value) bool {
+	for i := range s.rule.Where {
+		if !s.cr.Bound(whereClause(i), f) {
 			continue
 		}
-		ok, err := ndlog.EvalBool(wc, env)
+		ok, err := s.cr.Holds(whereClause(i), f)
 		if err != nil || !ok {
 			return false
 		}
@@ -351,30 +369,30 @@ func constraintsHold(rule *ndlog.Rule, env ndlog.Env) bool {
 }
 
 // headConsistent checks that the head would still evaluate to the
-// expected tuple under the environment.
-func headConsistent(rule *ndlog.Rule, env ndlog.Env, expected ndlog.At) bool {
-	trial := env.Clone()
-	for _, a := range rule.Assigns {
-		if ndlog.Bound(a.Expr, trial) {
-			if v, err := a.Expr.Eval(trial); err == nil {
-				trial[a.Var] = v
+// expected tuple under the binding.
+func (s *solver) headConsistent(f []ndlog.Value, expected ndlog.At) bool {
+	trial := slices.Clone(f)
+	for i := range s.rule.Assigns {
+		if c := assignClause(i); s.cr.Bound(c, trial) {
+			if v, err := s.cr.Eval(c, trial); err == nil {
+				trial[s.cr.Target(c)] = v
 			}
 		}
 	}
-	for j, e := range rule.Head.Args {
-		if rule.CountVar != "" && isVar(e, rule.CountVar) {
+	for j, e := range s.rule.Head.Args {
+		if s.rule.CountVar != "" && isVar(e, s.rule.CountVar) {
 			continue
 		}
-		if !ndlog.Bound(e, trial) {
+		if !s.cr.Bound(headClause(j), trial) {
 			continue
 		}
-		got, err := e.Eval(trial)
+		got, err := s.cr.Eval(headClause(j), trial)
 		if err != nil || got != expected.Tuple.Args[j] {
 			return false
 		}
 	}
-	if rule.Head.Loc != nil {
-		node, known, err := ndlog.ResolveLocation(rule.Head.Loc, expected.Node, trial)
+	if s.rule.Head.Loc != nil {
+		node, known, err := s.cr.Locate(headLocClause, expected.Node, trial)
 		if err == nil && known && node != expected.Node {
 			return false
 		}
@@ -388,36 +406,35 @@ func headConsistent(rule *ndlog.Rule, env ndlog.Env, expected ndlog.At) bool {
 func (s *solver) verify(expected ndlog.At) ([]string, error) {
 	var repaired []string
 	for pass := 0; pass < 4; pass++ {
-		bad, err := s.failingConstraint()
+		c, bad, err := s.failingConstraint()
 		if err != nil {
 			return repaired, err
 		}
 		if bad == nil {
 			break
 		}
-		v, nv, ok := s.repairConstraint(bad)
+		slot, nv, ok := s.repairConstraint(c, bad)
 		if !ok {
 			return repaired, &DiagnosisError{
 				Kind:   NonInvertible,
 				Detail: fmt.Sprintf("constraint %s of rule %s cannot be satisfied in the bad execution", bad, s.rule.Name),
 			}
 		}
-		s.bind(v, nv, fromRepair)
-		repaired = append(repaired, v)
+		s.bind(slot, nv, fromRepair)
+		repaired = append(repaired, s.cr.Var(slot))
 	}
-	if bad, _ := s.failingConstraint(); bad != nil {
+	if _, bad, _ := s.failingConstraint(); bad != nil {
 		return repaired, &DiagnosisError{
 			Kind:   NonInvertible,
 			Detail: fmt.Sprintf("constraint %s of rule %s still fails after repair", bad, s.rule.Name),
 		}
 	}
 	// The head must re-derive to the expected tuple.
-	env := s.envB
 	for j, e := range s.rule.Head.Args {
 		if s.rule.CountVar != "" && isVar(e, s.rule.CountVar) {
 			continue // aggregate counts are established by the contributors
 		}
-		got, err := e.Eval(env)
+		got, err := s.cr.Eval(headClause(j), s.envB)
 		if err != nil {
 			return repaired, failf(NonInvertible, "cannot evaluate head field %s of rule %s: %v", e, s.rule.Name, err)
 		}
@@ -428,7 +445,7 @@ func (s *solver) verify(expected ndlog.At) ([]string, error) {
 		}
 	}
 	if s.rule.Head.Loc != nil {
-		node, known, err := ndlog.ResolveLocation(s.rule.Head.Loc, expected.Node, env)
+		node, known, err := s.cr.Locate(headLocClause, expected.Node, s.envB)
 		if err != nil || !known || node != expected.Node {
 			return repaired, failf(NonInvertible,
 				"rule %s would derive on %s, expected %s", s.rule.Name, node, expected.Node)
@@ -443,77 +460,93 @@ func isVar(e ndlog.Expr, name string) bool {
 }
 
 // failingConstraint returns the first constraint that evaluates to false
-// under the bad binding, or nil.
-func (s *solver) failingConstraint() (ndlog.Expr, error) {
-	for _, w := range s.rule.Where {
-		ok, err := ndlog.EvalBool(w, s.envB)
+// under the bad binding — its clause and its source — or a nil source.
+func (s *solver) failingConstraint() (ndlog.Clause, ndlog.Expr, error) {
+	for i, w := range s.rule.Where {
+		ok, err := s.cr.Holds(whereClause(i), s.envB)
 		if err != nil {
-			return nil, failf(NonInvertible, "cannot evaluate constraint %s: %v", w, err)
+			return whereClause(i), nil, failf(NonInvertible, "cannot evaluate constraint %s: %v", w, err)
 		}
 		if !ok {
-			return w, nil
+			return whereClause(i), w, nil
 		}
 	}
 	// Assignments whose target is bound act as unification constraints.
-	for _, a := range s.rule.Assigns {
-		tv, bound := s.envB[a.Var]
-		if !bound || !ndlog.Bound(a.Expr, s.envB) {
+	for i, a := range s.rule.Assigns {
+		c := assignClause(i)
+		tv := s.envB[s.cr.Target(c)]
+		if tv == nil || !s.cr.Bound(c, s.envB) {
 			continue
 		}
-		v, err := a.Expr.Eval(s.envB)
+		v, err := s.cr.Eval(c, s.envB)
 		if err != nil {
-			return nil, failf(NonInvertible, "cannot evaluate assignment %s: %v", a, err)
+			return c, nil, failf(NonInvertible, "cannot evaluate assignment %s: %v", a, err)
 		}
 		if v != tv {
-			return ndlog.Bin{Op: ndlog.OpEq, L: ndlog.Var(a.Var), R: a.Expr}, nil
+			return c, ndlog.Bin{Op: ndlog.OpEq, L: ndlog.Var(a.Var), R: a.Expr}, nil
 		}
 	}
-	return nil, nil
+	return ndlog.Clause{}, nil, nil
 }
 
-// repairConstraint attempts to satisfy a failing constraint by adjusting
-// one variable whose value was merely defaulted from the good execution
-// (never values pinned by the trigger or the expected head). Returns the
-// variable, its new value, and success.
-func (s *solver) repairConstraint(c ndlog.Expr) (string, ndlog.Value, bool) {
-	adjustable := func(v string) bool {
-		src, ok := s.source[v]
-		return ok && (src == fromDefault || src == fromRepair)
+// side evaluates side i (0 the left, 1 the right) of a failing constraint.
+// A failing assignment is the constraint Var == Expr.
+func (s *solver) side(c ndlog.Clause, i int) (ndlog.Value, error) {
+	if c.Kind == ndlog.AssignClause {
+		if i == 0 {
+			return s.envB[s.cr.Target(c)], nil
+		}
+		return s.cr.Eval(c, s.envB)
 	}
-	switch x := c.(type) {
+	c.Operand = i + 1
+	return s.cr.Eval(c, s.envB)
+}
+
+// repairConstraint attempts to satisfy a failing constraint (clause c,
+// source bad) by adjusting one variable whose value was merely defaulted
+// from the good execution (never values pinned by the trigger or the
+// expected head). Returns the variable's slot, its new value, and success.
+func (s *solver) repairConstraint(c ndlog.Clause, bad ndlog.Expr) (int, ndlog.Value, bool) {
+	slotOf := func(e ndlog.Expr) int {
+		if v, ok := e.(ndlog.Var); ok {
+			return s.cr.Slot(string(v))
+		}
+		return -1
+	}
+	switch x := bad.(type) {
 	case ndlog.Call:
 		// matches(ip, P): generalize the prefix P to the longest common
 		// prefix of its current value and the address — the minimal
 		// generalization that makes the constraint hold. This is what
 		// turns the overly-specific 4.3.2.0/24 into 4.3.2.0/23 (§2).
 		if x.Fn == "matches" && len(x.Args) == 2 {
-			pv, ok := x.Args[1].(ndlog.Var)
-			if !ok || !adjustable(string(pv)) {
+			pv := slotOf(x.Args[1])
+			if !s.adjustable(pv) {
 				break
 			}
-			ipVal, err := x.Args[0].Eval(s.envB)
+			ipVal, err := s.side(c, 0)
 			if err != nil {
 				break
 			}
 			ip, ok1 := ipVal.(ndlog.IP)
-			pfx, ok2 := s.envB[string(pv)].(ndlog.Prefix)
+			pfx, ok2 := s.envB[pv].(ndlog.Prefix)
 			if !ok1 || !ok2 {
 				break
 			}
-			return string(pv), generalizePrefix(pfx, ip), true
+			return pv, generalizePrefix(pfx, ip), true
 		}
 		// covers(P, Q) with adjustable P: same generalization.
 		if x.Fn == "covers" && len(x.Args) == 2 {
-			pv, ok := x.Args[0].(ndlog.Var)
-			if !ok || !adjustable(string(pv)) {
+			pv := slotOf(x.Args[0])
+			if !s.adjustable(pv) {
 				break
 			}
-			qVal, err := x.Args[1].Eval(s.envB)
+			qVal, err := s.side(c, 1)
 			if err != nil {
 				break
 			}
 			q, ok1 := qVal.(ndlog.Prefix)
-			p, ok2 := s.envB[string(pv)].(ndlog.Prefix)
+			p, ok2 := s.envB[pv].(ndlog.Prefix)
 			if !ok1 || !ok2 {
 				break
 			}
@@ -522,24 +555,24 @@ func (s *solver) repairConstraint(c ndlog.Expr) (string, ndlog.Value, bool) {
 				np.Bits = q.Bits
 				np.Addr = np.Addr.Mask(np.Bits)
 			}
-			return string(pv), np, true
+			return pv, np, true
 		}
 	case ndlog.Bin:
 		// Equality with a single adjustable variable on one side.
 		if x.Op == ndlog.OpEq {
-			if v, ok := x.L.(ndlog.Var); ok && adjustable(string(v)) {
-				if val, err := x.R.Eval(s.envB); err == nil {
-					return string(v), val, true
+			if v := slotOf(x.L); s.adjustable(v) {
+				if val, err := s.side(c, 1); err == nil {
+					return v, val, true
 				}
 			}
-			if v, ok := x.R.(ndlog.Var); ok && adjustable(string(v)) {
-				if val, err := x.L.Eval(s.envB); err == nil {
-					return string(v), val, true
+			if v := slotOf(x.R); s.adjustable(v) {
+				if val, err := s.side(c, 0); err == nil {
+					return v, val, true
 				}
 			}
 		}
 	}
-	return "", nil, false
+	return -1, nil, false
 }
 
 // generalizePrefix returns the most specific prefix that covers both the
@@ -562,8 +595,8 @@ func generalizePrefix(p ndlog.Prefix, ip ndlog.IP) ndlog.Prefix {
 func (s *solver) sideTuple(k int) (ndlog.At, error) {
 	atom := s.rule.Body[k]
 	args := make([]ndlog.Value, len(atom.Args))
-	for i, e := range atom.Args {
-		v, err := e.Eval(s.envB)
+	for i := range atom.Args {
+		v, err := s.cr.Eval(argClause(k, i), s.envB)
 		if err != nil {
 			return ndlog.At{}, failf(NonInvertible,
 				"cannot determine field %d of expected %s tuple: %v", i, atom.Table, err)
@@ -574,28 +607,33 @@ func (s *solver) sideTuple(k int) (ndlog.At, error) {
 	if s.rule.CountVar == "" && k < len(s.gChildren) {
 		defNode = s.gChildren[k].Node
 	}
-	node, known, err := ndlog.ResolveLocation(atom.Loc, defNode, s.envB)
+	node, known, err := s.cr.Locate(locClause(k), defNode, s.envB)
 	if err != nil || !known {
 		node = defNode
 	}
 	return ndlog.At{Node: node, Tuple: ndlog.Tuple{Table: atom.Table, Args: args}}, nil
 }
 
-// expectedHead evaluates the head under the bad binding (forward mode,
-// used by divergence detection). For aggregates the count variable must
-// already be bound (from the good head).
-func (s *solver) expectedHead(evalNode string) (ndlog.At, error) {
+// headUnder evaluates the head under a binding; evalNode is where the rule
+// fires. For aggregates the count variable must already be bound.
+func (s *solver) headUnder(f []ndlog.Value, evalNode string) (ndlog.At, error) {
 	args := make([]ndlog.Value, len(s.rule.Head.Args))
 	for j, e := range s.rule.Head.Args {
-		v, err := e.Eval(s.envB)
+		v, err := s.cr.Eval(headClause(j), f)
 		if err != nil {
 			return ndlog.At{}, failf(NonInvertible, "cannot evaluate expected head field %s: %v", e, err)
 		}
 		args[j] = v
 	}
-	node, known, err := ndlog.ResolveLocation(s.rule.Head.Loc, evalNode, s.envB)
+	node, known, err := s.cr.Locate(headLocClause, evalNode, f)
 	if err != nil || !known {
 		return ndlog.At{}, failf(NonInvertible, "cannot resolve expected head location of rule %s", s.rule.Name)
 	}
 	return ndlog.At{Node: node, Tuple: ndlog.Tuple{Table: s.rule.Head.Table, Args: args}}, nil
+}
+
+// expectedHead evaluates the head under the bad binding (forward mode,
+// used by divergence detection).
+func (s *solver) expectedHead(evalNode string) (ndlog.At, error) {
+	return s.headUnder(s.envB, evalNode)
 }

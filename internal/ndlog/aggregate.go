@@ -122,7 +122,7 @@ func groupVarsOf(r *Rule) []string {
 
 // groupKey appends to key the aggregation group of a binding: the values of
 // the rule's group variables (listed once, when the rule was compiled).
-func (e *Engine) groupKey(key []byte, r *compiledRule, nodeName string, f []Value) []byte {
+func (e *Engine) groupKey(key []byte, r *CompiledRule, nodeName string, f []Value) []byte {
 	key = append(key, r.name...)
 	key = append(key, '@')
 	key = append(key, nodeName...)
@@ -149,7 +149,7 @@ func (e *Engine) groupKey(key []byte, r *compiledRule, nodeName string, f []Valu
 // contributor, AggPrev linking it to the previous head's derivation and
 // AggRemove marking a removal so provenance folds subtract it (see the
 // package comment above). A group stepped down to zero just loses its head.
-func (e *Engine) aggregateStep(r *compiledRule, nodeName string, b binding, st Stamp, sign int64) error {
+func (e *Engine) aggregateStep(r *CompiledRule, nodeName string, b binding, st Stamp, sign int64) error {
 	// Resolve the head location and evaluate the head against the new
 	// count before touching any group state: a failed step must leave the
 	// group as it was.

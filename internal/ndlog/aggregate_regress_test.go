@@ -6,22 +6,19 @@ import (
 	"testing"
 )
 
-// flakyLoc is a head location — the node R — whose evaluation the test can
-// make fail. The engine compiles rules when it is built, so a location that
-// fails on one firing and resolves on the next has to fail from the inside;
-// being an Expr type the compiler does not know, it is also evaluated
-// through the map adapter (slotEnv).
-type flakyLoc struct{ fail *bool }
-
-func (f flakyLoc) Eval(env Env) (Value, error) {
-	if *f.fail {
-		return nil, errors.New("no route to R")
-	}
-	return env["R"], nil
+// flakyLoc registers a builtin, flakyloc(R), that returns its argument — a
+// node — unless *fail is set, when it fails. A head location written with it
+// fails on one firing and resolves on the next, from inside the compiled
+// rule the engine built.
+func flakyLoc(fail *bool) Expr {
+	RegisterBuiltin("flakyloc", 1, func(args []Value) (Value, error) {
+		if *fail {
+			return nil, errors.New("no route to R")
+		}
+		return args[0], nil
+	})
+	return Call{Fn: "flakyloc", Args: []Expr{Var("R")}}
 }
-func (f flakyLoc) Vars(dst []string) []string { return append(dst, "R") }
-func (f flakyLoc) String() string             { return "flaky(R)" }
-func (f flakyLoc) Subst(map[string]Expr) Expr { return f }
 
 // A counting rule whose head location fails to resolve must not mutate
 // the group: the old fireAggregate incremented the count and retracted
@@ -33,7 +30,7 @@ func (f flakyLoc) Subst(map[string]Expr) Expr { return f }
 func TestAggregateFailedHeadResolutionLeavesGroupUntouched(t *testing.T) {
 	p := MustParse(wcProgram)
 	fail := true
-	p.Rule("wc").Head.Loc = flakyLoc{&fail}
+	p.Rule("wc").Head.Loc = flakyLoc(&fail)
 	obs := &recordingObserver{}
 	e := New(p, obs, WithAnalysis(false))
 	e.ScheduleInsert("r1", NewTuple("kv", Str("the"), Int(0)), 0)
@@ -73,16 +70,16 @@ func TestAggregateFailedHeadResolutionLeavesGroupUntouched(t *testing.T) {
 func TestAggregateGroupKeyUnboundSentinel(t *testing.T) {
 	p := MustParse(wcProgram)
 	e := New(p, nil)
-	r := e.rules["wc"]
-	frame := func(env Env) []Value {
+	r := e.compiled.rules["wc"]
+	frame := func(env mapEnv) []Value {
 		f := make([]Value, len(r.vars))
 		for i, name := range r.vars {
 			f[i] = env[name]
 		}
 		return f
 	}
-	bound := string(e.groupKey(nil, r, "r1", frame(Env{"R": Str("r1"), "W": Str("")})))
-	unbound := string(e.groupKey(nil, r, "r1", frame(Env{"R": Str("r1")})))
+	bound := string(e.groupKey(nil, r, "r1", frame(mapEnv{"R": Str("r1"), "W": Str("")})))
+	unbound := string(e.groupKey(nil, r, "r1", frame(mapEnv{"R": Str("r1")})))
 	if bound == unbound {
 		t.Errorf("unbound W collides with W bound to the empty string: %q", bound)
 	}

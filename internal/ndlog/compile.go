@@ -2,51 +2,87 @@ package ndlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Rule compilation. New compiles every rule of the program once, beside the
-// index planner (index.go): each variable gets a slot number, and body
-// atoms, locations, assignments, constraints and the head are rewritten to
-// address slots instead of names. A firing then binds a []Value frame —
-// nil marks an unbound slot — and unwinds it by slot number (join.go); no
-// map is built, grown or cloned per binding. Compiled rules are immutable
-// after New and shared by every fork of the engine.
+// Rule compilation. Every rule of a program is compiled once, the first time
+// an engine is built over the program or a rule's handle is asked for, and
+// cached on the program beside its analysis (Program.compiled): each
+// variable gets a slot number, and body atoms, locations, assignments,
+// constraints, the head and the hand-written inverses are rewritten to
+// address slots instead of names. A binding is a []Value frame — nil marks
+// an unbound slot — bound and unwound by slot number (join.go); no map is
+// built, grown or cloned per binding. Compiled rules are immutable and
+// shared by every engine over the program and every fork of one. What does
+// depend on the engine, the join plans (they exist only WithIndexing), is
+// the engine's own (index.go).
 //
-// Compilation changes how a binding is stored, not what is enumerated: the
-// atom order, the row order, the equality used (Go == on Values) and every
-// error message are those of the map-based surface the DiffProv reasoning
-// engine keeps using (UnifyAtom, ResolveLocation, BindingKey, Expr.Eval).
-// TestJoinDifferential holds the two against each other.
+// The compiled rule is also the DiffProv solver's handle on the rule
+// (CompiledRule, Program.Compiled): it unifies a body atom with a tuple,
+// resolves a location, evaluates a clause, inverts one for an unknown slot
+// (invert.go) and orders two bindings by the argmax tie-break with the very
+// code the engine fires rules with, so there is one definition of rule
+// semantics and nothing to hold a second one equal to.
 
-// compiledRule is a Rule with its variables resolved to frame slots.
-type compiledRule struct {
+// CompiledRule is a rule compiled to slot frames. A frame is a []Value
+// indexed by slot, nil where the variable is unbound (Frame makes one);
+// clauses name the rule's expressions. No method retains a frame.
+type CompiledRule struct {
 	rule *Rule
 	name string // rule.Name
+	idx  int    // the rule's position in its program (the engine's join plans)
 	// vars names the slots; sorted lists the slots in variable-name order,
-	// the order BindingKey encodes a binding in.
+	// the order a binding key encodes a binding in.
 	vars   []string
 	sorted []int
 	body   []slotAtom
-	// assigns[i] computes rule.Assigns[i]; where[i] is rule.Where[i].
+	// assigns[i] computes rule.Assigns[i], where[i] is rule.Where[i],
+	// head[j] is rule.Head.Args[j] and inverses[i] is rule.Inverses[i].
 	assigns  []slotAssign
-	where    []slotExpr
-	headArgs []slotExpr
+	where    []clause
+	head     []clause
 	headLoc  slotLoc
+	inverses []slotAssign
 	// countSlot and argMaxSlot are the slots of CountVar and ArgMax, -1 when
 	// the rule has none. group lists a counting rule's group variables —
 	// every head variable but the count — in name order (groupKey).
 	countSlot  int
 	argMaxSlot int
 	group      []int
-	// plans[delta][atom] is the index body atom probes when the rule fires
-	// at delta, nil for a scan; plans itself is nil with indexing off.
-	plans [][]*indexSpec
 }
+
+// Clause names one expression of a compiled rule.
+type Clause struct {
+	Kind ClauseKind
+	// Atom is the body atom of an ArgClause or LocClause.
+	Atom int
+	// Index is the argument of an ArgClause, or the position of the
+	// assignment, constraint, head argument or inverse among the rule's.
+	Index int
+	// Operand, when positive, narrows the clause to that operand (counted
+	// from 1) of its top-level binary operation or call: constraint repair
+	// reads the side of a violated constraint it does not adjust.
+	Operand int
+}
+
+// ClauseKind says which part of a rule a Clause names.
+type ClauseKind uint8
+
+// The clause kinds.
+const (
+	ArgClause     ClauseKind = iota // argument Index of body atom Atom
+	LocClause                       // the location of body atom Atom
+	AssignClause                    // Rule.Assigns[Index]
+	WhereClause                     // Rule.Where[Index]
+	HeadClause                      // Rule.Head.Args[Index]
+	HeadLocClause                   // Rule.Head.Loc
+	InverseClause                   // Rule.Inverses[Index]
+)
 
 // trigger names one way a tuple fires a rule: as body atom `atom`.
 type trigger struct {
-	rule *compiledRule
+	rule *CompiledRule
 	atom int
 }
 
@@ -110,29 +146,47 @@ func (c slotCall) eval(f []Value) (Value, error) {
 	return fn.apply(ab, args, err)
 }
 
-// slotEnv adapts an Expr type this package does not know (the interface is
-// exported) by handing it its variables in a map.
-type slotEnv struct {
-	e    Expr
-	vars []slotVar
+func (v Var) compile(c *compiler) slotExpr {
+	return slotVar{slot: c.slot(string(v)), name: string(v)}
 }
 
-func (o slotEnv) eval(f []Value) (Value, error) {
-	env := make(Env, len(o.vars))
-	for _, v := range o.vars {
-		if val := f[v.slot]; val != nil {
-			env[v.name] = val
-		}
+func (c Const) compile(*compiler) slotExpr { return slotConst{v: c.V} }
+
+func (b Bin) compile(c *compiler) slotExpr {
+	return slotBin{op: b.Op, l: b.L.compile(c), r: b.R.compile(c)}
+}
+
+func (x Call) compile(c *compiler) slotExpr {
+	args := make([]slotExpr, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = a.compile(c)
 	}
-	return o.e.Eval(env)
+	return slotCall{fn: x.Fn, args: args}
 }
 
-// slotTerm is one argument of a body atom.
+// clause is one compiled expression of a rule: its evaluator, its source
+// (for messages) and its variables by slot, in name order, each once.
+type clause struct {
+	e     slotExpr
+	src   Expr
+	slots []int
+}
+
+// holds evaluates a constraint, requiring a boolean result.
+func (cl *clause) holds(f []Value) (bool, error) {
+	v, err := cl.e.eval(f)
+	if err != nil {
+		return false, err
+	}
+	return constraintResult(cl.src, v)
+}
+
+// slotTerm is what unify reads of a body atom's argument without
+// evaluating it; an expression argument is evaluated as its clause.
 type slotTerm struct {
 	kind termKind
-	slot int      // termVar
-	val  Value    // termConst
-	expr slotExpr // termExpr
+	slot int   // termVar
+	val  Value // termConst
 }
 
 type termKind uint8
@@ -144,13 +198,13 @@ const (
 )
 
 // slotLoc is a location term: absent (the evaluating node), a constant, a
-// variable, or an expression.
+// variable, or an expression. Its clause is the term itself, empty for an
+// absent one.
 type slotLoc struct {
 	kind locKind
 	val  Value // locConst
 	slot int   // locVar
-	expr slotExpr
-	src  Expr // the source term, for error messages
+	clause
 }
 
 type locKind uint8
@@ -163,18 +217,21 @@ const (
 )
 
 // slotAtom is a body atom over a frame. decl is the atom's table as
-// declared when the engine was built, nil for an undeclared one (the join
-// reports it when it reaches the atom).
+// declared when the rule was compiled, nil for an undeclared one (the join
+// reports it when it reaches the atom). exprs[i] is args[i] as a clause.
 type slotAtom struct {
 	table string
 	decl  *TableDecl
 	loc   slotLoc
 	args  []slotTerm
+	exprs []clause
 }
 
+// slotAssign is an assignment or inverse: the slot it binds and the clause
+// computing the value.
 type slotAssign struct {
 	slot int
-	expr slotExpr
+	clause
 }
 
 // compiler assigns slots for one rule.
@@ -193,26 +250,32 @@ func (c *compiler) slot(name string) int {
 	return s
 }
 
-func (c *compiler) expr(e Expr) slotExpr {
-	switch x := e.(type) {
-	case Var:
-		return slotVar{slot: c.slot(string(x)), name: string(x)}
-	case Const:
-		return slotConst{v: x.V}
-	case Bin:
-		return slotBin{op: x.Op, l: c.expr(x.L), r: c.expr(x.R)}
-	case Call:
-		args := make([]slotExpr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = c.expr(a)
+// oneSlot[s] == s: the slot list of a clause that is one variable is a
+// window of it, so compiling a plain variable allocates nothing.
+var oneSlot = func() (a [64]int) {
+	for i := range a {
+		a[i] = i
+	}
+	return a
+}()
+
+// clause compiles e and lists its variables' slots.
+func (c *compiler) clause(e Expr) clause {
+	cl := clause{e: e.compile(c), src: e}
+	switch x := cl.e.(type) {
+	case slotConst:
+	case slotVar:
+		if x.slot < len(oneSlot) {
+			cl.slots = oneSlot[x.slot : x.slot+1 : x.slot+1]
+		} else {
+			cl.slots = []int{x.slot}
 		}
-		return slotCall{fn: x.Fn, args: args}
+	default:
+		for _, v := range FreeVars(e) {
+			cl.slots = append(cl.slots, c.slots[v])
+		}
 	}
-	o := slotEnv{e: e}
-	for _, v := range FreeVars(e) {
-		o.vars = append(o.vars, slotVar{slot: c.slot(v), name: v})
-	}
-	return o
+	return cl
 }
 
 func (c *compiler) loc(e Expr) slotLoc {
@@ -220,45 +283,50 @@ func (c *compiler) loc(e Expr) slotLoc {
 	case nil:
 		return slotLoc{kind: locLocal}
 	case Const:
-		return slotLoc{kind: locConst, val: x.V, src: e}
+		return slotLoc{kind: locConst, val: x.V, clause: c.clause(e)}
 	case Var:
-		return slotLoc{kind: locVar, slot: c.slot(string(x)), src: e}
+		l := slotLoc{kind: locVar, clause: c.clause(e)}
+		l.slot = l.slots[0]
+		return l
 	}
-	return slotLoc{kind: locExpr, expr: c.expr(e), src: e}
+	return slotLoc{kind: locExpr, clause: c.clause(e)}
 }
 
 func (c *compiler) atom(prog *Program, a Atom) slotAtom {
-	out := slotAtom{table: a.Table, decl: prog.Decl(a.Table), loc: c.loc(a.Loc), args: make([]slotTerm, len(a.Args))}
+	out := slotAtom{table: a.Table, decl: prog.Decl(a.Table), loc: c.loc(a.Loc),
+		args: make([]slotTerm, len(a.Args)), exprs: make([]clause, len(a.Args))}
 	for i, arg := range a.Args {
+		out.exprs[i] = c.clause(arg)
 		switch x := arg.(type) {
 		case Var:
-			out.args[i] = slotTerm{kind: termVar, slot: c.slot(string(x))}
+			out.args[i] = slotTerm{kind: termVar, slot: out.exprs[i].slots[0]}
 		case Const:
 			out.args[i] = slotTerm{kind: termConst, val: x.V}
 		default:
-			out.args[i] = slotTerm{kind: termExpr, expr: c.expr(arg)}
+			out.args[i] = slotTerm{kind: termExpr}
 		}
 	}
 	return out
 }
 
 // compileRule resolves the rule's variables to slots, in order of first
-// mention: body, assignments, constraints, head, then the count and argmax
-// variables.
-func compileRule(prog *Program, r *Rule) *compiledRule {
+// mention: body, assignments, constraints, head, the count and argmax
+// variables, then the inverses.
+func compileRule(prog *Program, r *Rule, idx int) *CompiledRule {
 	c := &compiler{slots: map[string]int{}}
-	cr := &compiledRule{rule: r, name: r.Name, countSlot: -1, argMaxSlot: -1}
+	cr := &CompiledRule{rule: r, name: r.Name, idx: idx, countSlot: -1, argMaxSlot: -1}
 	for _, a := range r.Body {
 		cr.body = append(cr.body, c.atom(prog, a))
 	}
 	for _, a := range r.Assigns {
-		cr.assigns = append(cr.assigns, slotAssign{slot: c.slot(a.Var), expr: c.expr(a.Expr)})
+		slot := c.slot(a.Var)
+		cr.assigns = append(cr.assigns, slotAssign{slot: slot, clause: c.clause(a.Expr)})
 	}
 	for _, w := range r.Where {
-		cr.where = append(cr.where, c.expr(w))
+		cr.where = append(cr.where, c.clause(w))
 	}
 	for _, a := range r.Head.Args {
-		cr.headArgs = append(cr.headArgs, c.expr(a))
+		cr.head = append(cr.head, c.clause(a))
 	}
 	cr.headLoc = c.loc(r.Head.Loc)
 	if r.CountVar != "" {
@@ -270,6 +338,10 @@ func compileRule(prog *Program, r *Rule) *compiledRule {
 	if r.ArgMax != "" {
 		cr.argMaxSlot = c.slot(r.ArgMax)
 	}
+	for _, inv := range r.Inverses {
+		slot := c.slot(inv.Var)
+		cr.inverses = append(cr.inverses, slotAssign{slot: slot, clause: c.clause(inv.Expr)})
+	}
 	cr.vars = c.vars
 	cr.sorted = make([]int, len(cr.vars))
 	for i := range cr.sorted {
@@ -279,28 +351,152 @@ func compileRule(prog *Program, r *Rule) *compiledRule {
 	return cr
 }
 
-// compileProgram compiles every rule and builds the trigger table: per
-// body table, the (rule, atom) pairs a tuple of that table fires, in rule
-// definition order.
-func compileProgram(prog *Program) (map[string]*compiledRule, map[string][]trigger) {
-	rules := make(map[string]*compiledRule, len(prog.rules))
-	triggers := map[string][]trigger{}
-	for _, r := range prog.rules {
-		cr := compileRule(prog, r)
-		rules[r.Name] = cr
-		for i, a := range r.Body {
-			triggers[a.Table] = append(triggers[a.Table], trigger{rule: cr, atom: i})
+// compiledProgram is a program's rules compiled: by name, in definition
+// order, and the trigger table — per body table, the (rule, atom) pairs a
+// tuple of that table fires, in rule definition order.
+type compiledProgram struct {
+	rules    map[string]*CompiledRule
+	order    []*CompiledRule
+	triggers map[string][]trigger
+}
+
+func compileProgram(prog *Program) *compiledProgram {
+	cp := &compiledProgram{rules: make(map[string]*CompiledRule, len(prog.rules)), triggers: map[string][]trigger{}}
+	for i, r := range prog.rules {
+		cr := compileRule(prog, r, i)
+		cp.rules[r.Name] = cr
+		cp.order = append(cp.order, cr)
+		for k, a := range r.Body {
+			cp.triggers[a.Table] = append(cp.triggers[a.Table], trigger{rule: cr, atom: k})
 		}
 	}
-	return rules, triggers
+	return cp
+}
+
+// compiled returns the program's compiled rules, compiling them on first
+// use. Declare and AddRule drop the cache; a rule edited in place after the
+// first engine was built is not recompiled (as it is not re-analyzed).
+func (p *Program) compiled() *compiledProgram {
+	if cp := p.compiledRules.Load(); cp != nil {
+		return cp
+	}
+	cp := compileProgram(p)
+	if !p.compiledRules.CompareAndSwap(nil, cp) {
+		return p.compiledRules.Load()
+	}
+	return cp
+}
+
+// Compiled returns the named rule compiled to slot frames, or nil.
+func (p *Program) Compiled(rule string) *CompiledRule {
+	return p.compiled().rules[rule]
+}
+
+// Frame returns a frame for the rule with every slot unbound.
+func (cr *CompiledRule) Frame() []Value { return make([]Value, len(cr.vars)) }
+
+// Slot returns the slot of the named variable, -1 if the rule has none.
+func (cr *CompiledRule) Slot(name string) int { return slices.Index(cr.vars, name) }
+
+// Var returns the name of the variable in a slot.
+func (cr *CompiledRule) Var(slot int) string { return cr.vars[slot] }
+
+// Unify unifies body atom k with the tuple t on node, binding the atom's
+// unbound variables in f. It returns false on a mismatch, when f may be
+// left partially extended — copy the frame first if that matters.
+func (cr *CompiledRule) Unify(k int, f []Value, node string, t Tuple) bool {
+	return cr.body[k].unify(f, nil, node, nil, t)
+}
+
+// Locate resolves a location clause (LocClause or HeadLocClause) under f:
+// the node, and whether f determines it. An absent location is evalNode.
+func (cr *CompiledRule) Locate(c Clause, evalNode string, f []Value) (string, bool, error) {
+	l := &cr.headLoc
+	if c.Kind == LocClause {
+		l = &cr.body[c.Atom].loc
+	}
+	return l.resolve(evalNode, f)
+}
+
+// Eval evaluates a clause under f.
+func (cr *CompiledRule) Eval(c Clause, f []Value) (Value, error) {
+	e := cr.clause(c).e
+	if c.Operand > 0 {
+		switch x := e.(type) {
+		case slotBin:
+			e = x.l
+			if c.Operand == 2 {
+				e = x.r
+			}
+		case slotCall:
+			e = x.args[c.Operand-1]
+		}
+	}
+	return e.eval(f)
+}
+
+// Holds evaluates a constraint clause under f, requiring a boolean result.
+func (cr *CompiledRule) Holds(c Clause, f []Value) (bool, error) {
+	return cr.clause(c).holds(f)
+}
+
+// Bound reports whether f binds every variable of the clause.
+func (cr *CompiledRule) Bound(c Clause, f []Value) bool {
+	for _, s := range cr.clause(c).slots {
+		if f[s] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// Slots lists the clause's variables by slot, in name order, each once.
+// The slice is shared and must not be modified.
+func (cr *CompiledRule) Slots(c Clause) []int { return cr.clause(c).slots }
+
+// Target returns the slot an AssignClause or InverseClause binds.
+func (cr *CompiledRule) Target(c Clause) int {
+	if c.Kind == InverseClause {
+		return cr.inverses[c.Index].slot
+	}
+	return cr.assigns[c.Index].slot
+}
+
+// Beats reports whether binding a wins the rule's argmax over binding b: a
+// larger argmax variable, or an equal one and the smaller canonical binding
+// key. It is the engine's tie-break, so a prediction picks the winner a
+// replay will.
+func (cr *CompiledRule) Beats(a, b []Value) bool {
+	av, bv := a[cr.argMaxSlot], b[cr.argMaxSlot]
+	return Less(bv, av) || (!Less(av, bv) && cr.bindingKeyLess(a, b))
+}
+
+func (cr *CompiledRule) clause(c Clause) *clause {
+	switch c.Kind {
+	case ArgClause:
+		return &cr.body[c.Atom].exprs[c.Index]
+	case LocClause:
+		return &cr.body[c.Atom].loc.clause
+	case AssignClause:
+		return &cr.assigns[c.Index].clause
+	case WhereClause:
+		return &cr.where[c.Index]
+	case HeadClause:
+		return &cr.head[c.Index]
+	case HeadLocClause:
+		return &cr.headLoc.clause
+	case InverseClause:
+		return &cr.inverses[c.Index].clause
+	}
+	panic(fmt.Sprintf("ndlog: clause kind %d", c.Kind))
 }
 
 // evalHead evaluates the rule's head arguments under a frame; the tuple's
 // args are a fresh window of the engine's arena, the engine's own.
-func (cr *compiledRule) evalHead(a *arena, f []Value) (Tuple, error) {
-	args := a.args.take(len(cr.headArgs), 0)
-	for i, expr := range cr.headArgs {
-		v, err := expr.eval(f)
+func (cr *CompiledRule) evalHead(a *arena, f []Value) (Tuple, error) {
+	args := a.args.take(len(cr.head), 0)
+	for i := range cr.head {
+		v, err := cr.head[i].e.eval(f)
 		if err != nil {
 			return Tuple{}, err
 		}
@@ -310,7 +506,7 @@ func (cr *compiledRule) evalHead(a *arena, f []Value) (Tuple, error) {
 }
 
 // resolve resolves a location term under a frame: the node name and whether
-// the frame determines it (ResolveLocation over slots).
+// the frame determines it.
 func (l *slotLoc) resolve(evalNode string, f []Value) (string, bool, error) {
 	switch l.kind {
 	case locLocal:
@@ -332,7 +528,7 @@ func (l *slotLoc) resolve(evalNode string, f []Value) (string, bool, error) {
 		}
 		return string(s), true, nil
 	}
-	v, err := l.expr.eval(f)
+	v, err := l.e.eval(f)
 	if err != nil {
 		return "", false, err
 	}
@@ -365,16 +561,15 @@ func (a *slotAtom) quickMatch(f []Value, t Tuple) bool {
 	return true
 }
 
-// unify unifies the atom with a tuple on a node (UnifyAtom over slots),
-// binding unbound variables through the scratch so the caller can unbind
-// them again; on a mismatch the frame may be left partially extended. loc
-// is Str(nodeName) already boxed (the engine keeps one per node), or nil to
-// box it if a location variable gets bound.
-func (a *slotAtom) unify(j *joinScratch, nodeName string, loc Value, t Tuple) bool {
+// unify unifies the atom with a tuple on a node, binding unbound variables
+// in f — and, when trail is not nil, recording their slots on it so the
+// caller can unbind them again; on a mismatch the frame may be left
+// partially extended. loc is Str(nodeName) already boxed (the engine keeps
+// one per node), or nil to box it if a location variable gets bound.
+func (a *slotAtom) unify(f []Value, trail *[]int, nodeName string, loc Value, t Tuple) bool {
 	if a.table != t.Table || len(a.args) != len(t.Args) {
 		return false
 	}
-	f := j.frame
 	switch a.loc.kind {
 	case locVar:
 		if v := f[a.loc.slot]; v != nil {
@@ -385,14 +580,14 @@ func (a *slotAtom) unify(j *joinScratch, nodeName string, loc Value, t Tuple) bo
 			if loc == nil {
 				loc = Str(nodeName)
 			}
-			j.bind(a.loc.slot, loc)
+			bindSlot(f, trail, a.loc.slot, loc)
 		}
 	case locConst:
 		if a.loc.val != Str(nodeName) {
 			return false
 		}
 	case locExpr:
-		if v, err := a.loc.expr.eval(f); err != nil || v != Str(nodeName) {
+		if v, err := a.loc.e.eval(f); err != nil || v != Str(nodeName) {
 			return false
 		}
 	}
@@ -404,19 +599,27 @@ func (a *slotAtom) unify(j *joinScratch, nodeName string, loc Value, t Tuple) bo
 					return false
 				}
 			} else {
-				j.bind(arg.slot, t.Args[i])
+				bindSlot(f, trail, arg.slot, t.Args[i])
 			}
 		case termConst:
 			if arg.val != t.Args[i] {
 				return false
 			}
 		default:
-			if v, err := arg.expr.eval(f); err != nil || v != t.Args[i] {
+			if v, err := a.exprs[i].e.eval(f); err != nil || v != t.Args[i] {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// bindSlot binds a slot of f, recording it on trail when there is one.
+func bindSlot(f []Value, trail *[]int, slot int, v Value) {
+	f[slot] = v
+	if trail != nil {
+		*trail = append(*trail, slot)
+	}
 }
 
 // probeHash hashes the values the frame holds for the atom's indexed
@@ -440,9 +643,9 @@ func (a *slotAtom) probeHash(spec *indexSpec, f []Value) (uint64, bool) {
 	return h & bucketMask, true
 }
 
-// appendBindingKey appends BindingKey's encoding of the frame's bound
+// appendBindingKey appends the canonical encoding of the frame's bound
 // variables: name=value; in name order.
-func (cr *compiledRule) appendBindingKey(b []byte, f []Value) []byte {
+func (cr *CompiledRule) appendBindingKey(b []byte, f []Value) []byte {
 	for _, s := range cr.sorted {
 		if v := f[s]; v != nil {
 			b = append(b, cr.vars[s]...)
@@ -454,8 +657,8 @@ func (cr *compiledRule) appendBindingKey(b []byte, f []Value) []byte {
 	return b
 }
 
-// bindingKey is BindingKey of the frame's bound variables.
-func (cr *compiledRule) bindingKey(f []Value) string {
+// bindingKey is the canonical key of the frame's bound variables.
+func (cr *CompiledRule) bindingKey(f []Value) string {
 	kb := getKeyBuf()
 	b := cr.appendBindingKey(kb.b[:0], f)
 	s := string(b)
@@ -465,7 +668,7 @@ func (cr *compiledRule) bindingKey(f []Value) string {
 
 // bindingKeyLess reports bindingKey(a) < bindingKey(b) without building
 // either string.
-func (cr *compiledRule) bindingKeyLess(a, b []Value) bool {
+func (cr *CompiledRule) bindingKeyLess(a, b []Value) bool {
 	ka, kb := getKeyBuf(), getKeyBuf()
 	ba, bb := cr.appendBindingKey(ka.b[:0], a), cr.appendBindingKey(kb.b[:0], b)
 	less := string(ba) < string(bb)

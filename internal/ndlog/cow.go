@@ -108,9 +108,8 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		deriveLimit:     e.deriveLimit,
 		stats:           e.stats,
 		indexing:        e.indexing,
-		rules:           e.rules,
-		triggers:        e.triggers,
-		tableSpecs:      e.tableSpecs,
+		compiled:        e.compiled,
+		plans:           e.plans,
 		analysis:        e.analysis,
 		analysisDiags:   e.analysisDiags,
 		analysisErr:     e.analysisErr,

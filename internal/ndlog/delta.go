@@ -167,7 +167,7 @@ func (e *Engine) cfMarkDirty(tb *table) {
 // present from its original appearance on, so occurrences past it fired
 // with the row in the base run already.
 func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
-	for _, ref := range e.triggers[rw.tuple.Table] {
+	for _, ref := range e.compiled.triggers[rw.tuple.Table] {
 		r := ref.rule
 		if r.countSlot >= 0 {
 			continue // aggregate bodies are single event atoms; a state row never matches
@@ -194,7 +194,7 @@ func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
 // order) with stamps after s — and, when until is non-zero, before until
 // — firing rule r for each with the counterfactual row pinned at atom p.
 // Argmax rules re-evaluate the full trigger instead of a pinned fire.
-func (e *Engine) refireAtomOccurrences(r *compiledRule, p int, pinNode string, pin *row, q int, s, until Stamp) error {
+func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, pin *row, q int, s, until Stamp) error {
 	atom := &r.body[q]
 	decl := atom.decl
 	if decl == nil {
@@ -255,7 +255,7 @@ func (e *Engine) refireAtomOccurrences(r *compiledRule, p int, pinNode string, p
 // refireAt fires rule r once for a single re-enumerated trigger
 // occurrence: a pinned fire for plain rules, a full trigger
 // re-evaluation for argmax rules.
-func (e *Engine) refireAt(r *compiledRule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, key string, st Stamp) error {
+func (e *Engine) refireAt(r *CompiledRule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, key string, st Stamp) error {
 	if r.argMaxSlot >= 0 {
 		cause := keyedAt(pinNode, pin.tuple, pin.key, pin.appearedAt)
 		return e.reevalArgMax(r, q, nodeName, delta, key, st, cause)
@@ -444,7 +444,7 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 			// firings and still stand. Ungated erasure needs nothing
 			// either: events only join as triggers, so the erased
 			// occurrence was the consumer's trigger and never happened.)
-			if r := e.rules[c.rule]; r != nil && r.argMaxSlot >= 0 {
+			if r := e.compiled.rules[c.rule]; r != nil && r.argMaxSlot >= 0 {
 				trig := c.body[c.trigAtom]
 				e.cfReevals = append(e.cfReevals, cfReeval{
 					rule: r, atom: c.trigAtom, node: trig.Node,
@@ -488,7 +488,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 		Cause:    cause,
 	})
 	// count() groups the occurrence contributed to shrink by one.
-	for _, ref := range e.triggers[occ.Tuple.Table] {
+	for _, ref := range e.compiled.triggers[occ.Tuple.Table] {
 		if ref.rule.countSlot >= 0 {
 			e.cfAggregateErase(ref.rule, occ, st)
 		}
@@ -534,7 +534,7 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 // stepped down by one (aggregateStep). Invariant breaks (the group is
 // empty, the head fails to evaluate or to appear) count as
 // AggRetractMisses, which the differential suites assert stay zero.
-func (e *Engine) cfAggregateErase(r *compiledRule, occ KeyedAt, st Stamp) {
+func (e *Engine) cfAggregateErase(r *CompiledRule, occ KeyedAt, st Stamp) {
 	sat, mark, err := e.satBindings(r, 0, occ.Node, occ.Tuple, occ.Key, occ.Stamp)
 	defer e.join.release(mark)
 	if err == nil && len(sat) == 0 {
@@ -596,7 +596,7 @@ func (e *Engine) amSet(key amTrigger, v *amEntry) {
 // derive just queued for its head. A trigger is the element carrying its
 // binding's max stamp (rules fire in processing order), so fireRule and
 // reevalArgMax key the entry by the delta that fired the rule.
-func (e *Engine) amEntryFor(r *compiledRule, win binding, it *workItem) *amEntry {
+func (e *Engine) amEntryFor(r *CompiledRule, win binding, it *workItem) *amEntry {
 	ent := &amEntry{bk: r.bindingKey(win.frame), ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID}}
 	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
 		// Event heads have no row to retract; record the occurrence so a
@@ -612,7 +612,7 @@ func (e *Engine) amEntryFor(r *compiledRule, win binding, it *workItem) *amEntry
 // counterfactual retraction removes an argmax winner whose trigger fired
 // after the retraction point.
 type cfReeval struct {
-	rule  *compiledRule
+	rule  *CompiledRule
 	atom  int
 	node  string
 	tuple Tuple
@@ -633,7 +633,7 @@ func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 	if sup.rule == "" {
 		return
 	}
-	r := e.rules[sup.rule]
+	r := e.compiled.rules[sup.rule]
 	if r == nil || r.argMaxSlot < 0 {
 		return
 	}
@@ -764,7 +764,7 @@ func (e *Engine) drainCFReevals() error {
 // rows the change set killed excluded. If the winner differs from the one
 // the trigger currently supports, the old head is retracted (cascading)
 // and the new winner derived. Idempotent: an unchanged winner is a no-op.
-func (e *Engine) reevalArgMax(r *compiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
+func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
 	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.isKilledOcc(st.Seq) {
 		return nil // the trigger occurrence was erased after this re-eval was queued
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -161,17 +160,16 @@ type Engine struct {
 	// non-terminating models (e.g. forwarding loops).
 	deriveLimit int
 	stats       Stats
-	// rules holds the program's rules compiled to slot frames (compile.go),
-	// by name, and triggers the (rule, atom) pairs each table's tuples fire.
-	// Both are built once by New — rules added to the program later are not
-	// evaluated — and shared, immutable, with every fork.
-	rules    map[string]*compiledRule
-	triggers map[string][]trigger
+	// compiled holds the program's rules compiled to slot frames
+	// (compile.go) and the (rule, atom) pairs each table's tuples fire, as
+	// the program cached them when New ran — rules added to the program
+	// later are not evaluated — shared, immutable, with every fork.
+	compiled *compiledProgram
 	// indexing enables secondary hash indexes for body-atom joins (see
-	// index.go): join plans on the compiled rules, and tableSpecs, the
-	// indexes each table carries.
-	tableSpecs map[string][]*indexSpec
-	indexing   bool
+	// index.go); plans are the join plans and table indexes it chose, nil
+	// with indexing off.
+	plans    *joinPlans
+	indexing bool
 	// analysis enables the static program analysis in New (default on);
 	// analysisDiags holds its result and analysisErr the first
 	// Error-severity diagnostic, which makes Run refuse the program.
@@ -282,7 +280,7 @@ type table struct {
 	hist   map[string][]Interval
 	keyIdx map[string]*row // primary-key index, for tables with key columns
 	// indexes holds the secondary hash indexes planned for this table, in
-	// tableSpecs order (indexSpec.pos); buckets mirror order (see index.go).
+	// the plans' order (indexSpec.pos); buckets mirror order (see index.go).
 	indexes []*tableIndex
 	// sealed marks the table frozen (shared between a sealed engine and
 	// its CoW forks); writableTable clones it on first write. histBase,
@@ -485,9 +483,9 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		e.analysisDiags = prog.Analyze()
 		e.analysisErr = firstError(e.analysisDiags)
 	}
-	e.rules, e.triggers = compileProgram(prog)
+	e.compiled = prog.compiled()
 	if e.indexing {
-		e.tableSpecs = buildJoinPlans(prog, e.rules)
+		e.plans = buildJoinPlans(prog, e.compiled)
 	}
 	return e
 }
@@ -527,7 +525,7 @@ func (e *Engine) tableFor(n *node, decl *TableDecl) *table {
 		// Attach the planned secondary indexes up front: the table is
 		// empty here, so incremental maintenance in appear suffices and
 		// query-time reads never have to build (or lock) anything.
-		for _, spec := range e.tableSpecs[decl.Name] {
+		for _, spec := range e.plans.forTable(decl.Name) {
 			t.indexes = append(t.indexes, &tableIndex{spec: spec, buckets: map[uint64][]*row{}})
 		}
 		n.tables[decl.Name] = t
@@ -1049,7 +1047,7 @@ func (e *Engine) dropSupport(nodeName string, n *node, tb *table, key string, de
 // trigger fires every rule that has a body atom over the delta tuple's
 // table, with the delta (key is its Key()) bound at that atom.
 func (e *Engine) trigger(nodeName string, delta Tuple, key string, st Stamp) error {
-	for _, ref := range e.triggers[delta.Table] {
+	for _, ref := range e.compiled.triggers[delta.Table] {
 		if err := e.fireRule(ref.rule, ref.atom, nodeName, delta, key, st); err != nil {
 			return err
 		}
@@ -1060,7 +1058,7 @@ func (e *Engine) trigger(nodeName string, delta Tuple, key string, st Stamp) err
 // fireRule evaluates one rule with the delta tuple bound at body atom
 // deltaAtom, deriving head tuples for every satisfying binding (or only
 // the argmax-winning binding).
-func (e *Engine) fireRule(r *compiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp) error {
+func (e *Engine) fireRule(r *CompiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp) error {
 	sat, mark, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
 	for i := 0; err == nil && i < len(sat); i++ {
 		err = e.fireBinding(r, deltaAtom, nodeName, sat[i], st)
@@ -1070,7 +1068,7 @@ func (e *Engine) fireRule(r *compiledRule, deltaAtom int, nodeName string, delta
 }
 
 // fireBinding derives the head of one satisfying binding.
-func (e *Engine) fireBinding(r *compiledRule, deltaAtom int, nodeName string, b binding, st Stamp) error {
+func (e *Engine) fireBinding(r *CompiledRule, deltaAtom int, nodeName string, b binding, st Stamp) error {
 	if r.countSlot >= 0 {
 		return e.aggregateStep(r, nodeName, b, st, +1)
 	}
@@ -1086,29 +1084,6 @@ func (e *Engine) fireBinding(r *compiledRule, deltaAtom int, nodeName string, b 
 	return nil
 }
 
-// BindingKey canonically encodes a variable binding; the engine breaks
-// argmax ties by comparing these keys, and the DiffProv reasoning engine
-// uses the same encoding to predict argmax outcomes.
-func BindingKey(env Env) string {
-	var buf [16]string // keeps the names off the heap for all but the widest rules
-	keys := buf[:0]
-	for k := range env {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	kb := getKeyBuf()
-	out := kb.b[:0]
-	for _, k := range keys {
-		out = append(out, k...)
-		out = append(out, '=')
-		out = env[k].appendKey(out)
-		out = append(out, ';')
-	}
-	s := string(out)
-	putKeyBuf(kb, out)
-	return s
-}
-
 // delivery is what derive allocates to deliver a head: the work item and
 // the derivation it carries, as one block, neither of which is kept once the
 // head has arrived — which is why it is a heap object and not a slot of the
@@ -1120,7 +1095,7 @@ type delivery struct {
 
 // derive produces the rule head for a satisfying binding and returns the
 // work item that will deliver it (destination, head tuple, delivery stamp).
-func (e *Engine) derive(r *compiledRule, evalNode string, b binding, deltaAtom int, st Stamp) (*workItem, error) {
+func (e *Engine) derive(r *CompiledRule, evalNode string, b binding, deltaAtom int, st Stamp) (*workItem, error) {
 	head, err := r.evalHead(&e.arena, b.frame)
 	if err != nil {
 		return nil, fmt.Errorf("ndlog: rule %s head: %v", r.name, err)
@@ -1258,96 +1233,6 @@ func (e *Engine) TuplesAt(nodeName, tableName string, at Stamp) []Tuple {
 		out = append(out, r.tuple)
 	}
 	return out
-}
-
-// UnifyAtom unifies a body atom against a concrete tuple located on a
-// node, extending env in place; it returns false on mismatch (env may be
-// partially extended — clone before calling if that matters). Exported
-// for the DiffProv reasoning engine, which re-binds rules against
-// provenance vertexes; the engine itself unifies compiled atoms over
-// frames (compile.go), with the same equality.
-func UnifyAtom(atom Atom, nodeName string, t Tuple, env Env) bool {
-	if atom.Table != t.Table || len(atom.Args) != len(t.Args) {
-		return false
-	}
-	if atom.Loc != nil {
-		switch l := atom.Loc.(type) {
-		case Var:
-			if v, ok := env[string(l)]; ok {
-				if v != Str(nodeName) {
-					return false
-				}
-			} else {
-				env[string(l)] = Str(nodeName)
-			}
-		case Const:
-			if l.V != Str(nodeName) {
-				return false
-			}
-		default:
-			v, err := atom.Loc.Eval(env)
-			if err != nil || v != Str(nodeName) {
-				return false
-			}
-		}
-	}
-	for i, arg := range atom.Args {
-		switch a := arg.(type) {
-		case Var:
-			if v, ok := env[string(a)]; ok {
-				if v != t.Args[i] {
-					return false
-				}
-			} else {
-				env[string(a)] = t.Args[i]
-			}
-		case Const:
-			if a.V != t.Args[i] {
-				return false
-			}
-		default:
-			v, err := arg.Eval(env)
-			if err != nil || v != t.Args[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// ResolveLocation resolves a location term under an environment,
-// reporting the node name and whether it is determined.
-func ResolveLocation(loc Expr, evalNode string, env Env) (string, bool, error) {
-	if loc == nil {
-		return evalNode, true, nil
-	}
-	switch l := loc.(type) {
-	case Const:
-		s, ok := l.V.(Str)
-		if !ok {
-			return "", false, fmt.Errorf("location constant %s is not a node name", l.V)
-		}
-		return string(s), true, nil
-	case Var:
-		if v, ok := env[string(l)]; ok {
-			s, ok := v.(Str)
-			if !ok {
-				return "", false, fmt.Errorf("location variable %s bound to non-node %s", string(l), v)
-			}
-			return string(s), true, nil
-		}
-		return "", false, nil
-	default:
-		v, err := loc.Eval(env)
-		if err != nil {
-			return "", false, err
-		}
-		s, ok := v.(Str)
-		if !ok {
-			return "", false, fmt.Errorf("location expression %s is not a node name", loc)
-		}
-		return string(s), true, nil
-	}
 }
 
 // LiveTuples returns the live tuples of a table on a node in appearance

@@ -6,68 +6,33 @@ import (
 	"strings"
 )
 
-// Env binds variable names to values during rule evaluation and taint
-// formula evaluation.
-type Env map[string]Value
-
-// Clone returns a copy of the environment.
-func (e Env) Clone() Env {
-	c := make(Env, len(e))
-	for k, v := range e {
-		c[k] = v
-	}
-	return c
-}
-
 // Expr is an expression over tuple fields: a variable, a constant, a binary
 // operation, or a call to a registered builtin function. Expressions appear
-// in rule heads, constraints, assignments — and double as the taint
-// formulas of the DiffProv algorithm (formulas over seed fields).
+// in rule heads, constraints, assignments and inverses. The set is closed:
+// an expression is evaluated only once its rule is compiled to slot frames
+// (compile.go), and each of the four types compiles itself.
 type Expr interface {
-	// Eval evaluates the expression under the environment.
-	Eval(env Env) (Value, error)
 	// Vars appends the free variables of the expression to dst.
 	Vars(dst []string) []string
 	// String renders NDlog source syntax.
 	String() string
-	// Subst substitutes variables with the given expressions, leaving
-	// unmapped variables in place; used for taint formula composition.
-	Subst(m map[string]Expr) Expr
+	// compile rewrites the expression over the compiler's slots.
+	compile(c *compiler) slotExpr
 }
 
 // Var is a variable reference.
 type Var string
-
-// Eval implements Expr.
-func (v Var) Eval(env Env) (Value, error) {
-	val, ok := env[string(v)]
-	if !ok {
-		return nil, fmt.Errorf("ndlog: unbound variable %s", string(v))
-	}
-	return val, nil
-}
 
 // Vars implements Expr.
 func (v Var) Vars(dst []string) []string { return append(dst, string(v)) }
 
 func (v Var) String() string { return string(v) }
 
-// Subst implements Expr.
-func (v Var) Subst(m map[string]Expr) Expr {
-	if e, ok := m[string(v)]; ok {
-		return e
-	}
-	return v
-}
-
 // Const is a literal constant.
 type Const struct{ V Value }
 
 // C wraps a Value as a constant expression.
 func C(v Value) Const { return Const{V: v} }
-
-// Eval implements Expr.
-func (c Const) Eval(Env) (Value, error) { return c.V, nil }
 
 // Vars implements Expr.
 func (c Const) Vars(dst []string) []string { return dst }
@@ -78,9 +43,6 @@ func (c Const) String() string {
 	}
 	return c.V.String()
 }
-
-// Subst implements Expr.
-func (c Const) Subst(map[string]Expr) Expr { return c }
 
 // BinOp enumerates binary operators.
 type BinOp uint8
@@ -129,19 +91,6 @@ type Bin struct {
 
 // B builds a binary expression.
 func B(op BinOp, l, r Expr) Bin { return Bin{Op: op, L: l, R: r} }
-
-// Eval implements Expr.
-func (b Bin) Eval(env Env) (Value, error) {
-	l, err := b.L.Eval(env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := b.R.Eval(env)
-	if err != nil {
-		return nil, err
-	}
-	return applyBin(b.Op, l, r)
-}
 
 func applyBin(op BinOp, l, r Value) (Value, error) {
 	switch op {
@@ -237,33 +186,10 @@ func (b Bin) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R)
 }
 
-// Subst implements Expr.
-func (b Bin) Subst(m map[string]Expr) Expr {
-	return Bin{Op: b.Op, L: b.L.Subst(m), R: b.R.Subst(m)}
-}
-
 // Call invokes a registered builtin function.
 type Call struct {
 	Fn   string
 	Args []Expr
-}
-
-// Eval implements Expr.
-func (c Call) Eval(env Env) (Value, error) {
-	fn, err := lookupBuiltin(c.Fn, len(c.Args))
-	if err != nil {
-		return nil, err
-	}
-	ab := argBufPool.Get().(*argBuf)
-	args := ab.v[:0]
-	for _, a := range c.Args {
-		var v Value
-		if v, err = a.Eval(env); err != nil {
-			break
-		}
-		args = append(args, v)
-	}
-	return fn.apply(ab, args, err)
 }
 
 // lookupBuiltin finds the builtin a call names and checks the call's
@@ -311,15 +237,6 @@ func (c Call) String() string {
 	return fmt.Sprintf("%s(%s)", c.Fn, strings.Join(parts, ", "))
 }
 
-// Subst implements Expr.
-func (c Call) Subst(m map[string]Expr) Expr {
-	args := make([]Expr, len(c.Args))
-	for i, a := range c.Args {
-		args[i] = a.Subst(m)
-	}
-	return Call{Fn: c.Fn, Args: args}
-}
-
 // FreeVars returns the sorted, deduplicated free variables of an expression.
 func FreeVars(e Expr) []string {
 	vs := e.Vars(nil)
@@ -331,43 +248,6 @@ func FreeVars(e Expr) []string {
 		}
 	}
 	return out
-}
-
-// Bound reports whether env binds every variable of the expression, without
-// listing them (FreeVars allocates; the solver asks this of every
-// assignment and constraint on every pass).
-func Bound(e Expr, env Env) bool {
-	switch x := e.(type) {
-	case Var:
-		_, ok := env[string(x)]
-		return ok
-	case Const:
-		return true
-	case Bin:
-		return Bound(x.L, env) && Bound(x.R, env)
-	case Call:
-		for _, a := range x.Args {
-			if !Bound(a, env) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, v := range e.Vars(nil) {
-		if _, ok := env[v]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// EvalBool evaluates a constraint expression, requiring a boolean result.
-func EvalBool(e Expr, env Env) (bool, error) {
-	v, err := e.Eval(env)
-	if err != nil {
-		return false, err
-	}
-	return constraintResult(e, v)
 }
 
 // constraintResult reads the value constraint e evaluated to as a boolean.

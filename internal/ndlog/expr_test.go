@@ -3,12 +3,48 @@ package ndlog
 import (
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// compileExpr compiles e as a rule's clause would be and returns the clause
+// with a frame binding vars. unknown, when not empty, gets a slot even if e
+// does not mention it; its slot is returned.
+func compileExpr(e Expr, vars mapEnv, unknown string) (clause, []Value, int) {
+	c := &compiler{slots: map[string]int{}}
+	cl := c.clause(e)
+	slot := -1
+	if unknown != "" {
+		slot = c.slot(unknown)
+	}
+	f := make([]Value, len(c.vars))
+	for name, v := range vars {
+		if s, ok := c.slots[name]; ok {
+			f[s] = v
+		}
+	}
+	return cl, f, slot
+}
+
+// evalIn evaluates e compiled, with the named variables bound.
+func evalIn(e Expr, vars mapEnv) (Value, error) {
+	cl, f, _ := compileExpr(e, vars, "")
+	return cl.e.eval(f)
+}
+
+// invertIn inverts e compiled for the unknown variable, the others bound as
+// vars binds them; checked forward-checks the candidates as Invert does.
+func invertIn(e Expr, out Value, unknown string, vars mapEnv, checked bool) ([]Value, error) {
+	cl, f, slot := compileExpr(e, vars, unknown)
+	if checked {
+		return invertChecked(cl.e, f, out, slot)
+	}
+	return invert(cl.e, f, out, slot)
+}
+
 func TestBinArithmetic(t *testing.T) {
-	env := Env{"X": Int(10), "Y": Int(3)}
+	env := mapEnv{"X": Int(10), "Y": Int(3)}
 	tests := []struct {
 		expr Expr
 		want Value
@@ -31,7 +67,7 @@ func TestBinArithmetic(t *testing.T) {
 		{B(OpGe, Var("Y"), Var("X")), Bool(false)},
 	}
 	for _, tc := range tests {
-		got, err := tc.expr.Eval(env)
+		got, err := evalIn(tc.expr, env)
 		if err != nil {
 			t.Errorf("%s: %v", tc.expr, err)
 			continue
@@ -43,7 +79,7 @@ func TestBinArithmetic(t *testing.T) {
 }
 
 func TestModIsNonNegative(t *testing.T) {
-	got, err := B(OpMod, C(Int(-7)), C(Int(3))).Eval(nil)
+	got, err := evalIn(B(OpMod, C(Int(-7)), C(Int(3))), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,36 +89,36 @@ func TestModIsNonNegative(t *testing.T) {
 }
 
 func TestDivByZero(t *testing.T) {
-	if _, err := B(OpDiv, C(Int(1)), C(Int(0))).Eval(nil); err == nil {
+	if _, err := evalIn(B(OpDiv, C(Int(1)), C(Int(0))), nil); err == nil {
 		t.Error("division by zero must error")
 	}
-	if _, err := B(OpMod, C(Int(1)), C(Int(0))).Eval(nil); err == nil {
+	if _, err := evalIn(B(OpMod, C(Int(1)), C(Int(0))), nil); err == nil {
 		t.Error("modulo by zero must error")
 	}
 }
 
 func TestConcat(t *testing.T) {
-	got, err := B(OpConcat, C(Str("foo")), C(Str("bar"))).Eval(nil)
+	got, err := evalIn(B(OpConcat, C(Str("foo")), C(Str("bar"))), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != Str("foobar") {
 		t.Errorf("concat = %v", got)
 	}
-	if _, err := B(OpConcat, C(Int(1)), C(Str("x"))).Eval(nil); err == nil {
+	if _, err := evalIn(B(OpConcat, C(Int(1)), C(Str("x"))), nil); err == nil {
 		t.Error("concat of int must error")
 	}
 }
 
 func TestUnboundVariable(t *testing.T) {
-	if _, err := Var("Z").Eval(Env{}); err == nil {
+	if _, err := evalIn(Var("Z"), nil); err == nil {
 		t.Error("unbound variable must error")
 	}
 }
 
 func TestIPMaskArithmetic(t *testing.T) {
 	ip := MustParseIP("1.2.3.4")
-	got, err := B(OpAnd, C(ip), C(Int(0xFF))).Eval(nil)
+	got, err := evalIn(B(OpAnd, C(ip), C(Int(0xFF))), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +128,7 @@ func TestIPMaskArithmetic(t *testing.T) {
 }
 
 func TestCallBuiltins(t *testing.T) {
-	env := Env{
+	env := mapEnv{
 		"Hdr": MustParseIP("4.3.3.1"),
 		"P23": MustParsePrefix("4.3.2.0/23"),
 		"P24": MustParsePrefix("4.3.2.0/24"),
@@ -112,7 +148,7 @@ func TestCallBuiltins(t *testing.T) {
 		{"max2", Call{Fn: "max2", Args: []Expr{C(Int(3)), C(Int(5))}}, Int(5)},
 	}
 	for _, tc := range tests {
-		got, err := tc.e.Eval(env)
+		got, err := evalIn(tc.e, env)
 		if err != nil {
 			t.Errorf("%s: %v", tc.expr, err)
 			continue
@@ -124,13 +160,13 @@ func TestCallBuiltins(t *testing.T) {
 }
 
 func TestCallErrors(t *testing.T) {
-	if _, err := (Call{Fn: "nosuch"}).Eval(nil); err == nil {
+	if _, err := evalIn(Call{Fn: "nosuch"}, nil); err == nil {
 		t.Error("unknown function must error")
 	}
-	if _, err := (Call{Fn: "matches", Args: []Expr{C(Int(1))}}).Eval(nil); err == nil {
+	if _, err := evalIn(Call{Fn: "matches", Args: []Expr{C(Int(1))}}, nil); err == nil {
 		t.Error("wrong arity must error")
 	}
-	if _, err := (Call{Fn: "matches", Args: []Expr{C(Int(1)), C(Int(2))}}).Eval(nil); err == nil {
+	if _, err := evalIn(Call{Fn: "matches", Args: []Expr{C(Int(1)), C(Int(2))}}, nil); err == nil {
 		t.Error("wrong kinds must error")
 	}
 }
@@ -162,7 +198,7 @@ func TestHashDeterministic(t *testing.T) {
 
 func TestHashmod(t *testing.T) {
 	e := Call{Fn: "hashmod", Args: []Expr{C(Str("word")), C(Int(4))}}
-	v, err := e.Eval(nil)
+	v, err := evalIn(e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,32 +206,28 @@ func TestHashmod(t *testing.T) {
 	if n < 0 || n >= 4 {
 		t.Errorf("hashmod out of range: %v", n)
 	}
-	if _, err := (Call{Fn: "hashmod", Args: []Expr{C(Str("w")), C(Int(0))}}).Eval(nil); err == nil {
+	if _, err := evalIn(Call{Fn: "hashmod", Args: []Expr{C(Str("w")), C(Int(0))}}, nil); err == nil {
 		t.Error("hashmod with n=0 must error")
 	}
 }
 
+// TestSubstComposition: a composed taint formula — f(X) = X + 1 with
+// X = 2*Y — is one nested expression, and evaluates as one.
 func TestSubstComposition(t *testing.T) {
-	// f(X) = X + 1 composed with X -> 2*Y gives 2*Y + 1.
-	f := B(OpAdd, Var("X"), C(Int(1)))
-	g := f.Subst(map[string]Expr{"X": B(OpMul, C(Int(2)), Var("Y"))})
-	got, err := g.Eval(Env{"Y": Int(5)})
+	g := B(OpAdd, B(OpMul, C(Int(2)), Var("Y")), C(Int(1)))
+	got, err := evalIn(g, mapEnv{"Y": Int(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != Int(11) {
 		t.Errorf("composed formula = %v, want 11", got)
 	}
-	// Original must be unchanged.
-	orig, _ := f.Eval(Env{"X": Int(1)})
-	if orig != Int(2) {
-		t.Error("Subst must not mutate the receiver")
-	}
 }
 
+// TestSubstLeavesUnmappedVars: a constant operand beside a variable reads
+// the variable from the frame.
 func TestSubstLeavesUnmappedVars(t *testing.T) {
-	e := B(OpAdd, Var("X"), Var("Y")).Subst(map[string]Expr{"X": C(Int(1))})
-	got, err := e.Eval(Env{"Y": Int(2)})
+	got, err := evalIn(B(OpAdd, C(Int(1)), Var("Y")), mapEnv{"Y": Int(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,25 +248,43 @@ func TestFreeVars(t *testing.T) {
 }
 
 func TestEvalBool(t *testing.T) {
-	ok, err := EvalBool(B(OpLt, C(Int(1)), C(Int(2))), nil)
+	holds := func(e Expr) (bool, error) {
+		cl, f, _ := compileExpr(e, nil, "")
+		return cl.holds(f)
+	}
+	ok, err := holds(B(OpLt, C(Int(1)), C(Int(2))))
 	if err != nil || !ok {
 		t.Errorf("1 < 2 should hold: %v %v", ok, err)
 	}
-	if _, err := EvalBool(C(Int(1)), nil); err == nil {
+	if _, err := holds(C(Int(1))); err == nil {
 		t.Error("non-boolean constraint must error")
 	}
 }
 
+// TestEnvClone: a binding is a frame, and a frame is its holder's own:
+// Frame hands out a fresh unbound one per call, and Unify into one leaves
+// every other untouched.
 func TestEnvClone(t *testing.T) {
-	e := Env{"X": Int(1)}
-	c := e.Clone()
-	c["X"] = Int(2)
-	c["Y"] = Int(3)
-	if e["X"] != Int(1) {
-		t.Error("Clone must not share storage")
+	p := MustParse(`
+table t/2 base;
+table h/1 event;
+rule r h(X) :- t(X, Y).
+`)
+	cr := p.Compiled("r")
+	a, b := cr.Frame(), cr.Frame()
+	if !cr.Unify(0, a, "n", NewTuple("t", Int(1), Int(2))) {
+		t.Fatal("t(1, 2) must unify with t(X, Y)")
 	}
-	if _, ok := e["Y"]; ok {
-		t.Error("Clone must not leak new keys to the original")
+	if a[cr.Slot("X")] != Int(1) || a[cr.Slot("Y")] != Int(2) {
+		t.Errorf("unified frame = %v, want X=1 Y=2", a)
+	}
+	for slot, v := range b {
+		if v != nil {
+			t.Errorf("a second frame shares storage: slot %s = %v", cr.Var(slot), v)
+		}
+	}
+	if cr.Slot("Z") != -1 {
+		t.Error("a variable the rule does not mention has no slot")
 	}
 }
 
@@ -278,15 +328,15 @@ func TestInvertRoundTripProperty(t *testing.T) {
 	tried := 0
 	for i := 0; i < 2000; i++ {
 		e := randomIntExpr(r, 1+r.Intn(3))
-		if !containsVar(e, "X") {
+		if !slices.Contains(FreeVars(e), "X") {
 			continue
 		}
 		x := Int(r.Int63n(100) - 50)
-		out, err := e.Eval(Env{"X": x})
+		out, err := evalIn(e, mapEnv{"X": x})
 		if err != nil {
 			continue
 		}
-		cands, err := InvertChecked(e, out, "X", Env{})
+		cands, err := invertIn(e, out, "X", nil, true)
 		if err != nil {
 			t.Fatalf("invert %s = %v: %v", e, out, err)
 		}
@@ -296,7 +346,7 @@ func TestInvertRoundTripProperty(t *testing.T) {
 				found = true
 			}
 			// Every candidate must forward-evaluate to out.
-			v, err := e.Eval(Env{"X": c})
+			v, err := evalIn(e, mapEnv{"X": c})
 			if err != nil || v != out {
 				t.Fatalf("spurious preimage %v for %s = %v", c, e, out)
 			}
@@ -314,7 +364,7 @@ func TestInvertRoundTripProperty(t *testing.T) {
 func TestInvertBasics(t *testing.T) {
 	// q = x + 2  =>  x = q - 2 (the paper's §4.5 example).
 	e := B(OpAdd, Var("X"), C(Int(2)))
-	got, err := Invert(e, Int(8), "X", Env{})
+	got, err := invertIn(e, Int(8), "X", nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +374,7 @@ func TestInvertBasics(t *testing.T) {
 
 	// d = 2*c + 1 (the paper's §4.4 example).
 	e2 := B(OpAdd, B(OpMul, C(Int(2)), Var("X")), C(Int(1)))
-	got, err = Invert(e2, Int(7), "X", Env{})
+	got, err = invertIn(e2, Int(7), "X", nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +383,7 @@ func TestInvertBasics(t *testing.T) {
 	}
 
 	// No integral preimage: 2x = 7.
-	got, err = Invert(B(OpMul, C(Int(2)), Var("X")), Int(7), "X", Env{})
+	got, err = invertIn(B(OpMul, C(Int(2)), Var("X")), Int(7), "X", nil, false)
 	if err != nil || len(got) != 0 {
 		t.Errorf("2x=7 should have no preimage, got %v, %v", got, err)
 	}
@@ -341,28 +391,28 @@ func TestInvertBasics(t *testing.T) {
 
 func TestInvertSubtractionSides(t *testing.T) {
 	// x - 3 = 4 => x = 7
-	got, _ := Invert(B(OpSub, Var("X"), C(Int(3))), Int(4), "X", Env{})
+	got, _ := invertIn(B(OpSub, Var("X"), C(Int(3))), Int(4), "X", nil, false)
 	if len(got) != 1 || got[0] != Int(7) {
 		t.Errorf("x-3=4 -> %v", got)
 	}
 	// 10 - x = 4 => x = 6
-	got, _ = Invert(B(OpSub, C(Int(10)), Var("X")), Int(4), "X", Env{})
+	got, _ = invertIn(B(OpSub, C(Int(10)), Var("X")), Int(4), "X", nil, false)
 	if len(got) != 1 || got[0] != Int(6) {
 		t.Errorf("10-x=4 -> %v", got)
 	}
 }
 
 func TestInvertConcat(t *testing.T) {
-	got, err := Invert(B(OpConcat, Var("X"), C(Str("-suffix"))), Str("word-suffix"), "X", Env{})
+	got, err := invertIn(B(OpConcat, Var("X"), C(Str("-suffix"))), Str("word-suffix"), "X", nil, false)
 	if err != nil || len(got) != 1 || got[0] != Str("word") {
 		t.Errorf("concat inversion -> %v, %v", got, err)
 	}
-	got, err = Invert(B(OpConcat, C(Str("pre-")), Var("X")), Str("pre-word"), "X", Env{})
+	got, err = invertIn(B(OpConcat, C(Str("pre-")), Var("X")), Str("pre-word"), "X", nil, false)
 	if err != nil || len(got) != 1 || got[0] != Str("word") {
 		t.Errorf("concat inversion -> %v, %v", got, err)
 	}
 	// Mismatched suffix: no preimage.
-	got, err = Invert(B(OpConcat, Var("X"), C(Str("abc"))), Str("xyz"), "X", Env{})
+	got, err = invertIn(B(OpConcat, Var("X"), C(Str("abc"))), Str("xyz"), "X", nil, false)
 	if err != nil || len(got) != 0 {
 		t.Errorf("want no preimage, got %v, %v", got, err)
 	}
@@ -370,17 +420,17 @@ func TestInvertConcat(t *testing.T) {
 
 func TestInvertNonInvertible(t *testing.T) {
 	// hash(x) = out is not invertible.
-	_, err := Invert(Call{Fn: "hash", Args: []Expr{Var("X")}}, ID(1), "X", Env{})
+	_, err := invertIn(Call{Fn: "hash", Args: []Expr{Var("X")}}, ID(1), "X", nil, false)
 	if err != ErrNonInvertible {
 		t.Errorf("hash inversion error = %v, want ErrNonInvertible", err)
 	}
 	// x % 5 is not invertible.
-	_, err = Invert(B(OpMod, Var("X"), C(Int(5))), Int(2), "X", Env{})
+	_, err = invertIn(B(OpMod, Var("X"), C(Int(5))), Int(2), "X", nil, false)
 	if err != ErrNonInvertible {
 		t.Errorf("mod inversion error = %v, want ErrNonInvertible", err)
 	}
 	// x appearing on both sides: give up.
-	_, err = Invert(B(OpAdd, Var("X"), Var("X")), Int(2), "X", Env{})
+	_, err = invertIn(B(OpAdd, Var("X"), Var("X")), Int(2), "X", nil, false)
 	if err != ErrNonInvertible {
 		t.Errorf("x+x inversion error = %v, want ErrNonInvertible", err)
 	}
@@ -389,7 +439,7 @@ func TestInvertNonInvertible(t *testing.T) {
 func TestInvertPrefixBuiltin(t *testing.T) {
 	// prefix(A, 24) = 4.3.3.0/24 => A = 4.3.3.0 (canonical preimage).
 	e := Call{Fn: "prefix", Args: []Expr{Var("A"), C(Int(24))}}
-	got, err := Invert(e, MustParsePrefix("4.3.3.0/24"), "A", Env{})
+	got, err := invertIn(e, MustParsePrefix("4.3.3.0/24"), "A", nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +448,7 @@ func TestInvertPrefixBuiltin(t *testing.T) {
 	}
 	// Inverting the bits argument.
 	e2 := Call{Fn: "prefix", Args: []Expr{C(MustParseIP("4.3.3.0")), Var("N")}}
-	got, err = Invert(e2, MustParsePrefix("4.3.3.0/24"), "N", Env{})
+	got, err = invertIn(e2, MustParsePrefix("4.3.3.0/24"), "N", nil, false)
 	if err != nil || len(got) != 1 || got[0] != Int(24) {
 		t.Errorf("prefix bits inversion -> %v, %v", got, err)
 	}
@@ -406,20 +456,20 @@ func TestInvertPrefixBuiltin(t *testing.T) {
 
 func TestInvertContradiction(t *testing.T) {
 	// Constant 5 against target 6: no preimage, not an error.
-	got, err := Invert(C(Int(5)), Int(6), "X", Env{})
+	got, err := invertIn(C(Int(5)), Int(6), "X", nil, false)
 	if err != nil || got != nil {
 		t.Errorf("constant mismatch: %v, %v", got, err)
 	}
 	// Known variable mismatch.
-	got, err = Invert(Var("Y"), Int(6), "X", Env{"Y": Int(5)})
+	got, err = invertIn(Var("Y"), Int(6), "X", mapEnv{"Y": Int(5)}, false)
 	if err != nil || got != nil {
 		t.Errorf("known-var mismatch: %v, %v", got, err)
 	}
 }
 
 func TestInvertDivisionForwardChecked(t *testing.T) {
-	// x / 3 = 4: canonical preimage 12; InvertChecked keeps it.
-	got, err := InvertChecked(B(OpDiv, Var("X"), C(Int(3))), Int(4), "X", Env{})
+	// x / 3 = 4: canonical preimage 12; the forward check keeps it.
+	got, err := invertIn(B(OpDiv, Var("X"), C(Int(3))), Int(4), "X", nil, true)
 	if err != nil || len(got) != 1 || got[0] != Int(12) {
 		t.Errorf("x/3=4 -> %v, %v", got, err)
 	}

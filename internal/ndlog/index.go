@@ -75,14 +75,21 @@ func (ix *tableIndex) insert(r *row) {
 	ix.buckets[h] = append(ix.buckets[h], r)
 }
 
+// joinPlans is what buildJoinPlans chose for one engine: per rule (by
+// CompiledRule.idx), delta atom and body atom, the index the atom probes, and
+// per table the indexes it carries, in the order the table holds them.
+type joinPlans struct {
+	rules  [][][]*indexSpec
+	tables map[string][]*indexSpec
+}
+
 // buildJoinPlans analyzes the program: for every (rule, delta atom) it
 // computes, per remaining body atom, the index the atom will probe (nil
 // when no argument position is statically bound — those atoms fall back
-// to scanning) and stores it on the compiled rule. It also registers
-// point-lookup specs for primary keys and aggregate group columns, which
-// the DiffProv reasoning engine queries through TuplesMatchingAt. It
-// returns every table's specs, in the order the table's indexes are held.
-func buildJoinPlans(prog *Program, rules map[string]*compiledRule) map[string][]*indexSpec {
+// to scanning). It also registers point-lookup specs for primary keys and
+// aggregate group columns, which the DiffProv reasoning engine queries
+// through TuplesMatchingAt.
+func buildJoinPlans(prog *Program, cp *compiledProgram) *joinPlans {
 	byTable := map[string][]*indexSpec{}
 	interned := map[string]map[string]*indexSpec{} // table -> sig -> spec
 
@@ -120,9 +127,10 @@ func buildJoinPlans(prog *Program, rules map[string]*compiledRule) map[string][]
 		return s
 	}
 
-	for _, r := range prog.rules {
-		cr := rules[r.Name]
-		cr.plans = make([][]*indexSpec, len(r.Body))
+	plans := &joinPlans{rules: make([][][]*indexSpec, len(cp.order))}
+	for _, cr := range cp.order {
+		r := cr.rule
+		perDelta := make([][]*indexSpec, len(r.Body))
 		for delta := range r.Body {
 			bound := map[string]bool{}
 			collectAtomVars(r.Body[delta], bound)
@@ -151,8 +159,9 @@ func buildJoinPlans(prog *Program, rules map[string]*compiledRule) map[string][]
 				// environment or bound by the per-node loop).
 				collectAtomVars(atom, bound)
 			}
-			cr.plans[delta] = perAtom
+			perDelta[delta] = perAtom
 		}
+		plans.rules[cr.idx] = perDelta
 	}
 
 	// Primary keys: FINDSEED repairs keyed configuration tuples by
@@ -178,7 +187,8 @@ func buildJoinPlans(prog *Program, rules map[string]*compiledRule) map[string][]
 		}
 		intern(r.Head.Table, cols)
 	}
-	return byTable
+	plans.tables = byTable
+	return plans
 }
 
 // collectAtomVars adds the atom's variables (arguments and location) to
@@ -194,14 +204,22 @@ func collectAtomVars(a Atom, bound map[string]bool) {
 	}
 }
 
-// plan returns the index spec body atom next probes when the rule is
-// triggered at delta, or nil when the atom has no statically bound columns
-// (or indexing is off).
-func (cr *compiledRule) plan(delta, next int) *indexSpec {
-	if cr.plans == nil {
+// plan returns the index spec body atom next of rule r probes when the rule
+// is triggered at delta, or nil when the atom has no statically bound
+// columns (or indexing is off).
+func (p *joinPlans) plan(r *CompiledRule, delta, next int) *indexSpec {
+	if p == nil {
 		return nil
 	}
-	return cr.plans[delta][next]
+	return p.rules[r.idx][delta][next]
+}
+
+// forTable returns the indexes a table carries (none with indexing off).
+func (p *joinPlans) forTable(table string) []*indexSpec {
+	if p == nil {
+		return nil
+	}
+	return p.tables[table]
 }
 
 // Match constrains one column in an indexed tuple lookup.

@@ -255,7 +255,7 @@ func TestJoinRestErrorReturnsNoBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := p.Rule("bad")
-	b := oracleBinding{env: Env{"X": Int(1)}, body: make([]At, len(r.Body))}
+	b := oracleBinding{env: mapEnv{"X": Int(1)}, body: make([]At, len(r.Body))}
 	out, err := e.joinRest(r, 0, "n1", b, 1, e.Now())
 	if err == nil {
 		t.Fatal("expected unknown-table error")
@@ -282,7 +282,7 @@ func TestJoinRestUnboundLocationDoesNotLeakOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := p.Rule("bad")
-	b := oracleBinding{env: Env{"X": Int(1)}, body: make([]At, len(r.Body))}
+	b := oracleBinding{env: mapEnv{"X": Int(1)}, body: make([]At, len(r.Body))}
 	out, err := e.joinRest(r, 0, "n1", b, 1, e.Now())
 	if err == nil {
 		t.Fatal("expected unknown-table error")
@@ -387,7 +387,8 @@ rule r c(X) :- a(@n, X), b(@n, X).
 }
 
 // TestQuickMatchAgreesWithUnify pins the compiled atoms' quickMatch and
-// unify, the exported map-based UnifyAtom, the index bucket hash, and
+// unify, the map reference's unifyEnv (join_oracle_test.go), the index
+// bucket hash, and
 // Tuple.Equal against Tuple.Key to one equality relation across every Value
 // kind, so the hash-index probe can never diverge from unification
 // semantics and code that compares tuples field by field (DiffProv's change
@@ -403,7 +404,7 @@ func TestQuickMatchAgreesWithUnify(t *testing.T) {
 	}
 	// compiled returns the atom over slots and a scratch whose frame binds
 	// the given variables.
-	compiled := func(a Atom, bound Env) (*slotAtom, *joinScratch) {
+	compiled := func(a Atom, bound mapEnv) (*slotAtom, *joinScratch) {
 		c := &compiler{slots: map[string]int{}}
 		sa := c.atom(NewProgram(), a)
 		j := &joinScratch{}
@@ -424,24 +425,24 @@ func TestQuickMatchAgreesWithUnify(t *testing.T) {
 			if got := sa.quickMatch(j.frame, tuple); got != eq {
 				t.Errorf("quickMatch(Const %v vs %v) = %v, want %v", a, b, got, eq)
 			}
-			if got := sa.unify(j, "n", nil, tuple); got != eq {
+			if got := sa.unify(j.frame, &j.trail, "n", nil, tuple); got != eq {
 				t.Errorf("unify(Const %v vs %v) = %v, want %v", a, b, got, eq)
 			}
-			if got := UnifyAtom(atomC, "n", tuple, Env{}); got != eq {
-				t.Errorf("UnifyAtom(Const %v vs %v) = %v, want %v", a, b, got, eq)
+			if got := unifyEnv(atomC, "n", tuple, mapEnv{}); got != eq {
+				t.Errorf("unifyEnv(Const %v vs %v) = %v, want %v", a, b, got, eq)
 			}
 
 			// Bound variable.
 			atomV := Atom{Table: "t", Args: []Expr{Var("X")}}
-			sa, j = compiled(atomV, Env{"X": a})
+			sa, j = compiled(atomV, mapEnv{"X": a})
 			if got := sa.quickMatch(j.frame, tuple); got != eq {
 				t.Errorf("quickMatch(Var=%v vs %v) = %v, want %v", a, b, got, eq)
 			}
-			if got := sa.unify(j, "n", nil, tuple); got != eq {
+			if got := sa.unify(j.frame, &j.trail, "n", nil, tuple); got != eq {
 				t.Errorf("unify(Var=%v vs %v) = %v, want %v", a, b, got, eq)
 			}
-			if got := UnifyAtom(atomV, "n", tuple, Env{"X": a}); got != eq {
-				t.Errorf("UnifyAtom(Var=%v vs %v) = %v, want %v", a, b, got, eq)
+			if got := unifyEnv(atomV, "n", tuple, mapEnv{"X": a}); got != eq {
+				t.Errorf("unifyEnv(Var=%v vs %v) = %v, want %v", a, b, got, eq)
 			}
 
 			// Key encoding: equal keys iff equal values. Bucket hash: equal
@@ -498,27 +499,27 @@ rule r out(Z) :- ev(@n, X), f(@n, X, Y), g(@n, Y, Z).
 		t.Fatal(err)
 	}
 	e := New(p, nil)
-	r := e.rules["r"]
+	r := e.compiled.rules["r"]
 	// Delta = ev (atom 0): f is probed on col 0 (X bound by the delta);
 	// g on col 0 (Y bound by f, which is evaluated first).
-	if spec := r.plan(0, 1); spec == nil || spec.sig != "0" {
+	if spec := e.plans.plan(r, 0, 1); spec == nil || spec.sig != "0" {
 		t.Fatalf("plan(delta=0, atom=1) = %v, want cols [0]", spec)
 	}
-	if spec := r.plan(0, 2); spec == nil || spec.sig != "0" {
+	if spec := e.plans.plan(r, 0, 2); spec == nil || spec.sig != "0" {
 		t.Fatalf("plan(delta=0, atom=2) = %v, want cols [0]", spec)
 	}
 	// Delta = g (atom 2): by the time f is joined, X is bound by the ev
 	// atom (evaluated first) and Y by the delta, so f probes both cols.
-	if spec := r.plan(2, 1); spec == nil || spec.sig != "0,1" {
+	if spec := e.plans.plan(r, 2, 1); spec == nil || spec.sig != "0,1" {
 		t.Fatalf("plan(delta=2, atom=1) = %v, want cols [0,1]", spec)
 	}
 	// The event table never gets an index.
-	if specs := e.tableSpecs["ev"]; len(specs) != 0 {
+	if specs := e.plans.forTable("ev"); len(specs) != 0 {
 		t.Fatalf("event table indexed: %v", specs)
 	}
 	// Indexing off: no plans at all.
 	eOff := New(p, nil, WithIndexing(false))
-	if spec := eOff.rules["r"].plan(0, 1); spec != nil {
+	if spec := eOff.plans.plan(eOff.compiled.rules["r"], 0, 1); spec != nil {
 		t.Fatalf("plan with indexing off = %v, want nil", spec)
 	}
 }

@@ -2,85 +2,95 @@ package ndlog
 
 import "fmt"
 
-// Invert solves an expression for a single unknown variable. Given an
-// expression e, a target output value out, and an environment binding every
-// free variable of e except unknown, it returns the candidate values v such
-// that evaluating e with unknown=v yields out. This implements the
-// computation inversion of §4.5: "if a tuple abc(5,8) has been derived
-// using a rule abc(p,q) :- foo(p), bar(x), q=x+2, DiffProv must invert
-// q=x+2 to obtain x=q-2".
-//
-// Several preimages may be returned (the paper: "When there are several
-// preimages ... DiffProv can try all of them"). ErrNonInvertible is
-// returned for computations that cannot be inverted (hashes, lossy ops).
-func Invert(e Expr, out Value, unknown string, env Env) ([]Value, error) {
+// Invert solves a clause for one unknown slot: the values v such that the
+// clause evaluates to out with slot bound to v and every other variable as
+// f binds it. This is the computation inversion of §4.5: "if a tuple
+// abc(5,8) has been derived using a rule abc(p,q) :- foo(p), bar(x),
+// q=x+2, DiffProv must invert q=x+2 to obtain x=q-2". Several preimages may
+// be returned (the paper: "When there are several preimages ... DiffProv can
+// try all of them"); ErrNonInvertible is returned for computations that
+// cannot be inverted (hashes, lossy ops). Every candidate is forward-checked,
+// which drops the spurious preimages a lossy inverse step introduces
+// (integer division): the check binds the slot in f itself and unbinds it
+// before returning, so f must be the caller's alone during the call.
+func (cr *CompiledRule) Invert(c Clause, f []Value, out Value, slot int) ([]Value, error) {
+	return invertChecked(cr.clause(c).e, f, out, slot)
+}
+
+// invertChecked is Invert over a compiled expression.
+func invertChecked(e slotExpr, f []Value, out Value, slot int) ([]Value, error) {
+	cands, err := invert(e, f, out, slot)
+	if err != nil {
+		return nil, err
+	}
+	good := cands[:0]
+	for _, v := range cands {
+		f[slot] = v
+		if got, err := e.eval(f); err == nil && got == out {
+			good = append(good, v)
+		}
+	}
+	f[slot] = nil
+	return good, nil
+}
+
+// invert is Invert without the forward check.
+func invert(e slotExpr, f []Value, out Value, unknown int) ([]Value, error) {
 	switch x := e.(type) {
-	case Var:
-		if string(x) == unknown {
+	case slotVar:
+		if x.slot == unknown {
 			return []Value{out}, nil
 		}
-		v, ok := env[string(x)]
-		if !ok {
-			return nil, fmt.Errorf("ndlog: invert: variable %s unbound", string(x))
+		v := f[x.slot]
+		if v == nil {
+			return nil, fmt.Errorf("ndlog: invert: variable %s unbound", x.name)
 		}
 		if v == out {
 			return nil, errNoConstraint // consistent but does not determine unknown
 		}
 		return nil, nil // contradiction: no preimage
-	case Const:
-		if x.V == out {
+	case slotConst:
+		if x.v == out {
 			return nil, errNoConstraint
 		}
 		return nil, nil
-	case Bin:
-		return invertBin(x, out, unknown, env)
-	case Call:
-		return invertCall(x, out, unknown, env)
-	default:
-		return nil, ErrNonInvertible
+	case slotBin:
+		return invertBin(x, f, out, unknown)
+	case slotCall:
+		return invertCall(x, f, out, unknown)
 	}
+	return nil, ErrNonInvertible
 }
 
 // errNoConstraint signals that the (sub)expression does not mention the
 // unknown; it is consistent with the target but contributes no binding.
 var errNoConstraint = fmt.Errorf("ndlog: expression does not constrain the unknown")
 
-// containsVar reports whether the expression mentions the variable. The
-// inversion asks this of every subexpression it descends into, so the
-// package's own expression types are walked in place instead of listing
-// their variables.
-func containsVar(e Expr, name string) bool {
+// containsSlot reports whether the expression mentions the slot.
+func containsSlot(e slotExpr, slot int) bool {
 	switch x := e.(type) {
-	case Var:
-		return string(x) == name
-	case Const:
-		return false
-	case Bin:
-		return containsVar(x.L, name) || containsVar(x.R, name)
-	case Call:
-		for _, a := range x.Args {
-			if containsVar(a, name) {
+	case slotVar:
+		return x.slot == slot
+	case slotBin:
+		return containsSlot(x.l, slot) || containsSlot(x.r, slot)
+	case slotCall:
+		for _, a := range x.args {
+			if containsSlot(a, slot) {
 				return true
 			}
-		}
-		return false
-	}
-	for _, v := range e.Vars(nil) {
-		if v == name {
-			return true
 		}
 	}
 	return false
 }
 
-func invertBin(b Bin, out Value, unknown string, env Env) ([]Value, error) {
-	inL := containsVar(b.L, unknown)
-	inR := containsVar(b.R, unknown)
+func invertBin(b slotBin, f []Value, out Value, unknown int) ([]Value, error) {
+	inL := containsSlot(b.l, unknown)
+	inR := containsSlot(b.r, unknown)
 	if inL && inR {
 		return nil, ErrNonInvertible // unknown on both sides: give up
 	}
 	if !inL && !inR {
-		v, err := b.Eval(env)
+		v, err := b.eval(f)
 		if err != nil {
 			return nil, err
 		}
@@ -90,23 +100,29 @@ func invertBin(b Bin, out Value, unknown string, env Env) ([]Value, error) {
 		return nil, nil
 	}
 	// Evaluate the known side.
-	knownSide := b.L
-	unknownSide := b.R
+	knownSide := b.l
+	unknownSide := b.r
 	if inL {
-		knownSide, unknownSide = b.R, b.L
+		knownSide, unknownSide = b.r, b.l
 	}
-	known, err := knownSide.Eval(env)
+	known, err := knownSide.eval(f)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := invertBinStep(b.Op, out, known, inL)
+	sub, err := invertBinStep(b.op, out, known, inL)
 	if err != nil {
 		return nil, err
 	}
+	return invertEach(unknownSide, f, sub, unknown)
+}
+
+// invertEach inverts the unknown side of an operation for each of the
+// values it may take, pooling the preimages.
+func invertEach(e slotExpr, f []Value, outs []Value, unknown int) ([]Value, error) {
 	var all []Value
 	sawNoConstraint := false
-	for _, s := range sub {
-		vs, err := Invert(unknownSide, s, unknown, env)
+	for _, s := range outs {
+		vs, err := invert(e, f, s, unknown)
 		if err == errNoConstraint {
 			sawNoConstraint = true
 			continue
@@ -202,14 +218,14 @@ func invertBinStep(op BinOp, out, known Value, unknownLeft bool) ([]Value, error
 	}
 }
 
-func invertCall(c Call, out Value, unknown string, env Env) ([]Value, error) {
-	fn, ok := builtins[c.Fn]
+func invertCall(c slotCall, f []Value, out Value, unknown int) ([]Value, error) {
+	fn, ok := builtins[c.fn]
 	if !ok {
-		return nil, fmt.Errorf("ndlog: unknown function %s", c.Fn)
+		return nil, fmt.Errorf("ndlog: unknown function %s", c.fn)
 	}
 	unknownArg := -1
-	for i, a := range c.Args {
-		if containsVar(a, unknown) {
+	for i, a := range c.args {
+		if containsSlot(a, unknown) {
 			if unknownArg >= 0 {
 				return nil, ErrNonInvertible
 			}
@@ -217,7 +233,7 @@ func invertCall(c Call, out Value, unknown string, env Env) ([]Value, error) {
 		}
 	}
 	if unknownArg < 0 {
-		v, err := c.Eval(env)
+		v, err := c.eval(f)
 		if err != nil {
 			return nil, err
 		}
@@ -229,12 +245,12 @@ func invertCall(c Call, out Value, unknown string, env Env) ([]Value, error) {
 	if fn.invert == nil {
 		return nil, ErrNonInvertible
 	}
-	args := make([]Value, len(c.Args))
-	for i, a := range c.Args {
+	args := make([]Value, len(c.args))
+	for i, a := range c.args {
 		if i == unknownArg {
 			continue
 		}
-		v, err := a.Eval(env)
+		v, err := a.eval(f)
 		if err != nil {
 			return nil, err
 		}
@@ -244,23 +260,7 @@ func invertCall(c Call, out Value, unknown string, env Env) ([]Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	var all []Value
-	sawNoConstraint := false
-	for _, s := range subOuts {
-		vs, err := Invert(c.Args[unknownArg], s, unknown, env)
-		if err == errNoConstraint {
-			sawNoConstraint = true
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, vs...)
-	}
-	if len(all) == 0 && sawNoConstraint {
-		return nil, errNoConstraint
-	}
-	return dedupValues(all), nil
+	return invertEach(c.args[unknownArg], f, subOuts, unknown)
 }
 
 func dedupValues(vs []Value) []Value {
@@ -276,27 +276,4 @@ func dedupValues(vs []Value) []Value {
 		}
 	}
 	return out
-}
-
-// InvertChecked inverts and then forward-checks every candidate, dropping
-// spurious preimages introduced by lossy inverse steps (e.g. integer
-// division). The forward check evaluates e with unknown bound in env itself
-// — every inversion the solver attempts used to pay for a copy of the
-// environment — and unbinds it before returning, so env must not be in use
-// by another goroutine during the call.
-func InvertChecked(e Expr, out Value, unknown string, env Env) ([]Value, error) {
-	cands, err := Invert(e, out, unknown, env)
-	if err != nil {
-		return nil, err
-	}
-	good := cands[:0]
-	for _, c := range cands {
-		env[unknown] = c
-		v, err := e.Eval(env)
-		if err == nil && v == out {
-			good = append(good, c)
-		}
-	}
-	delete(env, unknown)
-	return good, nil
 }

@@ -118,14 +118,14 @@ func (j *joinScratch) keep(b *binding) {
 // bindings stay valid until the caller releases the returned mark, which it
 // must do on every path. On error no binding is returned; on every path the
 // scratch frame is left unbound.
-func (e *Engine) satBindings(r *compiledRule, deltaAtom int, nodeName string, delta Tuple, deltaKey string, st Stamp) ([]binding, satMark, error) {
+func (e *Engine) satBindings(r *CompiledRule, deltaAtom int, nodeName string, delta Tuple, deltaKey string, st Stamp) ([]binding, satMark, error) {
 	j := &e.join
 	m := j.mark()
 	j.first = m.sat
 	j.blank(len(r.vars))
 	j.body = append(j.body[:0], make([]KeyedAt, len(r.body))...)
 	var err error
-	if r.body[deltaAtom].unify(j, nodeName, e.locOf(nodeName), delta) {
+	if r.body[deltaAtom].unify(j.frame, &j.trail, nodeName, e.locOf(nodeName), delta) {
 		j.body[deltaAtom] = keyedAt(nodeName, delta, deltaKey, st)
 		err = e.joinFrom(r, deltaAtom, nodeName, 0, st)
 	}
@@ -148,7 +148,7 @@ func (e *Engine) locOf(nodeName string) Value {
 
 // joinFrom extends the scratch binding over body atoms next.. (hash join in
 // atom order, skipping the delta atom; atoms with no bound columns scan).
-func (e *Engine) joinFrom(r *compiledRule, deltaAtom int, evalNode string, next int, st Stamp) error {
+func (e *Engine) joinFrom(r *CompiledRule, deltaAtom int, evalNode string, next int, st Stamp) error {
 	if next == deltaAtom {
 		next++
 	}
@@ -206,7 +206,7 @@ func (e *Engine) joinFrom(r *compiledRule, deltaAtom int, evalNode string, next 
 // the bucket holds rows in appearance order, so the rows tried are a
 // subsequence of the full scan's (plus whatever collides, which joinRow's
 // quickMatch turns away like any other row that does not fit).
-func (e *Engine) joinNode(r *compiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string) error {
+func (e *Engine) joinNode(r *CompiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string) error {
 	atom := &r.body[next]
 	n := e.nodes[nodeName]
 	if n == nil {
@@ -217,7 +217,7 @@ func (e *Engine) joinNode(r *compiledRule, deltaAtom int, evalNode string, next 
 		return nil
 	}
 	rows := tb.order
-	if spec := r.plan(deltaAtom, next); spec != nil {
+	if spec := e.plans.plan(r, deltaAtom, next); spec != nil {
 		if h, ok := atom.probeHash(spec, e.join.frame); ok && spec.pos < len(tb.indexes) {
 			rows = tb.indexes[spec.pos].buckets[h]
 			e.stats.IndexProbes++
@@ -241,7 +241,7 @@ func (e *Engine) joinNode(r *compiledRule, deltaAtom int, evalNode string, next 
 // recurses over the remaining atoms; the row's bindings are undone before
 // it returns. quickMatch first turns away rows that disagree with a
 // constant or a bound variable without touching the frame.
-func (e *Engine) joinRow(r *compiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string, loc Value, rw *row) error {
+func (e *Engine) joinRow(r *CompiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string, loc Value, rw *row) error {
 	j := &e.join
 	atom := &r.body[next]
 	if rw.dead || st.Before(rw.appearedAt) || !atom.quickMatch(j.frame, rw.tuple) {
@@ -249,7 +249,7 @@ func (e *Engine) joinRow(r *compiledRule, deltaAtom int, evalNode string, next i
 	}
 	mark := len(j.trail)
 	var err error
-	if atom.unify(j, nodeName, loc, rw.tuple) {
+	if atom.unify(j.frame, &j.trail, nodeName, loc, rw.tuple) {
 		j.body[next] = keyedAt(nodeName, rw.tuple, rw.key, rw.appearedAt)
 		err = e.joinFrom(r, deltaAtom, evalNode, next+1, st)
 	}
@@ -264,16 +264,14 @@ func (e *Engine) joinRow(r *compiledRule, deltaAtom int, evalNode string, next i
 // semantics of "="). An argmax rule keeps only the best binding so far —
 // the larger value wins, ties go to the smaller canonical binding key — and
 // a better one overwrites it in place.
-func (e *Engine) joinLeaf(r *compiledRule) error {
+func (e *Engine) joinLeaf(r *CompiledRule) error {
 	j := &e.join
 	mark := len(j.trail)
 	ok, err := j.finish(r)
 	switch {
 	case !ok:
 	case r.argMaxSlot >= 0 && len(j.sat) > j.first:
-		best := &j.sat[j.first]
-		nv, bv := j.frame[r.argMaxSlot], best.frame[r.argMaxSlot]
-		if Less(bv, nv) || (!Less(nv, bv) && r.bindingKeyLess(j.frame, best.frame)) {
+		if best := &j.sat[j.first]; r.Beats(j.frame, best.frame) {
 			j.keep(best)
 		}
 	default:
@@ -288,9 +286,9 @@ func (e *Engine) joinLeaf(r *compiledRule) error {
 
 // finish binds the rule's assignments (on the trail) and checks its
 // constraints against the scratch frame.
-func (j *joinScratch) finish(r *compiledRule) (bool, error) {
+func (j *joinScratch) finish(r *CompiledRule) (bool, error) {
 	for _, a := range r.assigns {
-		v, err := a.expr.eval(j.frame)
+		v, err := a.e.eval(j.frame)
 		if err != nil {
 			return false, err
 		}
@@ -302,12 +300,8 @@ func (j *joinScratch) finish(r *compiledRule) (bool, error) {
 		}
 		j.bind(a.slot, v)
 	}
-	for i, w := range r.where {
-		v, err := w.eval(j.frame)
-		if err != nil {
-			return false, err
-		}
-		if ok, err := constraintResult(r.rule.Where[i], v); err != nil || !ok {
+	for i := range r.where {
+		if ok, err := r.where[i].holds(j.frame); err != nil || !ok {
 			return false, err
 		}
 	}

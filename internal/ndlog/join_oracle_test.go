@@ -1,6 +1,9 @@
 package ndlog
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // The reference join: the clone-per-row nested-loop pipeline the engine
 // evaluated rules with before the backtracking core (join.go) replaced it.
@@ -17,19 +20,170 @@ import "fmt"
 // firing with an error and no bindings.
 //
 // The oracle also keeps the map environment the engine bound variables in
-// before rules were compiled to slot frames (compile.go): it unifies through
-// the exported UnifyAtom / ResolveLocation and checks rows with its own
-// map-based quickMatch, so the differential also holds the compiled atoms
-// to the map semantics the DiffProv reasoning engine still uses.
+// before rules were compiled to slot frames (compile.go): it unifies,
+// resolves locations and evaluates through the map reference below and
+// checks rows with its own map-based quickMatch, so the differential also
+// holds the compiled atoms to an independent reading of rule semantics.
+
+// mapEnv binds variable names to values: the map reference's binding.
+type mapEnv map[string]Value
+
+func (env mapEnv) clone() mapEnv {
+	c := make(mapEnv, len(env))
+	for k, v := range env {
+		c[k] = v
+	}
+	return c
+}
+
+// evalEnv evaluates an expression under a map environment.
+func evalEnv(e Expr, env mapEnv) (Value, error) {
+	switch x := e.(type) {
+	case Var:
+		v, ok := env[string(x)]
+		if !ok {
+			return nil, fmt.Errorf("ndlog: unbound variable %s", string(x))
+		}
+		return v, nil
+	case Const:
+		return x.V, nil
+	case Bin:
+		l, err := evalEnv(x.L, env)
+		if err != nil {
+			return nil, err
+		}
+		r, err := evalEnv(x.R, env)
+		if err != nil {
+			return nil, err
+		}
+		return applyBin(x.Op, l, r)
+	case Call:
+		fn, err := lookupBuiltin(x.Fn, len(x.Args))
+		if err != nil {
+			return nil, err
+		}
+		args := make([]Value, len(x.Args))
+		for i, a := range x.Args {
+			if args[i], err = evalEnv(a, env); err != nil {
+				return nil, err
+			}
+		}
+		return fn.eval(args)
+	}
+	return nil, fmt.Errorf("ndlog: unknown expression %T", e)
+}
+
+// unifyEnv unifies a body atom against a tuple on a node, extending env in
+// place; on a mismatch env may be left partially extended.
+func unifyEnv(atom Atom, nodeName string, t Tuple, env mapEnv) bool {
+	if atom.Table != t.Table || len(atom.Args) != len(t.Args) {
+		return false
+	}
+	if atom.Loc != nil {
+		switch l := atom.Loc.(type) {
+		case Var:
+			if v, ok := env[string(l)]; ok {
+				if v != Str(nodeName) {
+					return false
+				}
+			} else {
+				env[string(l)] = Str(nodeName)
+			}
+		case Const:
+			if l.V != Str(nodeName) {
+				return false
+			}
+		default:
+			v, err := evalEnv(atom.Loc, env)
+			if err != nil || v != Str(nodeName) {
+				return false
+			}
+		}
+	}
+	for i, arg := range atom.Args {
+		switch a := arg.(type) {
+		case Var:
+			if v, ok := env[string(a)]; ok {
+				if v != t.Args[i] {
+					return false
+				}
+			} else {
+				env[string(a)] = t.Args[i]
+			}
+		case Const:
+			if a.V != t.Args[i] {
+				return false
+			}
+		default:
+			v, err := evalEnv(arg, env)
+			if err != nil || v != t.Args[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// resolveEnv resolves a location term under a map environment: the node
+// name and whether it is determined.
+func resolveEnv(loc Expr, evalNode string, env mapEnv) (string, bool, error) {
+	switch l := loc.(type) {
+	case nil:
+		return evalNode, true, nil
+	case Const:
+		s, ok := l.V.(Str)
+		if !ok {
+			return "", false, fmt.Errorf("location constant %s is not a node name", l.V)
+		}
+		return string(s), true, nil
+	case Var:
+		v, ok := env[string(l)]
+		if !ok {
+			return "", false, nil
+		}
+		s, ok := v.(Str)
+		if !ok {
+			return "", false, fmt.Errorf("location variable %s bound to non-node %s", string(l), v)
+		}
+		return string(s), true, nil
+	}
+	v, err := evalEnv(loc, env)
+	if err != nil {
+		return "", false, err
+	}
+	s, ok := v.(Str)
+	if !ok {
+		return "", false, fmt.Errorf("location expression %s is not a node name", loc)
+	}
+	return string(s), true, nil
+}
+
+// bindingKeyEnv is the canonical binding key of a map environment:
+// name=value; in name order.
+func bindingKeyEnv(env mapEnv) string {
+	keys := make([]string, 0, len(env))
+	for k := range env {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []byte
+	for _, k := range keys {
+		out = append(out, k...)
+		out = append(out, '=')
+		out = env[k].appendKey(out)
+		out = append(out, ';')
+	}
+	return string(out)
+}
 
 // oracleBinding is a binding as the reference join builds it.
 type oracleBinding struct {
-	env  Env
+	env  mapEnv
 	body []At
 }
 
 // envQuickMatch is quickMatch over a map environment.
-func envQuickMatch(atom Atom, env Env, t Tuple) bool {
+func envQuickMatch(atom Atom, env mapEnv, t Tuple) bool {
 	if len(atom.Args) != len(t.Args) {
 		return false
 	}
@@ -49,7 +203,7 @@ func envQuickMatch(atom Atom, env Env, t Tuple) bool {
 }
 
 // envProbeHash is probeHash over a map environment.
-func envProbeHash(atom Atom, spec *indexSpec, env Env) (uint64, bool) {
+func envProbeHash(atom Atom, spec *indexSpec, env mapEnv) (uint64, bool) {
 	h := hashSeed
 	for _, c := range spec.cols {
 		var v Value
@@ -70,8 +224,8 @@ func envProbeHash(atom Atom, spec *indexSpec, env Env) (uint64, bool) {
 // oracleSat is the old fireRule/reevalArgMax prologue: unify the delta,
 // join the rest, finish every binding, select the argmax winner.
 func (e *Engine) oracleSat(r *Rule, deltaAtom int, nodeName string, delta Tuple, st Stamp) ([]oracleBinding, error) {
-	env := Env{}
-	if !UnifyAtom(r.Body[deltaAtom], nodeName, delta, env) {
+	env := mapEnv{}
+	if !unifyEnv(r.Body[deltaAtom], nodeName, delta, env) {
 		return nil, nil
 	}
 	seed := oracleBinding{env: env, body: make([]At, len(r.Body))}
@@ -95,7 +249,7 @@ func (e *Engine) oracleSat(r *Rule, deltaAtom int, nodeName string, delta Tuple,
 		for i := 1; i < len(sat); i++ {
 			bi := sat[i].env[r.ArgMax]
 			bb := sat[best].env[r.ArgMax]
-			if Less(bb, bi) || (!Less(bi, bb) && BindingKey(sat[i].env) < BindingKey(sat[best].env)) {
+			if Less(bb, bi) || (!Less(bi, bb) && bindingKeyEnv(sat[i].env) < bindingKeyEnv(sat[best].env)) {
 				best = i
 			}
 		}
@@ -127,7 +281,7 @@ func (e *Engine) joinRest(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 	if decl.Event {
 		return nil, nil
 	}
-	locNode, locKnown, err := ResolveLocation(atom.Loc, evalNode, b.env)
+	locNode, locKnown, err := resolveEnv(atom.Loc, evalNode, b.env)
 	if err != nil {
 		return nil, fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
 	}
@@ -141,7 +295,7 @@ func (e *Engine) joinRest(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 	v := atom.Loc.(Var)
 	var out []oracleBinding
 	for _, nn := range e.nodeOrder {
-		bn := oracleBinding{env: b.env.Clone(), body: b.body}
+		bn := oracleBinding{env: b.env.clone(), body: b.body}
 		bn.env[string(v)] = Str(nn)
 		sub, err := e.joinAtom(r, deltaAtom, evalNode, bn, next, st, nn)
 		if err != nil {
@@ -165,7 +319,7 @@ func (e *Engine) joinAtom(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 		return nil, nil
 	}
 	rows := tb.order
-	if spec := e.rules[r.Name].plan(deltaAtom, next); spec != nil {
+	if spec := e.plans.plan(e.compiled.rules[r.Name], deltaAtom, next); spec != nil {
 		if h, ok := envProbeHash(atom, spec, b.env); ok && spec.pos < len(tb.indexes) {
 			rows = tb.indexes[spec.pos].buckets[h]
 			e.stats.IndexProbes++
@@ -183,8 +337,8 @@ func (e *Engine) joinAtom(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 		if !envQuickMatch(atom, b.env, rw.tuple) {
 			continue
 		}
-		env2 := b.env.Clone()
-		if !UnifyAtom(atom, nodeName, rw.tuple, env2) {
+		env2 := b.env.clone()
+		if !unifyEnv(atom, nodeName, rw.tuple, env2) {
 			continue
 		}
 		b2 := oracleBinding{env: env2, body: make([]At, len(b.body))}
@@ -204,7 +358,7 @@ func (e *Engine) joinAtom(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 func (e *Engine) joinPinned(r *Rule, deltaAtom int, evalNode string, b oracleBinding, next int, st Stamp) ([]oracleBinding, error) {
 	atom := r.Body[next]
 	rw, nodeName := e.rfPin, e.rfPinNode
-	locNode, locKnown, err := ResolveLocation(atom.Loc, evalNode, b.env)
+	locNode, locKnown, err := resolveEnv(atom.Loc, evalNode, b.env)
 	if err != nil {
 		return nil, fmt.Errorf("ndlog: rule %s: %v", r.Name, err)
 	}
@@ -217,8 +371,8 @@ func (e *Engine) joinPinned(r *Rule, deltaAtom int, evalNode string, b oracleBin
 	if !envQuickMatch(atom, b.env, rw.tuple) {
 		return nil, nil
 	}
-	env2 := b.env.Clone()
-	if !UnifyAtom(atom, nodeName, rw.tuple, env2) {
+	env2 := b.env.clone()
+	if !unifyEnv(atom, nodeName, rw.tuple, env2) {
 		return nil, nil
 	}
 	b2 := oracleBinding{env: env2, body: make([]At, len(b.body))}
@@ -230,7 +384,7 @@ func (e *Engine) joinPinned(r *Rule, deltaAtom int, evalNode string, b oracleBin
 // finishBinding applies the rule's assignments and checks constraints.
 func (e *Engine) finishBinding(r *Rule, b *oracleBinding) (bool, error) {
 	for _, a := range r.Assigns {
-		v, err := a.Expr.Eval(b.env)
+		v, err := evalEnv(a.Expr, b.env)
 		if err != nil {
 			return false, err
 		}
@@ -243,12 +397,12 @@ func (e *Engine) finishBinding(r *Rule, b *oracleBinding) (bool, error) {
 		b.env[a.Var] = v
 	}
 	for _, w := range r.Where {
-		ok, err := EvalBool(w, b.env)
+		v, err := evalEnv(w, b.env)
 		if err != nil {
 			return false, err
 		}
-		if !ok {
-			return false, nil
+		if ok, err := constraintResult(w, v); err != nil || !ok {
+			return false, err
 		}
 	}
 	return true, nil

@@ -12,14 +12,14 @@ import (
 
 // sameBindings holds the core's bindings against the oracle's: same
 // count, same order, same environments (the frame's canonical key must be
-// byte for byte BindingKey of the oracle's map), same body elements — and
+// byte for byte the canonical key of the oracle's map), same body elements — and
 // the support references the core adds must name exactly those elements.
-func sameBindings(r *compiledRule, got []binding, want []oracleBinding) error {
+func sameBindings(r *CompiledRule, got []binding, want []oracleBinding) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d bindings, oracle has %d", len(got), len(want))
 	}
 	for i := range want {
-		if g, w := r.bindingKey(got[i].frame), BindingKey(want[i].env); g != w {
+		if g, w := r.bindingKey(got[i].frame), bindingKeyEnv(want[i].env); g != w {
 			return fmt.Errorf("binding %d: env %s, oracle %s", i, g, w)
 		}
 		if len(got[i].body) != len(want[i].body) || len(got[i].refs) != len(want[i].body) {
@@ -27,8 +27,8 @@ func sameBindings(r *compiledRule, got []binding, want []oracleBinding) error {
 		}
 		// The head, which may read an assigned variable, evaluates alike from
 		// the frame and from the map.
-		gh, gerr := r.headArgs[0].eval(got[i].frame)
-		wh, werr := r.rule.Head.Args[0].Eval(want[i].env)
+		gh, gerr := r.head[0].e.eval(got[i].frame)
+		wh, werr := evalEnv(r.rule.Head.Args[0], want[i].env)
 		if gh != wh || (gerr != nil) != (werr != nil) {
 			return fmt.Errorf("binding %d: head %v (error %v), oracle %v (error %v)", i, gh, gerr, wh, werr)
 		}
@@ -60,7 +60,7 @@ func scratchEmpty(e *Engine) error {
 // satCount fires the named rule in the join core alone and reports how
 // many bindings it returned, releasing them.
 func satCount(e *Engine, rule string, deltaAtom int, node string, delta Tuple) (int, error) {
-	sat, mark, err := e.satBindings(e.rules[rule], deltaAtom, node, delta, delta.Key(), e.Now())
+	sat, mark, err := e.satBindings(e.compiled.rules[rule], deltaAtom, node, delta, delta.Key(), e.Now())
 	e.join.release(mark)
 	return len(sat), err
 }
@@ -178,7 +178,7 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 		r.Assigns = append(r.Assigns, as)
 	}
 	if rng.Intn(5) == 0 {
-		// A wide rule: more variables than BindingKey's on-stack name buffer.
+		// A wide rule: more variables than sixteen.
 		for k := 0; k < 17; k++ {
 			r.Assigns = append(r.Assigns, Assign{Var: fmt.Sprintf("W%02d", k), Expr: B(OpAdd, bodyVar(), C(Int(int64(k))))})
 		}
@@ -268,7 +268,7 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 // It returns what the oracle produced and, if the core disagrees, how.
 func (c joinCase) fireBoth() (want []oracleBinding, werr, mismatch error) {
 	e := c.e
-	cr := e.rules[c.r.Name]
+	cr := e.compiled.rules[c.r.Name]
 	// Tight stacks, so the nested firing below has to move them.
 	e.join.sat, e.join.frames, e.join.bodies = nil, nil, nil
 	s0 := e.stats
@@ -331,7 +331,7 @@ func TestJoinDifferential(t *testing.T) {
 				nonEmpty++
 			}
 			if len(want) > 0 {
-				cr := c.e.rules["r"]
+				cr := c.e.compiled.rules["r"]
 				if len(cr.vars) > 16 {
 					wide++
 				}
@@ -661,7 +661,7 @@ func TestJoinSurvivingBindingIsOneAllocation(t *testing.T) {
 	delta := NewTuple("probe", Int(7))
 	key := delta.Key()
 	join := func() {
-		sat, mark, err := e.satBindings(e.rules["j"], 0, "r", delta, key, e.Now())
+		sat, mark, err := e.satBindings(e.compiled.rules["j"], 0, "r", delta, key, e.Now())
 		if err != nil || len(sat) != 1 {
 			t.Fatalf("%d bindings, error %v", len(sat), err)
 		}

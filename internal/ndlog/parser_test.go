@@ -90,14 +90,14 @@ rule r bar(A, D) :- foo(A, C), D := 2*C+1, inverse C := (D-1)/2.
 	if len(r.Assigns) != 1 || r.Assigns[0].Var != "D" {
 		t.Fatalf("assigns = %v", r.Assigns)
 	}
-	v, err := r.Assigns[0].Expr.Eval(Env{"C": Int(3)})
+	v, err := evalIn(r.Assigns[0].Expr, mapEnv{"C": Int(3)})
 	if err != nil || v != Int(7) {
 		t.Errorf("2*3+1 = %v, %v", v, err)
 	}
 	if len(r.Inverses) != 1 || r.Inverses[0].Var != "C" {
 		t.Fatalf("inverses = %v", r.Inverses)
 	}
-	iv, err := r.Inverses[0].Expr.Eval(Env{"D": Int(7)})
+	iv, err := evalIn(r.Inverses[0].Expr, mapEnv{"D": Int(7)})
 	if err != nil || iv != Int(3) {
 		t.Errorf("(7-1)/2 = %v, %v", iv, err)
 	}
@@ -162,8 +162,8 @@ rule r h() :- t(A), A + 2 * 3 == 7.
 		t.Fatal(err)
 	}
 	w := p.Rule("r").Where[0]
-	ok, err := EvalBool(w, Env{"A": Int(1)})
-	if err != nil || !ok {
+	v, err := evalIn(w, mapEnv{"A": Int(1)})
+	if ok := v == Bool(true); err != nil || !ok {
 		t.Errorf("1 + 2*3 == 7 should hold: %v %v", ok, err)
 	}
 }
@@ -178,7 +178,7 @@ rule r h((A + 1) * -2) :- t(A).
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := p.Rule("r").Head.Args[0].Eval(Env{"A": Int(2)})
+	v, err := evalIn(p.Rule("r").Head.Args[0], mapEnv{"A": Int(2)})
 	if err != nil || v != Int(-6) {
 		t.Errorf("(2+1)*-2 = %v, %v", v, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Atom is a predicate occurrence in a rule head or body: a table name, an
@@ -85,30 +86,6 @@ type Rule struct {
 	// Pos is the source position of the rule name (zero for API-built
 	// rules).
 	Pos Pos
-
-	// headVars is HeadVars(), listed once when the rule joins a Program.
-	headVars [][]string
-}
-
-// HeadVars returns the free variables (FreeVars) of each head expression:
-// one list per Head.Args element, then one for Head.Loc if the head has a
-// location. The lists are shared and must not be modified.
-func (r *Rule) HeadVars() [][]string {
-	if r.headVars != nil {
-		return r.headVars
-	}
-	return headVarsOf(r)
-}
-
-func headVarsOf(r *Rule) [][]string {
-	vars := make([][]string, 0, len(r.Head.Args)+1)
-	for _, a := range r.Head.Args {
-		vars = append(vars, FreeVars(a))
-	}
-	if r.Head.Loc != nil {
-		vars = append(vars, FreeVars(r.Head.Loc))
-	}
-	return vars
 }
 
 func (r Rule) String() string {
@@ -205,6 +182,9 @@ type Program struct {
 	// the same program many times and must not re-pay the analysis.
 	analyzeOnce sync.Once
 	analyzed    []Diag
+	// compiledRules caches the rules compiled to slot frames (compile.go)
+	// the same way; Declare and AddRule drop it.
+	compiledRules atomic.Pointer[compiledProgram]
 }
 
 // NewProgram creates an empty program.
@@ -223,6 +203,7 @@ func (p *Program) Declare(d TableDecl) error {
 	dd := d
 	p.decls[d.Name] = &dd
 	p.declOrder = append(p.declOrder, d.Name)
+	p.compiledRules.Store(nil)
 	return nil
 }
 
@@ -252,12 +233,9 @@ func (p *Program) AddRule(r Rule) error {
 // uses it so AnalyzeProgram can report on malformed rules with positions;
 // the caller must have rejected duplicate names already.
 func (p *Program) addRuleUnchecked(r Rule) {
-	rr := r
-	// Listed afresh: the value may be an edited copy of a rule from another
-	// program.
-	rr.headVars = headVarsOf(&rr)
-	p.rules = append(p.rules, &rr)
-	p.rulesByName[r.Name] = &rr
+	p.rules = append(p.rules, &r)
+	p.rulesByName[r.Name] = &r
+	p.compiledRules.Store(nil)
 }
 
 // Rule returns the rule with the given name, or nil.

@@ -25,7 +25,7 @@ func putKeyBuf(kb *keyBuf, b []byte) {
 	keyBufPool.Put(kb)
 }
 
-// argBuf is a builtin call's evaluated argument list (Call.Eval).
+// argBuf is a builtin call's evaluated argument list (slotCall.eval).
 type argBuf struct{ v []Value }
 
 var argBufPool = sync.Pool{

@@ -11,24 +11,23 @@ import (
 
 // TestWarmDiagnosisAllocationBudget bounds what one warm diagnosis — what
 // diffprovd does per request: Isolated() then Diagnose() — allocates, per
-// scenario at the benchmark's scale, so a change to the recorder, the fork
-// or the delta phase shows in go test. The wide scenarios (MR1-D and MR2-D
-// re-derive most of the job) are where the provenance recorder dominates;
-// the narrow ones record 16-34 vertexes per fork and guard the other side
-// of the flat store's trade (DESIGN.md §22): a slab chunk's slack must not
-// cost them bytes — and the same holds of the engine's slabs (§23) and of
-// the reverse edges a vertex carries since §24, which made it 8 bytes
-// wider: the narrow ceilings are what the commit before the links read, so
-// a narrow diagnosis may not pay for them at all. The figures repeat to
-// 0.1 %; "before" is the six index maps every fork grew from empty:
+// scenario at the benchmark's scale, so a change to the recorder, the fork,
+// the delta phase or the solver shows in go test. The wide scenarios (MR1-D
+// and MR2-D re-derive most of the job) are where the provenance recorder
+// dominates; the narrow ones record 16-34 vertexes per fork and guard the
+// other side of the flat store's trade (DESIGN.md §22): a slab chunk's slack
+// must not cost them bytes — and the same holds of the engine's slabs (§23)
+// and of the reverse edges a vertex carries (§24). The ceilings are the
+// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the solver
+// binding map environments instead of the compiled rules' frames (§25):
 //
-//	          allocs  before    KB  before
-//	MR1-D      8 752   8 948  3 537  4 309
-//	MR2-D      8 505   8 929  3 772  4 428
-//	SDN1         537     554   68.6   72.1
-//	SDN2         376     384   40.2   42.1
-//	SDN3         332     340   41.0   42.2
-//	SDN4         673     693   79.1   83.9
+//	          allocs  before      KB    before
+//	MR1-D      6 593   8 753  3 299.7  3 537.4
+//	MR2-D      7 186   8 505  3 566.5  3 772.1
+//	SDN1         491     536     61.6     68.6
+//	SDN2         355     377     36.5     40.2
+//	SDN3         310     332     36.9     41.0
+//	SDN4         632     672     72.5     79.0
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -37,12 +36,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 8900, 3700},
-		{"MR2-D", 8700, 3930},
-		{"SDN1", 554, 72.1},
-		{"SDN2", 384, 42.1},
-		{"SDN3", 340, 42.2},
-		{"SDN4", 693, 83.9},
+		{"MR1-D", 6692, 3349.2},
+		{"MR2-D", 7294, 3620.0},
+		{"SDN1", 498, 62.5},
+		{"SDN2", 360, 37.0},
+		{"SDN3", 315, 37.5},
+		{"SDN4", 641, 73.6},
 	}
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)

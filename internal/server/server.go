@@ -31,6 +31,11 @@
 //	429 the diagnosis worker pool is saturated (Retry-After is set)
 //	500 a scenario exists but failed to build, or its diagnosis panicked
 //	503 the diagnosis was cancelled (client gone or deadline exceeded)
+//
+// Every diagnosis request gets a run id, <scenario>-<n> with n counted per
+// server. A 422, 500 or 503 answer to a diagnosis request carries it as
+// "runId", and a panic's log line names it, so an operator can match the
+// two; successful answers do not carry it.
 package server
 
 import (
@@ -45,6 +50,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -81,6 +87,9 @@ type Server struct {
 
 	mu    sync.Mutex
 	cache map[string]*scenarioEntry
+
+	// runs counts diagnosis requests; a request's count is its run id.
+	runs atomic.Uint64
 
 	// testHookDiagnoseStart, when set, runs inside a diagnosis slot
 	// before the diagnosis starts (used by tests to hold the pool full).
@@ -183,12 +192,16 @@ func (s *Server) scenario(name string) (*scenarios.Scenario, error) {
 
 // writeScenarioErr maps a scenario lookup error onto the taxonomy:
 // unknown names are the client's fault (404), build failures ours (500).
-func writeScenarioErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, scenarios.ErrUnknownScenario) {
+// A diagnosis request's 500 carries its run id (run is nil elsewhere).
+func writeScenarioErr(w http.ResponseWriter, err error, run *runID) {
+	switch {
+	case errors.Is(err, scenarios.ErrUnknownScenario):
 		writeErr(w, http.StatusNotFound, err)
-		return
+	case run != nil:
+		run.writeErr(w, http.StatusInternalServerError, err, nil)
+	default:
+		writeErr(w, http.StatusInternalServerError, err)
 	}
-	writeErr(w, http.StatusInternalServerError, err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -201,6 +214,25 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// runID names one diagnosis request: its scenario and its number on the
+// server.
+type runID struct {
+	scenario string
+	n        uint64
+}
+
+func (id runID) String() string { return fmt.Sprintf("%s-%d", id.scenario, id.n) }
+
+// writeErr writes the JSON error body of a failed diagnosis request: the
+// error, the run id and any extra fields.
+func (id runID) writeErr(w http.ResponseWriter, status int, err error, extra map[string]string) {
+	body := map[string]string{"error": err.Error(), "runId": id.String()}
+	for k, v := range extra {
+		body[k] = v
+	}
+	writeJSON(w, status, body)
 }
 
 // scenarioInfo is the JSON shape of a scenario listing entry. Error is
@@ -237,7 +269,7 @@ type summary struct {
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	sc, err := s.scenario(r.PathValue("name"))
 	if err != nil {
-		writeScenarioErr(w, err)
+		writeScenarioErr(w, err, nil)
 		return
 	}
 	writeJSON(w, http.StatusOK, summary{
@@ -252,7 +284,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	sc, err := s.scenario(r.PathValue("name"))
 	if err != nil {
-		writeScenarioErr(w, err)
+		writeScenarioErr(w, err, nil)
 		return
 	}
 	tree := sc.Good
@@ -356,14 +388,14 @@ func diagnosisOf(name string, res *core.Result, elapsed time.Duration) diagnosis
 // acquireSlot claims a diagnosis worker slot, or sheds the request. It
 // returns a release func and reports success; on failure it has already
 // written the 429 (pool saturated) or 503 (client gone) response.
-func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) (func(), bool) {
+func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request, run runID) (func(), bool) {
 	select {
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, true
 	default:
 	}
 	if err := r.Context().Err(); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, err)
+		run.writeErr(w, http.StatusServiceUnavailable, err, nil)
 		return nil, false
 	}
 	w.Header().Set("Retry-After", "1")
@@ -373,20 +405,20 @@ func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) (func(), bo
 }
 
 // writeDiagnosisErr maps a diagnosis failure onto the taxonomy.
-func writeDiagnosisErr(w http.ResponseWriter, err error) {
+func writeDiagnosisErr(w http.ResponseWriter, err error, run runID) {
 	var runaway *ndlog.DeriveLimitError
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeErr(w, http.StatusServiceUnavailable, err)
+		run.writeErr(w, http.StatusServiceUnavailable, err, nil)
 	case errors.As(err, &runaway):
 		// A trial ran into the engine's derivation limit: the model, under
 		// the candidate change, does not terminate. Name the rule.
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error(), "rule": runaway.Rule})
+		run.writeErr(w, http.StatusUnprocessableEntity, err, map[string]string{"rule": runaway.Rule})
 	default:
 		// Diagnosis failures (unsuitable reference, no progress, ...)
 		// are semantic errors in the request: the scenario and server
 		// are fine, the diagnosis question has no answer.
-		writeErr(w, http.StatusUnprocessableEntity, err)
+		run.writeErr(w, http.StatusUnprocessableEntity, err, nil)
 	}
 }
 
@@ -417,16 +449,17 @@ func runDiagnosis(ctx context.Context, sc *scenarios.Scenario,
 }
 
 // serveDiagnosis is the request path the two diagnosis endpoints share:
-// look the scenario up, claim a worker slot, run fn against an isolated
-// copy and write the outcome.
+// number the request, look the scenario up, claim a worker slot, run fn
+// against an isolated copy and write the outcome.
 func (s *Server) serveDiagnosis(w http.ResponseWriter, r *http.Request,
 	fn func(context.Context, *scenarios.Scenario) (*core.Result, diagnosis, error)) {
+	run := runID{scenario: strings.ToUpper(r.PathValue("name")), n: s.runs.Add(1)}
 	sc, err := s.scenario(r.PathValue("name"))
 	if err != nil {
-		writeScenarioErr(w, err)
+		writeScenarioErr(w, err, &run)
 		return
 	}
-	release, ok := s.acquireSlot(w, r)
+	release, ok := s.acquireSlot(w, r, run)
 	if !ok {
 		return
 	}
@@ -436,8 +469,8 @@ func (s *Server) serveDiagnosis(w http.ResponseWriter, r *http.Request,
 	// recover, the client would get a dropped connection and no response.
 	defer func() {
 		if p := recover(); p != nil {
-			log.Printf("server: diagnosis of %s panicked: %v\n%s", sc.Name, p, debug.Stack())
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("diagnosis of %s panicked: %v", sc.Name, p))
+			log.Printf("server: run %s: diagnosis of %s panicked: %v\n%s", run, sc.Name, p, debug.Stack())
+			run.writeErr(w, http.StatusInternalServerError, fmt.Errorf("diagnosis of %s panicked: %v", sc.Name, p), nil)
 		}
 	}()
 	if s.testHookDiagnoseStart != nil {
@@ -445,7 +478,7 @@ func (s *Server) serveDiagnosis(w http.ResponseWriter, r *http.Request,
 	}
 	d, err := runDiagnosis(r.Context(), sc, fn)
 	if err != nil {
-		writeDiagnosisErr(w, err)
+		writeDiagnosisErr(w, err, run)
 		return
 	}
 	writeJSON(w, http.StatusOK, d)

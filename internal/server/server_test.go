@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -500,6 +501,56 @@ func TestDiagnosisPanicIs500(t *testing.T) {
 			t.Errorf("%s after the panic = %d (%s), want 200", endpoint, code, body)
 		}
 		ts.Close()
+	}
+}
+
+// TestRunIDsMatchBodyAndLog pins the run id contract: a panicking
+// diagnosis's 500 body carries the same runId its log line names, two
+// failed requests carry different ids, and a cancelled one's 503 carries
+// one too.
+func TestRunIDsMatchBodyAndLog(t *testing.T) {
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+
+	srv := New(scenarios.Small)
+	srv.testHookDiagnoseStart = func() { panic("seeded diagnosis panic") }
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ids := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		code, body := post(t, ts.URL+"/scenarios/SDN2/diagnose")
+		if code != http.StatusInternalServerError {
+			t.Fatalf("panicking diagnosis = %d (%s), want 500", code, body)
+		}
+		var e map[string]string
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("500 body is not the JSON error shape: %v (%s)", err, body)
+		}
+		id := e["runId"]
+		if !strings.HasPrefix(id, "SDN2-") {
+			t.Fatalf("500 runId = %q, want SDN2-<n>", id)
+		}
+		if !strings.Contains(logged.String(), "run "+id+": diagnosis of SDN2 panicked") {
+			t.Errorf("no log line names run %s:\n%s", id, logged.String())
+		}
+		ids[id] = true
+	}
+	if len(ids) != 2 {
+		t.Errorf("two failed requests share a run id: %v", ids)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	srv.testHookDiagnoseStart = nil
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/scenarios/SDN2/diagnose", nil).WithContext(ctx))
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled diagnosis = %d (%s), want a 503 JSON error", rec.Code, rec.Body)
+	}
+	if id := e["runId"]; !strings.HasPrefix(id, "SDN2-") || ids[id] {
+		t.Errorf("503 runId = %q, want a fresh SDN2-<n>", id)
 	}
 }
 
