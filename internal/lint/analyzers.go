@@ -281,14 +281,17 @@ func checkGuardedWrite(pass *Pass, e ast.Expr) {
 // SealCheck confines writes to copy-on-write-shared engine and graph
 // structures to the CoW layer.
 //
-// Forks share tables, support indexes, aggregate groups, and provenance
-// vertexes between a sealed parent and its children; a write
-// that bypasses the cow.go helpers (writableTable, histAppend,
-// mutableVertex, ...) mutates state another fork can still observe. The
+// Forks share tables and provenance vertexes between a sealed parent and
+// its children; a write that bypasses the cow.go helpers (writableTable,
+// setDerive, ...) mutates state another fork can still observe. The
 // compiler cannot see the seal, so this analyzer pins each shared
 // structure to the files that implement its discipline: cow.go always,
 // plus the few pre-seal construction sites (the engine creates tables
-// while it is still the only owner).
+// while it is still the only owner). The maps a fork shares through a
+// cow.Overlay — interval histories, the support index, aggregate groups,
+// the graph's redirected vertexes and the rest — need no row here: the
+// overlay's fields are unexported, so the compiler confines writes to
+// its methods, which write only the fork's own link.
 var SealCheck = &Analyzer{
 	Name:  "sealcheck",
 	Doc:   "confine writes to CoW-shared structures to the cow layer",
@@ -301,22 +304,11 @@ var SealCheck = &Analyzer{
 // selector write and stays unconstrained: building a fresh, unshared
 // value is always legal.
 var sealedFields = map[[2]string][]string{
-	// ndlog: per-table interval history and rows are forked CoW. Every
-	// history edit, the counterfactual phase's included, is a cow.go
-	// helper over the one copy-on-first-write accessor (ownHist).
-	{"table", "hist"}: {"cow.go"},
-	// A node's table map is shared until the first write to a table.
+	// ndlog: a node's table map is shared until the first write to a table.
 	{"node", "tables"}: {"cow.go", "engine.go"},
-	// The support index backing provenance invalidation; the engine
-	// maintains it through cow.go's ownDeps/setDeps/deleteDeps.
-	{"Engine", "dependents"}: {"cow.go"},
-	// Aggregate delta-chain groups fork lazily.
-	{"Engine", "aggGroups"}: {"cow.go"},
-	// provenance: the CoW overlay itself and the derivation index (a slice
-	// a fork continues past its base's, through cow.go's setDerive). The
-	// recorder writes no graph index: cow.go's indexAppear, indexDisappear
-	// and linkTrigger do.
-	{"Graph", "redirect"}: {"cow.go"},
+	// provenance: the derivation index, a slice a fork continues past its
+	// base's through cow.go's setDerive. The recorder writes no graph
+	// index: cow.go's indexAppear, indexDisappear and linkTrigger do.
 	{"Graph", "byDerive"}: {"cow.go"},
 }
 

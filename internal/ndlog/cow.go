@@ -11,18 +11,18 @@ package ndlog
 //     refuses Run and Schedule calls, and every table it holds is marked
 //     sealed.
 //   - Fork of a sealed engine shares the frozen tables by pointer (fresh
-//     per-fork node and table maps, O(#tables)), reads the dependents /
-//     aggGroups maps through an overlay chain (cowBase), borrows the
-//     immutable map by reference, and copies only the pending work queue.
+//     per-fork node and table maps, O(#tables)), forks each of the
+//     engine's maps as a cow.Overlay link over the base's, and copies
+//     only the pending work queue.
 //   - The first write to a sealed table clones it (writableTable) and
 //     swaps the fork's pointer to the clone; the set of swapped pointers
-//     is the fork's dirty set. A clone overlays its interval histories on
-//     the frozen base (histBase), copying a per-key slice only when that
-//     key is written.
+//     is the fork's dirty set. A clone's interval histories are an
+//     Overlay link over the frozen table's, so a per-key slice is copied
+//     only when that key is written.
 //
 // A fork finishes byte-identical to a straight-through run: sealed state
 // is immutable by construction (every write site routes through
-// writableTable or an overlay helper, and writableTable panics on a
+// writableTable or an Overlay method, and writableTable panics on a
 // sealed engine), reads see through the overlays in shadowing order, and
 // execution order is a function of the event schedule alone
 // (WithSeqBand), never of how state is laid out.
@@ -30,6 +30,8 @@ package ndlog
 // Concurrency: sealed state is only ever read after Seal returns, so any
 // number of goroutines may fork one sealed engine and run the forks
 // concurrently — each fork's writes land in fork-private clones.
+
+import "repro/internal/cow"
 
 // Seal freezes the engine: Run, RunUntil, ScheduleInsert, and
 // ScheduleDelete are refused from now on, and every table is marked
@@ -65,9 +67,8 @@ func (e *Engine) Sealed() bool { return e.sealed }
 //
 // The fork is O(#tables + pending queue): table pointers are copied into
 // fresh per-fork node/table maps (so a clone can be swapped in on first
-// write), the dependents and aggGroups overlays start empty with the
-// receiver as their read-through base, and the immutable map is borrowed
-// by reference. Only the pending work queue is copied eagerly — its
+// write), and each overlay starts as an empty link over the receiver's.
+// Only the pending work queue is copied eagerly — its
 // Derivations are stamped in place on delivery. Immutable structure is
 // shared: the program, the compiled rules with their join plans, tuple
 // argument slices and support body references are all written once
@@ -91,29 +92,28 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		obs = NopObserver{}
 	}
 	f := &Engine{
-		prog:            e.prog,
-		obs:             obs,
-		nodes:           make(map[string]*node, len(e.nodes)),
-		nodeOrder:       append([]string(nil), e.nodeOrder...),
-		seq:             e.seq,
-		seqBand:         e.seqBand,
-		baseSeq:         e.baseSeq,
-		now:             e.now,
-		deriveID:        e.deriveID,
-		delay:           e.delay,
-		dependents:      map[TupleRef][]dependentRef{},
-		immutable:       e.immutable,
-		immutableShared: true,
-		aggGroups:       map[string]*aggGroup{},
-		deriveLimit:     e.deriveLimit,
-		stats:           e.stats,
-		indexing:        e.indexing,
-		compiled:        e.compiled,
-		plans:           e.plans,
-		analysis:        e.analysis,
-		analysisDiags:   e.analysisDiags,
-		analysisErr:     e.analysisErr,
-		cowBase:         e,
+		prog:        e.prog,
+		obs:         obs,
+		nodes:       make(map[string]*node, len(e.nodes)),
+		nodeOrder:   append([]string(nil), e.nodeOrder...),
+		seq:         e.seq,
+		seqBand:     e.seqBand,
+		baseSeq:     e.baseSeq,
+		now:         e.now,
+		deriveID:    e.deriveID,
+		delay:       e.delay,
+		dependents:  e.dependents.Fork(),
+		immutable:   e.immutable.Fork(),
+		aggGroups:   e.aggGroups.Fork(),
+		amDeriv:     e.amDeriv.Fork(),
+		evDeps:      e.evDeps.Fork(),
+		killedOccs:  e.killedOccs.Fork(),
+		deriveLimit: e.deriveLimit,
+		stats:       e.stats,
+		indexing:    e.indexing,
+		compiled:    e.compiled,
+		plans:       e.plans,
+		analysis:    e.analysis,
 	}
 	for name, n := range e.nodes {
 		fn := &node{name: n.name, loc: n.loc, tables: make(map[string]*table, len(n.tables))}
@@ -171,8 +171,8 @@ func (e *Engine) writableTable(n *node, tb *table) *table {
 // is cheaper than re-deriving bucket keys from tuples. The row copies and
 // their supports are two exact allocations (the sizes are known, so they
 // need no slab and leave no slack). The interval histories are not copied:
-// the clone overlays them on the frozen base (histBase) and copies a
-// per-key slice only when that key is written.
+// the clone's are a link over the frozen table's, and a per-key slice is
+// copied only when that key is written.
 func forkTable(tb *table) *table {
 	remap := rowRemapPool.Get().(map[*row]*row)
 	// Every row the table has ever held is in order, so the capacities never
@@ -219,8 +219,7 @@ func forkTable(tb *table) *table {
 		occsTail:    append([]eventOcc(nil), tb.occsTail...),
 		occSorted:   tb.occSorted,
 		orderSorted: tb.orderSorted,
-		hist:        map[string][]Interval{},
-		histBase:    tb,
+		hist:        tb.hist.Fork(),
 	}
 	ft.order = make([]*row, len(tb.order))
 	for i, r := range tb.order {
@@ -254,50 +253,23 @@ func forkTable(tb *table) *table {
 	return ft
 }
 
-// histOf returns the effective interval history of a key, walking the
-// copy-on-write chain. The returned slice may belong to a frozen base and
-// must not be mutated.
-func (tb *table) histOf(key string) []Interval {
-	for t := tb; t != nil; t = t.histBase {
-		if ivs, ok := t.hist[key]; ok {
-			return ivs
-		}
-	}
-	return nil
-}
-
-// ownHist returns a key's history as a slice this table may edit in place:
-// its own entry, or — on the key's first local write in a clone — a private
-// copy of the frozen base's, stored with room for extra more intervals. It
-// is the one place a base history is copied; nil means the key has none and
-// no room was asked for. The copy, like a new key's first interval, is a
-// window of the writing engine's arena a.
-func (tb *table) ownHist(a *arena, key string, extra int) []Interval {
-	ivs, own := tb.hist[key]
-	if !own && tb.histBase != nil {
-		ivs = tb.histBase.histOf(key)
-	}
-	if own && len(ivs) > 0 {
-		return ivs // already this table's to edit
-	}
-	if len(ivs)+extra == 0 {
-		return nil // nothing to copy, no room wanted
-	}
-	cp := a.ivs.take(len(ivs), extra)
-	if copy(cp, ivs) > 0 {
-		tb.hist[key] = cp
-	}
-	return cp
-}
-
-// histAppend appends an interval to a key's history.
+// histAppend appends an interval to a key's history. A key's first
+// interval, like the private copy of the frozen base's history on the
+// key's first write in a clone, is a window of the writing engine's arena
+// a with room for the interval.
 func (tb *table) histAppend(a *arena, key string, iv Interval) {
-	tb.hist[key] = append(tb.ownHist(a, key, 1), iv)
+	cow.Append(&tb.hist, key, func(h []Interval) []Interval { return a.ivs.clone(h, 1) }, iv)
+}
+
+// editHist returns a key's history for an in-place edit: this table's own,
+// copied into a window of a on the key's first write in a clone.
+func (tb *table) editHist(a *arena, key string) []Interval {
+	return tb.hist.Own(key, func(h []Interval) []Interval { return a.ivs.clone(h, 0) })
 }
 
 // histCloseLast closes a key's trailing open interval at st.
 func (tb *table) histCloseLast(a *arena, key string, st Stamp) {
-	ivs := tb.ownHist(a, key, 0)
+	ivs := tb.editHist(a, key)
 	if n := len(ivs); n > 0 && ivs[n-1].Open {
 		ivs[n-1].To, ivs[n-1].Open = st, false
 	}
@@ -306,7 +278,7 @@ func (tb *table) histCloseLast(a *arena, key string, st Stamp) {
 // histBackdateFrom moves the start of the interval opened at seq back to
 // st (cfBackdateRow).
 func (tb *table) histBackdateFrom(a *arena, key string, seq uint64, st Stamp) {
-	if iv := openedAt(tb.ownHist(a, key, 0), seq); iv != nil {
+	if iv := openedAt(tb.editHist(a, key), seq); iv != nil {
 		iv.From = st
 	}
 }
@@ -314,7 +286,7 @@ func (tb *table) histBackdateFrom(a *arena, key string, seq uint64, st Stamp) {
 // histCloseAt moves the end of the interval opened at seq back to st,
 // closing it if still open (cfBackdateRow).
 func (tb *table) histCloseAt(a *arena, key string, seq uint64, st Stamp) {
-	if iv := openedAt(tb.ownHist(a, key, 0), seq); iv != nil {
+	if iv := openedAt(tb.editHist(a, key), seq); iv != nil {
 		iv.To, iv.Open = st, false
 	}
 }
@@ -333,86 +305,31 @@ func openedAt(ivs []Interval, seq uint64) *Interval {
 // histRemoveOcc removes an event occurrence's zero-length interval from a
 // key's history (eraseOccurrence).
 func (tb *table) histRemoveOcc(a *arena, key string, seq uint64) {
-	ivs := tb.ownHist(a, key, 0)
+	ivs := tb.editHist(a, key)
 	for i, iv := range ivs {
 		if !iv.Open && iv.From == iv.To && iv.From.Seq == seq {
-			tb.hist[key] = append(ivs[:i], ivs[i+1:]...)
+			tb.hist.Set(key, append(ivs[:i], ivs[i+1:]...))
 			return
 		}
 	}
 }
 
-// depsOf returns the effective dependent list for a body-row ref, walking
-// the frozen-base chain. Stored entries are never empty, so nil means the
-// ref has no dependents (absent everywhere, or tombstoned by deleteDeps).
-// The returned slice may be owned by a frozen base; do not mutate it.
-func (e *Engine) depsOf(ref TupleRef) []dependentRef {
-	for en := e; en != nil; en = en.cowBase {
-		if deps, ok := en.dependents[ref]; ok {
-			return deps
-		}
-	}
-	return nil
-}
-
-// ownDeps returns a ref's dependent list as a slice this engine may edit
-// in place and store back with setDeps: its own entry, or — on the ref's
-// first local write in a fork — a copy of the frozen base's with room for
-// extra more refs, so an append never lands in a sealed backing array. The
-// copy, like a ref's first dependent, is a window of the engine's arena.
-func (e *Engine) ownDeps(ref TupleRef, extra int) []dependentRef {
-	deps, own := e.dependents[ref]
-	if !own && e.cowBase != nil {
-		deps = e.cowBase.depsOf(ref)
-	}
-	if own && len(deps) > 0 {
-		return deps // already this engine's to edit
-	}
-	if len(deps)+extra == 0 {
-		return nil // nothing to copy, no room wanted
-	}
-	cp := e.arena.deps.take(len(deps), extra)
-	copy(cp, deps)
-	return cp
-}
-
-// setDeps stores a ref's edited dependent list; an empty one is deleted.
-func (e *Engine) setDeps(ref TupleRef, deps []dependentRef) {
-	if len(deps) == 0 {
-		e.deleteDeps(ref)
-		return
-	}
-	e.dependents[ref] = deps
-}
-
-// deleteDeps removes a ref's dependent list: deleted outright at a chain
-// root, tombstoned (stored nil) in a CoW fork so the frozen base's entry
-// stays shadowed.
-func (e *Engine) deleteDeps(ref TupleRef) {
-	if e.cowBase != nil {
-		e.dependents[ref] = nil
-	} else {
-		delete(e.dependents, ref)
-	}
-}
-
 // aggGroupFor returns this engine's mutable aggregate group for a key
 // (groupKey's bytes; the string is built only for a group not yet in the
-// engine's own map), copying the frozen base's group state on first access
+// engine's own link), copying the frozen base's group state on first access
 // (the state is a few scalars) or creating a fresh group.
 func (e *Engine) aggGroupFor(key []byte) *aggGroup {
-	if g, ok := e.aggGroups[string(key)]; ok {
+	if g, own := e.aggGroups.Find(func(m map[string]*aggGroup) (*aggGroup, bool) {
+		g, ok := m[string(key)]
+		return g, ok
+	}); own {
 		return g
 	}
-	gk := string(key)
-	for en := e.cowBase; en != nil; en = en.cowBase {
-		if g, ok := en.aggGroups[gk]; ok {
-			cp := *g
-			e.aggGroups[gk] = &cp
-			return &cp
+	return e.aggGroups.Own(string(key), func(base *aggGroup) *aggGroup {
+		g := &aggGroup{}
+		if base != nil {
+			*g = *base
 		}
-	}
-	g := &aggGroup{}
-	e.aggGroups[gk] = g
-	return g
+		return g
+	})
 }

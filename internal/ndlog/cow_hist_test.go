@@ -2,13 +2,15 @@ package ndlog
 
 import (
 	"reflect"
+	"runtime/debug"
+	"strings"
 	"testing"
 )
 
-// Every history edit on a forked table goes through ownHist: the first
-// write to a key copies the sealed base's history, the base's own slice is
-// never written, and a second edit works on the copy instead of copying
-// again (which would also lose the first edit).
+// Every history edit on a forked table goes through its overlay link: the
+// first write to a key copies the sealed base's history, the base's own
+// slice is never written, and a second edit works on the copy instead of
+// copying again (which would also lose the first edit).
 func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 	const key = "ev|i1"
 	at := func(tick int64, seq uint64) Stamp { return Stamp{T: tick, Seq: seq} }
@@ -46,23 +48,23 @@ func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			base := &table{decl: &TableDecl{Name: "ev"}, live: map[string]*row{}, sealed: true,
-				hist: map[string][]Interval{key: baseHist()}}
+			base := &table{decl: &TableDecl{Name: "ev"}, live: map[string]*row{}, sealed: true}
+			base.hist.Set(key, baseHist())
 			ft := forkTable(base)
 
 			c.edit(ft)
-			if got, want := ft.histOf(key), c.want(baseHist()); !reflect.DeepEqual(got, want) {
+			if got, want := ft.hist.Get(key), c.want(baseHist()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after the edit: %v, want %v", got, want)
 			}
-			owned := &ft.hist[key][0]
+			owned := &ft.hist.Get(key)[0]
 			ft.histBackdateFrom(&a, key, 1, at(0, 7))
-			if &ft.hist[key][0] != owned {
+			if &ft.hist.Get(key)[0] != owned {
 				t.Error("second edit copied the history again")
 			}
-			if got, want := ft.histOf(key), second(c.want(baseHist())); !reflect.DeepEqual(got, want) {
+			if got, want := ft.hist.Get(key), second(c.want(baseHist())); !reflect.DeepEqual(got, want) {
 				t.Errorf("after both edits: %v, want %v", got, want)
 			}
-			if got := base.hist[key]; !reflect.DeepEqual(got, baseHist()) {
+			if got := base.hist.Get(key); !reflect.DeepEqual(got, baseHist()) {
 				t.Errorf("sealed base history written: %v", got)
 			}
 		})
@@ -135,5 +137,58 @@ rule rc d(X) :- c(X).
 		if got := rules(e, key); !reflect.DeepEqual(got, both) {
 			t.Errorf("sealed base %s supported by %v after the fork's edits, want %v", key, got, both)
 		}
+	}
+}
+
+// TestKeyByteLookupsBuildNoString: the lookups that hold a tuple's key as
+// bytes — Engine.histOf (under Exists), IsMutable and aggGroupFor — index
+// each overlay link's map with m[string(b)], which builds no string, on a
+// fork two links above the root and for keys longer than the 32 bytes Go
+// converts on the stack.
+func TestKeyByteLookupsBuildNoString(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled buffers are re-allocated at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the key buffer pool
+	p := MustParse(wcProgram + "table pin/1 base mutable;\n")
+	word := Str(strings.Repeat("w", 40))
+	kv, count, pin := NewTuple("kv", word, Int(0)), NewTuple("wordcount", word, Int(1)), NewTuple("pin", word)
+	e := New(p, nil, WithSeqBand(SeqBandDefault))
+	if err := e.ScheduleInsert("r1", kv, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.PinImmutable("r1", pin)
+	e.Seal()
+	mid := e.Fork(nil)
+	mid.Seal()
+	top := mid.Fork(nil)
+	var group []byte // the one group's key, as groupKey encodes it
+	e.aggGroups.Find(func(m map[string]*aggGroup) (*aggGroup, bool) {
+		for k := range m {
+			group = []byte(k)
+		}
+		return nil, true
+	})
+	if len(group) <= 32 {
+		t.Fatalf("group key %q fits Go's stack buffer", group)
+	}
+	if top.aggGroupFor(group).count != 1 {
+		t.Fatal("the fork's first access did not copy the base's group")
+	}
+	ok := true
+	for name, lookup := range map[string]func(){
+		"Exists":      func() { ok = ok && top.Exists("r1", count, top.Now()) },
+		"IsMutable":   func() { ok = ok && !top.IsMutable("r1", pin) },
+		"aggGroupFor": func() { ok = ok && top.aggGroupFor(group).count == 1 },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", name, n)
+		}
+	}
+	if !ok {
+		t.Error("a lookup read the wrong answer")
 	}
 }

@@ -42,6 +42,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/cow"
 )
 
 // eventOcc records one event-tuple occurrence on a table, so the
@@ -208,7 +210,7 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 		}
 		if decl.Event {
 			fire := func(o eventOcc) error {
-				if !s.Before(o.at) || e.isKilledOcc(o.at.Seq) {
+				if !s.Before(o.at) || e.killedOccs.Get(o.at.Seq) {
 					return nil
 				}
 				if until != (Stamp{}) && !o.at.Before(until) {
@@ -305,7 +307,7 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 			// The displaced generation is the one that died exactly when r
 			// appeared and was live at st; anything between st and the old
 			// appearance is a multi-generation interleave we leave as-is.
-			for _, iv := range tb.histOf(o.key) {
+			for _, iv := range tb.hist.Get(o.key) {
 				if iv.Open || iv.From.Seq != o.appearedAt.Seq || iv.To.Seq != old.Seq || st.Before(iv.From) {
 					continue
 				}
@@ -338,7 +340,11 @@ type evConsumer struct {
 // registerEventDeriv indexes an event-head derivation under each of its
 // body elements, at delivery time (process). The record is write-once, so
 // one slot of the arena is shared by all its refs; the body slice is the
-// derivation's (and the support's), likewise shared.
+// derivation's (and the support's), likewise shared. A fork's link holds
+// only the consumers the fork itself registers (a tail, started as a
+// window of the arena): the base chain's frozen lists are never copied —
+// eraseEventConsumers reads the links in turn, which is rare (erasure)
+// while registration is per-derivation hot.
 func (e *Engine) registerEventDeriv(d *Derivation) {
 	c := e.arena.evs.one()
 	*c = evConsumer{
@@ -351,63 +357,8 @@ func (e *Engine) registerEventDeriv(d *Derivation) {
 		body:      d.Refs,
 	}
 	for _, b := range d.Refs {
-		e.appendEvDep(b.TupleRef(), c)
+		cow.Append(&e.evDeps, b.TupleRef(), func([]*evConsumer) []*evConsumer { return e.arena.evLists.take(0, 1) }, c)
 	}
-}
-
-// appendEvDep appends an event consumer under a body-element ref. A
-// fork's local entry holds only the consumers the fork itself registers
-// (a tail); the base chain's frozen lists are never copied — evDepsOf
-// concatenates on read, which is rare (erasure) while registration is
-// per-derivation hot.
-func (e *Engine) appendEvDep(ref TupleRef, c *evConsumer) {
-	if e.evDeps == nil {
-		e.evDeps = map[TupleRef][]*evConsumer{}
-	}
-	l, ok := e.evDeps[ref]
-	if !ok {
-		l = e.arena.evLists.take(0, 1)
-	}
-	e.evDeps[ref] = append(l, c)
-}
-
-// evDepsOf returns the effective consumer list for a body-element ref:
-// the copy-on-write chain's entries oldest-first (base registrations
-// precede the fork's tail). Entries are never deleted (stale ones are
-// filtered by body sequence number at use), so there are no tombstones
-// to honor. The returned slice may alias a single chain link's frozen
-// storage; do not mutate.
-func (e *Engine) evDepsOf(ref TupleRef) []*evConsumer {
-	if e.cowBase == nil {
-		return e.evDeps[ref]
-	}
-	base := e.cowBase.evDepsOf(ref)
-	local := e.evDeps[ref]
-	if len(local) == 0 {
-		return base
-	}
-	if len(base) == 0 {
-		return local
-	}
-	return append(append(make([]*evConsumer, 0, len(base)+len(local)), base...), local...)
-}
-
-// isKilledOcc reports whether the counterfactual phase erased the event
-// occurrence with this stamp sequence (stamp sequences are unique).
-func (e *Engine) isKilledOcc(seq uint64) bool {
-	for en := e; en != nil; en = en.cowBase {
-		if _, ok := en.killedOccs[seq]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-func (e *Engine) killOcc(seq uint64) {
-	if e.killedOccs == nil {
-		e.killedOccs = map[uint64]struct{}{}
-	}
-	e.killedOccs[seq] = struct{}{}
 }
 
 // eraseEventConsumers erases the event occurrences derived from a body
@@ -417,43 +368,42 @@ func (e *Engine) killOcc(seq uint64) {
 // Without it (the element's own occurrence was erased, so it never
 // happened in the counterfactual timeline), every consumer goes.
 func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt, st Stamp, gate bool) {
-	// The range below is a snapshot: lists are append-only and their
-	// entries write-once, so whatever the cascade registers meanwhile —
-	// under this ref or, through the map, any other — lands beyond the
-	// slice being ranged over.
-	for _, c := range e.evDepsOf(ref) {
-		match := false
-		for _, b := range c.body {
-			if b.Seq == bodySeq {
-				match = true
-				break
+	// Each hands over every chain link's list, root first. Lists are
+	// append-only and their entries write-once, and consumers register only
+	// at delivery (process), never inside this cascade, so the walk sees
+	// exactly the consumers registered when it started.
+	e.evDeps.Each(ref, func(cs []*evConsumer) {
+		for _, c := range cs {
+			match := false
+			for _, b := range c.body {
+				if b.Seq == bodySeq {
+					match = true
+					break
+				}
+			}
+			if !match || gate && !st.Before(c.trigAt) {
+				continue
+			}
+			e.eraseOccurrence(c, cause, st)
+			if gate {
+				// The body element existed at the trigger but the timely run
+				// loses it by then; an argmax trigger would have fired anyway
+				// and chosen the next-best winner — re-evaluate it. (Plain
+				// rules need nothing: bindings over other rows were separate
+				// firings and still stand. Ungated erasure needs nothing
+				// either: events only join as triggers, so the erased
+				// occurrence was the consumer's trigger and never happened.)
+				if r := e.compiled.rules[c.rule]; r != nil && r.argMaxSlot >= 0 {
+					trig := c.body[c.trigAtom]
+					e.cfReevals = append(e.cfReevals, cfReeval{
+						rule: r, atom: c.trigAtom, node: trig.Node,
+						tuple: c.trigTuple, key: trig.Key, st: c.trigAt,
+						cause: cause,
+					})
+				}
 			}
 		}
-		if !match {
-			continue
-		}
-		if gate && !st.Before(c.trigAt) {
-			continue
-		}
-		e.eraseOccurrence(c, cause, st)
-		if gate {
-			// The body element existed at the trigger but the timely run
-			// loses it by then; an argmax trigger would have fired anyway
-			// and chosen the next-best winner — re-evaluate it. (Plain
-			// rules need nothing: bindings over other rows were separate
-			// firings and still stand. Ungated erasure needs nothing
-			// either: events only join as triggers, so the erased
-			// occurrence was the consumer's trigger and never happened.)
-			if r := e.compiled.rules[c.rule]; r != nil && r.argMaxSlot >= 0 {
-				trig := c.body[c.trigAtom]
-				e.cfReevals = append(e.cfReevals, cfReeval{
-					rule: r, atom: c.trigAtom, node: trig.Node,
-					tuple: c.trigTuple, key: trig.Key, st: c.trigAt,
-					cause: cause,
-				})
-			}
-		}
-	}
+	})
 }
 
 // eraseOccurrence erases one derived event occurrence: the timely run the
@@ -466,10 +416,10 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 // retracted, and event occurrences derived from it are erased in turn.
 func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	occ := c.head
-	if e.isKilledOcc(occ.Stamp.Seq) {
+	if e.killedOccs.Get(occ.Stamp.Seq) {
 		return
 	}
-	e.killOcc(occ.Stamp.Seq)
+	e.killedOccs.Set(occ.Stamp.Seq, true)
 	decl := e.prog.Decl(occ.Tuple.Table)
 	if decl == nil {
 		return
@@ -496,7 +446,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	// State rows supported by the occurrence lose that support. Aggregate
 	// heads are skipped: the group decrement above already replaced them.
 	occRef := occ.TupleRef()
-	for _, dep := range append([]dependentRef(nil), e.depsOf(occRef)...) {
+	for _, dep := range append([]dependentRef(nil), e.dependents.Get(occRef)...) {
 		e.retractSupportIf(dep, occ.Stamp.Seq, occ, st)
 	}
 	// Event occurrences derived from this one never happened either.
@@ -562,34 +512,15 @@ type amTrigger struct {
 // occurrence: the head it derived (for retraction when a counterfactual
 // change flips the winner) and the winning binding's canonical key (to
 // detect that the winner is unchanged). Entries are write-once; updates
-// store a fresh entry.
+// store a fresh entry. None is deleted: a stale one (its derivation has
+// since been retracted) is detected at use — the retraction is skipped and
+// the binding-key comparison still answers "did the winner change".
 type amEntry struct {
 	ref       dependentRef // the head's node, key and derivation
 	bk        string       // canonical key of the winning binding
 	eventHead bool         // the head is an occurrence, not a row
 	headTuple Tuple        // event heads: the derived occurrence, for erasure
 	headAt    Stamp        // event heads: its delivery stamp
-}
-
-// amOf reads the argmax-winner map through the copy-on-write chain.
-func (e *Engine) amOf(key amTrigger) *amEntry {
-	for en := e; en != nil; en = en.cowBase {
-		if v, ok := en.amDeriv[key]; ok {
-			return v
-		}
-	}
-	return nil
-}
-
-// amSet records the winner for a trigger in this engine's local map.
-// Entries are never deleted: a stale entry (its derivation has since been
-// retracted) is detected at use — the retraction is skipped gracefully
-// and the binding-key comparison still answers "did the winner change".
-func (e *Engine) amSet(key amTrigger, v *amEntry) {
-	if e.amDeriv == nil {
-		e.amDeriv = map[amTrigger]*amEntry{}
-	}
-	e.amDeriv[key] = v
 }
 
 // amEntryFor builds the winner entry for a binding from the work item
@@ -669,7 +600,7 @@ func (e *Engine) triggerOf(r *Rule, sup support) (atom int, tuple Tuple, st Stam
 		if tb == nil {
 			return 0, Tuple{}, Stamp{}, false
 		}
-		iv := openedAt(tb.histOf(b.Key), b.Seq) // read only: may be a frozen base's
+		iv := openedAt(tb.hist.Get(b.Key), b.Seq) // read only: may be a frozen base's
 		if iv == nil {
 			return 0, Tuple{}, Stamp{}, false
 		}
@@ -765,7 +696,7 @@ func (e *Engine) drainCFReevals() error {
 // the trigger currently supports, the old head is retracted (cascading)
 // and the new winner derived. Idempotent: an unchanged winner is a no-op.
 func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
-	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.isKilledOcc(st.Seq) {
+	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.killedOccs.Get(st.Seq) {
 		return nil // the trigger occurrence was erased after this re-eval was queued
 	}
 	sat, mark, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
@@ -780,7 +711,7 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 	}
 	win := sat[0]
 	trig := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
-	cur := e.amOf(trig)
+	cur := e.amDeriv.Get(trig)
 	if cur != nil && cur.bk == r.bindingKey(win.frame) {
 		return nil // winner unchanged; the main-phase derivation stands (or fell with its own supports)
 	}
@@ -803,6 +734,6 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 	if err != nil {
 		return err
 	}
-	e.amSet(trig, e.amEntryFor(r, win, it))
+	e.amDeriv.Set(trig, e.amEntryFor(r, win, it))
 	return nil
 }

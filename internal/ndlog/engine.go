@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+
+	"repro/internal/cow"
 )
 
 // Observer receives primitive provenance events from the engine. The
@@ -145,17 +148,20 @@ type Engine struct {
 	now      Stamp
 	deriveID int64
 	delay    int64 // cross-node transit delay in ticks
+	// The engine's maps are copy-on-write overlays (internal/cow): a fork's
+	// link holds what the fork wrote, over its sealed base's.
+	//
 	// dependents maps a row to the derived rows it supports, for the
 	// deletion cascade. Refs are pruned when a support is retracted
 	// through any cause (see unindexSupport), so the map stays bounded by
 	// the number of live supports.
-	dependents map[TupleRef][]dependentRef
+	dependents cow.Overlay[TupleRef, []dependentRef]
 	// immutable records tuples individually pinned immutable (beyond
 	// table-level mutability), e.g. "static flow entries declared off
 	// limits" (§4.7).
-	immutable map[TupleRef]bool
+	immutable cow.Overlay[TupleRef, bool]
 	// aggGroups holds the incremental state of counting rules.
-	aggGroups map[string]*aggGroup
+	aggGroups cow.Overlay[string, *aggGroup]
 	// deriveLimit bounds lifetime derivations as a guard against
 	// non-terminating models (e.g. forwarding loops).
 	deriveLimit int
@@ -170,21 +176,14 @@ type Engine struct {
 	// with indexing off.
 	plans    *joinPlans
 	indexing bool
-	// analysis enables the static program analysis in New (default on);
-	// analysisDiags holds its result and analysisErr the first
-	// Error-severity diagnostic, which makes Run refuse the program.
-	analysis      bool
-	analysisDiags []Diag
-	analysisErr   error
+	// analysis enables the static program analysis (default on): an
+	// Error-severity finding in the program's cached report
+	// (Program.Analyze) makes Run refuse the program.
+	analysis bool
 	// sealed marks an engine frozen as a base run: it refuses Run and
-	// Schedule calls, and forks clone its tables on first write. cowBase
-	// chains a fork to the frozen engine whose dependents and aggGroups
-	// maps it overlays; immutableShared marks the immutable map as
-	// borrowed from that engine (cloned by PinImmutable before any
-	// write). See cow.go.
-	cowBase         *Engine
-	sealed          bool
-	immutableShared bool
+	// Schedule calls, and forks clone its tables on first write. See
+	// cow.go.
+	sealed bool
 	// Counterfactual (delta) evaluation state; see delta.go. Changes
 	// scheduled via ScheduleCFInsert/ScheduleCFDelete wait on cfQueue
 	// until the main heap drains, then propagate semi-naively: cfPhase
@@ -192,14 +191,14 @@ type Engine struct {
 	// ones (isCF), each table the changes touch is flagged and counted into
 	// Stats.DirtyTables (cfMarkDirty), cfReevals queues argmax trigger
 	// re-evaluations, and amDeriv maps each argmax trigger to the winner it
-	// currently supports (overlaying cowBase like dependents).
+	// currently supports.
 	cfQueue    workHeap
 	cfPhase    bool
 	cfMarksSet bool
 	cfBaseMark uint64
 	cfSeqMark  uint64
 	cfReevals  []cfReeval
-	amDeriv    map[amTrigger]*amEntry
+	amDeriv    cow.Overlay[amTrigger, *amEntry]
 	// rfPin pins one counterfactual row at body atom rfPinAtom (on node
 	// rfPinNode) during a delta re-fire, so the join matches only that
 	// row at the pinned position.
@@ -211,18 +210,20 @@ type Engine struct {
 	// preconditions are retracted (events have no rows, so the dependents
 	// cascade cannot reach them). A derivation's
 	// one write-once record is shared by pointer under each of its body
-	// refs and across forks. Overlays cowBase like dependents; entries are
-	// never deleted (stale ones are filtered by the body sequence number).
-	// killedOccs marks erased event occurrences by stamp sequence.
-	evDeps     map[TupleRef][]*evConsumer
-	killedOccs map[uint64]struct{}
+	// refs and across forks. A link's list is the tail it appended (read
+	// with Each); entries are never deleted (stale ones are filtered by the
+	// body sequence number). killedOccs marks erased event occurrences by
+	// stamp sequence.
+	evDeps     cow.Overlay[TupleRef, []*evConsumer]
+	killedOccs cow.Overlay[uint64, bool]
 	// join is the scratch state of the rule-firing join (join.go); never
 	// copied by Fork.
 	join joinScratch
 	// arena is where what this engine creates is allocated (slab.go); a fork
 	// starts with its own, empty. It is held by value, and every fork
-	// allocates an Engine: the bools above sit in pairs so that the struct
-	// stays in the 896-byte size class (TestEngineFitsItsSizeClass).
+	// allocates an Engine: the bools above sit next to each other so that
+	// the struct stays in the 896-byte size class
+	// (TestEngineFitsItsSizeClass).
 	arena arena
 }
 
@@ -274,21 +275,19 @@ type node struct {
 }
 
 type table struct {
-	decl   *TableDecl
-	live   map[string]*row
-	order  []*row // insertion-ordered; dead rows skipped
-	hist   map[string][]Interval
+	decl  *TableDecl
+	live  map[string]*row
+	order []*row // insertion-ordered; dead rows skipped
+	// hist holds each key's interval history; a clone's link holds the keys
+	// written since the clone, each a complete private copy (cow.go).
+	hist   cow.Overlay[string, []Interval]
 	keyIdx map[string]*row // primary-key index, for tables with key columns
 	// indexes holds the secondary hash indexes planned for this table, in
 	// the plans' order (indexSpec.pos); buckets mirror order (see index.go).
 	indexes []*tableIndex
 	// sealed marks the table frozen (shared between a sealed engine and
-	// its CoW forks); writableTable clones it on first write. histBase,
-	// on such a clone, is the frozen table whose interval histories the
-	// clone overlays: hist holds only keys written since the clone, each
-	// entry a complete private copy of that key's history. See cow.go.
-	sealed   bool
-	histBase *table
+	// its CoW forks); writableTable clones it on first write. See cow.go.
+	sealed bool
 	// occs logs event-tuple occurrences (events are not stored as rows),
 	// so the counterfactual phase can re-enumerate event triggers that
 	// fired in the main phase. occSorted and orderSorted track the
@@ -468,10 +467,6 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		obs:         obs,
 		nodes:       map[string]*node{},
 		delay:       1,
-		dependents:  map[TupleRef][]dependentRef{},
-		evDeps:      map[TupleRef][]*evConsumer{},
-		immutable:   map[TupleRef]bool{},
-		aggGroups:   map[string]*aggGroup{},
 		deriveLimit: 10_000_000,
 		indexing:    true,
 		analysis:    true,
@@ -480,8 +475,7 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		o(e)
 	}
 	if e.analysis {
-		e.analysisDiags = prog.Analyze()
-		e.analysisErr = firstError(e.analysisDiags)
+		prog.Analyze() // cache the report Run checks now, with the rules compiled below
 	}
 	e.compiled = prog.compiled()
 	if e.indexing {
@@ -493,7 +487,10 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 // AnalysisDiags returns the diagnostics the static analysis reported for
 // the engine's program (nil when analysis was disabled).
 func (e *Engine) AnalysisDiags() []Diag {
-	return append([]Diag(nil), e.analysisDiags...)
+	if !e.analysis {
+		return nil
+	}
+	return append([]Diag(nil), e.prog.Analyze()...)
 }
 
 // Program returns the program the engine evaluates.
@@ -518,7 +515,7 @@ func (e *Engine) nodeFor(name string) *node {
 func (e *Engine) tableFor(n *node, decl *TableDecl) *table {
 	t, ok := n.tables[decl.Name]
 	if !ok {
-		t = &table{decl: decl, live: map[string]*row{}, hist: map[string][]Interval{}}
+		t = &table{decl: decl, live: map[string]*row{}}
 		if len(decl.Key) > 0 {
 			t.keyIdx = map[string]*row{}
 		}
@@ -613,14 +610,7 @@ func (e *Engine) PinImmutable(nodeName string, t Tuple) {
 	if e.sealed {
 		panic("ndlog: PinImmutable on sealed engine")
 	}
-	if e.immutableShared {
-		m := make(map[TupleRef]bool, len(e.immutable)+1)
-		for k, v := range e.immutable {
-			m[k] = v
-		}
-		e.immutable, e.immutableShared = m, false
-	}
-	e.immutable[TupleRef{Node: nodeName, Key: t.Key()}] = true
+	e.immutable.Set(TupleRef{Node: nodeName, Key: t.Key()}, true)
 }
 
 // IsMutable reports whether DiffProv may change the given base tuple.
@@ -630,7 +620,12 @@ func (e *Engine) IsMutable(nodeName string, t Tuple) bool {
 		return false
 	}
 	pinned := false
-	t.WithKey(func(key []byte) { pinned = e.immutable[TupleRef{Node: nodeName, Key: string(key)}] })
+	t.WithKey(func(key []byte) {
+		pinned, _ = e.immutable.Find(func(m map[TupleRef]bool) (bool, bool) {
+			v, ok := m[TupleRef{Node: nodeName, Key: string(key)}]
+			return v, ok
+		})
+	})
 	return !pinned
 }
 
@@ -664,8 +659,10 @@ func (e *Engine) drain(q *workHeap, maxTick int64) error {
 	if e.sealed {
 		return errSealed
 	}
-	if e.analysisErr != nil {
-		return e.analysisErr
+	if e.analysis {
+		if err := firstError(e.prog.Analyze()); err != nil {
+			return err
+		}
 	}
 	for q.Len() > 0 && (*q)[0].stamp.T <= maxTick {
 		it := heap.Pop(q).(*workItem)
@@ -729,7 +726,7 @@ func (e *Engine) process(it *workItem) error {
 		e.stats.BaseDeletes++
 		return e.deleteBase(it.node, it.tuple, it.stamp)
 	case wkArriveDerived:
-		if e.cfPhase && e.isKilledOcc(it.stamp.Seq) {
+		if e.cfPhase && e.killedOccs.Get(it.stamp.Seq) {
 			// A displaced argmax event winner erased before its delivery:
 			// the occurrence never happens (delta.go).
 			return nil
@@ -835,10 +832,15 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	return nil
 }
 
+// indexSupport adds a support's dependent refs under every body row it
+// references. A ref's list is a window of the arena: a ref's first
+// dependent, or the copy of a base's list on its first write in a fork,
+// with room for the one being added.
 func (e *Engine) indexSupport(nodeName, key string, sup support) {
 	for _, b := range sup.body {
 		ref := b.TupleRef()
-		e.setDeps(ref, append(e.ownDeps(ref, 1), dependentRef{node: nodeName, key: key, deriveID: sup.deriveID}))
+		cow.Append(&e.dependents, ref, func(d []dependentRef) []dependentRef { return e.arena.deps.clone(d, 1) },
+			dependentRef{node: nodeName, key: key, deriveID: sup.deriveID})
 	}
 }
 
@@ -849,17 +851,26 @@ func (e *Engine) indexSupport(nodeName, key string, sup support) {
 func (e *Engine) unindexSupport(nodeName, key string, sup support) {
 	for _, b := range sup.body {
 		ref := b.TupleRef()
-		deps := e.ownDeps(ref, 0)
-		if len(deps) == 0 {
-			continue // the body row itself is being retracted; its refs went wholesale
+		// One walk finds the list and whose it is, and the map is written
+		// once: a base's list is spliced in a private copy.
+		deps, own := e.dependents.Find(func(m map[TupleRef][]dependentRef) ([]dependentRef, bool) {
+			d, ok := m[ref]
+			return d, ok
+		})
+		i := slices.IndexFunc(deps, func(d dependentRef) bool {
+			return d.node == nodeName && d.key == key && d.deriveID == sup.deriveID
+		})
+		if i < 0 {
+			continue // none here: the body row itself is being retracted, its refs went wholesale
 		}
-		for i, d := range deps {
-			if d.node == nodeName && d.key == key && d.deriveID == sup.deriveID {
-				deps = append(deps[:i], deps[i+1:]...)
-				break
-			}
+		if !own {
+			deps = e.arena.deps.clone(deps, 0)
 		}
-		e.setDeps(ref, deps)
+		if deps = append(deps[:i], deps[i+1:]...); len(deps) == 0 {
+			e.dependents.Delete(ref)
+		} else {
+			e.dependents.Set(ref, deps)
+		}
 	}
 }
 
@@ -940,9 +951,9 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	}
 
 	ref := cause.TupleRef()
-	deps := e.depsOf(ref)
+	deps := e.dependents.Get(ref) // read only: may be a frozen base's
 	if len(deps) > 0 {
-		e.deleteDeps(ref) // nothing to shadow otherwise: a fork would store a tombstone per leaf row
+		e.dependents.Delete(ref) // nothing to shadow otherwise: a fork would store a tombstone per leaf row
 	}
 	for _, dep := range deps {
 		e.retractSupport(dep, cause, st)
@@ -1079,7 +1090,7 @@ func (e *Engine) fireBinding(r *CompiledRule, deltaAtom int, nodeName string, b 
 	if r.argMaxSlot >= 0 {
 		// Remember which winner this trigger derived, so a counterfactual
 		// change that flips the winner can retract it (delta.go).
-		e.amSet(amTrigger{rule: r.name, node: nodeName, seq: st.Seq}, e.amEntryFor(r, b, it))
+		e.amDeriv.Set(amTrigger{rule: r.name, node: nodeName, seq: st.Seq}, e.amEntryFor(r, b, it))
 	}
 	return nil
 }
@@ -1190,21 +1201,20 @@ func (e *Engine) History(nodeName string, t Tuple) []Interval {
 	return append([]Interval(nil), e.histOf(nodeName, t)...)
 }
 
-// histOf is table.histOf for a caller with a tuple and no key at hand (the
-// public lookups): the key's bytes index the maps directly, so no string is
-// built to be thrown away. The slice may be a frozen base's: read only.
+// histOf returns a tuple's interval history for a caller with no key at
+// hand (the public lookups): the key's bytes index the maps directly, so
+// no string is built to be thrown away. The slice may be a frozen base's:
+// read only.
 func (e *Engine) histOf(nodeName string, t Tuple) (ivs []Interval) {
 	n := e.nodes[nodeName]
-	if n == nil {
+	if n == nil || n.tables[t.Table] == nil {
 		return nil
 	}
 	t.WithKey(func(key []byte) {
-		for tb := n.tables[t.Table]; tb != nil; tb = tb.histBase {
-			if h, ok := tb.hist[string(key)]; ok {
-				ivs = h
-				return
-			}
-		}
+		ivs, _ = n.tables[t.Table].hist.Find(func(m map[string][]Interval) ([]Interval, bool) {
+			h, ok := m[string(key)]
+			return h, ok
+		})
 	})
 	return ivs
 }

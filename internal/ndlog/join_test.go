@@ -709,7 +709,8 @@ rule k4 out(@n1, X) :- ev(@n1, X), a(@n1, X), b(@n1, X), c(@n1, X).
 		t.Helper()
 		var c *evConsumer
 		for _, ref := range refs {
-			deps := en.evDepsOf(ref)
+			var deps []*evConsumer
+			en.evDeps.Each(ref, func(cs []*evConsumer) { deps = append(deps, cs...) })
 			if len(deps) != 1 {
 				t.Fatalf("ref %v: %d consumers, want 1", ref, len(deps))
 			}

@@ -43,6 +43,19 @@ func (s *slab[T]) take(n, extra int) []T {
 	return s.cur[lo : lo+n : lo+want]
 }
 
+// clone returns a window holding a copy of src with room for extra more,
+// or nil when there is nothing to copy and no room is wanted: the copy an
+// overlay link makes of a base's list on the key's first write in a fork
+// (cow.Overlay.Own, cow.Append), and a key's first window anywhere.
+func (s *slab[T]) clone(src []T, extra int) []T {
+	if len(src)+extra == 0 {
+		return nil
+	}
+	w := s.take(len(src), extra)
+	copy(w, src)
+	return w
+}
+
 // one returns a pointer to one zeroed element.
 func (s *slab[T]) one() *T { return &s.take(1, 0)[0] }
 

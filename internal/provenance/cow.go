@@ -17,7 +17,10 @@ import (
 //   - Fork of a sealed graph keeps a reference to the base, stores only
 //     fork-local vertexes in its own slab chunks (IDs continue from
 //     baseLen), and starts every index empty: writes land locally,
-//     reads walk the base chain in shadowing order.
+//     reads walk the base chain in shadowing order. appearsByTable and
+//     redirect are cow.Overlay links; byTuple, byDerive and the overflow
+//     maps below are per link by design, since what they hold names the
+//     link's own vertexes.
 //   - Reverse edges (a cause's head APPEAR, the DERIVEs a vertex
 //     triggered) are links in the vertexes, set by the graph that recorded
 //     both ends; an edge off a sealed base's vertex goes to the fork's
@@ -25,7 +28,7 @@ import (
 //   - The single in-place mutation the recorder ever performs — closing
 //     an EXIST vertex's Span when its tuple dies — goes through
 //     mutableVertex, which copies the base vertex into the fork's
-//     redirect map. Fingerprints exclude Span, so the copy keeps its
+//     redirect overlay. Fingerprints exclude Span, so the copy keeps its
 //     cached fp.
 //
 // Everything list-valued (a tuple's APPEARs, a table's, a vertex's
@@ -69,9 +72,9 @@ func (r *Recorder) Fork() *Recorder {
 }
 
 // Fork returns a graph that keeps growing independently of the sealed
-// receiver, in O(1) + O(fold memo): empty overlay maps with the receiver
-// as their read-through base. Only the fold memo is copied eagerly — it
-// is written during reads (tree projection), so chaining it through the
+// receiver, in O(1) + O(fold memo): empty indexes, and overlays that are
+// empty links over the receiver's. Only the fold memo is copied eagerly —
+// it is written during reads (tree projection), so chaining it through the
 // base would need cross-graph locking; folded contributor lists are
 // immutable once memoized, so the fork shares the slices.
 //
@@ -82,9 +85,14 @@ func (g *Graph) Fork() *Graph {
 	if !g.sealed {
 		panic("provenance: Fork of unsealed graph")
 	}
-	f := emptyGraph()
-	f.base, f.baseLen = g, g.NumVertexes()
-	f.firstDerive = g.firstDerive + int64(len(g.byDerive))
+	f := &Graph{
+		byTuple:        map[ndlog.TupleRef]tupleEnds{},
+		firstDerive:    g.firstDerive + int64(len(g.byDerive)),
+		appearsByTable: g.appearsByTable.Fork(),
+		base:           g,
+		baseLen:        g.NumVertexes(),
+		redirect:       g.redirect.Fork(),
+	}
 	// Under the lock because sibling forks and readers of the shared base
 	// may fold concurrently.
 	g.foldMu.Lock()
@@ -96,17 +104,25 @@ func (g *Graph) Fork() *Graph {
 	return f
 }
 
-// vertex returns the vertex with the given ID, resolving through the
-// fork-local tail, the redirect overlay, and the frozen base chain. The
-// caller guarantees 0 <= id < NumVertexes().
+// vertex returns the vertex with the given ID: a chain link's redirected
+// copy, or else the slab slot of the link that recorded it. The caller
+// guarantees 0 <= id < NumVertexes().
 func (g *Graph) vertex(id int) *Vertex {
-	if id >= g.baseLen {
-		return g.local(id - g.baseLen)
+	if id < g.baseLen {
+		if v := g.redirect.Get(id); v != nil {
+			return v
+		}
 	}
-	if v, ok := g.redirect[id]; ok {
-		return v
+	return g.recorded(id)
+}
+
+// recorded returns the slab slot of the chain link that recorded the
+// vertex: the link whose local IDs, baseLen and up, include id.
+func (g *Graph) recorded(id int) *Vertex {
+	for id < g.baseLen {
+		g = g.base
 	}
-	return g.base.vertex(id)
+	return g.local(id - g.baseLen)
 }
 
 // mutableVertex returns a vertex this graph may mutate in place, copying
@@ -119,15 +135,13 @@ func (g *Graph) mutableVertex(id int) *Vertex {
 	if id >= g.baseLen {
 		return g.local(id - g.baseLen)
 	}
-	if v, ok := g.redirect[id]; ok {
-		return v
-	}
-	cp := *g.base.vertex(id)
-	if g.redirect == nil {
-		g.redirect = map[int]*Vertex{}
-	}
-	g.redirect[id] = &cp
-	return &cp
+	return g.redirect.Own(id, func(v *Vertex) *Vertex {
+		if v == nil {
+			v = g.recorded(id)
+		}
+		cp := *v
+		return &cp
+	})
 }
 
 // deriveVertex resolves an engine derivation (or underivation) ID to its
@@ -161,32 +175,19 @@ func (g *Graph) setDerive(id int64, vid int) {
 		return
 	}
 	if grow := int(off) + 1 - len(g.byDerive); grow > 0 {
+		if g.byDerive == nil {
+			g.byDerive = make([]int32, 0, 4) // a fork's first four IDs, where appending from nil allocated twice
+		}
 		g.byDerive = append(g.byDerive, make([]int32, grow)...)
 	}
 	g.byDerive[off] = int32(vid) + 1
 }
 
 // idList is one table's entry in appearsByTable: append-only, the first ID
-// inline, so a table one tuple appeared in costs no allocation. A key is
-// in the map only once it has a first ID.
+// inline, so a table one tuple appeared in costs no allocation.
 type idList struct {
 	first int
 	rest  []int
-}
-
-// forEachInTable visits a table's APPEARs in insertion order: a fork's
-// entry is a tail appended after everything in its base (IDs only grow
-// along the chain), so the walk runs deepest-base-first.
-func (g *Graph) forEachInTable(key tableRef, fn func(id int)) {
-	if g.base != nil {
-		g.base.forEachInTable(key, fn)
-	}
-	if l, ok := g.appearsByTable[key]; ok {
-		fn(l.first)
-		for _, id := range l.rest {
-			fn(id)
-		}
-	}
 }
 
 // tupleEnds is one tuple's entry in byTuple: the newest APPEAR and the
@@ -239,11 +240,10 @@ func (g *Graph) indexAppear(ap *Vertex, cause int) {
 	g.byTuple[tk] = ends
 
 	tr := tableRef{node: ap.Node, table: ap.Tuple.Table}
-	if l, ok := g.appearsByTable[tr]; ok {
+	// A fork's entry is its own tail; an entry Own just made holds the ID.
+	if l := g.appearsByTable.Own(tr, func(idList) idList { return idList{first: ap.ID} }); l.first != ap.ID {
 		l.rest = append(l.rest, ap.ID)
-		g.appearsByTable[tr] = l
-	} else {
-		g.appearsByTable[tr] = idList{first: ap.ID}
+		g.appearsByTable.Set(tr, l)
 	}
 
 	switch {

@@ -203,7 +203,10 @@ func TestRecordCycleAllocationBudget(t *testing.T) {
 // a fork still makes (byTuple, appearsByTable) and of the trigger overflow,
 // the derivation index and — this cycle re-derives one head — one growing
 // table entry: four index maps and two list entries fewer than it was.
-// One object per vertex read 92 allocations and 11.3 KB.
+// One object per vertex read 92 allocations and 11.3 KB. Since
+// appearsByTable became a cow.Overlay link (DESIGN.md §26) its map is made
+// on the fork's first APPEAR, inside this window; the derivation index
+// starting with room for four IDs pays for it (8 cycles: 18, 9 960 B).
 func TestNarrowForkAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/cow"
 	"repro/internal/ndlog"
 )
 
@@ -174,8 +175,9 @@ type Graph struct {
 	// hang off the newest by their prev links (appearAt walks them for a
 	// body reference); its open EXIST is the newest APPEAR's (openExist).
 	byTuple map[ndlog.TupleRef]tupleEnds
-	// appearsByTable indexes APPEAR vertexes by {node, table} for queries.
-	appearsByTable map[tableRef]idList
+	// appearsByTable indexes APPEAR vertexes by {node, table} for queries;
+	// a fork's link holds the tail it appended (read with Each).
+	appearsByTable cow.Overlay[tableRef, idList]
 	// headOver and trigOver are a fork's overflow: the up links it owes
 	// vertexes of its sealed base (a base cause's head APPEAR, the newest of
 	// the fork's DERIVEs a base vertex triggered), keyed by their IDs. Made
@@ -193,12 +195,12 @@ type Graph struct {
 	foldMemo map[uint64][]int
 
 	// Copy-on-write state (see cow.go). A CoW fork keeps the frozen base
-	// graph it shadows: local vertexes occupy IDs baseLen and up, redirect
-	// holds fork-private copies of base vertexes whose Span was closed
-	// locally, and the index maps above become overlays over the base's.
+	// graph it shadows: local vertexes occupy IDs baseLen and up, and
+	// redirect holds fork-private copies of base vertexes whose Span was
+	// closed locally.
 	base     *Graph
 	baseLen  int
-	redirect map[int]*Vertex
+	redirect cow.Overlay[int, *Vertex]
 	sealed   bool
 }
 
@@ -207,17 +209,7 @@ type tableRef struct{ node, table string }
 
 // NewGraph creates an empty provenance graph.
 func NewGraph() *Graph {
-	g := emptyGraph()
-	g.foldMemo = map[uint64][]int{}
-	return g
-}
-
-// emptyGraph returns a graph (or fork overlay) with empty index maps.
-func emptyGraph() *Graph {
-	return &Graph{
-		byTuple:        map[ndlog.TupleRef]tupleEnds{},
-		appearsByTable: map[tableRef]idList{},
-	}
+	return &Graph{byTuple: map[ndlog.TupleRef]tupleEnds{}, foldMemo: map[uint64][]int{}}
 }
 
 // NumVertexes returns the number of vertexes in the graph, including
@@ -324,10 +316,18 @@ func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
 // entry point: "the packet that arrived at web server 2" is an APPEAR.
 func (g *Graph) FindAppears(node, table string, pred func(ndlog.Tuple) bool) []*Vertex {
 	var out []*Vertex
-	g.forEachInTable(tableRef{node: node, table: table}, func(id int) {
-		v := g.vertex(id)
-		if pred == nil || pred(v.Tuple) {
+	add := func(id int) {
+		if v := g.vertex(id); pred == nil || pred(v.Tuple) {
 			out = append(out, v)
+		}
+	}
+	// A fork's entry is a tail appended after everything in its base (IDs
+	// only grow along the chain), so Each's root-first order is insertion
+	// order.
+	g.appearsByTable.Each(tableRef{node: node, table: table}, func(l idList) {
+		add(l.first)
+		for _, id := range l.rest {
+			add(id)
 		}
 	})
 	return out

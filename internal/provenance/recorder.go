@@ -15,10 +15,10 @@ type Recorder struct {
 
 	// pendingInsert is the INSERT vertex awaiting its APPEAR (the engine
 	// emits OnBaseInsert immediately followed by OnAppear for the same
-	// tuple within one work item).
-	pendingInsert int
-	// pendingDelete likewise links DELETE to the following DISAPPEAR.
-	pendingDelete int
+	// tuple within one work item). pendingDelete likewise links DELETE to
+	// the following DISAPPEAR. Both are int32, like the vertex links, so a
+	// fork's Recorder is a 32-byte allocation where it would be 48.
+	pendingInsert, pendingDelete int32
 	// eagerAgg materializes the full contributor list on every aggregate
 	// DERIVE at record time (the pre-delta behavior, O(k) per update).
 	// Default off: aggregates record the delta alone and Graph.ChildrenOf
@@ -62,12 +62,12 @@ func (r *Recorder) Graph() *Graph { return r.graph }
 
 // OnBaseInsert implements ndlog.Observer.
 func (r *Recorder) OnBaseInsert(at ndlog.KeyedAt) {
-	r.pendingInsert = r.graph.add(pointVertex(Insert, at, ""), nil).ID
+	r.pendingInsert = int32(r.graph.add(pointVertex(Insert, at, ""), nil).ID)
 }
 
 // OnBaseDelete implements ndlog.Observer.
 func (r *Recorder) OnBaseDelete(at ndlog.KeyedAt) {
-	r.pendingDelete = r.graph.add(pointVertex(Delete, at, ""), nil).ID
+	r.pendingDelete = int32(r.graph.add(pointVertex(Delete, at, ""), nil).ID)
 }
 
 // pointVertex fills in what every vertex carries: its type, the located
@@ -160,7 +160,7 @@ func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 			cause = dv
 		}
 	} else if r.pendingInsert >= 0 {
-		cause, r.pendingInsert = r.pendingInsert, -1
+		cause, r.pendingInsert = int(r.pendingInsert), -1
 	}
 	var buf [1]int
 	av := r.graph.add(pointVertex(Appear, at, ""), single(&buf, cause))
@@ -211,7 +211,7 @@ func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 			cause = uv
 		}
 	} else if r.pendingDelete >= 0 {
-		cause, r.pendingDelete = r.pendingDelete, -1
+		cause, r.pendingDelete = int(r.pendingDelete), -1
 	}
 	var buf [1]int
 	r.graph.indexDisappear(r.graph.add(pointVertex(Disappear, at, ""), single(&buf, cause)))

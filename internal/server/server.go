@@ -387,16 +387,18 @@ func diagnosisOf(name string, res *core.Result, elapsed time.Duration) diagnosis
 
 // acquireSlot claims a diagnosis worker slot, or sheds the request. It
 // returns a release func and reports success; on failure it has already
-// written the 429 (pool saturated) or 503 (client gone) response.
+// written the 503 (client gone) or 429 (pool saturated) response. A client
+// that left while its scenario was building takes no slot: holding one
+// only to be cancelled could shed a peer that waited on the same build.
 func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request, run runID) (func(), bool) {
+	if err := r.Context().Err(); err != nil {
+		run.writeErr(w, http.StatusServiceUnavailable, err, nil)
+		return nil, false
+	}
 	select {
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, true
 	default:
-	}
-	if err := r.Context().Err(); err != nil {
-		run.writeErr(w, http.StatusServiceUnavailable, err, nil)
-		return nil, false
 	}
 	w.Header().Set("Retry-After", "1")
 	writeErr(w, http.StatusTooManyRequests,

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ndlog"
@@ -683,5 +684,80 @@ func TestDataDirRestartRecovery(t *testing.T) {
 		if string(d1.Changes[i]) != string(d2.Changes[i]) {
 			t.Fatalf("change %d differs after restart: %s vs %s", i, d1.Changes[i], d2.Changes[i])
 		}
+	}
+}
+
+// TestDisconnectingClientsDoNotFailPeers: a client that leaves while its
+// scenario builds gets 503 and takes no worker slot, so a peer waiting on
+// the same build gets 200 with the diagnosis a solo request gets; a client
+// that leaves mid-diagnosis gets 503 and gives its slot back. The server
+// has one slot, so a slot either kept would shed the next request with 429.
+func TestDisconnectingClientsDoNotFailPeers(t *testing.T) {
+	changes := func(body []byte) string {
+		var d struct {
+			Changes []string `json:"changes"`
+		}
+		if err := json.Unmarshal(body, &d); err != nil || len(d.Changes) == 0 {
+			t.Fatalf("no changes in %s (%v)", body, err)
+		}
+		return strings.Join(d.Changes, "; ")
+	}
+	code, body := post(t, testServer(t).URL+"/scenarios/SDN1/diagnose")
+	if code != http.StatusOK {
+		t.Fatalf("solo diagnosis = %d (%s)", code, body)
+	}
+	solo := changes(body)
+
+	srv := New(scenarios.Small, WithWorkers(1))
+	building, buildDone := make(chan struct{}), make(chan struct{})
+	inner := srv.build
+	srv.build = func(name string, scale scenarios.Scale, opts ...scenarios.BuildOption) (*scenarios.Scenario, error) {
+		close(building)
+		<-buildDone
+		return inner(name, scale, opts...)
+	}
+	var slots atomic.Int32 // diagnoses that started in a worker slot
+	srv.testHookDiagnoseStart = func() { slots.Add(1) }
+	serve := func(ctx context.Context) <-chan *httptest.ResponseRecorder {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/scenarios/SDN1/diagnose", nil).WithContext(ctx))
+			done <- rec
+		}()
+		return done
+	}
+
+	ctx, leave := context.WithCancel(context.Background())
+	gone := serve(ctx)
+	<-building // the scenario's once.Do is in flight
+	peer := serve(context.Background())
+	leave()
+	close(buildDone)
+	if rec := <-gone; rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("client gone during the build = %d (%s), want 503", rec.Code, rec.Body)
+	}
+	if rec := <-peer; rec.Code != http.StatusOK {
+		t.Errorf("peer = %d (%s), want 200", rec.Code, rec.Body)
+	} else if got := changes(rec.Body.Bytes()); got != solo {
+		t.Errorf("peer's changes %q, solo %q", got, solo)
+	}
+	if n := slots.Load(); n != 1 {
+		t.Errorf("%d diagnoses started, want 1: the departed client took a slot", n)
+	}
+
+	inSlot, resume := make(chan struct{}), make(chan struct{})
+	srv.testHookDiagnoseStart = func() { close(inSlot); <-resume }
+	ctx, leave = context.WithCancel(context.Background())
+	gone = serve(ctx)
+	<-inSlot
+	leave()
+	close(resume)
+	if rec := <-gone; rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("client gone mid-diagnosis = %d (%s), want 503", rec.Code, rec.Body)
+	}
+	srv.testHookDiagnoseStart = nil
+	if rec := <-serve(context.Background()); rec.Code != http.StatusOK {
+		t.Errorf("later request = %d (%s), want 200: a slot was not returned", rec.Code, rec.Body)
 	}
 }
