@@ -201,12 +201,9 @@ func sortedAfter(pass *Pass, fn *ast.BlockStmt, pos token.Pos, obj types.Object)
 // The provenance graph is the system of record for diagnosis: DiffProv's
 // guarantees (and the replay layer's checkpoints) assume vertexes are
 // appended by the Recorder machinery and never rewritten. This analyzer
-// flags writes to Graph.chunks (the vertex slab) outside graph.go and
-// writes to Vertex.Children outside the code that stores vertexes:
-// graph.go's add for the graph (the recorder hands it the children and
-// never touches the field), distributed.go for the shard recorder's own
-// arena, plus persist.go — the shard store decodes vertex records back
-// into Children on recovery.
+// flags writes to Graph.chunks (the vertex slab) and to Vertex.Children
+// outside graph.go, whose add stores vertexes (the recorder hands it the
+// children and never touches the field).
 var AppendOnly = &Analyzer{
 	Name:  "appendonly",
 	Doc:   "confine Graph.chunks and Vertex.Children writes to the recording layer",
@@ -218,7 +215,7 @@ var AppendOnly = &Analyzer{
 // write it.
 var guardedFields = map[[2]string][]string{
 	{"Graph", "chunks"}:    {"graph.go"},
-	{"Vertex", "Children"}: {"graph.go", "distributed.go", "persist.go"},
+	{"Vertex", "Children"}: {"graph.go"},
 }
 
 func runAppendOnly(pass *Pass) error {

@@ -157,8 +157,8 @@ func f(m map[string][]int, s []string) []string {
 const appendOnlySrc = `package provenance
 type Vertex struct{ Children []int }
 type Graph struct{ chunks [][]Vertex }
-type shard struct{ chunks [][]Vertex } // distinct type: not guarded
-func f(g *Graph, v *Vertex, s *shard) {
+type arena struct{ chunks [][]Vertex } // distinct type: not guarded
+func f(g *Graph, v *Vertex, s *arena) {
 	g.chunks = append(g.chunks, nil)
 	v.Children[0] = 7
 	s.chunks = nil
@@ -173,7 +173,7 @@ func TestAppendOnlyFlagsWritesOutsideRecorder(t *testing.T) {
 }
 
 func TestAppendOnlyAllowsRecordingLayerFiles(t *testing.T) {
-	// In graph.go both fields may be written; the shard write stays legal.
+	// In graph.go both fields may be written; the arena write stays legal.
 	pkg := loadSrc(t, "repro/internal/provenance", "graph.go", appendOnlySrc)
 	wantFindings(t, runOn(t, pkg, AppendOnly))
 }
@@ -282,14 +282,14 @@ func TestSealCheckEngineConstructionSitesStayLegal(t *testing.T) {
 }
 
 func TestSealCheckGuardsGraphIndexes(t *testing.T) {
-	pkg := loadSrc(t, "repro/internal/provenance", "distributed.go", `package provenance
+	pkg := loadSrc(t, "repro/internal/provenance", "recorder.go", `package provenance
 type Vertex struct{ ID int }
 type Graph struct {
 	redirect map[int]*Vertex // a cow.Overlay: not guarded
 	byDerive []int32
 }
-type shard struct{ byDerive map[int64]int } // distinct type: not guarded
-func f(g *Graph, s *shard, v *Vertex) {
+type index struct{ byDerive map[int64]int } // distinct type: not guarded
+func f(g *Graph, s *index, v *Vertex) {
 	g.redirect[1] = v
 	g.byDerive = append(g.byDerive, 2)
 	g.byDerive[0]++
@@ -297,8 +297,8 @@ func f(g *Graph, s *shard, v *Vertex) {
 }
 `)
 	wantFindings(t, runOn(t, pkg, SealCheck),
-		"distributed.go:10:2: sealcheck: write to CoW-shared Graph.byDerive",
-		"distributed.go:11:2: sealcheck: write to CoW-shared Graph.byDerive")
+		"recorder.go:10:2: sealcheck: write to CoW-shared Graph.byDerive",
+		"recorder.go:11:2: sealcheck: write to CoW-shared Graph.byDerive")
 	pkg = loadSrc(t, "repro/internal/provenance", "cow.go", `package provenance
 type Graph struct{ byDerive []int32 }
 func f(g *Graph) { g.byDerive = append(g.byDerive, 2) }

@@ -73,10 +73,10 @@ const (
 	// ND2xx: dependency-graph diagnostics (see slice.go). All warnings:
 	// the program runs, but the flagged construct is either expensive or
 	// can never matter.
-	CodeCartesianJoin  = "ND201" // join shares no variables and no index can cover it
-	CodeUnreachable    = "ND202" // rule's head can never influence any output table
-	CodeNegationCycle  = "ND203" // negation inside a dependency cycle (not stratifiable)
-	CodeAggOverAgg     = "ND204" // aggregate counting another aggregate's output
+	CodeCartesianJoin = "ND201" // join shares no variables and no index can cover it
+	CodeUnreachable   = "ND202" // rule's head can never influence any output table
+	CodeNegationCycle = "ND203" // negation inside a dependency cycle (not stratifiable)
+	CodeAggOverAgg    = "ND204" // aggregate counting another aggregate's output
 )
 
 // Diag is one positioned analysis diagnostic.

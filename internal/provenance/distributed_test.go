@@ -6,24 +6,9 @@ import (
 	"repro/internal/ndlog"
 )
 
-// runFwdSharded runs the forwarding scenario with both a monolithic and a
-// sharded recorder attached (via a tee), so the materialized trees can be
-// compared vertex for vertex.
-type teeObserver struct{ a, b ndlog.Observer }
-
-func (t teeObserver) OnBaseInsert(at ndlog.KeyedAt) { t.a.OnBaseInsert(at); t.b.OnBaseInsert(at) }
-func (t teeObserver) OnBaseDelete(at ndlog.KeyedAt) { t.a.OnBaseDelete(at); t.b.OnBaseDelete(at) }
-func (t teeObserver) OnAppear(at ndlog.KeyedAt, id int64) {
-	t.a.OnAppear(at, id)
-	t.b.OnAppear(at, id)
-}
-func (t teeObserver) OnDisappear(at ndlog.KeyedAt, id int64) {
-	t.a.OnDisappear(at, id)
-	t.b.OnDisappear(at, id)
-}
-func (t teeObserver) OnDerive(d ndlog.Derivation)     { t.a.OnDerive(d); t.b.OnDerive(d) }
-func (t teeObserver) OnUnderive(u ndlog.Underivation) { t.a.OnUnderive(u); t.b.OnUnderive(u) }
-
+// Distributed operation (§4.8) is a query over the one graph: a node's
+// shard is the vertexes whose Node it is, and materializing a tree on a
+// node that keeps only its shard fetches every cross-node subtree.
 func TestShardedMaterializationMatchesMonolithic(t *testing.T) {
 	prog := ndlog.MustParse(`
 table flowEntry/3 base mutable;
@@ -35,9 +20,8 @@ rule fw packet(@Nxt, Dst) :-
     matches(Dst, M),
     argmax Prio.
 `)
-	mono := NewRecorder(prog)
-	sharded := NewShardedRecorder(prog)
-	e := ndlog.New(prog, teeObserver{a: mono, b: sharded})
+	rec := NewRecorder(prog)
+	e := ndlog.New(prog, rec)
 	mp := ndlog.MustParsePrefix
 	e.ScheduleInsert("s1", ndlog.NewTuple("flowEntry", ndlog.Int(1), mp("0.0.0.0/0"), ndlog.Str("s2")), 0)
 	e.ScheduleInsert("s2", ndlog.NewTuple("flowEntry", ndlog.Int(1), mp("0.0.0.0/0"), ndlog.Str("h1")), 0)
@@ -46,56 +30,33 @@ rule fw packet(@Nxt, Dst) :-
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	g := rec.Graph()
 
-	pkt := ndlog.NewTuple("packet", pktIP)
-	monoTree := mono.Graph().Tree(mono.Graph().LastAppear("h1", pkt).ID)
-	id, ok := sharded.LastAppear("h1", pkt)
-	if !ok {
-		t.Fatal("sharded recorder lost the arrival")
+	arrival := g.LastAppear("h1", ndlog.NewTuple("packet", pktIP))
+	if arrival == nil {
+		t.Fatal("graph lost the arrival")
 	}
-	distTree, err := sharded.Materialize("h1", id)
-	if err != nil {
-		t.Fatal(err)
+	tree := g.Tree(arrival.ID)
+	// The packet crossed s1 -> s2 -> h1: the DERIVE on s2 below h1's
+	// APPEAR and the DERIVE on s1 below s2's are remote subtrees.
+	if f := tree.Fetches(); f < 2 {
+		t.Errorf("fetches = %d, want >= 2 (cross-node subtrees)\n%s", f, tree)
 	}
-	if monoTree.Size() != distTree.Size() {
-		t.Fatalf("tree sizes differ: monolithic %d, sharded %d\n%s\nvs\n%s",
-			monoTree.Size(), distTree.Size(), monoTree, distTree)
-	}
-	// Structural comparison: same labels in the same positions.
-	var compare func(a, b *Tree) bool
-	compare = func(a, b *Tree) bool {
-		if a.Vertex.Label() != b.Vertex.Label() || len(a.Children) != len(b.Children) {
-			return false
-		}
-		for i := range a.Children {
-			if !compare(a.Children[i], b.Children[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if !compare(monoTree, distTree) {
-		t.Fatalf("trees differ structurally:\n%s\nvs\n%s", monoTree, distTree)
-	}
-	// The sharded materialization paid cross-node fetches: the packet
-	// crossed s1 -> s2 -> h1, so at least two remote resolutions.
-	if sharded.Fetches < 2 {
-		t.Errorf("fetches = %d, want >= 2 (cross-node subtrees)", sharded.Fetches)
-	}
-	// Shards hold only local history.
-	if sharded.ShardSize("h1") >= mono.Graph().NumVertexes() {
+	// Shards hold only local history, and partition the graph.
+	if g.ShardSize("h1") >= g.NumVertexes() {
 		t.Error("a shard must be smaller than the whole graph")
 	}
+	nodes := map[string]bool{}
+	g.Vertexes(func(v *Vertex) { nodes[v.Node] = true })
 	total := 0
-	for _, n := range sharded.Nodes() {
-		total += sharded.ShardSize(n)
+	for n := range nodes {
+		total += g.ShardSize(n)
 	}
-	if total != mono.Graph().NumVertexes() {
-		t.Errorf("shard sizes sum to %d, want %d (no vertex lost or duplicated)",
-			total, mono.Graph().NumVertexes())
+	if total != g.NumVertexes() {
+		t.Errorf("shard sizes sum to %d, want %d (no vertex lost or duplicated)", total, g.NumVertexes())
 	}
-	// The seed is findable on the materialized tree too.
-	seed, err := distTree.FindSeed()
+	// The seed is findable on the tree a shard-local node materializes.
+	seed, err := tree.FindSeed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +66,11 @@ rule fw packet(@Nxt, Dst) :-
 }
 
 func TestShardedMaterializeErrors(t *testing.T) {
-	r := NewShardedRecorder(ndlog.MustParse("table a/1 base;"))
-	if _, err := r.Materialize("nope", 0); err == nil {
-		t.Error("unknown shard must error")
+	g := NewRecorder(ndlog.MustParse("table a/1 base;")).Graph()
+	if n := g.ShardSize("nope"); n != 0 {
+		t.Errorf("unknown node's shard holds %d vertexes, want 0", n)
 	}
-	if _, ok := r.LastAppear("nope", ndlog.NewTuple("a", ndlog.Int(1))); ok {
-		t.Error("unknown shard must miss")
+	if v := g.LastAppear("nope", ndlog.NewTuple("a", ndlog.Int(1))); v != nil {
+		t.Errorf("unknown node must miss, got %s", v)
 	}
 }

@@ -69,7 +69,7 @@ func (g *Graph) fingerprintOf(v *Vertex) uint64 {
 		}
 	}
 	if h == 0 {
-		h = 1 // 0 is reserved for "no fingerprint" (shard-reported vertexes)
+		h = 1 // 0 is reserved for "no vertex" (fpOf out of range, a nil Tree)
 	}
 	return h
 }
@@ -97,28 +97,14 @@ func fnvLabel(v *Vertex) uint64 {
 }
 
 // Fingerprint returns the vertex's cached structural hash: the hash of the
-// provenance subtree rooted at it. It is 0 only for vertexes recorded
-// outside a Graph (distributed shard recorders), which carry none.
+// provenance subtree rooted at it.
 func (v *Vertex) Fingerprint() uint64 { return v.fp }
 
-// Fingerprint returns the tree's structural hash. For trees projected from
-// a Graph this is the root vertex's cached fingerprint; trees materialized
-// from shard recorders (whose vertexes carry none) are hashed recursively
-// on every call — never cached, because trees are shared read-only across
-// concurrent diagnoses.
+// Fingerprint returns the tree's structural hash: its root vertex's cached
+// fingerprint, or 0 for a nil tree.
 func (t *Tree) Fingerprint() uint64 {
 	if t == nil {
 		return 0
 	}
-	if t.Vertex.fp != 0 {
-		return t.Vertex.fp
-	}
-	h := fnvLabel(t.Vertex)
-	for _, c := range t.Children {
-		h = fnvUint64(h, c.Fingerprint())
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
+	return t.Vertex.fp
 }

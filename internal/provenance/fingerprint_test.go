@@ -73,31 +73,43 @@ func TestFingerprintDistinguishesStructure(t *testing.T) {
 	}
 }
 
-// TestTreeFingerprintFallback mirrors a recorded tree into vertexes with
-// no cached fingerprint (the shape distributed shard recorders produce)
-// and checks the recursive fallback computes the exact same hash as the
-// cached bottom-up path.
+// TestTreeFingerprintFallback: every vertex carries its fingerprint, so a
+// detached tree (Tree.Detach) hashes with no fallback. It keeps every
+// fingerprint and label, and shares no Children backing array and no
+// tuple args with the graph it was projected from.
 func TestTreeFingerprintFallback(t *testing.T) {
 	_, g := runFwd(t)
-	tree := g.Tree(g.LastAppear("h1", ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.1"))).ID)
-
-	var mirror func(src *Tree) *Tree
-	mirror = func(src *Tree) *Tree {
-		v := *src.Vertex
-		v.fp = 0
-		m := &Tree{Vertex: &v}
-		for _, c := range src.Children {
-			cm := mirror(c)
-			cm.Parent = m
-			m.Children = append(m.Children, cm)
+	id := g.LastAppear("h1", ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.1"))).ID
+	want, got := g.Tree(id), g.Tree(id).Detach()
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("detached tree hashes %x, want %x", got.Fingerprint(), want.Fingerprint())
+	}
+	copies := map[*Vertex]*Vertex{}
+	var compare func(w, d *Tree)
+	compare = func(w, d *Tree) {
+		wv, dv := w.Vertex, d.Vertex
+		if dv == wv {
+			t.Fatalf("%s: detached node still points into the graph", wv)
 		}
-		return m
+		if cp, ok := copies[wv]; ok && cp != dv {
+			t.Errorf("%s: a vertex the tree shows twice was copied twice", wv)
+		}
+		copies[wv] = dv
+		if dv.Fingerprint() != wv.Fingerprint() || dv.Label() != wv.Label() {
+			t.Errorf("detached %s (%x), want %s (%x)", dv.Label(), dv.Fingerprint(), wv.Label(), wv.Fingerprint())
+		}
+		if len(wv.Children) > 0 && &dv.Children[0] == &wv.Children[0] {
+			t.Errorf("%s: detached vertex shares the graph's children arena", wv)
+		}
+		if len(wv.Tuple.Args) > 0 && &dv.Tuple.Args[0] == &wv.Tuple.Args[0] {
+			t.Errorf("%s: detached vertex shares the engine's tuple args", wv)
+		}
+		if len(w.Children) != len(d.Children) {
+			t.Fatalf("%s: %d children detached, want %d", wv, len(d.Children), len(w.Children))
+		}
+		for i := range w.Children {
+			compare(w.Children[i], d.Children[i])
+		}
 	}
-	m := mirror(tree)
-	if m.Vertex.Fingerprint() != 0 {
-		t.Fatal("mirror must carry no cached fingerprints")
-	}
-	if m.Fingerprint() != tree.Fingerprint() {
-		t.Errorf("fallback hash %x != cached hash %x", m.Fingerprint(), tree.Fingerprint())
-	}
+	compare(want, got)
 }

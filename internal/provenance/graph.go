@@ -59,9 +59,9 @@ type Vertex struct {
 	Node     string
 	Tuple    ndlog.Tuple
 	// key is Tuple's canonical key: the string whoever reported the vertex
-	// (the engine, the Builder, the shard loader) computed when the row or
-	// occurrence was created. Vertexes share it with the engine's rows; the
-	// indexes and fingerprints below use it and never re-encode Tuple.
+	// (the engine, the Builder) computed when the row or occurrence was
+	// created. Vertexes share it with the engine's rows; the indexes and
+	// fingerprints below use it and never re-encode Tuple.
 	key  string
 	Rule string // rule name, for DERIVE/UNDERIVE
 
@@ -82,8 +82,7 @@ type Vertex struct {
 	Trigger int
 
 	// fp is the Merkle-style structural hash of the subtree rooted here,
-	// computed once by add() (see fingerprint.go); 0 means "none" (vertexes
-	// reported by distributed shard recorders, which bypass add).
+	// computed once by add() (see fingerprint.go); never 0.
 	fp uint64
 
 	// Delta-chain annotation for aggregate DERIVE vertexes (aggCount > 0,
@@ -399,6 +398,18 @@ func (g *Graph) Vertexes(fn func(*Vertex)) {
 	for i, n := 0, g.NumVertexes(); i < n; i++ {
 		fn(g.vertex(i))
 	}
+}
+
+// ShardSize returns the size of the node's provenance shard (§4.8): the
+// number of vertexes whose Node it is. The shards partition the graph.
+func (g *Graph) ShardSize(node string) int {
+	n := 0
+	g.Vertexes(func(v *Vertex) {
+		if v.Node == node {
+			n++
+		}
+	})
+	return n
 }
 
 // AggDelta reports a vertex's aggregate delta-chain annotation: the

@@ -54,6 +54,21 @@ func (t *Tree) Detach() *Tree {
 	return t
 }
 
+// Fetches counts the tree's cross-node edges, whose child lives on another
+// node than its parent: the remote subtrees a node that keeps only its own
+// shard (§4.8, Graph.ShardSize) fetches to materialize the tree.
+func (t *Tree) Fetches() int {
+	n := 0
+	t.Walk(func(p *Tree) {
+		for _, c := range p.Children {
+			if c.Vertex.Node != p.Vertex.Node {
+				n++
+			}
+		}
+	})
+	return n
+}
+
 // Size returns the number of vertexes in the tree (counting repeats, as
 // the paper does when reporting tree sizes).
 func (t *Tree) Size() int {

@@ -168,8 +168,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // scenario returns the cached scenario, building it exactly once even
-// under concurrent requests. The build outcome is cached either way:
-// rebuilding on every request would turn one failure into a 500 storm.
+// under concurrent requests. A build failure is cached too: rebuilding on
+// every request would turn one failure into a 500 storm. An unknown name
+// is not, or every name a client makes up would keep an entry.
 func (s *Server) scenario(name string) (*scenarios.Scenario, error) {
 	key := strings.ToUpper(name)
 	s.mu.Lock()
@@ -187,6 +188,13 @@ func (s *Server) scenario(name string) (*scenarios.Scenario, error) {
 		}
 		e.sc, e.err = s.build(key, s.scale, opts...)
 	})
+	if errors.Is(e.err, scenarios.ErrUnknownScenario) {
+		s.mu.Lock()
+		if s.cache[key] == e {
+			delete(s.cache, key)
+		}
+		s.mu.Unlock()
+	}
 	return e.sc, e.err
 }
 

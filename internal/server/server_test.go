@@ -172,6 +172,28 @@ func TestBuildFailureTaxonomy(t *testing.T) {
 	}
 }
 
+// TestUnknownScenarioNamesAreNotCached: a client asking for names that are
+// not scenarios gets 404s and leaves the build cache as it found it.
+func TestUnknownScenarioNamesAreNotCached(t *testing.T) {
+	srv := New(scenarios.Small)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	cached := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.cache)
+	}
+	before := cached()
+	for i := 0; i < 1000; i++ {
+		if code, body := get(t, fmt.Sprintf("%s/scenarios/no-such-%d", ts.URL, i)); code != http.StatusNotFound {
+			t.Fatalf("unknown scenario %d: status %d (%s), want 404", i, code, body)
+		}
+	}
+	if after := cached(); after != before {
+		t.Errorf("cache grew from %d to %d entries on unknown names", before, after)
+	}
+}
+
 // TestUnsuitableReference exercises the 422 path: a diagnosis that runs
 // but fails (the reference tree is a config-state appearance, which is
 // not comparable to the bad packet).

@@ -123,57 +123,6 @@ func ReadEvent(r eventReader) (Event, error) {
 	}, nil
 }
 
-// WriteTuple encodes a tuple alone (table plus tagged values), for
-// record formats that frame tuples inside larger records — the
-// provenance shard store reuses this so vertex records and event
-// records share one value codec.
-func WriteTuple(w io.Writer, t ndlog.Tuple) error {
-	ew, ok := w.(eventWriter)
-	if !ok {
-		return fmt.Errorf("store: writer %T lacks byte/string methods", w)
-	}
-	if err := writeString(ew, t.Table); err != nil {
-		return err
-	}
-	if err := writeUvarint(ew, uint64(len(t.Args))); err != nil {
-		return err
-	}
-	for _, a := range t.Args {
-		if err := writeValue(ew, a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadTuple decodes a tuple written by WriteTuple.
-func ReadTuple(r io.Reader) (ndlog.Tuple, error) {
-	er, ok := r.(eventReader)
-	if !ok {
-		return ndlog.Tuple{}, fmt.Errorf("store: reader %T lacks byte methods", r)
-	}
-	table, err := readString(er)
-	if err != nil {
-		return ndlog.Tuple{}, err
-	}
-	nargs, err := binary.ReadUvarint(er)
-	if err != nil {
-		return ndlog.Tuple{}, err
-	}
-	if nargs > MaxDecodedArgs {
-		return ndlog.Tuple{}, fmt.Errorf("store: tuple with %d columns exceeds the %d bound", nargs, MaxDecodedArgs)
-	}
-	args := make([]ndlog.Value, nargs)
-	for j := range args {
-		v, err := readValue(er)
-		if err != nil {
-			return ndlog.Tuple{}, err
-		}
-		args[j] = v
-	}
-	return ndlog.Tuple{Table: table, Args: args}, nil
-}
-
 // WriteUvarint writes a uvarint; exposed so internal/replay can frame
 // whole-log encodings (count-prefixed event streams) with the same
 // primitives the segment format uses.

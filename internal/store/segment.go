@@ -14,8 +14,7 @@ import (
 	"sync/atomic"
 )
 
-// Segment file layout (shared by the event store and the shard record
-// logs):
+// Segment file layout of the event store:
 //
 //	data file <prefix>-NNNNNNNN.log:
 //	    6-byte magic "DPSG1\n"
@@ -39,8 +38,8 @@ import (
 const (
 	segMagic     = "DPSG1\n"
 	sidecarMagic = "DPIX1\n"
-	// maxRecordLen bounds a single record payload; no legitimate event or
-	// vertex record approaches it.
+	// maxRecordLen bounds a single record payload; no legitimate event
+	// record approaches it.
 	maxRecordLen = 1 << 24
 )
 
@@ -119,11 +118,6 @@ type activeSeg struct {
 	size  int64  // data-region bytes written (including buffered)
 	crc   uint32 // running CRC32 of the data region
 	buf   []byte // pending unflushed bytes
-	// offs holds each record's start offset within the data region, in
-	// append order; record logs seal it into the sidecar extra so lookups
-	// by ordinal can ReadAt a single record instead of decoding the
-	// segment.
-	offs []int64
 }
 
 // seglogHooks lets the owner ride along with segment lifecycle events:
@@ -231,14 +225,12 @@ func (l *seglog) openSegment(idx int, last bool) error {
 	}
 	region := data[len(segMagic):]
 	count := 0
-	var offs []int64
 	consumed := 0
 	for consumed < len(region) {
 		payload, n, ok := parseRecord(region[consumed:])
 		if !ok {
 			break
 		}
-		offs = append(offs, int64(consumed))
 		count++
 		if l.hooks.onActiveRecord != nil {
 			if err := l.hooks.onActiveRecord(payload); err != nil {
@@ -264,7 +256,6 @@ func (l *seglog) openSegment(idx int, last bool) error {
 		count: count,
 		size:  int64(consumed),
 		crc:   crc32.ChecksumIEEE(region[:consumed]),
-		offs:  offs,
 	}
 	return nil
 }
@@ -286,7 +277,6 @@ func (l *seglog) append(payload []byte) error {
 	}
 	a := l.active
 	start := len(a.buf)
-	a.offs = append(a.offs, a.size)
 	a.buf = appendRecord(a.buf, payload)
 	rec := a.buf[start:]
 	a.crc = crc32.Update(a.crc, crc32.IEEETable, rec)

@@ -9,8 +9,9 @@
 // and carry a sidecar index (event count, tick range, CRC, per-segment
 // fingerprint index), and readers reconstruct state lazily by streaming
 // segments instead of materializing everything. internal/replay builds
-// its crash-safe sessions on top (replay.WithStorage / replay.Open);
-// internal/provenance persists its §4.8 shards through RecordLog.
+// its crash-safe sessions on top (replay.WithStorage / replay.Open). The
+// event log is the only durable form of provenance: trees, per-node
+// shards included, are rebuilt from it by replay.
 package store
 
 import (
@@ -22,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
@@ -669,4 +671,30 @@ func (s *Store) readMeta() error {
 	}
 	s.epoch, s.ageTick = epoch, age
 	return nil
+}
+
+// SanitizeName maps an arbitrary name onto a filesystem-safe path element
+// (diffprovd names each scenario's data directory with it): runs of
+// characters outside [A-Za-z0-9_.] become a single underscore, and a
+// leading dot is escaped so the entry is never hidden. Distinct names
+// that sanitize identically collide.
+func SanitizeName(name string) string {
+	var b strings.Builder
+	lastUnderscore := false
+	for _, r := range name {
+		ok := r == '_' || r == '.' ||
+			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')
+		if ok {
+			b.WriteRune(r)
+			lastUnderscore = false
+		} else if !lastUnderscore {
+			b.WriteByte('_')
+			lastUnderscore = true
+		}
+	}
+	s := b.String()
+	if s == "" || s[0] == '.' {
+		s = "_" + s
+	}
+	return s
 }

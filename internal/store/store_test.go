@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -396,64 +395,6 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecordLog(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenRecordLog(dir, "shard_swA", WithRecordsPerSegment(4))
-	if err != nil {
-		t.Fatalf("OpenRecordLog: %v", err)
-	}
-	var want [][]byte
-	for i := 0; i < 11; i++ {
-		payload := []byte{byte(i), byte(i * 3), byte(i * 7)}
-		want = append(want, payload)
-		ord, err := l.Append(payload)
-		if err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-		if ord != i {
-			t.Fatalf("ordinal = %d, want %d", ord, i)
-		}
-	}
-	// Random-access reads across sealed and active segments.
-	for _, i := range []int{10, 0, 5, 3, 9, 1} {
-		got, err := l.Get(i)
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("Get(%d) = %v, want %v", i, got, want[i])
-		}
-	}
-	if _, err := l.Get(11); err == nil {
-		t.Fatalf("Get out of range succeeded")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	r, err := OpenRecordLog(dir, "shard_swA", WithRecordsPerSegment(4))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	if r.Count() != 11 {
-		t.Fatalf("reopened Count = %d, want 11", r.Count())
-	}
-	var scanned [][]byte
-	if err := r.Scan(func(ord int, p []byte) error {
-		if ord != len(scanned) {
-			t.Fatalf("scan ordinal %d out of order", ord)
-		}
-		scanned = append(scanned, append([]byte(nil), p...))
-		return nil
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if !reflect.DeepEqual(scanned, want) {
-		t.Fatalf("Scan mismatch")
-	}
-}
-
 func TestSanitizeName(t *testing.T) {
 	cases := map[string]string{
 		"swA":          "swA",
@@ -534,66 +475,5 @@ func TestEventsRangeSkipsSegments(t *testing.T) {
 	}
 	if after.SegmentsRead != mid.SegmentsRead {
 		t.Error("out-of-window read streamed a segment")
-	}
-}
-
-// TestRecordLogPointRead pins the sealed-offset fast path: Get on a
-// sealed segment must cost one ReadAt spanning exactly the record's
-// frame — no whole-segment decode — and a segment whose sidecar predates
-// offset tables must fall back to the decode path and still serve reads.
-func TestRecordLogPointRead(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenRecordLog(dir, "shard_pr", WithRecordsPerSegment(4))
-	if err != nil {
-		t.Fatalf("OpenRecordLog: %v", err)
-	}
-	var want [][]byte
-	for i := 0; i < 11; i++ {
-		payload := bytes.Repeat([]byte{byte(i + 1)}, 16+i)
-		want = append(want, payload)
-		if _, err := l.Append(payload); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	r, err := OpenRecordLog(dir, "shard_pr", WithRecordsPerSegment(4))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	before := r.sl.counters.bytesRead.Load()
-	got, err := r.Get(5) // second sealed segment, middle record
-	if err != nil {
-		t.Fatalf("Get(5): %v", err)
-	}
-	if !bytes.Equal(got, want[5]) {
-		t.Fatalf("Get(5) = %v, want %v", got, want[5])
-	}
-	read := r.sl.counters.bytesRead.Load() - before
-	// Frame layout: uvarint length prefix, payload, 4-byte CRC.
-	frame := int64(binary.PutUvarint(make([]byte, binary.MaxVarintLen64), uint64(len(want[5]))) + len(want[5]) + 4)
-	if read != frame {
-		t.Errorf("point read consumed %d bytes, want the %d-byte record frame", read, frame)
-	}
-	if r.cacheIdx != -1 {
-		t.Error("point read populated the whole-segment cache")
-	}
-
-	// Wipe one segment's offset table to emulate a log written before
-	// offsets existed: Get must fall back to decoding the segment.
-	r.extras[0] = nil
-	r.offIdx, r.offVals = -1, nil
-	got, err = r.Get(1)
-	if err != nil {
-		t.Fatalf("legacy Get(1): %v", err)
-	}
-	if !bytes.Equal(got, want[1]) {
-		t.Fatalf("legacy Get(1) = %v, want %v", got, want[1])
-	}
-	if r.cacheIdx == -1 {
-		t.Error("legacy fallback did not use the whole-segment cache")
 	}
 }
