@@ -14,7 +14,7 @@
 package replay
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -91,40 +91,51 @@ func (l *Log) Clone() *Log {
 }
 
 // Encode writes the log in a compact binary format: an event count
-// followed by each event in the store's wire encoding (a kind byte, the
-// tick, node and table as length-prefixed strings, kind-tagged values).
-// The format stores fixed-size header information per packet-like event
-// — tuple fields and a timestamp — mirroring the paper's observation
-// that the log keeps "the header and the timestamp", not payloads. The
-// per-event encoding is shared with the segmented store, so a segment
-// holds the same bytes Encode would produce for its events.
+// followed by each event in the store's wire encoding (store.AppendEvent:
+// a kind byte, the tick, node and table as length-prefixed strings,
+// kind-tagged values). The per-event encoding is shared with the
+// segmented store, so a segment holds the same bytes Encode would
+// produce for its events.
 func (l *Log) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := store.WriteUvarint(bw, uint64(len(l.events))); err != nil {
-		return err
-	}
+	buf := binary.AppendUvarint(nil, uint64(len(l.events)))
 	for _, ev := range l.events {
-		if err := store.WriteEvent(bw, ev); err != nil {
+		var err error
+		if buf, err = store.AppendEvent(buf, ev); err != nil {
 			return err
 		}
+		if len(buf) >= encodeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
+
+// encodeChunk bounds the bytes Encode buffers before writing them out.
+const encodeChunk = 64 << 10
 
 // Decode reads a log previously written by Encode.
 func Decode(r io.Reader) (*Log, error) {
-	br := bufio.NewReader(r)
-	count, err := store.ReadUvarint(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("replay: bad log header: %v", err)
+		return nil, fmt.Errorf("replay: reading log: %w", err)
 	}
+	count, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, fmt.Errorf("replay: bad log header")
+	}
+	data = data[n:]
 	l := NewLog()
 	for i := uint64(0); i < count; i++ {
-		ev, err := store.ReadEvent(br)
+		ev, n, err := store.DecodeEvent(data)
 		if err != nil {
 			return nil, err
 		}
 		l.Append(ev)
+		data = data[n:]
 	}
 	return l, nil
 }

@@ -256,9 +256,7 @@ func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, erro
 // and once sealed it is immutable — every trial Forks it privately.
 //
 // Clones detach from persistent storage: only the original session
-// verifies, appends, and checkpoints through the store. A diagnosis that
-// must survive concurrent GC pins its anchor on the original
-// (PinStorage).
+// verifies, appends, and checkpoints through the store.
 func (s *Session) Clone() *Session {
 	return &Session{
 		prog:       s.prog,

@@ -9,7 +9,7 @@ import (
 
 // sessionStorage couples a session to the persistent segmented store.
 //
-// Attach loads the retained events into the in-memory log and arms a
+// Attach loads the stored events into the in-memory log and arms a
 // verify window over them: while a deterministic simulator re-drives a
 // recovered execution (the diffprovd restart path), each incoming
 // Insert/Delete is checked against the stored prefix position by
@@ -30,8 +30,8 @@ type sessionStorage struct {
 }
 
 // WithStorage backs the session with the persistent segmented store at
-// dir (created on demand). Stored events and current-epoch checkpoints
-// are recovered at construction; new events and checkpoints are written
+// dir (created on demand). Stored events and durable checkpoints are
+// recovered at construction; new events and checkpoints are written
 // through. Store options (e.g. store.WithSegmentEvents) configure the
 // underlying store. An attach failure is reported by the first
 // Insert/Delete/Run call (construction itself cannot fail).
@@ -44,7 +44,7 @@ func WithStorage(dir string, opts ...store.Option) SessionOption {
 
 // attachStorage opens the store and recovers its contents into the
 // session: events into the log (streamed segment by segment), durable
-// current-epoch checkpoints into the checkpoint set.
+// checkpoints into the checkpoint set.
 func (s *Session) attachStorage(dir string) error {
 	st, err := store.Open(dir, s.storeOpts...)
 	if err != nil {
@@ -141,35 +141,13 @@ func (s *Session) CloseStorage() error {
 	return err
 }
 
-// PinStorage anchors storage retention at the given tick until the
-// returned release runs, so GC cannot reclaim segments a live diagnosis
-// replays from. Without storage it returns a no-op release.
-func (s *Session) PinStorage(tick int64) (release func()) {
-	if s.storage == nil {
-		return func() {}
-	}
-	return s.storage.st.Pin(tick)
-}
-
-// GCStorage reclaims stored segments whose every event is before the
-// anchor tick (clamped by live pins; see store.Store.GC). The in-memory
-// log is untouched — GC bounds what a future cold start can replay, not
-// what this session already holds.
-func (s *Session) GCStorage(anchorTick int64) (removed int, err error) {
-	if s.storage == nil {
-		return 0, nil
-	}
-	return s.storage.st.GC(anchorTick)
-}
-
-// Open cold-starts a session from a storage directory: the retained
-// events stream out of the segments (one segment at a time — the encoded
-// log is never materialized whole) and are re-driven through a fresh
-// live engine, durable checkpoints of the current retention epoch are
-// reused instead of recaptured, and the session ends up indistinguishable
-// from one that recorded the stream live — ready to serve diagnoses and
-// to persist further events. This is diffprovd's crash-recovery path:
-// the segment tail past the last durable checkpoint is simply replayed.
+// Open cold-starts a session from a storage directory: the stored
+// events stream out of the segments one at a time and are re-driven
+// through a fresh live engine, durable checkpoints are reused instead of
+// recaptured, and the session ends up indistinguishable from one that
+// recorded the stream live — ready to serve diagnoses and to persist
+// further events. This is diffprovd's crash-recovery path: the segment
+// tail past the last durable checkpoint is simply replayed.
 func Open(prog *ndlog.Program, dir string, opts ...SessionOption) (*Session, error) {
 	s := NewSession(prog, append(append([]SessionOption(nil), opts...), WithStorage(dir))...)
 	if s.stErr != nil {

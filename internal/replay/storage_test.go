@@ -233,92 +233,47 @@ func TestStorageKillAndRestart(t *testing.T) {
 	second.CloseStorage()
 }
 
-// TestStorageGCColdStartMatchesAgeOut: GC truncates whole old segments;
-// a cold start from the truncated store must equal an in-memory session
-// over the retained suffix of the log (the segment-granular version of
-// Log.AgeOut).
+// TestStorageGCColdStartMatchesAgeOut: the paper's age-out is Log.AgeOut
+// over the in-memory log. A session rebuilt from an aged-out log and
+// backed by storage must cold-start from its directory into the same
+// events and checkpoints as an in-memory session rebuilt from the same
+// aged log.
 func TestStorageGCColdStartMatchesAgeOut(t *testing.T) {
 	const n = 40
-	dir := t.TempDir()
-	s := NewSession(fwdProg, WithCheckpointEvery(10), WithStorage(dir, store.WithSegmentEvents(8)))
-	driveForwarding(t, s, n)
-	full := s.Log().Events()
+	live := NewSession(fwdProg, WithCheckpointEvery(10))
+	driveForwarding(t, live, n)
+	aged := live.Log().AgeOut(20)
+	if aged.Len() == 0 || aged.Len() == live.Log().Len() {
+		t.Fatalf("AgeOut(20) kept %d of %d events", aged.Len(), live.Log().Len())
+	}
 
-	removed, err := s.GCStorage(20)
+	dir := t.TempDir()
+	st, err := FromLog(fwdProg, aged, WithCheckpointEvery(10), WithStorage(dir, store.WithSegmentEvents(8)))
 	if err != nil {
-		t.Fatalf("GCStorage: %v", err)
+		t.Fatalf("FromLog with storage: %v", err)
 	}
-	if removed == 0 {
-		t.Fatalf("GC reclaimed nothing")
-	}
-	// GC reclaims whole segments from the front of the stream, so the
-	// retained log is exactly the suffix past the reclaimed segments.
-	dropped := removed * 8
-	if err := s.CloseStorage(); err != nil {
+	if err := st.CloseStorage(); err != nil {
 		t.Fatalf("CloseStorage: %v", err)
 	}
-
 	cold, err := Open(fwdProg, dir, WithCheckpointEvery(10))
 	if err != nil {
-		t.Fatalf("Open after GC: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	defer cold.CloseStorage()
-	if !reflect.DeepEqual(cold.Log().Events(), full[dropped:]) {
-		t.Fatalf("cold start after GC: got %d events, want the %d-event suffix", cold.Log().Len(), len(full)-dropped)
-	}
 
-	// And it must match a from-scratch session driven with the same
-	// suffix (what AgeOut would leave for tick-sorted logs).
-	ref := NewSession(fwdProg, WithCheckpointEvery(10))
-	for _, ev := range full[dropped:] {
-		var err error
-		if ev.Kind == EvInsert {
-			err = ref.Insert(ev.Node, ev.Tuple, ev.Tick)
-		} else {
-			err = ref.Delete(ev.Node, ev.Tuple, ev.Tick)
-		}
-		if err != nil {
-			t.Fatalf("driving reference: %v", err)
-		}
-	}
-	if err := ref.Run(); err != nil {
-		t.Fatalf("reference Run: %v", err)
-	}
-	if !reflect.DeepEqual(ref.Checkpoints(), cold.Checkpoints()) {
-		t.Fatalf("cold start after GC: checkpoints differ from aged-out reference")
-	}
-}
-
-// TestStorageGCPinnedDiagnosis: a pin at a replayed-from tick blocks GC
-// from reclaiming the segments a live diagnosis needs; release unblocks.
-func TestStorageGCPinnedDiagnosis(t *testing.T) {
-	const n = 40
-	dir := t.TempDir()
-	s := NewSession(fwdProg, WithStorage(dir, store.WithSegmentEvents(8)))
-	driveForwarding(t, s, n)
-
-	release := s.PinStorage(0) // diagnosis replaying from the beginning
-	removed, err := s.GCStorage(30)
+	mem, err := FromLog(fwdProg, aged, WithCheckpointEvery(10))
 	if err != nil {
-		t.Fatalf("GCStorage: %v", err)
+		t.Fatalf("FromLog: %v", err)
 	}
-	if removed != 0 {
-		t.Fatalf("GC reclaimed %d segments under a pin at tick 0", removed)
+	if !reflect.DeepEqual(cold.Log().Events(), aged.Events()) {
+		t.Fatalf("cold start: got %d events, want the %d-event aged log", cold.Log().Len(), aged.Len())
 	}
-	// The pinned diagnosis still sees the full history (flow entry, n
-	// packets, and the mid-run delete+insert swap).
-	if got := s.Log().Len(); got != n+3 {
-		t.Fatalf("log shrank under GC: %d events", got)
+	if len(mem.Checkpoints()) == 0 {
+		t.Fatal("aged session captured no checkpoints")
 	}
-	release()
-	removed, err = s.GCStorage(30)
-	if err != nil {
-		t.Fatalf("GCStorage after release: %v", err)
+	if !reflect.DeepEqual(mem.Checkpoints(), cold.Checkpoints()) {
+		t.Fatalf("cold start: checkpoints differ from the in-memory session over the aged log")
 	}
-	if removed == 0 {
-		t.Fatalf("GC reclaimed nothing after the pin was released")
-	}
-	s.CloseStorage()
 }
 
 // TestOpenEmptyDir: cold-starting an empty directory yields an empty,

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -14,18 +13,17 @@ import (
 
 // Checkpoint is a durable state snapshot keyed into the segment stream:
 // EventsBefore is the number of logged events at or before Tick when the
-// snapshot was captured, and Epoch ties the checkpoint to the retention
-// generation it was captured under — GC bumps the epoch, so checkpoints
-// captured against a fuller history are never mistaken for ones a cold
-// start from the truncated stream could reproduce.
+// snapshot was captured.
 type Checkpoint struct {
 	Tick         int64
 	EventsBefore int
-	Epoch        uint64
 	State        ndlog.Snapshot
 }
 
-const ckptMagic = "DPCK1\n"
+// ckptMagic heads a checkpoint file. DPCK1 files also carried a
+// retention epoch; under this magic they fail the header check and are
+// skipped, like any other unreadable checkpoint.
+const ckptMagic = "DPCK2\n"
 
 func (s *Store) ckptPath(tick int64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("ckpt-%016x.ck", uint64(tick)))
@@ -34,83 +32,39 @@ func (s *Store) ckptPath(tick int64) string {
 // PutCheckpoint durably records a checkpoint. The segment tail is synced
 // first, so a durable checkpoint never refers to events the log could
 // lose in a crash; recovery replays the segment tail past the last
-// durable checkpoint. Writing is atomic (tmp + rename); a checkpoint at
+// durable checkpoint. Writing is atomic (see publish); a checkpoint at
 // an existing tick is replaced.
 func (s *Store) PutCheckpoint(tick int64, eventsBefore int, state ndlog.Snapshot) error {
 	if err := s.Sync(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	epoch := s.epoch
-	s.mu.Unlock()
-
-	var b bytes.Buffer
-	b.WriteString(ckptMagic)
-	start := b.Len()
-	writeUvarint(&b, epoch)
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(scratch[:], tick)
-	b.Write(scratch[:n])
-	writeUvarint(&b, uint64(eventsBefore))
-	if err := writeSnapshot(&b, state); err != nil {
+	b := append([]byte(nil), ckptMagic...)
+	b = binary.AppendVarint(b, tick)
+	b = binary.AppendUvarint(b, uint64(eventsBefore))
+	b, err := appendSnapshot(b, state)
+	if err != nil {
 		return err
 	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(b.Bytes()[start:]))
-	b.Write(crcBuf[:])
-
-	path := s.ckptPath(tick)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("store: %v", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: %v", err)
-	}
-	return syncDir(s.dir)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(ckptMagic):]))
+	return publish(s.ckptPath(tick), b)
 }
 
-// Checkpoints returns the durable checkpoints of the current retention
-// epoch, tick-sorted. Checkpoints from older epochs (invalidated by GC
-// but surviving a crash mid-reclaim) are skipped; corrupt files are
-// skipped too — a checkpoint is a cache, recovery recaptures what is
-// missing.
+// Checkpoints returns the durable checkpoints, tick-sorted. Unreadable
+// files — corrupt, torn, or from an older format — are skipped: a
+// checkpoint is a cache, and recovery recaptures what is missing.
 func (s *Store) Checkpoints() ([]Checkpoint, error) {
-	s.mu.Lock()
-	epoch := s.epoch
-	s.mu.Unlock()
 	names, err := filepath.Glob(filepath.Join(s.dir, "ckpt-*.ck"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %v", err)
 	}
 	var out []Checkpoint
 	for _, name := range names {
-		ck, err := readCheckpoint(name)
-		if err != nil {
-			continue
+		if ck, err := readCheckpoint(name); err == nil {
+			out = append(out, ck)
 		}
-		if ck.Epoch != epoch {
-			continue
-		}
-		out = append(out, ck)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tick < out[j].Tick })
 	return out, nil
-}
-
-// dropCheckpointFiles deletes every durable checkpoint; GC calls it
-// after bumping the epoch. Callers hold s.mu.
-func (s *Store) dropCheckpointFiles() error {
-	names, err := filepath.Glob(filepath.Join(s.dir, "ckpt-*.ck"))
-	if err != nil {
-		return fmt.Errorf("store: %v", err)
-	}
-	for _, name := range names {
-		if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: %v", err)
-		}
-	}
-	return nil
 }
 
 func readCheckpoint(path string) (Checkpoint, error) {
@@ -125,129 +79,66 @@ func readCheckpoint(path string) (Checkpoint, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 		return Checkpoint{}, fmt.Errorf("store: checkpoint %s is corrupt", filepath.Base(path))
 	}
-	r := bytes.NewReader(body)
-	epoch, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("store: checkpoint %s is corrupt: %v", filepath.Base(path), err)
-	}
-	tick, err := binary.ReadVarint(r)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("store: checkpoint %s is corrupt: %v", filepath.Base(path), err)
-	}
-	eventsBefore, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("store: checkpoint %s is corrupt: %v", filepath.Base(path), err)
-	}
-	state, err := readSnapshot(r)
-	if err != nil {
-		return Checkpoint{}, fmt.Errorf("store: checkpoint %s is corrupt: %v", filepath.Base(path), err)
+	d := decoder{b: body}
+	tick := d.varint()
+	eventsBefore := d.uvarint()
+	state := d.snapshot()
+	if d.err != nil {
+		return Checkpoint{}, fmt.Errorf("store: checkpoint %s is corrupt: %v", filepath.Base(path), d.err)
 	}
 	state.Tick = tick
-	return Checkpoint{Tick: tick, EventsBefore: int(eventsBefore), Epoch: epoch, State: state}, nil
+	return Checkpoint{Tick: tick, EventsBefore: int(eventsBefore), State: state}, nil
 }
 
-// writeSnapshot encodes a state snapshot deterministically: nodes and
+// appendSnapshot encodes a state snapshot deterministically: nodes and
 // tables in sorted order, rows in their (already canonical-key-sorted)
-// capture order, tuple values through the shared value codec.
-func writeSnapshot(w eventWriter, snap ndlog.Snapshot) error {
+// capture order, tuple values through the event codec.
+func appendSnapshot(dst []byte, snap ndlog.Snapshot) ([]byte, error) {
 	nodes := make([]string, 0, len(snap.State))
 	for n := range snap.State {
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
-	if err := writeUvarint(w, uint64(len(nodes))); err != nil {
-		return err
-	}
+	dst = binary.AppendUvarint(dst, uint64(len(nodes)))
 	for _, node := range nodes {
-		if err := writeString(w, node); err != nil {
-			return err
-		}
+		dst = appendString(dst, node)
 		tbls := snap.State[node]
 		names := make([]string, 0, len(tbls))
 		for t := range tbls {
 			names = append(names, t)
 		}
 		sort.Strings(names)
-		if err := writeUvarint(w, uint64(len(names))); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, uint64(len(names)))
 		for _, table := range names {
-			if err := writeString(w, table); err != nil {
-				return err
-			}
+			dst = appendString(dst, table)
 			rows := tbls[table]
-			if err := writeUvarint(w, uint64(len(rows))); err != nil {
-				return err
-			}
+			dst = binary.AppendUvarint(dst, uint64(len(rows)))
 			for _, row := range rows {
-				if err := writeUvarint(w, uint64(len(row.Args))); err != nil {
-					return err
-				}
-				for _, a := range row.Args {
-					if err := writeValue(w, a); err != nil {
-						return err
-					}
+				var err error
+				if dst, err = appendArgs(dst, row.Args); err != nil {
+					return nil, err
 				}
 			}
 		}
 	}
-	return nil
+	return dst, nil
 }
 
-// readSnapshot decodes a snapshot written by writeSnapshot. The caller
-// sets Tick.
-func readSnapshot(r eventReader) (ndlog.Snapshot, error) {
+// snapshot decodes a snapshot appendSnapshot wrote. The caller sets
+// Tick.
+func (d *decoder) snapshot() ndlog.Snapshot {
 	snap := ndlog.Snapshot{State: map[string]map[string][]ndlog.Tuple{}}
-	nNodes, err := binary.ReadUvarint(r)
-	if err != nil {
-		return snap, err
-	}
-	if nNodes > MaxDecodedString {
-		return snap, fmt.Errorf("implausible node count %d", nNodes)
-	}
-	for i := uint64(0); i < nNodes; i++ {
-		node, err := readString(r)
-		if err != nil {
-			return snap, err
-		}
-		nTables, err := binary.ReadUvarint(r)
-		if err != nil {
-			return snap, err
-		}
-		if nTables > MaxDecodedString {
-			return snap, fmt.Errorf("implausible table count %d", nTables)
-		}
+	nNodes := d.count(MaxDecodedString, "node count")
+	for i := 0; i < nNodes; i++ {
+		node := d.string()
+		nTables := d.count(MaxDecodedString, "table count")
 		tbls := map[string][]ndlog.Tuple{}
-		for j := uint64(0); j < nTables; j++ {
-			table, err := readString(r)
-			if err != nil {
-				return snap, err
-			}
-			nRows, err := binary.ReadUvarint(r)
-			if err != nil {
-				return snap, err
-			}
-			if nRows > 1<<28 {
-				return snap, fmt.Errorf("implausible row count %d", nRows)
-			}
+		for j := 0; j < nTables; j++ {
+			table := d.string()
+			nRows := d.count(1<<28, "row count")
 			rows := make([]ndlog.Tuple, 0, nRows)
-			for k := uint64(0); k < nRows; k++ {
-				nargs, err := binary.ReadUvarint(r)
-				if err != nil {
-					return snap, err
-				}
-				if nargs > MaxDecodedArgs {
-					return snap, fmt.Errorf("tuple with %d columns exceeds the %d bound", nargs, MaxDecodedArgs)
-				}
-				args := make([]ndlog.Value, nargs)
-				for a := range args {
-					v, err := readValue(r)
-					if err != nil {
-						return snap, err
-					}
-					args[a] = v
-				}
-				rows = append(rows, ndlog.Tuple{Table: table, Args: args})
+			for k := 0; k < nRows; k++ {
+				rows = append(rows, ndlog.Tuple{Table: table, Args: d.args()})
 			}
 			tbls[table] = rows
 		}
@@ -255,5 +146,5 @@ func readSnapshot(r eventReader) (ndlog.Snapshot, error) {
 			snap.State[node] = tbls
 		}
 	}
-	return snap, nil
+	return snap
 }

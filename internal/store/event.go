@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/ndlog"
 )
@@ -34,219 +33,181 @@ const (
 	MaxDecodedArgs   = 1 << 10
 )
 
-// eventWriter is the writer surface the event codec needs; both
-// *bufio.Writer and *bytes.Buffer satisfy it.
-type eventWriter interface {
-	io.Writer
-	io.ByteWriter
-	io.StringWriter
-}
-
-// eventReader is the reader surface the event codec needs; both
-// *bufio.Reader and *bytes.Reader satisfy it.
-type eventReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// WriteEvent encodes one event in the compact wire format: a kind byte,
+// AppendEvent appends ev's compact wire encoding to dst: a kind byte,
 // the tick as a uvarint, node and table as length-prefixed strings, and
 // the tuple's values each tagged with their kind byte. The format stores
 // fixed-size header information per packet-like event — tuple fields and
 // a timestamp — mirroring the paper's observation that the log keeps
 // "the header and the timestamp", not payloads.
-func WriteEvent(w eventWriter, ev Event) error {
-	if err := w.WriteByte(byte(ev.Kind)); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(ev.Tick)); err != nil {
-		return err
-	}
-	if err := writeString(w, ev.Node); err != nil {
-		return err
-	}
-	if err := writeString(w, ev.Tuple.Table); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(len(ev.Tuple.Args))); err != nil {
-		return err
-	}
-	for _, a := range ev.Tuple.Args {
-		if err := writeValue(w, a); err != nil {
-			return err
-		}
-	}
-	return nil
+func AppendEvent(dst []byte, ev Event) ([]byte, error) {
+	dst = append(dst, byte(ev.Kind))
+	dst = binary.AppendUvarint(dst, uint64(ev.Tick))
+	dst = appendString(dst, ev.Node)
+	dst = appendString(dst, ev.Tuple.Table)
+	return appendArgs(dst, ev.Tuple.Args)
 }
 
-// ReadEvent decodes one event previously written by WriteEvent.
-func ReadEvent(r eventReader) (Event, error) {
-	kind, err := r.ReadByte()
-	if err != nil {
-		return Event{}, err
+// DecodeEvent decodes the event AppendEvent wrote at the start of b and
+// returns it with the number of bytes it took.
+func DecodeEvent(b []byte) (Event, int, error) {
+	d := decoder{b: b}
+	ev := d.event()
+	if d.err != nil {
+		return Event{}, 0, d.err
 	}
-	if kind > byte(EvDelete) {
-		return Event{}, fmt.Errorf("store: bad event kind %d", kind)
-	}
-	tick, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Event{}, err
-	}
-	node, err := readString(r)
-	if err != nil {
-		return Event{}, err
-	}
-	table, err := readString(r)
-	if err != nil {
-		return Event{}, err
-	}
-	nargs, err := binary.ReadUvarint(r)
-	if err != nil {
-		return Event{}, err
-	}
-	if nargs > MaxDecodedArgs {
-		return Event{}, fmt.Errorf("store: tuple with %d columns exceeds the %d bound", nargs, MaxDecodedArgs)
-	}
-	args := make([]ndlog.Value, nargs)
-	for j := range args {
-		v, err := readValue(r)
-		if err != nil {
-			return Event{}, err
+	return ev, len(b) - len(d.b), nil
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendArgs(dst []byte, args []ndlog.Value) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(args)))
+	for _, v := range args {
+		dst = append(dst, byte(v.Kind()))
+		switch x := v.(type) {
+		case ndlog.Int:
+			dst = binary.AppendVarint(dst, int64(x))
+		case ndlog.Str:
+			dst = appendString(dst, string(x))
+		case ndlog.Bool:
+			b := byte(0)
+			if x {
+				b = 1
+			}
+			dst = append(dst, b)
+		case ndlog.IP:
+			dst = binary.BigEndian.AppendUint32(dst, uint32(x))
+		case ndlog.Prefix:
+			dst = append(binary.BigEndian.AppendUint32(dst, uint32(x.Addr)), x.Bits)
+		case ndlog.ID:
+			dst = binary.BigEndian.AppendUint64(dst, uint64(x))
+		default:
+			return nil, fmt.Errorf("store: cannot encode value of kind %s", v.Kind())
 		}
-		args[j] = v
 	}
+	return dst, nil
+}
+
+// decoder reads the wire format out of a byte slice. The first error
+// sticks: it empties the input, so every later read returns a zero value,
+// and callers check err once at the end.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.b = nil
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail(fmt.Errorf("store: truncated or overlong uvarint"))
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail(fmt.Errorf("store: truncated or overlong varint"))
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// count reads a uvarint element count. It rejects one above max, and
+// one above the bytes left, since every element takes at least a byte.
+func (d *decoder) count(max uint64, what string) int {
+	n := d.uvarint()
+	switch {
+	case n > max:
+		d.fail(fmt.Errorf("store: %s %d exceeds the %d bound", what, n, max))
+		return 0
+	case n > uint64(len(d.b)):
+		d.fail(fmt.Errorf("store: truncated: %s %d, %d bytes left", what, n, len(d.b)))
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) bytes(n int) []byte {
+	if n > len(d.b) {
+		d.fail(fmt.Errorf("store: truncated: %d bytes wanted, %d left", n, len(d.b)))
+		return nil
+	}
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *decoder) byte() byte {
+	if b := d.bytes(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (d *decoder) string() string {
+	return string(d.bytes(d.count(MaxDecodedString, "string length")))
+}
+
+func (d *decoder) event() Event {
+	kind := d.byte()
+	if kind > byte(EvDelete) {
+		d.fail(fmt.Errorf("store: bad event kind %d", kind))
+	}
+	tick := d.uvarint()
+	node := d.string()
+	table := d.string()
 	return Event{
 		Kind:  EventKind(kind),
 		Node:  node,
-		Tuple: ndlog.Tuple{Table: table, Args: args},
+		Tuple: ndlog.Tuple{Table: table, Args: d.args()},
 		Tick:  int64(tick),
-	}, nil
-}
-
-// WriteUvarint writes a uvarint; exposed so internal/replay can frame
-// whole-log encodings (count-prefixed event streams) with the same
-// primitives the segment format uses.
-func WriteUvarint(w io.Writer, v uint64) error {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], v)
-	_, err := w.Write(scratch[:n])
-	return err
-}
-
-// ReadUvarint reads a uvarint written by WriteUvarint.
-func ReadUvarint(r io.ByteReader) (uint64, error) {
-	return binary.ReadUvarint(r)
-}
-
-func writeUvarint(w eventWriter, v uint64) error {
-	return WriteUvarint(w, v)
-}
-
-func writeString(w eventWriter, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
-func readString(r eventReader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > MaxDecodedString {
-		return "", fmt.Errorf("store: string field of %d bytes exceeds the %d-byte bound", n, MaxDecodedString)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func writeValue(w eventWriter, v ndlog.Value) error {
-	if err := w.WriteByte(byte(v.Kind())); err != nil {
-		return err
-	}
-	switch x := v.(type) {
-	case ndlog.Int:
-		var scratch [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(scratch[:], int64(x))
-		_, err := w.Write(scratch[:n])
-		return err
-	case ndlog.Str:
-		return writeString(w, string(x))
-	case ndlog.Bool:
-		b := byte(0)
-		if x {
-			b = 1
-		}
-		return w.WriteByte(b)
-	case ndlog.IP:
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], uint32(x))
-		_, err := w.Write(buf[:])
-		return err
-	case ndlog.Prefix:
-		var buf [5]byte
-		binary.BigEndian.PutUint32(buf[:4], uint32(x.Addr))
-		buf[4] = x.Bits
-		_, err := w.Write(buf[:])
-		return err
-	case ndlog.ID:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(x))
-		_, err := w.Write(buf[:])
-		return err
-	default:
-		return fmt.Errorf("store: cannot encode value of kind %s", v.Kind())
 	}
 }
 
-func readValue(r eventReader) (ndlog.Value, error) {
-	kind, err := r.ReadByte()
-	if err != nil {
-		return nil, err
+func (d *decoder) args() []ndlog.Value {
+	args := make([]ndlog.Value, d.count(MaxDecodedArgs, "column count"))
+	for i := range args {
+		args[i] = d.value()
 	}
-	switch ndlog.Kind(kind) {
+	return args
+}
+
+func (d *decoder) value() ndlog.Value {
+	switch kind := ndlog.Kind(d.byte()); kind {
 	case ndlog.KindInt:
-		n, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, err
-		}
-		return ndlog.Int(n), nil
+		return ndlog.Int(d.varint())
 	case ndlog.KindStr:
-		s, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		return ndlog.Str(s), nil
+		return ndlog.Str(d.string())
 	case ndlog.KindBool:
-		b, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		return ndlog.Bool(b != 0), nil
+		return ndlog.Bool(d.byte() != 0)
 	case ndlog.KindIP:
-		var buf [4]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
+		if b := d.bytes(4); b != nil {
+			return ndlog.IP(binary.BigEndian.Uint32(b))
 		}
-		return ndlog.IP(binary.BigEndian.Uint32(buf[:])), nil
 	case ndlog.KindPrefix:
-		var buf [5]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
+		if b := d.bytes(5); b != nil {
+			return ndlog.Prefix{Addr: ndlog.IP(binary.BigEndian.Uint32(b)), Bits: b[4]}
 		}
-		return ndlog.Prefix{Addr: ndlog.IP(binary.BigEndian.Uint32(buf[:4])), Bits: buf[4]}, nil
 	case ndlog.KindID:
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
+		if b := d.bytes(8); b != nil {
+			return ndlog.ID(binary.BigEndian.Uint64(b))
 		}
-		return ndlog.ID(binary.BigEndian.Uint64(buf[:])), nil
 	default:
-		return nil, fmt.Errorf("store: bad value kind %d", kind)
+		d.fail(fmt.Errorf("store: bad value kind %d", kind))
 	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -16,21 +15,21 @@ import (
 
 // Segment file layout of the event store:
 //
-//	data file <prefix>-NNNNNNNN.log:
+//	data file seg-NNNNNNNN.log:
 //	    6-byte magic "DPSG1\n"
 //	    records: uvarint payload length | payload | 4-byte CRC32(payload)
-//	sidecar  <prefix>-NNNNNNNN.idx (written when the segment seals):
+//	sidecar  seg-NNNNNNNN.idx (written when the segment seals):
 //	    6-byte magic "DPIX1\n"
 //	    body: uvarint record count
 //	          uvarint data-region size in bytes
 //	          4-byte CRC32 of the data region (everything after the magic)
-//	          uvarint extra length | extra (owner-defined: tick range and
-//	          fingerprint index for event segments)
+//	          uvarint extra length | extra (written empty; readers skip
+//	          the fingerprint index older stores kept there)
 //	    4-byte CRC32 of the body
 //
-// A segment seals after exactly perSeg records; the sidecar is written
-// atomically (tmp + rename), so its presence marks the segment immutable
-// and verified. The newest segment may lack a sidecar — it is the active
+// A segment seals after exactly segEvents records; the sidecar is
+// published atomically, so its presence marks the segment immutable and
+// verified. The newest segment may lack a sidecar — it is the active
 // tail, and recovery re-scans it record by record, truncating at the
 // first torn or corrupt record (each record carries its own CRC, so a
 // crash mid-write loses at most the unsynced suffix).
@@ -81,25 +80,34 @@ func scanRecords(data []byte, fn func(payload []byte) error) (int, error) {
 		if !ok {
 			break
 		}
-		if fn != nil {
-			if err := fn(payload); err != nil {
-				return off, err
-			}
+		if err := fn(payload); err != nil {
+			return off, err
 		}
 		off += consumed
 	}
 	return off, nil
 }
 
+// decodeEventPayload decodes a record payload, which holds exactly one
+// event.
+func decodeEventPayload(payload []byte) (Event, error) {
+	ev, n, err := DecodeEvent(payload)
+	if err != nil {
+		return Event{}, err
+	}
+	if n != len(payload) {
+		return Event{}, fmt.Errorf("store: %d trailing bytes after event record", len(payload)-n)
+	}
+	return ev, nil
+}
+
 // readCounters tallies segment read traffic. The counters are cumulative
-// over the log's lifetime and atomically updated, so tests and the stats
-// endpoint can assert what a cold start or a windowed query actually
-// touched (e.g. that skipped segments contribute zero bytes).
+// over the store's lifetime and atomically updated, so tests and the
+// benchmark can assert what a cold start actually read.
 type readCounters struct {
-	segmentsRead    atomic.Int64
-	segmentsSkipped atomic.Int64
-	bytesRead       atomic.Int64
-	recordsRead     atomic.Int64
+	segmentsRead atomic.Int64
+	bytesRead    atomic.Int64
+	recordsRead  atomic.Int64
 }
 
 // segMeta describes one sealed (immutable) segment.
@@ -120,92 +128,51 @@ type activeSeg struct {
 	buf   []byte // pending unflushed bytes
 }
 
-// seglogHooks lets the owner ride along with segment lifecycle events:
-// sealExtra produces the sidecar extra for the segment being sealed (and
-// should reset the owner's per-segment accumulators); onSealed reports a
-// sealed segment (at open time, or right after a runtime seal) with its
-// extra; onActiveRecord replays each recovered record of the active tail
-// at open time so the owner can rebuild its accumulators.
-type seglogHooks struct {
-	sealExtra      func() []byte
-	onSealed       func(m segMeta, extra []byte)
-	onActiveRecord func(payload []byte) error
+func (s *Store) dataPath(idx int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("seg-%08d.log", idx))
 }
 
-// seglog is the shared segmented record machinery. It is not
-// goroutine-safe; owners serialize access.
-type seglog struct {
-	dir    string
-	prefix string
-	perSeg int
-	hooks  seglogHooks
-
-	sealed  []segMeta
-	active  *activeSeg
-	nextIdx int
-
-	// counters tallies read traffic across all of this log's segments.
-	counters readCounters
+func (s *Store) idxPath(idx int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("seg-%08d.idx", idx))
 }
 
-func (l *seglog) dataPath(idx int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s-%08d.log", l.prefix, idx))
-}
-
-func (l *seglog) idxPath(idx int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s-%08d.idx", l.prefix, idx))
-}
-
-// openSeglog opens (or creates) the segmented log with the given file
-// prefix inside dir, recovering the active tail.
-func openSeglog(dir, prefix string, perSeg int, hooks seglogHooks) (*seglog, error) {
-	if perSeg <= 0 {
-		return nil, fmt.Errorf("store: records per segment must be positive, got %d", perSeg)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %v", err)
-	}
-	l := &seglog{dir: dir, prefix: prefix, perSeg: perSeg, hooks: hooks}
-	names, err := filepath.Glob(filepath.Join(dir, prefix+"-*.log"))
+// openSegments loads the existing segments in index order, recovering the
+// active tail.
+func (s *Store) openSegments() error {
+	names, err := filepath.Glob(filepath.Join(s.dir, "seg-*.log"))
 	if err != nil {
-		return nil, fmt.Errorf("store: %v", err)
+		return fmt.Errorf("store: %v", err)
 	}
 	idxs := make([]int, 0, len(names))
 	for _, name := range names {
 		base := filepath.Base(name)
-		numPart := strings.TrimSuffix(strings.TrimPrefix(base, prefix+"-"), ".log")
-		n, err := strconv.Atoi(numPart)
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(base, "seg-"), ".log"))
 		if err != nil {
-			return nil, fmt.Errorf("store: unexpected segment file %s", base)
+			return fmt.Errorf("store: unexpected segment file %s", base)
 		}
 		idxs = append(idxs, n)
 	}
 	sort.Ints(idxs)
 	for i, idx := range idxs {
 		if i > 0 && idx != idxs[i-1]+1 {
-			return nil, fmt.Errorf("store: segment stream has a gap between %d and %d", idxs[i-1], idx)
+			return fmt.Errorf("store: segment stream has a gap between %d and %d", idxs[i-1], idx)
 		}
-		last := i == len(idxs)-1
-		if err := l.openSegment(idx, last); err != nil {
-			return nil, err
+		if err := s.openSegment(idx, i == len(idxs)-1); err != nil {
+			return err
 		}
+		s.nextIdx = idx + 1
 	}
-	if len(idxs) > 0 {
-		l.nextIdx = idxs[len(idxs)-1] + 1
-	}
-	return l, nil
+	return nil
 }
 
 // openSegment loads one existing segment at open time: sealed segments
 // are described by their sidecar; an unsealed segment must be the last
-// one and is recovered by scanning.
-func (l *seglog) openSegment(idx int, last bool) error {
-	m, extra, err := readSidecar(l.idxPath(idx), idx)
+// one and is recovered by scanning, decoding every intact record.
+func (s *Store) openSegment(idx int, last bool) error {
+	m, err := readSidecar(s.idxPath(idx), idx)
 	if err == nil {
-		l.sealed = append(l.sealed, m)
-		if l.hooks.onSealed != nil {
-			l.hooks.onSealed(m, extra)
-		}
+		s.sealed = append(s.sealed, m)
+		s.count += m.count
 		return nil
 	}
 	if !os.IsNotExist(err) {
@@ -216,85 +183,49 @@ func (l *seglog) openSegment(idx int, last bool) error {
 	if !last {
 		return fmt.Errorf("store: segment %d is unsealed but not the newest", idx)
 	}
-	data, err := os.ReadFile(l.dataPath(idx))
+	path := s.dataPath(idx)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
+	if len(data) < len(segMagic) {
+		// append creates a segment, then writes its magic: a crash between
+		// the two leaves a torn header and no records. Rewrite the header.
+		if err := os.WriteFile(path, []byte(segMagic), 0o644); err != nil {
+			return fmt.Errorf("store: rewriting torn segment header: %v", err)
+		}
+		data = []byte(segMagic)
+	}
+	if string(data[:len(segMagic)]) != segMagic {
 		return fmt.Errorf("store: segment %d has a bad header", idx)
 	}
 	region := data[len(segMagic):]
 	count := 0
-	consumed := 0
-	for consumed < len(region) {
-		payload, n, ok := parseRecord(region[consumed:])
-		if !ok {
-			break
-		}
+	good, err := scanRecords(region, func(payload []byte) error {
 		count++
-		if l.hooks.onActiveRecord != nil {
-			if err := l.hooks.onActiveRecord(payload); err != nil {
-				return err
-			}
-		}
-		consumed += n
+		_, err := decodeEventPayload(payload)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	good := int64(len(segMagic) + consumed)
-	if good < int64(len(data)) {
+	if good < len(region) {
 		// Torn tail: drop the partial record.
-		if err := os.Truncate(l.dataPath(idx), good); err != nil {
+		if err := os.Truncate(path, int64(len(segMagic)+good)); err != nil {
 			return fmt.Errorf("store: truncating torn segment tail: %v", err)
 		}
 	}
-	f, err := os.OpenFile(l.dataPath(idx), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
-	l.active = &activeSeg{
-		idx:   idx,
-		f:     f,
-		count: count,
-		size:  int64(consumed),
-		crc:   crc32.ChecksumIEEE(region[:consumed]),
-	}
+	s.active = &activeSeg{idx: idx, f: f, count: count, size: int64(good), crc: crc32.ChecksumIEEE(region[:good])}
+	s.count += count
 	return nil
 }
 
-// append adds one record, creating a segment on demand and sealing it
-// when full.
-func (l *seglog) append(payload []byte) error {
-	if l.active == nil {
-		f, err := os.OpenFile(l.dataPath(l.nextIdx), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: %v", err)
-		}
-		if _, err := f.WriteString(segMagic); err != nil {
-			f.Close()
-			return fmt.Errorf("store: %v", err)
-		}
-		l.active = &activeSeg{idx: l.nextIdx, f: f}
-		l.nextIdx++
-	}
-	a := l.active
-	start := len(a.buf)
-	a.buf = appendRecord(a.buf, payload)
-	rec := a.buf[start:]
-	a.crc = crc32.Update(a.crc, crc32.IEEETable, rec)
-	a.size += int64(len(rec))
-	a.count++
-	if len(a.buf) >= 1<<16 {
-		if err := l.flush(); err != nil {
-			return err
-		}
-	}
-	if a.count >= l.perSeg {
-		return l.seal()
-	}
-	return nil
-}
-
-func (l *seglog) flush() error {
-	a := l.active
+func (s *Store) flush() error {
+	a := s.active
 	if a == nil || len(a.buf) == 0 {
 		return nil
 	}
@@ -305,46 +236,42 @@ func (l *seglog) flush() error {
 	return nil
 }
 
-// sync flushes and fsyncs the active segment.
-func (l *seglog) sync() error {
-	if l.active == nil {
+// syncActive flushes and fsyncs the active segment.
+func (s *Store) syncActive() error {
+	if s.active == nil {
 		return nil
 	}
-	if err := l.flush(); err != nil {
+	if err := s.flush(); err != nil {
 		return err
 	}
-	if err := l.active.f.Sync(); err != nil {
+	if err := s.active.f.Sync(); err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
 	return nil
 }
 
 // seal makes the active segment durable and immutable: fsync the data,
-// then atomically publish the sidecar.
-func (l *seglog) seal() error {
-	a := l.active
-	if a == nil {
-		return nil
-	}
-	if err := l.sync(); err != nil {
+// then publish the sidecar.
+func (s *Store) seal() error {
+	a := s.active
+	if err := s.syncActive(); err != nil {
 		return err
 	}
 	if err := a.f.Close(); err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
-	var extra []byte
-	if l.hooks.sealExtra != nil {
-		extra = l.hooks.sealExtra()
-	}
 	m := segMeta{idx: a.idx, count: a.count, dataSize: a.size, dataCRC: a.crc}
-	if err := writeSidecar(l.idxPath(a.idx), m, extra); err != nil {
+	b := append([]byte(nil), sidecarMagic...)
+	b = binary.AppendUvarint(b, uint64(m.count))
+	b = binary.AppendUvarint(b, uint64(m.dataSize))
+	b = binary.LittleEndian.AppendUint32(b, m.dataCRC)
+	b = binary.AppendUvarint(b, 0) // empty extra
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(sidecarMagic):]))
+	if err := publish(s.idxPath(a.idx), b); err != nil {
 		return err
 	}
-	l.sealed = append(l.sealed, m)
-	l.active = nil
-	if l.hooks.onSealed != nil {
-		l.hooks.onSealed(m, extra)
-	}
+	s.sealed = append(s.sealed, m)
+	s.active = nil
 	return nil
 }
 
@@ -357,10 +284,9 @@ const readChunk = 64 << 10
 // window (plus one oversized record, when a payload exceeds it) instead
 // of the whole segment. A running CRC over the data region is checked
 // against the sidecar at the end, together with the record count and
-// region size, preserving the whole-segment corruption guarantees of the
-// old slurping reader. Payloads are only valid during the callback.
-func (l *seglog) readSegment(m segMeta, fn func(payload []byte) error) error {
-	f, err := os.Open(l.dataPath(m.idx))
+// region size. Payloads are only valid during the callback.
+func (s *Store) readSegment(m segMeta, fn func(payload []byte) error) error {
+	f, err := os.Open(s.dataPath(m.idx))
 	if err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
@@ -369,8 +295,8 @@ func (l *seglog) readSegment(m segMeta, fn func(payload []byte) error) error {
 	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
 		return fmt.Errorf("store: segment %d has a bad header", m.idx)
 	}
-	l.counters.segmentsRead.Add(1)
-	l.counters.bytesRead.Add(int64(len(segMagic)))
+	s.reads.segmentsRead.Add(1)
+	s.reads.bytesRead.Add(int64(len(segMagic)))
 
 	var (
 		window []byte // buffered tail: zero or one partial record + fresh bytes
@@ -409,7 +335,7 @@ func (l *seglog) readSegment(m segMeta, fn func(payload []byte) error) error {
 		}
 		n, err := io.ReadFull(f, window[len(window):len(window)+readChunk])
 		window = window[:len(window)+n]
-		l.counters.bytesRead.Add(int64(n))
+		s.reads.bytesRead.Add(int64(n))
 		switch err {
 		case nil:
 		case io.EOF, io.ErrUnexpectedEOF:
@@ -418,7 +344,7 @@ func (l *seglog) readSegment(m segMeta, fn func(payload []byte) error) error {
 			return fmt.Errorf("store: reading segment %d: %v", m.idx, err)
 		}
 	}
-	l.counters.recordsRead.Add(int64(count))
+	s.reads.recordsRead.Add(int64(count))
 	// The partial-record remainder still contributes to the region CRC and
 	// size check: a sealed segment must consist of exactly m.count intact
 	// records and nothing else.
@@ -434,126 +360,84 @@ func (l *seglog) readSegment(m segMeta, fn func(payload []byte) error) error {
 }
 
 // activeSnapshot returns a consistent copy of the active segment's
-// records written so far (flushing pending bytes first).
-func (l *seglog) activeSnapshot() ([]byte, error) {
-	if l.active == nil {
+// records written so far (flushing pending bytes first). Callers hold
+// s.mu.
+func (s *Store) activeSnapshot() ([]byte, error) {
+	if s.active == nil {
 		return nil, nil
 	}
-	if err := l.flush(); err != nil {
+	if err := s.flush(); err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(l.dataPath(l.active.idx))
+	data, err := os.ReadFile(s.dataPath(s.active.idx))
 	if err != nil {
 		return nil, fmt.Errorf("store: %v", err)
 	}
 	if len(data) < len(segMagic) {
-		return nil, fmt.Errorf("store: segment %d has a bad header", l.active.idx)
+		return nil, fmt.Errorf("store: segment %d has a bad header", s.active.idx)
 	}
 	return data[len(segMagic):], nil
 }
 
-// gcPrefix removes the first n sealed segments from disk and from the
-// in-memory list. Callers guarantee no concurrent readers.
-func (l *seglog) gcPrefix(n int) error {
-	for i := 0; i < n; i++ {
-		m := l.sealed[i]
-		if err := os.Remove(l.dataPath(m.idx)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: %v", err)
-		}
-		if err := os.Remove(l.idxPath(m.idx)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: %v", err)
-		}
-	}
-	l.sealed = append([]segMeta(nil), l.sealed[n:]...)
-	return nil
-}
-
-func (l *seglog) close() error {
-	if l.active == nil {
-		return nil
-	}
-	if err := l.sync(); err != nil {
-		return err
-	}
-	return l.active.f.Close()
-}
-
-// writeSidecar atomically publishes a sealed segment's sidecar.
-func writeSidecar(path string, m segMeta, extra []byte) error {
-	var body bytes.Buffer
-	body.WriteString(sidecarMagic)
-	bodyStart := body.Len()
-	writeUvarint(&body, uint64(m.count))
-	writeUvarint(&body, uint64(m.dataSize))
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], m.dataCRC)
-	body.Write(crcBuf[:])
-	writeUvarint(&body, uint64(len(extra)))
-	body.Write(extra)
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(body.Bytes()[bodyStart:]))
-	body.Write(crcBuf[:])
-
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, body.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("store: %v", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("store: %v", err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// readSidecar parses a sealed segment's sidecar.
-func readSidecar(path string, idx int) (segMeta, []byte, error) {
+// readSidecar parses a sealed segment's sidecar, skipping its extra.
+func readSidecar(path string, idx int) (segMeta, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return segMeta{}, nil, err
+		return segMeta{}, err
 	}
 	if len(data) < len(sidecarMagic)+4 || string(data[:len(sidecarMagic)]) != sidecarMagic {
-		return segMeta{}, nil, fmt.Errorf("store: segment %d has a bad sidecar header", idx)
+		return segMeta{}, fmt.Errorf("store: segment %d has a bad sidecar header", idx)
 	}
 	body := data[len(sidecarMagic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
-		return segMeta{}, nil, fmt.Errorf("store: segment %d sidecar is corrupt", idx)
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return segMeta{}, fmt.Errorf("store: segment %d sidecar is corrupt", idx)
 	}
-	r := bytes.NewReader(body)
-	count, err := binary.ReadUvarint(r)
+	d := decoder{b: body}
+	m := segMeta{idx: idx, count: int(d.uvarint()), dataSize: int64(d.uvarint())}
+	if crc := d.bytes(4); crc != nil {
+		m.dataCRC = binary.LittleEndian.Uint32(crc)
+	}
+	d.bytes(d.count(uint64(len(body)), "sidecar extra length"))
+	if d.err != nil {
+		return segMeta{}, fmt.Errorf("store: segment %d sidecar is corrupt: %v", idx, d.err)
+	}
+	return m, nil
+}
+
+// publish atomically replaces path with data: the bytes go to a temp
+// file, which is fsynced and closed before it is renamed over path, and
+// the directory is fsynced after. A crash leaves the old file or the
+// complete new one, never an empty or partial one under path.
+func publish(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("store: segment %d sidecar is corrupt: %v", idx, err)
+		return fmt.Errorf("store: %v", err)
 	}
-	dataSize, err := binary.ReadUvarint(r)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("store: segment %d sidecar is corrupt: %v", idx, err)
+		return fmt.Errorf("store: %v", err)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return segMeta{}, nil, fmt.Errorf("store: segment %d sidecar is corrupt: %v", idx, err)
-	}
-	extraLen, err := binary.ReadUvarint(r)
-	if err != nil || extraLen > uint64(r.Len()) {
-		return segMeta{}, nil, fmt.Errorf("store: segment %d sidecar is corrupt", idx)
-	}
-	extra := make([]byte, extraLen)
-	if _, err := io.ReadFull(r, extra); err != nil && extraLen > 0 {
-		return segMeta{}, nil, fmt.Errorf("store: segment %d sidecar is corrupt: %v", idx, err)
-	}
-	return segMeta{
-		idx:      idx,
-		count:    int(count),
-		dataSize: int64(dataSize),
-		dataCRC:  binary.LittleEndian.Uint32(crcBuf[:]),
-	}, extra, nil
+	syncDir(filepath.Dir(path))
+	return nil
 }
 
 // syncDir fsyncs a directory so renames within it are durable; best
 // effort on filesystems that reject directory fsync.
-func syncDir(dir string) error {
+func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return
 	}
-	defer d.Close()
 	d.Sync() //nolint:errcheck // best effort
-	return nil
+	d.Close()
 }

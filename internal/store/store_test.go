@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -208,7 +209,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("got %d checkpoints, want 1", len(cks))
 	}
 	ck := cks[0]
-	if ck.Tick != 5 || ck.EventsBefore != 6 || ck.Epoch != 0 {
+	if ck.Tick != 5 || ck.EventsBefore != 6 {
 		t.Fatalf("checkpoint header = %+v", ck)
 	}
 	if !reflect.DeepEqual(ck.State, snap) {
@@ -240,161 +241,51 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreGC(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentEvents(4))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	const n = 20 // 5 sealed segments, ticks 0..19
-	for i := 0; i < n; i++ {
-		if err := s.Append(testEvent(i)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	if err := s.PutCheckpoint(11, 12, ndlog.Snapshot{Tick: 11, State: map[string]map[string][]ndlog.Tuple{}}); err != nil {
-		t.Fatalf("PutCheckpoint: %v", err)
-	}
-
-	// A pin below the anchor clamps GC.
-	release := s.Pin(2)
-	removed, err := s.GC(10)
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	if removed != 0 {
-		t.Fatalf("GC removed %d segments despite pin at tick 2", removed)
-	}
-	release()
-
-	removed, err = s.GC(10)
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	// Segments [0..3], [4..7] have maxTick < 10; [8..11] reaches 11.
-	if removed != 2 {
-		t.Fatalf("GC removed %d segments, want 2", removed)
-	}
-	if s.Len() != n-8 {
-		t.Fatalf("post-GC Len = %d, want %d", s.Len(), n-8)
-	}
-	if s.Epoch() != 1 || s.AgeTick() != 10 {
-		t.Fatalf("post-GC epoch/ageTick = %d/%d", s.Epoch(), s.AgeTick())
-	}
-	got := collect(t, s)
-	if len(got) != n-8 || got[0].Tick != 8 {
-		t.Fatalf("post-GC stream starts at tick %d with %d events", got[0].Tick, len(got))
-	}
-	// GC invalidated the checkpoint (old epoch).
-	cks, err := s.Checkpoints()
-	if err != nil {
-		t.Fatalf("Checkpoints: %v", err)
-	}
-	if len(cks) != 0 {
-		t.Fatalf("stale checkpoints survived GC: %+v", cks)
-	}
-
-	// Epoch and age tick persist across reopen.
-	s.Close()
-	r, err := Open(dir, WithSegmentEvents(4))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	if r.Epoch() != 1 || r.AgeTick() != 10 || r.Len() != n-8 {
-		t.Fatalf("reopened epoch/age/len = %d/%d/%d", r.Epoch(), r.AgeTick(), r.Len())
-	}
+// allKinds is an event carrying one value of every kind.
+var allKinds = Event{
+	Kind: EvDelete,
+	Node: "s1",
+	Tuple: ndlog.Tuple{Table: "t", Args: []ndlog.Value{
+		ndlog.Int(-5), ndlog.Str("x"), ndlog.Bool(true), ndlog.IP(0x0a000001),
+		ndlog.Prefix{Addr: 0x0a000000, Bits: 8}, ndlog.ID(9),
+	}},
+	Tick: 300,
 }
 
-func TestStoreGCKeepsLastSegment(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentEvents(4))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	for i := 0; i < 8; i++ { // exactly two sealed segments, no active
-		if err := s.Append(testEvent(i)); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	removed, err := s.GC(100)
-	if err != nil {
-		t.Fatalf("GC: %v", err)
-	}
-	if removed != 1 {
-		t.Fatalf("GC removed %d, want 1 (newest segment always retained)", removed)
-	}
-	if got := collect(t, s); len(got) != 4 || got[0].Tick != 4 {
-		t.Fatalf("post-GC stream wrong: %d events", len(got))
-	}
-}
-
-func TestStoreLookupEvents(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentEvents(4))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	target := ndlog.Tuple{Table: "flow", Args: []ndlog.Value{ndlog.Int(99)}}
-	var want []Event
-	for i := 0; i < 18; i++ {
-		ev := testEvent(i)
-		if i%5 == 0 { // lands in several segments and the active tail
-			ev = Event{Kind: EvInsert, Node: "swZ", Tuple: target, Tick: int64(i)}
-			want = append(want, ev)
-		}
-		if err := s.Append(ev); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	got, err := s.LookupEvents("swZ", target.Key())
-	if err != nil {
-		t.Fatalf("LookupEvents: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("LookupEvents mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	// Absent tuples return nothing.
-	got, err = s.LookupEvents("swZ", "nope")
-	if err != nil || len(got) != 0 {
-		t.Fatalf("LookupEvents(absent) = %v, %v", got, err)
-	}
-	// Survives reopen (sealed index read from sidecars, active rebuilt).
-	s.Close()
-	r, err := Open(dir, WithSegmentEvents(4))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer r.Close()
-	got, err = r.LookupEvents("swZ", target.Key())
-	if err != nil {
-		t.Fatalf("LookupEvents after reopen: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("LookupEvents after reopen mismatch")
-	}
-}
-
+// TestEventCodecRoundTrip pins the wire format: AppendEvent's bytes for
+// an event of every value kind, and DecodeEvent reading back every event
+// AppendEvent wrote, with the byte count it took.
 func TestEventCodecRoundTrip(t *testing.T) {
+	const wantHex = "01" + "ac02" + "027331" + "0174" + "06" + // kind, tick, node, table, column count
+		"0009" + "010178" + "0201" + "030a000001" + "040a00000008" + "050000000000000009"
+	b, err := AppendEvent([]byte{0xee}, allKinds)
+	if err != nil {
+		t.Fatalf("AppendEvent: %v", err)
+	}
+	if got := hex.EncodeToString(b[1:]); b[0] != 0xee || got != wantHex {
+		t.Fatalf("AppendEvent bytes = %x\nwant            ee%s", b, wantHex)
+	}
+	evs := []Event{allKinds}
 	for i := 0; i < 10; i++ {
-		ev := testEvent(i)
-		var b bytes.Buffer
-		if err := WriteEvent(&b, ev); err != nil {
-			t.Fatalf("WriteEvent: %v", err)
-		}
-		got, err := ReadEvent(bytes.NewReader(b.Bytes()))
+		evs = append(evs, testEvent(i))
+	}
+	for _, ev := range evs {
+		b, err := AppendEvent(nil, ev)
 		if err != nil {
-			t.Fatalf("ReadEvent: %v", err)
+			t.Fatalf("AppendEvent: %v", err)
 		}
-		if !reflect.DeepEqual(got, ev) {
-			t.Fatalf("round trip mismatch: %+v != %+v", got, ev)
+		got, n, err := DecodeEvent(append(b, 0xff)) // a trailing byte is not read
+		if err != nil {
+			t.Fatalf("DecodeEvent(%x): %v", b, err)
+		}
+		if n != len(b) || !reflect.DeepEqual(got, ev) {
+			t.Fatalf("round trip: got %+v in %d bytes, want %+v in %d", got, n, ev, len(b))
+		}
+		if _, _, err := DecodeEvent(b[:len(b)-1]); err == nil {
+			t.Fatalf("DecodeEvent accepted a truncated event %x", b[:len(b)-1])
 		}
 	}
 }
-
 func TestSanitizeName(t *testing.T) {
 	cases := map[string]string{
 		"swA":          "swA",
@@ -413,67 +304,219 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-// TestEventsRangeSkipsSegments pins the windowed read path: sealed
-// segments whose tick range lies outside the window are skipped without
-// contributing a single byte to the read counters.
+// TestEventsRangeSkipsSegments pins the read accounting of a cold
+// start: streaming a reopened store reads each sealed segment once, every
+// byte of its file, and every record in it.
 func TestEventsRangeSkipsSegments(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithSegmentEvents(8))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	defer s.Close()
-	const n = 36 // 4 sealed segments of 8 plus an active tail of 4
+	const n = 32 // 4 sealed segments of 8, no active tail
 	for i := 0; i < n; i++ {
 		if err := s.Append(testEvent(i)); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(names) != 4 {
+		t.Fatalf("segment files %v, %v; want 4", names, err)
+	}
+	var fileBytes int64
+	for _, name := range names {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileBytes += fi.Size()
+	}
 
-	// A window covering exactly one sealed segment.
-	before := s.ReadStats()
-	var got []Event
-	if err := s.EventsRange(8, 15, func(ev Event) error {
-		got = append(got, ev)
-		return nil
-	}); err != nil {
-		t.Fatalf("EventsRange: %v", err)
+	r, err := Open(dir, WithSegmentEvents(8))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
-	if len(got) != 8 {
-		t.Fatalf("EventsRange(8,15) returned %d events, want 8", len(got))
+	defer r.Close()
+	if got := collect(t, r); len(got) != n {
+		t.Fatalf("streamed %d events, want %d", len(got), n)
 	}
-	for i, ev := range got {
-		if !reflect.DeepEqual(ev, testEvent(8+i)) {
-			t.Fatalf("event %d = %+v, want %+v", i, ev, testEvent(8+i))
+	want := ReadStats{SegmentsRead: 4, BytesRead: fileBytes, RecordsRead: int64(r.Len())}
+	if got := r.ReadStats(); got != want {
+		t.Errorf("ReadStats = %+v, want %+v", got, want)
+	}
+}
+
+// TestStoreTornSegmentHeader: a crash after the next segment file is
+// created but before its magic is written leaves a newest, unsealed
+// segment holding a prefix of the magic. Open treats it as an empty torn
+// tail: every event survives, and appends resume and survive a reopen. A
+// full-length wrong magic still fails Open.
+func TestStoreTornSegmentHeader(t *testing.T) {
+	want := make([]Event, 9)
+	for i := range want {
+		want[i] = testEvent(i)
+	}
+	for _, torn := range []string{"", "DPS"} {
+		dir := t.TempDir()
+		s, err := Open(dir, WithSegmentEvents(4))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		for _, ev := range want[:8] { // two sealed segments, no active tail
+			if err := s.Append(ev); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		next := filepath.Join(dir, "seg-00000002.log")
+		if err := os.WriteFile(next, []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := Open(dir, WithSegmentEvents(4))
+		if err != nil {
+			t.Fatalf("Open with torn header %q: %v", torn, err)
+		}
+		if got := collect(t, r); !reflect.DeepEqual(got, want[:8]) {
+			t.Fatalf("torn header %q: recovered %d events, want 8", torn, len(got))
+		}
+		if err := r.Append(want[8]); err != nil {
+			t.Fatalf("Append after recovery: %v", err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		r, err = Open(dir, WithSegmentEvents(4))
+		if err != nil {
+			t.Fatalf("reopen after recovery: %v", err)
+		}
+		if got := collect(t, r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("torn header %q: reopened stream has %d events, want 9", torn, len(got))
+		}
+		r.Close()
+
+		if err := os.WriteFile(next, []byte("DPSG2\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := Open(dir, WithSegmentEvents(4)); err == nil {
+			r.Close()
+			t.Fatal("Open accepted a segment with a full-length wrong magic")
 		}
 	}
-	mid := s.ReadStats()
-	if d := mid.SegmentsRead - before.SegmentsRead; d != 1 {
-		t.Errorf("window over one segment read %d segments, want 1", d)
+}
+
+// TestStoreAppendAllocatesNothing: once its buffers have grown, Append
+// encodes into the store's buffer and frames into the pending-write
+// buffer, allocating nothing per event.
+func TestStoreAppendAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
 	}
-	if d := mid.SegmentsSkipped - before.SegmentsSkipped; d != 3 {
-		t.Errorf("window over one segment skipped %d segments, want 3", d)
+	s, err := Open(t.TempDir(), WithSegmentEvents(1<<20)) // no seal inside the window
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	if mid.BytesRead == before.BytesRead {
-		t.Error("reading a segment did not move BytesRead")
+	defer s.Close()
+	ev := testEvent(3)
+	for i := 0; i < 5000; i++ { // past the first flush of the pending-write buffer
+		if err := s.Append(ev); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := s.Append(ev); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Append allocates %.0f times per event, want 0", allocs)
+	}
+}
+
+// TestStoreOpensOlderDirectory: testdata/store-c7cadb1 was written by the
+// store as of commit c7cadb1. It holds a sealed segment whose sidecar
+// carries a fingerprint index, an active tail with a torn final record,
+// and a DPCK1 checkpoint. Opened from a copy, it yields the events
+// written; its checkpoint is skipped as unreadable and then recaptured;
+// and today's writer produces byte-identical segment files for the same
+// events.
+func TestStoreOpensOlderDirectory(t *testing.T) {
+	src := filepath.Join("testdata", "store-c7cadb1")
+	dir := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]Event, 13)
+	for i := range want {
+		want[i] = testEvent(i)
 	}
 
-	// A window past every sealed segment and before the active tail's
-	// range: every sealed segment skips, and not one byte is read.
-	if err := s.EventsRange(-100, -50, func(Event) error {
-		t.Fatal("empty window yielded an event")
-		return nil
-	}); err != nil {
-		t.Fatalf("EventsRange: %v", err)
+	s, err := Open(dir, WithSegmentEvents(8))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	after := s.ReadStats()
-	if d := after.BytesRead - mid.BytesRead; d != 0 {
-		t.Errorf("out-of-window read consumed %d bytes, want 0", d)
+	if got := collect(t, s); !reflect.DeepEqual(got, want) || s.Len() != len(want) {
+		t.Fatalf("got %d events (Len %d), want the %d written", len(got), s.Len(), len(want))
 	}
-	if d := after.SegmentsSkipped - mid.SegmentsSkipped; d != 4 {
-		t.Errorf("out-of-window read skipped %d segments, want 4", d)
+	if cks, err := s.Checkpoints(); err != nil || len(cks) != 0 {
+		t.Fatalf("Checkpoints = %d, %v; want the DPCK1 file skipped", len(cks), err)
 	}
-	if after.SegmentsRead != mid.SegmentsRead {
-		t.Error("out-of-window read streamed a segment")
+	snap := ndlog.Snapshot{
+		Tick: 12,
+		State: map[string]map[string][]ndlog.Tuple{
+			"swA": {"link": {{Table: "link", Args: []ndlog.Value{ndlog.ID(42), ndlog.Int(-7)}}}},
+		},
+	}
+	if err := s.PutCheckpoint(12, 13, snap); err != nil {
+		t.Fatalf("PutCheckpoint: %v", err)
+	}
+	cks, err := s.Checkpoints()
+	if err != nil || len(cks) != 1 || !reflect.DeepEqual(cks[0], Checkpoint{Tick: 12, EventsBefore: 13, State: snap}) {
+		t.Fatalf("recaptured checkpoints = %+v, %v", cks, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	fresh := t.TempDir()
+	w, err := Open(fresh, WithSegmentEvents(8))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for _, ev := range want {
+		if err := w.Append(ev); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for _, name := range []string{"seg-00000000.log", "seg-00000001.log"} {
+		old, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		now, err := os.ReadFile(filepath.Join(fresh, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(old, now) {
+			t.Errorf("%s: today's writer produced %x, the older store %x", name, now, old)
+		}
 	}
 }
