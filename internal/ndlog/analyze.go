@@ -9,7 +9,7 @@ package ndlog
 // AnalyzeProgram reports positioned diagnostics; Error-severity
 // diagnostics make a program unrunnable (Engine.Run refuses it, Parse
 // rejects it via Rule.Validate), Warning-severity ones are surfaced by
-// `diffprov vet` and Engine.AnalysisDiags. doc/analysis.md documents
+// `diffprov vet` and Program.Analyze. doc/analysis.md documents
 // every code.
 
 import (

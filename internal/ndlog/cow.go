@@ -123,8 +123,7 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		f.nodes[name] = fn
 	}
 	f.queue = copyQueue(e.queue)
-	f.cfQueue = copyQueue(e.cfQueue)
-	f.cfMarksSet, f.cfBaseMark, f.cfSeqMark = e.cfMarksSet, e.cfBaseMark, e.cfSeqMark
+	f.highWater, f.settled = e.highWater, e.settled
 	f.stats.DirtyTables = 0 // counted per engine: a clone of a table starts clean (forkTable)
 	return f
 }

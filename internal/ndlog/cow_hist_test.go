@@ -113,11 +113,11 @@ rule rc d(X) :- c(X).
 	// Retract ra's support of d(1) (a splice inside the copy's window), give
 	// it back, and add a third (an append past the window's end, where d(2)'s
 	// supports begin).
-	if err := f.ScheduleCFDelete("n", NewTuple("a", Int(1)), 3); err != nil {
+	if err := f.ScheduleDelete("n", NewTuple("a", Int(1)), 3); err != nil {
 		t.Fatal(err)
 	}
 	for i, tb := range []string{"a", "c"} {
-		if err := f.ScheduleCFInsert("n", NewTuple(tb, Int(1)), int64(4+i)); err != nil {
+		if err := f.ScheduleInsert("n", NewTuple(tb, Int(1)), int64(4+i)); err != nil {
 			t.Fatal(err)
 		}
 	}

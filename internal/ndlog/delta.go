@@ -1,66 +1,70 @@
 package ndlog
 
-// Delta (counterfactual-phase) evaluation.
+// Repair of out-of-order work.
 //
-// A counterfactual replay injects a small change set against an execution
-// that has already been evaluated in full. Re-running the whole suffix of
-// the log re-derives everything the base run derived just to reach the
-// handful of derivations the changes actually perturb. Delta evaluation
-// avoids that: changes scheduled through ScheduleCFInsert/ScheduleCFDelete
-// go onto a separate counterfactual work heap, the main heap drains first
-// (unperturbed — in a fork of a fully evaluated base run that is a no-op
-// beyond pending spill items), and only then does Run switch into the
-// counterfactual phase and propagate the changes semi-naively:
+// Evaluation is one stamp-ordered work heap (engine.go), and drain keeps a
+// high-water mark: the newest stamp it has processed. Work stamped before
+// the mark lands in a past the engine has already evaluated — a
+// counterfactual change scheduled on a fork of a settled base run (§4.6:
+// every replay trial), or an event logged late on a live engine — and that
+// past must come out as if the work had been there all along. A few rules
+// of evaluation repair it, semi-naively:
 //
-//   - An inserted tuple appears, triggers its rules normally (the delta
-//     join probes the same hash indexes as the main phase, as-of the
-//     change stamp), and then RE-FIRES every later occurrence of a sibling
-//     body atom with the new row pinned at its position — exactly the
-//     firings the base run's suffix would have produced had the row been
-//     present. The as-of join makes the max-stamp element of each binding
-//     its only effective trigger, so every new binding fires exactly once.
-//   - A deleted tuple retracts one base support; support counting cascades
-//     the underivation to every derivation that transitively depended on
-//     the row (DRed's delete phase — the re-derive phase is subsumed by
-//     support counting for plain rules).
-//   - Argmax rules need genuine re-derivation: when a retraction removes
-//     an argmax winner whose trigger fired after the change, or a new row
-//     displaces a winner, the trigger is re-evaluated in full
+//   - A state row appearing before the mark triggers its rules normally
+//     (the join probes the same hash indexes, as-of the row's stamp), and
+//     then RE-FIRES every later occurrence of a sibling body atom with the
+//     new row pinned at its position — exactly the firings the evaluated
+//     suffix would have produced had the row been present. The as-of join
+//     makes the max-stamp element of each binding its only effective
+//     trigger, so every new binding fires exactly once.
+//   - A retraction cascades the underivation through support counting to
+//     every derivation that transitively depended on the row (DRed's delete
+//     phase — the re-derive phase is subsumed by support counting for plain
+//     rules); one before the mark also erases the event occurrences derived
+//     from the row after it (eraseEventConsumers), since events have no rows
+//     for the cascade to reach.
+//   - A base insertion of a tuple evaluated as inserted later backdates the
+//     row (cfBackdateRow).
+//   - Argmax rules need genuine re-derivation: when a retraction before the
+//     mark removes an argmax winner whose trigger fired after it, or a new
+//     row displaces a winner, the trigger is re-evaluated in full
 //     (reevalArgMax) and the head flipped to the new winner.
 //   - count() aggregates extend their delta chains from the end-state
-//     group exactly as a timely firing at the change tick would, since
-//     contributor events are append-only.
+//     group exactly as a timely firing would, since contributor events are
+//     append-only; an erased contributor steps its group down by one.
 //
-// Byte-identity with full-suffix replay falls out by construction: both
-// arms finish the main phase with identical state and counters (the
-// full-suffix arm re-runs the suffix unperturbed because changes no
-// longer interleave with it), and then execute the identical
-// counterfactual phase. The differential suites assert this across every
-// scenario, sequential and parallel, CoW on and off.
+// In-order work has nothing newer to repair: every rule above looks for
+// what happened after the work's stamp, and nothing has. So re-fire,
+// gated erasure and argmax re-evaluation are skipped for it, and for it
+// the engine is plain forward evaluation. A fork of a settled base run
+// that schedules a change set and runs ends in the state a fresh engine
+// reaches with the changes scheduled among the log before one Run (the
+// law tests in internal/scenarios); the oracle, which evaluates the log
+// from scratch and then schedules the same changes, takes the same path
+// as the fork.
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/cow"
 )
 
-// eventOcc records one event-tuple occurrence on a table, so the
-// counterfactual phase can re-enumerate event triggers that fired in the
-// main phase. Appended in processing order; occSorted tracks the
-// stamp-sorted prefix for binary search.
+// eventOcc records one event-tuple occurrence on a table, so out-of-order
+// work can re-enumerate event triggers that already fired. Appended in
+// processing order; occSorted tracks the stamp-sorted prefix for binary
+// search.
 type eventOcc struct {
 	tuple Tuple
 	at    Stamp
 }
 
 // occAppend records an event occurrence, maintaining the sorted-prefix
-// length (main-phase appends are stamp-monotone; counterfactual appends
-// land in a short unsorted tail). On a forked table the occs backing is
-// shared with the parent, so appends go to the private occsTail — a
-// reallocating append of the whole log would cost O(#occurrences) per
-// counterfactual trial.
+// length (in-order appends are stamp-monotone; out-of-order appends land
+// in a short unsorted tail). On a forked table the occs backing is shared
+// with the parent, so appends go to the private occsTail — a reallocating
+// append of the whole log would cost O(#occurrences) per counterfactual
+// trial.
 func (tb *table) occAppend(t Tuple, st Stamp) {
 	if tb.occsShared {
 		tb.occsTail = append(tb.occsTail, eventOcc{tuple: t, at: st})
@@ -83,91 +87,28 @@ func (tb *table) noteOrderAppend() {
 	}
 }
 
-// ScheduleCFInsert schedules a counterfactual base-tuple insertion. It is
-// validated and stamped (next base-band stamp) exactly like ScheduleInsert,
-// but the work item goes on the counterfactual heap: Run evaluates it only
-// after the main heap drains, propagating its consequences as deltas.
-func (e *Engine) ScheduleCFInsert(nodeName string, t Tuple, tick int64) error {
-	return e.schedule(&e.cfQueue, wkInsertBase, nodeName, t, tick)
-}
-
-// ScheduleCFDelete schedules a counterfactual base-tuple deletion; see
-// ScheduleCFInsert.
-func (e *Engine) ScheduleCFDelete(nodeName string, t Tuple, tick int64) error {
-	return e.schedule(&e.cfQueue, wkDeleteBase, nodeName, t, tick)
-}
-
-// markCFEra opens the counterfactual era at the first counterfactual
-// change: everything stamped from here on is counterfactual, and isCF
-// relies on these marks to tell counterfactual rows from main rows.
-func (e *Engine) markCFEra() {
-	if e.cfMarksSet {
-		return
-	}
-	e.cfMarksSet = true
-	if e.seqBand == 0 {
-		e.cfBaseMark = e.seq
-	} else {
-		e.cfBaseMark = e.baseSeq
-	}
-	e.cfSeqMark = ^uint64(0) // no internal cf stamps until the drain starts
-}
-
-// isCF reports whether a stamp was allocated in the counterfactual era:
-// a base-band sequence past the first ScheduleCF call, or an internal
-// sequence past the start of the counterfactual drain.
-func (e *Engine) isCF(st Stamp) bool {
-	if !e.cfMarksSet {
-		return false
-	}
-	if e.seqBand == 0 {
-		return st.Seq > e.cfBaseMark
-	}
-	if st.Seq < e.seqBand {
-		return st.Seq > e.cfBaseMark
-	}
-	return st.Seq > e.cfSeqMark
-}
-
-// runCF drains the counterfactual heap in stamp order. Called by Run once
-// the main heap is empty; derivations spawned during the phase route back
-// onto the counterfactual heap (see derive), so the phase runs to its own
-// fixpoint. After each item the queued argmax re-evaluations are drained
-// in deterministic order (drain).
-func (e *Engine) runCF() error {
-	if e.cfQueue.Len() == 0 {
-		return nil
-	}
-	e.cfPhase = true
-	defer func() { e.cfPhase = false }()
-	if e.cfSeqMark == ^uint64(0) {
-		e.cfSeqMark = e.seqBand + e.seq
-	}
-	return e.drain(&e.cfQueue, math.MaxInt64)
-}
-
-// cfMarkDirty records that counterfactual propagation touched a table on
-// a node — tb is the engine's writable copy; Stats.DirtyTables reports how
-// many distinct (node, table) pairs the change set actually perturbed.
+// cfMarkDirty records that a write after the engine settled touched a
+// table on a node — tb is the engine's writable copy; Stats.DirtyTables
+// reports how many distinct (node, table) pairs a change set perturbed.
 func (e *Engine) cfMarkDirty(tb *table) {
-	if !tb.cfDirty {
+	if e.settled && !tb.cfDirty {
 		tb.cfDirty = true
 		e.stats.DirtyTables++
 	}
 }
 
-// refireForRow re-fires the rules a freshly appeared counterfactual state
-// row participates in, against every main-phase occurrence of a sibling
-// body atom later than the row's appearance. The row is pinned at its
-// atom position and the later occurrence drives the join as the delta, so
-// each re-firing reproduces exactly the firing the base run would have
-// performed had the row existed — at the occurrence's own stamp, joining
-// state as of that stamp. Occurrences at or before the row's appearance
-// need no re-fire: the row's own appearance already triggered those rules
+// refireForRow re-fires the rules a row appearing in the evaluated past
+// participates in, against every occurrence of a sibling body atom later
+// than the row's appearance. The row is pinned at its atom position and
+// the later occurrence drives the join as the delta, so each re-firing
+// reproduces exactly the firing the evaluation would have performed had
+// the row existed — at the occurrence's own stamp, joining state as of
+// that stamp. Occurrences at or before the row's appearance need no
+// re-fire: the row's own appearance already triggered those rules
 // (class-a), and the as-of join covers earlier state. A non-zero until
 // bounds the window from above: a backdated row (cfBackdateRow) was
 // present from its original appearance on, so occurrences past it fired
-// with the row in the base run already.
+// with the row already.
 func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
 	for _, ref := range e.compiled.triggers[rw.tuple.Table] {
 		r := ref.rule
@@ -191,11 +132,11 @@ func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
 	return nil
 }
 
-// refireAtomOccurrences enumerates the main-phase occurrences of body
-// atom q (events from the occurrence log, state rows from the appearance
-// order) with stamps after s — and, when until is non-zero, before until
-// — firing rule r for each with the counterfactual row pinned at atom p.
-// Argmax rules re-evaluate the full trigger instead of a pinned fire.
+// refireAtomOccurrences enumerates the occurrences of body atom q (events
+// from the occurrence log, state rows from the appearance order) with
+// stamps after s — and, when until is non-zero, before until — firing rule
+// r for each with the pinned row at atom p. Argmax rules re-evaluate the
+// full trigger instead of a pinned fire.
 func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, pin *row, q int, s, until Stamp) error {
 	atom := &r.body[q]
 	decl := atom.decl
@@ -219,7 +160,7 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 				return e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.tuple.Key(), o.at)
 			}
 			// Sorted prefix by binary search, then the short unsorted
-			// tail, then the fork-private counterfactual tail.
+			// tail, then the fork-private tail.
 			i := sort.Search(tb.occSorted, func(i int) bool { return s.Before(tb.occs[i].at) })
 			for ; i < len(tb.occs); i++ {
 				if err := fire(tb.occs[i]); err != nil {
@@ -237,9 +178,9 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 		for ; i < len(tb.order); i++ {
 			o := tb.order[i]
 			// Dead rows need no re-fire: a firing at their appearance would
-			// have been retracted when they died (main-phase death), or the
-			// row was killed by the change set itself and in a timely run
-			// would never have appeared.
+			// have been retracted when they died, or the row was killed by
+			// the repair itself and in a timely run would never have
+			// appeared.
 			if o.dead || !s.Before(o.appearedAt) {
 				continue
 			}
@@ -263,25 +204,23 @@ func (e *Engine) refireAt(r *CompiledRule, p int, pinNode string, pin *row, q in
 		return e.reevalArgMax(r, q, nodeName, delta, key, st, cause)
 	}
 	e.rfPin, e.rfPinAtom, e.rfPinNode = pin, p, pinNode
-	e.stats.CFRefires++
 	err := e.fireRule(r, q, nodeName, delta, key, st)
 	e.rfPin = nil
 	return err
 }
 
-// cfBackdateRow moves an already-live row's appearance back to a
-// counterfactual base insertion's stamp: the main run inserted the same
+// cfBackdateRow moves an already-live row's appearance back to an
+// out-of-order base insertion's stamp: the evaluation inserted the same
 // tuple later, so in the timely run the row exists from st on. Three
 // consequences follow. The row's live history interval opens at st.
 // Trigger occurrences inside the widened window (st, old appearance) are
 // re-fired with the row pinned — occurrences past the old appearance
-// fired with the row in the base run already. And on a keyed table the
-// generation the main-run insert displaced gives up the window too: its
-// death moves back to st, and the event firings it fed in between are
-// erased, because the timely run had replaced it before they triggered
-// (the §4.9 intra-tick race: the corrected config arrived after the
-// probe; inserting it a tick earlier must both erase the stale answer
-// and derive the correct one).
+// fired with the row already. And on a keyed table the generation the
+// later insert displaced gives up the window too: its death moves back to
+// st, and the event firings it fed in between are erased, because the
+// timely run had replaced it before they triggered (the §4.9 intra-tick
+// race: the corrected config arrived after the probe; inserting it a tick
+// earlier must both erase the stale answer and derive the correct one).
 func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *row, st Stamp) error {
 	old := r.appearedAt
 	tb.histBackdateFrom(&e.arena, r.key, old.Seq, st)
@@ -322,9 +261,9 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 
 // evConsumer records one event-head derivation: which occurrence it
 // produced (head, deriveID) and which body elements fed it. Derived events
-// have no rows, so the support-counting cascade cannot retract them; the
-// counterfactual phase erases their occurrences through these records
-// instead (DRed's delete phase, extended to events).
+// have no rows, so the support-counting cascade cannot retract them;
+// repair erases their occurrences through these records instead (DRed's
+// delete phase, extended to events).
 type evConsumer struct {
 	deriveID int64
 	rule     string
@@ -362,11 +301,11 @@ func (e *Engine) registerEventDeriv(d *Derivation) {
 }
 
 // eraseEventConsumers erases the event occurrences derived from a body
-// element that a counterfactual retraction just removed. With gate set
+// element that an out-of-order retraction just removed. With gate set
 // (the element existed until st and then died), only firings triggered
 // after st are erased — earlier firings happened in the timely run too.
 // Without it (the element's own occurrence was erased, so it never
-// happened in the counterfactual timeline), every consumer goes.
+// happened in the timely run), every consumer goes.
 func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt, st Stamp, gate bool) {
 	// Each hands over every chain link's list, root first. Lists are
 	// append-only and their entries write-once, and consumers register only
@@ -407,13 +346,13 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 }
 
 // eraseOccurrence erases one derived event occurrence: the timely run the
-// counterfactual phase reconstructs would never have fired it. The
-// occurrence's zero-length history interval is removed (so Exists,
-// ExistsEver, History, and TuplesAt no longer see it), the stamp is
-// marked killed (so delta re-fires skip it and a pending delivery is
-// dropped), an underivation is emitted, and the erasure cascades: count()
-// groups it contributed to are decremented, state rows it supported are
-// retracted, and event occurrences derived from it are erased in turn.
+// repair reconstructs would never have fired it. The occurrence's
+// zero-length history interval is removed (so Exists, ExistsEver, History,
+// and TuplesAt no longer see it), the stamp is marked killed (so re-fires
+// skip it and a pending delivery is dropped), an underivation is emitted,
+// and the erasure cascades: count() groups it contributed to are
+// decremented, state rows it supported are retracted, and event
+// occurrences derived from it are erased in turn.
 func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	occ := c.head
 	if e.killedOccs.Get(occ.Stamp.Seq) {
@@ -509,12 +448,12 @@ type amTrigger struct {
 }
 
 // amEntry records the argmax winner currently derived for one trigger
-// occurrence: the head it derived (for retraction when a counterfactual
-// change flips the winner) and the winning binding's canonical key (to
-// detect that the winner is unchanged). Entries are write-once; updates
-// store a fresh entry. None is deleted: a stale one (its derivation has
-// since been retracted) is detected at use — the retraction is skipped and
-// the binding-key comparison still answers "did the winner change".
+// occurrence: the head it derived (for retraction when out-of-order work
+// flips the winner) and the winning binding's canonical key (to detect
+// that the winner is unchanged). Entries are write-once; updates store a
+// fresh entry. None is deleted: a stale one (its derivation has since been
+// retracted) is detected at use — the retraction is skipped and the
+// binding-key comparison still answers "did the winner change".
 type amEntry struct {
 	ref       dependentRef // the head's node, key and derivation
 	bk        string       // canonical key of the winning binding
@@ -539,8 +478,8 @@ func (e *Engine) amEntryFor(r *CompiledRule, win binding, it *workItem) *amEntry
 	return ent
 }
 
-// cfReeval is one queued argmax trigger re-evaluation, recorded when a
-// counterfactual retraction removes an argmax winner whose trigger fired
+// cfReeval is one queued argmax trigger re-evaluation, recorded when an
+// out-of-order retraction removes an argmax winner whose trigger fired
 // after the retraction point.
 type cfReeval struct {
 	rule  *CompiledRule
@@ -552,14 +491,14 @@ type cfReeval struct {
 	cause KeyedAt
 }
 
-// noteCFRetraction is called from retractSupport during the
-// counterfactual phase: if the retracted support belonged to an argmax
-// rule and its trigger fired after the retraction stamp, the trigger must
-// be re-evaluated — in a timely run the firing would have happened
-// without the vanished element and chosen a different winner. Plain rules
-// need nothing (support counting already retracted exactly the bindings
-// that contained the element), and triggers at or before the retraction
-// match timely behavior as-is (fired, then retracted, never re-fired).
+// noteCFRetraction is called from dropSupport for a retraction before the
+// high-water mark: if the retracted support belonged to an argmax rule and
+// its trigger fired after the retraction stamp, the trigger must be
+// re-evaluated — in a timely run the firing would have happened without
+// the vanished element and chosen a different winner. Plain rules need
+// nothing (support counting already retracted exactly the bindings that
+// contained the element), and triggers at or before the retraction match
+// timely behavior as-is (fired, then retracted, never re-fired).
 func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 	if sup.rule == "" {
 		return
@@ -691,10 +630,10 @@ func (e *Engine) drainCFReevals() error {
 }
 
 // reevalArgMax re-evaluates one argmax trigger occurrence in full, as of
-// its own stamp, against current state — counterfactual rows included,
-// rows the change set killed excluded. If the winner differs from the one
-// the trigger currently supports, the old head is retracted (cascading)
-// and the new winner derived. Idempotent: an unchanged winner is a no-op.
+// its own stamp, against current state — rows the repair added included,
+// rows it killed excluded. If the winner differs from the one the trigger
+// currently supports, the old head is retracted (cascading) and the new
+// winner derived. Idempotent: an unchanged winner is a no-op.
 func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
 	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.killedOccs.Get(st.Seq) {
 		return nil // the trigger occurrence was erased after this re-eval was queued
@@ -713,7 +652,7 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 	trig := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
 	cur := e.amDeriv.Get(trig)
 	if cur != nil && cur.bk == r.bindingKey(win.frame) {
-		return nil // winner unchanged; the main-phase derivation stands (or fell with its own supports)
+		return nil // winner unchanged; the evaluated derivation stands (or fell with its own supports)
 	}
 	if cur != nil && !cur.eventHead {
 		// Retract the displaced winner's head. The support may already be
@@ -729,7 +668,6 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 			head:     keyedAt(cur.ref.node, cur.headTuple, cur.ref.key, cur.headAt),
 		}, cause, st)
 	}
-	e.stats.CFRefires++
 	it, err := e.derive(r, nodeName, win, deltaAtom, st)
 	if err != nil {
 		return err

@@ -5,16 +5,16 @@ import (
 	"testing"
 )
 
-// cfOrderObserver records the stamps of base changes the counterfactual
-// phase delivers, so the fuzz target below can check the queue's
-// ordering invariant. All other callbacks are ignored.
+// cfOrderObserver records the stamps of the base changes delivered once
+// on is set — after the log has run — so the fuzz target below can check
+// the queue's ordering invariant. All other callbacks are ignored.
 type cfOrderObserver struct {
-	engine *Engine
+	on     bool
 	stamps []Stamp
 }
 
 func (o *cfOrderObserver) note(at At) {
-	if o.engine != nil && o.engine.cfPhase {
+	if o.on {
 		o.stamps = append(o.stamps, at.Stamp)
 	}
 }
@@ -26,10 +26,10 @@ func (o *cfOrderObserver) OnDisappear(KeyedAt, int64) {}
 func (o *cfOrderObserver) OnDerive(Derivation)        {}
 func (o *cfOrderObserver) OnUnderive(Underivation)    {}
 
-// FuzzDeltaQueueOrder checks the delta queue's ordering invariant: the
-// counterfactual queue is a stamp-ordered heap, so however a change set
-// is scheduled, the delta phase must (a) deliver the base changes in
-// nondecreasing stamp order and (b) reconstruct exactly the state that
+// FuzzDeltaQueueOrder checks the ordering invariant of changes scheduled
+// on a settled engine: the work queue is a stamp-ordered heap, so however
+// a change set is scheduled, the engine must (a) deliver the base changes
+// in nondecreasing stamp order and (b) reconstruct exactly the state that
 // scheduling the same set in tick order produces. Each fuzz byte is one
 // change: bit 0 picks insert vs delete, bits 1-3 a key, bits 4-7 the
 // tick slot (duplicate slots are dropped so the two schedules describe
@@ -68,6 +68,8 @@ func FuzzDeltaQueueOrder(f *testing.F) {
 			return
 		}
 
+		// build runs the log: the changes are then scheduled on a settled
+		// engine, as a replay trial schedules them on a fork of its base run.
 		build := func(obs Observer) *Engine {
 			e := New(MustParse(`
 table cfg/2 base mutable key(0);
@@ -85,14 +87,17 @@ rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
 					t.Fatal(err)
 				}
 			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
 			return e
 		}
 		schedule := func(e *Engine, c change) {
 			var err error
 			if c.insert {
-				err = e.ScheduleCFInsert("n", c.tuple, c.tick)
+				err = e.ScheduleInsert("n", c.tuple, c.tick)
 			} else {
-				err = e.ScheduleCFDelete("n", c.tuple, c.tick)
+				err = e.ScheduleDelete("n", c.tuple, c.tick)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -102,7 +107,7 @@ rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
 		// Arm 1: schedule in fuzz order, observe delivery order.
 		obs := &cfOrderObserver{}
 		e1 := build(obs)
-		obs.engine = e1
+		obs.on = true
 		for _, c := range changes {
 			schedule(e1, c)
 		}

@@ -118,17 +118,6 @@ func sortDiags(ds []Diag) {
 	})
 }
 
-// ErrorDiags filters a diagnostic list down to the errors.
-func ErrorDiags(ds []Diag) []Diag {
-	var out []Diag
-	for _, d := range ds {
-		if d.Severity == Error {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // firstError returns the first Error-severity diagnostic as an error, or
 // nil if the list has none.
 func firstError(ds []Diag) error {

@@ -66,10 +66,11 @@ type Derivation struct {
 	// delta derivation; both are 0 for ordinary rules.
 	AggPrev  int64
 	AggCount int64
-	// AggRemove marks a counterfactual decrement link: Trig is the
-	// contributor being removed from the group (its occurrence was
-	// erased), and AggCount is the already-decremented count. Provenance
-	// folds subtract the contributor instead of adding it.
+	// AggRemove marks a decrement link: Trig is the contributor being
+	// removed from the group (its occurrence was erased), and AggCount is
+	// the already-decremented count. Provenance folds subtract the
+	// contributor instead of adding it (Graph.ChildrenOf), and the link
+	// records it as no child of the new head.
 	AggRemove bool
 }
 
@@ -184,21 +185,17 @@ type Engine struct {
 	// Schedule calls, and forks clone its tables on first write. See
 	// cow.go.
 	sealed bool
-	// Counterfactual (delta) evaluation state; see delta.go. Changes
-	// scheduled via ScheduleCFInsert/ScheduleCFDelete wait on cfQueue
-	// until the main heap drains, then propagate semi-naively: cfPhase
-	// marks the drain, the era marks tell counterfactual stamps from main
-	// ones (isCF), each table the changes touch is flagged and counted into
-	// Stats.DirtyTables (cfMarkDirty), cfReevals queues argmax trigger
-	// re-evaluations, and amDeriv maps each argmax trigger to the winner it
-	// currently supports.
-	cfQueue    workHeap
-	cfPhase    bool
-	cfMarksSet bool
-	cfBaseMark uint64
-	cfSeqMark  uint64
-	cfReevals  []cfReeval
-	amDeriv    cow.Overlay[amTrigger, *amEntry]
+	// Repair of out-of-order work; see delta.go. highWater is the newest
+	// stamp drain has processed: work stamped before it lands in an
+	// evaluated past, and only such work re-fires, erases and re-evaluates.
+	// settled marks an engine that has drained its queue once; each table
+	// written from then on is flagged and counted into Stats.DirtyTables
+	// (cfMarkDirty). cfReevals queues argmax trigger re-evaluations, and
+	// amDeriv maps each argmax trigger to the winner it currently supports.
+	highWater Stamp
+	settled   bool
+	cfReevals []cfReeval
+	amDeriv   cow.Overlay[amTrigger, *amEntry]
 	// rfPin pins one counterfactual row at body atom rfPinAtom (on node
 	// rfPinNode) during a delta re-fire, so the join matches only that
 	// row at the pinned position.
@@ -251,13 +248,10 @@ type Stats struct {
 	// miss means a broken engine invariant (a stale head left live with
 	// no trace); the differential suites assert this stays 0.
 	AggRetractMisses int
-	// DirtyTables counts the distinct (node, table) pairs the
-	// counterfactual phase touched — how much of the state the change set
-	// actually perturbed. CFRefires counts delta re-firings: main-phase
-	// trigger occurrences re-evaluated because a counterfactual row
-	// appeared before them (see delta.go).
+	// DirtyTables counts the distinct (node, table) pairs written after the
+	// engine first settled — on a fork of a base run, how much of the state
+	// the change set actually perturbed.
 	DirtyTables int
-	CFRefires   int
 }
 
 type dependentRef struct {
@@ -289,21 +283,20 @@ type table struct {
 	// its CoW forks); writableTable clones it on first write. See cow.go.
 	sealed bool
 	// occs logs event-tuple occurrences (events are not stored as rows),
-	// so the counterfactual phase can re-enumerate event triggers that
-	// fired in the main phase. occSorted and orderSorted track the
-	// stamp-sorted prefixes of occs and order: main-phase appends are
-	// stamp-monotone, counterfactual appends land in a short unsorted
-	// tail, and the delta re-fire scans binary-search the prefix. See
-	// delta.go.
+	// so out-of-order work can re-enumerate event triggers that already
+	// fired. occSorted and orderSorted track the stamp-sorted prefixes of
+	// occs and order: in-order appends are stamp-monotone, out-of-order
+	// ones land in a short unsorted tail, and the re-fire scans
+	// binary-search the prefix. See delta.go.
 	occs        []eventOcc
 	occSorted   int
 	orderSorted int
-	// A forked table shares occs with its parent (occsShared); appends —
-	// only the counterfactual phase appends to a fork — go to the small
-	// private occsTail instead of reallocating the whole shared log.
+	// A forked table shares occs with its parent (occsShared); a fork's
+	// appends go to the small private occsTail instead of reallocating the
+	// whole shared log.
 	occsShared bool
 	occsTail   []eventOcc
-	// cfDirty marks a table this engine's counterfactual phase touched
+	// cfDirty marks a table this engine wrote after it settled
 	// (cfMarkDirty); a fork's clone starts clean.
 	cfDirty bool
 }
@@ -457,7 +450,7 @@ func WithAnalysis(on bool) Option {
 //
 // Unless disabled with WithAnalysis(false), New statically analyzes the
 // program (cached per program); Error-severity findings make Run refuse
-// to evaluate, and AnalysisDiags exposes the full report.
+// to evaluate, and Program.Analyze exposes the full report.
 func New(prog *Program, obs Observer, opts ...Option) *Engine {
 	if obs == nil {
 		obs = NopObserver{}
@@ -470,6 +463,7 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		deriveLimit: 10_000_000,
 		indexing:    true,
 		analysis:    true,
+		highWater:   Stamp{T: math.MinInt64},
 	}
 	for _, o := range opts {
 		o(e)
@@ -482,15 +476,6 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		e.plans = buildJoinPlans(prog, e.compiled)
 	}
 	return e
-}
-
-// AnalysisDiags returns the diagnostics the static analysis reported for
-// the engine's program (nil when analysis was disabled).
-func (e *Engine) AnalysisDiags() []Diag {
-	if !e.analysis {
-		return nil
-	}
-	return append([]Diag(nil), e.prog.Analyze()...)
 }
 
 // Program returns the program the engine evaluates.
@@ -561,22 +546,25 @@ func (e *Engine) scheduleStamp(tick int64) (Stamp, error) {
 	return st, nil
 }
 
-// ScheduleInsert schedules a base-tuple insertion at the given tick.
+// ScheduleInsert schedules a base-tuple insertion at the given tick. A
+// tick the engine has already evaluated past is fine: Run repairs the
+// evaluated past around it (delta.go), which is how a counterfactual
+// change is pushed through a fork of a settled base run.
 func (e *Engine) ScheduleInsert(nodeName string, t Tuple, tick int64) error {
-	return e.schedule(&e.queue, wkInsertBase, nodeName, t, tick)
+	return e.schedule(wkInsertBase, nodeName, t, tick)
 }
 
-// ScheduleDelete schedules a base-tuple deletion at the given tick.
+// ScheduleDelete schedules a base-tuple deletion at the given tick; see
+// ScheduleInsert.
 func (e *Engine) ScheduleDelete(nodeName string, t Tuple, tick int64) error {
-	return e.schedule(&e.queue, wkDeleteBase, nodeName, t, tick)
+	return e.schedule(wkDeleteBase, nodeName, t, tick)
 }
 
 // schedule validates a base event — a declared base table, the declared
-// arity, and no deletion of an event tuple — stamps it, and queues it on q:
-// the main heap, or the counterfactual heap (delta.go), whose first event
-// opens the counterfactual era. A refused event takes no stamp, so callers
-// that log what they schedule can reject it before it reaches the log.
-func (e *Engine) schedule(q *workHeap, kind workKind, nodeName string, t Tuple, tick int64) error {
+// arity, and no deletion of an event tuple — stamps it, and queues it. A
+// refused event takes no stamp, so callers that log what they schedule can
+// reject it before it reaches the log.
+func (e *Engine) schedule(kind workKind, nodeName string, t Tuple, tick int64) error {
 	if e.sealed {
 		return errSealed
 	}
@@ -593,14 +581,11 @@ func (e *Engine) schedule(q *workHeap, kind workKind, nodeName string, t Tuple, 
 	if kind == wkDeleteBase && d.Event {
 		return fmt.Errorf("ndlog: cannot delete event tuple %s", t)
 	}
-	if q == &e.cfQueue {
-		e.markCFEra()
-	}
 	st, err := e.scheduleStamp(tick)
 	if err != nil {
 		return err
 	}
-	heap.Push(q, &workItem{stamp: st, kind: kind, node: nodeName, tuple: t})
+	heap.Push(&e.queue, &workItem{stamp: st, kind: kind, node: nodeName, tuple: t})
 	return nil
 }
 
@@ -633,13 +618,7 @@ func (e *Engine) IsMutable(nodeName string, t Tuple) bool {
 // consequences in deterministic order. A program the static analysis
 // found erroneous is refused outright.
 func (e *Engine) Run() error {
-	if err := e.drain(&e.queue, math.MaxInt64); err != nil {
-		return err
-	}
-	// Counterfactual changes (ScheduleCFInsert/ScheduleCFDelete) evaluate
-	// only after the main heap drains, as deltas against the completed
-	// execution; see delta.go.
-	return e.runCF()
+	return e.drain(math.MaxInt64)
 }
 
 // RunUntil evaluates scheduled events and their consequences while the
@@ -648,14 +627,15 @@ func (e *Engine) Run() error {
 // transit delay — stays pending, so a later Run (or a Fork followed by
 // Run) continues exactly where this call left off.
 func (e *Engine) RunUntil(maxTick int64) error {
-	return e.drain(&e.queue, maxTick)
+	return e.drain(maxTick)
 }
 
-// drain is the one evaluation loop: it pops q in stamp order while the
-// earliest item's tick is <= maxTick and processes each item. In the
-// counterfactual phase the argmax re-evaluations an item queued are
-// drained before the next item (delta.go).
-func (e *Engine) drain(q *workHeap, maxTick int64) error {
+// drain is the one evaluation loop: it pops the queue in stamp order while
+// the earliest item's tick is <= maxTick and processes each item, then
+// drains the argmax re-evaluations the item queued (delta.go). It keeps
+// the high-water mark that tells out-of-order work from in-order work, and
+// an empty queue settles the engine.
+func (e *Engine) drain(maxTick int64) error {
 	if e.sealed {
 		return errSealed
 	}
@@ -664,19 +644,23 @@ func (e *Engine) drain(q *workHeap, maxTick int64) error {
 			return err
 		}
 	}
-	for q.Len() > 0 && (*q)[0].stamp.T <= maxTick {
-		it := heap.Pop(q).(*workItem)
+	for e.queue.Len() > 0 && e.queue[0].stamp.T <= maxTick {
+		it := heap.Pop(&e.queue).(*workItem)
 		if e.now.Before(it.stamp) {
 			e.now = it.stamp
+		}
+		if e.highWater.Before(it.stamp) {
+			e.highWater = it.stamp
 		}
 		if err := e.process(it); err != nil {
 			return err
 		}
-		if e.cfPhase {
-			if err := e.drainCFReevals(); err != nil {
-				return err
-			}
+		if err := e.drainCFReevals(); err != nil {
+			return err
 		}
+	}
+	if e.queue.Len() == 0 {
+		e.settled = true
 	}
 	return nil
 }
@@ -726,7 +710,7 @@ func (e *Engine) process(it *workItem) error {
 		e.stats.BaseDeletes++
 		return e.deleteBase(it.node, it.tuple, it.stamp)
 	case wkArriveDerived:
-		if e.cfPhase && e.killedOccs.Get(it.stamp.Seq) {
+		if e.killedOccs.Get(it.stamp.Seq) {
 			// A displaced argmax event winner erased before its delivery:
 			// the occurrence never happens (delta.go).
 			return nil
@@ -738,7 +722,7 @@ func (e *Engine) process(it *workItem) error {
 		if dec := e.prog.Decl(it.tuple.Table); dec != nil && dec.Event {
 			// Event heads have no row for the dependents cascade to
 			// retract; register the derivation under each body element so
-			// the counterfactual phase can erase the occurrence when a
+			// out-of-order work can erase the occurrence when a
 			// precondition is retracted (delta.go).
 			e.registerEventDeriv(d)
 		}
@@ -766,9 +750,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 		tb := e.writableTable(n, e.tableFor(n, decl))
 		tb.histAppend(&e.arena, key, Interval{From: st, To: st})
 		tb.occAppend(t, st)
-		if e.cfPhase {
-			e.cfMarkDirty(tb)
-		}
+		e.cfMarkDirty(tb)
 		// Events need no delta re-fire: a non-delta event atom never joins
 		// (events are not stored), so an event occurrence only ever fires
 		// rules as their trigger — which this very call does.
@@ -782,9 +764,9 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 		// Additional support for an existing tuple.
 		r.supports = append(r.supports, sup)
 		e.indexSupport(nodeName, key, sup)
-		if e.cfPhase && sup.deriveID == 0 && st.Before(r.appearedAt) {
-			// The main run inserted the same tuple later; in the timely
-			// run the row exists from st on (delta.go).
+		if sup.deriveID == 0 && st.Before(r.appearedAt) {
+			// An out-of-order insertion of a tuple evaluated as inserted
+			// later: in the timely run the row exists from st on (delta.go).
 			return e.cfBackdateRow(nodeName, tb, decl, r, st)
 		}
 		return nil
@@ -822,11 +804,11 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	if err := e.trigger(nodeName, t, key, st); err != nil {
 		return err
 	}
-	if e.cfPhase {
-		// A state row that appears during the counterfactual phase was
-		// missing from the main run: re-fire the main-phase trigger
-		// occurrences that would have joined it (delta.go).
-		e.cfMarkDirty(tb)
+	e.cfMarkDirty(tb)
+	if st.Before(e.highWater) {
+		// A state row appearing in the evaluated past was missing there:
+		// re-fire the later trigger occurrences that would have joined it
+		// (delta.go).
 		return e.refireForRow(nodeName, r, st, Stamp{})
 	}
 	return nil
@@ -946,9 +928,7 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	e.stats.Disappears++
 	cause := keyedAt(nodeName, r.tuple, r.key, st)
 	e.obs.OnDisappear(cause, underiveID)
-	if e.cfPhase {
-		e.cfMarkDirty(tb)
-	}
+	e.cfMarkDirty(tb)
 
 	ref := cause.TupleRef()
 	deps := e.dependents.Get(ref) // read only: may be a frozen base's
@@ -958,9 +938,9 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	for _, dep := range deps {
 		e.retractSupport(dep, cause, st)
 	}
-	if e.cfPhase {
+	if st.Before(e.highWater) {
 		// Event-head derivations that joined this row after the stamp of
-		// its counterfactual deletion would not have fired in a timely
+		// its out-of-order retraction would not have fired in a timely
 		// run: erase their occurrences and cascade (delta.go).
 		e.eraseEventConsumers(ref, r.appearedAt.Seq, cause, st, true)
 	}
@@ -1032,10 +1012,10 @@ func (e *Engine) dropSupport(nodeName string, n *node, tb *table, key string, de
 	s := r.supports[idx]
 	r.supports = append(r.supports[:idx], r.supports[idx+1:]...)
 	e.unindexSupport(nodeName, key, s)
-	if e.cfPhase {
-		// An argmax winner retracted after its trigger fired must be
-		// re-evaluated: a timely run would have chosen another winner at
-		// the trigger (delta.go).
+	if st.Before(e.highWater) {
+		// An argmax winner retracted before a trigger that already fired
+		// must be re-evaluated: a timely run would have chosen another
+		// winner at the trigger (delta.go).
 		e.noteCFRetraction(s, st)
 	}
 	e.deriveID++
@@ -1139,13 +1119,6 @@ func (e *Engine) derive(r *CompiledRule, evalNode string, b binding, deltaAtom i
 		tick += e.delay
 	}
 	d.Head = keyedAt(destNode, head, head.Key(), Stamp{}) // stamp filled on delivery
-	q := &e.queue
-	if e.cfPhase {
-		// Consequences of counterfactual changes stay in the
-		// counterfactual phase: they arrive through its heap, in stamp
-		// order among the remaining changes.
-		q = &e.cfQueue
-	}
 	*it = workItem{
 		stamp: e.nextStamp(tick),
 		kind:  wkArriveDerived,
@@ -1153,7 +1126,7 @@ func (e *Engine) derive(r *CompiledRule, evalNode string, b binding, deltaAtom i
 		tuple: head,
 		deriv: d,
 	}
-	heap.Push(q, it)
+	heap.Push(&e.queue, it)
 	return it, nil
 }
 

@@ -436,9 +436,16 @@ func TestEngineScheduleErrors(t *testing.T) {
 	if err := e.ScheduleDelete("n", NewTuple("nosuch", Int(1)), 0); err == nil {
 		t.Error("delete from undeclared table must fail")
 	}
-	for name, del := range map[string]func(string, Tuple, int64) error{"ScheduleDelete": e.ScheduleDelete, "ScheduleCFDelete": e.ScheduleCFDelete} {
-		if err := del("n", NewTuple("flowEntry", Int(1)), 0); err == nil {
-			t.Errorf("%s: wrong-arity delete must fail", name)
+	// Refused alike before and after the engine has run: a change scheduled
+	// on a settled engine goes through the same validator.
+	for _, settled := range []bool{false, true} {
+		if settled {
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.ScheduleDelete("n", NewTuple("flowEntry", Int(1)), 0); err == nil {
+			t.Errorf("settled=%v: wrong-arity delete must fail", settled)
 		}
 	}
 }
@@ -456,16 +463,16 @@ func TestEngineEventDeleteRejected(t *testing.T) {
 	p := MustParse("table ev/1 event base;")
 	e := New(p, nil)
 	ev := NewTuple("ev", Int(1))
-	// Refused when scheduled, main heap and counterfactual heap alike, so a
-	// caller that logs what it schedules never logs it ...
+	// Refused when scheduled, on a fresh engine and a settled one alike, so
+	// a caller that logs what it schedules never logs it ...
 	if err := e.ScheduleDelete("n", ev, 0); err == nil {
 		t.Error("scheduling the deletion of an event tuple must fail")
 	}
-	if err := e.ScheduleCFDelete("n", ev, 0); err == nil {
-		t.Error("scheduling the counterfactual deletion of an event tuple must fail")
-	}
 	if err := e.Run(); err != nil {
 		t.Errorf("a refused event must not be queued: %v", err)
+	}
+	if err := e.ScheduleDelete("n", ev, 0); err == nil {
+		t.Error("scheduling the deletion of an event tuple on a settled engine must fail")
 	}
 	// ... and when evaluated: a work item decoded from a log skips schedule.
 	if err := e.deleteBase("n", ev, e.Now()); err == nil {

@@ -3,7 +3,6 @@ package ndlog
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // parseError is a positioned syntax error. Strict parsing (Parse) returns
@@ -550,14 +549,4 @@ func contains(ss []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// FormatTuples renders tuples one per line, for debugging and golden tests.
-func FormatTuples(ts []Tuple) string {
-	var sb strings.Builder
-	for _, t := range ts {
-		sb.WriteString(t.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -60,6 +60,11 @@ func (g *Graph) fingerprintOf(v *Vertex) uint64 {
 	var h uint64
 	if v.aggCount > 0 {
 		h = fnvLabel(v)
+		if v.aggRemove {
+			// Only removal links mix in the mark, so every chain without
+			// one hashes as it always has.
+			h = fnvByte(h, 1)
+		}
 		h = fnvUint64(h, g.fpOf(int(v.prev)))
 		h = fnvUint64(h, g.fpOf(int(v.aggContrib)))
 	} else {

@@ -54,10 +54,13 @@ type Vertex struct {
 	Type VertexType
 	// Open, on an EXIST vertex, reports that the tuple is still live: its
 	// existence interval [At, Span.To) has no end yet.
-	Open     bool
-	aggCount int32 // contributors of an aggregate DERIVE, see prev
-	Node     string
-	Tuple    ndlog.Tuple
+	Open bool
+	// aggRemove marks an aggregate DERIVE that removes its contributor from
+	// the group (see prev): folds subtract it, and it is no cause.
+	aggRemove bool
+	aggCount  int32 // contributors of an aggregate DERIVE, see prev
+	Node      string
+	Tuple     ndlog.Tuple
 	// key is Tuple's canonical key: the string whoever reported the vertex
 	// (the engine, the Builder) computed when the row or occurrence was
 	// created. Vertexes share it with the engine's rows; the indexes and
@@ -443,10 +446,11 @@ func (g *Graph) ChildrenOf(id int) []int {
 }
 
 // foldAgg reconstructs the full contributor list of an aggregate head by
-// walking the delta chain backwards, memoizing the result per chain-head
-// fingerprint. The walk stops early at the first predecessor whose fold
-// is already memoized, so across the queries a diagnosis issues each
-// chain link is visited O(1) times amortized.
+// walking the delta chain backwards and replaying it forwards — a link
+// adds its contributor, a removal link takes it out — memoizing the result
+// per chain-head fingerprint. The walk stops early at the first
+// predecessor whose fold is already memoized, so across the queries a
+// diagnosis issues each chain link is visited O(1) times amortized.
 func (g *Graph) foldAgg(v *Vertex) []int {
 	g.foldMu.Lock()
 	defer g.foldMu.Unlock()
@@ -454,11 +458,9 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 		return out
 	}
 	var prefix []int
-	var rev []int // contributors, newest first
+	var rev []*Vertex // links, newest first
 	for cur := v; ; {
-		if cur.aggContrib >= 0 {
-			rev = append(rev, int(cur.aggContrib))
-		}
+		rev = append(rev, cur)
 		if cur.prev < 0 || int(cur.prev) >= g.NumVertexes() {
 			break
 		}
@@ -476,8 +478,25 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 	out := make([]int, 0, len(prefix)+len(rev))
 	out = append(out, prefix...)
 	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
+		out = rev[i].foldStep(out)
 	}
 	g.foldMemo[v.fp] = out
 	return out
+}
+
+// foldStep applies an aggregate link to a contributor list it may edit in
+// place: it appends the link's contributor, or removes it for a removal
+// link. The lazy fold and the recorder's eager lists share it.
+func (v *Vertex) foldStep(list []int) []int {
+	c := int(v.aggContrib)
+	switch {
+	case c < 0:
+		return list
+	case v.aggRemove:
+		if i := slices.Index(list, c); i >= 0 {
+			return slices.Delete(list, i, i+1)
+		}
+		return list
+	}
+	return append(list, c)
 }

@@ -104,6 +104,9 @@ func (m *linkModel) OnDerive(d ndlog.Derivation) {
 	if d.AggCount > 0 && len(refs) > 0 {
 		refs, trigger = refs[:1], 0 // a delta: the new contributor, which is the trigger
 	}
+	if d.AggRemove {
+		refs = nil // a removal link: its contributor is no cause
+	}
 	kids := []int{}
 	for i, b := range refs {
 		child := m.bodyVertex(b)
@@ -256,10 +259,10 @@ rule sn seen(@Sw, N) :- packet(@Sw, Dst), N := count().
 			var err error
 			switch i % 3 {
 			case 0:
-				err = f.ScheduleCFDelete(at.Node, at.Tuple, int64(i))
+				err = f.ScheduleDelete(at.Node, at.Tuple, int64(i))
 			case 1: // a sibling entry that outranks it from the start: base packets re-fire
 				fe := ndlog.NewTuple("flowEntry", ndlog.Int(11+int64(i)), at.Tuple.Args[1], at.Tuple.Args[2])
-				err = f.ScheduleCFInsert(at.Node, fe, 0)
+				err = f.ScheduleInsert(at.Node, fe, 0)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -104,17 +104,20 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 }
 
 // onDeriveAggregate records an aggregate delta derivation: the vertex is
-// annotated with the chain link (previous head's DERIVE, new contributor,
+// annotated with the chain link (previous head's DERIVE, contributor,
 // running count) and carries only the new contributor as a recorded
 // child — unless the recorder is in eager mode, in which case the full
 // folded list is materialized into Children right away. In both modes the
 // trigger (the precondition that appeared last) is the new contributor,
 // and the fingerprint is the chain hash, so everything downstream of
-// Graph.ChildrenOf sees identical structure.
+// Graph.ChildrenOf sees identical structure. A removal link
+// (Derivation.AggRemove) names the contributor it takes out of the group:
+// that is no cause of the new head, so it records no child and triggers
+// nothing, and the eager list is the predecessor's without it.
 func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 	v := pointVertex(Derive, d.Head, d.Rule)
 	v.Node, v.Trigger = d.Node, -1
-	v.prev, v.aggContrib, v.aggCount = -1, -1, int32(d.AggCount)
+	v.prev, v.aggContrib, v.aggCount, v.aggRemove = -1, -1, int32(d.AggCount), d.AggRemove
 	if d.AggPrev != 0 {
 		if pv, ok := r.graph.deriveVertex(d.AggPrev); ok {
 			v.prev = int32(pv)
@@ -126,17 +129,18 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 	var scratch [1]int
 	children := scratch[:0]
 	if r.eagerAgg && v.prev >= 0 {
-		// Reference mode: fold the predecessor's list and append the new
-		// contributor — O(k) per update, the pre-delta cost.
+		// Reference mode: fold the predecessor's list and apply this link —
+		// O(k) per update, the pre-delta cost.
 		children = append(children, r.graph.ChildrenOf(int(v.prev))...)
 	}
-	if v.aggContrib >= 0 {
-		children = append(children, int(v.aggContrib))
+	children = v.foldStep(children)
+	trigger := v.aggContrib >= 0 && !v.aggRemove
+	if trigger {
 		v.Trigger = len(children) - 1
 	}
 	dv := r.graph.add(v, children)
 	r.graph.setDerive(d.ID, dv.ID)
-	if v.aggContrib >= 0 {
+	if trigger {
 		r.graph.linkTrigger(int(v.aggContrib), dv)
 	}
 }

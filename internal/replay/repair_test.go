@@ -1,0 +1,147 @@
+package replay
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/ndlog"
+	"repro/internal/provenance"
+)
+
+// TestLateEventMatchesRebuild: an event logged with a tick the live engine
+// has already run past is work in its evaluated past, and the live state
+// must come out as the log says — equal to a session rebuilt from the log
+// and to the query-time graph's base run. Here a keyed config changes at
+// t=10, after probes at t=20..23 have run on the old value: the rebuild
+// derives out("k0", "w") from the probe at t=20, so the live system must.
+func TestLateEventMatchesRebuild(t *testing.T) {
+	prog := ndlog.MustParse(`
+table cfg/2 base mutable key(0);
+table probe/1 event base;
+table out/2;
+rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
+`)
+	s := NewSession(prog)
+	insert := func(tu ndlog.Tuple, tick int64) {
+		t.Helper()
+		if err := s.Insert("n", tu, tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		insert(ndlog.NewTuple("cfg", ndlog.Str(fmt.Sprintf("k%d", i)), ndlog.Str("v")), int64(1+i))
+	}
+	for i := 0; i < 4; i++ {
+		insert(ndlog.NewTuple("probe", ndlog.Str(fmt.Sprintf("k%d", i))), int64(20+i))
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	insert(ndlog.NewTuple("cfg", ndlog.Str("k0"), ndlog.Str("w")), 10)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	rebuilt, err := FromLog(prog, s.Log())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rebuilt.Live().CaptureState().State
+	if out := ndlog.NewTuple("out", ndlog.Str("k0"), ndlog.Str("w")); !rebuilt.Live().ExistsEver("n", out) {
+		t.Fatalf("the rebuild never derived %s", out)
+	}
+	base, _, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := base.CaptureState().State; !reflect.DeepEqual(got, want) {
+		t.Fatalf("the query-time base run %v differs from the rebuild %v", got, want)
+	}
+	if got := s.Live().CaptureState().State; !reflect.DeepEqual(got, want) {
+		t.Errorf("live state %v, rebuilt from its own log %v", got, want)
+	}
+}
+
+// TestAggregateRemovalFoldsBySubtraction: a trial that erases two of a
+// count() group's three contributors steps the group down twice, and each
+// new head's tree lists what is left — the removed contributor taken out
+// of the fold, not appended to it — in production and under Oracle()
+// alike. The last head's contributors are, by tuple and tick, those of
+// the run that has the change in its log.
+func TestAggregateRemovalFoldsBySubtraction(t *testing.T) {
+	prog := ndlog.MustParse(`
+table gate/1 base mutable;
+table ping/1 event base;
+table rep/1 event;
+table tally/1;
+rule rp rep(@C, X) :- ping(@C, X), gate(@C, X).
+rule ty tally(@C, N) :- rep(@C, X), N := count().
+`)
+	gateOne := ndlog.NewTuple("gate", ndlog.Int(1))
+	run := func(inLog bool, opts ...SessionOption) *Session {
+		s := NewSession(prog, opts...)
+		do := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		do(s.Insert("n", gateOne, 1))
+		do(s.Insert("n", ndlog.NewTuple("gate", ndlog.Int(2)), 1))
+		if inLog {
+			do(s.Delete("n", gateOne, 3))
+		}
+		for i, x := range []int64{1, 2, 1} {
+			do(s.Insert("n", ndlog.NewTuple("ping", ndlog.Int(x)), int64(5+i)))
+		}
+		do(s.Run())
+		return s
+	}
+	// tree projects tally(n)'s newest appearance and lists its DERIVE's
+	// contributors as tuple@tick.
+	tree := func(g *provenance.Graph, n int64) (*provenance.Tree, []string) {
+		t.Helper()
+		ap := g.LastAppear("n", ndlog.NewTuple("tally", ndlog.Int(n)))
+		if ap == nil {
+			t.Fatalf("tally(%d) never appeared", n)
+		}
+		tr := g.Tree(ap.ID)
+		var out []string
+		for _, c := range tr.Children[0].Children {
+			out = append(out, fmt.Sprintf("%s@t%d", c.Vertex.Tuple, c.Vertex.At.T))
+		}
+		return tr, out
+	}
+
+	want := map[int64][]string{1: {"rep(2)@t6"}, 2: {"rep(2)@t6", "rep(1)@t7"}}
+	fps := map[int64]uint64{}
+	for _, oracle := range []bool{false, true} {
+		var opts []SessionOption
+		if oracle {
+			opts = append(opts, Oracle())
+		}
+		_, g, err := run(false, opts...).ReplayWith([]Change{{Node: "n", Tuple: gateOne, Tick: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, w := range want {
+			tr, got := tree(g, n)
+			if !reflect.DeepEqual(got, w) {
+				t.Errorf("oracle=%v: tally(%d) folds %v, want %v", oracle, n, got, w)
+			}
+			if fp, ok := fps[n]; ok && fp != tr.Fingerprint() {
+				t.Errorf("tally(%d): the oracle's tree fingerprint %x, production's %x", n, tr.Fingerprint(), fp)
+			}
+			fps[n] = tr.Fingerprint()
+		}
+	}
+
+	_, g, err := run(true).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := tree(g, 1); !reflect.DeepEqual(got, want[1]) {
+		t.Errorf("with the delete in the log, tally(1) folds %v; the trial's folds %v", got, want[1])
+	}
+}

@@ -430,15 +430,15 @@ const ctxCheckEvery = 4096
 // is observed (between scheduled events).
 //
 // With at least one change to inject, the replay forks the session's
-// base run — the whole log evaluated to quiescence, once — and pushes the
-// change set through the engine's counterfactual phase, re-deriving only
-// affected state. The result is byte-identical to scheduling the log and
-// the changes on a fresh engine, which is what an empty change set and
-// Oracle() sessions do: base-event stamps are schedule positions (the
-// base run had the whole log scheduled before it ran, so the changes take
-// the next base sequence numbers either way), internal stamps are
-// processing positions, and the changes are applied after the base run
-// settles in both cases.
+// base run — the whole log evaluated to quiescence, once — and schedules
+// the change set on the fork: work stamped in the evaluated past, which
+// the engine repairs, re-deriving only affected state. The result is
+// byte-identical to what Oracle() sessions do, evaluating the log from
+// scratch and then scheduling the changes: base-event stamps are schedule
+// positions (the base run had the whole log scheduled before it ran, so
+// the changes take the next base sequence numbers either way), internal
+// stamps are processing positions, and the changes are applied after the
+// log settles in both cases.
 func (s *Session) ReplayWithContext(ctx context.Context, changes []Change) (*ndlog.Engine, *provenance.Graph, error) {
 	return s.booked(func() (*ndlog.Engine, *provenance.Recorder, bool, error) {
 		e, rec, err := s.replayWith(ctx, changes)
@@ -459,7 +459,14 @@ func (s *Session) replayWith(ctx context.Context, changes []Change) (*ndlog.Engi
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.scheduleChanges(ctx, e, changes); err != nil {
+	if !fork && len(changes) > 0 {
+		// The oracle settles the log first, so its changes meet an
+		// evaluated past exactly as a fork's do.
+		if err := settle(ctx, e); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := schedule(ctx, e, len(changes), func(i int) Change { return changes[i] }); err != nil {
 		return nil, nil, err
 	}
 	if err := settle(ctx, e); err != nil {
@@ -640,47 +647,38 @@ func (s *Session) buildBase(ctx context.Context, b *baseRun) error {
 func (s *Session) scheduleScratch(ctx context.Context) (*ndlog.Engine, *provenance.Recorder, error) {
 	rec := provenance.NewRecorder(s.prog, s.recOpts...)
 	e := ndlog.New(s.prog, rec, s.newEngineOpts()...)
-	for i, ev := range s.log.events {
-		if i%ctxCheckEvery == ctxCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("replay: %w", err)
-			}
-		}
-		var err error
-		if ev.Kind == EvInsert {
-			err = e.ScheduleInsert(ev.Node, ev.Tuple, ev.Tick)
-		} else {
-			err = e.ScheduleDelete(ev.Node, ev.Tuple, ev.Tick)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("replay: %v", err)
-		}
+	err := schedule(ctx, e, len(s.log.events), func(i int) Change {
+		ev := s.log.events[i]
+		return Change{Insert: ev.Kind == EvInsert, Node: ev.Node, Tuple: ev.Tuple, Tick: ev.Tick}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return e, rec, nil
 }
 
-// scheduleChanges schedules the injected counterfactual changes through
-// the engine's counterfactual phase (ScheduleCFInsert/Delete): they are
-// applied after the base run settles, in stamp order, with only affected
-// derivations re-evaluated. The engine already has the log scheduled (or
-// evaluated, in a fork), so the changes take the next base sequence
-// numbers either way — which is what makes forked and from-scratch
-// replays byte-identical.
-func (s *Session) scheduleChanges(ctx context.Context, e *ndlog.Engine, changes []Change) error {
-	for i, c := range changes {
+// schedule schedules n base events on e, the i-th being at(i), checking
+// the context every ctxCheckEvery events: the log (scheduleScratch) and a
+// replay's changes (replayWith) go through this one loop. Changes
+// scheduled after the log take the next base sequence numbers whether the
+// engine has the log scheduled, evaluated, or is a fork of its evaluation —
+// which is what makes forked and from-scratch replays byte-identical.
+func schedule(ctx context.Context, e *ndlog.Engine, n int, at func(int) Change) error {
+	for i := 0; i < n; i++ {
 		if i%ctxCheckEvery == ctxCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("replay: %w", err)
 			}
 		}
+		c := at(i)
 		var err error
 		if c.Insert {
-			err = e.ScheduleCFInsert(c.Node, c.Tuple, c.Tick)
+			err = e.ScheduleInsert(c.Node, c.Tuple, c.Tick)
 		} else {
-			err = e.ScheduleCFDelete(c.Node, c.Tuple, c.Tick)
+			err = e.ScheduleDelete(c.Node, c.Tuple, c.Tick)
 		}
 		if err != nil {
-			return fmt.Errorf("replay: injecting %s: %w", c, err)
+			return fmt.Errorf("replay: scheduling %s: %w", c, err)
 		}
 	}
 	return nil

@@ -74,6 +74,102 @@ func TestInsertThenDeleteIsTheIdentity(t *testing.T) {
 	}
 }
 
+// lawCuts is about how many cuts per scenario TestRunBoundaryIsInvisible
+// tries.
+const lawCuts = 40
+
+// TestRunBoundaryIsInvisible is ROADMAP item 1's cut law on every
+// replayable scenario: the log driven in two batches with a Run between
+// them ends in the state one Run over the whole log reaches. Where transit
+// delays carry the first batch's consequences past the second batch's
+// first ticks, the second batch starts out stamped in the evaluated past
+// and exercises the engine's repair of out-of-order work.
+func TestRunBoundaryIsInvisible(t *testing.T) {
+	for _, s := range replayable(t) {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			prog, log := s.BadSession.Program(), s.BadSession.Log()
+			want := drive(t, prog, log, log.Len()).CaptureState().State
+			for cut := 0; cut < log.Len(); cut += max(1, log.Len()/lawCuts) {
+				if got := drive(t, prog, log, cut).CaptureState().State; !reflect.DeepEqual(got, want) {
+					t.Errorf("a Run after event %d of %d ends in another state than one Run", cut, log.Len())
+				}
+			}
+		})
+	}
+}
+
+// TestForkedChangesEqualChangesInTheLog is ROADMAP item 1's fork law on
+// every replayable scenario: the change set a diagnosis returns, pushed
+// through a fork of the settled base run, ends in the state a fresh
+// engine reaches with the changes scheduled among the log before one Run.
+func TestForkedChangesEqualChangesInTheLog(t *testing.T) {
+	for _, s := range replayable(t) {
+		res, err := s.Diagnose()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		trial, _, err := s.BadSession.ReplayWith(res.Changes)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		log := s.BadSession.Log()
+		fresh := drive(t, s.BadSession.Program(), log, log.Len(), res.Changes...)
+		if got, want := trial.CaptureState().State, fresh.CaptureState().State; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %v through a fork ends in another state than scheduled among the log", s.Name, res.Changes)
+		}
+	}
+}
+
+// replayable builds every scenario that has a replay session.
+func replayable(t *testing.T) []*Scenario {
+	t.Helper()
+	var out []*Scenario
+	for _, name := range Names() {
+		s, err := Build(name, Small)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.BadSession != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// drive runs the log on a fresh live engine: the first cut events, Run,
+// then the rest and the changes, and Run again.
+func drive(t *testing.T, prog *ndlog.Program, log *replay.Log, cut int, changes ...replay.Change) *ndlog.Engine {
+	t.Helper()
+	sess := replay.NewSession(prog)
+	apply := func(c replay.Change) {
+		t.Helper()
+		op := sess.Delete
+		if c.Insert {
+			op = sess.Insert
+		}
+		if err := op(c.Node, c.Tuple, c.Tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < log.Len(); i++ {
+		if i == cut {
+			if err := sess.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ev := log.At(i)
+		apply(replay.Change{Insert: ev.Kind == replay.EvInsert, Node: ev.Node, Tuple: ev.Tuple, Tick: ev.Tick})
+	}
+	for _, c := range changes {
+		apply(c)
+	}
+	if err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return sess.Live()
+}
+
 // mutableBaseTuple returns some live tuple of a mutable, non-event base
 // table of the engine's program.
 func mutableBaseTuple(e *ndlog.Engine) (ndlog.Tuple, bool) {
