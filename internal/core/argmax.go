@@ -113,7 +113,6 @@ func (d *diag) traceCompetitorBase(w World, side ndlog.At, children []childAt, k
 	if ap == nil {
 		return replay.Change{}, false
 	}
-	tree := g.Tree(ap.ID)
 	// Collect the base leaves of the expected counterpart's good subtree.
 	shared := map[ndlog.TupleRef]bool{}
 	if k < len(children) && children[k].cause != nil {
@@ -123,18 +122,8 @@ func (d *diag) traceCompetitorBase(w World, side ndlog.At, children []childAt, k
 			}
 		})
 	}
-	var pick *provenance.Vertex
-	tree.Walk(func(n *provenance.Tree) {
-		if pick != nil || n.Vertex.Type != provenance.Insert {
-			return
-		}
-		if shared[n.Vertex.TupleRef()] {
-			return
-		}
-		if !w.IsMutable(n.Vertex.Node, n.Vertex.Tuple) {
-			return
-		}
-		pick = n.Vertex
+	pick := g.FindInTree(ap.ID, func(v *provenance.Vertex) bool {
+		return v.Type == provenance.Insert && !shared[v.TupleRef()] && w.IsMutable(v.Node, v.Tuple)
 	})
 	if pick == nil {
 		return replay.Change{}, false

@@ -282,17 +282,17 @@ func checkGuardedWrite(pass *Pass, e ast.Expr) {
 // its children; a write that bypasses the cow.go helpers (writableTable,
 // setDerive, ...) mutates state another fork can still observe. The
 // compiler cannot see the seal, so this analyzer pins each shared
-// structure to the files that implement its discipline: cow.go always,
-// plus the few pre-seal construction sites (the engine creates tables
-// while it is still the only owner). The maps a fork shares through a
-// cow.Overlay — interval histories, the support index, aggregate groups,
-// the graph's redirected vertexes and the rest — need no row here: the
-// overlay's fields are unexported, so the compiler confines writes to
-// its methods, which write only the fork's own link.
+// structure to the files that implement its discipline. The maps a fork
+// shares through a cow.Overlay — the engine's nodes and tables, interval
+// histories, index buckets, the support index, aggregate groups, the
+// graph's redirected vertexes and the rest — need no row here: the
+// overlay's fields are unexported, so the compiler confines writes to its
+// methods, which write only the fork's own link. What is left is the
+// graph's derivation index, a slice.
 var SealCheck = &Analyzer{
 	Name:  "sealcheck",
 	Doc:   "confine writes to CoW-shared structures to the cow layer",
-	Match: prefixMatch("repro/internal/ndlog", "repro/internal/provenance"),
+	Match: prefixMatch("repro/internal/provenance"),
 	Run:   runSealCheck,
 }
 
@@ -301,8 +301,6 @@ var SealCheck = &Analyzer{
 // selector write and stays unconstrained: building a fresh, unshared
 // value is always legal.
 var sealedFields = map[[2]string][]string{
-	// ndlog: a node's table map is shared until the first write to a table.
-	{"node", "tables"}: {"cow.go", "engine.go"},
 	// provenance: the derivation index, a slice a fork continues past its
 	// base's through cow.go's setDerive. The recorder writes no graph
 	// index: cow.go's indexAppear, indexDisappear and linkTrigger do.

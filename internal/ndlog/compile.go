@@ -659,11 +659,7 @@ func (cr *CompiledRule) appendBindingKey(b []byte, f []Value) []byte {
 
 // bindingKey is the canonical key of the frame's bound variables.
 func (cr *CompiledRule) bindingKey(f []Value) string {
-	kb := getKeyBuf()
-	b := cr.appendBindingKey(kb.b[:0], f)
-	s := string(b)
-	putKeyBuf(kb, b)
-	return s
+	return Text(func(b []byte) []byte { return cr.appendBindingKey(b, f) })
 }
 
 // bindingKeyLess reports bindingKey(a) < bindingKey(b) without building

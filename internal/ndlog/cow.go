@@ -8,17 +8,17 @@ package ndlog
 // changes instead of to the engine's state:
 //
 //   - Seal freezes an engine once it becomes a base run: a sealed engine
-//     refuses Run and Schedule calls, and every table it holds is marked
-//     sealed.
-//   - Fork of a sealed engine shares the frozen tables by pointer (fresh
-//     per-fork node and table maps, O(#tables)), forks each of the
-//     engine's maps as a cow.Overlay link over the base's, and copies
-//     only the pending work queue.
-//   - The first write to a sealed table clones it (writableTable) and
-//     swaps the fork's pointer to the clone; the set of swapped pointers
-//     is the fork's dirty set. A clone's interval histories are an
-//     Overlay link over the frozen table's, so a per-key slice is copied
-//     only when that key is written.
+//     refuses Run and Schedule calls, and writes to the tables it owns.
+//   - Fork of a sealed engine is O(1): it forks each of the engine's maps —
+//     its nodes and its tables, keyed by (node, table), among them — as an
+//     empty cow.Overlay link over the base's, shares the node order, and
+//     copies only the pending work queue (empty on a settled base run).
+//   - A fork's first write to a table it shares clones it (writableTable)
+//     and sets the clone in the fork's own link of the table map, the one
+//     map the fork makes for its tables; the clones are the fork's dirty
+//     set. A clone's interval histories and index buckets are Overlay
+//     links over the frozen table's, so a per-key slice is copied only
+//     when that key is written.
 //
 // A fork finishes byte-identical to a straight-through run: sealed state
 // is immutable by construction (every write site routes through
@@ -34,26 +34,12 @@ package ndlog
 import "repro/internal/cow"
 
 // Seal freezes the engine: Run, RunUntil, ScheduleInsert, and
-// ScheduleDelete are refused from now on, and every table is marked
-// sealed so forks clone it on first write. Replay sessions seal the base
-// run they evaluate once per log length; it is only ever read and forked.
-// Sealing is idempotent, and safe while forks of earlier sealed engines
-// run concurrently: only tables private to this engine are written.
-func (e *Engine) Seal() {
-	if e.sealed {
-		return
-	}
-	e.sealed = true
-	for _, n := range e.nodes {
-		for _, tb := range n.tables {
-			// Tables already sealed are shared with a frozen base that
-			// sibling forks read concurrently; leave them untouched.
-			if !tb.sealed {
-				tb.sealed = true
-			}
-		}
-	}
-}
+// ScheduleDelete are refused from now on, and so is any write to the tables
+// it owns, so forks clone a table on their first write to it. Replay
+// sessions seal the base run they evaluate once per log length; it is only
+// ever read and forked. Sealing is idempotent and writes nothing but the
+// flag, so it is safe while forks of earlier sealed engines run.
+func (e *Engine) Seal() { e.sealed = true }
 
 // Sealed reports whether Seal froze the engine.
 func (e *Engine) Sealed() bool { return e.sealed }
@@ -65,11 +51,11 @@ func (e *Engine) Sealed() bool { return e.sealed }
 // its siblings evolve independently: scheduling and running one never
 // affects the receiver or another fork.
 //
-// The fork is O(#tables + pending queue): table pointers are copied into
-// fresh per-fork node/table maps (so a clone can be swapped in on first
-// write), and each overlay starts as an empty link over the receiver's.
-// Only the pending work queue is copied eagerly — its
-// Derivations are stamped in place on delivery. Immutable structure is
+// The fork is O(pending queue): every overlay, the node and table maps
+// among them, starts as an empty link over the receiver's, and the node
+// order is shared. Only the pending work queue is copied eagerly — its
+// Derivations are stamped in place on delivery; the queue of a sealed base
+// run, which has settled, is empty. Immutable structure is
 // shared: the program, the compiled rules with their join plans, tuple
 // argument slices and support body references are all written once
 // before they become reachable and only read afterwards. The fork's arena
@@ -94,8 +80,9 @@ func (e *Engine) Fork(obs Observer) *Engine {
 	f := &Engine{
 		prog:        e.prog,
 		obs:         obs,
-		nodes:       make(map[string]*node, len(e.nodes)),
-		nodeOrder:   append([]string(nil), e.nodeOrder...),
+		nodes:       e.nodes.Fork(),
+		nodeOrder:   e.nodeOrder[:len(e.nodeOrder):len(e.nodeOrder)],
+		tables:      e.tables.Fork(),
 		seq:         e.seq,
 		seqBand:     e.seqBand,
 		baseSeq:     e.baseSeq,
@@ -114,13 +101,6 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		compiled:    e.compiled,
 		plans:       e.plans,
 		analysis:    e.analysis,
-	}
-	for name, n := range e.nodes {
-		fn := &node{name: n.name, loc: n.loc, tables: make(map[string]*table, len(n.tables))}
-		for tn, tb := range n.tables {
-			fn.tables[tn] = tb
-		}
-		f.nodes[name] = fn
 	}
 	f.queue = copyQueue(e.queue)
 	f.highWater, f.settled = e.highWater, e.settled
@@ -146,33 +126,34 @@ func copyQueue(q workHeap) workHeap {
 	return out
 }
 
-// writableTable returns a table this engine may mutate. Unsealed tables
-// (engine-private) pass through; a sealed table — shared with the frozen
-// engine a CoW fork was taken from — is cloned on first write and the
-// fork's pointer swapped to the clone. Writing to a sealed engine itself
-// is a bug by construction (sealed engines refuse Run), so it panics
-// rather than corrupt forks sharing the state.
-func (e *Engine) writableTable(n *node, tb *table) *table {
-	if !tb.sealed {
-		return tb
-	}
+// writableTable returns a node's table as this engine may mutate it. A
+// table the engine owns passes through; one it shares with the frozen
+// engine it was forked from is cloned on first write, and the clone is set
+// in the fork's own link of the table map, over the shared one. Writing to
+// a sealed engine is a bug by construction (sealed engines refuse Run), so
+// it panics rather than corrupt forks sharing the state.
+func (e *Engine) writableTable(nodeName string, tb *table) *table {
 	if e.sealed {
 		panic("ndlog: write to sealed engine table " + tb.decl.Name)
 	}
-	ft := forkTable(tb)
-	n.tables[tb.decl.Name] = ft
+	if tb.owner == e {
+		return tb
+	}
+	ft := forkTable(tb, e)
+	e.tables.Set(tableRef{nodeName, tb.decl.Name}, ft)
 	return ft
 }
 
-// forkTable clones a sealed table on a fork's first write to it. Rows are
-// remapped pointer-for-pointer so the copies of live, order, keyIdx, and
-// the index buckets all reference the same fresh row structs; remapping
-// is cheaper than re-deriving bucket keys from tuples. The row copies and
+// forkTable clones a sealed table for owner, on owner's first write to it.
+// Rows are remapped pointer-for-pointer so the copies of live, order and
+// keyIdx all reference the same fresh row structs. The row copies and
 // their supports are two exact allocations (the sizes are known, so they
-// need no slab and leave no slack). The interval histories are not copied:
-// the clone's are a link over the frozen table's, and a per-key slice is
-// copied only when that key is written.
-func forkTable(tb *table) *table {
+// need no slab and leave no slack). Neither the interval histories nor the
+// index buckets are copied: the clone's are links over the frozen table's,
+// and a per-key slice is copied only when that key is written. A bucket
+// lists positions in order, which the clone keeps, so it reads the same in
+// both; the clone's indexes are one allocation.
+func forkTable(tb *table, owner *Engine) *table {
 	remap := rowRemapPool.Get().(map[*row]*row)
 	// Every row the table has ever held is in order, so the capacities never
 	// grow — but if a row somehow reaches us outside order, fall back to
@@ -219,6 +200,7 @@ func forkTable(tb *table) *table {
 		occSorted:   tb.occSorted,
 		orderSorted: tb.orderSorted,
 		hist:        tb.hist.Fork(),
+		owner:       owner,
 	}
 	ft.order = make([]*row, len(tb.order))
 	for i, r := range tb.order {
@@ -234,17 +216,9 @@ func forkTable(tb *table) *table {
 		}
 	}
 	if tb.indexes != nil {
-		ft.indexes = make([]*tableIndex, len(tb.indexes))
-		for pos, ix := range tb.indexes {
-			fix := &tableIndex{spec: ix.spec, buckets: make(map[uint64][]*row, len(ix.buckets))}
-			for k, rows := range ix.buckets {
-				frows := make([]*row, len(rows))
-				for i, r := range rows {
-					frows[i] = rowOf(r)
-				}
-				fix.buckets[k] = frows
-			}
-			ft.indexes[pos] = fix
+		ft.indexes = make([]tableIndex, len(tb.indexes))
+		for i := range tb.indexes {
+			ft.indexes[i] = tableIndex{spec: tb.indexes[i].spec, buckets: tb.indexes[i].buckets.Fork()}
 		}
 	}
 	clear(remap)

@@ -1,0 +1,108 @@
+package ndlog
+
+import (
+	"fmt"
+	"testing"
+)
+
+// costProg's join probes t on its first column, so t carries an index on
+// it; nothing fires unless a probe arrives.
+var costProg = MustParse(`
+table t/2 base mutable;
+table probe/1 event base;
+table hit/2 event;
+rule j hit(K, V) :- probe(@n, K), t(@n, K, V).
+`)
+
+// sealedRun runs the inserts on a fresh engine and seals it.
+func sealedRun(t *testing.T, insert func(e *Engine) error) *Engine {
+	t.Helper()
+	e := New(costProg, nil, WithSeqBand(SeqBandDefault))
+	if err := insert(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Seal()
+	return e
+}
+
+// TestForkCostIsIndependentOfNodes: Fork shares the base's node and table
+// maps through overlay links, so forking a sealed engine of 64 nodes costs
+// what forking one of 4 does — the fork's Engine and little else.
+func TestForkCostIsIndependentOfNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	forkCost := func(nodes int) float64 {
+		e := sealedRun(t, func(e *Engine) error {
+			for i := 0; i < nodes; i++ {
+				if err := e.ScheduleInsert(fmt.Sprintf("n%d", i), NewTuple("t", Int(1), Int(int64(i))), 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if got := len(e.Nodes()); got != nodes {
+			t.Fatalf("sealed run has %d nodes, want %d", got, nodes)
+		}
+		return testing.AllocsPerRun(50, func() { e.Fork(nil) })
+	}
+	small, big := forkCost(4), forkCost(64)
+	t.Logf("Fork: %.0f allocations at 4 nodes, %.0f at 64", small, big)
+	if small != big || big > 5 {
+		t.Errorf("Fork allocates %.0f at 64 nodes and %.0f at 4; want the same count, at most 5", big, small)
+	}
+}
+
+// TestTableCloneCostIsIndependentOfBuckets: a fork's first write to a
+// sealed table clones it, and the clone's index buckets are an overlay link
+// over the frozen table's, not copies — so with the same 256 rows in one
+// bucket or in 256, the write costs the same number of allocations.
+func TestTableCloneCostIsIndependentOfBuckets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	writeCost := func(keys int) float64 {
+		e := sealedRun(t, func(e *Engine) error {
+			for i := 0; i < 256; i++ {
+				if err := e.ScheduleInsert("n", NewTuple("t", Int(int64(i%keys)), Int(int64(i))), 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		tb := e.table("n", "t")
+		if len(tb.indexes) != 1 {
+			t.Fatalf("t carries %d indexes, want 1", len(tb.indexes))
+		}
+		buckets := map[uint64]bool{}
+		for _, r := range tb.order {
+			buckets[tb.indexes[0].bucketOf(r.tuple)] = true
+		}
+		if len(buckets) != keys {
+			t.Fatalf("the index has %d buckets, want %d", len(buckets), keys)
+		}
+		// Each run writes to a fresh fork, so each write is a first write:
+		// the row joins key 0's bucket, the one every row shares at keys 1.
+		row := NewTuple("t", Int(0), Int(1000))
+		return testing.AllocsPerRun(50, func() {
+			f := e.Fork(nil)
+			if err := f.ScheduleInsert("n", row, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if f.table("n", "t") == tb {
+				t.Fatal("the fork wrote t without cloning it")
+			}
+		})
+	}
+	one, many := writeCost(1), writeCost(256)
+	t.Logf("fork and first write: %.0f allocations with 1 bucket, %.0f with 256", one, many)
+	if one != many {
+		t.Errorf("the first write to a sealed table allocates %.0f with 256 index buckets and %.0f with 1; want the same", many, one)
+	}
+}

@@ -48,9 +48,9 @@ func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			base := &table{decl: &TableDecl{Name: "ev"}, live: map[string]*row{}, sealed: true}
+			base := &table{decl: &TableDecl{Name: "ev"}, live: map[string]*row{}}
 			base.hist.Set(key, baseHist())
-			ft := forkTable(base)
+			ft := forkTable(base, nil)
 
 			c.edit(ft)
 			if got, want := ft.hist.Get(key), c.want(baseHist()); !reflect.DeepEqual(got, want) {
@@ -99,7 +99,7 @@ rule rc d(X) :- c(X).
 	}
 	e.Seal()
 	rules := func(en *Engine, key string) (out []string) {
-		for _, s := range en.nodes["n"].tables["d"].live[key].supports {
+		for _, s := range en.table("n", "d").live[key].supports {
 			out = append(out, s.rule)
 		}
 		return out
@@ -124,7 +124,7 @@ rule rc d(X) :- c(X).
 	if err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.nodes["n"].tables["d"] == e.nodes["n"].tables["d"] {
+	if f.table("n", "d") == e.table("n", "d") {
 		t.Fatal("the fork never cloned table d")
 	}
 	if got, want := rules(f, "d|i1"), []string{"rb", "ra", "rc"}; !reflect.DeepEqual(got, want) {

@@ -143,9 +143,9 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 	if decl == nil {
 		return fmt.Errorf("ndlog: rule %s: unknown table %s", r.name, atom.table)
 	}
-	for _, nn := range e.nodeOrder {
-		n := e.nodes[nn]
-		tb := n.tables[atom.table]
+	for _, n := range e.nodeOrder {
+		nn := n.name
+		tb := e.table(nn, atom.table)
 		if tb == nil {
 			continue
 		}
@@ -363,8 +363,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	if decl == nil {
 		return
 	}
-	n := e.nodeFor(occ.Node)
-	tb := e.writableTable(n, e.tableFor(n, decl))
+	tb := e.writableTable(occ.Node, e.tableFor(occ.Node, decl))
 	tb.histRemoveOcc(&e.arena, occ.Key, occ.Stamp.Seq)
 	e.cfMarkDirty(tb)
 	e.deriveID++
@@ -397,7 +396,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 // sequence, and the same node|key can occur more than once) and the
 // support is not an aggregate delta (the group decrement handles those).
 func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedAt, st Stamp) {
-	n, tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key)
+	tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key)
 	if tb == nil {
 		return
 	}
@@ -410,7 +409,7 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 		}
 		for _, b := range s.body {
 			if b.Seq == bodySeq {
-				e.dropSupport(dep.node, n, tb, dep.key, dep.deriveID, cause, st)
+				e.dropSupport(dep.node, tb, dep.key, dep.deriveID, cause, st)
 				return
 			}
 		}
@@ -531,11 +530,7 @@ func (e *Engine) triggerOf(r *Rule, sup support) (atom int, tuple Tuple, st Stam
 		if i >= len(r.Body) {
 			return 0, Tuple{}, Stamp{}, false
 		}
-		n := e.nodes[b.Node]
-		if n == nil {
-			return 0, Tuple{}, Stamp{}, false
-		}
-		tb := n.tables[r.Body[i].Table]
+		tb := e.table(b.Node, r.Body[i].Table)
 		if tb == nil {
 			return 0, Tuple{}, Stamp{}, false
 		}
@@ -551,8 +546,7 @@ func (e *Engine) triggerOf(r *Rule, sup support) (atom int, tuple Tuple, st Stam
 		return 0, Tuple{}, Stamp{}, false
 	}
 	bref := sup.body[best]
-	n := e.nodes[bref.Node]
-	tb := n.tables[r.Body[best].Table]
+	tb := e.table(bref.Node, r.Body[best].Table)
 	if d := e.prog.Decl(r.Body[best].Table); d != nil && d.Event {
 		t, ok := occAtStamp(tb, bestStamp)
 		if !ok {

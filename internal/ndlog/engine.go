@@ -131,10 +131,16 @@ func (iv Interval) Contains(s Stamp) bool {
 // Engine evaluates an NDlog program over a simulated distributed system in
 // deterministic logical time.
 type Engine struct {
-	prog      *Program
-	obs       Observer
-	nodes     map[string]*node
-	nodeOrder []string
+	prog *Program
+	obs  Observer
+	// nodes and tables are copy-on-write overlays, like the maps below: a
+	// fork's links hold the nodes it created and the tables it created or
+	// cloned (cow.go), over its base's. tables is keyed by (node, table).
+	// nodeOrder lists the nodes in creation order; a fork shares its base's,
+	// its capacity clipped, so the fork's first node of its own copies it.
+	nodes     cow.Overlay[string, *node]
+	nodeOrder []*node
+	tables    cow.Overlay[tableRef, *table]
 	queue     workHeap
 	seq       uint64
 	// seqBand splits the stamp sequence space when non-zero: externally
@@ -264,9 +270,11 @@ type node struct {
 	name string
 	// loc is Str(name) boxed once: binding a location variable stores it
 	// instead of converting the name on every unification.
-	loc    Value
-	tables map[string]*table
+	loc Value
 }
+
+// tableRef names one node's table: the key of Engine.tables.
+type tableRef struct{ node, table string }
 
 type table struct {
 	decl  *TableDecl
@@ -278,10 +286,12 @@ type table struct {
 	keyIdx map[string]*row // primary-key index, for tables with key columns
 	// indexes holds the secondary hash indexes planned for this table, in
 	// the plans' order (indexSpec.pos); buckets mirror order (see index.go).
-	indexes []*tableIndex
-	// sealed marks the table frozen (shared between a sealed engine and
-	// its CoW forks); writableTable clones it on first write. See cow.go.
-	sealed bool
+	indexes []tableIndex
+	// owner is the engine that made the table (tableFor, or forkTable on a
+	// fork's first write). Only the owner writes it, and only until it is
+	// sealed; any other engine reads it shared and clones it on its first
+	// write (writableTable). See cow.go.
+	owner *Engine
 	// occs logs event-tuple occurrences (events are not stored as rows),
 	// so out-of-order work can re-enumerate event triggers that already
 	// fired. occSorted and orderSorted track the stamp-sorted prefixes of
@@ -458,7 +468,6 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 	e := &Engine{
 		prog:        prog,
 		obs:         obs,
-		nodes:       map[string]*node{},
 		delay:       1,
 		deriveLimit: 10_000_000,
 		indexing:    true,
@@ -487,20 +496,23 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Now returns the latest processed stamp.
 func (e *Engine) Now() Stamp { return e.now }
 
-func (e *Engine) nodeFor(name string) *node {
-	n, ok := e.nodes[name]
-	if !ok {
-		n = &node{name: name, loc: Str(name), tables: map[string]*table{}}
-		e.nodes[name] = n
-		e.nodeOrder = append(e.nodeOrder, name)
-	}
-	return n
+// table returns a node's table, or nil. It may be a frozen base's: a
+// writer goes through writableTable.
+func (e *Engine) table(nodeName, tableName string) *table {
+	return e.tables.Get(tableRef{nodeName, tableName})
 }
 
-func (e *Engine) tableFor(n *node, decl *TableDecl) *table {
-	t, ok := n.tables[decl.Name]
-	if !ok {
-		t = &table{decl: decl, live: map[string]*row{}}
+// tableFor returns a node's table, creating it — and the node, on the
+// node's first table — if the node holds none yet.
+func (e *Engine) tableFor(nodeName string, decl *TableDecl) *table {
+	t := e.table(nodeName, decl.Name)
+	if t == nil {
+		if e.nodes.Get(nodeName) == nil {
+			n := &node{name: nodeName, loc: Str(nodeName)}
+			e.nodes.Set(nodeName, n)
+			e.nodeOrder = append(e.nodeOrder, n)
+		}
+		t = &table{decl: decl, live: map[string]*row{}, owner: e}
 		if len(decl.Key) > 0 {
 			t.keyIdx = map[string]*row{}
 		}
@@ -508,9 +520,9 @@ func (e *Engine) tableFor(n *node, decl *TableDecl) *table {
 		// empty here, so incremental maintenance in appear suffices and
 		// query-time reads never have to build (or lock) anything.
 		for _, spec := range e.plans.forTable(decl.Name) {
-			t.indexes = append(t.indexes, &tableIndex{spec: spec, buckets: map[uint64][]*row{}})
+			t.indexes = append(t.indexes, tableIndex{spec: spec})
 		}
-		n.tables[decl.Name] = t
+		e.tables.Set(tableRef{nodeName, decl.Name}, t)
 	}
 	return t
 }
@@ -741,13 +753,12 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	if decl == nil {
 		return fmt.Errorf("ndlog: tuple for undeclared table %s", t.Table)
 	}
-	n := e.nodeFor(nodeName)
 	if decl.Event {
 		e.stats.Appears++
 		e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
 		// Record the instantaneous occurrence in history for temporal
 		// queries (zero-length closed interval).
-		tb := e.writableTable(n, e.tableFor(n, decl))
+		tb := e.writableTable(nodeName, e.tableFor(nodeName, decl))
 		tb.histAppend(&e.arena, key, Interval{From: st, To: st})
 		tb.occAppend(t, st)
 		e.cfMarkDirty(tb)
@@ -759,7 +770,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	// An appearance always writes (a new row or an extra support), so the
 	// table must be writable up front; rows fetched below come out of the
 	// fork-private clone.
-	tb := e.writableTable(n, e.tableFor(n, decl))
+	tb := e.writableTable(nodeName, e.tableFor(nodeName, decl))
 	if r, ok := tb.live[key]; ok {
 		// Additional support for an existing tuple.
 		r.supports = append(r.supports, sup)
@@ -791,8 +802,8 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	// Secondary indexes mirror order: a re-appearance after death is a
 	// fresh row and is appended again; dead rows stay behind the probe's
 	// liveness filter (and serve temporal as-of lookups).
-	for _, ix := range tb.indexes {
-		ix.insert(r)
+	for i := range tb.indexes {
+		tb.indexes[i].insert(len(tb.order)-1, t)
 	}
 	if tb.keyIdx != nil {
 		tb.keyIdx[primaryKey(decl, t)] = r
@@ -865,15 +876,14 @@ func (e *Engine) deleteBase(nodeName string, t Tuple, st Stamp) error {
 	if decl.Event {
 		return fmt.Errorf("ndlog: cannot delete event tuple %s", t)
 	}
-	n := e.nodeFor(nodeName)
-	tb := e.tableFor(n, decl)
+	tb := e.tableFor(nodeName, decl)
 	key := t.Key()
 	if _, ok := tb.live[key]; !ok {
 		return nil // deleting a non-existent tuple is a no-op
 	}
 	// The delete will mutate the row; clone a sealed table first and
 	// re-fetch the row from the writable clone.
-	tb = e.writableTable(n, tb)
+	tb = e.writableTable(nodeName, tb)
 	if !e.dropBaseSupport(nodeName, tb, tb.live[key], st) {
 		return fmt.Errorf("ndlog: %s on %s has no base support to delete", t, nodeName)
 	}
@@ -899,17 +909,15 @@ func (e *Engine) dropBaseSupport(nodeName string, tb *table, r *row, st Stamp) b
 
 // primaryKey computes the primary-key projection of a tuple.
 func primaryKey(decl *TableDecl, t Tuple) string {
-	kb := getKeyBuf()
-	b := kb.b[:0]
-	for _, i := range decl.Key {
-		if i >= 0 && i < len(t.Args) {
-			b = append(b, '|')
-			b = t.Args[i].appendKey(b)
+	return Text(func(b []byte) []byte {
+		for _, i := range decl.Key {
+			if i >= 0 && i < len(t.Args) {
+				b = append(b, '|')
+				b = t.Args[i].appendKey(b)
+			}
 		}
-	}
-	s := string(b)
-	putKeyBuf(kb, b)
-	return s
+		return b
+	})
 }
 
 // retractRow removes a row whose support count dropped to zero, emits
@@ -950,8 +958,8 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 // cause disappeared; a dependent that is no longer live, or whose support
 // an earlier cascade already retracted, is skipped.
 func (e *Engine) retractSupport(dep dependentRef, cause KeyedAt, st Stamp) {
-	if n, tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key); tb != nil {
-		e.dropSupport(dep.node, n, tb, dep.key, dep.deriveID, cause, st)
+	if tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key); tb != nil {
+		e.dropSupport(dep.node, tb, dep.key, dep.deriveID, cause, st)
 	}
 }
 
@@ -963,8 +971,8 @@ func (e *Engine) retractSupport(dep dependentRef, cause KeyedAt, st Stamp) {
 // silently ignored, and the differential suites assert the counter never
 // moves.
 func (e *Engine) retractDerived(nodeName, tableName, key string, deriveID int64, cause KeyedAt, st Stamp) {
-	n, tb := e.liveTable(nodeName, tableName, key)
-	if tb == nil || !e.dropSupport(nodeName, n, tb, key, deriveID, cause, st) {
+	tb := e.liveTable(nodeName, tableName, key)
+	if tb == nil || !e.dropSupport(nodeName, tb, key, deriveID, cause, st) {
 		e.stats.AggRetractMisses++
 	}
 }
@@ -979,14 +987,12 @@ func tableOfKey(key string) string {
 }
 
 // liveTable finds the table holding a live row with the given key on a
-// node; both results are nil when the node, the table or the row is missing.
-func (e *Engine) liveTable(nodeName, tableName, key string) (*node, *table) {
-	if n := e.nodes[nodeName]; n != nil {
-		if tb := n.tables[tableName]; tb != nil && tb.live[key] != nil {
-			return n, tb
-		}
+// node; nil when the table or the row is missing.
+func (e *Engine) liveTable(nodeName, tableName, key string) *table {
+	if tb := e.table(nodeName, tableName); tb != nil && tb.live[key] != nil {
+		return tb
 	}
-	return nil, nil
+	return nil
 }
 
 // dropSupport is the one place a derived support leaves a row: derivation
@@ -994,10 +1000,10 @@ func (e *Engine) liveTable(nodeName, tableName, key string) (*node, *table) {
 // from its body rows' dependents and underived under a fresh id and stamp;
 // the row is retracted (cascading) when that was its last support. It
 // reports false, touching nothing, when the row holds no such support.
-func (e *Engine) dropSupport(nodeName string, n *node, tb *table, key string, deriveID int64, cause KeyedAt, st Stamp) bool {
+func (e *Engine) dropSupport(nodeName string, tb *table, key string, deriveID int64, cause KeyedAt, st Stamp) bool {
 	// The retraction mutates the row's supports; clone a sealed table
 	// first and fetch the row from the writable clone.
-	tb = e.writableTable(n, tb)
+	tb = e.writableTable(nodeName, tb)
 	r := tb.live[key]
 	idx := -1
 	for i, s := range r.supports {
@@ -1179,12 +1185,12 @@ func (e *Engine) History(nodeName string, t Tuple) []Interval {
 // no string is built to be thrown away. The slice may be a frozen base's:
 // read only.
 func (e *Engine) histOf(nodeName string, t Tuple) (ivs []Interval) {
-	n := e.nodes[nodeName]
-	if n == nil || n.tables[t.Table] == nil {
+	tb := e.table(nodeName, t.Table)
+	if tb == nil {
 		return nil
 	}
 	t.WithKey(func(key []byte) {
-		ivs, _ = n.tables[t.Table].hist.Find(func(m map[string][]Interval) ([]Interval, bool) {
+		ivs, _ = tb.hist.Find(func(m map[string][]Interval) ([]Interval, bool) {
 			h, ok := m[string(key)]
 			return h, ok
 		})
@@ -1197,11 +1203,7 @@ func (e *Engine) histOf(nodeName string, t Tuple) (ivs []Interval) {
 // of the system as of the time at which the missing tuple would have had
 // to exist", §4.8).
 func (e *Engine) TuplesAt(nodeName, tableName string, at Stamp) []Tuple {
-	n := e.nodes[nodeName]
-	if n == nil {
-		return nil
-	}
-	tb := n.tables[tableName]
+	tb := e.table(nodeName, tableName)
 	if tb == nil {
 		return nil
 	}
@@ -1221,11 +1223,7 @@ func (e *Engine) TuplesAt(nodeName, tableName string, at Stamp) []Tuple {
 // LiveTuples returns the live tuples of a table on a node in appearance
 // order.
 func (e *Engine) LiveTuples(nodeName, tableName string) []Tuple {
-	n := e.nodes[nodeName]
-	if n == nil {
-		return nil
-	}
-	tb := n.tables[tableName]
+	tb := e.table(nodeName, tableName)
 	if tb == nil {
 		return nil
 	}
@@ -1240,5 +1238,9 @@ func (e *Engine) LiveTuples(nodeName, tableName string) []Tuple {
 
 // Nodes returns the node names in first-reference order.
 func (e *Engine) Nodes() []string {
-	return append([]string(nil), e.nodeOrder...)
+	out := make([]string, len(e.nodeOrder))
+	for i, n := range e.nodeOrder {
+		out[i] = n.name
+	}
+	return out
 }

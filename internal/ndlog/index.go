@@ -3,6 +3,8 @@ package ndlog
 import (
 	"sort"
 	"strconv"
+
+	"repro/internal/cow"
 )
 
 // This file implements secondary hash indexes for rule-body joins.
@@ -15,12 +17,12 @@ import (
 // atom's index key. The join (join.go) then probes a hash bucket instead of
 // scanning the table's appearance-ordered rows.
 //
-// Buckets mirror tb.order exactly: rows are appended on appearance (so a
-// bucket is in appearance order, preserving the engine's deterministic
-// result order) and are never removed on retraction — the probe applies
-// the same liveness/temporal filter as the scan (rw.dead ||
-// st.Before(rw.appearedAt)), and temporal queries (TuplesMatchingAt)
-// need the dead rows for as-of lookups. A tuple that reappears after
+// Buckets mirror tb.order exactly: a bucket lists positions in tb.order,
+// appended on appearance (so a bucket is in appearance order, preserving
+// the engine's deterministic result order) and never removed on
+// retraction — the probe applies the same liveness/temporal filter as the
+// scan (rw.dead || st.Before(rw.appearedAt)), and temporal queries
+// (TuplesMatchingAt) need the dead rows for as-of lookups. A tuple that reappears after
 // dying is a fresh row and is appended again, exactly as in tb.order.
 //
 // A bucket is keyed by a 64-bit hash of the indexed columns (Value.hash),
@@ -53,10 +55,13 @@ func sigOf(cols []int) string {
 	return string(b)
 }
 
-// tableIndex is one secondary hash index over a table's rows.
+// tableIndex is one secondary hash index over a table's rows. A bucket
+// holds positions in the table's order rather than row pointers, so a
+// forked table — whose order is a copy at the same positions — reads its
+// frozen base's buckets through an overlay link instead of copying them.
 type tableIndex struct {
 	spec    *indexSpec
-	buckets map[uint64][]*row
+	buckets cow.Overlay[uint64, []int32]
 }
 
 // hashSeed starts every bucket hash. bucketMask is all ones; the collision
@@ -65,15 +70,23 @@ const hashSeed uint64 = fnvOffset64
 
 var bucketMask = ^uint64(0)
 
-// insert appends a freshly appeared row to its bucket.
-func (ix *tableIndex) insert(r *row) {
+// bucketOf returns the bucket a tuple's indexed columns hash to.
+func (ix *tableIndex) bucketOf(t Tuple) uint64 {
 	h := hashSeed
 	for _, c := range ix.spec.cols {
-		h = r.tuple.Args[c].hash(h)
+		h = t.Args[c].hash(h)
 	}
-	h &= bucketMask
-	ix.buckets[h] = append(ix.buckets[h], r)
+	return h & bucketMask
 }
+
+// insert appends the position of a freshly appeared row to its bucket. A
+// bucket the link does not hold yet starts as a copy of the base's.
+func (ix *tableIndex) insert(pos int, t Tuple) {
+	cow.Append(&ix.buckets, ix.bucketOf(t), copyBucket, int32(pos))
+}
+
+// copyBucket copies a bucket with room for one more position.
+func copyBucket(b []int32) []int32 { return append(make([]int32, 0, len(b)+1), b...) }
 
 // joinPlans is what buildJoinPlans chose for one engine: per rule (by
 // CompiledRule.idx), delta atom and body atom, the index the atom probes, and
@@ -243,7 +256,8 @@ func MatchTuple(match []Match, t Tuple) bool {
 // bucket hash of the matched values, or nil when the table has none.
 func (tb *table) indexFor(match []Match) (*tableIndex, uint64) {
 next:
-	for _, ix := range tb.indexes {
+	for i := range tb.indexes {
+		ix := &tb.indexes[i]
 		if len(ix.spec.cols) != len(match) {
 			continue
 		}
@@ -270,30 +284,27 @@ next:
 // same filtered scan TuplesAt performs. The method never mutates the
 // engine, so concurrent diagnoses may query a shared replayed engine.
 func (e *Engine) TuplesMatchingAt(nodeName, tableName string, at Stamp, match []Match) []Tuple {
-	n := e.nodes[nodeName]
-	if n == nil {
-		return nil
-	}
-	tb := n.tables[tableName]
+	tb := e.table(nodeName, tableName)
 	if tb == nil {
 		return nil
 	}
-	rows := tb.order
-	if ix, h := tb.indexFor(match); ix != nil {
-		rows = ix.buckets[h]
-	}
 	var out []Tuple
-	for _, r := range rows {
-		if at.Before(r.appearedAt) {
-			continue
+	keep := func(r *row) {
+		if at.Before(r.appearedAt) || r.dead && !at.Before(r.diedAt) {
+			return
 		}
-		if r.dead && !at.Before(r.diedAt) {
-			continue
+		if MatchTuple(match, r.tuple) { // also turns away a bucket's hash collisions
+			out = append(out, r.tuple)
 		}
-		if !MatchTuple(match, r.tuple) {
-			continue // also turns away a bucket's hash collisions
+	}
+	if ix, h := tb.indexFor(match); ix != nil {
+		for _, pos := range ix.buckets.Get(h) {
+			keep(tb.order[pos])
 		}
-		out = append(out, r.tuple)
+		return out
+	}
+	for _, r := range tb.order {
+		keep(r)
 	}
 	return out
 }

@@ -111,14 +111,19 @@ func TestIndexBucketCollisions(t *testing.T) {
 		t.Fatal("the indexed run did not probe")
 	}
 	mixed := false
-	for _, ix := range eIdx.nodes["n1"].tables["link"].indexes {
-		if len(ix.buckets) > 2 {
-			t.Fatalf("index %s has %d buckets under a one-bit hash", ix.spec.sig, len(ix.buckets))
-		}
-		for _, rows := range ix.buckets {
-			for _, rw := range rows {
-				mixed = mixed || rw.tuple.Args[ix.spec.cols[0]] != rows[0].tuple.Args[ix.spec.cols[0]]
+	tb := eIdx.table("n1", "link")
+	for _, ix := range tb.indexes {
+		// Under a one-bit hash every position is in bucket 0 or 1.
+		held := 0
+		for h := uint64(0); h < 2; h++ {
+			bucket := ix.buckets.Get(h)
+			held += len(bucket)
+			for _, pos := range bucket {
+				mixed = mixed || tb.order[pos].tuple.Args[ix.spec.cols[0]] != tb.order[bucket[0]].tuple.Args[ix.spec.cols[0]]
 			}
+		}
+		if held != len(tb.order) {
+			t.Fatalf("index %s holds %d of %d rows in buckets 0 and 1 under a one-bit hash", ix.spec.sig, held, len(tb.order))
 		}
 	}
 	if !mixed {
@@ -480,11 +485,9 @@ func TestQuickMatchAgreesWithUnify(t *testing.T) {
 	}
 	// Multi-column buckets tell apart column values whose concatenation
 	// reads alike.
-	ix := &tableIndex{spec: &indexSpec{cols: []int{0, 1}, sig: "0,1"}, buckets: map[uint64][]*row{}}
-	ix.insert(&row{tuple: NewTuple("t", Str("x|i1"), Int(2))})
-	ix.insert(&row{tuple: NewTuple("t", Str("x"), Str("i1|i2"))})
-	if len(ix.buckets) != 2 {
-		t.Fatalf("multi-column rows share a bucket: %v", ix.buckets)
+	ix := &tableIndex{spec: &indexSpec{cols: []int{0, 1}, sig: "0,1"}}
+	if a, b := NewTuple("t", Str("x|i1"), Int(2)), NewTuple("t", Str("x"), Str("i1|i2")); ix.bucketOf(a) == ix.bucketOf(b) {
+		t.Fatalf("multi-column rows %v and %v share a bucket", a, b)
 	}
 }
 

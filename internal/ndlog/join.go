@@ -140,7 +140,7 @@ func (e *Engine) satBindings(r *CompiledRule, deltaAtom int, nodeName string, de
 // locOf returns Str(nodeName) as the node boxed it, or nil for a node the
 // engine has not seen (unify then boxes on demand).
 func (e *Engine) locOf(nodeName string) Value {
-	if n := e.nodes[nodeName]; n != nil {
+	if n := e.nodes.Get(nodeName); n != nil {
 		return n.loc
 	}
 	return nil
@@ -189,10 +189,10 @@ func (e *Engine) joinFrom(r *CompiledRule, deltaAtom int, evalNode string, next 
 	}
 	// Unbound location variable: try every node deterministically, binding
 	// it for the node's subtree only.
-	for _, nn := range e.nodeOrder {
+	for _, n := range e.nodeOrder {
 		mark := len(j.trail)
-		j.bind(atom.loc.slot, e.nodes[nn].loc)
-		err := e.joinNode(r, deltaAtom, evalNode, next, st, nn)
+		j.bind(atom.loc.slot, n.loc)
+		err := e.joinNode(r, deltaAtom, evalNode, next, st, n.name)
 		j.undo(mark)
 		if err != nil {
 			return err
@@ -208,28 +208,27 @@ func (e *Engine) joinFrom(r *CompiledRule, deltaAtom int, evalNode string, next 
 // quickMatch turns away like any other row that does not fit).
 func (e *Engine) joinNode(r *CompiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string) error {
 	atom := &r.body[next]
-	n := e.nodes[nodeName]
-	if n == nil {
-		return nil
-	}
-	tb := n.tables[atom.table]
+	tb := e.table(nodeName, atom.table)
 	if tb == nil {
 		return nil
 	}
-	rows := tb.order
+	// The atom's location is bound by now (joinFrom resolved or bound it),
+	// so no boxed node name is needed.
 	if spec := e.plans.plan(r, deltaAtom, next); spec != nil {
 		if h, ok := atom.probeHash(spec, e.join.frame); ok && spec.pos < len(tb.indexes) {
-			rows = tb.indexes[spec.pos].buckets[h]
 			e.stats.IndexProbes++
-		} else {
-			e.stats.IndexFallbacks++
+			for _, pos := range tb.indexes[spec.pos].buckets.Get(h) {
+				if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, tb.order[pos]); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
+		e.stats.IndexFallbacks++
 	} else {
 		e.stats.IndexScans++
 	}
-	for _, rw := range rows {
-		// The atom's location is bound by now (joinFrom resolved or bound
-		// it), so no boxed node name is needed.
+	for _, rw := range tb.order {
 		if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, rw); err != nil {
 			return err
 		}

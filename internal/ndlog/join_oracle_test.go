@@ -294,10 +294,10 @@ func (e *Engine) joinRest(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 	// bindings — on any exit path, including errors.
 	v := atom.Loc.(Var)
 	var out []oracleBinding
-	for _, nn := range e.nodeOrder {
+	for _, n := range e.nodeOrder {
 		bn := oracleBinding{env: b.env.clone(), body: b.body}
-		bn.env[string(v)] = Str(nn)
-		sub, err := e.joinAtom(r, deltaAtom, evalNode, bn, next, st, nn)
+		bn.env[string(v)] = Str(n.name)
+		sub, err := e.joinAtom(r, deltaAtom, evalNode, bn, next, st, n.name)
 		if err != nil {
 			return nil, err
 		}
@@ -310,18 +310,17 @@ func (e *Engine) joinRest(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 // binding per matching row and recursing over the remaining atoms.
 func (e *Engine) joinAtom(r *Rule, deltaAtom int, evalNode string, b oracleBinding, next int, st Stamp, nodeName string) ([]oracleBinding, error) {
 	atom := r.Body[next]
-	n := e.nodes[nodeName]
-	if n == nil {
-		return nil, nil
-	}
-	tb := n.tables[atom.Table]
+	tb := e.table(nodeName, atom.Table)
 	if tb == nil {
 		return nil, nil
 	}
 	rows := tb.order
 	if spec := e.plans.plan(e.compiled.rules[r.Name], deltaAtom, next); spec != nil {
 		if h, ok := envProbeHash(atom, spec, b.env); ok && spec.pos < len(tb.indexes) {
-			rows = tb.indexes[spec.pos].buckets[h]
+			rows = nil
+			for _, pos := range tb.indexes[spec.pos].buckets.Get(h) {
+				rows = append(rows, tb.order[pos])
+			}
 			e.stats.IndexProbes++
 		} else {
 			e.stats.IndexFallbacks++

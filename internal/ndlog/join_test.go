@@ -379,8 +379,9 @@ func TestJoinDifferential(t *testing.T) {
 				if p == c.deltaAtom {
 					continue
 				}
-				for _, nn := range c.e.nodeOrder {
-					tb := c.e.nodes[nn].tables[atom.Table]
+				for _, n := range c.e.nodeOrder {
+					nn := n.name
+					tb := c.e.table(nn, atom.Table)
 					if tb == nil {
 						continue
 					}

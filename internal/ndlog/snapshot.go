@@ -22,16 +22,13 @@ func (e *Engine) CaptureState() Snapshot {
 // event bumps the clock immediately.
 func (e *Engine) CaptureStateAt(tick int64) Snapshot {
 	s := Snapshot{Tick: tick, State: map[string]map[string][]Tuple{}}
-	for _, name := range e.nodeOrder {
-		n := e.nodes[name]
+	for _, n := range e.nodeOrder {
 		tbls := map[string][]Tuple{}
-		names := make([]string, 0, len(n.tables))
-		for tn := range n.tables {
-			names = append(names, tn)
-		}
-		sort.Strings(names)
-		for _, tn := range names {
-			tb := n.tables[tn]
+		for _, tn := range e.prog.declOrder {
+			tb := e.table(n.name, tn)
+			if tb == nil {
+				continue
+			}
 			var rows []Tuple
 			for _, r := range tb.order {
 				if !r.dead {
@@ -44,7 +41,7 @@ func (e *Engine) CaptureStateAt(tick int64) Snapshot {
 			}
 		}
 		if len(tbls) > 0 {
-			s.State[name] = tbls
+			s.State[n.name] = tbls
 		}
 	}
 	return s

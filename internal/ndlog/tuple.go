@@ -1,9 +1,6 @@
 package ndlog
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Tuple is a row of a table: the unit of system state and events.
 type Tuple struct {
@@ -18,13 +15,7 @@ func NewTuple(table string, args ...Value) Tuple {
 
 // Key returns a canonical string encoding of the tuple, suitable as a map
 // key. Two tuples have equal keys iff they are equal.
-func (t Tuple) Key() string {
-	kb := getKeyBuf()
-	b := t.appendKey(kb.b[:0])
-	s := string(b)
-	putKeyBuf(kb, b)
-	return s
-}
+func (t Tuple) Key() string { return Text(t.appendKey) }
 
 // WithKey calls fn with Key's bytes in a pooled buffer that is fn's only
 // for the call. It is for lookups by a tuple whose key is not at hand: a
@@ -60,23 +51,32 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
-// String renders the tuple in NDlog syntax, e.g. flowEntry(5, 1.2.3.0/24, 8).
-func (t Tuple) String() string {
-	var sb strings.Builder
-	sb.WriteString(t.Table)
-	sb.WriteByte('(')
+// String renders the tuple in NDlog syntax, e.g.
+// flowEntry(5, 1.2.3.0/24, "s2"); it allocates only the string.
+func (t Tuple) String() string { return Text(t.AppendTo) }
+
+// AppendTo appends the tuple's String to b.
+func (t Tuple) AppendTo(b []byte) []byte {
+	b = append(b, t.Table...)
+	b = append(b, '(')
 	for i, a := range t.Args {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		if s, ok := a.(Str); ok {
-			fmt.Fprintf(&sb, "%q", string(s))
-		} else {
-			sb.WriteString(a.String())
-		}
+		b = a.appendText(b)
 	}
-	sb.WriteByte(')')
-	return sb.String()
+	return append(b, ')')
+}
+
+// Text returns what render appends to an empty buffer, as a string. The
+// buffer is pooled, so the string is the one allocation: keys and String
+// methods built from append calls use it.
+func Text(render func(b []byte) []byte) string {
+	kb := getKeyBuf()
+	b := render(kb.b[:0])
+	s := string(b)
+	putKeyBuf(kb, b)
+	return s
 }
 
 // Clone returns a deep copy of the tuple.

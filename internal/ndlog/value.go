@@ -53,6 +53,9 @@ type Value interface {
 	Kind() Kind
 	String() string
 	appendKey(b []byte) []byte
+	// appendText appends the value as a tuple shows it (Tuple.String): a
+	// Str quoted as %q quotes it, any other value its String.
+	appendText(b []byte) []byte
 	// hash folds the value into a running hash-index bucket hash (index.go):
 	// values that are == hash alike.
 	hash(h uint64) uint64
@@ -84,6 +87,8 @@ func (v Int) appendKey(b []byte) []byte {
 	return strconv.AppendInt(b, int64(v), 10)
 }
 
+func (v Int) appendText(b []byte) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
 func (v Int) hash(h uint64) uint64 { return hashWord(h, 'i', uint64(v)) }
 
 // Str is a string value.
@@ -100,6 +105,8 @@ func (v Str) appendKey(b []byte) []byte {
 	b = append(b, ':')
 	return append(b, v...)
 }
+
+func (v Str) appendText(b []byte) []byte { return strconv.AppendQuote(b, string(v)) }
 
 func (v Str) hash(h uint64) uint64 {
 	h = hashWord(h, 's', uint64(len(v)))
@@ -128,6 +135,8 @@ func (v Bool) appendKey(b []byte) []byte {
 	}
 	return append(b, 'b', '0')
 }
+
+func (v Bool) appendText(b []byte) []byte { return append(b, v.String()...) }
 
 func (v Bool) hash(h uint64) uint64 {
 	if v {
@@ -170,7 +179,18 @@ func MustParseIP(s string) IP {
 func (IP) Kind() Kind { return KindIP }
 
 func (v IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	var buf [len("255.255.255.255")]byte
+	return string(v.appendText(buf[:0]))
+}
+
+func (v IP) appendText(b []byte) []byte {
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(v.Octet(i)), 10)
+	}
+	return b
 }
 
 func (v IP) appendKey(b []byte) []byte {
@@ -232,7 +252,14 @@ func (v IP) Mask(bits uint8) IP {
 func (Prefix) Kind() Kind { return KindPrefix }
 
 func (v Prefix) String() string {
-	return fmt.Sprintf("%s/%d", v.Addr.String(), v.Bits)
+	var buf [len("255.255.255.255/255")]byte
+	return string(v.appendText(buf[:0]))
+}
+
+func (v Prefix) appendText(b []byte) []byte {
+	b = v.Addr.appendText(b)
+	b = append(b, '/')
+	return strconv.AppendUint(b, uint64(v.Bits), 10)
 }
 
 func (v Prefix) appendKey(b []byte) []byte {
@@ -262,7 +289,15 @@ type ID uint64
 // Kind implements Value.
 func (ID) Kind() Kind { return KindID }
 
-func (v ID) String() string { return fmt.Sprintf("#%x", uint64(v)) }
+func (v ID) String() string {
+	var buf [len("#ffffffffffffffff")]byte
+	return string(v.appendText(buf[:0]))
+}
+
+func (v ID) appendText(b []byte) []byte {
+	b = append(b, '#')
+	return strconv.AppendUint(b, uint64(v), 16)
+}
 
 func (v ID) appendKey(b []byte) []byte {
 	b = append(b, '#')

@@ -187,6 +187,29 @@ func TestTreesAreFiniteAndSeeded(t *testing.T) {
 	}
 }
 
+// TestFindInTreeVisitsInTreeWalkOrder: FindInTree walks the graph in the
+// preorder Tree(id).Walk visits the projected tree, so a predicate that
+// holds from its k-th call on picks the walk's k-th vertex.
+func TestFindInTreeVisitsInTreeWalkOrder(t *testing.T) {
+	for seed := int64(20); seed < 25; seed++ {
+		_, g := randomExecution(t, seed, 100)
+		g.Vertexes(func(v *Vertex) {
+			var walk []*Vertex
+			g.Tree(v.ID).Walk(func(n *Tree) { walk = append(walk, n.Vertex) })
+			for k := 0; k < len(walk) && k < 40; k++ {
+				calls := 0
+				got := g.FindInTree(v.ID, func(*Vertex) bool { calls++; return calls > k })
+				if got != walk[k] {
+					t.Fatalf("seed %d, tree of vertex %d: FindInTree's pick %d is %v, the walk's is %v", seed, v.ID, k, got, walk[k])
+				}
+			}
+			if got := g.FindInTree(v.ID, func(*Vertex) bool { return false }); got != nil {
+				t.Fatalf("seed %d: FindInTree matched %v with a predicate that never holds", seed, got)
+			}
+		})
+	}
+}
+
 // TestReplayedGraphIdenticalToLive re-runs a random execution and checks
 // the graphs match vertex for vertex (the determinism DiffProv rests on).
 func TestReplayedGraphIdenticalToLive(t *testing.T) {

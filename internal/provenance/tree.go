@@ -36,6 +36,25 @@ func (g *Graph) Tree(rootID int) *Tree {
 	return t
 }
 
+// FindInTree returns the first vertex of the tree rooted at rootID, in the
+// preorder Tree(rootID).Walk visits it, for which pred holds, or nil. It
+// walks the graph and builds no tree, so it stops paying at the first match.
+func (g *Graph) FindInTree(rootID int, pred func(*Vertex) bool) *Vertex {
+	v := g.Vertex(rootID)
+	if v == nil {
+		return nil
+	}
+	if pred(v) {
+		return v
+	}
+	for _, c := range g.ChildrenOf(rootID) {
+		if m := g.FindInTree(c, pred); m != nil {
+			return m
+		}
+	}
+	return nil
+}
+
 // Detach makes the tree self-contained and returns it: every node points at
 // a private copy of its vertex (a vertex the tree shows twice is copied
 // once). A projected tree points into its graph's slab chunks, and its

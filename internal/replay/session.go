@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -33,12 +34,21 @@ type Change struct {
 	Tick   int64 // when to apply; "shortly before it is needed" (§4.8)
 }
 
+// String renders the change, e.g. `insert flowEntry(5, 1.2.3.0/24, "s2")
+// on s1 at t=7`; it allocates only the string.
 func (c Change) String() string {
-	op := "insert"
+	op := "insert "
 	if !c.Insert {
-		op = "delete"
+		op = "delete "
 	}
-	return fmt.Sprintf("%s %s on %s at t=%d", op, c.Tuple, c.Node, c.Tick)
+	return ndlog.Text(func(b []byte) []byte {
+		b = append(b, op...)
+		b = c.Tuple.AppendTo(b)
+		b = append(b, " on "...)
+		b = append(b, c.Node...)
+		b = append(b, " at t="...)
+		return strconv.AppendInt(b, c.Tick, 10)
+	})
 }
 
 // ReplayStats counts base-run and counterfactual-trial activity. The

@@ -18,16 +18,21 @@ import (
 // other side of the flat store's trade (DESIGN.md §22): a slab chunk's slack
 // must not cost them bytes — and the same holds of the engine's slabs (§23)
 // and of the reverse edges a vertex carries (§24). The ceilings are the
-// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the solver
-// binding map environments instead of the compiled rules' frames (§25):
+// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
+// before forks shared the engine's node and table maps and a clone's index
+// buckets, and before the argmax competitor's base was found without
+// building its tree (§30):
 //
 //	          allocs  before      KB    before
-//	MR1-D      6 593   8 753  3 299.7  3 537.4
-//	MR2-D      7 186   8 505  3 566.5  3 772.1
-//	SDN1         491     536     61.6     68.6
-//	SDN2         355     377     36.5     40.2
-//	SDN3         310     332     36.9     41.0
-//	SDN4         632     672     72.5     79.0
+//	MR1-D      6 068   6 591  3 232.6  3 284.9
+//	MR2-D      7 162   7 185  3 536.4  3 548.8
+//	SDN1         441     489     58.9     61.6
+//	SDN2         255     352     32.1     36.5
+//	SDN3         282     307     35.2     36.8
+//	SDN4         529     628     65.5     72.3
+//
+// For SDN1 and MR1-D it also logs the allocation ledger by layer
+// (ledger_test.go), and holds the ledger's window to this one's count.
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -36,12 +41,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 6692, 3349.2},
-		{"MR2-D", 7294, 3620.0},
-		{"SDN1", 498, 62.5},
-		{"SDN2", 360, 37.0},
-		{"SDN3", 315, 37.5},
-		{"SDN4", 641, 73.6},
+		{"MR1-D", 6159, 3281.1},
+		{"MR2-D", 7269, 3589.4},
+		{"SDN1", 448, 59.8},
+		{"SDN2", 259, 32.6},
+		{"SDN3", 286, 35.7},
+		{"SDN4", 537, 66.5},
 	}
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
@@ -76,6 +81,16 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		}
 		if kb > b.kb {
 			t.Errorf("%s: %.1f KB per warm diagnosis, budget %.1f", b.name, kb, b.kb)
+		}
+		if b.name == "SDN1" || b.name == "MR1-D" {
+			l := measureLedger(runs, diagnose)
+			t.Logf("%s ledger per warm diagnosis: %s", b.name, l)
+			if d := l.total()/allocs - 1; d > 0.02 || d < -0.02 {
+				t.Errorf("%s: the ledger's window counts %.1f allocations per warm diagnosis, the unprofiled one %.1f; want them within 2%%", b.name, l.total(), allocs)
+			}
+			if l.tiny() > 0.05*l.total() {
+				t.Errorf("%s: the ledger charges no layer for %.1f of %.1f allocations; want at most 5%%", b.name, l.tiny(), l.total())
+			}
 		}
 	}
 }
