@@ -187,7 +187,7 @@ func (e *Engine) aggregateStep(r *CompiledRule, nodeName string, b binding, st S
 		return nil
 	}
 
-	headKey := head.Key()
+	headKey := e.arena.key(head)
 	e.deriveID++
 	d := &Derivation{
 		ID:        e.deriveID,

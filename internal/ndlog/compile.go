@@ -657,13 +657,8 @@ func (cr *CompiledRule) appendBindingKey(b []byte, f []Value) []byte {
 	return b
 }
 
-// bindingKey is the canonical key of the frame's bound variables.
-func (cr *CompiledRule) bindingKey(f []Value) string {
-	return Text(func(b []byte) []byte { return cr.appendBindingKey(b, f) })
-}
-
-// bindingKeyLess reports bindingKey(a) < bindingKey(b) without building
-// either string.
+// bindingKeyLess reports whether a's binding key (appendBindingKey) sorts
+// before b's, without building either string.
 func (cr *CompiledRule) bindingKeyLess(a, b []Value) bool {
 	ka, kb := getKeyBuf(), getKeyBuf()
 	ba, bb := cr.appendBindingKey(ka.b[:0], a), cr.appendBindingKey(kb.b[:0], b)

@@ -37,9 +37,11 @@ import "repro/internal/cow"
 // ScheduleDelete are refused from now on, and so is any write to the tables
 // it owns, so forks clone a table on their first write to it. Replay
 // sessions seal the base run they evaluate once per log length; it is only
-// ever read and forked. Sealing is idempotent and writes nothing but the
-// flag, so it is safe while forks of earlier sealed engines run.
-func (e *Engine) Seal() { e.sealed = true }
+// ever read and forked. Sealing is idempotent and writes nothing a fork
+// reads but the flag, so it is safe while forks of earlier sealed engines
+// run. It drops the free lists of work items, which only a running engine
+// reuses.
+func (e *Engine) Seal() { e.sealed, e.freeBase, e.freeDelivery = true, nil, nil }
 
 // Sealed reports whether Seal froze the engine.
 func (e *Engine) Sealed() bool { return e.sealed }
@@ -109,19 +111,22 @@ func (e *Engine) Fork(obs Observer) *Engine {
 }
 
 // copyQueue copies the pending work heap. The heap is laid out in a
-// slice; copying it (with fresh work items) preserves the heap shape and
-// hence the pop order. Head.Stamp is filled in on delivery, so each
-// Derivation must be private to the copy; its Refs are write-once and
-// stay shared.
+// slice; copying it preserves the heap shape and hence the pop order. Each
+// copy is a work item of the fork's own, of the shape push makes, because
+// the fork recycles it (drain): a derived head's comes with its
+// Derivation, whose Head.Stamp is filled in on delivery; its Refs are
+// write-once and stay shared.
 func copyQueue(q workHeap) workHeap {
 	out := make(workHeap, len(q))
 	for i, it := range q {
-		fit := *it
-		if it.deriv != nil {
-			d := *it.deriv
-			fit.deriv = &d
+		if it.deriv == nil {
+			cp := *it
+			out[i] = &cp
+			continue
 		}
-		out[i] = &fit
+		dl := &delivery{it: *it, d: *it.deriv}
+		dl.it.deriv = &dl.d
+		out[i] = &dl.it
 	}
 	return out
 }

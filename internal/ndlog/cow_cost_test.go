@@ -106,3 +106,72 @@ func TestTableCloneCostIsIndependentOfBuckets(t *testing.T) {
 		t.Errorf("the first write to a sealed table allocates %.0f with 256 index buckets and %.0f with 1; want the same", many, one)
 	}
 }
+
+// TestForkedWorkItemsArePrivateAndPoisoned: a fork copies its base's
+// pending work into items of its own, and drain puts every item it has
+// processed on the engine's free list marked wkFree, which process refuses.
+// Two forks of a half-run engine, each drained, share no item with the base
+// or with each other.
+func TestForkedWorkItemsArePrivateAndPoisoned(t *testing.T) {
+	prog := MustParse(`
+table link/2 base mutable;
+table reach/2;
+rule direct reach(@S, S, D) :- link(@S, S, D).
+rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
+`)
+	e := New(prog, nil, WithSeqBand(SeqBandDefault))
+	for i, l := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "e"}} {
+		if err := e.ScheduleInsert(l[0], NewTuple("link", Str(l[0]), Str(l[1])), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	owner := map[*workItem]string{}
+	claim := func(who string, it *workItem) {
+		if prev, ok := owner[it]; ok && prev != who {
+			t.Errorf("a work item of %s is also %s's", who, prev)
+		}
+		owner[it] = who
+	}
+	for _, free := range []*workItem{e.freeBase, e.freeDelivery} {
+		for it := free; it != nil; it = it.next {
+			claim("the base", it)
+		}
+	}
+	for _, it := range e.queue {
+		claim("the base", it)
+	}
+	if len(e.queue) == 0 || e.freeBase == nil || e.freeDelivery == nil {
+		t.Fatalf("the cut left %d pending items and free lists %p, %p; want all three", len(e.queue), e.freeBase, e.freeDelivery)
+	}
+	e.Seal()
+	forks := []*Engine{e.Fork(nil), e.Fork(nil)}
+	for i, f := range forks {
+		who := fmt.Sprintf("fork %d", i)
+		for _, it := range f.queue {
+			claim(who, it)
+		}
+		if err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for shape, free := range map[string]*workItem{"base event": f.freeBase, "delivery": f.freeDelivery} {
+			if free == nil {
+				t.Errorf("%s recycled no %s item", who, shape)
+			}
+			for it := free; it != nil; it = it.next {
+				claim(who, it)
+				if it.kind != wkFree {
+					t.Errorf("%s: a recycled %s item has kind %d, want wkFree", who, shape, it.kind)
+				}
+				if (it.deriv != nil) != (shape == "delivery") {
+					t.Errorf("%s: a %s item on the wrong free list", who, shape)
+				}
+			}
+		}
+		if err := f.process(f.freeDelivery); err == nil {
+			t.Errorf("%s: process ran a recycled work item", who)
+		}
+	}
+}

@@ -157,7 +157,7 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 				if until != (Stamp{}) && !o.at.Before(until) {
 					return nil
 				}
-				return e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.tuple.Key(), o.at)
+				return e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, e.arena.key(o.tuple), o.at)
 			}
 			// Sorted prefix by binary search, then the short unsorted
 			// tail, then the fork-private tail.
@@ -203,10 +203,42 @@ func (e *Engine) refireAt(r *CompiledRule, p int, pinNode string, pin *row, q in
 		cause := keyedAt(pinNode, pin.tuple, pin.key, pin.appearedAt)
 		return e.reevalArgMax(r, q, nodeName, delta, key, st, cause)
 	}
-	e.rfPin, e.rfPinAtom, e.rfPinNode = pin, p, pinNode
+	rs := e.repairing()
+	rs.pin, rs.pinAtom, rs.pinNode = pin, p, pinNode
 	err := e.fireRule(r, q, nodeName, delta, key, st)
-	e.rfPin = nil
+	rs.pin = nil
 	return err
+}
+
+// repairState is what a repair in progress keeps between the calls that
+// make it. Few engines ever repair — a live engine fed in order never
+// does — so it is made on an engine's first repair (repairing).
+type repairState struct {
+	// reevals queues argmax trigger re-evaluations (drainCFReevals).
+	reevals []cfReeval
+	// pin pins one counterfactual row at body atom pinAtom (on node
+	// pinNode) during a delta re-fire, so the join matches only that row at
+	// the pinned position (joinFrom).
+	pin     *row
+	pinAtom int
+	pinNode string
+}
+
+// repairing returns the engine's repair state, making it on first use.
+func (e *Engine) repairing() *repairState {
+	if e.repair == nil {
+		e.repair = new(repairState)
+	}
+	return e.repair
+}
+
+// pinned returns the row a delta re-fire in progress pins at body atom i,
+// and its node; nil when none is.
+func (e *Engine) pinned(i int) (*row, string) {
+	if rs := e.repair; rs != nil && rs.pin != nil && rs.pinAtom == i {
+		return rs.pin, rs.pinNode
+	}
+	return nil, ""
 }
 
 // cfBackdateRow moves an already-live row's appearance back to an
@@ -334,7 +366,8 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 				// occurrence was the consumer's trigger and never happened.)
 				if r := e.compiled.rules[c.rule]; r != nil && r.argMaxSlot >= 0 {
 					trig := c.body[c.trigAtom]
-					e.cfReevals = append(e.cfReevals, cfReeval{
+					rs := e.repairing()
+					rs.reevals = append(rs.reevals, cfReeval{
 						rule: r, atom: c.trigAtom, node: trig.Node,
 						tuple: c.trigTuple, key: trig.Key, st: c.trigAt,
 						cause: cause,
@@ -449,10 +482,11 @@ type amTrigger struct {
 // amEntry records the argmax winner currently derived for one trigger
 // occurrence: the head it derived (for retraction when out-of-order work
 // flips the winner) and the winning binding's canonical key (to detect
-// that the winner is unchanged). Entries are write-once; updates store a
-// fresh entry. None is deleted: a stale one (its derivation has since been
-// retracted) is detected at use — the retraction is skipped and the
-// binding-key comparison still answers "did the winner change".
+// that the winner is unchanged). Entries are slots of the arena and
+// write-once, like evConsumer; updates store a fresh entry. None is
+// deleted: a stale one (its derivation has since been retracted) is
+// detected at use — the retraction is skipped and the binding-key
+// comparison still answers "did the winner change".
 type amEntry struct {
 	ref       dependentRef // the head's node, key and derivation
 	bk        string       // canonical key of the winning binding
@@ -466,7 +500,11 @@ type amEntry struct {
 // binding's max stamp (rules fire in processing order), so fireRule and
 // reevalArgMax key the entry by the delta that fired the rule.
 func (e *Engine) amEntryFor(r *CompiledRule, win binding, it *workItem) *amEntry {
-	ent := &amEntry{bk: r.bindingKey(win.frame), ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID}}
+	ent := e.arena.ams.one()
+	*ent = amEntry{
+		bk:  e.arena.text(func(b []byte) []byte { return r.appendBindingKey(b, win.frame) }),
+		ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID},
+	}
 	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
 		// Event heads have no row to retract; record the occurrence so a
 		// displaced winner can be erased instead.
@@ -511,7 +549,8 @@ func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 		return
 	}
 	node, key := sup.body[atom].Node, sup.body[atom].Key
-	e.cfReevals = append(e.cfReevals, cfReeval{
+	rs := e.repairing()
+	rs.reevals = append(rs.reevals, cfReeval{
 		rule: r, atom: atom, node: node, tuple: tuple, key: key, st: trig,
 		cause: keyedAt(node, tuple, key, st),
 	})
@@ -602,9 +641,9 @@ func rowAtStamp(tb *table, st Stamp) (*row, bool) {
 // idempotent (it compares winners before acting), so duplicates across
 // batches are harmless.
 func (e *Engine) drainCFReevals() error {
-	for len(e.cfReevals) > 0 {
-		batch := e.cfReevals
-		e.cfReevals = nil
+	for e.repair != nil && len(e.repair.reevals) > 0 {
+		batch := e.repair.reevals
+		e.repair.reevals = nil
 		sort.Slice(batch, func(i, j int) bool {
 			if batch[i].st != batch[j].st {
 				return batch[i].st.Before(batch[j].st)
@@ -645,8 +684,14 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 	win := sat[0]
 	trig := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
 	cur := e.amDeriv.Get(trig)
-	if cur != nil && cur.bk == r.bindingKey(win.frame) {
-		return nil // winner unchanged; the evaluated derivation stands (or fell with its own supports)
+	if cur != nil {
+		kb := getKeyBuf()
+		bk := r.appendBindingKey(kb.b[:0], win.frame)
+		same := cur.bk == string(bk)
+		putKeyBuf(kb, bk)
+		if same {
+			return nil // winner unchanged; the evaluated derivation stands (or fell with its own supports)
+		}
 	}
 	if cur != nil && !cur.eventHead {
 		// Retract the displaced winner's head. The support may already be

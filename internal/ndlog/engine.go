@@ -142,7 +142,11 @@ type Engine struct {
 	nodeOrder []*node
 	tables    cow.Overlay[tableRef, *table]
 	queue     workHeap
-	seq       uint64
+	// freeBase and freeDelivery list the processed work items drain
+	// recycled (push, recycle), of each shape, linked through
+	// workItem.next.
+	freeBase, freeDelivery *workItem
+	seq                    uint64
 	// seqBand splits the stamp sequence space when non-zero: externally
 	// scheduled base events draw from baseSeq (1..seqBand-1, in schedule
 	// order) while engine-internal stamps (derived arrivals, retractions,
@@ -191,23 +195,18 @@ type Engine struct {
 	// Schedule calls, and forks clone its tables on first write. See
 	// cow.go.
 	sealed bool
-	// Repair of out-of-order work; see delta.go. highWater is the newest
-	// stamp drain has processed: work stamped before it lands in an
-	// evaluated past, and only such work re-fires, erases and re-evaluates.
-	// settled marks an engine that has drained its queue once; each table
-	// written from then on is flagged and counted into Stats.DirtyTables
-	// (cfMarkDirty). cfReevals queues argmax trigger re-evaluations, and
-	// amDeriv maps each argmax trigger to the winner it currently supports.
-	highWater Stamp
+	// Repair of out-of-order work; see delta.go. settled marks an engine
+	// that has drained its queue once; each table written from then on is
+	// flagged and counted into Stats.DirtyTables (cfMarkDirty). highWater
+	// is the newest stamp drain has processed: work stamped before it lands
+	// in an evaluated past, and only such work re-fires, erases and
+	// re-evaluates. amDeriv maps each argmax trigger to the winner it
+	// currently supports, and repair holds what a repair in progress keeps
+	// (made on first use).
 	settled   bool
-	cfReevals []cfReeval
+	highWater Stamp
 	amDeriv   cow.Overlay[amTrigger, *amEntry]
-	// rfPin pins one counterfactual row at body atom rfPinAtom (on node
-	// rfPinNode) during a delta re-fire, so the join matches only that
-	// row at the pinned position.
-	rfPin     *row
-	rfPinAtom int
-	rfPinNode string
+	repair    *repairState
 	// evDeps maps a body element to the event-head derivations it fed, so
 	// the counterfactual phase can erase derived event occurrences whose
 	// preconditions are retracted (events have no rows, so the dependents
@@ -224,9 +223,9 @@ type Engine struct {
 	join joinScratch
 	// arena is where what this engine creates is allocated (slab.go); a fork
 	// starts with its own, empty. It is held by value, and every fork
-	// allocates an Engine: the bools above sit next to each other so that
-	// the struct stays in the 896-byte size class
-	// (TestEngineFitsItsSizeClass).
+	// allocates an Engine: the bools above sit next to each other, and the
+	// repair state is behind a pointer, so that the struct stays in the
+	// 896-byte size class (TestEngineFitsItsSizeClass).
 	arena arena
 }
 
@@ -374,14 +373,36 @@ const (
 	wkInsertBase workKind = iota
 	wkDeleteBase
 	wkArriveDerived
+	// wkFree marks an item on the free list. process refuses it, so a stale
+	// pointer to a recycled item fails instead of running as a zeroed item
+	// would, as a wkInsertBase.
+	wkFree
 )
 
+// workItem is one pending arrival of tuple on node at stamp: a base
+// insertion or deletion, or (wkArriveDerived) the head of derivation deriv.
+// Items are the engine's own and reused: drain puts each on the free list
+// of its shape once it is processed (recycle), push takes it from there,
+// and a fork copies its base's pending items into its own (copyQueue).
 type workItem struct {
 	stamp Stamp
 	kind  workKind
 	node  string
 	tuple Tuple
-	deriv *Derivation // for wkArriveDerived
+	// deriv is the Derivation of the delivery the item is part of, nil for
+	// a base event's; it stays the item's across reuse. Its Head.Stamp is
+	// filled in on delivery.
+	deriv *Derivation
+	next  *workItem // a free list's link
+}
+
+// delivery is the shape of a derived head's work item: the item and room
+// for the derivation it delivers, one block of 352 bytes. A base event's
+// item is a bare workItem, 96: a trial that schedules a change set makes
+// one per change before it has anything to recycle.
+type delivery struct {
+	it workItem
+	d  Derivation
 }
 
 type workHeap []*workItem
@@ -597,8 +618,46 @@ func (e *Engine) schedule(kind workKind, nodeName string, t Tuple, tick int64) e
 	if err != nil {
 		return err
 	}
-	heap.Push(&e.queue, &workItem{stamp: st, kind: kind, node: nodeName, tuple: t})
+	e.push(kind, nodeName, t, st, nil)
 	return nil
+}
+
+// push queues the arrival of t on node at st: a base event, or, given d,
+// the delivery of d's head. The item comes off the free list of its shape
+// when that holds one.
+func (e *Engine) push(kind workKind, node string, t Tuple, st Stamp, d *Derivation) *workItem {
+	free := &e.freeBase
+	if d != nil {
+		free = &e.freeDelivery
+	}
+	it := *free
+	switch {
+	case it != nil:
+		*free = it.next
+	case d != nil:
+		dl := new(delivery)
+		it, dl.it.deriv = &dl.it, &dl.d
+	default:
+		it = new(workItem)
+	}
+	if d != nil {
+		*it.deriv = *d
+	}
+	it.stamp, it.kind, it.node, it.tuple, it.next = st, kind, node, t, nil
+	heap.Push(&e.queue, it)
+	return it
+}
+
+// recycle puts a processed or dropped item on the free list of its shape:
+// cleared, so it keeps nothing it pointed at alive, and marked wkFree.
+func (e *Engine) recycle(it *workItem) {
+	free := &e.freeBase
+	if d := it.deriv; d != nil {
+		*d = Derivation{}
+		free = &e.freeDelivery
+	}
+	*it = workItem{kind: wkFree, deriv: it.deriv, next: *free}
+	*free = it
 }
 
 // PinImmutable marks one specific tuple occurrence immutable regardless of
@@ -667,6 +726,7 @@ func (e *Engine) drain(maxTick int64) error {
 		if err := e.process(it); err != nil {
 			return err
 		}
+		e.recycle(it)
 		if err := e.drainCFReevals(); err != nil {
 			return err
 		}
@@ -697,6 +757,7 @@ func (e *Engine) DropPendingBaseAfter(tick int64) int {
 	for _, it := range e.queue {
 		if (it.kind == wkInsertBase || it.kind == wkDeleteBase) && it.stamp.T > tick {
 			dropped++
+			e.recycle(it)
 			continue
 		}
 		kept = append(kept, it)
@@ -711,11 +772,13 @@ func (e *Engine) DropPendingBaseAfter(tick int64) int {
 	return dropped
 }
 
+// process evaluates one work item. Nothing it hands on points into the
+// item, which drain recycles once it returns.
 func (e *Engine) process(it *workItem) error {
 	switch it.kind {
 	case wkInsertBase:
 		e.stats.BaseInserts++
-		key := it.tuple.Key()
+		key := e.arena.key(it.tuple)
 		e.obs.OnBaseInsert(keyedAt(it.node, it.tuple, key, it.stamp))
 		return e.appear(it.node, it.tuple, key, it.stamp, 0, support{deriveID: 0})
 	case wkDeleteBase:
@@ -1081,17 +1144,9 @@ func (e *Engine) fireBinding(r *CompiledRule, deltaAtom int, nodeName string, b 
 	return nil
 }
 
-// delivery is what derive allocates to deliver a head: the work item and
-// the derivation it carries, as one block, neither of which is kept once the
-// head has arrived — which is why it is a heap object and not a slot of the
-// arena. The support references, which are kept, are the binding's.
-type delivery struct {
-	it workItem
-	d  Derivation
-}
-
 // derive produces the rule head for a satisfying binding and returns the
 // work item that will deliver it (destination, head tuple, delivery stamp).
+// The support references, which are kept, are the binding's.
 func (e *Engine) derive(r *CompiledRule, evalNode string, b binding, deltaAtom int, st Stamp) (*workItem, error) {
 	head, err := r.evalHead(&e.arena, b.frame)
 	if err != nil {
@@ -1105,16 +1160,6 @@ func (e *Engine) derive(r *CompiledRule, evalNode string, b binding, deltaAtom i
 		return nil, err
 	}
 	e.deriveID++
-	dl := new(delivery)
-	it, d := &dl.it, &dl.d
-	*d = Derivation{
-		ID:      e.deriveID,
-		Rule:    r.name,
-		Node:    evalNode,
-		Refs:    b.refs,
-		Trigger: deltaAtom,
-		Trig:    b.body[deltaAtom],
-	}
 	// Heads are always delivered through the work queue — local heads in
 	// the same tick, remote heads after the transit delay — so that long
 	// derivation chains iterate instead of recursing (a cyclic model
@@ -1124,16 +1169,15 @@ func (e *Engine) derive(r *CompiledRule, evalNode string, b binding, deltaAtom i
 		e.stats.Messages++
 		tick += e.delay
 	}
-	d.Head = keyedAt(destNode, head, head.Key(), Stamp{}) // stamp filled on delivery
-	*it = workItem{
-		stamp: e.nextStamp(tick),
-		kind:  wkArriveDerived,
-		node:  destNode,
-		tuple: head,
-		deriv: d,
-	}
-	heap.Push(&e.queue, it)
-	return it, nil
+	return e.push(wkArriveDerived, destNode, head, e.nextStamp(tick), &Derivation{
+		ID:      e.deriveID,
+		Rule:    r.name,
+		Node:    evalNode,
+		Head:    keyedAt(destNode, head, e.arena.key(head), Stamp{}), // stamp filled on delivery
+		Refs:    b.refs,
+		Trigger: deltaAtom,
+		Trig:    b.body[deltaAtom],
+	}), nil
 }
 
 // DeriveLimitError is what Run returns when the engine's derivation limit

@@ -152,6 +152,39 @@ rule r d(X) :- cfg(X).
 	}
 }
 
+// TestCaptureAllocatesPerRowNotPerComparison: a checkpoint's capture sorts
+// each table by the keys its rows hold, so what it allocates grows with
+// the rows it copies — one args slice each — and not with the O(n log n)
+// comparisons of the sort; a lookup in the snapshot allocates nothing.
+func TestCaptureAllocatesPerRowNotPerComparison(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := New(MustParse("table cfg/2 base mutable;"), nil)
+	const rows = 2000
+	for i := rows; i > 0; i-- { // keys inserted in descending order
+		if err := e.ScheduleInsert("n", NewTuple("cfg", Int(int64(i)), Str("v")), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	capture := testing.AllocsPerRun(5, func() { snap = e.CaptureState() })
+	t.Logf("capture of %d rows: %.0f allocations", rows, capture)
+	if capture > rows+32 {
+		t.Errorf("capture of %d rows allocates %.0f; want at most one per row and 32 more", rows, capture)
+	}
+	probe := NewTuple("cfg", Int(rows/2), Str("v"))
+	if !snap.Lookup("n", probe) {
+		t.Fatal("snapshot lookup misses a live row")
+	}
+	if lookup := testing.AllocsPerRun(20, func() { snap.Lookup("n", probe) }); lookup != 0 {
+		t.Errorf("snapshot lookup allocates %.0f; want 0", lookup)
+	}
+}
+
 func TestEngineErrorsOnBadRuleEval(t *testing.T) {
 	// Division by zero inside a rule surfaces as a Run error.
 	src := `

@@ -157,7 +157,7 @@ func (e *Engine) joinFrom(r *CompiledRule, deltaAtom int, evalNode string, next 
 	}
 	j := &e.join
 	atom := &r.body[next]
-	if e.rfPin != nil && next == e.rfPinAtom {
+	if pin, pinNode := e.pinned(next); pin != nil {
 		// Delta re-fire: the counterfactual row is pinned at this position
 		// (delta.go); only it may match, so bindings over main-phase rows
 		// alone — which the base run already derived — are not re-derived.
@@ -165,12 +165,12 @@ func (e *Engine) joinFrom(r *CompiledRule, deltaAtom int, evalNode string, next 
 		if err != nil {
 			return fmt.Errorf("ndlog: rule %s: %v", r.name, err)
 		}
-		if locKnown && locNode != e.rfPinNode {
+		if locKnown && locNode != pinNode {
 			return nil
 		}
 		// Under an unbound location variable the row binds it, to the
 		// pinned node.
-		return e.joinRow(r, deltaAtom, evalNode, next, st, e.rfPinNode, e.locOf(e.rfPinNode), e.rfPin)
+		return e.joinRow(r, deltaAtom, evalNode, next, st, pinNode, e.locOf(pinNode), pin)
 	}
 	if atom.decl == nil {
 		return fmt.Errorf("ndlog: rule %s: unknown table %s", r.name, atom.table)

@@ -270,7 +270,7 @@ func (e *Engine) joinRest(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 	if next == deltaAtom {
 		return e.joinRest(r, deltaAtom, evalNode, b, next+1, st)
 	}
-	if e.rfPin != nil && next == e.rfPinAtom {
+	if pin, _ := e.pinned(next); pin != nil {
 		return e.joinPinned(r, deltaAtom, evalNode, b, next, st)
 	}
 	atom := r.Body[next]
@@ -356,7 +356,7 @@ func (e *Engine) joinAtom(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 // body atom next, extending the binding and recursing like joinAtom.
 func (e *Engine) joinPinned(r *Rule, deltaAtom int, evalNode string, b oracleBinding, next int, st Stamp) ([]oracleBinding, error) {
 	atom := r.Body[next]
-	rw, nodeName := e.rfPin, e.rfPinNode
+	rw, nodeName := e.pinned(next)
 	locNode, locKnown, err := resolveEnv(atom.Loc, evalNode, b.env)
 	if err != nil {
 		return nil, fmt.Errorf("ndlog: rule %s: %v", r.Name, err)

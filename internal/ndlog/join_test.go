@@ -19,7 +19,7 @@ func sameBindings(r *CompiledRule, got []binding, want []oracleBinding) error {
 		return fmt.Errorf("%d bindings, oracle has %d", len(got), len(want))
 	}
 	for i := range want {
-		if g, w := r.bindingKey(got[i].frame), bindingKeyEnv(want[i].env); g != w {
+		if g, w := Text(func(b []byte) []byte { return r.appendBindingKey(b, got[i].frame) }), bindingKeyEnv(want[i].env); g != w {
 			return fmt.Errorf("binding %d: env %s, oracle %s", i, g, w)
 		}
 		if len(got[i].body) != len(want[i].body) || len(got[i].refs) != len(want[i].body) {
@@ -386,9 +386,10 @@ func TestJoinDifferential(t *testing.T) {
 						continue
 					}
 					for _, rw := range tb.order {
-						c.e.rfPin, c.e.rfPinAtom, c.e.rfPinNode = rw, p, nn
+						rs := c.e.repairing()
+						rs.pin, rs.pinAtom, rs.pinNode = rw, p, nn
 						_, _, err := c.fireBoth()
-						c.e.rfPin = nil
+						rs.pin = nil
 						if err != nil {
 							t.Fatalf("%s: pinned %s@%s at atom %d: %v", name, rw.tuple, nn, p, err)
 						}

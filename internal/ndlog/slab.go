@@ -60,9 +60,14 @@ func (s *slab[T]) clone(src []T, extra int) []T {
 func (s *slab[T]) one() *T { return &s.take(1, 0)[0] }
 
 // arena is the slabs of one engine — a root's or a fork's, never shared,
-// dying with it. What is deliberately not here: tuple keys (strings, built
-// once and shared by every map that indexes them), deliveries (dead once the
-// head has arrived) and the tables of Go maps.
+// dying with it. It holds what the engine creates per derivation and keeps:
+// rows and their supports, a binding's refs, a head's args, histories,
+// dependents, event consumers, argmax winners, and the bytes of the
+// canonical keys the engine renders and keeps (key). A key rendered
+// outside the engine (Tuple.Key, Text) stays a heap string: it is the
+// caller's, and must not keep an engine's chunks alive. Work items are not
+// here either: they die once processed, and the engine reuses them through
+// its free list (push, recycle). Nor are the tables of Go maps.
 type arena struct {
 	rows     slab[row]
 	supports slab[support]
@@ -72,4 +77,25 @@ type arena struct {
 	deps     slab[dependentRef]
 	evs      slab[evConsumer]
 	evLists  slab[*evConsumer]
+	ams      slab[amEntry]
+	keys     slab[byte]
 }
+
+// text returns what render appends to an empty buffer as a string whose
+// bytes are a window of the arena: rendered in the pooled key buffer and
+// copied, one allocation per chunk instead of one per string.
+func (a *arena) text(render func(b []byte) []byte) string {
+	kb := getKeyBuf()
+	b := render(kb.b[:0])
+	w := a.keys.take(len(b), 0)
+	copy(w, b)
+	putKeyBuf(kb, b)
+	// A string's bytes must never change. These do not: take hands a
+	// window out once, clipped to its length, and a slab never writes a
+	// window again or reuses a chunk, so after the copy above nothing
+	// writes them for as long as anything holds the string.
+	return unsafe.String(unsafe.SliceData(w), len(w))
+}
+
+// key returns t's canonical key (Tuple.Key) for the engine to keep.
+func (a *arena) key(t Tuple) string { return a.text(t.appendKey) }

@@ -1,6 +1,10 @@
 package ndlog
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+	"strings"
+)
 
 // Snapshot is a point-in-time capture of all live state tuples, keyed by
 // node and table. Event tuples are never part of a snapshot.
@@ -22,6 +26,7 @@ func (e *Engine) CaptureState() Snapshot {
 // event bumps the clock immediately.
 func (e *Engine) CaptureStateAt(tick int64) Snapshot {
 	s := Snapshot{Tick: tick, State: map[string]map[string][]Tuple{}}
+	var live []*row // one table's live rows, sorted by the keys they hold
 	for _, n := range e.nodeOrder {
 		tbls := map[string][]Tuple{}
 		for _, tn := range e.prog.declOrder {
@@ -29,16 +34,21 @@ func (e *Engine) CaptureStateAt(tick int64) Snapshot {
 			if tb == nil {
 				continue
 			}
-			var rows []Tuple
+			live = live[:0]
 			for _, r := range tb.order {
 				if !r.dead {
-					rows = append(rows, r.tuple.Clone())
+					live = append(live, r)
 				}
 			}
-			if len(rows) > 0 {
-				sort.Slice(rows, func(i, j int) bool { return rows[i].Key() < rows[j].Key() })
-				tbls[tn] = rows
+			if len(live) == 0 {
+				continue
 			}
+			slices.SortFunc(live, func(a, b *row) int { return strings.Compare(a.key, b.key) })
+			rows := make([]Tuple, len(live))
+			for i, r := range live {
+				rows[i] = r.tuple.Clone()
+			}
+			tbls[tn] = rows
 		}
 		if len(tbls) > 0 {
 			s.State[n.name] = tbls
@@ -49,16 +59,22 @@ func (e *Engine) CaptureStateAt(tick int64) Snapshot {
 
 // Lookup reports whether the snapshot contains the tuple on the node.
 // Rows are stored sorted by canonical key, so the lookup is a binary
-// search.
+// search; it renders the keys it compares into pooled buffers.
 func (s Snapshot) Lookup(node string, t Tuple) bool {
 	tbls, ok := s.State[node]
 	if !ok {
 		return false
 	}
 	rows := tbls[t.Table]
-	key := t.Key()
-	i := sort.Search(len(rows), func(i int) bool { return rows[i].Key() >= key })
-	return i < len(rows) && rows[i].Key() == key
+	kt, kr := getKeyBuf(), getKeyBuf()
+	key, rk := t.appendKey(kt.b[:0]), kr.b
+	_, found := slices.BinarySearchFunc(rows, key, func(r Tuple, key []byte) int {
+		rk = r.appendKey(rk[:0])
+		return bytes.Compare(rk, key)
+	})
+	putKeyBuf(kt, key)
+	putKeyBuf(kr, rk)
+	return found
 }
 
 // NumTuples returns the total number of tuples in the snapshot.

@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/ndlog"
 )
@@ -75,8 +76,9 @@ func TestFingerprintDistinguishesStructure(t *testing.T) {
 
 // TestTreeFingerprintFallback: every vertex carries its fingerprint, so a
 // detached tree (Tree.Detach) hashes with no fallback. It keeps every
-// fingerprint and label, and shares no Children backing array and no
-// tuple args with the graph it was projected from.
+// fingerprint and label, and shares no Children backing array, no tuple
+// args and no key bytes with the graph it was projected from (the keys are
+// windows of the engine's arena).
 func TestTreeFingerprintFallback(t *testing.T) {
 	_, g := runFwd(t)
 	id := g.LastAppear("h1", ndlog.NewTuple("packet", ndlog.MustParseIP("4.3.2.1"))).ID
@@ -103,6 +105,9 @@ func TestTreeFingerprintFallback(t *testing.T) {
 		}
 		if len(wv.Tuple.Args) > 0 && &dv.Tuple.Args[0] == &wv.Tuple.Args[0] {
 			t.Errorf("%s: detached vertex shares the engine's tuple args", wv)
+		}
+		if dv.key != wv.key || unsafe.StringData(dv.key) == unsafe.StringData(wv.key) {
+			t.Errorf("%s: detached vertex key %q shares the engine's bytes or differs from %q", wv, dv.key, wv.key)
 		}
 		if len(w.Children) != len(d.Children) {
 			t.Fatalf("%s: %d children detached, want %d", wv, len(d.Children), len(w.Children))

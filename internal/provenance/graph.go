@@ -106,11 +106,13 @@ type Vertex struct {
 }
 
 // detached returns a copy of the vertex that shares no storage with the
-// graph's vertex slab or children arena nor — its tuple cloned — with the
-// args chunks of the engine that reported it (Tree.Detach).
+// graph's vertex slab or children arena nor — its tuple and key cloned —
+// with the args and key chunks of the engine that reported it
+// (Tree.Detach).
 func (v *Vertex) detached() *Vertex {
 	cp := *v
 	cp.Tuple = v.Tuple.Clone()
+	cp.key = strings.Clone(v.key)
 	cp.Children = append([]int(nil), v.Children...)
 	return &cp
 }

@@ -58,8 +58,9 @@ func (g *Graph) FindInTree(rootID int, pred func(*Vertex) bool) *Vertex {
 // Detach makes the tree self-contained and returns it: every node points at
 // a private copy of its vertex (a vertex the tree shows twice is copied
 // once). A projected tree points into its graph's slab chunks, and its
-// tuples' args into the engine's, so one kept after its run has been dropped
-// — a scenario's reference tree — would keep whole chunks of both alive.
+// tuples' args and keys into the engine's, so one kept after its run has
+// been dropped — a scenario's reference tree — would keep whole chunks of
+// both alive.
 func (t *Tree) Detach() *Tree {
 	copies := map[*Vertex]*Vertex{}
 	t.Walk(func(n *Tree) {

@@ -19,17 +19,16 @@ import (
 // must not cost them bytes — and the same holds of the engine's slabs (§23)
 // and of the reverse edges a vertex carries (§24). The ceilings are the
 // readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
-// before forks shared the engine's node and table maps and a clone's index
-// buckets, and before the argmax competitor's base was found without
-// building its tree (§30):
+// before the engine kept its keys and argmax winners in its arena and
+// reused its work items (§31):
 //
 //	          allocs  before      KB    before
-//	MR1-D      6 068   6 591  3 232.6  3 284.9
-//	MR2-D      7 162   7 185  3 536.4  3 548.8
-//	SDN1         441     489     58.9     61.6
-//	SDN2         255     352     32.1     36.5
-//	SDN3         282     307     35.2     36.8
-//	SDN4         529     628     65.5     72.3
+//	MR1-D      4 372   6 064  3 223.1  3 227.7
+//	MR2-D      4 709   7 159  3 381.3  3 535.4
+//	SDN1         380     440     55.3     58.8
+//	SDN2         255     254     32.1     32.1
+//	SDN3         273     281     34.4     35.2
+//	SDN4         524     528     65.1     65.5
 //
 // For SDN1 and MR1-D it also logs the allocation ledger by layer
 // (ledger_test.go), and holds the ledger's window to this one's count.
@@ -41,12 +40,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 6159, 3281.1},
-		{"MR2-D", 7269, 3589.4},
-		{"SDN1", 448, 59.8},
+		{"MR1-D", 4438, 3271.4},
+		{"MR2-D", 4780, 3432.0},
+		{"SDN1", 386, 56.1},
 		{"SDN2", 259, 32.6},
-		{"SDN3", 286, 35.7},
-		{"SDN4", 537, 66.5},
+		{"SDN3", 277, 34.9},
+		{"SDN4", 532, 66.1},
 	}
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
@@ -99,10 +98,11 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 // ingest-durable workload measures with a store underneath — packets streamed
 // into the Figure 1 network in batches of 64, each batch run to quiescence —
 // here into an in-memory session, so forward evaluation and logging are gated
-// in go test and not only by the harness. It reads 26.1 allocations and
-// 9.23 KB per event (49.0 and 9.69 KB at the commit before the engine's
-// slabs); the ceilings are those plus 5 %, inside the 38 / 9.9 the harness's
-// store-backed workload is held to.
+// in go test and not only by the harness. It reads 5.11 allocations and
+// 7.39 KB per event (26.1 and 9.23 KB at the commit before the engine kept
+// its keys and argmax winners in its arena and reused its work items,
+// DESIGN.md §31); the ceilings are those plus 5 %, inside the 38 / 9.9 the
+// harness's store-backed workload is held to.
 func TestIngestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -137,8 +137,8 @@ func TestIngestAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocs := float64(after.Mallocs-before.Mallocs) / packets
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / packets / 1024
-	t.Logf("%.1f allocs, %.2f KB per ingested event", allocs, kb)
-	if allocs > 27.5 || kb > 9.7 {
-		t.Errorf("%.1f allocs and %.2f KB per ingested event, budget 27.5 and 9.7", allocs, kb)
+	t.Logf("%.2f allocs, %.2f KB per ingested event", allocs, kb)
+	if allocs > 5.37 || kb > 7.76 {
+		t.Errorf("%.2f allocs and %.2f KB per ingested event, budget 5.37 and 7.76", allocs, kb)
 	}
 }
