@@ -502,11 +502,60 @@ rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
 	}
 }
 
+// The aggregate of BenchmarkDiagnosisCandidates: collector A saw
+// aggContributors reports, collector B missed aggMissing of them.
+const (
+	aggProgram = `
+table report/1 event base mutable;
+table tally/1;
+rule t tally(@C, N) :- report(@C, S), N := count().
+`
+	aggContributors = 200
+	aggMissing      = 16
+)
+
+// buildAggregate runs the aggregate and returns its world and the good
+// (collector A) and bad (collector B) tally trees.
+func buildAggregate(tb testing.TB) (diffprov.World, *diffprov.Tree, *diffprov.Tree) {
+	tb.Helper()
+	sess := diffprov.NewSession(diffprov.MustParse(aggProgram), diffprov.WithCheckpointEvery(48))
+	tick := int64(0)
+	for i := 0; i < aggContributors; i++ {
+		if err := sess.Insert("A", diffprov.NewTuple("report", diffprov.Int(int64(i))), tick); err != nil {
+			tb.Fatal(err)
+		}
+		tick++
+		if i < aggContributors-aggMissing {
+			if err := sess.Insert("B", diffprov.NewTuple("report", diffprov.Int(int64(i))), tick); err != nil {
+				tb.Fatal(err)
+			}
+			tick++
+		}
+	}
+	if err := sess.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	_, g, err := sess.Graph()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	goodV := g.LastAppear("A", diffprov.NewTuple("tally", diffprov.Int(aggContributors)))
+	badV := g.LastAppear("B", diffprov.NewTuple("tally", diffprov.Int(aggContributors-aggMissing)))
+	if goodV == nil || badV == nil {
+		tb.Fatal("tally tuples not found")
+	}
+	world, err := diffprov.NewWorld(sess)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return world, g.Tree(goodV.ID), g.Tree(badV.ID)
+}
+
 // BenchmarkDiagnosisCandidates measures counterfactual candidate
 // evaluation — the dominant cost of a diagnosis with minimization (§4.9)
-// over an aggregate: the bad collector is missing `missing` contributor
-// reports, so the diagnosis yields `missing` insert changes and the
-// minimization pass replays `missing` independent drop candidates (all of
+// over an aggregate: the bad collector is missing aggMissing contributor
+// reports, so the diagnosis yields aggMissing insert changes and the
+// minimization pass replays aggMissing independent drop candidates (all of
 // which fail, since every insert is necessary). The variants isolate the
 // two tentpole optimizations: parallel evaluation of the candidates over
 // pooled session clones, and the fingerprint-keyed alignment memo that
@@ -514,50 +563,6 @@ rule j hit(S, D) :- probe(@r, S), edge(@r, S, D).
 // Results are byte-identical across all variants (see
 // TestParallelDifferential); only the wall clock moves.
 func BenchmarkDiagnosisCandidates(b *testing.B) {
-	const aggProgram = `
-table report/1 event base mutable;
-table tally/1;
-rule t tally(@C, N) :- report(@C, S), N := count().
-`
-	const (
-		contributors = 200 // reports at the good collector A
-		missing      = 16  // reports the bad collector B never saw
-	)
-	prog := diffprov.MustParse(aggProgram)
-	build := func(b *testing.B) (diffprov.World, *diffprov.Tree, *diffprov.Tree) {
-		b.Helper()
-		sess := diffprov.NewSession(prog, diffprov.WithCheckpointEvery(48))
-		tick := int64(0)
-		for i := 0; i < contributors; i++ {
-			if err := sess.Insert("A", diffprov.NewTuple("report", diffprov.Int(int64(i))), tick); err != nil {
-				b.Fatal(err)
-			}
-			tick++
-			if i < contributors-missing {
-				if err := sess.Insert("B", diffprov.NewTuple("report", diffprov.Int(int64(i))), tick); err != nil {
-					b.Fatal(err)
-				}
-				tick++
-			}
-		}
-		if err := sess.Run(); err != nil {
-			b.Fatal(err)
-		}
-		_, g, err := sess.Graph()
-		if err != nil {
-			b.Fatal(err)
-		}
-		goodV := g.LastAppear("A", diffprov.NewTuple("tally", diffprov.Int(contributors)))
-		badV := g.LastAppear("B", diffprov.NewTuple("tally", diffprov.Int(contributors-missing)))
-		if goodV == nil || badV == nil {
-			b.Fatal("tally tuples not found")
-		}
-		world, err := diffprov.NewWorld(sess)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return world, g.Tree(goodV.ID), g.Tree(badV.ID)
-	}
 	for _, variant := range []struct {
 		name string
 		opts diffprov.Options
@@ -567,7 +572,7 @@ rule t tally(@C, N) :- report(@C, S), N := count().
 		{"parallel8", diffprov.Options{Parallelism: 8, Minimize: true}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			world, good, bad := build(b)
+			world, good, bad := buildAggregate(b)
 			// Warm once: the first diagnosis materializes the replay
 			// prefix every later candidate evaluation forks.
 			if _, err := diffprov.Diagnose(good, bad, world, variant.opts); err != nil {
@@ -579,8 +584,8 @@ rule t tally(@C, N) :- report(@C, S), N := count().
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Changes) != missing {
-					b.Fatalf("Δ = %d changes, want %d", len(res.Changes), missing)
+				if len(res.Changes) != aggMissing {
+					b.Fatalf("Δ = %d changes, want %d", len(res.Changes), aggMissing)
 				}
 			}
 		})

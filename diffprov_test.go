@@ -2,6 +2,7 @@ package diffprov_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	diffprov "repro"
@@ -213,5 +214,40 @@ func TestFacadeAutoDiagnose(t *testing.T) {
 	}
 	if ref == nil || len(res.Changes) != 1 {
 		t.Fatalf("autodiagnose = %v / %v", res.Changes, ref)
+	}
+}
+
+// TestAggregateMinimizeParallelMatchesSequential runs
+// BenchmarkDiagnosisCandidates' aggregate with minimization at width 8 and
+// sequentially and requires the same changes, byte for byte, with the
+// fingerprint memo on and off. Every drop candidate of the minimization
+// fails, so at width 8 each one is replayed on a pool worker, and with the
+// memo off each worker re-solves the aggregate's alignment: under -race
+// this also shows that no two workers share solver scratch.
+func TestAggregateMinimizeParallelMatchesSequential(t *testing.T) {
+	world, good, bad := buildAggregate(t)
+	for _, nofp := range []bool{false, true} {
+		var want string
+		for _, par := range []int{-1, 8} {
+			opts := diffprov.Options{Parallelism: par, Minimize: true, DisableFingerprints: nofp}
+			res, err := diffprov.Diagnose(good, bad, world, opts)
+			if err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			if len(res.Changes) != aggMissing {
+				t.Fatalf("%+v: Δ = %d changes, want %d", opts, len(res.Changes), aggMissing)
+			}
+			got := fmt.Sprint(res.Changes)
+			if par < 0 {
+				want = got
+				continue
+			}
+			if res.Stats.ParallelCandidates == 0 {
+				t.Errorf("%+v: no candidate ran on a pool worker", opts)
+			}
+			if got != want {
+				t.Errorf("%+v: Δ = %s, sequential Δ = %s", opts, got, want)
+			}
+		}
 	}
 }

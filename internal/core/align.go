@@ -33,7 +33,7 @@ func endOfTick(t int64) ndlog.Stamp {
 // the equivalent bad-world tuple at each level and checking it against
 // the bad execution's actual derivations. It returns nil when the chains
 // align all the way to the root (the trees are equivalent).
-func (d *diag) firstDivergence(chainG []gLevel, w World, seedB ndlog.At) (*divergence, error) {
+func (d *diag) firstDivergence(ss *solvers, chainG []gLevel, w World, seedB ndlog.At) (*divergence, error) {
 	g := w.Graph()
 
 	// Locate the bad seed's APPEAR in the (possibly updated) bad graph:
@@ -89,7 +89,7 @@ func (d *diag) firstDivergence(chainG []gLevel, w World, seedB ndlog.At) (*diver
 			atomic.AddInt64(&d.stats.FingerprintHits, 1)
 		} else {
 			var err error
-			expected, err = d.expectedAtLevel(lvl, rule, trigIdx, w, cur)
+			expected, err = d.expectedAtLevel(ss.get(0), lvl, rule, trigIdx, w, cur)
 			if err != nil {
 				return nil, err
 			}
@@ -168,17 +168,12 @@ type alignKey struct {
 	curKey   string
 }
 
-// expectedAtLevel runs the §4.4 forward prediction for one chain level:
-// the head occurrence the bad world should derive from cur via the good
-// derivation's rule, with side variables defaulted to good values.
-func (d *diag) expectedAtLevel(lvl gLevel, rule *ndlog.Rule, trigIdx int, w World, cur ndlog.At) (ndlog.At, error) {
-	children, err := gChildrenOf(lvl.derive)
-	if err != nil {
+// expectedAtLevel runs the §4.4 forward prediction for one chain level,
+// on solver s: the head occurrence the bad world should derive from cur via
+// the good derivation's rule, with side variables defaulted to good values.
+func (d *diag) expectedAtLevel(s *solver, lvl gLevel, rule *ndlog.Rule, trigIdx int, w World, cur ndlog.At) (ndlog.At, error) {
+	if err := s.load(d.prog, rule, lvl.derive); err != nil {
 		return ndlog.At{}, err
-	}
-	s, err := newSolver(d.prog, rule, childAts(children))
-	if err != nil {
-		return ndlog.At{}, failf(NoProgress, "%v", err)
 	}
 	if err := s.bindTrigger(trigIdx, cur); err != nil {
 		return ndlog.At{}, failf(NoProgress, "%v", err)
@@ -270,14 +265,14 @@ func (d *diag) makeAppear(w World, gDerive *provenance.Tree, expected ndlog.At, 
 	if rule == nil {
 		return failf(NoProgress, "rule %s is not in the program", gDerive.Vertex.Rule)
 	}
-	children, err := gChildrenOf(gDerive)
-	if err != nil {
+	// The diagnosis' own goroutine is the only one that makes tuples
+	// appear, so the solver of this depth is its scratch's; the deeper
+	// ones the recursion below takes leave this one alone.
+	s := d.solve.get(depth)
+	if err := s.load(d.prog, rule, gDerive); err != nil {
 		return err
 	}
-	s, err := newSolver(d.prog, rule, childAts(children))
-	if err != nil {
-		return failf(NoProgress, "%v", err)
-	}
+	children := s.children
 	if rule.CountVar != "" {
 		// Aggregates bind only the group variables (from the expected
 		// head); contributor-specific fields vary per contributor and
@@ -396,7 +391,7 @@ func (d *diag) adoptExistingSides(w World, rule *ndlog.Rule, s *solver, trigB *n
 		for _, nn := range nodes {
 			for _, t := range w.TuplesAt(nn, atom.Table, endOfTick(needBy)) {
 				copy(trial, base)
-				if !s.cr.Unify(k, trial, nn, t) {
+				if !s.cr.Unify(k, trial, s.ss.loc(nn), t) {
 					continue
 				}
 				if !s.constraintsHold(trial) || !s.headConsistent(trial, expected) {
@@ -476,13 +471,14 @@ func (d *diag) makeAggregateAppear(w World, rule *ndlog.Rule, children []childAt
 		return err
 	}
 	atom := rule.Body[0]
-	envC, envG := s.cr.Frame(), s.cr.Frame()
+	s.frames[0], s.frames[1] = frame(s.frames[0], len(s.envB)), frame(s.frames[1], len(s.envB))
+	envC, envG := s.frames[0], s.frames[1]
 	for _, gc := range children {
 		// Bind the contributor's own fields from the good occurrence,
 		// keeping the head-derived (tainted) bindings.
 		copy(envC, s.envB)
 		clear(envG)
-		if !s.cr.Unify(0, envG, gc.at.Node, gc.at.Tuple) {
+		if !s.cr.Unify(0, envG, s.ss.loc(gc.at.Node), gc.at.Tuple) {
 			return failf(NoProgress, "contributor %s does not unify with %s", gc.at.Tuple, atom)
 		}
 		for slot, v := range envG {

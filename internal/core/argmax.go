@@ -150,7 +150,7 @@ func (d *diag) deleteTick(w World, side ndlog.At, needBy int64) int64 {
 func (d *diag) joinCandidates(w World, s *solver, trigIdx int, trigB ndlog.At, asOf ndlog.Stamp) ([]candidate, error) {
 	rule, cr := s.rule, s.cr
 	f := cr.Frame()
-	if !cr.Unify(trigIdx, f, trigB.Node, trigB.Tuple) {
+	if !cr.Unify(trigIdx, f, s.ss.loc(trigB.Node), trigB.Tuple) {
 		return nil, failf(NoProgress, "trigger %s does not unify with %s", trigB.Tuple, rule.Body[trigIdx])
 	}
 	seed := candidate{frame: f, body: make([]ndlog.At, len(rule.Body))}
@@ -218,7 +218,7 @@ func (d *diag) joinRest(w World, s *solver, trigIdx int, evalNode string, c cand
 	for _, nn := range nodes {
 		for _, t := range d.tuplesAtWithPending(w, nn, atom.Table, asOf) {
 			copy(f, c.frame)
-			if !cr.Unify(next, f, nn, t) {
+			if !cr.Unify(next, f, s.ss.loc(nn), t) {
 				continue
 			}
 			c2 := candidate{frame: slices.Clone(f), body: make([]ndlog.At, len(c.body))}

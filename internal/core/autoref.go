@@ -133,7 +133,7 @@ func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts O
 	}
 	var stats DiagStats
 	var pool candidatePool
-	pool.init(w, opts.parallelism(), &stats)
+	pool.init(w, opts.parallelism(), &stats, nil) // each candidate diagnosis solves on its own scratch
 	defer pool.drain()
 	inner := opts
 	inner.Parallelism = -1
@@ -142,7 +142,7 @@ func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts O
 		err error
 	}
 	vals, ran, best := runCandidates(ctx, &pool, len(cands),
-		func(ww World, i int) (outcome, bool) {
+		func(ww World, _ *solvers, i int) (outcome, bool) {
 			res, err := Diagnose(ctx, cands[i].Tree, badTree, ww, inner)
 			return outcome{res: res, err: err}, err == nil && len(res.Changes) > 0
 		})

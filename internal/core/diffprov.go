@@ -171,6 +171,9 @@ type diag struct {
 	// pool evaluates minimize and fallback candidates at the diagnosis'
 	// width (Options.Parallelism).
 	pool candidatePool
+	// solve is the solver scratch of the goroutine that runs the diagnosis
+	// (MAKEAPPEAR, and FIRSTDIV outside the pool's workers).
+	solve solvers
 	// sliceOnce/slice lazily cache the static slice of the symptom table
 	// (the good chain's root) used to prune fallback candidates; nil
 	// when slicing is disabled (see fallback.go).
@@ -217,7 +220,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 	}
 	// The pool keeps the pre-diagnosis world: candidates replay their full
 	// cumulative change list against it.
-	d.pool.init(world, opts.parallelism(), &d.stats)
+	d.pool.init(world, opts.parallelism(), &d.stats, &d.solve)
 	defer d.pool.drain()
 
 	// Step 1: find the seeds and check comparability (§4.2-4.3).
@@ -256,7 +259,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 		res.Iterations = iter + 1
 		// Step 2: find the first divergence (§4.4).
 		t1 := time.Now()
-		div, err := d.firstDivergence(chainG, world, seedB)
+		div, err := d.firstDivergence(&d.solve, chainG, world, seedB)
 		d.timings.Divergence += time.Since(t1)
 		if err != nil {
 			return nil, err
@@ -344,10 +347,10 @@ func (d *diag) minimize(ctx context.Context, res *Result, chainG []gLevel, seedB
 			return fmt.Errorf("diffprov: minimization interrupted: %w", err)
 		}
 		vals, ran, best := runCandidates(ctx, &d.pool, len(changes)-start,
-			func(w World, k int) (trial, bool) {
+			func(w World, ss *solvers, k int) (trial, bool) {
 				i := start + k
 				candidate := append(append([]replay.Change(nil), changes[:i]...), changes[i+1:]...)
-				tr := d.try(ctx, w, candidate, chainG, seedB)
+				tr := d.try(ctx, w, ss, candidate, chainG, seedB)
 				return tr, tr.err == nil && tr.div == nil
 			})
 		if err := d.settle(ctx, vals, ran); err != nil {
@@ -403,10 +406,9 @@ type childAt struct {
 	base  bool             // cause is an INSERT
 }
 
-// gChildrenOf extracts the body occurrences of a DERIVE tree node in body
-// order, along with the cause subtree under each.
-func gChildrenOf(dn *provenance.Tree) ([]childAt, error) {
-	out := make([]childAt, 0, len(dn.Children))
+// gChildrenOf appends to out the body occurrences of a DERIVE tree node in
+// body order, along with the cause subtree under each.
+func gChildrenOf(out []childAt, dn *provenance.Tree) ([]childAt, error) {
 	for _, c := range dn.Children {
 		v := c.Vertex
 		causeHolder := c
@@ -429,14 +431,6 @@ func gChildrenOf(dn *provenance.Tree) ([]childAt, error) {
 		out = append(out, ca)
 	}
 	return out, nil
-}
-
-func childAts(cs []childAt) []ndlog.At {
-	out := make([]ndlog.At, len(cs))
-	for i, c := range cs {
-		out[i] = c.at
-	}
-	return out
 }
 
 // mergeChanges deduplicates changes that differ only in injection time

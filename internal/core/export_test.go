@@ -2,35 +2,61 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
 )
 
-// SolveDerivation re-solves one good DERIVE against itself — newSolver over
-// its children, bindTrigger on its own trigger, propagate and verify against
-// the head it derived (at head) — the solver steps MAKEAPPEAR runs per
-// derivation. It is exported to the core_test package, whose allocation
-// guard builds the scenarios (they import core, so a test inside core
-// cannot).
-func SolveDerivation(prog *ndlog.Program, derive *provenance.Tree, head ndlog.At) error {
+// Solvers is a goroutine's solver scratch, exported to the core_test
+// package.
+type Solvers = solvers
+
+// SolveDerivation re-solves one good DERIVE against itself on the solver of
+// recursion depth 0 of ss — load over its children, bindTrigger on its own
+// trigger, propagate and verify against the head it derived (at head) — the
+// solver steps MAKEAPPEAR runs per derivation. It is exported to the
+// core_test package, whose allocation guards build the scenarios (they
+// import core, so a test inside core cannot).
+func SolveDerivation(ss *Solvers, prog *ndlog.Program, derive *provenance.Tree, head ndlog.At) error {
 	rule := prog.Rule(derive.Vertex.Rule)
 	if rule == nil {
 		return fmt.Errorf("rule %s is not in the program", derive.Vertex.Rule)
 	}
-	children, err := gChildrenOf(derive)
-	if err != nil {
-		return err
-	}
-	s, err := newSolver(prog, rule, childAts(children))
-	if err != nil {
+	s := ss.get(0)
+	if err := s.load(prog, rule, derive); err != nil {
 		return err
 	}
 	trig := triggerAtomIndex(rule, derive)
-	if err := s.bindTrigger(trig, children[trig].at); err != nil {
+	if err := s.bindTrigger(trig, s.children[trig].at); err != nil {
 		return err
 	}
 	s.propagate(&head)
-	_, err = s.verify(head)
+	_, err := s.verify(head)
 	return err
+}
+
+// Arrays names the solver of a depth and the arrays behind its slices, so
+// a test can tell whether a solve reused them or made new ones.
+func (ss *Solvers) Arrays(depth int) []uintptr {
+	s := ss.get(depth)
+	return []uintptr{
+		uintptr(unsafe.Pointer(s)),
+		uintptr(unsafe.Pointer(unsafe.SliceData(s.envG))),
+		uintptr(unsafe.Pointer(unsafe.SliceData(s.envB))),
+		uintptr(unsafe.Pointer(unsafe.SliceData(s.source))),
+		uintptr(unsafe.Pointer(unsafe.SliceData(s.frames[0]))),
+		uintptr(unsafe.Pointer(unsafe.SliceData(s.children))),
+		uintptr(unsafe.Pointer(unsafe.SliceData(s.preimages))),
+	}
+}
+
+// newSolver binds a fresh solver to a derivation given by its body
+// occurrences alone, for the solver-level tests.
+func newSolver(prog *ndlog.Program, rule *ndlog.Rule, children []ndlog.At) (*solver, error) {
+	s := new(solvers).get(0)
+	for _, c := range children {
+		s.children = append(s.children, childAt{at: c})
+	}
+	return s, s.reset(prog, rule)
 }

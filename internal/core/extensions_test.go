@@ -80,7 +80,7 @@ func TestMinimizeRemovesGenuinelyRedundantChange(t *testing.T) {
 	// Minimize on a world pre-loaded with the redundant change.
 	_ = w2
 	d := &diag{prog: world.Program(), opts: Options{MaxRounds: 8, InjectSlack: 2, MaxDepth: 64}}
-	d.pool.init(world, 1, &d.stats)
+	d.pool.init(world, 1, &d.stats, &d.solve)
 	chainG, err := goodChain(good)
 	if err != nil {
 		t.Fatal(err)

@@ -146,12 +146,12 @@ func (d *diag) fallbackChange(ctx context.Context, world World, chainG []gLevel,
 	// injected changes shifting sequence numbers cannot flip it.
 	divIdx := levelIndex(chainG, div)
 	vals, ran, best := runCandidates(ctx, &d.pool, len(cands),
-		func(w World, k int) (trial, bool) {
+		func(w World, ss *solvers, k int) (trial, bool) {
 			// The pool's worlds are the pre-diagnosis base world or forks
 			// of it: replay the full cumulative list, so the counterfactual
 			// (and its memo key) is the same at every width.
 			full := append(append([]replay.Change(nil), d.applied...), cands[k])
-			tr := d.try(ctx, w, full, chainG, seedB)
+			tr := d.try(ctx, w, ss, full, chainG, seedB)
 			ok := tr.err == nil && (tr.div == nil || levelIndex(chainG, tr.div) > divIdx)
 			// Only the verdict is kept: the winner is replayed again by the
 			// round's UPDATETREE, and up to 64 replayed worlds would

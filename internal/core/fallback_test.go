@@ -167,7 +167,7 @@ func TestWidthOnePoolAllocatesNothing(t *testing.T) {
 	d := &diag{}
 	allocs := testing.AllocsPerRun(100, func() {
 		d.pool = candidatePool{}
-		d.pool.init(world, (&Options{Parallelism: 1}).parallelism(), &d.stats)
+		d.pool.init(world, (&Options{Parallelism: 1}).parallelism(), &d.stats, &d.solve)
 		d.pool.drain()
 	})
 	if allocs != 0 || d.pool.sem != nil || d.pool.idle != nil {

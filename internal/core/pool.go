@@ -2,9 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,42 +34,54 @@ func (o *Options) parallelism() int {
 // the base world. At width 1 — or over a world that cannot fork workers:
 // imperative substrates re-run jobs whose concurrent determinism is not
 // guaranteed — candidates are evaluated on the base world itself, and the
-// pool holds nothing but that world.
+// pool holds nothing but that world (and the solver scratch of the
+// goroutine that evaluates them).
 type candidatePool struct {
 	base    World
+	inline  *solvers      // the calling goroutine's solver scratch
 	workers ParallelWorld // nil: evaluate inline on base
 	sem     chan struct{}
 	stats   *DiagStats
 
 	mu   sync.Mutex
-	idle []World
+	idle []*poolWorker
 }
 
-// init sets the pool up at width par over base. The pool lives inside its
-// diagnosis, so the width-1 pool every server diagnosis builds allocates
-// nothing: no semaphore, no idle list.
-func (p *candidatePool) init(base World, par int, stats *DiagStats) {
-	p.base, p.stats = base, stats
+// poolWorker is one worker world and the solver scratch of whichever pool
+// goroutine holds it: a worker is held by one goroutine at a time, so its
+// scratch is too.
+type poolWorker struct {
+	w  World
+	ss solvers
+}
+
+// init sets the pool up at width par over base; inline is the solver
+// scratch of the goroutine that calls runCandidates, which evaluations at
+// width 1 run on. The pool lives inside its diagnosis, so the width-1 pool
+// every server diagnosis builds allocates nothing: no semaphore, no idle
+// list.
+func (p *candidatePool) init(base World, par int, stats *DiagStats, inline *solvers) {
+	p.base, p.stats, p.inline = base, stats, inline
 	if pw, ok := base.(ParallelWorld); ok && par > 1 {
 		p.workers, p.sem = pw, make(chan struct{}, par)
 	}
 }
 
-func (p *candidatePool) acquire() World {
+func (p *candidatePool) acquire() *poolWorker {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
-		w := p.idle[n-1]
+		pw := p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		return w
+		return pw
 	}
 	p.mu.Unlock()
-	return p.workers.ForkWorker()
+	return &poolWorker{w: p.workers.ForkWorker()}
 }
 
-func (p *candidatePool) release(w World) {
+func (p *candidatePool) release(pw *poolWorker) {
 	p.mu.Lock()
-	p.idle = append(p.idle, w)
+	p.idle = append(p.idle, pw)
 	p.mu.Unlock()
 }
 
@@ -85,14 +96,15 @@ func (p *candidatePool) drain() {
 	idle := p.idle
 	p.idle = nil
 	p.mu.Unlock()
-	for _, w := range idle {
-		p.workers.JoinWorker(w)
+	for _, pw := range idle {
+		p.workers.JoinWorker(pw.w)
 	}
 }
 
 // runCandidates is the one candidate-search loop: it evaluates candidates
 // 0..n-1, in index order, until one succeeds. eval receives the world to
-// replay against and reports whether its candidate succeeded; best is the
+// replay against and the solver scratch of the goroutine it runs on, and
+// reports whether its candidate succeeded; best is the
 // lowest index that succeeded (-1 if none), and every index <= best has
 // been evaluated. A context error stops the search.
 //
@@ -104,13 +116,13 @@ func (p *candidatePool) drain() {
 // discarded). Stats.ParallelCandidates counts only evaluations handed to a
 // worker.
 func runCandidates[T any](ctx context.Context, p *candidatePool, n int,
-	eval func(w World, idx int) (T, bool)) (vals []T, ran []bool, best int) {
+	eval func(w World, ss *solvers, idx int) (T, bool)) (vals []T, ran []bool, best int) {
 	vals = make([]T, n)
 	ran = make([]bool, n)
 	if p.workers == nil {
 		for i := 0; i < n && ctx.Err() == nil; i++ {
 			var ok bool
-			vals[i], ok = eval(p.base, i)
+			vals[i], ok = eval(p.base, p.inline, i)
 			ran[i] = true
 			if ok {
 				return vals, ran, i
@@ -138,10 +150,10 @@ func runCandidates[T any](ctx context.Context, p *candidatePool, n int,
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-p.sem }()
-			w := p.acquire()
+			pw := p.acquire()
 			atomic.AddInt64(&p.stats.ParallelCandidates, 1)
-			v, ok := eval(w, i)
-			p.release(w)
+			v, ok := eval(pw.w, &pw.ss, i)
+			p.release(pw)
 			mu.Lock()
 			vals[i], ran[i], okAt[i] = v, true, ok
 			if ok && i < bestKnown {
@@ -175,8 +187,8 @@ type trial struct {
 }
 
 // try replays changes against w (memo reads only; see applyCached) and
-// locates the first divergence of the result.
-func (d *diag) try(ctx context.Context, w World, changes []replay.Change, chainG []gLevel, seedB ndlog.At) trial {
+// locates the first divergence of the result, solving on ss.
+func (d *diag) try(ctx context.Context, w World, ss *solvers, changes []replay.Change, chainG []gLevel, seedB ndlog.At) trial {
 	var tr trial
 	t0 := time.Now()
 	tr.w, tr.err = d.applyCached(ctx, w, changes, false)
@@ -185,7 +197,7 @@ func (d *diag) try(ctx context.Context, w World, changes []replay.Change, chainG
 		return tr
 	}
 	t1 := time.Now()
-	tr.div, tr.err = d.firstDivergence(chainG, tr.w, seedB)
+	tr.div, tr.err = d.firstDivergence(ss, chainG, tr.w, seedB)
 	tr.diverge = time.Since(t1)
 	return tr
 }
@@ -247,15 +259,33 @@ func (m *replayMemo) put(key string, w World) {
 }
 
 // replayKey renders the full cumulative change list (the world's own
-// accumulated changes followed by the new ones) as a memo key.
+// accumulated changes followed by the new ones) as a memo key, rendered in
+// the pooled key buffer: the key string is its one allocation. A change is
+// '+' or '-', the node's length, ':', the node, the tick, '|', the tuple's
+// canonical key and '\n'. The node is length-prefixed and a tuple key
+// ends where the newline is (its table is an identifier and a string
+// value is length-prefixed), so the rendering is injective: two lists have
+// one key exactly when they are equal.
 func replayKey(applied, changes []replay.Change) string {
-	var sb strings.Builder
-	for _, cs := range [2][]replay.Change{applied, changes} {
-		for _, c := range cs {
-			fmt.Fprintf(&sb, "%v|%s|%s|%d\n", c.Insert, c.Node, c.Tuple.Key(), c.Tick)
+	return ndlog.Text(func(b []byte) []byte {
+		for _, cs := range [2][]replay.Change{applied, changes} {
+			for _, c := range cs {
+				op := byte('-')
+				if c.Insert {
+					op = '+'
+				}
+				b = append(b, op)
+				b = strconv.AppendInt(b, int64(len(c.Node)), 10)
+				b = append(b, ':')
+				b = append(b, c.Node...)
+				b = strconv.AppendInt(b, c.Tick, 10)
+				b = append(b, '|')
+				b = c.Tuple.AppendKey(b)
+				b = append(b, '\n')
+			}
 		}
-	}
-	return sb.String()
+		return b
+	})
 }
 
 // applyCached is World.Apply routed through the diagnosis' replay memo.

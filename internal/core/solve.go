@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 )
 
 // bindSource records how a variable in the bad-world binding obtained its
@@ -27,7 +28,11 @@ const (
 // formulas are the rule's own expressions, re-evaluated or inverted under
 // the bad-world binding. Both bindings are frames of the rule compiled to
 // slots (ndlog.CompiledRule) — the engine's own unifier and evaluator.
+//
+// A solver is reused: load (or reset) re-binds it to the next derivation,
+// and its slices keep their arrays from one derivation to the next.
 type solver struct {
+	ss   *solvers // the scratch it belongs to, for location values
 	rule *ndlog.Rule
 	cr   *ndlog.CompiledRule
 	prog *ndlog.Program
@@ -36,14 +41,64 @@ type solver struct {
 
 	// Good-world binding reconstructed from the provenance vertexes.
 	envG []ndlog.Value
-	// gChildren are the good derivation's body occurrences (atom order).
-	gChildren []ndlog.At
+	// children are the good derivation's body occurrences (atom order),
+	// each with the subtree beneath it.
+	children []childAt
 
 	// Bad-world binding under construction: source says how each bound
 	// slot got its value, nbound counts the bound slots.
 	envB   []ndlog.Value
 	source []bindSource
 	nbound int
+
+	// frames are spare frames of the rule (bindTrigger's, and the
+	// contributor frames of makeAggregateAppear); preimages is what
+	// CompiledRule.Invert appends to.
+	frames    [2][]ndlog.Value
+	preimages []ndlog.Value
+}
+
+// solvers is the MAKEAPPEAR scratch of one goroutine: a solver per
+// recursion depth, each reused by every derivation solved at that depth,
+// and the location values (ndlog.Str of a node name) boxed so far, one per
+// node. The goroutine that runs a diagnosis owns one (diag.solve); every
+// pool worker owns its own (poolWorker), so no two goroutines ever share a
+// solver.
+type solvers struct {
+	at   []*solver
+	locs map[string]ndlog.Value
+}
+
+// get returns the solver of a recursion depth.
+func (ss *solvers) get(depth int) *solver {
+	for len(ss.at) <= depth {
+		ss.at = append(ss.at, &solver{ss: ss})
+	}
+	return ss.at[depth]
+}
+
+// loc returns the node's location value, boxed on the first use.
+func (ss *solvers) loc(node string) ndlog.Value {
+	v, ok := ss.locs[node]
+	if !ok {
+		if ss.locs == nil {
+			ss.locs = make(map[string]ndlog.Value)
+		}
+		v = ndlog.Str(node)
+		ss.locs[node] = v
+	}
+	return v
+}
+
+// frame returns f as an unbound frame of n slots, reusing its array when
+// it is large enough.
+func frame[T any](f []T, n int) []T {
+	if cap(f) < n {
+		return make([]T, n)
+	}
+	f = f[:n]
+	clear(f)
+	return f
 }
 
 // Clause constructors for the rule's expressions.
@@ -55,54 +110,63 @@ func headClause(j int) ndlog.Clause   { return ndlog.Clause{Kind: ndlog.HeadClau
 
 var headLocClause = ndlog.Clause{Kind: ndlog.HeadLocClause}
 
-// newSolver reconstructs the good-world binding of a derivation. children
-// must follow the rule's body atom order.
-func newSolver(prog *ndlog.Program, rule *ndlog.Rule, children []ndlog.At) (*solver, error) {
+// load binds the solver to a DERIVE of the good tree: its body occurrences
+// (gChildrenOf) and the good-world binding they reconstruct (reset).
+func (s *solver) load(prog *ndlog.Program, rule *ndlog.Rule, dn *provenance.Tree) error {
+	var err error
+	if s.children, err = gChildrenOf(s.children[:0], dn); err != nil {
+		return err
+	}
+	if err := s.reset(prog, rule); err != nil {
+		return failf(NoProgress, "%v", err)
+	}
+	return nil
+}
+
+// reset reconstructs the good-world binding of a derivation from
+// s.children, which must follow the rule's body atom order, and leaves the
+// bad-world binding empty.
+func (s *solver) reset(prog *ndlog.Program, rule *ndlog.Rule) error {
+	children := s.children
 	if rule.CountVar == "" && len(children) != len(rule.Body) {
-		return nil, fmt.Errorf("diffprov: derivation via %s has %d children, rule has %d body atoms",
+		return fmt.Errorf("diffprov: derivation via %s has %d children, rule has %d body atoms",
 			rule.Name, len(children), len(rule.Body))
 	}
 	cr := prog.Compiled(rule.Name)
 	if cr == nil {
-		return nil, fmt.Errorf("diffprov: rule %s is not in the program", rule.Name)
+		return fmt.Errorf("diffprov: rule %s is not in the program", rule.Name)
 	}
-	s := &solver{
-		rule:      rule,
-		cr:        cr,
-		prog:      prog,
-		countSlot: -1,
-		envG:      cr.Frame(),
-		gChildren: children,
-		envB:      cr.Frame(),
-	}
-	s.source = make([]bindSource, len(s.envB))
+	n := cr.FrameLen()
+	s.rule, s.cr, s.prog, s.countSlot, s.nbound = rule, cr, prog, -1, 0
+	s.envG, s.envB, s.source = frame(s.envG, n), frame(s.envB, n), frame(s.source, n)
 	if rule.CountVar != "" {
 		s.countSlot = cr.Slot(rule.CountVar)
 		// Aggregates: unify the single body atom against each contributor.
 		for _, c := range children {
-			if !cr.Unify(0, s.envG, c.Node, c.Tuple) {
+			if !cr.Unify(0, s.envG, s.ss.loc(c.at.Node), c.at.Tuple) {
 				// Contributors legitimately differ in non-group fields;
 				// rebuild group bindings from the last one.
 				clear(s.envG)
-				cr.Unify(0, s.envG, c.Node, c.Tuple)
+				cr.Unify(0, s.envG, s.ss.loc(c.at.Node), c.at.Tuple)
 			}
 		}
 	} else {
 		for i, atom := range rule.Body {
-			if !cr.Unify(i, s.envG, children[i].Node, children[i].Tuple) {
-				return nil, fmt.Errorf("diffprov: cannot re-unify %s against %s on %s",
-					atom, children[i].Tuple, children[i].Node)
+			c := children[i].at
+			if !cr.Unify(i, s.envG, s.ss.loc(c.Node), c.Tuple) {
+				return fmt.Errorf("diffprov: cannot re-unify %s against %s on %s",
+					atom, c.Tuple, c.Node)
 			}
 		}
 	}
 	for i, a := range rule.Assigns {
 		v, err := cr.Eval(assignClause(i), s.envG)
 		if err != nil {
-			return nil, fmt.Errorf("diffprov: replaying assignment %s: %v", a, err)
+			return fmt.Errorf("diffprov: replaying assignment %s: %v", a, err)
 		}
 		s.envG[cr.Target(assignClause(i))] = v
 	}
-	return s, nil
+	return nil
 }
 
 // bind sets a bad-world binding, rejecting contradictions (the existing
@@ -142,8 +206,9 @@ func (s *solver) adjustable(slot int) bool {
 // bindTrigger unifies the rule's trigger atom against the aligned
 // bad-world tuple, seeding the bad binding.
 func (s *solver) bindTrigger(atomIdx int, at ndlog.At) error {
-	f := s.cr.Frame()
-	if !s.cr.Unify(atomIdx, f, at.Node, at.Tuple) {
+	s.frames[0] = frame(s.frames[0], len(s.envB))
+	f := s.frames[0]
+	if !s.cr.Unify(atomIdx, f, s.ss.loc(at.Node), at.Tuple) {
 		return fmt.Errorf("diffprov: bad-world trigger %s does not unify with %s", at.Tuple, s.rule.Body[atomIdx])
 	}
 	return s.bindAll(f, fromTrigger)
@@ -160,7 +225,7 @@ func (s *solver) bindHead(expected ndlog.At) error {
 		}
 	}
 	if s.rule.Head.Loc != nil {
-		return s.solve(headLocClause, ndlog.Str(expected.Node), fromHead)
+		return s.solve(headLocClause, s.ss.loc(expected.Node), fromHead)
 	}
 	return nil
 }
@@ -176,7 +241,8 @@ func (s *solver) solve(c ndlog.Clause, target ndlog.Value, src bindSource) error
 	if unknown == s.countSlot {
 		return s.bind(unknown, target, src)
 	}
-	cands, err := s.cr.Invert(c, s.envB, target, unknown)
+	cands, err := s.cr.Invert(c, s.envB, target, unknown, s.preimages[:0])
+	s.preimages = cands
 	if err != nil || len(cands) == 0 {
 		return nil // not invertible, or unconstraining: leave it to defaults or inverse rules
 	}
@@ -324,7 +390,7 @@ func (s *solver) followKeyedRows(w World, prog *ndlog.Program, trigIdx int, have
 			// Rebind the atom's non-key variables from this row.
 			trial := slices.Clone(s.envB)
 			s.freeDefaulted(trial, k)
-			if !s.cr.Unify(k, trial, node, row) {
+			if !s.cr.Unify(k, trial, s.ss.loc(node), row) {
 				continue
 			}
 			s.bindAll(trial, fromRepair)
@@ -604,8 +670,8 @@ func (s *solver) sideTuple(k int) (ndlog.At, error) {
 		args[i] = v
 	}
 	defNode := ""
-	if s.rule.CountVar == "" && k < len(s.gChildren) {
-		defNode = s.gChildren[k].Node
+	if s.rule.CountVar == "" && k < len(s.children) {
+		defNode = s.children[k].at.Node
 	}
 	node, known, err := s.cr.Locate(locClause(k), defNode, s.envB)
 	if err != nil || !known {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,12 +11,15 @@ import (
 )
 
 // TestSolverAllocationBudget bounds what the MAKEAPPEAR solver allocates to
-// re-bind one derivation — newSolver, bindTrigger, propagate, verify — on an
+// re-bind one derivation — load, bindTrigger, propagate, verify — on an
 // MR1-D count() derivation (a few hundred contributors unified one by one)
-// and on an SDN1 forwarding derivation. The bindings are frames of the
-// rule compiled to slots, so the cost is the frames and the side slices,
-// not a map per binding. They read 26 and 12 allocations; with the map
-// environment the solver kept before, 61 and 17 (go1.24.0, amd64).
+// and on an SDN1 forwarding derivation, re-solved on one goroutine's
+// scratch. The bindings are frames of the rule compiled to slots, the
+// solver and its frames are reused from one derivation to the next, and a
+// location value is boxed once per node, so nothing is allocated: both
+// read 0. They read 26 and 12 with a solver, its frames and its child
+// slices made per derivation, and 61 and 17 with the map environment the
+// solver kept before that (go1.24.0, amd64).
 func TestSolverAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -25,8 +29,8 @@ func TestSolverAllocationBudget(t *testing.T) {
 		count    bool // pick a counting rule's derivation
 		ceiling  float64
 	}{
-		{"MR1-D", true, 30},
-		{"SDN1", false, 14},
+		{"MR1-D", true, 0},
+		{"SDN1", false, 0},
 	} {
 		s, err := scenarios.Build(c.scenario, scenarios.Small)
 		if err != nil {
@@ -37,11 +41,12 @@ func TestSolverAllocationBudget(t *testing.T) {
 		if derive == nil {
 			t.Fatalf("%s: no derivation in the good tree", c.scenario)
 		}
-		if err := core.SolveDerivation(prog, derive, head); err != nil {
+		ss := new(core.Solvers)
+		if err := core.SolveDerivation(ss, prog, derive, head); err != nil {
 			t.Fatalf("%s: %v", c.scenario, err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			core.SolveDerivation(prog, derive, head)
+			core.SolveDerivation(ss, prog, derive, head)
 		})
 		t.Logf("%s: rule %s, %d children: %.0f allocations", c.scenario, derive.Vertex.Rule, len(derive.Children), allocs)
 		if allocs > c.ceiling {
@@ -66,4 +71,53 @@ func firstDerivation(tree *provenance.Tree, prog *ndlog.Program, count bool) (*p
 		derive, head = d, ndlog.At{Node: n.Vertex.Node, Tuple: n.Vertex.Tuple}
 	})
 	return derive, head
+}
+
+// TestMakeAppearSolverIsReused solves every derivation of a good tree on one
+// goroutine's solver scratch, twice. The second pass must not make a
+// solver, a frame or a child slice: depth 0's solver and the arrays behind
+// its slices stay the ones the first pass left, and (outside -race) the
+// pass allocates nothing at all.
+func TestMakeAppearSolverIsReused(t *testing.T) {
+	for _, scenario := range []string{"MR1-D", "SDN1"} {
+		s, err := scenarios.Build(scenario, scenarios.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := s.World.Program()
+		ss := new(core.Solvers)
+		type solve struct {
+			derive *provenance.Tree
+			head   ndlog.At
+		}
+		var solves []solve
+		s.Good.Walk(func(n *provenance.Tree) {
+			if n.Vertex.Type != provenance.Appear || len(n.Children) == 0 || n.Children[0].Vertex.Type != provenance.Derive {
+				return
+			}
+			head := ndlog.At{Node: n.Vertex.Node, Tuple: n.Vertex.Tuple}
+			if core.SolveDerivation(ss, prog, n.Children[0], head) == nil {
+				solves = append(solves, solve{n.Children[0], head})
+			}
+		})
+		if len(solves) < 2 {
+			t.Fatalf("%s: %d derivations solved, want several", scenario, len(solves))
+		}
+		pass := func() {
+			for _, sv := range solves {
+				if err := core.SolveDerivation(ss, prog, sv.derive, sv.head); err != nil {
+					t.Fatalf("%s: %v", scenario, err)
+				}
+			}
+		}
+		before := ss.Arrays(0)
+		if raceEnabled {
+			pass()
+		} else if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+			t.Errorf("%s: re-solving %d derivations made %.0f allocations, want none", scenario, len(solves), allocs)
+		}
+		if after := ss.Arrays(0); !slices.Equal(before, after) {
+			t.Errorf("%s: a second solve at depth 0 replaced the solver or one of its arrays: %x, then %x", scenario, before, after)
+		}
+	}
 }

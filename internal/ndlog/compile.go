@@ -395,17 +395,23 @@ func (p *Program) Compiled(rule string) *CompiledRule {
 // Frame returns a frame for the rule with every slot unbound.
 func (cr *CompiledRule) Frame() []Value { return make([]Value, len(cr.vars)) }
 
+// FrameLen is the length of the rule's frames: how many slots it has.
+func (cr *CompiledRule) FrameLen() int { return len(cr.vars) }
+
 // Slot returns the slot of the named variable, -1 if the rule has none.
 func (cr *CompiledRule) Slot(name string) int { return slices.Index(cr.vars, name) }
 
 // Var returns the name of the variable in a slot.
 func (cr *CompiledRule) Var(slot int) string { return cr.vars[slot] }
 
-// Unify unifies body atom k with the tuple t on node, binding the atom's
-// unbound variables in f. It returns false on a mismatch, when f may be
-// left partially extended — copy the frame first if that matters.
-func (cr *CompiledRule) Unify(k int, f []Value, node string, t Tuple) bool {
-	return cr.body[k].unify(f, nil, node, nil, t)
+// Unify unifies body atom k with the tuple t on a node, binding the atom's
+// unbound variables in f. loc is the node as a location value — a Str the
+// caller boxed once per node name — and a location variable is bound to
+// it, so a unification allocates nothing. It returns false on a mismatch,
+// when f may be left partially extended — copy the frame first if that
+// matters.
+func (cr *CompiledRule) Unify(k int, f []Value, loc Value, t Tuple) bool {
+	return cr.body[k].unify(f, nil, string(loc.(Str)), loc, t)
 }
 
 // Locate resolves a location clause (LocClause or HeadLocClause) under f:

@@ -222,6 +222,12 @@ type repairState struct {
 	pin     *row
 	pinAtom int
 	pinNode string
+	// erasing is the erase cascade's scratch stack: each eraseOccurrence
+	// pushes the dependents of the occurrence it erases and pops them when
+	// done. It is a snapshot because retracting a dependent splices the
+	// occurrence's live list (unindexSupport), and it is read by index
+	// because the erasures that retraction cascades into push onto it too.
+	erasing []dependentRef
 }
 
 // repairing returns the engine's repair state, making it on first use.
@@ -417,8 +423,15 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	// State rows supported by the occurrence lose that support. Aggregate
 	// heads are skipped: the group decrement above already replaced them.
 	occRef := occ.TupleRef()
-	for _, dep := range append([]dependentRef(nil), e.dependents.Get(occRef)...) {
-		e.retractSupportIf(dep, occ.Stamp.Seq, occ, st)
+	if deps := e.dependents.Get(occRef); len(deps) > 0 {
+		rs := e.repairing()
+		base := len(rs.erasing)
+		rs.erasing = append(rs.erasing, deps...)
+		for i, end := base, len(rs.erasing); i < end; i++ {
+			e.retractSupportIf(rs.erasing[i], occ.Stamp.Seq, occ, st)
+		}
+		clear(rs.erasing[base:])
+		rs.erasing = rs.erasing[:base]
 	}
 	// Event occurrences derived from this one never happened either.
 	e.eraseEventConsumers(occRef, occ.Stamp.Seq, occ, st, false)

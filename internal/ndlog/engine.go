@@ -1219,9 +1219,11 @@ func (e *Engine) ExistsEver(nodeName string, t Tuple) bool {
 	return len(e.histOf(nodeName, t)) > 0
 }
 
-// History returns the existence intervals of a tuple on a node.
+// History returns the existence intervals of a tuple on a node. The slice
+// is the engine's own, read in place: the caller must not modify it, and
+// must not keep it across a later Run of this engine.
 func (e *Engine) History(nodeName string, t Tuple) []Interval {
-	return append([]Interval(nil), e.histOf(nodeName, t)...)
+	return e.histOf(nodeName, t)
 }
 
 // histOf returns a tuple's interval history for a caller with no key at

@@ -38,9 +38,9 @@ func evalIn(e Expr, vars mapEnv) (Value, error) {
 func invertIn(e Expr, out Value, unknown string, vars mapEnv, checked bool) ([]Value, error) {
 	cl, f, slot := compileExpr(e, vars, unknown)
 	if checked {
-		return invertChecked(cl.e, f, out, slot)
+		return invertChecked(cl.e, f, out, slot, nil)
 	}
-	return invert(cl.e, f, out, slot)
+	return invert(cl.e, f, out, slot, nil)
 }
 
 func TestBinArithmetic(t *testing.T) {
@@ -272,7 +272,7 @@ rule r h(X) :- t(X, Y).
 `)
 	cr := p.Compiled("r")
 	a, b := cr.Frame(), cr.Frame()
-	if !cr.Unify(0, a, "n", NewTuple("t", Int(1), Int(2))) {
+	if !cr.Unify(0, a, Str("n"), NewTuple("t", Int(1), Int(2))) {
 		t.Fatal("t(1, 2) must unify with t(X, Y)")
 	}
 	if a[cr.Slot("X")] != Int(1) || a[cr.Slot("Y")] != Int(2) {

@@ -9,22 +9,26 @@ import "fmt"
 // q=x+2, DiffProv must invert q=x+2 to obtain x=q-2". Several preimages may
 // be returned (the paper: "When there are several preimages ... DiffProv can
 // try all of them"); ErrNonInvertible is returned for computations that
-// cannot be inverted (hashes, lossy ops). Every candidate is forward-checked,
-// which drops the spurious preimages a lossy inverse step introduces
-// (integer division): the check binds the slot in f itself and unbinds it
-// before returning, so f must be the caller's alone during the call.
-func (cr *CompiledRule) Invert(c Clause, f []Value, out Value, slot int) ([]Value, error) {
-	return invertChecked(cr.clause(c).e, f, out, slot)
+// cannot be inverted (hashes, lossy ops). The preimages are appended to dst,
+// which is returned extended (and as it was on an error), so a caller that
+// passes its own buffer back in allocates nothing per inversion. Every
+// candidate is forward-checked, which drops the spurious preimages a lossy
+// inverse step introduces (integer division): the check binds the slot in f
+// itself and unbinds it before returning, so f must be the caller's alone
+// during the call.
+func (cr *CompiledRule) Invert(c Clause, f []Value, out Value, slot int, dst []Value) ([]Value, error) {
+	return invertChecked(cr.clause(c).e, f, out, slot, dst)
 }
 
 // invertChecked is Invert over a compiled expression.
-func invertChecked(e slotExpr, f []Value, out Value, slot int) ([]Value, error) {
-	cands, err := invert(e, f, out, slot)
+func invertChecked(e slotExpr, f []Value, out Value, slot int, dst []Value) ([]Value, error) {
+	start := len(dst)
+	cands, err := invert(e, f, out, slot, dst)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	good := cands[:0]
-	for _, v := range cands {
+	good := cands[:start]
+	for _, v := range cands[start:] {
 		f[slot] = v
 		if got, err := e.eval(f); err == nil && got == out {
 			good = append(good, v)
@@ -34,32 +38,33 @@ func invertChecked(e slotExpr, f []Value, out Value, slot int) ([]Value, error) 
 	return good, nil
 }
 
-// invert is Invert without the forward check.
-func invert(e slotExpr, f []Value, out Value, unknown int) ([]Value, error) {
+// invert is Invert without the forward check: it appends the preimages to
+// dst and, on an error, returns dst as it was.
+func invert(e slotExpr, f []Value, out Value, unknown int, dst []Value) ([]Value, error) {
 	switch x := e.(type) {
 	case slotVar:
 		if x.slot == unknown {
-			return []Value{out}, nil
+			return append(dst, out), nil
 		}
 		v := f[x.slot]
 		if v == nil {
-			return nil, fmt.Errorf("ndlog: invert: variable %s unbound", x.name)
+			return dst, fmt.Errorf("ndlog: invert: variable %s unbound", x.name)
 		}
 		if v == out {
-			return nil, errNoConstraint // consistent but does not determine unknown
+			return dst, errNoConstraint // consistent but does not determine unknown
 		}
-		return nil, nil // contradiction: no preimage
+		return dst, nil // contradiction: no preimage
 	case slotConst:
 		if x.v == out {
-			return nil, errNoConstraint
+			return dst, errNoConstraint
 		}
-		return nil, nil
+		return dst, nil
 	case slotBin:
-		return invertBin(x, f, out, unknown)
+		return invertBin(x, f, out, unknown, dst)
 	case slotCall:
-		return invertCall(x, f, out, unknown)
+		return invertCall(x, f, out, unknown, dst)
 	}
-	return nil, ErrNonInvertible
+	return dst, ErrNonInvertible
 }
 
 // errNoConstraint signals that the (sub)expression does not mention the
@@ -83,21 +88,21 @@ func containsSlot(e slotExpr, slot int) bool {
 	return false
 }
 
-func invertBin(b slotBin, f []Value, out Value, unknown int) ([]Value, error) {
+func invertBin(b slotBin, f []Value, out Value, unknown int, dst []Value) ([]Value, error) {
 	inL := containsSlot(b.l, unknown)
 	inR := containsSlot(b.r, unknown)
 	if inL && inR {
-		return nil, ErrNonInvertible // unknown on both sides: give up
+		return dst, ErrNonInvertible // unknown on both sides: give up
 	}
 	if !inL && !inR {
 		v, err := b.eval(f)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if v == out {
-			return nil, errNoConstraint
+			return dst, errNoConstraint
 		}
-		return nil, nil
+		return dst, nil
 	}
 	// Evaluate the known side.
 	knownSide := b.l
@@ -107,41 +112,42 @@ func invertBin(b slotBin, f []Value, out Value, unknown int) ([]Value, error) {
 	}
 	known, err := knownSide.eval(f)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	sub, err := invertBinStep(b.op, out, known, inL)
-	if err != nil {
-		return nil, err
+	sub, ok, err := invertBinStep(b.op, out, known, inL)
+	if err != nil || !ok {
+		return dst, err
 	}
-	return invertEach(unknownSide, f, sub, unknown)
+	return invert(unknownSide, f, sub, unknown, dst)
 }
 
 // invertEach inverts the unknown side of an operation for each of the
-// values it may take, pooling the preimages.
-func invertEach(e slotExpr, f []Value, outs []Value, unknown int) ([]Value, error) {
-	var all []Value
+// values it may take, appending the preimages to dst without duplicates.
+func invertEach(e slotExpr, f []Value, outs []Value, unknown int, dst []Value) ([]Value, error) {
+	start := len(dst)
+	all := dst
 	sawNoConstraint := false
 	for _, s := range outs {
-		vs, err := invert(e, f, s, unknown)
+		next, err := invert(e, f, s, unknown, all)
 		if err == errNoConstraint {
 			sawNoConstraint = true
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		all = append(all, vs...)
+		all = next
 	}
-	if len(all) == 0 && sawNoConstraint {
-		return nil, errNoConstraint
+	if len(all) == start && sawNoConstraint {
+		return dst, errNoConstraint
 	}
-	return dedupValues(all), nil
+	return all[:start+len(dedupValues(all[start:]))], nil
 }
 
 // invertBinStep solves op(x, known) = out (unknownLeft) or
-// op(known, x) = out (!unknownLeft) for x, returning candidate values of
-// the unknown subexpression.
-func invertBinStep(op BinOp, out, known Value, unknownLeft bool) ([]Value, error) {
+// op(known, x) = out (!unknownLeft) for x: the value of the unknown
+// subexpression, and false when there is none.
+func invertBinStep(op BinOp, out, known Value, unknownLeft bool) (Value, bool, error) {
 	oi, oOK := asInt(out)
 	ki, kOK := asInt(known)
 	reint := func(n int64) Value {
@@ -153,81 +159,79 @@ func invertBinStep(op BinOp, out, known Value, unknownLeft bool) ([]Value, error
 	switch op {
 	case OpAdd:
 		if !oOK || !kOK {
-			return nil, ErrNonInvertible
+			return nil, false, ErrNonInvertible
 		}
-		return []Value{reint(oi - ki)}, nil
+		return reint(oi - ki), true, nil
 	case OpSub:
 		if !oOK || !kOK {
-			return nil, ErrNonInvertible
+			return nil, false, ErrNonInvertible
 		}
 		if unknownLeft { // x - known = out
-			return []Value{reint(oi + ki)}, nil
+			return reint(oi + ki), true, nil
 		}
 		// known - x = out
-		return []Value{reint(ki - oi)}, nil
+		return reint(ki - oi), true, nil
 	case OpMul:
 		if !oOK || !kOK {
-			return nil, ErrNonInvertible
+			return nil, false, ErrNonInvertible
 		}
 		if ki == 0 {
 			if oi == 0 {
-				return nil, ErrNonInvertible // any value works; underdetermined
+				return nil, false, ErrNonInvertible // any value works; underdetermined
 			}
-			return nil, nil
+			return nil, false, nil
 		}
 		if oi%ki != 0 {
-			return nil, nil // no integral preimage
+			return nil, false, nil // no integral preimage
 		}
-		return []Value{reint(oi / ki)}, nil
+		return reint(oi / ki), true, nil
 	case OpXor:
 		if !oOK || !kOK {
-			return nil, ErrNonInvertible
+			return nil, false, ErrNonInvertible
 		}
-		return []Value{reint(oi ^ ki)}, nil
+		return reint(oi ^ ki), true, nil
 	case OpDiv:
 		if !oOK || !kOK {
-			return nil, ErrNonInvertible
+			return nil, false, ErrNonInvertible
 		}
 		if unknownLeft {
 			// x / known = out: x in [out*known, out*known + known-1];
 			// return the canonical preimage out*known. (Lossy division:
 			// single representative preimage; forward-checked by caller.)
-			return []Value{reint(oi * ki)}, nil
+			return reint(oi * ki), true, nil
 		}
-		return nil, ErrNonInvertible
+		return nil, false, ErrNonInvertible
 	case OpConcat:
 		os, oOK := out.(Str)
 		ks, kOK := known.(Str)
 		if !oOK || !kOK {
-			return nil, ErrNonInvertible
+			return nil, false, ErrNonInvertible
 		}
 		if unknownLeft { // x ++ known = out
 			if len(os) < len(ks) || string(os[len(os)-len(ks):]) != string(ks) {
-				return nil, nil
+				return nil, false, nil
 			}
-			return []Value{os[:len(os)-len(ks)]}, nil
+			return os[:len(os)-len(ks)], true, nil
 		}
 		if len(os) < len(ks) || string(os[:len(ks)]) != string(ks) {
-			return nil, nil
+			return nil, false, nil
 		}
-		return []Value{os[len(ks):]}, nil
-	case OpMod, OpAnd, OpOr, OpShl, OpShr:
-		return nil, ErrNonInvertible
-	default:
-		return nil, ErrNonInvertible
+		return os[len(ks):], true, nil
+	default: // OpMod, OpAnd, OpOr, OpShl, OpShr and the comparisons
+		return nil, false, ErrNonInvertible
 	}
 }
 
-func invertCall(c slotCall, f []Value, out Value, unknown int) ([]Value, error) {
+func invertCall(c slotCall, f []Value, out Value, unknown int, dst []Value) ([]Value, error) {
 	fn, ok := builtins[c.fn]
 	if !ok {
-		return nil, fmt.Errorf("ndlog: unknown function %s", c.fn)
+		return dst, fmt.Errorf("ndlog: unknown function %s", c.fn)
 	}
 	unknownArg := -1
 	for i, a := range c.args {
 		if containsSlot(a, unknown) {
 			if unknownArg >= 0 {
-				return nil, ErrNonInvertible
+				return dst, ErrNonInvertible
 			}
 			unknownArg = i
 		}
@@ -235,15 +239,15 @@ func invertCall(c slotCall, f []Value, out Value, unknown int) ([]Value, error) 
 	if unknownArg < 0 {
 		v, err := c.eval(f)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if v == out {
-			return nil, errNoConstraint
+			return dst, errNoConstraint
 		}
-		return nil, nil
+		return dst, nil
 	}
 	if fn.invert == nil {
-		return nil, ErrNonInvertible
+		return dst, ErrNonInvertible
 	}
 	args := make([]Value, len(c.args))
 	for i, a := range c.args {
@@ -252,15 +256,15 @@ func invertCall(c slotCall, f []Value, out Value, unknown int) ([]Value, error) 
 		}
 		v, err := a.eval(f)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		args[i] = v
 	}
 	subOuts, err := fn.invert(out, args, unknownArg)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return invertEach(c.args[unknownArg], f, subOuts, unknown)
+	return invertEach(c.args[unknownArg], f, subOuts, unknown, dst)
 }
 
 func dedupValues(vs []Value) []Value {

@@ -98,4 +98,4 @@ func (a *arena) text(render func(b []byte) []byte) string {
 }
 
 // key returns t's canonical key (Tuple.Key) for the engine to keep.
-func (a *arena) key(t Tuple) string { return a.text(t.appendKey) }
+func (a *arena) key(t Tuple) string { return a.text(t.AppendKey) }

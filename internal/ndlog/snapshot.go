@@ -67,9 +67,9 @@ func (s Snapshot) Lookup(node string, t Tuple) bool {
 	}
 	rows := tbls[t.Table]
 	kt, kr := getKeyBuf(), getKeyBuf()
-	key, rk := t.appendKey(kt.b[:0]), kr.b
+	key, rk := t.AppendKey(kt.b[:0]), kr.b
 	_, found := slices.BinarySearchFunc(rows, key, func(r Tuple, key []byte) int {
-		rk = r.appendKey(rk[:0])
+		rk = r.AppendKey(rk[:0])
 		return bytes.Compare(rk, key)
 	})
 	putKeyBuf(kt, key)

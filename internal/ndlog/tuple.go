@@ -15,7 +15,7 @@ func NewTuple(table string, args ...Value) Tuple {
 
 // Key returns a canonical string encoding of the tuple, suitable as a map
 // key. Two tuples have equal keys iff they are equal.
-func (t Tuple) Key() string { return Text(t.appendKey) }
+func (t Tuple) Key() string { return Text(t.AppendKey) }
 
 // WithKey calls fn with Key's bytes in a pooled buffer that is fn's only
 // for the call. It is for lookups by a tuple whose key is not at hand: a
@@ -23,13 +23,14 @@ func (t Tuple) Key() string { return Text(t.appendKey) }
 // string(key), builds no string to throw away.
 func (t Tuple) WithKey(fn func(key []byte)) {
 	kb := getKeyBuf()
-	b := t.appendKey(kb.b[:0])
+	b := t.AppendKey(kb.b[:0])
 	fn(b)
 	putKeyBuf(kb, b)
 }
 
-// appendKey appends Key's bytes to b.
-func (t Tuple) appendKey(b []byte) []byte {
+// AppendKey appends Key's bytes to b: the key rendered into a buffer the
+// caller reuses.
+func (t Tuple) AppendKey(b []byte) []byte {
 	b = append(b, t.Table...)
 	for _, a := range t.Args {
 		b = append(b, '|')

@@ -19,16 +19,16 @@ import (
 // must not cost them bytes — and the same holds of the engine's slabs (§23)
 // and of the reverse edges a vertex carries (§24). The ceilings are the
 // readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
-// before the engine kept its keys and argmax winners in its arena and
-// reused its work items (§31):
+// before a MAKEAPPEAR solve reused its solvers and the erase cascade its
+// scratch stack (§32):
 //
 //	          allocs  before      KB    before
-//	MR1-D      4 372   6 064  3 223.1  3 227.7
-//	MR2-D      4 709   7 159  3 381.3  3 535.4
-//	SDN1         380     440     55.3     58.8
-//	SDN2         255     254     32.1     32.1
-//	SDN3         273     281     34.4     35.2
-//	SDN4         524     528     65.1     65.5
+//	MR1-D      2 268   4 372  3 133.7  3 223.1
+//	MR2-D      2 270   4 709  3 271.2  3 381.3
+//	SDN1         346     380     54.0     55.3
+//	SDN2         232     255     30.7     32.1
+//	SDN3         248     273     34.0     34.4
+//	SDN4         467     524     61.6     65.1
 //
 // For SDN1 and MR1-D it also logs the allocation ledger by layer
 // (ledger_test.go), and holds the ledger's window to this one's count.
@@ -40,12 +40,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 4438, 3271.4},
-		{"MR2-D", 4780, 3432.0},
-		{"SDN1", 386, 56.1},
-		{"SDN2", 259, 32.6},
-		{"SDN3", 277, 34.9},
-		{"SDN4", 532, 66.1},
+		{"MR1-D", 2302, 3180.7},
+		{"MR2-D", 2304, 3320.3},
+		{"SDN1", 351, 54.8},
+		{"SDN2", 235, 31.2},
+		{"SDN3", 252, 34.5},
+		{"SDN4", 474, 62.5},
 	}
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
