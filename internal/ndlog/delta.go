@@ -250,19 +250,22 @@ func (e *Engine) pinned(i int) (*row, string) {
 // cfBackdateRow moves an already-live row's appearance back to an
 // out-of-order base insertion's stamp: the evaluation inserted the same
 // tuple later, so in the timely run the row exists from st on. Three
-// consequences follow. The row's live history interval opens at st.
-// Trigger occurrences inside the widened window (st, old appearance) are
-// re-fired with the row pinned — occurrences past the old appearance
-// fired with the row already. And on a keyed table the generation the
-// later insert displaced gives up the window too: its death moves back to
-// st, and the event firings it fed in between are erased, because the
-// timely run had replaced it before they triggered (the §4.9 intra-tick
-// race: the corrected config arrived after the probe; inserting it a tick
-// earlier must both erase the stale answer and derive the correct one).
+// consequences follow. The row's live history interval opens at st, and
+// the observer is told the row appears there: derivations from now on name
+// that appearance, so a recorder must have it. Trigger occurrences inside
+// the widened window (st, old appearance) are re-fired with the row pinned
+// — occurrences past the old appearance fired with the row already. And on
+// a keyed table the generation the later insert displaced gives up the
+// window too: its death moves back to st, and the event firings it fed in
+// between are erased, because the timely run had replaced it before they
+// triggered (the §4.9 intra-tick race: the corrected config arrived after
+// the probe; inserting it a tick earlier must both erase the stale answer
+// and derive the correct one).
 func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *row, st Stamp) error {
 	old := r.appearedAt
 	tb.histBackdateFrom(&e.arena, r.key, old.Seq, st)
 	r.appearedAt = st
+	e.obs.OnAppear(keyedAt(nodeName, r.tuple, r.key, st), 0)
 	// Backdating can break the appearance-order sorted prefix at the
 	// row's position; shrink it so binary searches stay sound.
 	for i, o := range tb.order {

@@ -67,7 +67,6 @@ func (r *Recorder) Fork() *Recorder {
 		graph:         r.graph.Fork(),
 		pendingInsert: r.pendingInsert,
 		pendingDelete: r.pendingDelete,
-		eagerAgg:      r.eagerAgg,
 	}
 }
 
@@ -96,7 +95,7 @@ func (g *Graph) Fork() *Graph {
 	// Under the lock because sibling forks and readers of the shared base
 	// may fold concurrently.
 	g.foldMu.Lock()
-	f.foldMemo = make(map[uint64][]int, len(g.foldMemo))
+	f.foldMemo = make(map[int][]int, len(g.foldMemo))
 	for k, ids := range g.foldMemo {
 		f.foldMemo[k] = ids
 	}

@@ -51,11 +51,9 @@ func fnvUint64(h, v uint64) uint64 {
 // contributor list would be O(k). The chain hash determines, recursively,
 // every intermediate head label and every contributor subtree, so
 // fingerprint equality still implies folded-tree structural identity
-// (modulo 2^-64 collisions) — and because it never looks at Children, it
-// is byte-identical whether the recorder materialized the full list
-// eagerly or left the delta for lazy folding. Fingerprints commute with
-// folding, which is what keeps the alignment memo and treediff pruning
-// firing across both modes.
+// (modulo 2^-64 collisions) without folding: it never looks at Children,
+// so the chain a fork extends hashes as a from-scratch run's does, which is
+// what keeps the alignment memo and treediff pruning firing.
 func (g *Graph) fingerprintOf(v *Vertex) uint64 {
 	var h uint64
 	if v.aggCount > 0 {

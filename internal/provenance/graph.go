@@ -189,14 +189,17 @@ type Graph struct {
 	headOver, trigOver map[int]int32
 
 	// foldMemo caches folded aggregate contributor lists, keyed by the
-	// chain head's fingerprint: repeated Tree projections of the same
+	// chain head's vertex ID: repeated Tree projections of the same
 	// aggregate head (every diagnosis round, every treediff) pay the
-	// O(k) chain walk once. Entries are immutable once stored. Guarded
-	// by foldMu because trees may be projected from shared graphs
-	// concurrently. Never chained through base: Fork snapshots the
-	// base's memo, so each graph's memo is self-contained.
+	// O(k) chain walk once. Not by fingerprint: two chains with the same
+	// labels — a group a trial empties and fills again — hash alike, but
+	// each folds its own occurrences. Entries are immutable once stored.
+	// Guarded by foldMu because trees may be projected from shared graphs
+	// concurrently. Never chained through base: Fork snapshots the base's
+	// memo (IDs are stable along the chain), so each graph's memo is
+	// self-contained.
 	foldMu   sync.Mutex
-	foldMemo map[uint64][]int
+	foldMemo map[int][]int
 
 	// Copy-on-write state (see cow.go). A CoW fork keeps the frozen base
 	// graph it shadows: local vertexes occupy IDs baseLen and up, and
@@ -213,7 +216,7 @@ type tableRef struct{ node, table string }
 
 // NewGraph creates an empty provenance graph.
 func NewGraph() *Graph {
-	return &Graph{byTuple: map[ndlog.TupleRef]tupleEnds{}, foldMemo: map[uint64][]int{}}
+	return &Graph{byTuple: map[ndlog.TupleRef]tupleEnds{}, foldMemo: map[int][]int{}}
 }
 
 // NumVertexes returns the number of vertexes in the graph, including
@@ -439,8 +442,8 @@ func (g *Graph) ChildrenOf(id int) []int {
 	if v == nil {
 		return nil
 	}
-	// Eagerly-recorded aggregates (and count-1 chains) already carry the
-	// full list in Children.
+	// A link whose recorded children number its count (a chain's count-1
+	// start) already carries the full list in Children.
 	if v.aggCount == 0 || len(v.Children) == int(v.aggCount) {
 		return v.Children
 	}
@@ -450,13 +453,13 @@ func (g *Graph) ChildrenOf(id int) []int {
 // foldAgg reconstructs the full contributor list of an aggregate head by
 // walking the delta chain backwards and replaying it forwards — a link
 // adds its contributor, a removal link takes it out — memoizing the result
-// per chain-head fingerprint. The walk stops early at the first
-// predecessor whose fold is already memoized, so across the queries a
-// diagnosis issues each chain link is visited O(1) times amortized.
+// per chain head. The walk stops early at the first predecessor whose fold
+// is already memoized, so across the queries a diagnosis issues each chain
+// link is visited O(1) times amortized.
 func (g *Graph) foldAgg(v *Vertex) []int {
 	g.foldMu.Lock()
 	defer g.foldMu.Unlock()
-	if out, ok := g.foldMemo[v.fp]; ok {
+	if out, ok := g.foldMemo[v.ID]; ok {
 		return out
 	}
 	var prefix []int
@@ -467,12 +470,12 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 			break
 		}
 		prev := g.vertex(int(cur.prev))
-		if out, ok := g.foldMemo[prev.fp]; ok {
+		if out, ok := g.foldMemo[prev.ID]; ok {
 			prefix = out
 			break
 		}
 		if prev.aggCount > 0 && len(prev.Children) == int(prev.aggCount) {
-			prefix = prev.Children // eagerly materialized predecessor
+			prefix = prev.Children // a count-1 start: its one child is the list
 			break
 		}
 		cur = prev
@@ -482,13 +485,13 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 	for i := len(rev) - 1; i >= 0; i-- {
 		out = rev[i].foldStep(out)
 	}
-	g.foldMemo[v.fp] = out
+	g.foldMemo[v.ID] = out
 	return out
 }
 
 // foldStep applies an aggregate link to a contributor list it may edit in
 // place: it appends the link's contributor, or removes it for a removal
-// link. The lazy fold and the recorder's eager lists share it.
+// link.
 func (v *Vertex) foldStep(list []int) []int {
 	c := int(v.aggContrib)
 	switch {

@@ -19,41 +19,19 @@ type Recorder struct {
 	// the following DISAPPEAR. Both are int32, like the vertex links, so a
 	// fork's Recorder is a 32-byte allocation where it would be 48.
 	pendingInsert, pendingDelete int32
-	// eagerAgg materializes the full contributor list on every aggregate
-	// DERIVE at record time (the pre-delta behavior, O(k) per update).
-	// Default off: aggregates record the delta alone and Graph.ChildrenOf
-	// folds on demand. Both modes yield byte-identical folded trees and
-	// fingerprints; eager is the oracle's setting (replay.Oracle()) — the
-	// reference side of the differential tests.
-	eagerAgg bool
 
 	// sealed marks the recorder frozen as a base run (see cow.go).
 	sealed bool
 }
 
-// RecorderOption configures a Recorder.
-type RecorderOption func(*Recorder)
-
-// WithEagerAggregates selects eager materialization of aggregate
-// contributor lists at record time instead of lazy folding. It is the
-// oracle's setting: replay.Oracle() applies it, and package-local tests
-// construct it directly; nothing else turns it on.
-func WithEagerAggregates(on bool) RecorderOption {
-	return func(r *Recorder) { r.eagerAgg = on }
-}
-
 // NewRecorder creates a recorder for executions of the given program.
-func NewRecorder(prog *ndlog.Program, opts ...RecorderOption) *Recorder {
-	r := &Recorder{
+func NewRecorder(prog *ndlog.Program) *Recorder {
+	return &Recorder{
 		prog:          prog,
 		graph:         NewGraph(),
 		pendingInsert: -1,
 		pendingDelete: -1,
 	}
-	for _, o := range opts {
-		o(r)
-	}
-	return r
 }
 
 // Graph returns the graph built so far. The graph remains owned by the
@@ -105,15 +83,12 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 
 // onDeriveAggregate records an aggregate delta derivation: the vertex is
 // annotated with the chain link (previous head's DERIVE, contributor,
-// running count) and carries only the new contributor as a recorded
-// child — unless the recorder is in eager mode, in which case the full
-// folded list is materialized into Children right away. In both modes the
-// trigger (the precondition that appeared last) is the new contributor,
-// and the fingerprint is the chain hash, so everything downstream of
-// Graph.ChildrenOf sees identical structure. A removal link
-// (Derivation.AggRemove) names the contributor it takes out of the group:
-// that is no cause of the new head, so it records no child and triggers
-// nothing, and the eager list is the predecessor's without it.
+// running count) and carries only the new contributor as a recorded child,
+// which is also its trigger (the precondition that appeared last);
+// Graph.ChildrenOf folds the chain into the full list on demand. A removal
+// link (Derivation.AggRemove) names the contributor it takes out of the
+// group: that is no cause of the new head, so it records no child and
+// triggers nothing.
 func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 	v := pointVertex(Derive, d.Head, d.Rule)
 	v.Node, v.Trigger = d.Node, -1
@@ -126,17 +101,11 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 	if len(d.Refs) > 0 {
 		v.aggContrib = int32(r.bodyVertex(d.Refs[0]))
 	}
-	var scratch [1]int
-	children := scratch[:0]
-	if r.eagerAgg && v.prev >= 0 {
-		// Reference mode: fold the predecessor's list and apply this link —
-		// O(k) per update, the pre-delta cost.
-		children = append(children, r.graph.ChildrenOf(int(v.prev))...)
-	}
-	children = v.foldStep(children)
+	var buf [1]int
+	var children []int
 	trigger := v.aggContrib >= 0 && !v.aggRemove
 	if trigger {
-		v.Trigger = len(children) - 1
+		children, v.Trigger = single(&buf, int(v.aggContrib)), 0
 	}
 	dv := r.graph.add(v, children)
 	r.graph.setDerive(d.ID, dv.ID)

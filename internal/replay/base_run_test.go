@@ -256,37 +256,6 @@ func TestCheckpointsReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestStateAtBinarySearch probes the boundaries of the checkpoint search.
-func TestStateAtBinarySearch(t *testing.T) {
-	s := NewSession(fwdProg, WithCheckpointEvery(3))
-	for tick := int64(0); tick < 12; tick++ {
-		tu := ndlog.NewTuple("flowEntry", ndlog.Int(tick), ndlog.MustParsePrefix("0.0.0.0/0"), ndlog.Str("x"))
-		if err := s.Insert("s1", tu, tick); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	cks := s.Checkpoints()
-	if len(cks) < 2 {
-		t.Fatalf("want >= 2 checkpoints, got %d", len(cks))
-	}
-	if _, ok := s.StateAt(cks[0].Tick - 1); ok {
-		t.Error("StateAt before the first checkpoint must report none")
-	}
-	for _, ck := range cks {
-		got, ok := s.StateAt(ck.Tick)
-		if !ok || got.Tick != ck.Tick {
-			t.Fatalf("StateAt(%d) = (tick %d, %v), want the exact checkpoint", ck.Tick, got.Tick, ok)
-		}
-	}
-	last := cks[len(cks)-1]
-	if got, ok := s.StateAt(last.Tick + 1000); !ok || got.Tick != last.Tick {
-		t.Fatalf("StateAt far past the end = (tick %d, %v), want last checkpoint %d", got.Tick, ok, last.Tick)
-	}
-}
-
 // TestConcurrentClonesShareAndIsolatePrefixCache exercises the base cell
 // under -race: clones of one session replay concurrently through the
 // shared cell (forks interleaving with the one build), while sessions

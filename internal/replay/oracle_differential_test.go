@@ -2,13 +2,16 @@ package replay_test
 
 // The one harness between the two replay configurations (DESIGN.md §18):
 // production — trials fork the session's sealed base run and push their
-// change set through the delta phase, on indexed engines with lazily
-// folded aggregates — against replay.Oracle(), where every replay
-// re-executes the log from scratch on unindexed engines with eagerly
-// materialized aggregates. Every replayable Table 1 scenario must come
-// out byte-identical under both: the provenance graph, the bad tree, the
-// final state, a direct late ReplayWith, and the full diagnosis with its
-// round count.
+// change set through the delta phase, on indexed engines — against
+// replay.Oracle(), where every replay re-executes the log from scratch on
+// unindexed engines. Every replayable Table 1 scenario must come out
+// byte-identical under both: the provenance graph, the bad tree, the final
+// state, a direct late ReplayWith, and the full diagnosis with its round
+// count. Both configurations record and fold aggregates with the same
+// code, so agreeing says nothing about the fold: every graph either one
+// produces — the base run, the direct late ReplayWith, and the replay of
+// the diagnosis' change set — must also pass the rule-instance check
+// (CheckRuleInstances, DESIGN.md §33).
 //
 // The four entry points are the columns of the harness's matrix (how the
 // counterfactual candidates are evaluated), not separate suites — they
@@ -33,19 +36,11 @@ import (
 // serializeGraph dumps the graph through the folded view
 // (Graph.ChildrenOf), with fingerprints: this is exactly what Tree,
 // treediff, and the alignment see, so byte-equality here means every
-// downstream consumer behaves identically. The recorded trigger slot is
-// representation-specific for aggregate deltas (slot 0 lazily, the last
-// slot eagerly), so it is normalized to the newest folded contributor —
-// the meaning both representations share.
+// downstream consumer behaves identically.
 func serializeGraph(g *provenance.Graph) string {
 	var sb strings.Builder
 	g.Vertexes(func(v *provenance.Vertex) {
-		kids := g.ChildrenOf(v.ID)
-		trig := v.Trigger
-		if _, _, ok := g.AggDelta(v.ID); ok {
-			trig = len(kids) - 1
-		}
-		fmt.Fprintf(&sb, "%d %s trig=%d fp=%016x kids=%v\n", v.ID, v.String(), trig, v.Fingerprint(), kids)
+		fmt.Fprintf(&sb, "%d %s trig=%d fp=%016x kids=%v\n", v.ID, v.String(), v.Trigger, v.Fingerprint(), g.ChildrenOf(v.ID))
 	})
 	return sb.String()
 }
@@ -112,10 +107,15 @@ func lateChange(sess *replay.Session) []replay.Change {
 	return []replay.Change{{Insert: true, Node: last.Node, Tuple: last.Tuple, Tick: last.Tick + 1}}
 }
 
+// directReplay replays lateChange, checks the rule instances of the
+// trial's graph, and serializes the graph and the final state.
 func directReplay(sess *replay.Session) (string, error) {
 	e, g, err := sess.ReplayWith(lateChange(sess))
 	if err != nil {
 		return "", err
+	}
+	if _, err := replay.CheckRuleInstances(sess.Program(), g); err != nil {
+		return "", fmt.Errorf("the late trial's graph: %v", err)
 	}
 	return serializeGraph(g) + serializeSnapshot(e.CaptureState()), nil
 }
@@ -127,8 +127,8 @@ type run struct {
 }
 
 // oracleRun drives one session through the whole surface: a direct late
-// ReplayWith, the query-time graph, and a full diagnosis at the given
-// candidate parallelism.
+// ReplayWith, the query-time graph, a full diagnosis at the given
+// candidate parallelism, and the replay of the diagnosis' change set.
 func oracleRun(t *testing.T, s *scenarios.Scenario, sess *replay.Session, label string, parallelism int) run {
 	t.Helper()
 	direct, err := directReplay(sess)
@@ -142,6 +142,7 @@ func oracleRun(t *testing.T, s *scenarios.Scenario, sess *replay.Session, label 
 	if got := eng.Stats().AggRetractMisses; got != 0 {
 		t.Errorf("%s: AggRetractMisses = %d, want 0", label, got)
 	}
+	replay.MustBeRuleInstances(t, label+" base run", sess.Program(), g)
 	badTree := g.Tree(s.Bad.Vertex.ID)
 	if badTree == nil {
 		t.Fatalf("%s: bad vertex %d missing from replayed graph", label, s.Bad.Vertex.ID)
@@ -159,6 +160,11 @@ func oracleRun(t *testing.T, s *scenarios.Scenario, sess *replay.Session, label 
 			t.Fatalf("%s: check: %v", label, err)
 		}
 	}
+	_, fixed, err := sess.ReplayWith(res.Changes)
+	if err != nil {
+		t.Fatalf("%s: replaying the diagnosis: %v", label, err)
+	}
+	replay.MustBeRuleInstances(t, label+" replay of the diagnosis", sess.Program(), fixed)
 	var ch []string
 	for _, c := range res.Changes {
 		ch = append(ch, c.String())
@@ -364,6 +370,7 @@ rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
 			if err != nil {
 				t.Fatal(err)
 			}
+			replay.MustBeRuleInstances(t, "the trial", sess.Program(), dg)
 			// Event tuples never enter the live state; the surviving
 			// occurrences are the APPEAR vertexes the counterfactual
 			// phase did not erase — the history is the authority.

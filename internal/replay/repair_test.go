@@ -51,10 +51,16 @@ rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
 	if out := ndlog.NewTuple("out", ndlog.Str("k0"), ndlog.Str("w")); !rebuilt.Live().ExistsEver("n", out) {
 		t.Fatalf("the rebuild never derived %s", out)
 	}
-	base, _, err := s.Graph()
+	base, g, err := s.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
+	MustBeRuleInstances(t, "the base run", prog, g)
+	_, rg, err := rebuilt.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	MustBeRuleInstances(t, "the rebuild's base run", prog, rg)
 	if got := base.CaptureState().State; !reflect.DeepEqual(got, want) {
 		t.Fatalf("the query-time base run %v differs from the rebuild %v", got, want)
 	}
@@ -63,14 +69,8 @@ rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
 	}
 }
 
-// TestAggregateRemovalFoldsBySubtraction: a trial that erases two of a
-// count() group's three contributors steps the group down twice, and each
-// new head's tree lists what is left — the removed contributor taken out
-// of the fold, not appended to it — in production and under Oracle()
-// alike. The last head's contributors are, by tuple and tick, those of
-// the run that has the change in its log.
-func TestAggregateRemovalFoldsBySubtraction(t *testing.T) {
-	prog := ndlog.MustParse(`
+// gateProg passes pings through gates and counts what passed on each node.
+var gateProg = ndlog.MustParse(`
 table gate/1 base mutable;
 table ping/1 event base;
 table rep/1 event;
@@ -78,6 +78,15 @@ table tally/1;
 rule rp rep(@C, X) :- ping(@C, X), gate(@C, X).
 rule ty tally(@C, N) :- rep(@C, X), N := count().
 `)
+
+// TestAggregateRemovalFoldsBySubtraction: a trial that erases two of a
+// count() group's three contributors steps the group down twice, and each
+// new head's tree lists what is left — the removed contributor taken out
+// of the fold, not appended to it — in production and under Oracle()
+// alike. The last head's contributors are, by tuple and tick, those of
+// the run that has the change in its log.
+func TestAggregateRemovalFoldsBySubtraction(t *testing.T) {
+	prog := gateProg
 	gateOne := ndlog.NewTuple("gate", ndlog.Int(1))
 	run := func(inLog bool, opts ...SessionOption) *Session {
 		s := NewSession(prog, opts...)
@@ -117,13 +126,12 @@ rule ty tally(@C, N) :- rep(@C, X), N := count().
 	want := map[int64][]string{1: {"rep(2)@t6"}, 2: {"rep(2)@t6", "rep(1)@t7"}}
 	fps := map[int64]uint64{}
 	for _, oracle := range []bool{false, true} {
-		var opts []SessionOption
-		if oracle {
-			opts = append(opts, Oracle())
-		}
-		_, g, err := run(false, opts...).ReplayWith([]Change{{Node: "n", Tuple: gateOne, Tick: 3}})
+		_, g, err := run(false, configuration(oracle)...).ReplayWith([]Change{{Node: "n", Tuple: gateOne, Tick: 3}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := MustBeRuleInstances(t, fmt.Sprintf("oracle=%v trial", oracle), prog, g); n != 2 {
+			t.Errorf("oracle=%v: the trial holds %d removal links, want 2", oracle, n)
 		}
 		for n, w := range want {
 			tr, got := tree(g, n)
@@ -141,7 +149,90 @@ rule ty tally(@C, N) :- rep(@C, X), N := count().
 	if err != nil {
 		t.Fatal(err)
 	}
+	MustBeRuleInstances(t, "the run with the delete in its log", prog, g)
 	if _, got := tree(g, 1); !reflect.DeepEqual(got, want[1]) {
 		t.Errorf("with the delete in the log, tally(1) folds %v; the trial's folds %v", got, want[1])
+	}
+}
+
+// TestRebuiltCountChainFoldsItsOwnContributors: a trial that empties a
+// count() group and fills it again rebuilds a chain whose links have the
+// labels, and so the fingerprints, of the base run's chain. Each new head
+// must fold the trial's own contributors, occurrences that exist in the
+// trial, not the erased ones of the base chain it resembles.
+func TestRebuiltCountChainFoldsItsOwnContributors(t *testing.T) {
+	gate := ndlog.NewTuple("gate", ndlog.Int(3))
+	for _, oracle := range []bool{false, true} {
+		s := NewSession(gateProg, configuration(oracle)...)
+		for _, err := range []error{
+			s.Insert("n", gate, 2),
+			s.Insert("n", ndlog.NewTuple("ping", ndlog.Int(3)), 10),
+			s.Insert("n", ndlog.NewTuple("ping", ndlog.Int(3)), 13),
+			s.Run(),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Project the base run's head first, as a diagnosis does: a fork
+		// starts with its base's folds memoized.
+		_, bg, err := s.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg.Tree(bg.LastAppear("n", ndlog.NewTuple("tally", ndlog.Int(2))).ID)
+		eng, g, err := s.ReplayWith([]Change{{Node: "n", Tuple: gate, Tick: 2}, {Insert: true, Node: "n", Tuple: gate, Tick: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap := g.LastAppear("n", ndlog.NewTuple("tally", ndlog.Int(2)))
+		if ap == nil {
+			t.Fatal("the trial never derived tally(2)")
+		}
+		kids := g.Tree(ap.ID).Children[0].Children
+		if len(kids) != 2 {
+			t.Fatalf("oracle=%v: tally(2) folds %d contributors, want 2", oracle, len(kids))
+		}
+		for _, c := range kids {
+			if v := c.Vertex; !eng.Exists(v.Node, v.Tuple, v.At) {
+				t.Errorf("oracle=%v: tally(2) folds %s, an occurrence the trial erased", oracle, v)
+			}
+		}
+		MustBeRuleInstances(t, fmt.Sprintf("oracle=%v trial", oracle), gateProg, g)
+	}
+}
+
+// TestBackdatedInsertIsRecorded: a trial inserting a flow entry two ticks
+// before the log does moves the entry's appearance back, and a packet in
+// between is forwarded by it. The forwarding DERIVE must list both of its
+// preconditions, the entry as it appears from the trial's tick on: the
+// recorder sees the backdated appearance, or it cannot resolve the body
+// reference and the DERIVE loses a child.
+func TestBackdatedInsertIsRecorded(t *testing.T) {
+	fe := ndlog.NewTuple("flowEntry", ndlog.Int(1), ndlog.MustParsePrefix("10.0.0.0/8"), ndlog.Str("s2"))
+	pkt := ndlog.NewTuple("packet", ndlog.MustParseIP("10.0.0.1"))
+	for _, oracle := range []bool{false, true} {
+		s := NewSession(fwdProg, configuration(oracle)...)
+		for _, err := range []error{s.Insert("s1", fe, 4), s.Insert("s1", pkt, 3), s.Run()} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, g, err := s.ReplayWith([]Change{{Insert: true, Node: "s1", Tuple: fe, Tick: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ap := g.LastAppear("s2", pkt)
+		if ap == nil {
+			t.Fatalf("oracle=%v: the trial never forwarded %s", oracle, pkt)
+		}
+		d := g.Tree(ap.ID).Children[0]
+		if len(d.Children) != 2 {
+			t.Fatalf("oracle=%v: %s has %d preconditions, want the packet and the flow entry", oracle, d.Vertex, len(d.Children))
+		}
+		if at := d.Children[1].Vertex.At; at.T != 2 {
+			t.Errorf("oracle=%v: the flow entry appears at %s, want tick 2", oracle, at)
+		}
+		MustBeRuleInstances(t, fmt.Sprintf("oracle=%v trial", oracle), fwdProg, g)
 	}
 }

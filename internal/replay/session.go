@@ -3,7 +3,6 @@ package replay
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -139,7 +138,6 @@ type Session struct {
 	statsMu sync.Mutex
 
 	engineOpts []ndlog.Option
-	recOpts    []provenance.RecorderOption
 
 	// Persistent storage backing (WithStorage); nil for in-memory
 	// sessions. stErr is a storage-attach failure, reported by the first
@@ -171,16 +169,14 @@ func WithEngineOptions(opts ...ndlog.Option) SessionOption {
 // Oracle selects the reference configuration the production path is
 // differential-tested against: every counterfactual replay re-executes
 // the whole log from scratch instead of forking the base run, on engines
-// without join indexes and with aggregate contributor lists materialized
-// eagerly. Results are byte-identical to the production configuration
-// (asserted over every replayable scenario by the harness in
+// without join indexes. Results are byte-identical to the production
+// configuration (asserted over every replayable scenario by the harness in
 // oracle_differential_test.go); it exists for that harness and the
 // ablation benchmarks, not for serving.
 func Oracle() SessionOption {
 	return func(s *Session) {
 		s.oracle = true
 		s.engineOpts = append(s.engineOpts, ndlog.WithIndexing(false))
-		s.recOpts = append(s.recOpts, provenance.WithEagerAggregates(true))
 	}
 }
 
@@ -195,7 +191,7 @@ func NewSession(prog *ndlog.Program, opts ...SessionOption) *Session {
 		o(s)
 	}
 	if s.mode == Runtime {
-		s.liveRec = provenance.NewRecorder(prog, s.recOpts...)
+		s.liveRec = provenance.NewRecorder(prog)
 		s.live = ndlog.New(prog, s.liveRec, s.newEngineOpts()...)
 	} else {
 		s.live = ndlog.New(prog, nil, s.newEngineOpts()...)
@@ -280,7 +276,6 @@ func (s *Session) Clone() *Session {
 		base:       s.base,
 		oracle:     s.oracle,
 		engineOpts: s.engineOpts,
-		recOpts:    s.recOpts,
 	}
 }
 
@@ -322,9 +317,9 @@ func (s *Session) Log() *Log { return s.log }
 // Mode returns the capture mode.
 func (s *Session) Mode() Mode { return s.mode }
 
-// Checkpoints returns a copy of the state checkpoints captured so far.
-// (A copy, so callers cannot perturb the session's checkpoint sequence —
-// StateAt relies on it being tick-sorted.)
+// Checkpoints returns a copy of the state checkpoints captured so far, in
+// tick order. (A copy, so callers cannot perturb the session's checkpoint
+// sequence, which Run appends to and storage persists.)
 func (s *Session) Checkpoints() []ndlog.Snapshot {
 	return append([]ndlog.Snapshot(nil), s.ckpts...)
 }
@@ -385,18 +380,6 @@ func (s *Session) Run() error {
 			}
 		}
 	}
-}
-
-// StateAt returns the most recent checkpoint at or before the tick, if
-// one exists. Checkpoints are tick-sorted (Run appends them in order), so
-// this is a binary search. This is the fast path for state inspection;
-// provenance queries replay instead.
-func (s *Session) StateAt(tick int64) (ndlog.Snapshot, bool) {
-	i := sort.Search(len(s.ckpts), func(i int) bool { return s.ckpts[i].Tick > tick })
-	if i == 0 {
-		return ndlog.Snapshot{}, false
-	}
-	return s.ckpts[i-1], true
 }
 
 // Graph returns the provenance graph of the execution so far: directly in
@@ -655,7 +638,7 @@ func (s *Session) buildBase(ctx context.Context, b *baseRun) error {
 // scheduleScratch builds a fresh recorder-attached engine with the whole
 // log scheduled but nothing evaluated.
 func (s *Session) scheduleScratch(ctx context.Context) (*ndlog.Engine, *provenance.Recorder, error) {
-	rec := provenance.NewRecorder(s.prog, s.recOpts...)
+	rec := provenance.NewRecorder(s.prog)
 	e := ndlog.New(s.prog, rec, s.newEngineOpts()...)
 	err := schedule(ctx, e, len(s.log.events), func(i int) Change {
 		ev := s.log.events[i]

@@ -184,12 +184,13 @@ func Open(prog *ndlog.Program, dir string, opts ...SessionOption) (*Session, err
 // verifyReusedCheckpoint compares the newest durable checkpoint Open
 // reused with the state its re-drive reaches at the same tick. Reused
 // checkpoints are never recaptured (Run skips the intervals they cover),
-// so without this check a data directory opened with a different program
-// would keep serving the old program's derived tuples from StateAt. Run
-// calls it before evaluating each pending tick (next; more reports
-// whether there is one): the comparison happens once, when everything at
-// or before the checkpoint's tick has been evaluated and nothing later
-// has. Without a checkpoint awaiting verification it does nothing.
+// so without this check a store written by another program would be reused
+// as this one's, its checkpoints holding the other program's derived
+// tuples. Run calls it before evaluating each pending tick (next; more
+// reports whether there is one): the comparison happens once, when
+// everything at or before the checkpoint's tick has been evaluated and
+// nothing later has. Without a checkpoint awaiting verification it does
+// nothing.
 func (s *Session) verifyReusedCheckpoint(next int64, more bool) error {
 	if !s.verifyingCheckpoint() {
 		return nil
