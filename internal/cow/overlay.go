@@ -89,14 +89,18 @@ func (o *Overlay[K, V]) Set(k K, v V) {
 	o.m[k] = v
 }
 
-// Delete removes k: a root forgets it, a fork stores a tombstone.
+// Delete removes k: a link stores a tombstone if a link below holds k, and
+// otherwise forgets it, so a key a fork adds and removes again, like a root
+// does, leaves no entry.
 func (o *Overlay[K, V]) Delete(k K) {
-	if o.base == nil {
-		delete(o.m, k)
-		return
+	for l := o.base; l != nil; l = l.base {
+		if _, ok := l.m[k]; ok {
+			var zero V
+			o.Set(k, zero)
+			return
+		}
 	}
-	var zero V
-	o.Set(k, zero)
+	delete(o.m, k)
 }
 
 // Each calls fn with k's value in every link that holds it, root first:

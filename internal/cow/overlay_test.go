@@ -68,10 +68,20 @@ func TestTombstoneHidesTheBase(t *testing.T) {
 	if got := above.Get("a"); got != 0 {
 		t.Errorf("a fork of the deleting link reads %d, want the tombstone's zero", got)
 	}
-	// A root forgets the key instead of storing a tombstone.
+	// A root forgets the key instead of storing a tombstone, and so does a
+	// fork when no link below holds the key.
+	has := func(o *Overlay[string, int], k string) bool {
+		_, own := o.Find(func(m map[string]int) (int, bool) { v, ok := m[k]; return v, ok })
+		return own
+	}
 	root.Delete("a")
-	if _, own := root.Find(func(m map[string]int) (int, bool) { v, ok := m["a"]; return v, ok }); own {
+	if has(root, "a") {
 		t.Error("a root's Delete left an entry")
+	}
+	top.Set("d", 4)
+	top.Delete("d")
+	if has(top, "d") || top.Get("d") != 0 {
+		t.Error("a fork's Delete of a key only it held left an entry")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -283,16 +284,17 @@ func checkGuardedWrite(pass *Pass, e ast.Expr) {
 // setDerive, ...) mutates state another fork can still observe. The
 // compiler cannot see the seal, so this analyzer pins each shared
 // structure to the files that implement its discipline. The maps a fork
-// shares through a cow.Overlay — the engine's nodes and tables, interval
-// histories, index buckets, the support index, aggregate groups, the
-// graph's redirected vertexes and the rest — need no row here: the
+// shares through a cow.Overlay — the engine's nodes and tables, live rows,
+// interval histories, index buckets, the support index, aggregate groups,
+// the graph's redirected vertexes and the rest — need no row here: the
 // overlay's fields are unexported, so the compiler confines writes to its
 // methods, which write only the fork's own link. What is left is the
-// graph's derivation index, a slice.
+// graph's derivation index, a slice, and the engine's rows, which a table
+// clone shares with its frozen table until writableRow copies one.
 var SealCheck = &Analyzer{
 	Name:  "sealcheck",
 	Doc:   "confine writes to CoW-shared structures to the cow layer",
-	Match: prefixMatch("repro/internal/provenance"),
+	Match: prefixMatch("repro/internal/provenance", "repro/internal/ndlog"),
 	Run:   runSealCheck,
 }
 
@@ -305,6 +307,13 @@ var sealedFields = map[[2]string][]string{
 	// base's through cow.go's setDerive. The recorder writes no graph
 	// index: cow.go's indexAppear, indexDisappear and linkTrigger do.
 	{"Graph", "byDerive"}: {"cow.go"},
+	// ndlog: a row's mutable fields, written only by cow.go's mutators,
+	// each through writableRow. appear builds a new row by composite
+	// literal, which stays legal.
+	{"row", "supports"}:   {"cow.go"},
+	{"row", "dead"}:       {"cow.go"},
+	{"row", "diedAt"}:     {"cow.go"},
+	{"row", "appearedAt"}: {"cow.go"},
 }
 
 func runSealCheck(pass *Pass) error {
@@ -331,39 +340,45 @@ func runSealCheck(pass *Pass) error {
 	return nil
 }
 
+// checkSealedWrite reports a write through e to a guarded field: the
+// selected field, or one the write reaches it through (r.appearedAt.T++
+// writes r.appearedAt).
 func checkSealedWrite(pass *Pass, e ast.Expr) {
 	for {
 		switch x := e.(type) {
 		case *ast.IndexExpr:
 			e = x.X
-			continue
 		case *ast.StarExpr:
 			e = x.X
-			continue
+		case *ast.SelectorExpr:
+			if sealedWrite(pass, x) {
+				return
+			}
+			e = x.X
+		default:
+			return
 		}
-		break
 	}
-	se, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
+}
+
+// sealedWrite reports se if it selects a guarded field outside the files
+// allowed to write it, and says whether the field is guarded.
+func sealedWrite(pass *Pass, se *ast.SelectorExpr) bool {
 	sel := pass.Info.Selections[se]
 	if sel == nil || sel.Kind() != types.FieldVal {
-		return
+		return false
 	}
 	key := [2]string{namedOf(sel.Recv()), sel.Obj().Name()}
 	allowed, sealed := sealedFields[key]
 	if !sealed {
-		return
+		return false
 	}
 	file := filepath.Base(pass.Fset.Position(se.Pos()).Filename)
-	for _, ok := range allowed {
-		if file == ok {
-			return
-		}
+	if !slices.Contains(allowed, file) {
+		pass.Reportf(se.Pos(), "write to CoW-shared %s.%s outside the seal discipline (allowed: %s)",
+			key[0], key[1], strings.Join(allowed, ", "))
 	}
-	pass.Reportf(se.Pos(), "write to CoW-shared %s.%s outside the seal discipline (allowed: %s)",
-		key[0], key[1], strings.Join(allowed, ", "))
+	return true
 }
 
 // KeyString forbids indexing a map by a string built on the spot.

@@ -271,10 +271,9 @@ func TestSealCheckAllowsCowLayerFiles(t *testing.T) {
 }
 
 func TestSealCheckEngineConstructionSitesStayLegal(t *testing.T) {
-	// Everything an ndlog fork shares with its base — the node and table
-	// maps included — is a cow.Overlay, so sealcheck has no ndlog row and
-	// does not look at the package: the engine's own files, and any other,
-	// may write its plain fields.
+	// The node and table maps an ndlog fork shares with its base are
+	// cow.Overlays, so sealcheck guards no field of a table or a node: the
+	// engine's own files, and any other, may write them.
 	src := `package ndlog
 type table struct{ live map[string]int }
 type node struct{ tables map[string]*table }
@@ -288,6 +287,39 @@ func f(n *node, tb *table) {
 		pkg := loadSrc(t, "repro/internal/ndlog", file, src)
 		wantFindings(t, runOn(t, pkg, SealCheck))
 	}
+}
+
+// A row's mutable fields are written in cow.go, through writableRow, and
+// nowhere else; building a row whole is not a write to a shared one.
+func TestSealCheckGuardsEngineRows(t *testing.T) {
+	src := `package ndlog
+type support struct{ rule string }
+type Stamp struct{ T int64 }
+type row struct {
+	key        string
+	appearedAt Stamp
+	diedAt     Stamp
+	supports   []support
+	dead       bool
+}
+func f(r *row, s support, st Stamp) {
+	*r = row{key: "k", appearedAt: st, supports: []support{s}}
+	r.supports = append(r.supports, s)
+	r.supports[0] = s
+	r.dead, r.diedAt = true, st
+	r.appearedAt.T++
+	r.key = "k2"
+}
+`
+	pkg := loadSrc(t, "repro/internal/ndlog", "engine.go", src)
+	wantFindings(t, runOn(t, pkg, SealCheck),
+		"engine.go:13:2: sealcheck: write to CoW-shared row.supports",
+		"engine.go:14:2: sealcheck: write to CoW-shared row.supports",
+		"engine.go:15:2: sealcheck: write to CoW-shared row.dead",
+		"engine.go:15:10: sealcheck: write to CoW-shared row.diedAt",
+		"engine.go:16:2: sealcheck: write to CoW-shared row.appearedAt")
+	pkg = loadSrc(t, "repro/internal/ndlog", "cow.go", src)
+	wantFindings(t, runOn(t, pkg, SealCheck))
 }
 
 func TestSealCheckGuardsGraphIndexes(t *testing.T) {

@@ -16,22 +16,29 @@ package ndlog
 //   - A fork's first write to a table it shares clones it (writableTable)
 //     and sets the clone in the fork's own link of the table map, the one
 //     map the fork makes for its tables; the clones are the fork's dirty
-//     set. A clone's interval histories and index buckets are Overlay
-//     links over the frozen table's, so a per-key slice is copied only
-//     when that key is written.
+//     set. A clone shares the frozen table's rows and appends its own to a
+//     tail; its live rows, primary keys, interval histories and index
+//     buckets are Overlay links over the frozen table's. So a per-key entry
+//     is copied only when that key is written, and a row only when the
+//     clone writes it (writableRow): a fork pays for what it writes, not for
+//     the table's history.
 //
 // A fork finishes byte-identical to a straight-through run: sealed state
 // is immutable by construction (every write site routes through
-// writableTable or an Overlay method, and writableTable panics on a
-// sealed engine), reads see through the overlays in shadowing order, and
-// execution order is a function of the event schedule alone
+// writableTable, writableRow or an Overlay method, and writableTable
+// panics on a sealed engine), reads see through the overlays in shadowing
+// order, and execution order is a function of the event schedule alone
 // (WithSeqBand), never of how state is laid out.
 //
 // Concurrency: sealed state is only ever read after Seal returns, so any
 // number of goroutines may fork one sealed engine and run the forks
 // concurrently — each fork's writes land in fork-private clones.
 
-import "repro/internal/cow"
+import (
+	"slices"
+
+	"repro/internal/cow"
+)
 
 // Seal freezes the engine: Run, RunUntil, ScheduleInsert, and
 // ScheduleDelete are refused from now on, and so is any write to the tables
@@ -150,50 +157,20 @@ func (e *Engine) writableTable(nodeName string, tb *table) *table {
 }
 
 // forkTable clones a sealed table for owner, on owner's first write to it.
-// Rows are remapped pointer-for-pointer so the copies of live, order and
-// keyIdx all reference the same fresh row structs. The row copies and
-// their supports are two exact allocations (the sizes are known, so they
-// need no slab and leave no slack). Neither the interval histories nor the
-// index buckets are copied: the clone's are links over the frozen table's,
-// and a per-key slice is copied only when that key is written. A bucket
-// lists positions in order, which the clone keeps, so it reads the same in
-// both; the clone's indexes are one allocation.
+// The clone shares the frozen table's rows, and its order array until it
+// writes one of them (writableRow), and appends its own rows to a private
+// tail, so a position, which is what index buckets list, reads the same in
+// both. Its live rows, primary keys, interval histories and index buckets
+// are links over the frozen table's; its indexes are one allocation.
 func forkTable(tb *table, owner *Engine) *table {
-	remap := rowRemapPool.Get().(map[*row]*row)
-	// Every row the table has ever held is in order, so the capacities never
-	// grow — but if a row somehow reaches us outside order, fall back to
-	// fresh allocations rather than let append move an array under earlier
-	// pointers.
-	nsup := 0
-	for _, r := range tb.order {
-		nsup += len(r.supports)
-	}
-	backing, sups := make([]row, 0, len(tb.order)), make([]support, 0, nsup)
-	rowOf := func(r *row) *row {
-		fr, ok := remap[r]
-		if !ok {
-			if len(backing) < cap(backing) && len(sups)+len(r.supports) <= cap(sups) {
-				backing = append(backing, *r)
-				fr = &backing[len(backing)-1]
-				// supports is spliced in place on retraction, so the copy
-				// must not alias the base row's, and its window is clipped so
-				// a later append cannot reach the next row's; each support's
-				// body refs are write-once and shared.
-				lo := len(sups)
-				sups = append(sups, r.supports...)
-				fr.supports = sups[lo:len(sups):len(sups)]
-			} else {
-				cp := *r
-				cp.supports = append([]support(nil), r.supports...)
-				fr = &cp
-			}
-			remap[r] = fr
-		}
-		return fr
-	}
 	ft := &table{
-		decl: tb.decl,
-		live: make(map[string]*row, len(tb.live)),
+		decl:        tb.decl,
+		order:       tb.order[:len(tb.order):len(tb.order)],
+		orderShared: true,
+		tail:        slices.Clone(tb.tail),
+		live:        tb.live.Fork(),
+		keyIdx:      tb.keyIdx.Fork(),
+		from:        tb,
 		// Event occurrences are write-once (tuple, stamp) pairs, so the
 		// clone shares the backing array up to the current length (the
 		// capped capacity keeps a stray append off the base); appends on
@@ -207,28 +184,68 @@ func forkTable(tb *table, owner *Engine) *table {
 		hist:        tb.hist.Fork(),
 		owner:       owner,
 	}
-	ft.order = make([]*row, len(tb.order))
-	for i, r := range tb.order {
-		ft.order[i] = rowOf(r)
-	}
-	for k, r := range tb.live {
-		ft.live[k] = rowOf(r)
-	}
-	if tb.keyIdx != nil {
-		ft.keyIdx = make(map[string]*row, len(tb.keyIdx))
-		for k, r := range tb.keyIdx {
-			ft.keyIdx[k] = rowOf(r)
-		}
-	}
 	if tb.indexes != nil {
 		ft.indexes = make([]tableIndex, len(tb.indexes))
 		for i := range tb.indexes {
 			ft.indexes[i] = tableIndex{spec: tb.indexes[i].spec, buckets: tb.indexes[i].buckets.Fork()}
 		}
 	}
-	clear(remap)
-	rowRemapPool.Put(remap)
 	return ft
+}
+
+// writableRow returns row r of the writable table tb as tb may mutate it.
+// A row a clone shares with the frozen table it was made from — the one at
+// the same position in both — is copied into the engine's arena on its
+// first write, its supports with it, and the slot that holds it is pointed
+// at the copy: a tail slot, or one of order's, whose array is copied first
+// (a pointer per row) while it is the frozen table's. Every write to a row
+// goes through here (the mutators below), so no engine writes a row that
+// its base, a sibling fork or a pool worker reads.
+func (e *Engine) writableRow(tb *table, r *row) *row {
+	pos := int(r.pos)
+	if tb.from == nil || pos >= tb.from.size() || tb.from.row(pos) != r {
+		return r
+	}
+	cp := e.arena.rows.one()
+	*cp = *r
+	cp.supports = e.arena.supports.clone(r.supports, 0)
+	if pos >= len(tb.order) {
+		tb.tail[pos-len(tb.order)] = cp
+		return cp
+	}
+	if tb.orderShared {
+		tb.order, tb.orderShared = slices.Clone(tb.order), false
+	}
+	tb.order[pos] = cp
+	return cp
+}
+
+// addSupport appends a support to a live row of tb.
+func (e *Engine) addSupport(tb *table, r *row, s support) *row {
+	r = e.writableRow(tb, r)
+	r.supports = append(r.supports, s)
+	return r
+}
+
+// cutSupport splices out a row's i-th support.
+func (e *Engine) cutSupport(tb *table, r *row, i int) *row {
+	r = e.writableRow(tb, r)
+	r.supports = append(r.supports[:i], r.supports[i+1:]...)
+	return r
+}
+
+// killRow marks a row dead at st (retractRow).
+func (e *Engine) killRow(tb *table, r *row, st Stamp) *row {
+	r = e.writableRow(tb, r)
+	r.dead, r.diedAt = true, st
+	return r
+}
+
+// backdateRow moves a row's appearance back to st (cfBackdateRow).
+func (e *Engine) backdateRow(tb *table, r *row, st Stamp) *row {
+	r = e.writableRow(tb, r)
+	r.appearedAt = st
+	return r
 }
 
 // histAppend appends an interval to a key's history. A key's first

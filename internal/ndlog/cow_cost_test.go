@@ -2,6 +2,7 @@ package ndlog
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -104,6 +105,81 @@ func TestTableCloneCostIsIndependentOfBuckets(t *testing.T) {
 	t.Logf("fork and first write: %.0f allocations with 1 bucket, %.0f with 256", one, many)
 	if one != many {
 		t.Errorf("the first write to a sealed table allocates %.0f with 256 index buckets and %.0f with 1; want the same", many, one)
+	}
+}
+
+// TestTableCloneCostIsIndependentOfRows: a fork's first write to a sealed
+// table pays for what it writes, not for the rows the table ever held. With
+// 16 rows or 4 096 behind it (half of them dead), forking and inserting a
+// new key, or forking and retracting a base row, costs the same number of
+// allocations, and the large table at most a pointer per extra row (the
+// shared row pointers a clone copies before it writes a shared row) and
+// 1 KB more bytes.
+func TestTableCloneCostIsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sealed := func(rows int) *Engine {
+		return sealedRun(t, func(e *Engine) error {
+			for i := 0; i < rows; i++ {
+				if err := e.ScheduleInsert("n", NewTuple("t", Int(int64(i)), Int(int64(i))), 1); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < rows; i += 2 {
+				if err := e.ScheduleDelete("n", NewTuple("t", Int(int64(i)), Int(int64(i))), 2); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	// cost forks e and makes one write per run, each a first write to t.
+	cost := func(e *Engine, write func(f *Engine) error) (allocs, bytes float64) {
+		const runs = 50
+		run := func() {
+			f := e.Fork(nil)
+			if err := write(f); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if f.table("n", "t") == e.table("n", "t") {
+				t.Fatal("the fork wrote t without cloning it")
+			}
+		}
+		run()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		// Whole allocations per run, as testing.AllocsPerRun counts them: a
+		// pool refilled after a collection is not the write's.
+		return float64((m1.Mallocs - m0.Mallocs) / runs), float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	small, big := sealed(16), sealed(4096)
+	if tb := big.table("n", "t"); tb.size() != 4096 || len(big.LiveTuples("n", "t")) != 2048 {
+		t.Fatalf("the large table holds %d rows, %d live; want 4096, 2048", tb.size(), len(big.LiveTuples("n", "t")))
+	}
+	for _, w := range []struct {
+		name  string
+		write func(f *Engine) error
+	}{
+		{"insert a new key", func(f *Engine) error { return f.ScheduleInsert("n", NewTuple("t", Int(-1), Int(-1)), 3) }},
+		{"retract a base row", func(f *Engine) error { return f.ScheduleDelete("n", NewTuple("t", Int(1), Int(1)), 3) }},
+	} {
+		sa, sb := cost(small, w.write)
+		ba, bb := cost(big, w.write)
+		t.Logf("%s: %.0f allocations, %.0f B at 16 rows; %.0f, %.0f B at 4096", w.name, sa, sb, ba, bb)
+		if ba != sa {
+			t.Errorf("%s: %.0f allocations at 4096 rows, %.0f at 16; want the same", w.name, ba, sa)
+		}
+		if limit := sb + 8*(4096-16) + 1024; bb > limit {
+			t.Errorf("%s: %.0f B at 4096 rows, %.0f at 16; want at most %.0f", w.name, bb, sb, limit)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			base := &table{decl: &TableDecl{Name: "ev"}, live: map[string]*row{}}
+			base := &table{decl: &TableDecl{Name: "ev"}}
 			base.hist.Set(key, baseHist())
 			ft := forkTable(base, nil)
 
@@ -99,7 +99,7 @@ rule rc d(X) :- c(X).
 	}
 	e.Seal()
 	rules := func(en *Engine, key string) (out []string) {
-		for _, s := range en.table("n", "d").live[key].supports {
+		for _, s := range en.table("n", "d").liveRow(key).supports {
 			out = append(out, s.rule)
 		}
 		return out

@@ -77,12 +77,12 @@ func (tb *table) occAppend(t Tuple, st Stamp) {
 	tb.occs = append(tb.occs, eventOcc{tuple: t, at: st})
 }
 
-// noteOrderAppend maintains the stamp-sorted prefix length of tb.order;
+// noteOrderAppend maintains the stamp-sorted prefix length of tb.parts();
 // called just after a row is appended.
 func (tb *table) noteOrderAppend() {
-	i := len(tb.order) - 1
+	i := tb.size() - 1
 	if tb.orderSorted == i &&
-		(i == 0 || !tb.order[i].appearedAt.Before(tb.order[i-1].appearedAt)) {
+		(i == 0 || !tb.row(i).appearedAt.Before(tb.row(i-1).appearedAt)) {
 		tb.orderSorted++
 	}
 }
@@ -174,9 +174,9 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 			}
 			continue
 		}
-		i := sort.Search(tb.orderSorted, func(i int) bool { return s.Before(tb.order[i].appearedAt) })
-		for ; i < len(tb.order); i++ {
-			o := tb.order[i]
+		i := sort.Search(tb.orderSorted, func(i int) bool { return s.Before(tb.row(i).appearedAt) })
+		for ; i < tb.size(); i++ {
+			o := tb.row(i)
 			// Dead rows need no re-fire: a firing at their appearance would
 			// have been retracted when they died, or the row was killed by
 			// the repair itself and in a timely run would never have
@@ -264,23 +264,20 @@ func (e *Engine) pinned(i int) (*row, string) {
 func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *row, st Stamp) error {
 	old := r.appearedAt
 	tb.histBackdateFrom(&e.arena, r.key, old.Seq, st)
-	r.appearedAt = st
+	r = e.backdateRow(tb, r, st)
 	e.obs.OnAppear(keyedAt(nodeName, r.tuple, r.key, st), 0)
 	// Backdating can break the appearance-order sorted prefix at the
 	// row's position; shrink it so binary searches stay sound.
-	for i, o := range tb.order {
-		if o == r {
-			if i < tb.orderSorted && i > 0 && o.appearedAt.Before(tb.order[i-1].appearedAt) {
-				tb.orderSorted = i
-			}
-			break
-		}
+	if i := int(r.pos); i < tb.orderSorted && i > 0 && st.Before(tb.row(i-1).appearedAt) {
+		tb.orderSorted = i
 	}
 	e.cfMarkDirty(tb)
-	if tb.keyIdx != nil {
+	if len(decl.Key) > 0 {
 		pk := primaryKey(decl, r.tuple)
 		cause := keyedAt(nodeName, r.tuple, r.key, st)
-		for _, o := range tb.order {
+		for i, n := 0, tb.size(); i < n; i++ {
+			// By position: an erasure below may copy the row a slot holds.
+			o := tb.row(i)
 			if o == r || !o.dead || o.key == r.key || primaryKey(decl, o.tuple) != pk {
 				continue
 			}
@@ -449,7 +446,7 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 	if tb == nil {
 		return
 	}
-	for _, s := range tb.live[dep.key].supports {
+	for _, s := range tb.liveRow(dep.key).supports {
 		if s.deriveID != dep.deriveID {
 			continue
 		}
@@ -638,13 +635,13 @@ func occAtStamp(tb *table, st Stamp) (Tuple, bool) {
 
 // rowAtStamp finds the row that appeared at the given stamp.
 func rowAtStamp(tb *table, st Stamp) (*row, bool) {
-	i := sort.Search(tb.orderSorted, func(i int) bool { return !tb.order[i].appearedAt.Before(st) })
-	if i < tb.orderSorted && tb.order[i].appearedAt == st {
-		return tb.order[i], true
+	i := sort.Search(tb.orderSorted, func(i int) bool { return !tb.row(i).appearedAt.Before(st) })
+	if i < tb.orderSorted && tb.row(i).appearedAt == st {
+		return tb.row(i), true
 	}
-	for j := tb.orderSorted; j < len(tb.order); j++ {
-		if tb.order[j].appearedAt == st {
-			return tb.order[j], true
+	for j := tb.orderSorted; j < tb.size(); j++ {
+		if tb.row(j).appearedAt == st {
+			return tb.row(j), true
 		}
 	}
 	return nil, false

@@ -272,17 +272,53 @@ type node struct {
 	loc Value
 }
 
+// size returns how many rows the table has held.
+func (tb *table) size() int { return len(tb.order) + len(tb.tail) }
+
+// row returns the row at position pos.
+func (tb *table) row(pos int) *row {
+	if pos < len(tb.order) {
+		return tb.order[pos]
+	}
+	return tb.tail[pos-len(tb.order)]
+}
+
+// parts returns the rows in appearance order, for a scan: order, then tail.
+func (tb *table) parts() [2][]*row { return [2][]*row{tb.order, tb.tail} }
+
+// rowAt returns the row at a position+1 that live or keyIdx holds, or nil
+// for none.
+func (tb *table) rowAt(p int32) *row {
+	if p == 0 {
+		return nil
+	}
+	return tb.row(int(p - 1))
+}
+
+// liveRow returns key's live row, or nil.
+func (tb *table) liveRow(key string) *row { return tb.rowAt(tb.live.Get(key)) }
+
 // tableRef names one node's table: the key of Engine.tables.
 type tableRef struct{ node, table string }
 
 type table struct {
-	decl  *TableDecl
-	live  map[string]*row
-	order []*row // insertion-ordered; dead rows skipped
+	decl *TableDecl
+	// order and then tail hold every row the table has held, dead ones
+	// included, in appearance order (row, parts), and are a row's only
+	// holders: everything else names a row by its position. A root appends
+	// to order. A clone's order is the frozen table's rows, its array
+	// shared (orderShared) until the clone writes one of them, and it
+	// appends to its tail (writableRow).
+	order, tail []*row
+	// live holds each live row's position+1 under its key (liveRow). A
+	// clone's is a link over the frozen table's.
+	live cow.Overlay[string, int32]
 	// hist holds each key's interval history; a clone's link holds the keys
 	// written since the clone, each a complete private copy (cow.go).
-	hist   cow.Overlay[string, []Interval]
-	keyIdx map[string]*row // primary-key index, for tables with key columns
+	hist cow.Overlay[string, []Interval]
+	// keyIdx holds, for a keyed table, the position+1 of the latest row to
+	// take each primary key, dead or alive.
+	keyIdx cow.Overlay[string, int32]
 	// indexes holds the secondary hash indexes planned for this table, in
 	// the plans' order (indexSpec.pos); buckets mirror order (see index.go).
 	indexes []tableIndex
@@ -291,6 +327,7 @@ type table struct {
 	// sealed; any other engine reads it shared and clones it on its first
 	// write (writableTable). See cow.go.
 	owner *Engine
+	from  *table // the frozen table a clone was made from (writableRow)
 	// occs logs event-tuple occurrences (events are not stored as rows),
 	// so out-of-order work can re-enumerate event triggers that already
 	// fired. occSorted and orderSorted track the stamp-sorted prefixes of
@@ -303,17 +340,19 @@ type table struct {
 	// A forked table shares occs with its parent (occsShared); a fork's
 	// appends go to the small private occsTail instead of reallocating the
 	// whole shared log.
-	occsShared bool
-	occsTail   []eventOcc
+	occsTail    []eventOcc
+	occsShared  bool
+	orderShared bool
 	// cfDirty marks a table this engine wrote after it settled
 	// (cfMarkDirty); a fork's clone starts clean.
 	cfDirty bool
 }
 
 // row is one appearance of a state tuple in a table. Rows live by value in
-// their engine's arena (appear) or in a forked table's backing array
-// (forkTable) and are always held by pointer; supports is the row's own
-// window, spliced in place, never shared with another row or a base's copy.
+// the arena of the engine that created the row (appear) or first wrote it
+// in a clone (writableRow), and are always held by pointer; supports is the
+// row's own window, spliced in place, never shared with another row or a
+// base's copy. pos is the row's position in its table (table.row).
 type row struct {
 	tuple      Tuple
 	key        string
@@ -321,6 +360,7 @@ type row struct {
 	diedAt     Stamp
 	supports   []support
 	dead       bool
+	pos        int32
 }
 
 type support struct {
@@ -533,10 +573,7 @@ func (e *Engine) tableFor(nodeName string, decl *TableDecl) *table {
 			e.nodes.Set(nodeName, n)
 			e.nodeOrder = append(e.nodeOrder, n)
 		}
-		t = &table{decl: decl, live: map[string]*row{}, owner: e}
-		if len(decl.Key) > 0 {
-			t.keyIdx = map[string]*row{}
-		}
+		t = &table{decl: decl, owner: e}
 		// Attach the planned secondary indexes up front: the table is
 		// empty here, so incremental maintenance in appear suffices and
 		// query-time reads never have to build (or lock) anything.
@@ -831,12 +868,12 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 		return e.trigger(nodeName, t, key, st)
 	}
 	// An appearance always writes (a new row or an extra support), so the
-	// table must be writable up front; rows fetched below come out of the
-	// fork-private clone.
+	// table must be writable up front; a row fetched below that the clone
+	// shares is copied on its first write (writableRow).
 	tb := e.writableTable(nodeName, e.tableFor(nodeName, decl))
-	if r, ok := tb.live[key]; ok {
+	if r := tb.liveRow(key); r != nil {
 		// Additional support for an existing tuple.
-		r.supports = append(r.supports, sup)
+		r = e.addSupport(tb, r, sup)
 		e.indexSupport(nodeName, key, sup)
 		if sup.deriveID == 0 && st.Before(r.appearedAt) {
 			// An out-of-order insertion of a tuple evaluated as inserted
@@ -847,29 +884,36 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	}
 	// Primary-key replacement: a base insertion whose key collides with a
 	// live row of a keyed table deletes the old row first.
-	if tb.keyIdx != nil && sup.deriveID == 0 {
-		pk := primaryKey(decl, t)
-		if old, ok := tb.keyIdx[pk]; ok && !old.dead && old.key != key {
+	if len(decl.Key) > 0 && sup.deriveID == 0 {
+		if old := tb.rowAt(tb.keyIdx.Get(primaryKey(decl, t))); old != nil && !old.dead && old.key != key {
 			e.dropBaseSupport(nodeName, tb, old, st)
 		}
 	}
 	if sup.deriveID == 0 {
 		t = t.Clone() // the caller's; a derived head's args are the engine's own
 	}
+	sups := e.arena.supports.take(1, 0)
+	sups[0] = sup
 	r := e.arena.rows.one()
-	*r = row{tuple: t, key: key, appearedAt: st, supports: e.arena.supports.take(1, 0)}
-	r.supports[0] = sup
-	tb.live[key] = r
-	tb.order = append(tb.order, r)
+	*r = row{tuple: t, key: key, appearedAt: st, supports: sups, pos: int32(tb.size())}
+	tb.live.Set(key, r.pos+1)
+	switch {
+	case tb.from == nil:
+		tb.order = append(tb.order, r)
+	case tb.tail == nil:
+		tb.tail = append(make([]*row, 0, 8), r) // room for a trial's first few rows
+	default:
+		tb.tail = append(tb.tail, r)
+	}
 	tb.noteOrderAppend()
 	// Secondary indexes mirror order: a re-appearance after death is a
 	// fresh row and is appended again; dead rows stay behind the probe's
 	// liveness filter (and serve temporal as-of lookups).
 	for i := range tb.indexes {
-		tb.indexes[i].insert(len(tb.order)-1, t)
+		tb.indexes[i].insert(int(r.pos), t)
 	}
-	if tb.keyIdx != nil {
-		tb.keyIdx[primaryKey(decl, t)] = r
+	if len(decl.Key) > 0 {
+		tb.keyIdx.Set(primaryKey(decl, t), r.pos+1)
 	}
 	tb.histAppend(&e.arena, key, Interval{From: st, Open: true})
 	e.indexSupport(nodeName, key, sup)
@@ -941,13 +985,13 @@ func (e *Engine) deleteBase(nodeName string, t Tuple, st Stamp) error {
 	}
 	tb := e.tableFor(nodeName, decl)
 	key := t.Key()
-	if _, ok := tb.live[key]; !ok {
+	if tb.liveRow(key) == nil {
 		return nil // deleting a non-existent tuple is a no-op
 	}
 	// The delete will mutate the row; clone a sealed table first and
 	// re-fetch the row from the writable clone.
 	tb = e.writableTable(nodeName, tb)
-	if !e.dropBaseSupport(nodeName, tb, tb.live[key], st) {
+	if !e.dropBaseSupport(nodeName, tb, tb.liveRow(key), st) {
 		return fmt.Errorf("ndlog: %s on %s has no base support to delete", t, nodeName)
 	}
 	return nil
@@ -959,7 +1003,7 @@ func (e *Engine) deleteBase(nodeName string, t Tuple, st Stamp) error {
 func (e *Engine) dropBaseSupport(nodeName string, tb *table, r *row, st Stamp) bool {
 	for i, s := range r.supports {
 		if s.deriveID == 0 {
-			r.supports = append(r.supports[:i], r.supports[i+1:]...)
+			r = e.cutSupport(tb, r, i)
 			e.obs.OnBaseDelete(keyedAt(nodeName, r.tuple, r.key, st))
 			if len(r.supports) == 0 {
 				e.retractRow(nodeName, tb, r, st, 0)
@@ -986,15 +1030,8 @@ func primaryKey(decl *TableDecl, t Tuple) string {
 // retractRow removes a row whose support count dropped to zero, emits
 // DISAPPEAR, and cascades underivations to dependents.
 func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underiveID int64) {
-	r.dead = true
-	r.diedAt = st
-	delete(tb.live, r.key)
-	if tb.keyIdx != nil {
-		pk := primaryKey(tb.decl, r.tuple)
-		if tb.keyIdx[pk] == r {
-			delete(tb.keyIdx, pk)
-		}
-	}
+	r = e.killRow(tb, r, st)
+	tb.live.Delete(r.key)
 	tb.histCloseLast(&e.arena, r.key, st)
 	e.stats.Disappears++
 	cause := keyedAt(nodeName, r.tuple, r.key, st)
@@ -1052,7 +1089,7 @@ func tableOfKey(key string) string {
 // liveTable finds the table holding a live row with the given key on a
 // node; nil when the table or the row is missing.
 func (e *Engine) liveTable(nodeName, tableName, key string) *table {
-	if tb := e.table(nodeName, tableName); tb != nil && tb.live[key] != nil {
+	if tb := e.table(nodeName, tableName); tb != nil && tb.liveRow(key) != nil {
 		return tb
 	}
 	return nil
@@ -1067,7 +1104,7 @@ func (e *Engine) dropSupport(nodeName string, tb *table, key string, deriveID in
 	// The retraction mutates the row's supports; clone a sealed table
 	// first and fetch the row from the writable clone.
 	tb = e.writableTable(nodeName, tb)
-	r := tb.live[key]
+	r := tb.liveRow(key)
 	idx := -1
 	for i, s := range r.supports {
 		if s.deriveID == deriveID {
@@ -1079,7 +1116,7 @@ func (e *Engine) dropSupport(nodeName string, tb *table, key string, deriveID in
 		return false
 	}
 	s := r.supports[idx]
-	r.supports = append(r.supports[:idx], r.supports[idx+1:]...)
+	r = e.cutSupport(tb, r, idx)
 	e.unindexSupport(nodeName, key, s)
 	if st.Before(e.highWater) {
 		// An argmax winner retracted before a trigger that already fired
@@ -1249,37 +1286,34 @@ func (e *Engine) histOf(nodeName string, t Tuple) (ivs []Interval) {
 // of the system as of the time at which the missing tuple would have had
 // to exist", §4.8).
 func (e *Engine) TuplesAt(nodeName, tableName string, at Stamp) []Tuple {
-	tb := e.table(nodeName, tableName)
-	if tb == nil {
-		return nil
-	}
-	var out []Tuple
-	for _, r := range tb.order {
-		if at.Before(r.appearedAt) {
-			continue
-		}
-		if r.dead && !at.Before(r.diedAt) {
-			continue
-		}
-		out = append(out, r.tuple)
-	}
-	return out
+	return e.table(nodeName, tableName).tuples(func(r *row) bool { return r.existsAt(at) })
 }
 
 // LiveTuples returns the live tuples of a table on a node in appearance
 // order.
 func (e *Engine) LiveTuples(nodeName, tableName string) []Tuple {
-	tb := e.table(nodeName, tableName)
+	return e.table(nodeName, tableName).tuples(func(r *row) bool { return !r.dead })
+}
+
+// tuples returns the tuples of the rows that pass keep, in appearance
+// order; none for a nil table.
+func (tb *table) tuples(keep func(*row) bool) (out []Tuple) {
 	if tb == nil {
 		return nil
 	}
-	var out []Tuple
-	for _, r := range tb.order {
-		if !r.dead {
-			out = append(out, r.tuple)
+	for _, rows := range tb.parts() {
+		for _, r := range rows {
+			if keep(r) {
+				out = append(out, r.tuple)
+			}
 		}
 	}
 	return out
+}
+
+// existsAt reports whether the row existed at st.
+func (r *row) existsAt(st Stamp) bool {
+	return !st.Before(r.appearedAt) && !(r.dead && !st.Before(r.diedAt))
 }
 
 // Nodes returns the node names in first-reference order.

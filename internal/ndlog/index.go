@@ -17,13 +17,13 @@ import (
 // atom's index key. The join (join.go) then probes a hash bucket instead of
 // scanning the table's appearance-ordered rows.
 //
-// Buckets mirror tb.order exactly: a bucket lists positions in tb.order,
-// appended on appearance (so a bucket is in appearance order, preserving
+// Buckets mirror the table's rows exactly: a bucket lists positions
+// (table.row), appended on appearance (so a bucket is in appearance order, preserving
 // the engine's deterministic result order) and never removed on
 // retraction — the probe applies the same liveness/temporal filter as the
 // scan (rw.dead || st.Before(rw.appearedAt)), and temporal queries
 // (TuplesMatchingAt) need the dead rows for as-of lookups. A tuple that reappears after
-// dying is a fresh row and is appended again, exactly as in tb.order.
+// dying is a fresh row and is appended again, exactly as in the table.
 //
 // A bucket is keyed by a 64-bit hash of the indexed columns (Value.hash),
 // so neither a probe nor an inserted row builds a key string. Values that
@@ -288,23 +288,17 @@ func (e *Engine) TuplesMatchingAt(nodeName, tableName string, at Stamp, match []
 	if tb == nil {
 		return nil
 	}
+	// MatchTuple also turns away a bucket's hash collisions.
+	keep := func(r *row) bool { return r.existsAt(at) && MatchTuple(match, r.tuple) }
+	ix, h := tb.indexFor(match)
+	if ix == nil {
+		return tb.tuples(keep)
+	}
 	var out []Tuple
-	keep := func(r *row) {
-		if at.Before(r.appearedAt) || r.dead && !at.Before(r.diedAt) {
-			return
-		}
-		if MatchTuple(match, r.tuple) { // also turns away a bucket's hash collisions
+	for _, pos := range ix.buckets.Get(h) {
+		if r := tb.row(int(pos)); keep(r) {
 			out = append(out, r.tuple)
 		}
-	}
-	if ix, h := tb.indexFor(match); ix != nil {
-		for _, pos := range ix.buckets.Get(h) {
-			keep(tb.order[pos])
-		}
-		return out
-	}
-	for _, r := range tb.order {
-		keep(r)
 	}
 	return out
 }

@@ -218,7 +218,7 @@ func (e *Engine) joinNode(r *CompiledRule, deltaAtom int, evalNode string, next 
 		if h, ok := atom.probeHash(spec, e.join.frame); ok && spec.pos < len(tb.indexes) {
 			e.stats.IndexProbes++
 			for _, pos := range tb.indexes[spec.pos].buckets.Get(h) {
-				if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, tb.order[pos]); err != nil {
+				if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, tb.row(int(pos))); err != nil {
 					return err
 				}
 			}
@@ -228,9 +228,11 @@ func (e *Engine) joinNode(r *CompiledRule, deltaAtom int, evalNode string, next 
 	} else {
 		e.stats.IndexScans++
 	}
-	for _, rw := range tb.order {
-		if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, rw); err != nil {
-			return err
+	for _, rows := range tb.parts() {
+		for _, rw := range rows {
+			if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, rw); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

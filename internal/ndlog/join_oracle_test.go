@@ -314,12 +314,12 @@ func (e *Engine) joinAtom(r *Rule, deltaAtom int, evalNode string, b oracleBindi
 	if tb == nil {
 		return nil, nil
 	}
-	rows := tb.order
+	rows := append(tb.order[:len(tb.order):len(tb.order)], tb.tail...)
 	if spec := e.plans.plan(e.compiled.rules[r.Name], deltaAtom, next); spec != nil {
 		if h, ok := envProbeHash(atom, spec, b.env); ok && spec.pos < len(tb.indexes) {
 			rows = nil
 			for _, pos := range tb.indexes[spec.pos].buckets.Get(h) {
-				rows = append(rows, tb.order[pos])
+				rows = append(rows, tb.row(int(pos)))
 			}
 			e.stats.IndexProbes++
 		} else {

@@ -385,7 +385,7 @@ func TestJoinDifferential(t *testing.T) {
 					if tb == nil {
 						continue
 					}
-					for _, rw := range tb.order {
+					for _, rw := range append(tb.order[:len(tb.order):len(tb.order)], tb.tail...) {
 						rs := c.e.repairing()
 						rs.pin, rs.pinAtom, rs.pinNode = rw, p, nn
 						_, _, err := c.fireBoth()

@@ -4,11 +4,11 @@ import "sync"
 
 // Pooled scratch buffers for the evaluation hot path. Forward runs and
 // counterfactual trials run thousands of key encodings (tuple keys,
-// primary keys, group keys, binding keys), builtin calls
-// and table clones per second across candidate-pool workers; every buffer
-// pooled here holds data only within a single call — the encoded string is
-// materialized with string(b), and the argument list and the remap map are
-// cleared before they are returned — so reuse cannot affect determinism.
+// primary keys, group keys, binding keys) and builtin calls per second
+// across candidate-pool workers; every buffer pooled here holds data only
+// within a single call — the encoded string is materialized with string(b),
+// and the argument list is cleared before it is returned — so reuse cannot
+// affect determinism.
 
 // keyBuf wraps the byte slice so Put does not box a fresh interface
 // allocation per call.
@@ -30,11 +30,4 @@ type argBuf struct{ v []Value }
 
 var argBufPool = sync.Pool{
 	New: func() interface{} { return &argBuf{v: make([]Value, 0, 4)} },
-}
-
-// rowRemapPool recycles the pointer-remap maps forkTable uses to clone a
-// table; cloning happens on every first write to a sealed table, so the
-// map would otherwise be reallocated once per dirtied table per trial.
-var rowRemapPool = sync.Pool{
-	New: func() interface{} { return make(map[*row]*row) },
 }

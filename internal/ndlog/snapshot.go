@@ -35,9 +35,11 @@ func (e *Engine) CaptureStateAt(tick int64) Snapshot {
 				continue
 			}
 			live = live[:0]
-			for _, r := range tb.order {
-				if !r.dead {
-					live = append(live, r)
+			for _, rows := range tb.parts() {
+				for _, r := range rows {
+					if !r.dead {
+						live = append(live, r)
+					}
 				}
 			}
 			if len(live) == 0 {

@@ -19,16 +19,16 @@ import (
 // must not cost them bytes — and the same holds of the engine's slabs (§23)
 // and of the reverse edges a vertex carries (§24). The ceilings are the
 // readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
-// before a MAKEAPPEAR solve reused its solvers and the erase cascade its
-// scratch stack (§32):
+// before a table clone shared its frozen table's rows and copied only those
+// it wrote (§34):
 //
 //	          allocs  before      KB    before
-//	MR1-D      2 268   4 372  3 133.7  3 223.1
-//	MR2-D      2 270   4 709  3 271.2  3 381.3
-//	SDN1         346     380     54.0     55.3
-//	SDN2         232     255     30.7     32.1
-//	SDN3         248     273     34.0     34.4
-//	SDN4         467     524     61.6     65.1
+//	MR1-D      2 228   2 257  2 733.5  3 113.4
+//	MR2-D      2 246   2 259  3 144.5  3 250.7
+//	SDN1         313     338     50.2     53.0
+//	SDN2         228     230     30.0     30.5
+//	SDN3         226     240     31.7     33.0
+//	SDN4         452     466     60.8     61.4
 //
 // For SDN1 and MR1-D it also logs the allocation ledger by layer
 // (ledger_test.go), and holds the ledger's window to this one's count.
@@ -40,12 +40,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 2302, 3180.7},
-		{"MR2-D", 2304, 3320.3},
-		{"SDN1", 351, 54.8},
-		{"SDN2", 235, 31.2},
-		{"SDN3", 252, 34.5},
-		{"SDN4", 474, 62.5},
+		{"MR1-D", 2261, 2774.5},
+		{"MR2-D", 2280, 3191.7},
+		{"SDN1", 318, 51.0},
+		{"SDN2", 231, 30.5},
+		{"SDN3", 229, 32.2},
+		{"SDN4", 459, 61.7},
 	}
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
