@@ -557,8 +557,8 @@ func buildAggregate(tb testing.TB) (diffprov.World, *diffprov.Tree, *diffprov.Tr
 // reports, so the diagnosis yields aggMissing insert changes and the
 // minimization pass replays aggMissing independent drop candidates (all of
 // which fail, since every insert is necessary). The variants isolate the
-// two tentpole optimizations: parallel evaluation of the candidates over
-// pooled session clones, and the fingerprint-keyed alignment memo that
+// two tentpole optimizations: parallel evaluation of the candidates on
+// the candidate pool, and the fingerprint-keyed alignment memo that
 // answers each trial's O(contributors) aggregate prediction in O(1).
 // Results are byte-identical across all variants (see
 // TestParallelDifferential); only the wall clock moves.

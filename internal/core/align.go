@@ -67,7 +67,7 @@ func (d *diag) firstDivergence(ss *solvers, chainG []gLevel, w World, seedB ndlo
 		// subtree, the trigger index, the head occurrence, and the bad
 		// cursor's node and tuple — never of timestamps or the bad world —
 		// so it memoizes under a fingerprint key across rounds, minimize
-		// trials, and concurrent pool workers (the equal-subtree fast
+		// trials, and a wide pool's goroutines (the equal-subtree fast
 		// path: an identical good subtree is never re-solved).
 		var expected ndlog.At
 		var key alignKey
@@ -258,8 +258,8 @@ func headCountValue(rule *ndlog.Rule, head ndlog.Tuple) (ndlog.Value, bool) {
 // "shortly before they are needed for the first time" (§4.8). Changes
 // accumulate in d.pending.
 func (d *diag) makeAppear(w World, gDerive *provenance.Tree, expected ndlog.At, trigB *ndlog.At, needBy int64, depth int) error {
-	if depth > d.opts.MaxDepth {
-		return failf(NoProgress, "MAKEAPPEAR recursion exceeds %d levels", d.opts.MaxDepth)
+	if depth > maxDepth {
+		return failf(NoProgress, "MAKEAPPEAR recursion exceeds %d levels", maxDepth)
 	}
 	rule := d.prog.Rule(gDerive.Vertex.Rule)
 	if rule == nil {
@@ -389,7 +389,7 @@ func (d *diag) adoptExistingSides(w World, rule *ndlog.Rule, s *solver, trigB *n
 		}
 		trial := make([]ndlog.Value, len(base))
 		for _, nn := range nodes {
-			for _, t := range w.TuplesAt(nn, atom.Table, endOfTick(needBy)) {
+			for _, t := range w.TuplesMatchingAt(nn, atom.Table, endOfTick(needBy), nil) {
 				copy(trial, base)
 				if !s.cr.Unify(k, trial, s.ss.loc(nn), t) {
 					continue
@@ -434,12 +434,12 @@ func (d *diag) provide(w World, gc childAt, side ndlog.At, needBy int64, depth i
 // override (keyed tables replace on insert, so injecting before the bad
 // execution's own write would be undone by it).
 func (d *diag) changeTick(w World, side ndlog.At, needBy int64) int64 {
-	tick := needBy - d.opts.InjectSlack
+	tick := needBy - injectSlack
 	decl := d.prog.Decl(side.Tuple.Table)
 	if decl == nil || len(decl.Key) == 0 {
 		return tick
 	}
-	for _, t := range w.TuplesAt(side.Node, side.Tuple.Table, endOfTick(needBy)) {
+	for _, t := range w.TuplesMatchingAt(side.Node, side.Tuple.Table, endOfTick(needBy), nil) {
 		if t.Equal(side.Tuple) || !sameKey(decl, t, side.Tuple) {
 			continue
 		}
@@ -539,7 +539,8 @@ func (d *diag) existsInB(w World, at ndlog.At, needBy int64) bool {
 	}
 	decl := d.prog.Decl(at.Tuple.Table)
 	if decl != nil && decl.Event {
-		return w.OccurredBefore(at.Node, at.Tuple, needBy)
+		_, ok := w.FirstOccurrence(at.Node, at.Tuple, needBy)
+		return ok
 	}
 	return w.Exists(at.Node, at.Tuple, endOfTick(needBy))
 }

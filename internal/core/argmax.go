@@ -135,7 +135,7 @@ func (d *diag) traceCompetitorBase(w World, side ndlog.At, children []childAt, k
 // before the shadowed derivation is needed, but after the tuple's own
 // insertion (a deletion scheduled before the insertion is a no-op).
 func (d *diag) deleteTick(w World, side ndlog.At, needBy int64) int64 {
-	tick := needBy - d.opts.InjectSlack
+	tick := needBy - injectSlack
 	if occ, ok := w.FirstOccurrence(side.Node, side.Tuple, needBy); ok && occ+1 > tick {
 		tick = occ + 1
 	}
@@ -237,7 +237,7 @@ func (d *diag) joinRest(w World, s *solver, trigIdx int, evalNode string, c cand
 // tuplesAtWithPending lists a table's tuples at a time, with pending
 // inserts included and pending deletes excluded.
 func (d *diag) tuplesAtWithPending(w World, node, table string, asOf ndlog.Stamp) []ndlog.Tuple {
-	tuples := w.TuplesAt(node, table, asOf)
+	tuples := w.TuplesMatchingAt(node, table, asOf, nil)
 	skip := map[string]bool{}
 	for _, p := range append(append([]replay.Change(nil), d.applied...), d.pending...) {
 		if p.Node != node || p.Tuple.Table != table {

@@ -115,14 +115,13 @@ func similarity(a, b ndlog.Tuple) int {
 // inside each candidate's diagnosis).
 //
 // The candidate diagnoses are evaluated on a candidate pool of width
-// Options.Parallelism — concurrently, each against a private session
-// clone, when the width allows and the world can fork workers — with every
-// inner diagnosis forced to width 1 (one level of fan-out only). The winner
-// is the lowest-ranked candidate that succeeds — every higher-ranked
-// candidate is guaranteed evaluated — so the outcome is identical at every
-// width. All candidate
-// diagnoses against the same base world share one replay memo: two
-// references that need the same fix dedupe their counterfactual replays.
+// Options.Parallelism — concurrently against the one world when the width
+// allows — with every inner diagnosis forced to width 1 (one level of
+// fan-out only). The winner is the lowest-ranked candidate that succeeds —
+// every higher-ranked candidate is guaranteed evaluated — so the outcome is
+// identical at every width. All candidate diagnoses against the same base
+// world share one replay memo: two references that need the same fix dedupe
+// their counterfactual replays.
 func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts Options) (*Result, *provenance.Tree, error) {
 	cands, err := FindReferenceCandidates(badTree, w, 32)
 	if err != nil {
@@ -133,15 +132,15 @@ func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts O
 	}
 	var stats DiagStats
 	var pool candidatePool
-	pool.init(w, opts.parallelism(), &stats, nil) // each candidate diagnosis solves on its own scratch
-	defer pool.drain()
+	pool.init(w, opts.parallelism(), &stats)
 	inner := opts
 	inner.Parallelism = -1
 	type outcome struct {
 		res *Result
 		err error
 	}
-	vals, ran, best := runCandidates(ctx, &pool, len(cands),
+	// Each candidate diagnosis solves on its own scratch.
+	vals, ran, best := runCandidates(ctx, &pool, nil, len(cands),
 		func(ww World, _ *solvers, i int) (outcome, bool) {
 			res, err := Diagnose(ctx, cands[i].Tree, badTree, ww, inner)
 			return outcome{res: res, err: err}, err == nil && len(res.Changes) > 0

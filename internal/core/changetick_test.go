@@ -42,7 +42,7 @@ rule r out(V) :- ev(K), cfg(K, L, V).
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &diag{prog: prog, opts: Options{InjectSlack: 2}}
+		d := &diag{prog: prog}
 		// Needed by 20 with a slack of 2: tick 18, unless a row with the
 		// same key first appeared at 19 and would overwrite the change.
 		if got := d.changeTick(w, ndlog.At{Node: "n", Tuple: c.side}, 20); got != c.want {

@@ -12,16 +12,19 @@ import (
 	"repro/internal/replay"
 )
 
+const (
+	// maxRounds bounds the FIRSTDIV / MAKEAPPEAR / UPDATETREE iterations
+	// (one per independent fault; the paper's SDN4 needs two).
+	maxRounds = 8
+	// injectSlack is how many ticks before the bad seed counterfactual
+	// changes are injected ("shortly before they are needed", §4.8).
+	injectSlack = 2
+	// maxDepth bounds the MAKEAPPEAR recursion.
+	maxDepth = 64
+)
+
 // Options configure the DiffProv algorithm.
 type Options struct {
-	// MaxRounds bounds the FIRSTDIV / MAKEAPPEAR / UPDATETREE iterations
-	// (one per independent fault; the paper's SDN4 needs two).
-	MaxRounds int
-	// InjectSlack is how many ticks before the bad seed counterfactual
-	// changes are injected ("shortly before they are needed", §4.8).
-	InjectSlack int64
-	// MaxDepth bounds the MAKEAPPEAR recursion.
-	MaxDepth int
 	// Minimize enables the post-pass of §4.9 ("the set of changes
 	// returned by DiffProv is not necessarily the smallest"): after
 	// alignment, each change is tentatively dropped and the alignment
@@ -37,8 +40,8 @@ type Options struct {
 	// the selected row's content rather than on re-aiming the selector.
 	FollowKeyedRows bool
 	// Parallelism bounds how many independent counterfactual candidate
-	// evaluations (minimize drop-subsets, AutoDiagnose references) run
-	// concurrently, each on a private replay-session clone. 0 means
+	// evaluations (minimize drop-subsets, fallback events, AutoDiagnose
+	// references) run concurrently on the diagnosis's world. 0 means
 	// GOMAXPROCS; negative means sequential. Results are byte-identical
 	// at any setting: candidates are selected by their original
 	// enumeration index, never by completion order.
@@ -63,18 +66,6 @@ type Options struct {
 	// Diagnose calls against the same base world; AutoDiagnose sets it so
 	// candidate references dedupe identical counterfactual replays.
 	sharedMemo *replayMemo
-}
-
-func (o *Options) defaults() {
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 8
-	}
-	if o.InjectSlack == 0 {
-		o.InjectSlack = 2
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 64
-	}
 }
 
 // Timings decomposes DiffProv's reasoning time, reproducing the paper's
@@ -103,8 +94,8 @@ type DiagStats struct {
 	// CandidatesDeduped counts counterfactual replays skipped because an
 	// identical cumulative change list had already been replayed.
 	CandidatesDeduped int64
-	// ParallelCandidates counts candidate evaluations executed on pool
-	// workers.
+	// ParallelCandidates counts candidate evaluations run by a pool wider
+	// than 1.
 	ParallelCandidates int64
 	// CandidatesSliced counts fallback candidate events skipped before
 	// any replay because their table is outside the symptom's static
@@ -156,7 +147,7 @@ type diag struct {
 	// applied are the changes of earlier rounds, already in the world.
 	applied []replay.Change
 
-	// stats fields are updated atomically: pool workers run
+	// stats fields are updated atomically: a wide pool runs
 	// firstDivergence and applyCached concurrently.
 	stats DiagStats
 	// replays dedupes counterfactual replays by cumulative change list
@@ -172,7 +163,7 @@ type diag struct {
 	// width (Options.Parallelism).
 	pool candidatePool
 	// solve is the solver scratch of the goroutine that runs the diagnosis
-	// (MAKEAPPEAR, and FIRSTDIV outside the pool's workers).
+	// (MAKEAPPEAR, and FIRSTDIV outside a wide pool's goroutines).
 	solve solvers
 	// sliceOnce/slice lazily cache the static slice of the symptom table
 	// (the good chain's root) used to prune fallback candidates; nil
@@ -181,7 +172,7 @@ type diag struct {
 	slice     *ndlog.SliceResult
 }
 
-// statsSnapshot reads the counters after all workers have quiesced.
+// statsSnapshot reads the counters after every evaluation has finished.
 func (d *diag) statsSnapshot() DiagStats {
 	return DiagStats{
 		FingerprintHits:    atomic.LoadInt64(&d.stats.FingerprintHits),
@@ -207,7 +198,6 @@ type gLevel struct {
 // the context's error is returned (wrapped) when the diagnosis is cut
 // short.
 func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world World, opts Options) (*Result, error) {
-	opts.defaults()
 	d := &diag{prog: world.Program(), opts: opts}
 	if !opts.DisableFingerprints {
 		d.replays = opts.sharedMemo
@@ -220,8 +210,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 	}
 	// The pool keeps the pre-diagnosis world: candidates replay their full
 	// cumulative change list against it.
-	d.pool.init(world, opts.parallelism(), &d.stats, &d.solve)
-	defer d.pool.drain()
+	d.pool.init(world, opts.parallelism(), &d.stats)
 
 	// Step 1: find the seeds and check comparability (§4.2-4.3).
 	t0 := time.Now()
@@ -252,7 +241,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 	}
 
 	res := &Result{GoodSeed: seedG, BadSeed: seedB}
-	for iter := 0; iter < opts.MaxRounds; iter++ {
+	for iter := 0; iter < maxRounds; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("diffprov: diagnosis interrupted after %d rounds: %w", iter, err)
 		}
@@ -325,7 +314,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 	}
 	return nil, &DiagnosisError{
 		Kind:      NoProgress,
-		Detail:    fmt.Sprintf("trees still differ after %d rounds", opts.MaxRounds),
+		Detail:    fmt.Sprintf("trees still differ after %d rounds", maxRounds),
 		Attempted: d.applied,
 	}
 }
@@ -346,7 +335,7 @@ func (d *diag) minimize(ctx context.Context, res *Result, chainG []gLevel, seedB
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("diffprov: minimization interrupted: %w", err)
 		}
-		vals, ran, best := runCandidates(ctx, &d.pool, len(changes)-start,
+		vals, ran, best := runCandidates(ctx, &d.pool, &d.solve, len(changes)-start,
 			func(w World, ss *solvers, k int) (trial, bool) {
 				i := start + k
 				candidate := append(append([]replay.Change(nil), changes[:i]...), changes[i+1:]...)

@@ -79,8 +79,8 @@ func TestMinimizeRemovesGenuinelyRedundantChange(t *testing.T) {
 	// Minimize manually through the exported path: re-run Diagnose with
 	// Minimize on a world pre-loaded with the redundant change.
 	_ = w2
-	d := &diag{prog: world.Program(), opts: Options{MaxRounds: 8, InjectSlack: 2, MaxDepth: 64}}
-	d.pool.init(world, 1, &d.stats, &d.solve)
+	d := &diag{prog: world.Program()}
+	d.pool.init(world, 1, &d.stats)
 	chainG, err := goodChain(good)
 	if err != nil {
 		t.Fatal(err)

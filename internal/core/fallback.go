@@ -145,11 +145,11 @@ func (d *diag) fallbackChange(ctx context.Context, world World, chainG []gLevel,
 	// comparison is structural (level identity), never stamp-based, so
 	// injected changes shifting sequence numbers cannot flip it.
 	divIdx := levelIndex(chainG, div)
-	vals, ran, best := runCandidates(ctx, &d.pool, len(cands),
+	vals, ran, best := runCandidates(ctx, &d.pool, &d.solve, len(cands),
 		func(w World, ss *solvers, k int) (trial, bool) {
-			// The pool's worlds are the pre-diagnosis base world or forks
-			// of it: replay the full cumulative list, so the counterfactual
-			// (and its memo key) is the same at every width.
+			// The pool's world is the pre-diagnosis base world: replay the
+			// full cumulative list, so the counterfactual (and its memo
+			// key) is the same at every width.
 			full := append(append([]replay.Change(nil), d.applied...), cands[k])
 			tr := d.try(ctx, w, ss, full, chainG, seedB)
 			ok := tr.err == nil && (tr.div == nil || levelIndex(chainG, tr.div) > divIdx)

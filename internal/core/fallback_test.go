@@ -157,7 +157,7 @@ func TestFallbackParallelMatchesSequential(t *testing.T) {
 }
 
 // serve-narrow builds a width-1 pool 4-6k times a second: it must be the
-// base world and nothing else — no semaphore channel, no idle list.
+// base world and nothing else — no solver scratch.
 func TestWidthOnePoolAllocatesNothing(t *testing.T) {
 	s := buildRaceSession(t)
 	world, err := NewWorld(s)
@@ -167,10 +167,9 @@ func TestWidthOnePoolAllocatesNothing(t *testing.T) {
 	d := &diag{}
 	allocs := testing.AllocsPerRun(100, func() {
 		d.pool = candidatePool{}
-		d.pool.init(world, (&Options{Parallelism: 1}).parallelism(), &d.stats, &d.solve)
-		d.pool.drain()
+		d.pool.init(world, (&Options{Parallelism: 1}).parallelism(), &d.stats)
 	})
-	if allocs != 0 || d.pool.sem != nil || d.pool.idle != nil {
-		t.Errorf("width-1 pool: %v allocs/op, sem %v, idle %v; want none", allocs, d.pool.sem, d.pool.idle)
+	if allocs != 0 || d.pool.scratch != nil {
+		t.Errorf("width-1 pool: %v allocs/op, scratch %v; want none", allocs, d.pool.scratch)
 	}
 }

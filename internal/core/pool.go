@@ -26,103 +26,45 @@ func (o *Options) parallelism() int {
 }
 
 // candidatePool evaluates independent counterfactual candidates for one
-// diagnosis, at a width. Above width 1 it fans them out over a bounded set
-// of worker worlds (private replay-session clones that share the base
-// session's sealed base run, so every worker's trial forks the one
-// evaluation of the log); workers are forked lazily and reused across
-// waves, and drain() folds their accumulated replay statistics back into
-// the base world. At width 1 — or over a world that cannot fork workers:
-// imperative substrates re-run jobs whose concurrent determinism is not
-// guaranteed — candidates are evaluated on the base world itself, and the
-// pool holds nothing but that world (and the solver scratch of the
-// goroutine that evaluates them).
+// diagnosis, at a width. Every candidate replays against the one base world:
+// an Apply forks the session's sealed base run (or re-runs a cloned job), so
+// candidates write nothing they share and can be evaluated concurrently on
+// that world as it is. Above width 1 a wave fans out over width goroutines,
+// each solving on its own scratch; at width 1 the candidates are evaluated
+// in order on the calling goroutine, and the pool allocates nothing.
 type candidatePool struct {
 	base    World
-	inline  *solvers      // the calling goroutine's solver scratch
-	workers ParallelWorld // nil: evaluate inline on base
-	sem     chan struct{}
+	width   int
 	stats   *DiagStats
-
-	mu   sync.Mutex
-	idle []*poolWorker
+	scratch []solvers // one per goroutine of a wide wave; made by the first
 }
 
-// poolWorker is one worker world and the solver scratch of whichever pool
-// goroutine holds it: a worker is held by one goroutine at a time, so its
-// scratch is too.
-type poolWorker struct {
-	w  World
-	ss solvers
-}
-
-// init sets the pool up at width par over base; inline is the solver
-// scratch of the goroutine that calls runCandidates, which evaluations at
-// width 1 run on. The pool lives inside its diagnosis, so the width-1 pool
-// every server diagnosis builds allocates nothing: no semaphore, no idle
-// list.
-func (p *candidatePool) init(base World, par int, stats *DiagStats, inline *solvers) {
-	p.base, p.stats, p.inline = base, stats, inline
-	if pw, ok := base.(ParallelWorld); ok && par > 1 {
-		p.workers, p.sem = pw, make(chan struct{}, par)
-	}
-}
-
-func (p *candidatePool) acquire() *poolWorker {
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		pw := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		return pw
-	}
-	p.mu.Unlock()
-	return &poolWorker{w: p.workers.ForkWorker()}
-}
-
-func (p *candidatePool) release(pw *poolWorker) {
-	p.mu.Lock()
-	p.idle = append(p.idle, pw)
-	p.mu.Unlock()
-}
-
-// drain joins every idle worker back into the base world, merging the
-// replay statistics its session accumulated. All evaluations must have
-// completed.
-func (p *candidatePool) drain() {
-	if p.workers == nil {
-		return
-	}
-	p.mu.Lock()
-	idle := p.idle
-	p.idle = nil
-	p.mu.Unlock()
-	for _, pw := range idle {
-		p.workers.JoinWorker(pw.w)
-	}
+// init sets the pool up at width par over base.
+func (p *candidatePool) init(base World, par int, stats *DiagStats) {
+	*p = candidatePool{base: base, width: par, stats: stats}
 }
 
 // runCandidates is the one candidate-search loop: it evaluates candidates
 // 0..n-1, in index order, until one succeeds. eval receives the world to
-// replay against and the solver scratch of the goroutine it runs on, and
-// reports whether its candidate succeeded; best is the
-// lowest index that succeeded (-1 if none), and every index <= best has
-// been evaluated. A context error stops the search.
+// replay against and the solver scratch of the goroutine it runs on (ss at
+// width 1), and reports whether its candidate succeeded; best is the lowest
+// index that succeeded (-1 if none), and every index <= best has been
+// evaluated. A context error stops the search.
 //
-// At width 1 that is literally the loop. Wider pools launch candidates in
-// index order, each on a private worker world, and once a success at index
-// j is known start no candidate beyond j; selection stays by enumeration
-// index, never completion order, which is what makes the outcome identical
-// at every width (in-flight evaluations past best finish and are
-// discarded). Stats.ParallelCandidates counts only evaluations handed to a
-// worker.
-func runCandidates[T any](ctx context.Context, p *candidatePool, n int,
+// At width 1 that is literally the loop. Wider pools run width goroutines
+// that take the next index under one lock, and none takes an index past a
+// known success; selection stays by enumeration index, never completion
+// order, which is what makes the outcome identical at every width
+// (in-flight evaluations past best finish and are discarded).
+// Stats.ParallelCandidates counts the evaluations of a pool wider than 1.
+func runCandidates[T any](ctx context.Context, p *candidatePool, ss *solvers, n int,
 	eval func(w World, ss *solvers, idx int) (T, bool)) (vals []T, ran []bool, best int) {
 	vals = make([]T, n)
 	ran = make([]bool, n)
-	if p.workers == nil {
+	if p.width <= 1 {
 		for i := 0; i < n && ctx.Err() == nil; i++ {
 			var ok bool
-			vals[i], ok = eval(p.base, p.inline, i)
+			vals[i], ok = eval(p.base, ss, i)
 			ran[i] = true
 			if ok {
 				return vals, ran, i
@@ -130,54 +72,48 @@ func runCandidates[T any](ctx context.Context, p *candidatePool, n int,
 		}
 		return vals, ran, -1
 	}
-	okAt := make([]bool, n)
+	if p.scratch == nil {
+		p.scratch = make([]solvers, p.width)
+	}
 	var mu sync.Mutex
-	bestKnown := n
+	next, bestKnown := 0, n
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		p.sem <- struct{}{}
-		mu.Lock()
-		cut := bestKnown
-		mu.Unlock()
-		if i > cut {
-			<-p.sem
-			break
-		}
+	for g := 0; g < p.width && g < n; g++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(ss *solvers) {
 			defer wg.Done()
-			defer func() { <-p.sem }()
-			pw := p.acquire()
-			atomic.AddInt64(&p.stats.ParallelCandidates, 1)
-			v, ok := eval(pw.w, &pw.ss, i)
-			p.release(pw)
-			mu.Lock()
-			vals[i], ran[i], okAt[i] = v, true, ok
-			if ok && i < bestKnown {
-				bestKnown = i
+			for {
+				mu.Lock()
+				i := next
+				if i >= n || i > bestKnown || ctx.Err() != nil {
+					mu.Unlock()
+					return
+				}
+				next++
+				mu.Unlock()
+				atomic.AddInt64(&p.stats.ParallelCandidates, 1)
+				v, ok := eval(p.base, ss, i)
+				mu.Lock()
+				vals[i], ran[i] = v, true
+				if ok && i < bestKnown {
+					bestKnown = i
+				}
+				mu.Unlock()
 			}
-			mu.Unlock()
-		}(i)
+		}(&p.scratch[g])
 	}
 	wg.Wait()
-	best = -1
-	for i := 0; i < n; i++ {
-		if ran[i] && okAt[i] {
-			best = i
-			break
-		}
+	if bestKnown == n {
+		return vals, ran, -1
 	}
-	return vals, ran, best
+	return vals, ran, bestKnown
 }
 
 // trial is one candidate change list replayed against a pool world: the
 // counterfactual world, its first divergence from the good chain (nil when
 // the trees align), and how long each step took. The durations are carried,
-// not accumulated: workers run trials concurrently and settle folds them
-// back in deterministically.
+// not accumulated: a wide pool runs trials concurrently and settle folds
+// them back in deterministically.
 type trial struct {
 	w       World
 	div     *divergence

@@ -62,8 +62,8 @@ type solver struct {
 // recursion depth, each reused by every derivation solved at that depth,
 // and the location values (ndlog.Str of a node name) boxed so far, one per
 // node. The goroutine that runs a diagnosis owns one (diag.solve); every
-// pool worker owns its own (poolWorker), so no two goroutines ever share a
-// solver.
+// goroutine of a wide pool owns its own (candidatePool.scratch), so no two
+// goroutines ever share a solver.
 type solvers struct {
 	at   []*solver
 	locs map[string]ndlog.Value

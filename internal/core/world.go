@@ -26,41 +26,24 @@ type World interface {
 	Graph() *provenance.Graph
 	// Exists reports whether a state tuple existed at the given time.
 	Exists(node string, t ndlog.Tuple, at ndlog.Stamp) bool
-	// OccurredBefore reports whether an event tuple occurred at or
-	// before the given tick.
-	OccurredBefore(node string, t ndlog.Tuple, tick int64) bool
 	// FirstOccurrence returns the earliest tick (at or before the given
 	// tick) at which the tuple appeared, if any.
 	FirstOccurrence(node string, t ndlog.Tuple, tick int64) (int64, bool)
-	// TuplesAt returns the tuples of a table existing at a time.
-	TuplesAt(node, table string, at ndlog.Stamp) []ndlog.Tuple
-	// TuplesMatchingAt is TuplesAt restricted to tuples whose columns
-	// satisfy the match constraints; engine-backed worlds answer it from
-	// the table's secondary hash indexes when one covers the columns.
+	// TuplesMatchingAt returns the tuples of a table existing at a time
+	// whose columns satisfy the match constraints (all of them for a nil
+	// match); engine-backed worlds answer it from the table's secondary
+	// hash indexes when one covers the columns.
 	TuplesMatchingAt(node, table string, at ndlog.Stamp, match []ndlog.Match) []ndlog.Tuple
 	// Nodes lists the nodes of the system.
 	Nodes() []string
 	// IsMutable reports whether DiffProv may change the base tuple.
 	IsMutable(node string, t ndlog.Tuple) bool
 	// Apply clones the world, rolls it forward with the changes
-	// injected, and returns the new world. The receiver is unchanged.
-	// The roll-forward honors the context's cancellation and deadline.
+	// injected, and returns the new world. The receiver is unchanged, and
+	// concurrent Applys on one world are safe: the candidate pool fans
+	// its candidates out over the diagnosis's own world. The roll-forward
+	// honors the context's cancellation and deadline.
 	Apply(ctx context.Context, changes []replay.Change) (World, error)
-}
-
-// ParallelWorld is implemented by worlds that can fan counterfactual
-// replays out over private workers. ForkWorker returns a world equivalent
-// to the receiver backed by its own replay-session clone (sharing the
-// base session's base run), safe to Apply concurrently with the
-// receiver and with other workers; JoinWorker folds a quiescent worker's
-// replay statistics back into the receiver. The imperative substrates
-// (the simulated MapReduce jobs) deliberately do not implement it —
-// re-running a job concurrently with itself has no determinism guarantee
-// — so diagnoses over them fall back to sequential evaluation.
-type ParallelWorld interface {
-	World
-	ForkWorker() World
-	JoinWorker(worker World)
 }
 
 // cumulativeWorld exposes the counterfactual changes already folded into
@@ -104,11 +87,6 @@ func (w *ndlogWorld) Exists(node string, t ndlog.Tuple, at ndlog.Stamp) bool {
 	return w.engine.Exists(node, t, at)
 }
 
-func (w *ndlogWorld) OccurredBefore(node string, t ndlog.Tuple, tick int64) bool {
-	_, ok := w.FirstOccurrence(node, t, tick)
-	return ok
-}
-
 func (w *ndlogWorld) FirstOccurrence(node string, t ndlog.Tuple, tick int64) (int64, bool) {
 	best, found := int64(0), false
 	for _, iv := range w.engine.History(node, t) {
@@ -119,16 +97,14 @@ func (w *ndlogWorld) FirstOccurrence(node string, t ndlog.Tuple, tick int64) (in
 	return best, found
 }
 
-func (w *ndlogWorld) TuplesAt(node, table string, at ndlog.Stamp) []ndlog.Tuple {
-	return w.engine.TuplesAt(node, table, at)
-}
-
 func (w *ndlogWorld) TuplesMatchingAt(node, table string, at ndlog.Stamp, match []ndlog.Match) []ndlog.Tuple {
 	return w.engine.TuplesMatchingAt(node, table, at, match)
 }
 
+// IsMutable reads the session's pins (§4.7), which clones share: the
+// engines behind a world are evaluated from the log and know none.
 func (w *ndlogWorld) IsMutable(node string, t ndlog.Tuple) bool {
-	return w.engine.IsMutable(node, t)
+	return w.session.IsMutable(node, t)
 }
 
 func (w *ndlogWorld) Apply(ctx context.Context, changes []replay.Change) (World, error) {
@@ -146,17 +122,3 @@ func (w *ndlogWorld) appliedChanges() []replay.Change { return w.changes }
 // schedule order (injected counterfactual changes are not part of the
 // log; they are the w.changes overlay).
 func (w *ndlogWorld) BaseEvents() []replay.Event { return w.session.Log().Events() }
-
-// ForkWorker clones the session (sharing the log contents and the base
-// run behind the query-time graph) so the worker's counterfactual
-// replays are isolated from the receiver's. Replay statistics accumulate
-// on the clone until JoinWorker.
-func (w *ndlogWorld) ForkWorker() World {
-	return &ndlogWorld{session: w.session.Clone(), changes: w.changes, engine: w.engine, graph: w.graph}
-}
-
-func (w *ndlogWorld) JoinWorker(worker World) {
-	if nw, ok := worker.(*ndlogWorld); ok {
-		w.session.AbsorbStats(nw.session)
-	}
-}

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -419,6 +420,84 @@ func TestModelSourceMentionsAllTables(t *testing.T) {
 	for _, table := range []string{"inputRecord", "mapperCode", "jobConfig", "kv", "kvAt", "wordcount"} {
 		if !strings.Contains(ModelSource, table) {
 			t.Errorf("model missing table %s", table)
+		}
+	}
+}
+
+// TestImperativeParallelMatchesSequential: the imperative world joins the
+// candidate pool's fan-out (concurrent Applys re-run clones of the job), and
+// its results do not depend on the width. The reference search over the MR2
+// bad tree returns the same outcome at width 1 and width 8 (every mined
+// reference needs an immutable input record, so that outcome is an error);
+// a two-fault job's minimized diagnosis is the same at both widths, and at
+// width 8 its drop candidates run on the pool.
+func TestImperativeParallelMatchesSequential(t *testing.T) {
+	ctx := context.Background()
+	run := func(reduces int64, mapper ndlog.ID) (*Execution, *provenance.Tree) {
+		ex, err := NewJob("badjob", testFile(), 2, reduces, mapper).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bt, err := ex.CountTree("the")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex, bt
+	}
+
+	mr2, bt := run(4, BuggyMapper)
+	type outcome struct {
+		res *core.Result
+		ref *provenance.Tree
+		err error
+	}
+	auto := func(width int) outcome {
+		res, ref, err := core.AutoDiagnose(ctx, bt, mr2.World(), core.Options{Parallelism: width, Minimize: true})
+		return outcome{res, ref, err}
+	}
+	one, wide := auto(1), auto(8)
+	switch {
+	case one.err != nil || wide.err != nil:
+		if one.err == nil || wide.err == nil || one.err.Error() != wide.err.Error() {
+			t.Errorf("AutoDiagnose: width 1 err = %v, width 8 err = %v", one.err, wide.err)
+		}
+	case one.ref.Vertex.String() != wide.ref.Vertex.String() || fmt.Sprint(one.res.Changes) != fmt.Sprint(wide.res.Changes):
+		t.Errorf("AutoDiagnose: width 1 %s Δ %v, width 8 %s Δ %v", one.ref.Vertex, one.res.Changes, wide.ref.Vertex, wide.res.Changes)
+	case wide.res.Stats.ParallelCandidates == 0:
+		t.Error("AutoDiagnose: ParallelCandidates = 0 at width 8")
+	}
+
+	goodEx, err := NewJob("goodjob", testFile(), 2, 4, GoodMapper).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := goodEx.CountTree("the")
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, bt2 := run(2, BuggyMapper) // too few reducers and the buggy mapper
+	var want string
+	for _, width := range []int{1, 8} {
+		res, err := core.Diagnose(ctx, gt, bt2, both.World(), core.Options{Parallelism: width, Minimize: true})
+		if err != nil {
+			t.Fatalf("width %d: Diagnose: %v", width, err)
+		}
+		if len(res.Changes) != 2 {
+			t.Fatalf("width %d: Δ = %v, want the mapper and the reducer count", width, res.Changes)
+		}
+		got := fmt.Sprint(res.Changes, res.Rounds)
+		if width == 1 {
+			want = got
+			if n := res.Stats.ParallelCandidates; n != 0 {
+				t.Errorf("ParallelCandidates = %d at width 1, want 0", n)
+			}
+			continue
+		}
+		if got != want {
+			t.Errorf("width 8: %s, width 1: %s", got, want)
+		}
+		if res.Stats.ParallelCandidates == 0 {
+			t.Error("ParallelCandidates = 0 at width 8: the imperative world did not fan out")
 		}
 	}
 }

@@ -81,15 +81,6 @@ func (s *store) exists(node string, t ndlog.Tuple, tick int64) bool {
 	return false
 }
 
-func (s *store) occurredBefore(node string, t ndlog.Tuple, tick int64) bool {
-	for _, e := range s.entries[node][t.Table] {
-		if e.tuple.Equal(t) && e.from <= tick {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *store) tuplesAt(node, table string, tick int64) []ndlog.Tuple {
 	var out []ndlog.Tuple
 	for _, e := range s.entries[node][table] {
@@ -115,10 +106,6 @@ func (w *mrWorld) Exists(node string, t ndlog.Tuple, at ndlog.Stamp) bool {
 	return w.ex.store.exists(node, t, at.T)
 }
 
-func (w *mrWorld) OccurredBefore(node string, t ndlog.Tuple, tick int64) bool {
-	return w.ex.store.occurredBefore(node, t, tick)
-}
-
 func (w *mrWorld) FirstOccurrence(node string, t ndlog.Tuple, tick int64) (int64, bool) {
 	best, found := int64(0), false
 	for _, e := range w.ex.store.entries[node][t.Table] {
@@ -127,10 +114,6 @@ func (w *mrWorld) FirstOccurrence(node string, t ndlog.Tuple, tick int64) (int64
 		}
 	}
 	return best, found
-}
-
-func (w *mrWorld) TuplesAt(node, table string, at ndlog.Stamp) []ndlog.Tuple {
-	return w.ex.store.tuplesAt(node, table, at.T)
 }
 
 // TuplesMatchingAt filters the store's as-of rows; the imperative store
@@ -159,7 +142,9 @@ func (w *mrWorld) IsMutable(node string, t ndlog.Tuple) bool {
 // Apply interprets the counterfactual changes as job overrides and
 // re-runs the instrumented pipeline (the paper's MR replays: "once on the
 // correct job, another on the faulty job, and a final one to update the
-// tree").
+// tree"). The re-run is a clone of the job writing a fresh builder and
+// store, and reads the receiver only, so Applys on one world may run
+// concurrently.
 func (w *mrWorld) Apply(ctx context.Context, changes []replay.Change) (core.World, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mapreduce: re-run interrupted: %w", err)

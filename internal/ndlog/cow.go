@@ -99,7 +99,6 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		deriveID:    e.deriveID,
 		delay:       e.delay,
 		dependents:  e.dependents.Fork(),
-		immutable:   e.immutable.Fork(),
 		aggGroups:   e.aggGroups.Fork(),
 		amDeriv:     e.amDeriv.Fork(),
 		evDeps:      e.evDeps.Fork(),

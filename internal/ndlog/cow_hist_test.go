@@ -141,7 +141,7 @@ rule rc d(X) :- c(X).
 }
 
 // TestKeyByteLookupsBuildNoString: the lookups that hold a tuple's key as
-// bytes — Engine.histOf (under Exists), IsMutable and aggGroupFor — index
+// bytes — Engine.histOf (under Exists) and aggGroupFor — index
 // each overlay link's map with m[string(b)], which builds no string, on a
 // fork two links above the root and for keys longer than the 32 bytes Go
 // converts on the stack.
@@ -150,9 +150,9 @@ func TestKeyByteLookupsBuildNoString(t *testing.T) {
 		t.Skip("pooled buffers are re-allocated at random under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the key buffer pool
-	p := MustParse(wcProgram + "table pin/1 base mutable;\n")
+	p := MustParse(wcProgram)
 	word := Str(strings.Repeat("w", 40))
-	kv, count, pin := NewTuple("kv", word, Int(0)), NewTuple("wordcount", word, Int(1)), NewTuple("pin", word)
+	kv, count := NewTuple("kv", word, Int(0)), NewTuple("wordcount", word, Int(1))
 	e := New(p, nil, WithSeqBand(SeqBandDefault))
 	if err := e.ScheduleInsert("r1", kv, 0); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,6 @@ func TestKeyByteLookupsBuildNoString(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	e.PinImmutable("r1", pin)
 	e.Seal()
 	mid := e.Fork(nil)
 	mid.Seal()
@@ -181,7 +180,6 @@ func TestKeyByteLookupsBuildNoString(t *testing.T) {
 	ok := true
 	for name, lookup := range map[string]func(){
 		"Exists":      func() { ok = ok && top.Exists("r1", count, top.Now()) },
-		"IsMutable":   func() { ok = ok && !top.IsMutable("r1", pin) },
 		"aggGroupFor": func() { ok = ok && top.aggGroupFor(group).count == 1 },
 	} {
 		if n := testing.AllocsPerRun(100, lookup); n != 0 {

@@ -167,10 +167,6 @@ type Engine struct {
 	// through any cause (see unindexSupport), so the map stays bounded by
 	// the number of live supports.
 	dependents cow.Overlay[TupleRef, []dependentRef]
-	// immutable records tuples individually pinned immutable (beyond
-	// table-level mutability), e.g. "static flow entries declared off
-	// limits" (§4.7).
-	immutable cow.Overlay[TupleRef, bool]
 	// aggGroups holds the incremental state of counting rules.
 	aggGroups cow.Overlay[string, *aggGroup]
 	// deriveLimit bounds lifetime derivations as a guard against
@@ -697,29 +693,12 @@ func (e *Engine) recycle(it *workItem) {
 	*free = it
 }
 
-// PinImmutable marks one specific tuple occurrence immutable regardless of
-// its table's mutability (e.g. a static flow entry declared off limits).
-func (e *Engine) PinImmutable(nodeName string, t Tuple) {
-	if e.sealed {
-		panic("ndlog: PinImmutable on sealed engine")
-	}
-	e.immutable.Set(TupleRef{Node: nodeName, Key: t.Key()}, true)
-}
-
-// IsMutable reports whether DiffProv may change the given base tuple.
+// IsMutable reports whether the given tuple's table lets DiffProv change
+// it: declared base and mutable. Pins of single tuples (§4.7) are replay
+// session state (replay.Session.Pin).
 func (e *Engine) IsMutable(nodeName string, t Tuple) bool {
 	d := e.prog.Decl(t.Table)
-	if d == nil || !d.Base || !d.Mutable {
-		return false
-	}
-	pinned := false
-	t.WithKey(func(key []byte) {
-		pinned, _ = e.immutable.Find(func(m map[TupleRef]bool) (bool, bool) {
-			v, ok := m[TupleRef{Node: nodeName, Key: string(key)}]
-			return v, ok
-		})
-	})
-	return !pinned
+	return d != nil && d.Base && d.Mutable
 }
 
 // Run drains the work queue, evaluating all scheduled events and their

@@ -499,13 +499,6 @@ rule r derived(X) :- cfg(X).
 	if e.IsMutable("n", NewTuple("derived", Int(1))) {
 		t.Error("derived tuples are not base, hence not mutable")
 	}
-	e.PinImmutable("n", cfg)
-	if e.IsMutable("n", cfg) {
-		t.Error("pinned tuple must be immutable")
-	}
-	if !e.IsMutable("m", cfg) {
-		t.Error("pin is per-node")
-	}
 }
 
 func TestEngineExistsTemporal(t *testing.T) {

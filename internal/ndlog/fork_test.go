@@ -186,36 +186,3 @@ func TestSeqBandExhaustion(t *testing.T) {
 		t.Fatal("scheduling past the sequence band must fail")
 	}
 }
-
-// TestForkPinImmutableStaysPrivate: a tuple pinned on a fork is immutable
-// there and in the fork's own forks, while the sealed base and a sibling
-// fork may still change it; a pin the base made before sealing holds in
-// every fork.
-func TestForkPinImmutableStaysPrivate(t *testing.T) {
-	e := ndlog.New(forkProg, nil, ndlog.WithSeqBand(ndlog.SeqBandDefault))
-	scheduleFork(t, e)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ab, bc := ndlog.NewTuple("link", ndlog.Str("a"), ndlog.Str("b")), ndlog.NewTuple("link", ndlog.Str("b"), ndlog.Str("c"))
-	e.PinImmutable("b", bc)
-	e.Seal()
-	f, sib := e.Fork(nil), e.Fork(nil)
-	f.PinImmutable("a", ab)
-	if f.IsMutable("a", ab) {
-		t.Error("the pinning fork still reports its pin mutable")
-	}
-	if !e.IsMutable("a", ab) || !sib.IsMutable("a", ab) {
-		t.Error("a fork's pin reached the sealed base or a sibling fork")
-	}
-	f.Seal()
-	ff := f.Fork(nil)
-	if ff.IsMutable("a", ab) {
-		t.Error("a fork of the pinning fork lost the pin")
-	}
-	for name, en := range map[string]*ndlog.Engine{"base": e, "fork": f, "sibling": sib, "fork of fork": ff} {
-		if en.IsMutable("b", bc) {
-			t.Errorf("%s: the base's pin does not hold", name)
-		}
-	}
-}

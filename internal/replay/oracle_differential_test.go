@@ -259,7 +259,7 @@ func TestForkDifferential(t *testing.T) {
 	})
 }
 
-// TestDeltaDifferential: candidates fanned out over eight worker clones.
+// TestDeltaDifferential: candidates fanned out by a pool of width 8.
 func TestDeltaDifferential(t *testing.T) { differential(t, 8, nil) }
 
 // TestAggregateFoldDifferential: candidates at the default parallelism

@@ -132,10 +132,14 @@ type Session struct {
 	// Stats counts base-run and trial activity.
 	Stats ReplayStats
 	// statsMu orders the writes replays make to the three fields above: a
-	// world handed from one diagnosis worker to another through the shared
-	// replay memo carries its maker's session, so two workers can replay
-	// on one. Reading them is for after the workers are done.
+	// diagnosis's candidate pool replays on one session from several
+	// goroutines. Reading them is for after the replays are done.
 	statsMu sync.Mutex
+
+	// pins are the tuples declared off limits to DiffProv (§4.7), by node
+	// and key. A pin replaces the map rather than writing it, so clones
+	// share it as it stood when they were made, copying nothing.
+	pins map[ndlog.TupleRef]bool
 
 	engineOpts []ndlog.Option
 
@@ -224,33 +228,38 @@ func (s *Session) newEngineOpts() []ndlog.Option {
 // This is how a diagnosis is run offline against saved logs.
 func FromLog(prog *ndlog.Program, l *Log, opts ...SessionOption) (*Session, error) {
 	s := NewSession(prog, opts...)
-	var driveErr error
-	l.Each(func(ev Event) {
-		if driveErr != nil {
-			return
-		}
-		if ev.Kind == EvInsert {
-			driveErr = s.Insert(ev.Node, ev.Tuple, ev.Tick)
-		} else {
-			driveErr = s.Delete(ev.Node, ev.Tuple, ev.Tick)
-		}
-	})
-	if driveErr != nil {
-		return nil, fmt.Errorf("replay: rebuilding session: %v", driveErr)
-	}
-	if err := s.Run(); err != nil {
+	if err := s.redrive(l); err != nil {
 		return nil, fmt.Errorf("replay: rebuilding session: %v", err)
 	}
 	return s, nil
 }
 
+// redrive drives a log's events through Insert/Delete, in order, and then
+// runs the live engine.
+func (s *Session) redrive(l *Log) error {
+	for i := 0; i < l.Len(); i++ {
+		ev := l.At(i)
+		var err error
+		if ev.Kind == EvInsert {
+			err = s.Insert(ev.Node, ev.Tuple, ev.Tick)
+		} else {
+			err = s.Delete(ev.Node, ev.Tuple, ev.Tick)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return s.Run()
+}
+
 // Clone returns an independent session over the same captured execution.
 // The immutable program, the session options, the base run and the
 // base-event log as it stands (Log.Clone: a capped view of the append-only
-// log, not a copy) are shared, and the replay statistics start at zero.
-// Clones are how concurrent diagnoses isolate their mutable state — each
-// one replays and accounts time privately, so a completed session can
-// serve any number of clones in parallel.
+// log, not a copy) and the pins are shared, and the replay statistics
+// start at zero. Clones are how concurrent diagnoses (the server's
+// requests) account replays privately, so a completed session can serve
+// any number of clones in parallel; the candidate pool inside one
+// diagnosis needs none, since its replays only fork the base run.
 //
 // The live engine is shared read-only; driving the execution further
 // (Insert/Delete/Run) must happen on the original session, not a clone.
@@ -276,6 +285,7 @@ func (s *Session) Clone() *Session {
 		base:       s.base,
 		oracle:     s.oracle,
 		engineOpts: s.engineOpts,
+		pins:       s.pins,
 	}
 }
 
@@ -287,22 +297,33 @@ func (s *Session) ResetStats() {
 	s.Stats = ReplayStats{}
 }
 
-// AbsorbStats folds the replay statistics accumulated by another session
-// (typically a worker Clone that ran counterfactual replays on behalf of
-// this one) into the receiver. The caller must ensure the other session is
-// quiescent.
-func (s *Session) AbsorbStats(other *Session) {
-	if other == nil {
-		return
+// Pin declares one tuple on a node off limits to DiffProv, whatever its
+// table's mutability (§4.7: "static flow entries declared off limits").
+// Like Insert and Delete it is for the original session, not a clone; a
+// clone made earlier does not see the pin.
+func (s *Session) Pin(node string, t ndlog.Tuple) {
+	pins := make(map[ndlog.TupleRef]bool, len(s.pins)+1)
+	for r := range s.pins {
+		pins[r] = true
 	}
-	s.ReplayTime += other.ReplayTime
-	s.ReplayCount += other.ReplayCount
-	s.Stats.PrefixHits += other.Stats.PrefixHits
-	s.Stats.PrefixMisses += other.Stats.PrefixMisses
-	s.Stats.ForkNanos += other.Stats.ForkNanos
-	s.Stats.EventsSkipped += other.Stats.EventsSkipped
-	s.Stats.EventsReFired += other.Stats.EventsReFired
-	s.Stats.DirtyTables += other.Stats.DirtyTables
+	pins[ndlog.TupleRef{Node: node, Key: t.Key()}] = true
+	s.pins = pins
+}
+
+// IsMutable reports whether DiffProv may change the base tuple: its table
+// is declared base and mutable, and the tuple is not pinned.
+func (s *Session) IsMutable(node string, t ndlog.Tuple) bool {
+	if !s.live.IsMutable(node, t) {
+		return false
+	}
+	if len(s.pins) == 0 {
+		return true
+	}
+	pinned := false
+	t.WithKey(func(key []byte) {
+		pinned = s.pins[ndlog.TupleRef{Node: node, Key: string(key)}]
+	})
+	return !pinned
 }
 
 // Program returns the session's program.

@@ -153,29 +153,15 @@ func Open(prog *ndlog.Program, dir string, opts ...SessionOption) (*Session, err
 	if s.stErr != nil {
 		return nil, s.stErr
 	}
-	// Re-drive the recovered log through the live engine. Every event is
-	// inside the verify window, so nothing is re-appended.
-	var driveErr error
-	s.log.Each(func(ev Event) {
-		if driveErr != nil {
-			return
-		}
-		if ev.Kind == EvInsert {
-			driveErr = s.Insert(ev.Node, ev.Tuple, ev.Tick)
-		} else {
-			driveErr = s.Delete(ev.Node, ev.Tuple, ev.Tick)
-		}
-	})
-	if driveErr != nil {
-		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, driveErr)
-	}
-	// The whole stream is scheduled, so the run below crosses the newest
-	// reused checkpoint exactly once: verify it there.
+	// The whole stream is scheduled before the re-drive runs, so the run
+	// crosses the newest reused checkpoint exactly once: verify it there.
 	if n := len(s.ckpts); n > 0 {
 		newest := s.ckpts[n-1]
 		s.storage.verifyCkpt = &newest
 	}
-	if err := s.Run(); err != nil {
+	// Re-drive the recovered log through the live engine. Every event is
+	// inside the verify window, so nothing is re-appended.
+	if err := s.redrive(s.log); err != nil {
 		return nil, fmt.Errorf("replay: cold start from %s: %v", dir, err)
 	}
 	return s, nil

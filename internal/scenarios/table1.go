@@ -87,7 +87,7 @@ func deltaVertexes(w core.World, changes []replay.Change) int {
 			continue
 		}
 		// Replaced counterpart: same primary key, different tuple.
-		for _, t := range w.TuplesAt(c.Node, c.Tuple.Table, ndlog.Stamp{T: c.Tick, Seq: ^uint64(0)}) {
+		for _, t := range w.TuplesMatchingAt(c.Node, c.Tuple.Table, ndlog.Stamp{T: c.Tick, Seq: ^uint64(0)}, nil) {
 			if t.Key() != c.Tuple.Key() && samePrimaryKey(decl, t, c.Tuple) {
 				n++
 				break

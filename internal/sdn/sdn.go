@@ -223,11 +223,11 @@ func (n *Network) RemoveStaticEntry(sw string, prio int64, src, dst ndlog.Prefix
 }
 
 // PinStaticEntry declares a hard-coded entry off-limits for DiffProv
-// (§4.7's immutable static flow entry). Must be called after Run so the
-// live engine knows the tuple.
+// (§4.7's immutable static flow entry): a pin on the session, which every
+// world over it and over its later clones reads.
 func (n *Network) PinStaticEntry(sw string, prio int64, src, dst ndlog.Prefix, nxt string) {
 	t := ndlog.NewTuple("staticEntry", ndlog.Int(prio), src, dst, ndlog.Str(nxt))
-	n.sess.Live().PinImmutable(sw, t)
+	n.sess.Pin(sw, t)
 }
 
 // LoadConfigFile marks a router configuration (by checksum) as loaded on

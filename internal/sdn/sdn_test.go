@@ -2,11 +2,13 @@ package sdn
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
+	"repro/internal/replay"
 )
 
 // figure1 builds the paper's Figure 1 network: packets enter at s1;
@@ -203,7 +205,7 @@ func TestStaticEntriesAndPinning(t *testing.T) {
 	}
 	n.PinStaticEntry("s1", 5, Any, Any, "h1")
 	st := ndlog.NewTuple("staticEntry", ndlog.Int(5), Any, Any, ndlog.Str("h1"))
-	if n.Session().Live().IsMutable("s1", st) {
+	if n.Session().IsMutable("s1", st) {
 		t.Error("pinned static entry must be immutable")
 	}
 	if err := n.RemoveStaticEntry("s1", 5, Any, Any, "h1"); err != nil {
@@ -214,6 +216,72 @@ func TestStaticEntriesAndPinning(t *testing.T) {
 	}
 	if len(n.FlowTable("s1")) != 0 {
 		t.Error("removed static entry must leave the flow table")
+	}
+}
+
+// TestPinnedStaticEntryReachesDiagnosis: a pin is session state, so every
+// world over the session or a later clone of it reads the entry as
+// immutable, and a diagnosis whose only fix is re-inserting the pinned
+// entry reports that instead of changing it (§4.7).
+func TestPinnedStaticEntryReachesDiagnosis(t *testing.T) {
+	build := func(pin bool) (*Network, *provenance.Tree, *provenance.Tree) {
+		n := NewNetwork()
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The good packet leaves s1 by the priority-10 entry to h1; the
+		// entry is removed before the bad packet, which falls through to h2.
+		must(n.AddStaticEntry("s1", 10, Any, Any, "h1"))
+		must(n.AddStaticEntry("s1", 1, Any, Any, "h2"))
+		_, err := n.InjectPacket("s1", goodHdr)
+		must(err)
+		must(n.RemoveStaticEntry("s1", 10, Any, Any, "h1"))
+		_, err = n.InjectPacket("s1", badHdr)
+		must(err)
+		must(n.Run())
+		if pin {
+			n.PinStaticEntry("s1", 10, Any, Any, "h1")
+		}
+		good, err := n.ArrivalTree("h1", goodHdr)
+		must(err)
+		bad, err := n.ArrivalTree("h2", badHdr)
+		must(err)
+		return n, good, bad
+	}
+	entry := ndlog.NewTuple("staticEntry", ndlog.Int(10), Any, Any, ndlog.Str("h1"))
+
+	n, good, bad := build(false)
+	world, err := core.NewWorld(n.Session())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Diagnose(context.Background(), good, bad, world, core.Options{})
+	if err != nil {
+		t.Fatalf("unpinned: Diagnose: %v", err)
+	}
+	if len(res.Changes) != 1 || res.Changes[0].Node != "s1" || !res.Changes[0].Tuple.Equal(entry) {
+		t.Fatalf("unpinned: Δ = %v, want only the removed static entry back", res.Changes)
+	}
+
+	n, good, bad = build(true)
+	for name, s := range map[string]*replay.Session{"session": n.Session(), "clone": n.Session().Clone()} {
+		w, err := core.NewWorld(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.IsMutable("s1", entry) {
+			t.Errorf("%s: the pinned static entry is mutable in its world", name)
+		}
+		if !w.IsMutable("s2", entry) {
+			t.Errorf("%s: the pin reached another switch", name)
+		}
+		_, err = core.Diagnose(context.Background(), good, bad, w, core.Options{})
+		var de *core.DiagnosisError
+		if !errors.As(err, &de) || de.Kind != core.ImmutableChange {
+			t.Errorf("%s: Diagnose err = %v, want %s", name, err, core.ImmutableChange)
+		}
 	}
 }
 

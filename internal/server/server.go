@@ -359,7 +359,7 @@ type diagnosis struct {
 	// Fingerprint and parallel-evaluation activity for this request:
 	// divergence alignments answered from the fingerprint memo,
 	// counterfactual replays deduplicated by change-set hash, and
-	// candidate evaluations dispatched to pool workers.
+	// candidate evaluations run by a pool wider than 1.
 	FingerprintHits    int64 `json:"fingerprintHits,omitempty"`
 	CandidatesDeduped  int64 `json:"candidatesDeduped,omitempty"`
 	ParallelCandidates int64 `json:"parallelCandidates,omitempty"`
