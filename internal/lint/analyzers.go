@@ -202,12 +202,15 @@ func sortedAfter(pass *Pass, fn *ast.BlockStmt, pos token.Pos, obj types.Object)
 // The provenance graph is the system of record for diagnosis: DiffProv's
 // guarantees (and the replay layer's checkpoints) assume vertexes are
 // appended by the Recorder machinery and never rewritten. This analyzer
-// flags writes to Graph.chunks (the vertex slab) and to Vertex.Children
-// outside graph.go, whose add stores vertexes (the recorder hands it the
-// children and never touches the field).
+// flags writes to Graph.chunks (the vertex slab), to a vertex's children
+// (Vertex.kids and nkids) and to a label's Node, Tuple and key outside
+// graph.go, whose add stores vertexes (the recorder hands it the children
+// and never touches the fields) and whose label slab makes the labels
+// vertexes share. A label field is guarded however it is reached: v.Node
+// on a *Vertex writes label.Node.
 var AppendOnly = &Analyzer{
 	Name:  "appendonly",
-	Doc:   "confine Graph.chunks and Vertex.Children writes to the recording layer",
+	Doc:   "confine vertex slab, children and label writes to the recording layer",
 	Match: prefixMatch("repro/internal/provenance"),
 	Run:   runAppendOnly,
 }
@@ -215,7 +218,14 @@ var AppendOnly = &Analyzer{
 // guardedFields maps (owner type, field) to the base filenames allowed to
 // write it.
 var guardedFields = map[[2]string][]string{
-	{"Graph", "chunks"}:    {"graph.go"},
+	{"Graph", "chunks"}: {"graph.go"},
+	{"Vertex", "kids"}:  {"graph.go"},
+	{"Vertex", "nkids"}: {"graph.go"},
+	{"label", "Node"}:   {"graph.go"},
+	{"label", "Tuple"}:  {"graph.go"},
+	{"label", "key"}:    {"graph.go"},
+	// The window Children returns is the arena's: writing through it
+	// writes the vertex's children.
 	{"Vertex", "Children"}: {"graph.go"},
 }
 
@@ -241,27 +251,34 @@ func runAppendOnly(pass *Pass) error {
 }
 
 func checkGuardedWrite(pass *Pass, e ast.Expr) {
-	// v.Children[i] = x mutates the field as surely as v.Children = x.
+	// A write lands in every field on the path to what it assigns:
+	// v.Tuple.Args[i] = x writes v.Tuple, and v.Children()[i] = x the
+	// children window the method returns.
 	for {
 		switch x := e.(type) {
 		case *ast.IndexExpr:
 			e = x.X
-			continue
 		case *ast.StarExpr:
 			e = x.X
-			continue
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.CallExpr:
+			e = x.Fun
+		case *ast.SelectorExpr:
+			checkGuardedSelector(pass, x)
+			e = x.X
+		default:
+			return
 		}
-		break
 	}
-	se, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
+}
+
+func checkGuardedSelector(pass *Pass, se *ast.SelectorExpr) {
 	sel := pass.Info.Selections[se]
-	if sel == nil || sel.Kind() != types.FieldVal {
+	if sel == nil {
 		return
 	}
-	key := [2]string{namedOf(sel.Recv()), sel.Obj().Name()}
+	key := [2]string{ownerOf(sel), sel.Obj().Name()}
 	allowed, guarded := guardedFields[key]
 	if !guarded {
 		return
@@ -274,6 +291,27 @@ func checkGuardedWrite(pass *Pass, e ast.Expr) {
 	}
 	pass.Reportf(se.Pos(), "write to %s.%s outside the recording layer (allowed: %s)",
 		key[0], key[1], strings.Join(allowed, ", "))
+}
+
+// ownerOf names the type that declares a selected field or method: for a
+// field reached through embedded ones (v.Node on a *Vertex), the type of
+// the last of them (label).
+func ownerOf(sel *types.Selection) string {
+	if sel.Kind() != types.FieldVal {
+		if recv := sel.Obj().Type().(*types.Signature).Recv(); recv != nil {
+			return namedOf(recv.Type())
+		}
+		return ""
+	}
+	t, path := sel.Recv(), sel.Index()
+	for _, i := range path[:len(path)-1] {
+		st, ok := deref(t).Underlying().(*types.Struct)
+		if !ok {
+			return ""
+		}
+		t = st.Field(i).Type()
+	}
+	return namedOf(t)
 }
 
 // SealCheck confines writes to copy-on-write-shared engine and graph

@@ -155,36 +155,53 @@ func f(m map[string][]int, s []string) []string {
 }
 
 const appendOnlySrc = `package provenance
-type Vertex struct{ Children []int }
+type Vertex struct {
+	*label
+	kids  *int
+	nkids uint8
+}
+type label struct{ Node, key string }
+func (v *Vertex) Children() []int { return nil }
 type Graph struct{ chunks [][]Vertex }
 type arena struct{ chunks [][]Vertex } // distinct type: not guarded
 func f(g *Graph, v *Vertex, s *arena) {
 	g.chunks = append(g.chunks, nil)
-	v.Children[0] = 7
+	v.Children()[0] = 7
 	s.chunks = nil
+	v.kids, v.nkids = nil, 0
+	v.Node = "n"
+	v.label.key = ""
 }
 `
 
 func TestAppendOnlyFlagsWritesOutsideRecorder(t *testing.T) {
 	pkg := loadSrc(t, "repro/internal/provenance", "other.go", appendOnlySrc)
 	wantFindings(t, runOn(t, pkg, AppendOnly),
-		"other.go:6:2: appendonly: write to Graph.chunks",
-		"other.go:7:2: appendonly: write to Vertex.Children")
+		"other.go:12:2: appendonly: write to Graph.chunks",
+		"other.go:13:2: appendonly: write to Vertex.Children",
+		"other.go:15:2: appendonly: write to Vertex.kids",
+		"other.go:15:10: appendonly: write to Vertex.nkids",
+		"other.go:16:2: appendonly: write to label.Node",
+		"other.go:17:2: appendonly: write to label.key")
 }
 
 func TestAppendOnlyAllowsRecordingLayerFiles(t *testing.T) {
-	// In graph.go both fields may be written; the arena write stays legal.
+	// In graph.go every guarded field may be written; the arena write stays legal.
 	pkg := loadSrc(t, "repro/internal/provenance", "graph.go", appendOnlySrc)
 	wantFindings(t, runOn(t, pkg, AppendOnly))
 }
 
 func TestAppendOnlyRecorderHandsChildrenToAdd(t *testing.T) {
 	// The recorder builds children on its stack and passes them to
-	// Graph.add; it left the Vertex.Children allowlist with the slab.
+	// Graph.add, and takes labels from the graph: it writes neither.
 	pkg := loadSrc(t, "repro/internal/provenance", "recorder.go", appendOnlySrc)
 	wantFindings(t, runOn(t, pkg, AppendOnly),
-		"recorder.go:6:2: appendonly: write to Graph.chunks",
-		"recorder.go:7:2: appendonly: write to Vertex.Children")
+		"recorder.go:12:2: appendonly: write to Graph.chunks",
+		"recorder.go:13:2: appendonly: write to Vertex.Children",
+		"recorder.go:15:2: appendonly: write to Vertex.kids",
+		"recorder.go:15:10: appendonly: write to Vertex.nkids",
+		"recorder.go:16:2: appendonly: write to label.Node",
+		"recorder.go:17:2: appendonly: write to label.key")
 }
 
 func TestAllowDirectiveSuppresses(t *testing.T) {

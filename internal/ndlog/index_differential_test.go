@@ -20,7 +20,7 @@ import (
 func serializeGraph(g *provenance.Graph) string {
 	var sb strings.Builder
 	g.Vertexes(func(v *provenance.Vertex) {
-		fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children)
+		fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children())
 	})
 	return sb.String()
 }

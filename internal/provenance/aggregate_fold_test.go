@@ -41,10 +41,10 @@ func aggHeadDerive(t *testing.T, g *Graph, word string, count int64) *Vertex {
 	if ap == nil {
 		t.Fatalf("no appearance of wordcount(%s, %d)", word, count)
 	}
-	if len(ap.Children) != 1 {
-		t.Fatalf("head APPEAR has %d causes, want 1", len(ap.Children))
+	if len(ap.Children()) != 1 {
+		t.Fatalf("head APPEAR has %d causes, want 1", len(ap.Children()))
 	}
-	return g.Vertex(ap.Children[0])
+	return g.Vertex(ap.Children()[0])
 }
 
 // TestAggregateRecordingIsLinear is the O(k) property test: the recorded
@@ -56,7 +56,7 @@ func TestAggregateRecordingIsLinear(t *testing.T) {
 	edges := func(k int) int {
 		g := runWordCount(t, k)
 		n := 0
-		g.Vertexes(func(v *Vertex) { n += len(v.Children) })
+		g.Vertexes(func(v *Vertex) { n += len(v.Children()) })
 		return n
 	}
 	e1 := edges(300)
@@ -73,8 +73,8 @@ func TestAggregateRecordingIsLinear(t *testing.T) {
 	g.Vertexes(func(v *Vertex) {
 		if _, _, ok := g.AggDelta(v.ID); ok {
 			aggs++
-			if len(v.Children) > 1 {
-				t.Errorf("delta DERIVE %d records %d children, want <= 1", v.ID, len(v.Children))
+			if len(v.Children()) > 1 {
+				t.Errorf("delta DERIVE %d records %d children, want <= 1", v.ID, len(v.Children()))
 			}
 		}
 	})

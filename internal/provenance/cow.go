@@ -16,11 +16,11 @@ import (
 //     base run; sealed graphs are never recorded into again.
 //   - Fork of a sealed graph keeps a reference to the base, stores only
 //     fork-local vertexes in its own slab chunks (IDs continue from
-//     baseLen), and starts every index empty: writes land locally,
-//     reads walk the base chain in shadowing order. appearsByTable and
-//     redirect are cow.Overlay links; byTuple, byDerive and the overflow
-//     maps below are per link by design, since what they hold names the
-//     link's own vertexes.
+//     baseLen) and the labels it is first to give in its own label slab,
+//     and starts every index empty: writes land locally, reads walk the
+//     base chain in shadowing order. redirect is a cow.Overlay link;
+//     byTuple, byDerive and the overflow maps below are per link by
+//     design, since what they hold names the link's own vertexes.
 //   - Reverse edges (a cause's head APPEAR, the DERIVEs a vertex
 //     triggered) are links in the vertexes, set by the graph that recorded
 //     both ends; an edge off a sealed base's vertex goes to the fork's
@@ -31,13 +31,11 @@ import (
 //     redirect overlay. Fingerprints exclude Span, so the copy keeps its
 //     cached fp.
 //
-// Everything list-valued (a tuple's APPEARs, a table's, a vertex's
-// triggered DERIVEs) is append-only, so a fork's local part holds only
-// what the fork itself appended (a tail): reads concatenate the chain
-// oldest-first instead of the append copying the base's list — a hot
-// table-level entry can index the whole base run, and one counterfactual
-// append must not pay for re-copying it. No index has deletions: which
-// EXIST is open is read off the vertexes (openExist).
+// Everything list-valued (a tuple's APPEARs, a vertex's triggered
+// DERIVEs) is append-only, so a fork's local part holds only what the fork
+// itself appended (a tail): reads concatenate the chain oldest-first
+// instead of the append copying the base's list. No index has deletions:
+// which EXIST is open is read off the vertexes (openExist).
 //
 // Everything downstream — tree projection, seed finding, fold memo — goes
 // through the accessors, so a fork is observationally identical to a
@@ -85,12 +83,11 @@ func (g *Graph) Fork() *Graph {
 		panic("provenance: Fork of unsealed graph")
 	}
 	f := &Graph{
-		byTuple:        map[ndlog.TupleRef]tupleEnds{},
-		firstDerive:    g.firstDerive + int64(len(g.byDerive)),
-		appearsByTable: g.appearsByTable.Fork(),
-		base:           g,
-		baseLen:        g.NumVertexes(),
-		redirect:       g.redirect.Fork(),
+		byTuple:     map[ndlog.TupleRef]tupleEnds{},
+		firstDerive: g.firstDerive + int64(len(g.byDerive)),
+		base:        g,
+		baseLen:     g.NumVertexes(),
+		redirect:    g.redirect.Fork(),
 	}
 	// Under the lock because sibling forks and readers of the shared base
 	// may fold concurrently.
@@ -125,8 +122,9 @@ func (g *Graph) recorded(id int) *Vertex {
 }
 
 // mutableVertex returns a vertex this graph may mutate in place, copying
-// a frozen base vertex into the redirect overlay on first access. Only
-// the recorder's EXIST-span closing uses it.
+// a frozen base vertex into the redirect overlay on first access (the copy
+// shares the base vertex's label). Only the recorder's EXIST-span closing
+// uses it.
 func (g *Graph) mutableVertex(id int) *Vertex {
 	if g.sealed {
 		panic("provenance: mutate vertex of sealed graph")
@@ -182,17 +180,13 @@ func (g *Graph) setDerive(id int64, vid int) {
 	g.byDerive[off] = int32(vid) + 1
 }
 
-// idList is one table's entry in appearsByTable: append-only, the first ID
-// inline, so a table one tuple appeared in costs no allocation.
-type idList struct {
-	first int
-	rest  []int
+// tupleEnds is one tuple's entry in byTuple: the tuple's label, and the
+// newest APPEAR and the newest DISAPPEAR this graph recorded for it, each
+// as vertex ID + 1 (0: this link recorded none, ask the base).
+type tupleEnds struct {
+	lab    *label
+	newest [2]int32
 }
-
-// tupleEnds is one tuple's entry in byTuple: the newest APPEAR and the
-// newest DISAPPEAR this graph recorded for it, each as vertex ID + 1 (0:
-// this link recorded none, ask the base).
-type tupleEnds [2]int32
 
 const newestAppear, newestDisappear = 0, 1
 
@@ -203,7 +197,7 @@ func (g *Graph) own(link int32) *Vertex { return g.local(int(link) - 1 - g.baseL
 // topmost chain link that recorded one holds the most recent.
 func (g *Graph) newest(tk ndlog.TupleRef, end int) int {
 	for gr := g; gr != nil; gr = gr.base {
-		if id := gr.byTuple[tk][end]; id != 0 {
+		if id := gr.byTuple[tk].newest[end]; id != 0 {
 			return int(id) - 1
 		}
 	}
@@ -219,7 +213,7 @@ func (g *Graph) newest(tk ndlog.TupleRef, end int) int {
 func (g *Graph) appearAt(b ndlog.BodyRef) int {
 	tk := b.TupleRef()
 	for gr := g; gr != nil; gr = gr.base {
-		for a := gr.byTuple[tk][newestAppear]; a != 0; {
+		for a := gr.byTuple[tk].newest[newestAppear]; a != 0; {
 			v := gr.own(a)
 			if v.At.Seq == b.Seq {
 				return v.ID
@@ -230,20 +224,29 @@ func (g *Graph) appearAt(b ndlog.BodyRef) int {
 	return -1
 }
 
-// indexAppear enters a just-recorded APPEAR into the tuple and table
-// indexes and makes it the head of its cause (a DERIVE or INSERT, or -1).
+// labelOf returns the label of the tuple with the given key on the node:
+// the one the chain's byTuple holds, or else a new one that this graph's
+// byTuple holds from now on.
+func (g *Graph) labelOf(node string, t ndlog.Tuple, key string) *label {
+	tk := ndlog.TupleRef{Node: node, Key: key}
+	for gr := g; gr != nil; gr = gr.base {
+		if l := gr.byTuple[tk].lab; l != nil {
+			return l
+		}
+	}
+	l := g.labels.take(node, t, key)
+	g.byTuple[tk] = tupleEnds{lab: l}
+	return l
+}
+
+// indexAppear enters a just-recorded APPEAR into the tuple index and makes
+// it the head of its cause (a DERIVE or INSERT, or -1).
 func (g *Graph) indexAppear(ap *Vertex, cause int) {
 	tk, id := ap.TupleRef(), int32(ap.ID)+1
 	ends := g.byTuple[tk]
-	ap.prev, ends[newestAppear] = ends[newestAppear]-1, id
+	ap.prev, ends.newest[newestAppear] = ends.newest[newestAppear]-1, id
+	ends.lab = ap.label
 	g.byTuple[tk] = ends
-
-	tr := tableRef{node: ap.Node, table: ap.Tuple.Table}
-	// A fork's entry is its own tail; an entry Own just made holds the ID.
-	if l := g.appearsByTable.Own(tr, func(idList) idList { return idList{first: ap.ID} }); l.first != ap.ID {
-		l.rest = append(l.rest, ap.ID)
-		g.appearsByTable.Set(tr, l)
-	}
 
 	switch {
 	case cause >= g.baseLen:
@@ -260,7 +263,7 @@ func (g *Graph) indexAppear(ap *Vertex, cause int) {
 func (g *Graph) indexDisappear(d *Vertex) {
 	tk := d.TupleRef()
 	ends := g.byTuple[tk]
-	ends[newestDisappear] = int32(d.ID) + 1
+	ends.newest[newestDisappear], ends.lab = int32(d.ID)+1, d.label
 	g.byTuple[tk] = ends
 }
 

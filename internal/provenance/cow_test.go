@@ -14,7 +14,7 @@ import (
 func cowSerialize(g *Graph) string {
 	var sb strings.Builder
 	g.Vertexes(func(v *Vertex) {
-		fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children)
+		fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children())
 	})
 	return sb.String()
 }
@@ -176,7 +176,7 @@ func TestRecordCycleAllocationBudget(t *testing.T) {
 	// body EXISTs as children and triggered on the second.
 	g := rec.Graph()
 	dv, ok := g.deriveVertex(id)
-	if !ok || len(g.Vertex(dv).Children) != 2 || g.Vertex(dv).Trigger != 1 {
+	if !ok || len(g.Vertex(dv).Children()) != 2 || g.Vertex(dv).Trigger != 1 {
 		t.Fatalf("last derivation recorded as %+v (found %v)", g.Vertex(dv), ok)
 	}
 	if g.NumVertexes() != base.Graph().NumVertexes()+4*int(id) {
@@ -187,26 +187,23 @@ func TestRecordCycleAllocationBudget(t *testing.T) {
 // TestNarrowForkAllocationBudget bounds what a narrow counterfactual fork
 // pays up front, where nothing is amortised yet: eight cycles — 32
 // vertexes, what an SDN trial records — on a fresh fork. Both budgets are
-// the readings below + 2 %:
+// the last column + 2 %:
 //
-//	                        six index maps, 184 B   links in the vertex, 192 B
-//	32 vertexes through add   7 allocs,  8 104 B      7 allocs, 8 616 B
-//	8 recorded cycles        28 allocs, 10 936 B     18 allocs, 9 912 B
+//	                        six index maps, 184 B   links, 192 B       labels, 112 B
+//	32 vertexes through add   7 allocs,  8 104 B      7 allocs, 8 616 B   7 allocs, 5 544 B
+//	8 recorded cycles        28 allocs, 10 936 B     18 allocs, 9 960 B  13 allocs, 6 488 B
 //
 // The store itself (slab chunks of 16 + 8 + 16 slots, their list, one arena
 // block) is the first row: a first chunk sized for a wide fork, or plain
-// doubling from 16, fails it. Its 512 bytes are size classes, not slots:
-// with the allocator's 8-byte header a 16-slot chunk of 192-byte vertexes
-// is 3 080 bytes and lands in the 3 200 class where 2 952 fitted 3 072, an
-// 8-slot one in 1 792 where 1 480 fitted 1 536 (chunks of 256 slots and up
-// are whole pages at either size). The whole recording adds the first group of the two maps
-// a fork still makes (byTuple, appearsByTable) and of the trigger overflow,
-// the derivation index and — this cycle re-derives one head — one growing
-// table entry: four index maps and two list entries fewer than it was.
-// One object per vertex read 92 allocations and 11.3 KB. Since
-// appearsByTable became a cow.Overlay link (DESIGN.md §26) its map is made
-// on the fork's first APPEAR, inside this window; the derivation index
-// starting with room for four IDs pays for it (8 cycles: 18, 9 960 B).
+// doubling from 16, fails it. Its bytes are size classes, not slots: with
+// the allocator's 8-byte header a 16-slot chunk of 112-byte vertexes is
+// 1 800 bytes and lands in the 2 048 class, an 8-slot one in 1 024. The
+// whole recording adds the first group of the one index map a fork still
+// makes (byTuple), the trigger overflow, the derivation index (room for
+// four IDs, then eight) and one label chunk: the cycles give h(1) its
+// label once, and every later vertex of it shares that. It read 18
+// allocations while a fork also grew the appearsByTable overlay's map and
+// table list on its APPEARs.
 func TestNarrowForkAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -230,8 +227,8 @@ func TestNarrowForkAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("32 vertexes through add: %d allocs, %d bytes", allocs, bytes)
-	if allocs > 7 || bytes > 8788 {
-		t.Errorf("32 vertexes through add on a fresh fork: %d allocs, %d bytes; budget 7 allocs, 8 788 bytes", allocs, bytes)
+	if allocs > 7 || bytes > 5655 {
+		t.Errorf("32 vertexes through add on a fresh fork: %d allocs, %d bytes; budget 7 allocs, 5 655 bytes", allocs, bytes)
 	}
 	_, next := recordCycles()
 	allocs, bytes = measure(func(rec *Recorder) {
@@ -240,7 +237,7 @@ func TestNarrowForkAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("8 recorded cycles: %d allocs, %d bytes", allocs, bytes)
-	if allocs > 18 || bytes > 10110 {
-		t.Errorf("8 cycles (32 vertexes) on a fresh fork: %d allocs, %d bytes; budget 18 allocs, 10 110 bytes", allocs, bytes)
+	if allocs > 13 || bytes > 6618 {
+		t.Errorf("8 cycles (32 vertexes) on a fresh fork: %d allocs, %d bytes; budget 13 allocs, 6 618 bytes", allocs, bytes)
 	}
 }

@@ -67,7 +67,7 @@ func (g *Graph) fingerprintOf(v *Vertex) uint64 {
 		h = fnvUint64(h, g.fpOf(int(v.aggContrib)))
 	} else {
 		h = fnvLabel(v)
-		for _, c := range v.Children {
+		for _, c := range v.Children() {
 			h = fnvUint64(h, g.fpOf(c))
 		}
 	}

@@ -100,7 +100,7 @@ func TestTreeFingerprintFallback(t *testing.T) {
 		if dv.Fingerprint() != wv.Fingerprint() || dv.Label() != wv.Label() {
 			t.Errorf("detached %s (%x), want %s (%x)", dv.Label(), dv.Fingerprint(), wv.Label(), wv.Fingerprint())
 		}
-		if len(wv.Children) > 0 && &dv.Children[0] == &wv.Children[0] {
+		if len(wv.Children()) > 0 && &dv.Children()[0] == &wv.Children()[0] {
 			t.Errorf("%s: detached vertex shares the graph's children arena", wv)
 		}
 		if len(wv.Tuple.Args) > 0 && &dv.Tuple.Args[0] == &wv.Tuple.Args[0] {

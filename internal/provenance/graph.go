@@ -7,10 +7,12 @@ package provenance
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/cow"
 	"repro/internal/ndlog"
@@ -47,9 +49,12 @@ func (t VertexType) String() string {
 // causes; the graph is acyclic because children always precede parents in
 // creation order. Vertexes live by value in their graph's slab (see Graph)
 // at an address that never moves, so a *Vertex stays valid for as long as
-// anything holds it. The layout is packed to 192 bytes — a slab chunk's
+// anything holds it. The layout is packed to 112 bytes — a slab chunk's
 // unused slots cost what a vertex does — and TestVertexSize pins it.
 type Vertex struct {
+	// label is what the vertex is about, shared with every other vertex
+	// about the same tuple on the same node; Node and Tuple read through it.
+	*label
 	ID   int
 	Type VertexType
 	// Open, on an EXIST vertex, reports that the tuple is still live: its
@@ -58,15 +63,11 @@ type Vertex struct {
 	// aggRemove marks an aggregate DERIVE that removes its contributor from
 	// the group (see prev): folds subtract it, and it is no cause.
 	aggRemove bool
-	aggCount  int32 // contributors of an aggregate DERIVE, see prev
-	Node      string
-	Tuple     ndlog.Tuple
-	// key is Tuple's canonical key: the string whoever reported the vertex
-	// (the engine, the Builder) computed when the row or occurrence was
-	// created. Vertexes share it with the engine's rows; the indexes and
-	// fingerprints below use it and never re-encode Tuple.
-	key  string
-	Rule string // rule name, for DERIVE/UNDERIVE
+	// nkids counts the children kids points at; longKids marks a list too
+	// long for it, whose length is the arena word before kids (putKids).
+	nkids    uint8
+	aggCount int32  // contributors of an aggregate DERIVE, see prev
+	Rule     string // rule name, for DERIVE/UNDERIVE
 
 	// At is the event time of a point vertex and, for an EXIST vertex, the
 	// stamp that opened its existence interval (its APPEAR's At).
@@ -75,10 +76,9 @@ type Vertex struct {
 	// [At, Span.To), meaningful once Open is false.
 	Span struct{ To ndlog.Stamp }
 
-	// Children are the IDs of the direct causes of this vertex: a window
-	// into the graph's children arena, clipped to its length so that a
-	// consumer's append copies instead of overwriting the next vertex's.
-	Children []int
+	// kids points at the first of the IDs of the direct causes of this
+	// vertex, in the graph's children arena (read with Children).
+	kids *int
 	// Trigger, for DERIVE vertexes, is the index into Children of the
 	// precondition that appeared last and thus triggered the rule
 	// (-1 elsewhere). The seed-finding procedure of §4.2 follows these.
@@ -105,15 +105,104 @@ type Vertex struct {
 	up, older int32
 }
 
+// label is what a vertex is about: a tuple on a node. Up to five vertexes
+// of one tuple occurrence (INSERT, APPEAR, EXIST, DISAPPEAR, DELETE) and
+// every DERIVE and UNDERIVE of it there name the same one, so they share
+// it: a graph hands each (node, tuple) one label (Graph.labelOf) and never
+// writes it again. A fork reads its base's labels.
+type label struct {
+	Node  string
+	Tuple ndlog.Tuple
+	// key is Tuple's canonical key: the string whoever reported the vertex
+	// (the engine, the Builder) computed when the row or occurrence was
+	// created. Labels share it with the engine's rows; the indexes and
+	// fingerprints below use it and never re-encode Tuple.
+	key string
+}
+
+// noLabel is the label of a vertex handed to add without one.
+var noLabel label
+
+// labelSlab hands out labels from chunks it never reallocates, so a *label
+// stays valid for as long as a vertex holds it. Sized as the engine's
+// slabs are (DESIGN.md §23): a new chunk holds half as many labels as were
+// handed out so far, at least labelChunkMin and at most labelChunkMax, so
+// past the first chunk the slack is at most a third of what is allocated.
+type labelSlab struct {
+	cur  []label
+	used int
+}
+
+// A narrow fork gives a few tuples their first label; 56 labels of 72
+// bytes are 4 032 bytes, in the 4 096-byte size class.
+const labelChunkMin, labelChunkMax = 4, 56
+
+// take returns a label for the tuple with the given key on the node.
+func (s *labelSlab) take(node string, t ndlog.Tuple, key string) *label {
+	if len(s.cur) == cap(s.cur) {
+		s.cur = make([]label, 0, min(max(s.used/2, labelChunkMin), labelChunkMax))
+	}
+	s.cur = append(s.cur, label{Node: node, Tuple: t, key: key})
+	s.used++
+	return &s.cur[len(s.cur)-1]
+}
+
+// longKids is the nkids of a children list of that length or longer: its
+// length is stored in the arena word before it.
+const longKids = math.MaxUint8
+
+// Children returns the IDs of the direct causes of the vertex as recorded:
+// a window into the graph's children arena whose capacity is its length,
+// so that a consumer's append copies instead of overwriting the next
+// vertex's. It must not be written to.
+func (v *Vertex) Children() []int {
+	n := int(v.nkids)
+	if n == longKids {
+		n = *(*int)(unsafe.Add(unsafe.Pointer(v.kids), -int(unsafe.Sizeof(0))))
+	}
+	return unsafe.Slice(v.kids, n)
+}
+
+// kidsWords is the arena room n children take: n, and one word more for
+// the length of a list nkids cannot count.
+func kidsWords(n int) int {
+	if n >= longKids {
+		return n + 1
+	}
+	return n
+}
+
+// putKids appends children to dst, which has room for kidsWords of them,
+// and points v at them.
+func (v *Vertex) putKids(dst, children []int) []int {
+	n := len(children)
+	if n == 0 {
+		return dst
+	}
+	if n >= longKids {
+		dst = append(dst, n)
+	}
+	at := len(dst)
+	dst = append(dst, children...)
+	v.kids, v.nkids = &dst[at], uint8(min(n, longKids))
+	return dst
+}
+
 // detached returns a copy of the vertex that shares no storage with the
-// graph's vertex slab or children arena nor — its tuple and key cloned —
-// with the args and key chunks of the engine that reported it
-// (Tree.Detach).
-func (v *Vertex) detached() *Vertex {
+// graph's vertex slab or children arena nor — its label copied, tuple and
+// key cloned — with the labels of the graph or the args and key chunks of
+// the engine that reported it (Tree.Detach). labels maps each label
+// already copied to its copy, so the copies share as the originals do.
+func (v *Vertex) detached(labels map[*label]*label) *Vertex {
 	cp := *v
-	cp.Tuple = v.Tuple.Clone()
-	cp.key = strings.Clone(v.key)
-	cp.Children = append([]int(nil), v.Children...)
+	l, ok := labels[v.label]
+	if !ok {
+		l = &label{Node: v.Node, Tuple: v.Tuple.Clone(), key: strings.Clone(v.key)}
+		labels[v.label] = l
+	}
+	cp.label = l
+	kids := v.Children()
+	cp.putKids(make([]int, 0, kidsWords(len(kids))), kids)
 	return &cp
 }
 
@@ -162,8 +251,11 @@ type Graph struct {
 	chunks [][]Vertex
 	n      int
 	// kids is the children arena's current block; a full one is left to
-	// the Vertex.Children windows that reference it.
+	// the vertexes that point into it.
 	kids []int
+	// labels hands out the labels this graph gives the tuples it is the
+	// first to record (labelOf).
+	labels labelSlab
 
 	// byDerive resolves the engine's derivation and underivation IDs (one
 	// dense counter) to their DERIVE / UNDERIVE vertexes: byDerive[id -
@@ -174,14 +266,12 @@ type Graph struct {
 	byDerive    []int32
 	firstDerive int64
 	lateDerive  map[int64]int32
-	// byTuple is the one tuple-keyed index: {node, tuple key} to the newest
-	// APPEAR and DISAPPEAR this graph recorded for the tuple. Earlier APPEARs
-	// hang off the newest by their prev links (appearAt walks them for a
-	// body reference); its open EXIST is the newest APPEAR's (openExist).
+	// byTuple is the one tuple-keyed index: {node, tuple key} to the
+	// tuple's label and the newest APPEAR and DISAPPEAR this graph recorded
+	// for it. Earlier APPEARs hang off the newest by their prev links
+	// (appearAt walks them for a body reference); its open EXIST is the
+	// newest APPEAR's (openExist).
 	byTuple map[ndlog.TupleRef]tupleEnds
-	// appearsByTable indexes APPEAR vertexes by {node, table} for queries;
-	// a fork's link holds the tail it appended (read with Each).
-	appearsByTable cow.Overlay[tableRef, idList]
 	// headOver and trigOver are a fork's overflow: the up links it owes
 	// vertexes of its sealed base (a base cause's head APPEAR, the newest of
 	// the fork's DERIVEs a base vertex triggered), keyed by their IDs. Made
@@ -210,9 +300,6 @@ type Graph struct {
 	redirect cow.Overlay[int, *Vertex]
 	sealed   bool
 }
-
-// tableRef identifies a table on a node.
-type tableRef struct{ node, table string }
 
 // NewGraph creates an empty provenance graph.
 func NewGraph() *Graph {
@@ -269,7 +356,8 @@ func (g *Graph) local(i int) *Vertex {
 }
 
 // add records v with the given children and returns its slab slot. Both
-// are copied (children into the arena), so callers build them on their stack.
+// are copied (children into the arena), so callers build them on their
+// stack. A vertex handed over without a label gets the empty one.
 func (g *Graph) add(v Vertex, children []int) *Vertex {
 	if g.sealed {
 		panic("provenance: record into sealed graph (fork it instead)")
@@ -278,13 +366,14 @@ func (g *Graph) add(v Vertex, children []int) *Vertex {
 	if v.Type != Derive {
 		v.Trigger = -1
 	}
-	if len(children) > 0 {
-		if len(g.kids)+len(children) > cap(g.kids) {
-			g.kids = make([]int, 0, max(len(children), min(2*cap(g.kids), kidsMax), kidsMin))
+	if v.label == nil {
+		v.label = &noLabel
+	}
+	if n := kidsWords(len(children)); n > 0 {
+		if len(g.kids)+n > cap(g.kids) {
+			g.kids = make([]int, 0, max(n, min(2*cap(g.kids), kidsMax), kidsMin))
 		}
-		at := len(g.kids)
-		g.kids = append(g.kids, children...)
-		v.Children = g.kids[at:len(g.kids):len(g.kids)]
+		g.kids = v.putKids(g.kids, children)
 	}
 	// Children are complete and strictly precede v: the hash is final.
 	v.fp = g.fingerprintOf(&v)
@@ -311,7 +400,7 @@ func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
 		out = g.base.appearsOf(node, key, out)
 	}
 	from := len(out)
-	for a := g.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}][newestAppear]; a != 0; a = g.own(a).prev + 1 {
+	for a := g.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}].newest[newestAppear]; a != 0; a = g.own(a).prev + 1 {
 		out = append(out, int(a)-1)
 	}
 	slices.Reverse(out[from:])
@@ -319,22 +408,15 @@ func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
 }
 
 // FindAppears returns the APPEAR vertexes on a node, over a table,
-// matching the predicate, in chronological order. It is the graph's query
-// entry point: "the packet that arrived at web server 2" is an APPEAR.
+// matching the predicate, in recording order. It is the graph's query
+// entry point: "the packet that arrived at web server 2" is an APPEAR. It
+// scans the chain's vertexes in ID order, which is recording order: IDs
+// only grow along the chain.
 func (g *Graph) FindAppears(node, table string, pred func(ndlog.Tuple) bool) []*Vertex {
 	var out []*Vertex
-	add := func(id int) {
-		if v := g.vertex(id); pred == nil || pred(v.Tuple) {
+	g.Vertexes(func(v *Vertex) {
+		if v.Type == Appear && v.Node == node && v.Tuple.Table == table && (pred == nil || pred(v.Tuple)) {
 			out = append(out, v)
-		}
-	}
-	// A fork's entry is a tail appended after everything in its base (IDs
-	// only grow along the chain), so Each's root-first order is insertion
-	// order.
-	g.appearsByTable.Each(tableRef{node: node, table: table}, func(l idList) {
-		add(l.first)
-		for _, id := range l.rest {
-			add(id)
 		}
 	})
 	return out
@@ -346,7 +428,7 @@ func (g *Graph) LastAppear(node string, t ndlog.Tuple) *Vertex {
 	id := -1
 	t.WithKey(func(key []byte) {
 		for gr := g; gr != nil && id < 0; gr = gr.base {
-			id = int(gr.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}][newestAppear]) - 1
+			id = int(gr.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}].newest[newestAppear]) - 1
 		}
 	})
 	if id < 0 {
@@ -444,8 +526,8 @@ func (g *Graph) ChildrenOf(id int) []int {
 	}
 	// A link whose recorded children number its count (a chain's count-1
 	// start) already carries the full list in Children.
-	if v.aggCount == 0 || len(v.Children) == int(v.aggCount) {
-		return v.Children
+	if kids := v.Children(); v.aggCount == 0 || len(kids) == int(v.aggCount) {
+		return kids
 	}
 	return g.foldAgg(v)
 }
@@ -474,8 +556,8 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 			prefix = out
 			break
 		}
-		if prev.aggCount > 0 && len(prev.Children) == int(prev.aggCount) {
-			prefix = prev.Children // a count-1 start: its one child is the list
+		if kids := prev.Children(); prev.aggCount > 0 && len(kids) == int(prev.aggCount) {
+			prefix = kids // a count-1 start: its one child is the list
 			break
 		}
 		cur = prev

@@ -161,6 +161,10 @@ func (m *linkModel) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 
 var _ ndlog.Observer = (*linkModel)(nil)
 
+// tableRef identifies a table on a node: the model's key for the APPEARs
+// FindAppears lists.
+type tableRef struct{ node, table string }
+
 // check requires every reverse-edge reader of the graph to answer what
 // the model's maps do, in order.
 func (m *linkModel) check(t *testing.T, what string, g *Graph) {
@@ -183,8 +187,8 @@ func (m *linkModel) check(t *testing.T, what string, g *Graph) {
 		if got := g.ExistOf(v.ID); got != orNone(want, ok) {
 			t.Fatalf("%s: ExistOf(%d %s) = %d, model %d", what, v.ID, v.Type, got, orNone(want, ok))
 		}
-		if kids, ok := m.children[v.ID]; ok != (v.Type == Derive || v.Type == Underive) || ok && !slices.Equal(v.Children, kids) {
-			t.Fatalf("%s: %s %d has children %v, the model resolves %v (a DERIVE or UNDERIVE: %v)", what, v.Type, v.ID, v.Children, kids, ok)
+		if kids, ok := m.children[v.ID]; ok != (v.Type == Derive || v.Type == Underive) || ok && !slices.Equal(v.Children(), kids) {
+			t.Fatalf("%s: %s %d has children %v, the model resolves %v (a DERIVE or UNDERIVE: %v)", what, v.Type, v.ID, v.Children(), kids, ok)
 		}
 	})
 	for tk, ids := range m.appearsByTuple {
@@ -479,7 +483,7 @@ func TestFlappingTupleResolvesByAppearance(t *testing.T) {
 		}
 	}
 	newest := refs[flaps-1]
-	if first := int(g.byTuple[newest.TupleRef()][newestAppear]) - 1; first != appears[flaps-1] {
+	if first := int(g.byTuple[newest.TupleRef()].newest[newestAppear]) - 1; first != appears[flaps-1] {
 		t.Errorf("the walk starts at vertex %d, not at the newest APPEAR %d", first, appears[flaps-1])
 	}
 	if got := rec.bodyVertex(newest); got != appears[flaps-1]+1 {

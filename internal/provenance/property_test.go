@@ -111,7 +111,7 @@ func TestGraphInvariantsUnderRandomExecutions(t *testing.T) {
 		counts := map[VertexType]int{}
 		g.Vertexes(func(v *Vertex) {
 			counts[v.Type]++
-			for _, c := range v.Children {
+			for _, c := range v.Children() {
 				if c >= v.ID {
 					t.Fatalf("seed %d: cycle: vertex %d -> child %d", seed, v.ID, c)
 				}
@@ -121,23 +121,23 @@ func TestGraphInvariantsUnderRandomExecutions(t *testing.T) {
 			}
 			switch v.Type {
 			case Derive:
-				if v.Trigger < 0 || v.Trigger >= len(v.Children) {
+				if v.Trigger < 0 || v.Trigger >= len(v.Children()) {
 					t.Fatalf("seed %d: DERIVE without a valid trigger", seed)
 				}
 			case Appear:
-				if len(v.Children) > 1 {
-					t.Fatalf("seed %d: APPEAR with %d causes", seed, len(v.Children))
+				if len(v.Children()) > 1 {
+					t.Fatalf("seed %d: APPEAR with %d causes", seed, len(v.Children()))
 				}
 			case Exist:
-				if len(v.Children) != 1 || g.Vertex(v.Children[0]).Type != Appear {
+				if len(v.Children()) != 1 || g.Vertex(v.Children()[0]).Type != Appear {
 					t.Fatalf("seed %d: malformed EXIST", seed)
 				}
 				if !v.Open && v.Span.To.Before(v.At) {
 					t.Fatalf("seed %d: EXIST interval ends before it starts", seed)
 				}
 			case Disappear:
-				if len(v.Children) > 1 {
-					t.Fatalf("seed %d: DISAPPEAR with %d causes", seed, len(v.Children))
+				if len(v.Children()) > 1 {
+					t.Fatalf("seed %d: DISAPPEAR with %d causes", seed, len(v.Children()))
 				}
 			}
 		})
@@ -241,8 +241,8 @@ func checkExistAdjacency(t *testing.T, what string, prog *ndlog.Program, g *Grap
 	g.Vertexes(func(v *Vertex) {
 		switch v.Type {
 		case Exist:
-			if len(v.Children) != 1 || v.Children[0] != v.ID-1 {
-				t.Fatalf("%s: EXIST %d has children %v, want [%d]", what, v.ID, v.Children, v.ID-1)
+			if len(v.Children()) != 1 || v.Children()[0] != v.ID-1 {
+				t.Fatalf("%s: EXIST %d has children %v, want [%d]", what, v.ID, v.Children(), v.ID-1)
 			}
 			ap := g.Vertex(v.ID - 1)
 			if ap.Type != Appear || ap.TupleRef() != v.TupleRef() || ap.At != v.At {
@@ -367,16 +367,16 @@ func TestVertexPointersSurviveGrowth(t *testing.T) {
 func TestChildrenAppendDoesNotScribble(t *testing.T) {
 	_, g := runFwd(t)
 	var before [][]int
-	g.Vertexes(func(v *Vertex) { before = append(before, append([]int(nil), v.Children...)) })
+	g.Vertexes(func(v *Vertex) { before = append(before, append([]int(nil), v.Children()...)) })
 	g.Vertexes(func(v *Vertex) {
-		_ = append(v.Children, -7)
+		_ = append(v.Children(), -7)
 		_ = append(g.ChildrenOf(v.ID), -7)
 	})
 	g.Vertexes(func(v *Vertex) {
-		if len(v.Children) != len(before[v.ID]) {
-			t.Fatalf("vertex %d: %d children, had %d", v.ID, len(v.Children), len(before[v.ID]))
+		if len(v.Children()) != len(before[v.ID]) {
+			t.Fatalf("vertex %d: %d children, had %d", v.ID, len(v.Children()), len(before[v.ID]))
 		}
-		for i, c := range v.Children {
+		for i, c := range v.Children() {
 			if c != before[v.ID][i] {
 				t.Fatalf("vertex %d child %d overwritten: %d, was %d", v.ID, i, c, before[v.ID][i])
 			}
@@ -476,16 +476,17 @@ func TestLocateWalksTheChunkPlan(t *testing.T) {
 }
 
 // TestVertexSize pins the packed layout: a slab chunk's unused slots cost
-// what a vertex does, so the struct may not quietly grow back. 192 bytes:
-// ID 8; Type, Open, two bytes of padding and aggCount 8; Node 16; Tuple 40
-// (table name 16, args 24); key 16; Rule 16; At 16; Span 16; Children 24;
-// Trigger 8; fp 8; and the four int32 links prev, aggContrib, up, older 16.
-// It was 184 with two links: the two reverse edges cost 8 bytes a vertex
-// and replace four index maps (DESIGN.md §24). An aggregate DERIVE uses
-// all of aggCount and the four links, so dropping aggContrib (it is
-// Children[Trigger]) would leave 20 bytes that still pad to 24.
+// what a vertex does, so the struct may not quietly grow back. 112 bytes:
+// the label pointer 8; ID 8; Type, Open, aggRemove, nkids and aggCount 8;
+// Rule 16; At 16; Span 16; kids 8; Trigger 8; fp 8; and the four int32
+// links prev, aggContrib, up, older 16. It was 192 while every vertex held
+// its own Node 16, Tuple 40 (table name 16, args 24) and key 16 — now one
+// label its tuple's vertexes share — and a Children slice 24, now kids and
+// the count in the flag word's padding byte. An aggregate DERIVE uses all
+// of aggCount and the four links, so dropping aggContrib (it is
+// Children()[Trigger]) would leave 20 bytes that still pad to 24.
 func TestVertexSize(t *testing.T) {
-	if got := unsafe.Sizeof(Vertex{}); got > 192 {
-		t.Errorf("unsafe.Sizeof(Vertex{}) = %d, want <= 192", got)
+	if got := unsafe.Sizeof(Vertex{}); got > 112 {
+		t.Errorf("unsafe.Sizeof(Vertex{}) = %d, want <= 112", got)
 	}
 }

@@ -191,40 +191,40 @@ func TestGraphWellFormedness(t *testing.T) {
 	_, g := runFwd(t)
 	g.Vertexes(func(v *Vertex) {
 		// Acyclicity: children strictly precede parents in ID order.
-		for _, c := range v.Children {
+		for _, c := range v.Children() {
 			if c >= v.ID {
 				t.Errorf("vertex %d has child %d >= itself", v.ID, c)
 			}
 		}
 		switch v.Type {
 		case Derive:
-			if len(v.Children) == 0 {
+			if len(v.Children()) == 0 {
 				t.Errorf("DERIVE %s has no children", v.Tuple)
 			}
-			if v.Trigger < 0 || v.Trigger >= len(v.Children) {
+			if v.Trigger < 0 || v.Trigger >= len(v.Children()) {
 				t.Errorf("DERIVE %s has bad trigger %d", v.Tuple, v.Trigger)
 			}
-			for _, c := range v.Children {
+			for _, c := range v.Children() {
 				ct := g.Vertex(c).Type
 				if ct != Exist && ct != Appear {
 					t.Errorf("DERIVE child is %s", ct)
 				}
 			}
 		case Appear:
-			if len(v.Children) != 1 {
-				t.Errorf("APPEAR %s has %d causes, want 1", v.Tuple, len(v.Children))
+			if len(v.Children()) != 1 {
+				t.Errorf("APPEAR %s has %d causes, want 1", v.Tuple, len(v.Children()))
 			} else {
-				ct := g.Vertex(v.Children[0]).Type
+				ct := g.Vertex(v.Children()[0]).Type
 				if ct != Insert && ct != Derive {
 					t.Errorf("APPEAR child is %s", ct)
 				}
 			}
 		case Exist:
-			if len(v.Children) != 1 || g.Vertex(v.Children[0]).Type != Appear {
+			if len(v.Children()) != 1 || g.Vertex(v.Children()[0]).Type != Appear {
 				t.Errorf("EXIST %s has bad children", v.Tuple)
 			}
 		case Insert, Delete:
-			if len(v.Children) != 0 {
+			if len(v.Children()) != 0 {
 				t.Errorf("%s must be a leaf", v.Type)
 			}
 		}
@@ -257,7 +257,7 @@ rule r d(X) :- cfg(X).
 			}
 		case Underive:
 			underives++
-			if len(v.Children) != 1 || g.Vertex(v.Children[0]).Type != Disappear {
+			if len(v.Children()) != 1 || g.Vertex(v.Children()[0]).Type != Disappear {
 				t.Error("UNDERIVE must be caused by a DISAPPEAR")
 			}
 		case Disappear:

@@ -40,18 +40,25 @@ func (r *Recorder) Graph() *Graph { return r.graph }
 
 // OnBaseInsert implements ndlog.Observer.
 func (r *Recorder) OnBaseInsert(at ndlog.KeyedAt) {
-	r.pendingInsert = int32(r.graph.add(pointVertex(Insert, at, ""), nil).ID)
+	r.pendingInsert = int32(r.graph.add(r.vertexOn(Insert, nil, at.Node, at, ""), nil).ID)
 }
 
 // OnBaseDelete implements ndlog.Observer.
 func (r *Recorder) OnBaseDelete(at ndlog.KeyedAt) {
-	r.pendingDelete = int32(r.graph.add(pointVertex(Delete, at, ""), nil).ID)
+	r.pendingDelete = int32(r.graph.add(r.vertexOn(Delete, nil, at.Node, at, ""), nil).ID)
 }
 
-// pointVertex fills in what every vertex carries: its type, the located
-// tuple occurrence it is about, and the rule for DERIVE/UNDERIVE.
-func pointVertex(typ VertexType, at ndlog.KeyedAt, rule string) Vertex {
-	return Vertex{Type: typ, Node: at.Node, Tuple: at.Tuple, key: at.Key, Rule: rule, At: at.Stamp}
+// vertexOn fills in what every vertex carries: its type, the label of the
+// occurrence's tuple on the given node, its stamp, and the rule for
+// DERIVE/UNDERIVE. The label is l — a cause's, about the same tuple — if l
+// names that node, and else the tuple's label from the graph. A DERIVE
+// names the node that made it; its head may appear, and be underived, on
+// another.
+func (r *Recorder) vertexOn(typ VertexType, l *label, node string, at ndlog.KeyedAt, rule string) Vertex {
+	if l == nil || l.Node != node {
+		l = r.graph.labelOf(node, at.Tuple, at.Key)
+	}
+	return Vertex{label: l, Type: typ, Rule: rule, At: at.Stamp}
 }
 
 // OnDerive implements ndlog.Observer.
@@ -60,8 +67,8 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 		r.onDeriveAggregate(d)
 		return
 	}
-	v := pointVertex(Derive, d.Head, d.Rule)
-	v.Node, v.Trigger = d.Node, -1
+	v := r.vertexOn(Derive, nil, d.Node, d.Head, d.Rule)
+	v.Trigger = -1
 	var scratch [8]int
 	children := scratch[:0]
 	for i, b := range d.Refs {
@@ -90,8 +97,8 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 // group: that is no cause of the new head, so it records no child and
 // triggers nothing.
 func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
-	v := pointVertex(Derive, d.Head, d.Rule)
-	v.Node, v.Trigger = d.Node, -1
+	v := r.vertexOn(Derive, nil, d.Node, d.Head, d.Rule)
+	v.Trigger = -1
 	v.prev, v.aggContrib, v.aggCount, v.aggRemove = -1, -1, int32(d.AggCount), d.AggRemove
 	if d.AggPrev != 0 {
 		if pv, ok := r.graph.deriveVertex(d.AggPrev); ok {
@@ -135,8 +142,13 @@ func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 	} else if r.pendingInsert >= 0 {
 		cause, r.pendingInsert = int(r.pendingInsert), -1
 	}
+	// The cause — the INSERT, or a DERIVE on this node — names the tuple.
+	var l *label
+	if cause >= 0 {
+		l = r.graph.vertex(cause).label
+	}
 	var buf [1]int
-	av := r.graph.add(pointVertex(Appear, at, ""), single(&buf, cause))
+	av := r.graph.add(r.vertexOn(Appear, l, at.Node, at, ""), single(&buf, cause))
 	r.graph.indexAppear(av, cause)
 
 	decl := r.prog.Decl(at.Tuple.Table)
@@ -145,9 +157,7 @@ func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 	}
 	// The EXIST directly follows its APPEAR: ExistOf and openExist find it
 	// by that adjacency, not through an index.
-	ex := pointVertex(Exist, at, "")
-	ex.Open = true
-	r.graph.add(ex, single(&buf, av.ID))
+	r.graph.add(Vertex{label: av.label, Type: Exist, Open: true, At: at.Stamp}, single(&buf, av.ID))
 }
 
 // single returns the children list of a vertex with at most one cause:
@@ -162,8 +172,11 @@ func single(buf *[1]int, id int) []int {
 
 // OnUnderive implements ndlog.Observer.
 func (r *Recorder) OnUnderive(u ndlog.Underivation) {
-	v := pointVertex(Underive, u.Head, u.Rule)
-	v.Node = u.Node
+	var l *label
+	if dv, ok := r.graph.deriveVertex(u.DeriveID); ok {
+		l = r.graph.vertex(dv).label
+	}
+	v := r.vertexOn(Underive, l, u.Node, u.Head, u.Rule)
 	// The cause of the underivation is the disappearance of the body
 	// tuple that vanished.
 	cause := r.graph.newest(u.Cause.TupleRef(), newestDisappear)
@@ -174,9 +187,11 @@ func (r *Recorder) OnUnderive(u ndlog.Underivation) {
 // OnDisappear implements ndlog.Observer.
 func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 	tk := at.TupleRef()
+	var l *label // the open EXIST's, which names the tuple
 	if exID := r.graph.openExist(tk); exID >= 0 {
 		ex := r.graph.mutableVertex(exID)
 		ex.Span.To, ex.Open = at.Stamp, false
+		l = ex.label
 	}
 	cause := -1
 	if underiveID != 0 {
@@ -187,7 +202,7 @@ func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 		cause, r.pendingDelete = int(r.pendingDelete), -1
 	}
 	var buf [1]int
-	r.graph.indexDisappear(r.graph.add(pointVertex(Disappear, at, ""), single(&buf, cause)))
+	r.graph.indexDisappear(r.graph.add(r.vertexOn(Disappear, l, at.Node, at, ""), single(&buf, cause)))
 }
 
 var _ ndlog.Observer = (*Recorder)(nil)

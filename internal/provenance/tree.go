@@ -62,11 +62,11 @@ func (g *Graph) FindInTree(rootID int, pred func(*Vertex) bool) *Vertex {
 // been dropped — a scenario's reference tree — would keep whole chunks of
 // both alive.
 func (t *Tree) Detach() *Tree {
-	copies := map[*Vertex]*Vertex{}
+	copies, labels := map[*Vertex]*Vertex{}, map[*label]*label{}
 	t.Walk(func(n *Tree) {
 		cp, ok := copies[n.Vertex]
 		if !ok {
-			cp = n.Vertex.detached()
+			cp = n.Vertex.detached(labels)
 			copies[n.Vertex] = cp
 		}
 		n.Vertex = cp

@@ -441,7 +441,7 @@ rule fw packet(@Nxt, Dst) :-
 func serializeForTest(g *provenance.Graph, snap ndlog.Snapshot) string {
 	var sb strings.Builder
 	g.Vertexes(func(v *provenance.Vertex) {
-		fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children)
+		fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children())
 	})
 	nodes := make([]string, 0, len(snap.State))
 	for n := range snap.State {

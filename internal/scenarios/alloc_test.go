@@ -19,16 +19,16 @@ import (
 // must not cost them bytes — and the same holds of the engine's slabs (§23)
 // and of the reverse edges a vertex carries (§24). The ceilings are the
 // readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
-// before a table clone shared its frozen table's rows and copied only those
-// it wrote (§34):
+// before a vertex shared its tuple's label and the children count moved
+// into its flag word, 192 → 112 bytes a vertex (DESIGN.md §24):
 //
 //	          allocs  before      KB    before
-//	MR1-D      2 228   2 257  2 733.5  3 113.4
-//	MR2-D      2 246   2 259  3 144.5  3 250.7
-//	SDN1         313     338     50.2     53.0
-//	SDN2         228     230     30.0     30.5
-//	SDN3         226     240     31.7     33.0
-//	SDN4         452     466     60.8     61.4
+//	MR1-D      2 158   2 226  2 340.3  2 732.1
+//	MR2-D      2 167   2 246  2 643.1  3 144.1
+//	SDN1         311     312     48.0     50.1
+//	SDN2         226     227     28.1     29.9
+//	SDN3         223     225     29.5     31.6
+//	SDN4         447     451     56.1     60.6
 //
 // For SDN1 and MR1-D it also logs the allocation ledger by layer
 // (ledger_test.go), and holds the ledger's window to this one's count.
@@ -40,12 +40,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 2261, 2774.5},
-		{"MR2-D", 2280, 3191.7},
-		{"SDN1", 318, 51.0},
-		{"SDN2", 231, 30.5},
-		{"SDN3", 229, 32.2},
-		{"SDN4", 459, 61.7},
+		{"MR1-D", 2190, 2375.4},
+		{"MR2-D", 2199, 2682.7},
+		{"SDN1", 315, 48.7},
+		{"SDN2", 229, 28.5},
+		{"SDN3", 226, 29.9},
+		{"SDN4", 453, 56.9},
 	}
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)

@@ -20,8 +20,8 @@ func checkExistAdjacency(t *testing.T, what string, prog *ndlog.Program, g *prov
 	g.Vertexes(func(v *provenance.Vertex) {
 		switch v.Type {
 		case provenance.Exist:
-			if len(v.Children) != 1 || v.Children[0] != v.ID-1 {
-				t.Fatalf("%s: EXIST %d has children %v, want [%d]", what, v.ID, v.Children, v.ID-1)
+			if len(v.Children()) != 1 || v.Children()[0] != v.ID-1 {
+				t.Fatalf("%s: EXIST %d has children %v, want [%d]", what, v.ID, v.Children(), v.ID-1)
 			}
 			ap := g.Vertex(v.ID - 1)
 			if ap.Type != provenance.Appear || ap.TupleRef() != v.TupleRef() || ap.At != v.At {

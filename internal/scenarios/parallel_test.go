@@ -33,7 +33,7 @@ func serializeResult(res *core.Result) string {
 	fmt.Fprintf(&sb, "badSeed %s %s @%d.%d\n", res.BadSeed.Node, res.BadSeed.Tuple.Key(), res.BadSeed.Stamp.T, res.BadSeed.Stamp.Seq)
 	if res.FinalWorld != nil {
 		res.FinalWorld.Graph().Vertexes(func(v *provenance.Vertex) {
-			fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children)
+			fmt.Fprintf(&sb, "%d %s trig=%d kids=%v\n", v.ID, v.String(), v.Trigger, v.Children())
 		})
 	}
 	return sb.String()
