@@ -287,50 +287,6 @@ rule fw out(Dst, Nxt) :- packet(@Sw, Dst), flowEntry(@Sw, Prio, M, Nxt), matches
 	})
 }
 
-// BenchmarkAblationRuntimeVsQuerytime compares the two provenance capture
-// modes (§5): runtime capture pays per event; query-time capture pays at
-// query time via replay.
-func BenchmarkAblationRuntimeVsQuerytime(b *testing.B) {
-	prog := diffprov.MustParse(`
-table flowEntry/3 base mutable;
-table packet/1 event base;
-rule fw packet(@Nxt, Dst) :-
-    packet(@Sw, Dst), flowEntry(@Sw, Prio, M, Nxt), matches(Dst, M), argmax Prio.
-`)
-	gen := trace.New(trace.Config{Seed: 81})
-	pkts := gen.Packets(512)
-	drive := func(s *diffprov.Session) error {
-		if err := s.Insert("s1", diffprov.NewTuple("flowEntry",
-			diffprov.Int(1), diffprov.MustParsePrefix("0.0.0.0/0"), diffprov.Str("h")), 0); err != nil {
-			return err
-		}
-		for i, p := range pkts {
-			if err := s.Insert("s1", diffprov.NewTuple("packet", p.Dst), int64(i+1)); err != nil {
-				return err
-			}
-		}
-		if err := s.Run(); err != nil {
-			return err
-		}
-		_, _, err := s.Graph() // one provenance query
-		return err
-	}
-	b.Run("querytime", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := drive(diffprov.NewSession(prog)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("runtime", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := drive(diffprov.NewSession(prog, diffprov.WithRuntimeProvenance())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblationCheckpointSpacing sweeps the checkpoint interval: the
 // cost of state snapshots during the live run.
 func BenchmarkAblationCheckpointSpacing(b *testing.B) {
@@ -556,19 +512,19 @@ func buildAggregate(tb testing.TB) (diffprov.World, *diffprov.Tree, *diffprov.Tr
 // over an aggregate: the bad collector is missing aggMissing contributor
 // reports, so the diagnosis yields aggMissing insert changes and the
 // minimization pass replays aggMissing independent drop candidates (all of
-// which fail, since every insert is necessary). The variants isolate the
-// two tentpole optimizations: parallel evaluation of the candidates on
-// the candidate pool, and the fingerprint-keyed alignment memo that
-// answers each trial's O(contributors) aggregate prediction in O(1).
-// Results are byte-identical across all variants (see
-// TestParallelDifferential); only the wall clock moves.
+// which fail, since every insert is necessary). The variants compare
+// sequential and parallel evaluation of the candidates on the candidate
+// pool; results are byte-identical across them (see
+// TestParallelDifferential), so only the wall clock moves.
+// BenchmarkDiagnosisCandidatesReference in internal/core runs the same
+// aggregate and race in core's reference configuration — no fingerprint
+// memos, no candidate slicing — to measure what the fast paths save.
 func BenchmarkDiagnosisCandidates(b *testing.B) {
 	for _, variant := range []struct {
 		name string
 		opts diffprov.Options
 	}{
 		{"sequential", diffprov.Options{Parallelism: -1, Minimize: true}},
-		{"sequential-nofp", diffprov.Options{Parallelism: -1, Minimize: true, DisableFingerprints: true}},
 		{"parallel8", diffprov.Options{Parallelism: 8, Minimize: true}},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
@@ -591,13 +547,12 @@ func BenchmarkDiagnosisCandidates(b *testing.B) {
 		})
 	}
 
-	// The fallback variants exercise the §4.9 log search: an intra-tick
+	// The fallback variant exercises the §4.9 log search: an intra-tick
 	// race (the corrected config value arrives in the probe's tick, after
 	// the probe) empties the forward prediction, so the diagnosis must
 	// enumerate logged mutable events. 20 of the 26 mutable events (77%)
 	// belong to an audit pipeline with no rule path to the symptom; the
-	// static slice prunes them before any replay, and the -noslice
-	// variant measures what those replays would have cost.
+	// static slice prunes them before any replay.
 	const raceProgram = `
 table cfg/2 base mutable key(0);
 table probe/1 event base;
@@ -646,37 +601,29 @@ rule a1  auditTrail(@N, K, V) :- audit(@N, K, V).
 		}
 		return world, g.Tree(goodV.ID), g.Tree(badV.ID)
 	}
-	for _, variant := range []struct {
-		name       string
-		opts       diffprov.Options
-		wantSliced int64
-	}{
-		{"fallback-sliced", diffprov.Options{Parallelism: -1}, auditEvents},
-		{"fallback-noslice", diffprov.Options{Parallelism: -1, DisableSlicing: true}, 0},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			world, good, bad := buildRace(b)
-			if _, err := diffprov.Diagnose(good, bad, world, variant.opts); err != nil {
+	b.Run("fallback-sliced", func(b *testing.B) {
+		world, good, bad := buildRace(b)
+		opts := diffprov.Options{Parallelism: -1}
+		if _, err := diffprov.Diagnose(good, bad, world, opts); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		var sliced int64
+		for i := 0; i < b.N; i++ {
+			res, err := diffprov.Diagnose(good, bad, world, opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			var sliced int64
-			for i := 0; i < b.N; i++ {
-				res, err := diffprov.Diagnose(good, bad, world, variant.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Changes) != 1 {
-					b.Fatalf("Δ = %d changes, want 1", len(res.Changes))
-				}
-				if res.Stats.CandidatesSliced != variant.wantSliced {
-					b.Fatalf("CandidatesSliced = %d, want %d", res.Stats.CandidatesSliced, variant.wantSliced)
-				}
-				sliced += res.Stats.CandidatesSliced
+			if len(res.Changes) != 1 {
+				b.Fatalf("Δ = %d changes, want 1", len(res.Changes))
 			}
-			b.ReportMetric(float64(sliced)/float64(b.N), "sliced/op")
-		})
-	}
+			if res.Stats.CandidatesSliced != auditEvents {
+				b.Fatalf("CandidatesSliced = %d, want %d", res.Stats.CandidatesSliced, auditEvents)
+			}
+			sliced += res.Stats.CandidatesSliced
+		}
+		b.ReportMetric(float64(sliced)/float64(b.N), "sliced/op")
+	})
 }
 
 // BenchmarkTreeDiffBaselines compares the §2.5 strawmen on real

@@ -14,7 +14,7 @@ import (
 // <table>`: it prints the static backward slice of a symptom table — the
 // tables and rules that can influence it — and the tables the slice
 // prunes. This is the same slice core.Diagnose uses to skip fallback
-// candidates (see Options.DisableSlicing).
+// candidates (see internal/core/fallback.go).
 func runSlice(args []string) error {
 	fs := flag.NewFlagSet("slice", flag.ContinueOnError)
 	showRules := fs.Bool("rules", false, "also print the in-slice rules")

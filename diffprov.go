@@ -141,10 +141,6 @@ func NewSession(prog *Program, opts ...replay.SessionOption) *Session {
 	return replay.NewSession(prog, opts...)
 }
 
-// WithRuntimeProvenance selects the runtime capture mode (log every
-// derivation); the default is query-time capture via replay.
-func WithRuntimeProvenance() replay.SessionOption { return replay.WithMode(replay.Runtime) }
-
 // WithCheckpointEvery enables periodic state checkpoints.
 func WithCheckpointEvery(ticks int64) replay.SessionOption {
 	return replay.WithCheckpointEvery(ticks)

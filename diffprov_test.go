@@ -103,23 +103,6 @@ func TestPublicAPIErrorTypes(t *testing.T) {
 	}
 }
 
-func TestRuntimeModeOption(t *testing.T) {
-	sess := diffprov.NewSession(diffprov.MustParse(model), diffprov.WithRuntimeProvenance())
-	if err := sess.Insert("s1", diffprov.NewTuple("packet", diffprov.IP(1)), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Run(); err != nil {
-		t.Fatal(err)
-	}
-	_, g, err := sess.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertexes() == 0 {
-		t.Error("runtime mode should capture provenance live")
-	}
-}
-
 func TestFacadeValueHelpers(t *testing.T) {
 	if _, err := diffprov.Parse("table t/1 base;"); err != nil {
 		t.Fatal(err)
@@ -219,35 +202,33 @@ func TestFacadeAutoDiagnose(t *testing.T) {
 
 // TestAggregateMinimizeParallelMatchesSequential runs
 // BenchmarkDiagnosisCandidates' aggregate with minimization at width 8 and
-// sequentially and requires the same changes, byte for byte, with the
-// fingerprint memo on and off. Every drop candidate of the minimization
-// fails, so at width 8 each one is replayed on a pool worker, and with the
-// memo off each worker re-solves the aggregate's alignment: under -race
-// this also shows that no two workers share solver scratch.
+// sequentially and requires the same changes, byte for byte. Every drop
+// candidate of the minimization fails, so at width 8 each one is replayed
+// on the wide pool. The same aggregate in core's reference configuration,
+// where each candidate re-solves the alignment, is
+// TestParallelAggregateReference in package core.
 func TestAggregateMinimizeParallelMatchesSequential(t *testing.T) {
 	world, good, bad := buildAggregate(t)
-	for _, nofp := range []bool{false, true} {
-		var want string
-		for _, par := range []int{-1, 8} {
-			opts := diffprov.Options{Parallelism: par, Minimize: true, DisableFingerprints: nofp}
-			res, err := diffprov.Diagnose(good, bad, world, opts)
-			if err != nil {
-				t.Fatalf("%+v: %v", opts, err)
-			}
-			if len(res.Changes) != aggMissing {
-				t.Fatalf("%+v: Δ = %d changes, want %d", opts, len(res.Changes), aggMissing)
-			}
-			got := fmt.Sprint(res.Changes)
-			if par < 0 {
-				want = got
-				continue
-			}
-			if res.Stats.ParallelCandidates == 0 {
-				t.Errorf("%+v: no candidate ran on a pool worker", opts)
-			}
-			if got != want {
-				t.Errorf("%+v: Δ = %s, sequential Δ = %s", opts, got, want)
-			}
+	var want string
+	for _, par := range []int{-1, 8} {
+		opts := diffprov.Options{Parallelism: par, Minimize: true}
+		res, err := diffprov.Diagnose(good, bad, world, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if len(res.Changes) != aggMissing {
+			t.Fatalf("%+v: Δ = %d changes, want %d", opts, len(res.Changes), aggMissing)
+		}
+		got := fmt.Sprint(res.Changes)
+		if par < 0 {
+			want = got
+			continue
+		}
+		if res.Stats.ParallelCandidates == 0 {
+			t.Errorf("%+v: no candidate ran on the wide pool", opts)
+		}
+		if got != want {
+			t.Errorf("%+v: Δ = %s, sequential Δ = %s", opts, got, want)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts O
 	if err != nil {
 		return nil, nil, err
 	}
-	if !opts.DisableFingerprints && opts.sharedMemo == nil {
+	if !opts.reference && opts.sharedMemo == nil {
 		opts.sharedMemo = newReplayMemo()
 	}
 	var stats DiagStats

@@ -46,26 +46,17 @@ type Options struct {
 	// at any setting: candidates are selected by their original
 	// enumeration index, never by completion order.
 	Parallelism int
-	// DisableFingerprints turns off the structural-fingerprint fast
-	// paths — the alignment memo over the good chain and the
-	// counterfactual replay deduplication — as an ablation for the
-	// differential tests and benchmarks. It never changes results, only
-	// how much work is repeated.
-	DisableFingerprints bool
-	// DisableSlicing turns off static candidate pruning as an ablation
-	// arm. When the §4.9 fallback search enumerates logged mutable
-	// events as counterfactual candidates, events whose table lies
-	// outside the symptom's static slice (ndlog.Slice: no rule path from
-	// the table to the diverging chain) are skipped before any replay is
-	// launched and counted in Stats.CandidatesSliced. The slice is
-	// conservative, so pruned candidates can never succeed: diagnoses
-	// are byte-identical with slicing on or off.
-	DisableSlicing bool
-
 	// sharedMemo, when non-nil, is a replay memo shared across several
 	// Diagnose calls against the same base world; AutoDiagnose sets it so
 	// candidate references dedupe identical counterfactual replays.
 	sharedMemo *replayMemo
+	// reference selects the configuration the fast paths are
+	// differential-tested against, core's counterpart of replay.Oracle():
+	// no replay memo, no alignment memo, no shared memo across
+	// AutoDiagnose's candidates, and no static slicing of the §4.9
+	// fallback's candidates. Diagnoses are byte-identical either way; only
+	// the amount of repeated work changes. Tests set it.
+	reference bool
 }
 
 // Timings decomposes DiffProv's reasoning time, reproducing the paper's
@@ -99,16 +90,8 @@ type DiagStats struct {
 	ParallelCandidates int64
 	// CandidatesSliced counts fallback candidate events skipped before
 	// any replay because their table is outside the symptom's static
-	// slice (see Options.DisableSlicing).
+	// slice (see fallback.go).
 	CandidatesSliced int64
-}
-
-// add folds another stats record into the receiver.
-func (s *DiagStats) add(o DiagStats) {
-	s.FingerprintHits += o.FingerprintHits
-	s.CandidatesDeduped += o.CandidatesDeduped
-	s.ParallelCandidates += o.ParallelCandidates
-	s.CandidatesSliced += o.CandidatesSliced
 }
 
 // Round records the changes discovered in one iteration of the main loop.
@@ -151,12 +134,12 @@ type diag struct {
 	// firstDivergence and applyCached concurrently.
 	stats DiagStats
 	// replays dedupes counterfactual replays by cumulative change list
-	// (nil when fingerprints are disabled).
+	// (nil in the reference configuration).
 	replays *replayMemo
 	// align memoizes the §4.4 forward prediction per chain level, keyed
 	// by the good derive vertex's structural fingerprint plus the bad
-	// cursor (see alignKey); nil when fingerprints are disabled or keyed
-	// rows are followed (the prediction then probes the live world).
+	// cursor (see alignKey); nil in the reference configuration or when
+	// keyed rows are followed (the prediction then probes the live world).
 	alignMu sync.Mutex
 	align   map[alignKey]ndlog.At
 	// pool evaluates minimize and fallback candidates at the diagnosis'
@@ -166,8 +149,8 @@ type diag struct {
 	// (MAKEAPPEAR, and FIRSTDIV outside a wide pool's goroutines).
 	solve solvers
 	// sliceOnce/slice lazily cache the static slice of the symptom table
-	// (the good chain's root) used to prune fallback candidates; nil
-	// when slicing is disabled (see fallback.go).
+	// (the good chain's root) used to prune fallback candidates; nil in
+	// the reference configuration (see fallback.go).
 	sliceOnce sync.Once
 	slice     *ndlog.SliceResult
 }
@@ -199,7 +182,7 @@ type gLevel struct {
 // short.
 func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world World, opts Options) (*Result, error) {
 	d := &diag{prog: world.Program(), opts: opts}
-	if !opts.DisableFingerprints {
+	if !opts.reference {
 		d.replays = opts.sharedMemo
 		if d.replays == nil {
 			d.replays = newReplayMemo()

@@ -12,6 +12,14 @@ import (
 // package.
 type Solvers = solvers
 
+// Reference returns opts in core's reference configuration (see
+// Options.reference), for the differential tests of the core_test package:
+// they build the scenarios, which import core.
+func Reference(opts Options) Options {
+	opts.reference = true
+	return opts
+}
+
 // SolveDerivation re-solves one good DERIVE against itself on the solver of
 // recursion depth 0 of ss — load over its children, bindTrigger on its own
 // trigger, propagate and verify against the head it derived (at head) — the

@@ -28,7 +28,8 @@ package core
 // backward closure, so a table outside it cannot reach ANY in-slice
 // table — and is skipped, counted in Stats.CandidatesSliced. Pruning is
 // sound (the slice is conservative), so diagnoses are byte-identical
-// with Options.DisableSlicing set; only the replay count changes.
+// under the reference configuration, which prunes nothing; only the
+// replay count changes.
 
 import (
 	"context"
@@ -80,7 +81,7 @@ func (d *diag) fallbackCandidates(world World, chainG []gLevel, seedB ndlog.At) 
 		return nil
 	}
 	var slice *ndlog.SliceResult
-	if !d.opts.DisableSlicing {
+	if !d.opts.reference {
 		slice = d.symptomSlice(chainG, seedB)
 	}
 	var out []replay.Change

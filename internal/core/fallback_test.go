@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 	"repro/internal/replay"
 )
 
@@ -43,8 +44,8 @@ const auditNoiseEvents = 10
 // corrected config value arrives in the same tick as the probe, but after
 // it, so the probe is answered from the stale value. Node g receives the
 // corrected value long before its probe and answers correctly. The audit
-// noise is mutable but has no rule path to "out".
-func buildRaceSession(t testing.TB) *replay.Session {
+// noise (audits events) is mutable but has no rule path to "out".
+func buildRaceSession(t testing.TB, audits int) *replay.Session {
 	t.Helper()
 	s := replay.NewSession(ndlog.MustParse(raceProgram))
 	must := func(err error) {
@@ -54,7 +55,7 @@ func buildRaceSession(t testing.TB) *replay.Session {
 	}
 	must(s.Insert("g", cfgT("k", "right"), 5))
 	must(s.Insert("b", cfgT("k", "wrong"), 5))
-	for i := 0; i < auditNoiseEvents; i++ {
+	for i := 0; i < audits; i++ {
 		must(s.Insert("b", ndlog.NewTuple("audit", ndlog.Int(int64(i)), ndlog.Int(int64(i))), int64(6+i)))
 	}
 	must(s.Insert("g", probeT("k"), 40))
@@ -74,7 +75,19 @@ func diagnoseRace(t testing.TB, opts Options) *Result {
 
 func diagnoseRaceSession(t testing.TB, opts Options) (*Result, *replay.Session) {
 	t.Helper()
-	s := buildRaceSession(t)
+	s := buildRaceSession(t, auditNoiseEvents)
+	world, good, bad := raceTrees(t, s)
+	res, err := Diagnose(context.Background(), good, bad, world, opts)
+	if err != nil {
+		t.Fatalf("Diagnose: %v", err)
+	}
+	return res, s
+}
+
+// raceTrees returns the race session's world and its good (node g) and bad
+// (node b) "out" trees.
+func raceTrees(t testing.TB, s *replay.Session) (World, *provenance.Tree, *provenance.Tree) {
+	t.Helper()
 	_, g, err := s.Graph()
 	if err != nil {
 		t.Fatal(err)
@@ -88,11 +101,7 @@ func diagnoseRaceSession(t testing.TB, opts Options) (*Result, *replay.Session) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Diagnose(context.Background(), g.Tree(goodAp.ID), g.Tree(badAp.ID), world, opts)
-	if err != nil {
-		t.Fatalf("Diagnose: %v", err)
-	}
-	return res, s
+	return world, g.Tree(goodAp.ID), g.Tree(badAp.ID)
 }
 
 func TestFallbackDiagnosesIntraTickRace(t *testing.T) {
@@ -110,25 +119,28 @@ func TestFallbackDiagnosesIntraTickRace(t *testing.T) {
 	}
 }
 
+// TestFallbackDisableSlicingIsByteIdentical: the reference configuration,
+// which slices no fallback candidate, reaches the same Δ in the same rounds
+// as production, which prunes the out-of-slice audit events.
 func TestFallbackDisableSlicingIsByteIdentical(t *testing.T) {
 	base, baseSess := diagnoseRaceSession(t, Options{})
-	ablated, ablatedSess := diagnoseRaceSession(t, Options{DisableSlicing: true})
-	if ablated.Stats.CandidatesSliced != 0 {
-		t.Errorf("CandidatesSliced = %d with slicing disabled, want 0", ablated.Stats.CandidatesSliced)
+	ref, refSess := diagnoseRaceSession(t, Options{reference: true})
+	if ref.Stats.CandidatesSliced != 0 {
+		t.Errorf("CandidatesSliced = %d in the reference configuration, want 0", ref.Stats.CandidatesSliced)
 	}
 	if base.Stats.CandidatesSliced == 0 {
-		t.Errorf("CandidatesSliced = 0 with slicing enabled, want > 0")
+		t.Errorf("CandidatesSliced = 0 in production, want > 0")
 	}
-	if a, b := fmt.Sprint(base.Changes), fmt.Sprint(ablated.Changes); a != b {
-		t.Errorf("changes diverge: with slicing %s, without %s", a, b)
+	if a, b := fmt.Sprint(base.Changes), fmt.Sprint(ref.Changes); a != b {
+		t.Errorf("changes diverge: production %s, reference %s", a, b)
 	}
-	if a, b := len(base.Rounds), len(ablated.Rounds); a != b {
-		t.Errorf("rounds diverge: with slicing %d, without %d", a, b)
+	if a, b := len(base.Rounds), len(ref.Rounds); a != b {
+		t.Errorf("rounds diverge: production %d, reference %d", a, b)
 	}
 	// Slicing's only observable effect is fewer counterfactual replays.
-	if baseSess.ReplayCount >= ablatedSess.ReplayCount {
-		t.Errorf("replays: with slicing %d, without %d — pruning saved nothing",
-			baseSess.ReplayCount, ablatedSess.ReplayCount)
+	if baseSess.ReplayCount >= refSess.ReplayCount {
+		t.Errorf("replays: production %d, reference %d — pruning saved nothing",
+			baseSess.ReplayCount, refSess.ReplayCount)
 	}
 }
 
@@ -146,7 +158,7 @@ func TestFallbackParallelMatchesSequential(t *testing.T) {
 			t.Errorf("CandidatesSliced: sequential %d, width %d %d",
 				seq.Stats.CandidatesSliced, width, par.Stats.CandidatesSliced)
 		}
-		// Only evaluations handed to a forked worker count as parallel.
+		// Only the evaluations of a pool wider than 1 count as parallel.
 		if n := par.Stats.ParallelCandidates; (n != 0) != (width > 1) {
 			t.Errorf("ParallelCandidates = %d at width %d", n, width)
 		}
@@ -159,7 +171,7 @@ func TestFallbackParallelMatchesSequential(t *testing.T) {
 // serve-narrow builds a width-1 pool 4-6k times a second: it must be the
 // base world and nothing else — no solver scratch.
 func TestWidthOnePoolAllocatesNothing(t *testing.T) {
-	s := buildRaceSession(t)
+	s := buildRaceSession(t, auditNoiseEvents)
 	world, err := NewWorld(s)
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/ndlog"
-	"repro/internal/provenance"
 	"repro/internal/replay"
 	"repro/internal/scenarios"
 	"repro/internal/stanford"
 	"repro/internal/trace"
+	"repro/internal/treediff"
 )
 
 // Fig5Row is one point of Figure 5: log growth rate vs traffic rate.
@@ -271,18 +271,8 @@ type LatencyResult struct {
 	MROverheadCachedChecksums float64
 }
 
-// newLoggedSession creates a replay session over the forwarding model
-// (engine + logging engine).
-func newLoggedSession() *replay.Session {
-	return replay.NewSession(sdnForwardProgram)
-}
-
 // StanfordConfig parameterizes the §6.7 experiment.
 type StanfordConfig = stanford.Config
-
-func buildStanford(cfg StanfordConfig) (*stanford.Backbone, error) {
-	return stanford.Build(cfg)
-}
 
 // ForwardProgram returns the minimal forwarding model the latency
 // benchmarks use; exported so `diffprov vet` can check it alongside the
@@ -333,7 +323,7 @@ func MeasureLatency(packets int, corpusLines int) (LatencyResult, error) {
 		return time.Since(start), nil
 	}
 	runLogged := func() (time.Duration, error) {
-		s := newLoggedSession()
+		s := replay.NewSession(sdnForwardProgram)
 		if err := s.Insert("s1", fe, 0); err != nil {
 			return 0, err
 		}
@@ -446,7 +436,7 @@ type StanfordResult struct {
 // is ForwardingEntries=757000, ACLRules=1500).
 func Stanford(cfg StanfordConfig) (StanfordResult, error) {
 	var out StanfordResult
-	b, err := buildStanford(cfg)
+	b, err := stanford.Build(cfg)
 	if err != nil {
 		return out, err
 	}
@@ -456,7 +446,7 @@ func Stanford(cfg StanfordConfig) (StanfordResult, error) {
 	}
 	out.GoodTree = good.Size()
 	out.BadTree = bad.Size()
-	out.PlainDiff = plainDiff(good, bad)
+	out.PlainDiff = treediff.PlainDiff(good, bad)
 	start := time.Now()
 	res, err := b.Diagnose()
 	if err != nil {
@@ -466,22 +456,6 @@ func Stanford(cfg StanfordConfig) (StanfordResult, error) {
 	out.Changes = len(res.Changes)
 	out.FoundFault = len(res.Changes) == 1 && b.IsFaultChange(res.Changes[0])
 	return out, nil
-}
-
-func plainDiff(a, b *provenance.Tree) int {
-	la, lb := a.Labels(), b.Labels()
-	d := 0
-	for l, ca := range la {
-		if cb := lb[l]; ca > cb {
-			d += ca - cb
-		}
-	}
-	for l, cb := range lb {
-		if ca := la[l]; cb > ca {
-			d += cb - ca
-		}
-	}
-	return d
 }
 
 // FormatBytesPerSec renders a logging rate human-readably.

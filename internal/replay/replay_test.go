@@ -109,7 +109,14 @@ func TestDecodeCorruptLog(t *testing.T) {
 	}
 }
 
-func driveScenario(t *testing.T, s *Session) {
+// scenarioSink takes driveScenario's events: a session, or an engine
+// through liveRecording.
+type scenarioSink interface {
+	Insert(node string, t ndlog.Tuple, tick int64) error
+	Run() error
+}
+
+func driveScenario(t *testing.T, s scenarioSink) {
 	t.Helper()
 	mp := ndlog.MustParsePrefix
 	must := func(err error) {
@@ -144,28 +151,39 @@ func TestReplayReproducesLiveExecution(t *testing.T) {
 	}
 }
 
-func TestRuntimeAndQueryTimeModesAgree(t *testing.T) {
-	sQ := NewSession(fwdProg)
-	sR := NewSession(fwdProg, WithMode(Runtime))
-	driveScenario(t, sQ)
-	driveScenario(t, sR)
+// liveRecording drives a recorder-attached engine the way a session drives
+// its live engine, so driveScenario can feed both the same events in the
+// same Run batches.
+type liveRecording struct{ *ndlog.Engine }
 
-	_, gQ, err := sQ.Graph()
+func (l liveRecording) Insert(node string, t ndlog.Tuple, tick int64) error {
+	return l.ScheduleInsert(node, t, tick)
+}
+
+// TestRuntimeAndQueryTimeModesAgree: provenance recorded at runtime — a
+// recorder attached to an engine while the events are driven — equals the
+// graph the session reconstructs at query time from its log (§5), vertex
+// by vertex: label, stamp, trigger and children.
+func TestRuntimeAndQueryTimeModesAgree(t *testing.T) {
+	s := NewSession(fwdProg)
+	driveScenario(t, s)
+	rec := provenance.NewRecorder(fwdProg)
+	driveScenario(t, liveRecording{ndlog.New(fwdProg, rec, ndlog.WithSeqBand(ndlog.SeqBandDefault))})
+
+	_, gQ, err := s.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gR, err := sR.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gR := rec.Graph()
 	if gQ.NumVertexes() != gR.NumVertexes() {
-		t.Fatalf("graphs differ: %d vs %d vertexes", gQ.NumVertexes(), gR.NumVertexes())
+		t.Fatalf("graphs differ: %d vertexes at query time, %d recorded live", gQ.NumVertexes(), gR.NumVertexes())
 	}
-	// Vertex-by-vertex equality of labels and stamps.
 	for i := 0; i < gQ.NumVertexes(); i++ {
 		vq, vr := gQ.Vertex(i), gR.Vertex(i)
-		if vq.Label() != vr.Label() || vq.At != vr.At {
-			t.Fatalf("vertex %d differs: %s vs %s", i, vq, vr)
+		if vq.Label() != vr.Label() || vq.At != vr.At || vq.Trigger != vr.Trigger ||
+			fmt.Sprint(vq.Children()) != fmt.Sprint(vr.Children()) {
+			t.Fatalf("vertex %d differs: %s trig=%d kids=%v at query time, %s trig=%d kids=%v recorded live",
+				i, vq, vq.Trigger, vq.Children(), vr, vr.Trigger, vr.Children())
 		}
 	}
 }
@@ -246,7 +264,7 @@ func TestReplayUntilTruncates(t *testing.T) {
 	}
 }
 
-// TestGraphMemoization: Graph() in query-time mode is the session's one
+// TestGraphMemoization: Graph() is the session's one
 // base run — evaluated by the first caller (who books the replay and the
 // miss), returned sealed and by identity afterwards, forked by trials,
 // and replaced once the log grows.
@@ -570,12 +588,9 @@ func TestCheckpointsConsistentWithHistory(t *testing.T) {
 
 func TestSessionAccessorsAndEngineOptions(t *testing.T) {
 	// Two uses of WithEngineOptions: the later one wins on conflict.
-	s := NewSession(fwdProg, WithEngineOptions(ndlog.WithDelay(7)), WithEngineOptions(ndlog.WithDelay(3)), WithMode(Runtime))
+	s := NewSession(fwdProg, WithEngineOptions(ndlog.WithDelay(7)), WithEngineOptions(ndlog.WithDelay(3)))
 	if s.Program() != fwdProg {
 		t.Error("Program accessor broken")
-	}
-	if s.Mode() != Runtime {
-		t.Error("Mode accessor broken")
 	}
 	// The engine option must reach the live engine: a packet takes 3
 	// ticks per hop.

@@ -12,18 +12,6 @@ import (
 	"repro/internal/store"
 )
 
-// Mode selects how provenance is captured (§5): at runtime (log every
-// derivation as it happens; queries are cheap, runtime is expensive) or
-// at query time (log base events only; provenance is reconstructed by
-// deterministic replay). The paper's prototype defaults to query-time.
-type Mode uint8
-
-// Capture modes.
-const (
-	QueryTime Mode = iota
-	Runtime
-)
-
 // Change is a counterfactual base-tuple change that UPDATETREE injects
 // into a cloned execution (§4.6).
 type Change struct {
@@ -108,11 +96,9 @@ type baseCell struct {
 // internal/core): recorder + logging engine + replay engine.
 type Session struct {
 	prog *ndlog.Program
-	mode Mode
 	log  *Log
 
-	live    *ndlog.Engine
-	liveRec *provenance.Recorder // only in Runtime mode
+	live *ndlog.Engine
 
 	ckptEvery int64 // checkpoint interval in ticks; 0 disables
 	lastCkpt  int64
@@ -155,9 +141,6 @@ type Session struct {
 // SessionOption configures a Session.
 type SessionOption func(*Session)
 
-// WithMode selects the capture mode (default QueryTime).
-func WithMode(m Mode) SessionOption { return func(s *Session) { s.mode = m } }
-
 // WithCheckpointEvery enables periodic state checkpoints at the given
 // tick interval.
 func WithCheckpointEvery(ticks int64) SessionOption {
@@ -194,12 +177,7 @@ func NewSession(prog *ndlog.Program, opts ...SessionOption) *Session {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.mode == Runtime {
-		s.liveRec = provenance.NewRecorder(prog)
-		s.live = ndlog.New(prog, s.liveRec, s.newEngineOpts()...)
-	} else {
-		s.live = ndlog.New(prog, nil, s.newEngineOpts()...)
-	}
+	s.live = ndlog.New(prog, nil, s.newEngineOpts()...)
 	if s.storageDir != "" {
 		if err := s.attachStorage(s.storageDir); err != nil {
 			s.stErr = fmt.Errorf("replay: attaching storage at %s: %v", s.storageDir, err)
@@ -275,10 +253,8 @@ func (s *Session) redrive(l *Log) error {
 func (s *Session) Clone() *Session {
 	return &Session{
 		prog:       s.prog,
-		mode:       s.mode,
 		log:        s.log.Clone(),
 		live:       s.live,
-		liveRec:    s.liveRec,
 		ckptEvery:  s.ckptEvery,
 		lastCkpt:   s.lastCkpt,
 		ckpts:      s.ckpts[:len(s.ckpts):len(s.ckpts)], // append-only, shared like the log
@@ -329,14 +305,12 @@ func (s *Session) IsMutable(node string, t ndlog.Tuple) bool {
 // Program returns the session's program.
 func (s *Session) Program() *ndlog.Program { return s.prog }
 
-// Live returns the live engine (the "runtime system").
+// Live returns the live engine (the "runtime system"). It records no
+// provenance: Graph reconstructs that from the log.
 func (s *Session) Live() *ndlog.Engine { return s.live }
 
 // Log returns the base-event log.
 func (s *Session) Log() *Log { return s.log }
-
-// Mode returns the capture mode.
-func (s *Session) Mode() Mode { return s.mode }
 
 // Checkpoints returns a copy of the state checkpoints captured so far, in
 // tick order. (A copy, so callers cannot perturb the session's checkpoint
@@ -403,15 +377,13 @@ func (s *Session) Run() error {
 	}
 }
 
-// Graph returns the provenance graph of the execution so far: directly in
-// Runtime mode, as the session's base run in QueryTime mode — evaluated
-// on first use, then shared with every clone until the log grows. The
-// returned engine exposes the temporal store backing the graph. Both are
-// sealed: they can be queried freely (and concurrently) but not driven.
+// Graph returns the provenance graph of the execution so far, captured at
+// query time (§5): it is the session's base run, the logged base events
+// replayed on a recorder-attached engine — evaluated on first use, then
+// shared with every clone until the log grows. The returned engine
+// exposes the temporal store backing the graph. Both are sealed: they can
+// be queried freely (and concurrently) but not driven.
 func (s *Session) Graph() (*ndlog.Engine, *provenance.Graph, error) {
-	if s.mode == Runtime {
-		return s.live, s.liveRec.Graph(), nil
-	}
 	return s.booked(func() (*ndlog.Engine, *provenance.Recorder, bool, error) {
 		b, built, err := s.acquireBase(context.Background())
 		if err != nil {

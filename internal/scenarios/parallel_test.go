@@ -58,10 +58,11 @@ func replayable(t *testing.T) []*scenarios.Scenario {
 	return out
 }
 
-// TestParallelDifferential proves the tentpole's determinism claim: for
-// every replayable Table 1 scenario, Diagnose returns byte-identical
-// results with parallel candidate evaluation on or off and with the
-// fingerprint fast paths on or off.
+// TestParallelDifferential proves the candidate pool's determinism claim:
+// for every replayable Table 1 scenario, Diagnose returns byte-identical
+// results sequentially, at width 1 and at width 8. The fast paths' own
+// differential, against core's reference configuration, is
+// TestParallelReferenceDifferential in package core_test.
 func TestParallelDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, s := range replayable(t) {
@@ -74,8 +75,6 @@ func TestParallelDifferential(t *testing.T) {
 				{"sequential", core.Options{Parallelism: -1, Minimize: true}},
 				{"width1", core.Options{Parallelism: 1, Minimize: true}},
 				{"parallel8", core.Options{Parallelism: 8, Minimize: true}},
-				{"sequential-nofp", core.Options{Parallelism: -1, Minimize: true, DisableFingerprints: true}},
-				{"parallel8-nofp", core.Options{Parallelism: 8, Minimize: true, DisableFingerprints: true}},
 			}
 			var baseline string
 			for i, cfg := range configs {
@@ -87,8 +86,9 @@ func TestParallelDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Diagnose: %v", cfg.name, err)
 				}
-				// Width 1 is the same search loop run inline: it counts only
-				// evaluations handed to a forked worker, so none.
+				// Width 1 is the same search loop run inline on the calling
+				// goroutine: ParallelCandidates counts only the evaluations
+				// of a wider pool, so none.
 				if n := res.Stats.ParallelCandidates; cfg.opts.Parallelism <= 1 && n != 0 {
 					t.Errorf("%s: ParallelCandidates = %d at width 1, want 0", cfg.name, n)
 				}

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ndlog"
 	"repro/internal/replay"
-	"repro/internal/sdn"
 )
 
 // TestPaperScale runs every scenario at the paper-approaching workload
@@ -137,69 +135,4 @@ func TestDiagnosisPostconditionHolds(t *testing.T) {
 			t.Errorf("%s: final world still needs %v", name, res2.Changes)
 		}
 	}
-}
-
-// TestCaptureModeIndependence: the diagnosis is the same whether
-// provenance was captured at runtime or reconstructed by replay at query
-// time (the two recorder modes of §5).
-func TestCaptureModeIndependence(t *testing.T) {
-	// SDN1-like network built twice, once per capture mode.
-	build := func(opts ...replay.SessionOption) (*core.Result, error) {
-		n := sdnNetworkForModeTest(t, opts...)
-		gt, err := n.ArrivalTree("web1", modeGood)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := n.ArrivalTree("web2", modeBad)
-		if err != nil {
-			return nil, err
-		}
-		world, err := core.NewWorld(n.Session())
-		if err != nil {
-			return nil, err
-		}
-		return core.Diagnose(context.Background(), gt, bt, world, core.Options{})
-	}
-	r1, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := build(replay.WithMode(replay.Runtime))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Changes) != 1 || len(r2.Changes) != 1 {
-		t.Fatalf("Δ sizes: %d vs %d", len(r1.Changes), len(r2.Changes))
-	}
-	if !r1.Changes[0].Tuple.Equal(r2.Changes[0].Tuple) {
-		t.Errorf("capture modes disagree: %s vs %s", r1.Changes[0].Tuple, r2.Changes[0].Tuple)
-	}
-}
-
-var (
-	modeGood = sdn.Header{Src: ndlog.MustParseIP("4.3.2.1"), Dst: ndlog.MustParseIP("10.0.0.80"), Proto: 6}
-	modeBad  = sdn.Header{Src: ndlog.MustParseIP("4.3.3.1"), Dst: ndlog.MustParseIP("10.0.0.80"), Proto: 6}
-)
-
-func sdnNetworkForModeTest(t *testing.T, opts ...replay.SessionOption) *sdn.Network {
-	t.Helper()
-	n := sdn.NewNetwork(sdn.WithSessionOptions(opts...))
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, sw := range []string{"s1", "s2", "s6", "s3"} {
-		must(n.SwitchUp(sw))
-	}
-	must(n.AddPath("web1", "s1", "s2", "s6", "web1"))
-	must(n.AddPath("web2", "s1", "s2", "s3", "web2"))
-	must(n.AddIntent(10, ndlog.MustParsePrefix("4.3.2.0/24"), sdn.Any, "web1"))
-	must(n.AddIntent(1, sdn.Any, sdn.Any, "web2"))
-	_, err := n.InjectPacket("s1", modeGood)
-	must(err)
-	_, err = n.InjectPacket("s1", modeBad)
-	must(err)
-	must(n.Run())
-	return n
 }
