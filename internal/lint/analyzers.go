@@ -200,17 +200,21 @@ func sortedAfter(pass *Pass, fn *ast.BlockStmt, pos token.Pos, obj types.Object)
 // AppendOnly confines provenance-graph mutation to the recording layer.
 //
 // The provenance graph is the system of record for diagnosis: DiffProv's
-// guarantees (and the replay layer's checkpoints) assume vertexes are
+// guarantees (and the replay layer's checkpoints) assume its records are
 // appended by the Recorder machinery and never rewritten. This analyzer
-// flags writes to Graph.chunks (the vertex slab), to a vertex's children
-// (Vertex.kids and nkids) and to a label's Node, Tuple and key outside
-// graph.go, whose add stores vertexes (the recorder hands it the children
-// and never touches the fields) and whose label slab makes the labels
-// vertexes share. A label field is guarded however it is reached: v.Node
-// on a *Vertex writes label.Node.
+// flags writes outside graph.go to the record slabs (slab.chunks), to a
+// derivation record's or a synthesised vertex's children (kids and
+// nkids) and to a label's Node, Tuple and key — graph.go's add methods
+// store records (the recorder hands them the children and never touches
+// the fields), its synthesis builds vertexes, and its label slab makes the
+// labels records share. A label field is guarded however it is reached:
+// v.Node on a *Vertex writes label.Node. It flags writes outside cow.go to
+// the reverse edges (derivation.up and older, appearance.apUp and exUp)
+// and to the close stamps (appearance.to, Graph.closes), which cow.go's
+// index and close methods write.
 var AppendOnly = &Analyzer{
 	Name:  "appendonly",
-	Doc:   "confine vertex slab, children and label writes to the recording layer",
+	Doc:   "confine record slab, children, label, reverse-edge and close-stamp writes to the recording layer",
 	Match: prefixMatch("repro/internal/provenance"),
 	Run:   runAppendOnly,
 }
@@ -218,12 +222,20 @@ var AppendOnly = &Analyzer{
 // guardedFields maps (owner type, field) to the base filenames allowed to
 // write it.
 var guardedFields = map[[2]string][]string{
-	{"Graph", "chunks"}: {"graph.go"},
-	{"Vertex", "kids"}:  {"graph.go"},
-	{"Vertex", "nkids"}: {"graph.go"},
-	{"label", "Node"}:   {"graph.go"},
-	{"label", "Tuple"}:  {"graph.go"},
-	{"label", "key"}:    {"graph.go"},
+	{"slab", "chunks"}:      {"graph.go"},
+	{"Vertex", "kids"}:      {"graph.go"},
+	{"Vertex", "nkids"}:     {"graph.go"},
+	{"derivation", "kids"}:  {"graph.go"},
+	{"derivation", "nkids"}: {"graph.go"},
+	{"label", "Node"}:       {"graph.go"},
+	{"label", "Tuple"}:      {"graph.go"},
+	{"label", "key"}:        {"graph.go"},
+	{"derivation", "up"}:    {"cow.go"},
+	{"derivation", "older"}: {"cow.go"},
+	{"appearance", "apUp"}:  {"cow.go"},
+	{"appearance", "exUp"}:  {"cow.go"},
+	{"appearance", "to"}:    {"cow.go"},
+	{"Graph", "closes"}:     {"cow.go"},
 	// The window Children returns is the arena's: writing through it
 	// writes the vertex's children.
 	{"Vertex", "Children"}: {"graph.go"},
@@ -317,14 +329,14 @@ func ownerOf(sel *types.Selection) string {
 // SealCheck confines writes to copy-on-write-shared engine and graph
 // structures to the CoW layer.
 //
-// Forks share tables and provenance vertexes between a sealed parent and
+// Forks share tables and provenance records between a sealed parent and
 // its children; a write that bypasses the cow.go helpers (writableTable,
 // setDerive, ...) mutates state another fork can still observe. The
 // compiler cannot see the seal, so this analyzer pins each shared
 // structure to the files that implement its discipline. The maps a fork
 // shares through a cow.Overlay — the engine's nodes and tables, live rows,
-// interval histories, index buckets, the support index, aggregate groups,
-// the graph's redirected vertexes and the rest — need no row here: the
+// interval histories, index buckets, the support index, aggregate groups
+// and the rest — need no row here: the
 // overlay's fields are unexported, so the compiler confines writes to its
 // methods, which write only the fork's own link. What is left is the
 // graph's derivation index, a slice, and the engine's rows, which a table
@@ -343,7 +355,7 @@ var SealCheck = &Analyzer{
 var sealedFields = map[[2]string][]string{
 	// provenance: the derivation index, a slice a fork continues past its
 	// base's through cow.go's setDerive. The recorder writes no graph
-	// index: cow.go's indexAppear, indexDisappear and linkTrigger do.
+	// index: cow.go's indexAppear, addDisappear and linkTrigger do.
 	{"Graph", "byDerive"}: {"cow.go"},
 	// ndlog: a row's mutable fields, written only by cow.go's mutators,
 	// each through writableRow. appear builds a new row by composite

@@ -162,46 +162,90 @@ type Vertex struct {
 }
 type label struct{ Node, key string }
 func (v *Vertex) Children() []int { return nil }
-type Graph struct{ chunks [][]Vertex }
+type slab[T any] struct{ chunks [][]T }
 type arena struct{ chunks [][]Vertex } // distinct type: not guarded
-func f(g *Graph, v *Vertex, s *arena) {
-	g.chunks = append(g.chunks, nil)
+type derivation struct {
+	kids      *int
+	nkids     uint8
+	up, older int32
+}
+type appearance struct {
+	apUp, exUp int32
+	to         int64
+}
+type Graph struct{ closes map[int]int64 }
+func f(s *slab[Vertex], v *Vertex, a *arena, d *derivation, ap *appearance, g *Graph) {
+	s.chunks = append(s.chunks, nil)
 	v.Children()[0] = 7
-	s.chunks = nil
+	a.chunks = nil
 	v.kids, v.nkids = nil, 0
 	v.Node = "n"
 	v.label.key = ""
+	d.kids, d.nkids = nil, 0
+	d.up, d.older = 1, 2
+	ap.apUp, ap.exUp = 1, 2
+	ap.to = 3
+	g.closes[0] = 4
 }
 `
 
+// appendOnlyGraphFindings are the writes appendOnlySrc makes to the
+// fields only graph.go may write (the record slabs, a vertex's and a
+// derivation record's children, the labels), and appendOnlyCowFindings to
+// those only cow.go may write (the reverse edges and the close stamps).
+var (
+	appendOnlyGraphFindings = []string{
+		":22:2: appendonly: write to slab.chunks",
+		":23:2: appendonly: write to Vertex.Children",
+		":25:2: appendonly: write to Vertex.kids",
+		":25:10: appendonly: write to Vertex.nkids",
+		":26:2: appendonly: write to label.Node",
+		":27:2: appendonly: write to label.key",
+		":28:2: appendonly: write to derivation.kids",
+		":28:10: appendonly: write to derivation.nkids",
+	}
+	appendOnlyCowFindings = []string{
+		":29:2: appendonly: write to derivation.up",
+		":29:8: appendonly: write to derivation.older",
+		":30:2: appendonly: write to appearance.apUp",
+		":30:11: appendonly: write to appearance.exUp",
+		":31:2: appendonly: write to appearance.to",
+		":32:2: appendonly: write to Graph.closes",
+	}
+)
+
+// findingsIn prefixes each finding fragment with the file it is expected in.
+func findingsIn(file string, findings ...[]string) []string {
+	var out []string
+	for _, fs := range findings {
+		for _, f := range fs {
+			out = append(out, file+f)
+		}
+	}
+	return out
+}
+
 func TestAppendOnlyFlagsWritesOutsideRecorder(t *testing.T) {
 	pkg := loadSrc(t, "repro/internal/provenance", "other.go", appendOnlySrc)
-	wantFindings(t, runOn(t, pkg, AppendOnly),
-		"other.go:12:2: appendonly: write to Graph.chunks",
-		"other.go:13:2: appendonly: write to Vertex.Children",
-		"other.go:15:2: appendonly: write to Vertex.kids",
-		"other.go:15:10: appendonly: write to Vertex.nkids",
-		"other.go:16:2: appendonly: write to label.Node",
-		"other.go:17:2: appendonly: write to label.key")
+	wantFindings(t, runOn(t, pkg, AppendOnly), findingsIn("other.go", appendOnlyGraphFindings, appendOnlyCowFindings)...)
 }
 
 func TestAppendOnlyAllowsRecordingLayerFiles(t *testing.T) {
-	// In graph.go every guarded field may be written; the arena write stays legal.
+	// graph.go may write the slabs, children and labels, cow.go the
+	// reverse edges and close stamps, and neither the other's; the arena
+	// write stays legal in both.
 	pkg := loadSrc(t, "repro/internal/provenance", "graph.go", appendOnlySrc)
-	wantFindings(t, runOn(t, pkg, AppendOnly))
+	wantFindings(t, runOn(t, pkg, AppendOnly), findingsIn("graph.go", appendOnlyCowFindings)...)
+	pkg = loadSrc(t, "repro/internal/provenance", "cow.go", appendOnlySrc)
+	wantFindings(t, runOn(t, pkg, AppendOnly), findingsIn("cow.go", appendOnlyGraphFindings)...)
 }
 
 func TestAppendOnlyRecorderHandsChildrenToAdd(t *testing.T) {
-	// The recorder builds children on its stack and passes them to
-	// Graph.add, and takes labels from the graph: it writes neither.
+	// The recorder builds children on its stack and passes them to the
+	// graph's add methods, and takes labels from the graph: it writes no
+	// guarded field.
 	pkg := loadSrc(t, "repro/internal/provenance", "recorder.go", appendOnlySrc)
-	wantFindings(t, runOn(t, pkg, AppendOnly),
-		"recorder.go:12:2: appendonly: write to Graph.chunks",
-		"recorder.go:13:2: appendonly: write to Vertex.Children",
-		"recorder.go:15:2: appendonly: write to Vertex.kids",
-		"recorder.go:15:10: appendonly: write to Vertex.nkids",
-		"recorder.go:16:2: appendonly: write to label.Node",
-		"recorder.go:17:2: appendonly: write to label.key")
+	wantFindings(t, runOn(t, pkg, AppendOnly), findingsIn("recorder.go", appendOnlyGraphFindings, appendOnlyCowFindings)...)
 }
 
 func TestAllowDirectiveSuppresses(t *testing.T) {
@@ -257,20 +301,20 @@ func TestLoadRejectsUnknownDir(t *testing.T) {
 	}
 }
 
-// sealCheckSrc writes Graph.byDerive three ways; Graph.redirect is a
-// cow.Overlay field, whose writes the compiler confines, so sealcheck
-// leaves it alone.
+// sealCheckSrc writes Graph.byDerive three ways; Graph.headOver is a map
+// each link keeps for itself (the fork's overflow), so sealcheck leaves
+// it alone.
 const sealCheckSrc = `package provenance
 type Vertex struct{ ID int }
 type Graph struct {
-	redirect map[int]*Vertex
+	headOver map[int]*Vertex
 	byDerive []int32
 }
 func f(g *Graph, v *Vertex) {
 	g.byDerive = append(g.byDerive, 1)
 	g.byDerive[0] = 2
 	g.byDerive[0]++
-	g.redirect[1] = v
+	g.headOver[1] = v
 }
 `
 
@@ -343,12 +387,12 @@ func TestSealCheckGuardsGraphIndexes(t *testing.T) {
 	pkg := loadSrc(t, "repro/internal/provenance", "recorder.go", `package provenance
 type Vertex struct{ ID int }
 type Graph struct {
-	redirect map[int]*Vertex // a cow.Overlay: not guarded
+	headOver map[int]*Vertex // a link's own: not guarded
 	byDerive []int32
 }
 type index struct{ byDerive map[int64]int } // distinct type: not guarded
 func f(g *Graph, s *index, v *Vertex) {
-	g.redirect[1] = v
+	g.headOver[1] = v
 	g.byDerive = append(g.byDerive, 2)
 	g.byDerive[0]++
 	s.byDerive[1] = 3

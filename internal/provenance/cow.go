@@ -15,27 +15,27 @@ import (
 //   - Seal freezes a recorder (and its graph) once its engine becomes a
 //     base run; sealed graphs are never recorded into again.
 //   - Fork of a sealed graph keeps a reference to the base, stores only
-//     fork-local vertexes in its own slab chunks (IDs continue from
+//     fork-local records in its own slabs (vertex IDs continue from
 //     baseLen) and the labels it is first to give in its own label slab,
 //     and starts every index empty: writes land locally, reads walk the
-//     base chain in shadowing order. redirect is a cow.Overlay link;
-//     byTuple, byDerive and the overflow maps below are per link by
-//     design, since what they hold names the link's own vertexes.
+//     base chain in shadowing order. byTuple, byDerive and the overflow
+//     maps below are per link by design, since what they hold names the
+//     link's own vertexes.
 //   - Reverse edges (a cause's head APPEAR, the DERIVEs a vertex
-//     triggered) are links in the vertexes, set by the graph that recorded
+//     triggered) are links in the records, set by the graph that recorded
 //     both ends; an edge off a sealed base's vertex goes to the fork's
 //     overflow table (headOver, trigOver) and the base stays untouched.
-//   - The single in-place mutation the recorder ever performs — closing
-//     an EXIST vertex's Span when its tuple dies — goes through
-//     mutableVertex, which copies the base vertex into the fork's
-//     redirect overlay. Fingerprints exclude Span, so the copy keeps its
-//     cached fp.
+//   - The single change the recorder ever makes to a recorded vertex —
+//     closing an EXIST's interval when its tuple dies — is a stamp in the
+//     closing DISAPPEAR's record when the EXIST is the same link's, and
+//     otherwise a fork-local close stamp (closes). A read of that EXIST
+//     through the fork synthesises the fork's own view of it.
 //
 // Everything list-valued (a tuple's APPEARs, a vertex's triggered
 // DERIVEs) is append-only, so a fork's local part holds only what the fork
 // itself appended (a tail): reads concatenate the chain oldest-first
 // instead of the append copying the base's list. No index has deletions:
-// which EXIST is open is read off the vertexes (openExist).
+// which EXIST is open is read off the records (openExist, existEnd).
 //
 // Everything downstream — tree projection, seed finding, fold memo — goes
 // through the accessors, so a fork is observationally identical to a
@@ -43,13 +43,10 @@ import (
 
 // Seal freezes the recorder and its graph as a base run: from now on the
 // pair is only ever read and forked, never recorded into.
-func (r *Recorder) Seal() {
-	r.sealed = true
-	r.graph.sealed = true
-}
+func (r *Recorder) Seal() { r.graph.sealed = true }
 
 // Sealed reports whether Seal froze the recorder.
-func (r *Recorder) Sealed() bool { return r.sealed }
+func (r *Recorder) Sealed() bool { return r.graph.sealed }
 
 // Fork returns a recorder (with a fork of the graph) that can observe a
 // fork of the sealed receiver's engine independently. The bookkeeping that
@@ -57,7 +54,7 @@ func (r *Recorder) Sealed() bool { return r.sealed }
 // pendingDelete) is copied as-is, and is -1 between work items. Forking
 // an unsealed recorder is a bug and panics (see Graph.Fork).
 func (r *Recorder) Fork() *Recorder {
-	if !r.sealed {
+	if !r.graph.sealed {
 		panic("provenance: Fork of unsealed recorder")
 	}
 	return &Recorder{
@@ -69,15 +66,15 @@ func (r *Recorder) Fork() *Recorder {
 }
 
 // Fork returns a graph that keeps growing independently of the sealed
-// receiver, in O(1) + O(fold memo): empty indexes, and overlays that are
-// empty links over the receiver's. Only the fold memo is copied eagerly —
-// it is written during reads (tree projection), so chaining it through the
-// base would need cross-graph locking; folded contributor lists are
-// immutable once memoized, so the fork shares the slices.
+// receiver, in O(1) + O(fold memo): empty slabs and indexes over the
+// receiver's. Only the fold memo is copied eagerly — it is written during
+// reads (tree projection), so chaining it through the base would need
+// cross-graph locking; folded contributor lists are immutable once
+// memoized, so the fork shares the slices.
 //
 // Fork never mutates the receiver, so concurrent forks of one sealed
 // graph are safe. Forking an unsealed graph is a bug — its recorder could
-// still append to the slab the fork would share — and panics.
+// still append to the records the fork would share — and panics.
 func (g *Graph) Fork() *Graph {
 	if !g.sealed {
 		panic("provenance: Fork of unsealed graph")
@@ -87,7 +84,6 @@ func (g *Graph) Fork() *Graph {
 		firstDerive: g.firstDerive + int64(len(g.byDerive)),
 		base:        g,
 		baseLen:     g.NumVertexes(),
-		redirect:    g.redirect.Fork(),
 	}
 	// Under the lock because sibling forks and readers of the shared base
 	// may fold concurrently.
@@ -100,45 +96,70 @@ func (g *Graph) Fork() *Graph {
 	return f
 }
 
-// vertex returns the vertex with the given ID: a chain link's redirected
-// copy, or else the slab slot of the link that recorded it. The caller
-// guarantees 0 <= id < NumVertexes().
-func (g *Graph) vertex(id int) *Vertex {
-	if id < g.baseLen {
-		if v := g.redirect.Get(id); v != nil {
-			return v
+// existEnd returns where the EXIST's interval ends as this graph sees it,
+// and whether it has: in the record of the link that recorded it, or in
+// the close stamp of the topmost link that closed it.
+func (g *Graph) existEnd(id int) (ndlog.Stamp, bool) {
+	for gr := g; ; gr = gr.base {
+		if id >= gr.baseLen {
+			_, e := gr.entry(id)
+			if a := gr.app(e); a.parts&hasDisappear != 0 {
+				return a.to, true
+			}
+			return ndlog.Stamp{}, false
+		}
+		if to, ok := gr.closes[id]; ok {
+			return to, true
 		}
 	}
-	return g.recorded(id)
 }
 
-// recorded returns the slab slot of the chain link that recorded the
-// vertex: the link whose local IDs, baseLen and up, include id.
-func (g *Graph) recorded(id int) *Vertex {
-	for id < g.baseLen {
-		g = g.base
-	}
-	return g.local(id - g.baseLen)
-}
-
-// mutableVertex returns a vertex this graph may mutate in place, copying
-// a frozen base vertex into the redirect overlay on first access (the copy
-// shares the base vertex's label). Only the recorder's EXIST-span closing
-// uses it.
-func (g *Graph) mutableVertex(id int) *Vertex {
-	if g.sealed {
-		panic("provenance: mutate vertex of sealed graph")
-	}
-	if id >= g.baseLen {
-		return g.local(id - g.baseLen)
-	}
-	return g.redirect.Own(id, func(v *Vertex) *Vertex {
-		if v == nil {
-			v = g.recorded(id)
+// addDisappear records the DISAPPEAR of the tuple whose open EXIST is
+// exist (-1: none), caused by cause (an UNDERIVE or DELETE, or -1), and
+// closes the EXIST: in its record if this link recorded it, else with a
+// close stamp of this link's. The DISAPPEAR joins its occurrence's record
+// if this link has it, and else takes one of its own; the DELETE that
+// caused it, if joinable, joins it.
+func (g *Graph) addDisappear(l *label, at ndlog.Stamp, cause, exist int) int {
+	g.writable()
+	del := g.joinable(cause, Delete, l, at)
+	var rec int
+	switch {
+	case exist >= g.baseLen:
+		_, e := g.entry(exist)
+		rec = int(e >> typeBits)
+		if del >= 0 {
+			// The DELETE moves in from the record it took last.
+			g.apps.pop()
+			g.setEntry(cause, Delete, rec)
+			g.apps.at(rec).parts |= hasDelete
 		}
-		cp := *v
-		return &cp
-	})
+		g.cacheMu.Lock()
+		if v := g.cache.get(exist); v != nil {
+			v.Open, v.Span.To = false, at
+		}
+		g.cacheMu.Unlock()
+	case del >= 0:
+		rec = del
+	default:
+		var a *appearance
+		a, rec = g.apps.push()
+		*a = appearance{lab: l, cause: -1, prev: -1}
+	}
+	if exist >= 0 && exist < g.baseLen {
+		if g.closes == nil {
+			g.closes = map[int]ndlog.Stamp{}
+		}
+		g.closes[exist] = at
+	}
+	id := g.newID(Disappear, rec)
+	a := g.apps.at(rec)
+	a.to, a.endCause, a.parts = at, int32(cause), a.parts|hasDisappear
+	tk := ndlog.TupleRef{Node: l.Node, Key: l.key}
+	ends := g.byTuple[tk]
+	ends.newest[newestDisappear], ends.lab = int32(id)+1, l
+	g.byTuple[tk] = ends
+	return id
 }
 
 // deriveVertex resolves an engine derivation (or underivation) ID to its
@@ -190,8 +211,17 @@ type tupleEnds struct {
 
 const newestAppear, newestDisappear = 0, 1
 
-// own returns the vertex a link (ID + 1) into this graph's own slab names.
-func (g *Graph) own(link int32) *Vertex { return g.local(int(link) - 1 - g.baseLen) }
+// ownApp and ownDeriv return the record of the vertex a link (ID + 1) into
+// this graph's own ID table names.
+func (g *Graph) ownApp(link int32) *appearance {
+	_, e := g.entry(int(link) - 1)
+	return g.app(e)
+}
+
+func (g *Graph) ownDeriv(link int32) *derivation {
+	_, e := g.entry(int(link) - 1)
+	return g.deriv(e)
+}
 
 // newest returns the tuple's newest APPEAR or DISAPPEAR, or -1: the
 // topmost chain link that recorded one holds the most recent.
@@ -214,11 +244,11 @@ func (g *Graph) appearAt(b ndlog.BodyRef) int {
 	tk := b.TupleRef()
 	for gr := g; gr != nil; gr = gr.base {
 		for a := gr.byTuple[tk].newest[newestAppear]; a != 0; {
-			v := gr.own(a)
-			if v.At.Seq == b.Seq {
-				return v.ID
+			rec := gr.ownApp(a)
+			if rec.at.Seq == b.Seq {
+				return int(a) - 1
 			}
-			a = v.prev + 1
+			a = rec.prev + 1
 		}
 	}
 	return -1
@@ -239,48 +269,66 @@ func (g *Graph) labelOf(node string, t ndlog.Tuple, key string) *label {
 	return l
 }
 
-// indexAppear enters a just-recorded APPEAR into the tuple index and makes
-// it the head of its cause (a DERIVE or INSERT, or -1).
-func (g *Graph) indexAppear(ap *Vertex, cause int) {
-	tk, id := ap.TupleRef(), int32(ap.ID)+1
+// indexAppear enters a just-recorded APPEAR, whose record is a, into the
+// tuple index and makes it the head of its cause (a DERIVE or INSERT, or
+// -1). An INSERT whose record the APPEAR joined needs no link: its head is
+// the vertex right after it.
+func (g *Graph) indexAppear(id int, a *appearance, cause int) {
+	tk := ndlog.TupleRef{Node: a.lab.Node, Key: a.lab.key}
 	ends := g.byTuple[tk]
-	ap.prev, ends.newest[newestAppear] = ends.newest[newestAppear]-1, id
-	ends.lab = ap.label
+	a.prev, ends.newest[newestAppear] = ends.newest[newestAppear]-1, int32(id)+1
+	ends.lab = a.lab
 	g.byTuple[tk] = ends
 
 	switch {
 	case cause >= g.baseLen:
-		g.local(cause - g.baseLen).up = id
+		_, e := g.entry(cause)
+		if t := entryType(e); t == Derive || t == Underive {
+			g.deriv(e).up = int32(id) + 1
+		} else if c := g.app(e); c != a {
+			c.apUp = int32(id) + 1
+		}
 	case cause >= 0:
 		if g.headOver == nil {
 			g.headOver = map[int]int32{}
 		}
-		g.headOver[cause] = id
+		g.headOver[cause] = int32(id) + 1
 	}
 }
 
-// indexDisappear makes a just-recorded DISAPPEAR its tuple's newest.
-func (g *Graph) indexDisappear(d *Vertex) {
-	tk := d.TupleRef()
-	ends := g.byTuple[tk]
-	ends.newest[newestDisappear], ends.lab = int32(d.ID)+1, d.label
-	g.byTuple[tk] = ends
+// headOf returns the head APPEAR of a DERIVE or INSERT this link
+// recorded, or -1.
+func (g *Graph) headOf(id int) int {
+	_, e := g.entry(id)
+	if entryType(e) == Derive {
+		return int(g.deriv(e).up) - 1
+	}
+	if a := g.app(e); a.parts&hasAppear == 0 {
+		return int(a.apUp) - 1
+	}
+	return id + 1
 }
 
 // linkTrigger puts a just-recorded DERIVE on top of the list its trigger
-// child (an APPEAR or EXIST) set off: the child's own if this graph
-// recorded it, the overflow's if a base did.
-func (g *Graph) linkTrigger(child int, d *Vertex) {
-	id := int32(d.ID) + 1
+// child (an APPEAR or EXIST) set off: the child's own record's if this
+// graph recorded it, the overflow's if a base did.
+func (g *Graph) linkTrigger(child, id int) {
+	link := int32(id) + 1
+	d := g.ownDeriv(link)
 	if child >= g.baseLen {
-		c := g.local(child - g.baseLen)
-		d.older, c.up = c.up, id
+		_, e := g.entry(child)
+		a := g.app(e)
+		if entryType(e) == Exist {
+			d.older, a.exUp = a.exUp, link
+		} else {
+			d.older, a.apUp = a.apUp, link
+		}
 		return
 	}
 	if g.trigOver == nil {
 		g.trigOver = map[int]int32{}
 	}
-	d.older, g.trigOver[child] = g.trigOver[child], id
+	d.older, g.trigOver[child] = g.trigOver[child], link
 }
 
 // triggered appends the DERIVEs the vertex triggered, in recording order:
@@ -289,13 +337,18 @@ func (g *Graph) linkTrigger(child int, d *Vertex) {
 func (g *Graph) triggered(id int, out []int) []int {
 	var d int32
 	if id >= g.baseLen {
-		d = g.local(id - g.baseLen).up
+		_, e := g.entry(id)
+		if a := g.app(e); entryType(e) == Exist {
+			d = a.exUp
+		} else {
+			d = a.apUp
+		}
 	} else {
 		out = g.base.triggered(id, out)
 		d = g.trigOver[id]
 	}
 	from := len(out)
-	for ; d != 0; d = g.own(d).older {
+	for ; d != 0; d = g.ownDeriv(d).older {
 		out = append(out, int(d)-1)
 	}
 	slices.Reverse(out[from:])

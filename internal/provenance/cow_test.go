@@ -21,21 +21,26 @@ func cowSerialize(g *Graph) string {
 
 // TestGraphSealedRejectsRecord pins the seal contract at the graph layer:
 // recording into a sealed graph is a bug (it would corrupt every live
-// fork sharing the vertex arena) and must panic, not silently append.
+// fork sharing its records) and must panic, not silently append — and
+// before it writes anything.
 func TestGraphSealedRejectsRecord(t *testing.T) {
-	_, g := runFwd(t)
 	rec := NewRecorder(ndlog.MustParse(`table x/1 base;`))
+	tu := ndlog.NewTuple("x", ndlog.Int(1))
+	rec.OnBaseInsert(ndlog.KeyedAt{At: ndlog.At{Node: "n", Tuple: tu, Stamp: ndlog.Stamp{T: 1, Seq: 1}}, Key: tu.Key()})
 	rec.Seal()
 	if !rec.Sealed() {
 		t.Fatal("Seal did not mark the recorder sealed")
 	}
-	_ = g
+	g := rec.Graph()
 	defer func() {
 		if recover() == nil {
 			t.Error("recording into a sealed graph did not panic")
 		}
+		if g.NumVertexes() != 1 || g.apps.n != 1 {
+			t.Errorf("the refused record left %d vertexes and %d appearance records, want 1 and 1", g.NumVertexes(), g.apps.n)
+		}
 	}()
-	rec.graph.add(Vertex{Type: Exist}, nil)
+	rec.OnAppear(ndlog.KeyedAt{At: ndlog.At{Node: "n", Tuple: tu, Stamp: ndlog.Stamp{T: 1, Seq: 1}}, Key: tu.Key()}, 0)
 }
 
 // TestRecorderCoWForkLayers drives a sealed recorder through two
@@ -186,58 +191,40 @@ func TestRecordCycleAllocationBudget(t *testing.T) {
 
 // TestNarrowForkAllocationBudget bounds what a narrow counterfactual fork
 // pays up front, where nothing is amortised yet: eight cycles — 32
-// vertexes, what an SDN trial records — on a fresh fork. Both budgets are
+// vertexes, what an SDN trial records — on a fresh fork. The budget is
 // the last column + 2 %:
 //
-//	                        six index maps, 184 B   links, 192 B       labels, 112 B
-//	32 vertexes through add   7 allocs,  8 104 B      7 allocs, 8 616 B   7 allocs, 5 544 B
-//	8 recorded cycles        28 allocs, 10 936 B     18 allocs, 9 960 B  13 allocs, 6 488 B
+//	                   six index maps      links, 192 B        labels, 112 B       records
+//	8 recorded cycles  28 allocs, 10 936 B  18 allocs, 9 960 B  13 allocs, 6 488 B  10 allocs, 2 672 B
 //
-// The store itself (slab chunks of 16 + 8 + 16 slots, their list, one arena
-// block) is the first row: a first chunk sized for a wide fork, or plain
-// doubling from 16, fails it. Its bytes are size classes, not slots: with
-// the allocator's 8-byte header a 16-slot chunk of 112-byte vertexes is
-// 1 800 bytes and lands in the 2 048 class, an 8-slot one in 1 024. The
-// whole recording adds the first group of the one index map a fork still
-// makes (byTuple), the trigger overflow, the derivation index (room for
-// four IDs, then eight) and one label chunk: the cycles give h(1) its
-// label once, and every later vertex of it shares that. It read 18
-// allocations while a fork also grew the appearsByTable overlay's map and
-// table list on its APPEARs.
+// The store is three slabs whose first chunks hold 8 records (8
+// derivations of 72 bytes, 8 appearances of 80, 32 ID-table entries) and
+// whose first two chunk headers are the slab's own: a first chunk sized for
+// a wide fork, or a chunk list made on first use, fails it. The whole
+// recording adds the first group of the one index map a fork still makes
+// (byTuple), the trigger overflow, the derivation index (room for four
+// IDs, then eight), one label chunk (the cycles give h(1) its label once,
+// and every later record of it shares that) and one children-arena block.
+// With a 112-byte slot per vertex the store alone took 7 allocations and
+// 5.4 KB of it.
 func TestNarrowForkAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	measure := func(record func(rec *Recorder)) (allocs, bytes uint64) {
-		base, _ := recordCycles()
-		rec := base.Fork()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		record(rec)
-		runtime.ReadMemStats(&after)
-		if got := rec.Graph().NumVertexes() - base.Graph().NumVertexes(); got != 32 {
-			t.Fatalf("the fork recorded %d vertexes, want 32", got)
-		}
-		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	base, next := recordCycles()
+	rec := base.Fork()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 8; i++ {
+		next(rec)
 	}
-	allocs, bytes := measure(func(rec *Recorder) {
-		kid := [1]int{0}
-		for i := 0; i < 32; i++ {
-			rec.graph.add(Vertex{Type: Appear}, kid[:])
-		}
-	})
-	t.Logf("32 vertexes through add: %d allocs, %d bytes", allocs, bytes)
-	if allocs > 7 || bytes > 5655 {
-		t.Errorf("32 vertexes through add on a fresh fork: %d allocs, %d bytes; budget 7 allocs, 5 655 bytes", allocs, bytes)
+	runtime.ReadMemStats(&after)
+	if got := rec.Graph().NumVertexes() - base.Graph().NumVertexes(); got != 32 {
+		t.Fatalf("the fork recorded %d vertexes, want 32", got)
 	}
-	_, next := recordCycles()
-	allocs, bytes = measure(func(rec *Recorder) {
-		for i := 0; i < 8; i++ {
-			next(rec)
-		}
-	})
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	t.Logf("8 recorded cycles: %d allocs, %d bytes", allocs, bytes)
-	if allocs > 13 || bytes > 6618 {
-		t.Errorf("8 cycles (32 vertexes) on a fresh fork: %d allocs, %d bytes; budget 13 allocs, 6 618 bytes", allocs, bytes)
+	if allocs > 10 || bytes > 2725 {
+		t.Errorf("8 cycles (32 vertexes) on a fresh fork: %d allocs, %d bytes; budget 10 allocs, 2 725 bytes", allocs, bytes)
 	}
 }

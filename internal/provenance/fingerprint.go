@@ -1,14 +1,17 @@
 package provenance
 
-// Structural fingerprints: every vertex recorded through a Graph carries a
-// Merkle-style hash of the provenance tree hanging below it — an FNV-1a
-// digest of the vertex's label fields (type, node, tuple, rule; never
-// timestamps or IDs, matching Label() semantics) mixed with the ordered
-// fingerprints of its children. Children are always fully populated before
-// add() publishes a vertex, so a single bottom-up computation at add()
-// time suffices; and because the graph is append-only (only an EXIST
-// vertex's Span is ever mutated after publication, and Span is excluded),
-// the cached value never needs invalidating.
+// Structural fingerprints: every vertex of a Graph carries a Merkle-style
+// hash of the provenance tree hanging below it — an FNV-1a digest of the
+// vertex's label fields (type, node, tuple, rule; never timestamps or IDs,
+// matching Label() semantics) mixed with the ordered fingerprints of its
+// children. Children are always recorded before their parent, so a single
+// bottom-up computation when the parent is recorded suffices; and because
+// the graph is append-only (only an EXIST's interval end is ever set after
+// it is recorded, and it is excluded), the value never needs
+// invalidating. Derivation records store theirs, and appearance records
+// their APPEAR's and EXIST's; an INSERT's, DELETE's or DISAPPEAR's is its
+// label's digest mixed with at most one stored fingerprint, and is
+// computed when read (endFP).
 //
 // Two trees with equal fingerprints are structurally identical modulo
 // 2^-64 hash collisions; DiffProv uses this to prune identical subtrees
@@ -41,9 +44,8 @@ func fnvUint64(h, v uint64) uint64 {
 	return h
 }
 
-// fingerprintOf computes v's structural hash from its label fields and the
-// already-cached fingerprints of its children. Must be called before v is
-// stored in the slab (children strictly precede parents).
+// deriveFP computes a DERIVE's or UNDERIVE's structural hash from its
+// label fields and the fingerprints of its children.
 //
 // Aggregate DERIVE vertexes (delta chains, aggCount > 0) hash as a chain
 // instead: label mixed with the previous head's fingerprint and the new
@@ -51,59 +53,88 @@ func fnvUint64(h, v uint64) uint64 {
 // contributor list would be O(k). The chain hash determines, recursively,
 // every intermediate head label and every contributor subtree, so
 // fingerprint equality still implies folded-tree structural identity
-// (modulo 2^-64 collisions) without folding: it never looks at Children,
+// (modulo 2^-64 collisions) without folding: it never looks at children,
 // so the chain a fork extends hashes as a from-scratch run's does, which is
 // what keeps the alignment memo and treediff pruning firing.
-func (g *Graph) fingerprintOf(v *Vertex) uint64 {
-	var h uint64
-	if v.aggCount > 0 {
-		h = fnvLabel(v)
-		if v.aggRemove {
+func (g *Graph) deriveFP(typ VertexType, d *derivation, children []int) uint64 {
+	h := fnvLabel(typ, d.lab, *d.rule)
+	if d.aggCount > 0 {
+		if d.aggRemove {
 			// Only removal links mix in the mark, so every chain without
 			// one hashes as it always has.
 			h = fnvByte(h, 1)
 		}
-		h = fnvUint64(h, g.fpOf(int(v.prev)))
-		h = fnvUint64(h, g.fpOf(int(v.aggContrib)))
-	} else {
-		h = fnvLabel(v)
-		for _, c := range v.Children() {
-			h = fnvUint64(h, g.fpOf(c))
-		}
+		h = fnvUint64(h, g.fpOf(int(d.prev)))
+		return finish(fnvUint64(h, g.fpOf(d.contrib())))
 	}
+	for _, c := range children {
+		h = fnvUint64(h, g.fpOf(c))
+	}
+	return finish(h)
+}
+
+// causedFP is the hash of a vertex of an occurrence with at most one
+// cause (-1: none).
+func (g *Graph) causedFP(typ VertexType, l *label, cause int) uint64 {
+	h := fnvLabel(typ, l, "")
+	if cause >= 0 {
+		h = fnvUint64(h, g.fpOf(cause))
+	}
+	return finish(h)
+}
+
+// endFP is the hash of the record's DISAPPEAR.
+func (g *Graph) endFP(a *appearance) uint64 {
+	return g.causedFP(Disappear, a.lab, int(a.endCause))
+}
+
+// finish reserves 0 for "no vertex" (fpOf out of range, a nil Tree).
+func finish(h uint64) uint64 {
 	if h == 0 {
-		h = 1 // 0 is reserved for "no vertex" (fpOf out of range, a nil Tree)
+		return 1
 	}
 	return h
 }
 
-// fpOf returns the cached fingerprint of a vertex ID, 0 when out of range.
+// fpOf returns a vertex's fingerprint, 0 when the ID is out of range.
 func (g *Graph) fpOf(id int) uint64 {
-	if id >= 0 && id < g.NumVertexes() {
-		return g.vertex(id).fp
+	if id < 0 || id >= g.NumVertexes() {
+		return 0
 	}
-	return 0
+	lr, e := g.entry(id)
+	switch typ := entryType(e); typ {
+	case Derive, Underive:
+		return lr.deriv(e).fp
+	case Appear:
+		return lr.app(e).apFP
+	case Exist:
+		return lr.app(e).exFP
+	case Disappear:
+		return g.endFP(lr.app(e))
+	default: // INSERT, DELETE
+		return finish(fnvLabel(typ, lr.app(e).lab, ""))
+	}
 }
 
 // fnvLabel digests the fields Label() renders, with separators so that
 // field boundaries cannot alias. The tuple enters as its canonical key —
-// the vertex's carried copy, byte for byte what Tuple.Key() encodes.
-func fnvLabel(v *Vertex) uint64 {
-	h := fnvByte(fnvOffset, byte(v.Type))
-	h = fnvString(h, v.Node)
+// the label's carried copy, byte for byte what Tuple.Key() encodes.
+func fnvLabel(typ VertexType, l *label, rule string) uint64 {
+	h := fnvByte(fnvOffset, byte(typ))
+	h = fnvString(h, l.Node)
 	h = fnvByte(h, 0)
-	h = fnvString(h, v.key)
+	h = fnvString(h, l.key)
 	h = fnvByte(h, 0)
-	h = fnvString(h, v.Rule)
+	h = fnvString(h, rule)
 	h = fnvByte(h, 0)
 	return h
 }
 
-// Fingerprint returns the vertex's cached structural hash: the hash of the
+// Fingerprint returns the vertex's structural hash: the hash of the
 // provenance subtree rooted at it.
 func (v *Vertex) Fingerprint() uint64 { return v.fp }
 
-// Fingerprint returns the tree's structural hash: its root vertex's cached
+// Fingerprint returns the tree's structural hash: its root vertex's
 // fingerprint, or 0 for a nil tree.
 func (t *Tree) Fingerprint() uint64 {
 	if t == nil {

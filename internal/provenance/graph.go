@@ -14,7 +14,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"repro/internal/cow"
 	"repro/internal/ndlog"
 )
 
@@ -45,12 +44,13 @@ func (t VertexType) String() string {
 	return fmt.Sprintf("VERTEX(%d)", uint8(t))
 }
 
-// Vertex is one vertex of the provenance graph. Children point at direct
-// causes; the graph is acyclic because children always precede parents in
-// creation order. Vertexes live by value in their graph's slab (see Graph)
-// at an address that never moves, so a *Vertex stays valid for as long as
-// anything holds it. The layout is packed to 112 bytes — a slab chunk's
-// unused slots cost what a vertex does — and TestVertexSize pins it.
+// Vertex is one vertex of the provenance graph as a reader sees it. The
+// graph stores no vertexes: it stores one record per derivation and one
+// per tuple occurrence (see Graph), and a read synthesises the vertex from
+// them once per graph link and caches it, so a *Vertex from Graph.Vertex
+// stays valid, and the same, for as long as anything holds it. Children
+// point at direct causes; the graph is acyclic because children always
+// precede parents in creation order.
 type Vertex struct {
 	// label is what the vertex is about, shared with every other vertex
 	// about the same tuple on the same node; Node and Tuple read through it.
@@ -60,14 +60,10 @@ type Vertex struct {
 	// Open, on an EXIST vertex, reports that the tuple is still live: its
 	// existence interval [At, Span.To) has no end yet.
 	Open bool
-	// aggRemove marks an aggregate DERIVE that removes its contributor from
-	// the group (see prev): folds subtract it, and it is no cause.
-	aggRemove bool
 	// nkids counts the children kids points at; longKids marks a list too
 	// long for it, whose length is the arena word before kids (putKids).
-	nkids    uint8
-	aggCount int32  // contributors of an aggregate DERIVE, see prev
-	Rule     string // rule name, for DERIVE/UNDERIVE
+	nkids uint8
+	Rule  string // rule name, for DERIVE/UNDERIVE
 
 	// At is the event time of a point vertex and, for an EXIST vertex, the
 	// stamp that opened its existence interval (its APPEAR's At).
@@ -77,7 +73,8 @@ type Vertex struct {
 	Span struct{ To ndlog.Stamp }
 
 	// kids points at the first of the IDs of the direct causes of this
-	// vertex, in the graph's children arena (read with Children).
+	// vertex: a derivation's window into its graph's children arena, or kid
+	// (read with Children).
 	kids *int
 	// Trigger, for DERIVE vertexes, is the index into Children of the
 	// precondition that appeared last and thus triggered the rule
@@ -85,24 +82,11 @@ type Vertex struct {
 	Trigger int
 
 	// fp is the Merkle-style structural hash of the subtree rooted here,
-	// computed once by add() (see fingerprint.go); never 0.
+	// computed when the vertex was recorded (see fingerprint.go); never 0.
 	fp uint64
-
-	// Delta-chain annotation for aggregate DERIVE vertexes (aggCount > 0,
-	// the running contributor count): prev is the vertex ID of the
-	// previous head's DERIVE (-1 for the group's first) and aggContrib that
-	// of the new contributor's APPEAR (-1 if unresolved). ChildrenOf folds
-	// the chain into the full contributor list on demand; recorded Children
-	// stay O(1) per update. On an APPEAR, prev is the tuple's previous
-	// APPEAR recorded by the same graph (-1: its first; see Graph.byTuple).
-	prev, aggContrib int32
-
-	// Reverse edges (vertex ID + 1, 0: none; DESIGN.md §24), written only by
-	// the graph that recorded this vertex, before it is sealed. On a DERIVE
-	// or INSERT up is the head tuple's APPEAR; on an APPEAR or EXIST it is
-	// the newest DERIVE the vertex triggered, and that DERIVE's older the
-	// one the same vertex triggered before it.
-	up, older int32
+	// kid is the one cause of a vertex about a tuple occurrence (an
+	// APPEAR's, EXIST's or DISAPPEAR's), which kids points at.
+	kid int
 }
 
 // label is what a vertex is about: a tuple on a node. Up to five vertexes
@@ -120,11 +104,8 @@ type label struct {
 	key string
 }
 
-// noLabel is the label of a vertex handed to add without one.
-var noLabel label
-
 // labelSlab hands out labels from chunks it never reallocates, so a *label
-// stays valid for as long as a vertex holds it. Sized as the engine's
+// stays valid for as long as a record holds it. Sized as the engine's
 // slabs are (DESIGN.md §23): a new chunk holds half as many labels as were
 // handed out so far, at least labelChunkMin and at most labelChunkMax, so
 // past the first chunk the slack is at most a third of what is allocated.
@@ -152,15 +133,18 @@ func (s *labelSlab) take(node string, t ndlog.Tuple, key string) *label {
 const longKids = math.MaxUint8
 
 // Children returns the IDs of the direct causes of the vertex as recorded:
-// a window into the graph's children arena whose capacity is its length,
-// so that a consumer's append copies instead of overwriting the next
-// vertex's. It must not be written to.
-func (v *Vertex) Children() []int {
-	n := int(v.nkids)
+// a window into the graph's children arena (or the vertex's one cause)
+// whose capacity is its length, so that a consumer's append copies instead
+// of overwriting the next vertex's. It must not be written to.
+func (v *Vertex) Children() []int { return kidsOf(v.kids, v.nkids) }
+
+// kidsOf returns the children list kids and nkids name.
+func kidsOf(kids *int, nkids uint8) []int {
+	n := int(nkids)
 	if n == longKids {
-		n = *(*int)(unsafe.Add(unsafe.Pointer(v.kids), -int(unsafe.Sizeof(0))))
+		n = *(*int)(unsafe.Add(unsafe.Pointer(kids), -int(unsafe.Sizeof(0))))
 	}
-	return unsafe.Slice(v.kids, n)
+	return unsafe.Slice(kids, n)
 }
 
 // kidsWords is the arena room n children take: n, and one word more for
@@ -173,25 +157,32 @@ func kidsWords(n int) int {
 }
 
 // putKids appends children to dst, which has room for kidsWords of them,
-// and points v at them.
-func (v *Vertex) putKids(dst, children []int) []int {
+// and returns it with the window they occupy.
+func putKids(dst, children []int) (_ []int, kids *int, nkids uint8) {
 	n := len(children)
 	if n == 0 {
-		return dst
+		return dst, nil, 0
 	}
 	if n >= longKids {
 		dst = append(dst, n)
 	}
 	at := len(dst)
 	dst = append(dst, children...)
-	v.kids, v.nkids = &dst[at], uint8(min(n, longKids))
-	return dst
+	return dst, &dst[at], uint8(min(n, longKids))
+}
+
+// setKid makes c, unless it is -1 (an unresolved cause), the vertex's one
+// child.
+func (v *Vertex) setKid(c int) {
+	if c >= 0 {
+		v.kid, v.kids, v.nkids = c, &v.kid, 1
+	}
 }
 
 // detached returns a copy of the vertex that shares no storage with the
-// graph's vertex slab or children arena nor — its label copied, tuple and
-// key cloned — with the labels of the graph or the args and key chunks of
-// the engine that reported it (Tree.Detach). labels maps each label
+// graph's records, cache or children arena nor — its label copied, tuple
+// and key cloned — with the labels of the graph or the args and key chunks
+// of the engine that reported it (Tree.Detach). labels maps each label
 // already copied to its copy, so the copies share as the originals do.
 func (v *Vertex) detached(labels map[*label]*label) *Vertex {
 	cp := *v
@@ -202,7 +193,7 @@ func (v *Vertex) detached(labels map[*label]*label) *Vertex {
 	}
 	cp.label = l
 	kids := v.Children()
-	cp.putKids(make([]int, 0, kidsWords(len(kids))), kids)
+	_, cp.kids, cp.nkids = putKids(make([]int, 0, kidsWords(len(kids))), kids)
 	return &cp
 }
 
@@ -239,19 +230,195 @@ func (v *Vertex) String() string {
 	return fmt.Sprintf("%s@%s", s, v.At)
 }
 
-// Graph is an append-only temporal provenance graph, stored flat: the
-// vertexes it recorded sit by value in slab chunks and their children in
-// one []int arena, so recording a vertex allocates nothing but amortised
-// chunk growth, and a CoW fork shares its sealed base as a prefix it
-// never copies (see cow.go and DESIGN.md §22).
-type Graph struct {
-	// chunks hold the n vertexes this graph recorded itself (IDs baseLen
-	// and up). A chunk is never reallocated, so vertex addresses are
-	// stable; locate maps a local index to its chunk and slot.
-	chunks [][]Vertex
+// derivation is the record of one DERIVE or UNDERIVE vertex: all of it
+// that is not its label's. 72 bytes (TestRecordSizes).
+type derivation struct {
+	lab  *label
+	rule *string // the rule's name, the program's own string
+	at   ndlog.Stamp
+	// kids and nkids name the recorded children in the graph's arena, as a
+	// Vertex's do. An aggregate link records its contributor there even
+	// when it removes it (aggRemove): that one is no cause, and the
+	// vertex shows no children (vertexKids).
+	kids *int
+	fp   uint64
+	// trigger is the vertex's Trigger.
+	trigger int32
+	// Delta-chain annotation of an aggregate DERIVE (aggCount > 0, the
+	// running contributor count): prev is the vertex ID of the previous
+	// head's DERIVE (-1 for the group's first), and the contributor is the
+	// recorded child (contrib). ChildrenOf folds the chain into the full
+	// contributor list on demand; recorded children stay O(1) per update.
+	aggCount, prev int32
+	// Reverse edges (vertex ID + 1, 0: none; DESIGN.md §24), written only by
+	// the graph that recorded this derivation, before it is sealed: up is
+	// the head tuple's APPEAR, and older the DERIVE the same vertex
+	// triggered before this one.
+	up, older int32
+	nkids     uint8
+	// aggRemove marks an aggregate DERIVE that removes its contributor from
+	// the group: folds subtract it, and it is no cause.
+	aggRemove bool
+}
+
+// vertexKids returns the children the derivation's vertex shows.
+func (d *derivation) vertexKids() (*int, uint8) {
+	if d.aggRemove {
+		return nil, 0
+	}
+	return d.kids, d.nkids
+}
+
+// contrib returns an aggregate link's contributor: the APPEAR or EXIST it
+// adds or removes, or -1 if it was unresolved.
+func (d *derivation) contrib() int {
+	if d.nkids == 0 {
+		return -1
+	}
+	return *d.kids
+}
+
+// appearance is the record of one tuple occurrence on a node, and of the
+// vertexes about it: its APPEAR and the EXIST that follows it (not for an
+// event table), the INSERT that caused it if it is the vertex right before
+// the APPEAR, and the DISAPPEAR that ends it with, if it is the vertex
+// right before, the DELETE that caused that. An INSERT, DELETE or
+// DISAPPEAR that has no such occurrence in its graph link — a base
+// insertion that added only a support, a disappearance of a tuple a
+// sealed base made appear — takes a record of its own with only that
+// part. 80 bytes (TestRecordSizes).
+type appearance struct {
+	lab *label
+	at  ndlog.Stamp // the INSERT's, APPEAR's and EXIST's
+	// to is the DISAPPEAR's and DELETE's stamp; once the record has a
+	// DISAPPEAR it is where the EXIST's interval ends. A record that is an
+	// INSERT or DELETE alone holds its stamp in both.
+	to         ndlog.Stamp
+	apFP, exFP uint64
+	// cause is the APPEAR's (a DERIVE or INSERT, -1 if unresolved), and
+	// endCause the DISAPPEAR's (an UNDERIVE or DELETE, or -1).
+	cause, endCause int32
+	// prev is the tuple's previous APPEAR recorded by the same graph (-1:
+	// its first; see Graph.byTuple).
+	prev int32
+	// Reverse edges (vertex ID + 1, 0: none), written only by the graph that
+	// recorded this occurrence, before it is sealed: the newest DERIVE its
+	// APPEAR and its EXIST triggered. On a record that is only an INSERT,
+	// apUp is the INSERT's head APPEAR.
+	apUp, exUp int32
+	parts      uint8 // which vertexes the record stands for
+}
+
+// The parts of an appearance record. Its EXIST is the vertex after its
+// APPEAR if the ID table says so (ExistOf).
+const (
+	hasInsert uint8 = 1 << iota
+	hasAppear
+	hasDisappear
+	hasDelete
+)
+
+// slab stores records in chunks it never reallocates, so a record's
+// address is stable; locate maps an index to its chunk and slot. The
+// first two chunk headers live in the slab itself (inline), so a narrow
+// fork's slab allocates its chunks and nothing else.
+type slab[T any] struct {
+	chunks [][]T
 	n      int
+	inline [2][]T
+}
+
+func (s *slab[T]) at(i int) *T {
+	c, slot, _ := locate(i)
+	return &s.chunks[c][slot]
+}
+
+// push appends a zero record and returns it with its index.
+func (s *slab[T]) push() (*T, int) {
+	c, slot, size := locate(s.n)
+	if c == len(s.chunks) {
+		if s.chunks == nil {
+			s.chunks = s.inline[:0]
+		}
+		s.chunks = append(s.chunks, make([]T, size))
+	}
+	s.n++
+	return &s.chunks[c][slot], s.n - 1
+}
+
+// pop drops the last record.
+func (s *slab[T]) pop() {
+	s.n--
+	var zero T
+	*s.at(s.n) = zero
+}
+
+// vertexCache holds the vertexes reads synthesised, by ID: up to
+// len(few) found by a scan, more through a map made when few is full (a
+// narrow trial's diagnosis reads 2-9 of its own). They live in chunks that
+// grow with the count, as labelSlab's do, so a fork that reads a handful
+// pays for one chunk of four.
+type vertexCache struct {
+	few  [8]*Vertex
+	nfew int
+	byID map[int]*Vertex
+	cur  []Vertex
+}
+
+func (c *vertexCache) get(id int) *Vertex {
+	if c.byID != nil {
+		return c.byID[id]
+	}
+	for _, v := range c.few[:c.nfew] {
+		if v.ID == id {
+			return v
+		}
+	}
+	return nil
+}
+
+// add returns a new vertex cached under the ID, for the caller to fill in.
+func (c *vertexCache) add(id int) *Vertex {
+	if len(c.cur) == cap(c.cur) {
+		n := c.nfew + len(c.byID)
+		c.cur = make([]Vertex, 0, min(max(n/2, 4), 64))
+	}
+	c.cur = c.cur[:len(c.cur)+1]
+	v := &c.cur[len(c.cur)-1]
+	switch {
+	case c.byID != nil:
+		c.byID[id] = v
+	case c.nfew < len(c.few):
+		c.few[c.nfew] = v
+		c.nfew++
+	default:
+		c.byID = make(map[int]*Vertex, 2*len(c.few))
+		for _, w := range c.few {
+			c.byID[w.ID] = w
+		}
+		c.byID[id], c.nfew = v, 0
+	}
+	v.ID = id
+	return v
+}
+
+// Graph is an append-only temporal provenance graph, stored as records: one
+// per derivation (a DERIVE or UNDERIVE) and one per tuple occurrence (its
+// INSERT, APPEAR, EXIST, DISAPPEAR and DELETE), in slabs, with their
+// children in one []int arena, so recording allocates nothing but
+// amortised chunk growth. An ID table maps each vertex ID to its record
+// and type, and a read synthesises the vertex (DESIGN.md §22, §24). A CoW
+// fork shares its sealed base as a prefix it never copies (see cow.go).
+type Graph struct {
+	// ids is the ID table of the n vertexes this graph recorded itself (IDs
+	// baseLen and up), four to an element: the vertex's record index in
+	// derivs or apps, shifted past its type (newID).
+	ids    slab[[4]uint32]
+	n      int
+	derivs slab[derivation]
+	apps   slab[appearance]
 	// kids is the children arena's current block; a full one is left to
-	// the vertexes that point into it.
+	// the records that point into it.
 	kids []int
 	// labels hands out the labels this graph gives the tuples it is the
 	// first to record (labelOf).
@@ -268,15 +435,17 @@ type Graph struct {
 	lateDerive  map[int64]int32
 	// byTuple is the one tuple-keyed index: {node, tuple key} to the
 	// tuple's label and the newest APPEAR and DISAPPEAR this graph recorded
-	// for it. Earlier APPEARs hang off the newest by their prev links
-	// (appearAt walks them for a body reference); its open EXIST is the
-	// newest APPEAR's (openExist).
+	// for it. Earlier APPEARs hang off the newest by their records' prev
+	// links (appearAt walks them for a body reference); its open EXIST is
+	// the newest APPEAR's (openExist).
 	byTuple map[ndlog.TupleRef]tupleEnds
 	// headOver and trigOver are a fork's overflow: the up links it owes
 	// vertexes of its sealed base (a base cause's head APPEAR, the newest of
-	// the fork's DERIVEs a base vertex triggered), keyed by their IDs. Made
-	// on first use: most forks never need headOver.
+	// the fork's DERIVEs a base vertex triggered), keyed by their IDs, and
+	// closes the stamps at which it closed base EXISTs. Made on first use:
+	// most forks never need headOver.
 	headOver, trigOver map[int]int32
+	closes             map[int]ndlog.Stamp
 
 	// foldMemo caches folded aggregate contributor lists, keyed by the
 	// chain head's vertex ID: repeated Tree projections of the same
@@ -291,14 +460,18 @@ type Graph struct {
 	foldMu   sync.Mutex
 	foldMemo map[int][]int
 
+	// cache holds the vertexes reads synthesised from this link's records
+	// (and, for base EXISTs this link closed, its own view of them). Filled
+	// on sealed graphs too, under cacheMu: a warm diagnosis reads the
+	// shared base run without allocating.
+	cacheMu sync.RWMutex
+	cache   vertexCache
+
 	// Copy-on-write state (see cow.go). A CoW fork keeps the frozen base
-	// graph it shadows: local vertexes occupy IDs baseLen and up, and
-	// redirect holds fork-private copies of base vertexes whose Span was
-	// closed locally.
-	base     *Graph
-	baseLen  int
-	redirect cow.Overlay[int, *Vertex]
-	sealed   bool
+	// graph it shadows: local vertexes occupy IDs baseLen and up.
+	base    *Graph
+	baseLen int
+	sealed  bool
 }
 
 // NewGraph creates an empty provenance graph.
@@ -318,72 +491,162 @@ func (g *Graph) Vertex(id int) *Vertex {
 	return g.vertex(id)
 }
 
-// Slab chunk sizes: chunkFirst slots, then doubling from chunkMin up to
-// chunkMax and chunkMax from there on — 16, 8, 16, 32, …, 512, 512, ….
-// A narrow counterfactual fork records 16-34 vertexes and must not pay
-// for a wide one's chunk (nor double on its 17th vertex); a wide one
-// records thousands and must not leave half a doubled chunk empty.
+// Slab chunk sizes: chunkMin records, then doubling from chunkMin up to
+// chunkMax and chunkMax from there on — 8, 8, 16, 32, …, 512, 512, …. A
+// narrow counterfactual fork records 6-15 records of each kind and must
+// not pay for a wide one's chunk; a wide one records thousands and must
+// not leave half a doubled chunk empty.
 const (
-	chunkFirst = 16
 	chunkMin   = 8
 	chunkMax   = 512
-	cappedFrom = 7                                // first chunk of chunkMax slots: chunkMin<<(cappedFrom-1) == chunkMax
-	cappedAt   = chunkFirst + chunkMax - chunkMin // the local index it starts at: 16 + (8 + 16 + … + 256)
+	cappedFrom = 7 // first chunk of chunkMax records: chunkMin<<(cappedFrom-1) == chunkMax
 
 	kidsMin, kidsMax = 32, 4096 // children-arena blocks double from kidsMin to kidsMax ints
 )
 
-// locate maps a local vertex index to its chunk, the slot within it and
-// the chunk's size.
+// locate maps a slab index to its chunk, the slot within it and the
+// chunk's size.
 func locate(i int) (chunk, slot, size int) {
 	switch {
-	case i < chunkFirst:
-		return 0, i, chunkFirst
-	case i >= cappedAt:
-		i -= cappedAt
+	case i < chunkMin:
+		return 0, i, chunkMin
+	case i >= chunkMax:
+		i -= chunkMax
 		return cappedFrom + i/chunkMax, i % chunkMax, chunkMax
 	}
-	// Doubling chunk c >= 1 starts at chunkFirst + chunkMin*(2^(c-1) - 1).
-	i -= chunkFirst - chunkMin
+	// Chunk c >= 1 holds [chunkMin<<(c-1), chunkMin<<c).
 	c := bits.Len(uint(i / chunkMin))
 	return c, i - chunkMin<<(c-1), chunkMin << (c - 1)
 }
 
-// local returns the i-th vertex this graph recorded itself.
-func (g *Graph) local(i int) *Vertex {
-	c, slot, _ := locate(i)
-	return &g.chunks[c][slot]
+// An ID-table entry is the vertex's record index shifted past its type.
+const typeBits = 3
+
+func entryType(e uint32) VertexType { return VertexType(e & (1<<typeBits - 1)) }
+
+// entry returns the chain link that recorded the vertex and the vertex's
+// ID-table entry there. The caller guarantees 0 <= id < NumVertexes().
+func (g *Graph) entry(id int) (*Graph, uint32) {
+	for id < g.baseLen {
+		g = g.base
+	}
+	i := id - g.baseLen
+	return g, g.ids.at(i >> 2)[i&3]
 }
 
-// add records v with the given children and returns its slab slot. Both
-// are copied (children into the arena), so callers build them on their
-// stack. A vertex handed over without a label gets the empty one.
-func (g *Graph) add(v Vertex, children []int) *Vertex {
-	if g.sealed {
-		panic("provenance: record into sealed graph (fork it instead)")
+// typeOf returns the vertex's type.
+func (g *Graph) typeOf(id int) VertexType {
+	_, e := g.entry(id)
+	return entryType(e)
+}
+
+// deriv and app return the record an ID-table entry of this link names.
+func (g *Graph) deriv(e uint32) *derivation { return g.derivs.at(int(e >> typeBits)) }
+func (g *Graph) app(e uint32) *appearance   { return g.apps.at(int(e >> typeBits)) }
+
+// newID gives the next vertex ID to a vertex of the given type whose
+// record is at index rec of its slab.
+func (g *Graph) newID(typ VertexType, rec int) int {
+	if g.n&3 == 0 {
+		g.ids.push()
 	}
-	v.ID = g.NumVertexes()
-	if v.Type != Derive {
-		v.Trigger = -1
-	}
-	if v.label == nil {
-		v.label = &noLabel
-	}
-	if n := kidsWords(len(children)); n > 0 {
-		if len(g.kids)+n > cap(g.kids) {
-			g.kids = make([]int, 0, max(n, min(2*cap(g.kids), kidsMax), kidsMin))
-		}
-		g.kids = v.putKids(g.kids, children)
-	}
-	// Children are complete and strictly precede v: the hash is final.
-	v.fp = g.fingerprintOf(&v)
-	c, slot, size := locate(g.n)
-	if c == len(g.chunks) {
-		g.chunks = append(g.chunks, make([]Vertex, size))
-	}
-	g.chunks[c][slot] = v
 	g.n++
-	return &g.chunks[c][slot]
+	id := g.NumVertexes() - 1
+	g.setEntry(id, typ, rec)
+	return id
+}
+
+// setEntry points this graph's own vertex ID at a record.
+func (g *Graph) setEntry(id int, typ VertexType, rec int) {
+	i := id - g.baseLen
+	g.ids.at(i >> 2)[i&3] = uint32(rec)<<typeBits | uint32(typ)
+}
+
+// labelAt returns the label of the vertex with the given ID.
+func (g *Graph) labelAt(id int) *label {
+	lr, e := g.entry(id)
+	if t := entryType(e); t == Derive || t == Underive {
+		return lr.deriv(e).lab
+	}
+	return lr.app(e).lab
+}
+
+// putKids copies children into the arena and returns their window.
+func (g *Graph) putKids(children []int) (*int, uint8) {
+	n := kidsWords(len(children))
+	if n == 0 {
+		return nil, 0
+	}
+	if len(g.kids)+n > cap(g.kids) {
+		g.kids = make([]int, 0, max(n, min(2*cap(g.kids), kidsMax), kidsMin))
+	}
+	var kids *int
+	var nkids uint8
+	g.kids, kids, nkids = putKids(g.kids, children)
+	return kids, nkids
+}
+
+// vertex returns the vertex with the given ID, synthesised once by the
+// chain link that recorded it — or by the one that closed it, if a fork
+// closed a base EXIST — and cached there. The caller guarantees 0 <= id <
+// NumVertexes().
+func (g *Graph) vertex(id int) *Vertex {
+	for id < g.baseLen {
+		if _, ok := g.closes[id]; ok {
+			break
+		}
+		g = g.base
+	}
+	g.cacheMu.RLock()
+	v := g.cache.get(id)
+	g.cacheMu.RUnlock()
+	if v != nil {
+		return v
+	}
+	g.cacheMu.Lock()
+	defer g.cacheMu.Unlock()
+	if v = g.cache.get(id); v == nil {
+		v = g.cache.add(id)
+		g.synth(id, v)
+	}
+	return v
+}
+
+// synth fills v in with the vertex the graph's records say the ID is, as
+// this graph sees it.
+func (g *Graph) synth(id int, v *Vertex) {
+	lr, e := g.entry(id)
+	typ := entryType(e)
+	*v = Vertex{ID: id, Type: typ, Trigger: -1}
+	if typ == Derive || typ == Underive {
+		d := lr.deriv(e)
+		v.label, v.Rule, v.At, v.fp = d.lab, *d.rule, d.at, d.fp
+		v.kids, v.nkids = d.vertexKids()
+		if typ == Derive {
+			v.Trigger = int(d.trigger)
+		}
+		return
+	}
+	a := lr.app(e)
+	v.label = a.lab
+	switch typ {
+	case Insert:
+		v.At, v.fp = a.at, finish(fnvLabel(Insert, a.lab, ""))
+	case Appear:
+		v.At, v.fp = a.at, a.apFP
+		v.setKid(int(a.cause))
+	case Exist:
+		v.At, v.fp = a.at, a.exFP
+		v.setKid(id - 1)
+		var closed bool
+		v.Span.To, closed = g.existEnd(id)
+		v.Open = !closed
+	case Disappear:
+		v.At, v.fp = a.to, g.endFP(a)
+		v.setKid(int(a.endCause))
+	case Delete:
+		v.At, v.fp = a.to, finish(fnvLabel(Delete, a.lab, ""))
+	}
 }
 
 // AppearVertexes returns the APPEAR vertex IDs for the exact tuple on the
@@ -400,7 +663,7 @@ func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
 		out = g.base.appearsOf(node, key, out)
 	}
 	from := len(out)
-	for a := g.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}].newest[newestAppear]; a != 0; a = g.own(a).prev + 1 {
+	for a := g.byTuple[ndlog.TupleRef{Node: node, Key: string(key)}].newest[newestAppear]; a != 0; a = g.ownApp(a).prev + 1 {
 		out = append(out, int(a)-1)
 	}
 	slices.Reverse(out[from:])
@@ -410,15 +673,18 @@ func (g *Graph) appearsOf(node string, key []byte, out []int) []int {
 // FindAppears returns the APPEAR vertexes on a node, over a table,
 // matching the predicate, in recording order. It is the graph's query
 // entry point: "the packet that arrived at web server 2" is an APPEAR. It
-// scans the chain's vertexes in ID order, which is recording order: IDs
+// scans the chain's ID tables in ID order, which is recording order: IDs
 // only grow along the chain.
 func (g *Graph) FindAppears(node, table string, pred func(ndlog.Tuple) bool) []*Vertex {
 	var out []*Vertex
-	g.Vertexes(func(v *Vertex) {
-		if v.Type == Appear && v.Node == node && v.Tuple.Table == table && (pred == nil || pred(v.Tuple)) {
-			out = append(out, v)
+	for id, n := 0, g.NumVertexes(); id < n; id++ {
+		if g.typeOf(id) != Appear {
+			continue
 		}
-	})
+		if l := g.labelAt(id); l.Node == node && l.Tuple.Table == table && (pred == nil || pred(l.Tuple)) {
+			out = append(out, g.vertex(id))
+		}
+	}
 	return out
 }
 
@@ -441,7 +707,10 @@ func (g *Graph) LastAppear(node string, t ndlog.Tuple) *Vertex {
 // given vertex (the derivations for which it was the last precondition to
 // appear). Following these walks a derivation chain from a seed upward.
 func (g *Graph) TriggerParents(id int) []int {
-	if v := g.Vertex(id); v == nil || v.Type != Appear && v.Type != Exist {
+	if id < 0 || id >= g.NumVertexes() {
+		return nil
+	}
+	if t := g.typeOf(id); t != Appear && t != Exist {
 		return nil
 	}
 	return g.triggered(id, nil)
@@ -450,12 +719,15 @@ func (g *Graph) TriggerParents(id int) []int {
 // HeadAppear returns the APPEAR vertex of the head tuple produced by the
 // given DERIVE (or following a base INSERT), or -1.
 func (g *Graph) HeadAppear(id int) int {
-	if v := g.Vertex(id); v == nil || v.Type != Derive && v.Type != Insert {
+	if id < 0 || id >= g.NumVertexes() {
+		return -1
+	}
+	if t := g.typeOf(id); t != Derive && t != Insert {
 		return -1
 	}
 	for gr := g; ; gr = gr.base {
 		if id >= gr.baseLen {
-			return int(gr.local(id-gr.baseLen).up) - 1
+			return gr.headOf(id)
 		}
 		if a := gr.headOver[id]; a != 0 {
 			return int(a) - 1
@@ -468,7 +740,7 @@ func (g *Graph) HeadAppear(id int) int {
 // right after its APPEAR and nowhere else, so it is the next vertex or
 // there is none.
 func (g *Graph) ExistOf(appearID int) int {
-	if e := appearID + 1; appearID >= 0 && e < g.NumVertexes() && g.vertex(e).Type == Exist {
+	if e := appearID + 1; appearID >= 0 && e < g.NumVertexes() && g.typeOf(e) == Exist {
 		return e
 	}
 	return -1
@@ -477,16 +749,22 @@ func (g *Graph) ExistOf(appearID int) int {
 // openExist returns the tuple's currently-open EXIST vertex, or -1: the
 // one its latest APPEAR opened, until a DISAPPEAR closes it.
 func (g *Graph) openExist(tk ndlog.TupleRef) int {
-	if e := g.ExistOf(g.newest(tk, newestAppear)); e >= 0 && g.vertex(e).Open {
-		return e
+	if e := g.ExistOf(g.newest(tk, newestAppear)); e >= 0 {
+		if _, closed := g.existEnd(e); !closed {
+			return e
+		}
 	}
 	return -1
 }
 
-// Vertexes calls fn for every vertex in creation order.
-func (g *Graph) Vertexes(fn func(*Vertex)) {
+// Vertexes calls fn for every vertex in creation order. It synthesises
+// each into one scratch vertex and caches none, so fn must not keep v or
+// its Children: Vertex(v.ID) is the vertex that lasts.
+func (g *Graph) Vertexes(fn func(v *Vertex)) {
+	var v Vertex
 	for i, n := 0, g.NumVertexes(); i < n; i++ {
-		fn(g.vertex(i))
+		g.synth(i, &v)
+		fn(&v)
 	}
 }
 
@@ -494,11 +772,11 @@ func (g *Graph) Vertexes(fn func(*Vertex)) {
 // number of vertexes whose Node it is. The shards partition the graph.
 func (g *Graph) ShardSize(node string) int {
 	n := 0
-	g.Vertexes(func(v *Vertex) {
-		if v.Node == node {
+	for id, end := 0, g.NumVertexes(); id < end; id++ {
+		if g.labelAt(id).Node == node {
 			n++
 		}
-	})
+	}
 	return n
 }
 
@@ -506,11 +784,17 @@ func (g *Graph) ShardSize(node string) int {
 // vertex ID of the previous head's DERIVE (-1 for the first) and the
 // running contributor count. ok is false for non-aggregate vertexes.
 func (g *Graph) AggDelta(id int) (prev int, count int64, ok bool) {
-	v := g.Vertex(id)
-	if v == nil || v.aggCount == 0 {
+	if id < 0 || id >= g.NumVertexes() {
 		return 0, 0, false
 	}
-	return int(v.prev), int64(v.aggCount), true
+	lr, e := g.entry(id)
+	if entryType(e) != Derive {
+		return 0, 0, false
+	}
+	if d := lr.deriv(e); d.aggCount > 0 {
+		return int(d.prev), int64(d.aggCount), true
+	}
+	return 0, 0, false
 }
 
 // ChildrenOf returns the causal children of a vertex as consumers should
@@ -520,16 +804,20 @@ func (g *Graph) AggDelta(id int) (prev int, count int64, ok bool) {
 // recorded Children slice. The returned slice must not be written to; its
 // capacity is its length, so appending to it copies.
 func (g *Graph) ChildrenOf(id int) []int {
-	v := g.Vertex(id)
-	if v == nil {
+	if id < 0 || id >= g.NumVertexes() {
 		return nil
 	}
+	lr, e := g.entry(id)
+	if t := entryType(e); t != Derive && t != Underive {
+		return g.vertex(id).Children()
+	}
+	d := lr.deriv(e)
 	// A link whose recorded children number its count (a chain's count-1
-	// start) already carries the full list in Children.
-	if kids := v.Children(); v.aggCount == 0 || len(kids) == int(v.aggCount) {
+	// start) already carries the full list.
+	if kids := kidsOf(d.vertexKids()); d.aggCount == 0 || len(kids) == int(d.aggCount) {
 		return kids
 	}
-	return g.foldAgg(v)
+	return g.foldAgg(id, d)
 }
 
 // foldAgg reconstructs the full contributor list of an aggregate head by
@@ -538,25 +826,29 @@ func (g *Graph) ChildrenOf(id int) []int {
 // per chain head. The walk stops early at the first predecessor whose fold
 // is already memoized, so across the queries a diagnosis issues each chain
 // link is visited O(1) times amortized.
-func (g *Graph) foldAgg(v *Vertex) []int {
+func (g *Graph) foldAgg(id int, d *derivation) []int {
 	g.foldMu.Lock()
 	defer g.foldMu.Unlock()
-	if out, ok := g.foldMemo[v.ID]; ok {
+	if out, ok := g.foldMemo[id]; ok {
 		return out
 	}
 	var prefix []int
-	var rev []*Vertex // links, newest first
-	for cur := v; ; {
+	var rev []*derivation // links, newest first
+	for cur := d; ; {
 		rev = append(rev, cur)
 		if cur.prev < 0 || int(cur.prev) >= g.NumVertexes() {
 			break
 		}
-		prev := g.vertex(int(cur.prev))
-		if out, ok := g.foldMemo[prev.ID]; ok {
+		if out, ok := g.foldMemo[int(cur.prev)]; ok {
 			prefix = out
 			break
 		}
-		if kids := prev.Children(); prev.aggCount > 0 && len(kids) == int(prev.aggCount) {
+		lr, e := g.entry(int(cur.prev))
+		if entryType(e) != Derive {
+			break
+		}
+		prev := lr.deriv(e)
+		if kids := kidsOf(prev.vertexKids()); prev.aggCount > 0 && len(kids) == int(prev.aggCount) {
 			prefix = kids // a count-1 start: its one child is the list
 			break
 		}
@@ -567,23 +859,114 @@ func (g *Graph) foldAgg(v *Vertex) []int {
 	for i := len(rev) - 1; i >= 0; i-- {
 		out = rev[i].foldStep(out)
 	}
-	g.foldMemo[v.ID] = out
+	g.foldMemo[id] = out
 	return out
 }
 
 // foldStep applies an aggregate link to a contributor list it may edit in
 // place: it appends the link's contributor, or removes it for a removal
 // link.
-func (v *Vertex) foldStep(list []int) []int {
-	c := int(v.aggContrib)
+func (d *derivation) foldStep(list []int) []int {
+	c := d.contrib()
 	switch {
 	case c < 0:
 		return list
-	case v.aggRemove:
+	case d.aggRemove:
 		if i := slices.Index(list, c); i >= 0 {
 			return slices.Delete(list, i, i+1)
 		}
 		return list
 	}
 	return append(list, c)
+}
+
+// Recording. The recorder hands each vertex's label, stamp and causes to
+// one of the add methods below, which fill the records in; cow.go keeps
+// the indexes and reverse edges.
+
+// writable panics on a sealed graph: every fork sharing its records would
+// see the write.
+func (g *Graph) writable() {
+	if g.sealed {
+		panic("provenance: record into sealed graph (fork it instead)")
+	}
+}
+
+// addDerivation records a DERIVE or UNDERIVE whose record d holds all but
+// its children, copies the children into the arena, and returns the
+// vertex ID. An aggregate link's children are its contributor, if
+// resolved.
+func (g *Graph) addDerivation(typ VertexType, d derivation, children []int) int {
+	g.writable()
+	id := g.newID(typ, g.derivs.n)
+	rec, _ := g.derivs.push()
+	*rec = d
+	rec.kids, rec.nkids = g.putKids(children)
+	// Children are complete and strictly precede the vertex: the hash is
+	// final.
+	rec.fp = g.deriveFP(typ, rec, children)
+	return id
+}
+
+// addPoint records an INSERT or DELETE in a record of its own, until the
+// APPEAR it causes joins it or it joins the DISAPPEAR it causes, if that
+// is the next vertex (joinable).
+func (g *Graph) addPoint(typ VertexType, l *label, at ndlog.Stamp) int {
+	g.writable()
+	id := g.newID(typ, g.apps.n)
+	a, _ := g.apps.push()
+	*a = appearance{lab: l, at: at, to: at, cause: -1, endCause: -1, prev: -1, parts: pointPart(typ)}
+	return id
+}
+
+func pointPart(typ VertexType) uint8 {
+	if typ == Delete {
+		return hasDelete
+	}
+	return hasInsert
+}
+
+// joinable returns the record of cause if cause is an INSERT or DELETE
+// (typ) of the tuple at the stamp, the vertex this graph recorded last, in
+// its own record, the last of the slab; else -1.
+func (g *Graph) joinable(cause int, typ VertexType, l *label, at ndlog.Stamp) int {
+	if cause < g.baseLen || cause != g.NumVertexes()-1 {
+		return -1
+	}
+	_, e := g.entry(cause)
+	if entryType(e) != typ {
+		return -1
+	}
+	rec := int(e >> typeBits)
+	if a := g.app(e); a.parts != pointPart(typ) || a.lab != l || a.at != at || rec != g.apps.n-1 {
+		return -1
+	}
+	return rec
+}
+
+// addAppear records the APPEAR of an occurrence caused by cause (a DERIVE
+// or INSERT, -1 if unresolved) and, unless the tuple is an event, the
+// EXIST right after it, and returns the APPEAR's ID. The INSERT that
+// caused it, if joinable, is the occurrence's: its record becomes the
+// occurrence's.
+func (g *Graph) addAppear(l *label, at ndlog.Stamp, cause int, event bool) int {
+	g.writable()
+	rec := g.joinable(cause, Insert, l, at)
+	if rec < 0 {
+		var a *appearance
+		a, rec = g.apps.push()
+		*a = appearance{lab: l, at: at, endCause: -1}
+	}
+	id := g.newID(Appear, rec)
+	a := g.apps.at(rec)
+	a.cause, a.parts = int32(cause), a.parts|hasAppear
+	a.apFP = g.causedFP(Appear, l, cause)
+	g.indexAppear(id, a, cause)
+	if !event {
+		// The EXIST directly follows its APPEAR: ExistOf and openExist
+		// find it by that adjacency, not through an index.
+		g.newID(Exist, rec)
+		a.exFP = finish(fnvUint64(fnvLabel(Exist, l, ""), a.apFP))
+	}
+	return id
 }

@@ -96,17 +96,20 @@ func (m *labelModel) check(t *testing.T, what string, g *Graph) (shared int) {
 	return shared
 }
 
-// checkRedirects requires every base vertex a fork copied to close its
-// EXIST to share the base vertex's label, and returns how many there are.
-func checkRedirects(t *testing.T, what string, g *Graph) (n int) {
+// checkCloses requires the view a fork synthesises of every base EXIST it
+// closed to be closed, its own vertex and not the base's, and to share the
+// base vertex's label; it returns how many there are.
+func checkCloses(t *testing.T, what string, g *Graph) (n int) {
 	t.Helper()
-	for id := 0; id < g.baseLen; id++ {
-		if v, orig := g.vertex(id), g.recorded(id); v != orig {
-			if v.label != orig.label {
-				t.Fatalf("%s: the redirected %s %d has a label of its own", what, v.Type, id)
-			}
-			n++
+	for id := range g.closes {
+		v, orig := g.vertex(id), g.base.vertex(id)
+		if v == orig || v.Open || v.Type != Exist {
+			t.Fatalf("%s: EXIST %d, closed by the fork, reads %s from the fork and %s from its base", what, id, v, orig)
 		}
+		if v.label != orig.label {
+			t.Fatalf("%s: the fork's view of %s %d has a label of its own", what, v.Type, id)
+		}
+		n++
 	}
 	return n
 }
@@ -151,14 +154,15 @@ func checkDetached(t *testing.T, what string, g *Graph) {
 // fork that changes the past through the delta phase and a fork of that
 // fork (as TestLinksMatchTheIndexMaps does), and requires every vertex
 // about one tuple on one node, anywhere in the chain, to hold the one
-// label of that node and tuple — an UNDERIVE its DERIVE's, a redirected
-// EXIST the base vertex's — and a detached tree to hold none of them.
+// label of that node and tuple — an UNDERIVE its DERIVE's, a fork's view
+// of a base EXIST it closed the base vertex's — and a detached tree to
+// hold none of them.
 func TestVertexesShareTheirTuplesLabel(t *testing.T) {
 	src := randomProgSrc + `
 table seen/1;
 rule sn seen(@Sw, N) :- packet(@Sw, Dst), N := count().
 `
-	underives, redirects := 0, 0
+	underives, closed := 0, 0
 	for seed := int64(60); seed < 68; seed++ {
 		var root *labelModel
 		e, rec, inserted := randomRecordedOn(t, seed, 120, src, func(rec *Recorder) ndlog.Observer {
@@ -189,7 +193,7 @@ rule sn seen(@Sw, N) :- packet(@Sw, Dst), N := count().
 			t.Fatal(err)
 		}
 		underives += mid.check(t, "fork", frec.Graph())
-		redirects += checkRedirects(t, "fork", frec.Graph())
+		closed += checkCloses(t, "fork", frec.Graph())
 
 		frec.Seal()
 		f.Seal()
@@ -210,14 +214,14 @@ rule sn seen(@Sw, N) :- packet(@Sw, Dst), N := count().
 			t.Fatal(err)
 		}
 		underives += top.check(t, "fork of the fork", trec.Graph())
-		redirects += checkRedirects(t, "fork of the fork", trec.Graph())
+		closed += checkCloses(t, "fork of the fork", trec.Graph())
 		root.check(t, "root, forked", rec.Graph())
 		for what, g := range map[string]*Graph{"root": rec.Graph(), "fork": frec.Graph(), "fork of the fork": trec.Graph()} {
 			checkDetached(t, what, g)
 		}
 	}
-	if underives == 0 || redirects == 0 {
-		t.Errorf("%d UNDERIVEs shared a DERIVE's label and %d EXISTs were redirected: a path went untested", underives, redirects)
+	if underives == 0 || closed == 0 {
+		t.Errorf("%d UNDERIVEs shared a DERIVE's label and forks closed %d base EXISTs: a path went untested", underives, closed)
 	}
 }
 

@@ -221,13 +221,21 @@ func (m *linkModel) check(t *testing.T, what string, g *Graph) {
 	}
 }
 
-// slabBytes copies the raw bytes of every vertex the graph recorded itself
-// (pointers and all: the Children windows and strings must stay the very
-// same ones), so a sealed base can be shown untouched by its forks.
+// slabBytes copies the raw bytes of every record and ID-table entry the
+// graph recorded itself (pointers and all: the children windows, labels
+// and rule names must stay the very same ones), so a sealed base can be
+// shown untouched by its forks.
 func slabBytes(g *Graph) []byte {
 	var out []byte
+	for i := 0; i < g.derivs.n; i++ {
+		out = append(out, unsafe.Slice((*byte)(unsafe.Pointer(g.derivs.at(i))), unsafe.Sizeof(derivation{}))...)
+	}
+	for i := 0; i < g.apps.n; i++ {
+		out = append(out, unsafe.Slice((*byte)(unsafe.Pointer(g.apps.at(i))), unsafe.Sizeof(appearance{}))...)
+	}
 	for i := 0; i < g.n; i++ {
-		out = append(out, unsafe.Slice((*byte)(unsafe.Pointer(g.local(i))), unsafe.Sizeof(Vertex{}))...)
+		e := g.ids.at(i >> 2)[i&3]
+		out = append(out, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
 	}
 	return out
 }
@@ -421,8 +429,8 @@ func TestOverflowReadsAfterTheBase(t *testing.T) {
 
 // TestForksLeaveTheBaseVertexesAlone: a hundred forks each derive off the
 // sealed base's tuples, give its in-flight derivation a head, retract one
-// of its tuples (closing a base EXIST through the redirect overlay) and
-// re-insert it; the base's vertexes are byte-for-byte what they were.
+// of its tuples (closing a base EXIST with a close stamp of its own) and
+// re-insert it; the base's records are byte-for-byte what they were.
 func TestForksLeaveTheBaseVertexesAlone(t *testing.T) {
 	var fx linkFixture
 	root := NewRecorder(linkFixtureProg)

@@ -284,7 +284,7 @@ func checkExistAdjacency(t *testing.T, what string, prog *ndlog.Program, g *Grap
 
 // TestExistFollowsAppear runs checkExistAdjacency over random executions
 // and over a fork of each that deletes and re-inserts inherited tuples
-// (closing base EXISTs through the redirect overlay, reopening them
+// (closing base EXISTs with close stamps of its own, reopening them
 // locally). internal/scenarios runs the exported half over every
 // scenario's base graph and trial fork.
 func TestExistFollowsAppear(t *testing.T) {
@@ -320,9 +320,10 @@ func TestExistFollowsAppear(t *testing.T) {
 	}
 }
 
-// TestVertexPointersSurviveGrowth pins the slab's contract: a *Vertex
+// TestVertexPointersSurviveGrowth pins the cache's contract: a *Vertex
 // taken from a graph keeps addressing that vertex however much the graph
-// (or a fork of it) grows afterwards — chunks are never reallocated.
+// (or a fork of it) grows afterwards — record and cache chunks are never
+// reallocated, and a read synthesises a vertex once.
 func TestVertexPointersSurviveGrowth(t *testing.T) {
 	prog := ndlog.MustParse(`table a/1 base mutable;`)
 	grow := func(rec *Recorder, from, n int) {
@@ -335,7 +336,9 @@ func TestVertexPointersSurviveGrowth(t *testing.T) {
 	}
 	held := func(g *Graph) []*Vertex {
 		var ptrs []*Vertex
-		g.Vertexes(func(v *Vertex) { ptrs = append(ptrs, v) })
+		for id := 0; id < g.NumVertexes(); id++ {
+			ptrs = append(ptrs, g.Vertex(id))
+		}
 		return ptrs
 	}
 	check := func(what string, g *Graph, ptrs []*Vertex) {
@@ -455,14 +458,14 @@ rule r h(@N, X) :- a(@N, X).
 	}
 }
 
-// TestLocateWalksTheChunkPlan walks the slab slot by slot — through the
+// TestLocateWalksTheChunkPlan walks a slab slot by slot — through the
 // first chunk, the doubling ones and well into the capped ones — and
-// requires locate to fill each chunk of the plan (16, 8, 16, 32, …, 512,
+// requires locate to fill each chunk of the plan (8, 8, 16, 32, …, 512,
 // 512, …) exactly before it opens the next.
 func TestLocateWalksTheChunkPlan(t *testing.T) {
 	i := 0
 	for c := 0; c < 40; c++ {
-		want := chunkFirst
+		want := chunkMin
 		if c > 0 {
 			want = min(chunkMin<<(c-1), chunkMax)
 		}
@@ -475,18 +478,21 @@ func TestLocateWalksTheChunkPlan(t *testing.T) {
 	}
 }
 
-// TestVertexSize pins the packed layout: a slab chunk's unused slots cost
-// what a vertex does, so the struct may not quietly grow back. 112 bytes:
-// the label pointer 8; ID 8; Type, Open, aggRemove, nkids and aggCount 8;
-// Rule 16; At 16; Span 16; kids 8; Trigger 8; fp 8; and the four int32
-// links prev, aggContrib, up, older 16. It was 192 while every vertex held
-// its own Node 16, Tuple 40 (table name 16, args 24) and key 16 — now one
-// label its tuple's vertexes share — and a Children slice 24, now kids and
-// the count in the flag word's padding byte. An aggregate DERIVE uses all
-// of aggCount and the four links, so dropping aggContrib (it is
-// Children()[Trigger]) would leave 20 bytes that still pad to 24.
-func TestVertexSize(t *testing.T) {
-	if got := unsafe.Sizeof(Vertex{}); got > 112 {
-		t.Errorf("unsafe.Sizeof(Vertex{}) = %d, want <= 112", got)
+// TestRecordSizes pins the two record kinds a graph stores — a slab
+// chunk's unused slots cost what a record does, so neither may quietly
+// grow. A derivation is 72 bytes: the label and rule-name pointers 16; At
+// 16; the children pointer 8; fp 8; the five int32s trigger, aggCount,
+// prev, up and older 20; nkids and aggRemove 2, padded to 8 (an aggregate
+// link's contributor is its recorded child, not a field). An appearance
+// is 80: the label pointer 8; the stamps at and to 32; the APPEAR and
+// EXIST fingerprints 16; the five int32s cause, endCause, prev, apUp and
+// exUp 20; parts 1, padded to 8. A derivation stands for one vertex and
+// an appearance for up to five, where a vertex slot was 112 bytes.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(derivation{}); got > 72 {
+		t.Errorf("unsafe.Sizeof(derivation{}) = %d, want <= 72", got)
+	}
+	if got := unsafe.Sizeof(appearance{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(appearance{}) = %d, want <= 80", got)
 	}
 }

@@ -13,15 +13,17 @@ type Recorder struct {
 	prog  *ndlog.Program
 	graph *Graph
 
+	// lastRule is the rule name ruleName found last: a run of derivations
+	// by one rule looks it up once.
+	lastRule *string
+
 	// pendingInsert is the INSERT vertex awaiting its APPEAR (the engine
 	// emits OnBaseInsert immediately followed by OnAppear for the same
 	// tuple within one work item). pendingDelete likewise links DELETE to
 	// the following DISAPPEAR. Both are int32, like the vertex links, so a
-	// fork's Recorder is a 32-byte allocation where it would be 48.
+	// fork's Recorder is a 32-byte allocation where it would be 48. Its
+	// graph says whether it is sealed (see cow.go).
 	pendingInsert, pendingDelete int32
-
-	// sealed marks the recorder frozen as a base run (see cow.go).
-	sealed bool
 }
 
 // NewRecorder creates a recorder for executions of the given program.
@@ -40,25 +42,43 @@ func (r *Recorder) Graph() *Graph { return r.graph }
 
 // OnBaseInsert implements ndlog.Observer.
 func (r *Recorder) OnBaseInsert(at ndlog.KeyedAt) {
-	r.pendingInsert = int32(r.graph.add(r.vertexOn(Insert, nil, at.Node, at, ""), nil).ID)
+	r.pendingInsert = int32(r.graph.addPoint(Insert, r.labelOn(nil, at.Node, at), at.Stamp))
 }
 
 // OnBaseDelete implements ndlog.Observer.
 func (r *Recorder) OnBaseDelete(at ndlog.KeyedAt) {
-	r.pendingDelete = int32(r.graph.add(r.vertexOn(Delete, nil, at.Node, at, ""), nil).ID)
+	r.pendingDelete = int32(r.graph.addPoint(Delete, r.labelOn(nil, at.Node, at), at.Stamp))
 }
 
-// vertexOn fills in what every vertex carries: its type, the label of the
-// occurrence's tuple on the given node, its stamp, and the rule for
-// DERIVE/UNDERIVE. The label is l — a cause's, about the same tuple — if l
-// names that node, and else the tuple's label from the graph. A DERIVE
-// names the node that made it; its head may appear, and be underived, on
-// another.
-func (r *Recorder) vertexOn(typ VertexType, l *label, node string, at ndlog.KeyedAt, rule string) Vertex {
+// labelOn returns the label of the occurrence's tuple on the given node:
+// l — a cause's, about the same tuple — if l names that node, and else the
+// tuple's label from the graph. A DERIVE names the node that made it; its
+// head may appear, and be underived, on another.
+func (r *Recorder) labelOn(l *label, node string, at ndlog.KeyedAt) *label {
 	if l == nil || l.Node != node {
 		l = r.graph.labelOf(node, at.Tuple, at.Key)
 	}
-	return Vertex{label: l, Type: typ, Rule: rule, At: at.Stamp}
+	return l
+}
+
+// derivation starts the record of a DERIVE or UNDERIVE of the head on the
+// node by the rule.
+func (r *Recorder) derivation(l *label, node string, head ndlog.KeyedAt, rule string) derivation {
+	return derivation{lab: r.labelOn(l, node, head), rule: r.ruleName(rule), at: head.Stamp, trigger: -1, prev: -1}
+}
+
+// ruleName returns the program's own copy of the rule's name, which
+// records point at instead of holding the string.
+func (r *Recorder) ruleName(rule string) *string {
+	if r.lastRule != nil && *r.lastRule == rule {
+		return r.lastRule
+	}
+	if ru := r.prog.Rule(rule); ru != nil {
+		r.lastRule = &ru.Name
+		return r.lastRule
+	}
+	name := rule // a rule the program does not declare
+	return &name
 }
 
 // OnDerive implements ndlog.Observer.
@@ -67,8 +87,7 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 		r.onDeriveAggregate(d)
 		return
 	}
-	v := r.vertexOn(Derive, nil, d.Node, d.Head, d.Rule)
-	v.Trigger = -1
+	rec := r.derivation(nil, d.Node, d.Head, d.Rule)
 	var scratch [8]int
 	children := scratch[:0]
 	for i, b := range d.Refs {
@@ -77,47 +96,46 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 			continue
 		}
 		if i == d.Trigger {
-			v.Trigger = len(children)
+			rec.trigger = int32(len(children))
 		}
 		children = append(children, child)
 	}
-	dv := r.graph.add(v, children)
-	r.graph.setDerive(d.ID, dv.ID)
-	if v.Trigger >= 0 {
-		r.graph.linkTrigger(children[v.Trigger], dv)
+	id := r.graph.addDerivation(Derive, rec, children)
+	r.graph.setDerive(d.ID, id)
+	if rec.trigger >= 0 {
+		r.graph.linkTrigger(children[rec.trigger], id)
 	}
 }
 
-// onDeriveAggregate records an aggregate delta derivation: the vertex is
-// annotated with the chain link (previous head's DERIVE, contributor,
-// running count) and carries only the new contributor as a recorded child,
-// which is also its trigger (the precondition that appeared last);
-// Graph.ChildrenOf folds the chain into the full list on demand. A removal
-// link (Derivation.AggRemove) names the contributor it takes out of the
-// group: that is no cause of the new head, so it records no child and
+// onDeriveAggregate records an aggregate delta derivation: the record is
+// annotated with the chain link (previous head's DERIVE, running count)
+// and records only the new contributor as a child, which is also its
+// trigger (the precondition that appeared last); Graph.ChildrenOf folds
+// the chain into the full list on demand. A removal link
+// (Derivation.AggRemove) names the contributor it takes out of the group:
+// that is no cause of the new head, so its vertex shows no child and it
 // triggers nothing.
 func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
-	v := r.vertexOn(Derive, nil, d.Node, d.Head, d.Rule)
-	v.Trigger = -1
-	v.prev, v.aggContrib, v.aggCount, v.aggRemove = -1, -1, int32(d.AggCount), d.AggRemove
+	rec := r.derivation(nil, d.Node, d.Head, d.Rule)
+	rec.aggCount, rec.aggRemove = int32(d.AggCount), d.AggRemove
 	if d.AggPrev != 0 {
 		if pv, ok := r.graph.deriveVertex(d.AggPrev); ok {
-			v.prev = int32(pv)
+			rec.prev = int32(pv)
 		}
 	}
+	contrib := -1
 	if len(d.Refs) > 0 {
-		v.aggContrib = int32(r.bodyVertex(d.Refs[0]))
+		contrib = r.bodyVertex(d.Refs[0])
+	}
+	trigger := contrib >= 0 && !rec.aggRemove
+	if trigger {
+		rec.trigger = 0
 	}
 	var buf [1]int
-	var children []int
-	trigger := v.aggContrib >= 0 && !v.aggRemove
+	id := r.graph.addDerivation(Derive, rec, single(&buf, contrib))
+	r.graph.setDerive(d.ID, id)
 	if trigger {
-		children, v.Trigger = single(&buf, int(v.aggContrib)), 0
-	}
-	dv := r.graph.add(v, children)
-	r.graph.setDerive(d.ID, dv.ID)
-	if trigger {
-		r.graph.linkTrigger(int(v.aggContrib), dv)
+		r.graph.linkTrigger(contrib, id)
 	}
 }
 
@@ -145,19 +163,11 @@ func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 	// The cause — the INSERT, or a DERIVE on this node — names the tuple.
 	var l *label
 	if cause >= 0 {
-		l = r.graph.vertex(cause).label
+		l = r.graph.labelAt(cause)
 	}
-	var buf [1]int
-	av := r.graph.add(r.vertexOn(Appear, l, at.Node, at, ""), single(&buf, cause))
-	r.graph.indexAppear(av, cause)
-
 	decl := r.prog.Decl(at.Tuple.Table)
-	if decl != nil && decl.Event {
-		return // events do not persist: no EXIST vertex
-	}
-	// The EXIST directly follows its APPEAR: ExistOf and openExist find it
-	// by that adjacency, not through an index.
-	r.graph.add(Vertex{label: av.label, Type: Exist, Open: true, At: at.Stamp}, single(&buf, av.ID))
+	// Events do not persist: no EXIST vertex.
+	r.graph.addAppear(r.labelOn(l, at.Node, at), at.Stamp, cause, decl != nil && decl.Event)
 }
 
 // single returns the children list of a vertex with at most one cause:
@@ -174,24 +184,21 @@ func single(buf *[1]int, id int) []int {
 func (r *Recorder) OnUnderive(u ndlog.Underivation) {
 	var l *label
 	if dv, ok := r.graph.deriveVertex(u.DeriveID); ok {
-		l = r.graph.vertex(dv).label
+		l = r.graph.labelAt(dv)
 	}
-	v := r.vertexOn(Underive, l, u.Node, u.Head, u.Rule)
 	// The cause of the underivation is the disappearance of the body
 	// tuple that vanished.
 	cause := r.graph.newest(u.Cause.TupleRef(), newestDisappear)
 	var buf [1]int
-	r.graph.setDerive(u.ID, r.graph.add(v, single(&buf, cause)).ID)
+	r.graph.setDerive(u.ID, r.graph.addDerivation(Underive, r.derivation(l, u.Node, u.Head, u.Rule), single(&buf, cause)))
 }
 
 // OnDisappear implements ndlog.Observer.
 func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
-	tk := at.TupleRef()
 	var l *label // the open EXIST's, which names the tuple
-	if exID := r.graph.openExist(tk); exID >= 0 {
-		ex := r.graph.mutableVertex(exID)
-		ex.Span.To, ex.Open = at.Stamp, false
-		l = ex.label
+	exID := r.graph.openExist(at.TupleRef())
+	if exID >= 0 {
+		l = r.graph.labelAt(exID)
 	}
 	cause := -1
 	if underiveID != 0 {
@@ -201,8 +208,7 @@ func (r *Recorder) OnDisappear(at ndlog.KeyedAt, underiveID int64) {
 	} else if r.pendingDelete >= 0 {
 		cause, r.pendingDelete = int(r.pendingDelete), -1
 	}
-	var buf [1]int
-	r.graph.indexDisappear(r.graph.add(r.vertexOn(Disappear, l, at.Node, at, ""), single(&buf, cause)))
+	r.graph.addDisappear(r.labelOn(l, at.Node, at), at.Stamp, cause, exID)
 }
 
 var _ ndlog.Observer = (*Recorder)(nil)

@@ -15,23 +15,25 @@ import (
 // the delta phase or the solver shows in go test. The wide scenarios (MR1-D
 // and MR2-D re-derive most of the job) are where the provenance recorder
 // dominates; the narrow ones record 16-34 vertexes per fork and guard the
-// other side of the flat store's trade (DESIGN.md §22): a slab chunk's slack
-// must not cost them bytes — and the same holds of the engine's slabs (§23)
-// and of the reverse edges a vertex carries (§24). The ceilings are the
-// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
-// before a vertex shared its tuple's label and the children count moved
-// into its flag word, 192 → 112 bytes a vertex (DESIGN.md §24):
+// other side of the record store's trade (DESIGN.md §22): a slab chunk's
+// slack must not cost them bytes — and the same holds of the engine's slabs
+// (§23) and of the reverse edges records carry (§24). The ceilings are the
+// readings plus 1.5 %, or the earlier ceiling where that is lower; the
+// figures repeat to 0.1 %. "Before" is the commit before the graph stored
+// one record per derivation and per tuple occurrence instead of a
+// 112-byte slot per vertex (DESIGN.md §24):
 //
 //	          allocs  before      KB    before
-//	MR1-D      2 158   2 226  2 340.3  2 732.1
-//	MR2-D      2 167   2 246  2 643.1  3 144.1
-//	SDN1         311     312     48.0     50.1
-//	SDN2         226     227     28.1     29.9
-//	SDN3         223     225     29.5     31.6
-//	SDN4         447     451     56.1     60.6
+//	MR1-D      2 154   2 158  2 020.6  2 340.7
+//	MR2-D      2 169   2 165  2 346.6  2 642.5
+//	SDN1         311     311     46.0     47.9
+//	SDN2         223     226     27.8     28.1
+//	SDN3         223     223     28.6     29.4
+//	SDN4         446     447     56.6     56.1
 //
-// For SDN1 and MR1-D it also logs the allocation ledger by layer
-// (ledger_test.go), and holds the ledger's window to this one's count.
+// For SDN1, MR1-D and MR2-D it also logs the allocation ledger by layer
+// (ledger_test.go), holds the ledger's window to this one's count, and
+// holds MR1-D's provenance line to provenanceKB (1 045.0 KB before).
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -40,13 +42,14 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 2190, 2375.4},
-		{"MR2-D", 2199, 2682.7},
-		{"SDN1", 315, 48.7},
-		{"SDN2", 229, 28.5},
-		{"SDN3", 226, 29.9},
-		{"SDN4", 453, 56.9},
+		{"MR1-D", 2186, 2050.9},
+		{"MR2-D", 2199, 2381.8},
+		{"SDN1", 315, 46.7},
+		{"SDN2", 226, 28.2},
+		{"SDN3", 226, 29.0},
+		{"SDN4", 452, 56.9},
 	}
+	const provenanceKB = 750.0
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
 		if err != nil {
@@ -81,9 +84,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		if kb > b.kb {
 			t.Errorf("%s: %.1f KB per warm diagnosis, budget %.1f", b.name, kb, b.kb)
 		}
-		if b.name == "SDN1" || b.name == "MR1-D" {
+		if b.name == "SDN1" || b.name == "MR1-D" || b.name == "MR2-D" {
 			l := measureLedger(runs, diagnose)
 			t.Logf("%s ledger per warm diagnosis: %s", b.name, l)
+			if kb := l.kb("provenance"); b.name == "MR1-D" && kb > provenanceKB {
+				t.Errorf("%s: the ledger's provenance line is %.1f KB per warm diagnosis, ceiling %.1f", b.name, kb, provenanceKB)
+			}
 			if d := l.total()/allocs - 1; d > 0.02 || d < -0.02 {
 				t.Errorf("%s: the ledger's window counts %.1f allocations per warm diagnosis, the unprofiled one %.1f; want them within 2%%", b.name, l.total(), allocs)
 			}
