@@ -268,7 +268,7 @@ func (d *diag) makeAppear(w World, gDerive *provenance.Tree, expected ndlog.At, 
 	// The diagnosis' own goroutine is the only one that makes tuples
 	// appear, so the solver of this depth is its scratch's; the deeper
 	// ones the recursion below takes leave this one alone.
-	s := d.solve.get(depth)
+	s := d.scratch.solve.get(depth)
 	if err := s.load(d.prog, rule, gDerive); err != nil {
 		return err
 	}

@@ -145,14 +145,23 @@ type diag struct {
 	// pool evaluates minimize and fallback candidates at the diagnosis'
 	// width (Options.Parallelism).
 	pool candidatePool
-	// solve is the solver scratch of the goroutine that runs the diagnosis
-	// (MAKEAPPEAR, and FIRSTDIV outside a wide pool's goroutines).
-	solve solvers
+	// scratch is the diagnosis's solver scratch: solve is the goroutine's
+	// that runs the diagnosis (MAKEAPPEAR, and FIRSTDIV outside a wide
+	// pool's goroutines); the pool's goroutines solve in pool.
+	scratch *scratch
 	// sliceOnce/slice lazily cache the static slice of the symptom table
 	// (the good chain's root) used to prune fallback candidates; nil in
 	// the reference configuration (see fallback.go).
 	sliceOnce sync.Once
 	slice     *ndlog.SliceResult
+}
+
+// handOn hands the diagnosis's scratch, with whatever its pool made, on to
+// the next diagnosis. Every pool goroutine has returned by now.
+func (d *diag) handOn() {
+	d.scratch.pool = d.pool.scratch
+	d.scratch.handOn()
+	d.scratch = nil
 }
 
 // statsSnapshot reads the counters after every evaluation has finished.
@@ -181,7 +190,8 @@ type gLevel struct {
 // the context's error is returned (wrapped) when the diagnosis is cut
 // short.
 func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world World, opts Options) (*Result, error) {
-	d := &diag{prog: world.Program(), opts: opts}
+	d := &diag{prog: world.Program(), opts: opts, scratch: takeScratch()}
+	defer d.handOn()
 	if !opts.reference {
 		d.replays = opts.sharedMemo
 		if d.replays == nil {
@@ -194,6 +204,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 	// The pool keeps the pre-diagnosis world: candidates replay their full
 	// cumulative change list against it.
 	d.pool.init(world, opts.parallelism(), &d.stats)
+	d.pool.scratch = d.scratch.pool
 
 	// Step 1: find the seeds and check comparability (§4.2-4.3).
 	t0 := time.Now()
@@ -231,7 +242,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 		res.Iterations = iter + 1
 		// Step 2: find the first divergence (§4.4).
 		t1 := time.Now()
-		div, err := d.firstDivergence(&d.solve, chainG, world, seedB)
+		div, err := d.firstDivergence(&d.scratch.solve, chainG, world, seedB)
 		d.timings.Divergence += time.Since(t1)
 		if err != nil {
 			return nil, err
@@ -318,7 +329,7 @@ func (d *diag) minimize(ctx context.Context, res *Result, chainG []gLevel, seedB
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("diffprov: minimization interrupted: %w", err)
 		}
-		vals, ran, best := runCandidates(ctx, &d.pool, &d.solve, len(changes)-start,
+		vals, ran, best := runCandidates(ctx, &d.pool, &d.scratch.solve, len(changes)-start,
 			func(w World, ss *solvers, k int) (trial, bool) {
 				i := start + k
 				candidate := append(append([]replay.Change(nil), changes[:i]...), changes[i+1:]...)

@@ -79,7 +79,7 @@ func TestMinimizeRemovesGenuinelyRedundantChange(t *testing.T) {
 	// Minimize manually through the exported path: re-run Diagnose with
 	// Minimize on a world pre-loaded with the redundant change.
 	_ = w2
-	d := &diag{prog: world.Program()}
+	d := &diag{prog: world.Program(), scratch: new(scratch)}
 	d.pool.init(world, 1, &d.stats)
 	chainG, err := goodChain(good)
 	if err != nil {

@@ -146,7 +146,7 @@ func (d *diag) fallbackChange(ctx context.Context, world World, chainG []gLevel,
 	// comparison is structural (level identity), never stamp-based, so
 	// injected changes shifting sequence numbers cannot flip it.
 	divIdx := levelIndex(chainG, div)
-	vals, ran, best := runCandidates(ctx, &d.pool, &d.solve, len(cands),
+	vals, ran, best := runCandidates(ctx, &d.pool, &d.scratch.solve, len(cands),
 		func(w World, ss *solvers, k int) (trial, bool) {
 			// The pool's world is the pre-diagnosis base world: replay the
 			// full cumulative list, so the counterfactual (and its memo

@@ -36,7 +36,7 @@ type candidatePool struct {
 	base    World
 	width   int
 	stats   *DiagStats
-	scratch []solvers // one per goroutine of a wide wave; made by the first
+	scratch []solvers // one per goroutine of a wide wave; made by the first, or the diagnosis's
 }
 
 // init sets the pool up at width par over base.
@@ -72,7 +72,8 @@ func runCandidates[T any](ctx context.Context, p *candidatePool, ss *solvers, n 
 		}
 		return vals, ran, -1
 	}
-	if p.scratch == nil {
+	if len(p.scratch) < p.width {
+		// Not grown in place: a solver points at its solvers (solver.ss).
 		p.scratch = make([]solvers, p.width)
 	}
 	var mu sync.Mutex

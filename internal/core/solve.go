@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
@@ -61,12 +62,78 @@ type solver struct {
 // solvers is the MAKEAPPEAR scratch of one goroutine: a solver per
 // recursion depth, each reused by every derivation solved at that depth,
 // and the location values (ndlog.Str of a node name) boxed so far, one per
-// node. The goroutine that runs a diagnosis owns one (diag.solve); every
+// node. The goroutine that runs a diagnosis owns one (scratch.solve); every
 // goroutine of a wide pool owns its own (candidatePool.scratch), so no two
 // goroutines ever share a solver.
 type solvers struct {
 	at   []*solver
 	locs map[string]ndlog.Value
+}
+
+// scratch is the solver scratch of one diagnosis: its own goroutine's and
+// its wide pool's, one per pool goroutine. A diagnosis takes a set when it
+// starts and hands it on when it returns (takeScratch, handOn), so
+// diffprovd's requests, and the candidate diagnoses of AutoDiagnose, solve
+// in the solvers, frames, child slices and boxed locations of the
+// diagnoses before them. Nothing a diagnosis returns points into its
+// scratch: the tuples and changes it keeps are built in slices of their
+// own, which is what already lets one depth's solver serve every
+// derivation solved at that depth.
+type scratch struct {
+	solve solvers
+	pool  []solvers
+}
+
+// spareScratch is the stack of sets finished diagnoses handed on. A set is
+// on the stack or owned by exactly one diagnosis; one is made only when
+// the stack is empty, so the stack holds no more sets than the most
+// diagnoses that ran at once. Each set keeps one boxed location per node
+// name it has solved over. Which set a diagnosis takes is a function of
+// the order diagnoses start and finish in: a sync.Pool, which a collection
+// empties, would make allocation counts differ from run to run.
+var spareScratch struct {
+	mu   sync.Mutex
+	sets []*scratch
+}
+
+// takeScratch pops a spare set, or makes one.
+func takeScratch() *scratch {
+	spareScratch.mu.Lock()
+	defer spareScratch.mu.Unlock()
+	n := len(spareScratch.sets)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := spareScratch.sets[n-1]
+	spareScratch.sets[n-1] = nil
+	spareScratch.sets = spareScratch.sets[:n-1]
+	return s
+}
+
+// handOn clears what the set's solvers still point at — the last
+// diagnosis's trees, rules and values — and pushes it on the spare stack.
+// The caller must not use the set afterwards.
+func (s *scratch) handOn() {
+	s.solve.forget()
+	for i := range s.pool {
+		s.pool[i].forget()
+	}
+	spareScratch.mu.Lock()
+	spareScratch.sets = append(spareScratch.sets, s)
+	spareScratch.mu.Unlock()
+}
+
+// forget clears every solver's references, keeping its arrays.
+func (ss *solvers) forget() {
+	for _, s := range ss.at {
+		clear(s.children[:cap(s.children)])
+		clear(s.envG[:cap(s.envG)])
+		clear(s.envB[:cap(s.envB)])
+		clear(s.frames[0][:cap(s.frames[0])])
+		clear(s.frames[1][:cap(s.frames[1])])
+		clear(s.preimages[:cap(s.preimages)])
+		s.rule, s.cr, s.prog = nil, nil, nil
+	}
 }
 
 // get returns the solver of a recursion depth.

@@ -46,9 +46,9 @@ import (
 // sessions seal the base run they evaluate once per log length; it is only
 // ever read and forked. Sealing is idempotent and writes nothing a fork
 // reads but the flag, so it is safe while forks of earlier sealed engines
-// run. It drops the free lists of work items, which only a running engine
-// reuses.
-func (e *Engine) Seal() { e.sealed, e.freeBase, e.freeDelivery = true, nil, nil }
+// run. It drops the engine's own evaluation scratch, which only a running
+// engine reuses; its forks evaluate in sets they hand each other (handOn).
+func (e *Engine) Seal() { e.sealed, e.work = true, nil }
 
 // Sealed reports whether Seal froze the engine.
 func (e *Engine) Sealed() bool { return e.sealed }
@@ -62,9 +62,11 @@ func (e *Engine) Sealed() bool { return e.sealed }
 //
 // The fork is O(pending queue): every overlay, the node and table maps
 // among them, starts as an empty link over the receiver's, and the node
-// order is shared. Only the pending work queue is copied eagerly — its
-// Derivations are stamped in place on delivery; the queue of a sealed base
-// run, which has settled, is empty. Immutable structure is
+// order is shared. Only the pending work queue is copied eagerly, into
+// work items of the fork's own — their Derivations are stamped in place on
+// delivery; the queue of a sealed base run, which has settled, is empty.
+// The fork evaluates in the scratch a settled sibling handed on, if one
+// did (handOn). Immutable structure is
 // shared: the program, the compiled rules with their join plans, tuple
 // argument slices and support body references are all written once
 // before they become reachable and only read afterwards. The fork's arena
@@ -109,32 +111,22 @@ func (e *Engine) Fork(obs Observer) *Engine {
 		compiled:    e.compiled,
 		plans:       e.plans,
 		analysis:    e.analysis,
+		base:        e,
+		work:        e.takeSpare(),
 	}
-	f.queue = copyQueue(e.queue)
+	if f.work != nil {
+		f.queue, f.work.queue = f.work.queue, nil
+	}
+	// The pending items are pushed in heap-array order, so each lands where
+	// it was, under a parent that pops first: the heap keeps its shape and
+	// hence the pop order. A derived head's Derivation is copied with it;
+	// its Refs are write-once and stay shared.
+	for _, it := range e.queue {
+		f.push(it.kind, it.node, it.tuple, it.stamp, it.deriv)
+	}
 	f.highWater, f.settled = e.highWater, e.settled
 	f.stats.DirtyTables = 0 // counted per engine: a clone of a table starts clean (forkTable)
 	return f
-}
-
-// copyQueue copies the pending work heap. The heap is laid out in a
-// slice; copying it preserves the heap shape and hence the pop order. Each
-// copy is a work item of the fork's own, of the shape push makes, because
-// the fork recycles it (drain): a derived head's comes with its
-// Derivation, whose Head.Stamp is filled in on delivery; its Refs are
-// write-once and stay shared.
-func copyQueue(q workHeap) workHeap {
-	out := make(workHeap, len(q))
-	for i, it := range q {
-		if it.deriv == nil {
-			cp := *it
-			out[i] = &cp
-			continue
-		}
-		dl := &delivery{it: *it, d: *it.deriv}
-		dl.it.deriv = &dl.d
-		out[i] = &dl.it
-	}
-	return out
 }
 
 // writableTable returns a node's table as this engine may mutate it. A

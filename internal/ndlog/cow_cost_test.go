@@ -3,6 +3,7 @@ package ndlog
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -183,11 +184,61 @@ func TestTableCloneCostIsIndependentOfRows(t *testing.T) {
 	}
 }
 
+// owners records which engine holds each work item, and reports an item
+// two engines hold at once.
+type owners struct {
+	t  *testing.T
+	of map[*workItem]string
+}
+
+func (o *owners) claim(who string, it *workItem) {
+	o.t.Helper()
+	if prev, ok := o.of[it]; ok && prev != who {
+		o.t.Errorf("a work item of %s is also %s's", who, prev)
+	}
+	o.of[it] = who
+}
+
+// claimSet claims the items on a scratch set's free lists and, while it is
+// spare, its queue array.
+func (o *owners) claimSet(who string, w *scratch) {
+	o.t.Helper()
+	if w == nil {
+		return
+	}
+	for _, free := range []*workItem{w.freeBase, w.freeDelivery} {
+		for it := free; it != nil; it = it.next {
+			o.claim(who, it)
+		}
+	}
+	for _, it := range w.queue {
+		o.claim(who, it)
+	}
+}
+
+// claimAll claims what each engine holds — its queue and its scratch — and
+// the spare sets of base.
+func claimAll(t *testing.T, base *Engine, engines map[string]*Engine) *owners {
+	t.Helper()
+	o := &owners{t: t, of: map[*workItem]string{}}
+	for who, e := range engines {
+		for _, it := range e.queue {
+			o.claim(who, it)
+		}
+		o.claimSet(who, e.work)
+	}
+	for i, w := range base.spares {
+		o.claimSet(fmt.Sprintf("spare %d", i), w)
+	}
+	return o
+}
+
 // TestForkedWorkItemsArePrivateAndPoisoned: a fork copies its base's
-// pending work into items of its own, and drain puts every item it has
-// processed on the engine's free list marked wkFree, which process refuses.
-// Two forks of a half-run engine, each drained, share no item with the base
-// or with each other.
+// pending work into items of its own, a settled fork hands its items to
+// its base for the next fork, and no work item is ever on two engines'
+// queues or free lists at once — across sequential forks of one base and
+// concurrent ones. Every item on a free list is marked wkFree, which
+// process refuses.
 func TestForkedWorkItemsArePrivateAndPoisoned(t *testing.T) {
 	prog := MustParse(`
 table link/2 base mutable;
@@ -204,40 +255,59 @@ rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
 	if err := e.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	owner := map[*workItem]string{}
-	claim := func(who string, it *workItem) {
-		if prev, ok := owner[it]; ok && prev != who {
-			t.Errorf("a work item of %s is also %s's", who, prev)
-		}
-		owner[it] = who
+	if len(e.queue) == 0 || e.work == nil || e.work.freeBase == nil || e.work.freeDelivery == nil {
+		t.Fatalf("the cut left %d pending items and scratch %+v; want both free lists and pending work", len(e.queue), e.work)
 	}
-	for _, free := range []*workItem{e.freeBase, e.freeDelivery} {
-		for it := free; it != nil; it = it.next {
-			claim("the base", it)
-		}
-	}
-	for _, it := range e.queue {
-		claim("the base", it)
-	}
-	if len(e.queue) == 0 || e.freeBase == nil || e.freeDelivery == nil {
-		t.Fatalf("the cut left %d pending items and free lists %p, %p; want all three", len(e.queue), e.freeBase, e.freeDelivery)
-	}
+	claimAll(t, e, map[string]*Engine{"the base": e})
 	e.Seal()
-	forks := []*Engine{e.Fork(nil), e.Fork(nil)}
-	for i, f := range forks {
+
+	// Sequential: each fork takes the set the one before it handed on.
+	engines := map[string]*Engine{"the base": e}
+	for i := 0; i < 3; i++ {
 		who := fmt.Sprintf("fork %d", i)
-		for _, it := range f.queue {
-			claim(who, it)
-		}
+		f := e.Fork(nil)
+		engines[who] = f
+		claimAll(t, e, engines)
 		if err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for shape, free := range map[string]*workItem{"base event": f.freeBase, "delivery": f.freeDelivery} {
+		if f.work != nil || len(e.spares) != 1 {
+			t.Fatalf("%s settled holding scratch %p, and its base has %d spare sets; want none and 1", who, f.work, len(e.spares))
+		}
+		claimAll(t, e, engines)
+	}
+
+	// Concurrent: one fork takes the spare set, the others make their own.
+	const n = 4
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		f := e.Fork(nil)
+		engines[fmt.Sprintf("concurrent fork %d", i)] = f
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f.Run()
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.spares) != n {
+		t.Errorf("%d forks evaluated at once and the base holds %d spare sets; want %d", n, len(e.spares), n)
+	}
+	claimAll(t, e, engines)
+
+	for i, w := range e.spares {
+		who := fmt.Sprintf("spare %d", i)
+		for shape, free := range map[string]*workItem{"base event": w.freeBase, "delivery": w.freeDelivery} {
 			if free == nil {
-				t.Errorf("%s recycled no %s item", who, shape)
+				t.Errorf("%s holds no %s item", who, shape)
 			}
 			for it := free; it != nil; it = it.next {
-				claim(who, it)
 				if it.kind != wkFree {
 					t.Errorf("%s: a recycled %s item has kind %d, want wkFree", who, shape, it.kind)
 				}
@@ -246,8 +316,147 @@ rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
 				}
 			}
 		}
-		if err := f.process(f.freeDelivery); err == nil {
+		if err := e.process(w.freeDelivery); err == nil {
 			t.Errorf("%s: process ran a recycled work item", who)
+		}
+	}
+}
+
+// TestSettledForkHandsItsWorkItemsOn: the second sequential fork of a base,
+// given the same trial, evaluates in the first one's scratch and makes no
+// work item of its own; two concurrent forks hold disjoint items. Nothing a
+// settled fork keeps points into the join stacks it handed on: overwriting
+// them leaves its rows, supports and state as they were.
+func TestSettledForkHandsItsWorkItemsOn(t *testing.T) {
+	base := New(frozenProg, nil, WithSeqBand(SeqBandDefault))
+	for _, w := range []struct {
+		node string
+		tu   Tuple
+	}{{"a", link("a", "b")}, {"b", link("b", "c")}, {"n", cfg("k", "v")}, {"n", prio(1)}, {"n", prio(5)}} {
+		if err := base.ScheduleInsert(w.node, w.tu, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := base.Run(); err != nil {
+		t.Fatal(err)
+	}
+	base.Seal()
+	// trial schedules one of every kind of write and runs the fork.
+	trial := func(f *Engine) error {
+		for _, w := range []struct {
+			insert bool
+			node   string
+			tu     Tuple
+			tick   int64
+		}{
+			{true, "c", link("c", "d"), 2},
+			{true, "n", prio(9), 2},
+			{true, "n", NewTuple("probe", Str("k")), 3},
+			{false, "a", link("a", "b"), 4},
+		} {
+			var err error
+			if w.insert {
+				err = f.ScheduleInsert(w.node, w.tu, w.tick)
+			} else {
+				err = f.ScheduleDelete(w.node, w.tu, w.tick)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return f.Run()
+	}
+	items := func(w *scratch) map[*workItem]bool {
+		out := map[*workItem]bool{}
+		for _, free := range []*workItem{w.freeBase, w.freeDelivery} {
+			for it := free; it != nil; it = it.next {
+				out[it] = true
+			}
+		}
+		return out
+	}
+
+	first := base.Fork(nil)
+	if err := trial(first); err != nil {
+		t.Fatal(err)
+	}
+	if first.work != nil || len(base.spares) != 1 {
+		t.Fatalf("the settled fork holds scratch %p and the base %d spare sets; want none and 1", first.work, len(base.spares))
+	}
+	set := base.spares[0]
+	made := items(set)
+	if len(made) == 0 {
+		t.Fatal("the trial recycled no work item")
+	}
+
+	// Overwrite every slot of the join's stacks, then put them back in the
+	// state a firing expects (an unbound frame, empty stacks).
+	kept := rowDigest(first) + fmt.Sprint(first.CaptureState())
+	j := &set.join
+	poison := Str("poison")
+	for _, s := range [][]Value{j.frame[:cap(j.frame)], j.frames[:cap(j.frames)]} {
+		for i := range s {
+			s[i] = poison
+		}
+	}
+	for i, b := range j.bodies[:cap(j.bodies)] {
+		b.Node, b.Tuple = "poison", NewTuple("poison")
+		j.bodies[:cap(j.bodies)][i] = b
+	}
+	for i := range j.body[:cap(j.body)] {
+		j.body[:cap(j.body)][i] = KeyedAt{At: At{Node: "poison"}, Key: "poison"}
+	}
+	if got := rowDigest(first) + fmt.Sprint(first.CaptureState()); got != kept {
+		t.Errorf("overwriting the handed-on join stacks changed the settled fork:\nbefore:\n%s\nafter:\n%s", kept, got)
+	}
+	clear(j.frame[:cap(j.frame)])
+	clear(j.frames[:cap(j.frames)])
+	clear(j.bodies[:cap(j.bodies)])
+
+	second := base.Fork(nil)
+	if second.work != set || len(base.spares) != 0 {
+		t.Fatalf("the second fork evaluates in %p, not the handed-on set %p", second.work, set)
+	}
+	if err := trial(second); err != nil {
+		t.Fatal(err)
+	}
+	if second.work != nil || len(base.spares) != 1 || base.spares[0] != set {
+		t.Fatalf("the second fork did not hand the set back")
+	}
+	claimAll(t, base, map[string]*Engine{"the first fork": first, "the second fork": second})
+	for it := range items(set) {
+		if !made[it] {
+			t.Errorf("the second fork made work item %p; want every item the first one's", it)
+		}
+	}
+	if a, b := fmt.Sprint(first.CaptureState()), fmt.Sprint(second.CaptureState()); a != b {
+		t.Errorf("the second fork's state differs from the first's:\n%s\n%s", a, b)
+	}
+
+	// Concurrent: one takes the set, the other makes its own.
+	g := []*Engine{base.Fork(nil), base.Fork(nil)}
+	var wg sync.WaitGroup
+	errs := make([]error, len(g))
+	for i, f := range g {
+		wg.Add(1)
+		go func(i int, f *Engine) {
+			defer wg.Done()
+			errs[i] = trial(f)
+		}(i, f)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(base.spares) != 2 {
+		t.Fatalf("two concurrent forks settled and the base holds %d spare sets; want 2", len(base.spares))
+	}
+	claimAll(t, base, map[string]*Engine{"the first fork": first, "the second fork": second, "concurrent fork 0": g[0], "concurrent fork 1": g[1]})
+	for _, f := range g {
+		if f.work != nil {
+			t.Errorf("a settled concurrent fork kept scratch %p", f.work)
 		}
 	}
 }

@@ -117,7 +117,7 @@ func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
 		}
 		// The pinned atom must actually unify with the row before any
 		// enumeration (cheap pre-filter; the pinned join re-checks).
-		if !r.body[ref.atom].quickMatch(e.join.blank(len(r.vars)), rw.tuple) {
+		if !r.body[ref.atom].quickMatch(e.scratch().join.blank(len(r.vars)), rw.tuple) {
 			continue
 		}
 		for q := range r.body {
@@ -470,7 +470,7 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 // AggRetractMisses, which the differential suites assert stay zero.
 func (e *Engine) cfAggregateErase(r *CompiledRule, occ KeyedAt, st Stamp) {
 	sat, mark, err := e.satBindings(r, 0, occ.Node, occ.Tuple, occ.Key, occ.Stamp)
-	defer e.join.release(mark)
+	defer e.work.join.release(mark)
 	if err == nil && len(sat) == 0 {
 		return // the occurrence never contributed (constraint filtered it)
 	}
@@ -685,7 +685,7 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 		return nil // the trigger occurrence was erased after this re-eval was queued
 	}
 	sat, mark, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
-	defer e.join.release(mark)
+	defer e.work.join.release(mark)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/cow"
 )
@@ -142,11 +143,16 @@ type Engine struct {
 	nodeOrder []*node
 	tables    cow.Overlay[tableRef, *table]
 	queue     workHeap
-	// freeBase and freeDelivery list the processed work items drain
-	// recycled (push, recycle), of each shape, linked through
-	// workItem.next.
-	freeBase, freeDelivery *workItem
-	seq                    uint64
+	// work is the engine's evaluation scratch, made on first use (scratch).
+	// A fork takes a spare set from base, the sealed engine it was forked
+	// from, and hands it back when its drain first empties its queue
+	// (handOn); spares are the sets the settled forks of this engine handed
+	// on, for its next forks, guarded by sparesMu.
+	work     *scratch
+	base     *Engine
+	sparesMu sync.Mutex
+	spares   []*scratch
+	seq      uint64
 	// seqBand splits the stamp sequence space when non-zero: externally
 	// scheduled base events draw from baseSeq (1..seqBand-1, in schedule
 	// order) while engine-internal stamps (derived arrivals, retractions,
@@ -214,14 +220,12 @@ type Engine struct {
 	// stamp sequence.
 	evDeps     cow.Overlay[TupleRef, []*evConsumer]
 	killedOccs cow.Overlay[uint64, bool]
-	// join is the scratch state of the rule-firing join (join.go); never
-	// copied by Fork.
-	join joinScratch
 	// arena is where what this engine creates is allocated (slab.go); a fork
 	// starts with its own, empty. It is held by value, and every fork
 	// allocates an Engine: the bools above sit next to each other, and the
-	// repair state is behind a pointer, so that the struct stays in the
-	// 896-byte size class (TestEngineFitsItsSizeClass).
+	// repair state and the evaluation scratch are behind pointers, so that
+	// the struct stays in the 768-byte size class
+	// (TestEngineFitsItsSizeClass).
 	arena arena
 }
 
@@ -417,9 +421,10 @@ const (
 
 // workItem is one pending arrival of tuple on node at stamp: a base
 // insertion or deletion, or (wkArriveDerived) the head of derivation deriv.
-// Items are the engine's own and reused: drain puts each on the free list
-// of its shape once it is processed (recycle), push takes it from there,
-// and a fork copies its base's pending items into its own (copyQueue).
+// Items are reused: drain puts each on the free list of its shape once it
+// is processed (recycle), push takes it from there, a fork pushes its
+// base's pending items as its own (Fork), and a settled fork hands its
+// free lists to the next fork of its base (handOn).
 type workItem struct {
 	stamp Stamp
 	kind  workKind
@@ -434,7 +439,7 @@ type workItem struct {
 
 // delivery is the shape of a derived head's work item: the item and room
 // for the derivation it delivers, one block of 352 bytes. A base event's
-// item is a bare workItem, 96: a trial that schedules a change set makes
+// item is a bare workItem, 96: a trial that finds no spare scratch makes
 // one per change before it has anything to recycle.
 type delivery struct {
 	it workItem
@@ -659,9 +664,10 @@ func (e *Engine) schedule(kind workKind, nodeName string, t Tuple, tick int64) e
 // the delivery of d's head. The item comes off the free list of its shape
 // when that holds one.
 func (e *Engine) push(kind workKind, node string, t Tuple, st Stamp, d *Derivation) *workItem {
-	free := &e.freeBase
+	w := e.scratch()
+	free := &w.freeBase
 	if d != nil {
-		free = &e.freeDelivery
+		free = &w.freeDelivery
 	}
 	it := *free
 	switch {
@@ -684,10 +690,11 @@ func (e *Engine) push(kind workKind, node string, t Tuple, st Stamp, d *Derivati
 // recycle puts a processed or dropped item on the free list of its shape:
 // cleared, so it keeps nothing it pointed at alive, and marked wkFree.
 func (e *Engine) recycle(it *workItem) {
-	free := &e.freeBase
+	w := e.scratch()
+	free := &w.freeBase
 	if d := it.deriv; d != nil {
 		*d = Derivation{}
-		free = &e.freeDelivery
+		free = &w.freeDelivery
 	}
 	*it = workItem{kind: wkFree, deriv: it.deriv, next: *free}
 	*free = it
@@ -721,7 +728,7 @@ func (e *Engine) RunUntil(maxTick int64) error {
 // the earliest item's tick is <= maxTick and processes each item, then
 // drains the argmax re-evaluations the item queued (delta.go). It keeps
 // the high-water mark that tells out-of-order work from in-order work, and
-// an empty queue settles the engine.
+// an empty queue settles the engine; a fork hands its scratch on then.
 func (e *Engine) drain(maxTick int64) error {
 	if e.sealed {
 		return errSealed
@@ -749,6 +756,7 @@ func (e *Engine) drain(maxTick int64) error {
 	}
 	if e.queue.Len() == 0 {
 		e.settled = true
+		e.handOn()
 	}
 	return nil
 }
@@ -1139,7 +1147,7 @@ func (e *Engine) fireRule(r *CompiledRule, deltaAtom int, nodeName string, delta
 	for i := 0; err == nil && i < len(sat); i++ {
 		err = e.fireBinding(r, deltaAtom, nodeName, sat[i], st)
 	}
-	e.join.release(mark)
+	e.work.join.release(mark)
 	return err
 }
 

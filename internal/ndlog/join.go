@@ -28,8 +28,9 @@ type binding struct {
 	refs  []BodyRef // the same elements as support references, keys as the rows hold them
 }
 
-// joinScratch is the state a firing enumerates in. It belongs to one
-// engine (forks start with their own, empty). Enumeration never re-enters
+// joinScratch is the state a firing enumerates in. It is part of an
+// engine's scratch (scratch.go), which a settled fork hands on to the next
+// fork of its base. Enumeration never re-enters
 // the engine, so frame, trail and body serve one firing at a time and are
 // empty between firings. The consequences of a binding do re-enter —
 // a count() head appears, and fires the rules it triggers, from inside the
@@ -119,7 +120,7 @@ func (j *joinScratch) keep(b *binding) {
 // must do on every path. On error no binding is returned; on every path the
 // scratch frame is left unbound.
 func (e *Engine) satBindings(r *CompiledRule, deltaAtom int, nodeName string, delta Tuple, deltaKey string, st Stamp) ([]binding, satMark, error) {
-	j := &e.join
+	j := &e.scratch().join
 	m := j.mark()
 	j.first = m.sat
 	j.blank(len(r.vars))
@@ -155,7 +156,7 @@ func (e *Engine) joinFrom(r *CompiledRule, deltaAtom int, evalNode string, next 
 	if next >= len(r.body) {
 		return e.joinLeaf(r)
 	}
-	j := &e.join
+	j := &e.work.join
 	atom := &r.body[next]
 	if pin, pinNode := e.pinned(next); pin != nil {
 		// Delta re-fire: the counterfactual row is pinned at this position
@@ -215,7 +216,7 @@ func (e *Engine) joinNode(r *CompiledRule, deltaAtom int, evalNode string, next 
 	// The atom's location is bound by now (joinFrom resolved or bound it),
 	// so no boxed node name is needed.
 	if spec := e.plans.plan(r, deltaAtom, next); spec != nil {
-		if h, ok := atom.probeHash(spec, e.join.frame); ok && spec.pos < len(tb.indexes) {
+		if h, ok := atom.probeHash(spec, e.work.join.frame); ok && spec.pos < len(tb.indexes) {
 			e.stats.IndexProbes++
 			for _, pos := range tb.indexes[spec.pos].buckets.Get(h) {
 				if err := e.joinRow(r, deltaAtom, evalNode, next, st, nodeName, nil, tb.row(int(pos))); err != nil {
@@ -243,7 +244,7 @@ func (e *Engine) joinNode(r *CompiledRule, deltaAtom int, evalNode string, next 
 // it returns. quickMatch first turns away rows that disagree with a
 // constant or a bound variable without touching the frame.
 func (e *Engine) joinRow(r *CompiledRule, deltaAtom int, evalNode string, next int, st Stamp, nodeName string, loc Value, rw *row) error {
-	j := &e.join
+	j := &e.work.join
 	atom := &r.body[next]
 	if rw.dead || st.Before(rw.appearedAt) || !atom.quickMatch(j.frame, rw.tuple) {
 		return nil
@@ -266,7 +267,7 @@ func (e *Engine) joinRow(r *CompiledRule, deltaAtom int, evalNode string, next i
 // the larger value wins, ties go to the smaller canonical binding key — and
 // a better one overwrites it in place.
 func (e *Engine) joinLeaf(r *CompiledRule) error {
-	j := &e.join
+	j := &e.work.join
 	mark := len(j.trail)
 	ok, err := j.finish(r)
 	switch {

@@ -46,13 +46,13 @@ func sameBindings(r *CompiledRule, got []binding, want []oracleBinding) error {
 }
 
 func scratchEmpty(e *Engine) error {
-	for _, v := range e.join.frame[:cap(e.join.frame)] {
+	for _, v := range e.scratch().join.frame[:cap(e.scratch().join.frame)] {
 		if v != nil {
-			return fmt.Errorf("scratch frame not unbound after firing: %v", e.join.frame[:cap(e.join.frame)])
+			return fmt.Errorf("scratch frame not unbound after firing: %v", e.scratch().join.frame[:cap(e.scratch().join.frame)])
 		}
 	}
-	if len(e.join.trail) != 0 || len(e.join.sat) != 0 || len(e.join.frames) != 0 || len(e.join.bodies) != 0 {
-		return fmt.Errorf("scratch not empty after firing: trail %v, %d bindings, %d frame slots, %d body elements", e.join.trail, len(e.join.sat), len(e.join.frames), len(e.join.bodies))
+	if len(e.scratch().join.trail) != 0 || len(e.scratch().join.sat) != 0 || len(e.scratch().join.frames) != 0 || len(e.scratch().join.bodies) != 0 {
+		return fmt.Errorf("scratch not empty after firing: trail %v, %d bindings, %d frame slots, %d body elements", e.scratch().join.trail, len(e.scratch().join.sat), len(e.scratch().join.frames), len(e.scratch().join.bodies))
 	}
 	return nil
 }
@@ -61,7 +61,7 @@ func scratchEmpty(e *Engine) error {
 // many bindings it returned, releasing them.
 func satCount(e *Engine, rule string, deltaAtom int, node string, delta Tuple) (int, error) {
 	sat, mark, err := e.satBindings(e.compiled.rules[rule], deltaAtom, node, delta, delta.Key(), e.Now())
-	e.join.release(mark)
+	e.scratch().join.release(mark)
 	return len(sat), err
 }
 
@@ -270,7 +270,7 @@ func (c joinCase) fireBoth() (want []oracleBinding, werr, mismatch error) {
 	e := c.e
 	cr := e.compiled.rules[c.r.Name]
 	// Tight stacks, so the nested firing below has to move them.
-	e.join.sat, e.join.frames, e.join.bodies = nil, nil, nil
+	e.scratch().join.sat, e.scratch().join.frames, e.scratch().join.bodies = nil, nil, nil
 	s0 := e.stats
 	want, werr = e.oracleSat(c.r, c.deltaAtom, c.node, c.delta, c.st)
 	s1 := e.stats
@@ -280,7 +280,7 @@ func (c joinCase) fireBoth() (want []oracleBinding, werr, mismatch error) {
 		return want, werr, fmt.Errorf("core error %v, oracle error %v", gerr, werr)
 	}
 	defer func() {
-		e.join.release(mark)
+		e.scratch().join.release(mark)
 		if err := scratchEmpty(e); err != nil && mismatch == nil {
 			mismatch = err
 		}
@@ -302,7 +302,7 @@ func (c joinCase) fireBoth() (want []oracleBinding, werr, mismatch error) {
 	// pushes its own above them and pops them again.
 	nested, inner, nerr := e.satBindings(cr, c.deltaAtom, c.node, c.delta, c.delta.Key(), c.st)
 	n := len(nested)
-	e.join.release(inner)
+	e.scratch().join.release(inner)
 	if nerr != nil || n != len(got) {
 		return want, werr, fmt.Errorf("nested firing: %d bindings, error %v; the firing around it has %d", n, nerr, len(got))
 	}
@@ -667,7 +667,7 @@ func TestJoinSurvivingBindingIsOneAllocation(t *testing.T) {
 		if err != nil || len(sat) != 1 {
 			t.Fatalf("%d bindings, error %v", len(sat), err)
 		}
-		e.join.release(mark)
+		e.scratch().join.release(mark)
 	}
 	join() // warm: the scratch's stacks
 	const bindings = 1000

@@ -137,10 +137,10 @@ func TestSlabSlackIsAThirdOfUse(t *testing.T) {
 }
 
 // TestEngineFitsItsSizeClass: an Engine carries its arena by value, and every
-// fork allocates one. 896 bytes is a malloc size class; a field more and each
-// fork pays for 1024.
+// fork allocates one. 768 bytes is a malloc size class; a field more and each
+// fork pays for 896.
 func TestEngineFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Engine{}); got > 896 {
-		t.Errorf("Engine is %d bytes, want at most 896", got)
+	if got := unsafe.Sizeof(Engine{}); got > 768 {
+		t.Errorf("Engine is %d bytes, want at most 768", got)
 	}
 }

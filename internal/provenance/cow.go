@@ -283,7 +283,7 @@ func (g *Graph) indexAppear(id int, a *appearance, cause int) {
 	switch {
 	case cause >= g.baseLen:
 		_, e := g.entry(cause)
-		if t := entryType(e); t == Derive || t == Underive {
+		if entryType(e) == Derive {
 			g.deriv(e).up = int32(id) + 1
 		} else if c := g.app(e); c != a {
 			c.apUp = int32(id) + 1

@@ -44,8 +44,9 @@ func fnvUint64(h, v uint64) uint64 {
 	return h
 }
 
-// deriveFP computes a DERIVE's or UNDERIVE's structural hash from its
-// label fields and the fingerprints of its children.
+// deriveFP computes a DERIVE's structural hash from its label fields and
+// the fingerprints of its children (an UNDERIVE's, addUnderivation, from
+// its one cause's the same way).
 //
 // Aggregate DERIVE vertexes (delta chains, aggCount > 0) hash as a chain
 // instead: label mixed with the previous head's fingerprint and the new
@@ -56,8 +57,8 @@ func fnvUint64(h, v uint64) uint64 {
 // (modulo 2^-64 collisions) without folding: it never looks at children,
 // so the chain a fork extends hashes as a from-scratch run's does, which is
 // what keeps the alignment memo and treediff pruning firing.
-func (g *Graph) deriveFP(typ VertexType, d *derivation, children []int) uint64 {
-	h := fnvLabel(typ, d.lab, *d.rule)
+func (g *Graph) deriveFP(d *derivation, children []int) uint64 {
+	h := fnvLabel(Derive, d.lab, *d.rule)
 	if d.aggCount > 0 {
 		if d.aggRemove {
 			// Only removal links mix in the mark, so every chain without
@@ -103,8 +104,10 @@ func (g *Graph) fpOf(id int) uint64 {
 	}
 	lr, e := g.entry(id)
 	switch typ := entryType(e); typ {
-	case Derive, Underive:
+	case Derive:
 		return lr.deriv(e).fp
+	case Underive:
+		return lr.underiv(e).fp
 	case Appear:
 		return lr.app(e).apFP
 	case Exist:

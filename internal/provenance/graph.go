@@ -230,8 +230,8 @@ func (v *Vertex) String() string {
 	return fmt.Sprintf("%s@%s", s, v.At)
 }
 
-// derivation is the record of one DERIVE or UNDERIVE vertex: all of it
-// that is not its label's. 72 bytes (TestRecordSizes).
+// derivation is the record of one DERIVE vertex: all of it that is not
+// its label's. 72 bytes (TestRecordSizes).
 type derivation struct {
 	lab  *label
 	rule *string // the rule's name, the program's own string
@@ -276,6 +276,18 @@ func (d *derivation) contrib() int {
 		return -1
 	}
 	return *d.kids
+}
+
+// underivation is the record of one UNDERIVE vertex: its label, rule,
+// stamp and fingerprint, and its one cause inline — the DISAPPEAR of the
+// body tuple that vanished, -1 if unresolved. It has no trigger, no
+// aggregate annotation and no reverse edges. 48 bytes (TestRecordSizes).
+type underivation struct {
+	lab   *label
+	rule  *string // the rule's name, the program's own string
+	at    ndlog.Stamp
+	fp    uint64
+	cause int32
 }
 
 // appearance is the record of one tuple occurrence on a node, and of the
@@ -412,11 +424,12 @@ func (c *vertexCache) add(id int) *Vertex {
 type Graph struct {
 	// ids is the ID table of the n vertexes this graph recorded itself (IDs
 	// baseLen and up), four to an element: the vertex's record index in
-	// derivs or apps, shifted past its type (newID).
-	ids    slab[[4]uint32]
-	n      int
-	derivs slab[derivation]
-	apps   slab[appearance]
+	// derivs, underivs or apps, shifted past its type (newID).
+	ids      slab[[4]uint32]
+	n        int
+	derivs   slab[derivation]
+	underivs slab[underivation]
+	apps     slab[appearance]
 	// kids is the children arena's current block; a full one is left to
 	// the records that point into it.
 	kids []int
@@ -540,9 +553,11 @@ func (g *Graph) typeOf(id int) VertexType {
 	return entryType(e)
 }
 
-// deriv and app return the record an ID-table entry of this link names.
-func (g *Graph) deriv(e uint32) *derivation { return g.derivs.at(int(e >> typeBits)) }
-func (g *Graph) app(e uint32) *appearance   { return g.apps.at(int(e >> typeBits)) }
+// deriv, underiv and app return the record an ID-table entry of this link
+// names.
+func (g *Graph) deriv(e uint32) *derivation     { return g.derivs.at(int(e >> typeBits)) }
+func (g *Graph) underiv(e uint32) *underivation { return g.underivs.at(int(e >> typeBits)) }
+func (g *Graph) app(e uint32) *appearance       { return g.apps.at(int(e >> typeBits)) }
 
 // newID gives the next vertex ID to a vertex of the given type whose
 // record is at index rec of its slab.
@@ -565,8 +580,11 @@ func (g *Graph) setEntry(id int, typ VertexType, rec int) {
 // labelAt returns the label of the vertex with the given ID.
 func (g *Graph) labelAt(id int) *label {
 	lr, e := g.entry(id)
-	if t := entryType(e); t == Derive || t == Underive {
+	switch entryType(e) {
+	case Derive:
 		return lr.deriv(e).lab
+	case Underive:
+		return lr.underiv(e).lab
 	}
 	return lr.app(e).lab
 }
@@ -618,13 +636,17 @@ func (g *Graph) synth(id int, v *Vertex) {
 	lr, e := g.entry(id)
 	typ := entryType(e)
 	*v = Vertex{ID: id, Type: typ, Trigger: -1}
-	if typ == Derive || typ == Underive {
+	switch typ {
+	case Derive:
 		d := lr.deriv(e)
 		v.label, v.Rule, v.At, v.fp = d.lab, *d.rule, d.at, d.fp
 		v.kids, v.nkids = d.vertexKids()
-		if typ == Derive {
-			v.Trigger = int(d.trigger)
-		}
+		v.Trigger = int(d.trigger)
+		return
+	case Underive:
+		u := lr.underiv(e)
+		v.label, v.Rule, v.At, v.fp = u.lab, *u.rule, u.at, u.fp
+		v.setKid(int(u.cause))
 		return
 	}
 	a := lr.app(e)
@@ -808,7 +830,7 @@ func (g *Graph) ChildrenOf(id int) []int {
 		return nil
 	}
 	lr, e := g.entry(id)
-	if t := entryType(e); t != Derive && t != Underive {
+	if entryType(e) != Derive {
 		return g.vertex(id).Children()
 	}
 	d := lr.deriv(e)
@@ -892,19 +914,34 @@ func (g *Graph) writable() {
 	}
 }
 
-// addDerivation records a DERIVE or UNDERIVE whose record d holds all but
-// its children, copies the children into the arena, and returns the
-// vertex ID. An aggregate link's children are its contributor, if
-// resolved.
-func (g *Graph) addDerivation(typ VertexType, d derivation, children []int) int {
+// addDerivation records a DERIVE whose record d holds all but its
+// children, copies the children into the arena, and returns the vertex ID.
+// An aggregate link's children are its contributor, if resolved.
+func (g *Graph) addDerivation(d derivation, children []int) int {
 	g.writable()
-	id := g.newID(typ, g.derivs.n)
+	id := g.newID(Derive, g.derivs.n)
 	rec, _ := g.derivs.push()
 	*rec = d
 	rec.kids, rec.nkids = g.putKids(children)
 	// Children are complete and strictly precede the vertex: the hash is
 	// final.
-	rec.fp = g.deriveFP(typ, rec, children)
+	rec.fp = g.deriveFP(rec, children)
+	return id
+}
+
+// addUnderivation records an UNDERIVE of the rule's head, labelled l, at
+// the stamp, caused by cause (a DISAPPEAR, -1 if unresolved), and returns
+// the vertex ID.
+func (g *Graph) addUnderivation(l *label, rule *string, at ndlog.Stamp, cause int) int {
+	g.writable()
+	id := g.newID(Underive, g.underivs.n)
+	rec, _ := g.underivs.push()
+	*rec = underivation{lab: l, rule: rule, at: at, cause: int32(cause)}
+	h := fnvLabel(Underive, l, *rule)
+	if cause >= 0 {
+		h = fnvUint64(h, g.fpOf(cause))
+	}
+	rec.fp = finish(h)
 	return id
 }
 

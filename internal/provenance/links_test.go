@@ -230,6 +230,9 @@ func slabBytes(g *Graph) []byte {
 	for i := 0; i < g.derivs.n; i++ {
 		out = append(out, unsafe.Slice((*byte)(unsafe.Pointer(g.derivs.at(i))), unsafe.Sizeof(derivation{}))...)
 	}
+	for i := 0; i < g.underivs.n; i++ {
+		out = append(out, unsafe.Slice((*byte)(unsafe.Pointer(g.underivs.at(i))), unsafe.Sizeof(underivation{}))...)
+	}
 	for i := 0; i < g.apps.n; i++ {
 		out = append(out, unsafe.Slice((*byte)(unsafe.Pointer(g.apps.at(i))), unsafe.Sizeof(appearance{}))...)
 	}

@@ -478,19 +478,25 @@ func TestLocateWalksTheChunkPlan(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the two record kinds a graph stores — a slab
-// chunk's unused slots cost what a record does, so neither may quietly
-// grow. A derivation is 72 bytes: the label and rule-name pointers 16; At
-// 16; the children pointer 8; fp 8; the five int32s trigger, aggCount,
-// prev, up and older 20; nkids and aggRemove 2, padded to 8 (an aggregate
-// link's contributor is its recorded child, not a field). An appearance
-// is 80: the label pointer 8; the stamps at and to 32; the APPEAR and
-// EXIST fingerprints 16; the five int32s cause, endCause, prev, apUp and
-// exUp 20; parts 1, padded to 8. A derivation stands for one vertex and
-// an appearance for up to five, where a vertex slot was 112 bytes.
+// TestRecordSizes pins the three record kinds a graph stores — a slab
+// chunk's unused slots cost what a record does, so none may quietly grow.
+// A derivation is 72 bytes: the label and rule-name pointers 16; At 16;
+// the children pointer 8; fp 8; the five int32s trigger, aggCount, prev,
+// up and older 20; nkids and aggRemove 2, padded to 8 (an aggregate link's
+// contributor is its recorded child, not a field). An underivation is 48:
+// the label and rule-name pointers 16; At 16; fp 8; its one cause, an
+// int32, padded to 8 — an UNDERIVE took a 72-byte derivation and a word
+// of the children arena. An appearance is 80: the label pointer 8; the
+// stamps at and to 32; the APPEAR and EXIST fingerprints 16; the five
+// int32s cause, endCause, prev, apUp and exUp 20; parts 1, padded to 8. A
+// derivation and an underivation stand for one vertex and an appearance
+// for up to five, where a vertex slot was 112 bytes.
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(derivation{}); got > 72 {
 		t.Errorf("unsafe.Sizeof(derivation{}) = %d, want <= 72", got)
+	}
+	if got := unsafe.Sizeof(underivation{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(underivation{}) = %d, want <= 48", got)
 	}
 	if got := unsafe.Sizeof(appearance{}); got > 80 {
 		t.Errorf("unsafe.Sizeof(appearance{}) = %d, want <= 80", got)

@@ -61,8 +61,8 @@ func (r *Recorder) labelOn(l *label, node string, at ndlog.KeyedAt) *label {
 	return l
 }
 
-// derivation starts the record of a DERIVE or UNDERIVE of the head on the
-// node by the rule.
+// derivation starts the record of a DERIVE of the head on the node by the
+// rule.
 func (r *Recorder) derivation(l *label, node string, head ndlog.KeyedAt, rule string) derivation {
 	return derivation{lab: r.labelOn(l, node, head), rule: r.ruleName(rule), at: head.Stamp, trigger: -1, prev: -1}
 }
@@ -100,7 +100,7 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 		}
 		children = append(children, child)
 	}
-	id := r.graph.addDerivation(Derive, rec, children)
+	id := r.graph.addDerivation(rec, children)
 	r.graph.setDerive(d.ID, id)
 	if rec.trigger >= 0 {
 		r.graph.linkTrigger(children[rec.trigger], id)
@@ -132,7 +132,7 @@ func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
 		rec.trigger = 0
 	}
 	var buf [1]int
-	id := r.graph.addDerivation(Derive, rec, single(&buf, contrib))
+	id := r.graph.addDerivation(rec, single(&buf, contrib))
 	r.graph.setDerive(d.ID, id)
 	if trigger {
 		r.graph.linkTrigger(contrib, id)
@@ -189,8 +189,7 @@ func (r *Recorder) OnUnderive(u ndlog.Underivation) {
 	// The cause of the underivation is the disappearance of the body
 	// tuple that vanished.
 	cause := r.graph.newest(u.Cause.TupleRef(), newestDisappear)
-	var buf [1]int
-	r.graph.setDerive(u.ID, r.graph.addDerivation(Underive, r.derivation(l, u.Node, u.Head, u.Rule), single(&buf, cause)))
+	r.graph.setDerive(u.ID, r.graph.addUnderivation(r.labelOn(l, u.Node, u.Head), r.ruleName(u.Rule), u.Head.Stamp, cause))
 }
 
 // OnDisappear implements ndlog.Observer.

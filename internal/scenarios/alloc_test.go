@@ -18,22 +18,25 @@ import (
 // other side of the record store's trade (DESIGN.md §22): a slab chunk's
 // slack must not cost them bytes — and the same holds of the engine's slabs
 // (§23) and of the reverse edges records carry (§24). The ceilings are the
-// readings plus 1.5 %, or the earlier ceiling where that is lower; the
-// figures repeat to 0.1 %. "Before" is the commit before the graph stored
-// one record per derivation and per tuple occurrence instead of a
-// 112-byte slot per vertex (DESIGN.md §24):
+// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the
+// commit before a settled fork handed its work items and join stacks to
+// the next fork of its base, a finished diagnosis its solver scratch to
+// the next, and an UNDERIVE got a 48-byte record of its own (DESIGN.md
+// §31, §32):
 //
 //	          allocs  before      KB    before
-//	MR1-D      2 154   2 158  2 020.6  2 340.7
-//	MR2-D      2 169   2 165  2 346.6  2 642.5
-//	SDN1         311     311     46.0     47.9
-//	SDN2         223     226     27.8     28.1
-//	SDN3         223     223     28.6     29.4
-//	SDN4         446     447     56.6     56.1
+//	MR1-D      1 657   2 154  1 816.2  2 019.9
+//	MR2-D      1 689   2 168  2 122.7  2 346.4
+//	SDN1         256     311     38.4     45.9
+//	SDN2         197     223     25.3     27.8
+//	SDN3         172     223     22.8     28.6
+//	SDN4         400     446     50.7     56.5
 //
 // For SDN1, MR1-D and MR2-D it also logs the allocation ledger by layer
 // (ledger_test.go), holds the ledger's window to this one's count, and
-// holds MR1-D's provenance line to provenanceKB (1 045.0 KB before).
+// holds MR1-D's provenance line to provenanceKB (725.0 KB before) and its
+// ndlog line to ndlogAllocs and ndlogKB (1 534.0 allocations and
+// 1 246.1 KB before).
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -42,14 +45,14 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 2186, 2050.9},
-		{"MR2-D", 2199, 2381.8},
-		{"SDN1", 315, 46.7},
-		{"SDN2", 226, 28.2},
-		{"SDN3", 226, 29.0},
-		{"SDN4", 452, 56.9},
+		{"MR1-D", 1682, 1843.4},
+		{"MR2-D", 1714, 2154.5},
+		{"SDN1", 260, 39.0},
+		{"SDN2", 200, 25.7},
+		{"SDN3", 175, 23.1},
+		{"SDN4", 406, 51.5},
 	}
-	const provenanceKB = 750.0
+	const provenanceKB, ndlogAllocs, ndlogKB = 718.8, 1070.5, 1100.6
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
 		if err != nil {
@@ -89,6 +92,9 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 			t.Logf("%s ledger per warm diagnosis: %s", b.name, l)
 			if kb := l.kb("provenance"); b.name == "MR1-D" && kb > provenanceKB {
 				t.Errorf("%s: the ledger's provenance line is %.1f KB per warm diagnosis, ceiling %.1f", b.name, kb, provenanceKB)
+			}
+			if n, kb := l.count("ndlog"), l.kb("ndlog"); b.name == "MR1-D" && (n > ndlogAllocs || kb > ndlogKB) {
+				t.Errorf("%s: the ledger's ndlog line is %.1f allocations and %.1f KB per warm diagnosis, ceilings %.1f and %.1f", b.name, n, kb, ndlogAllocs, ndlogKB)
 			}
 			if d := l.total()/allocs - 1; d > 0.02 || d < -0.02 {
 				t.Errorf("%s: the ledger's window counts %.1f allocations per warm diagnosis, the unprofiled one %.1f; want them within 2%%", b.name, l.total(), allocs)

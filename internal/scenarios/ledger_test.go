@@ -120,6 +120,11 @@ func layerOf(stk []uintptr) string {
 // total returns the window's allocations per run: its Mallocs.
 func (l allocLedger) total() float64 { return float64(l.mallocs) / float64(l.runs) }
 
+// count returns a layer's allocations per run.
+func (l allocLedger) count(layer string) float64 {
+	return float64(l.allocs[layer]) / float64(l.runs)
+}
+
 // kb returns a layer's KB per run.
 func (l allocLedger) kb(layer string) float64 {
 	return float64(l.bytes[layer]) / float64(l.runs) / 1024
@@ -139,7 +144,7 @@ func (l allocLedger) tiny() float64 {
 func (l allocLedger) String() string {
 	var sb strings.Builder
 	for _, layer := range ledgerLayers {
-		fmt.Fprintf(&sb, "%s %.1f (%.1f KB), ", layer, float64(l.allocs[layer])/float64(l.runs), l.kb(layer))
+		fmt.Fprintf(&sb, "%s %.1f (%.1f KB), ", layer, l.count(layer), l.kb(layer))
 	}
 	fmt.Fprintf(&sb, "tiny %.1f, total %.1f", l.tiny(), l.total())
 	return sb.String()
