@@ -1,6 +1,6 @@
-// Command diffprovlint runs the repo's custom lints — detnow, maprange,
-// appendonly, sealcheck, and keystring (see internal/lint) — over Go
-// package patterns and exits nonzero on any finding.
+// Command diffprovlint runs the repo's custom lints (internal/lint; -list
+// prints them) over Go package patterns and exits nonzero on any finding;
+// docnames runs when the patterns include the module root, as ./... does.
 //
 // Usage:
 //

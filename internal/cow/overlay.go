@@ -1,5 +1,5 @@
 // Package cow is the copy-on-write overlay that a sealed base run shares
-// with its forks (DESIGN.md §26). A counterfactual trial forks the base and
+// with its forks (DESIGN.md §5). A counterfactual trial forks the base and
 // touches a handful of keys; an Overlay makes what the fork writes its own
 // and reads everything else through the base, so a fork costs what it
 // changes, not what the base holds.

@@ -11,7 +11,7 @@ import (
 
 // All returns the repo's analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{DetNow, MapRange, AppendOnly, SealCheck, KeyString}
+	return []*Analyzer{DetNow, MapRange, AppendOnly, SealCheck, KeyString, DocNames}
 }
 
 // prefixMatch matches a package path equal to, or nested under, any of
@@ -434,7 +434,7 @@ func sealedWrite(pass *Pass, se *ast.SelectorExpr) bool {
 // KeyString forbids indexing a map by a string built on the spot.
 //
 // A tuple's canonical key is computed once, when the engine creates the
-// row or occurrence, and carried from there (DESIGN.md §19); the engine's
+// row or occurrence, and carried from there (DESIGN.md §2); the engine's
 // and the recorder's maps are keyed by small structs over that string.
 // A fmt.Sprintf or a + chain that re-assembles "node|key|seq" per lookup
 // is the allocation this design removed, so it is flagged where it is

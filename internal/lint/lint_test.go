@@ -1,11 +1,14 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -441,4 +444,111 @@ func f(byRef map[ref]int, byKey map[string]int, v v, names []string) int {
 }
 `)
 	wantFindings(t, runOn(t, pkg, KeyString))
+}
+
+// writeTree writes files, keyed by slash path, under a fresh directory.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, body := range files {
+		p := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestDocNames runs docnames on a small module whose DESIGN.md holds one
+// line per case: a stale name or section is reported at its file and
+// line, a live one — of the module, of its tests or of the standard
+// library — is not, and nothing under doc/history/ is read. A stale
+// section in a Go comment is reported too, allow directive or not.
+func TestDocNames(t *testing.T) {
+	cases := []struct {
+		line string
+		want string // the finding, or "" when the line resolves
+	}{
+		{"the old `ShardedRecorder` kept shards", "`ShardedRecorder` names no declaration"},
+		{"a fork wrote `Graph.redirect`", "`Graph.redirect` names no declaration"},
+		{"pinned by `TestForkPinImmutableStaysPrivate`", "`TestForkPinImmutableStaysPrivate` names no declaration"},
+		{"as DESIGN.md §99 says", "DESIGN.md §99 names no heading"},
+		{"the codec wrote through an `io.ByteWriter`", ""},
+		{"it reads `runtime.MemStats.HeapAlloc`", ""},
+		{"`replay.Session.Graph()` returns the sealed run", ""},
+		{"pinned by `TestSessionGraphIsSealed`", ""},
+		{"as DESIGN.md §1 says", ""},
+		{"`go test ./...`, `store.bytes_per_event`, `SDN1`, `packet`, `\"runId\"` and `go.mod` name no Go declaration", ""},
+	}
+	const head = "# Design\n\n## 1. Overview\n\n"
+	design := head
+	for _, c := range cases {
+		design += c.line + "\n"
+	}
+	dir := writeTree(t, map[string]string{
+		"go.mod":  "module example\n\ngo 1.22\n",
+		"root.go": "package example\n",
+		"replay/session.go": `package replay
+
+type Graph struct{}
+
+type Session struct{}
+
+//diffprov:allow docnames
+// Graph returns the base run (DESIGN.md §99).
+func (s *Session) Graph() *Graph { return nil }
+`,
+		"replay/session_test.go":     "package replay\n\nimport \"testing\"\n\nfunc TestSessionGraphIsSealed(t *testing.T) {}\n",
+		"DESIGN.md":                  design,
+		"doc/history/design-log.md":  "`ShardedRecorder` and DESIGN.md §42 are history.\n",
+		"benchmark/go.mod":           "module bench\n",
+		"benchmark/stale_comment.go": "package bench\n\n// DESIGN.md §77 is another module's.\n",
+	})
+	pkgs, err := Load(dir, "./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	diags, err := Run(pkgs, []*Analyzer{DocNames})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var want []string
+	for i, c := range cases {
+		if c.want != "" {
+			want = append(want, fmt.Sprintf("DESIGN.md:%d:|%s", strings.Count(head, "\n")+i+1, c.want))
+		}
+	}
+	want = append(want, "session.go:8:|DESIGN.md §99 names no heading")
+	if len(diags) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%v", len(diags), len(want), diags)
+	}
+	for i, w := range want {
+		pos, msg, _ := strings.Cut(w, "|")
+		if got := diags[i].String(); !strings.Contains(got, string(filepath.Separator)+pos) || !strings.Contains(got, msg) {
+			t.Errorf("finding %d = %q, want %s … %s", i, got, pos, msg)
+		}
+	}
+}
+
+// TestDocNamesRepoIsClean runs docnames on the real tree, as CI does:
+// every name the docs cite and every DESIGN.md section a comment cites
+// exists.
+func TestDocNamesRepoIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the tree from source")
+	}
+	pkgs, err := Load("../..", ".")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	diags, err := Run(pkgs, []*Analyzer{DocNames})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("unexpected finding: %s", d)
+	}
 }

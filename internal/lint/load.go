@@ -142,8 +142,7 @@ func expandPatterns(root, base string, patterns []string) ([]string, error) {
 			if !d.IsDir() {
 				return nil
 			}
-			name := d.Name()
-			if p != start && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if p != start && skipDir(p) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(p) {
@@ -157,6 +156,14 @@ func expandPatterns(root, base string, patterns []string) ([]string, error) {
 	}
 	_ = root
 	return dirs, nil
+}
+
+// skipDir reports whether the go command skips a directory below a
+// pattern's root: hidden, underscored, test data, or another module.
+func skipDir(dir string) bool {
+	name := filepath.Base(dir)
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || err == nil
 }
 
 func hasGoFiles(dir string) bool {

@@ -53,18 +53,6 @@ func (c *Cluster) step() int64 {
 // Session exposes the underlying replay session.
 func (c *Cluster) Session() *replay.Session { return c.sess }
 
-// SetConfig changes a configuration entry (keyed replacement).
-func (c *Cluster) SetConfig(key string, v ndlog.Value) error {
-	return c.sess.Insert("master", ndlog.NewTuple("jobConfig", ndlog.Str(key), v), c.step())
-}
-
-// SetMapperVersion deploys a new mapper version (the job jar at the
-// master; keyed replacement retires the old version).
-func (c *Cluster) SetMapperVersion(v ndlog.ID) error {
-	t := ndlog.NewTuple("mapperCode", ndlog.Str(MapperSlot), v)
-	return c.sess.Insert("master", t, c.step())
-}
-
 // RunJob feeds the file's records to the mappers (round-robin by line,
 // the split behaviour of the record reader) and processes the job to
 // completion. Job submission leaves a small gap after configuration and

@@ -10,7 +10,7 @@ import "unsafe"
 // does (which is why trees that outlive a run are detached from it,
 // provenance.Tree.Detach).
 //
-// Sizing (DESIGN §23): a new chunk is half of what the slab has handed out
+// Sizing (DESIGN §2): a new chunk is half of what the slab has handed out
 // so far, capped at slabChunkBytes, and a request larger than two thirds of
 // that is a plain make that leaves the current chunk alone. Slack is so at
 // most a third of what is allocated: a fork that creates four rows pays for

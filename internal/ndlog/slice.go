@@ -72,9 +72,6 @@ func NewDepGraph(p *Program) *DepGraph {
 	return g
 }
 
-// Edges returns the dependency edges in rule-definition, body order.
-func (g *DepGraph) Edges() []DepEdge { return append([]DepEdge(nil), g.edges...) }
-
 // reachesFwd reports whether target is reachable from start by following
 // one or more forward edges.
 func (g *DepGraph) reachesFwd(start, target string) bool {

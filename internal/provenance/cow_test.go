@@ -3,6 +3,7 @@ package provenance
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -186,6 +187,12 @@ func TestRecordCycleAllocationBudget(t *testing.T) {
 	id := next(rec)
 	const cycles = 1000
 	var before, after runtime.MemStats
+	// The plan has no slack, and Mallocs counts the whole process: keep
+	// collections out of the window, and the goroutine that ran the
+	// previous test off a second processor, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&before)
 	for i := 0; i < cycles; i++ {
 		id = next(rec)
@@ -276,6 +283,9 @@ func TestNarrowForkAllocationBudget(t *testing.T) {
 	base, next := recordCycles()
 	rec := base.Fork()
 	var before, after runtime.MemStats
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // the budget is what the cycles read
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 8; i++ {
 		next(rec)

@@ -106,7 +106,7 @@ type label struct {
 
 // labelSlab hands out labels from chunks it never reallocates, so a *label
 // stays valid for as long as a record holds it. Sized as the engine's
-// slabs are (DESIGN.md §23): a new chunk holds half as many labels as were
+// slabs are (DESIGN.md §2): a new chunk holds half as many labels as were
 // handed out so far, at least labelChunkMin and at most labelChunkMax, so
 // past the first chunk the slack is at most a third of what is allocated.
 type labelSlab struct {
@@ -250,7 +250,7 @@ type derivation struct {
 	// recorded child (contrib). ChildrenOf folds the chain into the full
 	// contributor list on demand; recorded children stay O(1) per update.
 	aggCount, prev int32
-	// Reverse edges (vertex ID + 1, 0: none; DESIGN.md §24), written only by
+	// Reverse edges (vertex ID + 1, 0: none; DESIGN.md §3), written only by
 	// the graph that recorded this derivation, before it is sealed: up is
 	// the head tuple's APPEAR, and older the DERIVE the same vertex
 	// triggered before this one.
@@ -419,7 +419,7 @@ func (c *vertexCache) add(id int) *Vertex {
 // INSERT, APPEAR, EXIST, DISAPPEAR and DELETE), in slabs, with their
 // children in one []int arena, so recording allocates nothing but
 // amortised chunk growth. An ID table maps each vertex ID to its record
-// and type, and a read synthesises the vertex (DESIGN.md §22, §24). A CoW
+// and type, and a read synthesises the vertex (DESIGN.md §3). A CoW
 // fork shares its sealed base as a prefix it never copies (see cow.go).
 type Graph struct {
 	// ids is the ID table of the n vertexes this graph recorded itself (IDs

@@ -12,7 +12,7 @@ import (
 
 // linkModel is the reference model of the graph's reverse edges: the six
 // index maps the recorder kept before the edges moved into the vertexes
-// (DESIGN.md §24), maintained here exactly as it maintained them. It tees
+// (DESIGN.md §3), maintained here exactly as it maintained them. It tees
 // an engine's callbacks into the recorder under test and into the maps,
 // flat — one model follows an execution across forks, which is what a fork
 // chain has to be indistinguishable from.

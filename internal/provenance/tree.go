@@ -226,14 +226,3 @@ func (t *Tree) Labels() map[string]int {
 	t.Walk(func(n *Tree) { out[n.Vertex.Label()]++ })
 	return out
 }
-
-// CountType returns how many vertexes of the given type the tree contains.
-func (t *Tree) CountType(vt VertexType) int {
-	n := 0
-	t.Walk(func(node *Tree) {
-		if node.Vertex.Type == vt {
-			n++
-		}
-	})
-	return n
-}

@@ -1,6 +1,6 @@
 package replay_test
 
-// The one harness between the two replay configurations (DESIGN.md §18):
+// The one harness between the two replay configurations (DESIGN.md §5):
 // production — trials fork the session's sealed base run and push their
 // change set through the delta phase, on indexed engines — against
 // replay.Oracle(), where every replay re-executes the log from scratch on
@@ -11,7 +11,7 @@ package replay_test
 // code, so agreeing says nothing about the fold: every graph either one
 // produces — the base run, the direct late ReplayWith, and the replay of
 // the diagnosis' change set — must also pass the rule-instance check
-// (CheckRuleInstances, DESIGN.md §33).
+// (CheckRuleInstances, DESIGN.md §5).
 //
 // The four entry points are the columns of the harness's matrix (how the
 // counterfactual candidates are evaluated), not separate suites — they

@@ -1,6 +1,6 @@
 package replay
 
-// The rule-instance check (DESIGN.md §33): every DERIVE a graph recorded,
+// The rule-instance check (DESIGN.md §5): every DERIVE a graph recorded,
 // read through the folded view (Graph.ChildrenOf) that trees, the alignment
 // and MAKEAPPEAR read, must be an instance of its rule — the consistency
 // yardstick of Provenance Traces (PAPERS.md). It shares no code with the
@@ -39,7 +39,7 @@ func CheckRuleInstances(prog *ndlog.Program, g *provenance.Graph) (removals int,
 	// frontier holds, per count() link, the newest stamp of its chain up to
 	// it: a link a trial stamped in the evaluated past steps the group as
 	// the base run left it, contributors up to the frontier included
-	// (DESIGN.md §33).
+	// (DESIGN.md §5).
 	frontier := map[int]ndlog.Stamp{}
 	g.Vertexes(func(v *provenance.Vertex) {
 		if v.Type != provenance.Derive || len(errs) == maxViolations {

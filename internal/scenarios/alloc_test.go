@@ -15,14 +15,14 @@ import (
 // the delta phase or the solver shows in go test. The wide scenarios (MR1-D
 // and MR2-D re-derive most of the job) are where the provenance recorder
 // dominates; the narrow ones record 16-34 vertexes per fork and guard the
-// other side of the record store's trade (DESIGN.md §22): a slab chunk's
+// other side of the record store's trade (DESIGN.md §3): a slab chunk's
 // slack must not cost them bytes — and the same holds of the engine's slabs
-// (§23) and of the reverse edges records carry (§24). The ceilings are the
+// (§2) and of the reverse edges records carry (§3). The ceilings are the
 // readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the
 // commit before a settled fork handed its work items and join stacks to
 // the next fork of its base, a finished diagnosis its solver scratch to
 // the next, and an UNDERIVE got a 48-byte record of its own (DESIGN.md
-// §31, §32):
+// §2, §3, §6):
 //
 //	          allocs  before      KB    before
 //	MR1-D      1 657   2 154  1 816.2  2 019.9
@@ -113,7 +113,7 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 // in go test and not only by the harness. It reads 5.11 allocations and
 // 7.39 KB per event (26.1 and 9.23 KB at the commit before the engine kept
 // its keys and argmax winners in its arena and reused its work items,
-// DESIGN.md §31); the ceilings are those plus 5 %, inside the 38 / 9.9 the
+// DESIGN.md §2); the ceilings are those plus 5 %, inside the 38 / 9.9 the
 // harness's store-backed workload is held to.
 func TestIngestAllocationBudget(t *testing.T) {
 	if raceEnabled {

@@ -255,12 +255,6 @@ func (n *Network) InjectPacket(sw string, h Header) (int64, error) {
 	return tick, n.sess.Insert(sw, h.Tuple(), tick)
 }
 
-// InjectPacketAt sends a packet at a specific tick.
-func (n *Network) InjectPacketAt(sw string, h Header, tick int64) error {
-	n.AdvanceTo(tick)
-	return n.sess.Insert(sw, h.Tuple(), tick)
-}
-
 // Run processes all pending events.
 func (n *Network) Run() error { return n.sess.Run() }
 
