@@ -89,11 +89,12 @@ func (w *ndlogWorld) Exists(node string, t ndlog.Tuple, at ndlog.Stamp) bool {
 
 func (w *ndlogWorld) FirstOccurrence(node string, t ndlog.Tuple, tick int64) (int64, bool) {
 	best, found := int64(0), false
-	for _, iv := range w.engine.History(node, t) {
+	w.engine.History(node, t, func(iv ndlog.Interval) bool {
 		if iv.From.T <= tick && (!found || iv.From.T < best) {
 			best, found = iv.From.T, true
 		}
-	}
+		return true
+	})
 	return best, found
 }
 

@@ -334,13 +334,13 @@ func ownerOf(sel *types.Selection) string {
 // setDerive, ...) mutates state another fork can still observe. The
 // compiler cannot see the seal, so this analyzer pins each shared
 // structure to the files that implement its discipline. The maps a fork
-// shares through a cow.Overlay — the engine's nodes and tables, live rows,
-// interval histories, index buckets, the support index, aggregate groups
-// and the rest — need no row here: the
-// overlay's fields are unexported, so the compiler confines writes to its
-// methods, which write only the fork's own link. What is left is the
-// graph's derivation index, a slice, and the engine's rows, which a table
-// clone shares with its frozen table until writableRow copies one.
+// shares through a cow.Overlay — the engine's nodes and tables, each key's
+// newest row, index buckets, the support index, aggregate groups and the
+// rest — need no row here: the overlay's fields are unexported, so the
+// compiler confines writes to its methods, which write only the fork's own
+// link. What is left is the graph's derivation index, a slice, and the
+// engine's rows, which a table clone shares with its frozen table until
+// writableRow copies one.
 var SealCheck = &Analyzer{
 	Name:  "sealcheck",
 	Doc:   "confine writes to CoW-shared structures to the cow layer",
@@ -349,21 +349,26 @@ var SealCheck = &Analyzer{
 }
 
 // sealedFields maps (owner type, field) to the base filenames allowed to
-// write or delete through it. Composite-literal construction is not a
-// selector write and stays unconstrained: building a fresh, unshared
-// value is always legal.
+// write or delete through it; a field no file may write is set only by the
+// composite literal that builds its value. Composite-literal construction
+// is not a selector write and stays unconstrained: building a fresh,
+// unshared value is always legal.
 var sealedFields = map[[2]string][]string{
 	// provenance: the derivation index, a slice a fork continues past its
 	// base's through cow.go's setDerive. The recorder writes no graph
 	// index: cow.go's indexAppear, addDisappear and linkTrigger do.
 	{"Graph", "byDerive"}: {"cow.go"},
 	// ndlog: a row's mutable fields, written only by cow.go's mutators,
-	// each through writableRow. appear builds a new row by composite
-	// literal, which stays legal.
+	// each through writableRow. newRow builds a new row by composite
+	// literal, which stays legal. Its position and the link to its key's
+	// previous row are set there once and never written: a tuple's history
+	// is the chain they make.
 	{"row", "supports"}:   {"cow.go"},
 	{"row", "dead"}:       {"cow.go"},
 	{"row", "diedAt"}:     {"cow.go"},
 	{"row", "appearedAt"}: {"cow.go"},
+	{"row", "pos"}:        nil,
+	{"row", "prev"}:       nil,
 }
 
 func runSealCheck(pass *Pass) error {
@@ -425,8 +430,12 @@ func sealedWrite(pass *Pass, se *ast.SelectorExpr) bool {
 	}
 	file := filepath.Base(pass.Fset.Position(se.Pos()).Filename)
 	if !slices.Contains(allowed, file) {
+		where := strings.Join(allowed, ", ")
+		if where == "" {
+			where = "none: set by composite literal only"
+		}
 		pass.Reportf(se.Pos(), "write to CoW-shared %s.%s outside the seal discipline (allowed: %s)",
-			key[0], key[1], strings.Join(allowed, ", "))
+			key[0], key[1], where)
 	}
 	return true
 }

@@ -339,12 +339,12 @@ func TestSealCheckEngineConstructionSitesStayLegal(t *testing.T) {
 	// cow.Overlays, so sealcheck guards no field of a table or a node: the
 	// engine's own files, and any other, may write them.
 	src := `package ndlog
-type table struct{ live map[string]int }
+type table struct{ byKey map[string]int }
 type node struct{ tables map[string]*table }
 func f(n *node, tb *table) {
 	n.tables["t"] = tb
 	delete(n.tables, "t")
-	tb.live["k"] = 1
+	tb.byKey["k"] = 1
 }
 `
 	for _, file := range []string{"engine.go", "delta.go"} {
@@ -384,6 +384,30 @@ func f(r *row, s support, st Stamp) {
 		"engine.go:16:2: sealcheck: write to CoW-shared row.appearedAt")
 	pkg = loadSrc(t, "repro/internal/ndlog", "cow.go", src)
 	wantFindings(t, runOn(t, pkg, SealCheck))
+}
+
+// A row's position and the link to its key's previous row — the chain a
+// tuple's history is read off — are set by the composite literal that
+// builds the row and written nowhere, cow.go included.
+func TestSealCheckGuardsRowChain(t *testing.T) {
+	src := `package ndlog
+type row struct {
+	key  string
+	pos  int32
+	prev int32
+}
+func f(r *row, p int32) {
+	*r = row{key: "k", pos: p, prev: p}
+	r.prev = 0
+	r.pos++
+}
+`
+	for _, file := range []string{"engine.go", "cow.go"} {
+		pkg := loadSrc(t, "repro/internal/ndlog", file, src)
+		wantFindings(t, runOn(t, pkg, SealCheck),
+			file+":9:2: sealcheck: write to CoW-shared row.prev outside the seal discipline (allowed: none: set by composite literal only)",
+			file+":10:2: sealcheck: write to CoW-shared row.pos")
+	}
 }
 
 func TestSealCheckGuardsGraphIndexes(t *testing.T) {

@@ -191,7 +191,7 @@ func TestKeyedReinsertSameTupleIsSupport(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.History("m", tup)) != 1 {
+	if len(historyOf(e, "m", tup)) != 1 {
 		t.Error("identical reinsert must not cycle the tuple")
 	}
 }

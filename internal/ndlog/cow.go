@@ -17,11 +17,12 @@ package ndlog
 //     and sets the clone in the fork's own link of the table map, the one
 //     map the fork makes for its tables; the clones are the fork's dirty
 //     set. A clone shares the frozen table's rows and appends its own to a
-//     tail; its live rows, primary keys, interval histories and index
-//     buckets are Overlay links over the frozen table's. So a per-key entry
-//     is copied only when that key is written, and a row only when the
-//     clone writes it (writableRow): a fork pays for what it writes, not for
-//     the table's history.
+//     tail; its newest row per key, primary keys and index buckets are
+//     Overlay links over the frozen table's. A tuple's history is its rows,
+//     chained through their write-once prev, so a per-key entry is copied
+//     only when that key is written, and a row only when the clone writes
+//     it (writableRow): a fork pays for what it writes, not for the table's
+//     history.
 //
 // A fork finishes byte-identical to a straight-through run: sealed state
 // is immutable by construction (every write site routes through
@@ -34,11 +35,7 @@ package ndlog
 // number of goroutines may fork one sealed engine and run the forks
 // concurrently — each fork's writes land in fork-private clones.
 
-import (
-	"slices"
-
-	"repro/internal/cow"
-)
+import "slices"
 
 // Seal freezes the engine: Run, RunUntil, ScheduleInsert, and
 // ScheduleDelete are refused from now on, and so is any write to the tables
@@ -150,8 +147,8 @@ func (e *Engine) writableTable(nodeName string, tb *table) *table {
 // forkTable clones a sealed table for owner, on owner's first write to it.
 // The clone shares the frozen table's rows, and its order array until it
 // writes one of them (writableRow), and appends its own rows to a private
-// tail, so a position, which is what index buckets list, reads the same in
-// both. Its live rows, primary keys, interval histories and index buckets
+// tail, so a position, which is what index buckets and a row's prev list,
+// reads the same in both. Its newest rows, primary keys and index buckets
 // are links over the frozen table's; its indexes are one allocation.
 func forkTable(tb *table, owner *Engine) *table {
 	ft := &table{
@@ -159,20 +156,10 @@ func forkTable(tb *table, owner *Engine) *table {
 		order:       tb.order[:len(tb.order):len(tb.order)],
 		orderShared: true,
 		tail:        slices.Clone(tb.tail),
-		live:        tb.live.Fork(),
+		byKey:       tb.byKey.Fork(),
 		keyIdx:      tb.keyIdx.Fork(),
 		from:        tb,
-		// Event occurrences are write-once (tuple, stamp) pairs, so the
-		// clone shares the backing array up to the current length (the
-		// capped capacity keeps a stray append off the base); appends on
-		// the clone go to its private occsTail (occAppend), and the
-		// parent's tail — counterfactual appends, so short — is copied.
-		occs:        tb.occs[:len(tb.occs):len(tb.occs)],
-		occsShared:  true,
-		occsTail:    append([]eventOcc(nil), tb.occsTail...),
-		occSorted:   tb.occSorted,
 		orderSorted: tb.orderSorted,
-		hist:        tb.hist.Fork(),
 		owner:       owner,
 	}
 	if tb.indexes != nil {
@@ -225,7 +212,8 @@ func (e *Engine) cutSupport(tb *table, r *row, i int) *row {
 	return r
 }
 
-// killRow marks a row dead at st (retractRow).
+// killRow marks a row dead at st (retractRow), or moves a dead row's death
+// back to st (cfBackdateRow).
 func (e *Engine) killRow(tb *table, r *row, st Stamp) *row {
 	r = e.writableRow(tb, r)
 	r.dead, r.diedAt = true, st
@@ -237,67 +225,6 @@ func (e *Engine) backdateRow(tb *table, r *row, st Stamp) *row {
 	r = e.writableRow(tb, r)
 	r.appearedAt = st
 	return r
-}
-
-// histAppend appends an interval to a key's history. A key's first
-// interval, like the private copy of the frozen base's history on the
-// key's first write in a clone, is a window of the writing engine's arena
-// a with room for the interval.
-func (tb *table) histAppend(a *arena, key string, iv Interval) {
-	cow.Append(&tb.hist, key, func(h []Interval) []Interval { return a.ivs.clone(h, 1) }, iv)
-}
-
-// editHist returns a key's history for an in-place edit: this table's own,
-// copied into a window of a on the key's first write in a clone.
-func (tb *table) editHist(a *arena, key string) []Interval {
-	return tb.hist.Own(key, func(h []Interval) []Interval { return a.ivs.clone(h, 0) })
-}
-
-// histCloseLast closes a key's trailing open interval at st.
-func (tb *table) histCloseLast(a *arena, key string, st Stamp) {
-	ivs := tb.editHist(a, key)
-	if n := len(ivs); n > 0 && ivs[n-1].Open {
-		ivs[n-1].To, ivs[n-1].Open = st, false
-	}
-}
-
-// histBackdateFrom moves the start of the interval opened at seq back to
-// st (cfBackdateRow).
-func (tb *table) histBackdateFrom(a *arena, key string, seq uint64, st Stamp) {
-	if iv := openedAt(tb.editHist(a, key), seq); iv != nil {
-		iv.From = st
-	}
-}
-
-// histCloseAt moves the end of the interval opened at seq back to st,
-// closing it if still open (cfBackdateRow).
-func (tb *table) histCloseAt(a *arena, key string, seq uint64, st Stamp) {
-	if iv := openedAt(tb.editHist(a, key), seq); iv != nil {
-		iv.To, iv.Open = st, false
-	}
-}
-
-// openedAt returns the interval of a history that opened at stamp
-// sequence seq, or nil.
-func openedAt(ivs []Interval, seq uint64) *Interval {
-	for i := range ivs {
-		if ivs[i].From.Seq == seq {
-			return &ivs[i]
-		}
-	}
-	return nil
-}
-
-// histRemoveOcc removes an event occurrence's zero-length interval from a
-// key's history (eraseOccurrence).
-func (tb *table) histRemoveOcc(a *arena, key string, seq uint64) {
-	ivs := tb.editHist(a, key)
-	for i, iv := range ivs {
-		if !iv.Open && iv.From == iv.To && iv.From.Seq == seq {
-			tb.hist.Set(key, append(ivs[:i], ivs[i+1:]...))
-			return
-		}
-	}
 }
 
 // aggGroupFor returns this engine's mutable aggregate group for a key

@@ -1,71 +1,124 @@
 package ndlog
 
 import (
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
 )
 
-// Every history edit on a forked table goes through its overlay link: the
-// first write to a key copies the sealed base's history, the base's own
-// slice is never written, and a second edit works on the copy instead of
-// copying again (which would also lose the first edit).
-func TestHistEditsCopyOnFirstWrite(t *testing.T) {
-	const key = "ev|i1"
-	at := func(tick int64, seq uint64) Stamp { return Stamp{T: tick, Seq: seq} }
-	baseHist := func() []Interval {
-		return []Interval{
-			{From: at(1, 1), To: at(2, 2)},
-			{From: at(3, 3), To: at(3, 3)}, // an event occurrence
-			{From: at(4, 4), Open: true},
+// historyOf collects a tuple's existence intervals on a node, newest
+// first (Engine.History).
+func historyOf(e *Engine, node string, t Tuple) (out []Interval) {
+	e.History(node, t, func(iv Interval) bool {
+		out = append(out, iv)
+		return true
+	})
+	return out
+}
+
+// ticks renders a history by tick, newest first: @t for an event
+// occurrence, [from,to) for a closed interval and [from,) for an open one.
+func ticks(h []Interval) string {
+	var b strings.Builder
+	for i, iv := range h {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		switch {
+		case iv.Open:
+			fmt.Fprintf(&b, "[%d,)", iv.From.T)
+		case iv.From == iv.To:
+			fmt.Fprintf(&b, "@%d", iv.From.T)
+		default:
+			fmt.Fprintf(&b, "[%d,%d)", iv.From.T, iv.To.T)
 		}
 	}
-	// The second edit every case ends with, in place on the first interval.
-	second := func(h []Interval) []Interval { h[0].From = at(0, 7); return h }
+	return b.String()
+}
 
-	var a arena // the forking engine's; every case takes from it
+// TestHistEditsCopyOnFirstWrite: a tuple's history is its rows, so every
+// edit to a history on a forked table — an occurrence appended, a row
+// killed, a row backdated, a displaced generation's death moved, an
+// occurrence erased — is a write to the clone's rows. Each shows in the
+// clone's History and leaves the sealed base's History and rows as they
+// were.
+func TestHistEditsCopyOnFirstWrite(t *testing.T) {
+	p := MustParse(`
+table s/1 base mutable;
+table cfg/2 base mutable key(0);
+table ev/1 event base;
+table out/1 event;
+rule fwd out(@N, X) :- ev(@N, X), s(@N, X).
+`)
+	s1, s2 := NewTuple("s", Int(1)), NewTuple("s", Int(2))
+	cfgA, cfgB := NewTuple("cfg", Str("k"), Str("a")), NewTuple("cfg", Str("k"), Str("b"))
+	ev, out := NewTuple("ev", Int(1)), NewTuple("out", Int(1))
+	base := New(p, nil, WithSeqBand(SeqBandDefault))
+	for _, s := range []struct {
+		t    Tuple
+		tick int64
+	}{{s1, 1}, {cfgA, 2}, {ev, 3}, {ev, 5}, {s2, 6}, {cfgB, 6}} {
+		if err := base.ScheduleInsert("n", s.t, s.tick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := base.Run(); err != nil {
+		t.Fatal(err)
+	}
+	base.Seal()
+	baseHist := map[string]string{}
+	tuples := []Tuple{s1, s2, cfgA, cfgB, ev, out}
+	for _, tu := range tuples {
+		baseHist[tu.String()] = ticks(historyOf(base, "n", tu))
+	}
+	baseRows := rowDigest(base)
+
 	cases := []struct {
-		name string
-		edit func(tb *table)
-		want func(h []Interval) []Interval
+		name   string
+		insert bool
+		t      Tuple
+		tick   int64
+		// edited is the tuple whose history the write changes, and want
+		// that history on the clone.
+		edited Tuple
+		want   string
 	}{
-		{"append",
-			func(tb *table) { tb.histAppend(&a, key, Interval{From: at(5, 5), To: at(5, 5)}) },
-			func(h []Interval) []Interval { return append(h, Interval{From: at(5, 5), To: at(5, 5)}) }},
-		{"close-last",
-			func(tb *table) { tb.histCloseLast(&a, key, at(6, 6)) },
-			func(h []Interval) []Interval { h[2].To, h[2].Open = at(6, 6), false; return h }},
-		{"backdate",
-			func(tb *table) { tb.histBackdateFrom(&a, key, 4, at(3, 9)) },
-			func(h []Interval) []Interval { h[2].From = at(3, 9); return h }},
-		{"close-at",
-			func(tb *table) { tb.histCloseAt(&a, key, 4, at(5, 1)) },
-			func(h []Interval) []Interval { h[2].To, h[2].Open = at(5, 1), false; return h }},
-		{"remove-occurrence",
-			func(tb *table) { tb.histRemoveOcc(&a, key, 3) },
-			func(h []Interval) []Interval { return append(h[:1], h[2:]...) }},
+		{"append", true, ev, 7, ev, "@7 @5 @3"},
+		{"close-last", false, s1, 8, s1, "[1,8)"},
+		{"backdate", true, s2, 4, s2, "[4,)"},
+		{"close-at", true, cfgB, 4, cfgA, "[2,4)"},
+		{"remove-occurrence", false, s1, 4, out, "@3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			base := &table{decl: &TableDecl{Name: "ev"}}
-			base.hist.Set(key, baseHist())
-			ft := forkTable(base, nil)
-
-			c.edit(ft)
-			if got, want := ft.hist.Get(key), c.want(baseHist()); !reflect.DeepEqual(got, want) {
-				t.Fatalf("after the edit: %v, want %v", got, want)
+			f := base.Fork(nil)
+			var err error
+			if c.insert {
+				err = f.ScheduleInsert("n", c.t, c.tick)
+			} else {
+				err = f.ScheduleDelete("n", c.t, c.tick)
 			}
-			owned := &ft.hist.Get(key)[0]
-			ft.histBackdateFrom(&a, key, 1, at(0, 7))
-			if &ft.hist.Get(key)[0] != owned {
-				t.Error("second edit copied the history again")
+			if err == nil {
+				err = f.Run()
 			}
-			if got, want := ft.hist.Get(key), second(c.want(baseHist())); !reflect.DeepEqual(got, want) {
-				t.Errorf("after both edits: %v, want %v", got, want)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := base.hist.Get(key); !reflect.DeepEqual(got, baseHist()) {
-				t.Errorf("sealed base history written: %v", got)
+			if f.table("n", c.edited.Table) == base.table("n", c.edited.Table) {
+				t.Fatalf("the fork never cloned table %s", c.edited.Table)
+			}
+			if got, was := ticks(historyOf(f, "n", c.edited)), baseHist[c.edited.String()]; got != c.want || got == was {
+				t.Errorf("clone's history of %s = %s, want %s (the base's is %s)", c.edited, got, c.want, was)
+			}
+			for _, tu := range tuples {
+				if got := ticks(historyOf(base, "n", tu)); got != baseHist[tu.String()] {
+					t.Errorf("sealed base's history of %s = %s after the fork's write, was %s", tu, got, baseHist[tu.String()])
+				}
+			}
+			if got := rowDigest(base); got != baseRows {
+				t.Errorf("sealed base's rows changed:\n%s\nwant\n%s", got, baseRows)
 			}
 		})
 	}
@@ -141,7 +194,7 @@ rule rc d(X) :- c(X).
 }
 
 // TestKeyByteLookupsBuildNoString: the lookups that hold a tuple's key as
-// bytes — Engine.histOf (under Exists) and aggGroupFor — index
+// bytes — Engine.History (under Exists) and aggGroupFor — index
 // each overlay link's map with m[string(b)], which builds no string, on a
 // fork two links above the root and for keys longer than the 32 bytes Go
 // converts on the stack.

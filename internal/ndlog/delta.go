@@ -21,8 +21,8 @@ package ndlog
 //     every derivation that transitively depended on the row (DRed's delete
 //     phase — the re-derive phase is subsumed by support counting for plain
 //     rules); one before the mark also erases the event occurrences derived
-//     from the row after it (eraseEventConsumers), since events have no rows
-//     for the cascade to reach.
+//     from the row after it (eraseEventConsumers), since an occurrence's row
+//     is born dead and the cascade reaches only live ones.
 //   - A base insertion of a tuple evaluated as inserted later backdates the
 //     row (cfBackdateRow).
 //   - Argmax rules need genuine re-derivation: when a retraction before the
@@ -49,33 +49,6 @@ import (
 
 	"repro/internal/cow"
 )
-
-// eventOcc records one event-tuple occurrence on a table, so out-of-order
-// work can re-enumerate event triggers that already fired. Appended in
-// processing order; occSorted tracks the stamp-sorted prefix for binary
-// search.
-type eventOcc struct {
-	tuple Tuple
-	at    Stamp
-}
-
-// occAppend records an event occurrence, maintaining the sorted-prefix
-// length (in-order appends are stamp-monotone; out-of-order appends land
-// in a short unsorted tail). On a forked table the occs backing is shared
-// with the parent, so appends go to the private occsTail — a reallocating
-// append of the whole log would cost O(#occurrences) per counterfactual
-// trial.
-func (tb *table) occAppend(t Tuple, st Stamp) {
-	if tb.occsShared {
-		tb.occsTail = append(tb.occsTail, eventOcc{tuple: t, at: st})
-		return
-	}
-	if tb.occSorted == len(tb.occs) &&
-		(tb.occSorted == 0 || !st.Before(tb.occs[tb.occSorted-1].at)) {
-		tb.occSorted++
-	}
-	tb.occs = append(tb.occs, eventOcc{tuple: t, at: st})
-}
 
 // noteOrderAppend maintains the stamp-sorted prefix length of tb.parts();
 // called just after a row is appended.
@@ -132,11 +105,11 @@ func (e *Engine) refireForRow(nodeName string, rw *row, s, until Stamp) error {
 	return nil
 }
 
-// refireAtomOccurrences enumerates the occurrences of body atom q (events
-// from the occurrence log, state rows from the appearance order) with
-// stamps after s — and, when until is non-zero, before until — firing rule
-// r for each with the pinned row at atom p. Argmax rules re-evaluate the
-// full trigger instead of a pinned fire.
+// refireAtomOccurrences enumerates the occurrences of body atom q — the
+// rows of its table, in appearance order — with stamps after s — and, when
+// until is non-zero, before until — firing rule r for each with the pinned
+// row at atom p. Argmax rules re-evaluate the full trigger instead of a
+// pinned fire.
 func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, pin *row, q int, s, until Stamp) error {
 	atom := &r.body[q]
 	decl := atom.decl
@@ -149,42 +122,19 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 		if tb == nil {
 			continue
 		}
-		if decl.Event {
-			fire := func(o eventOcc) error {
-				if !s.Before(o.at) || e.killedOccs.Get(o.at.Seq) {
-					return nil
-				}
-				if until != (Stamp{}) && !o.at.Before(until) {
-					return nil
-				}
-				return e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, e.arena.key(o.tuple), o.at)
-			}
-			// Sorted prefix by binary search, then the short unsorted
-			// tail, then the fork-private tail.
-			i := sort.Search(tb.occSorted, func(i int) bool { return s.Before(tb.occs[i].at) })
-			for ; i < len(tb.occs); i++ {
-				if err := fire(tb.occs[i]); err != nil {
-					return err
-				}
-			}
-			for _, o := range tb.occsTail {
-				if err := fire(o); err != nil {
-					return err
-				}
-			}
-			continue
-		}
+		// The sorted prefix by binary search, then the short unsorted tail.
 		i := sort.Search(tb.orderSorted, func(i int) bool { return s.Before(tb.row(i).appearedAt) })
 		for ; i < tb.size(); i++ {
 			o := tb.row(i)
-			// Dead rows need no re-fire: a firing at their appearance would
-			// have been retracted when they died, or the row was killed by
-			// the repair itself and in a timely run would never have
-			// appeared.
-			if o.dead || !s.Before(o.appearedAt) {
+			if !s.Before(o.appearedAt) || until != (Stamp{}) && !o.appearedAt.Before(until) {
 				continue
 			}
-			if until != (Stamp{}) && !o.appearedAt.Before(until) {
+			// Dead state rows need no re-fire: a firing at their appearance
+			// would have been retracted when they died, or the row was
+			// killed by the repair itself and in a timely run would never
+			// have appeared. An event occurrence is born dead and re-fires
+			// unless it was erased.
+			if decl.Event && e.killedOccs.Get(o.appearedAt.Seq) || !decl.Event && o.dead {
 				continue
 			}
 			if err := e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.key, o.appearedAt); err != nil {
@@ -250,20 +200,19 @@ func (e *Engine) pinned(i int) (*row, string) {
 // cfBackdateRow moves an already-live row's appearance back to an
 // out-of-order base insertion's stamp: the evaluation inserted the same
 // tuple later, so in the timely run the row exists from st on. Three
-// consequences follow. The row's live history interval opens at st, and
-// the observer is told the row appears there: derivations from now on name
-// that appearance, so a recorder must have it. Trigger occurrences inside
-// the widened window (st, old appearance) are re-fired with the row pinned
-// — occurrences past the old appearance fired with the row already. And on
-// a keyed table the generation the later insert displaced gives up the
-// window too: its death moves back to st, and the event firings it fed in
-// between are erased, because the timely run had replaced it before they
-// triggered (the §4.9 intra-tick race: the corrected config arrived after
-// the probe; inserting it a tick earlier must both erase the stale answer
-// and derive the correct one).
+// consequences follow. The row appears at st, and the observer is told so:
+// derivations from now on name that appearance, so a recorder must have
+// it. Trigger occurrences inside the widened window (st, old appearance)
+// are re-fired with the row pinned — occurrences past the old appearance
+// fired with the row already. And on a keyed table the generation the
+// later insert displaced gives up the window too: its row's death moves
+// back to st, and the event firings it fed in between are erased, because
+// the timely run had replaced it before they triggered (the §4.9
+// intra-tick race: the corrected config arrived after the probe; inserting
+// it a tick earlier must both erase the stale answer and derive the
+// correct one).
 func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *row, st Stamp) error {
 	old := r.appearedAt
-	tb.histBackdateFrom(&e.arena, r.key, old.Seq, st)
 	r = e.backdateRow(tb, r, st)
 	e.obs.OnAppear(keyedAt(nodeName, r.tuple, r.key, st), 0)
 	// Backdating can break the appearance-order sorted prefix at the
@@ -284,23 +233,20 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 			// The displaced generation is the one that died exactly when r
 			// appeared and was live at st; anything between st and the old
 			// appearance is a multi-generation interleave we leave as-is.
-			for _, iv := range tb.hist.Get(o.key) {
-				if iv.Open || iv.From.Seq != o.appearedAt.Seq || iv.To.Seq != old.Seq || st.Before(iv.From) {
-					continue
-				}
-				tb.histCloseAt(&e.arena, o.key, o.appearedAt.Seq, st)
-				e.eraseEventConsumers(TupleRef{Node: nodeName, Key: o.key}, o.appearedAt.Seq, cause, st, true)
-				break
+			if o.diedAt.Seq != old.Seq || st.Before(o.appearedAt) {
+				continue
 			}
+			o = e.killRow(tb, o, st)
+			e.eraseEventConsumers(TupleRef{Node: nodeName, Key: o.key}, o.appearedAt.Seq, cause, st, true)
 		}
 	}
 	return e.refireForRow(nodeName, r, st, old)
 }
 
 // evConsumer records one event-head derivation: which occurrence it
-// produced (head, deriveID) and which body elements fed it. Derived events
-// have no rows, so the support-counting cascade cannot retract them;
-// repair erases their occurrences through these records instead (DRed's
+// produced (head, deriveID) and which body elements fed it. A derived
+// event's row is born dead, so the support-counting cascade cannot retract
+// it; repair erases the occurrence through these records instead (DRed's
 // delete phase, extended to events).
 type evConsumer struct {
 	deriveID int64
@@ -385,10 +331,10 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 }
 
 // eraseOccurrence erases one derived event occurrence: the timely run the
-// repair reconstructs would never have fired it. The occurrence's
-// zero-length history interval is removed (so Exists, ExistsEver, History,
-// and TuplesAt no longer see it), the stamp is marked killed (so re-fires
-// skip it and a pending delivery is dropped), an underivation is emitted,
+// repair reconstructs would never have fired it. The stamp is marked
+// killed, so the walks over its key's rows (Exists, ExistsEver, History)
+// and the re-fires skip the occurrence's row and a pending delivery is
+// dropped; its table counts as written. An underivation is emitted,
 // and the erasure cascades: count() groups it contributed to are
 // decremented, state rows it supported are retracted, and event
 // occurrences derived from it are erased in turn.
@@ -402,9 +348,7 @@ func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
 	if decl == nil {
 		return
 	}
-	tb := e.writableTable(occ.Node, e.tableFor(occ.Node, decl))
-	tb.histRemoveOcc(&e.arena, occ.Key, occ.Stamp.Seq)
-	e.cfMarkDirty(tb)
+	e.cfMarkDirty(e.writableTable(occ.Node, e.tableFor(occ.Node, decl)))
 	e.deriveID++
 	e.obs.OnUnderive(Underivation{
 		ID:       e.deriveID,
@@ -519,8 +463,8 @@ func (e *Engine) amEntryFor(r *CompiledRule, win binding, it *workItem) *amEntry
 		ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID},
 	}
 	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
-		// Event heads have no row to retract; record the occurrence so a
-		// displaced winner can be erased instead.
+		// An event head's row is born dead, with nothing to retract; record
+		// the occurrence so a displaced winner can be erased instead.
 		ent.eventHead = true
 		ent.headTuple = it.tuple
 		ent.headAt = it.stamp
@@ -570,14 +514,12 @@ func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 }
 
 // triggerOf reconstructs the trigger occurrence of a support: the
-// max-stamp body element. Element stamps come from the interval
-// histories (the bodyRef seq identifies the appearance interval), event
-// tuples from the occurrence log, state tuples from the appearance
-// order. A state trigger that has since died is dropped (ok=false): its
-// firings were retracted with it and a timely run would not re-fire.
+// max-stamp body element. Each element is the row of its key whose
+// appearance the bodyRef's seq names, found by walking the key's rows. A
+// state trigger that has since died is dropped (ok=false): its firings
+// were retracted with it and a timely run would not re-fire.
 func (e *Engine) triggerOf(r *Rule, sup support) (atom int, tuple Tuple, st Stamp, ok bool) {
-	best := -1
-	var bestStamp Stamp
+	best, bestDead := -1, false
 	for i, b := range sup.body {
 		if i >= len(r.Body) {
 			return 0, Tuple{}, Stamp{}, false
@@ -586,65 +528,24 @@ func (e *Engine) triggerOf(r *Rule, sup support) (atom int, tuple Tuple, st Stam
 		if tb == nil {
 			return 0, Tuple{}, Stamp{}, false
 		}
-		iv := openedAt(tb.hist.Get(b.Key), b.Seq) // read only: may be a frozen base's
-		if iv == nil {
+		var el *row
+		e.appearances(tb, tb.byKey.Get(b.Key), func(o *row) bool {
+			if o.appearedAt.Seq == b.Seq {
+				el = o
+			}
+			return el == nil
+		})
+		if el == nil {
 			return 0, Tuple{}, Stamp{}, false
 		}
-		if best < 0 || bestStamp.Before(iv.From) {
-			best, bestStamp = i, iv.From
+		if best < 0 || st.Before(el.appearedAt) {
+			best, tuple, st, bestDead = i, el.tuple, el.appearedAt, el.dead && !tb.decl.Event
 		}
 	}
-	if best < 0 {
+	if best < 0 || bestDead {
 		return 0, Tuple{}, Stamp{}, false
 	}
-	bref := sup.body[best]
-	tb := e.table(bref.Node, r.Body[best].Table)
-	if d := e.prog.Decl(r.Body[best].Table); d != nil && d.Event {
-		t, ok := occAtStamp(tb, bestStamp)
-		if !ok {
-			return 0, Tuple{}, Stamp{}, false
-		}
-		return best, t, bestStamp, true
-	}
-	rw, ok2 := rowAtStamp(tb, bestStamp)
-	if !ok2 || rw.dead {
-		return 0, Tuple{}, Stamp{}, false
-	}
-	return best, rw.tuple, bestStamp, true
-}
-
-// occAtStamp finds the event occurrence with the given stamp (binary
-// search over the sorted prefix, linear over the tail).
-func occAtStamp(tb *table, st Stamp) (Tuple, bool) {
-	i := sort.Search(tb.occSorted, func(i int) bool { return !tb.occs[i].at.Before(st) })
-	if i < tb.occSorted && tb.occs[i].at == st {
-		return tb.occs[i].tuple, true
-	}
-	for j := tb.occSorted; j < len(tb.occs); j++ {
-		if tb.occs[j].at == st {
-			return tb.occs[j].tuple, true
-		}
-	}
-	for _, o := range tb.occsTail {
-		if o.at == st {
-			return o.tuple, true
-		}
-	}
-	return Tuple{}, false
-}
-
-// rowAtStamp finds the row that appeared at the given stamp.
-func rowAtStamp(tb *table, st Stamp) (*row, bool) {
-	i := sort.Search(tb.orderSorted, func(i int) bool { return !tb.row(i).appearedAt.Before(st) })
-	if i < tb.orderSorted && tb.row(i).appearedAt == st {
-		return tb.row(i), true
-	}
-	for j := tb.orderSorted; j < tb.size(); j++ {
-		if tb.row(j).appearedAt == st {
-			return tb.row(j), true
-		}
-	}
-	return nil, false
+	return best, tuple, st, true
 }
 
 // drainCFReevals processes the queued argmax re-evaluations in
@@ -712,8 +613,8 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 		e.retractSupport(cur.ref, cause, st)
 	}
 	if cur != nil && cur.eventHead && cur.headTuple.Table != "" {
-		// A displaced event-head winner has no row; erase its occurrence
-		// (idempotent — a cascade may already have erased it).
+		// A displaced event-head winner has no live row; erase its
+		// occurrence (idempotent — a cascade may already have erased it).
 		e.eraseOccurrence(&evConsumer{
 			deriveID: cur.ref.deriveID,
 			rule:     r.name,

@@ -211,13 +211,13 @@ type Engine struct {
 	repair    *repairState
 	// evDeps maps a body element to the event-head derivations it fed, so
 	// the counterfactual phase can erase derived event occurrences whose
-	// preconditions are retracted (events have no rows, so the dependents
-	// cascade cannot reach them). A derivation's
-	// one write-once record is shared by pointer under each of its body
-	// refs and across forks. A link's list is the tail it appended (read
-	// with Each); entries are never deleted (stale ones are filtered by the
-	// body sequence number). killedOccs marks erased event occurrences by
-	// stamp sequence.
+	// preconditions are retracted (an occurrence's row is born dead, so the
+	// dependents cascade, which retracts live rows, never reaches it). A
+	// derivation's one write-once record is shared by pointer under each of
+	// its body refs and across forks. A link's list is the tail it appended
+	// (read with Each); entries are never deleted (stale ones are filtered
+	// by the body sequence number). killedOccs marks erased event
+	// occurrences by stamp sequence.
 	evDeps     cow.Overlay[TupleRef, []*evConsumer]
 	killedOccs cow.Overlay[uint64, bool]
 	// arena is where what this engine creates is allocated (slab.go); a fork
@@ -286,8 +286,8 @@ func (tb *table) row(pos int) *row {
 // parts returns the rows in appearance order, for a scan: order, then tail.
 func (tb *table) parts() [2][]*row { return [2][]*row{tb.order, tb.tail} }
 
-// rowAt returns the row at a position+1 that live or keyIdx holds, or nil
-// for none.
+// rowAt returns the row at a position+1 that byKey, keyIdx or a row's prev
+// holds, or nil for none.
 func (tb *table) rowAt(p int32) *row {
 	if p == 0 {
 		return nil
@@ -295,8 +295,13 @@ func (tb *table) rowAt(p int32) *row {
 	return tb.row(int(p - 1))
 }
 
-// liveRow returns key's live row, or nil.
-func (tb *table) liveRow(key string) *row { return tb.rowAt(tb.live.Get(key)) }
+// liveRow returns key's live row, or nil: its newest row, unless that died.
+func (tb *table) liveRow(key string) *row {
+	if r := tb.rowAt(tb.byKey.Get(key)); r != nil && !r.dead {
+		return r
+	}
+	return nil
+}
 
 // tableRef names one node's table: the key of Engine.tables.
 type tableRef struct{ node, table string }
@@ -310,12 +315,10 @@ type table struct {
 	// shared (orderShared) until the clone writes one of them, and it
 	// appends to its tail (writableRow).
 	order, tail []*row
-	// live holds each live row's position+1 under its key (liveRow). A
-	// clone's is a link over the frozen table's.
-	live cow.Overlay[string, int32]
-	// hist holds each key's interval history; a clone's link holds the keys
-	// written since the clone, each a complete private copy (cow.go).
-	hist cow.Overlay[string, []Interval]
+	// byKey holds the position+1 of each key's newest row, dead or alive:
+	// the head of the key's history, which goes on through the rows' prev
+	// (appearances). A clone's is a link over the frozen table's.
+	byKey cow.Overlay[string, int32]
 	// keyIdx holds, for a keyed table, the position+1 of the latest row to
 	// take each primary key, dead or alive.
 	keyIdx cow.Overlay[string, int32]
@@ -328,31 +331,25 @@ type table struct {
 	// write (writableTable). See cow.go.
 	owner *Engine
 	from  *table // the frozen table a clone was made from (writableRow)
-	// occs logs event-tuple occurrences (events are not stored as rows),
-	// so out-of-order work can re-enumerate event triggers that already
-	// fired. occSorted and orderSorted track the stamp-sorted prefixes of
-	// occs and order: in-order appends are stamp-monotone, out-of-order
-	// ones land in a short unsorted tail, and the re-fire scans
-	// binary-search the prefix. See delta.go.
-	occs        []eventOcc
-	occSorted   int
+	// orderSorted is the length of the stamp-sorted prefix of the rows:
+	// in-order appends are stamp-monotone, out-of-order ones land after it,
+	// and the re-fire scan binary-searches it. See delta.go.
 	orderSorted int
-	// A forked table shares occs with its parent (occsShared); a fork's
-	// appends go to the small private occsTail instead of reallocating the
-	// whole shared log.
-	occsTail    []eventOcc
-	occsShared  bool
 	orderShared bool
 	// cfDirty marks a table this engine wrote after it settled
 	// (cfMarkDirty); a fork's clone starts clean.
 	cfDirty bool
 }
 
-// row is one appearance of a state tuple in a table. Rows live by value in
-// the arena of the engine that created the row (appear) or first wrote it
-// in a clone (writableRow), and are always held by pointer; supports is the
-// row's own window, spliced in place, never shared with another row or a
-// base's copy. pos is the row's position in its table (table.row).
+// row is one appearance of a tuple in a table: a state tuple's, from its
+// appearance until it dies, or an event occurrence's, born dead at its own
+// stamp and with no supports. Rows live by value in the arena of the engine
+// that created the row (newRow) or first wrote it in a clone (writableRow),
+// and are always held by pointer; supports is the row's own window, spliced
+// in place, never shared with another row or a base's copy. pos is the
+// row's position in its table (table.row), and prev the position+1 of the
+// key's row before it (0 for none); both are set once, when the row is
+// made.
 type row struct {
 	tuple      Tuple
 	key        string
@@ -361,6 +358,7 @@ type row struct {
 	supports   []support
 	dead       bool
 	pos        int32
+	prev       int32
 }
 
 type support struct {
@@ -819,9 +817,9 @@ func (e *Engine) process(it *workItem) error {
 		e.obs.OnDerive(*d)
 		sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
 		if dec := e.prog.Decl(it.tuple.Table); dec != nil && dec.Event {
-			// Event heads have no row for the dependents cascade to
-			// retract; register the derivation under each body element so
-			// out-of-order work can erase the occurrence when a
+			// An event head's row is born dead, out of the dependents
+			// cascade's reach; register the derivation under each body
+			// element so out-of-order work can erase the occurrence when a
 			// precondition is retracted (delta.go).
 			e.registerEventDeriv(d)
 		}
@@ -832,9 +830,9 @@ func (e *Engine) process(it *workItem) error {
 }
 
 // appear handles a tuple occurrence on a node (key is t.Key(), computed by
-// whoever created the occurrence): event tuples trigger rules and vanish;
-// state tuples are stored (possibly as an additional support) and trigger
-// rules on first appearance.
+// whoever created the occurrence): an event tuple's occurrence is recorded
+// as a row born dead and triggers rules; a state tuple is stored (possibly
+// as an additional support) and triggers rules on first appearance.
 func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID int64, sup support) error {
 	decl := e.prog.Decl(t.Table)
 	if decl == nil {
@@ -843,15 +841,12 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	if decl.Event {
 		e.stats.Appears++
 		e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
-		// Record the instantaneous occurrence in history for temporal
-		// queries (zero-length closed interval).
 		tb := e.writableTable(nodeName, e.tableFor(nodeName, decl))
-		tb.histAppend(&e.arena, key, Interval{From: st, To: st})
-		tb.occAppend(t, st)
+		e.newRow(tb, t, key, st, nil)
 		e.cfMarkDirty(tb)
-		// Events need no delta re-fire: a non-delta event atom never joins
-		// (events are not stored), so an event occurrence only ever fires
-		// rules as their trigger — which this very call does.
+		// Events need no delta re-fire: a dead row never joins, so an event
+		// occurrence only ever fires rules as their trigger — which this
+		// very call does.
 		return e.trigger(nodeName, t, key, st)
 	}
 	// An appearance always writes (a new row or an extra support), so the
@@ -881,18 +876,7 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	}
 	sups := e.arena.supports.take(1, 0)
 	sups[0] = sup
-	r := e.arena.rows.one()
-	*r = row{tuple: t, key: key, appearedAt: st, supports: sups, pos: int32(tb.size())}
-	tb.live.Set(key, r.pos+1)
-	switch {
-	case tb.from == nil:
-		tb.order = append(tb.order, r)
-	case tb.tail == nil:
-		tb.tail = append(make([]*row, 0, 8), r) // room for a trial's first few rows
-	default:
-		tb.tail = append(tb.tail, r)
-	}
-	tb.noteOrderAppend()
+	r := e.newRow(tb, t, key, st, sups)
 	// Secondary indexes mirror order: a re-appearance after death is a
 	// fresh row and is appended again; dead rows stay behind the probe's
 	// liveness filter (and serve temporal as-of lookups).
@@ -902,7 +886,6 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	if len(decl.Key) > 0 {
 		tb.keyIdx.Set(primaryKey(decl, t), r.pos+1)
 	}
-	tb.histAppend(&e.arena, key, Interval{From: st, Open: true})
 	e.indexSupport(nodeName, key, sup)
 	e.stats.Appears++
 	e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
@@ -917,6 +900,30 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 		return e.refireForRow(nodeName, r, st, Stamp{})
 	}
 	return nil
+}
+
+// newRow appends a row for key's appearance at st to the writable table tb
+// and makes it the key's newest, chained to the one before it. An event
+// occurrence, which has no supports, is born dead at its own stamp.
+func (e *Engine) newRow(tb *table, t Tuple, key string, st Stamp, sups []support) *row {
+	var died Stamp
+	if tb.decl.Event {
+		died = st
+	}
+	r := e.arena.rows.one()
+	*r = row{tuple: t, key: key, appearedAt: st, diedAt: died, supports: sups, dead: tb.decl.Event,
+		pos: int32(tb.size()), prev: tb.byKey.Get(key)}
+	tb.byKey.Set(key, r.pos+1)
+	switch {
+	case tb.from == nil:
+		tb.order = append(tb.order, r)
+	case tb.tail == nil:
+		tb.tail = append(make([]*row, 0, 8), r) // room for a trial's first few rows
+	default:
+		tb.tail = append(tb.tail, r)
+	}
+	tb.noteOrderAppend()
+	return r
 }
 
 // indexSupport adds a support's dependent refs under every body row it
@@ -1018,8 +1025,6 @@ func primaryKey(decl *TableDecl, t Tuple) string {
 // DISAPPEAR, and cascades underivations to dependents.
 func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underiveID int64) {
 	r = e.killRow(tb, r, st)
-	tb.live.Delete(r.key)
-	tb.histCloseLast(&e.arena, r.key, st)
 	e.stats.Disappears++
 	cause := keyedAt(nodeName, r.tuple, r.key, st)
 	e.obs.OnDisappear(cause, underiveID)
@@ -1227,45 +1232,59 @@ func (e *Engine) countDerivation(rule, node string) error {
 }
 
 // Exists reports whether the tuple existed on the node at the given stamp
-// (for event tuples: whether it occurred exactly then or earlier in the
-// same tick).
-func (e *Engine) Exists(nodeName string, t Tuple, at Stamp) bool {
-	for _, iv := range e.histOf(nodeName, t) {
-		if iv.Contains(at) {
-			return true
-		}
-	}
-	return false
+// (for event tuples: whether it occurred exactly then).
+func (e *Engine) Exists(nodeName string, t Tuple, at Stamp) (found bool) {
+	e.History(nodeName, t, func(iv Interval) bool {
+		found = iv.Contains(at)
+		return !found
+	})
+	return found
 }
 
 // ExistsEver reports whether the tuple ever existed on the node up to now.
-func (e *Engine) ExistsEver(nodeName string, t Tuple) bool {
-	return len(e.histOf(nodeName, t)) > 0
+func (e *Engine) ExistsEver(nodeName string, t Tuple) (found bool) {
+	e.History(nodeName, t, func(Interval) bool {
+		found = true
+		return false
+	})
+	return found
 }
 
-// History returns the existence intervals of a tuple on a node. The slice
-// is the engine's own, read in place: the caller must not modify it, and
-// must not keep it across a later Run of this engine.
-func (e *Engine) History(nodeName string, t Tuple) []Interval {
-	return e.histOf(nodeName, t)
-}
-
-// histOf returns a tuple's interval history for a caller with no key at
-// hand (the public lookups): the key's bytes index the maps directly, so
-// no string is built to be thrown away. The slice may be a frozen base's:
-// read only.
-func (e *Engine) histOf(nodeName string, t Tuple) (ivs []Interval) {
+// History calls yield with the existence interval of each appearance of a
+// tuple on a node, newest first, until yield returns false. The tuple's
+// key is looked up by its bytes, so the walk builds no string and
+// allocates nothing.
+func (e *Engine) History(nodeName string, t Tuple, yield func(Interval) bool) {
 	tb := e.table(nodeName, t.Table)
 	if tb == nil {
-		return nil
+		return
 	}
+	var newest int32
 	t.WithKey(func(key []byte) {
-		ivs, _ = tb.hist.Find(func(m map[string][]Interval) ([]Interval, bool) {
-			h, ok := m[string(key)]
-			return h, ok
+		newest, _ = tb.byKey.Find(func(m map[string]int32) (int32, bool) {
+			p, ok := m[string(key)]
+			return p, ok
 		})
 	})
-	return ivs
+	// A row's span is open while it lives; an event occurrence's is the
+	// zero-length point of its stamp.
+	e.appearances(tb, newest, func(r *row) bool {
+		return yield(Interval{From: r.appearedAt, To: r.diedAt, Open: !r.dead})
+	})
+}
+
+// appearances calls yield with the row at position+1 newest and the rows of
+// its key before it, newest first, until yield returns false: a tuple's
+// history is its rows. An erased event occurrence is skipped.
+func (e *Engine) appearances(tb *table, newest int32, yield func(*row) bool) {
+	for r := tb.rowAt(newest); r != nil; r = tb.rowAt(r.prev) {
+		if tb.decl.Event && e.killedOccs.Get(r.appearedAt.Seq) {
+			continue
+		}
+		if !yield(r) {
+			return
+		}
+	}
 }
 
 // TuplesAt returns the tuples of a table that existed on the node at the
@@ -1283,9 +1302,9 @@ func (e *Engine) LiveTuples(nodeName, tableName string) []Tuple {
 }
 
 // tuples returns the tuples of the rows that pass keep, in appearance
-// order; none for a nil table.
+// order; none for a nil table or an event table, whose rows are all dead.
 func (tb *table) tuples(keep func(*row) bool) (out []Tuple) {
-	if tb == nil {
+	if tb == nil || tb.decl.Event {
 		return nil
 	}
 	for _, rows := range tb.parts() {

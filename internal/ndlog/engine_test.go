@@ -375,12 +375,12 @@ func TestEngineRemoteHeadDelay(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	hist := e.History("s2", NewTuple("packet", MustParseIP("1.1.1.1")))
-	if len(hist) != 1 {
-		t.Fatalf("history = %v", hist)
+	arrivals := historyOf(e, "s2", NewTuple("packet", MustParseIP("1.1.1.1")))
+	if len(arrivals) != 1 {
+		t.Fatalf("history = %v", arrivals)
 	}
-	if hist[0].From.T != 13 {
-		t.Errorf("arrival tick = %d, want 13 (10 + delay 3)", hist[0].From.T)
+	if arrivals[0].From.T != 13 {
+		t.Errorf("arrival tick = %d, want 13 (10 + delay 3)", arrivals[0].From.T)
 	}
 }
 
@@ -524,7 +524,7 @@ func TestEngineExistsTemporal(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.History("n", tup)); got != 2 {
+	if got := len(historyOf(e, "n", tup)); got != 2 {
 		t.Errorf("history intervals = %d, want 2", got)
 	}
 	if !e.Exists("n", tup, Stamp{T: 35}) {

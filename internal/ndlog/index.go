@@ -109,7 +109,7 @@ func buildJoinPlans(prog *Program, cp *compiledProgram) *joinPlans {
 	intern := func(table string, cols []int) *indexSpec {
 		d := prog.Decl(table)
 		if d == nil || d.Event {
-			return nil // undeclared or unstored: nothing to index
+			return nil // undeclared, or events, whose rows never join: nothing to index
 		}
 		clean := cols[:0:0]
 		for _, c := range cols {

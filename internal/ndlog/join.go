@@ -177,8 +177,8 @@ func (e *Engine) joinFrom(r *CompiledRule, deltaAtom int, evalNode string, next 
 		return fmt.Errorf("ndlog: rule %s: unknown table %s", r.name, atom.table)
 	}
 	if atom.decl.Event {
-		// Event tuples are not stored; only the delta position can be an
-		// event atom, so a non-delta event atom never joins.
+		// An event occurrence's row is born dead, so only the delta
+		// position can bind an event atom; a non-delta one never joins.
 		return nil
 	}
 	locNode, locKnown, err := atom.loc.resolve(evalNode, j.frame)

@@ -802,7 +802,7 @@ func TestJoinNestedFiringsAndConcurrentForks(t *testing.T) {
 		for g := 0; g < 3; g++ {
 			for n := 1; n <= 20; n++ {
 				for v := 0; v < 2; v++ {
-					h := en.History("r", NewTuple("out", Int(int64(g)), Int(int64(n)), Int(int64(10*g+v))))
+					h := historyOf(en, "r", NewTuple("out", Int(int64(g)), Int(int64(n)), Int(int64(10*g+v))))
 					fmt.Fprintf(&sb, "|%d", len(h))
 				}
 			}

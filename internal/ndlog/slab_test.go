@@ -114,7 +114,7 @@ func TestSlabLargeRequestLeavesChunkAlone(t *testing.T) {
 // allocated at most half as much again (plus the one element a rounding
 // costs) — the sizing rule's bound, on which narrow forks' bytes rest.
 func TestSlabSlackIsAThirdOfUse(t *testing.T) {
-	for _, takes := range []int{1, 4, 5, 34, 6000} {
+	for _, takes := range []int{1, 4, 5, 32, 6000} {
 		var s slab[row]
 		made := 0
 		for i := 0; i < takes; i++ {
@@ -131,8 +131,8 @@ func TestSlabSlackIsAThirdOfUse(t *testing.T) {
 			t.Errorf("%d takes allocated %d elements: a fork that creates four rows pays for four", takes, made)
 		}
 	}
-	if max := slabChunkBytes / int(unsafe.Sizeof(row{})); max != 34 {
-		t.Errorf("a chunk holds %d rows; the 34-take case above was chosen as exactly one capped chunk", max)
+	if max := slabChunkBytes / int(unsafe.Sizeof(row{})); max != 32 {
+		t.Errorf("a chunk holds %d rows; the 32-take case above was chosen as exactly one capped chunk", max)
 	}
 }
 

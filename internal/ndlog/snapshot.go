@@ -31,7 +31,7 @@ func (e *Engine) CaptureStateAt(tick int64) Snapshot {
 		tbls := map[string][]Tuple{}
 		for _, tn := range e.prog.declOrder {
 			tb := e.table(n.name, tn)
-			if tb == nil {
+			if tb == nil || tb.decl.Event {
 				continue
 			}
 			live = live[:0]

@@ -21,6 +21,7 @@ package replay_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -331,7 +332,10 @@ func TestCoWDifferential(t *testing.T) {
 // after the probe has fired; inserting the right value ahead of the
 // probe must erase the mis-derived output and produce the one the
 // timely run would have derived, whether the trial forks the base run
-// (delta=true) or re-executes the log under Oracle() (delta=false).
+// (delta=true) or re-executes the log under Oracle() (delta=false). The
+// trial's cfg table must then read, at every stamp around the change, as
+// that of a run with the change in its log: the displaced generation dies
+// where the backdated one appears.
 func TestDeltaReplayBackdate(t *testing.T) {
 	const prog = `
 table cfg/2 base mutable key(0);
@@ -345,28 +349,33 @@ rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
 			if !delta {
 				opts = append(opts, replay.Oracle())
 			}
-			sess := replay.NewSession(ndlog.MustParse(prog), opts...)
-			for i, ins := range []struct {
-				table string
-				args  []ndlog.Value
-				tick  int64
-			}{
-				{"cfg", []ndlog.Value{ndlog.Str("k"), ndlog.Str("wrong")}, 5},
-				{"probe", []ndlog.Value{ndlog.Str("k")}, 40},
-				{"cfg", []ndlog.Value{ndlog.Str("k"), ndlog.Str("right")}, 41},
-			} {
-				if err := sess.Insert("n", ndlog.NewTuple(ins.table, ins.args...), ins.tick); err != nil {
-					t.Fatalf("insert %d: %v", i, err)
+			wrong := ndlog.NewTuple("cfg", ndlog.Str("k"), ndlog.Str("wrong"))
+			right := ndlog.NewTuple("cfg", ndlog.Str("k"), ndlog.Str("right"))
+			change := replay.Change{Insert: true, Node: "n", Tuple: right, Tick: 39}
+			// session logs the three inserts, and then the changes.
+			session := func(changes ...replay.Change) *replay.Session {
+				sess := replay.NewSession(ndlog.MustParse(prog), opts...)
+				for i, ins := range []replay.Change{
+					{Tuple: wrong, Tick: 5},
+					{Tuple: ndlog.NewTuple("probe", ndlog.Str("k")), Tick: 40},
+					{Tuple: right, Tick: 41},
+				} {
+					if err := sess.Insert("n", ins.Tuple, ins.Tick); err != nil {
+						t.Fatalf("insert %d: %v", i, err)
+					}
 				}
+				for _, c := range changes {
+					if err := sess.Insert(c.Node, c.Tuple, c.Tick); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sess.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return sess
 			}
-			if err := sess.Run(); err != nil {
-				t.Fatal(err)
-			}
-			eng, dg, err := sess.ReplayWith([]replay.Change{{
-				Insert: true, Node: "n",
-				Tuple: ndlog.NewTuple("cfg", ndlog.Str("k"), ndlog.Str("right")),
-				Tick:  39,
-			}})
+			sess := session()
+			eng, dg, err := sess.ReplayWith([]replay.Change{change})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -383,6 +392,39 @@ rule fwd out(K, V) :- probe(@n, K), cfg(@n, K, V).
 			want := `out("k", "right")`
 			if len(outs) != 1 || outs[0] != want {
 				t.Errorf("counterfactual outputs = %v, want exactly [%s]", outs, want)
+			}
+
+			// A session with the change in its log logs it last, so its
+			// base events take the trial's stamps.
+			timely, _, err := session(change).Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			history := func(e *ndlog.Engine) string {
+				return fmt.Sprint(replay.HistoryOf(e, "n", wrong), replay.HistoryOf(e, "n", right))
+			}
+			if got, want := history(eng), history(timely); got != want {
+				t.Errorf("History: the trial reads %s, a run with the change in its log %s", got, want)
+			}
+			for tick := int64(38); tick <= 42; tick++ {
+				for _, at := range []ndlog.Stamp{{T: tick}, {T: tick, Seq: math.MaxUint64}} {
+					for _, c := range []struct {
+						name string
+						read func(e *ndlog.Engine) string
+					}{
+						{"TuplesAt", func(e *ndlog.Engine) string { return fmt.Sprint(e.TuplesAt("n", "cfg", at)) }},
+						{"TuplesMatchingAt", func(e *ndlog.Engine) string {
+							return fmt.Sprint(e.TuplesMatchingAt("n", "cfg", at, []ndlog.Match{{Col: 0, Val: ndlog.Str("k")}}))
+						}},
+						{"Exists", func(e *ndlog.Engine) string {
+							return fmt.Sprint(e.Exists("n", wrong, at), e.Exists("n", right, at))
+						}},
+					} {
+						if got, want := c.read(eng), c.read(timely); got != want {
+							t.Errorf("%s at %v: the trial reads %s, a run with the change in its log %s", c.name, at, got, want)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -25,6 +25,16 @@ rule fw packet(@Nxt, Dst) :-
     argmax Prio.
 `)
 
+// HistoryOf collects a tuple's existence intervals on a node, newest
+// first (Engine.History).
+func HistoryOf(e *ndlog.Engine, node string, t ndlog.Tuple) (out []ndlog.Interval) {
+	e.History(node, t, func(iv ndlog.Interval) bool {
+		out = append(out, iv)
+		return true
+	})
+	return out
+}
+
 func randomTuple(r *rand.Rand) ndlog.Tuple {
 	switch r.Intn(3) {
 	case 0:
@@ -604,16 +614,16 @@ func TestSessionAccessorsAndEngineOptions(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	hist := s.Live().History("h", ndlog.NewTuple("packet", ndlog.IP(1)))
-	if len(hist) != 1 || hist[0].From.T != 13 {
-		t.Errorf("arrival = %v, want tick 13 (delay option propagated)", hist)
+	arrivals := HistoryOf(s.Live(), "h", ndlog.NewTuple("packet", ndlog.IP(1)))
+	if len(arrivals) != 1 || arrivals[0].From.T != 13 {
+		t.Errorf("arrival = %v, want tick 13 (delay option propagated)", arrivals)
 	}
 	// Replays inherit the option too.
 	e, _, err := s.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh := e.History("h", ndlog.NewTuple("packet", ndlog.IP(1)))
+	rh := HistoryOf(e, "h", ndlog.NewTuple("packet", ndlog.IP(1)))
 	if len(rh) != 1 || rh[0].From.T != 13 {
 		t.Errorf("replayed arrival = %v, want tick 13", rh)
 	}

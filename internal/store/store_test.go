@@ -304,10 +304,10 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-// TestEventsRangeSkipsSegments pins the read accounting of a cold
+// TestReopenedStoreStreamsEverySegmentOnce pins the read accounting of a cold
 // start: streaming a reopened store reads each sealed segment once, every
 // byte of its file, and every record in it.
-func TestEventsRangeSkipsSegments(t *testing.T) {
+func TestReopenedStoreStreamsEverySegmentOnce(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, WithSegmentEvents(8))
 	if err != nil {
