@@ -204,6 +204,5 @@ func (e *Engine) aggregateStep(r *CompiledRule, nodeName string, b binding, st S
 	d.Head = keyedAt(destNode, head, headKey, hst)
 	g.prevKey, g.prevID, g.prevSet = headKey, d.ID, true
 	e.obs.OnDerive(*d)
-	sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
-	return e.appear(destNode, head, headKey, hst, d.ID, sup)
+	return e.appear(destNode, head, headKey, hst, d)
 }

@@ -129,19 +129,24 @@ func (e *Engine) Fork(obs Observer) *Engine {
 // writableTable returns a node's table as this engine may mutate it. A
 // table the engine owns passes through; one it shares with the frozen
 // engine it was forked from is cloned on first write, and the clone is set
-// in the fork's own link of the table map, over the shared one. Writing to
-// a sealed engine is a bug by construction (sealed engines refuse Run), so
-// it panics rather than corrupt forks sharing the state.
+// in the fork's own link of the table map, over the shared one. The
+// engine's first write to a table after it settled counts the table into
+// Stats.DirtyTables. Writing to a sealed engine is a bug by construction
+// (sealed engines refuse Run), so it panics rather than corrupt forks
+// sharing the state.
 func (e *Engine) writableTable(nodeName string, tb *table) *table {
 	if e.sealed {
 		panic("ndlog: write to sealed engine table " + tb.decl.Name)
 	}
-	if tb.owner == e {
-		return tb
+	if tb.owner != e {
+		tb = forkTable(tb, e)
+		e.tables.Set(tableRef{nodeName, tb.decl.Name}, tb)
 	}
-	ft := forkTable(tb, e)
-	e.tables.Set(tableRef{nodeName, tb.decl.Name}, ft)
-	return ft
+	if e.settled && !tb.cfDirty {
+		tb.cfDirty = true
+		e.stats.DirtyTables++
+	}
+	return tb
 }
 
 // forkTable clones a sealed table for owner, on owner's first write to it.

@@ -38,11 +38,12 @@ func ticks(h []Interval) string {
 	return b.String()
 }
 
-// TestHistEditsCopyOnFirstWrite: a tuple's history is its rows, so every
-// edit to a history on a forked table — an occurrence appended, a row
-// killed, a row backdated, a displaced generation's death moved, an
-// occurrence erased — is a write to the clone's rows. Each shows in the
-// clone's History and leaves the sealed base's History and rows as they
+// TestHistEditsCopyOnFirstWrite: a tuple's history is its rows, so an edit
+// to a history on a forked table — an occurrence appended, a row killed, a
+// row backdated, a displaced generation's death moved — is a write to the
+// clone's rows. An occurrence erased is the one edit that writes no row:
+// the fork marks it killed and leaves its table the base's. Each shows in
+// the fork's History and leaves the sealed base's History and rows as they
 // were.
 func TestHistEditsCopyOnFirstWrite(t *testing.T) {
 	p := MustParse(`
@@ -81,15 +82,16 @@ rule fwd out(@N, X) :- ev(@N, X), s(@N, X).
 		t      Tuple
 		tick   int64
 		// edited is the tuple whose history the write changes, and want
-		// that history on the clone.
+		// that history on the fork; clones says whether its table is cloned.
 		edited Tuple
 		want   string
+		clones bool
 	}{
-		{"append", true, ev, 7, ev, "@7 @5 @3"},
-		{"close-last", false, s1, 8, s1, "[1,8)"},
-		{"backdate", true, s2, 4, s2, "[4,)"},
-		{"close-at", true, cfgB, 4, cfgA, "[2,4)"},
-		{"remove-occurrence", false, s1, 4, out, "@3"},
+		{"append", true, ev, 7, ev, "@7 @5 @3", true},
+		{"close-last", false, s1, 8, s1, "[1,8)", true},
+		{"backdate", true, s2, 4, s2, "[4,)", true},
+		{"close-at", true, cfgB, 4, cfgA, "[2,4)", true},
+		{"remove-occurrence", false, s1, 4, out, "@3", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -106,11 +108,11 @@ rule fwd out(@N, X) :- ev(@N, X), s(@N, X).
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.table("n", c.edited.Table) == base.table("n", c.edited.Table) {
-				t.Fatalf("the fork never cloned table %s", c.edited.Table)
+			if cloned := f.table("n", c.edited.Table) != base.table("n", c.edited.Table); cloned != c.clones {
+				t.Fatalf("the fork cloned table %s: %v, want %v", c.edited.Table, cloned, c.clones)
 			}
 			if got, was := ticks(historyOf(f, "n", c.edited)), baseHist[c.edited.String()]; got != c.want || got == was {
-				t.Errorf("clone's history of %s = %s, want %s (the base's is %s)", c.edited, got, c.want, was)
+				t.Errorf("fork's history of %s = %s, want %s (the base's is %s)", c.edited, got, c.want, was)
 			}
 			for _, tu := range tuples {
 				if got := ticks(historyOf(base, "n", tu)); got != baseHist[tu.String()] {
@@ -121,6 +123,49 @@ rule fwd out(@N, X) :- ev(@N, X), s(@N, X).
 				t.Errorf("sealed base's rows changed:\n%s\nwant\n%s", got, baseRows)
 			}
 		})
+	}
+}
+
+// TestErasureLeavesItsTableUnowned: a trial that erases an occurrence
+// writes no row of the occurrence's table — the stamp is marked killed —
+// so the fork leaves that table the base's, and Stats.DirtyTables counts
+// only the table the trial wrote: the gate it deleted.
+func TestErasureLeavesItsTableUnowned(t *testing.T) {
+	p := MustParse(`
+table gate/1 base mutable;
+table ping/1 event base;
+table pong/1 event;
+rule fire pong(X) :- ping(X), gate(X).
+`)
+	base := New(p, nil, WithSeqBand(SeqBandDefault))
+	if err := base.ScheduleInsert("n", NewTuple("gate", Int(1)), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.ScheduleInsert("n", NewTuple("ping", Int(1)), 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Run(); err != nil {
+		t.Fatal(err)
+	}
+	base.Seal()
+	f := base.Fork(nil)
+	if err := f.ScheduleDelete("n", NewTuple("gate", Int(1)), 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if f.ExistsEver("n", NewTuple("pong", Int(1))) {
+		t.Fatal("the pong occurrence survived its erasure")
+	}
+	if f.table("n", "pong") != base.table("n", "pong") {
+		t.Error("the fork cloned pong, whose rows the erasure does not write")
+	}
+	if f.table("n", "gate").owner != f {
+		t.Error("the fork did not clone gate, whose row it killed")
+	}
+	if got := f.Stats().DirtyTables; got != 1 {
+		t.Errorf("DirtyTables = %d, want 1: only gate was written", got)
 	}
 }
 

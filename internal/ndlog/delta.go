@@ -45,6 +45,7 @@ package ndlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cow"
@@ -57,16 +58,6 @@ func (tb *table) noteOrderAppend() {
 	if tb.orderSorted == i &&
 		(i == 0 || !tb.row(i).appearedAt.Before(tb.row(i-1).appearedAt)) {
 		tb.orderSorted++
-	}
-}
-
-// cfMarkDirty records that a write after the engine settled touched a
-// table on a node — tb is the engine's writable copy; Stats.DirtyTables
-// reports how many distinct (node, table) pairs a change set perturbed.
-func (e *Engine) cfMarkDirty(tb *table) {
-	if e.settled && !tb.cfDirty {
-		tb.cfDirty = true
-		e.stats.DirtyTables++
 	}
 }
 
@@ -137,27 +128,21 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 			if decl.Event && e.killedOccs.Get(o.appearedAt.Seq) || !decl.Event && o.dead {
 				continue
 			}
-			if err := e.refireAt(r, p, pinNode, pin, q, nn, o.tuple, o.key, o.appearedAt); err != nil {
+			var err error
+			if r.argMaxSlot >= 0 {
+				err = e.reevalArgMax(r, q, keyedAt(nn, o.tuple, o.key, o.appearedAt), keyedAt(pinNode, pin.tuple, pin.key, pin.appearedAt))
+			} else {
+				rs := e.repairing()
+				rs.pin, rs.pinAtom, rs.pinNode = pin, p, pinNode
+				err = e.fireRule(r, q, nn, o.tuple, o.key, o.appearedAt)
+				rs.pin = nil
+			}
+			if err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// refireAt fires rule r once for a single re-enumerated trigger
-// occurrence: a pinned fire for plain rules, a full trigger
-// re-evaluation for argmax rules.
-func (e *Engine) refireAt(r *CompiledRule, p int, pinNode string, pin *row, q int, nodeName string, delta Tuple, key string, st Stamp) error {
-	if r.argMaxSlot >= 0 {
-		cause := keyedAt(pinNode, pin.tuple, pin.key, pin.appearedAt)
-		return e.reevalArgMax(r, q, nodeName, delta, key, st, cause)
-	}
-	rs := e.repairing()
-	rs.pin, rs.pinAtom, rs.pinNode = pin, p, pinNode
-	err := e.fireRule(r, q, nodeName, delta, key, st)
-	rs.pin = nil
-	return err
 }
 
 // repairState is what a repair in progress keeps between the calls that
@@ -220,7 +205,6 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 	if i := int(r.pos); i < tb.orderSorted && i > 0 && st.Before(tb.row(i-1).appearedAt) {
 		tb.orderSorted = i
 	}
-	e.cfMarkDirty(tb)
 	if len(decl.Key) > 0 {
 		pk := primaryKey(decl, r.tuple)
 		cause := keyedAt(nodeName, r.tuple, r.key, st)
@@ -243,44 +227,38 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 	return e.refireForRow(nodeName, r, st, old)
 }
 
-// evConsumer records one event-head derivation: which occurrence it
-// produced (head, deriveID) and which body elements fed it. A derived
-// event's row is born dead, so the support-counting cascade cannot retract
-// it; repair erases the occurrence through these records instead (DRed's
-// delete phase, extended to events).
-type evConsumer struct {
-	deriveID int64
-	rule     string
-	head     KeyedAt // the occurrence, at its delivery stamp
-	// The body element that triggered the firing: its atom index, tuple and
-	// stamp (body[trigAtom] holds its node and key).
-	trigAtom  int
-	trigTuple Tuple
-	trigAt    Stamp
-	body      []BodyRef
+// occDep is an entry of evDeps: a derived event occurrence, filed under
+// each element of its body. The row's one support is the derivation (rule,
+// ID, body refs); the entry adds only its node and which body element
+// triggered the firing. An event row is never written after newRow, so the
+// pointer holds in every fork. The row is born dead, out of the support
+// cascade's reach; repair erases the occurrence through these entries
+// (DRed's delete phase, extended to events).
+type occDep struct {
+	occ      *row
+	node     *node
+	trigAtom int32
 }
 
-// registerEventDeriv indexes an event-head derivation under each of its
-// body elements, at delivery time (process). The record is write-once, so
-// one slot of the arena is shared by all its refs; the body slice is the
-// derivation's (and the support's), likewise shared. A fork's link holds
-// only the consumers the fork itself registers (a tail, started as a
-// window of the arena): the base chain's frozen lists are never copied —
-// eraseEventConsumers reads the links in turn, which is rare (erasure)
-// while registration is per-derivation hot.
-func (e *Engine) registerEventDeriv(d *Derivation) {
-	c := e.arena.evs.one()
-	*c = evConsumer{
-		deriveID:  d.ID,
-		rule:      d.Rule,
-		head:      d.Head,
-		trigAtom:  d.Trigger,
-		trigTuple: d.Trig.Tuple,
-		trigAt:    d.Trig.Stamp,
-		body:      d.Refs,
+// trig returns the body element that triggered the occurrence's firing and
+// its stamp: derive delivers a head at its trigger's tick, plus the transit
+// delay if it crosses to another node.
+func (d occDep) trig(delay int64) (BodyRef, Stamp) {
+	b := d.occ.supports[0].body[d.trigAtom]
+	tick := d.occ.appearedAt.T
+	if b.Node != d.node.name {
+		tick -= delay
 	}
-	for _, b := range d.Refs {
-		cow.Append(&e.evDeps, b.TupleRef(), func([]*evConsumer) []*evConsumer { return e.arena.evLists.take(0, 1) }, c)
+	return b, Stamp{T: tick, Seq: b.Seq}
+}
+
+// registerEventDeriv files a derived event occurrence under each of its
+// body elements, at delivery (appear). A fork's link holds only the tail it
+// files, started as a window of the arena; eraseEventConsumers reads each.
+func (e *Engine) registerEventDeriv(nodeName string, occ *row, trigAtom int) {
+	dep := occDep{occ: occ, node: e.nodes.Get(nodeName), trigAtom: int32(trigAtom)}
+	for _, b := range occ.supports[0].body {
+		cow.Append(&e.evDeps, b.TupleRef(), func([]occDep) []occDep { return e.arena.occDeps.take(0, 1) }, dep)
 	}
 }
 
@@ -292,68 +270,56 @@ func (e *Engine) registerEventDeriv(d *Derivation) {
 // happened in the timely run), every consumer goes.
 func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt, st Stamp, gate bool) {
 	// Each hands over every chain link's list, root first. Lists are
-	// append-only and their entries write-once, and consumers register only
-	// at delivery (process), never inside this cascade, so the walk sees
-	// exactly the consumers registered when it started.
-	e.evDeps.Each(ref, func(cs []*evConsumer) {
-		for _, c := range cs {
-			match := false
-			for _, b := range c.body {
-				if b.Seq == bodySeq {
-					match = true
-					break
-				}
-			}
-			if !match || gate && !st.Before(c.trigAt) {
+	// append-only and their entries write-once, and occurrences are filed
+	// only at delivery, never inside this cascade, so the walk sees exactly
+	// the entries filed when it started.
+	e.evDeps.Each(ref, func(ds []occDep) {
+		for _, d := range ds {
+			sup := d.occ.supports[0]
+			trig, trigAt := d.trig(e.delay)
+			if !slices.ContainsFunc(sup.body, func(b BodyRef) bool { return b.Seq == bodySeq }) ||
+				gate && !st.Before(trigAt) {
 				continue
 			}
-			e.eraseOccurrence(c, cause, st)
-			if gate {
-				// The body element existed at the trigger but the timely run
-				// loses it by then; an argmax trigger would have fired anyway
-				// and chosen the next-best winner — re-evaluate it. (Plain
-				// rules need nothing: bindings over other rows were separate
-				// firings and still stand. Ungated erasure needs nothing
-				// either: events only join as triggers, so the erased
-				// occurrence was the consumer's trigger and never happened.)
-				if r := e.compiled.rules[c.rule]; r != nil && r.argMaxSlot >= 0 {
-					trig := c.body[c.trigAtom]
-					rs := e.repairing()
-					rs.reevals = append(rs.reevals, cfReeval{
-						rule: r, atom: c.trigAtom, node: trig.Node,
-						tuple: c.trigTuple, key: trig.Key, st: c.trigAt,
-						cause: cause,
-					})
-				}
+			e.eraseOccurrence(keyedAt(d.node.name, d.occ.tuple, d.occ.key, d.occ.appearedAt), sup.deriveID, sup.rule, cause, st)
+			if !gate {
+				continue
+			}
+			// The body element existed at the trigger but the timely run
+			// loses it by then; an argmax trigger would have fired anyway and
+			// chosen the next-best winner — re-evaluate it. (Plain rules need
+			// nothing: bindings over other rows were separate firings and
+			// still stand. Ungated erasure needs nothing either: events only
+			// join as triggers, so the erased occurrence was the consumer's
+			// trigger and never happened.)
+			if r := e.compiled.rules[sup.rule]; r != nil && r.argMaxSlot >= 0 {
+				tb := e.table(trig.Node, r.body[d.trigAtom].table)
+				rs := e.repairing()
+				rs.reevals = append(rs.reevals, cfReeval{rule: r, atom: int(d.trigAtom),
+					trig: keyedAt(trig.Node, tb.rowAt(tb.byKey.Get(trig.Key)).tuple, trig.Key, trigAt), cause: cause})
 			}
 		}
 	})
 }
 
-// eraseOccurrence erases one derived event occurrence: the timely run the
-// repair reconstructs would never have fired it. The stamp is marked
-// killed, so the walks over its key's rows (Exists, ExistsEver, History)
-// and the re-fires skip the occurrence's row and a pending delivery is
-// dropped; its table counts as written. An underivation is emitted,
-// and the erasure cascades: count() groups it contributed to are
-// decremented, state rows it supported are retracted, and event
-// occurrences derived from it are erased in turn.
-func (e *Engine) eraseOccurrence(c *evConsumer, cause KeyedAt, st Stamp) {
-	occ := c.head
+// eraseOccurrence erases one derived event occurrence, derived by rule
+// under deriveID: the timely run the repair reconstructs would never have
+// fired it. The stamp is marked killed, so the walks over its key's rows
+// (Exists, ExistsEver, History) and the re-fires skip the occurrence's row
+// and a pending delivery is dropped; the row itself is not written. An
+// underivation is emitted, and the erasure cascades: count() groups it
+// contributed to are decremented, state rows it supported are retracted,
+// and event occurrences derived from it are erased in turn.
+func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause KeyedAt, st Stamp) {
 	if e.killedOccs.Get(occ.Stamp.Seq) {
 		return
 	}
 	e.killedOccs.Set(occ.Stamp.Seq, true)
-	decl := e.prog.Decl(occ.Tuple.Table)
-	if decl == nil {
-		return
-	}
-	e.cfMarkDirty(e.writableTable(occ.Node, e.tableFor(occ.Node, decl)))
 	e.deriveID++
 	e.obs.OnUnderive(Underivation{
 		ID:       e.deriveID,
-		DeriveID: c.deriveID,
-		Rule:     c.rule,
+		DeriveID: deriveID,
+		Rule:     rule,
 		Node:     occ.Node,
 		Head:     keyedAt(occ.Node, occ.Tuple, occ.Key, e.nextStamp(st.T)),
 		Cause:    cause,
@@ -390,20 +356,13 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 	if tb == nil {
 		return
 	}
-	for _, s := range tb.liveRow(dep.key).supports {
-		if s.deriveID != dep.deriveID {
-			continue
-		}
-		if ru := e.prog.Rule(s.rule); ru != nil && ru.CountVar != "" {
-			return
-		}
-		for _, b := range s.body {
-			if b.Seq == bodySeq {
-				e.dropSupport(dep.node, tb, dep.key, dep.deriveID, cause, st)
-				return
-			}
-		}
+	sups := tb.liveRow(dep.key).supports
+	i := slices.IndexFunc(sups, func(s support) bool { return s.deriveID == dep.deriveID })
+	if i < 0 || e.compiled.rules[sups[i].rule].countSlot >= 0 {
 		return
+	}
+	if slices.ContainsFunc(sups[i].body, func(b BodyRef) bool { return b.Seq == bodySeq }) {
+		e.dropSupport(dep.node, tb, dep.key, dep.deriveID, cause, st)
 	}
 }
 
@@ -415,10 +374,7 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 func (e *Engine) cfAggregateErase(r *CompiledRule, occ KeyedAt, st Stamp) {
 	sat, mark, err := e.satBindings(r, 0, occ.Node, occ.Tuple, occ.Key, occ.Stamp)
 	defer e.work.join.release(mark)
-	if err == nil && len(sat) == 0 {
-		return // the occurrence never contributed (constraint filtered it)
-	}
-	if err == nil {
+	if err == nil && len(sat) > 0 { // none: a constraint kept it out of the group
 		err = e.aggregateStep(r, occ.Node, sat[0], st, -1)
 	}
 	if err != nil {
@@ -440,16 +396,15 @@ type amTrigger struct {
 // occurrence: the head it derived (for retraction when out-of-order work
 // flips the winner) and the winning binding's canonical key (to detect
 // that the winner is unchanged). Entries are slots of the arena and
-// write-once, like evConsumer; updates store a fresh entry. None is
-// deleted: a stale one (its derivation has since been retracted) is
-// detected at use — the retraction is skipped and the binding-key
-// comparison still answers "did the winner change".
+// write-once; updates store a fresh entry. None is deleted: a stale one
+// (its derivation has since been retracted) is detected at use — the
+// retraction is skipped and the binding-key comparison still answers "did
+// the winner change".
 type amEntry struct {
 	ref       dependentRef // the head's node, key and derivation
 	bk        string       // canonical key of the winning binding
-	eventHead bool         // the head is an occurrence, not a row
-	headTuple Tuple        // event heads: the derived occurrence, for erasure
-	headAt    Stamp        // event heads: its delivery stamp
+	headTuple Tuple        // an event head's occurrence, for erasure; zero for a row
+	headAt    Stamp        // an event head's delivery stamp
 }
 
 // amEntryFor builds the winner entry for a binding from the work item
@@ -465,9 +420,7 @@ func (e *Engine) amEntryFor(r *CompiledRule, win binding, it *workItem) *amEntry
 	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
 		// An event head's row is born dead, with nothing to retract; record
 		// the occurrence so a displaced winner can be erased instead.
-		ent.eventHead = true
-		ent.headTuple = it.tuple
-		ent.headAt = it.stamp
+		ent.headTuple, ent.headAt = it.tuple, it.stamp
 	}
 	return ent
 }
@@ -476,13 +429,9 @@ func (e *Engine) amEntryFor(r *CompiledRule, win binding, it *workItem) *amEntry
 // out-of-order retraction removes an argmax winner whose trigger fired
 // after the retraction point.
 type cfReeval struct {
-	rule  *CompiledRule
-	atom  int
-	node  string
-	tuple Tuple
-	key   string // tuple's canonical key
-	st    Stamp
-	cause KeyedAt
+	rule        *CompiledRule
+	atom        int
+	trig, cause KeyedAt
 }
 
 // noteCFRetraction is called from dropSupport for a retraction before the
@@ -494,9 +443,6 @@ type cfReeval struct {
 // contained the element), and triggers at or before the retraction match
 // timely behavior as-is (fired, then retracted, never re-fired).
 func (e *Engine) noteCFRetraction(sup support, st Stamp) {
-	if sup.rule == "" {
-		return
-	}
 	r := e.compiled.rules[sup.rule]
 	if r == nil || r.argMaxSlot < 0 {
 		return
@@ -507,10 +453,8 @@ func (e *Engine) noteCFRetraction(sup support, st Stamp) {
 	}
 	node, key := sup.body[atom].Node, sup.body[atom].Key
 	rs := e.repairing()
-	rs.reevals = append(rs.reevals, cfReeval{
-		rule: r, atom: atom, node: node, tuple: tuple, key: key, st: trig,
-		cause: keyedAt(node, tuple, key, st),
-	})
+	rs.reevals = append(rs.reevals, cfReeval{rule: r, atom: atom,
+		trig: keyedAt(node, tuple, key, trig), cause: keyedAt(node, tuple, key, st)})
 }
 
 // triggerOf reconstructs the trigger occurrence of a support: the
@@ -559,16 +503,16 @@ func (e *Engine) drainCFReevals() error {
 		batch := e.repair.reevals
 		e.repair.reevals = nil
 		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].st != batch[j].st {
-				return batch[i].st.Before(batch[j].st)
+			if si, sj := batch[i].trig.Stamp, batch[j].trig.Stamp; si != sj {
+				return si.Before(sj)
 			}
 			if ri, rj := batch[i].rule.name, batch[j].rule.name; ri != rj {
 				return ri < rj
 			}
-			return batch[i].key < batch[j].key
+			return batch[i].trig.Key < batch[j].trig.Key
 		})
 		for _, rq := range batch {
-			if err := e.reevalArgMax(rq.rule, rq.atom, rq.node, rq.tuple, rq.key, rq.st, rq.cause); err != nil {
+			if err := e.reevalArgMax(rq.rule, rq.atom, rq.trig, rq.cause); err != nil {
 				return err
 			}
 		}
@@ -581,11 +525,12 @@ func (e *Engine) drainCFReevals() error {
 // rows it killed excluded. If the winner differs from the one the trigger
 // currently supports, the old head is retracted (cascading) and the new
 // winner derived. Idempotent: an unchanged winner is a no-op.
-func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, delta Tuple, key string, st Stamp, cause KeyedAt) error {
-	if d := e.prog.Decl(delta.Table); d != nil && d.Event && e.killedOccs.Get(st.Seq) {
+func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, trig, cause KeyedAt) error {
+	nodeName, st := trig.Node, trig.Stamp
+	if d := e.prog.Decl(trig.Tuple.Table); d != nil && d.Event && e.killedOccs.Get(st.Seq) {
 		return nil // the trigger occurrence was erased after this re-eval was queued
 	}
-	sat, mark, err := e.satBindings(r, deltaAtom, nodeName, delta, key, st)
+	sat, mark, err := e.satBindings(r, deltaAtom, nodeName, trig.Tuple, trig.Key, st)
 	defer e.work.join.release(mark)
 	if err != nil {
 		return err
@@ -596,8 +541,8 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 		return nil
 	}
 	win := sat[0]
-	trig := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
-	cur := e.amDeriv.Get(trig)
+	at := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
+	cur := e.amDeriv.Get(at)
 	if cur != nil {
 		kb := getKeyBuf()
 		bk := r.appendBindingKey(kb.b[:0], win.frame)
@@ -607,24 +552,21 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, nodeName string, d
 			return nil // winner unchanged; the evaluated derivation stands (or fell with its own supports)
 		}
 	}
-	if cur != nil && !cur.eventHead {
+	switch {
+	case cur == nil:
+	case cur.headTuple.Table == "":
 		// Retract the displaced winner's head. The support may already be
 		// gone (retracted by a cascade); retractSupport handles that.
 		e.retractSupport(cur.ref, cause, st)
-	}
-	if cur != nil && cur.eventHead && cur.headTuple.Table != "" {
+	default:
 		// A displaced event-head winner has no live row; erase its
 		// occurrence (idempotent — a cascade may already have erased it).
-		e.eraseOccurrence(&evConsumer{
-			deriveID: cur.ref.deriveID,
-			rule:     r.name,
-			head:     keyedAt(cur.ref.node, cur.headTuple, cur.ref.key, cur.headAt),
-		}, cause, st)
+		e.eraseOccurrence(keyedAt(cur.ref.node, cur.headTuple, cur.ref.key, cur.headAt), cur.ref.deriveID, r.name, cause, st)
 	}
 	it, err := e.derive(r, nodeName, win, deltaAtom, st)
 	if err != nil {
 		return err
 	}
-	e.amDeriv.Set(trig, e.amEntryFor(r, win, it))
+	e.amDeriv.Set(at, e.amEntryFor(r, win, it))
 	return nil
 }

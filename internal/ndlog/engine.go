@@ -199,7 +199,7 @@ type Engine struct {
 	sealed bool
 	// Repair of out-of-order work; see delta.go. settled marks an engine
 	// that has drained its queue once; each table written from then on is
-	// flagged and counted into Stats.DirtyTables (cfMarkDirty). highWater
+	// flagged and counted into Stats.DirtyTables (writableTable). highWater
 	// is the newest stamp drain has processed: work stamped before it lands
 	// in an evaluated past, and only such work re-fires, erases and
 	// re-evaluates. amDeriv maps each argmax trigger to the winner it
@@ -209,22 +209,18 @@ type Engine struct {
 	highWater Stamp
 	amDeriv   cow.Overlay[amTrigger, *amEntry]
 	repair    *repairState
-	// evDeps maps a body element to the event-head derivations it fed, so
-	// the counterfactual phase can erase derived event occurrences whose
-	// preconditions are retracted (an occurrence's row is born dead, so the
-	// dependents cascade, which retracts live rows, never reaches it). A
-	// derivation's one write-once record is shared by pointer under each of
-	// its body refs and across forks. A link's list is the tail it appended
-	// (read with Each); entries are never deleted (stale ones are filtered
-	// by the body sequence number). killedOccs marks erased event
-	// occurrences by stamp sequence.
-	evDeps     cow.Overlay[TupleRef, []*evConsumer]
+	// evDeps files each derived event occurrence under its body elements
+	// (occDep), so repair can erase one whose precondition is retracted. A
+	// link's list is the tail it appended (read with Each); entries are
+	// never deleted (stale ones are filtered by the body sequence number).
+	// killedOccs marks erased event occurrences by stamp sequence.
+	evDeps     cow.Overlay[TupleRef, []occDep]
 	killedOccs cow.Overlay[uint64, bool]
 	// arena is where what this engine creates is allocated (slab.go); a fork
 	// starts with its own, empty. It is held by value, and every fork
 	// allocates an Engine: the bools above sit next to each other, and the
 	// repair state and the evaluation scratch are behind pointers, so that
-	// the struct stays in the 768-byte size class
+	// the struct stays in the 704-byte size class
 	// (TestEngineFitsItsSizeClass).
 	arena arena
 }
@@ -253,9 +249,10 @@ type Stats struct {
 	// miss means a broken engine invariant (a stale head left live with
 	// no trace); the differential suites assert this stays 0.
 	AggRetractMisses int
-	// DirtyTables counts the distinct (node, table) pairs written after the
-	// engine first settled — on a fork of a base run, how much of the state
-	// the change set actually perturbed.
+	// DirtyTables counts the distinct (node, table) pairs whose rows the
+	// engine wrote after it first settled (writableTable) — on a fork of a
+	// base run, the tables it cloned: how much of the state the change set
+	// perturbed. An erased event occurrence writes no row (killedOccs).
 	DirtyTables int
 }
 
@@ -337,19 +334,20 @@ type table struct {
 	orderSorted int
 	orderShared bool
 	// cfDirty marks a table this engine wrote after it settled
-	// (cfMarkDirty); a fork's clone starts clean.
+	// (writableTable).
 	cfDirty bool
 }
 
 // row is one appearance of a tuple in a table: a state tuple's, from its
-// appearance until it dies, or an event occurrence's, born dead at its own
-// stamp and with no supports. Rows live by value in the arena of the engine
-// that created the row (newRow) or first wrote it in a clone (writableRow),
-// and are always held by pointer; supports is the row's own window, spliced
-// in place, never shared with another row or a base's copy. pos is the
-// row's position in its table (table.row), and prev the position+1 of the
-// key's row before it (0 for none); both are set once, when the row is
-// made.
+// appearance until it dies, held by a support per derivation; or an event
+// occurrence's, born dead at its own stamp, never written after, its one
+// support the derivation that produced it (a base one has none). Rows live
+// by value in the arena of the engine that created the row (newRow) or
+// first wrote it in a clone (writableRow), and are always held by pointer;
+// supports is the row's own window, spliced in place, never shared with
+// another row or a base's copy. pos is the row's position in its table
+// (table.row), and prev the position+1 of the key's row before it (0 for
+// none); both are set once, when the row is made.
 type row struct {
 	tuple      Tuple
 	key        string
@@ -802,7 +800,7 @@ func (e *Engine) process(it *workItem) error {
 		e.stats.BaseInserts++
 		key := e.arena.key(it.tuple)
 		e.obs.OnBaseInsert(keyedAt(it.node, it.tuple, key, it.stamp))
-		return e.appear(it.node, it.tuple, key, it.stamp, 0, support{deriveID: 0})
+		return e.appear(it.node, it.tuple, key, it.stamp, nil)
 	case wkDeleteBase:
 		e.stats.BaseDeletes++
 		return e.deleteBase(it.node, it.tuple, it.stamp)
@@ -815,44 +813,42 @@ func (e *Engine) process(it *workItem) error {
 		d := it.deriv
 		d.Head.Stamp = it.stamp
 		e.obs.OnDerive(*d)
-		sup := support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
-		if dec := e.prog.Decl(it.tuple.Table); dec != nil && dec.Event {
-			// An event head's row is born dead, out of the dependents
-			// cascade's reach; register the derivation under each body
-			// element so out-of-order work can erase the occurrence when a
-			// precondition is retracted (delta.go).
-			e.registerEventDeriv(d)
-		}
-		return e.appear(it.node, it.tuple, d.Head.Key, it.stamp, d.ID, sup)
+		return e.appear(it.node, it.tuple, d.Head.Key, it.stamp, d)
 	default:
 		return fmt.Errorf("ndlog: unknown work kind %d", it.kind)
 	}
 }
 
 // appear handles a tuple occurrence on a node (key is t.Key(), computed by
-// whoever created the occurrence): an event tuple's occurrence is recorded
-// as a row born dead and triggers rules; a state tuple is stored (possibly
-// as an additional support) and triggers rules on first appearance.
-func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID int64, sup support) error {
+// whoever created the occurrence), derived by d, or a base insertion when
+// d is nil: an event tuple's occurrence is recorded as a row born dead and
+// triggers rules; a state tuple is stored (possibly as an additional
+// support) and triggers rules on first appearance.
+func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, d *Derivation) error {
 	decl := e.prog.Decl(t.Table)
 	if decl == nil {
 		return fmt.Errorf("ndlog: tuple for undeclared table %s", t.Table)
 	}
-	if decl.Event {
-		e.stats.Appears++
-		e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
-		tb := e.writableTable(nodeName, e.tableFor(nodeName, decl))
-		e.newRow(tb, t, key, st, nil)
-		e.cfMarkDirty(tb)
-		// Events need no delta re-fire: a dead row never joins, so an event
-		// occurrence only ever fires rules as their trigger — which this
-		// very call does.
-		return e.trigger(nodeName, t, key, st)
+	var sup support
+	if d != nil {
+		sup = support{deriveID: d.ID, rule: d.Rule, body: d.Refs}
 	}
 	// An appearance always writes (a new row or an extra support), so the
 	// table must be writable up front; a row fetched below that the clone
 	// shares is copied on its first write (writableRow).
 	tb := e.writableTable(nodeName, e.tableFor(nodeName, decl))
+	if decl.Event {
+		e.stats.Appears++
+		e.obs.OnAppear(keyedAt(nodeName, t, key, st), sup.deriveID)
+		r := e.newRow(tb, t, key, st, sup)
+		if d != nil {
+			e.registerEventDeriv(nodeName, r, d.Trigger) // for repair to erase it (delta.go)
+		}
+		// Events need no delta re-fire: a dead row never joins, so an event
+		// occurrence only ever fires rules as their trigger — which this
+		// very call does.
+		return e.trigger(nodeName, t, key, st)
+	}
 	if r := tb.liveRow(key); r != nil {
 		// Additional support for an existing tuple.
 		r = e.addSupport(tb, r, sup)
@@ -868,15 +864,13 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	// live row of a keyed table deletes the old row first.
 	if len(decl.Key) > 0 && sup.deriveID == 0 {
 		if old := tb.rowAt(tb.keyIdx.Get(primaryKey(decl, t))); old != nil && !old.dead && old.key != key {
-			e.dropBaseSupport(nodeName, tb, old, st)
+			e.dropSupport(nodeName, tb, old.key, 0, KeyedAt{}, st)
 		}
 	}
 	if sup.deriveID == 0 {
 		t = t.Clone() // the caller's; a derived head's args are the engine's own
 	}
-	sups := e.arena.supports.take(1, 0)
-	sups[0] = sup
-	r := e.newRow(tb, t, key, st, sups)
+	r := e.newRow(tb, t, key, st, sup)
 	// Secondary indexes mirror order: a re-appearance after death is a
 	// fresh row and is appended again; dead rows stay behind the probe's
 	// liveness filter (and serve temporal as-of lookups).
@@ -888,11 +882,10 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	}
 	e.indexSupport(nodeName, key, sup)
 	e.stats.Appears++
-	e.obs.OnAppear(keyedAt(nodeName, t, key, st), deriveID)
+	e.obs.OnAppear(keyedAt(nodeName, t, key, st), sup.deriveID)
 	if err := e.trigger(nodeName, t, key, st); err != nil {
 		return err
 	}
-	e.cfMarkDirty(tb)
 	if st.Before(e.highWater) {
 		// A state row appearing in the evaluated past was missing there:
 		// re-fire the later trigger occurrences that would have joined it
@@ -902,13 +895,19 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, deriveID
 	return nil
 }
 
-// newRow appends a row for key's appearance at st to the writable table tb
-// and makes it the key's newest, chained to the one before it. An event
-// occurrence, which has no supports, is born dead at its own stamp.
-func (e *Engine) newRow(tb *table, t Tuple, key string, st Stamp, sups []support) *row {
+// newRow appends a row for key's appearance at st, held by sup, to the
+// writable table tb and makes it the key's newest, chained to the one
+// before it. An event occurrence is born dead at its own stamp, and a base
+// one holds no support.
+func (e *Engine) newRow(tb *table, t Tuple, key string, st Stamp, sup support) *row {
 	var died Stamp
 	if tb.decl.Event {
 		died = st
+	}
+	var sups []support
+	if !tb.decl.Event || sup.deriveID != 0 {
+		sups = e.arena.supports.take(1, 0)
+		sups[0] = sup
 	}
 	r := e.arena.rows.one()
 	*r = row{tuple: t, key: key, appearedAt: st, diedAt: died, supports: sups, dead: tb.decl.Event,
@@ -978,34 +977,10 @@ func (e *Engine) deleteBase(nodeName string, t Tuple, st Stamp) error {
 		return fmt.Errorf("ndlog: cannot delete event tuple %s", t)
 	}
 	tb := e.tableFor(nodeName, decl)
-	key := t.Key()
-	if tb.liveRow(key) == nil {
-		return nil // deleting a non-existent tuple is a no-op
-	}
-	// The delete will mutate the row; clone a sealed table first and
-	// re-fetch the row from the writable clone.
-	tb = e.writableTable(nodeName, tb)
-	if !e.dropBaseSupport(nodeName, tb, tb.liveRow(key), st) {
+	if key := t.Key(); tb.liveRow(key) != nil && !e.dropSupport(nodeName, tb, key, 0, KeyedAt{}, st) {
 		return fmt.Errorf("ndlog: %s on %s has no base support to delete", t, nodeName)
 	}
-	return nil
-}
-
-// dropBaseSupport removes one base support from a live row of a writable
-// table, reports the deletion, and retracts the row if that was its last
-// support. A row with no base support is left alone (false).
-func (e *Engine) dropBaseSupport(nodeName string, tb *table, r *row, st Stamp) bool {
-	for i, s := range r.supports {
-		if s.deriveID == 0 {
-			r = e.cutSupport(tb, r, i)
-			e.obs.OnBaseDelete(keyedAt(nodeName, r.tuple, r.key, st))
-			if len(r.supports) == 0 {
-				e.retractRow(nodeName, tb, r, st, 0)
-			}
-			return true
-		}
-	}
-	return false
+	return nil // deleting a non-existent tuple is a no-op
 }
 
 // primaryKey computes the primary-key projection of a tuple.
@@ -1028,7 +1003,6 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 	e.stats.Disappears++
 	cause := keyedAt(nodeName, r.tuple, r.key, st)
 	e.obs.OnDisappear(cause, underiveID)
-	e.cfMarkDirty(tb)
 
 	ref := cause.TupleRef()
 	deps := e.dependents.Get(ref) // read only: may be a frozen base's
@@ -1087,48 +1061,48 @@ func (e *Engine) liveTable(nodeName, tableName, key string) *table {
 	return nil
 }
 
-// dropSupport is the one place a derived support leaves a row: derivation
-// deriveID's support is spliced out of the live row key of tb, unindexed
-// from its body rows' dependents and underived under a fresh id and stamp;
-// the row is retracted (cascading) when that was its last support. It
-// reports false, touching nothing, when the row holds no such support.
+// dropSupport is the one place a support leaves a row: derivation
+// deriveID's support, or a base insertion's for 0, is spliced out of the
+// live row key of tb. A base support's removal is reported as a deletion; a
+// derived one is unindexed from its body rows' dependents and underived
+// under a fresh id and stamp. The row is retracted (cascading) when that
+// was its last support. It reports false, touching nothing, when the row
+// holds no such support.
 func (e *Engine) dropSupport(nodeName string, tb *table, key string, deriveID int64, cause KeyedAt, st Stamp) bool {
-	// The retraction mutates the row's supports; clone a sealed table
-	// first and fetch the row from the writable clone.
-	tb = e.writableTable(nodeName, tb)
 	r := tb.liveRow(key)
-	idx := -1
-	for i, s := range r.supports {
-		if s.deriveID == deriveID {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(r.supports, func(s support) bool { return s.deriveID == deriveID })
 	if idx < 0 {
 		return false
 	}
+	// The removal writes the row: a table shared with the frozen base is
+	// cloned first, and the row copied into the clone (writableRow).
+	tb = e.writableTable(nodeName, tb)
 	s := r.supports[idx]
 	r = e.cutSupport(tb, r, idx)
-	e.unindexSupport(nodeName, key, s)
-	if st.Before(e.highWater) {
-		// An argmax winner retracted before a trigger that already fired
-		// must be re-evaluated: a timely run would have chosen another
-		// winner at the trigger (delta.go).
-		e.noteCFRetraction(s, st)
+	var uid int64
+	if deriveID == 0 {
+		e.obs.OnBaseDelete(keyedAt(nodeName, r.tuple, r.key, st))
+	} else {
+		e.unindexSupport(nodeName, key, s)
+		if st.Before(e.highWater) {
+			// An argmax winner retracted before a trigger that already fired
+			// must be re-evaluated: a timely run would have chosen another
+			// winner at the trigger (delta.go).
+			e.noteCFRetraction(s, st)
+		}
+		e.deriveID++
+		uid, st = e.deriveID, e.nextStamp(st.T)
+		e.obs.OnUnderive(Underivation{
+			ID:       uid,
+			DeriveID: s.deriveID,
+			Rule:     s.rule,
+			Node:     nodeName,
+			Head:     keyedAt(nodeName, r.tuple, r.key, st),
+			Cause:    cause,
+		})
 	}
-	e.deriveID++
-	uid := e.deriveID
-	ust := e.nextStamp(st.T)
-	e.obs.OnUnderive(Underivation{
-		ID:       uid,
-		DeriveID: s.deriveID,
-		Rule:     s.rule,
-		Node:     nodeName,
-		Head:     keyedAt(nodeName, r.tuple, r.key, ust),
-		Cause:    cause,
-	})
 	if len(r.supports) == 0 {
-		e.retractRow(nodeName, tb, r, ust, uid)
+		e.retractRow(nodeName, tb, r, st, uid)
 	}
 	return true
 }

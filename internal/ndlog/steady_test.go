@@ -12,9 +12,9 @@ import (
 // TestSteadyDerivationAllocatesOnlyItsRecords: a settled engine forwarding
 // packets through the SDN model — an argmax rule at every hop — allocates
 // no object per derivation. The keys it renders and keeps, the argmax
-// winners and the event records come from its arena, and the work items
-// that deliver heads from its free list; what is left is the amortised
-// growth of its maps and slab chunks.
+// winners and the consumer index's entries come from its arena, and the
+// work items that deliver heads from its free list; what is left is the
+// amortised growth of its maps and slab chunks.
 func TestSteadyDerivationAllocatesOnlyItsRecords(t *testing.T) {
 	if ndlog.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

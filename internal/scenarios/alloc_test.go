@@ -19,24 +19,24 @@ import (
 // slack must not cost them bytes — and the same holds of the engine's slabs
 // (§2) and of the reverse edges records carry (§3). The ceilings are the
 // readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the
-// commit before a tuple's history became its rows, with an event
-// occurrence a row born dead (DESIGN.md §2), and no interval history or
-// occurrence log was kept beside them:
+// commit before a derived event occurrence kept its derivation on its own
+// row, as its one support, and the consumer index named that row instead
+// of a copy of the derivation (DESIGN.md §2):
 //
 //	          allocs  before      KB    before
-//	MR1-D      1 479   1 657  1 632.8  1 817.0
-//	MR2-D      1 276   1 688  1 926.0  2 122.3
-//	SDN1         227     255     32.1     38.4
-//	SDN2         174     197     21.5     25.3
-//	SDN3         156     172     19.5     22.8
-//	SDN4         352     400     41.4     50.7
+//	MR1-D      1 450   1 480  1 593.5  1 632.9
+//	MR2-D      1 237   1 276  1 852.3  1 925.7
+//	SDN1         217     227     30.2     32.1
+//	SDN2         172     174     21.0     21.5
+//	SDN3         154     156     19.1     19.5
+//	SDN4         341     352     38.9     41.4
 //
 // For SDN1, MR1-D and MR2-D it also logs the allocation ledger by layer
 // (ledger_test.go), holds the ledger's window to this one's count, and
 // holds MR1-D's provenance line to provenanceKB (725.0 KB at the commit
 // before an UNDERIVE got a record of its own) and its ndlog line to
-// ndlogAllocs and ndlogKB (876.4 allocations and 900.1 KB; 1 055.3 and
-// 1 084.4 KB before).
+// ndlogAllocs and ndlogKB (847.6 allocations and 861.6 KB; 876.8 and
+// 900.9 KB before).
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -45,14 +45,14 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 1501, 1657.3},
-		{"MR2-D", 1295, 1954.9},
-		{"SDN1", 230, 32.6},
-		{"SDN2", 177, 21.8},
-		{"SDN3", 158, 19.8},
-		{"SDN4", 357, 42.0},
+		{"MR1-D", 1472, 1617.4},
+		{"MR2-D", 1256, 1880.1},
+		{"SDN1", 220, 30.7},
+		{"SDN2", 175, 21.3},
+		{"SDN3", 156, 19.4},
+		{"SDN4", 346, 39.5},
 	}
-	const provenanceKB, ndlogAllocs, ndlogKB = 718.8, 889.5, 913.6
+	const provenanceKB, ndlogAllocs, ndlogKB = 718.8, 860.3, 874.5
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
 		if err != nil {
@@ -110,11 +110,12 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 // ingest-durable workload measures with a store underneath — packets streamed
 // into the Figure 1 network in batches of 64, each batch run to quiescence —
 // here into an in-memory session, so forward evaluation and logging are gated
-// in go test and not only by the harness. It reads 4.53 allocations and
-// 6.39 KB per event (5.11 and 7.39 KB at the commit before an event
-// occurrence became a row and no interval history was kept beside the
-// rows, DESIGN.md §2); the ceilings are those plus 5 %, inside the
-// 38 / 9.9 the harness's store-backed workload is held to.
+// in go test and not only by the harness. It reads 4.36 allocations and
+// 6.06 KB per event (4.53 and 6.39 KB at the commit before a derived event
+// occurrence kept its derivation on its own row and the consumer index
+// named that row instead of a copy, DESIGN.md §2); the ceilings are those
+// plus 5 %, inside the 38 / 9.9 the harness's store-backed workload is
+// held to.
 func TestIngestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -150,7 +151,7 @@ func TestIngestAllocationBudget(t *testing.T) {
 	allocs := float64(after.Mallocs-before.Mallocs) / packets
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / packets / 1024
 	t.Logf("%.2f allocs, %.2f KB per ingested event", allocs, kb)
-	if allocs > 4.76 || kb > 6.71 {
-		t.Errorf("%.2f allocs and %.2f KB per ingested event, budget 4.76 and 6.71", allocs, kb)
+	if allocs > 4.58 || kb > 6.36 {
+		t.Errorf("%.2f allocs and %.2f KB per ingested event, budget 4.58 and 6.36", allocs, kb)
 	}
 }
