@@ -322,7 +322,7 @@ func (d *diag) makeAppear(w World, gDerive *provenance.Tree, expected ndlog.At, 
 
 	if _, err := s.verify(expected); err != nil {
 		if de, ok := err.(*DiagnosisError); ok {
-			de.Tuple = expected.Tuple
+			de.Tuple = expected.Tuple.Clone() // it may be the caller's solver scratch
 			de.Node = expected.Node
 		}
 		return err
@@ -413,14 +413,16 @@ func (d *diag) provide(w World, gc childAt, side ndlog.At, needBy int64, depth i
 	}
 	if gc.base {
 		tick := d.changeTick(w, side, needBy)
+		// side is a solver's scratch (sideTuple): what is kept is a copy.
 		if !w.IsMutable(side.Node, side.Tuple) {
+			t := side.Tuple.Clone()
 			return &DiagnosisError{
 				Kind: ImmutableChange,
 				Detail: fmt.Sprintf("aligning the trees requires inserting %s on %s, but that tuple is immutable; pick a different reference event",
 					side.Tuple, side.Node),
-				Tuple:     side.Tuple,
+				Tuple:     t,
 				Node:      side.Node,
-				Attempted: []replay.Change{{Insert: true, Node: side.Node, Tuple: side.Tuple, Tick: tick}},
+				Attempted: []replay.Change{{Insert: true, Node: side.Node, Tuple: t, Tick: tick}},
 			}
 		}
 		d.addChange(replay.Change{Insert: true, Node: side.Node, Tuple: side.Tuple, Tick: tick})
@@ -486,17 +488,8 @@ func (d *diag) makeAggregateAppear(w World, rule *ndlog.Rule, children []childAt
 				envC[slot] = v
 			}
 		}
-		args := make([]ndlog.Value, len(atom.Args))
-		ok := true
-		for i := range atom.Args {
-			v, err := s.cr.Eval(argClause(0, i), envC)
-			if err != nil {
-				ok = false
-				break
-			}
-			args[i] = v
-		}
-		if !ok {
+		args, _, err := s.sideArgs(0, envC)
+		if err != nil {
 			continue
 		}
 		node, known, err := s.cr.Locate(locClause(0), gc.at.Node, envC)
@@ -526,6 +519,7 @@ func (d *diag) addChange(c replay.Change) {
 	if d.isApplied(c) {
 		return
 	}
+	c.Tuple = c.Tuple.Clone() // it may be a solver's scratch
 	d.pending = append(d.pending, c)
 }
 

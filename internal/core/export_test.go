@@ -68,3 +68,27 @@ func newSolver(prog *ndlog.Program, rule *ndlog.Rule, children []ndlog.At) (*sol
 	}
 	return s, s.reset(prog, rule)
 }
+
+// AggregateAppear returns MAKEAPPEAR's count() step for world w: each call
+// runs makeAggregateAppear for a good DERIVE against the head it derived,
+// on depth 0 of one diagnosis's solver scratch, reused from call to call,
+// and returns how many changes the step asked for.
+func AggregateAppear(w World) func(derive *provenance.Tree, head ndlog.At) (int, error) {
+	d := &diag{prog: w.Program(), scratch: new(scratch)}
+	return func(derive *provenance.Tree, head ndlog.At) (int, error) {
+		rule := d.prog.Rule(derive.Vertex.Rule)
+		if rule == nil || rule.CountVar == "" {
+			return 0, fmt.Errorf("rule %s is no counting rule", derive.Vertex.Rule)
+		}
+		s := d.scratch.solve.get(0)
+		if err := s.load(d.prog, rule, derive); err != nil {
+			return 0, err
+		}
+		if cv, ok := headCountValue(rule, head.Tuple); ok {
+			s.bind(s.countSlot, cv, fromHead)
+		}
+		d.pending = d.pending[:0]
+		err := d.makeAggregateAppear(w, rule, s.children, s, head, endOfExecution, 0)
+		return len(d.pending), err
+	}
+}

@@ -54,9 +54,13 @@ type solver struct {
 
 	// frames are spare frames of the rule (bindTrigger's, and the
 	// contributor frames of makeAggregateAppear); preimages is what
-	// CompiledRule.Invert appends to.
+	// CompiledRule.Invert appends to; sideBuf holds the arguments of the side
+	// tuple evaluated last (sideTuple, makeAggregateAppear), which most
+	// callers only probe the bad world with: one that keeps the tuple
+	// clones it.
 	frames    [2][]ndlog.Value
 	preimages []ndlog.Value
+	sideBuf   []ndlog.Value
 }
 
 // solvers is the MAKEAPPEAR scratch of one goroutine: a solver per
@@ -132,6 +136,7 @@ func (ss *solvers) forget() {
 		clear(s.frames[0][:cap(s.frames[0])])
 		clear(s.frames[1][:cap(s.frames[1])])
 		clear(s.preimages[:cap(s.preimages)])
+		clear(s.sideBuf[:cap(s.sideBuf)])
 		s.rule, s.cr, s.prog = nil, nil, nil
 	}
 }
@@ -724,17 +729,15 @@ func generalizePrefix(p ndlog.Prefix, ip ndlog.IP) ndlog.Prefix {
 	return ndlog.Prefix{Addr: p.Addr.Mask(bits), Bits: bits}
 }
 
-// sideTuple computes the expected bad-world occurrence of body atom k.
+// sideTuple computes the expected bad-world occurrence of body atom k. Its
+// arguments are the solver's side scratch, good until the solver evaluates
+// the next side tuple.
 func (s *solver) sideTuple(k int) (ndlog.At, error) {
 	atom := s.rule.Body[k]
-	args := make([]ndlog.Value, len(atom.Args))
-	for i := range atom.Args {
-		v, err := s.cr.Eval(argClause(k, i), s.envB)
-		if err != nil {
-			return ndlog.At{}, failf(NonInvertible,
-				"cannot determine field %d of expected %s tuple: %v", i, atom.Table, err)
-		}
-		args[i] = v
+	args, i, err := s.sideArgs(k, s.envB)
+	if err != nil {
+		return ndlog.At{}, failf(NonInvertible,
+			"cannot determine field %d of expected %s tuple: %v", i, atom.Table, err)
 	}
 	defNode := ""
 	if s.rule.CountVar == "" && k < len(s.children) {
@@ -745,6 +748,20 @@ func (s *solver) sideTuple(k int) (ndlog.At, error) {
 		node = defNode
 	}
 	return ndlog.At{Node: node, Tuple: ndlog.Tuple{Table: atom.Table, Args: args}}, nil
+}
+
+// sideArgs evaluates body atom k's arguments under frame f into the side
+// scratch; on an error, i is the argument that failed.
+func (s *solver) sideArgs(k int, f []ndlog.Value) (args []ndlog.Value, i int, err error) {
+	s.sideBuf = frame(s.sideBuf, len(s.rule.Body[k].Args))
+	for i = range s.sideBuf {
+		v, err := s.cr.Eval(argClause(k, i), f)
+		if err != nil {
+			return nil, i, err
+		}
+		s.sideBuf[i] = v
+	}
+	return s.sideBuf, 0, nil
 }
 
 // headUnder evaluates the head under a binding; evalNode is where the rule

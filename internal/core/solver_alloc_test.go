@@ -57,6 +57,49 @@ func TestSolverAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestAggregateAppearAllocatesNothingPerContributor bounds MAKEAPPEAR's
+// count() step (makeAggregateAppear) over the count() derivation of MR1-D's
+// bad tree with the most contributors, in the world whose execution derived
+// it, the bad one: each
+// contributor is mapped into that world and found there, so the step asks
+// for no change, and the side tuple it probes with is evaluated into the
+// solver's scratch. It reads 0 allocations, where a side tuple's argument
+// slice per contributor read one each.
+func TestAggregateAppearAllocatesNothingPerContributor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s, err := scenarios.Build("MR1-D", scenarios.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := s.World.Program()
+	var derive *provenance.Tree
+	var head ndlog.At
+	s.Bad.Walk(func(n *provenance.Tree) {
+		if n.Vertex.Type != provenance.Appear || len(n.Children) == 0 {
+			return
+		}
+		d := n.Children[0]
+		if d.Vertex.Type == provenance.Derive && prog.Rule(d.Vertex.Rule).CountVar != "" &&
+			(derive == nil || len(d.Children) > len(derive.Children)) {
+			derive, head = d, ndlog.At{Node: n.Vertex.Node, Tuple: n.Vertex.Tuple}
+		}
+	})
+	if derive == nil || len(derive.Children) < 2 {
+		t.Fatal("MR1-D's bad tree has no count() derivation with several contributors")
+	}
+	step := core.AggregateAppear(s.World)
+	if n, err := step(derive, head); err != nil || n != 0 {
+		t.Fatalf("the step asked for %d changes (%v), want none: every contributor is in the world", n, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() { step(derive, head) })
+	t.Logf("rule %s, %d contributors: %.0f allocations", derive.Vertex.Rule, len(derive.Children), allocs)
+	if allocs > 0 {
+		t.Errorf("%.0f allocations to map %d contributors, want none", allocs, len(derive.Children))
+	}
+}
+
 // firstDerivation returns the first DERIVE in the tree's preorder whose rule
 // counts (or does not), with the head occurrence it derived.
 func firstDerivation(tree *provenance.Tree, prog *ndlog.Program, count bool) (*provenance.Tree, ndlog.At) {

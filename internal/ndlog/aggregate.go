@@ -2,6 +2,7 @@ package ndlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -20,11 +21,12 @@ import (
 // local head: this covers the MapReduce reduce phase (WordCount) while
 // keeping evaluation deterministic.
 
+// aggGroup is a count() group: its count and, while that is not 0, its
+// head's canonical key and derivation id (the head the next link retracts).
 type aggGroup struct {
 	count   int64
-	prevKey string // canonical key of the previous head tuple (to be underived)
-	prevID  int64  // derivation id of the previous head
-	prevSet bool
+	prevKey string
+	prevID  int64
 }
 
 // validateAggregate checks the restrictions on counting rules, reporting
@@ -142,67 +144,72 @@ func (e *Engine) groupKey(key []byte, r *CompiledRule, nodeName string, f []Valu
 	return key
 }
 
-// aggregateStep moves a counting rule's group by one contributor: sign +1
-// when binding b's event fires the rule, -1 when the counterfactual phase
-// erased that event's occurrence (delta.go). The previous head is retracted
-// and a head carrying the new count derived — a delta whose body is the one
-// contributor, AggPrev linking it to the previous head's derivation and
-// AggRemove marking a removal so provenance folds subtract it (see the
-// package comment above). A group stepped down to zero just loses its head.
-func (e *Engine) aggregateStep(r *CompiledRule, nodeName string, b binding, st Stamp, sign int64) error {
-	// Resolve the head location and evaluate the head against the new
-	// count before touching any group state: a failed step must leave the
-	// group as it was.
-	destNode, known, err := r.headLoc.resolve(nodeName, b.frame)
-	if err != nil || !known {
-		return fmt.Errorf("ndlog: rule %s: unresolved aggregate head location: %v", r.name, err)
+// aggregateStep links the event of binding b, which fired counting rule r
+// at st, into its group's delta chain: the previous head is retracted and a
+// head carrying the count one up derived, a delta whose body is the one
+// contributor (see the package comment above). Links are made in their
+// contributors' stamp order: one stamped before the group's last (repair,
+// delta.go) first cuts the chain back to it (cutChain), so a link folds only
+// what existed when it was made.
+func (e *Engine) aggregateStep(r *CompiledRule, nodeName string, b binding, st Stamp) error {
+	destNode, g, err := e.aggGroupOf(r, nodeName, b.frame)
+	if err != nil {
+		return err
 	}
-	kb := getKeyBuf()
-	gk := e.groupKey(kb.b[:0], r, nodeName, b.frame)
-	g := e.aggGroupFor(gk)
-	putKeyBuf(kb, gk)
-	if sign < 0 && (g.count == 0 || !g.prevSet) {
-		return fmt.Errorf("ndlog: rule %s: no aggregate head to decrement", r.name)
+	cause := KeyedAt{At: b.body[0], Key: b.refs[0].Key}
+	if h, sup := e.aggHead(destNode, r, g); h != nil && st.Before(linkStamp(h, sup)) {
+		e.cutChain(r, destNode, g, b.frame, st, cause, st)
 	}
-	b.frame[r.countSlot] = Int(g.count + sign)
+	b.frame[r.countSlot] = Int(g.count + 1)
 	head, err := r.evalHead(&e.arena, b.frame)
 	if err != nil {
 		return fmt.Errorf("ndlog: rule %s head: %v", r.name, err)
 	}
-	if g.count+sign != 0 { // the step derives a head
-		if err := e.countDerivation(r.name, nodeName); err != nil {
-			return err
-		}
+	if err := e.countDerivation(r.name, nodeName); err != nil {
+		return err
 	}
-	g.count += sign
-
-	// Retract the previous count tuple for this group.
-	var prevID int64
-	if g.prevSet {
-		prevID = g.prevID
-		e.retractDerived(destNode, head.Table, g.prevKey, g.prevID, KeyedAt{At: b.body[0], Key: b.refs[0].Key}, st)
+	if g.count > 0 {
+		e.retractDerived(destNode, head.Table, g.prevKey, g.prevID, cause, st)
 	}
-	if g.count == 0 {
-		g.prevKey, g.prevID, g.prevSet = "", 0, false
-		return nil
-	}
-
-	headKey := e.arena.key(head)
+	g.count++
+	headKey, hst := e.arena.key(head), e.nextStamp(st.T)
 	e.deriveID++
-	d := &Derivation{
-		ID:        e.deriveID,
-		Rule:      r.name,
-		Node:      nodeName,
-		Trig:      b.body[0],
-		Refs:      b.refs[:1],
-		Trigger:   0,
-		AggPrev:   prevID,
-		AggCount:  g.count,
-		AggRemove: sign < 0,
-	}
-	hst := e.nextStamp(st.T)
-	d.Head = keyedAt(destNode, head, headKey, hst)
-	g.prevKey, g.prevID, g.prevSet = headKey, d.ID, true
+	d := &Derivation{ID: e.deriveID, Rule: r.name, Node: nodeName, Head: keyedAt(destNode, head, headKey, hst),
+		Refs: b.refs[:1], Trig: b.body[0], AggPrev: g.prevID, AggCount: g.count}
+	g.prevKey, g.prevID = headKey, d.ID
 	e.obs.OnDerive(*d)
 	return e.appear(destNode, head, headKey, hst, d)
+}
+
+// aggGroupOf returns the node of the head of a binding of counting rule r,
+// and the binding's group; an unresolved location leaves the groups alone.
+func (e *Engine) aggGroupOf(r *CompiledRule, nodeName string, f []Value) (string, *aggGroup, error) {
+	destNode, known, err := r.headLoc.resolve(nodeName, f)
+	if err != nil || !known {
+		return "", nil, fmt.Errorf("ndlog: rule %s: unresolved aggregate head location: %v", r.name, err)
+	}
+	kb := getKeyBuf()
+	gk := e.groupKey(kb.b[:0], r, nodeName, f)
+	g := e.aggGroupFor(gk)
+	putKeyBuf(kb, gk)
+	return destNode, g, nil
+}
+
+// aggHead returns the live head row of a group of counting rule r and the
+// support its link holds it by; nil for an empty group.
+func (e *Engine) aggHead(node string, r *CompiledRule, g *aggGroup) (*row, support) {
+	if g.count == 0 {
+		return nil, support{}
+	}
+	h := e.table(node, r.rule.Head.Table).liveRow(g.prevKey)
+	if i := slices.IndexFunc(h.supports, func(s support) bool { return s.deriveID == g.prevID }); i >= 0 {
+		return h, h.supports[i]
+	}
+	return nil, support{}
+}
+
+// linkStamp returns the stamp of the contributor of the link holding head
+// row h by sup: the head appears at its tick, and sup names its appearance.
+func linkStamp(h *row, sup support) Stamp {
+	return Stamp{T: h.appearedAt.T, Seq: sup.body[0].Seq}
 }

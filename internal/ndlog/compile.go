@@ -511,6 +511,20 @@ func (cr *CompiledRule) evalHead(a *arena, f []Value) (Tuple, error) {
 	return Tuple{Table: cr.rule.Head.Table, Args: args}, nil
 }
 
+// appendHeadKey appends the key (Tuple.Key) of the head a frame evaluates to.
+func (cr *CompiledRule) appendHeadKey(b []byte, f []Value) ([]byte, error) {
+	b = append(b, cr.rule.Head.Table...)
+	for i := range cr.head {
+		v, err := cr.head[i].e.eval(f)
+		if err != nil {
+			return b, err
+		}
+		b = append(b, '|')
+		b = v.appendKey(b)
+	}
+	return b, nil
+}
+
 // resolve resolves a location term under a frame: the node name and whether
 // the frame determines it.
 func (l *slotLoc) resolve(evalNode string, f []Value) (string, bool, error) {

@@ -166,6 +166,7 @@ func forkTable(tb *table, owner *Engine) *table {
 		from:        tb,
 		orderSorted: tb.orderSorted,
 		owner:       owner,
+		killed:      tb.killed,
 	}
 	if tb.indexes != nil {
 		ft.indexes = make([]tableIndex, len(tb.indexes))
@@ -225,6 +226,13 @@ func (e *Engine) killRow(tb *table, r *row, st Stamp) *row {
 	return r
 }
 
+// reviveRow makes a dead row live again (cutChain).
+func (e *Engine) reviveRow(tb *table, r *row) *row {
+	r = e.writableRow(tb, r)
+	r.dead, r.diedAt = false, Stamp{}
+	return r
+}
+
 // backdateRow moves a row's appearance back to st (cfBackdateRow).
 func (e *Engine) backdateRow(tb *table, r *row, st Stamp) *row {
 	r = e.writableRow(tb, r)
@@ -233,9 +241,10 @@ func (e *Engine) backdateRow(tb *table, r *row, st Stamp) *row {
 }
 
 // aggGroupFor returns this engine's mutable aggregate group for a key
-// (groupKey's bytes; the string is built only for a group not yet in the
-// engine's own link), copying the frozen base's group state on first access
-// (the state is a few scalars) or creating a fresh group.
+// (groupKey's bytes; the string is rendered into the arena only for a group
+// not yet in the engine's own link), copying the frozen base's group state
+// on first access (the state is a few scalars) or creating a fresh group,
+// in the arena.
 func (e *Engine) aggGroupFor(key []byte) *aggGroup {
 	if g, own := e.aggGroups.Find(func(m map[string]*aggGroup) (*aggGroup, bool) {
 		g, ok := m[string(key)]
@@ -243,8 +252,8 @@ func (e *Engine) aggGroupFor(key []byte) *aggGroup {
 	}); own {
 		return g
 	}
-	return e.aggGroups.Own(string(key), func(base *aggGroup) *aggGroup {
-		g := &aggGroup{}
+	return e.aggGroups.Own(e.arena.text(func(b []byte) []byte { return append(b, key...) }), func(base *aggGroup) *aggGroup {
+		g := e.arena.group()
 		if base != nil {
 			*g = *base
 		}

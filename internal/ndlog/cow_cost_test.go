@@ -227,7 +227,7 @@ func claimAll(t *testing.T, base *Engine, engines map[string]*Engine) *owners {
 		}
 		o.claimSet(who, e.work)
 	}
-	for i, w := range base.spares {
+	for i, w := range base.spareSets() {
 		o.claimSet(fmt.Sprintf("spare %d", i), w)
 	}
 	return o
@@ -271,8 +271,8 @@ rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
 		if err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if f.work != nil || len(e.spares) != 1 {
-			t.Fatalf("%s settled holding scratch %p, and its base has %d spare sets; want none and 1", who, f.work, len(e.spares))
+		if f.work != nil || len(e.spareSets()) != 1 {
+			t.Fatalf("%s settled holding scratch %p, and its base has %d spare sets; want none and 1", who, f.work, len(e.spareSets()))
 		}
 		claimAll(t, e, engines)
 	}
@@ -296,12 +296,12 @@ rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
 			t.Fatal(err)
 		}
 	}
-	if len(e.spares) != n {
-		t.Errorf("%d forks evaluated at once and the base holds %d spare sets; want %d", n, len(e.spares), n)
+	if len(e.spareSets()) != n {
+		t.Errorf("%d forks evaluated at once and the base holds %d spare sets; want %d", n, len(e.spareSets()), n)
 	}
 	claimAll(t, e, engines)
 
-	for i, w := range e.spares {
+	for i, w := range e.spareSets() {
 		who := fmt.Sprintf("spare %d", i)
 		for shape, free := range map[string]*workItem{"base event": w.freeBase, "delivery": w.freeDelivery} {
 			if free == nil {
@@ -380,10 +380,10 @@ func TestSettledForkHandsItsWorkItemsOn(t *testing.T) {
 	if err := trial(first); err != nil {
 		t.Fatal(err)
 	}
-	if first.work != nil || len(base.spares) != 1 {
-		t.Fatalf("the settled fork holds scratch %p and the base %d spare sets; want none and 1", first.work, len(base.spares))
+	if first.work != nil || len(base.spareSets()) != 1 {
+		t.Fatalf("the settled fork holds scratch %p and the base %d spare sets; want none and 1", first.work, len(base.spareSets()))
 	}
-	set := base.spares[0]
+	set := base.spareSets()[0]
 	made := items(set)
 	if len(made) == 0 {
 		t.Fatal("the trial recycled no work item")
@@ -414,13 +414,13 @@ func TestSettledForkHandsItsWorkItemsOn(t *testing.T) {
 	clear(j.bodies[:cap(j.bodies)])
 
 	second := base.Fork(nil)
-	if second.work != set || len(base.spares) != 0 {
+	if second.work != set || len(base.spareSets()) != 0 {
 		t.Fatalf("the second fork evaluates in %p, not the handed-on set %p", second.work, set)
 	}
 	if err := trial(second); err != nil {
 		t.Fatal(err)
 	}
-	if second.work != nil || len(base.spares) != 1 || base.spares[0] != set {
+	if second.work != nil || len(base.spareSets()) != 1 || base.spareSets()[0] != set {
 		t.Fatalf("the second fork did not hand the set back")
 	}
 	claimAll(t, base, map[string]*Engine{"the first fork": first, "the second fork": second})
@@ -450,8 +450,8 @@ func TestSettledForkHandsItsWorkItemsOn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(base.spares) != 2 {
-		t.Fatalf("two concurrent forks settled and the base holds %d spare sets; want 2", len(base.spares))
+	if len(base.spareSets()) != 2 {
+		t.Fatalf("two concurrent forks settled and the base holds %d spare sets; want 2", len(base.spareSets()))
 	}
 	claimAll(t, base, map[string]*Engine{"the first fork": first, "the second fork": second, "concurrent fork 0": g[0], "concurrent fork 1": g[1]})
 	for _, f := range g {
@@ -459,4 +459,13 @@ func TestSettledForkHandsItsWorkItemsOn(t *testing.T) {
 			t.Errorf("a settled concurrent fork kept scratch %p", f.work)
 		}
 	}
+}
+
+// spareSets lists the scratch sets on the engine's spare stack, top first.
+func (e *Engine) spareSets() []*scratch {
+	var out []*scratch
+	for w := e.spares; w != nil; w = w.next {
+		out = append(out, w)
+	}
+	return out
 }

@@ -29,9 +29,11 @@ package ndlog
 //     mark removes an argmax winner whose trigger fired after it, or a new
 //     row displaces a winner, the trigger is re-evaluated in full
 //     (reevalArgMax) and the head flipped to the new winner.
-//   - count() aggregates extend their delta chains from the end-state
-//     group exactly as a timely firing would, since contributor events are
-//     append-only; an erased contributor steps its group down by one.
+//   - count() chains stay in their contributors' stamp order: an erased
+//     contributor, or one delivered before its group's last, cuts the
+//     chain back to the link live before it and re-steps the group from
+//     there (cutChain), so each link folds only what existed when it was
+//     made, as in a run with the change in its log.
 //
 // In-order work has nothing newer to repair: every rule above looks for
 // what happened after the work's stamp, and nothing has. So re-fire,
@@ -308,8 +310,8 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 // (Exists, ExistsEver, History) and the re-fires skip the occurrence's row
 // and a pending delivery is dropped; the row itself is not written. An
 // underivation is emitted, and the erasure cascades: count() groups it
-// contributed to are decremented, state rows it supported are retracted,
-// and event occurrences derived from it are erased in turn.
+// contributed to are re-stepped without it, state rows it supported are
+// retracted, and event occurrences derived from it are erased in turn.
 func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause KeyedAt, st Stamp) {
 	if e.killedOccs.Get(occ.Stamp.Seq) {
 		return
@@ -324,14 +326,13 @@ func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause
 		Head:     keyedAt(occ.Node, occ.Tuple, occ.Key, e.nextStamp(st.T)),
 		Cause:    cause,
 	})
-	// count() groups the occurrence contributed to shrink by one.
+	// count() groups the occurrence contributed to are re-stepped without it.
 	for _, ref := range e.compiled.triggers[occ.Tuple.Table] {
 		if ref.rule.countSlot >= 0 {
-			e.cfAggregateErase(ref.rule, occ, st)
+			e.aggregateErase(ref.rule, occ, st)
 		}
 	}
-	// State rows supported by the occurrence lose that support. Aggregate
-	// heads are skipped: the group decrement above already replaced them.
+	// State rows supported by the occurrence lose that support.
 	occRef := occ.TupleRef()
 	if deps := e.dependents.Get(occRef); len(deps) > 0 {
 		rs := e.repairing()
@@ -349,8 +350,7 @@ func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause
 
 // retractSupportIf retracts one dependent's support only if that support
 // actually contains the erased occurrence (dependent refs carry no body
-// sequence, and the same node|key can occur more than once) and the
-// support is not an aggregate delta (the group decrement handles those).
+// sequence, and the same node|key can occur more than once).
 func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedAt, st Stamp) {
 	tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key)
 	if tb == nil {
@@ -358,28 +358,110 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 	}
 	sups := tb.liveRow(dep.key).supports
 	i := slices.IndexFunc(sups, func(s support) bool { return s.deriveID == dep.deriveID })
-	if i < 0 || e.compiled.rules[sups[i].rule].countSlot >= 0 {
-		return
-	}
-	if slices.ContainsFunc(sups[i].body, func(b BodyRef) bool { return b.Seq == bodySeq }) {
+	if i >= 0 && slices.ContainsFunc(sups[i].body, func(b BodyRef) bool { return b.Seq == bodySeq }) {
 		e.dropSupport(dep.node, tb, dep.key, dep.deriveID, cause, st)
 	}
 }
 
-// cfAggregateErase removes one erased contributor from a counting rule's
-// group: the binding the occurrence fired with is recovered and the group
-// stepped down by one (aggregateStep). Invariant breaks (the group is
-// empty, the head fails to evaluate or to appear) count as
-// AggRetractMisses, which the differential suites assert stay zero.
-func (e *Engine) cfAggregateErase(r *CompiledRule, occ KeyedAt, st Stamp) {
+// aggregateErase takes an erased contributor out of its count() group: a
+// chain that links it is cut back to before it (cutChain); a link still to
+// come is dropped with the occurrence. A group that cannot be recovered
+// counts as an AggRetractMisses.
+func (e *Engine) aggregateErase(r *CompiledRule, occ KeyedAt, st Stamp) {
 	sat, mark, err := e.satBindings(r, 0, occ.Node, occ.Tuple, occ.Key, occ.Stamp)
 	defer e.work.join.release(mark)
 	if err == nil && len(sat) > 0 { // none: a constraint kept it out of the group
-		err = e.aggregateStep(r, occ.Node, sat[0], st, -1)
+		var node string
+		var g *aggGroup
+		if node, g, err = e.aggGroupOf(r, occ.Node, sat[0].frame); err == nil {
+			if h, sup := e.aggHead(node, r, g); h != nil && !linkStamp(h, sup).Before(occ.Stamp) {
+				e.cutChain(r, node, g, sat[0].frame, occ.Stamp, occ, st)
+			}
+		}
 	}
 	if err != nil {
 		e.stats.AggRetractMisses++
 	}
+}
+
+// cutChain re-steps group g of counting rule r from stamp c: the chain is
+// cut back to the link live before c, as a run with the repair's change in
+// its log has it. Each link whose contributor is at or after c is erased
+// like an event occurrence — its head row's stamp is killed, the row is not
+// written, the live head is retracted under cause at st — and its surviving
+// contributor queued to be linked again at its own stamp (wkRelink), so a
+// chain only grows at its end. The link live before c heads the group
+// again, its row alive again. The walk back keeps nothing per contributor:
+// a head has its count in its key, so the link before one is the newest
+// unkilled row of the key the head evaluates to one count down (prevLink).
+// Rules over the head see the erased rows' firings erased and the revived
+// row appear again where it had died.
+func (e *Engine) cutChain(r *CompiledRule, node string, g *aggGroup, frame []Value, c Stamp, cause KeyedAt, st Stamp) {
+	tb := e.writableTable(node, e.table(node, r.rule.Head.Table))
+	tb.killed = true
+	consumers := len(e.compiled.triggers[tb.decl.Name]) > 0
+	h, sup := e.aggHead(node, r, g)
+	e.dropSupport(node, tb, h.key, sup.deriveID, cause, st)
+	for ; h != nil && !linkStamp(h, sup).Before(c); h, sup = e.prevLink(tb, r, frame, g.count, h.appearedAt) {
+		e.killedOccs.Set(h.appearedAt.Seq, true)
+		if consumers {
+			e.eraseEventConsumers(TupleRef{Node: node, Key: h.key}, h.appearedAt.Seq, cause, st, false)
+		}
+		if o := e.occurrence(e.table(node, r.body[0].table), sup.body[0]); o != nil && !e.killedOccs.Get(o.appearedAt.Seq) {
+			e.push(wkRelink, node, o.tuple, o.appearedAt, &Derivation{Rule: r.name, Head: KeyedAt{Key: o.key}})
+		}
+		g.count--
+	}
+	if h == nil {
+		if g.count != 0 {
+			e.stats.AggRetractMisses++ // the chain broke off
+		}
+		*g = aggGroup{}
+		return
+	}
+	g.prevKey, g.prevID = h.key, sup.deriveID
+	if died := h.diedAt; h.dead {
+		h = e.reviveRow(tb, h)
+		if tb.byKey.Get(h.key) != h.pos+1 {
+			tb.byKey.Set(h.key, h.pos+1)
+		}
+		if consumers && (e.trigger(node, h.tuple, h.key, died) != nil || e.refireForRow(node, h, died, Stamp{}) != nil) {
+			e.stats.AggRetractMisses++
+		}
+	}
+}
+
+// prevLink returns the head row, and its link's support, of count n in the
+// chain of r's group that frame binds, appeared before stamp before.
+func (e *Engine) prevLink(tb *table, r *CompiledRule, frame []Value, n int64, before Stamp) (*row, support) {
+	if n == 0 {
+		return nil, support{}
+	}
+	frame[r.countSlot] = Int(n)
+	kb := getKeyBuf()
+	key, err := r.appendHeadKey(kb.b[:0], frame)
+	p, _ := tb.byKey.Find(func(m map[string]int32) (int32, bool) {
+		p, ok := m[string(key)]
+		return p, ok
+	})
+	putKeyBuf(kb, key)
+	for h := tb.rowAt(p); err == nil && h != nil; h = tb.rowAt(h.prev) {
+		i := slices.IndexFunc(h.supports, func(s support) bool { return s.rule == r.name })
+		if i >= 0 && h.appearedAt.Before(before) && !e.killedOccs.Get(h.appearedAt.Seq) {
+			return h, h.supports[i]
+		}
+	}
+	return nil, support{}
+}
+
+// occurrence returns the row of the appearance b names in tb, or nil.
+func (e *Engine) occurrence(tb *table, b BodyRef) *row {
+	for o := tb.rowAt(tb.byKey.Get(b.Key)); o != nil; o = tb.rowAt(o.prev) {
+		if o.appearedAt.Seq == b.Seq {
+			return o
+		}
+	}
+	return nil
 }
 
 // amTrigger identifies an argmax trigger occurrence: the rule plus the

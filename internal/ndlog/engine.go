@@ -67,12 +67,6 @@ type Derivation struct {
 	// delta derivation; both are 0 for ordinary rules.
 	AggPrev  int64
 	AggCount int64
-	// AggRemove marks a decrement link: Trig is the contributor being
-	// removed from the group (its occurrence was erased), and AggCount is
-	// the already-decremented count. Provenance folds subtract the
-	// contributor instead of adding it (Graph.ChildrenOf), and the link
-	// records it as no child of the new head.
-	AggRemove bool
 }
 
 // Underivation describes the retraction of a prior derivation.
@@ -147,11 +141,12 @@ type Engine struct {
 	// A fork takes a spare set from base, the sealed engine it was forked
 	// from, and hands it back when its drain first empties its queue
 	// (handOn); spares are the sets the settled forks of this engine handed
-	// on, for its next forks, guarded by sparesMu.
+	// on, for its next forks, a stack through scratch.next guarded by
+	// sparesMu.
 	work     *scratch
 	base     *Engine
 	sparesMu sync.Mutex
-	spares   []*scratch
+	spares   *scratch
 	seq      uint64
 	// seqBand splits the stamp sequence space when non-zero: externally
 	// scheduled base events draw from baseSeq (1..seqBand-1, in schedule
@@ -244,10 +239,11 @@ type Stats struct {
 	IndexScans     int
 	IndexFallbacks int
 	// AggRetractMisses counts retractDerived calls that found the node,
-	// table, row, or support they expected missing. Every aggregate
-	// update retracts exactly the head it previously derived, so any
-	// miss means a broken engine invariant (a stale head left live with
-	// no trace); the differential suites assert this stays 0.
+	// table, row, or support they expected missing, and count() groups
+	// repair could not re-step (aggregateErase, cutChain). Every
+	// aggregate update retracts exactly the head it previously derived,
+	// so any miss means a broken engine invariant (a stale head left live
+	// with no trace); the differential suites assert this stays 0.
 	AggRetractMisses int
 	// DirtyTables counts the distinct (node, table) pairs whose rows the
 	// engine wrote after it first settled (writableTable) — on a fork of a
@@ -334,8 +330,8 @@ type table struct {
 	orderSorted int
 	orderShared bool
 	// cfDirty marks a table this engine wrote after it settled
-	// (writableTable).
-	cfDirty bool
+	// (writableTable), killed one with rows cutChain erased (erased).
+	cfDirty, killed bool
 }
 
 // row is one appearance of a tuple in a table: a state tuple's, from its
@@ -409,6 +405,9 @@ const (
 	wkInsertBase workKind = iota
 	wkDeleteBase
 	wkArriveDerived
+	// wkRelink links an occurrence (deriv.Head.Key its key) into the
+	// count() group of rule deriv.Rule again, after cutChain.
+	wkRelink
 	// wkFree marks an item on the free list. process refuses it, so a stale
 	// pointer to a recycled item fails instead of running as a zeroed item
 	// would, as a wkInsertBase.
@@ -416,7 +415,8 @@ const (
 )
 
 // workItem is one pending arrival of tuple on node at stamp: a base
-// insertion or deletion, or (wkArriveDerived) the head of derivation deriv.
+// insertion or deletion, (wkArriveDerived) the head of derivation deriv, or
+// (wkRelink) an occurrence a count() group links again.
 // Items are reused: drain puts each on the free list of its shape once it
 // is processed (recycle), push takes it from there, a fork pushes its
 // base's pending items as its own (Fork), and a settled fork hands its
@@ -814,6 +814,11 @@ func (e *Engine) process(it *workItem) error {
 		d.Head.Stamp = it.stamp
 		e.obs.OnDerive(*d)
 		return e.appear(it.node, it.tuple, d.Head.Key, it.stamp, d)
+	case wkRelink:
+		if e.killedOccs.Get(it.stamp.Seq) {
+			return nil // erased after the cut queued it
+		}
+		return e.fireRule(e.compiled.rules[it.deriv.Rule], 0, it.node, it.tuple, it.deriv.Head.Key, it.stamp)
 	default:
 		return fmt.Errorf("ndlog: unknown work kind %d", it.kind)
 	}
@@ -849,10 +854,13 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, d *Deriv
 		// very call does.
 		return e.trigger(nodeName, t, key, st)
 	}
+	index := d == nil || d.AggCount == 0 // a count() chain is cut by its group (cutChain)
 	if r := tb.liveRow(key); r != nil {
 		// Additional support for an existing tuple.
 		r = e.addSupport(tb, r, sup)
-		e.indexSupport(nodeName, key, sup)
+		if index {
+			e.indexSupport(nodeName, key, sup)
+		}
 		if sup.deriveID == 0 && st.Before(r.appearedAt) {
 			// An out-of-order insertion of a tuple evaluated as inserted
 			// later: in the timely run the row exists from st on (delta.go).
@@ -880,7 +888,9 @@ func (e *Engine) appear(nodeName string, t Tuple, key string, st Stamp, d *Deriv
 	if len(decl.Key) > 0 {
 		tb.keyIdx.Set(primaryKey(decl, t), r.pos+1)
 	}
-	e.indexSupport(nodeName, key, sup)
+	if index {
+		e.indexSupport(nodeName, key, sup)
+	}
 	e.stats.Appears++
 	e.obs.OnAppear(keyedAt(nodeName, t, key, st), sup.deriveID)
 	if err := e.trigger(nodeName, t, key, st); err != nil {
@@ -1066,8 +1076,9 @@ func (e *Engine) liveTable(nodeName, tableName, key string) *table {
 // live row key of tb. A base support's removal is reported as a deletion; a
 // derived one is unindexed from its body rows' dependents and underived
 // under a fresh id and stamp. The row is retracted (cascading) when that
-// was its last support. It reports false, touching nothing, when the row
-// holds no such support.
+// was its last support, which the dead row keeps, as an event occurrence's
+// does (cutChain reads a link there). It reports false, touching nothing,
+// when the row holds no such support.
 func (e *Engine) dropSupport(nodeName string, tb *table, key string, deriveID int64, cause KeyedAt, st Stamp) bool {
 	r := tb.liveRow(key)
 	idx := slices.IndexFunc(r.supports, func(s support) bool { return s.deriveID == deriveID })
@@ -1077,8 +1088,10 @@ func (e *Engine) dropSupport(nodeName string, tb *table, key string, deriveID in
 	// The removal writes the row: a table shared with the frozen base is
 	// cloned first, and the row copied into the clone (writableRow).
 	tb = e.writableTable(nodeName, tb)
-	s := r.supports[idx]
-	r = e.cutSupport(tb, r, idx)
+	s, last := r.supports[idx], len(r.supports) == 1
+	if !last {
+		r = e.cutSupport(tb, r, idx)
+	}
 	var uid int64
 	if deriveID == 0 {
 		e.obs.OnBaseDelete(keyedAt(nodeName, r.tuple, r.key, st))
@@ -1101,7 +1114,7 @@ func (e *Engine) dropSupport(nodeName string, tb *table, key string, deriveID in
 			Cause:    cause,
 		})
 	}
-	if len(r.supports) == 0 {
+	if last {
 		e.retractRow(nodeName, tb, r, st, uid)
 	}
 	return true
@@ -1133,7 +1146,7 @@ func (e *Engine) fireRule(r *CompiledRule, deltaAtom int, nodeName string, delta
 // fireBinding derives the head of one satisfying binding.
 func (e *Engine) fireBinding(r *CompiledRule, deltaAtom int, nodeName string, b binding, st Stamp) error {
 	if r.countSlot >= 0 {
-		return e.aggregateStep(r, nodeName, b, st, +1)
+		return e.aggregateStep(r, nodeName, b, st)
 	}
 	it, err := e.derive(r, nodeName, b, deltaAtom, st)
 	if err != nil {
@@ -1249,10 +1262,10 @@ func (e *Engine) History(nodeName string, t Tuple, yield func(Interval) bool) {
 
 // appearances calls yield with the row at position+1 newest and the rows of
 // its key before it, newest first, until yield returns false: a tuple's
-// history is its rows. An erased event occurrence is skipped.
+// history is its rows. A row repair erased is skipped.
 func (e *Engine) appearances(tb *table, newest int32, yield func(*row) bool) {
 	for r := tb.rowAt(newest); r != nil; r = tb.rowAt(r.prev) {
-		if tb.decl.Event && e.killedOccs.Get(r.appearedAt.Seq) {
+		if e.erased(tb, r) {
 			continue
 		}
 		if !yield(r) {
@@ -1261,12 +1274,19 @@ func (e *Engine) appearances(tb *table, newest int32, yield func(*row) bool) {
 	}
 }
 
+// erased reports whether repair erased the row (killedOccs): an event
+// occurrence, or the head of a count() link cutChain cut.
+func (e *Engine) erased(tb *table, r *row) bool {
+	return (tb.decl.Event || tb.killed) && e.killedOccs.Get(r.appearedAt.Seq)
+}
+
 // TuplesAt returns the tuples of a table that existed on the node at the
 // given stamp, in appearance order. Used for temporal joins ("the state
 // of the system as of the time at which the missing tuple would have had
 // to exist", §4.8).
 func (e *Engine) TuplesAt(nodeName, tableName string, at Stamp) []Tuple {
-	return e.table(nodeName, tableName).tuples(func(r *row) bool { return r.existsAt(at) })
+	tb := e.table(nodeName, tableName)
+	return tb.tuples(func(r *row) bool { return r.existsAt(at) && !e.erased(tb, r) })
 }
 
 // LiveTuples returns the live tuples of a table on a node in appearance

@@ -289,7 +289,7 @@ func (e *Engine) TuplesMatchingAt(nodeName, tableName string, at Stamp, match []
 		return nil
 	}
 	// MatchTuple also turns away a bucket's hash collisions.
-	keep := func(r *row) bool { return r.existsAt(at) && MatchTuple(match, r.tuple) }
+	keep := func(r *row) bool { return r.existsAt(at) && !e.erased(tb, r) && MatchTuple(match, r.tuple) }
 	ix, h := tb.indexFor(match)
 	if ix == nil {
 		return tb.tuples(keep)

@@ -55,6 +55,7 @@ var argBufPool = sync.Pool{
 type scratch struct {
 	freeBase, freeDelivery *workItem
 	queue                  workHeap // the emptied queue array, while the set is spare
+	next                   *scratch // the spare below it on its base's stack
 	join                   joinScratch
 }
 
@@ -71,13 +72,10 @@ func (e *Engine) scratch() *scratch {
 func (e *Engine) takeSpare() *scratch {
 	e.sparesMu.Lock()
 	defer e.sparesMu.Unlock()
-	n := len(e.spares)
-	if n == 0 {
-		return nil
+	w := e.spares
+	if w != nil {
+		e.spares, w.next = w.next, nil
 	}
-	w := e.spares[n-1]
-	e.spares[n-1] = nil
-	e.spares = e.spares[:n-1]
 	return w
 }
 
@@ -99,6 +97,6 @@ func (e *Engine) handOn() {
 	}
 	w.queue, e.work, e.queue = e.queue[:0], nil, nil
 	b.sparesMu.Lock()
-	b.spares = append(b.spares, w)
+	b.spares, w.next = w, b.spares
 	b.sparesMu.Unlock()
 }

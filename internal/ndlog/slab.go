@@ -77,6 +77,19 @@ type arena struct {
 	occDeps  slab[occDep]
 	ams      slab[amEntry]
 	keys     slab[byte]
+	// groups is the current chunk of count() groups (group): a slice, as
+	// a slab's counter would not fit the engine's size class
+	// (TestEngineFitsItsSizeClass).
+	groups []aggGroup
+}
+
+// group returns a zeroed count() group from the arena's current chunk.
+func (a *arena) group() *aggGroup {
+	if len(a.groups) == cap(a.groups) {
+		a.groups = make([]aggGroup, 0, min(max(2*cap(a.groups), 4), 64))
+	}
+	a.groups = a.groups[:len(a.groups)+1]
+	return &a.groups[len(a.groups)-1]
 }
 
 // text returns what render appends to an empty buffer as a string whose

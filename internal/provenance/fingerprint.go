@@ -60,11 +60,6 @@ func fnvUint64(h, v uint64) uint64 {
 func (g *Graph) deriveFP(d *derivation, children []int) uint64 {
 	h := fnvLabel(Derive, d.lab, *d.rule)
 	if d.aggCount > 0 {
-		if d.aggRemove {
-			// Only removal links mix in the mark, so every chain without
-			// one hashes as it always has.
-			h = fnvByte(h, 1)
-		}
 		h = fnvUint64(h, g.fpOf(int(d.prev)))
 		return finish(fnvUint64(h, g.fpOf(d.contrib())))
 	}

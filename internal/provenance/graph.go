@@ -237,9 +237,7 @@ type derivation struct {
 	rule *string // the rule's name, the program's own string
 	at   ndlog.Stamp
 	// kids and nkids name the recorded children in the graph's arena, as a
-	// Vertex's do. An aggregate link records its contributor there even
-	// when it removes it (aggRemove): that one is no cause, and the
-	// vertex shows no children (vertexKids).
+	// Vertex's do; an aggregate link's one child is its contributor.
 	kids *int
 	fp   uint64
 	// trigger is the vertex's Trigger.
@@ -256,21 +254,10 @@ type derivation struct {
 	// triggered before this one.
 	up, older int32
 	nkids     uint8
-	// aggRemove marks an aggregate DERIVE that removes its contributor from
-	// the group: folds subtract it, and it is no cause.
-	aggRemove bool
-}
-
-// vertexKids returns the children the derivation's vertex shows.
-func (d *derivation) vertexKids() (*int, uint8) {
-	if d.aggRemove {
-		return nil, 0
-	}
-	return d.kids, d.nkids
 }
 
 // contrib returns an aggregate link's contributor: the APPEAR or EXIST it
-// adds or removes, or -1 if it was unresolved.
+// adds, or -1 if it was unresolved.
 func (d *derivation) contrib() int {
 	if d.nkids == 0 {
 		return -1
@@ -640,7 +627,7 @@ func (g *Graph) synth(id int, v *Vertex) {
 	case Derive:
 		d := lr.deriv(e)
 		v.label, v.Rule, v.At, v.fp = d.lab, *d.rule, d.at, d.fp
-		v.kids, v.nkids = d.vertexKids()
+		v.kids, v.nkids = d.kids, d.nkids
 		v.Trigger = int(d.trigger)
 		return
 	case Underive:
@@ -836,18 +823,18 @@ func (g *Graph) ChildrenOf(id int) []int {
 	d := lr.deriv(e)
 	// A link whose recorded children number its count (a chain's count-1
 	// start) already carries the full list.
-	if kids := kidsOf(d.vertexKids()); d.aggCount == 0 || len(kids) == int(d.aggCount) {
+	if kids := kidsOf(d.kids, d.nkids); d.aggCount == 0 || len(kids) == int(d.aggCount) {
 		return kids
 	}
 	return g.foldAgg(id, d)
 }
 
 // foldAgg reconstructs the full contributor list of an aggregate head by
-// walking the delta chain backwards and replaying it forwards — a link
-// adds its contributor, a removal link takes it out — memoizing the result
-// per chain head. The walk stops early at the first predecessor whose fold
-// is already memoized, so across the queries a diagnosis issues each chain
-// link is visited O(1) times amortized.
+// walking the delta chain backwards to its start and appending each link's
+// contributor on the way forward, memoizing the result per chain head. The
+// walk stops early at the first predecessor whose fold is memoized, so
+// across the queries a diagnosis issues each chain link is visited O(1)
+// times amortized.
 func (g *Graph) foldAgg(id int, d *derivation) []int {
 	g.foldMu.Lock()
 	defer g.foldMu.Unlock()
@@ -869,37 +856,17 @@ func (g *Graph) foldAgg(id int, d *derivation) []int {
 		if entryType(e) != Derive {
 			break
 		}
-		prev := lr.deriv(e)
-		if kids := kidsOf(prev.vertexKids()); prev.aggCount > 0 && len(kids) == int(prev.aggCount) {
-			prefix = kids // a count-1 start: its one child is the list
-			break
-		}
-		cur = prev
+		cur = lr.deriv(e)
 	}
 	out := make([]int, 0, len(prefix)+len(rev))
 	out = append(out, prefix...)
 	for i := len(rev) - 1; i >= 0; i-- {
-		out = rev[i].foldStep(out)
+		if c := rev[i].contrib(); c >= 0 {
+			out = append(out, c)
+		}
 	}
 	g.foldMemo[id] = out
 	return out
-}
-
-// foldStep applies an aggregate link to a contributor list it may edit in
-// place: it appends the link's contributor, or removes it for a removal
-// link.
-func (d *derivation) foldStep(list []int) []int {
-	c := d.contrib()
-	switch {
-	case c < 0:
-		return list
-	case d.aggRemove:
-		if i := slices.Index(list, c); i >= 0 {
-			return slices.Delete(list, i, i+1)
-		}
-		return list
-	}
-	return append(list, c)
 }
 
 // Recording. The recorder hands each vertex's label, stamp and causes to

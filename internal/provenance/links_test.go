@@ -104,9 +104,6 @@ func (m *linkModel) OnDerive(d ndlog.Derivation) {
 	if d.AggCount > 0 && len(refs) > 0 {
 		refs, trigger = refs[:1], 0 // a delta: the new contributor, which is the trigger
 	}
-	if d.AggRemove {
-		refs = nil // a removal link: its contributor is no cause
-	}
 	kids := []int{}
 	for i, b := range refs {
 		child := m.bodyVertex(b)

@@ -482,7 +482,7 @@ func TestLocateWalksTheChunkPlan(t *testing.T) {
 // chunk's unused slots cost what a record does, so none may quietly grow.
 // A derivation is 72 bytes: the label and rule-name pointers 16; At 16;
 // the children pointer 8; fp 8; the five int32s trigger, aggCount, prev,
-// up and older 20; nkids and aggRemove 2, padded to 8 (an aggregate link's
+// up and older 20; nkids 1, padded to 8 (an aggregate link's
 // contributor is its recorded child, not a field). An underivation is 48:
 // the label and rule-name pointers 16; At 16; fp 8; its one cause, an
 // int32, padded to 8 — an UNDERIVE took a 72-byte derivation and a word

@@ -81,13 +81,18 @@ func (r *Recorder) ruleName(rule string) *string {
 	return &name
 }
 
-// OnDerive implements ndlog.Observer.
+// OnDerive implements ndlog.Observer. An aggregate delta (AggCount > 0)
+// is also annotated with its chain link, the previous head's DERIVE and
+// the running count; its one child is the new contributor, which is also
+// its trigger, and Graph.ChildrenOf folds the chain into the full list on
+// demand.
 func (r *Recorder) OnDerive(d ndlog.Derivation) {
-	if d.AggCount > 0 {
-		r.onDeriveAggregate(d)
-		return
-	}
 	rec := r.derivation(nil, d.Node, d.Head, d.Rule)
+	if rec.aggCount = int32(d.AggCount); d.AggPrev != 0 {
+		if pv, ok := r.graph.deriveVertex(d.AggPrev); ok {
+			rec.prev = int32(pv)
+		}
+	}
 	var scratch [8]int
 	children := scratch[:0]
 	for i, b := range d.Refs {
@@ -104,38 +109,6 @@ func (r *Recorder) OnDerive(d ndlog.Derivation) {
 	r.graph.setDerive(d.ID, id)
 	if rec.trigger >= 0 {
 		r.graph.linkTrigger(children[rec.trigger], id)
-	}
-}
-
-// onDeriveAggregate records an aggregate delta derivation: the record is
-// annotated with the chain link (previous head's DERIVE, running count)
-// and records only the new contributor as a child, which is also its
-// trigger (the precondition that appeared last); Graph.ChildrenOf folds
-// the chain into the full list on demand. A removal link
-// (Derivation.AggRemove) names the contributor it takes out of the group:
-// that is no cause of the new head, so its vertex shows no child and it
-// triggers nothing.
-func (r *Recorder) onDeriveAggregate(d ndlog.Derivation) {
-	rec := r.derivation(nil, d.Node, d.Head, d.Rule)
-	rec.aggCount, rec.aggRemove = int32(d.AggCount), d.AggRemove
-	if d.AggPrev != 0 {
-		if pv, ok := r.graph.deriveVertex(d.AggPrev); ok {
-			rec.prev = int32(pv)
-		}
-	}
-	contrib := -1
-	if len(d.Refs) > 0 {
-		contrib = r.bodyVertex(d.Refs[0])
-	}
-	trigger := contrib >= 0 && !rec.aggRemove
-	if trigger {
-		rec.trigger = 0
-	}
-	var buf [1]int
-	id := r.graph.addDerivation(rec, single(&buf, contrib))
-	r.graph.setDerive(d.ID, id)
-	if trigger {
-		r.graph.linkTrigger(contrib, id)
 	}
 }
 
@@ -168,16 +141,6 @@ func (r *Recorder) OnAppear(at ndlog.KeyedAt, deriveID int64) {
 	decl := r.prog.Decl(at.Tuple.Table)
 	// Events do not persist: no EXIST vertex.
 	r.graph.addAppear(r.labelOn(l, at.Node, at), at.Stamp, cause, decl != nil && decl.Event)
-}
-
-// single returns the children list of a vertex with at most one cause:
-// {id} in the caller's buffer, or none while the cause is unresolved (-1).
-func single(buf *[1]int, id int) []int {
-	if id < 0 {
-		return nil
-	}
-	buf[0] = id
-	return buf[:]
 }
 
 // OnUnderive implements ndlog.Observer.

@@ -115,7 +115,7 @@ func directReplay(sess *replay.Session) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := replay.CheckRuleInstances(sess.Program(), g); err != nil {
+	if err := replay.CheckRuleInstances(sess.Program(), g); err != nil {
 		return "", fmt.Errorf("the late trial's graph: %v", err)
 	}
 	return serializeGraph(g) + serializeSnapshot(e.CaptureState()), nil

@@ -3,10 +3,10 @@ package replay
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ndlog"
-	"repro/internal/provenance"
 )
 
 // TestLateEventMatchesRebuild: an event logged with a tick the live engine
@@ -79,79 +79,62 @@ rule rp rep(@C, X) :- ping(@C, X), gate(@C, X).
 rule ty tally(@C, N) :- rep(@C, X), N := count().
 `)
 
-// TestAggregateRemovalFoldsBySubtraction: a trial that erases two of a
-// count() group's three contributors steps the group down twice, and each
-// new head's tree lists what is left — the removed contributor taken out
-// of the fold, not appended to it — in production and under Oracle()
-// alike. The last head's contributors are, by tuple and tick, those of
-// the run that has the change in its log.
-func TestAggregateRemovalFoldsBySubtraction(t *testing.T) {
+// TestErasedContributorsReStepTheirGroup: a trial that erases two of a
+// count() group's three contributors, at a tick before all three, cuts the
+// group's chain back to where it stood then and links the survivor again
+// at its own stamp — no link takes a contributor out — in production and
+// under Oracle() alike. Every tally chain equals, link by link, the one of
+// the run that has the change in its log: tally(1) folds rep(2)@t6 alone,
+// stamped at t6, where stepping down from the end state made it a link at
+// t3 that folded rep(1)@t7, a contributor from the future (the paper's
+// §3.2).
+func TestErasedContributorsReStepTheirGroup(t *testing.T) {
 	prog := gateProg
 	gateOne := ndlog.NewTuple("gate", ndlog.Int(1))
-	run := func(inLog bool, opts ...SessionOption) *Session {
-		s := NewSession(prog, opts...)
-		do := func(err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		do(s.Insert("n", gateOne, 1))
-		do(s.Insert("n", ndlog.NewTuple("gate", ndlog.Int(2)), 1))
-		if inLog {
-			do(s.Delete("n", gateOne, 3))
-		}
-		for i, x := range []int64{1, 2, 1} {
-			do(s.Insert("n", ndlog.NewTuple("ping", ndlog.Int(x)), int64(5+i)))
-		}
-		do(s.Run())
-		return s
+	log := []Change{
+		{Insert: true, Node: "n", Tuple: gateOne, Tick: 1},
+		{Insert: true, Node: "n", Tuple: ndlog.NewTuple("gate", ndlog.Int(2)), Tick: 1},
 	}
-	// tree projects tally(n)'s newest appearance and lists its DERIVE's
-	// contributors as tuple@tick.
-	tree := func(g *provenance.Graph, n int64) (*provenance.Tree, []string) {
-		t.Helper()
-		ap := g.LastAppear("n", ndlog.NewTuple("tally", ndlog.Int(n)))
-		if ap == nil {
-			t.Fatalf("tally(%d) never appeared", n)
-		}
-		tr := g.Tree(ap.ID)
-		var out []string
-		for _, c := range tr.Children[0].Children {
-			out = append(out, fmt.Sprintf("%s@t%d", c.Vertex.Tuple, c.Vertex.At.T))
-		}
-		return tr, out
+	for i, x := range []int64{1, 2, 1} {
+		log = append(log, Change{Insert: true, Node: "n", Tuple: ndlog.NewTuple("ping", ndlog.Int(x)), Tick: int64(5 + i)})
 	}
-
-	want := map[int64][]string{1: {"rep(2)@t6"}, 2: {"rep(2)@t6", "rep(1)@t7"}}
-	fps := map[int64]uint64{}
-	for _, oracle := range []bool{false, true} {
-		_, g, err := run(false, configuration(oracle)...).ReplayWith([]Change{{Node: "n", Tuple: gateOne, Tick: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := MustBeRuleInstances(t, fmt.Sprintf("oracle=%v trial", oracle), prog, g); n != 2 {
-			t.Errorf("oracle=%v: the trial holds %d removal links, want 2", oracle, n)
-		}
-		for n, w := range want {
-			tr, got := tree(g, n)
-			if !reflect.DeepEqual(got, w) {
-				t.Errorf("oracle=%v: tally(%d) folds %v, want %v", oracle, n, got, w)
-			}
-			if fp, ok := fps[n]; ok && fp != tr.Fingerprint() {
-				t.Errorf("tally(%d): the oracle's tree fingerprint %x, production's %x", n, tr.Fingerprint(), fp)
-			}
-			fps[n] = tr.Fingerprint()
-		}
-	}
-
-	_, g, err := run(true).Graph()
+	change := []Change{{Node: "n", Tuple: gateOne, Tick: 3}}
+	ref, rg, err := logged(t, prog, append(slices.Clip(log), change...)).Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	MustBeRuleInstances(t, "the run with the delete in its log", prog, g)
-	if _, got := tree(g, 1); !reflect.DeepEqual(got, want[1]) {
-		t.Errorf("with the delete in the log, tally(1) folds %v; the trial's folds %v", got, want[1])
+	MustBeRuleInstances(t, "the run with the delete in its log", prog, rg)
+	want := []aggLink{{tick: 6, count: 1, contribs: "n:rep(2)@6"}}
+	if got := aggChains(prog, ref, rg)["n tally(1)"]; !slices.Equal(got, want) {
+		t.Fatalf("the run with the delete in its log: tally(1)'s chain %v, want %v", got, want)
+	}
+	for _, oracle := range []bool{false, true} {
+		s := logged(t, prog, log, configuration(oracle)...)
+		_, bg, err := s.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, g, err := s.ReplayWith(change)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("oracle=%v trial", oracle)
+		MustBeRuleInstances(t, what, prog, g)
+		if err := CheckAggChains(prog, e, g, ref, rg, []int64{1, 3, 5, 6, 7}); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+		if !reStepped(bg, e) {
+			t.Errorf("%s: no count() group was re-stepped", what)
+		}
+		if got := e.LiveTuples("n", "tally"); len(got) != 1 || !got[0].Equal(ndlog.NewTuple("tally", ndlog.Int(1))) {
+			t.Errorf("%s: tally holds %v, want tally(1)", what, got)
+		}
+		// The cut links have no head: their rows never existed in the trial.
+		for _, n := range []int64{2, 3} {
+			if e.ExistsEver("n", ndlog.NewTuple("tally", ndlog.Int(n))) {
+				t.Errorf("%s: tally(%d), the head of a cut link, still existed", what, n)
+			}
+		}
 	}
 }
 

@@ -8,12 +8,15 @@ package replay
 // unification of the parsed body atoms with the children's tuples and
 // nodes, and only evaluates assignments, constraints and the head through
 // the compiled rule's clause handles. For a count() link it holds the
-// folded contributor list to the count, the group and the chain's ±1 step,
-// so it is the reference the lazy fold is checked against.
+// folded contributor list to the count, the group, the chain's one-up step
+// and the link's stamp — every contributor existed when the link was made
+// (the paper's §3.2) — so it is the reference the lazy fold is checked
+// against.
 //
-// Below it, the fixed-seed set of random executions it runs on, over two
-// fixed programs (gateProg's count() and fwdProg's argmax), and the fuzz
-// target that draws from the same driver.
+// Below it, the aggregate-chain law (CheckAggChains), the fixed-seed set of
+// random executions both run on, over two fixed programs (gateProg's
+// count() and fwdProg's argmax), and the fuzz target that draws from the
+// same driver.
 
 import (
 	"errors"
@@ -31,32 +34,17 @@ import (
 // maxViolations caps how many violations one check reports.
 const maxViolations = 8
 
-// CheckRuleInstances checks every DERIVE of g against prog's rules. It
-// returns how many count() links take a contributor out of their group,
-// and the violations it found as one error.
-func CheckRuleInstances(prog *ndlog.Program, g *provenance.Graph) (removals int, _ error) {
+// CheckRuleInstances checks every DERIVE of g against prog's rules and
+// returns the violations it found as one error.
+func CheckRuleInstances(prog *ndlog.Program, g *provenance.Graph) error {
 	var errs []error
-	// frontier holds, per count() link, the newest stamp of its chain up to
-	// it: a link a trial stamped in the evaluated past steps the group as
-	// the base run left it, contributors up to the frontier included
-	// (DESIGN.md §5).
-	frontier := map[int]ndlog.Stamp{}
 	g.Vertexes(func(v *provenance.Vertex) {
 		if v.Type != provenance.Derive || len(errs) == maxViolations {
 			return
 		}
 		var err error
 		if prev, count, ok := g.AggDelta(v.ID); ok {
-			horizon := v.At
-			if f, ok := frontier[prev]; ok && horizon.Before(f) {
-				horizon = f
-			}
-			frontier[v.ID] = horizon
-			var removal bool
-			removal, err = checkAggLink(prog, g, v, prev, count, horizon)
-			if removal {
-				removals++
-			}
+			err = checkAggLink(prog, g, v, prev, count)
 		} else {
 			err = checkDerive(prog, g, v)
 		}
@@ -64,7 +52,7 @@ func CheckRuleInstances(prog *ndlog.Program, g *provenance.Graph) (removals int,
 			errs = append(errs, fmt.Errorf("vertex %d %s: %v", v.ID, v, err))
 		}
 	})
-	return removals, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // ruleOf returns the parsed and the compiled rule a DERIVE names.
@@ -110,43 +98,41 @@ func checkDerive(prog *ndlog.Program, g *provenance.Graph, v *provenance.Vertex)
 }
 
 // checkAggLink checks a count() link: its folded contributor list has count
-// distinct members, each an occurrence of the body atom no later than
-// horizon (the head, or the frontier of a chain it was stamped behind) and
-// in the head's group, and it is the predecessor link's list with one
-// contributor added or removed as the count stepped up or down. It reports
-// whether the link is a removal.
-func checkAggLink(prog *ndlog.Program, g *provenance.Graph, v *provenance.Vertex, prev int, count int64, horizon ndlog.Stamp) (bool, error) {
+// distinct members, each an occurrence of the body atom no later than the
+// link and in the head's group, and it is the predecessor link's list with
+// one contributor added as the count stepped up by one.
+func checkAggLink(prog *ndlog.Program, g *provenance.Graph, v *provenance.Vertex, prev int, count int64) error {
 	r, cr, err := ruleOf(prog, v)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if r.CountVar == "" || len(r.Body) != 1 {
-		return false, fmt.Errorf("an aggregate link of rule %s, which is no counting rule", r.Name)
+		return fmt.Errorf("an aggregate link of rule %s, which is no counting rule", r.Name)
 	}
 	kids := g.ChildrenOf(v.ID)
 	if int64(len(kids)) != count {
-		return false, fmt.Errorf("count %d, but the folded list has %d contributors %v", count, len(kids), kids)
+		return fmt.Errorf("count %d, but the folded list has %d contributors %v", count, len(kids), kids)
 	}
 	seen := make(map[int]bool, len(kids))
 	for _, id := range kids {
 		if seen[id] {
-			return false, fmt.Errorf("contributor %s folded twice", g.Vertex(id))
+			return fmt.Errorf("contributor %s folded twice", g.Vertex(id))
 		}
 		seen[id] = true
-		c, err := precondition(g, id, horizon)
+		c, err := precondition(g, id, v.At)
 		if err != nil {
-			return false, err
+			return err
 		}
 		f := cr.Frame()
 		if !unifyAtom(cr, f, r.Body[0], v.Node, c.Node, c.Tuple) {
-			return false, fmt.Errorf("contributor %s does not match body atom %s", c, r.Body[0])
+			return fmt.Errorf("contributor %s does not match body atom %s", c, r.Body[0])
 		}
 		if err := exprTermsHold(cr, f, 0, r.Body[0], v.Node, c.Node, c.Tuple); err != nil {
-			return false, fmt.Errorf("contributor %s: %v", c, err)
+			return fmt.Errorf("contributor %s: %v", c, err)
 		}
 		f[cr.Slot(r.CountVar)] = ndlog.Int(count)
 		if err := checkHead(g, r, cr, f, v); err != nil {
-			return false, fmt.Errorf("contributor %s is not in the head's group: %v", c, err)
+			return fmt.Errorf("contributor %s is not in the head's group: %v", c, err)
 		}
 	}
 	var before []int
@@ -154,23 +140,17 @@ func checkAggLink(prog *ndlog.Program, g *provenance.Graph, v *provenance.Vertex
 	if prev >= 0 {
 		var ok bool
 		if _, prevCount, ok = g.AggDelta(prev); !ok {
-			return false, fmt.Errorf("predecessor %d is no aggregate link", prev)
+			return fmt.Errorf("predecessor %d is no aggregate link", prev)
 		}
 		before = g.ChildrenOf(prev)
 	}
-	switch count - prevCount {
-	case 1:
-		if !oneMore(kids, before) {
-			return false, fmt.Errorf("count %d → %d, but the folded list %v is not %v with one contributor added", prevCount, count, kids, before)
-		}
-		return false, nil
-	case -1:
-		if !oneMore(before, kids) {
-			return false, fmt.Errorf("count %d → %d, but the folded list %v is not %v with one contributor removed", prevCount, count, kids, before)
-		}
-		return true, nil
+	if count != prevCount+1 {
+		return fmt.Errorf("the count steps %d → %d, not up by one", prevCount, count)
 	}
-	return false, fmt.Errorf("the count steps %d → %d, not by one", prevCount, count)
+	if !oneMore(kids, before) {
+		return fmt.Errorf("count %d → %d, but the folded list %v is not %v with one contributor added", prevCount, count, kids, before)
+	}
+	return nil
 }
 
 // precondition returns a DERIVE's child id, which must be an occurrence —
@@ -306,15 +286,130 @@ func oneMore(long, short []int) bool {
 	return slices.Equal(long[i+1:], short[i:])
 }
 
-// MustBeRuleInstances fails the test with every violation in g, and
-// returns how many removal links g holds.
-func MustBeRuleInstances(t testing.TB, what string, prog *ndlog.Program, g *provenance.Graph) int {
+// MustBeRuleInstances fails the test with every violation in g.
+func MustBeRuleInstances(t testing.TB, what string, prog *ndlog.Program, g *provenance.Graph) {
 	t.Helper()
-	removals, err := CheckRuleInstances(prog, g)
-	if err != nil {
+	if err := CheckRuleInstances(prog, g); err != nil {
 		t.Errorf("%s: recorded DERIVEs that are no rule instances:\n%v", what, err)
 	}
-	return removals
+}
+
+// aggLink is one link of a count() chain as the chain law compares it: its
+// tick, its count and its folded contributors as node:tuple@tick, sorted.
+// Ticks, not stamps: a trial numbers what it re-fires after everything its
+// base run stamped, so a run with the changes in its log orders the
+// contributors of one tick otherwise, and only the tick's last link is
+// compared.
+type aggLink struct {
+	tick     int64
+	count    int64
+	contribs string
+}
+
+// aggChains returns the chain behind every live count() head of e, keyed
+// by node and head tuple: the last link of each tick, newest first, read
+// off g.
+func aggChains(prog *ndlog.Program, e *ndlog.Engine, g *provenance.Graph) map[string][]aggLink {
+	out := map[string][]aggLink{}
+	for _, r := range prog.Rules() {
+		if r.CountVar == "" {
+			continue
+		}
+		for _, n := range e.Nodes() {
+			for _, head := range e.LiveTuples(n, r.Head.Table) {
+				ap := g.LastAppear(n, head)
+				if ap == nil || len(ap.Children()) == 0 {
+					out[n+" "+head.String()] = nil
+					continue
+				}
+				var chain []aggLink
+				for id := ap.Children()[0]; id >= 0; {
+					prev, count, ok := g.AggDelta(id)
+					if !ok {
+						break
+					}
+					tick := g.Vertex(id).At.T
+					if n := len(chain); n == 0 || chain[n-1].tick != tick {
+						var cs []string
+						for _, c := range g.ChildrenOf(id) {
+							v := g.Vertex(c)
+							cs = append(cs, fmt.Sprintf("%s:%s@%d", v.Node, v.Tuple, v.At.T))
+						}
+						slices.Sort(cs)
+						chain = append(chain, aggLink{tick, count, strings.Join(cs, " ")})
+					}
+					id = prev
+				}
+				out[n+" "+head.String()] = chain
+			}
+		}
+	}
+	return out
+}
+
+// CheckAggChains is the aggregate-chain law: a trial (engine e, graph g)
+// must end with the count() chains of ref, a run with the trial's changes
+// in its log, link by link — tick, count and folded contributors, at the
+// tick's last link (aggLink) — and the head tables must hold the same
+// tuples as ref's at the end of every tick in ticks, the ticks of the
+// log's events and changes.
+func CheckAggChains(prog *ndlog.Program, e *ndlog.Engine, g *provenance.Graph, ref *ndlog.Engine, rg *provenance.Graph, ticks []int64) error {
+	var errs []error
+	got, want := aggChains(prog, e, g), aggChains(prog, ref, rg)
+	for k, w := range want {
+		if c, ok := got[k]; !ok {
+			errs = append(errs, fmt.Errorf("%s: no such head in the trial", k))
+		} else if !slices.Equal(c, w) {
+			errs = append(errs, fmt.Errorf("%s: the trial's chain %v, the run with the changes in its log %v", k, c, w))
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			errs = append(errs, fmt.Errorf("%s: a head the run with the changes in its log does not have", k))
+		}
+	}
+	nodes := append(e.Nodes(), ref.Nodes()...)
+	for _, r := range prog.Rules() {
+		if r.CountVar == "" {
+			continue
+		}
+		for _, tick := range ticks {
+			at := ndlog.Stamp{T: tick, Seq: ^uint64(0)}
+			for _, n := range nodes {
+				if a, b := sortedKeys(e.TuplesAt(n, r.Head.Table, at)), sortedKeys(ref.TuplesAt(n, r.Head.Table, at)); !slices.Equal(a, b) {
+					errs = append(errs, fmt.Errorf("%s on %s at the end of tick %d: the trial holds %v, the run with the changes in its log %v", r.Head.Table, n, tick, a, b))
+				}
+			}
+		}
+	}
+	if len(errs) > maxViolations {
+		errs = errs[:maxViolations]
+	}
+	return errors.Join(errs...)
+}
+
+// reStepped reports whether trial engine e cut a count() chain of the base
+// run behind graph g back and re-stepped it: the head of one of the base
+// run's links never existed in the trial.
+func reStepped(g *provenance.Graph, e *ndlog.Engine) bool {
+	cut := false
+	g.Vertexes(func(v *provenance.Vertex) {
+		if _, _, ok := g.AggDelta(v.ID); ok && !cut {
+			ap := g.Vertex(g.HeadAppear(v.ID))
+			cut = !e.Exists(ap.Node, ap.Tuple, ap.At)
+		}
+	})
+	return cut
+}
+
+// sortedKeys returns the tuples' keys, sorted.
+func sortedKeys(ts []ndlog.Tuple) []string {
+	out := make([]string, len(ts))
+	for i, tu := range ts {
+		out[i] = tu.Key()
+	}
+	slices.Sort(out)
+	return out
 }
 
 // configuration returns the session options of production (none) or of
@@ -443,40 +538,69 @@ func drawForwardingExecution(r *rand.Rand) execution {
 	return ex
 }
 
+// logged returns a session of prog with the changes logged and run.
+func logged(t testing.TB, prog *ndlog.Program, changes []Change, opts ...SessionOption) *Session {
+	t.Helper()
+	s := NewSession(prog, opts...)
+	for _, c := range changes {
+		var err error
+		if c.Insert {
+			err = s.Insert(c.Node, c.Tuple, c.Tick)
+		} else {
+			err = s.Delete(c.Node, c.Tuple, c.Tick)
+		}
+		if err != nil {
+			t.Fatalf("logging %s: %v", c, err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // checkExecution runs an execution in both configurations, production and
 // Oracle(): it checks the rule instances of the base run's graph and of
-// the trial's, and that the two configurations' trials end in one state.
-// It returns how many removal links the checked graphs held.
-func checkExecution(t testing.TB, ex execution) (removals int) {
+// the trial's, that the two configurations' trials end in one state, and,
+// when that is the state of a run with the changes in its log, the
+// aggregate-chain law on the trials. It returns how many of the two trials
+// re-stepped a count() group in the past (reStepped), and whether the
+// state was the logged run's (maxUnlogged).
+func checkExecution(t testing.TB, ex execution) (resteps int, asLogged bool) {
 	t.Helper()
+	ref, rg, err := logged(t, ex.prog, append(slices.Clip(ex.log), ex.changes...)).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ticks []int64
+	for _, c := range append(slices.Clip(ex.log), ex.changes...) {
+		ticks = append(ticks, c.Tick)
+	}
 	var states [2]map[string]map[string][]ndlog.Tuple
 	for i, oracle := range []bool{false, true} {
-		s := NewSession(ex.prog, configuration(oracle)...)
-		for _, c := range ex.log {
-			var err error
-			if c.Insert {
-				err = s.Insert(c.Node, c.Tuple, c.Tick)
-			} else {
-				err = s.Delete(c.Node, c.Tuple, c.Tick)
-			}
-			if err != nil {
-				t.Fatalf("logging %s: %v", c, err)
-			}
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
+		s := logged(t, ex.prog, ex.log, configuration(oracle)...)
 		_, g, err := s.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}
 		what := fmt.Sprintf("oracle=%v", oracle)
-		removals += MustBeRuleInstances(t, what+" base run", ex.prog, g)
+		MustBeRuleInstances(t, what+" base run", ex.prog, g)
 		e, tg, err := s.ReplayWith(ex.changes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		removals += MustBeRuleInstances(t, what+" trial", ex.prog, tg)
+		MustBeRuleInstances(t, what+" trial", ex.prog, tg)
+		if asLogged = reflect.DeepEqual(e.CaptureState().State, ref.CaptureState().State); asLogged {
+			if err := CheckAggChains(ex.prog, e, tg, ref, rg, ticks); err != nil {
+				t.Errorf("%s trial: the aggregate-chain law:\n%v", what, err)
+			}
+		}
+		if e.Stats().AggRetractMisses != 0 {
+			t.Errorf("%s trial: AggRetractMisses = %d, want 0", what, e.Stats().AggRetractMisses)
+		}
+		if reStepped(g, e) {
+			resteps++
+		}
 		states[i] = e.CaptureState().State
 	}
 	if !reflect.DeepEqual(states[0], states[1]) {
@@ -485,28 +609,43 @@ func checkExecution(t testing.TB, ex execution) (removals int) {
 	if t.Failed() {
 		t.Logf("the execution:\n%s", ex)
 	}
-	return removals
+	return resteps, asLogged
 }
 
 // randomExecutions is the size of the fixed-seed set.
 const randomExecutions = 300
 
+// maxUnlogged is how many executions of the fixed-seed set end in a state
+// other than the run with their changes in its log, which the chain law
+// then skips. Repair misses two cases there (ROADMAP): a derivation a
+// re-fire queued is still delivered after a change retracts its body
+// before its trigger, and a deletion is dropped when a later logged
+// deletion already ended the row. The count may only fall.
+const maxUnlogged = 34
+
 // TestRecordedDerivesAreRuleInstances runs the fixed-seed set of random
-// executions. At least a quarter of them must hold a removal link, or the
-// set stopped exercising the fold's subtraction.
+// executions. At least a quarter of them must hold a trial that re-stepped
+// a count() group in the past, or the set stopped exercising the cut.
 func TestRecordedDerivesAreRuleInstances(t *testing.T) {
-	withRemoval := 0
+	withRestep, unlogged := 0, 0
 	for seed := uint64(1); seed <= randomExecutions; seed++ {
-		if checkExecution(t, drawExecution(seed)) > 0 {
-			withRemoval++
+		resteps, asLogged := checkExecution(t, drawExecution(seed))
+		if resteps > 0 {
+			withRestep++
+		}
+		if !asLogged {
+			unlogged++
 		}
 		if t.Failed() {
 			t.Fatalf("seed %d", seed)
 		}
 	}
-	t.Logf("%d random executions, %d with a removal link", randomExecutions, withRemoval)
-	if 4*withRemoval < randomExecutions {
-		t.Errorf("only %d of %d executions hold a removal link, want at least a quarter", withRemoval, randomExecutions)
+	t.Logf("%d random executions, %d with a re-stepped count() group, %d not as logged", randomExecutions, withRestep, unlogged)
+	if 4*withRestep < randomExecutions {
+		t.Errorf("only %d of %d executions re-step a count() group, want at least a quarter", withRestep, randomExecutions)
+	}
+	if unlogged > maxUnlogged {
+		t.Errorf("%d executions end in a state other than with their changes in the log, want at most %d", unlogged, maxUnlogged)
 	}
 }
 

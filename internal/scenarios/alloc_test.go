@@ -19,24 +19,25 @@ import (
 // slack must not cost them bytes — and the same holds of the engine's slabs
 // (§2) and of the reverse edges records carry (§3). The ceilings are the
 // readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the
-// commit before a derived event occurrence kept its derivation on its own
-// row, as its one support, and the consumer index named that row instead
-// of a copy of the derivation (DESIGN.md §2):
+// commit before a trial's erased count() contributors re-stepped their
+// group from the erasure's stamp instead of stepping it down one link at a
+// time, and before MAKEAPPEAR evaluated its side tuples into its solver's
+// scratch (DESIGN.md §5, §6):
 //
 //	          allocs  before      KB    before
-//	MR1-D      1 450   1 480  1 593.5  1 632.9
-//	MR2-D      1 237   1 276  1 852.3  1 925.7
-//	SDN1         217     227     30.2     32.1
-//	SDN2         172     174     21.0     21.5
-//	SDN3         154     156     19.1     19.5
-//	SDN4         341     352     38.9     41.4
+//	MR1-D        896   1 450  1 135.6  1 593.5
+//	MR2-D        693   1 237  1 604.2  1 852.3
+//	SDN1         212     217     30.0     30.2
+//	SDN2         170     172     20.9     21.0
+//	SDN3         149     154     18.9     19.1
+//	SDN4         337     341     38.7     38.9
 //
 // For SDN1, MR1-D and MR2-D it also logs the allocation ledger by layer
 // (ledger_test.go), holds the ledger's window to this one's count, and
-// holds MR1-D's provenance line to provenanceKB (725.0 KB at the commit
-// before an UNDERIVE got a record of its own) and its ndlog line to
-// ndlogAllocs and ndlogKB (847.6 allocations and 861.6 KB; 876.8 and
-// 900.9 KB before).
+// holds MR1-D's provenance line to provenanceKB (458.4 KB; 708.2 KB
+// before), its ndlog line to ndlogAllocs and ndlogKB (663.0 allocations
+// and 672.3 KB; 847.0 and 861.2 before) and its core line to coreAllocs
+// (36.2; 386.1 before).
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -45,14 +46,14 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 1472, 1617.4},
-		{"MR2-D", 1256, 1880.1},
-		{"SDN1", 220, 30.7},
-		{"SDN2", 175, 21.3},
-		{"SDN3", 156, 19.4},
-		{"SDN4", 346, 39.5},
+		{"MR1-D", 909, 1152.6},
+		{"MR2-D", 703, 1628.3},
+		{"SDN1", 215, 30.5},
+		{"SDN2", 172, 21.2},
+		{"SDN3", 151, 19.2},
+		{"SDN4", 342, 39.3},
 	}
-	const provenanceKB, ndlogAllocs, ndlogKB = 718.8, 860.3, 874.5
+	const provenanceKB, ndlogAllocs, ndlogKB, coreAllocs = 465.3, 673.0, 682.4, 36.7
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
 		if err != nil {
@@ -95,6 +96,9 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 			}
 			if n, kb := l.count("ndlog"), l.kb("ndlog"); b.name == "MR1-D" && (n > ndlogAllocs || kb > ndlogKB) {
 				t.Errorf("%s: the ledger's ndlog line is %.1f allocations and %.1f KB per warm diagnosis, ceilings %.1f and %.1f", b.name, n, kb, ndlogAllocs, ndlogKB)
+			}
+			if n := l.count("core"); b.name == "MR1-D" && n > coreAllocs {
+				t.Errorf("%s: the ledger's core line is %.1f allocations per warm diagnosis, ceiling %.1f", b.name, n, coreAllocs)
 			}
 			if d := l.total()/allocs - 1; d > 0.02 || d < -0.02 {
 				t.Errorf("%s: the ledger's window counts %.1f allocations per warm diagnosis, the unprofiled one %.1f; want them within 2%%", b.name, l.total(), allocs)
