@@ -34,7 +34,8 @@ func endOfTick(t int64) ndlog.Stamp {
 // the bad execution's actual derivations. It returns nil when the chains
 // align all the way to the root (the trees are equivalent).
 func (d *diag) firstDivergence(ss *solvers, chainG []gLevel, w World, seedB ndlog.At) (*divergence, error) {
-	g := w.Graph()
+	g := graphFor(w, seedB)
+	nw, narrow := w.(narrowWorld)
 
 	// Locate the bad seed's APPEAR in the (possibly updated) bad graph:
 	// prefer the appearance at the original tick, but fall back to the
@@ -98,6 +99,13 @@ func (d *diag) firstDivergence(ss *solvers, chainG []gLevel, w World, seedB ndlo
 				d.align[key] = expected
 				d.alignMu.Unlock()
 			}
+		}
+
+		// A demand trial derived the expected head only if it is covered;
+		// if it is not, the world has widened to the full trial, and the
+		// walk starts again on the full trial's graph.
+		if narrow && !nw.cover(expected) {
+			return d.firstDivergence(ss, chainG, w, seedB)
 		}
 
 		// Does the bad execution actually derive the expected tuple from

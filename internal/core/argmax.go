@@ -108,7 +108,7 @@ func (d *diag) competitorChange(w World, rule *ndlog.Rule, trigIdx int, winner c
 // leaves — excluding leaves that also support the expected derivation's
 // good-world counterpart (shared infrastructure must survive).
 func (d *diag) traceCompetitorBase(w World, side ndlog.At, children []childAt, k int, needBy int64) (replay.Change, bool) {
-	g := w.Graph()
+	g := graphFor(w, side)
 	ap := g.LastAppear(side.Node, side.Tuple)
 	if ap == nil {
 		return replay.Change{}, false

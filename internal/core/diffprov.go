@@ -228,6 +228,13 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 			Node:  seedB.Node,
 		}
 	}
+	// The trials derive only what the bad seed's tree can reach. The demand
+	// depends on the program and the seed alone, so the worlds AutoDiagnose's
+	// references share in their memo were all made under it. The reference
+	// configuration runs full trials.
+	if !opts.reference {
+		d.scratch.demand = ndlog.NewDemand(d.prog, seedB.Tuple)
+	}
 	// Extract the good chain (trigger path, seed to root).
 	chainG, err := goodChain(goodTree)
 	if err != nil {

@@ -237,14 +237,14 @@ func replayKey(applied, changes []replay.Change) string {
 func (d *diag) applyCached(ctx context.Context, w World, changes []replay.Change, store bool) (World, error) {
 	cw, ok := w.(cumulativeWorld)
 	if d.replays == nil || !ok {
-		return w.Apply(ctx, changes)
+		return d.apply(ctx, w, changes)
 	}
 	key := replayKey(cw.appliedChanges(), changes)
 	if cached, hit := d.replays.get(key); hit {
 		atomic.AddInt64(&d.stats.CandidatesDeduped, 1)
 		return cached, nil
 	}
-	nw, err := w.Apply(ctx, changes)
+	nw, err := d.apply(ctx, w, changes)
 	if err != nil {
 		return nil, err
 	}
@@ -252,4 +252,13 @@ func (d *diag) applyCached(ctx context.Context, w World, changes []replay.Change
 		d.replays.put(key, nw)
 	}
 	return nw, nil
+}
+
+// apply is World.Apply under the diagnosis's demand, where the world can
+// run a demand trial.
+func (d *diag) apply(ctx context.Context, w World, changes []replay.Change) (World, error) {
+	if nw, ok := w.(narrowWorld); ok && d.scratch.demand.Narrow() {
+		return nw.applyDemand(ctx, changes, &d.scratch.demand)
+	}
+	return w.Apply(ctx, changes)
 }

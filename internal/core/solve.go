@@ -82,10 +82,12 @@ type solvers struct {
 // diagnoses before them. Nothing a diagnosis returns points into its
 // scratch: the tuples and changes it keeps are built in slices of their
 // own, which is what already lets one depth's solver serve every
-// derivation solved at that depth.
+// derivation solved at that depth. demand is the diagnosis's demand
+// (diag.apply); a world it makes keeps a copy.
 type scratch struct {
-	solve solvers
-	pool  []solvers
+	solve  solvers
+	pool   []solvers
+	demand ndlog.Demand
 }
 
 // spareScratch is the stack of sets finished diagnoses handed on. A set is
@@ -119,6 +121,7 @@ func takeScratch() *scratch {
 // The caller must not use the set afterwards.
 func (s *scratch) handOn() {
 	s.solve.forget()
+	s.demand = ndlog.Demand{}
 	for i := range s.pool {
 		s.pool[i].forget()
 	}

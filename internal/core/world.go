@@ -7,6 +7,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
@@ -61,12 +64,55 @@ type eventLister interface {
 	BaseEvents() []replay.Event
 }
 
+// narrowWorld is a World whose trial may have derived only what a
+// diagnosis can read of it: ndlogWorld under the diagnosis's demand
+// (ndlog.Demand). Its Graph, Exists, FirstOccurrence and TuplesMatchingAt
+// answer every read as the full trial would — a read outside the demand
+// widens the world to the full trial first — and core walks the trial's
+// own graph, asking cover before it looks a tuple up there.
+type narrowWorld interface {
+	// trialGraph returns the graph of the trial the world answers from:
+	// exact for every tuple cover admits.
+	trialGraph() *provenance.Graph
+	// cover reports whether the trial derived the appearance at as the
+	// full trial does (its tuple is inside the demand). When it did not,
+	// the world has widened: trialGraph is the full trial's from now on,
+	// and a walk over the old graph starts again.
+	cover(at ndlog.At) bool
+	// applyDemand is Apply for a demand trial.
+	applyDemand(ctx context.Context, changes []replay.Change, d *ndlog.Demand) (World, error)
+}
+
+// graphFor returns the graph to look at up in: a narrow world's trial
+// graph, once at is covered there, or the world's graph.
+func graphFor(w World, at ndlog.At) *provenance.Graph {
+	if nw, ok := w.(narrowWorld); ok {
+		nw.cover(at)
+		return nw.trialGraph()
+	}
+	return w.Graph()
+}
+
 // ndlogWorld adapts a replay.Session (plus accumulated changes) to World.
+// Its trial is a fork of the session's base run, a demand trial when the
+// world was made by applyDemand; a read outside the demand replaces it by
+// the full trial (widen).
 type ndlogWorld struct {
 	session *replay.Session
 	changes []replay.Change
 	engine  *ndlog.Engine
 	graph   *provenance.Graph
+	demand  ndlog.Demand // what engine derived; the zero Demand for everything
+	// wide is the full trial that replaced engine and graph when a read fell
+	// outside the demand; widenMu makes one widening of many readers'.
+	wide    atomic.Pointer[trialRun]
+	widenMu sync.Mutex
+}
+
+// trialRun is the full trial a demand trial widened to.
+type trialRun struct {
+	engine *ndlog.Engine
+	graph  *provenance.Graph
 }
 
 // NewWorld wraps a replay session as a DiffProv world. The session's
@@ -79,17 +125,84 @@ func NewWorld(s *replay.Session) (World, error) {
 	return &ndlogWorld{session: s, engine: e, graph: g}, nil
 }
 
-func (w *ndlogWorld) Program() *ndlog.Program  { return w.session.Program() }
-func (w *ndlogWorld) Graph() *provenance.Graph { return w.graph }
-func (w *ndlogWorld) Nodes() []string          { return w.engine.Nodes() }
+// answering returns the trial the world answers from and the demand it
+// covers (nil: everything).
+func (w *ndlogWorld) answering() (*ndlog.Engine, *provenance.Graph, *ndlog.Demand) {
+	if wd := w.wide.Load(); wd != nil {
+		return wd.engine, wd.graph, nil
+	}
+	return w.engine, w.graph, &w.demand
+}
+
+// full returns the full trial, widening to it if the world has not.
+func (w *ndlogWorld) full() (*ndlog.Engine, *provenance.Graph) {
+	if e, g, d := w.answering(); !d.Narrow() {
+		return e, g
+	}
+	wd := w.widen()
+	return wd.engine, wd.graph
+}
+
+// widen replaces the demand trial by the full trial: the same change list,
+// replayed whole, once however many readers ask. The replay cannot fail
+// where the demand trial, a part of it, succeeded, short of the engine's
+// derivation limit; reads have no error to report that with, so it panics.
+func (w *ndlogWorld) widen() *trialRun {
+	w.widenMu.Lock()
+	defer w.widenMu.Unlock()
+	if wd := w.wide.Load(); wd != nil {
+		return wd
+	}
+	e, g, err := w.session.Widen(context.Background(), w.changes)
+	if err != nil {
+		panic(fmt.Sprintf("core: widening a demand trial to the full trial: %v", err))
+	}
+	wd := &trialRun{engine: e, graph: g}
+	w.wide.Store(wd)
+	return wd
+}
+
+func (w *ndlogWorld) trialGraph() *provenance.Graph {
+	_, g, _ := w.answering()
+	return g
+}
+
+func (w *ndlogWorld) cover(at ndlog.At) bool {
+	if _, _, d := w.answering(); d.Covers(at.Tuple) {
+		return true
+	}
+	w.widen()
+	return false
+}
+
+// reading returns the engine that answers a read of t.
+func (w *ndlogWorld) reading(t ndlog.Tuple) *ndlog.Engine {
+	if e, _, d := w.answering(); d.Covers(t) {
+		return e
+	}
+	return w.widen().engine
+}
+
+func (w *ndlogWorld) Program() *ndlog.Program { return w.session.Program() }
+func (w *ndlogWorld) Graph() *provenance.Graph {
+	_, g := w.full()
+	return g
+}
+
+// Nodes widens a demand trial: which nodes a head outside the demand
+// created, and when, only the full trial knows.
+func (w *ndlogWorld) Nodes() []string {
+	e, _ := w.full()
+	return e.Nodes()
+}
 
 func (w *ndlogWorld) Exists(node string, t ndlog.Tuple, at ndlog.Stamp) bool {
-	return w.engine.Exists(node, t, at)
+	return w.reading(t).Exists(node, t, at)
 }
 
 func (w *ndlogWorld) FirstOccurrence(node string, t ndlog.Tuple, tick int64) (int64, bool) {
 	best, found := int64(0), false
-	w.engine.History(node, t, func(iv ndlog.Interval) bool {
+	w.reading(t).History(node, t, func(iv ndlog.Interval) bool {
 		if iv.From.T <= tick && (!found || iv.From.T < best) {
 			best, found = iv.From.T, true
 		}
@@ -99,7 +212,11 @@ func (w *ndlogWorld) FirstOccurrence(node string, t ndlog.Tuple, tick int64) (in
 }
 
 func (w *ndlogWorld) TuplesMatchingAt(node, table string, at ndlog.Stamp, match []ndlog.Match) []ndlog.Tuple {
-	return w.engine.TuplesMatchingAt(node, table, at, match)
+	e, _, d := w.answering()
+	if !d.CoversMatch(table, match) {
+		e = w.widen().engine
+	}
+	return e.TuplesMatchingAt(node, table, at, match)
 }
 
 // IsMutable reads the session's pins (§4.7), which clones share: the
@@ -109,12 +226,27 @@ func (w *ndlogWorld) IsMutable(node string, t ndlog.Tuple) bool {
 }
 
 func (w *ndlogWorld) Apply(ctx context.Context, changes []replay.Change) (World, error) {
-	all := append(append([]replay.Change(nil), w.changes...), changes...)
-	e, g, err := w.session.ReplayWithContext(ctx, all)
+	return w.applyDemand(ctx, changes, nil)
+}
+
+// applyDemand replays the world's changes and then changes as a demand
+// trial under d (nil: the full trial). The new world keeps its own copy of
+// the demand, which its engine reads; the session may run the full trial
+// instead (Oracle()), and then the world demands everything.
+func (w *ndlogWorld) applyDemand(ctx context.Context, changes []replay.Change, d *ndlog.Demand) (World, error) {
+	nw := &ndlogWorld{session: w.session, changes: append(append([]replay.Change(nil), w.changes...), changes...)}
+	if d != nil {
+		nw.demand = *d
+	}
+	e, g, err := w.session.ReplayDemand(ctx, nw.changes, &nw.demand)
 	if err != nil {
 		return nil, err
 	}
-	return &ndlogWorld{session: w.session, changes: all, engine: e, graph: g}, nil
+	nw.engine, nw.graph = e, g
+	if e.Demand() == nil {
+		nw.demand = ndlog.Demand{}
+	}
+	return nw, nil
 }
 
 func (w *ndlogWorld) appliedChanges() []replay.Change { return w.changes }

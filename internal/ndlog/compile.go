@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Rule compilation. Every rule of a program is compiled once, the first time
@@ -353,11 +354,13 @@ func compileRule(prog *Program, r *Rule, idx int) *CompiledRule {
 
 // compiledProgram is a program's rules compiled: by name, in definition
 // order, and the trigger table — per body table, the (rule, atom) pairs a
-// tuple of that table fires, in rule definition order.
+// tuple of that table fires, in rule definition order. demands caches the
+// demand shapes of seeds, per seed table (demand.go).
 type compiledProgram struct {
 	rules    map[string]*CompiledRule
 	order    []*CompiledRule
 	triggers map[string][]trigger
+	demands  sync.Map
 }
 
 func compileProgram(prog *Program) *compiledProgram {

@@ -126,6 +126,21 @@ func (e *Engine) Fork(obs Observer) *Engine {
 	return f
 }
 
+// ForkDemand is Fork for a demand trial: the fork derives and erases only
+// heads inside the demand (demand.go), which it reads while it runs. Base
+// events are applied as scheduled; a head outside the demand is left as the
+// base run made it. A demand that narrows nothing makes a plain fork.
+func (e *Engine) ForkDemand(obs Observer, d *Demand) *Engine {
+	f := e.Fork(obs)
+	if d.Narrow() {
+		f.demand = d
+	}
+	return f
+}
+
+// Demand returns the demand the engine derives under, nil for everything.
+func (e *Engine) Demand() *Demand { return e.demand }
+
 // writableTable returns a node's table as this engine may mutate it. A
 // table the engine owns passes through; one it shares with the frozen
 // engine it was forked from is cloned on first write, and the clone is set

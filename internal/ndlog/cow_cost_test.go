@@ -3,6 +3,7 @@ package ndlog
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -278,17 +279,22 @@ rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
 	}
 
 	// Concurrent: one fork takes the spare set, the others make their own.
+	// All n are forked before any runs, so none can settle and hand its set
+	// on to a later fork.
 	const n = 4
+	forks := make([]*Engine, n)
+	for i := range forks {
+		forks[i] = e.Fork(nil)
+		engines[fmt.Sprintf("concurrent fork %d", i)] = forks[i]
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		f := e.Fork(nil)
-		engines[fmt.Sprintf("concurrent fork %d", i)] = f
+	for i, f := range forks {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			errs[i] = f.Run()
-		}(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -468,4 +474,72 @@ func (e *Engine) spareSets() []*scratch {
 		out = append(out, w)
 	}
 	return out
+}
+
+// deriveCounter counts the derivations an engine reports.
+type deriveCounter struct {
+	NopObserver
+	derives int
+}
+
+func (o *deriveCounter) OnDerive(Derivation) { o.derives++ }
+
+// TestOutOfDemandDerivationAllocatesNothing: a state row inserted in a
+// trial's evaluated past re-fires every later occurrence of its rule's
+// trigger atom (refireForRow). Under a demand those whose heads all fall
+// outside it are passed over on their own row: re-firing 500 of them costs a
+// demand trial no allocation beyond what it costs with one, and records no
+// derivation — where the full trial records 500.
+func TestOutOfDemandDerivationAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	prog := MustParse(`
+table ev/1 event base;
+table cfg/1 base mutable;
+table out/1 event;
+rule o out(@N, X) :- ev(@N, X), cfg(@N, 1).
+`)
+	d := NewDemand(prog, NewTuple("ev", Int(0)))
+	if !d.Narrow() || d.Covers(NewTuple("out", Int(1))) || !d.Covers(NewTuple("out", Int(0))) {
+		t.Fatalf("the demand of ev(0) does not bind out to 0")
+	}
+	trial := func(n int, d *Demand) (allocs float64, derives int) {
+		e := New(prog, nil, WithSeqBand(SeqBandDefault))
+		for i := 1; i <= n; i++ {
+			if err := e.ScheduleInsert("n", NewTuple("ev", Int(int64(i))), int64(10+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		e.Seal()
+		obs := new(deriveCounter)
+		run := func() {
+			f := e.ForkDemand(obs, d)
+			if err := f.ScheduleInsert("n", NewTuple("cfg", Int(1)), 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // hands a spare scratch on to the measured forks
+		obs.derives = 0
+		allocs = testing.AllocsPerRun(20, run)
+		return allocs, obs.derives / 21
+	}
+	if _, derives := trial(500, nil); derives != 500 {
+		t.Fatalf("the full trial records %d derivations, want 500", derives)
+	}
+	one, _ := trial(1, &d)
+	allocs, derives := trial(500, &d)
+	if derives != 0 {
+		t.Errorf("the demand trial records %d derivations, want 0", derives)
+	}
+	if allocs != one {
+		t.Errorf("re-firing 500 occurrences outside the demand: %.0f allocations per trial, %.0f with one", allocs, one)
+	}
 }

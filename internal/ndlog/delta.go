@@ -130,6 +130,11 @@ func (e *Engine) refireAtomOccurrences(r *CompiledRule, p int, pinNode string, p
 			if decl.Event && e.killedOccs.Get(o.appearedAt.Seq) || !decl.Event && o.dead {
 				continue
 			}
+			// An occurrence whose heads all fall outside the demand re-fires
+			// nothing anyone reads.
+			if e.demand != nil && !e.demand.fires(r, q, o.tuple) {
+				continue
+			}
 			var err error
 			if r.argMaxSlot >= 0 {
 				err = e.reevalArgMax(r, q, keyedAt(nn, o.tuple, o.key, o.appearedAt), keyedAt(pinNode, pin.tuple, pin.key, pin.appearedAt))
@@ -313,8 +318,8 @@ func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt
 // contributed to are re-stepped without it, state rows it supported are
 // retracted, and event occurrences derived from it are erased in turn.
 func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause KeyedAt, st Stamp) {
-	if e.killedOccs.Get(occ.Stamp.Seq) {
-		return
+	if e.killedOccs.Get(occ.Stamp.Seq) || e.demand != nil && !e.demand.Covers(occ.Tuple) {
+		return // erased already, or outside the demand, like all it led to
 	}
 	e.killedOccs.Set(occ.Stamp.Seq, true)
 	e.deriveID++
@@ -352,7 +357,7 @@ func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause
 // actually contains the erased occurrence (dependent refs carry no body
 // sequence, and the same node|key can occur more than once).
 func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedAt, st Stamp) {
-	tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key)
+	tb := e.liveDemanded(dep)
 	if tb == nil {
 		return
 	}
@@ -370,7 +375,9 @@ func (e *Engine) retractSupportIf(dep dependentRef, bodySeq uint64, cause KeyedA
 func (e *Engine) aggregateErase(r *CompiledRule, occ KeyedAt, st Stamp) {
 	sat, mark, err := e.satBindings(r, 0, occ.Node, occ.Tuple, occ.Key, occ.Stamp)
 	defer e.work.join.release(mark)
-	if err == nil && len(sat) > 0 { // none: a constraint kept it out of the group
+	// No binding: a constraint kept it out of the group. A group outside the
+	// demand is left as the base run made it.
+	if err == nil && len(sat) > 0 && (e.demand == nil || e.demand.derives(r, sat[0].frame)) {
 		var node string
 		var g *aggGroup
 		if node, g, err = e.aggGroupOf(r, occ.Node, sat[0].frame); err == nil {
@@ -623,6 +630,11 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, trig, cause KeyedA
 		return nil
 	}
 	win := sat[0]
+	if e.demand != nil && !e.demand.derives(r, win.frame) {
+		// Every binding of one trigger agrees on the head's bound columns,
+		// the winner it derived before included: all outside the demand.
+		return nil
+	}
 	at := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
 	cur := e.amDeriv.Get(at)
 	if cur != nil {

@@ -211,6 +211,9 @@ type Engine struct {
 	// killedOccs marks erased event occurrences by stamp sequence.
 	evDeps     cow.Overlay[TupleRef, []occDep]
 	killedOccs cow.Overlay[uint64, bool]
+	// demand, on a fork made by ForkDemand, is what the fork derives and
+	// erases: no head outside it (demand.go). nil derives everything.
+	demand *Demand
 	// arena is where what this engine creates is allocated (slab.go); a fork
 	// starts with its own, empty. It is held by value, and every fork
 	// allocates an Engine: the bools above sit next to each other, and the
@@ -1034,9 +1037,20 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 // cause disappeared; a dependent that is no longer live, or whose support
 // an earlier cascade already retracted, is skipped.
 func (e *Engine) retractSupport(dep dependentRef, cause KeyedAt, st Stamp) {
-	if tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key); tb != nil {
+	if tb := e.liveDemanded(dep); tb != nil {
 		e.dropSupport(dep.node, tb, dep.key, dep.deriveID, cause, st)
 	}
+}
+
+// liveDemanded finds the table holding a dependent's live row, like
+// liveTable; nil also when the row is outside the engine's demand, whose
+// derivations the engine leaves as its base run made them.
+func (e *Engine) liveDemanded(dep dependentRef) *table {
+	tb := e.liveTable(dep.node, tableOfKey(dep.key), dep.key)
+	if tb == nil || e.demand != nil && !e.demand.Covers(tb.liveRow(dep.key).tuple) {
+		return nil
+	}
+	return tb
 }
 
 // retractDerived removes a specific derivation's support from the stored
@@ -1143,8 +1157,12 @@ func (e *Engine) fireRule(r *CompiledRule, deltaAtom int, nodeName string, delta
 	return err
 }
 
-// fireBinding derives the head of one satisfying binding.
+// fireBinding derives the head of one satisfying binding, unless the head
+// is outside the engine's demand.
 func (e *Engine) fireBinding(r *CompiledRule, deltaAtom int, nodeName string, b binding, st Stamp) error {
+	if e.demand != nil && !e.demand.derives(r, b.frame) {
+		return nil
+	}
 	if r.countSlot >= 0 {
 		return e.aggregateStep(r, nodeName, b, st)
 	}

@@ -28,6 +28,8 @@ type DepEdge struct {
 	From string
 	To   string
 	Rule *Rule
+	// Atom is the body atom's index in Rule.Body.
+	Atom int
 	// Negated marks an edge through a negated body atom.
 	Negated bool
 	// Aggregate marks an edge into a counting rule's head: the From
@@ -60,6 +62,7 @@ func NewDepGraph(p *Program) *DepGraph {
 				From:      b.Table,
 				To:        r.Head.Table,
 				Rule:      r,
+				Atom:      i,
 				Negated:   b.Negated,
 				Aggregate: r.CountVar != "",
 				Pos:       b.Pos,

@@ -63,6 +63,9 @@ type ReplayStats struct {
 	// semi-naïve propagation actually visited instead of the whole
 	// derived state.
 	DirtyTables int64
+	// DemandWidenings counts the demand trials that were read outside their
+	// demand and replaced by the full trial (Widen): one more replay each.
+	DemandWidenings int64
 }
 
 // baseRun is one fully evaluated execution of the log: every logged event
@@ -426,22 +429,48 @@ const ctxCheckEvery = 4096
 // stamps are processing positions, and the changes are applied after the
 // log settles in both cases.
 func (s *Session) ReplayWithContext(ctx context.Context, changes []Change) (*ndlog.Engine, *provenance.Graph, error) {
+	return s.ReplayDemand(ctx, changes, nil)
+}
+
+// ReplayDemand is ReplayWithContext for a demand trial: the fork of the
+// base run derives and erases only heads inside the demand
+// (ndlog.Engine.ForkDemand), which it reads while it runs. A head outside
+// the demand is left as the base run made it, so only reads the demand
+// covers are answered as the full trial would answer them. Oracle()
+// sessions, and replays without changes, which fork nothing, run the full
+// trial; the engine's Demand says which ran.
+func (s *Session) ReplayDemand(ctx context.Context, changes []Change, d *ndlog.Demand) (*ndlog.Engine, *provenance.Graph, error) {
 	return s.booked(func() (*ndlog.Engine, *provenance.Recorder, bool, error) {
-		e, rec, err := s.replayWith(ctx, changes)
+		e, rec, err := s.replayWith(ctx, changes, d)
 		return e, rec, true, err
 	})
 }
 
-func (s *Session) replayWith(ctx context.Context, changes []Change) (*ndlog.Engine, *provenance.Recorder, error) {
+// Widen replays changes as the full trial in place of a demand trial that
+// was read outside its demand, and counts it in Stats.DemandWidenings.
+func (s *Session) Widen(ctx context.Context, changes []Change) (*ndlog.Engine, *provenance.Graph, error) {
+	e, g, err := s.ReplayWithContext(ctx, changes)
+	if err == nil {
+		s.statsMu.Lock()
+		s.Stats.DemandWidenings++
+		s.statsMu.Unlock()
+	}
+	return e, g, err
+}
+
+func (s *Session) replayWith(ctx context.Context, changes []Change, d *ndlog.Demand) (*ndlog.Engine, *provenance.Recorder, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
 	fork := len(changes) > 0 && !s.oracle
-	start := s.scheduleScratch
+	var e *ndlog.Engine
+	var rec *provenance.Recorder
+	var err error
 	if fork {
-		start = s.forkBase
+		e, rec, err = s.forkBase(ctx, d)
+	} else {
+		e, rec, err = s.scheduleScratch(ctx)
 	}
-	e, rec, err := start(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -532,16 +561,17 @@ func (s *Session) booked(op func() (*ndlog.Engine, *provenance.Recorder, bool, e
 	return e, rec.Graph(), nil
 }
 
-// forkBase returns a private copy-on-write fork of the base run,
-// evaluating the base run first if this log length has none yet.
-func (s *Session) forkBase(ctx context.Context) (*ndlog.Engine, *provenance.Recorder, error) {
+// forkBase returns a private copy-on-write fork of the base run, under the
+// demand d (nil for none), evaluating the base run first if this log length
+// has none yet.
+func (s *Session) forkBase(ctx context.Context, d *ndlog.Demand) (*ndlog.Engine, *provenance.Recorder, error) {
 	b, built, err := s.acquireBase(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 	forkStart := time.Now() //diffprov:allow detnow (stats timing only; never feeds derivation)
 	rec := b.rec.Fork()
-	e := b.eng.Fork(rec)
+	e := b.eng.ForkDemand(rec, d)
 	s.statsMu.Lock()
 	if !built {
 		s.Stats.PrefixHits++

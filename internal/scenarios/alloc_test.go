@@ -12,32 +12,32 @@ import (
 // TestWarmDiagnosisAllocationBudget bounds what one warm diagnosis — what
 // diffprovd does per request: Isolated() then Diagnose() — allocates, per
 // scenario at the benchmark's scale, so a change to the recorder, the fork,
-// the delta phase or the solver shows in go test. The wide scenarios (MR1-D
-// and MR2-D re-derive most of the job) are where the provenance recorder
-// dominates; the narrow ones record 16-34 vertexes per fork and guard the
+// the delta phase or the solver shows in go test. The wide scenarios' trials
+// (MR1-D and MR2-D, whose changes reach every word of the job) re-derive
+// only the symptom word's pairs, what the diagnosis's demand covers
+// (DESIGN.md §5): 176 and 264 derivations, where the full trials make 852
+// and 1 278; the narrow ones record 16-34 vertexes per fork and guard the
 // other side of the record store's trade (DESIGN.md §3): a slab chunk's
 // slack must not cost them bytes — and the same holds of the engine's slabs
 // (§2) and of the reverse edges records carry (§3). The ceilings are the
-// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the
-// commit before a trial's erased count() contributors re-stepped their
-// group from the erasure's stamp instead of stepping it down one link at a
-// time, and before MAKEAPPEAR evaluated its side tuples into its solver's
-// scratch (DESIGN.md §5, §6):
+// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
+// before trials derived only their demand:
 //
 //	          allocs  before      KB    before
-//	MR1-D        896   1 450  1 135.6  1 593.5
-//	MR2-D        693   1 237  1 604.2  1 852.3
-//	SDN1         212     217     30.0     30.2
-//	SDN2         170     172     20.9     21.0
-//	SDN3         149     154     18.9     19.1
-//	SDN4         337     341     38.7     38.9
+//	MR1-D        466     896    318.4  1 135.3
+//	MR2-D        376     693    382.4  1 603.9
+//	SDN1         207     212     28.8     30.0
+//	SDN2         170     170     21.1     20.9
+//	SDN3         149     149     19.1     18.9
+//	SDN4         338     337     39.0     38.7
 //
-// For SDN1, MR1-D and MR2-D it also logs the allocation ledger by layer
-// (ledger_test.go), holds the ledger's window to this one's count, and
-// holds MR1-D's provenance line to provenanceKB (458.4 KB; 708.2 KB
-// before), its ndlog line to ndlogAllocs and ndlogKB (663.0 allocations
-// and 672.3 KB; 847.0 and 861.2 before) and its core line to coreAllocs
-// (36.2; 386.1 before).
+// (SDN1's trial no longer re-routes another source's packet; the others
+// carry the demand in their trial worlds.) For SDN1, MR1-D and MR2-D it also
+// logs the allocation ledger by layer (ledger_test.go), holds the ledger's
+// window to this one's count, and holds MR1-D's provenance line to
+// provenanceKB (117.3 KB; 458.4 KB before), its ndlog line to ndlogAllocs
+// and ndlogKB (306.0 allocations and 196.0 KB; 661.8 and 671.9 before) and
+// its core line to coreAllocs (36.1).
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -46,14 +46,14 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 909, 1152.6},
-		{"MR2-D", 703, 1628.3},
+		{"MR1-D", 473, 323.2},
+		{"MR2-D", 382, 388.1},
 		{"SDN1", 215, 30.5},
 		{"SDN2", 172, 21.2},
 		{"SDN3", 151, 19.2},
 		{"SDN4", 342, 39.3},
 	}
-	const provenanceKB, ndlogAllocs, ndlogKB, coreAllocs = 465.3, 673.0, 682.4, 36.7
+	const provenanceKB, ndlogAllocs, ndlogKB, coreAllocs = 119.1, 310.6, 198.9, 36.7
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
 		if err != nil {

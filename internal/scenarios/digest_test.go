@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/ndlog"
 	"repro/internal/provenance"
 	"repro/internal/replay"
 )
@@ -42,8 +42,9 @@ func writeVertexDigest(h hash.Hash, g *provenance.Graph, id int) {
 // scenarioGraphs returns the graphs one scenario builds, named: its base
 // run (for MR1-I and MR2-I, the graph the Builder reported), and the graph
 // of every round's trial in one warm diagnosis. Each round's trial is the
-// world with the cumulative changes through that round applied, as the
-// diagnosis builds it; the last is the diagnosis's final world.
+// world with the cumulative changes through that round applied, in full;
+// where the diagnosis's demand trial (ndlog.Demand) of those changes
+// records another graph, that graph follows as the round's demand trial.
 func scenarioGraphs(t *testing.T, name string) (names []string, graphs []*provenance.Graph) {
 	t.Helper()
 	s, err := Build(name, Paper)
@@ -65,20 +66,30 @@ func scenarioGraphs(t *testing.T, name string) (names []string, graphs []*proven
 	var cum []replay.Change
 	for i, r := range res.Rounds {
 		cum = append(cum, r.Changes...)
-		var w core.World = res.FinalWorld
-		if i < len(res.Rounds)-1 {
-			if w, err = iso.World.Apply(t.Context(), cum); err != nil {
-				t.Fatalf("%s: round %d: %v", name, i+1, err)
-			}
+		w, err := iso.World.Apply(t.Context(), cum)
+		if err != nil {
+			t.Fatalf("%s: round %d: %v", name, i+1, err)
 		}
 		names, graphs = append(names, fmt.Sprintf("%s trial %d", name, i+1)), append(graphs, w.Graph())
+		if iso.BadSession == nil {
+			continue
+		}
+		d := ndlog.NewDemand(iso.BadSession.Program(), res.BadSeed.Tuple)
+		_, dg, err := iso.BadSession.ReplayDemand(t.Context(), cum, &d)
+		if err != nil {
+			t.Fatalf("%s: round %d: %v", name, i+1, err)
+		}
+		if digestGraph(dg) != digestGraph(w.Graph()) {
+			names, graphs = append(names, fmt.Sprintf("%s demand trial %d", name, i+1)), append(graphs, dg)
+		}
 	}
 	return names, graphs
 }
 
 // TestGraphDigestGolden pins every graph the scenarios build — the base
 // runs of SDN1-4, MR1-D and MR2-D, the Builder-made graphs of MR1-I and
-// MR2-I, and the trial graphs of one warm diagnosis of each — to a SHA-256
+// MR2-I, and the trial graphs of one warm diagnosis of each, full and
+// under its demand — to a SHA-256
 // digest of everything its accessors answer for every vertex
 // (digestGraph), so a change to how the graph stores its vertexes cannot
 // move an ID, a stamp, a child, a fingerprint or a reverse edge unseen.

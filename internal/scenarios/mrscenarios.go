@@ -87,8 +87,10 @@ func checkCodeChange(r *core.Result) error {
 
 // MR1D is the configuration-change scenario on the declarative runtime:
 // mapreduce.job.reduces silently changed from 4 to 2.
-func MR1D(scale Scale) (*Scenario, error) {
-	f := corpusFor(scale)
+func MR1D(scale Scale) (*Scenario, error) { return mr1D(corpusFor(scale)) }
+
+// mr1D builds MR1-D over the corpus f.
+func mr1D(f *mapreduce.InputFile) (*Scenario, error) {
 	good, err := mapreduce.NewCluster(2, 4, mapreduce.GoodMapper)
 	if err != nil {
 		return nil, err

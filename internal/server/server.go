@@ -351,10 +351,12 @@ type diagnosis struct {
 
 	// Delta-phase activity for this request: how many logged base events
 	// counterfactual replays re-fired (zero — trials push their changes
-	// through the delta phase of a fork instead), and how many (node,
-	// table) pairs the delta phases actually touched.
-	EventsReFired int64 `json:"eventsReFired,omitempty"`
-	DirtyTables   int64 `json:"dirtyTables,omitempty"`
+	// through the delta phase of a fork instead), how many (node, table)
+	// pairs the delta phases actually touched, and how many demand trials
+	// were read outside their demand and re-run in full.
+	EventsReFired   int64 `json:"eventsReFired,omitempty"`
+	DirtyTables     int64 `json:"dirtyTables,omitempty"`
+	DemandWidenings int64 `json:"demandWidenings,omitempty"`
 
 	// Fingerprint and parallel-evaluation activity for this request:
 	// divergence alignments answered from the fingerprint memo,
@@ -454,6 +456,7 @@ func runDiagnosis(ctx context.Context, sc *scenarios.Scenario,
 		d.EventsSkipped = iso.BadSession.Stats.EventsSkipped
 		d.EventsReFired = iso.BadSession.Stats.EventsReFired
 		d.DirtyTables = iso.BadSession.Stats.DirtyTables
+		d.DemandWidenings = iso.BadSession.Stats.DemandWidenings
 	}
 	return d, nil
 }

@@ -284,9 +284,19 @@ func TestDiagnoseEndpoint(t *testing.T) {
 		ElapsedNs    int64    `json:"elapsedNs"`
 		Elapsed      string   `json:"elapsed"`
 		Replays      int      `json:"replays"`
+		DirtyTables  int64    `json:"dirtyTables"`
+		// Omitted while zero: SDN1's demand trials are never read outside
+		// their demand.
+		DemandWidenings *int64 `json:"demandWidenings"`
 	}
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatal(err)
+	}
+	if d.DirtyTables <= 0 || d.DemandWidenings != nil {
+		t.Errorf("dirtyTables = %d, demandWidenings = %v; want some tables and no widening", d.DirtyTables, d.DemandWidenings)
+	}
+	if b, err := json.Marshal(diagnosis{DemandWidenings: 1}); err != nil || !strings.Contains(string(b), `"demandWidenings":1`) {
+		t.Errorf("a widening is rendered %s (%v); want demandWidenings", b, err)
 	}
 	if len(d.Changes) != 1 || !strings.Contains(d.Changes[0], "4.3.2.0/23") {
 		t.Errorf("diagnosis = %+v", d)
