@@ -119,16 +119,11 @@ func similarity(a, b ndlog.Tuple) int {
 // allows — with every inner diagnosis forced to width 1 (one level of
 // fan-out only). The winner is the lowest-ranked candidate that succeeds —
 // every higher-ranked candidate is guaranteed evaluated — so the outcome is
-// identical at every width. All candidate diagnoses against the same base
-// world share one replay memo: two references that need the same fix dedupe
-// their counterfactual replays.
+// identical at every width.
 func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts Options) (*Result, *provenance.Tree, error) {
 	cands, err := FindReferenceCandidates(badTree, w, 32)
 	if err != nil {
 		return nil, nil, err
-	}
-	if !opts.reference && opts.sharedMemo == nil {
-		opts.sharedMemo = newReplayMemo()
 	}
 	var stats DiagStats
 	var pool candidatePool

@@ -46,16 +46,12 @@ type Options struct {
 	// at any setting: candidates are selected by their original
 	// enumeration index, never by completion order.
 	Parallelism int
-	// sharedMemo, when non-nil, is a replay memo shared across several
-	// Diagnose calls against the same base world; AutoDiagnose sets it so
-	// candidate references dedupe identical counterfactual replays.
-	sharedMemo *replayMemo
 	// reference selects the configuration the fast paths are
 	// differential-tested against, core's counterpart of replay.Oracle():
-	// no replay memo, no alignment memo, no shared memo across
-	// AutoDiagnose's candidates, and no static slicing of the §4.9
-	// fallback's candidates. Diagnoses are byte-identical either way; only
-	// the amount of repeated work changes. Tests set it.
+	// no alignment memo, full trials instead of demand trials, and no
+	// static slicing of the §4.9 fallback's candidates. Diagnoses are
+	// byte-identical either way; only the amount of repeated work
+	// changes. Tests set it.
 	reference bool
 }
 
@@ -82,8 +78,8 @@ type DiagStats struct {
 	// FingerprintHits counts chain-alignment steps answered from the
 	// fingerprint-keyed memo instead of re-running the rule solver.
 	FingerprintHits int64
-	// CandidatesDeduped counts counterfactual replays skipped because an
-	// identical cumulative change list had already been replayed.
+	// CandidatesDeduped is always 0: every trial replays. It stays only
+	// while the benchmark reads DiagStats field by field.
 	CandidatesDeduped int64
 	// ParallelCandidates counts candidate evaluations run by a pool wider
 	// than 1.
@@ -131,11 +127,8 @@ type diag struct {
 	applied []replay.Change
 
 	// stats fields are updated atomically: a wide pool runs
-	// firstDivergence and applyCached concurrently.
+	// firstDivergence concurrently.
 	stats DiagStats
-	// replays dedupes counterfactual replays by cumulative change list
-	// (nil in the reference configuration).
-	replays *replayMemo
 	// align memoizes the §4.4 forward prediction per chain level, keyed
 	// by the good derive vertex's structural fingerprint plus the bad
 	// cursor (see alignKey); nil in the reference configuration or when
@@ -168,7 +161,6 @@ func (d *diag) handOn() {
 func (d *diag) statsSnapshot() DiagStats {
 	return DiagStats{
 		FingerprintHits:    atomic.LoadInt64(&d.stats.FingerprintHits),
-		CandidatesDeduped:  atomic.LoadInt64(&d.stats.CandidatesDeduped),
 		ParallelCandidates: atomic.LoadInt64(&d.stats.ParallelCandidates),
 		CandidatesSliced:   atomic.LoadInt64(&d.stats.CandidatesSliced),
 	}
@@ -192,14 +184,8 @@ type gLevel struct {
 func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world World, opts Options) (*Result, error) {
 	d := &diag{prog: world.Program(), opts: opts, scratch: takeScratch()}
 	defer d.handOn()
-	if !opts.reference {
-		d.replays = opts.sharedMemo
-		if d.replays == nil {
-			d.replays = newReplayMemo()
-		}
-		if !opts.FollowKeyedRows {
-			d.align = map[alignKey]ndlog.At{}
-		}
+	if !opts.reference && !opts.FollowKeyedRows {
+		d.align = map[alignKey]ndlog.At{}
 	}
 	// The pool keeps the pre-diagnosis world: candidates replay their full
 	// cumulative change list against it.
@@ -229,8 +215,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 		}
 	}
 	// The trials derive only what the bad seed's tree can reach. The demand
-	// depends on the program and the seed alone, so the worlds AutoDiagnose's
-	// references share in their memo were all made under it. The reference
+	// depends on the program and the seed alone. The reference
 	// configuration runs full trials.
 	if !opts.reference {
 		d.scratch.demand = ndlog.NewDemand(d.prog, seedB.Tuple)
@@ -303,7 +288,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 
 		// Step 4: update T_B (§4.6) by rolling the clone forward.
 		t3 := time.Now()
-		newWorld, err := d.applyCached(ctx, world, d.pending, true)
+		newWorld, err := d.apply(ctx, world, d.pending)
 		d.timings.UpdateTree += time.Since(t3)
 		if err != nil {
 			return nil, fmt.Errorf("diffprov: updating the bad tree: %w", err)

@@ -115,9 +115,8 @@ type checkedWorld struct {
 	reads    *int
 }
 
-func (c *checkedWorld) appliedChanges() []replay.Change { return c.nw.changes }
-func (c *checkedWorld) BaseEvents() []replay.Event      { return c.nw.BaseEvents() }
-func (c *checkedWorld) trialGraph() *provenance.Graph   { return c.nw.trialGraph() }
+func (c *checkedWorld) BaseEvents() []replay.Event    { return c.nw.BaseEvents() }
+func (c *checkedWorld) trialGraph() *provenance.Graph { return c.nw.trialGraph() }
 
 func (c *checkedWorld) applyDemand(ctx context.Context, changes []replay.Change, d *ndlog.Demand) (World, error) {
 	nw, err := c.nw.applyDemand(ctx, changes, d)

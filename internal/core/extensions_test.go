@@ -38,12 +38,19 @@ func TestMinimizeDropsRedundantChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := s.ReplayCount
 	res, err := Diagnose(context.Background(), good, bad, world, Options{Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Changes) != 2 {
 		t.Fatalf("Δ = %v; both fixes are necessary, minimization must keep them", res.Changes)
+	}
+	// Every trial replays: the two rounds' UPDATETREE and the two drop
+	// candidates, although dropping the second change rebuilds the first
+	// round's change list.
+	if n := s.ReplayCount - before; n != 4 {
+		t.Errorf("%d replays, want 4 (2 rounds + 2 drop candidates)", n)
 	}
 	// The final world still routes the bad packet correctly.
 	fw := res.FinalWorld.(*ndlogWorld)

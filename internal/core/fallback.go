@@ -149,8 +149,8 @@ func (d *diag) fallbackChange(ctx context.Context, world World, chainG []gLevel,
 	vals, ran, best := runCandidates(ctx, &d.pool, &d.scratch.solve, len(cands),
 		func(w World, ss *solvers, k int) (trial, bool) {
 			// The pool's world is the pre-diagnosis base world: replay the
-			// full cumulative list, so the counterfactual (and its memo
-			// key) is the same at every width.
+			// full cumulative list, so the counterfactual is the same at
+			// every width.
 			full := append(append([]replay.Change(nil), d.applied...), cands[k])
 			tr := d.try(ctx, w, ss, full, chainG, seedB)
 			ok := tr.err == nil && (tr.div == nil || levelIndex(chainG, tr.div) > divIdx)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,12 +122,12 @@ type trial struct {
 	diverge time.Duration
 }
 
-// try replays changes against w (memo reads only; see applyCached) and
-// locates the first divergence of the result, solving on ss.
+// try replays changes against w and locates the first divergence of the
+// result, solving on ss.
 func (d *diag) try(ctx context.Context, w World, ss *solvers, changes []replay.Change, chainG []gLevel, seedB ndlog.At) trial {
 	var tr trial
 	t0 := time.Now()
-	tr.w, tr.err = d.applyCached(ctx, w, changes, false)
+	tr.w, tr.err = d.apply(ctx, w, changes)
 	tr.apply = time.Since(t0)
 	if tr.err != nil {
 		return tr
@@ -153,105 +152,6 @@ func (d *diag) settle(ctx context.Context, vals []trial, ran []bool) error {
 		}
 	}
 	return ctx.Err()
-}
-
-// maxReplayMemo bounds the number of memoized counterfactual worlds
-// (each holds a replayed engine and provenance graph).
-const maxReplayMemo = 32
-
-// replayMemo dedupes counterfactual replays. Replay is deterministic, so
-// two applications of the same cumulative change list over the same base
-// execution yield byte-identical worlds; the memo keys on the exact
-// ordered list (order matters — injected changes take base sequence
-// numbers in list order) and returns the previously replayed world.
-type replayMemo struct {
-	mu      sync.Mutex
-	entries map[string]World
-	order   []string // insertion order, for FIFO eviction
-}
-
-func newReplayMemo() *replayMemo {
-	return &replayMemo{entries: map[string]World{}}
-}
-
-func (m *replayMemo) get(key string) (World, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.entries[key]
-	return w, ok
-}
-
-func (m *replayMemo) put(key string, w World) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.entries[key]; ok {
-		return
-	}
-	if len(m.order) >= maxReplayMemo {
-		delete(m.entries, m.order[0])
-		m.order = m.order[1:]
-	}
-	m.entries[key] = w
-	m.order = append(m.order, key)
-}
-
-// replayKey renders the full cumulative change list (the world's own
-// accumulated changes followed by the new ones) as a memo key, rendered in
-// the pooled key buffer: the key string is its one allocation. A change is
-// '+' or '-', the node's length, ':', the node, the tick, '|', the tuple's
-// canonical key and '\n'. The node is length-prefixed and a tuple key
-// ends where the newline is (its table is an identifier and a string
-// value is length-prefixed), so the rendering is injective: two lists have
-// one key exactly when they are equal.
-func replayKey(applied, changes []replay.Change) string {
-	return ndlog.Text(func(b []byte) []byte {
-		for _, cs := range [2][]replay.Change{applied, changes} {
-			for _, c := range cs {
-				op := byte('-')
-				if c.Insert {
-					op = '+'
-				}
-				b = append(b, op)
-				b = strconv.AppendInt(b, int64(len(c.Node)), 10)
-				b = append(b, ':')
-				b = append(b, c.Node...)
-				b = strconv.AppendInt(b, c.Tick, 10)
-				b = append(b, '|')
-				b = c.Tuple.AppendKey(b)
-				b = append(b, '\n')
-			}
-		}
-		return b
-	})
-}
-
-// applyCached is World.Apply routed through the diagnosis' replay memo.
-// Only worlds that expose their cumulative change list participate (the
-// key must identify the full counterfactual, not just the delta); others
-// replay directly. store controls whether a freshly replayed world is
-// published back into the memo: UPDATETREE rounds store (a later
-// minimization trial or AutoDiagnose candidate that reconstructs the
-// same cumulative list skips the replay), while minimization trials only
-// read — their keys are never queried twice, so storing them would just
-// pin dozens of forked engines in memory for zero hits.
-func (d *diag) applyCached(ctx context.Context, w World, changes []replay.Change, store bool) (World, error) {
-	cw, ok := w.(cumulativeWorld)
-	if d.replays == nil || !ok {
-		return d.apply(ctx, w, changes)
-	}
-	key := replayKey(cw.appliedChanges(), changes)
-	if cached, hit := d.replays.get(key); hit {
-		atomic.AddInt64(&d.stats.CandidatesDeduped, 1)
-		return cached, nil
-	}
-	nw, err := d.apply(ctx, w, changes)
-	if err != nil {
-		return nil, err
-	}
-	if store {
-		d.replays.put(key, nw)
-	}
-	return nw, nil
 }
 
 // apply is World.Apply under the diagnosis's demand, where the world can

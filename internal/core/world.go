@@ -49,12 +49,6 @@ type World interface {
 	Apply(ctx context.Context, changes []replay.Change) (World, error)
 }
 
-// cumulativeWorld exposes the counterfactual changes already folded into
-// a world, so the replay memo can key on the full cumulative list.
-type cumulativeWorld interface {
-	appliedChanges() []replay.Change
-}
-
 // eventLister exposes the base-event log of the ORIGINAL execution, in
 // schedule order, so the §4.9 fallback can enumerate logged mutable
 // events as counterfactual candidates. Imperative substrates (the
@@ -248,8 +242,6 @@ func (w *ndlogWorld) applyDemand(ctx context.Context, changes []replay.Change, d
 	}
 	return nw, nil
 }
-
-func (w *ndlogWorld) appliedChanges() []replay.Change { return w.changes }
 
 // BaseEvents returns the original execution's logged base events in
 // schedule order (injected counterfactual changes are not part of the

@@ -97,8 +97,8 @@ type Fig7Row struct {
 	// which have no replay session).
 	Replay replay.ReplayStats
 	// Diag reports the fingerprint and parallel-evaluation activity of
-	// the differential query (alignment memo hits, deduplicated
-	// counterfactual replays, pool dispatches).
+	// the differential query (alignment memo hits, pool dispatches,
+	// sliced fallback candidates).
 	Diag core.DiagStats
 }
 

@@ -15,8 +15,7 @@ package provenance
 //
 // Two trees with equal fingerprints are structurally identical modulo
 // 2^-64 hash collisions; DiffProv uses this to prune identical subtrees
-// from tree diffs in O(1) and to dedupe counterfactual replays whose
-// injected change-sets hash identically.
+// from tree diffs in O(1) and to key the alignment memo (core's alignKey).
 
 const (
 	fnvOffset uint64 = 14695981039346656037

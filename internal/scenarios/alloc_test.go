@@ -20,24 +20,27 @@ import (
 // other side of the record store's trade (DESIGN.md §3): a slab chunk's
 // slack must not cost them bytes — and the same holds of the engine's slabs
 // (§2) and of the reverse edges records carry (§3). The ceilings are the
-// readings plus 1.5 %; the figures repeat to 0.1 %. "Before" is the commit
-// before trials derived only their demand:
+// readings plus 1.5 %; the figures repeat to 0.1 %. "Memo" is the commit
+// before replays stopped being memoised (each trial rendered its change list
+// as a key, and each diagnosis made a memo map), "full" the one before trials
+// derived only their demand:
 //
-//	          allocs  before      KB    before
-//	MR1-D        466     896    318.4  1 135.3
-//	MR2-D        376     693    382.4  1 603.9
-//	SDN1         207     212     28.8     30.0
-//	SDN2         170     170     21.1     20.9
-//	SDN3         149     149     19.1     18.9
-//	SDN4         338     337     39.0     38.7
+//	          allocs    memo  full       KB     memo     full
+//	MR1-D        459     466   896    317.8    318.4  1 135.3
+//	MR2-D        371     376   693    381.9    382.4  1 603.9
+//	SDN1         202     207   212     28.3     28.8     30.0
+//	SDN2         165     170   170     20.6     21.1     20.9
+//	SDN3         144     149   149     18.6     19.1     18.9
+//	SDN4         330     337   337     38.3     39.0     38.7
 //
 // (SDN1's trial no longer re-routes another source's packet; the others
 // carry the demand in their trial worlds.) For SDN1, MR1-D and MR2-D it also
 // logs the allocation ledger by layer (ledger_test.go), holds the ledger's
 // window to this one's count, and holds MR1-D's provenance line to
-// provenanceKB (117.3 KB; 458.4 KB before), its ndlog line to ndlogAllocs
-// and ndlogKB (306.0 allocations and 196.0 KB; 661.8 and 671.9 before) and
-// its core line to coreAllocs (36.1).
+// provenanceKB (117.3 KB; 458.4 KB in full trials), its ndlog line to
+// ndlogAllocs and ndlogKB (306.0 allocations and 196.0 KB in the demand
+// trials' commit; 661.8 and 671.9 in full trials) and its core line to
+// coreAllocs (31.0; 36.0 with the memo).
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -46,14 +49,14 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 473, 323.2},
-		{"MR2-D", 382, 388.1},
-		{"SDN1", 215, 30.5},
-		{"SDN2", 172, 21.2},
-		{"SDN3", 151, 19.2},
-		{"SDN4", 342, 39.3},
+		{"MR1-D", 466, 322.6},
+		{"MR2-D", 377, 387.6},
+		{"SDN1", 205, 28.7},
+		{"SDN2", 168, 20.9},
+		{"SDN3", 146, 18.9},
+		{"SDN4", 335, 38.9},
 	}
-	const provenanceKB, ndlogAllocs, ndlogKB, coreAllocs = 119.1, 310.6, 198.9, 36.7
+	const provenanceKB, ndlogAllocs, ndlogKB, coreAllocs = 119.1, 310.6, 198.9, 31.5
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
 		if err != nil {

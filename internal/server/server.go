@@ -359,11 +359,10 @@ type diagnosis struct {
 	DemandWidenings int64 `json:"demandWidenings,omitempty"`
 
 	// Fingerprint and parallel-evaluation activity for this request:
-	// divergence alignments answered from the fingerprint memo,
-	// counterfactual replays deduplicated by change-set hash, and
-	// candidate evaluations run by a pool wider than 1.
+	// divergence alignments answered from the fingerprint memo, candidate
+	// evaluations run by a pool wider than 1, and fallback candidates
+	// pruned by the symptom's static slice.
 	FingerprintHits    int64 `json:"fingerprintHits,omitempty"`
-	CandidatesDeduped  int64 `json:"candidatesDeduped,omitempty"`
 	ParallelCandidates int64 `json:"parallelCandidates,omitempty"`
 	CandidatesSliced   int64 `json:"candidatesSliced,omitempty"`
 
@@ -385,7 +384,6 @@ func diagnosisOf(name string, res *core.Result, elapsed time.Duration) diagnosis
 		Elapsed:      elapsed.String(),
 
 		FingerprintHits:    res.Stats.FingerprintHits,
-		CandidatesDeduped:  res.Stats.CandidatesDeduped,
 		ParallelCandidates: res.Stats.ParallelCandidates,
 		CandidatesSliced:   res.Stats.CandidatesSliced,
 	}
