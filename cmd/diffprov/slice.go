@@ -13,8 +13,7 @@ import (
 // runSlice implements `diffprov slice [-rules] <file.ndlog|builtin:name>
 // <table>`: it prints the static backward slice of a symptom table — the
 // tables and rules that can influence it — and the tables the slice
-// prunes. This is the same slice core.Diagnose uses to skip fallback
-// candidates (see internal/core/fallback.go).
+// leaves out.
 func runSlice(args []string) error {
 	fs := flag.NewFlagSet("slice", flag.ContinueOnError)
 	showRules := fs.Bool("rules", false, "also print the in-slice rules")

@@ -1,6 +1,6 @@
 // Command diffprovd serves the DiffProv debugger over HTTP.
 //
-//	diffprovd -addr :8080 -scale small -workers 8 -parallelism 4 -diagnose-timeout 30s
+//	diffprovd -addr :8080 -scale small -workers 8 -diagnose-timeout 30s
 //
 //	curl localhost:8080/scenarios
 //	curl localhost:8080/scenarios/SDN1
@@ -9,9 +9,9 @@
 //	curl -X POST localhost:8080/scenarios/SDN1/autoref
 //
 // Diagnoses run concurrently, each against a private clone of the
-// scenario's replay session, bounded by -workers; excess load is shed
-// with 429 + Retry-After. -diagnose-timeout bounds each diagnosis via
-// its request context (0 disables the deadline).
+// scenario's replay session, bounded by -workers (each evaluates its
+// candidates one at a time); excess load is shed with 429 + Retry-After.
+// -diagnose-timeout bounds each diagnosis via its request context.
 //
 // With -data-dir, each scenario's base-event log and checkpoints persist
 // into an append-only segmented store under that directory (one
@@ -37,7 +37,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	scaleStr := flag.String("scale", "small", "workload scale: small or paper")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent diagnoses (default GOMAXPROCS)")
-	parallelism := flag.Int("parallelism", 1, "candidate-evaluation fan-out inside each diagnosis (results are identical at any value)")
 	diagTimeout := flag.Duration("diagnose-timeout", 0, "per-diagnosis deadline (0 = none)")
 	dataDir := flag.String("data-dir", "", "persist scenario logs and checkpoints under this directory (crash-safe; empty = in-memory)")
 	flag.Parse()
@@ -46,7 +45,7 @@ func main() {
 	if *scaleStr == "paper" {
 		scale = scenarios.Paper
 	}
-	opts := []server.Option{server.WithWorkers(*workers), server.WithParallelism(*parallelism)}
+	opts := []server.Option{server.WithWorkers(*workers)}
 	if *dataDir != "" {
 		opts = append(opts, server.WithDataDir(*dataDir))
 	}
@@ -59,7 +58,7 @@ func main() {
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	log.Printf("diffprovd listening on %s (scale=%s, workers=%d, parallelism=%d)", *addr, *scaleStr, *workers, *parallelism)
+	log.Printf("diffprovd listening on %s (scale=%s, workers=%d)", *addr, *scaleStr, *workers)
 	log.Fatal(srv.ListenAndServe())
 }
 

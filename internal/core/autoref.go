@@ -107,54 +107,34 @@ func similarity(a, b ndlog.Tuple) int {
 }
 
 // AutoDiagnose diagnoses a bad event without an operator-supplied
-// reference: it tries the mined candidates in similarity order until one
-// yields a non-trivial diagnosis. Candidates that align trivially (the
-// "reference" suffered the same fault: empty Δ) or are unusable
-// (DiagnosisError) are skipped. It returns the result and the reference
-// that produced it. Cancellation is honored between candidates (and
-// inside each candidate's diagnosis).
-//
-// The candidate diagnoses are evaluated on a candidate pool of width
-// Options.Parallelism — concurrently against the one world when the width
-// allows — with every inner diagnosis forced to width 1 (one level of
-// fan-out only). The winner is the lowest-ranked candidate that succeeds —
-// every higher-ranked candidate is guaranteed evaluated — so the outcome is
-// identical at every width.
+// reference: it diagnoses the mined candidates one at a time, in
+// similarity order and with the caller's Options, until one yields a
+// non-trivial diagnosis. Candidates that align trivially (the "reference"
+// suffered the same fault: empty Δ) or are unusable (DiagnosisError) are
+// skipped. It returns the result and the reference that produced it.
+// Cancellation is honored between candidates (and inside each candidate's
+// diagnosis).
 func AutoDiagnose(ctx context.Context, badTree *provenance.Tree, w World, opts Options) (*Result, *provenance.Tree, error) {
 	cands, err := FindReferenceCandidates(badTree, w, 32)
 	if err != nil {
 		return nil, nil, err
 	}
-	var stats DiagStats
-	var pool candidatePool
-	pool.init(w, opts.parallelism(), &stats)
-	inner := opts
-	inner.Parallelism = -1
-	type outcome struct {
-		res *Result
-		err error
+	var lastErr error
+	for _, c := range cands {
+		if ctx.Err() != nil {
+			break
+		}
+		res, err := Diagnose(ctx, c.Tree, badTree, w, opts)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if len(res.Changes) > 0 {
+			return res, c.Tree, nil
+		}
 	}
-	// Each candidate diagnosis solves on its own scratch.
-	vals, ran, best := runCandidates(ctx, &pool, nil, len(cands),
-		func(ww World, _ *solvers, i int) (outcome, bool) {
-			res, err := Diagnose(ctx, cands[i].Tree, badTree, ww, inner)
-			return outcome{res: res, err: err}, err == nil && len(res.Changes) > 0
-		})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("diffprov: reference search interrupted: %w", err)
-	}
-	if best >= 0 {
-		res := vals[best].res
-		res.Stats.ParallelCandidates += stats.ParallelCandidates
-		return res, cands[best].Tree, nil
-	}
-	// No winner: with no cutoff ever applied, every candidate was
-	// evaluated, so the highest-indexed error is the last one in rank order.
-	var lastErr error
-	for i := range vals {
-		if ran[i] && vals[i].err != nil {
-			lastErr = vals[i].err
-		}
 	}
 	return nil, nil, autoRefFailure(lastErr)
 }

@@ -40,18 +40,17 @@ type Options struct {
 	// the selected row's content rather than on re-aiming the selector.
 	FollowKeyedRows bool
 	// Parallelism bounds how many independent counterfactual candidate
-	// evaluations (minimize drop-subsets, fallback events, AutoDiagnose
-	// references) run concurrently on the diagnosis's world. 0 means
-	// GOMAXPROCS; negative means sequential. Results are byte-identical
-	// at any setting: candidates are selected by their original
-	// enumeration index, never by completion order.
+	// evaluations (minimize drop-subsets, fallback events) run
+	// concurrently on the diagnosis's world. 0 means GOMAXPROCS; negative
+	// means sequential. Results are byte-identical at any setting:
+	// candidates are selected by their original enumeration index, never
+	// by completion order.
 	Parallelism int
 	// reference selects the configuration the fast paths are
 	// differential-tested against, core's counterpart of replay.Oracle():
-	// no alignment memo, full trials instead of demand trials, and no
-	// static slicing of the §4.9 fallback's candidates. Diagnoses are
-	// byte-identical either way; only the amount of repeated work
-	// changes. Tests set it.
+	// no alignment memo, and full trials instead of demand trials.
+	// Diagnoses are byte-identical either way; only the amount of
+	// repeated work changes. Tests set it.
 	reference bool
 }
 
@@ -84,9 +83,9 @@ type DiagStats struct {
 	// ParallelCandidates counts candidate evaluations run by a pool wider
 	// than 1.
 	ParallelCandidates int64
-	// CandidatesSliced counts fallback candidate events skipped before
-	// any replay because their table is outside the symptom's static
-	// slice (see fallback.go).
+	// CandidatesSliced is always 0: the §4.9 fallback tries every logged
+	// mutable event. It stays only while the benchmark reads DiagStats
+	// field by field.
 	CandidatesSliced int64
 }
 
@@ -142,11 +141,6 @@ type diag struct {
 	// that runs the diagnosis (MAKEAPPEAR, and FIRSTDIV outside a wide
 	// pool's goroutines); the pool's goroutines solve in pool.
 	scratch *scratch
-	// sliceOnce/slice lazily cache the static slice of the symptom table
-	// (the good chain's root) used to prune fallback candidates; nil in
-	// the reference configuration (see fallback.go).
-	sliceOnce sync.Once
-	slice     *ndlog.SliceResult
 }
 
 // handOn hands the diagnosis's scratch, with whatever its pool made, on to
@@ -162,7 +156,6 @@ func (d *diag) statsSnapshot() DiagStats {
 	return DiagStats{
 		FingerprintHits:    atomic.LoadInt64(&d.stats.FingerprintHits),
 		ParallelCandidates: atomic.LoadInt64(&d.stats.ParallelCandidates),
-		CandidatesSliced:   atomic.LoadInt64(&d.stats.CandidatesSliced),
 	}
 }
 
@@ -269,8 +262,7 @@ func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world Wor
 			// the diverging derivation already exists in the bad world
 			// (an intra-tick race) or the only applicable change was
 			// applied in an earlier round and swallowed again. Fall back
-			// to searching the logged mutable events themselves (§4.9),
-			// pruned by the symptom's static slice.
+			// to searching the logged mutable events themselves (§4.9).
 			c, err := d.fallbackChange(ctx, world, chainG, seedB, div)
 			if err != nil {
 				return nil, err

@@ -20,45 +20,19 @@ package core
 // strictly advances along the good chain (or disappears). Candidates are
 // enumerated in log order and selected by the lowest successful index,
 // so the outcome is deterministic at any parallelism.
-//
-// Before any replay is launched, candidates are pruned with the static
-// slice of the symptom table (ndlog.Slice over the program's dependency
-// graph): a mutable event whose table has no rule path to the symptom
-// cannot change any derivation along the good chain — the slice is a
-// backward closure, so a table outside it cannot reach ANY in-slice
-// table — and is skipped, counted in Stats.CandidatesSliced. Pruning is
-// sound (the slice is conservative), so diagnoses are byte-identical
-// under the reference configuration, which prunes nothing; only the
-// replay count changes.
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/ndlog"
 	"repro/internal/replay"
 )
 
 // maxFallbackCandidates bounds how many candidate changes one fallback
-// round replays (after slice pruning). Log order makes the bound
-// deterministic; scenarios that need more have bigger problems than a
-// diagnosis can solve.
+// round replays. Log order makes the bound deterministic; scenarios that
+// need more have bigger problems than a diagnosis can solve.
 const maxFallbackCandidates = 64
-
-// symptomSlice lazily computes the static slice of the symptom table:
-// the root of the good chain (the observable the operator is comparing),
-// falling back to the seed's table for single-level chains.
-func (d *diag) symptomSlice(chainG []gLevel, seedB ndlog.At) *ndlog.SliceResult {
-	d.sliceOnce.Do(func() {
-		symptom := seedB.Tuple.Table
-		if len(chainG) > 0 {
-			symptom = chainG[len(chainG)-1].headAt.Tuple.Table
-		}
-		d.slice = ndlog.Slice(d.prog, symptom)
-	})
-	return d.slice
-}
 
 // levelIndex locates a divergence's level in the good chain (the chain
 // levels hold distinct derive-tree nodes, so pointer identity is the
@@ -73,16 +47,12 @@ func levelIndex(chainG []gLevel, div *divergence) int {
 }
 
 // fallbackCandidates enumerates the candidate changes for one fallback
-// round: log-ordered toggles of mutable base events, slice-pruned, with
-// exact duplicates of already-applied changes removed.
-func (d *diag) fallbackCandidates(world World, chainG []gLevel, seedB ndlog.At) []replay.Change {
+// round: log-ordered toggles of mutable base events, with exact
+// duplicates of already-applied changes removed.
+func (d *diag) fallbackCandidates(world World) []replay.Change {
 	lister, ok := world.(eventLister)
 	if !ok {
 		return nil
-	}
-	var slice *ndlog.SliceResult
-	if !d.opts.reference {
-		slice = d.symptomSlice(chainG, seedB)
 	}
 	var out []replay.Change
 	for _, ev := range lister.BaseEvents() {
@@ -90,10 +60,6 @@ func (d *diag) fallbackCandidates(world World, chainG []gLevel, seedB ndlog.At) 
 			break
 		}
 		if !world.IsMutable(ev.Node, ev.Tuple) {
-			continue
-		}
-		if slice != nil && !slice.Contains(ev.Tuple.Table) {
-			atomic.AddInt64(&d.stats.CandidatesSliced, 1)
 			continue
 		}
 		var cands []replay.Change
@@ -137,7 +103,7 @@ func (d *diag) isApplied(c replay.Change) bool {
 // candidates on the pool; selection is always by the lowest successful
 // log-order index, so results are byte-identical at any parallelism.
 func (d *diag) fallbackChange(ctx context.Context, world World, chainG []gLevel, seedB ndlog.At, div *divergence) (*replay.Change, error) {
-	cands := d.fallbackCandidates(world, chainG, seedB)
+	cands := d.fallbackCandidates(world)
 	if len(cands) == 0 {
 		return nil, nil
 	}

@@ -56,9 +56,9 @@ func (p *candidatePool) init(base World, par int, stats *DiagStats) {
 // order, which is what makes the outcome identical at every width
 // (in-flight evaluations past best finish and are discarded).
 // Stats.ParallelCandidates counts the evaluations of a pool wider than 1.
-func runCandidates[T any](ctx context.Context, p *candidatePool, ss *solvers, n int,
-	eval func(w World, ss *solvers, idx int) (T, bool)) (vals []T, ran []bool, best int) {
-	vals = make([]T, n)
+func runCandidates(ctx context.Context, p *candidatePool, ss *solvers, n int,
+	eval func(w World, ss *solvers, idx int) (trial, bool)) (vals []trial, ran []bool, best int) {
+	vals = make([]trial, n)
 	ran = make([]bool, n)
 	if p.width <= 1 {
 		for i := 0; i < n && ctx.Err() == nil; i++ {

@@ -100,8 +100,8 @@ func TestParallelAggregateReference(t *testing.T) {
 // side of the root package's BenchmarkDiagnosisCandidates, on the same two
 // workloads: "sequential" is the aggregate with minimization and no
 // fingerprint memo (against the root's "sequential"), and "fallback" is the
-// §4.9 race with 20 out-of-slice audit events that no slice prunes (against
-// the root's "fallback-sliced"). The ratios are what the fast paths save.
+// §4.9 race with 20 unrelated audit events, in full trials (against the
+// root's "fallback"). The ratios are what the fast paths save.
 func BenchmarkDiagnosisCandidatesReference(b *testing.B) {
 	ctx := context.Background()
 	run := func(b *testing.B, world World, good, bad *provenance.Tree, opts Options, want int) {
@@ -116,9 +116,6 @@ func BenchmarkDiagnosisCandidatesReference(b *testing.B) {
 			}
 			if len(res.Changes) != want {
 				b.Fatalf("Δ = %d changes, want %d", len(res.Changes), want)
-			}
-			if res.Stats.CandidatesSliced != 0 {
-				b.Fatalf("CandidatesSliced = %d in the reference configuration", res.Stats.CandidatesSliced)
 			}
 		}
 	}

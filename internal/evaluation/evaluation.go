@@ -97,8 +97,7 @@ type Fig7Row struct {
 	// which have no replay session).
 	Replay replay.ReplayStats
 	// Diag reports the fingerprint and parallel-evaluation activity of
-	// the differential query (alignment memo hits, pool dispatches,
-	// sliced fallback candidates).
+	// the differential query (alignment memo hits, pool dispatches).
 	Diag core.DiagStats
 }
 

@@ -13,9 +13,8 @@ package ndlog
 // in-slice table is considered able to influence the symptom.
 //
 // Slice(p, symptom) is the backward closure over this graph from the
-// symptom table. core.Diagnose uses it to skip candidate events whose
-// table provably cannot reach the diverging derivation chain, and
-// analyzeDeps reuses the same graph for the ND2xx diagnostics.
+// symptom table; `diffprov slice` prints it. analyzeDeps reuses the same
+// graph for the ND2xx diagnostics behind `diffprov vet`.
 
 import (
 	"fmt"

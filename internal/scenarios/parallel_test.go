@@ -109,26 +109,29 @@ func TestParallelDifferential(t *testing.T) {
 }
 
 // TestParallelAutoDiagnoseDifferential proves the same for the automatic
-// reference search: the parallel candidate scan picks the same reference
-// and produces the same result as the sequential scan — or fails with the
-// same error.
+// reference search: at width 8 it picks the same reference and produces
+// the same result as the sequential search — or fails with the same
+// error — and books the same replays, since the references are diagnosed
+// one at a time in rank order whatever the width.
 func TestParallelAutoDiagnoseDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, s := range replayable(t) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			type outcome struct {
-				res *core.Result
-				ref string
-				err error
+				res     *core.Result
+				ref     string
+				err     error
+				replays int
 			}
 			run := func(par int) outcome {
 				iso, err := s.Isolated()
 				if err != nil {
 					t.Fatalf("Isolated: %v", err)
 				}
+				before := iso.BadSession.ReplayCount
 				res, ref, err := core.AutoDiagnose(ctx, iso.Bad, iso.World, core.Options{Parallelism: par, Minimize: true})
-				o := outcome{res: res, err: err}
+				o := outcome{res: res, err: err, replays: iso.BadSession.ReplayCount - before}
 				if ref != nil {
 					o.ref = ref.Vertex.Node + " " + ref.Vertex.Tuple.Key()
 				}
@@ -144,6 +147,9 @@ func TestParallelAutoDiagnoseDifferential(t *testing.T) {
 				}
 			} else if seq.err == nil || one.err.Error() != seq.err.Error() {
 				t.Errorf("width 1 err = %v, sequential err = %v", one.err, seq.err)
+			}
+			if seq.replays != par.replays {
+				t.Errorf("replays: sequential %d, parallel %d; want equal", seq.replays, par.replays)
 			}
 			if (seq.err == nil) != (par.err == nil) {
 				t.Fatalf("sequential err = %v, parallel err = %v", seq.err, par.err)

@@ -69,13 +69,6 @@ type Server struct {
 	workers int
 	sem     chan struct{}
 
-	// parallelism is the per-diagnosis fan-out (core.Options.Parallelism)
-	// for candidate evaluation inside a single request. The default of 1
-	// keeps each diagnosis sequential — cross-request concurrency is
-	// already provided by the worker pool — so raising it trades
-	// per-request latency against aggregate throughput.
-	parallelism int
-
 	// dataDir, when set, backs each scenario's replay session with a
 	// persistent segmented store under a per-scenario subdirectory, so a
 	// restarted server recovers logs and checkpoints instead of
@@ -119,18 +112,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithParallelism sets the per-diagnosis candidate-evaluation fan-out
-// (default 1: sequential within a request). Values < 1 are treated as 1.
-// The result of a diagnosis is byte-identical at any setting.
-func WithParallelism(n int) Option {
-	return func(s *Server) {
-		if n < 1 {
-			n = 1
-		}
-		s.parallelism = n
-	}
-}
-
 // WithDataDir persists each scenario's base-event log and checkpoints
 // under dir (one subdirectory per scenario). Scenario builds are
 // deterministic, so a restarted server re-drives the recorded execution,
@@ -143,11 +124,10 @@ func WithDataDir(dir string) Option {
 // New creates a server at the given workload scale.
 func New(scale scenarios.Scale, opts ...Option) *Server {
 	s := &Server{
-		scale:       scale,
-		workers:     runtime.GOMAXPROCS(0),
-		parallelism: 1,
-		build:       scenarios.Build,
-		cache:       map[string]*scenarioEntry{},
+		scale:   scale,
+		workers: runtime.GOMAXPROCS(0),
+		build:   scenarios.Build,
+		cache:   map[string]*scenarioEntry{},
 	}
 	for _, o := range opts {
 		o(s)
@@ -358,13 +338,9 @@ type diagnosis struct {
 	DirtyTables     int64 `json:"dirtyTables,omitempty"`
 	DemandWidenings int64 `json:"demandWidenings,omitempty"`
 
-	// Fingerprint and parallel-evaluation activity for this request:
-	// divergence alignments answered from the fingerprint memo, candidate
-	// evaluations run by a pool wider than 1, and fallback candidates
-	// pruned by the symptom's static slice.
-	FingerprintHits    int64 `json:"fingerprintHits,omitempty"`
-	ParallelCandidates int64 `json:"parallelCandidates,omitempty"`
-	CandidatesSliced   int64 `json:"candidatesSliced,omitempty"`
+	// Divergence alignments answered from the fingerprint memo for this
+	// request.
+	FingerprintHits int64 `json:"fingerprintHits,omitempty"`
 
 	Reference string `json:"reference,omitempty"`
 }
@@ -383,9 +359,7 @@ func diagnosisOf(name string, res *core.Result, elapsed time.Duration) diagnosis
 		ElapsedNs:    elapsed.Nanoseconds(),
 		Elapsed:      elapsed.String(),
 
-		FingerprintHits:    res.Stats.FingerprintHits,
-		ParallelCandidates: res.Stats.ParallelCandidates,
-		CandidatesSliced:   res.Stats.CandidatesSliced,
+		FingerprintHits: res.Stats.FingerprintHits,
 	}
 	for _, c := range res.Changes {
 		d.Changes = append(d.Changes, c.String())
@@ -495,10 +469,16 @@ func (s *Server) serveDiagnosis(w http.ResponseWriter, r *http.Request,
 	writeJSON(w, http.StatusOK, d)
 }
 
+// diagnoseOptions configures every served diagnosis. Each evaluates its
+// candidates one at a time: the worker slots already spread concurrent
+// requests over the processors, so a wider pool would only trade one
+// request's latency against the others' throughput.
+var diagnoseOptions = core.Options{Parallelism: 1}
+
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	s.serveDiagnosis(w, r, func(ctx context.Context, iso *scenarios.Scenario) (*core.Result, diagnosis, error) {
 		start := time.Now()
-		res, err := iso.DiagnoseOptions(ctx, core.Options{Parallelism: s.parallelism})
+		res, err := iso.DiagnoseOptions(ctx, diagnoseOptions)
 		if err != nil {
 			return nil, diagnosis{}, err
 		}
@@ -509,7 +489,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAutoRef(w http.ResponseWriter, r *http.Request) {
 	s.serveDiagnosis(w, r, func(ctx context.Context, iso *scenarios.Scenario) (*core.Result, diagnosis, error) {
 		start := time.Now()
-		res, ref, err := core.AutoDiagnose(ctx, iso.Bad, iso.World, core.Options{Parallelism: s.parallelism})
+		res, ref, err := core.AutoDiagnose(ctx, iso.Bad, iso.World, diagnoseOptions)
 		if err != nil {
 			return nil, diagnosis{}, err
 		}
