@@ -85,7 +85,7 @@ func TestTooNarrowDemandWidensOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.(*ndlogWorld).demand = tooNarrow(t, seed)
+	w.(*ndlogWorld).narrow.demand = tooNarrow(t, seed)
 	before := s.Stats.DemandWidenings
 	got, err := Diagnose(ctx, good, bad, w, Options{})
 	if err != nil {

@@ -96,9 +96,15 @@ type ndlogWorld struct {
 	changes []replay.Change
 	engine  *ndlog.Engine
 	graph   *provenance.Graph
-	demand  ndlog.Demand // what engine derived; the zero Demand for everything
-	// wide is the full trial that replaced engine and graph when a read fell
-	// outside the demand; widenMu makes one widening of many readers'.
+	narrow  *demandTrial // nil when engine derived everything
+}
+
+// demandTrial is what a world whose trial derived only its demand keeps:
+// the demand, which its engine reads, and the full trial that replaced
+// engine and graph when a read fell outside the demand (wide); widenMu
+// makes one widening of many readers'.
+type demandTrial struct {
+	demand  ndlog.Demand
 	wide    atomic.Pointer[trialRun]
 	widenMu sync.Mutex
 }
@@ -122,10 +128,13 @@ func NewWorld(s *replay.Session) (World, error) {
 // answering returns the trial the world answers from and the demand it
 // covers (nil: everything).
 func (w *ndlogWorld) answering() (*ndlog.Engine, *provenance.Graph, *ndlog.Demand) {
-	if wd := w.wide.Load(); wd != nil {
+	if w.narrow == nil {
+		return w.engine, w.graph, nil
+	}
+	if wd := w.narrow.wide.Load(); wd != nil {
 		return wd.engine, wd.graph, nil
 	}
-	return w.engine, w.graph, &w.demand
+	return w.engine, w.graph, &w.narrow.demand
 }
 
 // full returns the full trial, widening to it if the world has not.
@@ -142,9 +151,10 @@ func (w *ndlogWorld) full() (*ndlog.Engine, *provenance.Graph) {
 // where the demand trial, a part of it, succeeded, short of the engine's
 // derivation limit; reads have no error to report that with, so it panics.
 func (w *ndlogWorld) widen() *trialRun {
-	w.widenMu.Lock()
-	defer w.widenMu.Unlock()
-	if wd := w.wide.Load(); wd != nil {
+	n := w.narrow
+	n.widenMu.Lock()
+	defer n.widenMu.Unlock()
+	if wd := n.wide.Load(); wd != nil {
 		return wd
 	}
 	e, g, err := w.session.Widen(context.Background(), w.changes)
@@ -152,7 +162,7 @@ func (w *ndlogWorld) widen() *trialRun {
 		panic(fmt.Sprintf("core: widening a demand trial to the full trial: %v", err))
 	}
 	wd := &trialRun{engine: e, graph: g}
-	w.wide.Store(wd)
+	n.wide.Store(wd)
 	return wd
 }
 
@@ -224,21 +234,31 @@ func (w *ndlogWorld) Apply(ctx context.Context, changes []replay.Change) (World,
 }
 
 // applyDemand replays the world's changes and then changes as a demand
-// trial under d (nil: the full trial). The new world keeps its own copy of
-// the demand, which its engine reads; the session may run the full trial
-// instead (Oracle()), and then the world demands everything.
+// trial under d (nil: the full trial). A demand that narrows something is
+// copied into the new world, whose engine reads it; the session may run
+// the full trial instead (Oracle()), and then the world demands everything.
 func (w *ndlogWorld) applyDemand(ctx context.Context, changes []replay.Change, d *ndlog.Demand) (World, error) {
-	nw := &ndlogWorld{session: w.session, changes: append(append([]replay.Change(nil), w.changes...), changes...)}
-	if d != nil {
-		nw.demand = *d
+	var nw *ndlogWorld
+	var demand *ndlog.Demand
+	if d.Narrow() {
+		// One allocation, as the world and its demand live and die together.
+		both := &struct {
+			ndlogWorld
+			demandTrial
+		}{demandTrial: demandTrial{demand: *d}}
+		nw, demand = &both.ndlogWorld, &both.demand
+		nw.narrow = &both.demandTrial
+	} else {
+		nw = new(ndlogWorld)
 	}
-	e, g, err := w.session.ReplayDemand(ctx, nw.changes, &nw.demand)
+	nw.session, nw.changes = w.session, append(append([]replay.Change(nil), w.changes...), changes...)
+	e, g, err := w.session.ReplayDemand(ctx, nw.changes, demand)
 	if err != nil {
 		return nil, err
 	}
 	nw.engine, nw.graph = e, g
 	if e.Demand() == nil {
-		nw.demand = ndlog.Demand{}
+		nw.narrow = nil
 	}
 	return nw, nil
 }

@@ -63,13 +63,18 @@ func (o *Overlay[K, V]) Own(k K, copy func(V) V) V {
 	return v
 }
 
+// Local returns k's value in this link, if it holds one.
+func (o *Overlay[K, V]) Local(k K) (V, bool) {
+	v, ok := o.m[k]
+	return v, ok
+}
+
 // Append appends x to k's list in o's link: to the link's own list, or, on
-// k's first write here, to grow(what the chain below holds) — a private
-// copy with room for x, or, for a list whose links each hold their own
-// tail (see Each), an empty one. An own list that is empty (a tombstone, or
-// emptied by the caller) is grown from nothing. Unlike Own then Set, it
-// writes the map once: Go's maps grow a full eight-slot map on any write,
-// even to a key it holds.
+// k's first write here, to grow(what the chain below holds), a private copy
+// with room for x. An own list that is empty (a tombstone, or emptied by
+// the caller) is grown from nothing. Unlike Own then Set, it writes the map
+// once: Go's maps grow a full eight-slot map on any write, even to a key it
+// holds.
 func Append[K comparable, E any](o *Overlay[K, []E], k K, grow func([]E) []E, x E) {
 	l, own := o.m[k]
 	if !own {

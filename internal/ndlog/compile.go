@@ -48,9 +48,11 @@ type CompiledRule struct {
 	// countSlot and argMaxSlot are the slots of CountVar and ArgMax, -1 when
 	// the rule has none. group lists a counting rule's group variables —
 	// every head variable but the count — in name order (groupKey).
+	// eventHead marks a head table declared an event table.
 	countSlot  int
 	argMaxSlot int
 	group      []int
+	eventHead  bool
 }
 
 // Clause names one expression of a compiled rule.
@@ -338,6 +340,9 @@ func compileRule(prog *Program, r *Rule, idx int) *CompiledRule {
 	}
 	if r.ArgMax != "" {
 		cr.argMaxSlot = c.slot(r.ArgMax)
+	}
+	if d := prog.Decl(r.Head.Table); d != nil {
+		cr.eventHead = d.Event
 	}
 	for _, inv := range r.Inverses {
 		slot := c.slot(inv.Var)

@@ -49,8 +49,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/cow"
 )
 
 // noteOrderAppend maintains the stamp-sorted prefix length of tb.parts();
@@ -228,7 +226,7 @@ func (e *Engine) cfBackdateRow(nodeName string, tb *table, decl *TableDecl, r *r
 				continue
 			}
 			o = e.killRow(tb, o, st)
-			e.eraseEventConsumers(TupleRef{Node: nodeName, Key: o.key}, o.appearedAt.Seq, cause, st, true)
+			e.eraseEventConsumers(o.appearedAt.Seq, cause, st, true)
 		}
 	}
 	return e.refireForRow(nodeName, r, st, old)
@@ -247,6 +245,28 @@ type occDep struct {
 	trigAtom int32
 }
 
+// occChunk is a consumer list as a link holds it: the chunk it fills, and
+// the full ones before it behind prev. A full chunk moves behind a new one
+// twice its size, up to maxOccChunk, so no list is copied, and one of a
+// single entry (most are) is one slot of the arena. Only the engine whose
+// link holds a chunk writes it.
+type occChunk struct {
+	deps []occDep
+	prev *occChunk
+}
+
+const maxOccChunk = 128
+
+// each calls fn with the entries of the chunks before c and then of c.
+func (c *occChunk) each(fn func(occDep)) {
+	if c.prev != nil {
+		c.prev.each(fn)
+	}
+	for _, d := range c.deps {
+		fn(d)
+	}
+}
+
 // trig returns the body element that triggered the occurrence's firing and
 // its stamp: derive delivers a head at its trigger's tick, plus the transit
 // delay if it crosses to another node.
@@ -259,52 +279,62 @@ func (d occDep) trig(delay int64) (BodyRef, Stamp) {
 	return b, Stamp{T: tick, Seq: b.Seq}
 }
 
-// registerEventDeriv files a derived event occurrence under each of its
-// body elements, at delivery (appear). A fork's link holds only the tail it
-// files, started as a window of the arena; eraseEventConsumers reads each.
+// registerEventDeriv files a derived event occurrence under the appearance
+// of each of its body elements, at delivery (appear). A fork's link holds
+// only the chunks it fills; eraseEventConsumers reads each.
 func (e *Engine) registerEventDeriv(nodeName string, occ *row, trigAtom int) {
 	dep := occDep{occ: occ, node: e.nodes.Get(nodeName), trigAtom: int32(trigAtom)}
 	for _, b := range occ.supports[0].body {
-		cow.Append(&e.evDeps, b.TupleRef(), func([]occDep) []occDep { return e.arena.occDeps.take(0, 1) }, dep)
+		c, _ := e.evDeps.Local(b.Seq)
+		if len(c.deps) == cap(c.deps) {
+			if c.deps != nil {
+				full := e.arena.occChunks.one()
+				*full, c.prev = c, full
+			}
+			c.deps = e.arena.occDeps.take(0, min(max(2*cap(c.deps), 1), maxOccChunk))
+		}
+		c.deps = append(c.deps, dep)
+		e.evDeps.Set(b.Seq, c)
 	}
 }
 
+// eachConsumer calls fn with the derived event occurrences filed under the
+// appearance bodySeq, in filing order, root link first. Occurrences are
+// filed only at delivery, never inside a repair cascade, so a walk in one
+// sees exactly the entries filed when it started.
+func (e *Engine) eachConsumer(bodySeq uint64, fn func(occDep)) {
+	e.evDeps.Each(bodySeq, func(c occChunk) { c.each(fn) })
+}
+
 // eraseEventConsumers erases the event occurrences derived from a body
-// element that an out-of-order retraction just removed. With gate set
-// (the element existed until st and then died), only firings triggered
-// after st are erased — earlier firings happened in the timely run too.
-// Without it (the element's own occurrence was erased, so it never
-// happened in the timely run), every consumer goes.
-func (e *Engine) eraseEventConsumers(ref TupleRef, bodySeq uint64, cause KeyedAt, st Stamp, gate bool) {
-	// Each hands over every chain link's list, root first. Lists are
-	// append-only and their entries write-once, and occurrences are filed
-	// only at delivery, never inside this cascade, so the walk sees exactly
-	// the entries filed when it started.
-	e.evDeps.Each(ref, func(ds []occDep) {
-		for _, d := range ds {
-			sup := d.occ.supports[0]
-			trig, trigAt := d.trig(e.delay)
-			if !slices.ContainsFunc(sup.body, func(b BodyRef) bool { return b.Seq == bodySeq }) ||
-				gate && !st.Before(trigAt) {
-				continue
-			}
-			e.eraseOccurrence(keyedAt(d.node.name, d.occ.tuple, d.occ.key, d.occ.appearedAt), sup.deriveID, sup.rule, cause, st)
-			if !gate {
-				continue
-			}
-			// The body element existed at the trigger but the timely run
-			// loses it by then; an argmax trigger would have fired anyway and
-			// chosen the next-best winner — re-evaluate it. (Plain rules need
-			// nothing: bindings over other rows were separate firings and
-			// still stand. Ungated erasure needs nothing either: events only
-			// join as triggers, so the erased occurrence was the consumer's
-			// trigger and never happened.)
-			if r := e.compiled.rules[sup.rule]; r != nil && r.argMaxSlot >= 0 {
-				tb := e.table(trig.Node, r.body[d.trigAtom].table)
-				rs := e.repairing()
-				rs.reevals = append(rs.reevals, cfReeval{rule: r, atom: int(d.trigAtom),
-					trig: keyedAt(trig.Node, tb.rowAt(tb.byKey.Get(trig.Key)).tuple, trig.Key, trigAt), cause: cause})
-			}
+// element, the appearance bodySeq, that an out-of-order retraction just
+// removed. With gate set (the element existed until st and then died),
+// only firings triggered after st are erased — earlier firings happened in
+// the timely run too. Without it (the element's own occurrence was erased,
+// so it never happened in the timely run), every consumer goes.
+func (e *Engine) eraseEventConsumers(bodySeq uint64, cause KeyedAt, st Stamp, gate bool) {
+	e.eachConsumer(bodySeq, func(d occDep) {
+		sup := d.occ.supports[0]
+		trig, trigAt := d.trig(e.delay)
+		if gate && !st.Before(trigAt) {
+			return
+		}
+		e.eraseOccurrence(keyedAt(d.node.name, d.occ.tuple, d.occ.key, d.occ.appearedAt), sup.deriveID, sup.rule, cause, st)
+		if !gate {
+			return
+		}
+		// The body element existed at the trigger but the timely run loses
+		// it by then; an argmax trigger would have fired anyway and chosen
+		// the next-best winner — re-evaluate it. (Plain rules need nothing:
+		// bindings over other rows were separate firings and still stand.
+		// Ungated erasure needs nothing either: events only join as
+		// triggers, so the erased occurrence was the consumer's trigger and
+		// never happened.)
+		if r := e.compiled.rules[sup.rule]; r != nil && r.argMaxSlot >= 0 {
+			tb := e.table(trig.Node, r.body[d.trigAtom].table)
+			rs := e.repairing()
+			rs.reevals = append(rs.reevals, cfReeval{rule: r, atom: int(d.trigAtom),
+				trig: keyedAt(trig.Node, tb.rowAt(tb.byKey.Get(trig.Key)).tuple, trig.Key, trigAt), cause: cause})
 		}
 	})
 }
@@ -338,8 +368,7 @@ func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause
 		}
 	}
 	// State rows supported by the occurrence lose that support.
-	occRef := occ.TupleRef()
-	if deps := e.dependents.Get(occRef); len(deps) > 0 {
+	if deps := e.dependents.Get(occ.TupleRef()); len(deps) > 0 {
 		rs := e.repairing()
 		base := len(rs.erasing)
 		rs.erasing = append(rs.erasing, deps...)
@@ -350,7 +379,7 @@ func (e *Engine) eraseOccurrence(occ KeyedAt, deriveID int64, rule string, cause
 		rs.erasing = rs.erasing[:base]
 	}
 	// Event occurrences derived from this one never happened either.
-	e.eraseEventConsumers(occRef, occ.Stamp.Seq, occ, st, false)
+	e.eraseEventConsumers(occ.Stamp.Seq, occ, st, false)
 }
 
 // retractSupportIf retracts one dependent's support only if that support
@@ -412,7 +441,7 @@ func (e *Engine) cutChain(r *CompiledRule, node string, g *aggGroup, frame []Val
 	for ; h != nil && !linkStamp(h, sup).Before(c); h, sup = e.prevLink(tb, r, frame, g.count, h.appearedAt) {
 		e.killedOccs.Set(h.appearedAt.Seq, true)
 		if consumers {
-			e.eraseEventConsumers(TupleRef{Node: node, Key: h.key}, h.appearedAt.Seq, cause, st, false)
+			e.eraseEventConsumers(h.appearedAt.Seq, cause, st, false)
 		}
 		if o := e.occurrence(e.table(node, r.body[0].table), sup.body[0]); o != nil && !e.killedOccs.Get(o.appearedAt.Seq) {
 			e.push(wkRelink, node, o.tuple, o.appearedAt, &Derivation{Rule: r.name, Head: KeyedAt{Key: o.key}})
@@ -471,47 +500,72 @@ func (e *Engine) occurrence(tb *table, b BodyRef) *row {
 	return nil
 }
 
-// amTrigger identifies an argmax trigger occurrence: the rule plus the
-// node and stamp sequence of the triggering element (stamp sequences are
-// unique within an engine's timeline, so no tuple key is needed). Every
-// binding a trigger produces shares it, so it keys "the derivation this
-// trigger currently supports".
+// amTrigger identifies an argmax trigger occurrence: the rule's position in
+// its program and the stamp sequence of the triggering element, which names
+// that appearance alone in the engine's timeline (0 names none).
 type amTrigger struct {
-	rule, node string
-	seq        uint64
+	rule int
+	seq  uint64
 }
 
-// amEntry records the argmax winner currently derived for one trigger
-// occurrence: the head it derived (for retraction when out-of-order work
-// flips the winner) and the winning binding's canonical key (to detect
-// that the winner is unchanged). Entries are slots of the arena and
-// write-once; updates store a fresh entry. None is deleted: a stale one
-// (its derivation has since been retracted) is detected at use — the
-// retraction is skipped and the binding-key comparison still answers "did
-// the winner change".
-type amEntry struct {
-	ref       dependentRef // the head's node, key and derivation
-	bk        string       // canonical key of the winning binding
-	headTuple Tuple        // an event head's occurrence, for erasure; zero for a row
-	headAt    Stamp        // an event head's delivery stamp
+// amWinner is the winner an argmax trigger currently supports: its head's
+// derivation and the winning binding's body. amDeriv holds one per trigger
+// of a state head, never deleted: a stale one (its support since
+// retracted) is skipped by the retraction but still tells whether the
+// winner changed. An event head's is found where it is (eventWinner).
+type amWinner struct {
+	ref  dependentRef
+	body []BodyRef
 }
 
-// amEntryFor builds the winner entry for a binding from the work item
-// derive just queued for its head. A trigger is the element carrying its
-// binding's max stamp (rules fire in processing order), so fireRule and
-// reevalArgMax key the entry by the delta that fired the rule.
-func (e *Engine) amEntryFor(r *CompiledRule, win binding, it *workItem) *amEntry {
-	ent := e.arena.ams.one()
-	*ent = amEntry{
-		bk:  e.arena.text(func(b []byte) []byte { return r.appendBindingKey(b, win.frame) }),
-		ref: dependentRef{node: it.node, key: it.deriv.Head.Key, deriveID: it.deriv.ID},
+// eventWinner returns the occurrence and winner of the newest event head
+// argmax trigger at derived — delivered, and filed under the trigger, or
+// still queued (onTheWay) — or the zero amWinner if it derived none.
+func (e *Engine) eventWinner(r *CompiledRule, at amTrigger) (occ KeyedAt, w amWinner) {
+	e.eachConsumer(at.seq, func(d occDep) {
+		if s := d.occ.supports[0]; s.rule == r.name && s.body[d.trigAtom].Seq == at.seq && s.deriveID > w.ref.deriveID {
+			occ, w = keyedAt(d.node.name, d.occ.tuple, d.occ.key, d.occ.appearedAt), amWinner{dependentRef{d.node.name, d.occ.key, s.deriveID}, s.body}
+		}
+	})
+	if it := e.onTheWay(at); it != nil && it.deriv.ID > w.ref.deriveID {
+		d := it.deriv
+		occ, w = keyedAt(it.node, it.tuple, d.Head.Key, it.stamp), amWinner{dependentRef{it.node, d.Head.Key, d.ID}, d.Refs}
 	}
-	if d := e.prog.Decl(it.tuple.Table); d != nil && d.Event {
-		// An event head's row is born dead, with nothing to retract; record
-		// the occurrence so a displaced winner can be erased instead.
-		ent.headTuple, ent.headAt = it.tuple, it.stamp
+	return occ, w
+}
+
+// onTheWay returns the queued delivery of the newest derivation argmax
+// trigger at made, or nil, from the scratch's index of them: built from the
+// queue on a repair's first look, kept up by fireBinding, emptied with the
+// queue. An indexed item since delivered is recycled, and names no trigger.
+func (e *Engine) onTheWay(at amTrigger) *workItem {
+	w := e.scratch()
+	if !w.looking {
+		if w.onTheWay == nil {
+			w.onTheWay = map[amTrigger]*workItem{}
+		}
+		w.looking = true
+		for _, it := range e.queue {
+			if k := e.amTriggerOf(it); k.seq != 0 && (w.onTheWay[k] == nil || w.onTheWay[k].deriv.ID < it.deriv.ID) {
+				w.onTheWay[k] = it
+			}
+		}
 	}
-	return ent
+	if it := w.onTheWay[at]; it != nil && e.amTriggerOf(it) == at {
+		return it
+	}
+	return nil
+}
+
+// amTriggerOf returns the argmax trigger whose derivation a work item
+// delivers, or the zero amTrigger.
+func (e *Engine) amTriggerOf(it *workItem) amTrigger {
+	if d := it.deriv; it.kind == wkArriveDerived {
+		if r := e.compiled.rules[d.Rule]; r != nil && r.argMaxSlot >= 0 {
+			return amTrigger{r.idx, d.Refs[d.Trigger].Seq}
+		}
+	}
+	return amTrigger{}
 }
 
 // cfReeval is one queued argmax trigger re-evaluation, recorded when an
@@ -635,32 +689,26 @@ func (e *Engine) reevalArgMax(r *CompiledRule, deltaAtom int, trig, cause KeyedA
 		// the winner it derived before included: all outside the demand.
 		return nil
 	}
-	at := amTrigger{rule: r.name, node: nodeName, seq: st.Seq}
-	cur := e.amDeriv.Get(at)
-	if cur != nil {
-		kb := getKeyBuf()
-		bk := r.appendBindingKey(kb.b[:0], win.frame)
-		same := cur.bk == string(bk)
-		putKeyBuf(kb, bk)
-		if same {
-			return nil // winner unchanged; the evaluated derivation stands (or fell with its own supports)
-		}
+	at := amTrigger{r.idx, st.Seq}
+	occ, cur := KeyedAt{}, e.amDeriv.Get(at)
+	if r.eventHead {
+		occ, cur = e.eventWinner(r, at)
 	}
-	switch {
-	case cur == nil:
-	case cur.headTuple.Table == "":
+	switch found := cur.ref.deriveID != 0; {
+	case found && slices.EqualFunc(cur.body, win.refs, func(a, b BodyRef) bool { return a.TupleRef() == b.TupleRef() }):
+		// The same tuples on the same nodes at every body atom: the same
+		// binding, as they determine its variables and it theirs. The
+		// winner is unchanged; the evaluated derivation stands (or fell with
+		// its own supports).
+		return nil
+	case found && r.eventHead:
+		// A displaced event-head winner has no live row; erase its
+		// occurrence (idempotent — a cascade may already have erased it).
+		e.eraseOccurrence(occ, cur.ref.deriveID, r.name, cause, st)
+	case found:
 		// Retract the displaced winner's head. The support may already be
 		// gone (retracted by a cascade); retractSupport handles that.
 		e.retractSupport(cur.ref, cause, st)
-	default:
-		// A displaced event-head winner has no live row; erase its
-		// occurrence (idempotent — a cascade may already have erased it).
-		e.eraseOccurrence(keyedAt(cur.ref.node, cur.headTuple, cur.ref.key, cur.headAt), cur.ref.deriveID, r.name, cause, st)
 	}
-	it, err := e.derive(r, nodeName, win, deltaAtom, st)
-	if err != nil {
-		return err
-	}
-	e.amDeriv.Set(at, e.amEntryFor(r, win, it))
-	return nil
+	return e.fireBinding(r, deltaAtom, nodeName, win, st)
 }

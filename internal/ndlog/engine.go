@@ -197,19 +197,18 @@ type Engine struct {
 	// flagged and counted into Stats.DirtyTables (writableTable). highWater
 	// is the newest stamp drain has processed: work stamped before it lands
 	// in an evaluated past, and only such work re-fires, erases and
-	// re-evaluates. amDeriv maps each argmax trigger to the winner it
-	// currently supports, and repair holds what a repair in progress keeps
-	// (made on first use).
+	// re-evaluates. amDeriv maps each argmax trigger of a state head to the
+	// winner it currently supports, and repair holds what a repair in
+	// progress keeps (made on first use).
 	settled   bool
 	highWater Stamp
-	amDeriv   cow.Overlay[amTrigger, *amEntry]
+	amDeriv   cow.Overlay[amTrigger, amWinner]
 	repair    *repairState
-	// evDeps files each derived event occurrence under its body elements
-	// (occDep), so repair can erase one whose precondition is retracted. A
-	// link's list is the tail it appended (read with Each); entries are
-	// never deleted (stale ones are filtered by the body sequence number).
-	// killedOccs marks erased event occurrences by stamp sequence.
-	evDeps     cow.Overlay[TupleRef, []occDep]
+	// evDeps files each derived event occurrence under its body elements'
+	// appearances (occDep), so repair can erase one whose precondition is
+	// retracted; entries are never deleted. killedOccs marks erased event
+	// occurrences by stamp sequence.
+	evDeps     cow.Overlay[uint64, occChunk]
 	killedOccs cow.Overlay[uint64, bool]
 	// demand, on a fork made by ForkDemand, is what the fork derives and
 	// erases: no head outside it (demand.go). nil derives everything.
@@ -755,6 +754,10 @@ func (e *Engine) drain(maxTick int64) error {
 	}
 	if e.queue.Len() == 0 {
 		e.settled = true
+		if w := e.work; w != nil && w.looking {
+			clear(w.onTheWay)
+			w.looking = false
+		}
 		e.handOn()
 	}
 	return nil
@@ -1029,7 +1032,7 @@ func (e *Engine) retractRow(nodeName string, tb *table, r *row, st Stamp, underi
 		// Event-head derivations that joined this row after the stamp of
 		// its out-of-order retraction would not have fired in a timely
 		// run: erase their occurrences and cascade (delta.go).
-		e.eraseEventConsumers(ref, r.appearedAt.Seq, cause, st, true)
+		e.eraseEventConsumers(r.appearedAt.Seq, cause, st, true)
 	}
 }
 
@@ -1167,15 +1170,18 @@ func (e *Engine) fireBinding(r *CompiledRule, deltaAtom int, nodeName string, b 
 		return e.aggregateStep(r, nodeName, b, st)
 	}
 	it, err := e.derive(r, nodeName, b, deltaAtom, st)
-	if err != nil {
-		return err
+	// Remember which winner this trigger derived, so a counterfactual change
+	// that flips the winner can retract it (delta.go); an event head's is
+	// filed under the trigger on delivery, and only a repair's index of the
+	// queue notes it before.
+	switch at := (amTrigger{r.idx, st.Seq}); {
+	case err != nil || r.argMaxSlot < 0:
+	case !r.eventHead:
+		e.amDeriv.Set(at, amWinner{dependentRef{it.node, it.deriv.Head.Key, it.deriv.ID}, it.deriv.Refs})
+	case e.work.looking:
+		e.work.onTheWay[at] = it
 	}
-	if r.argMaxSlot >= 0 {
-		// Remember which winner this trigger derived, so a counterfactual
-		// change that flips the winner can retract it (delta.go).
-		e.amDeriv.Set(amTrigger{rule: r.name, node: nodeName, seq: st.Seq}, e.amEntryFor(r, b, it))
-	}
-	return nil
+	return err
 }
 
 // derive produces the rule head for a satisfying binding and returns the

@@ -5,7 +5,7 @@ const RaceEnabled = raceEnabled
 
 // EventRow is an event occurrence's row as the package's external tests
 // read it: the derivations its supports hold, and the trigger of each
-// entry evDeps files it under, one per distinct body element.
+// entry evDeps files it under, one per distinct body element's appearance.
 type EventRow struct {
 	Supports []RowSupport
 	Filed    []Trigger
@@ -50,19 +50,17 @@ func (e *Engine) eventRow(r *row) EventRow {
 	for _, s := range r.supports {
 		er.Supports = append(er.Supports, RowSupport{ID: s.deriveID, Rule: s.rule, Refs: s.body})
 	}
-	seen := map[TupleRef]bool{}
+	seen := map[uint64]bool{}
 	for _, s := range r.supports {
 		for _, b := range s.body {
-			if seen[b.TupleRef()] {
+			if seen[b.Seq] {
 				continue
 			}
-			seen[b.TupleRef()] = true
-			e.evDeps.Each(b.TupleRef(), func(ds []occDep) {
-				for _, d := range ds {
-					if d.occ == r {
-						_, at := d.trig(e.delay)
-						er.Filed = append(er.Filed, Trigger{Atom: int(d.trigAtom), Stamp: at})
-					}
+			seen[b.Seq] = true
+			e.eachConsumer(b.Seq, func(d occDep) {
+				if d.occ == r {
+					_, at := d.trig(e.delay)
+					er.Filed = append(er.Filed, Trigger{Atom: int(d.trigAtom), Stamp: at})
 				}
 			})
 		}

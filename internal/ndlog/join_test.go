@@ -712,13 +712,18 @@ rule k4 out(@n1, X) :- ev(@n1, X), a(@n1, X), b(@n1, X), c(@n1, X).
 	if len(occ.supports) != 1 || occ.supports[0].rule != "k4" || len(occ.supports[0].body) != len(refs) {
 		t.Fatalf("occurrence row holds %+v, want one support of rule k4 with %d body refs", occ.supports, len(refs))
 	}
+	for i, b := range occ.supports[0].body {
+		if b.TupleRef() != refs[i] {
+			t.Fatalf("body element %d is %v, want %v", i, b, refs[i])
+		}
+	}
 	namesTheRow := func(en *Engine) {
 		t.Helper()
-		for _, ref := range refs {
+		for _, b := range occ.supports[0].body {
 			var deps []occDep
-			en.evDeps.Each(ref, func(ds []occDep) { deps = append(deps, ds...) })
+			en.eachConsumer(b.Seq, func(d occDep) { deps = append(deps, d) })
 			if len(deps) != 1 || deps[0].occ != occ || deps[0].node.name != "n1" {
-				t.Fatalf("ref %v: entries %+v, want one naming the occurrence's row", ref, deps)
+				t.Fatalf("ref %v: entries %+v, want one naming the occurrence's row", b, deps)
 			}
 		}
 	}
@@ -726,12 +731,9 @@ rule k4 out(@n1, X) :- ev(@n1, X), a(@n1, X), b(@n1, X), c(@n1, X).
 	e.Seal()
 	f := e.Fork(nil)
 	namesTheRow(f)
-	for _, ref := range refs {
-		if _, own := f.evDeps.Find(func(m map[TupleRef][]occDep) ([]occDep, bool) {
-			d, ok := m[ref]
-			return d, ok
-		}); own {
-			t.Errorf("ref %v: the fork copied the base's entries", ref)
+	for _, b := range occ.supports[0].body {
+		if _, own := f.evDeps.Local(b.Seq); own {
+			t.Errorf("ref %v: the fork copied the base's entries", b)
 		}
 	}
 

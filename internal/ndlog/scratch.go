@@ -57,6 +57,10 @@ type scratch struct {
 	queue                  workHeap // the emptied queue array, while the set is spare
 	next                   *scratch // the spare below it on its base's stack
 	join                   joinScratch
+	// onTheWay indexes the queued deliveries of argmax heads by trigger
+	// once a repair looks (eventWinner); looking says it is built.
+	onTheWay map[amTrigger]*workItem
+	looking  bool
 }
 
 // scratch returns the engine's evaluation scratch, made on first use.
@@ -83,9 +87,9 @@ func (e *Engine) takeSpare() *scratch {
 // it was forked from, once: the fork forgets its base, so a set it makes
 // later, if it is scheduled and run again, stays its own. Nothing the
 // settled fork keeps points into the set: its work items are all recycled,
-// and what a firing keeps — a derivation's head and support references,
-// an argmax winner's binding key — is copied out of the join's stacks into
-// the fork's arena (TestSettledForkHandsItsWorkItemsOn).
+// and what a firing keeps — a derivation's head and support references —
+// is copied out of the join's stacks into the fork's arena
+// (TestSettledForkHandsItsWorkItemsOn).
 func (e *Engine) handOn() {
 	b, w := e.base, e.work
 	if b == nil {

@@ -62,21 +62,21 @@ func (s *slab[T]) one() *T { return &s.take(1, 0)[0] }
 // arena is the slabs of one engine — a root's or a fork's, never shared,
 // dying with it. It holds what the engine creates per derivation and keeps:
 // rows and their supports, a binding's refs, a head's args, dependents,
-// event-occurrence dependents, argmax winners, and the bytes of the
+// event-occurrence dependents and their chunks, and the bytes of the
 // canonical keys the engine renders and keeps (key). A key rendered outside the engine
 // (Tuple.Key, Text) stays a heap string: it is the caller's, and must not
 // keep an engine's chunks alive. Work items are not here either: they die
 // once processed, and the engine reuses them through its free list (push,
 // recycle). Nor are the tables of Go maps.
 type arena struct {
-	rows     slab[row]
-	supports slab[support]
-	refs     slab[BodyRef]
-	args     slab[Value]
-	deps     slab[dependentRef]
-	occDeps  slab[occDep]
-	ams      slab[amEntry]
-	keys     slab[byte]
+	rows      slab[row]
+	supports  slab[support]
+	refs      slab[BodyRef]
+	args      slab[Value]
+	deps      slab[dependentRef]
+	occDeps   slab[occDep]
+	occChunks slab[occChunk]
+	keys      slab[byte]
 	// groups is the current chunk of count() groups (group): a slice, as
 	// a slab's counter would not fit the engine's size class
 	// (TestEngineFitsItsSizeClass).

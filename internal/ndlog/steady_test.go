@@ -11,10 +11,13 @@ import (
 
 // TestSteadyDerivationAllocatesOnlyItsRecords: a settled engine forwarding
 // packets through the SDN model — an argmax rule at every hop — allocates
-// no object per derivation. The keys it renders and keeps, the argmax
-// winners and the consumer index's entries come from its arena, and the
-// work items that deliver heads from its free list; what is left is the
-// amortised growth of its maps and slab chunks.
+// no object per derivation. The keys it renders and keeps and the consumer
+// index's entries come from its arena, an event head's argmax winner is
+// kept nowhere but on its occurrence's row, and the work items that deliver
+// heads come from its free list; what is left is the amortised growth of
+// its maps and slab chunks. It reads 0.125 allocations per derivation
+// (0.175 while each firing kept a winner entry and the consumer lists grew
+// by copying); the ceiling is that plus a tenth.
 func TestSteadyDerivationAllocatesOnlyItsRecords(t *testing.T) {
 	if ndlog.RaceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -71,7 +74,7 @@ func TestSteadyDerivationAllocatesOnlyItsRecords(t *testing.T) {
 	}
 	perDerivation := float64(after.Mallocs-before.Mallocs) / float64(derived)
 	t.Logf("%.3f allocations per derivation, %d derivations", perDerivation, derived)
-	if perDerivation > 1 {
-		t.Errorf("%.2f allocations per derivation; want at most 1", perDerivation)
+	if perDerivation > 0.14 {
+		t.Errorf("%.3f allocations per derivation; want at most 0.14", perDerivation)
 	}
 }
