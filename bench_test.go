@@ -517,8 +517,8 @@ func buildAggregate(tb testing.TB) (diffprov.World, *diffprov.Tree, *diffprov.Tr
 // pool; results are byte-identical across them (see
 // TestParallelDifferential), so only the wall clock moves.
 // BenchmarkDiagnosisCandidatesReference in internal/core runs the same
-// aggregate and race in core's reference configuration — no fingerprint
-// memos, full trials — to measure what the fast paths save.
+// aggregate and race in core's reference configuration — full trials — to
+// measure what demand trials save.
 func BenchmarkDiagnosisCandidates(b *testing.B) {
 	for _, variant := range []struct {
 		name string

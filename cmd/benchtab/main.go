@@ -105,13 +105,12 @@ func main() {
 		fmt.Println("== Figure 7: query turnaround (paper: DiffProv ≈ 2x Y!, replay dominates) ==")
 		rows, err := evaluation.Figure7(scale)
 		die(err)
-		fmt.Printf("%-8s %14s %14s %14s %14s %12s %12s %10s\n",
-			"Query", "Y!", "DiffProv", "(replay)", "(reasoning)", "prefix h/m", "evts skipped", "fp hits")
+		fmt.Printf("%-8s %14s %14s %14s %14s %12s %12s\n",
+			"Query", "Y!", "DiffProv", "(replay)", "(reasoning)", "prefix h/m", "evts skipped")
 		for _, r := range rows {
-			fmt.Printf("%-8s %14v %14v %14v %14v %7d/%-4d %12d %10d\n",
+			fmt.Printf("%-8s %14v %14v %14v %14v %7d/%-4d %12d\n",
 				r.Scenario, r.YBang, r.DiffProv, r.DiffProvReplay, r.DiffProvReason,
-				r.Replay.PrefixHits, r.Replay.PrefixMisses, r.Replay.EventsSkipped,
-				r.Diag.FingerprintHits)
+				r.Replay.PrefixHits, r.Replay.PrefixMisses, r.Replay.EventsSkipped)
 		}
 		fmt.Println()
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
@@ -64,41 +63,11 @@ func (d *diag) firstDivergence(ss *solvers, chainG []gLevel, w World, seedB ndlo
 		}
 		trigIdx := triggerAtomIndex(rule, lvl.derive)
 
-		// The forward prediction is a pure function of the good derive
-		// subtree, the trigger index, the head occurrence, and the bad
-		// cursor's node and tuple — never of timestamps or the bad world —
-		// so it memoizes under a fingerprint key across rounds, minimize
-		// trials, and a wide pool's goroutines (the equal-subtree fast
-		// path: an identical good subtree is never re-solved).
-		var expected ndlog.At
-		var key alignKey
-		hit := false
-		if d.align != nil {
-			key = alignKey{
-				deriveFP: lvl.derive.Fingerprint(),
-				trigIdx:  trigIdx,
-				headNode: lvl.headAt.Node,
-				headKey:  lvl.headAt.Tuple.Key(),
-				curNode:  cur.Node,
-				curKey:   cur.Tuple.Key(),
-			}
-			d.alignMu.Lock()
-			expected, hit = d.align[key]
-			d.alignMu.Unlock()
-		}
-		if hit {
-			atomic.AddInt64(&d.stats.FingerprintHits, 1)
-		} else {
-			var err error
-			expected, err = d.expectedAtLevel(ss.get(0), lvl, rule, trigIdx, w, cur)
-			if err != nil {
-				return nil, err
-			}
-			if d.align != nil {
-				d.alignMu.Lock()
-				d.align[key] = expected
-				d.alignMu.Unlock()
-			}
+		// The prediction is in the solver's head scratch: a divergence
+		// keeps a copy.
+		expected, err := d.expectedAtLevel(ss.get(0), lvl, rule, trigIdx, w, cur)
+		if err != nil {
+			return nil, err
 		}
 
 		// A demand trial derived the expected head only if it is covered;
@@ -150,6 +119,7 @@ func (d *diag) firstDivergence(ss *solvers, chainG []gLevel, w World, seedB ndlo
 			}
 		}
 		if match < 0 {
+			expected.Tuple = expected.Tuple.Clone()
 			return &divergence{level: lvl, expected: expected, trigger: cur, asOf: endOfTick(cur.Stamp.T)}, nil
 		}
 		hv := g.Vertex(match)
@@ -159,28 +129,17 @@ func (d *diag) firstDivergence(ss *solvers, chainG []gLevel, w World, seedB ndlo
 	return nil, nil
 }
 
-// alignKey identifies one §4.4 forward-prediction instance. The good
-// derive subtree is named by its structural fingerprint, which covers the
-// rule name and every body occurrence's node and tuple; the trigger atom
-// index and the head occurrence are properties of the derive's position
-// in the chain (not covered by its own fingerprint), and the cursor is
-// the bad-world trigger the prediction binds from. Stamps are deliberately
-// absent: the solver never reads them, which is what lets predictions
-// memoize across minimize trials whose injected changes shift stamps.
-type alignKey struct {
-	deriveFP uint64
-	trigIdx  int
-	headNode string
-	headKey  string
-	curNode  string
-	curKey   string
-}
-
 // expectedAtLevel runs the §4.4 forward prediction for one chain level,
 // on solver s: the head occurrence the bad world should derive from cur via
 // the good derivation's rule, with side variables defaulted to good values.
+// The head's arguments are the solver's head scratch (headUnder).
 func (d *diag) expectedAtLevel(s *solver, lvl gLevel, rule *ndlog.Rule, trigIdx int, w World, cur ndlog.At) (ndlog.At, error) {
-	if err := s.load(d.prog, rule, lvl.derive); err != nil {
+	kids := lvl.derive.Children
+	if rule.CountVar != "" && len(kids) > 1 {
+		// A count() level binds its group from one contributor (reset).
+		kids = kids[len(kids)-1:]
+	}
+	if err := s.load(d.prog, rule, kids); err != nil {
 		return ndlog.At{}, err
 	}
 	if err := s.bindTrigger(trigIdx, cur); err != nil {
@@ -277,7 +236,7 @@ func (d *diag) makeAppear(w World, gDerive *provenance.Tree, expected ndlog.At, 
 	// appear, so the solver of this depth is its scratch's; the deeper
 	// ones the recursion below takes leave this one alone.
 	s := d.scratch.solve.get(depth)
-	if err := s.load(d.prog, rule, gDerive); err != nil {
+	if err := s.load(d.prog, rule, gDerive.Children); err != nil {
 		return err
 	}
 	children := s.children

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,11 +45,10 @@ type Options struct {
 	// candidates are selected by their original enumeration index, never
 	// by completion order.
 	Parallelism int
-	// reference selects the configuration the fast paths are
+	// reference selects the configuration demand trials are
 	// differential-tested against, core's counterpart of replay.Oracle():
-	// no alignment memo, and full trials instead of demand trials.
-	// Diagnoses are byte-identical either way; only the amount of
-	// repeated work changes. Tests set it.
+	// full trials instead of demand trials. Diagnoses are byte-identical
+	// either way; only the amount of derived state changes. Tests set it.
 	reference bool
 }
 
@@ -69,13 +67,12 @@ func (t Timings) Total() time.Duration {
 	return t.FindSeed + t.Divergence + t.MakeAppear + t.UpdateTree
 }
 
-// DiagStats counts the fast-path and parallelism activity of one
-// diagnosis. The counters describe how the work was performed, never what
-// was concluded: diagnoses are byte-identical with the fast paths on or
-// off and at any parallelism.
+// DiagStats counts the parallelism activity of one diagnosis. The
+// counters describe how the work was performed, never what was concluded:
+// diagnoses are byte-identical at any parallelism.
 type DiagStats struct {
-	// FingerprintHits counts chain-alignment steps answered from the
-	// fingerprint-keyed memo instead of re-running the rule solver.
+	// FingerprintHits is always 0: FIRSTDIV predicts every level. It
+	// stays only while the benchmark reads DiagStats field by field.
 	FingerprintHits int64
 	// CandidatesDeduped is always 0: every trial replays. It stays only
 	// while the benchmark reads DiagStats field by field.
@@ -111,7 +108,7 @@ type Result struct {
 	FinalWorld World
 	// GoodSeed and BadSeed are the seeds of the two trees.
 	GoodSeed, BadSeed ndlog.At
-	// Stats counts fingerprint fast-path hits and parallel evaluations.
+	// Stats counts parallel candidate evaluations.
 	Stats DiagStats
 }
 
@@ -125,15 +122,9 @@ type diag struct {
 	// applied are the changes of earlier rounds, already in the world.
 	applied []replay.Change
 
-	// stats fields are updated atomically: a wide pool runs
-	// firstDivergence concurrently.
+	// stats fields are updated atomically: a wide pool's goroutines
+	// count their evaluations.
 	stats DiagStats
-	// align memoizes the §4.4 forward prediction per chain level, keyed
-	// by the good derive vertex's structural fingerprint plus the bad
-	// cursor (see alignKey); nil in the reference configuration or when
-	// keyed rows are followed (the prediction then probes the live world).
-	alignMu sync.Mutex
-	align   map[alignKey]ndlog.At
 	// pool evaluates minimize and fallback candidates at the diagnosis'
 	// width (Options.Parallelism).
 	pool candidatePool
@@ -154,7 +145,6 @@ func (d *diag) handOn() {
 // statsSnapshot reads the counters after every evaluation has finished.
 func (d *diag) statsSnapshot() DiagStats {
 	return DiagStats{
-		FingerprintHits:    atomic.LoadInt64(&d.stats.FingerprintHits),
 		ParallelCandidates: atomic.LoadInt64(&d.stats.ParallelCandidates),
 	}
 }
@@ -177,9 +167,6 @@ type gLevel struct {
 func Diagnose(ctx context.Context, goodTree, badTree *provenance.Tree, world World, opts Options) (*Result, error) {
 	d := &diag{prog: world.Program(), opts: opts, scratch: takeScratch()}
 	defer d.handOn()
-	if !opts.reference && !opts.FollowKeyedRows {
-		d.align = map[alignKey]ndlog.At{}
-	}
 	// The pool keeps the pre-diagnosis world: candidates replay their full
 	// cumulative change list against it.
 	d.pool.init(world, opts.parallelism(), &d.stats)
@@ -373,10 +360,10 @@ type childAt struct {
 	base  bool             // cause is an INSERT
 }
 
-// gChildrenOf appends to out the body occurrences of a DERIVE tree node in
-// body order, along with the cause subtree under each.
-func gChildrenOf(out []childAt, dn *provenance.Tree) ([]childAt, error) {
-	for _, c := range dn.Children {
+// gChildrenOf appends to out the body occurrences kids of a DERIVE tree
+// node, in body order, along with the cause subtree under each.
+func gChildrenOf(out []childAt, kids []*provenance.Tree) ([]childAt, error) {
+	for _, c := range kids {
 		v := c.Vertex
 		causeHolder := c
 		switch v.Type {

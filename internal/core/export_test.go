@@ -35,7 +35,7 @@ func SolveDerivation(ss *Solvers, prog *ndlog.Program, derive *provenance.Tree, 
 		return fmt.Errorf("rule %s is not in the program", derive.Vertex.Rule)
 	}
 	s := ss.get(0)
-	if err := s.load(prog, rule, derive); err != nil {
+	if err := s.load(prog, rule, derive.Children); err != nil {
 		return err
 	}
 	trig := triggerAtomIndex(rule, derive)
@@ -84,7 +84,7 @@ func AggregateAppear(w World) func(derive *provenance.Tree, head ndlog.At) (int,
 			return 0, fmt.Errorf("rule %s is no counting rule", derive.Vertex.Rule)
 		}
 		s := d.scratch.solve.get(0)
-		if err := s.load(d.prog, rule, derive); err != nil {
+		if err := s.load(d.prog, rule, derive.Children); err != nil {
 			return 0, err
 		}
 		if cv, ok := headCountValue(rule, head.Tuple); ok {

@@ -63,10 +63,10 @@ func buildAggregate(tb testing.TB) (World, *provenance.Tree, *provenance.Tree) {
 
 // TestParallelAggregateReference runs the aggregate with minimization in
 // the reference configuration, sequentially and at width 8, and requires
-// the Δ of sequential production, byte for byte. With no alignment memo,
-// each drop candidate re-solves the aggregate's O(contributors) alignment
-// on its goroutine's own scratch: under -race this also shows that no two
-// goroutines of the pool share solver scratch.
+// the Δ of sequential production, byte for byte. Each drop candidate
+// solves the aggregate's alignment on its goroutine's own scratch: under
+// -race this also shows that no two goroutines of the pool share solver
+// scratch.
 func TestParallelAggregateReference(t *testing.T) {
 	world, good, bad := buildAggregate(t)
 	ctx := context.Background()
@@ -87,9 +87,6 @@ func TestParallelAggregateReference(t *testing.T) {
 		if got := fmt.Sprint(res.Changes); got != want {
 			t.Errorf("%+v: Δ = %s, production Δ = %s", opts, got, want)
 		}
-		if n := res.Stats.FingerprintHits; n != 0 {
-			t.Errorf("%+v: %d fast-path hits in the reference configuration", opts, n)
-		}
 		if par > 1 && res.Stats.ParallelCandidates == 0 {
 			t.Errorf("%+v: no candidate ran on the wide pool", opts)
 		}
@@ -98,10 +95,10 @@ func TestParallelAggregateReference(t *testing.T) {
 
 // BenchmarkDiagnosisCandidatesReference is the reference configuration's
 // side of the root package's BenchmarkDiagnosisCandidates, on the same two
-// workloads: "sequential" is the aggregate with minimization and no
-// fingerprint memo (against the root's "sequential"), and "fallback" is the
-// §4.9 race with 20 unrelated audit events, in full trials (against the
-// root's "fallback"). The ratios are what the fast paths save.
+// workloads, in full trials: "sequential" is the aggregate with
+// minimization (against the root's "sequential"), and "fallback" is the
+// §4.9 race with 20 unrelated audit events (against the root's
+// "fallback"). The ratios are what demand trials save.
 func BenchmarkDiagnosisCandidatesReference(b *testing.B) {
 	ctx := context.Background()
 	run := func(b *testing.B, world World, good, bad *provenance.Tree, opts Options, want int) {

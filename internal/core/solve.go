@@ -55,12 +55,13 @@ type solver struct {
 	// frames are spare frames of the rule (bindTrigger's, and the
 	// contributor frames of makeAggregateAppear); preimages is what
 	// CompiledRule.Invert appends to; sideBuf holds the arguments of the side
-	// tuple evaluated last (sideTuple, makeAggregateAppear), which most
-	// callers only probe the bad world with: one that keeps the tuple
-	// clones it.
+	// tuple evaluated last (sideTuple, makeAggregateAppear), and headBuf
+	// those of the head evaluated last (headUnder). Most callers only probe
+	// the bad world with these tuples: one that keeps a tuple clones it.
 	frames    [2][]ndlog.Value
 	preimages []ndlog.Value
 	sideBuf   []ndlog.Value
+	headBuf   []ndlog.Value
 }
 
 // solvers is the MAKEAPPEAR scratch of one goroutine: a solver per
@@ -140,6 +141,7 @@ func (ss *solvers) forget() {
 		clear(s.frames[1][:cap(s.frames[1])])
 		clear(s.preimages[:cap(s.preimages)])
 		clear(s.sideBuf[:cap(s.sideBuf)])
+		clear(s.headBuf[:cap(s.headBuf)])
 		s.rule, s.cr, s.prog = nil, nil, nil
 	}
 }
@@ -186,10 +188,10 @@ func headClause(j int) ndlog.Clause   { return ndlog.Clause{Kind: ndlog.HeadClau
 var headLocClause = ndlog.Clause{Kind: ndlog.HeadLocClause}
 
 // load binds the solver to a DERIVE of the good tree: its body occurrences
-// (gChildrenOf) and the good-world binding they reconstruct (reset).
-func (s *solver) load(prog *ndlog.Program, rule *ndlog.Rule, dn *provenance.Tree) error {
+// kids (gChildrenOf) and the good-world binding they reconstruct (reset).
+func (s *solver) load(prog *ndlog.Program, rule *ndlog.Rule, kids []*provenance.Tree) error {
 	var err error
-	if s.children, err = gChildrenOf(s.children[:0], dn); err != nil {
+	if s.children, err = gChildrenOf(s.children[:0], kids); err != nil {
 		return err
 	}
 	if err := s.reset(prog, rule); err != nil {
@@ -216,14 +218,11 @@ func (s *solver) reset(prog *ndlog.Program, rule *ndlog.Rule) error {
 	s.envG, s.envB, s.source = frame(s.envG, n), frame(s.envB, n), frame(s.source, n)
 	if rule.CountVar != "" {
 		s.countSlot = cr.Slot(rule.CountVar)
-		// Aggregates: unify the single body atom against each contributor.
-		for _, c := range children {
-			if !cr.Unify(0, s.envG, s.ss.loc(c.at.Node), c.at.Tuple) {
-				// Contributors legitimately differ in non-group fields;
-				// rebuild group bindings from the last one.
-				clear(s.envG)
-				cr.Unify(0, s.envG, s.ss.loc(c.at.Node), c.at.Tuple)
-			}
+		// Aggregates: contributors legitimately differ in non-group
+		// fields, so the single body atom is unified against the last one.
+		if n := len(children); n > 0 {
+			c := children[n-1].at
+			cr.Unify(0, s.envG, s.ss.loc(c.Node), c.Tuple)
 		}
 	} else {
 		for i, atom := range rule.Body {
@@ -768,9 +767,12 @@ func (s *solver) sideArgs(k int, f []ndlog.Value) (args []ndlog.Value, i int, er
 }
 
 // headUnder evaluates the head under a binding; evalNode is where the rule
-// fires. For aggregates the count variable must already be bound.
+// fires. For aggregates the count variable must already be bound. The
+// head's arguments are the solver's head scratch, good until it evaluates
+// the next head.
 func (s *solver) headUnder(f []ndlog.Value, evalNode string) (ndlog.At, error) {
-	args := make([]ndlog.Value, len(s.rule.Head.Args))
+	s.headBuf = frame(s.headBuf, len(s.rule.Head.Args))
+	args := s.headBuf
 	for j, e := range s.rule.Head.Args {
 		v, err := s.cr.Eval(headClause(j), f)
 		if err != nil {

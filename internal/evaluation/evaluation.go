@@ -96,9 +96,6 @@ type Fig7Row struct {
 	// pairs the delta phases touched (zero for the imperative scenarios,
 	// which have no replay session).
 	Replay replay.ReplayStats
-	// Diag reports the fingerprint and parallel-evaluation activity of
-	// the differential query (alignment memo hits, pool dispatches).
-	Diag core.DiagStats
 }
 
 // Figure7 measures query turnaround for every scenario.
@@ -145,7 +142,6 @@ func Figure7(scale scenarios.Scale) ([]Fig7Row, error) {
 		row.DiffProv = time.Since(start) + row.YBang
 		row.DiffProvReplay = res.Timings.UpdateTree + row.YBang
 		row.DiffProvReason = res.Timings.FindSeed + res.Timings.Divergence + res.Timings.MakeAppear
-		row.Diag = res.Stats
 		if s.BadSession != nil {
 			row.Replay = s.BadSession.Stats
 		}

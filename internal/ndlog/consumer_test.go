@@ -25,7 +25,7 @@ table ev/1 event base;
 table out/1 event;
 rule r out(@n, X) :- ev(@n, X), fe(@n, X).
 `)
-	e := New(p, nil, WithSeqBand(SeqBandDefault))
+	e := New(p, nil)
 	if err := e.ScheduleInsert("n", NewTuple("fe", Int(1)), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ table last/1;
 rule fw packet(@Nxt, S, D) :- packet(@Sw, S, D), flowEntry(@Sw, P, Nxt), argmax P.
 rule seen last(@Sw, P) :- packet(@Sw, S, D), flowEntry(@Sw, P, Nxt), argmax P.
 `)
-	e := New(p, nil, WithSeqBand(SeqBandDefault))
+	e := New(p, nil)
 	tick := int64(0)
 	insert := func(node string, tu Tuple) {
 		t.Helper()
@@ -225,7 +225,7 @@ rule win out(@m, K, P) :- probe(@n, K), prio(@n, P), argmax P.
 	}
 	probe := NewTuple("probe", Str("k"))
 
-	base := New(p, nil, WithSeqBand(SeqBandDefault))
+	base := New(p, nil)
 	schedule(base, map[int64]int64{0: 1})
 	if err := base.ScheduleInsert("n", probe, 10); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ rule win out(@m, K, P) :- probe(@n, K), prio(@n, P), argmax P.
 		t.Fatal(err)
 	}
 
-	want := New(p, nil, WithSeqBand(SeqBandDefault))
+	want := New(p, nil)
 	schedule(want, map[int64]int64{0: 1, 5: 5, 6: 9})
 	if err := want.ScheduleInsert("n", probe, 10); err != nil {
 		t.Fatal(err)

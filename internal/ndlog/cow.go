@@ -74,10 +74,9 @@ func (e *Engine) Sealed() bool { return e.sealed }
 // owner could still write the state the fork would share — and panics,
 // like writableTable on a sealed engine.
 //
-// A nil obs discards observer callbacks (like New). To reproduce a
-// from-scratch run stamp-for-stamp, the receiver must use a sequence band
-// (WithSeqBand) so base-event stamps depend only on schedule positions;
-// Fork copies the band configuration and counters.
+// A nil obs discards observer callbacks (like New). A fork reproduces a
+// from-scratch run stamp-for-stamp because base-event stamps depend only
+// on schedule positions (WithSeqBand); Fork copies the band and counters.
 func (e *Engine) Fork(obs Observer) *Engine {
 	if !e.sealed {
 		panic("ndlog: Fork of unsealed engine")

@@ -20,7 +20,7 @@ rule j hit(K, V) :- probe(@n, K), t(@n, K, V).
 // sealedRun runs the inserts on a fresh engine and seals it.
 func sealedRun(t *testing.T, insert func(e *Engine) error) *Engine {
 	t.Helper()
-	e := New(costProg, nil, WithSeqBand(SeqBandDefault))
+	e := New(costProg, nil)
 	if err := insert(e); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ table reach/2;
 rule direct reach(@S, S, D) :- link(@S, S, D).
 rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
 `)
-	e := New(prog, nil, WithSeqBand(SeqBandDefault))
+	e := New(prog, nil)
 	for i, l := range [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "e"}} {
 		if err := e.ScheduleInsert(l[0], NewTuple("link", Str(l[0]), Str(l[1])), int64(i)); err != nil {
 			t.Fatal(err)
@@ -334,7 +334,7 @@ rule trans reach(@S, S, D) :- link(@S, S, M), reach(@M, M, D).
 // settled fork keeps points into the join stacks it handed on: overwriting
 // them leaves its rows, supports and state as they were.
 func TestSettledForkHandsItsWorkItemsOn(t *testing.T) {
-	base := New(frozenProg, nil, WithSeqBand(SeqBandDefault))
+	base := New(frozenProg, nil)
 	for _, w := range []struct {
 		node string
 		tu   Tuple
@@ -506,7 +506,7 @@ rule o out(@N, X) :- ev(@N, X), cfg(@N, 1).
 		t.Fatalf("the demand of ev(0) does not bind out to 0")
 	}
 	trial := func(n int, d *Demand) (allocs float64, derives int) {
-		e := New(prog, nil, WithSeqBand(SeqBandDefault))
+		e := New(prog, nil)
 		for i := 1; i <= n; i++ {
 			if err := e.ScheduleInsert("n", NewTuple("ev", Int(int64(i))), int64(10+i)); err != nil {
 				t.Fatal(err)

@@ -56,7 +56,7 @@ rule fwd out(@N, X) :- ev(@N, X), s(@N, X).
 	s1, s2 := NewTuple("s", Int(1)), NewTuple("s", Int(2))
 	cfgA, cfgB := NewTuple("cfg", Str("k"), Str("a")), NewTuple("cfg", Str("k"), Str("b"))
 	ev, out := NewTuple("ev", Int(1)), NewTuple("out", Int(1))
-	base := New(p, nil, WithSeqBand(SeqBandDefault))
+	base := New(p, nil)
 	for _, s := range []struct {
 		t    Tuple
 		tick int64
@@ -137,7 +137,7 @@ table ping/1 event base;
 table pong/1 event;
 rule fire pong(X) :- ping(X), gate(X).
 `)
-	base := New(p, nil, WithSeqBand(SeqBandDefault))
+	base := New(p, nil)
 	if err := base.ScheduleInsert("n", NewTuple("gate", Int(1)), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ rule ra d(X) :- a(X).
 rule rb d(X) :- b(X).
 rule rc d(X) :- c(X).
 `)
-	e := New(p, nil, WithSeqBand(SeqBandDefault))
+	e := New(p, nil)
 	for x := int64(1); x <= 2; x++ {
 		for _, tb := range []string{"a", "b"} {
 			if err := e.ScheduleInsert("n", NewTuple(tb, Int(x)), x); err != nil {
@@ -251,7 +251,7 @@ func TestKeyByteLookupsBuildNoString(t *testing.T) {
 	p := MustParse(wcProgram)
 	word := Str(strings.Repeat("w", 40))
 	kv, count := NewTuple("kv", word, Int(0)), NewTuple("wordcount", word, Int(1))
-	e := New(p, nil, WithSeqBand(SeqBandDefault))
+	e := New(p, nil)
 	if err := e.ScheduleInsert("r1", kv, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func rowDigest(e *Engine) string {
 // of a fork — leaves the base's rows, and their live, primary-key and order
 // slots, exactly as they were.
 func TestForkLeavesBaseRowsFrozen(t *testing.T) {
-	base := New(frozenProg, nil, WithSeqBand(SeqBandDefault))
+	base := New(frozenProg, nil)
 	for _, s := range []struct {
 		node string
 		t    Tuple

@@ -25,10 +25,8 @@ func sealAndFork(e *ndlog.Engine, rec *provenance.Recorder) (*ndlog.Engine, *pro
 // as an uncut run, proving the first fork's writes never reached shared
 // structure.
 func TestCoWSealedForkEqualsStraightThrough(t *testing.T) {
-	band := ndlog.WithSeqBand(ndlog.SeqBandDefault)
-
 	recRef := provenance.NewRecorder(forkProg)
-	ref := ndlog.New(forkProg, recRef, band)
+	ref := ndlog.New(forkProg, recRef)
 	scheduleFork(t, ref)
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
@@ -39,7 +37,7 @@ func TestCoWSealedForkEqualsStraightThrough(t *testing.T) {
 	lastTick := forkSchedule[len(forkSchedule)-1].tick
 	for cut := int64(0); cut <= lastTick+1; cut++ {
 		rec := provenance.NewRecorder(forkProg)
-		e := ndlog.New(forkProg, rec, band)
+		e := ndlog.New(forkProg, rec)
 		scheduleFork(t, e)
 		if err := e.RunUntil(cut); err != nil {
 			t.Fatal(err)
@@ -76,7 +74,7 @@ func TestCoWSealedForkEqualsStraightThrough(t *testing.T) {
 // visible through the sealed parent or through sibling forks.
 func TestCoWForkIsolation(t *testing.T) {
 	rec := provenance.NewRecorder(forkProg)
-	e := ndlog.New(forkProg, rec, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+	e := ndlog.New(forkProg, rec)
 	scheduleFork(t, e)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -130,7 +128,7 @@ func TestCoWForkIsolation(t *testing.T) {
 func TestCoWConcurrentForks(t *testing.T) {
 	const forks = 16
 	rec := provenance.NewRecorder(forkProg)
-	e := ndlog.New(forkProg, rec, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+	e := ndlog.New(forkProg, rec)
 	scheduleFork(t, e)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -144,7 +142,7 @@ func TestCoWConcurrentForks(t *testing.T) {
 	want := make([]string, forks)
 	for i := range want {
 		r := provenance.NewRecorder(forkProg)
-		s := ndlog.New(forkProg, r, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+		s := ndlog.New(forkProg, r)
 		scheduleFork(t, s)
 		n, tu, tick := suffix(i)
 		if err := s.ScheduleInsert(n, tu, tick); err != nil {

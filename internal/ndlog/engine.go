@@ -148,10 +148,10 @@ type Engine struct {
 	sparesMu sync.Mutex
 	spares   *scratch
 	seq      uint64
-	// seqBand splits the stamp sequence space when non-zero: externally
-	// scheduled base events draw from baseSeq (1..seqBand-1, in schedule
-	// order) while engine-internal stamps (derived arrivals, retractions,
-	// aggregate updates) draw from seqBand+seq. The split makes execution
+	// seqBand splits the stamp sequence space: externally scheduled base
+	// events draw from baseSeq (1..seqBand-1, in schedule order) while
+	// engine-internal stamps (derived arrivals, retractions, aggregate
+	// updates) draw from seqBand+seq. The split makes execution
 	// order a function of the event schedule alone — independent of how
 	// scheduling interleaves with Run calls — which is what lets a fork of
 	// a sealed run reproduce a from-scratch replay stamp-for-stamp.
@@ -477,21 +477,22 @@ func WithDerivationLimit(n int) Option {
 	return func(e *Engine) { e.deriveLimit = n }
 }
 
-// WithSeqBand splits the stamp sequence space at start: externally
-// scheduled base events take sequence numbers 1..start-1 in schedule
-// order, and engine-internal events (derived arrivals, retractions) take
-// start+1, start+2, ... in processing order. Within one tick every base
-// event therefore sorts before every internal event, and a stamp depends
-// only on the schedule position (base) or processing position (internal)
-// — never on how scheduling interleaves with Run calls. Replay sessions
-// rely on this to make a fork of the sealed base run byte-identical to a
-// from-scratch replay. Zero (the default) keeps the single shared
-// counter.
+// WithSeqBand moves the start of the internal band of the stamp sequence
+// space (default SeqBandDefault). Every engine splits that space at start:
+// externally scheduled base events take sequence numbers 1..start-1 in
+// schedule order, and engine-internal events (derived arrivals,
+// retractions) take start+1, start+2, ... in processing order. Within one
+// tick every base event therefore sorts before every internal event, and a
+// stamp depends only on the schedule position (base) or processing
+// position (internal) — never on how scheduling interleaves with Run
+// calls. Replay sessions rely on this to make a fork of the sealed base
+// run byte-identical to a from-scratch replay. An engine schedules at most
+// start-1 base events.
 func WithSeqBand(start uint64) Option {
 	return func(e *Engine) { e.seqBand = start }
 }
 
-// SeqBandDefault is the band start replay sessions use: large enough that
+// SeqBandDefault is the band start every engine uses: large enough that
 // no realistic schedule exhausts the base band, small enough that the
 // internal band cannot overflow uint64.
 const SeqBandDefault = uint64(1) << 32
@@ -533,6 +534,7 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 		indexing:    true,
 		analysis:    true,
 		highWater:   Stamp{T: math.MinInt64},
+		seqBand:     SeqBandDefault,
 	}
 	for _, o := range opts {
 		o(e)
@@ -585,8 +587,8 @@ func (e *Engine) tableFor(nodeName string, decl *TableDecl) *table {
 }
 
 // nextStamp allocates a stamp for an engine-internal event (derived
-// arrival, retraction, aggregate update). With a sequence band configured
-// these sort after every base event of the same tick.
+// arrival, retraction, aggregate update). These sort after every base
+// event of the same tick.
 func (e *Engine) nextStamp(tick int64) Stamp {
 	e.seq++
 	st := Stamp{T: tick, Seq: e.seqBand + e.seq}
@@ -597,13 +599,10 @@ func (e *Engine) nextStamp(tick int64) Stamp {
 }
 
 // scheduleStamp allocates a stamp for an externally scheduled base event.
-// With a sequence band configured, base events draw from the low band in
-// schedule order, so the stamp depends only on the event's position in the
-// schedule — not on how many internal events the engine has processed.
+// Base events draw from the low band in schedule order, so the stamp
+// depends only on the event's position in the schedule — not on how many
+// internal events the engine has processed.
 func (e *Engine) scheduleStamp(tick int64) (Stamp, error) {
-	if e.seqBand == 0 {
-		return e.nextStamp(tick), nil
-	}
 	e.baseSeq++
 	if e.baseSeq >= e.seqBand {
 		return Stamp{}, fmt.Errorf("ndlog: base-event sequence band exhausted after %d events", e.baseSeq-1)

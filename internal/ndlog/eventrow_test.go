@@ -43,7 +43,7 @@ func TestEventRowsCarryTheirDerivation(t *testing.T) {
 		}
 		prog, log := s.BadSession.Program(), s.BadSession.Log()
 		seen := &derivesSeen{prog: prog, by: map[ndlog.BodyRef]ndlog.Derivation{}}
-		base := ndlog.New(prog, seen, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+		base := ndlog.New(prog, seen)
 		for i := 0; i < log.Len(); i++ {
 			ev := log.At(i)
 			schedule(t, base, ev.Kind == replay.EvInsert, ev.Node, ev.Tuple, ev.Tick)

@@ -64,11 +64,9 @@ func scheduleFork(t *testing.T, e *ndlog.Engine) {
 // uncut run — and the sealed parent must read exactly as it did at the
 // cut afterwards, proving the fork's writes never reached it.
 func TestForkHalfRunEqualsStraightThrough(t *testing.T) {
-	band := ndlog.WithSeqBand(ndlog.SeqBandDefault)
-
 	// The reference: one straight-through run.
 	recRef := provenance.NewRecorder(forkProg)
-	ref := ndlog.New(forkProg, recRef, band)
+	ref := ndlog.New(forkProg, recRef)
 	scheduleFork(t, ref)
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
@@ -79,7 +77,7 @@ func TestForkHalfRunEqualsStraightThrough(t *testing.T) {
 	lastTick := forkSchedule[len(forkSchedule)-1].tick
 	for cut := int64(0); cut <= lastTick+1; cut++ {
 		rec := provenance.NewRecorder(forkProg)
-		e := ndlog.New(forkProg, rec, band)
+		e := ndlog.New(forkProg, rec)
 		scheduleFork(t, e)
 		if err := e.RunUntil(cut); err != nil {
 			t.Fatal(err)
@@ -112,7 +110,7 @@ func TestForkHalfRunEqualsStraightThrough(t *testing.T) {
 // arrivals still queued) each get an event of their own; neither event,
 // nor anything derived from it, may leak into the sibling or the parent.
 func TestForkIsolation(t *testing.T) {
-	e := ndlog.New(forkProg, nil, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+	e := ndlog.New(forkProg, nil)
 	scheduleFork(t, e)
 	if err := e.RunUntil(6); err != nil {
 		t.Fatal(err)

@@ -695,7 +695,7 @@ table ev/1 event base;
 table out/1 event;
 rule k4 out(@n1, X) :- ev(@n1, X), a(@n1, X), b(@n1, X), c(@n1, X).
 `)
-	e := New(p, nil, WithSeqBand(SeqBandDefault))
+	e := New(p, nil)
 	for _, tb := range []string{"a", "b", "c"} {
 		if err := e.ScheduleInsert("n1", NewTuple(tb, Int(1)), 0); err != nil {
 			t.Fatal(err)
@@ -776,7 +776,7 @@ rule o2 out(@r, G, N, V) :- big(@r, G, N), cfg(@r, G, V).
 // in exactly the state a sequential run reaches (run with -race).
 func TestJoinNestedFiringsAndConcurrentForks(t *testing.T) {
 	prog := MustParse(nestedProgram)
-	e := New(prog, nil, WithSeqBand(SeqBandDefault))
+	e := New(prog, nil)
 	for g := 0; g < 3; g++ {
 		for v := 0; v < 2; v++ {
 			if err := e.ScheduleInsert("r", NewTuple("cfg", Int(int64(g)), Int(int64(10*g+v))), 0); err != nil {

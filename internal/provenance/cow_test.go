@@ -55,7 +55,7 @@ table reach/2;
 rule direct reach(@S, S, D) :- link(@S, S, D).
 `)
 	drive := func(rec *Recorder, extra bool) *ndlog.Engine {
-		e := ndlog.New(prog, rec, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+		e := ndlog.New(prog, rec)
 		if err := e.ScheduleInsert("a", ndlog.NewTuple("link", ndlog.Str("a"), ndlog.Str("b")), 0); err != nil {
 			t.Fatal(err)
 		}

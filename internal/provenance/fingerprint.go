@@ -15,7 +15,7 @@ package provenance
 //
 // Two trees with equal fingerprints are structurally identical modulo
 // 2^-64 hash collisions; DiffProv uses this to prune identical subtrees
-// from tree diffs in O(1) and to key the alignment memo (core's alignKey).
+// from tree diffs in O(1).
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -55,7 +55,7 @@ func fnvUint64(h, v uint64) uint64 {
 // fingerprint equality still implies folded-tree structural identity
 // (modulo 2^-64 collisions) without folding: it never looks at children,
 // so the chain a fork extends hashes as a from-scratch run's does, which is
-// what keeps the alignment memo and treediff pruning firing.
+// what keeps treediff pruning firing.
 func (g *Graph) deriveFP(d *derivation, children []int) uint64 {
 	h := fnvLabel(Derive, d.lab, *d.rule)
 	if d.aggCount > 0 {

@@ -168,7 +168,7 @@ rule sn seen(@Sw, N) :- packet(@Sw, Dst), N := count().
 		e, rec, inserted := randomRecordedOn(t, seed, 120, src, func(rec *Recorder) ndlog.Observer {
 			root = newLabelModel(rec)
 			return root
-		}, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+		})
 		underives += root.check(t, "root", rec.Graph())
 		rec.Seal()
 		e.Seal()

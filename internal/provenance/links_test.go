@@ -258,7 +258,7 @@ rule sn seen(@Sw, N) :- packet(@Sw, Dst), N := count().
 		e, rec, inserted := randomRecordedOn(t, seed, 120, src, func(rec *Recorder) ndlog.Observer {
 			root = newLinkModel(rec)
 			return root
-		}, ndlog.WithSeqBand(ndlog.SeqBandDefault))
+		})
 		root.check(t, "root", rec.Graph())
 		rec.Seal()
 		e.Seal()

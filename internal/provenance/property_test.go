@@ -39,11 +39,11 @@ func randomRecorded(t *testing.T, seed int64, events int) (*ndlog.Engine, *Recor
 // randomRecordedOn is randomRecorded over a given program (randomProgSrc or
 // an extension of it) with the engine observed through wrap(rec) — the
 // recorder itself, or a tee that also feeds a reference model.
-func randomRecordedOn(t *testing.T, seed int64, events int, src string, wrap func(*Recorder) ndlog.Observer, opts ...ndlog.Option) (*ndlog.Engine, *Recorder, []ndlog.At) {
+func randomRecordedOn(t *testing.T, seed int64, events int, src string, wrap func(*Recorder) ndlog.Observer) (*ndlog.Engine, *Recorder, []ndlog.At) {
 	t.Helper()
 	prog := ndlog.MustParse(src)
 	rec := NewRecorder(prog)
-	e := ndlog.New(prog, wrap(rec), opts...)
+	e := ndlog.New(prog, wrap(rec))
 	r := rand.New(rand.NewSource(seed))
 	nodes := []string{"a", "b", "c"}
 	var inserted []ndlog.At

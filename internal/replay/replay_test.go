@@ -178,7 +178,7 @@ func TestRuntimeAndQueryTimeModesAgree(t *testing.T) {
 	s := NewSession(fwdProg)
 	driveScenario(t, s)
 	rec := provenance.NewRecorder(fwdProg)
-	driveScenario(t, liveRecording{ndlog.New(fwdProg, rec, ndlog.WithSeqBand(ndlog.SeqBandDefault))})
+	driveScenario(t, liveRecording{ndlog.New(fwdProg, rec)})
 
 	_, gQ, err := s.Graph()
 	if err != nil {

@@ -180,26 +180,13 @@ func NewSession(prog *ndlog.Program, opts ...SessionOption) *Session {
 	for _, o := range opts {
 		o(s)
 	}
-	s.live = ndlog.New(prog, nil, s.newEngineOpts()...)
+	s.live = ndlog.New(prog, nil, s.engineOpts...)
 	if s.storageDir != "" {
 		if err := s.attachStorage(s.storageDir); err != nil {
 			s.stErr = fmt.Errorf("replay: attaching storage at %s: %v", s.storageDir, err)
 		}
 	}
 	return s
-}
-
-// newEngineOpts returns the option set for a session-created engine.
-// Every engine gets a sequence band: base-event stamps then depend only
-// on schedule positions and internal stamps only on processing positions,
-// which (a) makes live execution independent of how scheduling
-// interleaves with Run calls, and (b) is what lets a fork of the base run
-// reproduce a from-scratch replay byte-for-byte. Session options follow,
-// so they win on conflict.
-func (s *Session) newEngineOpts() []ndlog.Option {
-	opts := make([]ndlog.Option, 0, len(s.engineOpts)+1)
-	opts = append(opts, ndlog.WithSeqBand(ndlog.SeqBandDefault))
-	return append(opts, s.engineOpts...)
 }
 
 // FromLog reconstructs a session from a previously captured base-event
@@ -662,7 +649,7 @@ func (s *Session) buildBase(ctx context.Context, b *baseRun) error {
 // log scheduled but nothing evaluated.
 func (s *Session) scheduleScratch(ctx context.Context) (*ndlog.Engine, *provenance.Recorder, error) {
 	rec := provenance.NewRecorder(s.prog)
-	e := ndlog.New(s.prog, rec, s.newEngineOpts()...)
+	e := ndlog.New(s.prog, rec, s.engineOpts...)
 	err := schedule(ctx, e, len(s.log.events), func(i int) Change {
 		ev := s.log.events[i]
 		return Change{Insert: ev.Kind == EvInsert, Node: ev.Node, Tuple: ev.Tuple, Tick: ev.Tick}

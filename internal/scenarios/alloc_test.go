@@ -20,29 +20,32 @@ import (
 // other side of the record store's trade (DESIGN.md §3): a slab chunk's
 // slack must not cost them bytes — and the same holds of the engine's slabs
 // (§2) and of the reverse edges records carry (§3). The ceilings are the
-// readings plus 1.5 %; the figures repeat to 0.1 %. "Index" is the commit
-// before argmax winners of event heads were read through the consumer index,
-// whose lists are chunked and keyed by appearance (§2), "memo" the one
-// before replays stopped being memoised (each trial rendered its change list
-// as a key, and each diagnosis made a memo map), "full" the one before
-// trials derived only their demand:
+// readings plus 1.5 %; the figures repeat to 0.1 %. "Align" is the commit
+// before FIRSTDIV stopped memoising its predictions (each lookup rendered two
+// tuple keys, and each diagnosis made a memo map), "index" the one before
+// argmax winners of event heads were read through the consumer index, whose
+// lists are chunked and keyed by appearance (§2), "memo" the one before
+// replays stopped being memoised (each trial rendered its change list as a
+// key, and each diagnosis made a memo map), "full" the one before trials
+// derived only their demand:
 //
-//	          allocs  index  memo  full       KB    index     memo     full
-//	MR1-D        459    459   466   896    308.9    317.8    318.4  1 135.3
-//	MR2-D        367    371   376   693    365.4    381.9    382.4  1 603.9
-//	SDN1         197    202   207   212     27.2     28.3     28.8     30.0
-//	SDN2         159    165   170   170     19.6     20.6     21.1     20.9
-//	SDN3         140    144   149   149     17.8     18.6     19.1     18.9
-//	SDN4         320    330   337   337     36.1     38.3     39.0     38.7
+//	        allocs align index memo full     KB  align  index   memo    full
+//	MR1-D      440   459   459  466  896  307.2  308.9  317.8  318.4 1 135.3
+//	MR2-D      351   367   371  376  693  363.5  365.4  381.9  382.4 1 603.9
+//	SDN1       183   197   202  207  212   25.5   27.2   28.3   28.8    30.0
+//	SDN2       146   159   165  170  170   17.9   19.6   20.6   21.1    20.9
+//	SDN3       129   140   144  149  149   16.1   17.8   18.6   19.1    18.9
+//	SDN4       297   320   330  337  337   34.1   36.1   38.3   39.0    38.7
 //
 // (SDN1's trial no longer re-routes another source's packet; the others
 // carry the demand in their trial worlds.) For SDN1, MR1-D and MR2-D it also
 // logs the allocation ledger by layer (ledger_test.go), holds the ledger's
 // window to this one's count, and holds MR1-D's provenance line to
 // provenanceKB (117.3 KB; 458.4 KB in full trials), its ndlog line to
-// ndlogAllocs and ndlogKB (304.2 allocations and 187.0 KB; 306.0 and 196.0
-// KB at "index"; 661.8 and 671.9 in full trials) and its core line to
-// coreAllocs (31.0; 36.0 with the memo).
+// ndlogAllocs and ndlogKB (290.0 allocations and 186.5 KB; 304.2 and 187.0
+// KB at "align", 306.0 and 196.0 KB at "index", 661.8 and 671.9 in full
+// trials) and its core line to coreAllocs (26.0; 31.0 at "align", 36.0 at
+// "memo").
 func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -51,14 +54,14 @@ func TestWarmDiagnosisAllocationBudget(t *testing.T) {
 		name       string
 		allocs, kb float64
 	}{
-		{"MR1-D", 466, 313.5},
-		{"MR2-D", 373, 370.9},
-		{"SDN1", 200, 27.6},
-		{"SDN2", 162, 19.9},
-		{"SDN3", 143, 18.1},
-		{"SDN4", 325, 36.6},
+		{"MR1-D", 447, 311.8},
+		{"MR2-D", 357, 369.0},
+		{"SDN1", 186, 25.9},
+		{"SDN2", 149, 18.2},
+		{"SDN3", 131, 16.3},
+		{"SDN4", 302, 34.6},
 	}
-	const provenanceKB, ndlogAllocs, ndlogKB, coreAllocs = 119.1, 308.8, 189.8, 31.5
+	const provenanceKB, ndlogAllocs, ndlogKB, coreAllocs = 119.1, 294.4, 189.3, 26.4
 	for _, b := range budgets {
 		s, err := Build(b.name, Paper)
 		if err != nil {

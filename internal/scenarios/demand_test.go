@@ -11,6 +11,7 @@ import (
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
 	"repro/internal/replay"
+	"repro/internal/sdn"
 )
 
 // derives counts the DERIVE vertexes of a graph.
@@ -120,6 +121,56 @@ func TestBackgroundAddsNoTrialDerivation(t *testing.T) {
 	}
 	if full <= gotDerives {
 		t.Errorf("the full trial records %d DERIVEs with background lines, no more than the demand trial's %d: the lines are not background", full, gotDerives)
+	}
+}
+
+// TestSDNBackgroundAddsNoTrialDerivation is the background law's SDN half:
+// SDN1 with 40 more packets from other hosts of the misrouted subnet
+// 4.3.3.0/24 to another address, injected after the bad packet, diagnoses
+// as plain SDN1 does — the same change set, rounds and iterations — and its
+// warm trial records exactly as many DERIVEs. The corrected flow entry
+// re-routes those packets in the full trial; the diagnosis never reads
+// them.
+func TestSDNBackgroundAddsNoTrialDerivation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("diagnoses SDN1 twice at paper scale")
+	}
+	plain, err := SDN1(Paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := buildFigure1(figure1Policy, Paper, applyBuildOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := ndlog.MustParseIP("10.0.0.81")
+	for _, h := range []sdn.Header{goodHdr, badHdr} {
+		if _, err := n.InjectPacket("s1", h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		src := ndlog.MustParseIP(fmt.Sprintf("4.3.3.%d", 2+i))
+		if _, err := n.InjectPacket("s1", sdn.Header{Src: src, Dst: other, Proto: 6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noisy, err := sdnScenario(n, "web1", goodHdr, "web2", badHdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy.Name = "SDN1"
+	want, wantDerives, wantFull := warmTrialDerives(t, plain)
+	got, gotDerives, full := warmTrialDerives(t, noisy)
+	t.Logf("warm trial DERIVEs under the demand / in full: %d / %d with background packets, %d / %d without", gotDerives, full, wantDerives, wantFull)
+	if a, b := renderDiagnosis("SDN1", got, nil), renderDiagnosis("SDN1", want, nil); a != b {
+		t.Errorf("with background packets:\n%s\nwithout:\n%s", a, b)
+	}
+	if gotDerives != wantDerives {
+		t.Errorf("the warm trial records %d DERIVEs with background packets, %d without", gotDerives, wantDerives)
+	}
+	if full <= wantFull {
+		t.Errorf("the full trial records %d DERIVEs with background packets, %d without: the packets are not background", full, wantFull)
 	}
 }
 

@@ -338,10 +338,6 @@ type diagnosis struct {
 	DirtyTables     int64 `json:"dirtyTables,omitempty"`
 	DemandWidenings int64 `json:"demandWidenings,omitempty"`
 
-	// Divergence alignments answered from the fingerprint memo for this
-	// request.
-	FingerprintHits int64 `json:"fingerprintHits,omitempty"`
-
 	Reference string `json:"reference,omitempty"`
 }
 
@@ -358,8 +354,6 @@ func diagnosisOf(name string, res *core.Result, elapsed time.Duration) diagnosis
 		UpdateTree:   res.Timings.UpdateTree.String(),
 		ElapsedNs:    elapsed.Nanoseconds(),
 		Elapsed:      elapsed.String(),
-
-		FingerprintHits: res.Stats.FingerprintHits,
 	}
 	for _, c := range res.Changes {
 		d.Changes = append(d.Changes, c.String())
