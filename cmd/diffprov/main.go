@@ -10,7 +10,7 @@
 //	diffprov stanford [flags]          run the §6.7 complex-network case
 //	diffprov refcheck                  run the unsuitable-reference checks
 //	diffprov vet [file.ndlog ...]      statically check NDlog programs
-//	diffprov slice <file> <table>      print the static slice of a symptom table
+//	diffprov slice <file> <table>      print the demand a seed of the table induces
 package main
 
 import (
@@ -81,7 +81,7 @@ func usage() {
   diffprov explain <scenario> good|bad  narrate a tree's trigger chain
   diffprov failures                  diagnose the §2.3 failure taxonomy
   diffprov vet [-strict] [file...]   check NDlog programs (built-ins when no files)
-  diffprov slice <file> <table>      print the static slice of a symptom table
+  diffprov slice <file> <table>      print the demand a seed of the table induces
 `)
 }
 

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -10,54 +10,56 @@ import (
 	"repro/internal/ndlog/analysis"
 )
 
-// runSlice implements `diffprov slice [-rules] <file.ndlog|builtin:name>
-// <table>`: it prints the static backward slice of a symptom table — the
-// tables and rules that can influence it — and the tables the slice
-// leaves out.
+// runSlice implements `diffprov slice <file.ndlog|builtin:name> <table>`:
+// it prints the demand a seed of the table induces (ndlog.DemandOf), the
+// part of each derived table a counterfactual trial seeded there derives.
 func runSlice(args []string) error {
-	fs := flag.NewFlagSet("slice", flag.ContinueOnError)
-	showRules := fs.Bool("rules", false, "also print the in-slice rules")
-	if err := fs.Parse(args); err != nil {
-		return err
+	if len(args) != 2 {
+		return fmt.Errorf("usage: diffprov slice <file.ndlog|%s> <table>", builtinNames())
 	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: diffprov slice [-rules] <file.ndlog|%s> <table>", builtinNames())
-	}
-	src, symptom := fs.Arg(0), fs.Arg(1)
+	return printDemand(os.Stdout, args[0], args[1])
+}
 
+// printDemand writes the demand a seed of the table in src induces: one
+// line per derived table, in declaration order.
+func printDemand(w io.Writer, src, seed string) error {
 	prog, err := loadProgram(src)
 	if err != nil {
 		return err
 	}
-	if prog.Decl(symptom) == nil {
-		return fmt.Errorf("table %q is not declared in %s", symptom, src)
+	dem, err := ndlog.DemandOf(prog, seed)
+	if err != nil {
+		return fmt.Errorf("%s: %v", src, err)
 	}
-	s := ndlog.Slice(prog, symptom)
-	fmt.Printf("slice of %s in %s: %d of %d tables\n", symptom, src, len(s.Order), len(prog.Tables()))
-	for _, tb := range s.Order {
-		fmt.Printf("  %s\n", tb)
+	width := 0
+	for _, dt := range dem {
+		width = max(width, len(dt.Table))
 	}
-	var pruned []string
-	for _, tb := range prog.Tables() {
-		if !s.Contains(tb) {
-			pruned = append(pruned, tb)
+	fmt.Fprintf(w, "demand a seed of %s induces in %s (base tables are always applied):\n", seed, src)
+	for _, dt := range dem {
+		what := "not derived"
+		switch {
+		case dt.Derived && len(dt.Bound) == 0:
+			what = "whole"
+		case dt.Derived:
+			cols := make([]string, len(dt.Bound))
+			for i, c := range dt.Bound {
+				from := make([]string, len(c.From))
+				for j, k := range c.From {
+					from[j] = fmt.Sprint(k)
+				}
+				cols[i] = fmt.Sprintf("column %d ← seed argument %s", c.Col, strings.Join(from, " or "))
+			}
+			what = "restricted: " + strings.Join(cols, ", ")
 		}
-	}
-	if len(pruned) > 0 {
-		fmt.Printf("pruned (no rule path to %s): %s\n", symptom, strings.Join(pruned, ", "))
-	}
-	if *showRules {
-		fmt.Printf("in-slice rules: %d of %d\n", len(s.Rules), len(prog.Rules()))
-		for _, r := range s.Rules {
-			fmt.Printf("  %s\n", r)
-		}
+		fmt.Fprintf(w, "  %-*s  %s\n", width, dt.Table, what)
 	}
 	return nil
 }
 
-// loadProgram resolves a slice/vet source argument: a builtin:name from
-// the vet table, or a .ndlog file parsed with error recovery (errors
-// abort; the slice of a half-parsed program would mislead).
+// loadProgram resolves a slice source argument: a builtin:name from the
+// vet table, or a .ndlog file parsed with error recovery (errors abort;
+// the demand of a half-parsed program would mislead).
 func loadProgram(src string) (*ndlog.Program, error) {
 	for _, b := range builtinPrograms {
 		if src == b.name {
@@ -70,7 +72,7 @@ func loadProgram(src string) (*ndlog.Program, error) {
 	}
 	if res.Errors() > 0 {
 		res.Format(os.Stderr)
-		return nil, fmt.Errorf("%s: %d error(s); fix them before slicing", src, res.Errors())
+		return nil, fmt.Errorf("%s: %d error(s); fix them before reading the demand", src, res.Errors())
 	}
 	return res.Program, nil
 }

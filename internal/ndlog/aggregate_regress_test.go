@@ -32,7 +32,7 @@ func TestAggregateFailedHeadResolutionLeavesGroupUntouched(t *testing.T) {
 	fail := true
 	p.Rule("wc").Head.Loc = flakyLoc(&fail)
 	obs := &recordingObserver{}
-	e := New(p, obs, WithAnalysis(false))
+	e := newUnanalyzed(p, obs)
 	e.ScheduleInsert("r1", NewTuple("kv", Str("the"), Int(0)), 0)
 	if err := e.Run(); err == nil {
 		t.Fatal("Run should fail on the unresolvable head location")

@@ -25,12 +25,12 @@ import (
 // predicates (CodeUndefined), arity mismatches (CodeArity), unknown or
 // misused builtins (CodeBuiltin), location-specifier well-formedness
 // (CodeLocation, CodeImplicitLoc), counting-rule restrictions
-// (CodeAggregate), stratifiable aggregation (CodeStratify), negated
-// atoms (CodeNegation), unused and underived predicates
-// (CodeUnusedTable, CodeUnderivedTable), column kind conflicts
+// (CodeAggregate), negated atoms (CodeNegation), unused and underived
+// predicates (CodeUnusedTable, CodeUnderivedTable), column kind conflicts
 // (CodeTypeConflict), duplicated rule bodies (CodeShadowedRule), and the
-// dependency-graph family of slice.go (CodeCartesianJoin,
-// CodeUnreachable, CodeNegationCycle, CodeAggOverAgg).
+// dependency-graph family of deps.go: stratifiable aggregation
+// (CodeStratify), CodeCartesianJoin, CodeUnreachable, CodeNegationCycle
+// and CodeAggOverAgg.
 func AnalyzeProgram(p *Program) []Diag {
 	var ds []Diag
 	for _, r := range p.rules {
@@ -38,7 +38,6 @@ func AnalyzeProgram(p *Program) []Diag {
 		ds = append(ds, analyzeAggregate(p, r)...)
 	}
 	ds = append(ds, analyzeUsage(p)...)
-	ds = append(ds, analyzeStratification(p)...)
 	ds = append(ds, analyzeTypes(p)...)
 	ds = append(ds, analyzeShadowing(p)...)
 	ds = append(ds, analyzeDeps(p)...)
@@ -309,55 +308,6 @@ func analyzeUsage(p *Program) []Diag {
 		}
 	}
 	return ds
-}
-
-// analyzeStratification rejects aggregation through recursion: a
-// counting rule whose own output can (transitively) derive the event
-// table it counts would have to retract and re-derive its aggregate
-// forever. The check runs over the table dependency graph (body table ->
-// head table per rule). Negation — the other non-monotonic construct,
-// parsed but not executable (CodeNegation) — gets the analogous cycle
-// check in analyzeDeps (CodeNegationCycle).
-func analyzeStratification(p *Program) []Diag {
-	succ := map[string][]string{}
-	for _, r := range p.rules {
-		for i := range r.Body {
-			succ[r.Body[i].Table] = append(succ[r.Body[i].Table], r.Head.Table)
-		}
-	}
-	var ds []Diag
-	for _, r := range p.rules {
-		if r.CountVar == "" || len(r.Body) != 1 {
-			continue
-		}
-		counted := r.Body[0].Table
-		if reaches(succ, r.Head.Table, counted) {
-			ds = append(ds, Diag{Pos: r.Pos, Severity: Error, Code: CodeStratify,
-				Msg: fmt.Sprintf("rule %s: aggregation is not stratified: counted table %s is derivable from the aggregate output %s", r.Name, counted, r.Head.Table)})
-		}
-	}
-	return ds
-}
-
-// reaches reports whether target is reachable from start in the edge map
-// (including via a direct self-loop, but start == target alone does not
-// count unless an edge path exists).
-func reaches(succ map[string][]string, start, target string) bool {
-	seen := map[string]bool{}
-	stack := append([]string(nil), succ[start]...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == target {
-			return true
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, succ[n]...)
-	}
-	return false
 }
 
 // analyzeShadowing reports rules whose head and body duplicate an

@@ -12,7 +12,8 @@ package ndlog
 //
 // The demand depends only on the program and the seed. Its static shape is
 // compiled once per (program, seed table), in two passes over the
-// dependency graph (DepGraph):
+// dependency graph (deps.go); DemandOf reads it back, and `diffprov slice`
+// prints it:
 //
 //   - Forward: from the seed's values, follow every rule a table reached
 //     can fire: one whose trigger atom is over it — a rule's trigger atom is
@@ -39,6 +40,7 @@ package ndlog
 // must go to the full trial (internal/core widens to it).
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -86,16 +88,74 @@ type ruleDemand struct {
 // program, induces. A demand that would narrow nothing is the zero Demand.
 // It allocates only when the seed's table is first seen.
 func NewDemand(p *Program, seed Tuple) Demand {
-	cp := p.compiled()
-	sh, ok := cp.demands.Load(seed.Table)
-	if !ok {
-		sh, _ = cp.demands.LoadOrStore(seed.Table, compileDemand(p, cp, seed.Table))
-	}
-	shape := sh.(*demandShape)
+	shape := demandShapeOf(p, seed.Table)
 	if shape == nil || len(seed.Args) != p.Decl(seed.Table).Arity {
 		return Demand{}
 	}
 	return Demand{shape: shape, seed: seed.Args}
+}
+
+// demandShapeOf returns the shape of the demands a seed of the table
+// induces, compiling it the first time the table is seen.
+func demandShapeOf(p *Program, seedTable string) *demandShape {
+	cp := p.compiled()
+	sh, ok := cp.demands.Load(seedTable)
+	if !ok {
+		sh, _ = cp.demands.LoadOrStore(seedTable, compileDemand(p, cp, seedTable))
+	}
+	return sh.(*demandShape)
+}
+
+// DemandTable is what a demand trial derives of one derived table.
+type DemandTable struct {
+	Table string
+	// Derived is false when the trial derives none of the table.
+	Derived bool
+	// Bound lists the restricted columns in order; a derived table with
+	// none is derived whole.
+	Bound []DemandColumn
+}
+
+// DemandColumn is a bound column and the seed arguments, in order, whose
+// values it may take.
+type DemandColumn struct {
+	Col  int
+	From []int
+}
+
+// DemandOf returns the static shape of the demands a seed of the table
+// induces: every derived table of the program in declaration order, and
+// what a demand trial derives of it. Base tables are always applied. An
+// undeclared seed table is an error.
+func DemandOf(p *Program, seedTable string) ([]DemandTable, error) {
+	if p.Decl(seedTable) == nil {
+		return nil, fmt.Errorf("ndlog: table %q is not declared", seedTable)
+	}
+	sh := demandShapeOf(p, seedTable)
+	derived := map[string]bool{}
+	for _, r := range p.rules {
+		derived[r.Head.Table] = true
+	}
+	var out []DemandTable
+	for _, name := range p.declOrder {
+		if !derived[name] {
+			continue
+		}
+		dt := DemandTable{Table: name, Derived: true}
+		if sh != nil {
+			td := sh.table[name]
+			dt.Derived = td.demanded
+			for _, c := range td.cols {
+				dc := DemandColumn{Col: c.col}
+				for from := c.from; from != 0; from &= from - 1 {
+					dc.From = append(dc.From, bits.TrailingZeros64(from))
+				}
+				dt.Bound = append(dt.Bound, dc)
+			}
+		}
+		out = append(out, dt)
+	}
+	return out, nil
 }
 
 // Narrow reports whether the demand leaves any head underived.
@@ -194,7 +254,7 @@ func compileDemand(p *Program, cp *compiledProgram, seedTable string) *demandSha
 	if seedDecl == nil || seedDecl.Arity > 64 {
 		return nil
 	}
-	g := NewDepGraph(p)
+	g := newDepGraph(p)
 	trig := make(map[*CompiledRule]int, len(cp.order))
 	for _, r := range cp.order {
 		trig[r] = slices.IndexFunc(r.rule.Body, func(a Atom) bool {
@@ -203,15 +263,20 @@ func compileDemand(p *Program, cp *compiledProgram, seedTable string) *demandSha
 		})
 	}
 	// bindable[h] has bit c set when column c of derived table h is bound
-	// in every rule deriving it.
+	// in every rule deriving it. A head argument past the table's declared
+	// arity (an ND002 error) binds no column.
 	bindable := map[string]uint64{}
 	for _, r := range cp.order {
 		m, seen := bindable[r.rule.Head.Table]
 		if !seen {
 			m = ^uint64(0)
 		}
+		n := len(r.head)
+		if d := p.Decl(r.rule.Head.Table); d != nil {
+			n = min(n, d.Arity)
+		}
 		var own uint64
-		for c := range r.head {
+		for c := range n {
 			if c < 64 && headArg(r, trig[r], c) >= 0 {
 				own |= 1 << c
 			}
@@ -281,13 +346,13 @@ func compileDemand(p *Program, cp *compiledProgram, seedTable string) *demandSha
 		a := queue[0]
 		for _, ei := range g.fwd[a.table] {
 			edge := &g.edges[ei]
-			r := cp.rules[edge.Rule.Name]
-			if edge.Negated || r == nil || trig[r] >= 0 && trig[r] != edge.Atom {
+			r := cp.rules[edge.rule.Name]
+			if edge.negated || r == nil || trig[r] >= 0 && trig[r] != edge.atom {
 				continue
 			}
 			var want map[int]uint64
 			if trig[r] >= 0 {
-				want = carry(a.cols, r.body[edge.Atom].slots(), headSlots(r))
+				want = carry(a.cols, r.body[edge.atom].slots(), headSlots(r))
 			}
 			if h := r.rule.Head.Table; merge(h, want) {
 				queue = append(queue, reached{h, dem[h]})
@@ -306,16 +371,16 @@ func compileDemand(p *Program, cp *compiledProgram, seedTable string) *demandSha
 		work = work[:len(work)-1]
 		for _, ei := range g.rev[h] {
 			edge := &g.edges[ei]
-			r := cp.rules[edge.Rule.Name]
+			r := cp.rules[edge.rule.Name]
 			if r == nil {
 				continue
 			}
 			var want map[int]uint64
-			if cur := dem[h]; len(cur) > 0 && !edge.Negated && edge.Atom == trig[r] {
-				want = carry(cur, headSlots(r), r.body[edge.Atom].slots())
+			if cur := dem[h]; len(cur) > 0 && !edge.negated && edge.atom == trig[r] {
+				want = carry(cur, headSlots(r), r.body[edge.atom].slots())
 			}
-			if merge(edge.From, want) {
-				work = append(work, edge.From)
+			if merge(edge.from, want) {
+				work = append(work, edge.from)
 			}
 		}
 	}

@@ -70,7 +70,7 @@ const (
 	CodeShadowedRule   = "ND104" // rule duplicates another rule's head and body
 	CodeImplicitLoc    = "ND105" // head atom without an explicit @loc specifier
 
-	// ND2xx: dependency-graph diagnostics (see slice.go). All warnings:
+	// ND2xx: dependency-graph diagnostics (see deps.go). All warnings:
 	// the program runs, but the flagged construct is either expensive or
 	// can never matter.
 	CodeCartesianJoin = "ND201" // join shares no variables and no index can cover it

@@ -184,9 +184,9 @@ type Engine struct {
 	// with indexing off.
 	plans    *joinPlans
 	indexing bool
-	// analysis enables the static program analysis (default on): an
-	// Error-severity finding in the program's cached report
-	// (Program.Analyze) makes Run refuse the program.
+	// analysis makes Run refuse a program with an Error-severity finding
+	// in its cached report (Program.Analyze). New sets it; package tests
+	// clear it to reach the runtime error paths of such programs.
 	analysis bool
 	// sealed marks an engine frozen as a base run: it refuses Run and
 	// Schedule calls, and forks clone its tables on first write. See
@@ -508,20 +508,11 @@ func WithIndexing(on bool) Option {
 	return func(e *Engine) { e.indexing = on }
 }
 
-// WithAnalysis enables or disables the static program analysis New runs
-// (default on). Programs built through Declare/AddRule are validated
-// rule-by-rule already, so the analysis mainly adds whole-program checks
-// (stratification, usage, kind conflicts); disabling it skips that work
-// for engines constructed in tight loops over known-good programs.
-func WithAnalysis(on bool) Option {
-	return func(e *Engine) { e.analysis = on }
-}
-
 // New creates an engine for the program. A nil observer is allowed.
 //
-// Unless disabled with WithAnalysis(false), New statically analyzes the
-// program (cached per program); Error-severity findings make Run refuse
-// to evaluate, and Program.Analyze exposes the full report.
+// New statically analyzes the program (cached per program); Error-severity
+// findings make Run refuse to evaluate, and Program.Analyze exposes the
+// full report.
 func New(prog *Program, obs Observer, opts ...Option) *Engine {
 	if obs == nil {
 		obs = NopObserver{}
@@ -539,9 +530,7 @@ func New(prog *Program, obs Observer, opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.analysis {
-		prog.Analyze() // cache the report Run checks now, with the rules compiled below
-	}
+	prog.Analyze() // cache the report Run checks now, with the rules compiled below
 	e.compiled = prog.compiled()
 	if e.indexing {
 		e.plans = buildJoinPlans(prog, e.compiled)

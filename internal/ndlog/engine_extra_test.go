@@ -82,7 +82,7 @@ rule c tally(@N, K) :- ping(@N, X), K := count().
 rule p ping(@N, K) :- tally(@N, K), K < 500.
 `
 	const limit = 100
-	e := New(MustParse(src), nil, WithDerivationLimit(limit), WithAnalysis(false))
+	e := newUnanalyzed(MustParse(src), nil, WithDerivationLimit(limit))
 	e.ScheduleInsert("n", NewTuple("ping", Int(0)), 1)
 	err := e.Run()
 	var dl *DeriveLimitError

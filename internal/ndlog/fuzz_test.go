@@ -85,9 +85,10 @@ func FuzzParseLoose(f *testing.F) {
 }
 
 // FuzzAnalyzeProgram drives loose-parser-recovered programs through the
-// whole-program analysis and the static slicer: neither may panic, the
-// slice must contain its symptom, and it may only name tables the
-// program itself mentions.
+// whole-program analysis and the demand reader: neither may panic, the
+// demand may only name tables a rule derives, with bound columns and seed
+// arguments inside their tables' arities, and an undeclared seed table is
+// an error.
 func FuzzAnalyzeProgram(f *testing.F) {
 	f.Add("table t/1 base;\nrule r t2(X) :- t(X).", "t2")
 	f.Add(sliceProgram, "out")
@@ -95,37 +96,38 @@ func FuzzAnalyzeProgram(f *testing.F) {
 	f.Add("table t/1 base;\ntable s/1;\nrule r s(X) :- t(X), !s(X).", "s")
 	f.Add("table ev/1 event base; table agg/1; rule c agg(@N, C) :- ev(@N, X), C := count().", "agg")
 	f.Add("rule broken", "nosuch")
-	f.Fuzz(func(t *testing.T, src, symptom string) {
+	f.Add("table t/2 event base; table s/1; rule r s(@N, Y, X) :- t(@N, X, Y).", "t")
+	f.Fuzz(func(t *testing.T, src, seed string) {
 		prog, _ := ParseLoose(src)
 		_ = AnalyzeProgram(prog)
-		decls := map[string]bool{}
-		for _, tb := range prog.Tables() {
-			decls[tb] = true
-		}
-		mentioned := map[string]bool{}
+		derived := map[string]bool{}
 		for _, r := range prog.Rules() {
-			mentioned[r.Head.Table] = true
-			for i := range r.Body {
-				mentioned[r.Body[i].Table] = true
-			}
+			derived[r.Head.Table] = true
 		}
-		for _, sym := range append(prog.Tables(), symptom) {
-			s := Slice(prog, sym)
-			if !s.Contains(sym) {
-				t.Fatalf("slice of %q does not contain its own symptom", sym)
-			}
-			for tb := range s.Tables {
-				if tb != sym && !decls[tb] && !mentioned[tb] {
-					t.Fatalf("slice of %q includes %q, which the program never mentions", sym, tb)
+		for _, sym := range append(prog.Tables(), seed) {
+			dem, err := DemandOf(prog, sym)
+			if sd := prog.Decl(sym); sd == nil {
+				if err == nil {
+					t.Fatalf("demand of undeclared table %q is not an error", sym)
 				}
+				continue
+			} else if err != nil {
+				t.Fatalf("demand of %q: %v", sym, err)
 			}
-			for _, tb := range s.Order {
-				if !decls[tb] {
-					t.Fatalf("slice Order includes undeclared table %q", tb)
+			for _, dt := range dem {
+				if !derived[dt.Table] {
+					t.Fatalf("demand of %q lists %q, which no rule derives", sym, dt.Table)
 				}
-			}
-			if len(s.Rules) > len(prog.Rules()) {
-				t.Fatalf("slice has more rules than the program")
+				for _, c := range dt.Bound {
+					if c.Col >= prog.Decl(dt.Table).Arity {
+						t.Fatalf("demand of %q binds column %d of %s/%d", sym, c.Col, dt.Table, prog.Decl(dt.Table).Arity)
+					}
+					for _, k := range c.From {
+						if k >= prog.Decl(sym).Arity {
+							t.Fatalf("demand of %q reads seed argument %d of %d", sym, k, prog.Decl(sym).Arity)
+						}
+					}
+				}
 			}
 		}
 	})

@@ -215,6 +215,14 @@ rule r g(X, Y) :- f(@n1, X, Y).
 	}
 }
 
+// newUnanalyzed is New with Run's refusal of programs the static analysis
+// finds erroneous turned off, so a test reaches the runtime error paths.
+func newUnanalyzed(p *Program, obs Observer, opts ...Option) *Engine {
+	e := New(p, obs, opts...)
+	e.analysis = false
+	return e
+}
+
 // progWithGhostAtom builds a program whose rule references an undeclared
 // table in its second body atom, bypassing AddRule validation — the
 // engine must surface the error at evaluation time without returning
@@ -249,7 +257,7 @@ func TestJoinRestErrorReturnsNoBindings(t *testing.T) {
 	p := progWithGhostAtom(t, nil)
 	// Analysis off: the ghost atom is the point of the test, and it must
 	// reach the runtime join path rather than being refused up front.
-	e := New(p, nil, WithAnalysis(false))
+	e := newUnanalyzed(p, nil)
 	// Two mid rows would each recurse into the ghost atom; the first
 	// recursion errors, and joinRest must return (nil, err) rather than
 	// the partially accumulated bindings.
@@ -279,7 +287,7 @@ func TestJoinRestErrorReturnsNoBindings(t *testing.T) {
 
 func TestJoinRestUnboundLocationDoesNotLeakOnError(t *testing.T) {
 	p := progWithGhostAtom(t, Var("L"))
-	e := New(p, nil, WithAnalysis(false))
+	e := newUnanalyzed(p, nil)
 	if err := e.ScheduleInsert("n1", NewTuple("mid", Int(1)), 0); err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func genJoinCase(t *testing.T, rng *rand.Rand, indexing bool) joinCase {
 	// agree on which firings fail.
 	p.addRuleUnchecked(r)
 
-	e := New(p, nil, WithAnalysis(false), WithIndexing(indexing))
+	e := newUnanalyzed(p, nil, WithIndexing(indexing))
 	type placed struct {
 		node string
 		t    Tuple
@@ -415,7 +415,7 @@ func TestJoinDifferential(t *testing.T) {
 func TestJoinErrorLeavesScratchEmpty(t *testing.T) {
 	for _, midLoc := range []Expr{nil, Var("L")} {
 		p := progWithGhostAtom(t, midLoc)
-		e := New(p, nil, WithAnalysis(false))
+		e := newUnanalyzed(p, nil)
 		for i, nn := range []string{"n1", "n2"} {
 			if err := e.ScheduleInsert(nn, NewTuple("mid", Int(1)), int64(i)); err != nil {
 				t.Fatal(err)
@@ -448,7 +448,7 @@ rule leaf h(@n1, X) :- ev(@n1, X, X), cfg(@n1, X, Y).
 	}
 	r := p.Rule("leaf")
 	r.Where = append(r.Where, B(OpLt, Var("Y"), Var("Q"))) // Q is bound by nothing
-	e := New(p, nil, WithAnalysis(false))
+	e := newUnanalyzed(p, nil)
 	for _, y := range []int64{5, 6} {
 		if err := e.ScheduleInsert("n1", NewTuple("cfg", Int(1), Int(y)), 0); err != nil {
 			t.Fatal(err)
@@ -505,7 +505,7 @@ rule two h(@n1, X) :- ev(@n1, X), cfg(@n1, X, N), far(@N, X).
 	}
 	r := p.Rule("two")
 	r.Where = append(r.Where, B(OpLt, Var("X"), Var("Q")))
-	e := New(p, nil, WithAnalysis(false))
+	e := newUnanalyzed(p, nil)
 	for i, tu := range []Tuple{
 		NewTuple("far", Int(1)),
 		NewTuple("cfg", Int(1), Str("n1")),

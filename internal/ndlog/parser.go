@@ -308,10 +308,10 @@ func (p *parser) parseBodyItem(r *Rule) error {
 		p.peekAt(1).kind == tokIdent &&
 		p.peekAt(2).kind == tokSym && p.peekAt(2).text == "(":
 		// Negated body atom: `!t(...)` or `not t(...)`. Parsed and
-		// analyzed (safety, slicing, stratification) but not executable:
-		// AnalyzeProgram reports CodeNegation, so strict Parse and
-		// Engine.Run refuse the program while `diffprov vet` and
-		// `diffprov slice` still reason about it.
+		// analyzed (safety, the demand, stratification) but not
+		// executable: AnalyzeProgram reports CodeNegation, so strict
+		// Parse and Engine.Run refuse the program while `diffprov vet`
+		// still reasons about it.
 		p.advance() // "!" or "not"
 		a, err := p.parseAtom()
 		if err != nil {

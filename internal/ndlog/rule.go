@@ -18,10 +18,9 @@ type Atom struct {
 	// Negated marks a negated body atom (`!t(...)` or `not t(...)`):
 	// the rule fires only when no matching tuple exists. The engine does
 	// not execute negation — AnalyzeProgram reports it as CodeNegation
-	// (an error) — but the parser and the dependency analyses
-	// (slice.go) understand it, so sliced/vetted programs written in the
-	// wider NDlog dialect are still analyzable. Head atoms are never
-	// negated.
+	// (an error) — but the parser and the dependency analyses (deps.go)
+	// understand it, so vetted programs written in the wider NDlog
+	// dialect are still analyzable. Head atoms are never negated.
 	Negated bool
 	// Pos is the source position of the predicate name, when the atom
 	// came from parsed text (zero for API-built atoms).
